@@ -18,6 +18,10 @@
 //! API mirrors the subset of `rand` the workspace used, so call sites only
 //! changed their import.
 //!
+//! The same SplitMix64 constant drives the workspace's one integer-key
+//! hasher, [`IntHasher`] / [`IntMap`], defined here so every crate that keys
+//! a map by an address or an id shares a single definition.
+//!
 //! # Example
 //!
 //! ```
@@ -37,6 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Range, RangeInclusive};
 
 /// SplitMix64 step: advances `state` and returns the next output.
@@ -84,6 +90,70 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     let mut state = master.wrapping_add(stream.wrapping_mul(GAMMA));
     splitmix64(&mut state)
 }
+
+/// The workspace's one hasher for maps keyed by integers the program made
+/// itself (addresses, hugepage indices, trace ids, CPU ids): a multiply by
+/// the SplitMix64 Weyl constant per word, with the high half folded into
+/// the low half on `finish` so keys that differ only above bit 32 — or only
+/// in a few aligned address bits — still spread over both the bucket index
+/// and the control byte the std table derives from one hash.
+///
+/// Unkeyed, so not collision-resistant against crafted keys: a hostile
+/// trace can make a map slow, never wrong. Hash order is unspecified, so an
+/// [`IntMap`] must never be iterated (the analyzer's `hashmap-iter` rule
+/// enforces it); where the key space is dense by construction, index a
+/// `Vec` instead.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IntHasher(u64);
+
+impl IntHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(26) ^ word).wrapping_mul(GAMMA);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    /// Total for any key type: bytes are folded eight at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+/// A `HashMap` over [`IntHasher`]: for keyed lookups whose keys are
+/// arbitrary integers. Build with `IntMap::default()`; never iterate.
+///
+/// # Example
+///
+/// ```
+/// use wsc_prng::IntMap;
+///
+/// let mut live: IntMap<u64, u32> = IntMap::default();
+/// live.insert(0x7f00_0020_0000, 7);
+/// assert_eq!(live.remove(&0x7f00_0020_0000), Some(7));
+/// ```
+// lint:allow(hashmap-decl) the alias itself; never iterated — every use site
+// carries its own justification.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// A small, fast, seedable generator: xoshiro256++.
 ///
@@ -344,6 +414,65 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 4 * 256, "no collisions across small trees");
+    }
+
+    fn int_hash(key: impl std::hash::Hash) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<IntHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn int_hasher_spreads_the_key_shapes_we_feed_it() {
+        // std's table takes the bucket from the low bits and a 7-bit tag
+        // from the top bits of one hash: both must vary for sequential ids,
+        // hugepage-aligned addresses and cache-line-aligned addresses alike.
+        let shapes: [fn(u64) -> u64; 4] = [
+            |k| k,
+            |k| k << 21,
+            |k| 0x7f00_0000_0000 + k * 64,
+            |k| (k << 32) | 0xdead_beef,
+        ];
+        for (i, shape) in shapes.iter().enumerate() {
+            let mut buckets = std::collections::BTreeSet::new();
+            let mut tags = std::collections::BTreeSet::new();
+            for k in 0..4096u64 {
+                let h = int_hash(shape(k));
+                buckets.insert(h & 0xfff);
+                tags.insert(h >> 57);
+            }
+            // A uniform hash fills 4096·(1 − 1/e) ≈ 2589 of 4096 buckets;
+            // hold every shape to three quarters of that.
+            assert!(buckets.len() > 1940, "shape {i}: {} buckets", buckets.len());
+            assert_eq!(tags.len(), 128, "shape {i}");
+        }
+    }
+
+    #[test]
+    fn int_hasher_is_total_over_byte_keys() {
+        // Tuples, strings and odd-length slices go through `write`.
+        assert_ne!(int_hash((1u32, 2u64)), int_hash((2u32, 1u64)));
+        assert_ne!(int_hash("abc"), int_hash("abd"));
+        assert_ne!(
+            int_hash([1u8; 9].as_slice()),
+            int_hash([1u8; 10].as_slice())
+        );
+    }
+
+    #[test]
+    fn int_map_agrees_with_an_ordered_map() {
+        let mut rng = SmallRng::seed_from_u64(0x1a7);
+        // lint:allow(hashmap-decl) the map under test; never iterated
+        let mut map: IntMap<u64, u64> = IntMap::default();
+        let mut model = std::collections::BTreeMap::new();
+        for step in 0..20_000u64 {
+            let key = rng.gen_range(0u64..512) << 21;
+            if rng.gen_bool(0.5) {
+                assert_eq!(map.insert(key, step), model.insert(key, step));
+            } else {
+                assert_eq!(map.remove(&key), model.remove(&key));
+            }
+            assert_eq!(map.len(), model.len());
+        }
     }
 
     #[test]

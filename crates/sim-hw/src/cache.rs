@@ -9,7 +9,7 @@
 //! needs to charge realistic stall cycles and report MPKI.
 
 use crate::topology::DomainId;
-use std::collections::HashMap;
+use wsc_prng::IntMap;
 
 /// Outcome of an LLC access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,36 +52,43 @@ impl LlcStats {
     }
 }
 
-/// An intrusive byte-capacity LRU keyed by block id.
+/// Where a resident block lives: its one owning domain and its node in
+/// that domain's LRU list.
+#[derive(Clone, Copy, Debug)]
+struct Resident {
+    domain: u32,
+    node: u32,
+}
+
+/// One domain's intrusive byte-capacity LRU list. Membership lives in the
+/// model-wide index ([`LlcModel`]).
 #[derive(Clone, Debug)]
 struct LruBytes {
     capacity: u64,
     used: u64,
-    /// key -> node index; order lives in the intrusive head/tail links
-    // lint:allow(hashmap-decl) keyed lookup only; never iterated
-    index: HashMap<u64, usize>,
     nodes: Vec<Node>,
-    head: usize, // most recent; usize::MAX when empty
-    tail: usize, // least recent
-    free: Vec<usize>,
+    head: u32, // most recent; NIL when empty
+    tail: u32, // least recent
+    free: Vec<u32>,
 }
 
+/// 24 bytes: the links are slab indices, not pointers, so a touch (which
+/// reads the node and both neighbours) walks a slab three quarters the size.
 #[derive(Clone, Copy, Debug)]
 struct Node {
     key: u64,
     bytes: u64,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
 }
 
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 impl LruBytes {
     fn new(capacity: u64) -> Self {
         Self {
             capacity,
             used: 0,
-            index: HashMap::new(),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -89,25 +96,25 @@ impl LruBytes {
         }
     }
 
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
         if prev != NIL {
-            self.nodes[prev].next = next;
+            self.nodes[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.nodes[next].prev = prev;
+            self.nodes[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
+    fn push_front(&mut self, i: u32) {
+        self.nodes[i as usize].prev = NIL;
+        self.nodes[i as usize].next = self.head;
         if self.head != NIL {
-            self.nodes[self.head].prev = i;
+            self.nodes[self.head as usize].prev = i;
         }
         self.head = i;
         if self.tail == NIL {
@@ -115,34 +122,26 @@ impl LruBytes {
         }
     }
 
-    /// Returns true (and refreshes recency) if `key` is resident.
-    fn touch(&mut self, key: u64) -> bool {
-        if let Some(&i) = self.index.get(&key) {
-            if self.head != i {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            true
-        } else {
-            false
+    /// Refreshes the recency of resident node `i`.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
         }
     }
 
-    /// Inserts `key`; evicts LRU entries until it fits. Oversized blocks are
-    /// clamped to capacity (streaming a block larger than the LLC just
-    /// flushes it).
-    fn insert(&mut self, key: u64, bytes: u64) {
-        if self.touch(key) {
-            return;
-        }
+    /// Inserts non-resident `key` at the front and returns its node; evicts
+    /// LRU entries (dropping them from `index`) until it fits. Oversized
+    /// blocks are clamped to capacity (streaming a block larger than the
+    /// LLC just flushes it).
+    // lint:allow(hashmap-decl) the model's index, borrowed to drop victims;
+    // never iterated
+    fn insert(&mut self, key: u64, bytes: u64, index: &mut IntMap<u64, Resident>) -> u32 {
         let bytes = bytes.min(self.capacity).max(1);
         while self.used + bytes > self.capacity && self.tail != NIL {
             let victim = self.tail;
-            let vkey = self.nodes[victim].key;
-            self.used -= self.nodes[victim].bytes;
-            self.unlink(victim);
-            self.index.remove(&vkey);
-            self.free.push(victim);
+            index.remove(&self.nodes[victim as usize].key);
+            self.remove(victim);
         }
         let node = Node {
             key,
@@ -151,27 +150,26 @@ impl LruBytes {
             next: NIL,
         };
         let i = if let Some(i) = self.free.pop() {
-            self.nodes[i] = node;
+            self.nodes[i as usize] = node;
             i
         } else {
+            let i = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("LLC node slab exceeds u32");
             self.nodes.push(node);
-            self.nodes.len() - 1
+            i
         };
-        self.index.insert(key, i);
         self.used += bytes;
         self.push_front(i);
+        i
     }
 
-    fn remove(&mut self, key: u64) {
-        if let Some(i) = self.index.remove(&key) {
-            self.used -= self.nodes[i].bytes;
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+    /// Drops resident node `i` (the caller owns the index entry).
+    fn remove(&mut self, i: u32) {
+        self.used -= self.nodes[i as usize].bytes;
+        self.unlink(i);
+        self.free.push(i);
     }
 }
 
@@ -195,6 +193,13 @@ impl LruBytes {
 #[derive(Clone, Debug)]
 pub struct LlcModel {
     domains: Vec<LruBytes>,
+    /// `block → (domain, node)` for every resident block. A block is
+    /// resident in at most one domain — `access` moves it to the accessing
+    /// domain and `evict` removes it — so one probe classifies an access as
+    /// hit, remote or memory miss.
+    // lint:allow(hashmap-decl) keyed lookup only; never iterated — LRU order
+    // lives in the per-domain intrusive lists
+    index: IntMap<u64, Resident>,
     stats: LlcStats,
 }
 
@@ -212,6 +217,7 @@ impl LlcModel {
             domains: (0..num_domains)
                 .map(|_| LruBytes::new(bytes_per_domain))
                 .collect(),
+            index: IntMap::default(),
             stats: LlcStats::default(),
         }
     }
@@ -226,37 +232,39 @@ impl LlcModel {
         let d = domain.index();
         assert!(d < self.domains.len(), "domain {domain} out of range");
         self.stats.accesses += 1;
-        if self.domains[d].touch(block) {
-            self.stats.hits += 1;
-            return LlcAccess::Hit;
-        }
-        // Not local: is any other domain holding it?
-        let remote = self
-            .domains
-            .iter()
-            .enumerate()
-            .any(|(i, dom)| i != d && dom.contains(block));
-        if remote {
-            // Transfer: the line moves to the accessing domain.
-            for (i, dom) in self.domains.iter_mut().enumerate() {
-                if i != d {
-                    dom.remove(block);
-                }
+        let outcome = match self.index.get(&block).copied() {
+            Some(at) if at.domain == domain.0 => {
+                self.domains[d].touch(at.node);
+                self.stats.hits += 1;
+                return LlcAccess::Hit;
             }
-            self.domains[d].insert(block, bytes);
-            self.stats.remote_misses += 1;
-            LlcAccess::MissRemote
-        } else {
-            self.domains[d].insert(block, bytes);
-            self.stats.memory_misses += 1;
-            LlcAccess::MissMemory
-        }
+            Some(at) => {
+                // Transfer: the line leaves its owner for the accessing
+                // domain.
+                self.domains[at.domain as usize].remove(at.node);
+                self.stats.remote_misses += 1;
+                LlcAccess::MissRemote
+            }
+            None => {
+                self.stats.memory_misses += 1;
+                LlcAccess::MissMemory
+            }
+        };
+        let node = self.domains[d].insert(block, bytes, &mut self.index);
+        self.index.insert(
+            block,
+            Resident {
+                domain: domain.0,
+                node,
+            },
+        );
+        outcome
     }
 
     /// Evicts a block everywhere (the backing memory was unmapped).
     pub fn evict(&mut self, block: u64) {
-        for dom in &mut self.domains {
-            dom.remove(block);
+        if let Some(at) = self.index.remove(&block) {
+            self.domains[at.domain as usize].remove(at.node);
         }
     }
 
@@ -360,5 +368,169 @@ mod tests {
         let s = llc.stats();
         assert_eq!(s.accesses, 1000);
         assert_eq!(s.hits + s.misses(), 1000);
+    }
+
+    /// The retired model — one private `key → node` map per domain, every
+    /// miss probing every other domain — kept only as the reference the
+    /// single-index model is compared against.
+    mod reference {
+        use super::super::{DomainId, LlcAccess, LlcStats};
+        use std::collections::{BTreeMap, VecDeque};
+
+        #[derive(Debug)]
+        struct Lru {
+            capacity: u64,
+            used: u64,
+            bytes: BTreeMap<u64, u64>,
+            order: VecDeque<u64>, // front = most recent
+        }
+
+        impl Lru {
+            fn touch(&mut self, key: u64) -> bool {
+                if !self.bytes.contains_key(&key) {
+                    return false;
+                }
+                self.order.retain(|&k| k != key);
+                self.order.push_front(key);
+                true
+            }
+
+            fn insert(&mut self, key: u64, bytes: u64) {
+                if self.touch(key) {
+                    return;
+                }
+                let bytes = bytes.min(self.capacity).max(1);
+                while self.used + bytes > self.capacity {
+                    let Some(victim) = self.order.pop_back() else {
+                        break;
+                    };
+                    self.used -= self.bytes.remove(&victim).expect("listed");
+                }
+                self.bytes.insert(key, bytes);
+                self.order.push_front(key);
+                self.used += bytes;
+            }
+
+            fn remove(&mut self, key: u64) {
+                if let Some(b) = self.bytes.remove(&key) {
+                    self.used -= b;
+                    self.order.retain(|&k| k != key);
+                }
+            }
+        }
+
+        #[derive(Debug)]
+        pub struct RefLlc {
+            domains: Vec<Lru>,
+            pub stats: LlcStats,
+        }
+
+        impl RefLlc {
+            pub fn new(num_domains: usize, capacity: u64) -> Self {
+                Self {
+                    domains: (0..num_domains)
+                        .map(|_| Lru {
+                            capacity,
+                            used: 0,
+                            bytes: BTreeMap::new(),
+                            order: VecDeque::new(),
+                        })
+                        .collect(),
+                    stats: LlcStats::default(),
+                }
+            }
+
+            pub fn access(&mut self, domain: DomainId, block: u64, bytes: u64) -> LlcAccess {
+                let d = domain.index();
+                self.stats.accesses += 1;
+                if self.domains[d].touch(block) {
+                    self.stats.hits += 1;
+                    return LlcAccess::Hit;
+                }
+                let remote = self
+                    .domains
+                    .iter()
+                    .enumerate()
+                    .any(|(i, dom)| i != d && dom.bytes.contains_key(&block));
+                for (i, dom) in self.domains.iter_mut().enumerate() {
+                    if i != d {
+                        dom.remove(block);
+                    }
+                }
+                self.domains[d].insert(block, bytes);
+                if remote {
+                    self.stats.remote_misses += 1;
+                    LlcAccess::MissRemote
+                } else {
+                    self.stats.memory_misses += 1;
+                    LlcAccess::MissMemory
+                }
+            }
+
+            pub fn evict(&mut self, block: u64) {
+                for dom in &mut self.domains {
+                    dom.remove(block);
+                }
+            }
+
+            /// Domains holding `block`.
+            pub fn holders(&self, block: u64) -> usize {
+                self.domains
+                    .iter()
+                    .filter(|d| d.bytes.contains_key(&block))
+                    .count()
+            }
+
+            pub fn used(&self, d: usize) -> u64 {
+                self.domains[d].used
+            }
+        }
+    }
+
+    #[test]
+    fn single_index_matches_per_domain_maps() {
+        use wsc_prng::SmallRng;
+        for case in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0x11c0_de00 + case);
+            let domains = rng.gen_range(1usize..=6);
+            let capacity = rng.gen_range(256u64..8192);
+            // Few enough blocks to hit and ping-pong, enough bytes to evict.
+            let blocks = rng.gen_range(8u64..200);
+            let mut llc = LlcModel::new(domains, capacity);
+            let mut model = reference::RefLlc::new(domains, capacity);
+            for step in 0..3000 {
+                // Aligned, address-like keys: what the driver feeds in.
+                let block = 0x7f00_0000_0000 + rng.gen_range(0..blocks) * 64;
+                if rng.gen_bool(0.05) {
+                    llc.evict(block);
+                    model.evict(block);
+                } else {
+                    let d = DomainId(rng.gen_range(0..domains) as u32);
+                    let bytes = rng.gen_range(1u64..2 * capacity / 3);
+                    assert_eq!(
+                        llc.access(d, block, bytes),
+                        model.access(d, block, bytes),
+                        "case {case} step {step}"
+                    );
+                }
+                assert_eq!(llc.stats(), model.stats, "case {case} step {step}");
+                assert!(model.holders(block) <= 1, "at most one owning domain");
+                assert_eq!(
+                    llc.index.contains_key(&block),
+                    model.holders(block) == 1,
+                    "case {case} step {step}"
+                );
+            }
+            // The index holds exactly the listed nodes of every domain.
+            let listed: usize = llc
+                .domains
+                .iter()
+                .map(|d| d.nodes.len() - d.free.len())
+                .sum();
+            assert_eq!(llc.index.len(), listed);
+            for (d, dom) in llc.domains.iter().enumerate() {
+                assert_eq!(dom.used, model.used(d), "case {case} domain {d}");
+            }
+        }
     }
 }

@@ -11,56 +11,105 @@
 
 use crate::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 use crate::faults::OsError;
-use std::collections::BTreeMap;
 use wsc_sim_hw::tlb::PageSize;
 
 /// Words of the per-hugepage released-page bitmask (256 TCMalloc pages).
 const MASK_WORDS: usize = (TCMALLOC_PAGES_PER_HUGE as usize) / 64;
 
-/// Backing state of one mapped hugepage-sized region.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct HugeState {
-    /// Still backed by a single 2 MiB hugepage?
-    huge: bool,
-    /// THP compaction failed at `mmap` time: the region has always been
-    /// 4 KiB-backed and is eligible for khugepaged-style collapse once it
-    /// is fully resident. Subrelease-broken hugepages (`denied == false`,
-    /// `huge == false`) are *not* eligible — the kernel never transparently
-    /// rebuilds those, which is the §3 degradation story.
-    denied: bool,
-    /// For broken hugepages: bitmask of *released* (non-resident) TCMalloc
-    /// pages. All-zero while `huge` is true.
+/// Hugepages per window-growth chunk (128 MiB of address space, 2.5 KiB of
+/// records): small, so a cold machine that maps a few hugepages pays for a
+/// few records, not for a pagemap-sized leaf.
+const CHUNK_HUGEPAGES: u64 = 64;
+
+/// Ceiling on the window, in hugepages (1 TiB of address-space spread, the
+/// pagemap's and origin table's ceiling; more indicates corruption, not a
+/// bigger heap).
+const MAX_WINDOW_HUGEPAGES: u64 = 1 << 19;
+
+/// How one hugepage-sized slot of the window is backed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Backing {
+    /// Not mapped (also every slot the window covers but `mmap` never hit).
+    #[default]
+    Unmapped,
+    /// Backed by a single 2 MiB hugepage. No page of it is released:
+    /// subrelease is the only way to release, and it breaks the hugepage.
+    Huge,
+    /// Split into base pages by a subrelease. Never rebuilt — the kernel
+    /// does not transparently collapse those, which is the §3 degradation
+    /// story.
+    Broken,
+    /// THP compaction failed at `mmap` time: 4 KiB-backed since birth and
+    /// eligible for khugepaged-style collapse once fully resident.
+    Denied,
+}
+
+/// State of one hugepage-sized slot. An unmapped slot is all-zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct HugeRec {
+    backing: Backing,
+    /// Bitmask of *released* (non-resident) TCMalloc pages.
     released: [u64; MASK_WORDS],
 }
 
-impl HugeState {
-    fn new_huge() -> Self {
-        Self {
-            huge: true,
-            denied: false,
-            released: [0; MASK_WORDS],
-        }
+impl HugeRec {
+    fn is_fully_resident(&self) -> bool {
+        self.released == [0; MASK_WORDS]
     }
 
-    fn new_denied() -> Self {
-        Self {
-            huge: false,
-            denied: true,
-            released: [0; MASK_WORDS],
-        }
+    fn released_pages(&self) -> u64 {
+        self.released
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
     }
+}
 
-    fn released_pages(&self) -> u32 {
-        self.released.iter().map(|w| w.count_ones()).sum()
+/// Bits `lo..hi` of a hugepage's 256-bit page mask that fall in word `w`.
+fn word_mask(w: usize, lo: u64, hi: u64) -> u64 {
+    let word_lo = w as u64 * 64;
+    let (a, b) = (lo.max(word_lo), hi.min(word_lo + 64));
+    if a >= b {
+        0
+    } else {
+        (u64::MAX >> (64 - (b - a))) << (a - word_lo)
     }
+}
 
-    fn resident_bytes(&self) -> u64 {
-        HUGE_PAGE_BYTES - self.released_pages() as u64 * TCMALLOC_PAGE_BYTES
-    }
+/// Splits the non-empty TCMalloc-page range `first..last` by hugepage:
+/// yields each touched hugepage index with the range `lo..hi` of its own
+/// pages (`0..=256`) that lie inside.
+fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+    let per = TCMALLOC_PAGES_PER_HUGE;
+    (first / per..=(last - 1) / per).map(move |hp| {
+        (
+            hp,
+            first.max(hp * per) - hp * per,
+            last.min((hp + 1) * per) - hp * per,
+        )
+    })
 }
 
 /// Tracks the backing (huge vs base pages, residency) of every mapped
 /// hugepage-sized region in a process.
+///
+/// Address → state is index arithmetic: one [`HugeRec`] per hugepage in a
+/// flat window over the observed hugepage range, empty until the first
+/// `mmap` and grown in whole [`CHUNK_HUGEPAGES`] chunks in either direction
+/// (the windowing discipline of the allocator's pagemap). Every aggregate
+/// the allocator and the drivers poll per event is a running counter that
+/// each mutator keeps exact, so the queries are O(1):
+///
+/// * `mapped` — slots whose backing is not `Unmapped`
+///   (`on_mmap_backed` +1, `on_munmap` −1 per hugepage);
+/// * `released_pages` — set bits over all `released` masks (`subrelease`
+///   adds the bits it newly sets, `reoccupy` subtracts the bits it clears,
+///   `on_munmap` subtracts the slot's popcount);
+/// * `huge` — slots backed `Huge`; each is fully resident, so huge-backed
+///   resident pages are `huge × 256` (`on_mmap_backed(.., true)` and
+///   `promote` +1; the first `subrelease` of a slot and `on_munmap` −1);
+/// * `denied` — slots backed `Denied` (`on_mmap_backed(.., false)` +1;
+///   `promote` and `on_munmap` −1).
 ///
 /// # Example
 ///
@@ -78,21 +127,76 @@ impl HugeState {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    regions: BTreeMap<u64, HugeState>,
+    /// One record per hugepage of the window.
+    recs: Vec<HugeRec>,
+    /// Hugepage index of `recs[0]`, aligned to [`CHUNK_HUGEPAGES`];
+    /// meaningful once `recs` is non-empty.
+    base_hp: u64,
+    mapped: u64,
+    released_pages: u64,
+    huge: u64,
+    denied: u64,
 }
 
 impl PageTable {
-    /// Creates an empty page table.
+    /// Creates an empty page table. Allocates nothing until the first
+    /// `mmap`.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn for_each_hugepage(addr: u64, len: u64) -> impl Iterator<Item = u64> {
+    /// The hugepage index range of a hugepage-granular byte range.
+    fn hugepage_span(addr: u64, len: u64) -> std::ops::Range<u64> {
         assert!(
             addr.is_multiple_of(HUGE_PAGE_BYTES) && len.is_multiple_of(HUGE_PAGE_BYTES),
             "mmap/munmap must be hugepage-granular: addr={addr:#x} len={len:#x}"
         );
         (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES)
+    }
+
+    /// Grows the window (whole chunks, either direction) to cover the
+    /// non-empty hugepage range `span`.
+    fn ensure(&mut self, span: &std::ops::Range<u64>) {
+        let lo = span.start - span.start % CHUNK_HUGEPAGES;
+        let hi = span.end.next_multiple_of(CHUNK_HUGEPAGES);
+        if self.recs.is_empty() {
+            self.base_hp = lo;
+        }
+        let new_lo = lo.min(self.base_hp);
+        let new_hi = hi.max(self.base_hp + self.recs.len() as u64);
+        assert!(
+            new_hi - new_lo <= MAX_WINDOW_HUGEPAGES,
+            "page table window blow-up"
+        );
+        if new_lo < self.base_hp {
+            let grow = (self.base_hp - new_lo) as usize;
+            let mut fresh = vec![HugeRec::default(); grow + self.recs.len()];
+            fresh[grow..].copy_from_slice(&self.recs);
+            self.recs = fresh;
+            self.base_hp = new_lo;
+        }
+        let want = (new_hi - self.base_hp) as usize;
+        if want > self.recs.len() {
+            self.recs.resize(want, HugeRec::default());
+        }
+    }
+
+    /// The record of hugepage `hp` if the window covers it (mapped or not).
+    fn rec(&self, hp: u64) -> Option<&HugeRec> {
+        let off = usize::try_from(hp.wrapping_sub(self.base_hp)).ok()?;
+        self.recs.get(off)
+    }
+
+    fn rec_mut(&mut self, hp: u64) -> Option<&mut HugeRec> {
+        let off = usize::try_from(hp.wrapping_sub(self.base_hp)).ok()?;
+        self.recs.get_mut(off)
+    }
+
+    /// Backing of the hugepage containing `addr`: one indexed load,
+    /// `Unmapped` outside the window.
+    fn backing_of(&self, addr: u64) -> Backing {
+        self.rec(addr / HUGE_PAGE_BYTES)
+            .map_or(Backing::Unmapped, |r| r.backing)
     }
 
     /// Registers a new hugepage-aligned mapping; THP backs every 2 MiB of it
@@ -112,18 +216,30 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics on misaligned arguments or double-mapping.
+    /// Panics on misaligned arguments, double-mapping, or a mapping more
+    /// than 1 TiB of address space away from the others.
     ///
     /// [`promote`]: Self::promote
     pub fn on_mmap_backed(&mut self, addr: u64, len: u64, huge: bool) {
-        for hp in Self::for_each_hugepage(addr, len) {
-            let state = if huge {
-                HugeState::new_huge()
+        let span = Self::hugepage_span(addr, len);
+        if span.is_empty() {
+            return;
+        }
+        self.ensure(&span);
+        let backing = if huge { Backing::Huge } else { Backing::Denied };
+        for hp in span {
+            let rec = &mut self.recs[(hp - self.base_hp) as usize];
+            assert!(
+                rec.backing == Backing::Unmapped,
+                "double mmap of hugepage {hp}"
+            );
+            rec.backing = backing;
+            self.mapped += 1;
+            if huge {
+                self.huge += 1;
             } else {
-                HugeState::new_denied()
-            };
-            let prev = self.regions.insert(hp, state);
-            assert!(prev.is_none(), "double mmap of hugepage {hp}");
+                self.denied += 1;
+            }
         }
     }
 
@@ -133,11 +249,19 @@ impl PageTable {
     ///
     /// Panics on misaligned arguments or unmapping an absent region.
     pub fn on_munmap(&mut self, addr: u64, len: u64) {
-        for hp in Self::for_each_hugepage(addr, len) {
-            assert!(
-                self.regions.remove(&hp).is_some(),
-                "munmap of unmapped hugepage {hp}"
-            );
+        for hp in Self::hugepage_span(addr, len) {
+            let rec = self
+                .rec_mut(hp)
+                .map(std::mem::take)
+                .filter(|r| r.backing != Backing::Unmapped)
+                .unwrap_or_else(|| panic!("munmap of unmapped hugepage {hp}"));
+            self.mapped -= 1;
+            self.released_pages -= rec.released_pages();
+            match rec.backing {
+                Backing::Huge => self.huge -= 1,
+                Backing::Denied => self.denied -= 1,
+                Backing::Broken | Backing::Unmapped => {}
+            }
         }
     }
 
@@ -161,20 +285,27 @@ impl PageTable {
         );
         let first = addr / TCMALLOC_PAGE_BYTES;
         let last = (addr + len) / TCMALLOC_PAGE_BYTES;
+        if first == last {
+            return Ok(());
+        }
         // Validate the whole range before touching anything: EINVAL leaves
         // the page table exactly as it was.
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
-            if !self.regions.contains_key(&hp) {
+        for (hp, ..) in split_by_hugepage(first, last) {
+            if self.rec(hp).is_none_or(|r| r.backing == Backing::Unmapped) {
                 return Err(OsError::UnmappedRange(hp));
             }
         }
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
-            let state = self.regions.get_mut(&hp).expect("validated above");
-            state.huge = false;
-            let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
-            state.released[bit / 64] |= 1 << (bit % 64);
+        for (hp, lo, hi) in split_by_hugepage(first, last) {
+            let rec = &mut self.recs[(hp - self.base_hp) as usize];
+            if rec.backing == Backing::Huge {
+                rec.backing = Backing::Broken;
+                self.huge -= 1;
+            }
+            for (w, word) in rec.released.iter_mut().enumerate() {
+                let mask = word_mask(w, lo, hi);
+                self.released_pages += u64::from((mask & !*word).count_ones());
+                *word |= mask;
+            }
         }
         Ok(())
     }
@@ -183,15 +314,25 @@ impl PageTable {
     /// kernel faults base pages back in. The hugepage stays broken — the
     /// kernel does not transparently rebuild it, which is exactly the
     /// "subrelease leads to performance degradation" effect of §3.
+    /// Unmapped parts of the range are ignored.
     pub fn reoccupy(&mut self, addr: u64, len: u64) {
         let first = addr / TCMALLOC_PAGE_BYTES;
         let last = (addr + len).div_ceil(TCMALLOC_PAGE_BYTES);
-        for page in first..last {
-            let hp = page / TCMALLOC_PAGES_PER_HUGE;
-            if let Some(state) = self.regions.get_mut(&hp) {
-                let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
-                state.released[bit / 64] &= !(1 << (bit % 64));
+        if first >= last {
+            return;
+        }
+        for (hp, lo, hi) in split_by_hugepage(first, last) {
+            // An unmapped slot has no released bit, so it needs no test.
+            let Some(rec) = self.rec_mut(hp) else {
+                continue;
+            };
+            let mut cleared = 0;
+            for (w, word) in rec.released.iter_mut().enumerate() {
+                let mask = word_mask(w, lo, hi);
+                cleared += u64::from((*word & mask).count_ones());
+                *word &= !mask;
             }
+            self.released_pages -= cleared;
         }
     }
 
@@ -201,10 +342,11 @@ impl PageTable {
     /// whether the promotion happened. Subrelease-broken hugepages never
     /// promote (the kernel does not rebuild those, §3).
     pub fn promote(&mut self, addr: u64) -> bool {
-        match self.regions.get_mut(&(addr / HUGE_PAGE_BYTES)) {
-            Some(s) if s.denied && s.released_pages() == 0 => {
-                s.huge = true;
-                s.denied = false;
+        match self.rec_mut(addr / HUGE_PAGE_BYTES) {
+            Some(r) if r.backing == Backing::Denied && r.is_fully_resident() => {
+                r.backing = Backing::Huge;
+                self.denied -= 1;
+                self.huge += 1;
                 true
             }
             _ => false,
@@ -214,33 +356,28 @@ impl PageTable {
     /// Was the hugepage containing `addr` denied hugepage backing at `mmap`
     /// time (and not yet collapsed back)?
     pub fn is_denied(&self, addr: u64) -> bool {
-        self.regions
-            .get(&(addr / HUGE_PAGE_BYTES))
-            .is_some_and(|s| s.denied)
+        self.backing_of(addr) == Backing::Denied
     }
 
     /// Is every TCMalloc page of the hugepage containing `addr` resident?
     pub fn is_fully_resident(&self, addr: u64) -> bool {
-        self.regions
-            .get(&(addr / HUGE_PAGE_BYTES))
-            .is_some_and(|s| s.released_pages() == 0)
+        self.rec(addr / HUGE_PAGE_BYTES)
+            .is_some_and(|r| r.backing != Backing::Unmapped && r.is_fully_resident())
     }
 
     /// Number of mapped hugepage regions currently denied hugepage backing.
     pub fn denied_hugepages(&self) -> u64 {
-        self.regions.values().filter(|s| s.denied).count() as u64
+        self.denied
     }
 
     /// Is the hugepage containing `addr` still backed by a real hugepage?
     pub fn is_huge_backed(&self, addr: u64) -> bool {
-        self.regions
-            .get(&(addr / HUGE_PAGE_BYTES))
-            .is_some_and(|s| s.huge)
+        self.backing_of(addr) == Backing::Huge
     }
 
     /// Is `addr` mapped at all?
     pub fn is_mapped(&self, addr: u64) -> bool {
-        self.regions.contains_key(&(addr / HUGE_PAGE_BYTES))
+        self.backing_of(addr) != Backing::Unmapped
     }
 
     /// Translation page size for `addr`, for feeding the TLB simulator.
@@ -255,21 +392,17 @@ impl PageTable {
 
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.regions.len() as u64 * HUGE_PAGE_BYTES
+        self.mapped * HUGE_PAGE_BYTES
     }
 
     /// Resident bytes (mapped minus subreleased).
     pub fn resident_bytes(&self) -> u64 {
-        self.regions.values().map(HugeState::resident_bytes).sum()
+        self.mapped * HUGE_PAGE_BYTES - self.released_pages * TCMALLOC_PAGE_BYTES
     }
 
     /// Resident bytes backed by hugepages.
     pub fn huge_backed_bytes(&self) -> u64 {
-        self.regions
-            .values()
-            .filter(|s| s.huge)
-            .map(HugeState::resident_bytes)
-            .sum()
+        self.huge * HUGE_PAGE_BYTES
     }
 
     /// Hugepage coverage: fraction of resident bytes backed by hugepages
@@ -369,5 +502,327 @@ mod tests {
         pt.subrelease(0, TP).unwrap();
         assert_eq!(pt.page_size_of(100), PageSize::Base4K);
         assert_eq!(pt.page_size_of(HP * 99), PageSize::Base4K);
+    }
+
+    #[test]
+    fn empty_table_allocates_nothing() {
+        let pt = PageTable::new();
+        assert_eq!(pt.recs.capacity(), 0);
+        assert!(!pt.is_mapped(crate::vmm::HEAP_BASE));
+        assert_eq!(pt.resident_bytes(), 0);
+        assert_eq!(pt.hugepage_coverage(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "window blow-up")]
+    fn far_apart_mappings_are_refused_before_allocating() {
+        let mut pt = PageTable::new();
+        pt.on_mmap(0, HP);
+        pt.on_mmap(crate::vmm::HEAP_BASE, HP);
+    }
+
+    #[test]
+    fn word_masks_tile_the_hugepage() {
+        for (lo, hi) in [
+            (0, 256),
+            (0, 1),
+            (63, 65),
+            (64, 128),
+            (100, 101),
+            (255, 256),
+        ] {
+            let bits: u64 = (0..MASK_WORDS)
+                .map(|w| u64::from(word_mask(w, lo, hi).count_ones()))
+                .sum();
+            assert_eq!(bits, hi - lo, "{lo}..{hi}");
+            let w = (lo / 64) as usize;
+            assert_ne!(word_mask(w, lo, hi) & (1 << (lo % 64)), 0, "{lo}..{hi}");
+        }
+        assert_eq!(word_mask(1, 0, 64), 0);
+    }
+
+    /// The retired `BTreeMap` page table, kept only as the model the flat
+    /// one is compared against: every aggregate is a full scan.
+    mod reference {
+        use super::super::{
+            OsError, HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES,
+        };
+        use std::collections::BTreeMap;
+
+        #[derive(Clone, Debug)]
+        struct HugeState {
+            huge: bool,
+            denied: bool,
+            released: [u64; 4],
+        }
+
+        impl HugeState {
+            fn released_pages(&self) -> u32 {
+                self.released.iter().map(|w| w.count_ones()).sum()
+            }
+
+            fn resident_bytes(&self) -> u64 {
+                HUGE_PAGE_BYTES - self.released_pages() as u64 * TCMALLOC_PAGE_BYTES
+            }
+        }
+
+        #[derive(Clone, Debug, Default)]
+        pub struct RefPageTable {
+            regions: BTreeMap<u64, HugeState>,
+        }
+
+        impl RefPageTable {
+            pub fn on_mmap_backed(&mut self, addr: u64, len: u64, huge: bool) {
+                for hp in (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES) {
+                    let state = HugeState {
+                        huge,
+                        denied: !huge,
+                        released: [0; 4],
+                    };
+                    assert!(self.regions.insert(hp, state).is_none());
+                }
+            }
+
+            pub fn on_munmap(&mut self, addr: u64, len: u64) {
+                for hp in (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES) {
+                    assert!(self.regions.remove(&hp).is_some());
+                }
+            }
+
+            pub fn subrelease(&mut self, addr: u64, len: u64) -> Result<(), OsError> {
+                let first = addr / TCMALLOC_PAGE_BYTES;
+                let last = (addr + len) / TCMALLOC_PAGE_BYTES;
+                for page in first..last {
+                    let hp = page / TCMALLOC_PAGES_PER_HUGE;
+                    if !self.regions.contains_key(&hp) {
+                        return Err(OsError::UnmappedRange(hp));
+                    }
+                }
+                for page in first..last {
+                    let hp = page / TCMALLOC_PAGES_PER_HUGE;
+                    let state = self.regions.get_mut(&hp).expect("validated above");
+                    state.huge = false;
+                    let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
+                    state.released[bit / 64] |= 1 << (bit % 64);
+                }
+                Ok(())
+            }
+
+            pub fn reoccupy(&mut self, addr: u64, len: u64) {
+                let first = addr / TCMALLOC_PAGE_BYTES;
+                let last = (addr + len).div_ceil(TCMALLOC_PAGE_BYTES);
+                for page in first..last {
+                    let hp = page / TCMALLOC_PAGES_PER_HUGE;
+                    if let Some(state) = self.regions.get_mut(&hp) {
+                        let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
+                        state.released[bit / 64] &= !(1 << (bit % 64));
+                    }
+                }
+            }
+
+            pub fn promote(&mut self, addr: u64) -> bool {
+                match self.regions.get_mut(&(addr / HUGE_PAGE_BYTES)) {
+                    Some(s) if s.denied && s.released_pages() == 0 => {
+                        s.huge = true;
+                        s.denied = false;
+                        true
+                    }
+                    _ => false,
+                }
+            }
+
+            fn get(&self, addr: u64) -> Option<&HugeState> {
+                self.regions.get(&(addr / HUGE_PAGE_BYTES))
+            }
+
+            pub fn is_denied(&self, addr: u64) -> bool {
+                self.get(addr).is_some_and(|s| s.denied)
+            }
+
+            pub fn is_fully_resident(&self, addr: u64) -> bool {
+                self.get(addr).is_some_and(|s| s.released_pages() == 0)
+            }
+
+            pub fn is_huge_backed(&self, addr: u64) -> bool {
+                self.get(addr).is_some_and(|s| s.huge)
+            }
+
+            pub fn is_mapped(&self, addr: u64) -> bool {
+                self.get(addr).is_some()
+            }
+
+            pub fn denied_hugepages(&self) -> u64 {
+                self.regions.values().filter(|s| s.denied).count() as u64
+            }
+
+            pub fn mapped_bytes(&self) -> u64 {
+                self.regions.len() as u64 * HUGE_PAGE_BYTES
+            }
+
+            pub fn resident_bytes(&self) -> u64 {
+                self.regions.values().map(HugeState::resident_bytes).sum()
+            }
+
+            pub fn huge_backed_bytes(&self) -> u64 {
+                self.regions
+                    .values()
+                    .filter(|s| s.huge)
+                    .map(HugeState::resident_bytes)
+                    .sum()
+            }
+
+            pub fn hugepage_coverage(&self) -> f64 {
+                let resident = self.resident_bytes();
+                if resident == 0 {
+                    0.0
+                } else {
+                    self.huge_backed_bytes() as f64 / resident as f64
+                }
+            }
+        }
+    }
+
+    /// Every O(1) counter against a full scan of the table's own records
+    /// and against the reference model; every point query at `probes`.
+    fn assert_agrees(pt: &PageTable, model: &reference::RefPageTable, probes: &[u64], ctx: &str) {
+        let mapped = pt.recs.iter().filter(|r| r.backing != Backing::Unmapped);
+        assert_eq!(pt.mapped, mapped.clone().count() as u64, "{ctx}");
+        assert_eq!(
+            pt.released_pages,
+            mapped.clone().map(HugeRec::released_pages).sum::<u64>(),
+            "{ctx}"
+        );
+        let huge = mapped.clone().filter(|r| r.backing == Backing::Huge);
+        assert_eq!(pt.huge, huge.clone().count() as u64, "{ctx}");
+        assert!(huge.clone().all(HugeRec::is_fully_resident), "{ctx}");
+        assert_eq!(
+            pt.denied,
+            mapped.filter(|r| r.backing == Backing::Denied).count() as u64,
+            "{ctx}"
+        );
+        let unmapped = pt.recs.iter().filter(|r| r.backing == Backing::Unmapped);
+        assert!(unmapped.clone().all(HugeRec::is_fully_resident), "{ctx}");
+
+        assert_eq!(pt.mapped_bytes(), model.mapped_bytes(), "{ctx}");
+        assert_eq!(pt.resident_bytes(), model.resident_bytes(), "{ctx}");
+        assert_eq!(pt.huge_backed_bytes(), model.huge_backed_bytes(), "{ctx}");
+        assert_eq!(pt.denied_hugepages(), model.denied_hugepages(), "{ctx}");
+        assert_eq!(
+            pt.hugepage_coverage().to_bits(),
+            model.hugepage_coverage().to_bits(),
+            "{ctx}"
+        );
+        for &a in probes {
+            assert_eq!(pt.is_mapped(a), model.is_mapped(a), "{ctx} @{a:#x}");
+            assert_eq!(
+                pt.is_huge_backed(a),
+                model.is_huge_backed(a),
+                "{ctx} @{a:#x}"
+            );
+            assert_eq!(pt.is_denied(a), model.is_denied(a), "{ctx} @{a:#x}");
+            assert_eq!(
+                pt.is_fully_resident(a),
+                model.is_fully_resident(a),
+                "{ctx} @{a:#x}"
+            );
+            let want = if model.is_huge_backed(a) {
+                PageSize::Huge2M
+            } else {
+                PageSize::Base4K
+            };
+            assert_eq!(pt.page_size_of(a), want, "{ctx} @{a:#x}");
+        }
+    }
+
+    #[test]
+    fn flat_table_matches_btreemap_reference() {
+        use wsc_prng::SmallRng;
+        // Hugepage universe per case: 200 slots (three growth chunks) at an
+        // origin that is chunk-aligned, odd, or the canonical heap base.
+        const SLOTS: u64 = 200;
+        let origins = [0, 4_999, crate::vmm::HEAP_BASE / HP, 1 << 30];
+        for case in 0..48u64 {
+            let mut rng = SmallRng::seed_from_u64(0x9a6e_7ab1 + case);
+            let origin = origins[(case % 4) as usize];
+            let mut pt = PageTable::new();
+            let mut model = reference::RefPageTable::default();
+            let probes: Vec<u64> = (0..SLOTS + 2)
+                .map(|i| (origin + i) * HP + (i * 4099) % HP)
+                .chain([(origin + 100_000) * HP])
+                .collect();
+            for step in 0..400 {
+                let hp = origin + rng.gen_range(0..SLOTS);
+                let n = rng.gen_range(1u64..=4).min(origin + SLOTS - hp);
+                let run = |m: &reference::RefPageTable, want: bool| {
+                    (hp..hp + n).all(|h| m.is_mapped(h * HP) == want)
+                };
+                let op = rng.gen_range(0u32..16);
+                match op {
+                    // Early steps map high slots first often enough that the
+                    // window has to grow downward.
+                    0..=3 if run(&model, false) => {
+                        let huge = op != 3;
+                        pt.on_mmap_backed(hp * HP, n * HP, huge);
+                        model.on_mmap_backed(hp * HP, n * HP, huge);
+                    }
+                    4 if run(&model, true) => {
+                        pt.on_munmap(hp * HP, n * HP);
+                        model.on_munmap(hp * HP, n * HP);
+                    }
+                    5..=8 => {
+                        // Up to ~2.3 hugepages, any page offset: straddles,
+                        // re-releases, and ranges with an unmapped part.
+                        let addr = hp * HP + rng.gen_range(0..TCMALLOC_PAGES_PER_HUGE) * TP;
+                        let len = rng.gen_range(0u64..600) * TP;
+                        let before = pt.clone();
+                        let got = pt.subrelease(addr, len);
+                        assert_eq!(got, model.subrelease(addr, len), "case {case} step {step}");
+                        if got.is_err() {
+                            assert_eq!(pt.recs, before.recs, "EINVAL applies nothing");
+                        }
+                    }
+                    9 => {
+                        let stray = (origin + 100_000 + rng.gen_range(0..8u64)) * HP;
+                        let einval = Err(OsError::UnmappedRange(stray / HP));
+                        assert_eq!(pt.subrelease(stray, TP), einval);
+                        assert_eq!(model.subrelease(stray, TP), einval);
+                    }
+                    10..=13 => {
+                        // Byte-granular, and free to run into unmapped slots
+                        // or off the end of the window.
+                        let addr = hp * HP + rng.gen_range(0..HP);
+                        let len = rng.gen_range(0u64..3 * HP);
+                        pt.reoccupy(addr, len);
+                        model.reoccupy(addr, len);
+                    }
+                    _ => {
+                        let addr = hp * HP + rng.gen_range(0..HP);
+                        assert_eq!(pt.promote(addr), model.promote(addr));
+                    }
+                }
+                assert_agrees(
+                    &pt,
+                    &model,
+                    &probes,
+                    &format!("case {case} step {step} op {op}"),
+                );
+            }
+            assert!(pt.recs.len() as u64 <= SLOTS + 2 * CHUNK_HUGEPAGES);
+        }
+    }
+
+    #[test]
+    fn window_grows_downward_keeping_state() {
+        let mut pt = PageTable::new();
+        let high = crate::vmm::HEAP_BASE + 300 * HP;
+        pt.on_mmap(high, HP);
+        pt.subrelease(high, 3 * TP).unwrap();
+        let base_before = pt.base_hp;
+        pt.on_mmap_backed(crate::vmm::HEAP_BASE, HP, false);
+        assert!(pt.base_hp < base_before, "window grew downward");
+        assert!(!pt.is_huge_backed(high));
+        assert!(pt.is_denied(crate::vmm::HEAP_BASE));
+        assert_eq!(pt.resident_bytes(), 2 * HP - 3 * TP);
+        assert_eq!(pt.denied_hugepages(), 1);
     }
 }

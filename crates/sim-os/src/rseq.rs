@@ -10,8 +10,17 @@
 //!
 //! [`VcpuRegistry`] implements that assignment discipline.
 
-use std::collections::HashMap;
+use wsc_prng::IntMap;
 use wsc_sim_hw::topology::CpuId;
+
+/// Physical CPU ids below this bound are looked up in a flat table (grown
+/// lazily to the highest id seen, so at most 16 KiB); ids at or above it —
+/// no modelled platform has any, but a trace file may name one — go through
+/// a map, so a stray `cpu 4294967295` costs one entry, not 16 GiB.
+const DENSE_CPUS: usize = 4096;
+
+/// Dense-table sentinel: no vCPU assigned yet.
+const UNASSIGNED: u32 = u32::MAX;
 
 /// A dense virtual CPU identifier, private to one process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,8 +58,11 @@ impl std::fmt::Display for VcpuId {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct VcpuRegistry {
-    // lint:allow(hashmap-decl) keyed by CpuId; never iterated
-    map: HashMap<CpuId, VcpuId>,
+    /// vCPU of each physical CPU id below [`DENSE_CPUS`], or `UNASSIGNED`.
+    dense: Vec<u32>,
+    // lint:allow(hashmap-decl) keyed by CPU ids >= DENSE_CPUS; never iterated
+    sparse: IntMap<u32, u32>,
+    assigned: u32,
 }
 
 impl VcpuRegistry {
@@ -62,19 +74,35 @@ impl VcpuRegistry {
     /// Returns the vCPU ID for a physical CPU, assigning the next dense ID
     /// on first use.
     pub fn vcpu_of(&mut self, cpu: CpuId) -> VcpuId {
-        let next = VcpuId(self.map.len() as u32);
-        *self.map.entry(cpu).or_insert(next)
+        let slot = if cpu.index() < DENSE_CPUS {
+            if cpu.index() >= self.dense.len() {
+                self.dense.resize(cpu.index() + 1, UNASSIGNED);
+            }
+            &mut self.dense[cpu.index()]
+        } else {
+            self.sparse.entry(cpu.0).or_insert(UNASSIGNED)
+        };
+        if *slot == UNASSIGNED {
+            *slot = self.assigned;
+            self.assigned += 1;
+        }
+        VcpuId(*slot)
     }
 
     /// The vCPU ID for a physical CPU, if already assigned.
     pub fn get(&self, cpu: CpuId) -> Option<VcpuId> {
-        self.map.get(&cpu).copied()
+        let slot = if cpu.index() < DENSE_CPUS {
+            self.dense.get(cpu.index())
+        } else {
+            self.sparse.get(&cpu.0)
+        };
+        slot.copied().filter(|&v| v != UNASSIGNED).map(VcpuId)
     }
 
     /// Number of vCPUs assigned so far (= number of distinct physical CPUs
     /// the process has run on).
     pub fn num_vcpus(&self) -> usize {
-        self.map.len()
+        self.assigned as usize
     }
 }
 
@@ -110,6 +138,56 @@ mod tests {
         assert_eq!(reg.get(CpuId(1)), None);
         reg.vcpu_of(CpuId(1));
         assert_eq!(reg.get(CpuId(1)), Some(VcpuId(0)));
+    }
+
+    #[test]
+    fn matches_map_registry_below_and_above_the_dense_bound() {
+        // The retired implementation: one map entry per CPU, next id = len.
+        use std::collections::BTreeMap;
+        use wsc_prng::SmallRng;
+        let edge = DENSE_CPUS as u32;
+        let pool = [
+            0,
+            1,
+            57,
+            255,
+            edge - 1,
+            edge,
+            edge + 1,
+            1 << 20,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for case in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5eed_c9a0 + case);
+            let mut reg = VcpuRegistry::new();
+            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+            for _ in 0..200 {
+                let cpu = if rng.gen_bool(0.5) {
+                    pool[rng.gen_index(pool.len())]
+                } else {
+                    rng.gen_range(0u32..2 * edge)
+                };
+                assert_eq!(reg.get(CpuId(cpu)).map(|v| v.0), model.get(&cpu).copied());
+                let next = model.len() as u32;
+                let want = *model.entry(cpu).or_insert(next);
+                assert_eq!(reg.vcpu_of(CpuId(cpu)).0, want, "cpu {cpu}");
+                assert_eq!(reg.num_vcpus(), model.len());
+            }
+            assert!(reg.dense.len() <= DENSE_CPUS, "dense part is bounded");
+        }
+    }
+
+    #[test]
+    fn huge_cpu_id_costs_one_entry() {
+        let mut reg = VcpuRegistry::new();
+        assert_eq!(reg.vcpu_of(CpuId(u32::MAX)).0, 0);
+        assert_eq!(reg.vcpu_of(CpuId(3)).0, 1);
+        assert_eq!(reg.vcpu_of(CpuId(u32::MAX)).0, 0);
+        assert_eq!(reg.get(CpuId(u32::MAX)), Some(VcpuId(0)));
+        assert_eq!(reg.get(CpuId(u32::MAX - 1)), None);
+        assert_eq!(reg.dense.len(), 4);
+        assert_eq!(reg.num_vcpus(), 2);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::addr::{align_up, HUGE_PAGE_BYTES};
 use crate::clock::Clock;
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, OsError};
 use crate::pagetable::PageTable;
-use std::collections::BTreeSet;
 
 /// Syscall counters for one process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,7 +63,6 @@ pub struct MmapGrant {
 #[derive(Clone, Debug)]
 pub struct Vmm {
     next_addr: u64,
-    mapped: BTreeSet<u64>, // hugepage indices
     page_table: PageTable,
     stats: VmmStats,
     faults: Option<FaultInjector>,
@@ -78,7 +76,6 @@ impl Vmm {
     pub fn new() -> Self {
         Self {
             next_addr: HEAP_BASE,
-            mapped: BTreeSet::new(),
             page_table: PageTable::new(),
             stats: VmmStats::default(),
             faults: None,
@@ -129,10 +126,8 @@ impl Vmm {
         let len = align_up(len, HUGE_PAGE_BYTES);
         let addr = self.next_addr;
         self.next_addr += len;
-        for hp in (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES) {
-            let inserted = self.mapped.insert(hp);
-            debug_assert!(inserted, "bump allocator never reuses addresses");
-        }
+        // The bump allocator never reuses addresses, so this cannot
+        // double-map.
         self.page_table.on_mmap_backed(addr, len, huge_backed);
         self.stats.mmap_calls += 1;
         self.stats.mmap_bytes += len;
@@ -156,9 +151,6 @@ impl Vmm {
             addr.is_multiple_of(HUGE_PAGE_BYTES) && len.is_multiple_of(HUGE_PAGE_BYTES) && len > 0,
             "munmap must be hugepage-granular"
         );
-        for hp in (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES) {
-            assert!(self.mapped.remove(&hp), "munmap of unmapped hugepage {hp}");
-        }
         self.page_table.on_munmap(addr, len);
         self.stats.munmap_calls += 1;
     }
@@ -208,7 +200,7 @@ impl Vmm {
 
     /// Currently mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.mapped.len() as u64 * HUGE_PAGE_BYTES
+        self.page_table.mapped_bytes()
     }
 
     /// The process page table (backing/residency state).

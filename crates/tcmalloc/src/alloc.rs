@@ -17,7 +17,7 @@ use crate::size_class::SizeClassTable;
 use crate::span::{Span, SpanRegistry, SpanState};
 use crate::stats::{CycleStats, FragmentationBreakdown};
 use crate::transfer::{TransferCaches, TransferSharding};
-use std::collections::HashMap;
+use wsc_prng::IntMap;
 use wsc_sanitizer::{
     ClassTierSnapshot, HugepageSnapshot, PagemapLeafSnapshot, SanitizerReport, Snapshot,
     SpanPlacement, SpanSnapshot,
@@ -108,7 +108,7 @@ pub struct Tcmalloc {
     deferred: DeferredFrees,
     bus: EventBus,
     // lint:allow(hashmap-decl) keyed by sampled address; never iterated
-    live_samples: HashMap<u64, (u64, u64, f64)>,
+    live_samples: IntMap<u64, (u64, u64, f64)>,
     live_requested_bytes: u64,
     live_objects: u64,
     internal_frag_bytes: u64,
@@ -147,7 +147,7 @@ impl Tcmalloc {
             sampler: Sampler::new(cfg.sample_period_bytes),
             deferred: DeferredFrees::new(cfg.free_arm, table.num_classes()),
             bus: EventBus::new(&cfg, CostModel::production(), clock.clone()),
-            live_samples: HashMap::new(),
+            live_samples: IntMap::default(),
             live_requested_bytes: 0,
             live_objects: 0,
             internal_frag_bytes: 0,

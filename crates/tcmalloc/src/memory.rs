@@ -24,7 +24,7 @@
 
 use crate::alloc::Tcmalloc;
 use crate::config::TcmallocConfig;
-use std::collections::HashMap;
+use wsc_prng::IntMap;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::addr::HUGE_PAGE_BYTES;
 use wsc_sim_os::clock::Clock;
@@ -58,9 +58,9 @@ pub struct MemoryPool {
     clock: Clock,
     /// hugepage index -> backing storage.
     // lint:allow(hashmap-decl) keyed by hugepage index; never iterated
-    frames: HashMap<u64, Box<[u8]>>,
+    frames: IntMap<u64, Box<[u8]>>,
     // lint:allow(hashmap-decl) keyed by object address; never iterated
-    live: HashMap<u64, u64>,
+    live: IntMap<u64, u64>,
 }
 
 impl MemoryPool {
@@ -70,8 +70,8 @@ impl MemoryPool {
         Self {
             tcm: Tcmalloc::new(cfg, platform, clock.clone()),
             clock,
-            frames: HashMap::new(),
-            live: HashMap::new(),
+            frames: IntMap::default(),
+            live: IntMap::default(),
         }
     }
 

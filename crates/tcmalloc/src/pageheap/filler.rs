@@ -24,7 +24,7 @@
 use super::cache::HugeCache;
 use super::os::{AllocError, OsLayer};
 use crate::events::{AllocEvent, EventBus};
-use std::collections::HashMap;
+use wsc_prng::IntMap;
 use wsc_sim_os::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 
 /// TCMalloc pages per hugepage (256).
@@ -170,7 +170,7 @@ pub struct HugePageFiller {
     free_ids: Vec<usize>,
     /// Iteration goes through `lists`/`trackers`, never this map.
     // lint:allow(hashmap-decl) keyed by hugepage base; never iterated
-    by_hugepage: HashMap<u64, usize>,
+    by_hugepage: IntMap<u64, usize>,
     /// `lists[set][lfr]` = tracker ids with that longest free range.
     lists: Vec<Vec<Vec<usize>>>,
     lifetime_aware: bool,
@@ -187,7 +187,7 @@ impl HugePageFiller {
         Self {
             trackers: Vec::new(),
             free_ids: Vec::new(),
-            by_hugepage: HashMap::new(),
+            by_hugepage: IntMap::default(),
             lists: vec![vec![Vec::new(); HP_PAGES as usize + 1]; 2],
             lifetime_aware,
             capacity_threshold,

@@ -16,7 +16,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
-use wsc_prng::SmallRng;
+use wsc_prng::{IntMap, SmallRng};
 use wsc_sim_hw::topology::CpuId;
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::Tcmalloc;
@@ -97,16 +97,21 @@ impl FromStr for TraceEvent {
                 .parse::<u64>()
                 .map_err(|e| format!("bad {name}: {e}"))
         };
+        // Site and CPU ids are 32-bit: out of range is an error, never a
+        // silent wrap to some other CPU.
+        let narrow = |name: &str, v: u64| -> Result<u32, String> {
+            u32::try_from(v).map_err(|e| format!("bad {name}: {e}"))
+        };
         let ev = match kind {
             "a" => TraceEvent::Alloc {
                 id: num("id")?,
                 size: num("size")?,
-                site: num("site")? as u32,
-                cpu: num("cpu")? as u32,
+                site: narrow("site", num("site")?)?,
+                cpu: narrow("cpu", num("cpu")?)?,
             },
             "f" => TraceEvent::Free {
                 id: num("id")?,
-                cpu: num("cpu")? as u32,
+                cpu: narrow("cpu", num("cpu")?)?,
             },
             "t" => TraceEvent::Advance { ns: num("ns")? },
             other => return Err(format!("unknown event kind {other:?}")),
@@ -206,7 +211,7 @@ impl Trace {
     pub fn replay(&self, tcm: &mut Tcmalloc, clock: &Clock) -> ReplayStats {
         let mut stats = ReplayStats::default();
         // lint:allow(hashmap-decl) keyed by trace object id; never iterated
-        let mut live: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
+        let mut live: IntMap<u64, (u64, u64)> = IntMap::default();
         for ev in &self.events {
             match *ev {
                 TraceEvent::Alloc {
@@ -330,6 +335,46 @@ mod tests {
         let err = Trace::from_text("a 0 64 0 0\nbogus line\n").expect_err("bogus line");
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"));
+
+        // One past u32::MAX in a 32-bit field is an error, not cpu 0.
+        for (text, line, reason) in [
+            ("a 0 64 0 4294967296\n", 1, "bad cpu: "),
+            ("a 0 64 4294967296 0\n", 1, "bad site: "),
+            ("a 0 64 0 0\nf 0 4294967296\n", 2, "bad cpu: "),
+            ("a 0 64 0 18446744073709551616\n", 1, "bad cpu: "),
+        ] {
+            let err = Trace::from_text(text).expect_err(text);
+            assert_eq!(err.line, line, "{text:?}");
+            assert!(err.reason.starts_with(reason), "{text:?}: {}", err.reason);
+        }
+        // The largest ids still parse, exactly.
+        let max = Trace::from_text("a 0 64 4294967295 4294967295\nf 0 4294967295\n").unwrap();
+        assert_eq!(
+            max.events[0],
+            TraceEvent::Alloc {
+                id: 0,
+                size: 64,
+                site: u32::MAX,
+                cpu: u32::MAX
+            }
+        );
+    }
+
+    #[test]
+    fn replay_survives_the_largest_cpu_id() {
+        // A parsed `cpu 4294967295` must cost one registry entry, not a
+        // table indexed by CPU id. (Baseline config: the NUCA-aware
+        // transfer cache rejects CPUs the platform does not have.)
+        let trace = Trace::from_text("a 0 64 0 4294967295\nt 1000\nf 0 4294967295\n").unwrap();
+        let clock = Clock::new();
+        let mut tcm = Tcmalloc::new(
+            TcmallocConfig::baseline(),
+            Platform::chiplet("t", 1, 2, 4, 2),
+            clock.clone(),
+        );
+        let stats = trace.replay(&mut tcm, &clock);
+        assert_eq!((stats.allocs, stats.frees), (1, 1));
+        assert_eq!(tcm.live_bytes(), 0);
     }
 
     #[test]

@@ -168,6 +168,22 @@ const FALLIBLE_ROOTS: &[&str] = &["try_malloc", "try_malloc_with_site", "try_fre
 /// `std::cmp::Ordering`'s variants differ, so no collision).
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
+/// Type names that denote a hash map: std's, and the workspace alias over
+/// the integer hasher (`wsc_prng::IntMap`). The alias is matched by name so
+/// a map cannot leave the rules by changing its hasher.
+const MAP_TYPES: &[&str] = &["HashMap", "IntMap"];
+
+/// Associated functions that construct a map. `default` and the
+/// `*with_hasher` pair are how a custom-hasher map is built (`new` needs
+/// `RandomState`).
+const MAP_CTORS: &[&str] = &[
+    "new",
+    "with_capacity",
+    "default",
+    "with_hasher",
+    "with_capacity_and_hasher",
+];
+
 /// `HashMap` iteration methods (order-sensitive access).
 const MAP_ITERS: &[&str] = &[
     "iter",
@@ -381,11 +397,10 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
         // construction. A struct-literal field init (`field: HashMap::new()`)
         // is exempt: the field *declaration* is the annotated site, and
         // flagging the init too would demand the same justification twice.
-        let constructed = m.matches_path(i + 1, &["::", "new"])
-            || m.matches_path(i + 1, &["::", "with_capacity"]);
+        let constructed = m.constructs_map(i);
         let struct_literal_init =
             constructed && i > 0 && m.is(i - 1, ":") && !m.is_back(i - 1, ":");
-        if t == "HashMap" && (m.is(i + 1, "<") || constructed) && !struct_literal_init {
+        if MAP_TYPES.contains(&t) && (m.is(i + 1, "<") || constructed) && !struct_literal_init {
             hit(
                 Rule::HashMapDecl,
                 "hashmap-decl",
@@ -412,7 +427,7 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
                 hit(
                     Rule::HashMapIter,
                     "hashmap-iter",
-                    format!("iteration over HashMap binding `{t}` leaks SipHash order"),
+                    format!("iteration over HashMap binding `{t}` leaks hash order"),
                     &mut seen,
                 );
             }
@@ -487,19 +502,19 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
     }
 }
 
-/// Names bound to a `HashMap` in this file: struct fields / let bindings of
-/// `name: HashMap<…>` and `let [mut] name = HashMap::new()/with_capacity`.
+/// Names bound to a map type ([`MAP_TYPES`]) in this file: struct fields /
+/// let bindings of `name: HashMap<…>` and `let [mut] name = HashMap::new()`
+/// (any of [`MAP_CTORS`]).
 fn hashmap_bindings(m: &FileModel) -> BTreeSet<&str> {
     let mut out = BTreeSet::new();
     for i in 0..m.len() {
-        if m.text(i) != "HashMap" {
+        if !MAP_TYPES.contains(&m.text(i)) {
             continue;
         }
         if m.is(i + 1, "<") && i >= 2 && m.is(i - 1, ":") && m.tok(i - 2).kind == TokenKind::Ident {
             out.insert(m.text(i - 2));
         }
-        if (m.matches_path(i + 1, &["::", "new"])
-            || m.matches_path(i + 1, &["::", "with_capacity"]))
+        if m.constructs_map(i)
             && i >= 2
             && m.is(i - 1, "=")
             && m.tok(i - 2).kind == TokenKind::Ident
@@ -511,6 +526,13 @@ fn hashmap_bindings(m: &FileModel) -> BTreeSet<&str> {
 }
 
 impl FileModel {
+    /// Is token `i` followed by `::` and one of [`MAP_CTORS`]?
+    fn constructs_map(&self, i: usize) -> bool {
+        MAP_CTORS
+            .iter()
+            .any(|ctor| self.matches_path(i + 1, &["::", ctor]))
+    }
+
     /// `text(i)` or `""` past the end.
     fn text_or(&self, i: usize) -> &str {
         if i < self.len() {

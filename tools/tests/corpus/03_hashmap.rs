@@ -27,3 +27,38 @@ fn ok_prose() {
     let s = "HashMap::new() and map.iter() in prose";
     let _ = s;
 }
+// The integer-hasher alias and the custom-hasher constructors are maps too:
+// a map does not leave the rules by changing its hasher.
+struct Aliased {
+    // lint:allow(hashmap-decl) keyed by hugepage index; never iterated
+    by_hugepage: IntMap<u64, usize>,
+    live: IntMap<u64, (u64, u64)>, //~ hashmap-decl
+}
+impl Aliased {
+    fn build() -> Self {
+        // Struct-literal init stays exempt for the new constructors.
+        Self { by_hugepage: IntMap::default(), live: IntMap::default() }
+    }
+    fn bad_alias_iter(&self) -> usize {
+        self.by_hugepage.values().count() //~ hashmap-iter
+    }
+    fn ok_alias_lookup(&mut self) -> Option<usize> {
+        self.by_hugepage.remove(&7)
+    }
+}
+fn bad_alias_lets() {
+    let ids = IntMap::default(); //~ hashmap-decl
+    for (k, v) in &ids {} //~ hashmap-iter
+    let hashed = HashMap::with_hasher(BuildHasherDefault::<IntHasher>::default()); //~ hashmap-decl
+    hashed.retain(|_, _| true); //~ hashmap-iter
+    let plain = HashMap::default(); //~ hashmap-decl
+    for k in plain.keys() {} //~ hashmap-iter
+}
+fn ok_not_maps() {
+    // `default()` on other types, and names that merely contain the alias.
+    let v: Vec<u32> = Vec::default();
+    let n = IntMapLike::default();
+    let m = u64::default();
+    for x in v.iter() {}
+    let _ = (n, m);
+}
