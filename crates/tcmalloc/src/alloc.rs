@@ -94,7 +94,7 @@ impl std::error::Error for FreeError {}
 #[derive(Debug)]
 pub struct Tcmalloc {
     cfg: TcmallocConfig,
-    table: SizeClassTable,
+    table: &'static SizeClassTable,
     platform: Platform,
     clock: Clock,
     vcpus: VcpuRegistry,
@@ -124,9 +124,9 @@ impl Tcmalloc {
     /// simulated kernel here; with both absent the OS layer is infallible
     /// and the allocator behaves byte-identically to the pre-fault builds.
     pub fn new(cfg: TcmallocConfig, platform: Platform, clock: Clock) -> Self {
-        let table = SizeClassTable::production();
-        let percpu = PerCpuCaches::new(&table, cfg.percpu_max_bytes);
-        let transfer = TransferCaches::new(&table, cfg.transfer);
+        let table = SizeClassTable::shared();
+        let percpu = PerCpuCaches::new(table, cfg.percpu_max_bytes);
+        let transfer = TransferCaches::new(table, cfg.transfer);
         let central = (0..table.num_classes())
             .map(|cl| CentralFreeList::new(cl as u16, *table.info(cl), cfg.cfl_lists))
             .collect();
@@ -935,7 +935,7 @@ impl Tcmalloc {
 
     /// The size-class table.
     pub fn table(&self) -> &SizeClassTable {
-        &self.table
+        self.table
     }
 
     /// The pageheap (Figure 15 telemetry).
@@ -983,6 +983,23 @@ mod tests {
 
     fn alloc(cfg: TcmallocConfig) -> Tcmalloc {
         Tcmalloc::new(cfg, Platform::chiplet("t", 1, 2, 4, 2), Clock::new())
+    }
+
+    #[test]
+    fn allocators_share_the_table_and_nothing_else() {
+        // The table is the only thing two allocators in one process have in
+        // common; a second instance starts from the same blank state.
+        let first_addrs = |t: &mut Tcmalloc| {
+            [8u64, 100, 5_000, 100_000, 300 << 10, 3 << 20]
+                .map(|size| t.malloc(size, CpuId(0)).addr)
+        };
+        let (mut a, mut b) = (
+            alloc(TcmallocConfig::optimized()),
+            alloc(TcmallocConfig::optimized()),
+        );
+        assert!(std::ptr::eq(a.table(), b.table()));
+        assert!(std::ptr::eq(a.table(), SizeClassTable::shared()));
+        assert_eq!(first_addrs(&mut a), first_addrs(&mut b));
     }
 
     #[test]

@@ -43,11 +43,78 @@ pub enum LifetimeSet {
     Short,
 }
 
+/// Words of the per-set "list non-empty" index: one bit per
+/// `lists[set][lfr]`, `lfr` in `0..=HP_PAGES`.
+const INDEX_WORDS: usize = HP_PAGES as usize / 64 + 1;
+
+/// A 256-bit page mask, one bit per TCMalloc page of a hugepage.
+type PageMask = [u64; WORDS];
+
+/// The bits of mask word `w` that fall inside the page range `[start, end)`.
+fn word_range(w: usize, start: u32, end: u32) -> u64 {
+    let lo = w as u32 * 64;
+    let (s, e) = (start.max(lo), end.min(lo + 64));
+    if s >= e {
+        return 0;
+    }
+    (!0u64 >> (64 - (e - s))) << (s - lo)
+}
+
+/// Maximal runs of set bits in a page mask, lowest first, as
+/// `(start, len)`. A run that crosses a word boundary is yielded once. Each
+/// step is one `trailing_zeros` over the rest of the current word, so a scan
+/// costs the number of runs, not the number of pages.
+struct Runs {
+    mask: PageMask,
+    w: usize,
+    /// Bits of `mask[w]` already consumed (`< 64`).
+    pos: u32,
+}
+
+impl Runs {
+    fn new(mask: PageMask) -> Self {
+        Self { mask, w: 0, pos: 0 }
+    }
+}
+
+impl Iterator for Runs {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        // Skip clear bits to the start of the next run.
+        loop {
+            let rest = self.mask.get(self.w)? >> self.pos;
+            if rest != 0 {
+                self.pos += rest.trailing_zeros();
+                break;
+            }
+            self.w += 1;
+            self.pos = 0;
+        }
+        let start = self.w as u32 * 64 + self.pos;
+        let mut len = 0;
+        // Count set bits, carrying the run into following words while it
+        // reaches bit 63. The shift fills the top with zeros, so the count
+        // never exceeds the bits left in the word.
+        while let Some(word) = self.mask.get(self.w) {
+            let ones = (!(word >> self.pos)).trailing_zeros();
+            len += ones;
+            self.pos += ones;
+            if self.pos < 64 {
+                break;
+            }
+            self.w += 1;
+            self.pos = 0;
+        }
+        Some((start, len))
+    }
+}
+
 #[derive(Clone, Debug)]
 struct PageTracker {
     base: u64,
-    used_mask: [u64; WORDS],
-    released_mask: [u64; WORDS],
+    used_mask: PageMask,
+    released_mask: PageMask,
     used: u32,
     /// Live span-allocations on this hugepage.
     allocations: u32,
@@ -79,21 +146,17 @@ impl PageTracker {
         }
     }
 
-    fn used_bit(&self, i: u32) -> bool {
-        // lint:allow(panic-surface) i < HP_PAGES by construction, and the
-        // mask is sized HP_PAGES/64 at tracker creation.
-        self.used_mask[i as usize / 64] >> (i % 64) & 1 == 1
-    }
-
+    /// Marks pages `[start, start + n)` used (`v`) or free, a masked
+    /// whole-word update per mask word.
     fn set_used(&mut self, start: u32, n: u32, v: bool) {
-        for i in start..start + n {
-            let (w, b) = (i as usize / 64, i % 64);
+        for (w, word) in self.used_mask.iter_mut().enumerate() {
+            let m = word_range(w, start, start + n);
             if v {
-                debug_assert!(self.used_mask[w] >> b & 1 == 0, "page {i} already used");
-                self.used_mask[w] |= 1 << b;
+                debug_assert!(*word & m == 0, "page in {start}+{n} already used");
+                *word |= m;
             } else {
-                debug_assert!(self.used_mask[w] >> b & 1 == 1, "page {i} not used");
-                self.used_mask[w] &= !(1 << b);
+                debug_assert!(*word & m == m, "page in {start}+{n} not used");
+                *word &= !m;
             }
         }
         if v {
@@ -103,38 +166,45 @@ impl PageTracker {
         }
     }
 
-    fn released_bit(&self, i: u32) -> bool {
-        // lint:allow(panic-surface) same fixed-size mask bound as used_bit.
-        self.released_mask[i as usize / 64] >> (i % 64) & 1 == 1
+    /// Clears the released bits of pages `[start, start + n)` and returns
+    /// how many were set.
+    fn clear_released(&mut self, start: u32, n: u32) -> u32 {
+        let mut cleared = 0;
+        for (w, word) in self.released_mask.iter_mut().enumerate() {
+            let m = word_range(w, start, start + n);
+            cleared += (*word & m).count_ones();
+            *word &= !m;
+        }
+        cleared
+    }
+
+    fn set_released(&mut self, start: u32, n: u32) {
+        for (w, word) in self.released_mask.iter_mut().enumerate() {
+            *word |= word_range(w, start, start + n);
+        }
+    }
+
+    /// Runs of free pages, lowest first.
+    fn free_runs(&self) -> Runs {
+        Runs::new(self.used_mask.map(|w| !w))
+    }
+
+    /// Runs of free pages that are still resident (not yet subreleased).
+    fn free_resident_runs(&self) -> Runs {
+        Runs::new(std::array::from_fn(|w| {
+            !(self.used_mask[w] | self.released_mask[w])
+        }))
     }
 
     fn longest_free_range(&self) -> u32 {
-        let mut best = 0u32;
-        let mut run = 0u32;
-        for i in 0..HP_PAGES {
-            if self.used_bit(i) {
-                run = 0;
-            } else {
-                run += 1;
-                best = best.max(run);
-            }
-        }
-        best
+        self.free_runs().map(|(_, len)| len).max().unwrap_or(0)
     }
 
+    /// First fit: the lowest offset of a free run of at least `n` pages.
     fn find_fit(&self, n: u32) -> Option<u32> {
-        let mut run = 0u32;
-        for i in 0..HP_PAGES {
-            if self.used_bit(i) {
-                run = 0;
-            } else {
-                run += 1;
-                if run == n {
-                    return Some(i + 1 - n);
-                }
-            }
-        }
-        None
+        self.free_runs()
+            .find(|&(_, len)| len >= n)
+            .map(|(start, _)| start)
     }
 
     fn free_pages(&self) -> u32 {
@@ -173,6 +243,11 @@ pub struct HugePageFiller {
     by_hugepage: IntMap<u64, usize>,
     /// `lists[set][lfr]` = tracker ids with that longest free range.
     lists: Vec<Vec<Vec<usize>>>,
+    /// Bit `lfr` of `nonempty[set]` is set exactly when `lists[set][lfr]`
+    /// is non-empty. Only `list_insert`/`list_remove` touch either, so the
+    /// placement probe and the subrelease walk read one bit per list
+    /// instead of visiting up to 257 `Vec`s.
+    nonempty: [[u64; INDEX_WORDS]; 2],
     lifetime_aware: bool,
     capacity_threshold: u32,
     freed_whole: u64,
@@ -189,6 +264,7 @@ impl HugePageFiller {
             free_ids: Vec::new(),
             by_hugepage: IntMap::default(),
             lists: vec![vec![Vec::new(); HP_PAGES as usize + 1]; 2],
+            nonempty: [[0; INDEX_WORDS]; 2],
             lifetime_aware,
             capacity_threshold,
             freed_whole: 0,
@@ -228,7 +304,9 @@ impl HugePageFiller {
         };
         let list = &mut self.lists[set][lfr as usize];
         list.swap_remove(pos);
-        if pos < list.len() {
+        if list.is_empty() {
+            *self.index_word_mut(set, lfr) &= !(1 << (lfr % 64));
+        } else if pos < list.len() {
             let moved = list[pos];
             self.tracker_mut(moved).pos = pos as u32;
         }
@@ -241,9 +319,45 @@ impl HugePageFiller {
         };
         let pos = self.lists[set][lfr as usize].len() as u32;
         self.lists[set][lfr as usize].push(id);
+        *self.index_word_mut(set, lfr) |= 1 << (lfr % 64);
         let t = self.tracker_mut(id);
         t.lfr = lfr;
         t.pos = pos;
+    }
+
+    /// The word of `nonempty[set]` holding list `lfr`'s bit.
+    fn index_word_mut(&mut self, set: usize, lfr: u32) -> &mut u64 {
+        // lint:allow(panic-surface) lfr <= HP_PAGES (a longest free range
+        // never exceeds the hugepage), so lfr / 64 < INDEX_WORDS.
+        &mut self.nonempty[set][lfr as usize / 64]
+    }
+
+    /// The smallest `lfr >= min` whose `lists[set][lfr]` is non-empty.
+    fn first_nonempty(&self, set: usize, min: u32) -> Option<u32> {
+        let first = min as usize / 64;
+        let words = self.nonempty[set].iter().enumerate().skip(first);
+        words
+            .map(|(w, &word)| {
+                // Bits below `min` in its own word do not count.
+                let keep = if w == first { !0 << (min % 64) } else { !0 };
+                (w, word & keep)
+            })
+            .find(|&(_, word)| word != 0)
+            .map(|(w, word)| w as u32 * 64 + word.trailing_zeros())
+    }
+
+    /// The `lfr >= 1` whose `lists[set][lfr]` is non-empty, highest first.
+    fn nonempty_desc(&self, set: usize) -> impl Iterator<Item = usize> {
+        let words = self.nonempty[set].into_iter().enumerate().rev();
+        words
+            .flat_map(|(w, mut word)| {
+                std::iter::from_fn(move || {
+                    let bit = word.checked_ilog2()?;
+                    word &= !(1 << bit);
+                    Some(w * 64 + bit as usize)
+                })
+            })
+            .filter(|&lfr| lfr > 0)
     }
 
     fn new_tracker(&mut self, base: u64, set: usize) -> usize {
@@ -286,18 +400,12 @@ impl HugePageFiller {
         let set = self.set_for(span_capacity);
         // Baseline policy: smallest longest-free-range that fits, then most
         // allocations within that list.
-        let mut chosen: Option<usize> = None;
-        for lfr in pages..=HP_PAGES {
-            let list = &self.lists[set][lfr as usize];
-            if list.is_empty() {
-                continue;
-            }
-            chosen = list
+        let chosen = self.first_nonempty(set, pages).and_then(|lfr| {
+            self.lists[set][lfr as usize]
                 .iter()
                 .copied()
-                .max_by_key(|&id| self.tracker(id).allocations);
-            break;
-        }
+                .max_by_key(|&id| self.tracker(id).allocations)
+        });
         let (id, mmapped) = match chosen {
             Some(id) => (id, false),
             None => {
@@ -324,16 +432,7 @@ impl HugePageFiller {
         t.idle_passes = 0;
         let addr = t.base + off as u64 * TCMALLOC_PAGE_BYTES;
         // Fault back any subreleased pages we just allocated over.
-        let mut cleared = 0u32;
-        for i in off..off + pages {
-            if t.released_bit(i) {
-                // lint:allow(panic-surface) i < HP_PAGES: the allocation
-                // was just placed inside this tracker's hugepage.
-                t.released_mask[i as usize / 64] &= !(1 << (i % 64));
-                cleared += 1;
-            }
-        }
-        if cleared > 0 {
+        if t.clear_released(off, pages) > 0 {
             os.reoccupy(addr, pages as u64 * TCMALLOC_PAGE_BYTES);
             bus.emit(AllocEvent::HugepageFill {
                 base: addr,
@@ -469,56 +568,32 @@ impl HugePageFiller {
             } else {
                 grace_passes.saturating_mul(8).max(8)
             };
-            for lfr in (1..=HP_PAGES as usize).rev() {
-                // Collect ids first: subreleasing does not move lists
-                // (used_mask is untouched), so iteration stays valid.
-                let ids: Vec<usize> = self.lists[set][lfr].clone();
-                for id in ids {
+            // Subreleasing moves no tracker between lists (`used_mask` is
+            // untouched), so the index snapshot behind `nonempty_desc` and
+            // every list position stay valid for the whole pass.
+            for lfr in self.nonempty_desc(set) {
+                for k in 0..self.lists[set][lfr].len() {
                     if released >= target_pages {
                         break 'outer;
                     }
-                    {
-                        let t = self.tracker_mut(id);
-                        if t.idle_passes < required {
-                            t.idle_passes = t.idle_passes.saturating_add(1);
-                            continue;
-                        }
+                    let id = self.lists[set][lfr][k];
+                    let t = self.tracker_mut(id);
+                    if t.idle_passes < required {
+                        t.idle_passes = t.idle_passes.saturating_add(1);
+                        continue;
                     }
-                    let budget = (target_pages - released) as u32;
-                    let (base, to_release) = {
-                        let t = self.tracker_mut(id);
-                        if t.donated {
-                            continue;
+                    if t.donated {
+                        continue;
+                    }
+                    // Release free, not-yet-released pages up to budget.
+                    let mut pages_left = (target_pages - released) as u32;
+                    let base = t.base;
+                    for (s, n) in t.free_resident_runs() {
+                        if pages_left == 0 {
+                            break;
                         }
-                        // Release free, not-yet-released pages up to budget.
-                        let mut pages_left = budget;
-                        let mut run: Option<(u32, u32)> = None;
-                        let mut to_release: Vec<(u32, u32)> = Vec::new();
-                        for i in 0..HP_PAGES {
-                            if pages_left == 0 {
-                                break;
-                            }
-                            if !t.used_bit(i) && !t.released_bit(i) {
-                                match run {
-                                    Some((s, ref mut n)) if s + *n == i => *n += 1,
-                                    _ => {
-                                        if let Some(r) = run.take() {
-                                            to_release.push(r);
-                                        }
-                                        run = Some((i, 1));
-                                    }
-                                }
-                                pages_left -= 1;
-                            } else if let Some(r) = run.take() {
-                                to_release.push(r);
-                            }
-                        }
-                        if let Some(r) = run {
-                            to_release.push(r);
-                        }
-                        (t.base, to_release)
-                    };
-                    for (s, n) in to_release {
+                        let n = n.min(pages_left);
+                        pages_left -= n;
                         // Commit the released bits only after the kernel
                         // accepted the madvise — a failed subrelease leaves
                         // the pages resident, and marking them released
@@ -536,12 +611,7 @@ impl HugePageFiller {
                             // the next one.
                             continue;
                         }
-                        let t = self.tracker_mut(id);
-                        for i in s..s + n {
-                            // lint:allow(panic-surface) s + n <= HP_PAGES:
-                            // free ranges never cross a hugepage.
-                            t.released_mask[i as usize / 64] |= 1 << (i % 64);
-                        }
+                        self.tracker_mut(id).set_released(s, n);
                         bus.emit(AllocEvent::HugepageBreak {
                             base: base + s as u64 * TCMALLOC_PAGE_BYTES,
                             bytes: n as u64 * TCMALLOC_PAGE_BYTES,
@@ -610,6 +680,9 @@ impl HugePageFiller {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.

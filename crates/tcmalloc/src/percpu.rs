@@ -98,13 +98,27 @@ impl PerCpuCaches {
     }
 
     fn slab_mut(&mut self, vcpu: VcpuId) -> &mut CpuSlab {
+        Self::slab_in(
+            &mut self.slabs,
+            vcpu,
+            self.sizes.len(),
+            self.default_max_bytes,
+        )
+    }
+
+    /// [`slab_mut`](Self::slab_mut) over the slab array alone, so a caller
+    /// can keep borrowing the per-class tables next to the slab.
+    fn slab_in(
+        slabs: &mut Vec<Option<CpuSlab>>,
+        vcpu: VcpuId,
+        num_classes: usize,
+        max_bytes: u64,
+    ) -> &mut CpuSlab {
         let idx = vcpu.index();
-        if idx >= self.slabs.len() {
-            self.slabs.resize_with(idx + 1, || None);
+        if idx >= slabs.len() {
+            slabs.resize_with(idx + 1, || None);
         }
-        let num_classes = self.sizes.len();
-        let max = self.default_max_bytes;
-        self.slabs[idx].get_or_insert_with(|| CpuSlab::new(num_classes, max))
+        slabs[idx].get_or_insert_with(|| CpuSlab::new(num_classes, max_bytes))
     }
 
     /// Fast-path allocation: pops a cached object, or records an underflow
@@ -143,8 +157,8 @@ impl PerCpuCaches {
         let batch = self.batches[class] as u64;
         let need = batch * size;
         let cap = self.class_caps[class];
-        let sizes = self.sizes.clone();
-        let slab = self.slab_mut(vcpu);
+        let sizes = &self.sizes;
+        let slab = Self::slab_in(&mut self.slabs, vcpu, sizes.len(), self.default_max_bytes);
         if slab.classes[class].capacity + batch as u32 > cap {
             return false;
         }
@@ -265,8 +279,8 @@ impl PerCpuCaches {
     // ResizerSteal/ResizerShrink with the outcome; emitting here too would
     // double-count the eviction.
     pub fn set_max_bytes(&mut self, vcpu: VcpuId, bytes: u64) -> Vec<(usize, Vec<u64>)> {
-        let sizes = self.sizes.clone();
-        let slab = self.slab_mut(vcpu);
+        let sizes = &self.sizes;
+        let slab = Self::slab_in(&mut self.slabs, vcpu, sizes.len(), self.default_max_bytes);
         slab.max_bytes = bytes;
         let mut evicted = Vec::new();
         // Shrink larger size classes first (§4.1).

@@ -9,6 +9,7 @@
 //! sized so that carving waste stays below 12.5%, and middle-tier batch
 //! sizes of `clamp(64 KiB / size, 2, 32)` objects.
 
+use std::sync::OnceLock;
 use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 
 /// Largest "small" object: 256 KiB. Bigger requests bypass every cache tier
@@ -40,7 +41,7 @@ pub struct SizeClassInfo {
 /// assert!(t.info(cl).size >= 100);
 /// assert!(t.class_for(300 << 10).is_none(), "large objects bypass classes");
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SizeClassTable {
     classes: Vec<SizeClassInfo>,
     /// Dense O(1) lookup: `lut[(size + 7) >> 3]` → class index, for every
@@ -84,7 +85,17 @@ fn batch_for(size: u64) -> u32 {
 }
 
 impl SizeClassTable {
-    /// Builds the production-style table (~85 classes up to 256 KiB).
+    /// The process-wide production table, built on first use and shared by
+    /// every allocator instance afterwards. The table is a constant — the
+    /// same ~85 classes and 32 769-entry lookup for every simulated machine
+    /// — so it is built once per process; only state is built per machine.
+    pub fn shared() -> &'static SizeClassTable {
+        static TABLE: OnceLock<SizeClassTable> = OnceLock::new();
+        TABLE.get_or_init(Self::production)
+    }
+
+    /// Builds an owned copy of the production-style table (~85 classes up
+    /// to 256 KiB). Allocators borrow [`shared`](Self::shared) instead.
     pub fn production() -> Self {
         let mut classes = Vec::new();
         let mut size = 8u64;
@@ -213,6 +224,19 @@ mod tests {
 
     fn table() -> SizeClassTable {
         SizeClassTable::production()
+    }
+
+    #[test]
+    fn shared_table_is_one_instance_equal_to_production() {
+        let here = SizeClassTable::shared();
+        // lint:allow(concurrency-readiness) a second thread is the point:
+        // the table must be one instance per process, not per thread.
+        let there = std::thread::spawn(SizeClassTable::shared)
+            .join()
+            .expect("thread reads the shared table");
+        assert!(std::ptr::eq(here, there), "one table per process");
+        assert!(std::ptr::eq(here, SizeClassTable::shared()));
+        assert_eq!(*here, table(), "field-equal to an owned production table");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! the page-table state the pageheap produces (hugepages intact vs
 //! subreleased) feeds the dTLB simulator on every access.
 
-use crate::spec::WorkloadSpec;
+use crate::spec::{SizeWeights, WorkloadSpec};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use wsc_parallel::{Engine, Task, TaskError};
@@ -172,6 +172,8 @@ pub fn run(
     let mut working_set: VecDeque<usize> = VecDeque::new();
     let mut working_set_bytes: u64 = 0;
     let mut ws_cursor = 0usize;
+    // The size mixture evaluated at the current request's `now`.
+    let mut size_weights = SizeWeights::default();
 
     let mut busy_ns = 0.0f64;
     let mut malloc_ns = 0.0f64;
@@ -280,8 +282,13 @@ pub fn run(
             let frac = spec.allocs_per_request - base as f64;
             base + u64::from(rng.gen::<f64>() < frac)
         };
+        // Every allocation of a request is drawn at the same `now`, so the
+        // mixture's phase weights are evaluated once per request.
+        if n_allocs > 0 {
+            spec.prepare_sizes(now, &mut size_weights);
+        }
         for _ in 0..n_allocs {
-            let (size, site) = spec.sample_size(now, &mut rng);
+            let (size, site) = spec.sample_size_prepared(&size_weights, &mut rng);
             // Fault-aware: a refused allocation drops the request's object
             // (the workload degrades) instead of aborting the run.
             let a = match tcm.try_malloc_with_site(size, cpu, site as u64) {
@@ -509,6 +516,54 @@ mod tests {
         assert_eq!(a.llc, b.llc);
         assert_eq!(a.tlb, b.tlb);
         assert_eq!(a.fragmentation, b.fragmentation);
+    }
+
+    #[test]
+    fn reproduces_reports_captured_before_the_two_step_size_draw() {
+        // `deterministic_given_seed` compares a run with itself. These
+        // values were captured from the commit before the per-request
+        // weight hoist and the word-parallel filler; both are simulator-only
+        // speed-ups, so every simulated statistic must stay bit-equal.
+        let (r, _) = quick(&profiles::fleet_binary(3), TcmallocConfig::optimized(), 7);
+        assert_eq!(r.busy_cpu_seconds.to_bits(), 0x3fa1_117c_bf99_3294);
+        assert_eq!(
+            r.llc,
+            LlcStats {
+                accesses: 394_402,
+                hits: 332_733,
+                remote_misses: 28_101,
+                memory_misses: 33_568,
+            }
+        );
+        assert_eq!(
+            r.tlb,
+            TlbStats {
+                accesses: 394_626,
+                l1_hits: 394_619,
+                l2_hits: 0,
+                walks: 7,
+            }
+        );
+        assert_eq!(
+            r.fragmentation,
+            FragmentationBreakdown {
+                live_bytes: 4_417_297,
+                internal_bytes: 324_407,
+                percpu_bytes: 2_558_920,
+                transfer_bytes: 3_779_088,
+                central_bytes: 765_920,
+                pageheap_bytes: 2_834_432,
+                deferred_bytes: 0,
+                resident_bytes: 14_680_064,
+            }
+        );
+
+        let (r, _) = quick(&profiles::fleet_mix(), TcmallocConfig::baseline(), 7);
+        assert_eq!(r.busy_cpu_seconds.to_bits(), 0x3f99_f514_a92a_3c53);
+        assert_eq!((r.llc.accesses, r.llc.hits), (399_362, 337_694));
+        assert_eq!((r.tlb.accesses, r.tlb.walks), (399_685, 7));
+        assert_eq!(r.fragmentation.live_bytes, 5_205_257);
+        assert_eq!(r.fragmentation.pageheap_bytes, 1_982_464);
     }
 
     #[test]

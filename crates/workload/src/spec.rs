@@ -276,36 +276,106 @@ pub struct WorkloadSpec {
     pub phase_strength: f64,
 }
 
-impl WorkloadSpec {
-    /// Phase multiplier for mixture component `i` at time `t_ns`: the
-    /// components wax and wane out of phase with one another.
-    fn phase_weight(&self, i: usize, t_ns: u64) -> f64 {
-        if self.phase_period_ns == 0 || self.phase_strength == 0.0 {
-            return 1.0;
+/// The size mixture's phase-adjusted component weights at one instant, and
+/// their total: everything about a size draw that depends on `t_ns` and not
+/// on the RNG. A caller drawing many sizes at one `t_ns` (the driver draws a
+/// whole request's allocations at one `now`) prepares once with
+/// [`WorkloadSpec::prepare_sizes`] and reuses the buffer across instants, so
+/// a draw costs no `sin()`. Mixtures of up to [`INLINE_COMPONENTS`]
+/// components are held inline — no heap allocation at all; wider ones spill
+/// to a `Vec` that is reused from one instant to the next.
+#[derive(Clone, Debug, Default)]
+pub struct SizeWeights {
+    inline: [f64; INLINE_COMPONENTS],
+    spill: Vec<f64>,
+    /// Components prepared; selects `inline` or `spill`.
+    len: usize,
+    total: f64,
+}
+
+/// Widest mixture a [`SizeWeights`] holds without touching the heap.
+const INLINE_COMPONENTS: usize = 16;
+
+impl SizeWeights {
+    /// One writable slot per component of an `n`-component mixture.
+    fn slots(&mut self, n: usize) -> &mut [f64] {
+        self.len = n;
+        match self.inline.get_mut(..n) {
+            Some(slots) => slots,
+            None => {
+                self.spill.resize(n, 0.0);
+                &mut self.spill
+            }
         }
-        let frac = (t_ns % self.phase_period_ns) as f64 / self.phase_period_ns as f64;
-        let offset = i as f64 / self.size_mix.len() as f64;
-        1.0 + self.phase_strength * ((frac + offset) * std::f64::consts::TAU).sin()
     }
 
-    /// Draws an object size at time `t_ns` and the index of the component
-    /// (allocation site) it came from.
-    pub fn sample_size(&self, t_ns: u64, rng: &mut SmallRng) -> (u64, usize) {
-        let total: f64 = self
-            .size_mix
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.weight * self.phase_weight(i, t_ns))
-            .sum();
+    fn weights(&self) -> &[f64] {
+        self.inline.get(..self.len).unwrap_or(&self.spill)
+    }
+}
+
+impl WorkloadSpec {
+    /// Writes each component's phase-adjusted weight at `t_ns` into
+    /// `weights` (one slot per component) and returns their total, summed
+    /// in component order. The components wax and wane out of phase with
+    /// one another.
+    fn fill_weights(&self, t_ns: u64, weights: &mut [f64]) -> f64 {
+        // `None` when drift is off: every phase multiplier is exactly 1.
+        let frac = (self.phase_period_ns != 0 && self.phase_strength != 0.0)
+            .then(|| (t_ns % self.phase_period_ns) as f64 / self.phase_period_ns as f64);
+        let n = self.size_mix.len() as f64;
+        for (i, (w, c)) in weights.iter_mut().zip(&self.size_mix).enumerate() {
+            let phase = frac.map_or(1.0, |frac| {
+                let offset = i as f64 / n;
+                1.0 + self.phase_strength * ((frac + offset) * std::f64::consts::TAU).sin()
+            });
+            *w = c.weight * phase;
+        }
+        weights.iter().sum()
+    }
+
+    /// Picks a component by walking `weights` down from one uniform draw
+    /// scaled by `total`, then draws a size from it. The two RNG draws and
+    /// the sequential subtraction are the draw sequence every recorded
+    /// trace and golden figure depends on.
+    fn draw_size(&self, weights: &[f64], total: f64, rng: &mut SmallRng) -> (u64, usize) {
         let mut pick = rng.gen::<f64>() * total;
-        for (i, c) in self.size_mix.iter().enumerate() {
-            pick -= c.weight * self.phase_weight(i, t_ns);
+        for (i, (w, c)) in weights.iter().zip(&self.size_mix).enumerate() {
+            pick -= w;
             if pick <= 0.0 {
                 return (c.dist.sample(rng).max(1), i);
             }
         }
         let last = self.size_mix.len() - 1;
         (self.size_mix[last].dist.sample(rng).max(1), last)
+    }
+
+    /// Evaluates the size mixture at `t_ns` into `out`, for any number of
+    /// [`sample_size_prepared`](Self::sample_size_prepared) draws at that
+    /// instant.
+    pub fn prepare_sizes(&self, t_ns: u64, out: &mut SizeWeights) {
+        out.total = self.fill_weights(t_ns, out.slots(self.size_mix.len()));
+    }
+
+    /// Draws an object size and its component index from weights prepared
+    /// by [`prepare_sizes`](Self::prepare_sizes) on this spec: the same
+    /// result, and the same RNG state afterwards, as
+    /// [`sample_size`](Self::sample_size) at the prepared `t_ns`.
+    pub fn sample_size_prepared(&self, prepared: &SizeWeights, rng: &mut SmallRng) -> (u64, usize) {
+        debug_assert_eq!(
+            prepared.len,
+            self.size_mix.len(),
+            "weights were not prepared on this spec"
+        );
+        self.draw_size(prepared.weights(), prepared.total, rng)
+    }
+
+    /// Draws an object size at time `t_ns` and the index of the component
+    /// (allocation site) it came from.
+    pub fn sample_size(&self, t_ns: u64, rng: &mut SmallRng) -> (u64, usize) {
+        let mut weights = SizeWeights::default();
+        self.prepare_sizes(t_ns, &mut weights);
+        self.sample_size_prepared(&weights, rng)
     }
 
     /// Draws a lifetime for an object of `size` allocated at site
@@ -492,5 +562,97 @@ mod tests {
         let a = share_small(250_000);
         let b = share_small(750_000);
         assert!((a - b).abs() > 0.01, "phase drift invisible: {a} vs {b}");
+    }
+
+    /// The retired draw: every component's phase weight evaluated twice per
+    /// allocation, once for the total and once for the walk.
+    fn sample_size_ref(spec: &WorkloadSpec, t_ns: u64, rng: &mut SmallRng) -> (u64, usize) {
+        let phase_weight = |i: usize| {
+            if spec.phase_period_ns == 0 || spec.phase_strength == 0.0 {
+                return 1.0;
+            }
+            let frac = (t_ns % spec.phase_period_ns) as f64 / spec.phase_period_ns as f64;
+            let offset = i as f64 / spec.size_mix.len() as f64;
+            1.0 + spec.phase_strength * ((frac + offset) * std::f64::consts::TAU).sin()
+        };
+        let total: f64 = spec
+            .size_mix
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.weight * phase_weight(i))
+            .sum();
+        let mut pick = rng.gen::<f64>() * total;
+        for (i, c) in spec.size_mix.iter().enumerate() {
+            pick -= c.weight * phase_weight(i);
+            if pick <= 0.0 {
+                return (c.dist.sample(rng).max(1), i);
+            }
+        }
+        let last = spec.size_mix.len() - 1;
+        (spec.size_mix[last].dist.sample(rng).max(1), last)
+    }
+
+    #[test]
+    fn prepared_draw_matches_the_retired_draw_on_every_profile() {
+        use crate::profiles::*;
+        let mut specs = production_workloads();
+        specs.extend(benchmark_workloads());
+        specs.extend([fleet_mix(), middle_tier_service(), spec_cpu(0), spec_cpu(3)]);
+        specs.extend((0..4).map(fleet_binary));
+        // Drift disabled either way, and a mixture too wide for the stack
+        // buffer of `sample_size`.
+        let mut no_period = fleet_binary(9);
+        no_period.phase_period_ns = 0;
+        let mut no_strength = fleet_binary(10);
+        no_strength.phase_strength = 0.0;
+        let mut wide = fleet_binary(11);
+        while wide.size_mix.len() <= INLINE_COMPONENTS {
+            wide.size_mix.extend(fleet_mix().size_mix);
+        }
+        specs.extend([no_period, no_strength, wide]);
+
+        for (k, spec) in specs.iter().enumerate() {
+            let seed = 0xD1CE + k as u64;
+            let mut times = SmallRng::seed_from_u64(seed ^ 0x7177);
+            let (mut r_ref, mut r_one, mut r_prep) = (
+                SmallRng::seed_from_u64(seed),
+                SmallRng::seed_from_u64(seed),
+                SmallRng::seed_from_u64(seed),
+            );
+            let mut prepared = SizeWeights::default();
+            let period = spec.phase_period_ns;
+            let mut t_ns = 0;
+            for draw in 0..10_000u64 {
+                // A new instant every 24 draws, as a request would; period
+                // boundaries and their neighbours come up first.
+                if draw % 24 == 0 {
+                    t_ns = match draw / 24 {
+                        0 => 0,
+                        1 => period,
+                        2 => period.saturating_sub(1),
+                        3 => 2 * period + 1,
+                        4 => u64::MAX,
+                        _ => times.gen_range(0..4 * period.max(1_000_000_000)),
+                    };
+                    spec.prepare_sizes(t_ns, &mut prepared);
+                }
+                let want = sample_size_ref(spec, t_ns, &mut r_ref);
+                assert_eq!(
+                    spec.sample_size(t_ns, &mut r_one),
+                    want,
+                    "{} t {t_ns}",
+                    spec.name
+                );
+                assert_eq!(
+                    spec.sample_size_prepared(&prepared, &mut r_prep),
+                    want,
+                    "{} t {t_ns}",
+                    spec.name
+                );
+                let state = r_ref.clone().next_u64();
+                assert_eq!(r_one.clone().next_u64(), state, "{} rng state", spec.name);
+                assert_eq!(r_prep.clone().next_u64(), state, "{} rng state", spec.name);
+            }
+        }
     }
 }
