@@ -9,6 +9,9 @@
 //! needs to charge realistic stall cycles and report MPKI.
 
 use crate::topology::DomainId;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use wsc_prng::IntMap;
 
 /// Outcome of an LLC access.
@@ -52,125 +55,111 @@ impl LlcStats {
     }
 }
 
-/// Where a resident block lives: its one owning domain and its node in
-/// that domain's LRU list.
+/// A resident block: its one owning domain, the bytes it occupies there and
+/// the model-wide tick of its last touch. This entry is the only thing a
+/// hit writes.
 #[derive(Clone, Copy, Debug)]
 struct Resident {
+    stamp: u64,
+    bytes: u32,
     domain: u32,
-    node: u32,
 }
 
-/// One domain's intrusive byte-capacity LRU list. Membership lives in the
-/// model-wide index ([`LlcModel`]).
-#[derive(Clone, Debug)]
-struct LruBytes {
-    capacity: u64,
+/// One domain's occupancy and, once it has had to evict, its LRU order.
+/// Membership lives in the model-wide index ([`LlcModel`]).
+#[derive(Clone, Debug, Default)]
+struct Domain {
     used: u64,
-    nodes: Vec<Node>,
-    head: u32, // most recent; NIL when empty
-    tail: u32, // least recent
-    free: Vec<u32>,
+    /// Resident blocks.
+    blocks: usize,
+    /// `None` until the domain first runs out of room.
+    order: Option<Order>,
 }
 
-/// 24 bytes: the links are slab indices, not pointers, so a touch (which
-/// reads the node and both neighbours) walks a slab three quarters the size.
-#[derive(Clone, Copy, Debug)]
-struct Node {
-    key: u64,
-    bytes: u64,
-    prev: u32,
-    next: u32,
+impl Domain {
+    /// A block of `bytes` left other than by capacity eviction.
+    fn release(&mut self, bytes: u32) {
+        self.used -= u64::from(bytes);
+        self.blocks -= 1;
+        self.trim();
+    }
+
+    /// Drops an order that has outgrown the resident blocks; the next
+    /// eviction rebuilds it.
+    fn trim(&mut self) {
+        let most = 2 * self.blocks + ORDER_SLACK;
+        if self.order.as_ref().is_some_and(|o| o.len() > most) {
+            self.order = None;
+        }
+    }
 }
 
-const NIL: u32 = u32::MAX;
+/// A domain's LRU order, by witnesses: every resident block has an entry
+/// `(stamp, block)` here whose stamp is at or before the block's current
+/// one, so the least stamp recorded bounds every block's recency from below.
+/// Hits write nothing here; an entry is checked against the index when it
+/// comes up.
+#[derive(Clone, Debug)]
+struct Order {
+    /// Ascending: the resident blocks when the order was built, then every
+    /// block inserted since (an insert carries the newest stamp).
+    queue: VecDeque<(u64, u64)>,
+    /// Blocks that came up with a newer stamp than recorded — touched since
+    /// — and were not yet the oldest, re-filed under the newer stamp.
+    touched: BinaryHeap<Reverse<(u64, u64)>>,
+}
 
-impl LruBytes {
-    fn new(capacity: u64) -> Self {
+/// An order may hold this many entries beyond twice the domain's resident
+/// blocks (entries of blocks that left linger until they come up) before it
+/// is dropped ([`Domain::trim`]).
+const ORDER_SLACK: usize = 64;
+
+impl Order {
+    /// Every block resident in domain `d`, oldest first.
+    // lint:allow(hashmap-decl) the model's index, borrowed to enumerate one
+    // domain's blocks
+    fn build(index: &IntMap<u64, Resident>, d: usize) -> Self {
+        // lint:allow(hashmap-iter) map order cannot leak: entries are
+        // filtered by domain and sorted by their unique stamp before any is
+        // used (`victims_do_not_depend_on_insertion_order` holds it)
+        let mut all: Vec<(u64, u64)> = index
+            .iter()
+            .filter(|(_, at)| at.domain as usize == d)
+            .map(|(&block, at)| (at.stamp, block))
+            .collect();
+        all.sort_unstable();
         Self {
-            capacity,
-            used: 0,
-            nodes: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            free: Vec::new(),
+            queue: all.into(),
+            touched: BinaryHeap::new(),
         }
     }
 
-    fn unlink(&mut self, i: u32) {
-        let Node { prev, next, .. } = self.nodes[i as usize];
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
+    fn len(&self) -> usize {
+        self.queue.len() + self.touched.len()
     }
 
-    fn push_front(&mut self, i: u32) {
-        self.nodes[i as usize].prev = NIL;
-        self.nodes[i as usize].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
+    /// What the entry `(stamp, block)` of domain `d`'s order finds in the
+    /// index. Stamps are unique, so an equal stamp is the same residence,
+    /// untouched since: at the head of the order, that is the LRU block.
+    // lint:allow(hashmap-decl) the model's index, borrowed for one probe
+    fn look_up(index: &IntMap<u64, Resident>, d: usize, stamp: u64, block: u64) -> Found {
+        match index.get(&block) {
+            Some(at) if at.domain as usize != d => Found::Gone,
+            Some(at) if at.stamp == stamp => Found::Lru,
+            Some(at) => Found::Touched(at.stamp),
+            None => Found::Gone,
         }
     }
+}
 
-    /// Refreshes the recency of resident node `i`.
-    fn touch(&mut self, i: u32) {
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-    }
-
-    /// Inserts non-resident `key` at the front and returns its node; evicts
-    /// LRU entries (dropping them from `index`) until it fits. Oversized
-    /// blocks are clamped to capacity (streaming a block larger than the
-    /// LLC just flushes it).
-    // lint:allow(hashmap-decl) the model's index, borrowed to drop victims;
-    // never iterated
-    fn insert(&mut self, key: u64, bytes: u64, index: &mut IntMap<u64, Resident>) -> u32 {
-        let bytes = bytes.min(self.capacity).max(1);
-        while self.used + bytes > self.capacity && self.tail != NIL {
-            let victim = self.tail;
-            index.remove(&self.nodes[victim as usize].key);
-            self.remove(victim);
-        }
-        let node = Node {
-            key,
-            bytes,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = node;
-            i
-        } else {
-            let i = u32::try_from(self.nodes.len())
-                .ok()
-                .filter(|&i| i != NIL)
-                .expect("LLC node slab exceeds u32");
-            self.nodes.push(node);
-            i
-        };
-        self.used += bytes;
-        self.push_front(i);
-        i
-    }
-
-    /// Drops resident node `i` (the caller owns the index entry).
-    fn remove(&mut self, i: u32) {
-        self.used -= self.nodes[i as usize].bytes;
-        self.unlink(i);
-        self.free.push(i);
-    }
+/// What became of the block an [`Order`] entry names.
+enum Found {
+    /// Resident and untouched since the entry was filed.
+    Lru,
+    /// Resident, touched since: its stamp now.
+    Touched(u64),
+    /// Evicted or transferred away.
+    Gone,
 }
 
 /// Per-domain LLC model for one machine.
@@ -192,14 +181,20 @@ impl LruBytes {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LlcModel {
-    domains: Vec<LruBytes>,
-    /// `block → (domain, node)` for every resident block. A block is
-    /// resident in at most one domain — `access` moves it to the accessing
-    /// domain and `evict` removes it — so one probe classifies an access as
-    /// hit, remote or memory miss.
-    // lint:allow(hashmap-decl) keyed lookup only; never iterated — LRU order
-    // lives in the per-domain intrusive lists
+    /// Bytes per domain; 32 bits, as is every resident block's byte count.
+    capacity: u32,
+    domains: Vec<Domain>,
+    /// Every resident block. A block is resident in at most one domain —
+    /// `access` moves it to the accessing domain and `evict` removes it — so
+    /// one probe classifies an access as hit, remote or memory miss, and a
+    /// hit refreshes recency by writing `stamp` into the probed entry. LRU
+    /// *order* exists only in a domain that has had to evict ([`Order`]).
+    // lint:allow(hashmap-decl) keyed lookup; iterated only to build a
+    // domain's order, which sorts by the unique stamp before use
     index: IntMap<u64, Resident>,
+    /// Accesses so far: a stamp is unique and later touches carry larger
+    /// ones.
+    tick: u64,
     stats: LlcStats,
 }
 
@@ -209,15 +204,18 @@ impl LlcModel {
     ///
     /// # Panics
     ///
-    /// Panics if `num_domains` is zero or capacity is zero.
+    /// Panics if `num_domains` is zero, or capacity is zero or above
+    /// `u32::MAX` (a resident block's byte count is held in 32 bits).
     pub fn new(num_domains: usize, bytes_per_domain: u64) -> Self {
         assert!(num_domains > 0, "need at least one domain");
         assert!(bytes_per_domain > 0, "LLC capacity must be positive");
+        let capacity = u32::try_from(bytes_per_domain)
+            .unwrap_or_else(|_| panic!("bytes_per_domain {bytes_per_domain} exceeds u32::MAX"));
         Self {
-            domains: (0..num_domains)
-                .map(|_| LruBytes::new(bytes_per_domain))
-                .collect(),
+            capacity,
+            domains: vec![Domain::default(); num_domains],
             index: IntMap::default(),
+            tick: 0,
             stats: LlcStats::default(),
         }
     }
@@ -232,16 +230,20 @@ impl LlcModel {
         let d = domain.index();
         assert!(d < self.domains.len(), "domain {domain} out of range");
         self.stats.accesses += 1;
-        let outcome = match self.index.get(&block).copied() {
+        self.tick += 1;
+        let stamp = self.tick;
+        let outcome = match self.index.get_mut(&block) {
             Some(at) if at.domain == domain.0 => {
-                self.domains[d].touch(at.node);
+                at.stamp = stamp;
                 self.stats.hits += 1;
                 return LlcAccess::Hit;
             }
             Some(at) => {
                 // Transfer: the line leaves its owner for the accessing
-                // domain.
-                self.domains[at.domain as usize].remove(at.node);
+                // domain. Its entry is rewritten below, after room is made:
+                // until then it names the old domain and cannot be chosen
+                // as a victim here.
+                self.domains[at.domain as usize].release(at.bytes);
                 self.stats.remote_misses += 1;
                 LlcAccess::MissRemote
             }
@@ -250,21 +252,80 @@ impl LlcModel {
                 LlcAccess::MissMemory
             }
         };
-        let node = self.domains[d].insert(block, bytes, &mut self.index);
+        // Oversized blocks are clamped to capacity (streaming a block larger
+        // than the LLC just flushes it).
+        let bytes = u32::try_from(bytes)
+            .unwrap_or(u32::MAX)
+            .min(self.capacity)
+            .max(1);
+        while self.domains[d].used + u64::from(bytes) > u64::from(self.capacity) {
+            self.evict_lru(d);
+        }
+        let dom = &mut self.domains[d];
+        dom.used += u64::from(bytes);
+        dom.blocks += 1;
+        if let Some(order) = &mut dom.order {
+            order.queue.push_back((stamp, block));
+        }
+        dom.trim();
         self.index.insert(
             block,
             Resident {
+                stamp,
+                bytes,
                 domain: domain.0,
-                node,
             },
         );
         outcome
     }
 
+    /// Drops the least recently touched block of domain `d`, which holds at
+    /// least one (it is over capacity): the first entry of its order, oldest
+    /// first, that is still exact. Entries met on the way are dropped if the
+    /// block left and re-filed under its current stamp if it was touched.
+    fn evict_lru(&mut self, d: usize) {
+        let dom = &mut self.domains[d];
+        let order = dom
+            .order
+            .get_or_insert_with(|| Order::build(&self.index, d));
+        let lru = loop {
+            let queued = order.queue.front().map_or(u64::MAX, |e| e.0);
+            let touched = order.touched.peek().map_or(u64::MAX, |e| e.0 .0);
+            if touched < queued {
+                let mut top = order.touched.peek_mut().expect("peeked above");
+                let Reverse((stamp, block)) = *top;
+                match Order::look_up(&self.index, d, stamp, block) {
+                    Found::Lru => {
+                        PeekMut::pop(top);
+                        break block;
+                    }
+                    // Sifts down when `top` drops.
+                    Found::Touched(now) => *top = Reverse((now, block)),
+                    Found::Gone => {
+                        PeekMut::pop(top);
+                    }
+                }
+            } else {
+                let (stamp, block) = order
+                    .queue
+                    .pop_front()
+                    .unwrap_or_else(|| panic!("domain {d} is over capacity but holds no block"));
+                match Order::look_up(&self.index, d, stamp, block) {
+                    Found::Lru => break block,
+                    Found::Touched(now) => order.touched.push(Reverse((now, block))),
+                    Found::Gone => {}
+                }
+            }
+        };
+        let at = self.index.remove(&lru).expect("found above");
+        dom.used -= u64::from(at.bytes);
+        dom.blocks -= 1;
+    }
+
     /// Evicts a block everywhere (the backing memory was unmapped).
     pub fn evict(&mut self, block: u64) {
         if let Some(at) = self.index.remove(&block) {
-            self.domains[at.domain as usize].remove(at.node);
+            self.domains[at.domain as usize].release(at.bytes);
         }
     }
 
@@ -357,7 +418,7 @@ mod tests {
 
     #[test]
     fn many_blocks_consistency() {
-        // Stress the intrusive list: interleave inserts/touches/removes.
+        // Interleave inserts, touches, transfers, evictions and removals.
         let mut llc = LlcModel::new(2, 4096);
         for i in 0..1000u64 {
             llc.access(DomainId((i % 2) as u32), i % 97, 64);
@@ -484,53 +545,279 @@ mod tests {
             pub fn used(&self, d: usize) -> u64 {
                 self.domains[d].used
             }
+
+            /// Every resident `(block, domain, bytes)`, ascending.
+            pub fn resident(&self) -> Vec<(u64, usize, u64)> {
+                let mut all: Vec<_> = self
+                    .domains
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(d, dom)| dom.bytes.iter().map(move |(&k, &b)| (k, d, b)))
+                    .collect();
+                all.sort_unstable();
+                all
+            }
         }
     }
 
+    impl LlcModel {
+        /// The domain `block` is resident in and the bytes it holds there.
+        fn residence(&self, block: u64) -> Option<(usize, u64)> {
+            let at = self.index.get(&block)?;
+            Some((at.domain as usize, u64::from(at.bytes)))
+        }
+    }
+
+    /// The stamp-ordered model and the reference, driven in lockstep: every
+    /// step must classify alike and leave the same blocks, with the same
+    /// bytes, in the same domains.
+    struct Lockstep {
+        llc: LlcModel,
+        model: reference::RefLlc,
+        label: String,
+        step: usize,
+    }
+
+    impl Lockstep {
+        fn new(label: impl Into<String>, domains: usize, capacity: u64) -> Self {
+            Self {
+                llc: LlcModel::new(domains, capacity),
+                model: reference::RefLlc::new(domains, capacity),
+                label: label.into(),
+                step: 0,
+            }
+        }
+
+        fn access(&mut self, d: usize, block: u64, bytes: u64) -> LlcAccess {
+            let d_id = DomainId(d as u32);
+            let got = self.llc.access(d_id, block, bytes);
+            let want = self.model.access(d_id, block, bytes);
+            assert_eq!(got, want, "{} step {}", self.label, self.step);
+            self.check(block);
+            got
+        }
+
+        fn evict(&mut self, block: u64) {
+            self.llc.evict(block);
+            self.model.evict(block);
+            self.check(block);
+        }
+
+        fn check(&mut self, block: u64) {
+            let at = format!("{} step {}", self.label, self.step);
+            assert_eq!(self.llc.stats(), self.model.stats, "{at}");
+            assert!(self.model.holders(block) <= 1, "at most one owner: {at}");
+            let resident = self.model.resident();
+            for (d, dom) in self.llc.domains.iter().enumerate() {
+                assert_eq!(dom.used, self.model.used(d), "{at} domain {d}");
+                let blocks = resident.iter().filter(|&&(_, at, _)| at == d).count();
+                assert_eq!(dom.blocks, blocks, "{at} domain {d}");
+                let order = dom.order.as_ref().map_or(0, Order::len);
+                assert!(
+                    order <= 2 * blocks + ORDER_SLACK,
+                    "order of {order} entries for {blocks} blocks: {at}"
+                );
+            }
+            assert_eq!(self.llc.index.len(), resident.len(), "{at}");
+            for &(block, d, bytes) in &resident {
+                assert_eq!(self.llc.residence(block), Some((d, bytes)), "{at}");
+            }
+            self.step += 1;
+        }
+    }
+
+    /// Aligned, address-like keys: what the driver feeds in.
+    fn addr(i: u64) -> u64 {
+        0x7f00_0000_0000 + i * 64
+    }
+
     #[test]
-    fn single_index_matches_per_domain_maps() {
+    fn stamp_order_matches_per_domain_maps() {
         use wsc_prng::SmallRng;
         for case in 0..24u64 {
             let mut rng = SmallRng::seed_from_u64(0x11c0_de00 + case);
             let domains = rng.gen_range(1usize..=6);
             let capacity = rng.gen_range(256u64..8192);
-            // Few enough blocks to hit and ping-pong, enough bytes to evict.
+            // Few enough blocks to hit and ping-pong, enough bytes that
+            // eviction is the common case.
             let blocks = rng.gen_range(8u64..200);
-            let mut llc = LlcModel::new(domains, capacity);
-            let mut model = reference::RefLlc::new(domains, capacity);
-            for step in 0..3000 {
-                // Aligned, address-like keys: what the driver feeds in.
-                let block = 0x7f00_0000_0000 + rng.gen_range(0..blocks) * 64;
+            let mut both = Lockstep::new(format!("mixed {case}"), domains, capacity);
+            for _ in 0..3000 {
+                let block = addr(rng.gen_range(0..blocks));
                 if rng.gen_bool(0.05) {
-                    llc.evict(block);
-                    model.evict(block);
+                    both.evict(block);
                 } else {
-                    let d = DomainId(rng.gen_range(0..domains) as u32);
-                    let bytes = rng.gen_range(1u64..2 * capacity / 3);
-                    assert_eq!(
-                        llc.access(d, block, bytes),
-                        model.access(d, block, bytes),
-                        "case {case} step {step}"
-                    );
+                    let d = rng.gen_range(0..domains);
+                    both.access(d, block, rng.gen_range(1u64..2 * capacity / 3));
                 }
-                assert_eq!(llc.stats(), model.stats, "case {case} step {step}");
-                assert!(model.holders(block) <= 1, "at most one owning domain");
-                assert_eq!(
-                    llc.index.contains_key(&block),
-                    model.holders(block) == 1,
-                    "case {case} step {step}"
-                );
-            }
-            // The index holds exactly the listed nodes of every domain.
-            let listed: usize = llc
-                .domains
-                .iter()
-                .map(|d| d.nodes.len() - d.free.len())
-                .sum();
-            assert_eq!(llc.index.len(), listed);
-            for (d, dom) in llc.domains.iter().enumerate() {
-                assert_eq!(dom.used, model.used(d), "case {case} domain {d}");
             }
         }
+    }
+
+    #[test]
+    fn every_access_missing_streams_through_the_queue() {
+        use wsc_prng::SmallRng;
+        for domains in 1..=6usize {
+            let mut rng = SmallRng::seed_from_u64(0xa11_0155 + domains as u64);
+            let mut both = Lockstep::new(format!("all-miss {domains}"), domains, 1024);
+            // ≈ 25 blocks fit a domain and no block is ever seen twice: each
+            // insert is appended to the order, each eviction takes its head.
+            for fresh in 0..2500u64 {
+                let d = rng.gen_range(0..domains);
+                let got = both.access(d, addr(fresh), rng.gen_range(16u64..64));
+                assert_eq!(got, LlcAccess::MissMemory);
+            }
+        }
+    }
+
+    #[test]
+    fn hot_set_goes_stale_in_the_queue_before_it_is_reached() {
+        use wsc_prng::SmallRng;
+        for case in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(0x0040_75e7 + case);
+            let domains = 1 + case as usize % 3;
+            let mut both = Lockstep::new(format!("hit-heavy {case}"), domains, 4096);
+            // 20 hot blocks of 64 B per domain stay resident and are touched
+            // nine times in ten; a cold stream forces the evictions, so most
+            // of a queue built under pressure is stale when it is walked.
+            let mut fresh = 1_000u64;
+            for _ in 0..4000 {
+                let d = rng.gen_range(0..domains);
+                if rng.gen_bool(0.9) {
+                    let hot = d as u64 * 20 + rng.gen_range(0..20u64);
+                    both.access(d, addr(hot), 64);
+                } else {
+                    fresh += 1;
+                    both.access(d, addr(fresh), rng.gen_range(64u64..512));
+                }
+            }
+            assert!(both.llc.stats().hits > 3000, "hot set stayed resident");
+        }
+    }
+
+    #[test]
+    fn queued_victims_that_left_are_skipped() {
+        // `evict()` of a block the queue still lists.
+        let mut both = Lockstep::new("evict queued", 1, 300);
+        for b in 1..=3 {
+            both.access(0, b, 100);
+        }
+        both.access(0, 4, 100); // queue [1, 2, 3]; drops 1
+        both.evict(2); // still listed
+        both.access(0, 5, 100); // fits: 3, 4, 5
+        both.access(0, 6, 100); // skips 2, drops 3
+        assert_eq!(both.access(0, 4, 100), LlcAccess::Hit);
+        assert_eq!(both.access(0, 3, 100), LlcAccess::MissMemory);
+
+        // A block that leaves for another domain and comes back: listed with
+        // the right domain and the wrong stamp.
+        let mut both = Lockstep::new("leave and return", 2, 300);
+        for b in 1..=3 {
+            both.access(0, b, 100);
+        }
+        both.access(0, 4, 100); // queue [1, 2, 3]; drops 1
+        assert_eq!(both.access(1, 2, 100), LlcAccess::MissRemote);
+        assert_eq!(both.access(0, 2, 100), LlcAccess::MissRemote); // 3, 4, 2
+        both.access(0, 5, 100); // skips the old 2, drops 3
+        assert_eq!(both.access(0, 2, 100), LlcAccess::Hit);
+        assert_eq!(both.access(0, 3, 100), LlcAccess::MissMemory);
+    }
+
+    #[test]
+    fn an_order_nothing_consumes_is_dropped_and_rebuilt() {
+        let mut both = Lockstep::new("idle order", 2, 1000);
+        for b in 0..11 {
+            both.access(0, addr(b), 100); // the eleventh evicts: domain 0 has an order
+        }
+        assert!(both.llc.domains[0].order.is_some());
+        // Blocks now come and go without capacity pressure — unmapped, or
+        // pulled into domain 1 — so nothing takes entries off the order
+        // (`Lockstep::check` holds its bound at every step).
+        let mut dropped = false;
+        for b in 100..400 {
+            both.evict(addr(b - 1));
+            both.access(0, addr(b), 100);
+            both.access(1, addr(b - 50), 10);
+            dropped |= both.llc.domains[0].order.is_none();
+        }
+        assert!(dropped, "the order outgrew twice the resident blocks");
+        // Pressure again: rebuilt from the index, same victims as ever.
+        for b in 400..440 {
+            both.access(0, addr(b), 100);
+        }
+        assert!(both.llc.domains[0].order.is_some());
+    }
+
+    #[test]
+    fn bytes_follow_the_residence() {
+        let mut both = Lockstep::new("bytes", 2, 300);
+        // Oversized: clamped to capacity, flushes the domain.
+        both.access(0, 1, 100);
+        both.access(0, 2, 100);
+        both.access(0, 3, 1000);
+        assert_eq!(both.llc.domains[0].used, 300);
+        assert_eq!(both.access(0, 1, 100), LlcAccess::MissMemory); // drops 3
+        assert_eq!(both.llc.domains[0].used, 100);
+        // A second residence carries its own byte count...
+        both.evict(1);
+        both.access(0, 1, 50);
+        assert_eq!(both.llc.domains[0].used, 50);
+        // ...so does a transfer, and a hit keeps the resident one.
+        assert_eq!(both.access(1, 1, 30), LlcAccess::MissRemote);
+        assert_eq!(both.access(1, 1, 200), LlcAccess::Hit);
+        assert_eq!(
+            (both.llc.domains[0].used, both.llc.domains[1].used),
+            (0, 30)
+        );
+    }
+
+    #[test]
+    fn victims_do_not_depend_on_insertion_order() {
+        use wsc_prng::SmallRng;
+        let (domains, blocks) = (3usize, 120u64);
+        let mut up = LlcModel::new(domains, 4096);
+        let mut down = LlcModel::new(domains, 4096);
+        // Same blocks, opposite insertion orders, and a table that grew and
+        // shrank first on one side: the two hash maps iterate differently.
+        for junk in 0..500 {
+            down.access(DomainId(0), addr(10_000 + junk), 8);
+        }
+        for junk in 0..500 {
+            down.evict(addr(10_000 + junk));
+        }
+        for i in 0..blocks {
+            up.access(DomainId((i % 3) as u32), addr(i), 64);
+            let j = blocks - 1 - i;
+            down.access(DomainId((j % 3) as u32), addr(j), 64);
+        }
+        // One recency order for both.
+        let mut rng = SmallRng::seed_from_u64(0xbde7);
+        let mut order: Vec<u64> = (0..blocks).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for &i in &order {
+            let d = DomainId((i % 3) as u32);
+            assert_eq!(up.access(d, addr(i), 64), LlcAccess::Hit);
+            assert_eq!(down.access(d, addr(i), 64), LlcAccess::Hit);
+        }
+        // Pressure: every step evicts, and both must evict alike.
+        for fresh in 0..300u64 {
+            let d = DomainId(rng.gen_range(0..domains) as u32);
+            let bytes = rng.gen_range(64u64..1024);
+            up.access(d, addr(1_000 + fresh), bytes);
+            down.access(d, addr(1_000 + fresh), bytes);
+            assert_eq!(up.index.len(), down.index.len(), "step {fresh}");
+            for i in (0..blocks).chain(1_000..=1_000 + fresh) {
+                let block = addr(i);
+                assert_eq!(up.residence(block), down.residence(block), "step {fresh}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes_per_domain 4294967296 exceeds u32::MAX")]
+    fn capacity_beyond_32_bits_is_refused() {
+        let _ = LlcModel::new(1, 1 << 32);
     }
 }

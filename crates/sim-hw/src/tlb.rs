@@ -47,35 +47,45 @@ pub enum TlbOutcome {
 /// A set-associative LRU translation buffer.
 #[derive(Clone, Debug)]
 struct SetAssocTlb {
-    /// `sets[set][way] = Some((tag, last_used_tick))`.
-    sets: Vec<Vec<Option<(u64, u64)>>>,
+    /// `ways` consecutive `(tag, last_used_tick)` per set, one allocation
+    /// for the whole level. Tick 0 is an empty way: live ticks start at 1.
+    slots: Vec<(u64, u64)>,
+    sets: u64,
+    ways: usize,
     tick: u64,
 }
 
 impl SetAssocTlb {
-    fn new(entries: usize, ways: usize) -> Self {
+    /// `field` names the [`TlbGeometry`] entry count this level was built
+    /// from.
+    fn new(field: &str, entries: usize, ways: usize) -> Self {
+        assert!(ways > 0, "TlbGeometry::ways must be positive");
+        assert!(entries > 0, "TlbGeometry::{field} must be positive");
         assert!(
             entries.is_multiple_of(ways),
             "entries must divide into ways"
         );
-        let num_sets = (entries / ways).max(1);
         Self {
-            sets: vec![vec![None; ways]; num_sets],
+            slots: vec![(0, 0); entries],
+            sets: (entries / ways) as u64,
+            ways,
             tick: 0,
         }
     }
 
-    fn set_of(&self, key: u64) -> usize {
-        (key % self.sets.len() as u64) as usize
+    /// The ways `key` may occupy.
+    fn set_mut(&mut self, key: u64) -> &mut [(u64, u64)] {
+        // In bounds: `key % sets < sets` and `slots.len() == sets * ways`.
+        let start = (key % self.sets) as usize * self.ways;
+        &mut self.slots[start..start + self.ways]
     }
 
     /// Looks up `key`, refreshing LRU state on hit.
     fn lookup(&mut self, key: u64) -> bool {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(key);
-        for (tag, used) in self.sets[set].iter_mut().flatten() {
-            if *tag == key {
+        for (tag, used) in self.set_mut(key) {
+            if *used != 0 && *tag == key {
                 *used = tick;
                 return true;
             }
@@ -83,39 +93,29 @@ impl SetAssocTlb {
         false
     }
 
-    /// Inserts `key`, evicting the LRU way if the set is full.
+    /// Inserts `key` into the first empty way, else over the LRU way: the
+    /// first way of least tick is both.
     fn insert(&mut self, key: u64) {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_of(key);
-        let ways = &mut self.sets[set];
-        // Prefer an empty way.
-        if let Some(slot) = ways.iter_mut().find(|s| s.is_none()) {
-            *slot = Some((key, tick));
-            return;
-        }
-        let victim = ways
+        let victim = self
+            .set_mut(key)
             .iter_mut()
-            .min_by_key(|s| s.map_or(0, |(_, used)| used))
-            .expect("ways is non-empty");
-        *victim = Some((key, tick));
+            .min_by_key(|(_, used)| *used)
+            .expect("ways is positive");
+        *victim = (key, tick);
     }
 
     fn invalidate(&mut self, key: u64) {
-        let set = self.set_of(key);
-        for slot in &mut self.sets[set] {
-            if matches!(slot, Some((tag, _)) if *tag == key) {
-                *slot = None;
+        for slot in self.set_mut(key) {
+            if slot.1 != 0 && slot.0 == key {
+                *slot = (0, 0);
             }
         }
     }
 
     fn flush(&mut self) {
-        for set in &mut self.sets {
-            for slot in set {
-                *slot = None;
-            }
-        }
+        self.slots.fill((0, 0));
     }
 }
 
@@ -201,11 +201,16 @@ pub struct TlbSim {
 
 impl TlbSim {
     /// Creates a TLB with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` or an entry count is zero, or an entry count is not
+    /// a multiple of `ways`.
     pub fn new(geom: TlbGeometry) -> Self {
         Self {
-            l1_base: SetAssocTlb::new(geom.l1_base_entries, geom.ways),
-            l1_huge: SetAssocTlb::new(geom.l1_huge_entries, geom.ways),
-            l2: SetAssocTlb::new(geom.l2_entries, geom.ways),
+            l1_base: SetAssocTlb::new("l1_base_entries", geom.l1_base_entries, geom.ways),
+            l1_huge: SetAssocTlb::new("l1_huge_entries", geom.l1_huge_entries, geom.ways),
+            l2: SetAssocTlb::new("l2_entries", geom.l2_entries, geom.ways),
             stats: TlbStats::default(),
         }
     }
@@ -358,5 +363,201 @@ mod tests {
         assert!((s.walk_rate() - 0.03).abs() < 1e-12);
         assert!((s.miss_rate() - 0.10).abs() < 1e-12);
         assert_eq!(TlbStats::default().walk_rate(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "TlbGeometry::ways must be positive")]
+    fn zero_ways_is_refused() {
+        let _ = TlbSim::new(TlbGeometry {
+            ways: 0,
+            ..TlbGeometry::server()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "TlbGeometry::l1_huge_entries must be positive")]
+    fn zero_entries_is_refused() {
+        let _ = TlbSim::new(TlbGeometry {
+            l1_huge_entries: 0,
+            ..TlbGeometry::server()
+        });
+    }
+
+    /// The retired level — one `Vec` of `Option` ways per set — and the
+    /// simulator over it, kept only as the reference the flat array is
+    /// compared against.
+    mod reference {
+        use super::super::{PageSize, TlbGeometry, TlbOutcome, TlbSim, TlbStats};
+
+        struct SetAssoc {
+            /// `sets[set][way] = Some((tag, last_used_tick))`.
+            sets: Vec<Vec<Option<(u64, u64)>>>,
+            tick: u64,
+        }
+
+        impl SetAssoc {
+            fn new(entries: usize, ways: usize) -> Self {
+                Self {
+                    sets: vec![vec![None; ways]; entries / ways],
+                    tick: 0,
+                }
+            }
+
+            fn set_of(&self, key: u64) -> usize {
+                (key % self.sets.len() as u64) as usize
+            }
+
+            fn lookup(&mut self, key: u64) -> bool {
+                self.tick += 1;
+                let tick = self.tick;
+                let set = self.set_of(key);
+                for (tag, used) in self.sets[set].iter_mut().flatten() {
+                    if *tag == key {
+                        *used = tick;
+                        return true;
+                    }
+                }
+                false
+            }
+
+            fn insert(&mut self, key: u64) {
+                self.tick += 1;
+                let tick = self.tick;
+                let set = self.set_of(key);
+                let ways = &mut self.sets[set];
+                if let Some(slot) = ways.iter_mut().find(|s| s.is_none()) {
+                    *slot = Some((key, tick));
+                    return;
+                }
+                let victim = ways
+                    .iter_mut()
+                    .min_by_key(|s| s.map_or(0, |(_, used)| used))
+                    .expect("ways is non-empty");
+                *victim = Some((key, tick));
+            }
+
+            fn invalidate(&mut self, key: u64) {
+                let set = self.set_of(key);
+                for slot in &mut self.sets[set] {
+                    if matches!(slot, Some((tag, _)) if *tag == key) {
+                        *slot = None;
+                    }
+                }
+            }
+
+            fn flush(&mut self) {
+                for slot in self.sets.iter_mut().flatten() {
+                    *slot = None;
+                }
+            }
+        }
+
+        pub struct RefTlb {
+            l1_base: SetAssoc,
+            l1_huge: SetAssoc,
+            l2: SetAssoc,
+            pub stats: TlbStats,
+        }
+
+        impl RefTlb {
+            pub fn new(geom: TlbGeometry) -> Self {
+                Self {
+                    l1_base: SetAssoc::new(geom.l1_base_entries, geom.ways),
+                    l1_huge: SetAssoc::new(geom.l1_huge_entries, geom.ways),
+                    l2: SetAssoc::new(geom.l2_entries, geom.ways),
+                    stats: TlbStats::default(),
+                }
+            }
+
+            fn l1(&mut self, size: PageSize) -> &mut SetAssoc {
+                match size {
+                    PageSize::Base4K => &mut self.l1_base,
+                    PageSize::Huge2M => &mut self.l1_huge,
+                }
+            }
+
+            pub fn access(&mut self, vaddr: u64, size: PageSize) -> TlbOutcome {
+                self.stats.accesses += 1;
+                let key = TlbSim::key(vaddr, size);
+                if self.l1(size).lookup(key) {
+                    self.stats.l1_hits += 1;
+                    return TlbOutcome::L1Hit;
+                }
+                if self.l2.lookup(key) {
+                    self.stats.l2_hits += 1;
+                    self.l1(size).insert(key);
+                    return TlbOutcome::L2Hit;
+                }
+                self.stats.walks += 1;
+                self.l2.insert(key);
+                self.l1(size).insert(key);
+                TlbOutcome::Walk
+            }
+
+            pub fn invalidate(&mut self, vaddr: u64, size: PageSize) {
+                let key = TlbSim::key(vaddr, size);
+                self.l1(size).invalidate(key);
+                self.l2.invalidate(key);
+            }
+
+            pub fn flush(&mut self) {
+                self.l1_base.flush();
+                self.l1_huge.flush();
+                self.l2.flush();
+            }
+        }
+    }
+
+    #[test]
+    fn flat_levels_match_the_per_set_vecs() {
+        use wsc_prng::SmallRng;
+        // The server geometry (16-, 8- and the non-power-of-two 384-set
+        // levels) and a tiny one whose sets overflow at once.
+        let tiny = TlbGeometry {
+            l1_base_entries: 4,
+            l1_huge_entries: 2,
+            l2_entries: 6,
+            ways: 2,
+        };
+        for (case, geom) in [TlbGeometry::server(), tiny].into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(0x71b_f1a7 + case as u64);
+            let mut flat = TlbSim::new(geom);
+            let mut model = reference::RefTlb::new(geom);
+            // Enough pages to overflow every level; page 0 of either size
+            // (key 0 and key 1) is in play, as is the empty tag's value.
+            let pages = 4 * geom.l2_entries as u64;
+            for step in 0..200_000 {
+                let size = if rng.gen_bool(0.3) {
+                    PageSize::Huge2M
+                } else {
+                    PageSize::Base4K
+                };
+                // Skewed: a hot eighth of the pages takes half the accesses.
+                let page = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..pages / 8)
+                } else {
+                    rng.gen_range(0..pages)
+                };
+                let vaddr = (page << size.shift()) + rng.gen_range(0..size.bytes());
+                match rng.gen_range(0..1000u32) {
+                    0 => {
+                        flat.flush();
+                        model.flush();
+                    }
+                    1..=30 => {
+                        flat.invalidate(vaddr, size);
+                        model.invalidate(vaddr, size);
+                    }
+                    _ => assert_eq!(
+                        flat.access(vaddr, size),
+                        model.access(vaddr, size),
+                        "case {case} step {step}"
+                    ),
+                }
+                assert_eq!(flat.stats(), model.stats, "case {case} step {step}");
+            }
+            let s = flat.stats();
+            assert!(s.l1_hits > 0 && s.l2_hits > 0 && s.walks > 0, "{s:?}");
+        }
     }
 }

@@ -14,9 +14,9 @@
 //! the page-table state the pageheap produces (hugepages intact vs
 //! subreleased) feeds the dTLB simulator on every access.
 
+use crate::due::DueQueue;
 use crate::spec::{SizeWeights, WorkloadSpec};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use wsc_parallel::{Engine, Task, TaskError};
 use wsc_prng::SmallRng;
 use wsc_sim_hw::cache::{LlcAccess, LlcModel, LlcStats};
@@ -166,7 +166,7 @@ pub fn run(
     let cost = *tcm.cost_model();
 
     // Pending frees ordered by deadline; working set of program-long objects.
-    let mut frees: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut frees: DueQueue<usize> = DueQueue::default();
     let mut objects: Vec<Option<LiveObject>> = Vec::new();
     let mut free_slots: Vec<usize> = Vec::new();
     let mut working_set: VecDeque<usize> = VecDeque::new();
@@ -255,11 +255,7 @@ pub fn run(
 
         // Process due frees on this thread's CPU (the consumer touches the
         // object, then frees it — so the data is warm in *this* domain).
-        while let Some(&Reverse((deadline, idx))) = frees.peek() {
-            if deadline > now {
-                break;
-            }
-            frees.pop();
+        while let Some((_, idx)) = frees.pop_due(now) {
             let obj = objects[idx].take().expect("object already freed");
             free_slots.push(idx);
             // Most frees happen near the allocating CPU (the owning
@@ -314,7 +310,7 @@ pub fn run(
                 },
             );
             match spec.sample_lifetime(size, site, &mut rng) {
-                Some(lt) => frees.push(Reverse((now + lt, idx))),
+                Some(lt) => frees.push(now + lt, idx),
                 None => {
                     working_set.push_back(idx);
                     working_set_bytes += size;
@@ -564,6 +560,55 @@ mod tests {
         assert_eq!((r.tlb.accesses, r.tlb.walks), (399_685, 7));
         assert_eq!(r.fragmentation.live_bytes, 5_205_257);
         assert_eq!(r.fragmentation.pageheap_bytes, 1_982_464);
+    }
+
+    #[test]
+    fn eviction_order_is_pinned_on_a_small_llc() {
+        // Neither case above (nor any benchmark workload) ever fills a
+        // 32 MiB domain. At 256 KiB per domain tens of thousands of blocks
+        // are evicted (69 745 memory misses against 34 365 at 32 MiB), so a
+        // wrong victim moves these counts. Captured from the commit before
+        // the stamp-ordered LLC and the calendar queue.
+        let p = Platform::new("small-llc", 1, 1, 2, 4, 2, 256 << 10);
+        let dcfg = DriverConfig::new(4_000, 7, &p);
+        let (r, _) = run(
+            &profiles::fleet_mix(),
+            &p,
+            TcmallocConfig::optimized(),
+            &dcfg,
+        );
+        assert_eq!(r.busy_cpu_seconds.to_bits(), 0x3f9c_4bdd_4fdc_1e47);
+        assert_eq!(
+            r.llc,
+            LlcStats {
+                accesses: 399_362,
+                hits: 315_048,
+                remote_misses: 14_569,
+                memory_misses: 69_745,
+            }
+        );
+        assert_eq!(
+            r.tlb,
+            TlbStats {
+                accesses: 399_685,
+                l1_hits: 399_678,
+                l2_hits: 0,
+                walks: 7,
+            }
+        );
+        assert_eq!(
+            r.fragmentation,
+            FragmentationBreakdown {
+                live_bytes: 5_205_257,
+                internal_bytes: 348_775,
+                percpu_bytes: 2_556_992,
+                transfer_bytes: 4_358_976,
+                central_bytes: 809_232,
+                pageheap_bytes: 1_400_832,
+                deferred_bytes: 0,
+                resident_bytes: 14_680_064,
+            }
+        );
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!   paper names (DESIGN.md documents each calibration);
 //! * [`driver`] — the closed loop that replays a profile against a
 //!   [`wsc_tcmalloc::Tcmalloc`] instance plus the LLC/dTLB models, yielding
-//!   the paper's metrics (throughput, CPI, LLC MPKI, dTLB walk %, RAM).
+//!   the paper's metrics (throughput, CPI, LLC MPKI, dTLB walk %, RAM);
+//! * [`due`] — the monotone queue of pending frees the driver and the trace
+//!   recorder share;
+//! * [`trace`] — recording a profile as a portable event sequence and
+//!   replaying it against any allocator configuration.
 //!
 //! # Example
 //!
@@ -32,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod due;
 pub mod profiles;
 pub mod spec;
 pub mod trace;

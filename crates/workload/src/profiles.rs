@@ -37,13 +37,7 @@ fn site(weight: f64, dist: SizeDist, lifetime: Vec<(f64, LifeDist)>) -> SizeComp
 fn scratch(mean_ns: f64) -> Vec<(f64, LifeDist)> {
     vec![
         (0.85, LifeDist::Exp { mean_ns }),
-        (
-            0.15,
-            LifeDist::LogUniform {
-                lo_ns: MS,
-                hi_ns: NS_PER_SEC,
-            },
-        ),
+        (0.15, LifeDist::log_uniform(MS, NS_PER_SEC)),
     ]
 }
 
@@ -55,13 +49,7 @@ fn fleet_lifetimes() -> LifetimeModel {
             1 << 10,
             LifetimeMix::new(vec![
                 (0.48, LifeDist::Exp { mean_ns: 300_000.0 }),
-                (
-                    0.32,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: 10 * NS_PER_SEC,
-                    },
-                ),
+                (0.32, LifeDist::log_uniform(MS, 10 * NS_PER_SEC)),
                 (0.20, LifeDist::Forever),
             ]),
         ),
@@ -69,13 +57,7 @@ fn fleet_lifetimes() -> LifetimeModel {
             64 << 10,
             LifetimeMix::new(vec![
                 (0.35, LifeDist::Exp { mean_ns: 500_000.0 }),
-                (
-                    0.40,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: 30 * NS_PER_SEC,
-                    },
-                ),
+                (0.40, LifeDist::log_uniform(MS, 30 * NS_PER_SEC)),
                 (0.25, LifeDist::Forever),
             ]),
         ),
@@ -88,33 +70,15 @@ fn fleet_lifetimes() -> LifetimeModel {
                         mean_ns: 1_000_000.0,
                     },
                 ),
-                (
-                    0.40,
-                    LifeDist::LogUniform {
-                        lo_ns: 10 * MS,
-                        hi_ns: 60 * NS_PER_SEC,
-                    },
-                ),
+                (0.40, LifeDist::log_uniform(10 * MS, 60 * NS_PER_SEC)),
                 (0.40, LifeDist::Forever),
             ]),
         ),
         (
             u64::MAX, // the "65% of >1 GiB objects live >1 day" tail
             LifetimeMix::new(vec![
-                (
-                    0.10,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: NS_PER_SEC,
-                    },
-                ),
-                (
-                    0.25,
-                    LifeDist::LogUniform {
-                        lo_ns: NS_PER_SEC,
-                        hi_ns: 300 * NS_PER_SEC,
-                    },
-                ),
+                (0.10, LifeDist::log_uniform(MS, NS_PER_SEC)),
+                (0.25, LifeDist::log_uniform(NS_PER_SEC, 300 * NS_PER_SEC)),
                 (0.65, LifeDist::Forever),
             ]),
         ),
@@ -130,98 +94,56 @@ fn fleet_sites() -> Vec<SizeComponent> {
         // Tiny RPC/serialization scratch: dies almost immediately.
         site(
             0.45,
-            SizeDist::LogUniform { lo: 8, hi: 64 },
+            SizeDist::log_uniform(8, 64),
             vec![
                 (0.80, LifeDist::Exp { mean_ns: 300_000.0 }),
-                (
-                    0.20,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: NS_PER_SEC,
-                    },
-                ),
+                (0.20, LifeDist::log_uniform(MS, NS_PER_SEC)),
             ],
         ),
         // Tiny held state: map nodes, cached entries.
         site(
             0.353,
-            SizeDist::LogUniform { lo: 8, hi: 64 },
+            SizeDist::log_uniform(8, 64),
             vec![
                 (0.04, LifeDist::Exp { mean_ns: 300_000.0 }),
-                (
-                    0.53,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: 10 * NS_PER_SEC,
-                    },
-                ),
+                (0.53, LifeDist::log_uniform(MS, 10 * NS_PER_SEC)),
                 (0.43, LifeDist::Forever),
             ],
         ),
         // Small mixed site.
         site(
             0.177,
-            SizeDist::LogUniform {
-                lo: 64,
-                hi: 1 << 10,
-            },
+            SizeDist::log_uniform(64, 1 << 10),
             vec![
                 (0.50, LifeDist::Exp { mean_ns: 300_000.0 }),
-                (
-                    0.30,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: 10 * NS_PER_SEC,
-                    },
-                ),
+                (0.30, LifeDist::log_uniform(MS, 10 * NS_PER_SEC)),
                 (0.20, LifeDist::Forever),
             ],
         ),
         // Mid scratch (request buffers).
         site(
             0.0132,
-            SizeDist::LogUniform {
-                lo: 1 << 10,
-                hi: 8 << 10,
-            },
+            SizeDist::log_uniform(1 << 10, 8 << 10),
             vec![
                 (0.55, LifeDist::Exp { mean_ns: 500_000.0 }),
-                (
-                    0.35,
-                    LifeDist::LogUniform {
-                        lo_ns: MS,
-                        hi_ns: 5 * NS_PER_SEC,
-                    },
-                ),
+                (0.35, LifeDist::log_uniform(MS, 5 * NS_PER_SEC)),
                 (0.10, LifeDist::Forever),
             ],
         ),
         // Mid held (indexes, caches).
         site(
             0.0057,
-            SizeDist::LogUniform {
-                lo: 1 << 10,
-                hi: 8 << 10,
-            },
+            SizeDist::log_uniform(1 << 10, 8 << 10),
             vec![
                 (0.10, LifeDist::Exp { mean_ns: 500_000.0 }),
-                (
-                    0.40,
-                    LifeDist::LogUniform {
-                        lo_ns: 100 * MS,
-                        hi_ns: 30 * NS_PER_SEC,
-                    },
-                ),
+                (0.40, LifeDist::log_uniform(100 * MS, 30 * NS_PER_SEC)),
                 (0.50, LifeDist::Forever),
             ],
         ),
         // I/O-sized buffers.
         site(
             0.00113,
-            SizeDist::LogUniform {
-                lo: 8 << 10,
-                hi: 256 << 10,
-            },
+            SizeDist::log_uniform(8 << 10, 256 << 10),
             vec![
                 (
                     0.60,
@@ -229,24 +151,12 @@ fn fleet_sites() -> Vec<SizeComponent> {
                         mean_ns: 1_000_000.0,
                     },
                 ),
-                (
-                    0.30,
-                    LifeDist::LogUniform {
-                        lo_ns: 10 * MS,
-                        hi_ns: 10 * NS_PER_SEC,
-                    },
-                ),
+                (0.30, LifeDist::log_uniform(10 * MS, 10 * NS_PER_SEC)),
                 (0.10, LifeDist::Forever),
             ],
         ),
         // Large allocations (>256 KiB): size-conditional model.
-        comp(
-            0.0000054,
-            SizeDist::LogUniform {
-                lo: 256 << 10,
-                hi: 64 << 20,
-            },
-        ),
+        comp(0.0000054, SizeDist::log_uniform(256 << 10, 64 << 20)),
     ]
 }
 
@@ -281,57 +191,32 @@ pub fn spanner() -> WorkloadSpec {
     WorkloadSpec {
         name: "spanner".into(),
         size_mix: vec![
-            site(
-                0.55,
-                SizeDist::LogUniform { lo: 16, hi: 512 },
-                scratch(200_000.0),
-            ),
+            site(0.55, SizeDist::log_uniform(16, 512), scratch(200_000.0)),
             site(
                 0.15,
-                SizeDist::LogUniform { lo: 16, hi: 512 },
+                SizeDist::log_uniform(16, 512),
                 vec![
-                    (
-                        0.40,
-                        LifeDist::LogUniform {
-                            lo_ns: MS,
-                            hi_ns: 5 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.40, LifeDist::log_uniform(MS, 5 * NS_PER_SEC)),
                     (0.60, LifeDist::Forever),
                 ],
             ),
             site(
                 0.15,
-                SizeDist::LogUniform {
-                    lo: 512,
-                    hi: 16 << 10,
-                },
+                SizeDist::log_uniform(512, 16 << 10),
                 scratch(800_000.0),
             ),
             // The storage cache: block buffers pinned for a long time.
             site(
                 0.10,
-                SizeDist::LogUniform {
-                    lo: 512,
-                    hi: 16 << 10,
-                },
+                SizeDist::log_uniform(512, 16 << 10),
                 vec![
-                    (
-                        0.25,
-                        LifeDist::LogUniform {
-                            lo_ns: 100 * MS,
-                            hi_ns: 60 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.25, LifeDist::log_uniform(100 * MS, 60 * NS_PER_SEC)),
                     (0.75, LifeDist::Forever),
                 ],
             ),
             site(
                 0.049,
-                SizeDist::LogUniform {
-                    lo: 16 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(16 << 10, 256 << 10),
                 vec![
                     (
                         0.50,
@@ -339,23 +224,11 @@ pub fn spanner() -> WorkloadSpec {
                             mean_ns: 2_000_000.0,
                         },
                     ),
-                    (
-                        0.30,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 10 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.30, LifeDist::log_uniform(10 * MS, 10 * NS_PER_SEC)),
                     (0.20, LifeDist::Forever),
                 ],
             ),
-            comp(
-                0.001,
-                SizeDist::LogUniform {
-                    lo: 256 << 10,
-                    hi: 16 << 20,
-                },
-            ),
+            comp(0.001, SizeDist::log_uniform(256 << 10, 16 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -384,40 +257,24 @@ pub fn monarch() -> WorkloadSpec {
         name: "monarch".into(),
         size_mix: vec![
             // Query-evaluation scratch over stream points.
-            site(
-                0.50,
-                SizeDist::LogUniform { lo: 32, hi: 512 },
-                scratch(150_000.0),
-            ),
+            site(0.50, SizeDist::log_uniform(32, 512), scratch(150_000.0)),
             // Stream points held in memory.
             site(
                 0.38,
-                SizeDist::LogUniform { lo: 32, hi: 512 },
+                SizeDist::log_uniform(32, 512),
                 vec![
-                    (
-                        0.30,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 30 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.30, LifeDist::log_uniform(10 * MS, 30 * NS_PER_SEC)),
                     (0.70, LifeDist::Forever),
                 ],
             ),
             site(
                 0.11,
-                SizeDist::LogUniform {
-                    lo: 512,
-                    hi: 8 << 10,
-                },
+                SizeDist::log_uniform(512, 8 << 10),
                 scratch(800_000.0),
             ),
             site(
                 0.01,
-                SizeDist::LogUniform {
-                    lo: 8 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(8 << 10, 256 << 10),
                 scratch(1_500_000.0),
             ),
         ],
@@ -447,72 +304,35 @@ pub fn bigtable() -> WorkloadSpec {
     WorkloadSpec {
         name: "bigtable".into(),
         size_mix: vec![
-            site(
-                0.60,
-                SizeDist::LogUniform {
-                    lo: 16,
-                    hi: 1 << 10,
-                },
-                scratch(250_000.0),
-            ),
+            site(0.60, SizeDist::log_uniform(16, 1 << 10), scratch(250_000.0)),
             site(
                 0.15,
-                SizeDist::LogUniform {
-                    lo: 16,
-                    hi: 1 << 10,
-                },
+                SizeDist::log_uniform(16, 1 << 10),
                 vec![
-                    (
-                        0.45,
-                        LifeDist::LogUniform {
-                            lo_ns: MS,
-                            hi_ns: 20 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.45, LifeDist::log_uniform(MS, 20 * NS_PER_SEC)),
                     (0.55, LifeDist::Forever),
                 ],
             ),
             // Compaction block buffers: bursty, die together.
             site(
                 0.17,
-                SizeDist::LogUniform {
-                    lo: 1 << 10,
-                    hi: 32 << 10,
-                },
+                SizeDist::log_uniform(1 << 10, 32 << 10),
                 scratch(1_200_000.0),
             ),
             site(
                 0.05,
-                SizeDist::LogUniform {
-                    lo: 1 << 10,
-                    hi: 32 << 10,
-                },
+                SizeDist::log_uniform(1 << 10, 32 << 10),
                 vec![
-                    (
-                        0.30,
-                        LifeDist::LogUniform {
-                            lo_ns: 100 * MS,
-                            hi_ns: 30 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.30, LifeDist::log_uniform(100 * MS, 30 * NS_PER_SEC)),
                     (0.70, LifeDist::Forever),
                 ],
             ),
             site(
                 0.029,
-                SizeDist::LogUniform {
-                    lo: 32 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(32 << 10, 256 << 10),
                 scratch(2_000_000.0),
             ),
-            comp(
-                0.001,
-                SizeDist::LogUniform {
-                    lo: 256 << 10,
-                    hi: 8 << 20,
-                },
-            ),
+            comp(0.001, SizeDist::log_uniform(256 << 10, 8 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -542,44 +362,23 @@ pub fn f1_query() -> WorkloadSpec {
         size_mix: vec![
             site(
                 0.55,
-                SizeDist::LogUniform {
-                    lo: 16,
-                    hi: 2 << 10,
-                },
+                SizeDist::log_uniform(16, 2 << 10),
                 vec![
                     (0.40, LifeDist::Exp { mean_ns: 400_000.0 }),
-                    (
-                        0.60,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 2 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.60, LifeDist::log_uniform(10 * MS, 2 * NS_PER_SEC)),
                 ],
             ),
             site(
                 0.25,
-                SizeDist::LogUniform {
-                    lo: 16,
-                    hi: 2 << 10,
-                },
+                SizeDist::log_uniform(16, 2 << 10),
                 vec![
-                    (
-                        0.70,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 2 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.70, LifeDist::log_uniform(10 * MS, 2 * NS_PER_SEC)),
                     (0.30, LifeDist::Forever),
                 ],
             ),
             site(
                 0.19,
-                SizeDist::LogUniform {
-                    lo: 2 << 10,
-                    hi: 64 << 10,
-                },
+                SizeDist::log_uniform(2 << 10, 64 << 10),
                 vec![
                     (
                         0.30,
@@ -587,23 +386,11 @@ pub fn f1_query() -> WorkloadSpec {
                             mean_ns: 1_000_000.0,
                         },
                     ),
-                    (
-                        0.65,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 2 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.65, LifeDist::log_uniform(10 * MS, 2 * NS_PER_SEC)),
                     (0.05, LifeDist::Forever),
                 ],
             ),
-            comp(
-                0.01,
-                SizeDist::LogUniform {
-                    lo: 64 << 10,
-                    hi: 1 << 20,
-                },
-            ),
+            comp(0.01, SizeDist::log_uniform(64 << 10, 1 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -632,37 +419,18 @@ pub fn disk() -> WorkloadSpec {
     WorkloadSpec {
         name: "disk".into(),
         size_mix: vec![
-            site(
-                0.55,
-                SizeDist::LogUniform {
-                    lo: 32,
-                    hi: 1 << 10,
-                },
-                scratch(250_000.0),
-            ),
+            site(0.55, SizeDist::log_uniform(32, 1 << 10), scratch(250_000.0)),
             site(
                 0.05,
-                SizeDist::LogUniform {
-                    lo: 32,
-                    hi: 1 << 10,
-                },
+                SizeDist::log_uniform(32, 1 << 10),
                 vec![
-                    (
-                        0.40,
-                        LifeDist::LogUniform {
-                            lo_ns: MS,
-                            hi_ns: 5 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.40, LifeDist::log_uniform(MS, 5 * NS_PER_SEC)),
                     (0.60, LifeDist::Forever),
                 ],
             ),
             site(
                 0.15,
-                SizeDist::LogUniform {
-                    lo: 1 << 10,
-                    hi: 64 << 10,
-                },
+                SizeDist::log_uniform(1 << 10, 64 << 10),
                 scratch(1_000_000.0),
             ),
             // I/O buffers: allocated per request, freed on completion —
@@ -670,10 +438,7 @@ pub fn disk() -> WorkloadSpec {
             // filler's target.
             site(
                 0.24,
-                SizeDist::LogUniform {
-                    lo: 64 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(64 << 10, 256 << 10),
                 vec![
                     (
                         0.75,
@@ -681,23 +446,11 @@ pub fn disk() -> WorkloadSpec {
                             mean_ns: 2_000_000.0,
                         },
                     ),
-                    (
-                        0.22,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: NS_PER_SEC,
-                        },
-                    ),
+                    (0.22, LifeDist::log_uniform(10 * MS, NS_PER_SEC)),
                     (0.03, LifeDist::Forever),
                 ],
             ),
-            comp(
-                0.01,
-                SizeDist::LogUniform {
-                    lo: 256 << 10,
-                    hi: 4 << 20,
-                },
-            ),
+            comp(0.01, SizeDist::log_uniform(256 << 10, 4 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -731,29 +484,16 @@ pub fn redis() -> WorkloadSpec {
                 0.45,
                 SizeDist::Uniform { lo: 900, hi: 1100 },
                 vec![
-                    (
-                        0.25,
-                        LifeDist::LogUniform {
-                            lo_ns: 100 * MS,
-                            hi_ns: 20 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.25, LifeDist::log_uniform(100 * MS, 20 * NS_PER_SEC)),
                     (0.75, LifeDist::Forever),
                 ],
             ),
             // Command parsing / reply scratch.
-            site(
-                0.45,
-                SizeDist::LogUniform { lo: 16, hi: 128 },
-                scratch(50_000.0),
-            ),
+            site(0.45, SizeDist::log_uniform(16, 128), scratch(50_000.0)),
             // Resize/serialization buffers.
             site(
                 0.10,
-                SizeDist::LogUniform {
-                    lo: 4 << 10,
-                    hi: 128 << 10,
-                },
+                SizeDist::log_uniform(4 << 10, 128 << 10),
                 scratch(300_000.0),
             ),
         ],
@@ -776,41 +516,18 @@ pub fn data_pipeline() -> WorkloadSpec {
     WorkloadSpec {
         name: "data-pipeline".into(),
         size_mix: vec![
-            site(
-                0.90,
-                SizeDist::LogUniform { lo: 8, hi: 64 },
-                scratch(80_000.0),
-            ),
+            site(0.90, SizeDist::log_uniform(8, 64), scratch(80_000.0)),
             // The running tallies (hash-map nodes): grow-and-hold.
             site(
                 0.06,
-                SizeDist::LogUniform { lo: 16, hi: 128 },
+                SizeDist::log_uniform(16, 128),
                 vec![
-                    (
-                        0.20,
-                        LifeDist::LogUniform {
-                            lo_ns: 100 * MS,
-                            hi_ns: 10 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.20, LifeDist::log_uniform(100 * MS, 10 * NS_PER_SEC)),
                     (0.80, LifeDist::Forever),
                 ],
             ),
-            site(
-                0.03,
-                SizeDist::LogUniform {
-                    lo: 64,
-                    hi: 4 << 10,
-                },
-                scratch(200_000.0),
-            ),
-            comp(
-                0.01,
-                SizeDist::LogUniform {
-                    lo: 64 << 10,
-                    hi: 4 << 20,
-                },
-            ),
+            site(0.03, SizeDist::log_uniform(64, 4 << 10), scratch(200_000.0)),
+            comp(0.01, SizeDist::log_uniform(64 << 10, 4 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -838,21 +555,11 @@ pub fn image_processing() -> WorkloadSpec {
     WorkloadSpec {
         name: "image-processing".into(),
         size_mix: vec![
-            site(
-                0.70,
-                SizeDist::LogUniform {
-                    lo: 32,
-                    hi: 4 << 10,
-                },
-                scratch(400_000.0),
-            ),
+            site(0.70, SizeDist::log_uniform(32, 4 << 10), scratch(400_000.0)),
             // Pixel buffers: per-request, freed when the response ships.
             site(
                 0.25,
-                SizeDist::LogUniform {
-                    lo: 32 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(32 << 10, 256 << 10),
                 vec![
                     (
                         0.70,
@@ -860,23 +567,11 @@ pub fn image_processing() -> WorkloadSpec {
                             mean_ns: 1_500_000.0,
                         },
                     ),
-                    (
-                        0.28,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: 2 * NS_PER_SEC,
-                        },
-                    ),
+                    (0.28, LifeDist::log_uniform(10 * MS, 2 * NS_PER_SEC)),
                     (0.02, LifeDist::Forever),
                 ],
             ),
-            comp(
-                0.05,
-                SizeDist::LogUniform {
-                    lo: 256 << 10,
-                    hi: 8 << 20,
-                },
-            ),
+            comp(0.05, SizeDist::log_uniform(256 << 10, 8 << 20)),
         ],
         lifetime: fleet_lifetimes(),
         threads: ThreadModel {
@@ -904,29 +599,16 @@ pub fn tensorflow() -> WorkloadSpec {
     WorkloadSpec {
         name: "tensorflow".into(),
         size_mix: vec![
-            site(
-                0.70,
-                SizeDist::LogUniform {
-                    lo: 32,
-                    hi: 8 << 10,
-                },
-                scratch(500_000.0),
-            ),
+            site(0.70, SizeDist::log_uniform(32, 8 << 10), scratch(500_000.0)),
             site(
                 0.05,
-                SizeDist::LogUniform {
-                    lo: 32,
-                    hi: 8 << 10,
-                },
+                SizeDist::log_uniform(32, 8 << 10),
                 vec![(1.0, LifeDist::Forever)], // model metadata, pinned
             ),
             // Activations: die within the inference.
             site(
                 0.17,
-                SizeDist::LogUniform {
-                    lo: 8 << 10,
-                    hi: 256 << 10,
-                },
+                SizeDist::log_uniform(8 << 10, 256 << 10),
                 vec![
                     (
                         0.75,
@@ -934,22 +616,13 @@ pub fn tensorflow() -> WorkloadSpec {
                             mean_ns: 3_000_000.0,
                         },
                     ),
-                    (
-                        0.25,
-                        LifeDist::LogUniform {
-                            lo_ns: 10 * MS,
-                            hi_ns: NS_PER_SEC,
-                        },
-                    ),
+                    (0.25, LifeDist::log_uniform(10 * MS, NS_PER_SEC)),
                 ],
             ),
             // Weights and large activation planes.
             site(
                 0.08,
-                SizeDist::LogUniform {
-                    lo: 256 << 10,
-                    hi: 16 << 20,
-                },
+                SizeDist::log_uniform(256 << 10, 16 << 20),
                 vec![
                     (
                         0.60,
@@ -995,20 +668,8 @@ pub fn spec_cpu(variant: usize) -> WorkloadSpec {
     WorkloadSpec {
         name: name.into(),
         size_mix: vec![
-            comp(
-                0.85,
-                SizeDist::LogUniform {
-                    lo: 16,
-                    hi: 2 << 10,
-                },
-            ),
-            comp(
-                0.15,
-                SizeDist::LogUniform {
-                    lo: 2 << 10,
-                    hi: hi.max(4 << 10),
-                },
-            ),
+            comp(0.85, SizeDist::log_uniform(16, 2 << 10)),
+            comp(0.15, SizeDist::log_uniform(2 << 10, hi.max(4 << 10))),
         ],
         lifetime: LifetimeModel::new(vec![(
             u64::MAX,

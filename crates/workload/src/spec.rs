@@ -16,6 +16,31 @@
 
 use wsc_prng::SmallRng;
 
+/// A log-uniform range `[lo, hi]`, held as the two logarithms a draw
+/// needs: they are constants of the distribution, computed where it is
+/// built and not once per draw.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LogRange {
+    ln_lo: f64,
+    /// `ln hi − ln lo`.
+    ln_span: f64,
+}
+
+impl LogRange {
+    /// The range `[lo, hi]`; a bound of zero counts as one.
+    pub fn new(lo: u64, hi: u64) -> Self {
+        let (l, h) = ((lo.max(1) as f64).ln(), (hi.max(1) as f64).ln());
+        Self {
+            ln_lo: l,
+            ln_span: h - l,
+        }
+    }
+
+    fn sample(&self, rng: &mut SmallRng) -> u64 {
+        (self.ln_lo + rng.gen::<f64>() * self.ln_span).exp() as u64
+    }
+}
+
 /// A size distribution component.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SizeDist {
@@ -28,26 +53,23 @@ pub enum SizeDist {
         /// Largest size.
         hi: u64,
     },
-    /// Log-uniform in `[lo, hi]`: covers decades evenly, matching the
-    /// heavy-tailed shape of Figure 7.
-    LogUniform {
-        /// Smallest size.
-        lo: u64,
-        /// Largest size.
-        hi: u64,
-    },
+    /// Log-uniform: covers decades evenly, matching the heavy-tailed shape
+    /// of Figure 7. Built by [`SizeDist::log_uniform`].
+    LogUniform(LogRange),
 }
 
 impl SizeDist {
+    /// Log-uniform in `[lo, hi]`.
+    pub fn log_uniform(lo: u64, hi: u64) -> Self {
+        SizeDist::LogUniform(LogRange::new(lo, hi))
+    }
+
     /// Draws a size.
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         match *self {
             SizeDist::Fixed(s) => s,
             SizeDist::Uniform { lo, hi } => rng.gen_range(lo..=hi),
-            SizeDist::LogUniform { lo, hi } => {
-                let (l, h) = ((lo.max(1) as f64).ln(), (hi.max(1) as f64).ln());
-                (l + rng.gen::<f64>() * (h - l)).exp() as u64
-            }
+            SizeDist::LogUniform(range) => range.sample(rng),
         }
     }
 }
@@ -60,18 +82,18 @@ pub enum LifeDist {
         /// Mean lifetime, ns.
         mean_ns: f64,
     },
-    /// Log-uniform in `[lo, hi]` ns.
-    LogUniform {
-        /// Shortest lifetime, ns.
-        lo_ns: u64,
-        /// Longest lifetime, ns.
-        hi_ns: u64,
-    },
+    /// Log-uniform, ns. Built by [`LifeDist::log_uniform`].
+    LogUniform(LogRange),
     /// Lives until process teardown (program-long).
     Forever,
 }
 
 impl LifeDist {
+    /// Log-uniform in `[lo_ns, hi_ns]` ns.
+    pub fn log_uniform(lo_ns: u64, hi_ns: u64) -> Self {
+        LifeDist::LogUniform(LogRange::new(lo_ns, hi_ns))
+    }
+
     /// Draws a lifetime in ns; `None` means program-long.
     pub fn sample(&self, rng: &mut SmallRng) -> Option<u64> {
         match *self {
@@ -79,10 +101,7 @@ impl LifeDist {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 Some((-u.ln() * mean_ns) as u64)
             }
-            LifeDist::LogUniform { lo_ns, hi_ns } => {
-                let (l, h) = ((lo_ns.max(1) as f64).ln(), (hi_ns.max(1) as f64).ln());
-                Some((l + rng.gen::<f64>() * (h - l)).exp() as u64)
-            }
+            LifeDist::LogUniform(range) => Some(range.sample(rng)),
             LifeDist::Forever => None,
         }
     }
@@ -410,7 +429,7 @@ mod tests {
         for _ in 0..1000 {
             let u = SizeDist::Uniform { lo: 10, hi: 20 }.sample(&mut r);
             assert!((10..=20).contains(&u));
-            let l = SizeDist::LogUniform { lo: 8, hi: 1 << 20 }.sample(&mut r);
+            let l = SizeDist::log_uniform(8, 1 << 20).sample(&mut r);
             assert!((7..=1 << 20).contains(&l), "log-uniform {l}");
             assert_eq!(SizeDist::Fixed(99).sample(&mut r), 99);
         }
@@ -419,7 +438,7 @@ mod tests {
     #[test]
     fn log_uniform_covers_decades() {
         let mut r = rng();
-        let dist = SizeDist::LogUniform { lo: 8, hi: 8 << 20 };
+        let dist = SizeDist::log_uniform(8, 8 << 20);
         let mut small = 0;
         let mut large = 0;
         for _ in 0..10_000 {
@@ -433,6 +452,32 @@ mod tests {
         }
         // Log-uniform: each decade gets similar mass.
         assert!(small > 2000 && large > 500, "small {small} large {large}");
+    }
+
+    #[test]
+    fn log_range_draws_what_the_per_draw_logarithms_drew() {
+        // The retired draw took both logarithms on every sample.
+        let retired = |lo: u64, hi: u64, rng: &mut SmallRng| {
+            let (l, h) = ((lo.max(1) as f64).ln(), (hi.max(1) as f64).ln());
+            (l + rng.gen::<f64>() * (h - l)).exp() as u64
+        };
+        for (lo, hi) in [
+            (8, 64),
+            (16, 8 << 20),
+            (0, 1),
+            (0, 0),
+            (1_000_000, 1_000_000_000),
+            (1, u64::MAX),
+            (4096, 4096),
+        ] {
+            let (mut a, mut b, mut c) = (rng(), rng(), rng());
+            let (size, life) = (SizeDist::log_uniform(lo, hi), LifeDist::log_uniform(lo, hi));
+            for _ in 0..10_000 {
+                let want = retired(lo, hi, &mut a);
+                assert_eq!(size.sample(&mut b), want, "[{lo}, {hi}]");
+                assert_eq!(life.sample(&mut c), Some(want), "[{lo}, {hi}]");
+            }
+        }
     }
 
     #[test]

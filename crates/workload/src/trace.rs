@@ -11,9 +11,8 @@
 //! The on-disk format is a line-oriented text format (one event per line) so
 //! traces are greppable and versionable without extra dependencies.
 
+use crate::due::DueQueue;
 use crate::spec::WorkloadSpec;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 use wsc_prng::{IntMap, SmallRng};
@@ -152,7 +151,7 @@ impl Trace {
     pub fn record(spec: &WorkloadSpec, events_target: u64, seed: u64) -> Trace {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut events = Vec::new();
-        let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut pending: DueQueue<u64> = DueQueue::default();
         let mut forever: Vec<u64> = Vec::new();
         let mut now = 0u64;
         let interarrival =
@@ -163,11 +162,7 @@ impl Trace {
                 ns: interarrival.max(1),
             });
             // Emit due frees first.
-            while let Some(&Reverse((t, fid))) = pending.peek() {
-                if t > now {
-                    break;
-                }
-                pending.pop();
+            while let Some((_, fid)) = pending.pop_due(now) {
                 events.push(TraceEvent::Free {
                     id: fid,
                     cpu: rng.gen_range(0u32..16),
@@ -182,13 +177,15 @@ impl Trace {
                 cpu,
             });
             match spec.sample_lifetime(size, site, &mut rng) {
-                Some(lt) => pending.push(Reverse((now + lt, id))),
+                Some(lt) => pending.push(now + lt, id),
                 None => forever.push(id),
             }
         }
         // Teardown: everything still live is freed in allocation order.
-        let mut rest: Vec<u64> = pending.into_iter().map(|Reverse((_, id))| id).collect();
-        rest.extend(forever);
+        let mut rest = forever;
+        while let Some((_, id)) = pending.pop_due(u64::MAX) {
+            rest.push(id);
+        }
         rest.sort_unstable();
         for id in rest {
             events.push(TraceEvent::Free {
@@ -301,6 +298,21 @@ mod tests {
         let b = Trace::record(&spec, 500, 7);
         assert_eq!(a, b);
         assert_ne!(a, Trace::record(&spec, 500, 8));
+    }
+
+    #[test]
+    fn record_is_pinned() {
+        // Holds the due-queue's `(deadline, id)` pop order at this call
+        // site: captured from the commit that still popped a `BinaryHeap`.
+        let trace = Trace::record(&profiles::fleet_mix(), 20_000, 42);
+        assert_eq!(trace.events.len(), 60_000);
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for ev in &trace.events[..10_000] {
+            for b in ev.to_string().bytes().chain([b'\n']) {
+                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(fnv, 0x711d_5a5a_2007_a8d7);
     }
 
     #[test]

@@ -502,17 +502,27 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
     }
 }
 
-/// Names bound to a map type ([`MAP_TYPES`]) in this file: struct fields /
-/// let bindings of `name: HashMap<…>` and `let [mut] name = HashMap::new()`
-/// (any of [`MAP_CTORS`]).
+/// Names bound to a map type ([`MAP_TYPES`]) in this file: struct fields,
+/// let bindings and parameters of `name: [&[mut]] HashMap<…>`, and
+/// `let [mut] name = HashMap::new()` (any of [`MAP_CTORS`]).
 fn hashmap_bindings(m: &FileModel) -> BTreeSet<&str> {
     let mut out = BTreeSet::new();
     for i in 0..m.len() {
         if !MAP_TYPES.contains(&m.text(i)) {
             continue;
         }
-        if m.is(i + 1, "<") && i >= 2 && m.is(i - 1, ":") && m.tok(i - 2).kind == TokenKind::Ident {
-            out.insert(m.text(i - 2));
+        // `name: HashMap<…>`, and the borrowed forms a parameter takes:
+        // `name: &HashMap<…>`, `name: &mut HashMap<…>`.
+        let mut ty = i;
+        while ty >= 1 && (m.is(ty - 1, "&") || m.is(ty - 1, "mut")) {
+            ty -= 1;
+        }
+        if m.is(i + 1, "<")
+            && ty >= 2
+            && m.is(ty - 1, ":")
+            && m.tok(ty - 2).kind == TokenKind::Ident
+        {
+            out.insert(m.text(ty - 2));
         }
         if m.constructs_map(i)
             && i >= 2

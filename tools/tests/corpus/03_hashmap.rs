@@ -62,3 +62,18 @@ fn ok_not_maps() {
     for x in v.iter() {}
     let _ = (n, m);
 }
+// A map borrowed as a parameter is a map; iterating it into an order is
+// sanctioned only with the reason order cannot leak stated on the chain.
+// lint:allow(hashmap-decl) the owner's index, borrowed to enumerate
+fn ok_sorted_rebuild(index: &IntMap<u64, u64>) -> Vec<(u64, u64)> {
+    // lint:allow(hashmap-iter) sorted by a unique stamp before any is used
+    let mut all: Vec<(u64, u64)> = index
+        .iter()
+        .map(|(&block, &stamp)| (stamp, block))
+        .collect();
+    all.sort_unstable();
+    all
+}
+fn bad_unsorted_rebuild(index: &IntMap<u64, u64>) -> Vec<u64> { //~ hashmap-decl
+    index.keys().copied().collect() //~ hashmap-iter
+}
