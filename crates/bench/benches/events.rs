@@ -2,19 +2,21 @@
 //! three sink configurations the bus supports —
 //!
 //! * `off`    — no consumers at all (`stats_sink` off, no trace, sanitizer
-//!   off): the bus only prices the operation, the cost the hot path pays
-//!   for the refactor,
-//! * `stats`  — the default derived stats view (cycle attribution + GWP
-//!   profile),
-//! * `tee`    — stats fanned out with a bounded Chrome-trace ring, the
-//!   "everything observable" configuration.
+//!   off): the bus only prices the operation,
+//! * `stats`  — the default: the bus also books the cycle ledger and the
+//!   GWP profile, and nobody else listens, so no event is built,
+//! * `tee`    — stats plus a bounded Chrome-trace ring: the bus is
+//!   observed and materialises every record.
 //!
 //! Because sinks are observers, the allocator's *behaviour* must be
 //! bit-identical across all three: the bench asserts the final live set and
 //! resident bytes agree before reporting throughput. Emits
-//! `BENCH_events.json`; `PRE_REFACTOR_CHURN_MOPS` records the same loop
-//! measured at the commit before the event-bus refactor (REPRO_SCALE=quick
-//! reference machine) so the JSON carries the regression context.
+//! `BENCH_events.json`.
+//!
+//! Gates, both relative quantities of one run:
+//! - `stats_overhead_pct` (off vs stats, minimum ratio across interleaved
+//!   rounds) <= 5.0 — ROADMAP 5(d)'s budget for always-on stats
+//! - `tee >= 0.70 x off` on the best-of-rounds throughputs
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -29,12 +31,6 @@ use wsc_workload::profiles;
 /// Cargo runs benches with cwd = the package dir; anchor the report to the
 /// workspace root so CI finds it at a fixed path.
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_events.json");
-
-/// Mixed-churn throughput of the pre-refactor hot path (direct
-/// `CycleStats::charge` calls in the tiers), measured at REPRO_SCALE=quick
-/// on the reference machine. Context for the JSON report, not a wall-clock
-/// gate — absolute Mops/s vary by host.
-const PRE_REFACTOR_CHURN_MOPS: f64 = 3.81;
 
 /// Trace-ring capacity for the `tee` configuration.
 const TRACE_CAPACITY: u32 = 1 << 14;
@@ -95,15 +91,21 @@ fn main() {
 
     // Interleave A/B/A/B and keep the best of five runs per config so a
     // stray scheduler hiccup cannot fabricate an overhead signal (quick
-    // scale runs only 6k ops, where single-run noise reaches +-20%).
+    // scale runs only 6k ops, where single-run noise reaches +-20%). The
+    // stats gate uses the *minimum* per-round off/stats ratio: a real
+    // systematic cost shows in every round, a one-off spike cannot fail it.
     let mut best = [0.0f64; 3];
     let mut state = [None; 3];
+    let mut min_off_over_stats = f64::MAX;
     for _ in 0..5 {
+        let mut round = [0.0f64; 3];
         for (slot, cfg) in [(0usize, off_cfg), (1, stats_cfg), (2, tee_cfg)] {
             let (mops, checksum, resident, total_ns) = churn(ops, cfg);
+            round[slot] = mops;
             best[slot] = best[slot].max(mops);
             state[slot] = Some((checksum, resident, total_ns));
         }
+        min_off_over_stats = min_off_over_stats.min(round[0] / round[1].max(f64::MIN_POSITIVE));
     }
     let (off_mops, stats_mops, tee_mops) = (best[0], best[1], best[2]);
     let (off_state, stats_state, tee_state) = (
@@ -132,28 +134,23 @@ fn main() {
         "trace fan-out perturbed the derived stats"
     );
 
-    let stats_overhead = (off_mops / stats_mops.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
+    let stats_overhead = (min_off_over_stats - 1.0) * 100.0;
     let tee_overhead = (off_mops / tee_mops.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
-    let vs_pre = (off_mops / PRE_REFACTOR_CHURN_MOPS - 1.0) * 100.0;
-    println!("churn off           {off_mops:>8.2} Mops/s  ({vs_pre:+.1}% vs pre-refactor ref)");
+    println!("churn off           {off_mops:>8.2} Mops/s");
     println!(
-        "churn stats         {stats_mops:>8.2} Mops/s  (off pays {stats_overhead:+.1}% to add)"
+        "churn stats         {stats_mops:>8.2} Mops/s  (costs {stats_overhead:+.1}% of off, min across rounds)"
     );
-    println!(
-        "churn tee(stats+trace) {tee_mops:>5.2} Mops/s  (off pays {tee_overhead:+.1}% to add)"
-    );
+    println!("churn tee(stats+trace) {tee_mops:>5.2} Mops/s  (costs {tee_overhead:+.1}% of off)");
 
-    // Sanity gate (generous: wall-clock noise, shared CI runners): turning
-    // every consumer off cannot be meaningfully slower than deriving full
-    // attribution, and attaching the bounded ring on top of stats must
-    // stay cheap.
     assert!(
-        off_mops >= stats_mops * 0.90,
-        "off-sink churn ({off_mops:.2} Mops/s) slower than stats-on ({stats_mops:.2} Mops/s)"
+        stats_overhead <= 5.0,
+        "always-on stats must cost at most 5% of off-sink churn, got {stats_overhead:.2}%"
     );
+    // Generous (wall-clock noise, shared CI runners): materialising every
+    // record into the bounded ring must stay cheap next to pricing alone.
     assert!(
-        tee_mops >= stats_mops * 0.70,
-        "trace ring on top of stats costs too much: {tee_mops:.2} vs {stats_mops:.2} Mops/s"
+        tee_mops >= off_mops * 0.70,
+        "stats + trace ring costs too much: {tee_mops:.2} vs {off_mops:.2} Mops/s off"
     );
 
     let mut report = JsonReport::new();
@@ -166,8 +163,6 @@ fn main() {
         .num("churn_tee_mops", tee_mops)
         .num("stats_overhead_pct", stats_overhead)
         .num("tee_overhead_pct", tee_overhead)
-        .num("pre_refactor_churn_mops", PRE_REFACTOR_CHURN_MOPS)
-        .num("off_vs_pre_refactor_pct", vs_pre)
         .flag("behaviour_identical_across_sinks", true)
         .int("trace_capacity", u64::from(TRACE_CAPACITY));
     report

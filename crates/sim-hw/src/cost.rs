@@ -162,6 +162,79 @@ impl Default for CostModel {
     }
 }
 
+/// Nanoseconds as the integer picoseconds a cycle ledger books — the one
+/// place the rounding is defined.
+pub fn ns_to_ps(ns: f64) -> u64 {
+    (ns * 1000.0).round() as u64
+}
+
+/// The price of one completed malloc or free: the nanoseconds the allocator
+/// reports and the integer picoseconds each component books.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct OpPrice {
+    /// Total nanoseconds, summed path + prefetch + other + sampled in that
+    /// order (float addition is order-sensitive; callers compare bits).
+    pub ns: f64,
+    /// The satisfying tier's latency, ps.
+    pub path_ps: u64,
+    /// Next-object prefetch, ps; zero when none was issued.
+    pub prefetch_ps: u64,
+    /// Unclassified bookkeeping, ps.
+    pub other_ps: u64,
+    /// Sampled-allocation recording, ps; zero when unsampled.
+    pub sampled_ps: u64,
+}
+
+/// Every [`OpPrice`] a [`CostModel`] can produce, per [`AllocPath`] ×
+/// prefetched × sampled, computed once so a completion is a table read and
+/// integer adds instead of float sums and a `round()` per component.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PriceTable {
+    ops: [[[OpPrice; 2]; 2]; AllocPath::ALL.len()],
+}
+
+impl PriceTable {
+    /// Prices every combination against `cost`.
+    pub fn new(cost: &CostModel) -> Self {
+        let mut ops = [[[OpPrice::default(); 2]; 2]; AllocPath::ALL.len()];
+        let prefetch_ps = ns_to_ps(cost.prefetch_ns);
+        let other_ps = ns_to_ps(cost.other_ns);
+        let sampled_ps = ns_to_ps(cost.sampled_alloc_ns);
+        for path in AllocPath::ALL {
+            let path_ns = cost.alloc_path_ns(path);
+            let path_ps = ns_to_ps(path_ns);
+            for prefetched in [false, true] {
+                for sampled in [false, true] {
+                    let mut p = OpPrice {
+                        ns: path_ns,
+                        path_ps,
+                        other_ps,
+                        ..OpPrice::default()
+                    };
+                    if prefetched {
+                        p.ns += cost.prefetch_ns;
+                        p.prefetch_ps = prefetch_ps;
+                    }
+                    p.ns += cost.other_ns;
+                    if sampled {
+                        p.ns += cost.sampled_alloc_ns;
+                        p.sampled_ps = sampled_ps;
+                    }
+                    ops[path as usize][usize::from(prefetched)][usize::from(sampled)] = p;
+                }
+            }
+        }
+        Self { ops }
+    }
+
+    /// The price of an allocation satisfied at `path`. A free is the
+    /// unprefetched, unsampled entry: path + other.
+    #[inline]
+    pub fn op(&self, path: AllocPath, prefetched: bool, sampled: bool) -> &OpPrice {
+        &self.ops[path as usize][usize::from(prefetched)][usize::from(sampled)]
+    }
+}
+
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -211,6 +284,64 @@ mod tests {
         let ns = 123.4;
         assert!((c.cycles_to_ns(c.ns_to_cycles(ns)) - ns).abs() < 1e-9);
         assert!((c.ns_to_cycles(1.0) - 2.0).abs() < 1e-9);
+    }
+
+    /// The per-call arithmetic the table replaces: the float sum in the
+    /// allocator's component order and one `round()` per charged component.
+    fn per_call(c: &CostModel, path: AllocPath, prefetched: bool, sampled: bool) -> OpPrice {
+        let ps = |ns: f64| (ns * 1000.0).round() as u64;
+        let mut ns = c.alloc_path_ns(path);
+        if prefetched {
+            ns += c.prefetch_ns;
+        }
+        ns += c.other_ns;
+        if sampled {
+            ns += c.sampled_alloc_ns;
+        }
+        OpPrice {
+            ns,
+            path_ps: ps(c.alloc_path_ns(path)),
+            prefetch_ps: if prefetched { ps(c.prefetch_ns) } else { 0 },
+            other_ps: ps(c.other_ns),
+            sampled_ps: if sampled { ps(c.sampled_alloc_ns) } else { 0 },
+        }
+    }
+
+    #[test]
+    fn price_table_equals_the_per_call_sums_it_replaces() {
+        // Production constants are tenths of a ns; the second calibration is
+        // deliberately not, so rounding and summation order both matter.
+        let odd = CostModel {
+            percpu_hit_ns: 3.123_45,
+            transfer_cache_ns: 24.987_654_3,
+            central_freelist_ns: 81.400_49,
+            pageheap_ns: 137.000_5,
+            mmap_ns: 12_916.666_666_7,
+            prefetch_ns: 1.899_95,
+            sampled_alloc_ns: 5_499.999_5,
+            other_ns: 0.333_333_3,
+            ..CostModel::production()
+        };
+        for cost in [CostModel::production(), odd] {
+            let table = PriceTable::new(&cost);
+            for (i, path) in AllocPath::ALL.into_iter().enumerate() {
+                assert_eq!(path as usize, i, "ALL is in discriminant order");
+                for prefetched in [false, true] {
+                    for sampled in [false, true] {
+                        let want = per_call(&cost, path, prefetched, sampled);
+                        let got = table.op(path, prefetched, sampled);
+                        assert_eq!(got.ns.to_bits(), want.ns.to_bits(), "{path:?}");
+                        assert_eq!(*got, want, "{path:?} {prefetched} {sampled}");
+                    }
+                }
+                // A free prices as path + other.
+                let free = table.op(path, false, false).ns;
+                assert_eq!(
+                    free.to_bits(),
+                    (cost.alloc_path_ns(path) + cost.other_ns).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

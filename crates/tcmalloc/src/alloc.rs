@@ -28,7 +28,7 @@ use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::rseq::VcpuRegistry;
 use wsc_sim_os::vmm::Vmm;
-use wsc_telemetry::gwp::{AllocationProfile, Sampler};
+use wsc_telemetry::gwp::{AllocationProfile, Sample, Sampler};
 
 /// Result of a [`Tcmalloc::malloc`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -189,8 +189,14 @@ impl Tcmalloc {
     ///
     /// [`AllocError::OsEnomem`] when injected ENOMEM persisted through the
     /// pageheap's release-and-retry; [`AllocError::HardLimit`] when the
-    /// configured hard limit blocks growth. Allocator state is unchanged on
-    /// error (no events emitted, no accounting moved).
+    /// configured hard limit blocks growth. On error no object is placed:
+    /// `live_bytes`, `live_objects`, internal fragmentation and
+    /// [`cycles`](Self::cycles) are unchanged and `resident_bytes` has not
+    /// grown (release-and-retry may have handed spare pages back). The
+    /// attempt itself is still on the record — its boundary events
+    /// (`PerCpuMiss`, `LimitHit`, `ReleaseRetry`, …) are emitted and a
+    /// small request's per-CPU miss is counted, so the §4.1 resizer sees
+    /// the pressure.
     pub fn try_malloc(&mut self, size: u64, cpu: CpuId) -> Result<AllocOutcome, AllocError> {
         self.try_malloc_with_site(size, cpu, 0)
     }
@@ -222,21 +228,20 @@ impl Tcmalloc {
         cpu: CpuId,
         site: u64,
     ) -> Result<AllocOutcome, AllocError> {
-        let (addr, actual, path) = match self.table.class_for(size) {
+        let class = self.table.class_for(size);
+        let (addr, actual, path) = match class {
             Some(cl) => self.malloc_small(cl, cpu)?,
             None => self.malloc_large(size)?,
         };
         let prefetched = self.cfg.prefetch && size <= crate::size_class::MAX_SMALL_SIZE;
-        let sampled = self.sampler.should_sample(size.max(1));
-        let pick = if sampled {
+        let pick = if self.sampler.should_sample(size.max(1)) {
             let weight = self.sampler.sample_weight(size.max(1));
             let now = self.clock.now_ns();
             self.live_samples.insert(addr, (size, now, weight));
-            Some(AllocEvent::SamplerPick {
-                addr,
+            Some(Sample {
                 size,
                 site,
-                now_ns: now,
+                alloc_time_ns: now,
                 weight,
             })
         } else {
@@ -248,7 +253,6 @@ impl Tcmalloc {
         // Shadow payload: populated only when sanitizing, so the fast path
         // never pays the pagemap lookup.
         let (class, span) = if self.cfg.sanitize.is_on() {
-            let class = self.table.class_for(size).map(|cl| cl as u16);
             let span = self.pagemap.span_of(addr).map(|id| {
                 let s = self.spans.get(id);
                 SpanRef {
@@ -257,23 +261,13 @@ impl Tcmalloc {
                     pages: s.pages,
                 }
             });
-            (class, span)
+            (class.map(|cl| cl as u16), span)
         } else {
             (None, None)
         };
-        let ns = self.bus.malloc_done(
-            pick,
-            AllocEvent::MallocDone {
-                path,
-                addr,
-                size,
-                actual,
-                prefetched,
-                sampled,
-                class,
-                span,
-            },
-        );
+        let ns = self
+            .bus
+            .malloc_done(path, addr, size, actual, prefetched, pick, class, span);
         if self.cfg.sanitize.is_on() && self.bus.sanitizer_mut().audit_due() {
             self.audit_now();
         }
@@ -296,11 +290,11 @@ impl Tcmalloc {
 
     fn malloc_small(&mut self, cl: usize, cpu: CpuId) -> Result<(u64, u64, AllocPath), AllocError> {
         let vcpu = self.vcpus.vcpu_of(cpu);
-        let shard = self.shard_of(cpu);
-        let info = *self.table.info(cl);
+        let info = self.table.info(cl);
         if let Some(addr) = self.percpu.alloc(vcpu, cl, &mut self.bus) {
             return Ok((addr, info.size, AllocPath::PerCpu));
         }
+        let shard = self.shard_of(cpu);
         // Per-CPU miss: the first deterministic drain point. The missing
         // vCPU adopts every batch posted to its inbox before refilling.
         if self.cfg.free_arm == FreeArm::MessagePassing {
@@ -399,8 +393,9 @@ impl Tcmalloc {
         size: u64,
         cpu: CpuId,
     ) -> Result<FreeOutcomeInfo, FreeError> {
+        let class = self.table.class_for(size);
         if self.cfg.sanitize.is_on() {
-            let expected = self.table.class_for(size).map(|cl| cl as u16);
+            let expected = class.map(|cl| cl as u16);
             if self
                 .bus
                 .sanitizer_mut()
@@ -414,7 +409,7 @@ impl Tcmalloc {
                 });
             }
         }
-        if self.table.class_for(size).is_none() {
+        if class.is_none() {
             // Validate before any mutation so an invalid large free is a
             // clean no-op at the Err return. (With the sanitizer on the
             // shadow check above already rejected and reported it.)
@@ -438,7 +433,7 @@ impl Tcmalloc {
                 });
             }
         }
-        let (actual, path) = match self.table.class_for(size) {
+        let (actual, path) = match class {
             Some(cl) => {
                 debug_assert_eq!(
                     self.pagemap
@@ -448,8 +443,6 @@ impl Tcmalloc {
                     "free size does not match the allocation's class"
                 );
                 let vcpu = self.vcpus.vcpu_of(cpu);
-                let shard = self.shard_of(cpu);
-                let info = *self.table.info(cl);
                 // Ownership check: a free issued against a span another
                 // vCPU refilled from is routed through the deferred-free
                 // arm instead of the local cache.
@@ -493,11 +486,11 @@ impl Tcmalloc {
                     match self.percpu.free(vcpu, cl, addr, &mut self.bus) {
                         FreeOutcome::Cached => AllocPath::PerCpu,
                         FreeOutcome::Overflow(batch) => {
-                            self.return_objects(shard, cl, batch, false)
+                            self.return_objects(self.shard_of(cpu), cl, batch, false)
                         }
                     }
                 };
-                (info.size, path)
+                (self.table.info(cl).size, path)
             }
             None => {
                 // Validated above: the lookup cannot fail here.
@@ -520,9 +513,7 @@ impl Tcmalloc {
                 (pages as u64 * TCMALLOC_PAGE_BYTES, AllocPath::PageHeap)
             }
         };
-        let ns = self
-            .bus
-            .free_done(AllocEvent::FreeDone { path, addr, size });
+        let ns = self.bus.free_done(path, addr, size);
         self.live_requested_bytes -= size;
         self.live_objects -= 1;
         self.internal_frag_bytes -= actual - size;
@@ -632,9 +623,6 @@ impl Tcmalloc {
     /// transfer-cache plunder, and the pageheap's gradual OS release. The
     /// workload driver calls this as simulated time advances.
     pub fn maintain(&mut self) {
-        // Maintenance is a drain point: any fast-path aggregates the bus is
-        // holding (batched-emission mode) land before background events.
-        self.bus.flush_fastpath();
         let now = self.clock.now_ns();
         if self.cfg.dynamic_percpu && now >= self.next_resize_ns {
             self.next_resize_ns = now + self.cfg.resize_interval_ns;
@@ -872,25 +860,11 @@ impl Tcmalloc {
         self.pageheap.os().is_degraded()
     }
 
-    /// Allocator cycle accounting (Figure 6a) — derived from the event
-    /// stream by the bus's [`StatsView`](crate::stats::StatsView).
-    ///
-    /// Under batched fast-path emission
-    /// ([`TcmallocConfig::batch_fastpath_events`]) counts charged since the
-    /// last drain point are still pending; call
-    /// [`flush_events`](Self::flush_events) (or [`maintain`](Self::maintain))
-    /// first for exact totals.
+    /// Allocator cycle accounting (Figure 6a), booked by the bus in the
+    /// same call that prices each operation: exact the moment an operation
+    /// returns, with nothing pending.
     pub fn cycles(&self) -> &CycleStats {
         self.bus.cycles()
-    }
-
-    /// Flushes any pending batched fast-path aggregates to the event
-    /// sinks. A no-op unless `batch_fastpath_events` is engaged; call
-    /// before reading [`cycles`](Self::cycles) mid-run.
-    // Bus plumbing: drains already-attributed counts, touches no tier
-    // state itself.
-    pub fn flush_events(&mut self) {
-        self.bus.flush_fastpath();
     }
 
     /// The sampled allocation profile (Figures 7 and 8) — derived from
@@ -912,8 +886,8 @@ impl Tcmalloc {
 
     /// Attaches an additional [`EventSink`]; it observes every subsequent
     /// event after the built-in consumers.
-    // Bus plumbing: registers an observer, touches no tier state to
-    // attribute.
+    // lint:allow(event-completeness) bus plumbing: registers an observer,
+    // touches no tier state to attribute.
     pub fn attach_sink(&mut self, sink: Box<dyn EventSink>) {
         self.bus.attach(sink);
     }
@@ -1058,37 +1032,67 @@ mod tests {
         t.free(a.addr, 1 << 20, CpuId(0));
     }
 
+    /// The `try_malloc` error contract, for a refused small (size-class)
+    /// and a refused large (page-level) request: nothing is placed and
+    /// nothing is charged, but the attempt is on the record.
     #[test]
-    fn batched_emission_changes_no_observable_numbers() {
-        // The same churn under per-op and batched emission: every returned
-        // address and priced ns must match op-for-op, and after a drain
-        // point the integer cycle ledgers must be bit-identical.
-        let mut per_op = alloc(TcmallocConfig::optimized());
-        let mut batched = alloc(TcmallocConfig::optimized().with_batched_fastpath_events(true));
-        let mut live = Vec::new();
-        for i in 0..3000u64 {
-            let size = 16 + (i % 40) * 24;
-            let cpu = CpuId((i % 4) as u32);
-            let a = per_op.malloc(size, cpu);
-            let b = batched.malloc(size, cpu);
-            assert_eq!((a.addr, a.path), (b.addr, b.path));
-            assert_eq!(a.ns, b.ns, "pricing drifted at op {i}");
-            live.push((a.addr, size, cpu));
-            if i % 3 == 0 {
-                let (addr, sz, c) = live.swap_remove((i as usize * 7) % live.len());
-                let fa = per_op.free(addr, sz, c);
-                let fb = batched.free(addr, sz, c);
-                assert_eq!(fa.ns, fb.ns);
-            }
+    fn refused_allocation_places_nothing_but_stays_on_the_record() {
+        fn accounting(t: &Tcmalloc) -> (u64, u64, u64, CycleStats) {
+            let internal = t.fragmentation().internal_bytes;
+            (
+                t.live_bytes(),
+                t.live_objects(),
+                internal,
+                t.cycles().clone(),
+            )
         }
-        batched.flush_events();
-        assert_eq!(per_op.cycles(), batched.cycles());
-        assert_eq!(per_op.live_bytes(), batched.live_bytes());
-        assert_eq!(per_op.resident_bytes(), batched.resident_bytes());
-        assert!(
-            batched.cycles().ops(CycleCategory::CpuCache) > 1000,
-            "churn exercised the fast path"
-        );
+        for size in [200_000u64, 1 << 20] {
+            let small = size <= crate::size_class::MAX_SMALL_SIZE;
+            let cfg = TcmallocConfig::optimized()
+                .with_event_recorder()
+                .with_hard_limit(2 << 20);
+            let mut t = alloc(cfg);
+            let (before, resident, events, misses) = loop {
+                let before = accounting(&t);
+                let resident = t.resident_bytes();
+                let events = t.recorded_events().len();
+                let misses: u64 = t.percpu_miss_counts().iter().sum();
+                match t.try_malloc(size, CpuId(0)) {
+                    Ok(_) => assert!(t.live_objects() < 64, "{size} B never refused"),
+                    Err(e) => {
+                        assert!(matches!(e, AllocError::HardLimit { .. }), "{e}");
+                        break (before, resident, events, misses);
+                    }
+                }
+            };
+            assert!(
+                before.1 > 0,
+                "some {size}-byte requests fit under the limit"
+            );
+            assert_eq!(accounting(&t), before, "refused {size} B moved accounting");
+            assert!(
+                t.resident_bytes() <= resident,
+                "refused {size} B grew the heap"
+            );
+            let attempt: Vec<_> = t.recorded_events()[events..]
+                .iter()
+                .map(AllocEvent::kind)
+                .collect();
+            assert!(attempt.contains(&"LimitHit"), "{size}: {attempt:?}");
+            assert!(attempt.contains(&"ReleaseRetry"), "{size}: {attempt:?}");
+            assert!(!attempt.contains(&"MallocDone"), "{size}: {attempt:?}");
+            assert_eq!(
+                attempt.contains(&"PerCpuMiss"),
+                small,
+                "{size}: {attempt:?}"
+            );
+            let counted = t.percpu_miss_counts().iter().sum::<u64>() - misses;
+            assert_eq!(
+                counted,
+                u64::from(small),
+                "{size}: the resizer sees the miss"
+            );
+        }
     }
 
     #[test]

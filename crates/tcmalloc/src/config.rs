@@ -141,14 +141,6 @@ pub struct TcmallocConfig {
     /// the radix arm selectable via
     /// [`with_pagemap_arm`](Self::with_pagemap_arm).
     pub pagemap_arm: PagemapArm,
-    /// Batch fast-path event emission: per-CPU hit counters and fast-path
-    /// completion charges accumulate in the bus and flush as aggregate
-    /// events at drain points, instead of one `emit` per operation.
-    /// Batching only engages while no sink observes individual events
-    /// (no trace ring, no recorder, no extra sinks, sanitizer off), so any
-    /// recorded event stream — and therefore replay byte-identity — is
-    /// unchanged. Off by default.
-    pub batch_fastpath_events: bool,
 }
 
 impl TcmallocConfig {
@@ -185,7 +177,6 @@ impl TcmallocConfig {
             os_faults: None,
             free_arm: FreeArm::OwnerOnly,
             pagemap_arm: PagemapArm::Masking,
-            batch_fastpath_events: false,
         }
     }
 
@@ -289,12 +280,6 @@ impl TcmallocConfig {
         self.pagemap_arm = arm;
         self
     }
-
-    /// Enables or disables batched fast-path event emission.
-    pub fn with_batched_fastpath_events(mut self, on: bool) -> Self {
-        self.batch_fastpath_events = on;
-        self
-    }
 }
 
 impl Default for TcmallocConfig {
@@ -330,10 +315,9 @@ mod tests {
         // Ownership routing defaults to pass-through: remote frees behave
         // exactly like local ones unless an arm is opted into.
         assert_eq!(c.free_arm, FreeArm::OwnerOnly);
-        // Hot-path structure defaults: the masking pagemap (verified
-        // simulation-identical to the radix arm) and per-op emission.
+        // Hot-path structure default: the masking pagemap (verified
+        // simulation-identical to the radix arm).
         assert_eq!(c.pagemap_arm, PagemapArm::Masking);
-        assert!(!c.batch_fastpath_events);
     }
 
     #[test]
@@ -347,9 +331,6 @@ mod tests {
         );
         assert_eq!(PagemapArm::Radix.name(), "radix");
         assert_eq!(PagemapArm::Masking.name(), "masking");
-        let b = TcmallocConfig::baseline().with_batched_fastpath_events(true);
-        assert!(b.batch_fastpath_events);
-        assert!(!TcmallocConfig::optimized().batch_fastpath_events);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! `CycleStats::charge` calls, `AllocationProfile` updates, the sanitizer's
 //! shadow feed, and the GWP sampler each hooked the tiers ad-hoc.
 //!
-//! Now every cross-tier boundary emits exactly one [`AllocEvent`] through
-//! the [`EventBus`], and every consumer is a sink over that one stream:
+//! Now every cross-tier boundary reports exactly once to the [`EventBus`],
+//! and every consumer is a sink over that one stream:
 //!
-//! * [`StatsView`](crate::stats::StatsView) derives [`CycleStats`]
-//!   (Figure 6a) and the GWP [`AllocationProfile`] — cost-model charging
-//!   happens *at emission*, so cycle attribution is consistent by
-//!   construction,
+//! * [`StatsView`](crate::stats::StatsView) holds [`CycleStats`]
+//!   (Figure 6a) and the GWP [`AllocationProfile`] — the bus prices an
+//!   operation once, and the same call charges the ledger and, only if
+//!   someone is listening, builds the record, so cycle attribution is
+//!   consistent by construction,
 //! * the sanitizer's shadow state is fed from `MallocDone` / `SpanRetire`
 //!   events instead of hand-placed calls,
 //! * a bounded deterministic [`TraceRing`] exports Chrome trace-event JSON
@@ -41,7 +42,7 @@ use std::collections::VecDeque;
 use wsc_sanitizer::Sanitizer;
 use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_os::clock::Clock;
-use wsc_telemetry::gwp::AllocationProfile;
+use wsc_telemetry::gwp::{AllocationProfile, Sample};
 
 /// Why objects left a transfer-cache shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,9 +102,6 @@ pub struct SpanRef {
 pub enum AllocEvent {
     // --- Per-CPU front end (§4.1) ---
     /// Fast-path hit in a per-CPU cache.
-    // lint:allow(event-completeness) the per-CPU tier reports hits via
-    // EventBus::percpu_hit so batching can coalesce them; the bus itself
-    // constructs PerCpuHit when emission is per-op.
     PerCpuHit {
         /// Dense virtual CPU id.
         vcpu: usize,
@@ -426,39 +424,11 @@ pub enum AllocEvent {
         /// Cost-model nanoseconds charged.
         ns: f64,
     },
-
-    // --- Batched fast-path emission (drain-point aggregates) ---
-    /// Aggregate of fast-path [`AllocEvent::PerCpuHit`]s for one
-    /// `(vcpu, class)`, flushed at a drain point while batched emission
-    /// ([`TcmallocConfig::batch_fastpath_events`]) is engaged.
-    // lint:allow(event-completeness) constructed by the bus's own flush
-    // (sink plumbing by design): tiers report hits via
-    // EventBus::percpu_hit, never by building the aggregate themselves.
-    PerCpuHitBatch {
-        /// Virtual CPU id.
-        vcpu: usize,
-        /// Size class.
-        class: u16,
-        /// Hits represented.
-        count: u64,
-    },
-    /// Aggregate of fast-path operation completions flushed at a drain
-    /// point while batched emission is engaged: `mallocs` unsampled
-    /// per-CPU-path [`AllocEvent::MallocDone`]s and `frees` per-CPU-path
-    /// [`AllocEvent::FreeDone`]s that were counted instead of emitted.
-    FastPathFlush {
-        /// Unsampled per-CPU-path allocations represented.
-        mallocs: u64,
-        /// How many of `mallocs` issued the next-object prefetch.
-        prefetched: u64,
-        /// Per-CPU-path frees represented.
-        frees: u64,
-    },
 }
 
 impl AllocEvent {
     /// Discriminant names, in declaration order — the event taxonomy.
-    pub const KINDS: [&'static str; 36] = [
+    pub const KINDS: [&'static str; 34] = [
         "PerCpuHit",
         "PerCpuMiss",
         "PerCpuOverflow",
@@ -493,8 +463,6 @@ impl AllocEvent {
         "RemoteFreeQueued",
         "RemoteFreeDrained",
         "ContentionCharged",
-        "PerCpuHitBatch",
-        "FastPathFlush",
     ];
 
     /// This event's discriminant name (an entry of [`Self::KINDS`]).
@@ -534,8 +502,6 @@ impl AllocEvent {
             AllocEvent::RemoteFreeQueued { .. } => "RemoteFreeQueued",
             AllocEvent::RemoteFreeDrained { .. } => "RemoteFreeDrained",
             AllocEvent::ContentionCharged { .. } => "ContentionCharged",
-            AllocEvent::PerCpuHitBatch { .. } => "PerCpuHitBatch",
-            AllocEvent::FastPathFlush { .. } => "FastPathFlush",
         }
     }
 
@@ -549,8 +515,7 @@ impl AllocEvent {
             | AllocEvent::ResizerGrow { .. }
             | AllocEvent::ResizerShrink { .. }
             | AllocEvent::RemoteFreeQueued { .. }
-            | AllocEvent::RemoteFreeDrained { .. }
-            | AllocEvent::PerCpuHitBatch { .. } => "percpu",
+            | AllocEvent::RemoteFreeDrained { .. } => "percpu",
             AllocEvent::TransferHit { .. }
             | AllocEvent::TransferInsert { .. }
             | AllocEvent::TransferEvict { .. } => "transfer",
@@ -575,8 +540,7 @@ impl AllocEvent {
             | AllocEvent::SampledFree { .. }
             | AllocEvent::MallocDone { .. }
             | AllocEvent::FreeDone { .. }
-            | AllocEvent::ContentionCharged { .. }
-            | AllocEvent::FastPathFlush { .. } => "op",
+            | AllocEvent::ContentionCharged { .. } => "op",
         }
     }
 
@@ -721,14 +685,6 @@ impl AllocEvent {
             AllocEvent::ContentionCharged { vcpu, ns } => {
                 format!("{{\"vcpu\":{vcpu},\"ns\":{ns}}}")
             }
-            AllocEvent::PerCpuHitBatch { vcpu, class, count } => {
-                format!("{{\"vcpu\":{vcpu},\"class\":{class},\"count\":{count}}}")
-            }
-            AllocEvent::FastPathFlush {
-                mallocs,
-                prefetched,
-                frees,
-            } => format!("{{\"mallocs\":{mallocs},\"prefetched\":{prefetched},\"frees\":{frees}}}"),
         }
     }
 }
@@ -878,56 +834,20 @@ impl EventSink for TraceRing {
     }
 }
 
-/// Pending fast-path aggregates while batched emission
-/// ([`TcmallocConfig::batch_fastpath_events`]) is engaged: per-(vcpu,
-/// class) hit counts plus operation-completion totals, flushed as
-/// [`AllocEvent::PerCpuHitBatch`] / [`AllocEvent::FastPathFlush`] at the
-/// next drain point. Counting here instead of emitting is what takes the
-/// per-op event fan-out off the per-CPU hit path.
-#[derive(Clone, Debug, Default)]
-struct FastPathBatcher {
-    /// `hits[vcpu][class]`, grown on demand and drained in `(vcpu, class)`
-    /// order so the flushed aggregate stream is deterministic.
-    hits: Vec<Vec<u64>>,
-    /// Total pending hit count (fast emptiness check).
-    pending_hits: u64,
-    /// Pending unsampled per-CPU-path `MallocDone`s.
-    mallocs: u64,
-    /// How many of `mallocs` issued the next-object prefetch.
-    prefetched: u64,
-    /// Pending per-CPU-path `FreeDone`s.
-    frees: u64,
-}
-
-impl FastPathBatcher {
-    fn record_hit(&mut self, vcpu: usize, class: u16) {
-        if self.hits.len() <= vcpu {
-            self.hits.resize(vcpu + 1, Vec::new());
-        }
-        let row = &mut self.hits[vcpu];
-        let c = usize::from(class);
-        if row.len() <= c {
-            row.resize(c + 1, 0);
-        }
-        row[c] += 1;
-        self.pending_hits += 1;
-    }
-
-    fn has_pending(&self) -> bool {
-        self.pending_hits > 0 || self.mallocs > 0 || self.frees > 0
-    }
-}
-
-/// The bus: owns the built-in consumers (derived stats view, sanitizer
-/// shadow feed, optional trace ring and recorder) plus any attached
-/// [`EventSink`]s, and fans every emitted event out to them in a fixed,
-/// deterministic order.
+/// The bus: owns the built-in consumers (stats view, sanitizer shadow feed,
+/// optional trace ring and recorder) plus any attached [`EventSink`]s, and
+/// fans every event out to them in a fixed, deterministic order.
 ///
 /// The bus also *prices* operations: [`malloc_done`](Self::malloc_done) and
-/// [`free_done`](Self::free_done) compute the operation's cost-model
-/// nanoseconds in the same component order as [`StatsView`] charges them,
-/// so the latency the allocator reports and the cycle attribution the
-/// stats view derives can never drift apart.
+/// [`free_done`](Self::free_done) look the completion up in the stats
+/// view's price table, book its integer picoseconds and return its
+/// nanoseconds in one call — a tier cannot pay for what it does not report,
+/// and [`cycles`](Self::cycles) is exact the moment an operation returns.
+///
+/// The *record* of an operation is only materialised while the bus is
+/// `observed` (someone other than the ledger is listening: trace ring,
+/// recorder, attached sink, or the sanitizer). Observers see the full
+/// per-op stream; with nobody listening nothing is built.
 pub struct EventBus {
     cost: CostModel,
     clock: Clock,
@@ -937,7 +857,9 @@ pub struct EventBus {
     trace: Option<TraceRing>,
     recorder: Option<Recorder>,
     extra: Vec<Box<dyn EventSink>>,
-    batch: Option<FastPathBatcher>,
+    /// Derived, never set by a caller: fixed by the config in
+    /// [`new`](Self::new), flipped for good by [`attach`](Self::attach).
+    observed: bool,
 }
 
 impl std::fmt::Debug for EventBus {
@@ -950,7 +872,7 @@ impl std::fmt::Debug for EventBus {
                 &self.recorder.as_ref().map(|r| r.events().len()),
             )
             .field("extra_sinks", &self.extra.len())
-            .field("batching", &self.batch.is_some())
+            .field("observed", &self.observed)
             .finish_non_exhaustive()
     }
 }
@@ -959,97 +881,47 @@ impl EventBus {
     /// Builds the bus for one allocator instance: sink selection comes from
     /// `cfg` (`stats_sink`, `trace_capacity`, `record_events`, `sanitize`).
     pub fn new(cfg: &TcmallocConfig, cost: CostModel, clock: Clock) -> Self {
+        let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
+        let recorder = cfg.record_events.then(Recorder::new);
         Self {
             cost,
             clock,
             stats_enabled: cfg.stats_sink,
             stats: StatsView::new(cost),
             sanitizer: Sanitizer::new(cfg.sanitize),
-            trace: (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize)),
-            recorder: cfg.record_events.then(Recorder::new),
+            observed: trace.is_some() || recorder.is_some() || cfg.sanitize.is_on(),
+            trace,
+            recorder,
             extra: Vec::new(),
-            // Batched emission requires the sanitizer off: the shadow heap
-            // is fed per-op MallocDone payloads an aggregate cannot carry.
-            batch: (cfg.batch_fastpath_events && !cfg.sanitize.is_on())
-                .then(FastPathBatcher::default),
         }
     }
 
-    /// Whether batched fast-path emission is currently engaged.
-    pub fn batching(&self) -> bool {
-        self.batch.is_some()
-    }
-
-    /// Emits one event to every sink, in the fixed fan-out order. Any
-    /// pending fast-path aggregates flush first, so batched counts always
-    /// precede the slow-path event that interrupted them.
+    /// Reports one event: the stats view books it, and every observer sees
+    /// it in the fixed fan-out order.
     pub fn emit(&mut self, ev: AllocEvent) {
-        self.flush_fastpath();
-        self.dispatch(ev);
-    }
-
-    /// Flushes pending fast-path aggregates (batched-emission mode) as
-    /// [`AllocEvent::PerCpuHitBatch`] events in `(vcpu, class)` order
-    /// followed by one [`AllocEvent::FastPathFlush`]. No-op when batching
-    /// is disengaged or nothing is pending.
-    pub fn flush_fastpath(&mut self) {
-        let Some(b) = &mut self.batch else {
-            return;
-        };
-        if !b.has_pending() {
-            return;
-        }
-        let mut hits = std::mem::take(&mut b.hits);
-        let (mallocs, prefetched, frees) = (b.mallocs, b.prefetched, b.frees);
-        b.pending_hits = 0;
-        b.mallocs = 0;
-        b.prefetched = 0;
-        b.frees = 0;
-        for (vcpu, row) in hits.iter().enumerate() {
-            for (class, &count) in row.iter().enumerate() {
-                if count > 0 {
-                    self.dispatch(AllocEvent::PerCpuHitBatch {
-                        vcpu,
-                        class: class as u16,
-                        count,
-                    });
-                }
-            }
-        }
-        if mallocs > 0 || frees > 0 {
-            self.dispatch(AllocEvent::FastPathFlush {
-                mallocs,
-                prefetched,
-                frees,
-            });
-        }
-        // Hand the zeroed table back so row capacity is reused next round.
-        if let Some(b) = &mut self.batch {
-            for row in &mut hits {
-                row.fill(0);
-            }
-            b.hits = hits;
-        }
-    }
-
-    /// Records one per-CPU fast-path hit: counted for the next drain-point
-    /// flush while batching is engaged, otherwise an immediate
-    /// [`AllocEvent::PerCpuHit`] emission.
-    pub fn percpu_hit(&mut self, vcpu: usize, class: u16) {
-        if let Some(b) = &mut self.batch {
-            b.record_hit(vcpu, class);
-        } else {
-            self.emit(AllocEvent::PerCpuHit { vcpu, class });
-        }
-    }
-
-    /// The raw fan-out, without the flush-first preamble.
-    fn dispatch(&mut self, ev: AllocEvent) {
-        let ts = self.clock.now_ns();
         if self.stats_enabled {
-            self.stats.on_event(ts, &ev);
+            self.stats.apply(&ev);
         }
-        match ev {
+        if self.observed {
+            self.fan_out(&ev);
+        }
+    }
+
+    /// Reports one per-CPU fast-path hit ([`AllocEvent::PerCpuHit`]). The
+    /// ledger books nothing for a hit, so unobserved this is a no-op.
+    #[inline]
+    pub fn percpu_hit(&mut self, vcpu: usize, class: u16) {
+        if self.observed {
+            self.fan_out(&AllocEvent::PerCpuHit { vcpu, class });
+        }
+    }
+
+    /// Hands one event to the observers (sanitizer → trace → recorder →
+    /// attached sinks), stamped with the simulated clock. The stats view is
+    /// not an observer: its caller has already booked the event.
+    fn fan_out(&mut self, ev: &AllocEvent) {
+        let ts = self.clock.now_ns();
+        match *ev {
             AllocEvent::MallocDone {
                 addr,
                 actual,
@@ -1063,85 +935,80 @@ impl EventBus {
             _ => {}
         }
         if let Some(t) = &mut self.trace {
-            t.on_event(ts, &ev);
+            t.on_event(ts, ev);
         }
         if let Some(r) = &mut self.recorder {
-            r.on_event(ts, &ev);
+            r.on_event(ts, ev);
         }
         for s in &mut self.extra {
-            s.on_event(ts, &ev);
+            s.on_event(ts, ev);
         }
     }
 
-    /// Emits an allocation's [`AllocEvent::SamplerPick`] (if sampled) and
-    /// [`AllocEvent::MallocDone`], returning the operation's cost-model
-    /// nanoseconds: path + prefetch + other + sampling, in that order —
-    /// the exact components [`StatsView`] charges.
-    ///
-    /// While batched emission is engaged, an unsampled per-CPU-path
-    /// completion is *counted* instead of emitted (the aggregate flushes at
-    /// the next drain point and charges identically); the returned
-    /// nanoseconds never change. Sampled operations always emit per-op so
-    /// the allocation profile sees every pick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `done` is not a `MallocDone` event.
-    pub fn malloc_done(&mut self, pick: Option<AllocEvent>, done: AllocEvent) -> f64 {
-        let AllocEvent::MallocDone {
-            path,
-            prefetched,
-            sampled,
-            ..
-        } = done
-        else {
-            unreachable!("malloc_done requires a MallocDone event")
-        };
-        let mut ns = self.cost.alloc_path_ns(path);
-        if prefetched {
-            ns += self.cost.prefetch_ns;
+    /// Prices a completion at `path` and, with the stats sink on, books it.
+    #[inline]
+    fn complete(&mut self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
+        if self.stats_enabled {
+            self.stats.complete(path, prefetched, sampled)
+        } else {
+            self.stats.price_ns(path, prefetched, sampled)
         }
-        ns += self.cost.other_ns;
-        if sampled {
-            ns += self.cost.sampled_alloc_ns;
+    }
+
+    /// Completes an allocation: books its price and returns the operation's
+    /// cost-model nanoseconds (path + prefetch + other + sampling, in that
+    /// order). `pick` is the GWP sample when the sampler chose this
+    /// allocation; `class` and `span` are the shadow payload, populated
+    /// only when sanitizing. Observers see [`AllocEvent::SamplerPick`] (if
+    /// sampled) then [`AllocEvent::MallocDone`].
+    // Scalars, not a pre-built event: the record is only built if observed.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn malloc_done(
+        &mut self,
+        path: AllocPath,
+        addr: u64,
+        size: u64,
+        actual: u64,
+        prefetched: bool,
+        pick: Option<Sample>,
+        class: Option<u16>,
+        span: Option<SpanRef>,
+    ) -> f64 {
+        let sampled = pick.is_some();
+        let ns = self.complete(path, prefetched, sampled);
+        if let Some(s) = pick {
+            self.emit(AllocEvent::SamplerPick {
+                addr,
+                size: s.size,
+                site: s.site,
+                now_ns: s.alloc_time_ns,
+                weight: s.weight,
+            });
         }
-        if pick.is_none() && !sampled && matches!(path, AllocPath::PerCpu) {
-            if let Some(b) = &mut self.batch {
-                b.mallocs += 1;
-                if prefetched {
-                    b.prefetched += 1;
-                }
-                return ns;
-            }
+        if self.observed {
+            self.fan_out(&AllocEvent::MallocDone {
+                path,
+                addr,
+                size,
+                actual,
+                prefetched,
+                sampled,
+                class,
+                span,
+            });
         }
-        if let Some(pick) = pick {
-            debug_assert!(matches!(pick, AllocEvent::SamplerPick { .. }));
-            self.emit(pick);
-        }
-        self.emit(done);
         ns
     }
 
-    /// Emits a free's [`AllocEvent::FreeDone`], returning the operation's
-    /// cost-model nanoseconds (path + other). While batched emission is
-    /// engaged, a per-CPU-path free is counted instead of emitted, exactly
-    /// like [`malloc_done`](Self::malloc_done).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `done` is not a `FreeDone` event.
-    pub fn free_done(&mut self, done: AllocEvent) -> f64 {
-        let AllocEvent::FreeDone { path, .. } = done else {
-            unreachable!("free_done requires a FreeDone event")
-        };
-        let ns = self.cost.alloc_path_ns(path) + self.cost.other_ns;
-        if matches!(path, AllocPath::PerCpu) {
-            if let Some(b) = &mut self.batch {
-                b.frees += 1;
-                return ns;
-            }
+    /// Completes a free: books its price (path + other), returns its
+    /// cost-model nanoseconds, and shows observers [`AllocEvent::FreeDone`].
+    #[inline]
+    pub fn free_done(&mut self, path: AllocPath, addr: u64, size: u64) -> f64 {
+        let ns = self.complete(path, false, false);
+        if self.observed {
+            self.fan_out(&AllocEvent::FreeDone { path, addr, size });
         }
-        self.emit(done);
         ns
     }
 
@@ -1150,7 +1017,7 @@ impl EventBus {
         &self.cost
     }
 
-    /// Derived cycle attribution (Figure 6a view).
+    /// Cycle attribution (Figure 6a view), exact at every instant.
     pub fn cycles(&self) -> &CycleStats {
         self.stats.cycles()
     }
@@ -1182,13 +1049,10 @@ impl EventBus {
     }
 
     /// Attaches an additional sink; it observes every subsequent event
-    /// after the built-in consumers. Attached sinks expect the per-op
-    /// stream, so any pending fast-path aggregates flush first and batched
-    /// emission disengages for the rest of this bus's life.
+    /// after the built-in consumers.
     pub fn attach(&mut self, sink: Box<dyn EventSink>) {
-        self.flush_fastpath();
-        self.batch = None;
         self.extra.push(sink);
+        self.observed = true;
     }
 }
 
@@ -1197,6 +1061,7 @@ impl EventBus {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::stats::CycleCategory;
     use wsc_sanitizer::SanitizeLevel;
 
     fn bus(cfg: TcmallocConfig) -> EventBus {
@@ -1207,52 +1072,112 @@ mod tests {
         AllocEvent::PerCpuHit { vcpu: 0, class: 3 }
     }
 
-    fn done(prefetched: bool, sampled: bool) -> AllocEvent {
-        AllocEvent::MallocDone {
-            path: AllocPath::PerCpu,
-            addr: 0x1000,
-            size: 24,
-            actual: 24,
+    /// An unsanitized per-CPU completion at a fixed address.
+    fn malloc(b: &mut EventBus, prefetched: bool, pick: Option<Sample>) -> f64 {
+        b.malloc_done(
+            AllocPath::PerCpu,
+            0x1000,
+            24,
+            24,
             prefetched,
-            sampled,
-            class: None,
-            span: None,
+            pick,
+            None,
+            None,
+        )
+    }
+
+    fn pick() -> Sample {
+        Sample {
+            size: 24,
+            site: 7,
+            alloc_time_ns: 0,
+            weight: 1.0,
         }
     }
 
     #[test]
-    fn malloc_done_prices_exactly_like_the_stats_view() {
+    fn malloc_done_prices_and_books_in_one_call() {
         let c = CostModel::production();
         let mut b = bus(TcmallocConfig::optimized());
-        let ns = b.malloc_done(None, done(true, false));
+        let ns = malloc(&mut b, true, None);
         assert_eq!(ns, c.percpu_hit_ns + c.prefetch_ns + c.other_ns);
         let charged = b.cycles().total_ns();
         assert!((charged - ns).abs() < 1e-9, "{charged} vs {ns}");
-        let ns2 = b.free_done(AllocEvent::FreeDone {
-            path: AllocPath::PerCpu,
-            addr: 0x1000,
-            size: 24,
-        });
+        let ns2 = b.free_done(AllocPath::PerCpu, 0x1000, 24);
         assert_eq!(ns2, c.percpu_hit_ns + c.other_ns);
+        assert_eq!(b.cycles().ops(CycleCategory::CpuCache), 2);
+        assert_eq!(b.cycles().ops(CycleCategory::Prefetch), 1);
+        assert_eq!(b.cycles().ops(CycleCategory::Other), 2);
+        assert_eq!(b.cycles().ops(CycleCategory::Sampled), 0);
     }
 
     #[test]
     fn stats_sink_off_still_prices_operations() {
         let cfg = TcmallocConfig::optimized().with_stats_sink(false);
         let mut b = bus(cfg);
-        let ns = b.malloc_done(None, done(false, true));
+        let ns = malloc(&mut b, false, Some(pick()));
         assert!(ns > 5000.0, "sampled op priced: {ns}");
-        assert_eq!(b.cycles().total_ns(), 0.0, "view stays zeroed");
+        assert_eq!(b.cycles(), &CycleStats::new(), "view stays zeroed");
+        assert_eq!(b.profile().size_by_count.count(), 0.0);
     }
 
     #[test]
     fn recorder_captures_in_emission_order() {
         let cfg = TcmallocConfig::optimized().with_event_recorder();
         let mut b = bus(cfg);
-        b.emit(hit());
-        b.malloc_done(None, done(false, false));
+        b.percpu_hit(0, 3);
+        malloc(&mut b, false, Some(pick()));
+        b.free_done(AllocPath::PerCpu, 0x1000, 24);
         let kinds: Vec<_> = b.recorded().iter().map(AllocEvent::kind).collect();
-        assert_eq!(kinds, ["PerCpuHit", "MallocDone"]);
+        assert_eq!(
+            kinds,
+            ["PerCpuHit", "SamplerPick", "MallocDone", "FreeDone"]
+        );
+        assert_eq!(b.recorded()[0], hit());
+        assert_eq!(b.profile().size_by_count.count(), 1.0);
+    }
+
+    /// The ledger and profile a bus ends with do not depend on who else is
+    /// listening, each completion is booked exactly once either way, and an
+    /// observer's recorded stream replays to the same view.
+    #[test]
+    fn observed_and_unobserved_buses_book_identically() {
+        let observed = [
+            TcmallocConfig::optimized().with_event_recorder(),
+            TcmallocConfig::optimized().with_trace(8),
+            TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full),
+        ];
+        let mut quiet = bus(TcmallocConfig::optimized());
+        let mut buses: Vec<EventBus> = observed.into_iter().map(bus).collect();
+        assert!(!quiet.observed);
+        assert!(buses.iter().all(|b| b.observed));
+        let mut late = bus(TcmallocConfig::optimized());
+        late.attach(Box::new(Off));
+        assert!(late.observed, "attach flips it for good");
+        buses.push(late);
+        for i in 0..137u64 {
+            for b in std::iter::once(&mut quiet).chain(&mut buses) {
+                b.percpu_hit((i % 4) as usize, (i % 7) as u16);
+                malloc(b, i % 3 != 0, (i % 50 == 0).then(pick));
+                if i % 2 == 0 {
+                    b.free_done(AllocPath::ALL[(i % 5) as usize], 0x1000 + i, 24);
+                }
+                b.emit(AllocEvent::ContentionCharged { vcpu: 0, ns: 10.0 });
+            }
+            for b in &buses {
+                assert_eq!(quiet.cycles(), b.cycles(), "op {i}");
+            }
+        }
+        assert_eq!(quiet.cycles().ops(CycleCategory::Sampled), 3);
+        let mut replayed = StatsView::new(CostModel::production());
+        for ev in buses[0].recorded() {
+            replayed.on_event(0, ev);
+        }
+        assert_eq!(replayed.cycles(), quiet.cycles());
+        assert_eq!(
+            replayed.profile().size_by_count.count(),
+            quiet.profile().size_by_count.count()
+        );
     }
 
     #[test]
@@ -1343,7 +1268,7 @@ mod tests {
 
     #[test]
     fn every_kind_is_covered_by_the_taxonomy() {
-        assert_eq!(AllocEvent::KINDS.len(), 36);
+        assert_eq!(AllocEvent::KINDS.len(), 34);
         assert!(AllocEvent::KINDS.contains(&hit().kind()));
         for fault in [
             AllocEvent::OsFault {
@@ -1399,151 +1324,5 @@ mod tests {
         assert_eq!(drained.tier(), "percpu");
         assert_eq!(charged.tier(), "op");
         assert!(queued.args_json().contains("\"owner\":0"));
-    }
-
-    #[test]
-    fn batch_kinds_join_the_taxonomy() {
-        let hits = AllocEvent::PerCpuHitBatch {
-            vcpu: 1,
-            class: 3,
-            count: 128,
-        };
-        let flush = AllocEvent::FastPathFlush {
-            mallocs: 80,
-            prefetched: 80,
-            frees: 48,
-        };
-        for ev in [hits, flush] {
-            assert!(AllocEvent::KINDS.contains(&ev.kind()), "{ev:?}");
-            assert!(ev.args_json().starts_with('{'));
-        }
-        // Aggregates live in the lane of the events they stand for.
-        assert_eq!(hits.tier(), "percpu");
-        assert_eq!(flush.tier(), "op");
-        assert!(hits.args_json().contains("\"count\":128"));
-        assert!(flush.args_json().contains("\"frees\":48"));
-    }
-
-    #[test]
-    fn batched_fastpath_charges_identical_cycle_totals() {
-        let per_op = TcmallocConfig::optimized();
-        let batched = per_op.with_batched_fastpath_events(true);
-        let mut a = bus(per_op);
-        let mut b = bus(batched);
-        assert!(!a.batching());
-        assert!(b.batching());
-        for i in 0..137u64 {
-            let prefetched = i % 3 != 0;
-            for bus in [&mut a, &mut b] {
-                bus.percpu_hit((i % 4) as usize, (i % 7) as u16);
-                let ns_a = bus.malloc_done(None, done(prefetched, false));
-                assert!(ns_a > 0.0);
-                if i % 2 == 0 {
-                    bus.free_done(AllocEvent::FreeDone {
-                        path: AllocPath::PerCpu,
-                        addr: 0x1000 + i,
-                        size: 24,
-                    });
-                }
-            }
-        }
-        // Mid-stream the batched view lags; at the drain point the integer
-        // picosecond ledgers are bit-identical, ops counts included.
-        b.flush_fastpath();
-        assert_eq!(a.cycles(), b.cycles());
-    }
-
-    #[test]
-    fn batched_mode_flushes_aggregates_before_slow_path_events() {
-        let cfg = TcmallocConfig::optimized()
-            .with_event_recorder()
-            .with_batched_fastpath_events(true);
-        let mut b = bus(cfg);
-        b.percpu_hit(0, 3);
-        b.percpu_hit(0, 3);
-        b.percpu_hit(1, 5);
-        b.malloc_done(None, done(true, false));
-        b.free_done(AllocEvent::FreeDone {
-            path: AllocPath::PerCpu,
-            addr: 0x1000,
-            size: 24,
-        });
-        // A slow-path event interrupts: pending aggregates must land first,
-        // in (vcpu, class) order.
-        b.emit(AllocEvent::CentralRefill { class: 3, count: 8 });
-        let kinds: Vec<_> = b.recorded().iter().map(AllocEvent::kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                "PerCpuHitBatch",
-                "PerCpuHitBatch",
-                "FastPathFlush",
-                "CentralRefill"
-            ]
-        );
-        assert_eq!(
-            b.recorded()[0],
-            AllocEvent::PerCpuHitBatch {
-                vcpu: 0,
-                class: 3,
-                count: 2
-            }
-        );
-        assert_eq!(
-            b.recorded()[2],
-            AllocEvent::FastPathFlush {
-                mallocs: 1,
-                prefetched: 1,
-                frees: 1
-            }
-        );
-    }
-
-    #[test]
-    fn sampled_operations_bypass_the_batcher() {
-        let cfg = TcmallocConfig::optimized()
-            .with_event_recorder()
-            .with_batched_fastpath_events(true);
-        let mut b = bus(cfg);
-        b.percpu_hit(0, 3);
-        let pick = AllocEvent::SamplerPick {
-            addr: 0x1000,
-            size: 24,
-            site: 7,
-            now_ns: 0,
-            weight: 1.0,
-        };
-        b.malloc_done(Some(pick), done(false, true));
-        let kinds: Vec<_> = b.recorded().iter().map(AllocEvent::kind).collect();
-        // The pending hit flushes ahead of the sampled op's per-op events,
-        // and the profile still sees the pick.
-        assert_eq!(kinds, ["PerCpuHitBatch", "SamplerPick", "MallocDone"]);
-        assert_eq!(b.profile().size_by_count.count(), 1.0);
-    }
-
-    #[test]
-    fn attaching_a_sink_disengages_batching() {
-        let cfg = TcmallocConfig::optimized()
-            .with_event_recorder()
-            .with_batched_fastpath_events(true);
-        let mut b = bus(cfg);
-        b.percpu_hit(0, 3);
-        assert!(b.batching());
-        b.attach(Box::new(Off));
-        assert!(!b.batching());
-        b.percpu_hit(0, 3);
-        let kinds: Vec<_> = b.recorded().iter().map(AllocEvent::kind).collect();
-        // The pre-attach hit flushed as an aggregate; afterwards the stream
-        // is per-op again.
-        assert_eq!(kinds, ["PerCpuHitBatch", "PerCpuHit"]);
-    }
-
-    #[test]
-    fn sanitizer_keeps_emission_per_op() {
-        let cfg = TcmallocConfig::optimized()
-            .with_sanitize(SanitizeLevel::Full)
-            .with_batched_fastpath_events(true);
-        let b = bus(cfg);
-        assert!(!b.batching(), "shadow feed needs per-op payloads");
     }
 }

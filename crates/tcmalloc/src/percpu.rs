@@ -131,8 +131,6 @@ impl PerCpuCaches {
         match slab.classes[class].objs.pop() {
             Some(addr) => {
                 slab.cached_bytes -= size;
-                // Batched when the bus is in batched-emission mode; a
-                // per-op PerCpuHit otherwise.
                 bus.percpu_hit(vcpu.index(), class as u16);
                 Some(addr)
             }

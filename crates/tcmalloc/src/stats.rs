@@ -1,13 +1,15 @@
 //! Allocator-internal accounting: malloc cycles by component (Figure 6a)
 //! and the fragmentation breakdown (Figures 5b and 6b).
 //!
-//! Since the event-bus refactor these are *derived views*: [`StatsView`]
-//! subscribes to the [`AllocEvent`](crate::events::AllocEvent) stream and
-//! charges the cost model at emission, so cycle attribution cannot drift
-//! from what the allocator actually reported per operation.
+//! [`StatsView`] owns the ledger and the price table behind it. The
+//! [`EventBus`](crate::events::EventBus) prices each completion through it
+//! in the same call that reports the operation, and the view is also an
+//! [`EventSink`]: fed a *recorded* stream it rebuilds the same ledger and
+//! profile, so cycle attribution cannot drift from what the allocator
+//! reported per operation.
 
 use crate::events::{AllocEvent, EventSink};
-use wsc_sim_hw::cost::{AllocPath, CostModel};
+use wsc_sim_hw::cost::{ns_to_ps, AllocPath, CostModel, OpPrice, PriceTable};
 use wsc_telemetry::gwp::{AllocationProfile, Sample};
 
 /// Where allocator time goes — the categories of Figure 6a.
@@ -122,25 +124,28 @@ impl CycleStats {
     pub fn charge(&mut self, cat: CycleCategory, ns: f64) {
         // lint:allow(panic-surface) cat.index() enumerates CycleCategory,
         // and both arrays are sized CycleCategory::COUNT.
-        self.ps[cat.index()] += (ns * 1000.0).round() as u64;
+        self.ps[cat.index()] += ns_to_ps(ns);
         // lint:allow(panic-surface) same enum-sized bound as the line above.
         self.ops[cat.index()] += 1;
     }
 
-    /// Charges `n` operations of `ns` nanoseconds each in one step —
-    /// exactly equivalent to `n` [`charge`](Self::charge) calls, because
-    /// the ledger is integral picoseconds: `n * round(ns * 1000)` is the
-    /// same total the per-op path accumulates. This is how batched
-    /// fast-path aggregates land without drifting from per-op pricing.
-    pub fn charge_n(&mut self, cat: CycleCategory, ns: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // lint:allow(panic-surface) cat.index() enumerates CycleCategory,
-        // and both arrays are sized CycleCategory::COUNT.
-        self.ps[cat.index()] += n * (ns * 1000.0).round() as u64;
-        // lint:allow(panic-surface) same enum-sized bound as the line above.
-        self.ops[cat.index()] += n;
+    /// Books one completed malloc or free from its pre-rounded price:
+    /// exactly the [`charge`](Self::charge) calls for path, prefetch (if
+    /// issued), other and sampling (if sampled), as integer adds.
+    #[inline]
+    fn charge_op(&mut self, path: AllocPath, prefetched: bool, sampled: bool, price: &OpPrice) {
+        const PREFETCH: usize = CycleCategory::Prefetch.index();
+        const OTHER: usize = CycleCategory::Other.index();
+        const SAMPLED: usize = CycleCategory::Sampled.index();
+        let tier = CycleCategory::from(path).index();
+        self.ps[tier] += price.path_ps;
+        self.ops[tier] += 1;
+        self.ps[PREFETCH] += price.prefetch_ps;
+        self.ops[PREFETCH] += u64::from(prefetched);
+        self.ps[OTHER] += price.other_ps;
+        self.ops[OTHER] += 1;
+        self.ps[SAMPLED] += price.sampled_ps;
+        self.ops[SAMPLED] += u64::from(sampled);
     }
 
     /// Nanoseconds attributed to a category.
@@ -180,17 +185,18 @@ impl CycleStats {
     }
 }
 
-/// The derived attribution view: one [`EventSink`] producing the Figure 6a
-/// cycle breakdown and the GWP allocation profile from the event stream.
+/// The attribution view: the Figure 6a cycle ledger and the GWP allocation
+/// profile, plus the [`PriceTable`] both are booked against.
 ///
-/// Charging lives here, *at emission*: `MallocDone` / `FreeDone` carry the
-/// satisfying tier and the per-op flags, and the view prices them against
-/// its own copy of the [`CostModel`] in the exact component order the bus
-/// used to price the operation — so the `ns` the allocator returned and the
-/// cycles attributed here are identical by construction.
+/// An operation is priced once, by `complete`: the table
+/// entry gives the `ns` the allocator returns and the integers the ledger
+/// books, so the two are identical by construction. The live bus calls it
+/// directly; as an [`EventSink`] the view calls it for every `MallocDone` /
+/// `FreeDone` of a recorded stream, which is how replaying the stream alone
+/// reconstructs the ledger.
 #[derive(Clone, Debug)]
 pub struct StatsView {
-    cost: CostModel,
+    prices: PriceTable,
     cycles: CycleStats,
     profile: AllocationProfile,
 }
@@ -199,7 +205,7 @@ impl StatsView {
     /// A zeroed view pricing against `cost`.
     pub fn new(cost: CostModel) -> Self {
         Self {
-            cost,
+            prices: PriceTable::new(&cost),
             cycles: CycleStats::new(),
             profile: AllocationProfile::new(),
         }
@@ -214,10 +220,25 @@ impl StatsView {
     pub fn profile(&self) -> &AllocationProfile {
         &self.profile
     }
-}
 
-impl EventSink for StatsView {
-    fn on_event(&mut self, _ts_ns: u64, ev: &AllocEvent) {
+    /// Cost-model nanoseconds of a completion at `path` (a free is the
+    /// unprefetched, unsampled case), without booking it.
+    #[inline]
+    pub(crate) fn price_ns(&self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
+        self.prices.op(path, prefetched, sampled).ns
+    }
+
+    /// Prices one completion, books it, and returns its nanoseconds.
+    #[inline]
+    pub(crate) fn complete(&mut self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
+        let price = self.prices.op(path, prefetched, sampled);
+        self.cycles.charge_op(path, prefetched, sampled, price);
+        price.ns
+    }
+
+    /// Books one event: what [`EventSink::on_event`] does, for callers with
+    /// no timestamp to hand (the view never reads it).
+    pub(crate) fn apply(&mut self, ev: &AllocEvent) {
         match *ev {
             AllocEvent::MallocDone {
                 path,
@@ -225,43 +246,13 @@ impl EventSink for StatsView {
                 sampled,
                 ..
             } => {
-                self.cycles
-                    .charge(path.into(), self.cost.alloc_path_ns(path));
-                if prefetched {
-                    self.cycles
-                        .charge(CycleCategory::Prefetch, self.cost.prefetch_ns);
-                }
-                self.cycles.charge(CycleCategory::Other, self.cost.other_ns);
-                if sampled {
-                    self.cycles
-                        .charge(CycleCategory::Sampled, self.cost.sampled_alloc_ns);
-                }
+                self.complete(path, prefetched, sampled);
             }
             AllocEvent::FreeDone { path, .. } => {
-                self.cycles
-                    .charge(path.into(), self.cost.alloc_path_ns(path));
-                self.cycles.charge(CycleCategory::Other, self.cost.other_ns);
+                self.complete(path, false, false);
             }
             AllocEvent::ContentionCharged { ns, .. } => {
                 self.cycles.charge(CycleCategory::Contention, ns);
-            }
-            AllocEvent::FastPathFlush {
-                mallocs,
-                prefetched,
-                frees,
-            } => {
-                // The drain-point aggregate of unsampled per-CPU-path
-                // completions: charge the identical components the per-op
-                // arms above would have, `mallocs + frees` times.
-                self.cycles.charge_n(
-                    CycleCategory::CpuCache,
-                    self.cost.alloc_path_ns(AllocPath::PerCpu),
-                    mallocs + frees,
-                );
-                self.cycles
-                    .charge_n(CycleCategory::Prefetch, self.cost.prefetch_ns, prefetched);
-                self.cycles
-                    .charge_n(CycleCategory::Other, self.cost.other_ns, mallocs + frees);
             }
             AllocEvent::OsFault { latency_ns, .. } if latency_ns > 0 => {
                 // Injected kernel latency (THP compaction stall, flaky
@@ -289,6 +280,12 @@ impl EventSink for StatsView {
             } => self.profile.record_lifetime(size, lifetime_ns, weight),
             _ => {}
         }
+    }
+}
+
+impl EventSink for StatsView {
+    fn on_event(&mut self, _ts_ns: u64, ev: &AllocEvent) {
+        self.apply(ev);
     }
 }
 

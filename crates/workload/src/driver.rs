@@ -21,7 +21,7 @@ use wsc_parallel::{Engine, Task, TaskError};
 use wsc_prng::SmallRng;
 use wsc_sim_hw::cache::{LlcAccess, LlcModel, LlcStats};
 use wsc_sim_hw::tlb::{TlbGeometry, TlbSim, TlbStats};
-use wsc_sim_hw::topology::{CpuId, Platform};
+use wsc_sim_hw::topology::{CpuId, DomainId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::sched::Scheduler;
 use wsc_tcmalloc::stats::FragmentationBreakdown;
@@ -202,15 +202,15 @@ pub fn run(
         }
     };
 
-    // Touches an object from `cpu`: LLC + dTLB costs, returns stall ns.
+    // Touches an object from a CPU in `domain`: LLC + dTLB costs, returns
+    // stall ns.
     let mut touch = |tcm: &Tcmalloc,
                      llc: &mut LlcModel,
                      tlb: &mut TlbSim,
-                     cpu: CpuId,
+                     domain: DomainId,
                      addr: u64,
                      size: u64|
      -> f64 {
-        let domain = platform.domain_of(cpu);
         let mut ns = 0.0;
         // One LLC access per object granule (clamped — large objects are
         // touched at a sampled set of pages).
@@ -250,6 +250,9 @@ pub fn run(
         let active = sched.active_threads();
         let thread = rng.gen_range(0..active);
         let cpu = sched.cpu_for_thread(thread);
+        // Every touch of this request comes from `cpu` (a due free may come
+        // from the object's home CPU instead): resolve the domain once.
+        let domain = platform.domain_of(cpu);
 
         let mut service_ns = 0.0f64;
 
@@ -265,7 +268,12 @@ pub fn run(
             } else {
                 obj.home_cpu
             };
-            service_ns += touch(&tcm, &mut llc, &mut tlb, free_cpu, obj.addr, obj.size);
+            let free_domain = if free_cpu == cpu {
+                domain
+            } else {
+                platform.domain_of(free_cpu)
+            };
+            service_ns += touch(&tcm, &mut llc, &mut tlb, free_domain, obj.addr, obj.size);
             let f = tcm.free(obj.addr, obj.size, free_cpu);
             service_ns += f.ns;
             malloc_ns += f.ns;
@@ -298,7 +306,7 @@ pub fn run(
             malloc_ns += a.ns;
             instructions += INSTR_PER_ALLOC_PAIR / 2;
             for _ in 0..spec.accesses_per_object {
-                service_ns += touch(&tcm, &mut llc, &mut tlb, cpu, a.addr, size);
+                service_ns += touch(&tcm, &mut llc, &mut tlb, domain, a.addr, size);
             }
             let idx = store(
                 &mut objects,
@@ -338,7 +346,7 @@ pub fn run(
                     (ws_cursor + 1 + rng.gen_range(0..working_set.len())) % working_set.len();
                 if let Some(obj) = objects[working_set[ws_cursor]].as_ref() {
                     let (addr, size) = (obj.addr, obj.size);
-                    service_ns += touch(&tcm, &mut llc, &mut tlb, cpu, addr, size);
+                    service_ns += touch(&tcm, &mut llc, &mut tlb, domain, addr, size);
                 }
             }
         }

@@ -11,8 +11,10 @@
 //! old accumulation (e.g. `375422.399999…` → `375422.4` exactly). Counts
 //! are compared exactly.
 
-use wsc_sim_hw::topology::Platform;
-use wsc_tcmalloc::{CycleCategory, SanitizeLevel, TcmallocConfig};
+use wsc_sim_hw::cost::{AllocPath, CostModel};
+use wsc_sim_hw::topology::{CpuId, Platform};
+use wsc_sim_os::clock::Clock;
+use wsc_tcmalloc::{CycleCategory, CycleStats, SanitizeLevel, Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{run, DriverConfig};
 use wsc_workload::profiles;
 
@@ -36,11 +38,13 @@ fn close(actual: f64, expected: f64, what: &str) {
     );
 }
 
-#[test]
-fn attribution_identical_to_pre_refactor_baseline() {
+/// The pinned table under `sanitize`. The sanitizer is an observer of the
+/// event bus, so `Full` pins the path where every record is built and `Off`
+/// the one where nobody listens and none is; only the audit count differs.
+fn pinned_attribution(sanitize: SanitizeLevel, audits: u64) {
     let p = Platform::chiplet("test", 1, 2, 4, 2);
     let dcfg = DriverConfig::new(4_000, 1, &p);
-    let cfg = TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full);
+    let cfg = TcmallocConfig::optimized().with_sanitize(sanitize);
     let (r, tcm) = run(&profiles::fleet_mix(), &p, cfg, &dcfg);
 
     close(r.throughput, 156_786.446_665, "throughput");
@@ -69,9 +73,62 @@ fn attribution_identical_to_pre_refactor_baseline() {
         "profile below1k",
     );
 
-    assert_eq!(tcm.audits_run(), 124, "audits");
+    assert_eq!(tcm.audits_run(), audits, "audits");
     assert_eq!(tcm.sanitizer_reports().len(), 0, "reports");
     assert_eq!(tcm.live_bytes(), 4_637_639, "live bytes");
     assert_eq!(tcm.live_objects(), 32_474, "live objects");
     assert_eq!(tcm.resident_bytes(), 14_680_064, "resident bytes");
+}
+
+#[test]
+fn attribution_identical_to_pre_refactor_baseline() {
+    pinned_attribution(SanitizeLevel::Full, 124);
+}
+
+#[test]
+fn attribution_identical_with_nobody_observing() {
+    pinned_attribution(SanitizeLevel::Off, 0);
+}
+
+/// A calibration that is not tenths of a ns, installed through
+/// `with_cost_model`: what the allocator returns and books equals the
+/// per-call float sum and per-component `round()` the table replaced.
+#[test]
+fn odd_calibration_prices_like_the_per_call_sums() {
+    let cost = CostModel {
+        percpu_hit_ns: 3.123_45,
+        mmap_ns: 12_916.666_666_7,
+        prefetch_ns: 1.899_95,
+        other_ns: 0.333_333_3,
+        ..CostModel::production()
+    };
+    let p = Platform::chiplet("test", 1, 2, 4, 2);
+    let mut t = Tcmalloc::new(TcmallocConfig::baseline(), p, Clock::new()).with_cost_model(cost);
+    let mut per_call = CycleStats::new();
+    let cold = t.malloc(64, CpuId(0));
+    assert_eq!(cold.path, AllocPath::Mmap);
+    assert_eq!(
+        cold.ns.to_bits(),
+        (cost.mmap_ns + cost.prefetch_ns + cost.other_ns).to_bits()
+    );
+    per_call.charge(CycleCategory::PageHeap, cost.mmap_ns);
+    per_call.charge(CycleCategory::Prefetch, cost.prefetch_ns);
+    per_call.charge(CycleCategory::Other, cost.other_ns);
+    let warm = t.malloc(64, CpuId(0));
+    assert_eq!(warm.path, AllocPath::PerCpu);
+    assert_eq!(
+        warm.ns.to_bits(),
+        (cost.percpu_hit_ns + cost.prefetch_ns + cost.other_ns).to_bits()
+    );
+    per_call.charge(CycleCategory::CpuCache, cost.percpu_hit_ns);
+    per_call.charge(CycleCategory::Prefetch, cost.prefetch_ns);
+    per_call.charge(CycleCategory::Other, cost.other_ns);
+    let freed = t.free(warm.addr, 64, CpuId(0));
+    assert_eq!(
+        freed.ns.to_bits(),
+        (cost.percpu_hit_ns + cost.other_ns).to_bits()
+    );
+    per_call.charge(CycleCategory::CpuCache, cost.percpu_hit_ns);
+    per_call.charge(CycleCategory::Other, cost.other_ns);
+    assert_eq!(t.cycles(), &per_call);
 }

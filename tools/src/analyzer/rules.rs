@@ -19,7 +19,8 @@
 //!   module of `crates/tcmalloc/src` must emit at least one `AllocEvent`,
 //!   directly or through a callee (name-based transitive closure); and
 //!   every variant of the `AllocEvent` catalog must have a construction
-//!   site in tier code.
+//!   site in tier code — a literal `AllocEvent::Kind`, or a call to the
+//!   typed bus entry point that builds that kind ([`BUS_ENTRY_POINTS`]).
 //! * **panic-surface** — `panic!`/`todo!`/`unimplemented!` and computed
 //!   slice indexing (`v[i + 1]`, `v[lo..hi]`, `v[f(x)]` — anything beyond a
 //!   plain identifier/field/literal/cast index) are findings inside
@@ -159,6 +160,16 @@ const TIER_FILES: &[&str] = &[
     "crates/tcmalloc/src/transfer.rs",
     "crates/tcmalloc/src/central.rs",
     "crates/tcmalloc/src/pagemap.rs",
+];
+
+/// The typed `EventBus` entry points and the kinds each one builds on the
+/// tier's behalf (behind the bus's `observed` test, so nothing is
+/// materialised when nobody listens). A tier call to one of these is the
+/// construction site of its kinds.
+const BUS_ENTRY_POINTS: &[(&str, &[&str])] = &[
+    ("percpu_hit", &["PerCpuHit"]),
+    ("malloc_done", &["MallocDone", "SamplerPick"]),
+    ("free_done", &["FreeDone"]),
 ];
 
 /// The fallible entry points panic-surface reachability starts from.
@@ -699,11 +710,11 @@ fn lock_order_rule(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
 }
 
 /// Does this function's body directly emit an event: construct an
-/// `AllocEvent::…`, or call `emit` / `malloc_done` / `free_done`?
+/// `AllocEvent::…`, or call `emit` or a typed bus entry point?
 fn emits_directly(m: &FileModel, f: &FnItem) -> bool {
     if f.calls
         .iter()
-        .any(|c| c == "emit" || c == "malloc_done" || c == "free_done")
+        .any(|c| c == "emit" || BUS_ENTRY_POINTS.iter().any(|(entry, _)| c == entry))
     {
         return true;
     }
@@ -781,7 +792,8 @@ fn event_completeness(files: &[FileModel], out: &mut Vec<Candidate>) {
 
 /// Every variant of the `AllocEvent` catalog must be constructed somewhere
 /// in tier code (outside `events.rs` itself, whose constructions are the
-/// sink plumbing and its tests).
+/// sink plumbing and its tests): literally, or by calling the typed bus
+/// entry point that builds it.
 fn catalog_coverage(crate_files: &[(usize, &FileModel)], out: &mut Vec<Candidate>) {
     const EVENTS_RS: &str = "crates/tcmalloc/src/events.rs";
     let Some((ei, events)) = crate_files.iter().find(|(_, m)| m.rel == EVENTS_RS) else {
@@ -796,6 +808,11 @@ fn catalog_coverage(crate_files: &[(usize, &FileModel)], out: &mut Vec<Candidate
         for i in 0..m.len() {
             if m.is(i, "AllocEvent") && m.is(i + 1, ":") && m.is(i + 2, ":") && i + 3 < m.len() {
                 constructed.insert(m.text(i + 3));
+            }
+        }
+        for call in m.fns.iter().flat_map(|f| &f.calls) {
+            if let Some((_, kinds)) = BUS_ENTRY_POINTS.iter().find(|(entry, _)| call == entry) {
+                constructed.extend(kinds.iter());
             }
         }
     }
@@ -1173,6 +1190,21 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("NeverBuilt"));
         assert_eq!(f[0].file, "crates/tcmalloc/src/events.rs");
+    }
+
+    #[test]
+    fn bus_entry_point_call_is_the_construction_site_of_its_kinds() {
+        let events = model(
+            "crates/tcmalloc/src/events.rs",
+            "pub enum AllocEvent {\n  PerCpuHit { a: u32 },\n  MallocDone { b: u32 },\n  SamplerPick { c: u32 },\n  FreeDone { d: u32 },\n}\n",
+        );
+        let tier = model(
+            "crates/tcmalloc/src/percpu.rs",
+            "pub fn f(bus: &mut EventBus) { bus.percpu_hit(0, 1); bus.malloc_done(1); }\n",
+        );
+        let f = run_rules(&[events, tier]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("FreeDone"), "{f:?}");
     }
 
     #[test]

@@ -2,6 +2,11 @@
 pub enum AllocEvent {
     Used { n: u64 },
     NeverBuilt { n: u64 }, //~ event-completeness
+    // Built by the bus on the tier's behalf: the tier's call to the typed
+    // entry point is the construction site.
+    PerCpuHit { n: u64 },
+    // Neither constructed nor reported through its entry point.
+    FreeDone { n: u64 }, //~ event-completeness
 }
 //@ file: crates/tcmalloc/src/percpu.rs
 pub struct Cache {
@@ -17,6 +22,10 @@ impl Cache {
     }
     pub fn delegating(&mut self, bus: &mut EventBus) {
         self.emitting(bus);
+    }
+    pub fn reporting(&mut self, bus: &mut EventBus) {
+        self.x -= 1;
+        bus.percpu_hit(0, 3);
     }
     pub fn read_only(&self) -> u64 {
         self.x
