@@ -1,7 +1,7 @@
 //! Fleet-scale streaming survey benchmark: serial vs threaded vs
 //! process-sharded folds of the 10⁵-machine survey, with the byte-identity
-//! determinism gate, machines/sec throughput, peak RSS, and the
-//! masking-vs-radix pagemap timing comparison. Emits `BENCH_fleet.json`.
+//! determinism gate, machines/sec throughput and peak RSS. Emits
+//! `BENCH_fleet.json`.
 //!
 //! Defaults to the `fleet` tier (10⁵ machines) when `REPRO_SCALE` is
 //! unset; CI runs it at `REPRO_SCALE=quick`. `WSC_THREADS` picks the
@@ -10,8 +10,6 @@
 //!
 //! Gates, asserted every run:
 //! * serial, threaded, and sharded folds are byte-identical;
-//! * masking and radix pagemap arms produce byte-identical summaries
-//!   (the sim-neutrality that justified flipping the default);
 //! * on a multi-core machine with `threads > 1`, threaded speedup > 1.
 
 use std::time::Instant;
@@ -20,7 +18,7 @@ use wsc_bench::harness::JsonReport;
 use wsc_bench::parallel::Engine;
 use wsc_bench::Scale;
 use wsc_fleet::experiment::{try_run_fleet_survey, CellSummary, FleetSurveyConfig};
-use wsc_tcmalloc::{PagemapArm, TcmallocConfig};
+use wsc_tcmalloc::TcmallocConfig;
 
 /// Cargo runs benches with cwd = the package dir; anchor the report to the
 /// workspace root so CI finds it at a fixed path.
@@ -105,35 +103,6 @@ fn main() {
     );
     let identical = true; // both equalities asserted above
 
-    // Pagemap-arm timing: the same survey slice under the (default)
-    // masking pagemap vs the radix arm. The two are simulation-neutral by
-    // contract, so the summaries must match byte-for-byte; only the
-    // bookkeeping cost may differ.
-    let arm_slice = (cfg.machines / 10).max(100);
-    let arm_cfg = FleetSurveyConfig {
-        machines: arm_slice.min(cfg.machines),
-        ..cfg.clone()
-    };
-    let masking = experiment.with_pagemap_arm(PagemapArm::Masking);
-    let radix = experiment.with_pagemap_arm(PagemapArm::Radix);
-    let (masking_ns, masking_summary) = timed_survey(
-        &threaded_scale.engine,
-        &arm_cfg,
-        control.with_pagemap_arm(PagemapArm::Masking),
-        masking,
-    );
-    let (radix_ns, radix_summary) = timed_survey(
-        &threaded_scale.engine,
-        &arm_cfg,
-        control.with_pagemap_arm(PagemapArm::Radix),
-        radix,
-    );
-    assert_eq!(
-        masking_summary.encode(),
-        radix_summary.encode(),
-        "pagemap arms are not simulation-neutral"
-    );
-
     let machines_per_sec = cfg.machines as f64 / (serial_ns / 1e9);
     let speedup_threads = serial_ns / threaded_ns.max(1.0);
     let speedup_shards = serial_ns / sharded_ns.max(1.0);
@@ -143,10 +112,6 @@ fn main() {
     println!("serial      {serial_ns:>14.0} ns  ({machines_per_sec:.0} machines/s)");
     println!("threads={threads}   {threaded_ns:>14.0} ns  ({speedup_threads:.2}x)");
     println!("shards={shards}    {sharded_ns:>14.0} ns  ({speedup_shards:.2}x)");
-    println!(
-        "pagemap     masking {:.0} ns vs radix {:.0} ns over {} machines",
-        masking_ns, radix_ns, arm_cfg.machines
-    );
     println!(
         "peak RSS    {rss_kb} kB  | folded bytes {}",
         serial_bytes.len()
@@ -183,8 +148,6 @@ fn main() {
         .num("speedup_threads", speedup_threads)
         .num("speedup_shards", speedup_shards)
         .flag("speedup_gate_enforced", gate_enforced)
-        .num("masking_ns", masking_ns)
-        .num("radix_ns", radix_ns)
         .int("peak_rss_kb", rss_kb)
         .int("summary_bytes", serial_bytes.len() as u64)
         .num("fleet_throughput_pct", fleet.throughput_pct())

@@ -1,158 +1,4 @@
-//! A minimal wall-clock microbenchmark harness (hermetic replacement for
-//! criterion): warm up, take timed samples, and report the median and mean
-//! nanoseconds per iteration on stdout.
-//!
-//! This intentionally mirrors the subset of the criterion API the bench
-//! targets use (`iter`, `iter_batched`, grouped benchmark ids) so the bench
-//! sources read the same, while needing nothing beyond `std`.
-
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Target wall time per measured sample. Short enough that a full bench
-/// run stays interactive, long enough to dominate timer overhead.
-const SAMPLE_TARGET_NS: u128 = 5_000_000;
-
-/// One benchmark's measurement loop, handed to the closure registered with
-/// [`Harness::bench_function`].
-#[derive(Debug)]
-pub struct Bencher {
-    samples: usize,
-    /// Nanoseconds per iteration, one entry per sample.
-    measured: Vec<f64>,
-    /// Iterations per op reported to the throughput summary (e.g. a batch
-    /// of OPS operations per `iter` call).
-    elements_per_iter: u64,
-}
-
-impl Bencher {
-    fn new(samples: usize, elements_per_iter: u64) -> Self {
-        Self {
-            samples,
-            measured: Vec::with_capacity(samples),
-            elements_per_iter,
-        }
-    }
-
-    /// Calibrates an inner-loop count so one sample meets the time target,
-    /// then records `samples` timed samples of `f`.
-    pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        // Calibration: grow the batch until it is long enough to time.
-        let mut batch = 1u64;
-        loop {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            let elapsed = t.elapsed().as_nanos();
-            if elapsed >= SAMPLE_TARGET_NS || batch >= 1 << 24 {
-                break;
-            }
-            batch = (batch * 2).max((batch * SAMPLE_TARGET_NS as u64 / elapsed.max(1) as u64) / 2);
-        }
-        for _ in 0..self.samples {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
-            self.measured
-                .push(t.elapsed().as_nanos() as f64 / batch as f64);
-        }
-    }
-
-    /// Like [`iter`](Self::iter), but re-creates the input with `setup`
-    /// outside the timed region on every iteration (criterion's
-    /// `iter_batched` with small inputs).
-    pub fn iter_batched<I, R>(&mut self, mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> R) {
-        // Setup cost is excluded by timing each call individually; batch
-        // the per-sample iteration count to amortize timer overhead only
-        // when the routine itself is fast.
-        let probe = {
-            let input = setup();
-            let t = Instant::now();
-            black_box(f(input));
-            t.elapsed().as_nanos().max(1)
-        };
-        let batch = (SAMPLE_TARGET_NS / probe).clamp(1, 1 << 16) as u64;
-        for _ in 0..self.samples {
-            let mut total = 0u128;
-            for _ in 0..batch {
-                let input = setup();
-                let t = Instant::now();
-                black_box(f(input));
-                total += t.elapsed().as_nanos();
-            }
-            self.measured.push(total as f64 / batch as f64);
-        }
-    }
-
-    fn summarize(&self, name: &str) {
-        if self.measured.is_empty() {
-            println!("{name:<40} no samples");
-            return;
-        }
-        let mut sorted = self.measured.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = sorted[sorted.len() / 2];
-        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-        let per_elem = median / self.elements_per_iter as f64;
-        if self.elements_per_iter > 1 {
-            println!(
-                "{name:<40} median {median:>12.1} ns/iter  ({per_elem:>8.1} ns/elem, mean {mean:.1})"
-            );
-        } else {
-            println!("{name:<40} median {median:>12.1} ns/iter  (mean {mean:.1})");
-        }
-    }
-}
-
-/// Registers and runs benchmarks, printing one summary line each.
-#[derive(Debug)]
-pub struct Harness {
-    samples: usize,
-    elements_per_iter: u64,
-    group: Option<String>,
-}
-
-impl Harness {
-    /// A harness taking `samples` timed samples per benchmark.
-    pub fn new(samples: usize) -> Self {
-        Self {
-            samples,
-            elements_per_iter: 1,
-            group: None,
-        }
-    }
-
-    /// Starts a named group; subsequent benchmark names are prefixed.
-    pub fn group(&mut self, name: &str) -> &mut Self {
-        self.group = Some(name.to_string());
-        self
-    }
-
-    /// Declares how many logical elements one `iter` call processes.
-    pub fn throughput_elements(&mut self, n: u64) -> &mut Self {
-        self.elements_per_iter = n;
-        self
-    }
-
-    /// Ends the current group and resets the per-iteration element count.
-    pub fn finish(&mut self) {
-        self.group = None;
-        self.elements_per_iter = 1;
-    }
-
-    /// Runs one benchmark and prints its summary.
-    pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) {
-        let full = match &self.group {
-            Some(g) => format!("{g}/{name}"),
-            None => name.to_string(),
-        };
-        let mut b = Bencher::new(self.samples, self.elements_per_iter);
-        f(&mut b);
-        b.summarize(&full);
-    }
-}
+//! The machine-readable result writer the self-asserting benches share.
 
 /// A flat, insertion-ordered JSON object for machine-readable benchmark
 /// results (e.g. `BENCH_parallel.json`), written without any external

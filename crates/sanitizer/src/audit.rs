@@ -99,7 +99,7 @@ pub struct HugepageSnapshot {
     pub used_and_released: u32,
 }
 
-/// Occupancy of one radix-pagemap leaf, as reported by the allocator.
+/// Occupancy of one pagemap leaf, as reported by the allocator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagemapLeafSnapshot {
     /// First page number the leaf covers (aligned to the leaf size).
@@ -143,10 +143,10 @@ pub struct Snapshot {
     pub occupancy_lists: usize,
     /// Pages registered in the pagemap.
     pub pagemap_pages: u64,
-    /// Pages covered by one radix-pagemap leaf (0 disables the per-leaf
-    /// audit, for callers without a radix pagemap).
+    /// Pages covered by one pagemap leaf (0 disables the per-leaf audit,
+    /// for callers that report no leaves).
     pub pages_per_leaf: u64,
-    /// Per-leaf occupancy counters of the radix pagemap, ascending by
+    /// Per-leaf occupancy counters of the pagemap, ascending by
     /// `base_page`, omitting empty leaves.
     pub pagemap_leaves: Vec<PagemapLeafSnapshot>,
     /// TCMalloc pages per hugepage (256).
@@ -384,11 +384,11 @@ fn audit_pagemap(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     audit_pagemap_leaves(snap, out);
 }
 
-/// The radix-leaf occupancy audit: every leaf's counter must equal the
+/// The pagemap-leaf occupancy audit: every leaf's counter must equal the
 /// number of live-span pages falling inside that leaf's page run, and the
 /// counters must sum to the pagemap total. Walks the reported leaves
 /// against an independently recomputed per-leaf tally of the span
-/// inventory. Skipped when `pages_per_leaf` is 0 (no radix pagemap).
+/// inventory. Skipped when `pages_per_leaf` is 0 (no leaves reported).
 fn audit_pagemap_leaves(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     use std::collections::BTreeMap;
     use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;

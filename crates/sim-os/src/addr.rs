@@ -55,6 +55,20 @@ pub fn tcmalloc_page_index(addr: u64) -> u64 {
     addr / TCMALLOC_PAGE_BYTES
 }
 
+/// The bits of 64-bit word `w` of a multi-word bit mask that fall inside the
+/// bit range `[lo, hi)` — what lets a range update touch each word once
+/// instead of each bit (the pageheap's and the page table's 256-bit
+/// per-hugepage page masks).
+#[inline]
+pub fn word_mask(w: usize, lo: u32, hi: u32) -> u64 {
+    let word_lo = w as u32 * 64;
+    let (a, b) = (lo.max(word_lo), hi.min(word_lo + 64));
+    if a >= b {
+        return 0;
+    }
+    (u64::MAX >> (64 - (b - a))) << (a - word_lo)
+}
+
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -101,5 +115,24 @@ mod tests {
     fn is_aligned_checks() {
         assert!(is_aligned(HUGE_PAGE_BYTES, HUGE_PAGE_BYTES));
         assert!(!is_aligned(HUGE_PAGE_BYTES + 1, HUGE_PAGE_BYTES));
+    }
+
+    #[test]
+    fn word_masks_tile_the_hugepage() {
+        for (lo, hi) in [
+            (0, 256),
+            (0, 1),
+            (63, 65),
+            (64, 128),
+            (100, 101),
+            (255, 256),
+        ] {
+            let words = (TCMALLOC_PAGES_PER_HUGE / 64) as usize;
+            let bits: u32 = (0..words).map(|w| word_mask(w, lo, hi).count_ones()).sum();
+            assert_eq!(bits, hi - lo, "{lo}..{hi}");
+            let w = (lo / 64) as usize;
+            assert_ne!(word_mask(w, lo, hi) & (1 << (lo % 64)), 0, "{lo}..{hi}");
+        }
+        assert_eq!(word_mask(1, 0, 64), 0);
     }
 }

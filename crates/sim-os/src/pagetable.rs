@@ -9,7 +9,7 @@
 //! metric of Figure 17a: the fraction of resident heap bytes backed by
 //! hugepages.
 
-use crate::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
+use crate::addr::{word_mask, HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 use crate::faults::OsError;
 use wsc_sim_hw::tlb::PageSize;
 
@@ -65,27 +65,16 @@ impl HugeRec {
     }
 }
 
-/// Bits `lo..hi` of a hugepage's 256-bit page mask that fall in word `w`.
-fn word_mask(w: usize, lo: u64, hi: u64) -> u64 {
-    let word_lo = w as u64 * 64;
-    let (a, b) = (lo.max(word_lo), hi.min(word_lo + 64));
-    if a >= b {
-        0
-    } else {
-        (u64::MAX >> (64 - (b - a))) << (a - word_lo)
-    }
-}
-
 /// Splits the non-empty TCMalloc-page range `first..last` by hugepage:
 /// yields each touched hugepage index with the range `lo..hi` of its own
 /// pages (`0..=256`) that lie inside.
-fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u64, u64)> {
+fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u32, u32)> {
     let per = TCMALLOC_PAGES_PER_HUGE;
     (first / per..=(last - 1) / per).map(move |hp| {
         (
             hp,
-            first.max(hp * per) - hp * per,
-            last.min((hp + 1) * per) - hp * per,
+            (first.max(hp * per) - hp * per) as u32,
+            (last.min((hp + 1) * per) - hp * per) as u32,
         )
     })
 }
@@ -519,26 +508,6 @@ mod tests {
         let mut pt = PageTable::new();
         pt.on_mmap(0, HP);
         pt.on_mmap(crate::vmm::HEAP_BASE, HP);
-    }
-
-    #[test]
-    fn word_masks_tile_the_hugepage() {
-        for (lo, hi) in [
-            (0, 256),
-            (0, 1),
-            (63, 65),
-            (64, 128),
-            (100, 101),
-            (255, 256),
-        ] {
-            let bits: u64 = (0..MASK_WORDS)
-                .map(|w| u64::from(word_mask(w, lo, hi).count_ones()))
-                .sum();
-            assert_eq!(bits, hi - lo, "{lo}..{hi}");
-            let w = (lo / 64) as usize;
-            assert_ne!(word_mask(w, lo, hi) & (1 << (lo % 64)), 0, "{lo}..{hi}");
-        }
-        assert_eq!(word_mask(1, 0, 64), 0);
     }
 
     /// The retired `BTreeMap` page table, kept only as the model the flat

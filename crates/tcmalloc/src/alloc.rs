@@ -142,7 +142,7 @@ impl Tcmalloc {
             transfer,
             central,
             spans: SpanRegistry::new(),
-            pagemap: Pagemap::new(cfg.pagemap_arm),
+            pagemap: Pagemap::new(),
             pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::new(vmm, cfg.hard_limit)),
             sampler: Sampler::new(cfg.sample_period_bytes),
             deferred: DeferredFrees::new(cfg.free_arm, table.num_classes()),
@@ -409,32 +409,9 @@ impl Tcmalloc {
                 });
             }
         }
-        if class.is_none() {
-            // Validate before any mutation so an invalid large free is a
-            // clean no-op at the Err return. (With the sanitizer on the
-            // shadow check above already rejected and reported it.)
-            let Some(id) = self.pagemap.span_of(addr) else {
-                return Err(FreeError::InvalidFree { addr });
-            };
-            let span = self.spans.get(id);
-            if span.state != SpanState::Large || span.start != addr {
-                return Err(FreeError::InvalidFree { addr });
-            }
-        }
-        // The emptiness check keeps the common case (nothing sampled live)
-        // off the hash probe entirely.
-        if !self.live_samples.is_empty() {
-            if let Some((sz, t, weight)) = self.live_samples.remove(&addr) {
-                let lifetime = self.clock.now_ns().saturating_sub(t);
-                self.bus.emit(AllocEvent::SampledFree {
-                    size: sz,
-                    lifetime_ns: lifetime,
-                    weight,
-                });
-            }
-        }
         let (actual, path) = match class {
             Some(cl) => {
+                self.retire_sample(addr);
                 debug_assert_eq!(
                     self.pagemap
                         .span_of(addr)
@@ -493,12 +470,18 @@ impl Tcmalloc {
                 (self.table.info(cl).size, path)
             }
             None => {
-                // Validated above: the lookup cannot fail here.
-                let id = self
-                    .pagemap
-                    .span_of(addr)
-                    .expect("validated large free lost its span");
-                let pages = self.spans.get(id).pages;
+                // Validate before any mutation so an invalid large free is a
+                // clean no-op at the Err return. (With the sanitizer on the
+                // shadow check above already rejected and reported it.)
+                let Some(id) = self.pagemap.span_of(addr) else {
+                    return Err(FreeError::InvalidFree { addr });
+                };
+                let span = self.spans.get(id);
+                if span.state != SpanState::Large || span.start != addr {
+                    return Err(FreeError::InvalidFree { addr });
+                }
+                let pages = span.pages;
+                self.retire_sample(addr);
                 let span = self.spans.remove(id);
                 debug_assert!(span.size_class.is_none());
                 // SpanRetire feeds the sanitizer's page mirror via the bus.
@@ -521,6 +504,23 @@ impl Tcmalloc {
             self.audit_now();
         }
         Ok(FreeOutcomeInfo { path, ns })
+    }
+
+    /// Closes the GWP sample taken at `addr`, if there is one, reporting the
+    /// object's lifetime.
+    fn retire_sample(&mut self, addr: u64) {
+        // The emptiness check keeps the common case (nothing sampled live)
+        // off the hash probe entirely.
+        if !self.live_samples.is_empty() {
+            if let Some((sz, t, weight)) = self.live_samples.remove(&addr) {
+                let lifetime = self.clock.now_ns().saturating_sub(t);
+                self.bus.emit(AllocEvent::SampledFree {
+                    size: sz,
+                    lifetime_ns: lifetime,
+                    weight,
+                });
+            }
+        }
     }
 
     /// Tags the spans backing `objs` with the refilling vCPU (latest
@@ -590,14 +590,23 @@ impl Tcmalloc {
             self.transfer.stash(shard, cl, objs, &mut self.bus)
         };
         if rest.is_empty() {
-            return AllocPath::TransferCache;
+            AllocPath::TransferCache
+        } else if self.return_to_central(cl, rest) {
+            AllocPath::PageHeap
+        } else {
+            AllocPath::CentralFreeList
         }
+    }
+
+    /// Hands `objs` back to their spans on the central free list. Returns
+    /// whether a span drained completely and went back to the pageheap.
+    fn return_to_central(&mut self, cl: usize, objs: Vec<u64>) -> bool {
         self.bus.emit(AllocEvent::CentralReturn {
             class: cl as u16,
-            count: rest.len() as u32,
+            count: objs.len() as u32,
         });
         let mut released = false;
-        for addr in rest {
+        for addr in objs {
             let id = self
                 .pagemap
                 .span_of(addr)
@@ -612,11 +621,7 @@ impl Tcmalloc {
                 &mut self.bus,
             );
         }
-        if released {
-            AllocPath::PageHeap
-        } else {
-            AllocPath::CentralFreeList
-        }
+        released
     }
 
     /// Runs due background maintenance: the §4.1 cache resizer, the §4.2
@@ -656,24 +661,7 @@ impl Tcmalloc {
             }
             let evicted = self.transfer.decay(&mut self.bus);
             for (cl, objs) in evicted {
-                self.bus.emit(AllocEvent::CentralReturn {
-                    class: cl as u16,
-                    count: objs.len() as u32,
-                });
-                for addr in objs {
-                    let id = self
-                        .pagemap
-                        .span_of(addr)
-                        .expect("cached object lost its span");
-                    self.central[cl].dealloc(
-                        addr,
-                        id,
-                        &mut self.spans,
-                        &mut self.pagemap,
-                        &mut self.pageheap,
-                        &mut self.bus,
-                    );
-                }
+                self.return_to_central(cl, objs);
             }
         }
         if now >= self.next_release_ns {

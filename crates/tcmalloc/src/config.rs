@@ -49,32 +49,6 @@ impl FreeArm {
     }
 }
 
-/// Which pagemap structure backs the page-index → span lookup.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PagemapArm {
-    /// Two-level radix tree over page numbers — production TCMalloc's
-    /// layout. Kept fully selectable for comparison runs.
-    Radix,
-    /// Aligned-segment address masking (`ptr & SEGMENT_MASK` → slot),
-    /// rpmalloc/mimalloc-style: one flat segment-aligned window, a lookup
-    /// is pure address arithmetic plus a single bounds-checked load. The
-    /// default: fleet A/B confirmed it simulation-identical to the radix
-    /// arm (byte-equal run reports across configs and workloads) at lower
-    /// bookkeeping cost.
-    #[default]
-    Masking,
-}
-
-impl PagemapArm {
-    /// Short display name (bench/report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            PagemapArm::Radix => "radix",
-            PagemapArm::Masking => "masking",
-        }
-    }
-}
-
 /// Complete allocator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcmallocConfig {
@@ -113,7 +87,7 @@ pub struct TcmallocConfig {
     pub sanitize: SanitizeLevel,
     /// Feed the event stream into the derived stats view (cycle
     /// attribution + GWP profile). On by default; benches measuring raw
-    /// allocator throughput turn it off for a true `Off`-sink run.
+    /// allocator throughput turn it off for a run that books nothing.
     pub stats_sink: bool,
     /// Keep the last N events in a bounded [`TraceRing`]
     /// (crate::events::TraceRing) for Chrome-trace export. 0 = off.
@@ -136,11 +110,6 @@ pub struct TcmallocConfig {
     /// Cross-thread free mechanism. [`FreeArm::OwnerOnly`] (the default)
     /// keeps the pre-ownership behaviour byte-identical.
     pub free_arm: FreeArm,
-    /// Pagemap structure for the address → span lookup. Both arms are
-    /// contract-identical; [`PagemapArm::Masking`] is the default, with
-    /// the radix arm selectable via
-    /// [`with_pagemap_arm`](Self::with_pagemap_arm).
-    pub pagemap_arm: PagemapArm,
 }
 
 impl TcmallocConfig {
@@ -176,7 +145,6 @@ impl TcmallocConfig {
             hard_limit: None,
             os_faults: None,
             free_arm: FreeArm::OwnerOnly,
-            pagemap_arm: PagemapArm::Masking,
         }
     }
 
@@ -274,12 +242,6 @@ impl TcmallocConfig {
         self.free_arm = arm;
         self
     }
-
-    /// Selects the pagemap structure (see [`PagemapArm`]).
-    pub fn with_pagemap_arm(mut self, arm: PagemapArm) -> Self {
-        self.pagemap_arm = arm;
-        self
-    }
 }
 
 impl Default for TcmallocConfig {
@@ -315,22 +277,6 @@ mod tests {
         // Ownership routing defaults to pass-through: remote frees behave
         // exactly like local ones unless an arm is opted into.
         assert_eq!(c.free_arm, FreeArm::OwnerOnly);
-        // Hot-path structure default: the masking pagemap (verified
-        // simulation-identical to the radix arm).
-        assert_eq!(c.pagemap_arm, PagemapArm::Masking);
-    }
-
-    #[test]
-    fn pagemap_arm_builder_and_names() {
-        let c = TcmallocConfig::optimized().with_pagemap_arm(PagemapArm::Radix);
-        assert_eq!(c.pagemap_arm, PagemapArm::Radix, "radix stays selectable");
-        assert_eq!(
-            TcmallocConfig::optimized().pagemap_arm,
-            PagemapArm::Masking,
-            "optimized() follows the (masking) default lookup structure"
-        );
-        assert_eq!(PagemapArm::Radix.name(), "radix");
-        assert_eq!(PagemapArm::Masking.name(), "masking");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   or Perfetto),
 //! * a [`Recorder`] captures the raw stream for the determinism and
 //!   conservation tests, and
-//! * a fan-out [`Tee`] composes further [`EventSink`]s.
+//! * further [`EventSink`]s [`attach`](EventBus::attach)ed to the bus see
+//!   every event after the built-in consumers.
 //!
 //! Determinism: timestamps come from the *simulated* [`Clock`], the fan-out
 //! order is fixed (stats → sanitizer → trace → recorder → extra sinks), and
@@ -697,26 +698,6 @@ pub trait EventSink: Send {
     fn on_event(&mut self, ts_ns: u64, ev: &AllocEvent);
 }
 
-/// The no-op sink: observability fully off.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Off;
-
-impl EventSink for Off {
-    fn on_event(&mut self, _ts_ns: u64, _ev: &AllocEvent) {}
-}
-
-/// Fan-out composition of two sinks; nest for more
-/// (`Tee(a, Tee(b, c))`). `A` observes each event before `B`.
-#[derive(Clone, Debug, Default)]
-pub struct Tee<A: EventSink, B: EventSink>(pub A, pub B);
-
-impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
-    fn on_event(&mut self, ts_ns: u64, ev: &AllocEvent) {
-        self.0.on_event(ts_ns, ev);
-        self.1.on_event(ts_ns, ev);
-    }
-}
-
 /// Unbounded capture of the raw stream, for tests and tools. (Not for the
 /// hot path of long runs — use [`TraceRing`] there.)
 #[derive(Clone, Debug, Default)]
@@ -1152,7 +1133,7 @@ mod tests {
         assert!(!quiet.observed);
         assert!(buses.iter().all(|b| b.observed));
         let mut late = bus(TcmallocConfig::optimized());
-        late.attach(Box::new(Off));
+        late.attach(Box::new(Recorder::new()));
         assert!(late.observed, "attach flips it for good");
         buses.push(late);
         for i in 0..137u64 {
@@ -1208,14 +1189,6 @@ mod tests {
         // The span vanished with a live object on it: the shadow reports a
         // leak, and the object is forgotten.
         assert_eq!(b.sanitizer().shadow().live_count(), 0);
-    }
-
-    #[test]
-    fn tee_fans_out_in_order() {
-        let mut t = Tee(Recorder::new(), Recorder::new());
-        t.on_event(5, &hit());
-        assert_eq!(t.0.events(), t.1.events());
-        assert_eq!(t.0.events().len(), 1);
     }
 
     #[test]

@@ -59,9 +59,9 @@ pub mod stats;
 pub mod transfer;
 
 pub use alloc::{AllocOutcome, FreeError, FreeOutcomeInfo, Tcmalloc};
-pub use config::{FreeArm, PagemapArm, TcmallocConfig};
+pub use config::{FreeArm, TcmallocConfig};
 pub use deferred::{DeferredFrees, QueuedVia, MSG_BATCH};
-pub use events::{AllocEvent, EventBus, EventSink, Off, Recorder, Tee, TraceRing};
+pub use events::{AllocEvent, EventBus, EventSink, Recorder, TraceRing};
 pub use pageheap::{AllocError, OsLayer};
 pub use span::{ArenaStats, SpanId};
 pub use stats::{CycleCategory, CycleStats, FragmentationBreakdown, StatsView};

@@ -25,7 +25,7 @@ use super::cache::HugeCache;
 use super::os::{AllocError, OsLayer};
 use crate::events::{AllocEvent, EventBus};
 use wsc_prng::IntMap;
-use wsc_sim_os::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
+use wsc_sim_os::addr::{word_mask, HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 
 /// TCMalloc pages per hugepage (256).
 pub const HP_PAGES: u32 = TCMALLOC_PAGES_PER_HUGE as u32;
@@ -49,16 +49,6 @@ const INDEX_WORDS: usize = HP_PAGES as usize / 64 + 1;
 
 /// A 256-bit page mask, one bit per TCMalloc page of a hugepage.
 type PageMask = [u64; WORDS];
-
-/// The bits of mask word `w` that fall inside the page range `[start, end)`.
-fn word_range(w: usize, start: u32, end: u32) -> u64 {
-    let lo = w as u32 * 64;
-    let (s, e) = (start.max(lo), end.min(lo + 64));
-    if s >= e {
-        return 0;
-    }
-    (!0u64 >> (64 - (e - s))) << (s - lo)
-}
 
 /// Maximal runs of set bits in a page mask, lowest first, as
 /// `(start, len)`. A run that crosses a word boundary is yielded once. Each
@@ -150,7 +140,7 @@ impl PageTracker {
     /// whole-word update per mask word.
     fn set_used(&mut self, start: u32, n: u32, v: bool) {
         for (w, word) in self.used_mask.iter_mut().enumerate() {
-            let m = word_range(w, start, start + n);
+            let m = word_mask(w, start, start + n);
             if v {
                 debug_assert!(*word & m == 0, "page in {start}+{n} already used");
                 *word |= m;
@@ -171,7 +161,7 @@ impl PageTracker {
     fn clear_released(&mut self, start: u32, n: u32) -> u32 {
         let mut cleared = 0;
         for (w, word) in self.released_mask.iter_mut().enumerate() {
-            let m = word_range(w, start, start + n);
+            let m = word_mask(w, start, start + n);
             cleared += (*word & m).count_ones();
             *word &= !m;
         }
@@ -180,7 +170,7 @@ impl PageTracker {
 
     fn set_released(&mut self, start: u32, n: u32) {
         for (w, word) in self.released_mask.iter_mut().enumerate() {
-            *word |= word_range(w, start, start + n);
+            *word |= word_mask(w, start, start + n);
         }
     }
 

@@ -2,80 +2,48 @@
 //!
 //! `free(ptr)` carries no size information beyond the sized-delete hint, so
 //! the allocator must recover the owning span from the address alone — the
-//! single most-executed lookup in the middle and back tiers. Production
-//! TCMalloc resolves it through a 2–3 level radix tree over page numbers;
-//! the simulation now uses the same structure: a two-level radix tree
-//! ([`PageMap`]) whose root is indexed by the high bits of the TCMalloc page
-//! number and whose leaves each cover a fixed run of
-//! [`PAGES_PER_LEAF`] pages (256 MiB of address space), with
+//! single most-executed lookup in the middle and back tiers (one per object
+//! a slow-tier return hands back). [`Pagemap`] keeps one flat window of
+//! per-page slots, aligned to and grown in whole **leaves** of
+//! [`PAGES_PER_LEAF`] pages (256 MiB of address space), so a lookup is
+//! subtract, bounds-check, load — rpmalloc/mimalloc-style address
+//! arithmetic over one reservation, with
 //!
-//! * a one-entry **last-span hit cache** in front of the tree (span-local
-//!   free bursts resolve without touching the root),
-//! * **batched** `set_range`/`clear_range` that write whole leaf slices
-//!   instead of performing one map operation per page, and
+//! * a one-entry **last-span hit cache** in front of the window (span-local
+//!   free bursts resolve without touching it),
+//! * **batched** `set_range`/`clear_range` that write one contiguous slot
+//!   slice per span, and
 //! * per-leaf **occupancy counters** the sanitizer audits against the span
 //!   inventory.
 //!
-//! One sim-scale substitution (documented in DESIGN.md §6): production pins
-//! a fixed-size root by bounding the virtual address space at 48 bits; the
-//! simulation instead *windows* the root over the observed root-index range.
-//! The `Vmm` bump-allocates from a canonical heap base, so the window stays
-//! a handful of entries while remaining O(1) — index arithmetic, no search.
-//!
-//! The previous per-page `HashMap` implementation survives as
-//! [`HashPageMap`]: it is the baseline the `hotpath` benchmark compares
-//! against and the oracle its same-run agreement assertion checks, and it
-//! deliberately exposes no iteration order.
-//!
-//! A second production-shaped arm, [`MaskingPageMap`], resolves the same
-//! lookup rpmalloc/mimalloc-style: addresses are grouped into
-//! **aligned segments** (`addr & SEGMENT_MASK` names the segment base) and
-//! the map keeps one flat, segment-aligned window of per-page slots, so a
-//! lookup is pure address arithmetic plus a single bounds-checked load —
-//! no root indirection. [`Pagemap`] is the config-selected dispatch the
-//! allocator tiers hold; `benches/hotpath.rs` races the two arms against
-//! each other (and the hash baseline) with an every-pointer agreement
-//! assertion.
+//! Production TCMalloc resolves the same lookup through a 2–3 level radix
+//! tree, which pays O(touched leaves) memory where this window pays
+//! O(address spread). The substitution is sound here (DESIGN.md §6): the
+//! lookup's simulated *cost* is priced by `wsc_sim_hw::cost`, never by this
+//! host structure, and the `Vmm` bump-allocates densely from a canonical
+//! heap base, so the window stays a handful of leaves.
 
-use crate::config::PagemapArm;
 use crate::span::SpanId;
 use std::cell::Cell;
-use std::collections::HashMap;
-use wsc_sim_os::addr::{tcmalloc_page_index, TCMALLOC_PAGE_BYTES};
+use wsc_sim_os::addr::tcmalloc_page_index;
 
-/// log2 of the pages covered by one radix leaf.
+/// log2 of the pages covered by one leaf.
 pub const LEAF_BITS: u32 = 15;
 
-/// TCMalloc pages covered by one radix leaf (32 768 pages = 256 MiB).
+/// TCMalloc pages covered by one leaf (32 768 pages = 256 MiB): the
+/// alignment and growth unit of the window and the granule of the
+/// sanitizer's occupancy audit.
 pub const PAGES_PER_LEAF: u64 = 1 << LEAF_BITS;
 
-/// Ceiling on the root window, in leaves. 2^22 leaves cover 1 PiB of
-/// address-space *spread*; a wider spread indicates address corruption, not
-/// a bigger heap.
-const MAX_ROOT_WINDOW: u64 = 1 << 22;
+/// Ceiling on the window, in leaves. 2^12 leaves cover 1 TiB of
+/// address-space *spread*, far beyond what the bump-allocating `Vmm` ever
+/// produces; a wider spread indicates address corruption.
+const MAX_WINDOW_LEAVES: u64 = 1 << 12;
 
-/// Sentinel marking an unregistered page inside a leaf.
+/// Sentinel marking an unregistered page.
 const EMPTY: u32 = u32::MAX;
 
-/// One radix leaf: span ids for a fixed, aligned run of pages.
-#[derive(Clone, Debug)]
-struct Leaf {
-    /// `PAGES_PER_LEAF` slots; `EMPTY` = unregistered.
-    slots: Vec<u32>,
-    /// Registered pages in this leaf (the sanitizer's occupancy term).
-    used: u32,
-}
-
-impl Leaf {
-    fn new() -> Self {
-        Self {
-            slots: vec![EMPTY; PAGES_PER_LEAF as usize],
-            used: 0,
-        }
-    }
-}
-
-/// Occupancy of one radix leaf, exported for the sanitizer's pagemap audit.
+/// Occupancy of one leaf, exported for the sanitizer's pagemap audit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LeafOccupancy {
     /// First page number the leaf covers (aligned to [`PAGES_PER_LEAF`]).
@@ -84,335 +52,88 @@ pub struct LeafOccupancy {
     pub pages_used: u64,
 }
 
-/// Two-level radix-tree page-index → span mapping.
+/// Page-index → span mapping: one flat, leaf-aligned window of per-page
+/// slots.
 ///
 /// # Example
 ///
 /// ```
-/// use wsc_tcmalloc::pagemap::PageMap;
+/// use wsc_tcmalloc::pagemap::Pagemap;
 /// use wsc_tcmalloc::span::SpanId;
 ///
-/// let mut pm = PageMap::new();
+/// let mut pm = Pagemap::new();
 /// pm.set_range(0x10000, 4, SpanId(7));
 /// assert_eq!(pm.span_of(0x10000 + 100), Some(SpanId(7)));
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct PageMap {
-    /// Leaves, indexed by `root_index - root_base`.
-    root: Vec<Option<Box<Leaf>>>,
-    /// Root index of `root[0]`; meaningful once `root` is non-empty.
-    root_base: u64,
-    /// Registered pages across all leaves.
+pub struct Pagemap {
+    /// Per-page slots for the covered window; `EMPTY` = unregistered.
+    slots: Vec<u32>,
+    /// First page of the window, aligned to [`PAGES_PER_LEAF`]; meaningful
+    /// once `slots` is non-empty.
+    base_page: u64,
+    /// Registered pages per leaf (the sanitizer's occupancy term),
+    /// `slots.len() / PAGES_PER_LEAF` entries.
+    leaf_used: Vec<u32>,
+    /// Registered pages across the window.
     pages: u64,
     /// Last-span hit cache: `(first_page, last_page, span_id)`. Purely an
     /// accelerator — never changes lookup results.
     hit: Cell<Option<(u64, u64, SpanId)>>,
 }
 
-impl PageMap {
+impl Pagemap {
     /// Creates an empty pagemap.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The leaf covering `root_idx`, if the window reaches it and the leaf
-    /// was ever populated.
-    fn leaf(&self, root_idx: u64) -> Option<&Leaf> {
-        if self.root.is_empty() || root_idx < self.root_base {
-            return None;
-        }
-        let off = (root_idx - self.root_base) as usize;
-        self.root.get(off)?.as_deref()
-    }
-
-    /// The leaf covering `root_idx`, growing the root window and allocating
-    /// the leaf on demand.
-    fn leaf_mut(&mut self, root_idx: u64) -> &mut Leaf {
-        if self.root.is_empty() {
-            self.root_base = root_idx;
-        }
-        if root_idx < self.root_base {
-            // Extend the window downward, shifting existing leaves.
-            let grow = (self.root_base - root_idx) as usize;
-            let window = self.root.len() as u64 + grow as u64;
-            assert!(window <= MAX_ROOT_WINDOW, "pagemap root window blow-up");
-            let mut fresh: Vec<Option<Box<Leaf>>> = Vec::with_capacity(self.root.len() + grow);
-            fresh.resize_with(grow, || None);
-            fresh.append(&mut self.root);
-            self.root = fresh;
-            self.root_base = root_idx;
-        }
-        let off = (root_idx - self.root_base) as usize;
-        if off >= self.root.len() {
-            assert!(
-                (off as u64) < MAX_ROOT_WINDOW,
-                "pagemap root window blow-up"
-            );
-            self.root.resize_with(off + 1, || None);
-        }
-        self.root[off].get_or_insert_with(|| Box::new(Leaf::new()))
-    }
-
-    /// Registers `num_pages` TCMalloc pages starting at `addr` as belonging
-    /// to `span`, writing whole leaf slices per iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page is already registered (overlapping spans are a
-    /// heap-corruption bug) or if `span` carries the reserved id.
-    // lint:allow(event-completeness) the pagemap is a lookup index, not an
-    // owning tier: the pageheap emits the SpanAlloc covering this range.
-    pub fn set_range(&mut self, addr: u64, num_pages: u32, span: SpanId) {
-        assert_ne!(span.0, EMPTY, "span id {EMPTY:#x} is reserved");
-        let first = tcmalloc_page_index(addr);
-        let last = first + num_pages as u64;
-        let mut page = first;
-        while page < last {
-            let leaf_end = (page | (PAGES_PER_LEAF - 1)) + 1;
-            let chunk_end = leaf_end.min(last);
-            let leaf = self.leaf_mut(page >> LEAF_BITS);
-            let lo = (page & (PAGES_PER_LEAF - 1)) as usize;
-            let hi = lo + (chunk_end - page) as usize;
-            // lint:allow(panic-surface) lo < hi <= PAGES_PER_LEAF by the
-            // leaf_end clamp two lines up.
-            for (i, slot) in leaf.slots[lo..hi].iter_mut().enumerate() {
-                assert!(
-                    *slot == EMPTY,
-                    "page {} already owned by Some(SpanId({}))",
-                    page + i as u64,
-                    *slot
-                );
-                *slot = span.0;
-            }
-            leaf.used += (hi - lo) as u32;
-            page = chunk_end;
-        }
-        self.pages += num_pages as u64;
-        self.hit.set(Some((first, last - 1, span)));
-    }
-
-    /// Unregisters the pages of a span being returned to the pageheap,
-    /// clearing whole leaf slices per iteration. Invalidates the hit cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a page was not registered.
-    // lint:allow(event-completeness) index maintenance; the pageheap emits
-    // the SpanDealloc covering this range.
-    pub fn clear_range(&mut self, addr: u64, num_pages: u32) {
-        let first = tcmalloc_page_index(addr);
-        let last = first + num_pages as u64;
-        let mut page = first;
-        while page < last {
-            let leaf_end = (page | (PAGES_PER_LEAF - 1)) + 1;
-            let chunk_end = leaf_end.min(last);
-            let root_idx = page >> LEAF_BITS;
-            let covered = self.leaf(root_idx).is_some();
-            assert!(covered, "clearing unregistered page {page}");
-            let leaf = self.leaf_mut(root_idx);
-            let lo = (page & (PAGES_PER_LEAF - 1)) as usize;
-            let hi = lo + (chunk_end - page) as usize;
-            // lint:allow(panic-surface) same leaf_end clamp as set_range.
-            for (i, slot) in leaf.slots[lo..hi].iter_mut().enumerate() {
-                assert!(
-                    *slot != EMPTY,
-                    "clearing unregistered page {}",
-                    page + i as u64
-                );
-                *slot = EMPTY;
-            }
-            leaf.used -= (hi - lo) as u32;
-            page = chunk_end;
-        }
-        self.pages -= num_pages as u64;
-        self.hit.set(None);
-    }
-
-    /// [`set_range`](Self::set_range) plus the
-    /// [`PagemapSet`](crate::events::AllocEvent::PagemapSet) boundary event —
-    /// the form the allocator tiers use. The raw method stays public for
-    /// benchmarks and property tests that exercise the radix structure in
-    /// isolation.
-    pub fn set_range_traced(
-        &mut self,
-        addr: u64,
-        num_pages: u32,
-        span: SpanId,
-        bus: &mut crate::events::EventBus,
-    ) {
-        self.set_range(addr, num_pages, span);
-        bus.emit(crate::events::AllocEvent::PagemapSet {
-            addr,
-            pages: num_pages,
-        });
-    }
-
-    /// [`clear_range`](Self::clear_range) plus the
-    /// [`PagemapClear`](crate::events::AllocEvent::PagemapClear) boundary
-    /// event.
-    pub fn clear_range_traced(
-        &mut self,
-        addr: u64,
-        num_pages: u32,
-        bus: &mut crate::events::EventBus,
-    ) {
-        self.clear_range(addr, num_pages);
-        bus.emit(crate::events::AllocEvent::PagemapClear {
-            addr,
-            pages: num_pages,
-        });
-    }
-
-    /// The span owning `addr`, if any. Hits the one-entry span cache first;
-    /// otherwise two indexed loads (root, leaf).
-    pub fn span_of(&self, addr: u64) -> Option<SpanId> {
-        let page = tcmalloc_page_index(addr);
-        if let Some((first, last, span)) = self.hit.get() {
-            if (first..=last).contains(&page) {
-                return Some(span);
-            }
-        }
-        let leaf = self.leaf(page >> LEAF_BITS)?;
-        // lint:allow(panic-surface) the mask keeps the index < PAGES_PER_LEAF.
-        let slot = leaf.slots[(page & (PAGES_PER_LEAF - 1)) as usize];
-        if slot == EMPTY {
-            return None;
-        }
-        let span = SpanId(slot);
-        self.hit.set(Some((page, page, span)));
-        Some(span)
-    }
-
-    /// Number of registered pages.
-    pub fn len(&self) -> usize {
-        self.pages as usize
-    }
-
-    /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
-    /// Occupancy of every populated leaf in ascending `base_page` order —
-    /// the per-leaf counts the sanitizer proves against the span inventory.
-    pub fn leaf_occupancy(&self) -> Vec<LeafOccupancy> {
-        self.root
-            .iter()
-            .enumerate()
-            .filter_map(|(off, leaf)| {
-                leaf.as_deref().map(|l| LeafOccupancy {
-                    base_page: (self.root_base + off as u64) << LEAF_BITS,
-                    pages_used: l.used as u64,
-                })
-            })
-            .filter(|l| l.pages_used > 0)
-            .collect()
-    }
-}
-
-/// log2 of the pages in one masking segment. Kept equal to [`LEAF_BITS`] on
-/// purpose: a masking segment and a radix leaf then cover identical aligned
-/// page runs, so [`MaskingPageMap::leaf_occupancy`] reports the exact shape
-/// the sanitizer's per-leaf audit already proves — the arms differ only in
-/// how a lookup reaches the slot.
-pub const SEGMENT_BITS: u32 = LEAF_BITS;
-
-/// TCMalloc pages per masking segment (32 768 pages = 256 MiB).
-pub const PAGES_PER_SEGMENT: u64 = 1 << SEGMENT_BITS;
-
-/// Address mask selecting the aligned-segment base of a pointer:
-/// `addr & SEGMENT_MASK` is the first byte of the segment that owns `addr`,
-/// rpmalloc/mimalloc-style. The slot lookup below is the page-granular form
-/// of the same arithmetic.
-pub const SEGMENT_MASK: u64 = !(PAGES_PER_SEGMENT * TCMALLOC_PAGE_BYTES - 1);
-
-/// Ceiling on the masking window, in segments. 2^12 segments cover 1 TiB of
-/// address-space *spread*, far beyond what the bump-allocating `Vmm` ever
-/// produces; a wider spread indicates address corruption.
-const MAX_SEGMENT_WINDOW: u64 = 1 << 12;
-
-/// Aligned-segment address-masking pagemap: one flat, segment-aligned window
-/// of per-page slots.
-///
-/// Where the radix arm walks root → leaf, this arm masks the address down to
-/// its segment (`addr & SEGMENT_MASK`) and indexes a single contiguous slot
-/// array whose base is segment-aligned, so `span_of` is subtract, compare,
-/// load. The trade is contiguity: the window spans the whole observed
-/// segment range, so a sparse heap pays O(spread) memory where the radix
-/// tree pays O(touched leaves). The `Vmm` bump-allocates densely, which is
-/// exactly the regime this layout is built for.
-///
-/// Contract-identical to [`PageMap`]: same overlap/unregistered panics, same
-/// reserved-id assert, same one-entry hit-cache semantics, same
-/// [`LeafOccupancy`] export (see [`SEGMENT_BITS`]).
-///
-/// # Example
-///
-/// ```
-/// use wsc_tcmalloc::pagemap::MaskingPageMap;
-/// use wsc_tcmalloc::span::SpanId;
-///
-/// let mut pm = MaskingPageMap::new();
-/// pm.set_range(0x10000, 4, SpanId(7));
-/// assert_eq!(pm.span_of(0x10000 + 100), Some(SpanId(7)));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct MaskingPageMap {
-    /// Per-page slots for the covered window; `EMPTY` = unregistered.
-    slots: Vec<u32>,
-    /// First page of the window, aligned to [`PAGES_PER_SEGMENT`];
-    /// meaningful once `slots` is non-empty.
-    base_page: u64,
-    /// Registered pages per segment (the sanitizer's occupancy term),
-    /// `slots.len() / PAGES_PER_SEGMENT` entries.
-    seg_used: Vec<u32>,
-    /// Registered pages across the window.
-    pages: u64,
-    /// Last-span hit cache, identical semantics to [`PageMap::span_of`]'s.
-    hit: Cell<Option<(u64, u64, SpanId)>>,
-}
-
-impl MaskingPageMap {
-    /// Creates an empty pagemap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows the window (in whole segments, either direction) to cover
-    /// pages `[first, last)`.
+    /// Grows the window (in whole leaves, either direction) to cover pages
+    /// `[first, last)`.
     fn ensure_window(&mut self, first: u64, last: u64) {
-        let lo = first & !(PAGES_PER_SEGMENT - 1);
-        let hi = ((last - 1) | (PAGES_PER_SEGMENT - 1)) + 1;
+        let lo = first & !(PAGES_PER_LEAF - 1);
+        let hi = ((last - 1) | (PAGES_PER_LEAF - 1)) + 1;
         if self.slots.is_empty() {
             self.base_page = lo;
         }
         let new_lo = lo.min(self.base_page);
         let new_hi = hi.max(self.base_page + self.slots.len() as u64);
-        let segments = (new_hi - new_lo) >> SEGMENT_BITS;
-        assert!(
-            segments <= MAX_SEGMENT_WINDOW,
-            "masking pagemap window blow-up"
-        );
+        let leaves = (new_hi - new_lo) >> LEAF_BITS;
+        assert!(leaves <= MAX_WINDOW_LEAVES, "pagemap window blow-up");
         if new_lo < self.base_page {
-            // Extend downward: prepend empty segments, shifting the window.
+            // Extend downward: prepend empty leaves, shifting the window.
             let grow = (self.base_page - new_lo) as usize;
             let mut fresh = vec![EMPTY; grow + self.slots.len()];
             // lint:allow(panic-surface) fresh was sized grow + len one
             // line up.
             fresh[grow..].copy_from_slice(&self.slots);
             self.slots = fresh;
-            let seg_grow = grow >> SEGMENT_BITS;
-            let mut seg_fresh = vec![0u32; seg_grow + self.seg_used.len()];
-            // lint:allow(panic-surface) same sizing for the segment
-            // counters.
-            seg_fresh[seg_grow..].copy_from_slice(&self.seg_used);
-            self.seg_used = seg_fresh;
+            let leaf_grow = grow >> LEAF_BITS;
+            let mut used_fresh = vec![0u32; leaf_grow + self.leaf_used.len()];
+            // lint:allow(panic-surface) same sizing for the leaf counters.
+            used_fresh[leaf_grow..].copy_from_slice(&self.leaf_used);
+            self.leaf_used = used_fresh;
             self.base_page = new_lo;
         }
         let want = (new_hi - self.base_page) as usize;
         if want > self.slots.len() {
             self.slots.resize(want, EMPTY);
-            self.seg_used.resize(want >> SEGMENT_BITS, 0);
+            self.leaf_used.resize(want >> LEAF_BITS, 0);
+        }
+    }
+
+    /// Adds the in-window run `[first, last)` to (`register`) or removes it
+    /// from the per-leaf occupancy counters: one step per leaf the run
+    /// touches, at most ⌈pages / `PAGES_PER_LEAF`⌉ + 1.
+    fn count_leaves(&mut self, first: u64, last: u64, register: bool) {
+        let mut page = first;
+        while page < last {
+            let chunk_end = ((page | (PAGES_PER_LEAF - 1)) + 1).min(last);
+            let n = (chunk_end - page) as u32;
+            // lint:allow(panic-surface) leaf index < window leaves.
+            let used = &mut self.leaf_used[((page - self.base_page) >> LEAF_BITS) as usize];
+            *used = if register { *used + n } else { *used - n };
+            page = chunk_end;
         }
     }
 
@@ -442,10 +163,7 @@ impl MaskingPageMap {
             );
             *slot = span.0;
         }
-        for page in first..last {
-            // lint:allow(panic-surface) seg index < window segments.
-            self.seg_used[((page - self.base_page) >> SEGMENT_BITS) as usize] += 1;
-        }
+        self.count_leaves(first, last, true);
         self.pages += num_pages as u64;
         self.hit.set(Some((first, last - 1, span)));
     }
@@ -477,109 +195,15 @@ impl MaskingPageMap {
             );
             *slot = EMPTY;
         }
-        for page in first..last {
-            // lint:allow(panic-surface) seg index < window segments.
-            self.seg_used[((page - self.base_page) >> SEGMENT_BITS) as usize] -= 1;
-        }
+        self.count_leaves(first, last, false);
         self.pages -= num_pages as u64;
         self.hit.set(None);
     }
 
-    /// The span owning `addr`, if any: hit cache, then window-relative
-    /// arithmetic and a single bounds-checked load.
-    pub fn span_of(&self, addr: u64) -> Option<SpanId> {
-        let page = tcmalloc_page_index(addr);
-        if let Some((first, last, span)) = self.hit.get() {
-            if (first..=last).contains(&page) {
-                return Some(span);
-            }
-        }
-        let off = page.wrapping_sub(self.base_page);
-        let slot = *self.slots.get(off as usize)?;
-        if slot == EMPTY {
-            return None;
-        }
-        let span = SpanId(slot);
-        self.hit.set(Some((page, page, span)));
-        Some(span)
-    }
-
-    /// Number of registered pages.
-    pub fn len(&self) -> usize {
-        self.pages as usize
-    }
-
-    /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
-    /// Occupancy of every non-empty segment in ascending `base_page` order.
-    /// Segments alias radix leaves exactly (see [`SEGMENT_BITS`]), so the
-    /// sanitizer audits this output unchanged.
-    pub fn leaf_occupancy(&self) -> Vec<LeafOccupancy> {
-        self.seg_used
-            .iter()
-            .enumerate()
-            .filter(|(_, used)| **used > 0)
-            .map(|(i, used)| LeafOccupancy {
-                base_page: self.base_page + ((i as u64) << SEGMENT_BITS),
-                pages_used: *used as u64,
-            })
-            .collect()
-    }
-}
-
-/// The config-selected pagemap arm the allocator tiers hold: the two-level
-/// radix tree or the aligned-segment masking map, one predictable branch in
-/// front of contract-identical implementations.
-#[derive(Clone, Debug)]
-pub enum Pagemap {
-    /// Two-level radix tree ([`PageMap`]).
-    Radix(PageMap),
-    /// Aligned-segment address masking ([`MaskingPageMap`]).
-    Masking(MaskingPageMap),
-}
-
-impl Pagemap {
-    /// Creates the arm named by `arm`.
-    pub fn new(arm: PagemapArm) -> Self {
-        match arm {
-            PagemapArm::Radix => Self::Radix(PageMap::new()),
-            PagemapArm::Masking => Self::Masking(MaskingPageMap::new()),
-        }
-    }
-
-    /// The configured arm.
-    pub fn arm(&self) -> PagemapArm {
-        match self {
-            Self::Radix(_) => PagemapArm::Radix,
-            Self::Masking(_) => PagemapArm::Masking,
-        }
-    }
-
-    /// Registers `num_pages` pages starting at `addr` as owned by `span`.
-    // lint:allow(event-completeness) arm dispatch over lookup indexes; the
-    // pageheap emits the SpanAlloc covering this range.
-    pub fn set_range(&mut self, addr: u64, num_pages: u32, span: SpanId) {
-        match self {
-            Self::Radix(pm) => pm.set_range(addr, num_pages, span),
-            Self::Masking(pm) => pm.set_range(addr, num_pages, span),
-        }
-    }
-
-    /// Unregisters the pages of a span.
-    // lint:allow(event-completeness) arm dispatch over lookup indexes; the
-    // pageheap emits the SpanRetire covering this range.
-    pub fn clear_range(&mut self, addr: u64, num_pages: u32) {
-        match self {
-            Self::Radix(pm) => pm.clear_range(addr, num_pages),
-            Self::Masking(pm) => pm.clear_range(addr, num_pages),
-        }
-    }
-
     /// [`set_range`](Self::set_range) plus the
-    /// [`PagemapSet`](crate::events::AllocEvent::PagemapSet) boundary event.
+    /// [`PagemapSet`](crate::events::AllocEvent::PagemapSet) boundary event —
+    /// the form the allocator tiers use. The raw method stays public for
+    /// property tests that exercise the structure in isolation.
     pub fn set_range_traced(
         &mut self,
         addr: u64,
@@ -610,105 +234,48 @@ impl Pagemap {
         });
     }
 
-    /// The span owning `addr`, if any.
+    /// The span owning `addr`, if any: hit cache, then window-relative
+    /// arithmetic and a single bounds-checked load.
     #[inline]
     pub fn span_of(&self, addr: u64) -> Option<SpanId> {
-        match self {
-            Self::Radix(pm) => pm.span_of(addr),
-            Self::Masking(pm) => pm.span_of(addr),
+        let page = tcmalloc_page_index(addr);
+        if let Some((first, last, span)) = self.hit.get() {
+            if (first..=last).contains(&page) {
+                return Some(span);
+            }
         }
+        let off = page.wrapping_sub(self.base_page);
+        let slot = *self.slots.get(off as usize)?;
+        if slot == EMPTY {
+            return None;
+        }
+        let span = SpanId(slot);
+        self.hit.set(Some((page, page, span)));
+        Some(span)
     }
 
     /// Number of registered pages.
     pub fn len(&self) -> usize {
-        match self {
-            Self::Radix(pm) => pm.len(),
-            Self::Masking(pm) => pm.len(),
-        }
+        self.pages as usize
     }
 
     /// Is the map empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pages == 0
     }
 
-    /// Occupancy of every populated leaf/segment in ascending `base_page`
-    /// order (identical shape under both arms; see [`SEGMENT_BITS`]).
+    /// Occupancy of every non-empty leaf in ascending `base_page` order —
+    /// the per-leaf counts the sanitizer proves against the span inventory.
     pub fn leaf_occupancy(&self) -> Vec<LeafOccupancy> {
-        match self {
-            Self::Radix(pm) => pm.leaf_occupancy(),
-            Self::Masking(pm) => pm.leaf_occupancy(),
-        }
-    }
-}
-
-impl Default for Pagemap {
-    fn default() -> Self {
-        Self::new(PagemapArm::default())
-    }
-}
-
-/// The retired per-page `HashMap` pagemap, kept as the `hotpath`
-/// benchmark's baseline and same-run oracle. Same contract as [`PageMap`];
-/// exposes no iteration, so map order can never leak into results.
-#[derive(Clone, Debug, Default)]
-pub struct HashPageMap {
-    // lint:allow(hashmap-decl) key-indexed only; no iteration is exposed
-    pages: HashMap<u64, SpanId>,
-}
-
-impl HashPageMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers `num_pages` pages starting at `addr`, one hash insert per
-    /// page (the cost the radix tree's batched writes eliminate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page is already registered.
-    // lint:allow(event-completeness) comparison-baseline index (same
-    // contract as the radix pagemap above).
-    pub fn set_range(&mut self, addr: u64, num_pages: u32, span: SpanId) {
-        let first = tcmalloc_page_index(addr);
-        for p in first..first + num_pages as u64 {
-            let prev = self.pages.insert(p, span);
-            assert!(prev.is_none(), "page {p} already owned by {prev:?}");
-        }
-    }
-
-    /// Unregisters the pages of a span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a page was not registered.
-    // lint:allow(event-completeness) comparison-baseline index (same
-    // contract as the radix pagemap above).
-    pub fn clear_range(&mut self, addr: u64, num_pages: u32) {
-        let first = tcmalloc_page_index(addr);
-        for p in first..first + num_pages as u64 {
-            assert!(
-                self.pages.remove(&p).is_some(),
-                "clearing unregistered page {p}"
-            );
-        }
-    }
-
-    /// The span owning `addr`, if any.
-    pub fn span_of(&self, addr: u64) -> Option<SpanId> {
-        self.pages.get(&tcmalloc_page_index(addr)).copied()
-    }
-
-    /// Number of registered pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
+        self.leaf_used
+            .iter()
+            .enumerate()
+            .filter(|(_, used)| **used > 0)
+            .map(|(i, used)| LeafOccupancy {
+                base_page: self.base_page + ((i as u64) << LEAF_BITS),
+                pages_used: *used as u64,
+            })
+            .collect()
     }
 }
 
@@ -721,7 +288,7 @@ mod tests {
 
     #[test]
     fn range_lookup() {
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(0, 2, SpanId(1));
         pm.set_range(2 * TCMALLOC_PAGE_BYTES, 1, SpanId(2));
         assert_eq!(pm.span_of(0), Some(SpanId(1)));
@@ -733,14 +300,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already owned")]
     fn overlap_detected() {
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(0, 2, SpanId(1));
         pm.set_range(TCMALLOC_PAGE_BYTES, 1, SpanId(2));
     }
 
     #[test]
     fn clear_then_reuse() {
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(0, 4, SpanId(1));
         pm.clear_range(0, 4);
         assert!(pm.is_empty());
@@ -751,14 +318,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unregistered")]
     fn clear_unregistered_detected() {
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.clear_range(0, 1);
     }
 
     #[test]
     #[should_panic(expected = "unregistered")]
-    fn clear_unregistered_in_populated_leaf_detected() {
-        let mut pm = PageMap::new();
+    fn clear_unregistered_in_window_detected() {
+        let mut pm = Pagemap::new();
         pm.set_range(0, 1, SpanId(1));
         pm.clear_range(4 * TCMALLOC_PAGE_BYTES, 1);
     }
@@ -766,10 +333,10 @@ mod tests {
     #[test]
     fn leaf_boundary_straddling_span() {
         // A span whose page run crosses a leaf boundary must resolve on
-        // both sides and clear cleanly.
+        // both sides, count into both leaves, and clear cleanly.
         let start_page = PAGES_PER_LEAF - 3;
         let addr = start_page * TCMALLOC_PAGE_BYTES;
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(addr, 8, SpanId(5));
         assert_eq!(pm.len(), 8);
         for p in 0..8u64 {
@@ -794,7 +361,7 @@ mod tests {
 
     #[test]
     fn hit_cache_invalidated_on_clear_range() {
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(0, 4, SpanId(1));
         // Prime the cache via a lookup, then clear: the cached range must
         // not survive into the next lookup.
@@ -808,11 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn root_window_grows_downward() {
-        // First touch high, then low: the window must extend backwards
-        // without disturbing existing leaves.
+    fn window_grows_downward() {
+        // First touch high, then low: the flat window must extend backwards
+        // in whole leaves without disturbing existing slots.
         let high = 40 * PAGES_PER_LEAF * TCMALLOC_PAGE_BYTES;
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(high, 2, SpanId(1));
         pm.set_range(0, 2, SpanId(2));
         assert_eq!(pm.span_of(high), Some(SpanId(1)));
@@ -823,150 +390,13 @@ mod tests {
     #[test]
     fn heap_base_addresses_resolve() {
         // The Vmm hands out addresses from the canonical heap base; the
-        // root window must land there without preallocating 2^36 entries.
+        // window must land there without covering everything below it.
         let base = wsc_sim_os::vmm::HEAP_BASE;
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         pm.set_range(base, 256, SpanId(3));
         assert_eq!(pm.span_of(base + 1000), Some(SpanId(3)));
         assert_eq!(pm.len(), 256);
         pm.clear_range(base, 256);
-        assert!(pm.is_empty());
-    }
-
-    #[test]
-    fn masking_range_lookup() {
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(0, 2, SpanId(1));
-        pm.set_range(2 * TCMALLOC_PAGE_BYTES, 1, SpanId(2));
-        assert_eq!(pm.span_of(0), Some(SpanId(1)));
-        assert_eq!(pm.span_of(TCMALLOC_PAGE_BYTES + 5), Some(SpanId(1)));
-        assert_eq!(pm.span_of(2 * TCMALLOC_PAGE_BYTES), Some(SpanId(2)));
-        assert_eq!(pm.span_of(3 * TCMALLOC_PAGE_BYTES), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "already owned")]
-    fn masking_overlap_detected() {
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(0, 2, SpanId(1));
-        pm.set_range(TCMALLOC_PAGE_BYTES, 1, SpanId(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered")]
-    fn masking_clear_unregistered_detected() {
-        let mut pm = MaskingPageMap::new();
-        pm.clear_range(0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unregistered")]
-    fn masking_clear_unregistered_in_window_detected() {
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(0, 1, SpanId(1));
-        pm.clear_range(4 * TCMALLOC_PAGE_BYTES, 1);
-    }
-
-    #[test]
-    fn masking_segment_boundary_straddling_span() {
-        // Same scenario as the radix leaf-straddle test: segments alias
-        // leaves, so the occupancy export must match shape-for-shape.
-        let start_page = PAGES_PER_SEGMENT - 3;
-        let addr = start_page * TCMALLOC_PAGE_BYTES;
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(addr, 8, SpanId(5));
-        assert_eq!(pm.len(), 8);
-        for p in 0..8u64 {
-            assert_eq!(
-                pm.span_of(addr + p * TCMALLOC_PAGE_BYTES),
-                Some(SpanId(5)),
-                "page {p} of the straddling span"
-            );
-        }
-        assert_eq!(pm.span_of(addr - TCMALLOC_PAGE_BYTES), None);
-        assert_eq!(pm.span_of(addr + 8 * TCMALLOC_PAGE_BYTES), None);
-        let occ = pm.leaf_occupancy();
-        assert_eq!(occ.len(), 2, "two segments populated");
-        assert_eq!(occ[0].base_page, 0);
-        assert_eq!(occ[0].pages_used, 3);
-        assert_eq!(occ[1].base_page, PAGES_PER_SEGMENT);
-        assert_eq!(occ[1].pages_used, 5);
-        pm.clear_range(addr, 8);
-        assert!(pm.is_empty());
-        assert!(pm.leaf_occupancy().is_empty());
-    }
-
-    #[test]
-    fn masking_hit_cache_invalidated_on_clear_range() {
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(0, 4, SpanId(1));
-        assert_eq!(pm.span_of(TCMALLOC_PAGE_BYTES), Some(SpanId(1)));
-        pm.clear_range(0, 4);
-        assert_eq!(pm.span_of(TCMALLOC_PAGE_BYTES), None);
-        pm.set_range(0, 4, SpanId(2));
-        assert_eq!(pm.span_of(TCMALLOC_PAGE_BYTES), Some(SpanId(2)));
-    }
-
-    #[test]
-    fn masking_window_grows_downward() {
-        // First touch high, then low: the flat window must extend backwards
-        // in whole segments without disturbing existing slots.
-        let high = 40 * PAGES_PER_SEGMENT * TCMALLOC_PAGE_BYTES;
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(high, 2, SpanId(1));
-        pm.set_range(0, 2, SpanId(2));
-        assert_eq!(pm.span_of(high), Some(SpanId(1)));
-        assert_eq!(pm.span_of(0), Some(SpanId(2)));
-        assert_eq!(pm.len(), 4);
-    }
-
-    #[test]
-    fn masking_heap_base_addresses_resolve() {
-        let base = wsc_sim_os::vmm::HEAP_BASE;
-        let mut pm = MaskingPageMap::new();
-        pm.set_range(base, 256, SpanId(3));
-        assert_eq!(pm.span_of(base + 1000), Some(SpanId(3)));
-        assert_eq!(pm.len(), 256);
-        pm.clear_range(base, 256);
-        assert!(pm.is_empty());
-    }
-
-    #[test]
-    fn segment_mask_names_the_segment_base() {
-        // The documented pointer arithmetic: addr & SEGMENT_MASK is the
-        // first byte of the 256 MiB segment owning addr.
-        let seg_bytes = PAGES_PER_SEGMENT * TCMALLOC_PAGE_BYTES;
-        let base = wsc_sim_os::vmm::HEAP_BASE;
-        assert_eq!(base & SEGMENT_MASK, base - base % seg_bytes);
-        assert_eq!((base + seg_bytes - 1) & SEGMENT_MASK, base & SEGMENT_MASK);
-        assert_eq!(
-            (base + seg_bytes) & SEGMENT_MASK,
-            (base & SEGMENT_MASK) + seg_bytes
-        );
-    }
-
-    #[test]
-    fn dispatch_wrapper_selects_arm() {
-        for arm in [PagemapArm::Radix, PagemapArm::Masking] {
-            let mut pm = Pagemap::new(arm);
-            assert_eq!(pm.arm(), arm);
-            pm.set_range(0, 4, SpanId(1));
-            assert_eq!(pm.span_of(2 * TCMALLOC_PAGE_BYTES), Some(SpanId(1)));
-            assert_eq!(pm.len(), 4);
-            assert_eq!(pm.leaf_occupancy().len(), 1);
-            pm.clear_range(0, 4);
-            assert!(pm.is_empty());
-        }
-    }
-
-    #[test]
-    fn hash_pagemap_matches_contract() {
-        let mut pm = HashPageMap::new();
-        pm.set_range(0, 2, SpanId(1));
-        assert_eq!(pm.span_of(TCMALLOC_PAGE_BYTES), Some(SpanId(1)));
-        assert_eq!(pm.span_of(2 * TCMALLOC_PAGE_BYTES), None);
-        assert_eq!(pm.len(), 2);
-        pm.clear_range(0, 2);
         assert!(pm.is_empty());
     }
 }

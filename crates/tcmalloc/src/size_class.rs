@@ -192,9 +192,10 @@ impl SizeClassTable {
         Some(self.lut[((size + 7) >> 3) as usize] as usize)
     }
 
-    /// The binary-search classification the dense table replaced. Kept for
-    /// the `hotpath` benchmark baseline and the exhaustive equivalence test.
-    pub fn class_for_search(&self, size: u64) -> Option<usize> {
+    /// The binary-search classification the dense table replaced: the
+    /// reference the exhaustive equivalence test holds the table to.
+    #[cfg(test)]
+    fn class_for_search(&self, size: u64) -> Option<usize> {
         if size > MAX_SMALL_SIZE {
             return None;
         }

@@ -386,27 +386,6 @@ impl SpanRegistry {
         addr
     }
 
-    /// Peeks the object index on top of span `id`'s free stack without
-    /// popping it (`None` when the span is exhausted). This is the
-    /// read-only arena probe the hot-path benches race against the retired
-    /// per-span `Vec` layout: one dense `spans` read plus one dense
-    /// `free_pool` read, no per-span heap chase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale.
-    pub fn peek_free(&self, id: SpanId) -> Option<u32> {
-        // Documented panic, as in get().
-        let span = self.spans[id.index()].as_ref().expect("stale span id");
-        if span.free_count() == 0 {
-            return None;
-        }
-        let slot = self.arena.slots[id.index()];
-        let top = slot.free_off as usize + span.free_count() as usize - 1;
-        // top < free_off + region_cap.
-        Some(self.arena.free_pool[top])
-    }
-
     /// Returns an object to span `id`.
     ///
     /// # Panics
@@ -537,21 +516,6 @@ mod tests {
         assert_eq!(a1, base + osize, "then object 1");
         reg.dealloc_object(id, a0);
         assert_eq!(reg.alloc_object(id), a0, "LIFO: last freed, first reused");
-    }
-
-    #[test]
-    fn peek_free_tracks_the_stack_top_without_popping() {
-        let (mut reg, id) = registry_with_span();
-        assert_eq!(reg.peek_free(id), Some(0), "fresh span: object 0 on top");
-        assert_eq!(reg.peek_free(id), Some(0), "peeking does not pop");
-        let a0 = reg.alloc_object(id);
-        assert_eq!(reg.peek_free(id), Some(1), "after popping 0, 1 is next");
-        for _ in 1..reg.get(id).capacity {
-            reg.alloc_object(id);
-        }
-        assert_eq!(reg.peek_free(id), None, "exhausted span has no top");
-        reg.dealloc_object(id, a0);
-        assert_eq!(reg.peek_free(id), Some(0), "freed object returns on top");
     }
 
     #[test]

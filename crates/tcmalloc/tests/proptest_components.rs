@@ -185,78 +185,128 @@ fn pageheap_release_is_safe_at_any_point() {
     }
 }
 
-// --- pagemaps (differential: radix vs masking vs oracle) ---
+// --- pagemap (differential: map vs oracle) ---
 
-/// Races the radix [`PageMap`] and the address-masking [`MaskingPageMap`]
-/// against a `BTreeMap<page, SpanId>` oracle over seeded
+/// Holds [`Pagemap`] to a `BTreeMap<page, SpanId>` oracle — lookups, the
+/// page count and, after every operation, `leaf_occupancy()` against a
+/// per-leaf tally the oracle bumps one page at a time — over seeded
 /// set/clear/lookup interleavings. The schedule is built to hit the
-/// arms' sharp edges:
+/// map's sharp edges:
 ///
 /// * **hit-cache staleness** — every clear first primes the one-entry
 ///   hit cache with a successful lookup inside the doomed span, then
 ///   asserts the lookup is `None` after the clear and that a remap of
 ///   the same pages under a fresh id is returned (not the stale cache);
-/// * **segment-boundary addresses** — a quarter of placements are pinned
-///   to straddle a `PAGES_PER_SEGMENT` boundary, and every case ends
-///   with probes at each boundary ± 1 byte;
+/// * **leaf-boundary addresses** — a quarter of placements are pinned
+///   to straddle a `PAGES_PER_LEAF` boundary, every eighth case opens
+///   with a span covering two whole leaves and the edges of their
+///   neighbours, and every case ends with probes at each boundary
+///   ± 1 byte;
 /// * **downward window growth** — odd cases map near the top of the
-///   roamed extent first, so both arms must re-anchor their windows
-///   below the first mapping.
+///   roamed extent first, so the map must re-anchor its window below
+///   the first mapping.
 #[test]
-fn pagemap_arms_agree_with_btreemap_oracle() {
+fn pagemap_agrees_with_btreemap_oracle() {
     use std::collections::BTreeMap;
-    use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
+    use wsc_sim_os::addr::{tcmalloc_page_index, TCMALLOC_PAGE_BYTES};
     use wsc_sim_os::vmm::HEAP_BASE;
-    use wsc_tcmalloc::pagemap::{MaskingPageMap, PageMap, PAGES_PER_SEGMENT};
+    use wsc_tcmalloc::pagemap::{Pagemap, PAGES_PER_LEAF};
     use wsc_tcmalloc::span::SpanId;
 
-    /// Page extent the cases roam over: 8 masking segments.
-    const WINDOW_PAGES: u64 = 8 * PAGES_PER_SEGMENT;
+    /// Page extent the cases roam over: 8 leaves.
+    const WINDOW_PAGES: u64 = 8 * PAGES_PER_LEAF;
 
     let addr_of = |page: u64| HEAP_BASE + page * TCMALLOC_PAGE_BYTES;
+
+    /// The reference: one entry per registered page, and registered pages
+    /// per leaf keyed by the leaf's first absolute page number.
+    #[derive(Default)]
+    struct Oracle {
+        pages: BTreeMap<u64, SpanId>,
+        leaves: BTreeMap<u64, u64>,
+    }
+    impl Oracle {
+        fn leaf_of(page: u64) -> u64 {
+            let abs = tcmalloc_page_index(HEAP_BASE) + page;
+            abs - abs % PAGES_PER_LEAF
+        }
+        fn set(&mut self, page: u64, len: u32, id: SpanId) {
+            for p in page..page + len as u64 {
+                assert!(self.pages.insert(p, id).is_none());
+                *self.leaves.entry(Self::leaf_of(p)).or_insert(0) += 1;
+            }
+        }
+        fn clear(&mut self, page: u64, len: u32) {
+            for p in page..page + len as u64 {
+                assert!(self.pages.remove(&p).is_some());
+                let leaf = Self::leaf_of(p);
+                let used = self.leaves.get_mut(&leaf).expect("counted leaf");
+                *used -= 1;
+                if *used == 0 {
+                    self.leaves.remove(&leaf);
+                }
+            }
+        }
+        fn check(&self, pm: &Pagemap, what: &str) {
+            let got: BTreeMap<u64, u64> = pm
+                .leaf_occupancy()
+                .into_iter()
+                .map(|l| (l.base_page, l.pages_used))
+                .collect();
+            assert_eq!(got, self.leaves, "leaf occupancy after {what}");
+            assert_eq!(pm.len(), self.pages.len(), "page count after {what}");
+        }
+    }
+
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0x9A6E + case);
-        let mut radix = PageMap::new();
-        let mut mask = MaskingPageMap::new();
-        let mut oracle: BTreeMap<u64, SpanId> = BTreeMap::new();
+        let mut pm = Pagemap::new();
+        let mut oracle = Oracle::default();
         let mut live: Vec<(u64, u32, SpanId)> = Vec::new();
         let mut next_id = 0u32;
-        // Odd cases anchor the windows high first: every later mapping
-        // grows the root/segment window downward.
+        let mut map = |pm: &mut Pagemap, oracle: &mut Oracle, page: u64, len: u32| {
+            let id = SpanId(next_id);
+            next_id += 1;
+            pm.set_range(addr_of(page), len, id);
+            oracle.set(page, len, id);
+            oracle.check(pm, "set");
+            id
+        };
+        // Odd cases anchor the window high first: every later mapping
+        // grows it downward.
         if case % 2 == 1 {
             let page = WINDOW_PAGES - 1;
-            radix.set_range(addr_of(page), 1, SpanId(next_id));
-            mask.set_range(addr_of(page), 1, SpanId(next_id));
-            oracle.insert(page, SpanId(next_id));
-            live.push((page, 1, SpanId(next_id)));
-            next_id += 1;
+            let id = map(&mut pm, &mut oracle, page, 1);
+            live.push((page, 1, id));
+        }
+        // Every eighth case opens with a run that ends three pages into one
+        // leaf, covers the next two whole and starts five pages before the
+        // end of a fourth.
+        if case % 8 == 3 {
+            let (page, len) = (2 * PAGES_PER_LEAF - 5, 2 * PAGES_PER_LEAF as u32 + 8);
+            let id = map(&mut pm, &mut oracle, page, len);
+            live.push((page, len, id));
         }
         for _ in 0..300 {
             match rng.gen_range(0u32..10) {
                 0..=3 => {
                     // Map a fresh span; a quarter of placements straddle a
-                    // segment boundary on purpose.
+                    // leaf boundary on purpose.
                     let len = rng.gen_range(1u32..=40);
                     let page = if rng.gen_range(0u32..4) == 0 {
-                        let seg = rng.gen_range(1u64..WINDOW_PAGES / PAGES_PER_SEGMENT);
-                        (seg * PAGES_PER_SEGMENT).saturating_sub(len as u64 / 2 + 1)
+                        let leaf = rng.gen_range(1u64..WINDOW_PAGES / PAGES_PER_LEAF);
+                        (leaf * PAGES_PER_LEAF).saturating_sub(len as u64 / 2 + 1)
                     } else {
                         rng.gen_range(0..WINDOW_PAGES - len as u64)
                     };
-                    if (page..page + len as u64).any(|p| oracle.contains_key(&p)) {
+                    if (page..page + len as u64).any(|p| oracle.pages.contains_key(&p)) {
                         continue; // placement collides with a live span
                     }
-                    let id = SpanId(next_id);
-                    next_id += 1;
-                    radix.set_range(addr_of(page), len, id);
-                    mask.set_range(addr_of(page), len, id);
-                    for p in page..page + len as u64 {
-                        oracle.insert(p, id);
-                    }
+                    let id = map(&mut pm, &mut oracle, page, len);
                     live.push((page, len, id));
                 }
                 4..=5 => {
-                    // Clear a live span — after priming the hit caches with
+                    // Clear a live span — after priming the hit cache with
                     // a successful lookup inside it.
                     if live.is_empty() {
                         continue;
@@ -264,48 +314,36 @@ fn pagemap_arms_agree_with_btreemap_oracle() {
                     let k = rng.gen_range(0..live.len());
                     let (page, len, id) = live.swap_remove(k);
                     let inside = addr_of(page) + rng.gen_range(0..len as u64 * TCMALLOC_PAGE_BYTES);
-                    assert_eq!(radix.span_of(inside), Some(id));
-                    assert_eq!(mask.span_of(inside), Some(id));
-                    radix.clear_range(addr_of(page), len);
-                    mask.clear_range(addr_of(page), len);
-                    for p in page..page + len as u64 {
-                        oracle.remove(&p);
-                    }
+                    assert_eq!(pm.span_of(inside), Some(id));
+                    pm.clear_range(addr_of(page), len);
+                    oracle.clear(page, len);
+                    oracle.check(&pm, "clear");
                     // The primed hit cache must not resurrect the span.
-                    assert_eq!(radix.span_of(inside), None, "stale radix hit cache");
-                    assert_eq!(mask.span_of(inside), None, "stale masking hit cache");
+                    assert_eq!(pm.span_of(inside), None, "stale hit cache");
                     // Remap the same pages under a fresh id: lookups must
                     // see the new owner, not the cached old one.
                     if rng.gen::<bool>() {
-                        let id2 = SpanId(next_id);
-                        next_id += 1;
-                        radix.set_range(addr_of(page), len, id2);
-                        mask.set_range(addr_of(page), len, id2);
-                        for p in page..page + len as u64 {
-                            oracle.insert(p, id2);
-                        }
+                        let id2 = map(&mut pm, &mut oracle, page, len);
                         live.push((page, len, id2));
-                        assert_eq!(radix.span_of(inside), Some(id2), "stale radix remap");
-                        assert_eq!(mask.span_of(inside), Some(id2), "stale masking remap");
+                        assert_eq!(pm.span_of(inside), Some(id2), "stale remap");
                     }
                 }
                 _ => {
-                    // Random interior-pointer lookup, all three must agree.
+                    // Random interior-pointer lookup.
                     let a = HEAP_BASE + rng.gen_range(0..WINDOW_PAGES * TCMALLOC_PAGE_BYTES);
                     let page = (a - HEAP_BASE) / TCMALLOC_PAGE_BYTES;
-                    let want = oracle.get(&page).copied();
-                    assert_eq!(radix.span_of(a), want, "radix vs oracle at {a:#x}");
-                    assert_eq!(mask.span_of(a), want, "masking vs oracle at {a:#x}");
+                    let want = oracle.pages.get(&page).copied();
+                    assert_eq!(pm.span_of(a), want, "map vs oracle at {a:#x}");
                 }
             }
         }
-        // Closing sweep: segment boundaries ± 1 byte, plus first/last byte
-        // of every live span.
+        // Closing sweep: leaf boundaries ± 1 byte, plus first/last byte of
+        // every live span.
         let mut probes: Vec<u64> = Vec::new();
-        for seg in 0..=WINDOW_PAGES / PAGES_PER_SEGMENT {
-            let b = addr_of(seg * PAGES_PER_SEGMENT);
+        for leaf in 0..=WINDOW_PAGES / PAGES_PER_LEAF {
+            let b = addr_of(leaf * PAGES_PER_LEAF);
             probes.push(b);
-            if seg > 0 {
+            if leaf > 0 {
                 probes.push(b - 1);
             }
         }
@@ -315,11 +353,14 @@ fn pagemap_arms_agree_with_btreemap_oracle() {
         }
         for a in probes {
             let page = (a - HEAP_BASE) / TCMALLOC_PAGE_BYTES;
-            let want = oracle.get(&page).copied();
-            assert_eq!(radix.span_of(a), want, "radix vs oracle at probe {a:#x}");
-            assert_eq!(mask.span_of(a), want, "masking vs oracle at probe {a:#x}");
+            let want = oracle.pages.get(&page).copied();
+            assert_eq!(pm.span_of(a), want, "map vs oracle at probe {a:#x}");
         }
-        assert_eq!(radix.len(), mask.len(), "mapped-page counts diverge");
-        assert_eq!(radix.len() as u64, oracle.len() as u64);
+        // The incremental tally itself, recounted from the page entries.
+        let mut recount: BTreeMap<u64, u64> = BTreeMap::new();
+        for &p in oracle.pages.keys() {
+            *recount.entry(Oracle::leaf_of(p)).or_insert(0) += 1;
+        }
+        assert_eq!(recount, oracle.leaves);
     }
 }

@@ -1,14 +1,13 @@
 //! Streaming-fold determinism suite for the fleet survey: the same survey
 //! at any thread count, and any leaf-aligned shard-span partition, must
-//! fold to byte-identical `CellSummary` encodings. Also pins the
-//! pagemap-arm neutrality the masking default rests on.
+//! fold to byte-identical `CellSummary` encodings.
 
 use warehouse_alloc::fleet::experiment::{
     default_platform_mix, try_run_fleet_survey, try_run_fleet_survey_span, CellSummary,
     FleetSurveyConfig,
 };
 use warehouse_alloc::parallel::{process_shard_span, Engine, FoldSpan};
-use warehouse_alloc::tcmalloc::{PagemapArm, TcmallocConfig};
+use warehouse_alloc::tcmalloc::TcmallocConfig;
 
 fn survey_cfg(seed: u64) -> FleetSurveyConfig {
     FleetSurveyConfig {
@@ -73,28 +72,4 @@ fn survey_shard_spans_compose_byte_identically() {
             "shards={shards} vs whole fold"
         );
     }
-}
-
-#[test]
-fn pagemap_arms_are_simulation_neutral_in_the_survey() {
-    // The masking default is only sound if both pagemap arms simulate
-    // identically; the folded fleet summary is a wide net for any drift.
-    let cfg = survey_cfg(23);
-    let engine = Engine::new(2);
-    let run = |arm: PagemapArm| {
-        try_run_fleet_survey(
-            &engine,
-            TcmallocConfig::baseline().with_pagemap_arm(arm),
-            TcmallocConfig::optimized().with_pagemap_arm(arm),
-            &cfg,
-        )
-        .expect("no machine panics")
-        .summary
-        .encode()
-    };
-    assert_eq!(
-        run(PagemapArm::Masking),
-        run(PagemapArm::Radix),
-        "pagemap arms must be simulation-neutral"
-    );
 }

@@ -195,19 +195,19 @@ fn addresses_of_concurrent_objects_never_overlap() {
 }
 
 #[test]
-fn radix_pagemap_matches_btreemap_oracle() {
-    // Property: under arbitrary seeded set/clear/lookup sequences, the
-    // radix-tree pagemap agrees with a BTreeMap oracle on every page —
-    // including ranges straddling leaf boundaries and lookups after the
-    // hit cache has been primed and invalidated.
+fn pagemap_matches_btreemap_oracle() {
+    // Property: under arbitrary seeded set/clear/lookup sequences over page
+    // numbers near zero, the pagemap agrees with a BTreeMap oracle on every
+    // page — including ranges straddling leaf boundaries and lookups after
+    // the hit cache has been primed and invalidated.
     use std::collections::BTreeMap;
     use warehouse_alloc::sim_os::addr::TCMALLOC_PAGE_BYTES;
-    use warehouse_alloc::tcmalloc::pagemap::{PageMap, PAGES_PER_LEAF};
+    use warehouse_alloc::tcmalloc::pagemap::{Pagemap, PAGES_PER_LEAF};
     use warehouse_alloc::tcmalloc::span::SpanId;
 
     for case in 0..24u64 {
         let mut rng = SmallRng::seed_from_u64(0xA118 + case);
-        let mut pm = PageMap::new();
+        let mut pm = Pagemap::new();
         let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
         let mut live: Vec<(u64, u32, u32)> = Vec::new(); // (first_page, len, id)
         let mut next_id = 0u32;

@@ -302,7 +302,7 @@ fn audit_kind_injections_each_fire_their_kind() {
             ErrorKind::HugepageBackingViolation,
         ),
         (
-            "radix leaf occupancy drift",
+            "pagemap leaf occupancy drift",
             Box::new(|s: &mut Snapshot| {
                 // Totals still balance (2 pages) but the per-leaf split is
                 // wrong: only the leaf-occupancy audit can see it.
