@@ -230,11 +230,9 @@ fn shard_supervision() -> ShardOut {
     scale.survey_machines = SHARD_MACHINES;
     scale.survey_requests = 8;
     scale.survey_population = 64;
-    // Explicit policy (not `from_env`): the bench must measure the same
-    // supervision schedule no matter what knobs the caller's shell has.
-    // Zero backoff keeps the sweep fast; no deadline/hedge/split so the
+    // Zero backoff keeps the sweep fast; no deadline or split, so the
     // retry budget alone decides each cell's fate.
-    let base = SupervisorConfig::strict();
+    let base = SupervisorConfig::STRICT;
 
     let (serial, _) = ex::fleet_summary_supervised(&scale, 1, &base, &[]);
     let serial_bytes = serial.encode();

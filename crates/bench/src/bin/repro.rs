@@ -6,6 +6,7 @@
 //! REPRO_SCALE=full cargo run --release -p wsc-bench --bin repro -- all
 //! cargo run --release -p wsc-bench --bin repro -- --threads 8 all
 //! cargo run --release -p wsc-bench --bin repro -- --shards 4 fleet
+//! cargo run --release -p wsc-bench --bin repro -- --shards 4 --supervise retries=5,deadline-ms=600000 fleet
 //! ```
 //!
 //! `--threads N` (or `WSC_THREADS=N`) shards experiment cells across N
@@ -16,17 +17,18 @@
 //! *processes*, each re-executing this binary over one leaf-aligned span
 //! of the fleet (`WSC_SHARD=<shard>/<shards>`) and piping its folded
 //! constant-size summary back in a CRC-checksummed frame. A supervisor
-//! retries failed shards (`WSC_SHARD_RETRIES`, exponential backoff via
-//! `WSC_SHARD_BACKOFF_MS`), kills hung ones (`WSC_SHARD_DEADLINE_MS`),
-//! splits persistently failing spans in half (`WSC_SHARD_SPLIT`), and
-//! hedges stragglers (`WSC_SHARD_HEDGE_MS`). Output is byte-identical to
-//! `--shards 1` — including under injected crashes (`WSC_SHARD_FAULT`),
-//! as long as every span recovers; otherwise the survey degrades
-//! gracefully and the printed coverage line reports the exact surveyed
-//! fraction.
+//! retries failed shards with exponential backoff, kills hung ones when a
+//! deadline is set, and splits persistently failing spans in half; its
+//! policy is one string, `--supervise
+//! retries=<0..=64>,backoff-ms=<n>,deadline-ms=<n>,split=<0|1>` (any subset
+//! of the keys; a typo exits 2). Output is byte-identical to `--shards 1` —
+//! including under injected crashes (`WSC_SHARD_FAULT`), as long as every
+//! span recovers; otherwise the survey degrades gracefully and the printed
+//! coverage line reports the exact surveyed fraction.
 
 use wsc_bench::experiments as ex;
 use wsc_bench::Scale;
+use wsc_parallel::supervisor::SupervisorConfig;
 
 const IDS: &[&str] = &[
     "fig3",
@@ -53,34 +55,39 @@ const IDS: &[&str] = &[
     "faults",
 ];
 
-/// Strips `--<name> N` / `--<name>=N` from `args`, returning the requested
-/// count if present. Exits with usage on a malformed value — a typo
-/// silently falling back to the default would be misleading.
-fn parse_count_flag(args: &mut Vec<String>, name: &str) -> Option<usize> {
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Strips every `--<name> V` / `--<name>=V` from `args`, returning the last
+/// value as `parse` reads it. Exits with usage on a missing or malformed
+/// value — a typo silently falling back to the default would be misleading.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
     let long = format!("--{name}");
     let eq = format!("--{name}=");
     let mut parsed = None;
-    let mut i = 0;
-    while i < args.len() {
-        let (consumed, value) = if args[i] == long {
-            let v = args.get(i + 1).cloned();
-            (2, v)
-        } else if let Some(v) = args[i].strip_prefix(&eq) {
-            (1, Some(v.to_string()))
-        } else {
-            i += 1;
-            continue;
+    while let Some(i) = args.iter().position(|a| *a == long || a.starts_with(&eq)) {
+        let flag = args.remove(i);
+        let value = match flag.strip_prefix(&eq) {
+            Some(v) => v.to_string(),
+            None if i < args.len() => args.remove(i),
+            None => usage_error(format!("{long} expects a value")),
         };
-        match value.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n >= 1 => parsed = Some(n),
-            _ => {
-                eprintln!("--{name} expects a positive integer");
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..i + consumed);
+        parsed = Some(parse(&value).unwrap_or_else(|e| usage_error(format!("{long}: {e}"))));
     }
     parsed
+}
+
+fn positive(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("expected a positive integer, got {value:?}")),
+    }
 }
 
 fn main() {
@@ -90,18 +97,29 @@ fn main() {
         return;
     }
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_count_flag(&mut args, "threads");
-    let shards = parse_count_flag(&mut args, "shards").unwrap_or(1);
+    let threads = take_flag(&mut args, "threads", positive);
+    let shards = take_flag(&mut args, "shards", positive).unwrap_or(1);
+    let policy = take_flag(&mut args, "supervise", SupervisorConfig::parse).unwrap_or_default();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        let d = SupervisorConfig::default();
         eprintln!(
-            "usage: repro [--threads N] [--shards P] [all | fleet | {} ...]",
+            "usage: repro [--threads N] [--shards P] [--supervise POLICY] [all | fleet | {} ...]",
             IDS.join(" | ")
         );
         eprintln!("scale: set REPRO_SCALE=quick|default|full|fleet (default: default)");
         eprintln!("threads: --threads N or WSC_THREADS=N (results are thread-count-invariant)");
         eprintln!("shards: --shards P runs the fleet survey across P processes (byte-identical)");
-        eprintln!("supervision: WSC_SHARD_RETRIES, WSC_SHARD_DEADLINE_MS, WSC_SHARD_BACKOFF_MS,");
-        eprintln!("  WSC_SHARD_SPLIT=0|1, WSC_SHARD_HEDGE_MS tune shard fault tolerance;");
+        eprintln!(
+            "supervision: --supervise retries=<0..=64>,backoff-ms=<n>,deadline-ms=<n>,split=<0|1>"
+        );
+        eprintln!(
+            "  sets the shard fault-tolerance policy (any subset of the keys; default \
+             retries={},backoff-ms={},deadline-ms={},split={}; deadline-ms=0 is no deadline);",
+            d.retries,
+            d.backoff.as_millis(),
+            d.deadline.map_or(0, |t| t.as_millis()),
+            u8::from(d.split)
+        );
         eprintln!("  WSC_SHARD_FAULT=<kind>@<shard|*>[:<attempts>] injects chaos (crash|hang|corrupt|partial|exit)");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
@@ -126,11 +144,10 @@ fn main() {
     // at warehouse scale it would dominate the whole reproduction run.
     for id in &wanted {
         if !IDS.contains(id) && *id != "fleet" {
-            eprintln!(
+            usage_error(format!(
                 "unknown experiment id: {id} (known: fleet, {})",
                 IDS.join(", ")
-            );
-            std::process::exit(2);
+            ));
         }
     }
 
@@ -234,7 +251,7 @@ fn main() {
                 ex::faults(&scale);
             }
             "fleet" => {
-                ex::fleet(&scale, shards);
+                ex::fleet(&scale, shards, &policy);
             }
             _ => unreachable!("validated above"),
         }

@@ -8,7 +8,7 @@ use wsc_fleet::experiment::{try_run_fleet_ab, CellSummary, Comparison, MetricSet
 use wsc_fleet::population::Population;
 use wsc_fleet::report::{pct, Table};
 use wsc_fleet::rollout;
-use wsc_parallel::supervisor::{self, SupervisorConfig, SupervisorStats};
+use wsc_parallel::supervisor::{self, ShardChild, SupervisorConfig, SupervisorStats};
 use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::latency::{measure, LatencyModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
@@ -1193,17 +1193,17 @@ pub const SURVEY_SEED: u64 = 0xF1EE7;
 /// The child rebuilds its configuration from the environment
 /// (`REPRO_SCALE`, `WSC_THREADS`, and the `WSC_SURVEY_*` sizing pins),
 /// which the parent sets explicitly when spawning, so parent and children
-/// always agree on the fold tree. The supervisor's fault hooks
-/// ([`supervisor::child_preflight`] / [`supervisor::child_emit_payload`])
-/// bracket the fold so `WSC_SHARD_FAULT` chaos plans strike at the real
-/// protocol points; an injected nonzero exit terminates the process here.
+/// always agree on the fold tree. [`ShardChild`]'s fault hooks bracket the
+/// fold so `WSC_SHARD_FAULT` chaos plans strike at the real protocol
+/// points; an injected nonzero exit terminates the process here.
 pub fn shard_child_main() -> bool {
-    let Some(role) = wsc_parallel::proc::ShardRole::from_env() else {
+    let Some(child) = ShardChild::from_env() else {
         return false;
     };
-    supervisor::child_preflight(role);
+    child.preflight();
     let scale = Scale::from_env();
     let cfg = scale.survey_config(SURVEY_SEED);
+    let role = child.role;
     let span = wsc_parallel::process_shard_span(cfg.machines, role.shard, role.shards);
     let summary = wsc_fleet::experiment::try_run_fleet_survey_span(
         &scale.engine,
@@ -1212,8 +1212,8 @@ pub fn shard_child_main() -> bool {
         &cfg,
         span,
     )
-    .unwrap_or_else(|e| panic!("survey shard {} aborted: {e}", role.shard));
-    let code = supervisor::child_emit_payload(role, &summary.encode());
+    .unwrap_or_else(|e| panic!("survey shard {role} aborted: {e}"));
+    let code = child.emit(&summary.encode());
     if code != 0 {
         std::process::exit(code);
     }
@@ -1224,11 +1224,10 @@ pub fn shard_child_main() -> bool {
 /// (`shards <= 1`) or by fanning out `shards` supervised child processes
 /// that each fold one leaf-aligned span and stream their checksummed
 /// summary back over a pipe. Byte-identical either way — including under
-/// injected shard crashes, as long as every span recovers within the
-/// supervisor's retry budget (`WSC_SHARD_RETRIES` etc.; see
-/// [`SupervisorConfig::from_env`]).
+/// injected shard crashes, as long as every span recovers under the
+/// default supervision policy ([`SupervisorConfig::default`]).
 pub fn fleet_summary(scale: &Scale, shards: usize) -> CellSummary {
-    fleet_summary_supervised(scale, shards, &SupervisorConfig::from_env(), &[]).0
+    fleet_summary_supervised(scale, shards, &SupervisorConfig::default(), &[]).0
 }
 
 /// [`fleet_summary`] with an explicit supervision policy and extra child
@@ -1292,12 +1291,8 @@ pub fn fleet_summary_supervised(
     );
     let mut acc = CellSummary::new();
     for b in &fold.blocks {
-        let part = CellSummary::decode(&b.payload).unwrap_or_else(|e| {
-            panic!(
-                "shard {}/{} payload malformed: {e}",
-                b.role.shard, b.role.shards
-            )
-        });
+        let part = CellSummary::decode(&b.payload)
+            .unwrap_or_else(|e| panic!("shard {} payload malformed: {e}", b.role));
         acc.merge(&part);
     }
     for f in &fold.failures {
@@ -1317,14 +1312,14 @@ pub fn fleet_summary_supervised(
 ///
 /// Everything printed derives from the folded summary alone, so stdout is
 /// byte-identical whether the fold ran serially, threaded, or sharded
-/// across processes.
-pub fn fleet(scale: &Scale, shards: usize) -> (Comparison, CellSummary) {
+/// across processes under `policy` (`repro --supervise`).
+pub fn fleet(scale: &Scale, shards: usize, policy: &SupervisorConfig) -> (Comparison, CellSummary) {
     let cfg = scale.survey_config(SURVEY_SEED);
     println!(
         "== Fleet survey: {} machines, {} binaries, rollout 50% wave ==",
         cfg.machines, cfg.population
     );
-    let summary = fleet_summary(scale, shards);
+    let (summary, _) = fleet_summary_supervised(scale, shards, policy, &[]);
     let fleet = summary.fleet();
     let mut t = Table::new(vec!["metric", "control", "experiment", "delta %"]);
     t.row(vec![

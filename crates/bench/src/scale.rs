@@ -43,42 +43,52 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads `REPRO_SCALE` from the environment (default: `default`).
-    /// The engine honours `WSC_THREADS`. The survey knobs additionally
-    /// honour [`apply_survey_overrides`](Self::apply_survey_overrides) —
-    /// the shard supervisor pins them in child environments so parent and
-    /// children always agree on the fold tree.
+    /// Reads `REPRO_SCALE` from the environment (unset: `default`). The
+    /// engine honours `WSC_THREADS`. The survey knobs additionally honour
+    /// [`SURVEY_MACHINES_ENV`], [`SURVEY_REQUESTS_ENV`] and
+    /// [`SURVEY_POPULATION_ENV`] — the shard supervisor pins them in child
+    /// environments so parent and children always agree on the fold tree.
+    /// A value that does not parse is a usage error (stderr names the
+    /// variable and what it accepts, exit 2): a typo must not quietly run
+    /// another scale.
     pub fn from_env() -> Self {
-        let base = match std::env::var("REPRO_SCALE").as_deref() {
-            Ok("quick") => Self::quick(),
-            Ok("full") => Self::full(),
-            Ok("fleet") => Self::fleet(),
-            _ => Self::default_scale(),
-        };
-        base.apply_survey_overrides(|k| std::env::var(k).ok())
+        Self::from_vars(|k| std::env::var(k).ok()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Applies the survey-sizing environment overrides
-    /// ([`SURVEY_MACHINES_ENV`], [`SURVEY_REQUESTS_ENV`],
-    /// [`SURVEY_POPULATION_ENV`]) via `get` (factored out so the parse is
-    /// testable without ambient process state). Zero and garbage values
-    /// are ignored.
-    pub fn apply_survey_overrides(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
-        let parse = |k: &str| {
-            get(k)
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&v| v > 0)
+    /// [`from_env`](Self::from_env) over any lookup, so the parse is
+    /// testable without ambient process state.
+    fn from_vars(get: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let mut scale = match get("REPRO_SCALE").as_deref() {
+            None | Some("default") => Self::default_scale(),
+            Some("quick") => Self::quick(),
+            Some("full") => Self::full(),
+            Some("fleet") => Self::fleet(),
+            Some(other) => {
+                return Err(format!(
+                    "REPRO_SCALE={other:?}: expected quick, default, full or fleet"
+                ))
+            }
         };
-        if let Some(m) = parse(SURVEY_MACHINES_ENV) {
-            self.survey_machines = usize::try_from(m).unwrap_or(usize::MAX);
+        let count = |k: &str| match get(k) {
+            None => Ok(None),
+            Some(v) => match v.trim().parse::<u64>() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(format!("{k}={v:?}: expected a positive integer")),
+            },
+        };
+        if let Some(m) = count(SURVEY_MACHINES_ENV)? {
+            scale.survey_machines = usize::try_from(m).unwrap_or(usize::MAX);
         }
-        if let Some(r) = parse(SURVEY_REQUESTS_ENV) {
-            self.survey_requests = r;
+        if let Some(r) = count(SURVEY_REQUESTS_ENV)? {
+            scale.survey_requests = r;
         }
-        if let Some(p) = parse(SURVEY_POPULATION_ENV) {
-            self.survey_population = usize::try_from(p).unwrap_or(usize::MAX);
+        if let Some(p) = count(SURVEY_POPULATION_ENV)? {
+            scale.survey_population = usize::try_from(p).unwrap_or(usize::MAX);
         }
-        self
+        Ok(scale)
     }
 
     /// CI smoke scale.
@@ -204,23 +214,33 @@ mod tests {
 
     #[test]
     fn survey_overrides_resize_only_the_survey() {
-        let s = Scale::quick().apply_survey_overrides(|k| match k {
-            SURVEY_MACHINES_ENV => Some("120".to_string()),
-            SURVEY_REQUESTS_ENV => Some("8".to_string()),
-            SURVEY_POPULATION_ENV => Some("64".to_string()),
-            _ => None,
-        });
+        let vars = |set: &'static [(&str, &str)]| {
+            Scale::from_vars(move |k| set.iter().find(|kv| kv.0 == k).map(|kv| kv.1.to_string()))
+        };
+        let s = vars(&[
+            ("REPRO_SCALE", "quick"),
+            (SURVEY_MACHINES_ENV, "120"),
+            (SURVEY_REQUESTS_ENV, " 8 "),
+            (SURVEY_POPULATION_ENV, "64"),
+        ])
+        .unwrap();
         assert_eq!(s.survey_machines, 120);
         assert_eq!(s.survey_requests, 8);
         assert_eq!(s.survey_population, 64);
         assert_eq!(s.requests, Scale::quick().requests, "A/B knobs untouched");
-        // Garbage and zero are ignored.
-        let s = Scale::quick().apply_survey_overrides(|k| match k {
-            SURVEY_MACHINES_ENV => Some("0".to_string()),
-            SURVEY_REQUESTS_ENV => Some("nope".to_string()),
-            _ => None,
-        });
-        assert_eq!(s.survey_machines, Scale::quick().survey_machines);
-        assert_eq!(s.survey_requests, Scale::quick().survey_requests);
+        assert_eq!(vars(&[]).unwrap().name, "default", "unset is the default");
+        // A typo, garbage or zero is a usage error naming the variable.
+        for (var, bad) in [
+            ("REPRO_SCALE", "ful"),
+            (SURVEY_MACHINES_ENV, "12O"),
+            (SURVEY_MACHINES_ENV, "0"),
+            (SURVEY_REQUESTS_ENV, "nope"),
+            (SURVEY_POPULATION_ENV, "-3"),
+        ] {
+            let err = Scale::from_vars(|k| (k == var).then(|| bad.to_string())).unwrap_err();
+            assert!(err.contains(var) && err.contains(bad), "{err}");
+        }
+        let err = vars(&[("REPRO_SCALE", "ful")]).unwrap_err();
+        assert!(err.contains("quick, default, full or fleet"), "{err}");
     }
 }

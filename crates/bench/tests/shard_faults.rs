@@ -18,7 +18,9 @@
 //!
 //! The survey is shrunk via `WSC_SURVEY_*` so debug-build children finish
 //! in well under a second; the parent pins the same values into child
-//! environments, so the fold tree is identical everywhere.
+//! environments, so the fold tree is identical everywhere. The supervision
+//! policy travels by flag (`--supervise <policy>`); the last two tests hold
+//! the flag's own contract — a typo exits 2, `--help` prints the grammar.
 
 use std::process::Command;
 
@@ -29,42 +31,48 @@ const MACHINES: usize = 120;
 struct Run {
     stdout: String,
     stderr: String,
-    ok: bool,
+    code: Option<i32>,
 }
 
-fn run_fleet(shards: usize, supervision: &[(&str, &str)]) -> Run {
-    let exe = env!("CARGO_BIN_EXE_repro");
-    let mut cmd = Command::new(exe);
+/// Runs `repro --shards P --supervise <policy> fleet` on the tiny survey.
+/// The policy travels by flag; the environment carries only the chaos plan
+/// (`fault`), which is for the children to read.
+fn run_fleet(shards: usize, policy: &str, fault: Option<&str>) -> Run {
+    // Fast, deterministic defaults for every key a test doesn't set:
+    // near-immediate retries, no deadline, no split.
+    let policy = format!("backoff-ms=1,split=0,{policy}");
+    let shards = shards.to_string();
+    run_repro(
+        &["--shards", &shards, "--supervise", &policy, "fleet"],
+        fault,
+    )
+}
+
+/// Runs the repro binary on the tiny survey with no ambient shard role and
+/// no fault plan but `fault`.
+fn run_repro(args: &[&str], fault: Option<&str>) -> Run {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.env("REPRO_SCALE", "quick")
         .env("WSC_THREADS", "2")
         .env("WSC_SURVEY_MACHINES", MACHINES.to_string())
         .env("WSC_SURVEY_REQUESTS", "8")
         .env("WSC_SURVEY_POPULATION", "64")
-        // Deterministic defaults for every knob a test doesn't set: no
-        // ambient fault plan, immediate retries, no deadline, no split.
         .env_remove("WSC_SHARD")
-        .env_remove("WSC_SHARD_FAULT")
-        .env("WSC_SHARD_BACKOFF_MS", "1")
-        .env("WSC_SHARD_DEADLINE_MS", "0")
-        .env("WSC_SHARD_SPLIT", "0")
-        .env("WSC_SHARD_HEDGE_MS", "0");
-    for (k, v) in supervision {
-        cmd.env(k, v);
+        .env_remove("WSC_SHARD_FAULT");
+    if let Some(plan) = fault {
+        cmd.env("WSC_SHARD_FAULT", plan);
     }
-    if shards > 1 {
-        cmd.arg("--shards").arg(shards.to_string());
-    }
-    let out = cmd.arg("fleet").output().expect("spawn repro");
+    let out = cmd.args(args).output().expect("spawn repro");
     Run {
         stdout: String::from_utf8(out.stdout).expect("utf8 stdout"),
         stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
-        ok: out.status.success(),
+        code: out.status.code(),
     }
 }
 
 fn serial_baseline() -> String {
-    let run = run_fleet(1, &[]);
-    assert!(run.ok, "serial fleet failed:\n{}", run.stderr);
+    let run = run_fleet(1, "", None);
+    assert!(run.code == Some(0), "serial fleet failed:\n{}", run.stderr);
     assert!(run.stdout.contains("coverage 100.00%"), "{}", run.stdout);
     run.stdout
 }
@@ -87,11 +95,12 @@ fn recovered_folds_are_byte_identical_to_serial() {
         ("exit@1:2", "3"),
     ];
     for (plan, retries) in matrix {
-        let run = run_fleet(
-            2,
-            &[("WSC_SHARD_FAULT", plan), ("WSC_SHARD_RETRIES", retries)],
+        let run = run_fleet(2, &format!("retries={retries}"), Some(plan));
+        assert!(
+            run.code == Some(0),
+            "fault {plan} run failed:\n{}",
+            run.stderr
         );
-        assert!(run.ok, "fault {plan} run failed:\n{}", run.stderr);
         assert_eq!(
             serial, run.stdout,
             "fault {plan} (retries {retries}): recovered fold must be \
@@ -114,17 +123,10 @@ fn recovered_folds_are_byte_identical_to_serial() {
 #[test]
 fn hung_shard_is_deadline_killed_and_recovers() {
     let serial = serial_baseline();
-    let run = run_fleet(
-        2,
-        &[
-            ("WSC_SHARD_FAULT", "hang@1"),
-            ("WSC_SHARD_RETRIES", "1"),
-            // Generous for debug children (~0.4 s healthy): a healthy
-            // retry must never be killed by the hang deadline.
-            ("WSC_SHARD_DEADLINE_MS", "20000"),
-        ],
-    );
-    assert!(run.ok, "hang run failed:\n{}", run.stderr);
+    // Generous for debug children (~0.4 s healthy): a healthy retry must
+    // never be killed by the hang deadline.
+    let run = run_fleet(2, "retries=1,deadline-ms=20000", Some("hang@1"));
+    assert!(run.code == Some(0), "hang run failed:\n{}", run.stderr);
     assert_eq!(serial, run.stdout, "stderr:\n{}", run.stderr);
     assert!(
         run.stderr.contains("deadline exceeded"),
@@ -138,15 +140,8 @@ fn persistent_failure_splits_and_recovers_byte_identical() {
     let serial = serial_baseline();
     // Shard 1/2 fails forever, but its halves re-run as 2/4 and 3/4 —
     // indices the `@1` rule no longer matches — so the split recovers.
-    let run = run_fleet(
-        2,
-        &[
-            ("WSC_SHARD_FAULT", "crash@1:forever"),
-            ("WSC_SHARD_RETRIES", "0"),
-            ("WSC_SHARD_SPLIT", "1"),
-        ],
-    );
-    assert!(run.ok, "split run failed:\n{}", run.stderr);
+    let run = run_fleet(2, "retries=0,split=1", Some("crash@1:forever"));
+    assert!(run.code == Some(0), "split run failed:\n{}", run.stderr);
     assert_eq!(serial, run.stdout, "stderr:\n{}", run.stderr);
     assert!(
         run.stderr.contains("splitting into 2/4 and 3/4"),
@@ -162,15 +157,9 @@ fn exhausted_retries_report_exact_surviving_coverage() {
         ("exit@0:forever", 0, vec![0]),
         ("partial@1:forever", 2, vec![1]),
     ] {
-        let run = run_fleet(
-            2,
-            &[
-                ("WSC_SHARD_FAULT", plan),
-                ("WSC_SHARD_RETRIES", &retries.to_string()),
-            ],
-        );
+        let run = run_fleet(2, &format!("retries={retries}"), Some(plan));
         assert!(
-            run.ok,
+            run.code == Some(0),
             "degraded run must still succeed ({plan}):\n{}",
             run.stderr
         );
@@ -216,12 +205,12 @@ fn retry_budgets_bound_recovery() {
     let serial = serial_baseline();
     // The same two-strike fault recovers with retries=2 and degrades with
     // retries=1: the budget — not luck — decides.
-    let fault = ("WSC_SHARD_FAULT", "crash@1:2");
-    let recovered = run_fleet(2, &[fault, ("WSC_SHARD_RETRIES", "2")]);
-    assert!(recovered.ok);
+    let fault = Some("crash@1:2");
+    let recovered = run_fleet(2, "retries=2", fault);
+    assert!(recovered.code == Some(0));
     assert_eq!(serial, recovered.stdout, "stderr:\n{}", recovered.stderr);
-    let degraded = run_fleet(2, &[fault, ("WSC_SHARD_RETRIES", "1")]);
-    assert!(degraded.ok);
+    let degraded = run_fleet(2, "retries=1", fault);
+    assert!(degraded.code == Some(0));
     assert_ne!(
         serial, degraded.stdout,
         "budget 1 cannot beat a 2-strike fault"
@@ -233,4 +222,30 @@ fn retry_budgets_bound_recovery() {
         "{}",
         degraded.stdout
     );
+}
+
+#[test]
+fn typoed_policy_is_a_usage_error_not_a_default_run() {
+    let run = run_fleet(2, "retrys=1", None);
+    assert_eq!(run.code, Some(2), "stderr:\n{}", run.stderr);
+    assert!(run.stderr.contains("retrys=1"), "{}", run.stderr);
+    assert!(!run.stdout.contains("coverage"), "{}", run.stdout);
+}
+
+#[test]
+fn help_prints_the_policy_grammar_and_its_defaults() {
+    let run = run_repro(&["--help"], None);
+    assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
+    let help = format!("{}{}", run.stdout, run.stderr);
+    for want in [
+        "--supervise retries=<0..=64>,backoff-ms=<n>,deadline-ms=<n>,split=<0|1>",
+        "default retries=2,backoff-ms=25,deadline-ms=0,split=1",
+        "WSC_SHARD_FAULT",
+    ] {
+        assert!(help.contains(want), "{want:?} missing from:\n{help}");
+    }
+    // The chaos plan is the only `WSC_SHARD_*` variable left to document;
+    // every supervision one is retired.
+    let rest = help.replace("WSC_SHARD_FAULT", "");
+    assert!(!rest.contains("WSC_SHARD_"), "retired variable in:\n{help}");
 }

@@ -4,11 +4,12 @@
 //! across child processes bounds *peak RSS per process* and sidesteps any
 //! allocator-level contention entirely. The protocol is deliberately dumb:
 //!
-//! 1. The parent re-executes its own binary `P` times with
-//!    `WSC_SHARD=<shard>/<shards>` in the environment (everything else —
-//!    scale, seeds, thread count — rides along in the inherited
-//!    environment and argv).
-//! 2. Each child detects the role via [`ShardRole::from_env`], folds its
+//! 1. The parent ([`crate::supervisor::run_supervised`]) re-executes its
+//!    own binary `P` times with `WSC_SHARD=<shard>/<shards>` in the
+//!    environment (everything else — scale, seeds, thread count — rides
+//!    along in the inherited environment and argv).
+//! 2. Each child detects the role ([`ShardRole::from_env`], through
+//!    [`crate::supervisor::ShardChild`]), folds its
 //!    leaf-aligned sub-span ([`crate::process_shard_span`]), and streams
 //!    the folded accumulator's byte encoding back over stdout as a framed
 //!    block: a [`PAYLOAD_BEGIN`] line carrying the payload's byte length,
@@ -23,14 +24,13 @@
 //!
 //! Everything here is transport; determinism comes from the fold tree in
 //! the crate root plus the exactly-mergeable summaries in
-//! `wsc_telemetry::summary`. Fault tolerance (retries, deadlines,
-//! recovery, degradation) lives one layer up in [`crate::supervisor`].
+//! `wsc_telemetry::summary`. Spawning the children and fault tolerance
+//! (retries, deadlines, splitting, degradation) live one layer up in
+//! [`crate::supervisor`].
 
 use std::fmt;
-use std::path::Path;
 
 use crate::crc::crc32;
-use crate::supervisor::{run_supervised, SupervisorConfig};
 
 /// Environment variable carrying a child's shard role as `<shard>/<shards>`.
 pub const SHARD_ENV: &str = "WSC_SHARD";
@@ -62,16 +62,34 @@ impl ShardRole {
     /// Malformed values are treated as absent (the parent controls the
     /// variable; a stray value must not silently misconfigure a fold).
     pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(SHARD_ENV).ok()?;
+        Self::parse(&std::env::var(SHARD_ENV).ok()?)
+    }
+
+    /// Parses `<shard>/<shards>` (what [`Display`](fmt::Display) writes);
+    /// `None` unless both are integers with `shard < shards`.
+    pub fn parse(raw: &str) -> Option<Self> {
         let (s, p) = raw.split_once('/')?;
         let shard = s.trim().parse::<usize>().ok()?;
         let shards = p.trim().parse::<usize>().ok()?;
-        (shards >= 1 && shard < shards).then_some(Self { shard, shards })
+        (shard < shards).then_some(Self { shard, shards })
     }
 
-    /// The [`SHARD_ENV`] value encoding this role.
-    pub fn env_value(&self) -> String {
-        format!("{}/{}", self.shard, self.shards)
+    /// The two roles that tile this one's leaf group exactly: the bounds
+    /// `s·S/P` are invariant under doubling both terms, so `(2s, 2P)` and
+    /// `(2s+1, 2P)` split the span at a leaf boundary with no protocol
+    /// change.
+    pub fn halves(self) -> [Self; 2] {
+        [0, 1].map(|half| Self {
+            shard: 2 * self.shard + half,
+            shards: 2 * self.shards,
+        })
+    }
+}
+
+/// `<shard>/<shards>` — the [`SHARD_ENV`] value and the name used in logs.
+impl fmt::Display for ShardRole {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.shard, self.shards)
     }
 }
 
@@ -204,42 +222,6 @@ pub fn decode_payload(stdout_text: &str) -> Result<Vec<u8>, String> {
     Ok(bytes)
 }
 
-/// Spawns `shards` copies of `program` (each with [`SHARD_ENV`] set to its
-/// role), runs them concurrently, and returns their decoded payloads in
-/// shard order. Children inherit the parent's environment and receive
-/// `args` verbatim; `extra_env` overrides ride on top (e.g. a per-child
-/// thread budget).
-///
-/// This is the *strict* (all-or-nothing) entry point: one attempt per
-/// shard, no deadline, no recovery. Fault-tolerant folds go through
-/// [`crate::supervisor::run_supervised`], which this wraps with a
-/// zero-retry configuration.
-///
-/// # Errors
-///
-/// Returns the lowest-index failing shard's [`ShardError`] (child stderr
-/// tail attached) if any child fails to spawn, exits non-zero, or emits no
-/// valid frame.
-pub fn run_shard_processes(
-    program: &Path,
-    args: &[String],
-    extra_env: &[(String, String)],
-    shards: usize,
-) -> Result<Vec<Vec<u8>>, ShardError> {
-    let fold = run_supervised(
-        program,
-        args,
-        extra_env,
-        shards.max(1),
-        0, // total unknown: spans degenerate, ordering falls back to shard index
-        &SupervisorConfig::strict(),
-    );
-    if let Some(f) = fold.failures.first() {
-        return Err(f.error.clone());
-    }
-    Ok(fold.blocks.into_iter().map(|b| b.payload).collect())
-}
-
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -329,17 +311,11 @@ mod tests {
             shard: 2,
             shards: 4,
         };
-        assert_eq!(role.env_value(), "2/4");
-        // from_env reads ambient state; parse logic is exercised through
-        // the same split used there.
-        assert_eq!("2/4".split_once('/'), Some(("2", "4")));
-        for bad in ["", "3", "4/4", "a/b", "1/0"] {
-            let parsed = bad.split_once('/').and_then(|(s, p)| {
-                let shard = s.trim().parse::<usize>().ok()?;
-                let shards = p.trim().parse::<usize>().ok()?;
-                (shards >= 1 && shard < shards).then_some((shard, shards))
-            });
-            assert!(parsed.is_none(), "{bad:?} must not parse");
+        assert_eq!(role.to_string(), "2/4");
+        assert_eq!(ShardRole::parse("2/4"), Some(role));
+        assert_eq!(ShardRole::parse(" 0 / 1 "), ShardRole::parse("0/1"));
+        for bad in ["", "3", "4/4", "a/b", "1/0", "-1/2"] {
+            assert_eq!(ShardRole::parse(bad), None, "{bad:?} must not parse");
         }
     }
 

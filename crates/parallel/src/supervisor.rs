@@ -1,44 +1,44 @@
 //! Fault-tolerant supervision of process-shard folds.
 //!
-//! [`crate::proc::run_shard_processes`] is all-or-nothing: one crashed,
-//! hung, or garbled child aborts the whole fold — exactly the failure mode
-//! a warehouse-scale survey cannot afford. This module wraps the same
-//! child protocol in a supervisor that:
+//! One crashed, hung, or garbled child must not abort a warehouse-scale
+//! survey. [`run_supervised`] spawns the children of the [`crate::proc`]
+//! protocol and walks every span through
+//! `Waiting → Running(attempt) → Resolved` — a span has at most one attempt
+//! in flight — under a four-field policy ([`SupervisorConfig`]):
 //!
-//! * enforces a **per-attempt deadline** (a hung shard is killed, not
+//! * an opt-in **per-attempt deadline** (a hung shard is killed, not
 //!   waited on forever);
-//! * **retries** a failed shard with sim-seeded exponential backoff and a
-//!   bounded budget — recovery re-executes only the failed shard's
-//!   leaf-aligned span, deterministically, because the span is a pure
-//!   function of `(total, shard, shards)` and every cell seed derives
-//!   from the global index;
-//! * on an exhausted budget, optionally **splits the span in half** and
-//!   retries each half with a fresh budget. Splitting needs no protocol
-//!   change: halving shard `s` of `P` yields roles `(2s, 2P)` and
-//!   `(2s+1, 2P)`, whose leaf groups tile the parent's exactly (the
-//!   leaf-group bounds `s·S/P` are invariant under doubling both terms);
-//! * **hedges stragglers**: after an optional quantile-free fixed delay a
-//!   duplicate of a still-running attempt is launched and the first valid
-//!   payload wins (safe because attempts are deterministic — twins compute
-//!   identical bytes);
-//! * when a span still fails, **degrades gracefully**: the fold returns
+//! * a bounded **retry** budget with exponential backoff — recovery
+//!   re-executes only the failed shard's leaf-aligned span,
+//!   deterministically, because the span is a pure function of
+//!   `(total, shard, shards)` and every cell seed derives from the global
+//!   index;
+//! * on an exhausted budget, optionally **split the span in half**
+//!   ([`ShardRole::halves`]) and give each half a fresh budget, isolating
+//!   a poison cell to ever-smaller spans;
+//! * when a span still fails, **degrade gracefully**: the fold returns
 //!   every recovered block plus a [`SpanFailure`] per lost span, so the
 //!   caller can merge what survived and report exact coverage instead of
 //!   aborting or silently lying.
 //!
+//! Each mechanism is the only one that recovers some cell of the chaos
+//! matrix: retry a transient crash, the deadline a hang, the split a span
+//! that fails as a whole.
+//!
 //! Determinism under failure: blocks are returned in canonical leaf order
 //! and each block's payload is a pure function of its span, so any
-//! crash/retry/split/hedge schedule that recovers all spans merges to the
+//! crash/retry/split schedule that recovers all spans merges to the
 //! byte-identical serial result. The supervisor's *timing* is wall-clock
 //! (deadlines, backoff); its *results* are not.
 //!
 //! The module also hosts the shard-level fault injector ([`FaultPlan`],
 //! `WSC_SHARD_FAULT`) that chaos tests and CI use to prove those claims:
-//! children call [`child_preflight`] / [`child_emit_payload`] at the two
-//! protocol points and the injector misbehaves on demand (crash before
-//! payload, hang, corrupt frame, partial write, nonzero exit) — mirroring
-//! the seeded `FaultInjector` style of `wsc_sim_os::faults`, but at the
-//! process boundary instead of the syscall boundary.
+//! a child builds one [`ShardChild`] and calls its
+//! [`preflight`](ShardChild::preflight) / [`emit`](ShardChild::emit) at
+//! the two protocol points, where the injector misbehaves on demand (crash
+//! before payload, hang, corrupt frame, partial write, nonzero exit) —
+//! mirroring the seeded `FaultInjector` style of `wsc_sim_os::faults`, but
+//! at the process boundary instead of the syscall boundary.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
@@ -47,26 +47,13 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::proc::{decode_payload, ShardError, ShardRole, SHARD_ENV};
+use crate::proc::{decode_payload, encode_payload, ShardError, ShardRole, SHARD_ENV};
 use crate::{fold_leaf_count, FoldSpan};
 
 /// Environment variable carrying the shard fault plan (see [`FaultPlan`]).
 pub const FAULT_ENV: &str = "WSC_SHARD_FAULT";
 /// Environment variable carrying the 1-based attempt number to the child.
 pub const ATTEMPT_ENV: &str = "WSC_SHARD_ATTEMPT";
-/// Set to `1` in the environment of hedge (duplicate) attempts.
-pub const HEDGE_TWIN_ENV: &str = "WSC_SHARD_HEDGE_TWIN";
-/// Environment override: retry budget per span (`retries` in
-/// [`SupervisorConfig`]).
-pub const RETRIES_ENV: &str = "WSC_SHARD_RETRIES";
-/// Environment override: per-attempt deadline in milliseconds (0 = none).
-pub const DEADLINE_ENV: &str = "WSC_SHARD_DEADLINE_MS";
-/// Environment override: base backoff delay in milliseconds.
-pub const BACKOFF_ENV: &str = "WSC_SHARD_BACKOFF_MS";
-/// Environment override: split-on-exhaustion (`0`/`1`).
-pub const SPLIT_ENV: &str = "WSC_SHARD_SPLIT";
-/// Environment override: straggler hedge delay in milliseconds (0 = off).
-pub const HEDGE_ENV: &str = "WSC_SHARD_HEDGE_MS";
 
 /// Stderr lines retained per failed child (the tail — last writes are the
 /// diagnostic ones).
@@ -78,94 +65,92 @@ const POLL: Duration = Duration::from_millis(2);
 /// Ceiling on any single backoff delay.
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
+/// Largest accepted `retries` value; anything beyond is taken for a typo.
+const MAX_RETRIES: u64 = 64;
+
 /// Retry/deadline/recovery policy for one supervised fold.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Retries per span *after* the first attempt (budget = retries + 1).
     pub retries: u32,
+    /// Delay before the first retry; the retry after failed attempt `n`
+    /// waits `backoff · 2^min(n-1, 5)`, capped at 2 s. Zero = retry
+    /// immediately.
+    pub backoff: Duration,
     /// Kill an attempt that runs longer than this. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Base delay before the first retry; attempt `n`'s retry waits
-    /// `base · 2^(n-1)`, jittered ±50% from the sim-seeded PRNG, capped
-    /// at 2 s. Zero = retry immediately.
-    pub backoff_base: Duration,
-    /// Seed for backoff jitter — sim-seeded like every other stochastic
-    /// choice in the workspace, so supervision schedules are replayable.
-    pub backoff_seed: u64,
-    /// On an exhausted budget, split the span in half (roles `(2s, 2P)` /
-    /// `(2s+1, 2P)`) and retry each half with a fresh budget, isolating a
-    /// poison cell to ever-smaller spans.
-    pub split_on_exhaustion: bool,
-    /// Launch a duplicate of an attempt still running after this delay;
-    /// first valid payload wins. `None` = no hedging.
-    pub hedge_after: Option<Duration>,
-    /// Maximum concurrently running children (clamped to ≥ 1).
-    pub max_inflight: usize,
+    /// On an exhausted budget, split the span in half
+    /// ([`ShardRole::halves`]) and retry each half with a fresh budget.
+    pub split: bool,
+}
+
+impl Default for SupervisorConfig {
+    /// Two retries with 25 ms exponential backoff, split-in-half on
+    /// exhaustion, and **no deadline** — a healthy span's wall time scales
+    /// with its machine count and the host's load, so any fixed default
+    /// eventually kills healthy shards on a slow or oversubscribed box (a
+    /// 60 s default did exactly that to fleet-tier shards on a single-core
+    /// runner, and each kill split the span and oversubscribed the box
+    /// further). Deadlines are opt-in (`deadline-ms=<n>`) by callers who
+    /// know their span cost.
+    fn default() -> Self {
+        Self {
+            retries: 2,
+            backoff: Duration::from_millis(25),
+            deadline: None,
+            split: true,
+        }
+    }
 }
 
 impl SupervisorConfig {
     /// All-or-nothing: one attempt per shard, no deadline, no recovery.
-    /// The policy [`crate::proc::run_shard_processes`] wraps.
-    pub fn strict() -> Self {
-        Self {
-            retries: 0,
-            deadline: None,
-            backoff_base: Duration::ZERO,
-            backoff_seed: 0,
-            split_on_exhaustion: false,
-            hedge_after: None,
-            max_inflight: usize::MAX,
+    pub const STRICT: Self = Self {
+        retries: 0,
+        backoff: Duration::ZERO,
+        deadline: None,
+        split: false,
+    };
+
+    /// Parses a policy string: comma-separated `<key>=<value>` items over
+    /// the [`Default`], keys `retries=<0..=64>`, `backoff-ms=<n>`,
+    /// `deadline-ms=<n>` (0 = none) and `split=<0|1>`. The empty string is
+    /// the default. Unknown keys and malformed values are errors, not
+    /// no-ops — a run with a typo'd policy must not quietly use another.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let mut cfg = Self::default();
+        for item in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let bad = |want: &str| format!("supervision policy item {item:?}: expected {want}");
+            let (key, value) = item.split_once('=').ok_or_else(|| bad("<key>=<value>"))?;
+            let number = |max: u64, want: &str| {
+                let n = value.trim().parse::<u64>().ok();
+                n.filter(|&n| n <= max).ok_or_else(|| bad(want))
+            };
+            match key.trim() {
+                "retries" => {
+                    let n = number(MAX_RETRIES, "retries=<0..=64>")?;
+                    cfg.retries = u32::try_from(n).expect("bounded by MAX_RETRIES");
+                }
+                "backoff-ms" => {
+                    cfg.backoff = Duration::from_millis(number(u64::MAX, "backoff-ms=<n>")?);
+                }
+                "deadline-ms" => {
+                    let ms = number(u64::MAX, "deadline-ms=<n>")?;
+                    cfg.deadline = (ms > 0).then(|| Duration::from_millis(ms));
+                }
+                "split" => cfg.split = number(1, "split=<0|1>")? == 1,
+                _ => return Err(bad("one of retries, backoff-ms, deadline-ms, split")),
+            }
         }
+        Ok(cfg)
     }
 
-    /// The production default: two retries with 25 ms exponential backoff,
-    /// split-in-half on exhaustion, no hedging (surveys are throughput-
-    /// not latency-bound by default), and **no deadline** — a healthy
-    /// span's wall time scales with its machine count and the host's load,
-    /// so any fixed default eventually kills healthy shards on a slow or
-    /// oversubscribed box (a 60 s default did exactly that to fleet-tier
-    /// shards on a single-core runner, and each kill split the span and
-    /// oversubscribed the box further). Deadlines are opt-in via
-    /// [`DEADLINE_ENV`] by callers who know their span cost.
-    pub fn resilient() -> Self {
-        Self {
-            retries: 2,
-            deadline: None,
-            backoff_base: Duration::from_millis(25),
-            backoff_seed: 0x5AFE_5EED,
-            split_on_exhaustion: true,
-            hedge_after: None,
-            max_inflight: usize::MAX,
-        }
-    }
-
-    /// [`resilient`](Self::resilient) overlaid with the `WSC_SHARD_*`
-    /// environment knobs ([`RETRIES_ENV`], [`DEADLINE_ENV`],
-    /// [`BACKOFF_ENV`], [`SPLIT_ENV`], [`HEDGE_ENV`]).
-    pub fn from_env() -> Self {
-        Self::resilient().with_overrides(|k| std::env::var(k).ok())
-    }
-
-    /// Applies environment-style overrides via `get` (factored out so the
-    /// parse logic is testable without touching ambient process state).
-    pub fn with_overrides(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
-        let parse_u64 = |k: &str| get(k).and_then(|v| v.trim().parse::<u64>().ok());
-        if let Some(r) = parse_u64(RETRIES_ENV) {
-            self.retries = u32::try_from(r.min(64)).expect("clamped");
-        }
-        if let Some(ms) = parse_u64(DEADLINE_ENV) {
-            self.deadline = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(ms) = parse_u64(BACKOFF_ENV) {
-            self.backoff_base = Duration::from_millis(ms);
-        }
-        if let Some(v) = get(SPLIT_ENV) {
-            self.split_on_exhaustion = v.trim() != "0";
-        }
-        if let Some(ms) = parse_u64(HEDGE_ENV) {
-            self.hedge_after = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        self
+    /// The wait before retrying after failed attempt `n` (1-based):
+    /// `backoff · 2^min(n-1, 5)`, capped at [`MAX_BACKOFF`]. No jitter —
+    /// one parent schedules every retry against no shared server.
+    fn backoff_after(&self, failed_attempt: u32) -> Duration {
+        let doublings = failed_attempt.saturating_sub(1).min(5);
+        self.backoff.saturating_mul(1 << doublings).min(MAX_BACKOFF)
     }
 }
 
@@ -210,7 +195,7 @@ pub struct SpanFailure {
 /// a crash is timing), unlike the returned blocks, which never do.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
-    /// Children spawned (primaries + hedges).
+    /// Children that actually started.
     pub spawned: u64,
     /// Attempts that returned a valid payload.
     pub ok: u64,
@@ -222,10 +207,6 @@ pub struct SupervisorStats {
     pub splits: u64,
     /// Attempts killed by the per-attempt deadline.
     pub deadline_kills: u64,
-    /// Hedge twins launched.
-    pub hedges: u64,
-    /// Hedge twins that won their race.
-    pub hedge_wins: u64,
 }
 
 /// The outcome of a supervised fold: recovered blocks in canonical leaf
@@ -260,37 +241,6 @@ pub fn leaf_group(total: usize, role: ShardRole) -> (usize, usize) {
 
 fn span_of(total: usize, role: ShardRole) -> FoldSpan {
     crate::process_shard_span(total, role.shard, role.shards)
-}
-
-/// Canonical result order: leaf position first, then the role's fractional
-/// start (`shard/shards` compared as exact rationals) so degenerate
-/// (empty-span) roles from a `total = 0` fold still sort by shard index.
-fn canonical_cmp(a: (usize, usize, ShardRole), b: (usize, usize, ShardRole)) -> std::cmp::Ordering {
-    let frac = |r: ShardRole| (r.shard as u128, r.shards.max(1) as u128);
-    let (an, ad) = frac(a.2);
-    let (bn, bd) = frac(b.2);
-    (a.0, a.1, an * bd).cmp(&(b.0, b.1, bn * ad))
-}
-
-/// Sim-seeded exponential backoff with ±50% jitter: attempt `n`'s retry
-/// waits `base · 2^(n-1) · U[0.5, 1.5)`, capped at [`MAX_BACKOFF`]. The
-/// jitter stream is a pure function of `(seed, role, n)`, so a supervision
-/// schedule replays exactly under a fixed seed.
-fn backoff_delay(cfg: &SupervisorConfig, role: ShardRole, failed_attempt: u32) -> Duration {
-    if cfg.backoff_base.is_zero() {
-        return Duration::ZERO;
-    }
-    let key = ((role.shard as u64) << 32) | role.shards as u64;
-    let stream = wsc_prng::derive_seed(cfg.backoff_seed, key);
-    let mut rng =
-        wsc_prng::SmallRng::seed_from_u64(wsc_prng::derive_seed(stream, u64::from(failed_attempt)));
-    let exp = cfg
-        .backoff_base
-        .saturating_mul(1u32 << failed_attempt.saturating_sub(1).min(5));
-    let jitter_ppm = 500_000 + rng.next_u64() % 1_000_000;
-    let nanos = exp.as_nanos().saturating_mul(u128::from(jitter_ppm)) / 1_000_000;
-    let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-    Duration::from_nanos(nanos).min(MAX_BACKOFF)
 }
 
 // ---------------------------------------------------------------------------
@@ -414,89 +364,90 @@ impl FaultPlan {
     }
 }
 
-/// The child's 1-based attempt number from [`ATTEMPT_ENV`] (1 when absent,
-/// i.e. when run outside the supervisor).
-pub fn child_attempt() -> u32 {
-    std::env::var(ATTEMPT_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(1)
+/// A shard child's view of the protocol: its role, its 1-based attempt
+/// number, and the fault (if any) the chaos plan aims at this attempt —
+/// each read from the environment once.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardChild {
+    /// This process's position in the sharded fold.
+    pub role: ShardRole,
+    attempt: u32,
+    fault: Option<FaultKind>,
 }
 
-/// Pre-payload fault hook: shard children call this after detecting their
-/// role and *before* folding. Injects the faults that strike before any
-/// payload exists: `crash` exits 101, `hang` sleeps forever (the parent's
-/// deadline reaps it).
-pub fn child_preflight(role: ShardRole) {
-    let attempt = child_attempt();
-    match FaultPlan::from_env().active(role.shard, attempt) {
-        Some(FaultKind::Crash) => {
-            eprintln!(
-                "wsc-shard-fault: injected crash in shard {}/{} attempt {attempt}",
-                role.shard, role.shards
-            );
-            std::process::exit(101);
-        }
-        Some(FaultKind::Hang) => {
-            eprintln!(
-                "wsc-shard-fault: injected hang in shard {}/{} attempt {attempt}",
-                role.shard, role.shards
-            );
-            loop {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-        _ => {}
+impl ShardChild {
+    /// `Some` when this process is a shard child ([`SHARD_ENV`] holds a
+    /// valid role). The attempt number comes from [`ATTEMPT_ENV`] (1 when
+    /// absent, i.e. when run outside the supervisor), the fault from
+    /// [`FaultPlan::from_env`].
+    pub fn from_env() -> Option<Self> {
+        let role = ShardRole::from_env()?;
+        let attempt = std::env::var(ATTEMPT_ENV)
+            .ok()
+            .and_then(|v| v.trim().parse::<u32>().ok())
+            .unwrap_or(1);
+        let fault = FaultPlan::from_env().active(role.shard, attempt);
+        Some(Self {
+            role,
+            attempt,
+            fault,
+        })
     }
-}
 
-/// Payload-emission fault hook: shard children call this *instead of*
-/// printing `encode_payload` themselves. Emits the (possibly sabotaged)
-/// frame on stdout and returns the exit code the child must use.
-#[must_use = "the child must exit with the returned code"]
-pub fn child_emit_payload(role: ShardRole, bytes: &[u8]) -> i32 {
-    let attempt = child_attempt();
-    let framed = crate::proc::encode_payload(bytes);
-    match FaultPlan::from_env().active(role.shard, attempt) {
-        Some(FaultKind::Corrupt) => {
-            // Flip one hex digit in the body: still parses as hex, so the
-            // CRC trailer is the only defense.
-            let body = framed.find('\n').map_or(0, |i| i + 1);
-            let mut sabotaged = framed.into_bytes();
-            if let Some(b) = sabotaged.get_mut(body) {
-                *b = if *b == b'0' { b'1' } else { b'0' };
+    fn report_injected(&self, what: &str) {
+        eprintln!(
+            "wsc-shard-fault: injected {what} in shard {} attempt {}",
+            self.role, self.attempt
+        );
+    }
+
+    /// Pre-payload fault hook: call *before* folding. Injects the faults
+    /// that strike before any payload exists: `crash` exits 101, `hang`
+    /// sleeps forever (the parent's deadline reaps it).
+    pub fn preflight(&self) {
+        match self.fault {
+            Some(FaultKind::Crash) => {
+                self.report_injected("crash");
+                std::process::exit(101);
             }
-            println!(
-                "{}",
-                String::from_utf8(sabotaged).expect("frame stays ASCII")
-            );
-            eprintln!(
-                "wsc-shard-fault: injected frame corruption in shard {}/{} attempt {attempt}",
-                role.shard, role.shards
-            );
-            0
+            Some(FaultKind::Hang) => {
+                self.report_injected("hang");
+                loop {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            }
+            _ => {}
         }
-        Some(FaultKind::Partial) => {
-            let cut = framed.len() / 2;
-            print!("{}", &framed[..cut]);
-            eprintln!(
-                "wsc-shard-fault: injected partial write in shard {}/{} attempt {attempt}",
-                role.shard, role.shards
-            );
-            0
+    }
+
+    /// Emits `bytes` as the (possibly sabotaged) payload frame on stdout
+    /// and returns the exit code the child must use.
+    #[must_use = "the child must exit with the returned code"]
+    pub fn emit(&self, bytes: &[u8]) -> i32 {
+        let mut framed = encode_payload(bytes).into_bytes();
+        let mut code = 0;
+        match self.fault {
+            Some(FaultKind::Corrupt) => {
+                // Flip one hex digit in the body: still parses as hex, so the
+                // CRC trailer is the only defense.
+                let body = framed.iter().position(|&b| b == b'\n').map_or(0, |i| i + 1);
+                if let Some(b) = framed.get_mut(body) {
+                    *b = if *b == b'0' { b'1' } else { b'0' };
+                }
+                self.report_injected("frame corruption");
+            }
+            Some(FaultKind::Partial) => {
+                framed.truncate(framed.len() / 2);
+                self.report_injected("partial write");
+            }
+            Some(FaultKind::Exit) => {
+                code = 7;
+                self.report_injected("nonzero exit");
+            }
+            _ => {}
         }
-        Some(FaultKind::Exit) => {
-            println!("{framed}");
-            eprintln!(
-                "wsc-shard-fault: injected nonzero exit in shard {}/{} attempt {attempt}",
-                role.shard, role.shards
-            );
-            7
-        }
-        _ => {
-            println!("{framed}");
-            0
-        }
+        println!("{}", String::from_utf8(framed).expect("frame is ASCII"));
+        code
     }
 }
 
@@ -504,110 +455,137 @@ pub fn child_emit_payload(role: ShardRole, bytes: &[u8]) -> i32 {
 // Supervisor (parent side)
 // ---------------------------------------------------------------------------
 
+/// A span has at most one attempt in flight, so the attempt lives in the
+/// state.
 enum JobState {
     /// Waiting to (re)spawn once the backoff deadline passes.
-    Waiting { not_before: Instant },
-    /// At least one attempt is in flight.
-    Running,
+    Waiting {
+        not_before: Instant,
+    },
+    Running(Attempt),
     /// Block recorded, failure recorded, or superseded by a split.
     Resolved,
 }
 
 struct Job {
     role: ShardRole,
+    /// Attempts started so far (the running one included).
     attempts: u32,
-    budget: u32,
     state: JobState,
-    last_error: Option<ShardError>,
+}
+
+impl Job {
+    fn new(role: ShardRole, not_before: Instant) -> Self {
+        Self {
+            role,
+            attempts: 0,
+            state: JobState::Waiting { not_before },
+        }
+    }
 }
 
 struct Attempt {
-    job: usize,
-    number: u32,
-    hedge: bool,
-    /// Has a hedge twin already been launched against this attempt?
-    hedged: bool,
     child: Child,
     started: Instant,
     stdout: JoinHandle<Vec<u8>>,
     stderr: JoinHandle<Vec<String>>,
 }
 
-fn spawn_attempt(
-    program: &Path,
-    args: &[String],
-    extra_env: &[(String, String)],
-    job: usize,
-    role: ShardRole,
-    number: u32,
-    hedge: bool,
-) -> Result<Attempt, String> {
-    let mut cmd = Command::new(program);
-    cmd.args(args)
-        .env(SHARD_ENV, role.env_value())
-        .env(ATTEMPT_ENV, number.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
-    if hedge {
-        cmd.env(HEDGE_TWIN_ENV, "1");
-    }
-    for (k, v) in extra_env {
-        cmd.env(k, v);
-    }
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| format!("failed to spawn shard child: {e}"))?;
-    let mut out_pipe = child.stdout.take().expect("stdout was piped");
-    let err_pipe = child.stderr.take().expect("stderr was piped");
-    // Reader threads drain both pipes concurrently so a child that fills
-    // one pipe's buffer can never deadlock against a parent reading the
-    // other. They exit at EOF, which kill() forces.
-    let stdout = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = out_pipe.read_to_end(&mut buf);
-        buf
-    });
-    let stderr = std::thread::spawn(move || {
-        let mut tail: VecDeque<String> = VecDeque::with_capacity(STDERR_TAIL_LINES);
-        for line in BufReader::new(err_pipe).lines().map_while(Result::ok) {
-            if tail.len() == STDERR_TAIL_LINES {
-                tail.pop_front();
-            }
-            tail.push_back(line);
+/// How an attempt ended: the validated payload, or what went wrong plus the
+/// child's stderr tail.
+type Verdict = Result<Vec<u8>, (String, Vec<String>)>;
+
+impl Attempt {
+    fn spawn(
+        program: &Path,
+        args: &[String],
+        extra_env: &[(String, String)],
+        role: ShardRole,
+        number: u32,
+    ) -> Result<Self, String> {
+        let mut cmd = Command::new(program);
+        cmd.args(args)
+            .env(SHARD_ENV, role.to_string())
+            .env(ATTEMPT_ENV, number.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
+        for (k, v) in extra_env {
+            cmd.env(k, v);
         }
-        tail.into_iter().collect()
-    });
-    // lint:allow(wall-clock) Supervision timing (deadlines, backoff) is
-    // transport-level wall-clock by nature; fold *results* stay seeded.
-    let started = Instant::now();
-    Ok(Attempt {
-        job,
-        number,
-        hedge,
-        hedged: false,
-        child,
-        started,
-        stdout,
-        stderr,
-    })
-}
+        let mut child = cmd
+            .spawn()
+            .map_err(|e| format!("failed to spawn shard child: {e}"))?;
+        let mut out_pipe = child.stdout.take().expect("stdout was piped");
+        let err_pipe = child.stderr.take().expect("stderr was piped");
+        // Reader threads drain both pipes concurrently so a child that fills
+        // one pipe's buffer can never deadlock against a parent reading the
+        // other. They exit at EOF, which kill() forces.
+        let stdout = std::thread::spawn(move || {
+            let mut buf = Vec::new();
+            let _ = out_pipe.read_to_end(&mut buf);
+            buf
+        });
+        let stderr = std::thread::spawn(move || {
+            let mut tail: VecDeque<String> = VecDeque::with_capacity(STDERR_TAIL_LINES);
+            for line in BufReader::new(err_pipe).lines().map_while(Result::ok) {
+                if tail.len() == STDERR_TAIL_LINES {
+                    tail.pop_front();
+                }
+                tail.push_back(line);
+            }
+            tail.into_iter().collect()
+        });
+        Ok(Self {
+            child,
+            // lint:allow(wall-clock) Supervision timing (deadlines, backoff)
+            // is transport-level wall-clock by nature; fold *results* stay
+            // seeded.
+            started: Instant::now(),
+            stdout,
+            stderr,
+        })
+    }
 
-/// Reaps a finished attempt: joins both pipe readers and returns
-/// `(stdout bytes, stderr tail)`.
-fn reap(att: Attempt) -> (Vec<u8>, Vec<String>) {
-    let out = att.stdout.join().unwrap_or_default();
-    let err = att.stderr.join().unwrap_or_default();
-    (out, err)
-}
+    /// Checks on the child once. `Err(self)` = still running within
+    /// `deadline`; otherwise the attempt is over, one way or another.
+    fn poll(
+        mut self,
+        deadline: Option<Duration>,
+        now: Instant,
+        stats: &mut SupervisorStats,
+    ) -> Result<Verdict, Self> {
+        match self.child.try_wait() {
+            Ok(Some(status)) => {
+                let (out, tail) = self.reap();
+                Ok(validate(status, &out).map_err(|msg| (msg, tail)))
+            }
+            Ok(None) => {
+                let elapsed = now.saturating_duration_since(self.started);
+                if deadline.is_none_or(|d| elapsed <= d) {
+                    return Err(self);
+                }
+                stats.deadline_kills += 1;
+                let msg = format!("deadline exceeded after {} ms", elapsed.as_millis());
+                Ok(Err((msg, self.kill())))
+            }
+            Err(e) => Ok(Err((format!("wait failed: {e}"), self.kill()))),
+        }
+    }
 
-/// Kills and discards an attempt (a losing hedge twin, or a sibling of a
-/// completed job).
-fn kill_and_discard(mut att: Attempt) {
-    let _ = att.child.kill();
-    let _ = att.child.wait();
-    let _ = att.stdout.join();
-    let _ = att.stderr.join();
+    /// Joins both pipe readers of an exited child: `(stdout, stderr tail)`.
+    fn reap(self) -> (Vec<u8>, Vec<String>) {
+        let out = self.stdout.join().unwrap_or_default();
+        let err = self.stderr.join().unwrap_or_default();
+        (out, err)
+    }
+
+    /// Kills the child and returns what it had written to stderr.
+    fn kill(mut self) -> Vec<String> {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        self.reap().1
+    }
 }
 
 /// Validates one finished attempt: exit status, then frame integrity.
@@ -635,329 +613,135 @@ pub fn run_supervised(
 ) -> SupervisedFold {
     let shards = shards.max(1);
     let budget = cfg.retries + 1;
+    // lint:allow(wall-clock) Supervision timing only.
+    let start = Instant::now();
     let mut jobs: Vec<Job> = (0..shards)
-        .map(|s| Job {
-            role: ShardRole { shard: s, shards },
-            attempts: 0,
-            budget,
-            state: JobState::Waiting {
-                // lint:allow(wall-clock) Supervision timing only.
-                not_before: Instant::now(),
-            },
-            last_error: None,
-        })
+        .map(|shard| Job::new(ShardRole { shard, shards }, start))
         .collect();
-    let mut running: Vec<Attempt> = Vec::new();
-    let mut blocks: Vec<ShardBlock> = Vec::new();
-    let mut failures: Vec<SpanFailure> = Vec::new();
-    let mut stats = SupervisorStats::default();
-
-    // Records a failed attempt against its job and decides what happens
-    // next: wait out a retry, split the span, or record the loss. Only
-    // called when no sibling attempt of the job is still running.
-    #[allow(clippy::too_many_arguments)]
-    fn after_failure(
-        jobs: &mut Vec<Job>,
-        failures: &mut Vec<SpanFailure>,
-        stats: &mut SupervisorStats,
-        cfg: &SupervisorConfig,
-        total: usize,
-        job: usize,
-        error: ShardError,
-    ) {
-        let role = jobs[job].role;
-        let attempts = jobs[job].attempts;
-        // Surface the failed attempt now (error message + child stderr
-        // tail): a fault that retries successfully must still be
-        // diagnosable from the parent's stderr, not silently absorbed.
-        eprintln!(
-            "wsc-shard-supervisor: shard {}/{} attempt {attempts}/{}: {error}",
-            role.shard, role.shards, jobs[job].budget
-        );
-        jobs[job].last_error = Some(error);
-        if attempts < jobs[job].budget {
-            let delay = backoff_delay(cfg, role, attempts);
-            stats.retries += 1;
-            eprintln!(
-                "wsc-shard-supervisor: shard {}/{} retrying in {} ms",
-                role.shard,
-                role.shards,
-                delay.as_millis()
-            );
-            jobs[job].state = JobState::Waiting {
-                // lint:allow(wall-clock) Supervision timing only.
-                not_before: Instant::now() + delay,
-            };
-            return;
-        }
-        let (first, last) = leaf_group(total, role);
-        let mid = leaf_group(
-            total,
-            ShardRole {
-                shard: 2 * role.shard,
-                shards: 2 * role.shards,
-            },
-        )
-        .1;
-        if cfg.split_on_exhaustion && last - first >= 2 && mid > first && mid < last {
-            stats.splits += 1;
-            eprintln!(
-                "wsc-shard-supervisor: shard {}/{} exhausted {} attempts; splitting into {}/{} and {}/{}",
-                role.shard,
-                role.shards,
-                attempts,
-                2 * role.shard,
-                2 * role.shards,
-                2 * role.shard + 1,
-                2 * role.shards
-            );
-            jobs[job].state = JobState::Resolved; // superseded by halves
-            for half in 0..2 {
-                jobs.push(Job {
-                    role: ShardRole {
-                        shard: 2 * role.shard + half,
-                        shards: 2 * role.shards,
-                    },
-                    attempts: 0,
-                    budget: cfg.retries + 1,
-                    state: JobState::Waiting {
-                        // lint:allow(wall-clock) Supervision timing only.
-                        not_before: Instant::now(),
-                    },
-                    last_error: None,
-                });
-            }
-        } else {
-            jobs[job].state = JobState::Resolved;
-            let (leaf_lo, leaf_hi) = leaf_group(total, role);
-            let error = jobs[job]
-                .last_error
-                .clone()
-                .expect("just recorded the error");
-            eprintln!(
-                "wsc-shard-supervisor: shard {}/{} LOST after {attempts} attempts: {}",
-                role.shard, role.shards, error.message
-            );
-            failures.push(SpanFailure {
-                role,
-                span: span_of(total, role),
-                leaf_lo,
-                leaf_hi,
-                attempts,
-                error,
-            });
-        }
-    }
+    let mut fold = SupervisedFold {
+        blocks: Vec::new(),
+        failures: Vec::new(),
+        stats: SupervisorStats::default(),
+    };
+    let stats = &mut fold.stats;
 
     loop {
-        // Spawn every waiting job whose backoff deadline has passed, up to
-        // the inflight cap.
-        for j in 0..jobs.len() {
-            if running.len() >= cfg.max_inflight.max(1) {
-                break;
-            }
-            // lint:allow(wall-clock) Supervision timing only.
-            let now = Instant::now();
-            let due =
-                matches!(jobs[j].state, JobState::Waiting { not_before } if now >= not_before);
-            if !due {
-                continue;
-            }
-            let number = jobs[j].attempts + 1;
-            stats.spawned += 1;
-            match spawn_attempt(program, args, extra_env, j, jobs[j].role, number, false) {
-                Ok(att) => {
-                    jobs[j].attempts = number;
-                    jobs[j].state = JobState::Running;
-                    running.push(att);
+        // lint:allow(wall-clock) Supervision timing only; one read per pass.
+        let now = Instant::now();
+        // Index loop: a split pushes the halves, which this same pass
+        // then spawns.
+        let mut j = 0;
+        while j < jobs.len() {
+            let job = &mut jobs[j];
+            j += 1;
+            // Advance the job one step; only an attempt that just ended
+            // (or never started) falls through to the verdict below.
+            let verdict = match std::mem::replace(&mut job.state, JobState::Resolved) {
+                JobState::Resolved => continue,
+                JobState::Waiting { not_before } if now < not_before => {
+                    job.state = JobState::Waiting { not_before };
+                    continue;
                 }
-                Err(msg) => {
-                    jobs[j].attempts = number;
-                    stats.failed_attempts += 1;
-                    let error = ShardError {
-                        shard: jobs[j].role.shard,
-                        message: msg,
-                        stderr_tail: Vec::new(),
-                    };
-                    after_failure(&mut jobs, &mut failures, &mut stats, cfg, total, j, error);
-                }
-            }
-        }
-
-        if running.is_empty() && jobs.iter().all(|j| matches!(j.state, JobState::Resolved)) {
-            break;
-        }
-
-        // Poll in-flight attempts: completion, deadline, hedging.
-        let mut k = 0;
-        while k < running.len() {
-            let polled = running[k].child.try_wait();
-            match polled {
-                Ok(Some(status)) => {
-                    let att = running.swap_remove(k);
-                    let job = att.job;
-                    let number = att.number;
-                    let was_hedge = att.hedge;
-                    let (out, err_tail) = reap(att);
-                    if matches!(jobs[job].state, JobState::Resolved) {
-                        continue; // losing twin of an already-resolved job
-                    }
-                    match validate(status, &out) {
-                        Ok(payload) => {
-                            stats.ok += 1;
-                            if was_hedge {
-                                stats.hedge_wins += 1;
-                            }
-                            let role = jobs[job].role;
-                            let (leaf_lo, leaf_hi) = leaf_group(total, role);
-                            jobs[job].state = JobState::Resolved;
-                            blocks.push(ShardBlock {
-                                role,
-                                span: span_of(total, role),
-                                leaf_lo,
-                                leaf_hi,
-                                payload,
-                                attempts: jobs[job].attempts,
-                            });
-                            // Reap the losing twin, if any.
-                            let mut i = 0;
-                            while i < running.len() {
-                                if running[i].job == job {
-                                    kill_and_discard(running.swap_remove(i));
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                        }
-                        Err(msg) => {
-                            stats.failed_attempts += 1;
-                            let error = ShardError {
-                                shard: jobs[job].role.shard,
-                                message: format!("attempt {number}: {msg}"),
-                                stderr_tail: err_tail,
-                            };
-                            if running.iter().any(|a| a.job == job) {
-                                // A twin is still in flight; let it race.
-                                jobs[job].last_error = Some(error);
-                            } else {
-                                after_failure(
-                                    &mut jobs,
-                                    &mut failures,
-                                    &mut stats,
-                                    cfg,
-                                    total,
-                                    job,
-                                    error,
-                                );
-                            }
-                        }
-                    }
-                }
-                Ok(None) => {
-                    let elapsed = running[k].started.elapsed();
-                    if cfg.deadline.is_some_and(|d| elapsed > d) {
-                        stats.deadline_kills += 1;
-                        stats.failed_attempts += 1;
-                        let att = running.swap_remove(k);
-                        let job = att.job;
-                        let number = att.number;
-                        let mut att = att;
-                        let _ = att.child.kill();
-                        let _ = att.child.wait();
-                        let (_, err_tail) = reap(att);
-                        if matches!(jobs[job].state, JobState::Resolved) {
+                JobState::Waiting { .. } => {
+                    job.attempts += 1;
+                    match Attempt::spawn(program, args, extra_env, job.role, job.attempts) {
+                        Ok(attempt) => {
+                            stats.spawned += 1;
+                            job.state = JobState::Running(attempt);
                             continue;
                         }
-                        let error = ShardError {
-                            shard: jobs[job].role.shard,
-                            message: format!(
-                                "attempt {number}: deadline exceeded after {} ms",
-                                elapsed.as_millis()
-                            ),
-                            stderr_tail: err_tail,
-                        };
-                        if running.iter().any(|a| a.job == job) {
-                            jobs[job].last_error = Some(error);
-                        } else {
-                            after_failure(
-                                &mut jobs,
-                                &mut failures,
-                                &mut stats,
-                                cfg,
-                                total,
-                                job,
-                                error,
-                            );
-                        }
-                        continue;
-                    }
-                    let hedge_due = cfg.hedge_after.is_some_and(|h| elapsed > h);
-                    if hedge_due
-                        && !running[k].hedge
-                        && !running[k].hedged
-                        && running.len() < cfg.max_inflight.max(1)
-                    {
-                        let job = running[k].job;
-                        let number = running[k].number;
-                        let role = jobs[job].role;
-                        running[k].hedged = true;
-                        stats.hedges += 1;
-                        stats.spawned += 1;
-                        eprintln!(
-                            "wsc-shard-supervisor: hedging straggler shard {}/{} attempt {number}",
-                            role.shard, role.shards
-                        );
-                        if let Ok(twin) =
-                            spawn_attempt(program, args, extra_env, job, role, number, true)
-                        {
-                            running.push(twin);
-                        }
-                    }
-                    k += 1;
-                }
-                Err(e) => {
-                    stats.failed_attempts += 1;
-                    let att = running.swap_remove(k);
-                    let job = att.job;
-                    let number = att.number;
-                    kill_and_discard(att);
-                    if matches!(jobs[job].state, JobState::Resolved) {
-                        continue;
-                    }
-                    let error = ShardError {
-                        shard: jobs[job].role.shard,
-                        message: format!("attempt {number}: wait failed: {e}"),
-                        stderr_tail: Vec::new(),
-                    };
-                    if running.iter().any(|a| a.job == job) {
-                        jobs[job].last_error = Some(error);
-                    } else {
-                        after_failure(&mut jobs, &mut failures, &mut stats, cfg, total, job, error);
+                        Err(msg) => Err((msg, Vec::new())),
                     }
                 }
+                JobState::Running(attempt) => match attempt.poll(cfg.deadline, now, stats) {
+                    Ok(verdict) => verdict,
+                    Err(attempt) => {
+                        job.state = JobState::Running(attempt);
+                        continue;
+                    }
+                },
+            };
+
+            let (role, attempts) = (job.role, job.attempts);
+            let (leaf_lo, leaf_hi) = leaf_group(total, role);
+            let (msg, stderr_tail) = match verdict {
+                Ok(payload) => {
+                    stats.ok += 1;
+                    fold.blocks.push(ShardBlock {
+                        role,
+                        span: span_of(total, role),
+                        leaf_lo,
+                        leaf_hi,
+                        payload,
+                        attempts,
+                    });
+                    continue;
+                }
+                Err(failed) => failed,
+            };
+
+            // The one place a failed attempt becomes retry | split | lost.
+            stats.failed_attempts += 1;
+            let error = ShardError {
+                shard: role.shard,
+                message: format!("attempt {attempts}: {msg}"),
+                stderr_tail,
+            };
+            // Surface the failed attempt now (error message + child stderr
+            // tail): a fault that retries successfully must still be
+            // diagnosable from the parent's stderr, not silently absorbed.
+            eprintln!("wsc-shard-supervisor: shard {role} attempt {attempts}/{budget}: {error}");
+            let [left, right] = role.halves();
+            let mid = leaf_group(total, left).1;
+            if attempts < budget {
+                let delay = cfg.backoff_after(attempts);
+                stats.retries += 1;
+                eprintln!(
+                    "wsc-shard-supervisor: shard {role} retrying in {} ms",
+                    delay.as_millis()
+                );
+                job.state = JobState::Waiting {
+                    not_before: now + delay,
+                };
+            } else if cfg.split && leaf_hi - leaf_lo >= 2 && leaf_lo < mid && mid < leaf_hi {
+                stats.splits += 1;
+                eprintln!(
+                    "wsc-shard-supervisor: shard {role} exhausted {attempts} attempts; \
+                     splitting into {left} and {right}"
+                );
+                // `job` stays Resolved: superseded by its halves.
+                jobs.push(Job::new(left, now));
+                jobs.push(Job::new(right, now));
+            } else {
+                eprintln!(
+                    "wsc-shard-supervisor: shard {role} LOST after {attempts} attempts: {}",
+                    error.message
+                );
+                fold.failures.push(SpanFailure {
+                    role,
+                    span: span_of(total, role),
+                    leaf_lo,
+                    leaf_hi,
+                    attempts,
+                    error,
+                });
             }
         }
 
+        if jobs.iter().all(|j| matches!(j.state, JobState::Resolved)) {
+            break;
+        }
         std::thread::sleep(POLL);
     }
 
-    blocks.sort_by(|a, b| {
-        canonical_cmp(
-            (a.leaf_lo, a.leaf_hi, a.role),
-            (b.leaf_lo, b.leaf_hi, b.role),
-        )
-    });
-    failures.sort_by(|a, b| {
-        canonical_cmp(
-            (a.leaf_lo, a.leaf_hi, a.role),
-            (b.leaf_lo, b.leaf_hi, b.role),
-        )
-    });
-    SupervisedFold {
-        blocks,
-        failures,
-        stats,
-    }
+    // Canonical result order is leaf position. Only empty spans (more
+    // shards than leaves) can tie on it; they never split, so they share
+    // the original denominator and the shard index orders them.
+    fold.blocks
+        .sort_by_key(|b| (b.leaf_lo, b.leaf_hi, b.role.shard));
+    fold.failures
+        .sort_by_key(|f| (f.leaf_lo, f.leaf_hi, f.role.shard));
+    fold
 }
 
 #[cfg(test)]
@@ -965,7 +749,6 @@ pub fn run_supervised(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::proc::encode_payload;
     use std::io::Write;
     use std::path::PathBuf;
 
@@ -978,17 +761,15 @@ mod tests {
         dir
     }
 
+    fn role(shard: usize, shards: usize) -> ShardRole {
+        ShardRole { shard, shards }
+    }
+
     /// Writes per-role frame files `frame_<s>_<P>` holding the canonical
     /// payload for that role: the bytes `lo..hi` of the span over `total`.
     fn write_frames(dir: &std::path::Path, total: usize, roles: &[(usize, usize)]) {
         for &(s, p) in roles {
-            let span = span_of(
-                total,
-                ShardRole {
-                    shard: s,
-                    shards: p,
-                },
-            );
+            let span = span_of(total, role(s, p));
             let bytes: Vec<u8> = (span.lo..span.hi).map(|i| i as u8).collect();
             let mut f = std::fs::File::create(dir.join(format!("frame_{s}_{p}")))
                 .expect("create frame file");
@@ -1007,27 +788,23 @@ mod tests {
         fold.blocks.iter().flat_map(|b| b.payload.clone()).collect()
     }
 
-    fn sh(script: &str) -> (PathBuf, Vec<String>) {
-        (
-            PathBuf::from("/bin/sh"),
-            vec!["-ec".to_string(), script.to_string()],
-        )
-    }
-
-    /// `cat`s this role's frame file — a child that always succeeds.
-    fn cat_script(dir: &std::path::Path) -> String {
-        format!(
-            r#"cat "{}/frame_$(printf %s "$WSC_SHARD" | tr / _)""#,
+    /// `/bin/sh -ec '<guard>; cat <this role's frame file>'`: a child that
+    /// succeeds unless `guard` exits first.
+    fn child(dir: &std::path::Path, guard: &str) -> (PathBuf, Vec<String>) {
+        let script = format!(
+            r#"{guard}
+               cat "{}/frame_$(printf %s "$WSC_SHARD" | tr / _)""#,
             dir.display()
-        )
+        );
+        (PathBuf::from("/bin/sh"), vec!["-ec".to_string(), script])
     }
 
     #[test]
     fn healthy_fold_recovers_all_spans_in_order() {
         let dir = scratch("healthy");
         write_frames(&dir, 100, &[(0, 3), (1, 3), (2, 3)]);
-        let (prog, args) = sh(&cat_script(&dir));
-        let fold = run_supervised(&prog, &args, &[], 3, 100, &SupervisorConfig::strict());
+        let (prog, args) = child(&dir, "");
+        let fold = run_supervised(&prog, &args, &[], 3, 100, &SupervisorConfig::STRICT);
         assert!(fold.complete(), "failures: {:?}", fold.failures);
         assert_eq!(fold.blocks.len(), 3);
         assert_eq!(merged(&fold), serial_bytes(100));
@@ -1042,19 +819,17 @@ mod tests {
         let dir = scratch("retry");
         write_frames(&dir, 64, &[(0, 2), (1, 2)]);
         // Shard 1 exits 9 on its first attempt, succeeds on the second.
-        let script = format!(
+        let (prog, args) = child(
+            &dir,
             r#"if [ "$WSC_SHARD" = "1/2" ] && [ "$WSC_SHARD_ATTEMPT" -lt 2 ]; then
                  echo "injected crash" >&2; exit 9
-               fi
-               {}"#,
-            cat_script(&dir)
+               fi"#,
         );
-        let (prog, args) = sh(&script);
         let cfg = SupervisorConfig {
             retries: 2,
-            backoff_base: Duration::from_millis(1),
-            split_on_exhaustion: false,
-            ..SupervisorConfig::strict()
+            backoff: Duration::from_millis(1),
+            split: false,
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 2, 64, &cfg);
         assert!(fold.complete(), "failures: {:?}", fold.failures);
@@ -1069,28 +844,20 @@ mod tests {
     fn exhausted_budget_degrades_with_exact_loss_accounting() {
         let dir = scratch("exhaust");
         write_frames(&dir, 80, &[(0, 2), (1, 2)]);
-        let script = format!(
-            r#"if [ "$WSC_SHARD" = "0/2" ]; then echo "poison cell" >&2; exit 13; fi
-               {}"#,
-            cat_script(&dir)
+        let (prog, args) = child(
+            &dir,
+            r#"if [ "$WSC_SHARD" = "0/2" ]; then echo "poison cell" >&2; exit 13; fi"#,
         );
-        let (prog, args) = sh(&script);
         let cfg = SupervisorConfig {
             retries: 1,
-            split_on_exhaustion: false,
-            ..SupervisorConfig::strict()
+            split: false,
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 2, 80, &cfg);
         assert!(!fold.complete());
         assert_eq!(fold.failures.len(), 1);
         let lost = &fold.failures[0];
-        assert_eq!(
-            lost.role,
-            ShardRole {
-                shard: 0,
-                shards: 2
-            }
-        );
+        assert_eq!(lost.role, role(0, 2));
         assert_eq!(lost.span, span_of(80, lost.role));
         assert_eq!(lost.attempts, 2, "retry budget consumed");
         assert!(
@@ -1108,13 +875,7 @@ mod tests {
         );
         // The surviving block still covers its exact span.
         assert_eq!(fold.blocks.len(), 1);
-        let span = span_of(
-            80,
-            ShardRole {
-                shard: 1,
-                shards: 2,
-            },
-        );
+        let span = span_of(80, role(1, 2));
         assert_eq!(
             fold.blocks[0].payload,
             (span.lo..span.hi).map(|i| i as u8).collect::<Vec<u8>>()
@@ -1127,16 +888,11 @@ mod tests {
         let dir = scratch("split");
         write_frames(&dir, 60, &[(0, 2), (1, 2), (0, 4), (1, 4)]);
         // Role 0/2 always fails; its halves 0/4 and 1/4 succeed.
-        let script = format!(
-            r#"if [ "$WSC_SHARD" = "0/2" ]; then exit 5; fi
-               {}"#,
-            cat_script(&dir)
-        );
-        let (prog, args) = sh(&script);
+        let (prog, args) = child(&dir, r#"if [ "$WSC_SHARD" = "0/2" ]; then exit 5; fi"#);
         let cfg = SupervisorConfig {
             retries: 0,
-            split_on_exhaustion: true,
-            ..SupervisorConfig::strict()
+            split: true,
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 2, 60, &cfg);
         assert!(fold.complete(), "failures: {:?}", fold.failures);
@@ -1156,26 +912,18 @@ mod tests {
         write_frames(&dir, 40, &[(0, 1), (0, 2), (1, 2)]);
         // The whole fold (0/1) fails, as does the first half (0/2) — only
         // the second half survives. Coverage must be exactly its span.
-        let script = format!(
-            r#"case "$WSC_SHARD" in 0/1|0/2|0/4|1/4) exit 5;; esac
-               {}"#,
-            cat_script(&dir)
+        let (prog, args) = child(
+            &dir,
+            r#"case "$WSC_SHARD" in 0/1|0/2|0/4|1/4) exit 5;; esac"#,
         );
-        let (prog, args) = sh(&script);
         let cfg = SupervisorConfig {
             retries: 0,
-            split_on_exhaustion: true,
-            ..SupervisorConfig::strict()
+            split: true,
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 1, 40, &cfg);
         assert!(!fold.complete());
-        let survivor = span_of(
-            40,
-            ShardRole {
-                shard: 1,
-                shards: 2,
-            },
-        );
+        let survivor = span_of(40, role(1, 2));
         let lost_total: usize = fold.failures.iter().map(|f| f.span.hi - f.span.lo).sum();
         let recovered_total: usize = fold.blocks.iter().map(|b| b.span.hi - b.span.lo).sum();
         assert_eq!(recovered_total, survivor.hi - survivor.lo);
@@ -1199,46 +947,20 @@ mod tests {
         write_frames(&dir, 32, &[(0, 2), (1, 2)]);
         // Shard 0 hangs on attempt 1 (exec so the kill reaches the sleeper
         // and the pipe closes), succeeds on attempt 2.
-        let script = format!(
+        let (prog, args) = child(
+            &dir,
             r#"if [ "$WSC_SHARD" = "0/2" ] && [ "$WSC_SHARD_ATTEMPT" -lt 2 ]; then
                  exec sleep 30
-               fi
-               {}"#,
-            cat_script(&dir)
+               fi"#,
         );
-        let (prog, args) = sh(&script);
         let cfg = SupervisorConfig {
             retries: 1,
             deadline: Some(Duration::from_millis(300)),
-            ..SupervisorConfig::strict()
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 2, 32, &cfg);
         assert!(fold.complete(), "failures: {:?}", fold.failures);
         assert_eq!(fold.stats.deadline_kills, 1);
-        assert_eq!(merged(&fold), serial_bytes(32));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn hedge_twin_rescues_a_straggler() {
-        let dir = scratch("hedge");
-        write_frames(&dir, 32, &[(0, 1)]);
-        // The primary sleeps far past the hedge delay; the twin (marked by
-        // WSC_SHARD_HEDGE_TWIN) answers immediately.
-        let script = format!(
-            r#"if [ -z "$WSC_SHARD_HEDGE_TWIN" ]; then exec sleep 30; fi
-               {}"#,
-            cat_script(&dir)
-        );
-        let (prog, args) = sh(&script);
-        let cfg = SupervisorConfig {
-            hedge_after: Some(Duration::from_millis(100)),
-            ..SupervisorConfig::strict()
-        };
-        let fold = run_supervised(&prog, &args, &[], 1, 32, &cfg);
-        assert!(fold.complete(), "failures: {:?}", fold.failures);
-        assert_eq!(fold.stats.hedges, 1);
-        assert_eq!(fold.stats.hedge_wins, 1);
         assert_eq!(merged(&fold), serial_bytes(32));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1258,18 +980,14 @@ mod tests {
             String::from_utf8(b).unwrap()
         };
         std::fs::write(dir.join("garbled_0_1"), garbled).unwrap();
-        let script = format!(
-            r#"if [ "$WSC_SHARD_ATTEMPT" -lt 2 ]; then
-                 cat "{dir}/garbled_0_1"
-               else
-                 cat "{dir}/frame_0_1"
-               fi"#,
-            dir = dir.display()
+        let guard = format!(
+            r#"if [ "$WSC_SHARD_ATTEMPT" -lt 2 ]; then exec cat "{}/garbled_0_1"; fi"#,
+            dir.display()
         );
-        let (prog, args) = sh(&script);
+        let (prog, args) = child(&dir, &guard);
         let cfg = SupervisorConfig {
             retries: 1,
-            ..SupervisorConfig::strict()
+            ..SupervisorConfig::STRICT
         };
         let fold = run_supervised(&prog, &args, &[], 1, 16, &cfg);
         assert!(fold.complete(), "failures: {:?}", fold.failures);
@@ -1310,69 +1028,65 @@ mod tests {
     }
 
     #[test]
-    fn config_env_overrides_parse() {
-        let cfg = SupervisorConfig::resilient().with_overrides(|k| match k {
-            RETRIES_ENV => Some("5".to_string()),
-            DEADLINE_ENV => Some("1500".to_string()),
-            BACKOFF_ENV => Some("10".to_string()),
-            SPLIT_ENV => Some("0".to_string()),
-            HEDGE_ENV => Some("250".to_string()),
-            _ => None,
-        });
-        assert_eq!(cfg.retries, 5);
-        assert_eq!(cfg.deadline, Some(Duration::from_millis(1500)));
-        assert_eq!(cfg.backoff_base, Duration::from_millis(10));
-        assert!(!cfg.split_on_exhaustion);
-        assert_eq!(cfg.hedge_after, Some(Duration::from_millis(250)));
-        // Zero disables deadline and hedge.
-        let cfg = SupervisorConfig::resilient().with_overrides(|k| match k {
-            DEADLINE_ENV | HEDGE_ENV => Some("0".to_string()),
-            _ => None,
-        });
-        assert_eq!(cfg.deadline, None);
-        assert_eq!(cfg.hedge_after, None);
-        // Garbage is ignored, resilient defaults kept.
-        let cfg =
-            SupervisorConfig::resilient().with_overrides(|_| Some("not a number".to_string()));
-        assert_eq!(cfg.retries, SupervisorConfig::resilient().retries);
+    fn policy_parses_and_rejects_typos() {
+        assert_eq!(SupervisorConfig::parse(""), Ok(SupervisorConfig::default()));
         // No default deadline: healthy span wall time scales with span size
         // and host load, so a fixed default would kill healthy shards on
         // slow boxes (it did — fleet-tier shards on a single-core runner).
-        assert_eq!(SupervisorConfig::resilient().deadline, None);
+        assert_eq!(SupervisorConfig::default().deadline, None);
+        assert_eq!(
+            SupervisorConfig::parse("retries=5, backoff-ms=10 ,deadline-ms=1500,split=0"),
+            Ok(SupervisorConfig {
+                retries: 5,
+                backoff: Duration::from_millis(10),
+                deadline: Some(Duration::from_millis(1500)),
+                split: false,
+            })
+        );
+        assert_eq!(
+            SupervisorConfig::parse("retries=0,backoff-ms=0,deadline-ms=0,split=0"),
+            Ok(SupervisorConfig::STRICT),
+            "zero disables the deadline"
+        );
+        assert_eq!(
+            SupervisorConfig::parse("retries=64,split=1").map(|c| (c.retries, c.split)),
+            Ok((64, true)),
+            "unnamed keys keep their defaults"
+        );
+        for bad in [
+            "retries",
+            "retries=x",
+            "retries=65",
+            "retrys=1",
+            "split=2",
+            "twin-ms=5",
+            "deadline-ms=-1",
+        ] {
+            let err = SupervisorConfig::parse(&format!("backoff-ms=1,{bad}")).unwrap_err();
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "{bad:?} not named: {err}"
+            );
+        }
     }
 
     #[test]
-    fn backoff_is_seeded_exponential_and_capped() {
-        let cfg = SupervisorConfig {
-            backoff_base: Duration::from_millis(25),
-            backoff_seed: 42,
-            ..SupervisorConfig::strict()
-        };
-        let role = ShardRole {
-            shard: 1,
-            shards: 4,
-        };
-        let d1 = backoff_delay(&cfg, role, 1);
-        let d1_again = backoff_delay(&cfg, role, 1);
-        assert_eq!(d1, d1_again, "same seed, same delay");
-        // ±50% jitter around base · 2^(n-1).
-        assert!(d1 >= Duration::from_micros(12_500) && d1 < Duration::from_micros(37_500));
-        let d3 = backoff_delay(&cfg, role, 3);
-        assert!(d3 >= Duration::from_micros(50_000) && d3 < Duration::from_micros(150_000));
-        assert!(backoff_delay(&cfg, role, 30) <= MAX_BACKOFF);
+    fn backoff_is_exponential_and_capped() {
+        let ms = Duration::from_millis;
+        let cfg = SupervisorConfig::default();
+        assert_eq!(cfg.backoff, ms(25));
         assert_eq!(
-            backoff_delay(&SupervisorConfig::strict(), role, 1),
-            Duration::ZERO
+            [1, 2, 3].map(|n| cfg.backoff_after(n)),
+            [ms(25), ms(50), ms(100)]
         );
-        let other = backoff_delay(
-            &cfg,
-            ShardRole {
-                shard: 2,
-                shards: 4,
-            },
-            1,
-        );
-        assert_ne!(d1, other, "per-role jitter streams decorrelate retries");
+        assert_eq!(cfg.backoff_after(30), ms(800), "doubling stops at 2^5");
+        let slow = SupervisorConfig {
+            backoff: ms(1_000),
+            ..cfg
+        };
+        assert_eq!(slow.backoff_after(1), ms(1_000));
+        assert_eq!(slow.backoff_after(3), MAX_BACKOFF);
+        assert_eq!(SupervisorConfig::STRICT.backoff_after(7), Duration::ZERO);
     }
 
     #[test]
@@ -1380,16 +1094,11 @@ mod tests {
         for total in [10usize, 100, 257, 100_000] {
             for shards in [1usize, 2, 3, 5] {
                 for s in 0..shards {
-                    let parent = ShardRole { shard: s, shards };
+                    let parent = role(s, shards);
                     let (pf, pl) = leaf_group(total, parent);
-                    let left = ShardRole {
-                        shard: 2 * s,
-                        shards: 2 * shards,
-                    };
-                    let right = ShardRole {
-                        shard: 2 * s + 1,
-                        shards: 2 * shards,
-                    };
+                    let [left, right] = parent.halves();
+                    assert_eq!(left, role(2 * s, 2 * shards));
+                    assert_eq!(right, role(2 * s + 1, 2 * shards));
                     let (lf, ll) = leaf_group(total, left);
                     let (rf, rl) = leaf_group(total, right);
                     assert_eq!(lf, pf, "left half starts at the parent start");
@@ -1407,18 +1116,69 @@ mod tests {
     }
 
     #[test]
-    fn strict_wrapper_reports_lowest_failing_shard() {
+    fn failing_shards_come_back_in_leaf_order_with_their_stderr() {
         let dir = scratch("strict");
         write_frames(&dir, 48, &[(0, 3), (1, 3), (2, 3)]);
-        let script = format!(
-            r#"case "$WSC_SHARD" in 1/3|2/3) echo "down" >&2; exit 4;; esac
-               {}"#,
-            cat_script(&dir)
+        let (prog, args) = child(
+            &dir,
+            r#"case "$WSC_SHARD" in 1/3|2/3) echo "down $WSC_SHARD" >&2; exit 4;; esac"#,
         );
-        let (prog, args) = sh(&script);
-        let err = crate::proc::run_shard_processes(&prog, &args, &[], 3).unwrap_err();
-        assert_eq!(err.shard, 1, "lowest failing shard wins");
-        assert!(err.stderr_tail.iter().any(|l| l.contains("down")));
+        let fold = run_supervised(&prog, &args, &[], 3, 48, &SupervisorConfig::STRICT);
+        assert_eq!(fold.blocks.len(), 1);
+        assert_eq!(fold.blocks[0].role.shard, 0);
+        let lost: Vec<usize> = fold.failures.iter().map(|f| f.role.shard).collect();
+        assert_eq!(lost, [1, 2], "leaf order, lowest failing shard first");
+        for f in &fold.failures {
+            assert_eq!(f.error.shard, f.role.shard);
+            assert_eq!(f.error.stderr_tail, [format!("down {}", f.role)]);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unspawnable_program_loses_every_span_without_panicking() {
+        let cfg = SupervisorConfig {
+            retries: 2,
+            ..SupervisorConfig::STRICT
+        };
+        let prog = PathBuf::from("/nonexistent/wsc-shard-child");
+        let fold = run_supervised(&prog, &[], &[], 2, 10, &cfg);
+        assert!(fold.blocks.is_empty());
+        assert_eq!(fold.failures.len(), 2);
+        for (shard, f) in fold.failures.iter().enumerate() {
+            assert_eq!(f.role, role(shard, 2));
+            assert_eq!(f.span, span_of(10, f.role));
+            assert_eq!(f.attempts, 3, "retry budget consumed");
+            assert!(
+                f.error.message.contains("failed to spawn"),
+                "{}",
+                f.error.message
+            );
+        }
+        assert_eq!(fold.stats.spawned, 0, "no child ever started");
+        assert_eq!(fold.stats.failed_attempts, 6);
+        assert_eq!(fold.stats.retries, 4);
+    }
+
+    #[test]
+    fn more_shards_than_leaves_keeps_shard_order() {
+        let dir = scratch("tiny");
+        let roles: Vec<(usize, usize)> = (0..8).map(|s| (s, 8)).collect();
+        write_frames(&dir, 3, &roles);
+        // Shards 0 and 3 own empty spans at the same leaf position as
+        // their right-hand neighbour; the delay makes them finish second,
+        // so completion order alone would misplace them. (A slow host can
+        // only make the delay moot, never fail the test.)
+        let (prog, args) = child(&dir, r#"case "$WSC_SHARD" in 0/8|3/8) sleep 0.3;; esac"#);
+        let fold = run_supervised(&prog, &args, &[], 8, 3, &SupervisorConfig::STRICT);
+        assert!(fold.complete(), "failures: {:?}", fold.failures);
+        let order: Vec<usize> = fold.blocks.iter().map(|b| b.role.shard).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5, 6, 7], "empty spans tie on leaves");
+        assert_eq!(
+            fold.blocks.iter().filter(|b| b.payload.is_empty()).count(),
+            5
+        );
+        assert_eq!(merged(&fold), serial_bytes(3));
         std::fs::remove_dir_all(&dir).ok();
     }
 }
