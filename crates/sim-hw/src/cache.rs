@@ -214,7 +214,10 @@ impl LlcModel {
         Self {
             capacity,
             domains: vec![Domain::default(); num_domains],
-            index: IntMap::default(),
+            // 1 024 buckets: a cold 32-request machine leaves ≈ 650 blocks
+            // resident, which an index grown from empty reaches through
+            // eight rehashes.
+            index: IntMap::with_capacity_and_hasher(896, Default::default()),
             tick: 0,
             stats: LlcStats::default(),
         }

@@ -107,6 +107,10 @@ pub struct Tcmalloc {
     sampler: Sampler,
     deferred: DeferredFrees,
     bus: EventBus,
+    /// The one buffer a batch rides through the slow tiers in: empty
+    /// between operations, taken by a per-CPU miss or handed to the per-CPU
+    /// cache for an overflow, and put back with its storage kept.
+    batch: Vec<u64>,
     // lint:allow(hashmap-decl) keyed by sampled address; never iterated
     live_samples: IntMap<u64, (u64, u64, f64)>,
     live_requested_bytes: u64,
@@ -147,6 +151,7 @@ impl Tcmalloc {
             sampler: Sampler::new(cfg.sample_period_bytes),
             deferred: DeferredFrees::new(cfg.free_arm, table.num_classes()),
             bus: EventBus::new(&cfg, CostModel::production(), clock.clone()),
+            batch: Vec::new(),
             live_samples: IntMap::default(),
             live_requested_bytes: 0,
             live_objects: 0,
@@ -300,11 +305,13 @@ impl Tcmalloc {
         if self.cfg.free_arm == FreeArm::MessagePassing {
             let inbound = self.deferred.drain_inbox(vcpu.index() as u32);
             for (class, objs) in inbound {
-                self.adopt_drained(vcpu.index(), shard, class as usize, objs);
+                self.adopt_drained(vcpu.index(), shard, class as usize, &objs);
             }
         }
         let batch = info.batch as usize;
-        let mut objs = self.transfer.fetch(shard, cl, batch, &mut self.bus);
+        let mut objs = std::mem::take(&mut self.batch);
+        self.transfer
+            .fetch(shard, cl, batch, &mut objs, &mut self.bus);
         let mut path = AllocPath::TransferCache;
         if objs.len() < batch {
             // Central refill: the second drain point. Deferred objects of
@@ -312,33 +319,41 @@ impl Tcmalloc {
             // asked for fresh spans.
             if self.cfg.free_arm != FreeArm::OwnerOnly {
                 let drained = self.deferred.drain_class(cl as u16);
-                self.adopt_drained(vcpu.index(), shard, cl, drained);
+                self.adopt_drained(vcpu.index(), shard, cl, &drained);
             }
-            let need = batch - objs.len();
+            let fetched = objs.len();
             match self.central[cl].alloc_batch(
-                need,
+                batch - fetched,
+                &mut objs,
                 &mut self.spans,
                 &mut self.pagemap,
                 &mut self.pageheap,
                 &mut self.bus,
             ) {
-                Ok((more, deep)) => {
+                Ok(deep) => {
                     if self.cfg.free_arm != FreeArm::OwnerOnly {
-                        self.claim_spans(&more, vcpu.index() as u32);
+                        // lint:allow(panic-surface) alloc_batch only
+                        // appends, so fetched <= objs.len().
+                        self.claim_spans(&objs[fetched..], vcpu.index() as u32);
                     }
-                    objs.extend(more);
                     path = deep;
                 }
                 // The pageheap could not grow. Degrade gracefully: any
                 // objects the transfer cache already surrendered still
                 // serve the request; only a truly empty hierarchy errors.
-                Err(e) if objs.is_empty() => return Err(e),
+                Err(e) if objs.is_empty() => {
+                    self.batch = objs;
+                    return Err(e);
+                }
                 Err(_) => {}
             }
         }
         let addr = objs.pop().expect("refill batch is never empty");
-        let leftover = self.percpu.refill(vcpu, cl, objs, &mut self.bus);
-        self.return_objects(shard, cl, leftover, true);
+        let kept = self.percpu.refill(vcpu, cl, &objs, &mut self.bus);
+        // lint:allow(panic-surface) refill returns at most objs.len().
+        self.return_objects(shard, cl, &objs[kept..], true);
+        objs.clear();
+        self.batch = objs;
         Ok((addr, info.size, path))
     }
 
@@ -460,10 +475,17 @@ impl Tcmalloc {
                     }
                     AllocPath::PerCpu
                 } else {
-                    match self.percpu.free(vcpu, cl, addr, &mut self.bus) {
+                    match self
+                        .percpu
+                        .free(vcpu, cl, addr, &mut self.batch, &mut self.bus)
+                    {
                         FreeOutcome::Cached => AllocPath::PerCpu,
-                        FreeOutcome::Overflow(batch) => {
-                            self.return_objects(self.shard_of(cpu), cl, batch, false)
+                        FreeOutcome::Overflow => {
+                            let mut shed = std::mem::take(&mut self.batch);
+                            let path = self.return_objects(self.shard_of(cpu), cl, &shed, false);
+                            shed.clear();
+                            self.batch = shed;
+                            path
                         }
                     }
                 };
@@ -536,7 +558,7 @@ impl Tcmalloc {
     /// Adopts one class's batch of drained remote frees: emits the drain
     /// event, charges the list-detach cost, and returns the objects to the
     /// middle tiers.
-    fn adopt_drained(&mut self, vcpu: usize, shard: usize, cl: usize, objs: Vec<u64>) {
+    fn adopt_drained(&mut self, vcpu: usize, shard: usize, cl: usize, objs: &[u64]) {
         if objs.is_empty() {
             return;
         }
@@ -568,27 +590,30 @@ impl Tcmalloc {
         }
         let drained = self.deferred.drain_all();
         for (class, objs) in drained {
-            self.adopt_drained(0, 0, class as usize, objs);
+            self.adopt_drained(0, 0, class as usize, &objs);
         }
     }
 
-    /// Pushes surplus objects down the hierarchy (transfer cache, then the
-    /// central free list). Returns the deepest tier touched.
+    /// Pushes surplus objects down the hierarchy: the transfer cache takes
+    /// a prefix, the central free list the rest. Returns the deepest tier
+    /// touched.
     fn return_objects(
         &mut self,
         shard: usize,
         cl: usize,
-        objs: Vec<u64>,
+        objs: &[u64],
         central_only: bool,
     ) -> AllocPath {
         if objs.is_empty() {
             return AllocPath::TransferCache;
         }
-        let rest = if central_only {
+        let kept = if central_only {
             self.transfer.stash_central(cl, objs, &mut self.bus)
         } else {
             self.transfer.stash(shard, cl, objs, &mut self.bus)
         };
+        // lint:allow(panic-surface) a stash absorbs at most objs.len().
+        let rest = &objs[kept..];
         if rest.is_empty() {
             AllocPath::TransferCache
         } else if self.return_to_central(cl, rest) {
@@ -598,15 +623,18 @@ impl Tcmalloc {
         }
     }
 
-    /// Hands `objs` back to their spans on the central free list. Returns
-    /// whether a span drained completely and went back to the pageheap.
-    fn return_to_central(&mut self, cl: usize, objs: Vec<u64>) -> bool {
+    /// Hands `objs` back to their spans on the central free list, one
+    /// `dealloc` per object in slice order: the order of the list updates
+    /// decides list positions, and list positions decide which span serves
+    /// next. Returns whether a span drained completely and went back to the
+    /// pageheap.
+    fn return_to_central(&mut self, cl: usize, objs: &[u64]) -> bool {
         self.bus.emit(AllocEvent::CentralReturn {
             class: cl as u16,
             count: objs.len() as u32,
         });
         let mut released = false;
-        for addr in objs {
+        for &addr in objs {
             let id = self
                 .pagemap
                 .span_of(addr)
@@ -638,14 +666,14 @@ impl Tcmalloc {
                 &mut self.bus,
             );
             for (cl, objs) in evicted {
-                self.return_objects(0, cl, objs, true);
+                self.return_objects(0, cl, &objs, true);
             }
         }
         if self.cfg.transfer.is_sharded() && now >= self.next_plunder_ns {
             self.next_plunder_ns = now + self.cfg.plunder_interval_ns;
             let overflow = self.transfer.plunder(&mut self.bus);
             for (cl, objs) in overflow {
-                self.return_objects(0, cl, objs, true);
+                self.return_objects(0, cl, &objs, true);
             }
             // Plunder: the third drain point — a full-barrier adoption of
             // everything still parked, partial batches included.
@@ -657,11 +685,11 @@ impl Tcmalloc {
             // the transfer tier sheds to the central free lists.
             let evicted = self.percpu.decay();
             for (cl, objs) in evicted {
-                self.return_objects(0, cl, objs, true);
+                self.return_objects(0, cl, &objs, true);
             }
             let evicted = self.transfer.decay(&mut self.bus);
             for (cl, objs) in evicted {
-                self.return_to_central(cl, objs);
+                self.return_to_central(cl, &objs);
             }
         }
         if now >= self.next_release_ns {
@@ -1175,6 +1203,42 @@ mod tests {
         let a = t.malloc(64, CpuId(0));
         t.free(a.addr, 64, CpuId(0));
         let _ = before;
+    }
+
+    #[test]
+    fn pagemap_leaf_audit_agrees_through_a_churn_under_full_sanitize() {
+        // 4 000 operations of small objects and of large ones sized to
+        // straddle the pagemap's 8 MiB leaves: the sanitizer recomputes
+        // every leaf's occupancy from the span inventory at its own
+        // `pages_per_leaf` and must find `leaf_occupancy()` saying the same.
+        use wsc_sanitizer::SanitizeLevel;
+        let mut t = alloc(TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full));
+        let mut rng = wsc_prng::SmallRng::seed_from_u64(0x1EAF);
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        let mut leaves_seen = 0usize;
+        for op in 0..4_000u32 {
+            if live.len() < 8 || rng.gen_range(0u32..5) < 3 {
+                let size = match rng.gen_range(0u32..10) {
+                    0 => rng.gen_range(5u64 << 20..20 << 20),
+                    1 | 2 => rng.gen_range(300u64 << 10..2 << 20),
+                    _ => rng.gen_range(1u64..4096),
+                };
+                let cpu = CpuId(rng.gen_range(0u32..8));
+                live.push((t.malloc(size, cpu).addr, size));
+            } else {
+                let (addr, size) = live.swap_remove(rng.gen_range(0usize..live.len()));
+                t.free(addr, size, CpuId(rng.gen_range(0u32..8)));
+            }
+            if op % 500 == 499 {
+                assert_eq!(t.audit_now(), 0, "op {op}: {:?}", t.sanitizer_reports());
+                leaves_seen = leaves_seen.max(t.pagemap.leaf_occupancy().len());
+            }
+        }
+        assert!(
+            leaves_seen >= 3,
+            "the heap spread over {leaves_seen} leaves"
+        );
+        assert!(t.sanitizer_reports().is_empty());
     }
 
     #[test]

@@ -30,29 +30,40 @@ use wsc_sim_hw::cost::AllocPath;
 /// observations resolved as "span released before next allocation".
 #[derive(Clone, Debug)]
 pub struct SpanReturnObs {
-    /// `(released, total)` per live-allocation count (index clamped).
+    /// `(released, total)` per live-allocation count (index clamped to the
+    /// span capacity). Allocated by the first [`record`](Self::record): a
+    /// class that never frees an object back to a span never pays for its
+    /// table.
     buckets: Vec<(u64, u64)>,
+    /// Span capacity of the class: the last bucket's index.
+    capacity: u32,
 }
 
 impl SpanReturnObs {
     fn new(capacity: u32) -> Self {
         Self {
-            buckets: vec![(0, 0); capacity as usize + 1],
+            buckets: Vec::new(),
+            capacity,
         }
     }
 
     fn record(&mut self, live: u32, released: bool) {
-        let idx = (live as usize).min(self.buckets.len() - 1);
-        self.buckets[idx].1 += 1;
+        if self.buckets.is_empty() {
+            self.buckets = vec![(0, 0); self.capacity as usize + 1];
+        }
+        // lint:allow(panic-surface) live is clamped to capacity, the last
+        // of the capacity + 1 buckets.
+        let bucket = &mut self.buckets[live.min(self.capacity) as usize];
+        bucket.1 += 1;
         if released {
-            self.buckets[idx].0 += 1;
+            bucket.0 += 1;
         }
     }
 
     /// Release probability for spans observed at `live` allocations, or
     /// `None` without observations.
     pub fn return_rate(&self, live: u32) -> Option<f64> {
-        let (rel, tot) = self.buckets[(live as usize).min(self.buckets.len() - 1)];
+        let &(rel, tot) = self.buckets.get(live.min(self.capacity) as usize)?;
         (tot > 0).then(|| rel as f64 / tot as f64)
     }
 
@@ -190,27 +201,30 @@ impl CentralFreeList {
     }
 
     /// Extracts up to `n` objects, growing from the pageheap when every span
-    /// is exhausted. Returns the objects and the deepest tier touched. The
-    /// batch emits one [`AllocEvent::CentralRefill`]; each fresh span emits
-    /// [`AllocEvent::SpanAlloc`] plus its pagemap registration.
+    /// is exhausted. Appends the objects to `out` and returns the deepest
+    /// tier touched. The batch emits one [`AllocEvent::CentralRefill`]; each
+    /// fresh span emits [`AllocEvent::SpanAlloc`] plus its pagemap
+    /// registration.
     ///
     /// # Errors
     ///
     /// When the pageheap cannot grow (ENOMEM / hard limit) and *no* objects
-    /// were gathered, the error is surfaced. If some objects were already
-    /// extracted before the refusal, the partial batch is returned — memory
-    /// in hand beats an error the caller would retry anyway.
+    /// were gathered, the error is surfaced and `out` is as it was. If some
+    /// objects were already extracted before the refusal, the partial batch
+    /// stays in `out` — memory in hand beats an error the caller would
+    /// retry anyway.
     pub fn alloc_batch(
         &mut self,
         n: usize,
+        out: &mut Vec<u64>,
         spans: &mut SpanRegistry,
         pagemap: &mut Pagemap,
         pageheap: &mut PageHeap,
         bus: &mut EventBus,
-    ) -> Result<(Vec<u64>, AllocPath), AllocError> {
-        let mut out = Vec::with_capacity(n);
+    ) -> Result<AllocPath, AllocError> {
+        let start = out.len();
         let mut deepest = AllocPath::CentralFreeList;
-        while out.len() < n {
+        while out.len() - start < n {
             // Lowest-indexed non-empty list: the fullest spans.
             let id = self.lists.iter().find_map(|l| l.last().copied());
             let id = match id {
@@ -220,7 +234,7 @@ impl CentralFreeList {
                     let (addr, path) =
                         match pageheap.alloc(self.info.pages, self.info.objects_per_span, bus) {
                             Ok(placed) => placed,
-                            Err(e) if out.is_empty() => return Err(e),
+                            Err(e) if out.len() == start => return Err(e),
                             Err(_) => break, // serve the partial batch
                         };
                     deepest = match (deepest, path) {
@@ -244,18 +258,16 @@ impl CentralFreeList {
                 }
             };
             self.resolve_obs(spans, id, false);
-            let take = (n - out.len()).min(spans.get(id).free_count() as usize);
-            for _ in 0..take {
-                out.push(spans.alloc_object(id));
-            }
+            let take = (n - (out.len() - start)).min(spans.get(id).free_count() as usize);
+            spans.alloc_objects(id, take as u32, out);
             self.free_objects -= take as u64;
             self.list_update(spans, id);
         }
         bus.emit(AllocEvent::CentralRefill {
             class: self.class,
-            count: out.len() as u32,
+            count: (out.len() - start) as u32,
         });
-        Ok((out, deepest))
+        Ok(deepest)
     }
 
     /// Returns one object to its span. When the span drains completely it is
@@ -376,16 +388,18 @@ mod tests {
 
     impl Fixture {
         fn alloc(&mut self, n: usize) -> Vec<u64> {
+            let mut out = Vec::new();
             self.cfl
                 .alloc_batch(
                     n,
+                    &mut out,
                     &mut self.spans,
                     &mut self.pagemap,
                     &mut self.pageheap,
                     &mut self.bus,
                 )
-                .unwrap()
-                .0
+                .unwrap();
+            out
         }
 
         fn free(&mut self, addr: u64) -> bool {
@@ -485,6 +499,19 @@ mod tests {
         let high = f.cfl.obs.return_rate(295).unwrap();
         assert!(low > high, "low occupancy {low} vs high {high}");
         assert_eq!(high, 0.0);
+    }
+
+    #[test]
+    fn never_recorded_observations_are_empty_not_a_panic() {
+        // The Figure-13 table is allocated by its first record; a class
+        // that only ever allocated must still answer every query.
+        let mut f = fixture(8);
+        let _ = f.alloc(300);
+        assert!(f.cfl.obs.buckets.is_empty(), "no free yet, no table yet");
+        for live in [0, 1, 300, 512, 513, u32::MAX] {
+            assert_eq!(f.cfl.obs.return_rate(live), None, "live {live}");
+        }
+        assert_eq!(f.cfl.obs.iter().count(), 0);
     }
 
     #[test]

@@ -6,26 +6,29 @@
 //! retired implementation probed a `HashMap<u64, Origin>` per call; this
 //! tracker is arena-shaped like the rest of the metadata path: a flat,
 //! chunk-aligned window of per-page slots (same windowing discipline as the
-//! pagemap, growing in whole chunks both directions over the observed page
-//! range) pointing into a dense slab of [`Origin`] records with free-index
-//! recycling. Insert and remove are index arithmetic plus one slab access —
-//! no hashing, no per-op allocation once the window is warm.
+//! pagemap, growing in whole 8 MiB chunks both directions over the observed
+//! page range) pointing into a dense slab of [`Origin`] records with
+//! free-index recycling. Insert and remove are index arithmetic plus one
+//! slab access — no hashing, no per-op allocation once the window is warm.
+//! The chunk is 4 KiB of slots for the same reason the pagemap's leaf is:
+//! a 256 MiB chunk was 128 KiB of fill per machine, paid before the first
+//! allocation returned and never read by a machine with a 4 MiB heap.
 
 use wsc_sim_os::addr::tcmalloc_page_index;
 
 /// Sentinel marking a page with no origin record.
 const EMPTY: u32 = u32::MAX;
 
-/// log2 of the pages per window-growth chunk (32 768 pages = 256 MiB,
-/// matching the pagemap's leaf/segment granularity).
-const CHUNK_BITS: u32 = 15;
+/// log2 of the pages per window-growth chunk (1 024 pages = 8 MiB,
+/// matching the pagemap's leaf granularity).
+const CHUNK_BITS: u32 = 10;
 
 /// Pages per window-growth chunk.
 const CHUNK_PAGES: u64 = 1 << CHUNK_BITS;
 
 /// Ceiling on the window, in chunks (1 TiB of address-space spread; more
 /// indicates corruption, not a bigger heap).
-const MAX_WINDOW_CHUNKS: u64 = 1 << 12;
+const MAX_WINDOW_CHUNKS: u64 = 1 << 17;
 
 /// Which pageheap component placed a range, and its extent.
 #[derive(Clone, Copy, Debug)]

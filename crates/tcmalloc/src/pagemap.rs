@@ -5,8 +5,8 @@
 //! single most-executed lookup in the middle and back tiers (one per object
 //! a slow-tier return hands back). [`Pagemap`] keeps one flat window of
 //! per-page slots, aligned to and grown in whole **leaves** of
-//! [`PAGES_PER_LEAF`] pages (256 MiB of address space), so a lookup is
-//! subtract, bounds-check, load — rpmalloc/mimalloc-style address
+//! [`PAGES_PER_LEAF`] pages (8 MiB of address space, 4 KiB of slots), so a
+//! lookup is subtract, bounds-check, load — rpmalloc/mimalloc-style address
 //! arithmetic over one reservation, with
 //!
 //! * a one-entry **last-span hit cache** in front of the window (span-local
@@ -21,24 +21,28 @@
 //! O(address spread). The substitution is sound here (DESIGN.md §6): the
 //! lookup's simulated *cost* is priced by `wsc_sim_hw::cost`, never by this
 //! host structure, and the `Vmm` bump-allocates densely from a canonical
-//! heap base, so the window stays a handful of leaves.
+//! heap base, so the window stays as wide as the heap. The leaf is small
+//! because the window is filled as it grows: at 256 MiB leaves every
+//! machine paid 128 KiB of `0xFF` for its first span, a per-machine tax a
+//! fleet survey of cold machines with 4 MiB heaps paid a thousand times
+//! over and never read.
 
 use crate::span::SpanId;
 use std::cell::Cell;
 use wsc_sim_os::addr::tcmalloc_page_index;
 
 /// log2 of the pages covered by one leaf.
-pub const LEAF_BITS: u32 = 15;
+pub const LEAF_BITS: u32 = 10;
 
-/// TCMalloc pages covered by one leaf (32 768 pages = 256 MiB): the
+/// TCMalloc pages covered by one leaf (1 024 pages = 8 MiB): the
 /// alignment and growth unit of the window and the granule of the
 /// sanitizer's occupancy audit.
 pub const PAGES_PER_LEAF: u64 = 1 << LEAF_BITS;
 
-/// Ceiling on the window, in leaves. 2^12 leaves cover 1 TiB of
+/// Ceiling on the window, in leaves. 2^17 leaves cover 1 TiB of
 /// address-space *spread*, far beyond what the bump-allocating `Vmm` ever
 /// produces; a wider spread indicates address corruption.
-const MAX_WINDOW_LEAVES: u64 = 1 << 12;
+const MAX_WINDOW_LEAVES: u64 = 1 << 17;
 
 /// Sentinel marking an unregistered page.
 const EMPTY: u32 = u32::MAX;
@@ -143,11 +147,13 @@ impl Pagemap {
     /// # Panics
     ///
     /// Panics if any page is already registered (overlapping spans are a
-    /// heap-corruption bug) or if `span` carries the reserved id.
+    /// heap-corruption bug), if `span` carries the reserved id, or if
+    /// `num_pages` is zero.
     // lint:allow(event-completeness) lookup index, not an owning tier: the
     // pageheap emits the SpanAlloc covering this range.
     pub fn set_range(&mut self, addr: u64, num_pages: u32, span: SpanId) {
         assert_ne!(span.0, EMPTY, "span id {EMPTY:#x} is reserved");
+        assert!(num_pages > 0, "empty page range at {addr:#x}");
         let first = tcmalloc_page_index(addr);
         let last = first + num_pages as u64;
         self.ensure_window(first, last);
@@ -173,10 +179,11 @@ impl Pagemap {
     ///
     /// # Panics
     ///
-    /// Panics if a page was not registered.
+    /// Panics if a page was not registered or `num_pages` is zero.
     // lint:allow(event-completeness) index maintenance; the pageheap emits
     // the SpanDealloc covering this range.
     pub fn clear_range(&mut self, addr: u64, num_pages: u32) {
+        assert!(num_pages > 0, "empty page range at {addr:#x}");
         let first = tcmalloc_page_index(addr);
         let last = first + num_pages as u64;
         let end = self.base_page + self.slots.len() as u64;
@@ -385,6 +392,63 @@ mod tests {
         assert_eq!(pm.span_of(high), Some(SpanId(1)));
         assert_eq!(pm.span_of(0), Some(SpanId(2)));
         assert_eq!(pm.len(), 4);
+    }
+
+    #[test]
+    fn window_grows_downward_across_chunks_keeping_live_entries() {
+        // Start high, then walk down four chunks, one span per chunk: each
+        // step prepends to the window and must carry every earlier entry
+        // (slots and occupancy counters) along.
+        let page_of = |chunk: u64| chunk * PAGES_PER_LEAF + 7;
+        let mut pm = Pagemap::new();
+        for (i, chunk) in [9u64, 7, 6, 4, 3].into_iter().enumerate() {
+            pm.set_range(page_of(chunk) * TCMALLOC_PAGE_BYTES, 3, SpanId(i as u32));
+            for (j, earlier) in [9u64, 7, 6, 4, 3][..=i].iter().enumerate() {
+                let addr = (page_of(*earlier) + 2) * TCMALLOC_PAGE_BYTES;
+                assert_eq!(pm.span_of(addr), Some(SpanId(j as u32)), "chunk {earlier}");
+            }
+        }
+        assert_eq!(pm.base_page, 3 * PAGES_PER_LEAF);
+        assert_eq!(pm.slots.len() as u64, 7 * PAGES_PER_LEAF, "chunks 3..=9");
+        let occ = pm.leaf_occupancy();
+        let bases: Vec<u64> = occ.iter().map(|l| l.base_page / PAGES_PER_LEAF).collect();
+        assert_eq!(bases, [3, 4, 6, 7, 9]);
+        assert!(occ.iter().all(|l| l.pages_used == 3));
+        assert_eq!(pm.span_of(page_of(5) * TCMALLOC_PAGE_BYTES), None, "gap");
+    }
+
+    #[test]
+    #[should_panic(expected = "pagemap window blow-up")]
+    fn spread_ceiling_trips_at_one_tib() {
+        // The bound is on address-space spread, not on the leaf count: a
+        // smaller leaf must not shrink it (nor let a corrupt address make
+        // the window allocate half a gigabyte of slots first).
+        let mut pm = Pagemap::new();
+        pm.set_range(0, 1, SpanId(1));
+        pm.set_range(1 << 40, 1, SpanId(2));
+    }
+
+    #[test]
+    fn window_ceiling_is_one_tib_of_spread() {
+        assert_eq!(
+            MAX_WINDOW_LEAVES * PAGES_PER_LEAF * TCMALLOC_PAGE_BYTES,
+            1 << 40
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty page range at 0x0")]
+    fn empty_set_range_rejected() {
+        // Page 0 is where `last - 1` used to underflow.
+        Pagemap::new().set_range(0, 0, SpanId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty page range at 0x4000")]
+    fn empty_clear_range_rejected() {
+        let mut pm = Pagemap::new();
+        pm.set_range(0, 4, SpanId(1));
+        pm.clear_range(2 * TCMALLOC_PAGE_BYTES, 0);
     }
 
     #[test]

@@ -19,16 +19,29 @@
 //! their span id: a recycled id whose region capacity suffices reuses its
 //! storage in place, so steady-state churn performs no pool growth at all.
 //!
-//! The free stack preserves exact `Vec`-push/pop LIFO semantics (stack top
-//! at the high end of the live prefix), so object address reuse — which the
-//! golden figures depend on — is bit-for-bit unchanged. The invariant
-//! `free stack length == capacity - allocated` holds at every step, which
+//! # The free stack: explicit entries over an implicit bump range
+//!
+//! A span's free objects are an *explicit* stack of freed indices (stack
+//! top at the high end of the live prefix of the span's region) sitting on
+//! top of an *implicit* bump range: indices `carved..capacity` have never
+//! been handed out and are free without being written anywhere. A pop takes
+//! the explicit top if there is one, else index `carved` (and advances it);
+//! a push always lands on the explicit stack. That is exactly the order of
+//! the retired `(0..capacity).rev().collect()` `Vec` — a fresh span hands
+//! out 0, 1, 2, …, and the last object freed is the first reused — so
+//! object address reuse, which the golden figures depend on, is bit-for-bit
+//! unchanged, while a fresh span costs a zeroed bitmap instead of up to
+//! 1 024 written stack entries (rpmalloc's active-span scheme).
+//!
+//! The old invariant `free stack length == capacity - allocated` reads
+//! `explicit + (capacity - carved) == capacity - allocated`, i.e. the
+//! explicit stack holds `carved - allocated` entries, at every step. That
 //! is why [`Span`] needs no separate free-count field and the sanitizer can
 //! audit the arena against the span inventory (see
 //! [`SpanRegistry::arena_stats`]).
 
 use crate::size_class::SizeClassInfo;
-use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
+use wsc_sim_os::addr::{word_mask, TCMALLOC_PAGE_BYTES};
 
 /// Identifier of a span inside a [`SpanRegistry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,6 +91,10 @@ pub struct Span {
     pub capacity: u32,
     /// Currently allocated (live) objects.
     pub allocated: u32,
+    /// Bump pointer: objects `carved..capacity` have never been handed out
+    /// and are free beneath the explicit free stack, which holds the other
+    /// `carved - allocated` free objects.
+    pub carved: u32,
     /// Current bookkeeping state.
     pub state: SpanState,
     /// Owning vCPU: the simulated thread that most recently refilled its
@@ -100,6 +117,7 @@ impl Span {
             object_size: info.size,
             capacity: info.objects_per_span,
             allocated: 0,
+            carved: 0,
             state: SpanState::Full, // caller places it on a list
             owner: None,
             pending_obs: None,
@@ -115,6 +133,7 @@ impl Span {
             object_size: pages as u64 * TCMALLOC_PAGE_BYTES,
             capacity: 1,
             allocated: 1,
+            carved: 1,
             state: SpanState::Large,
             owner: None,
             pending_obs: None,
@@ -126,9 +145,9 @@ impl Span {
         self.pages as u64 * TCMALLOC_PAGE_BYTES
     }
 
-    /// Free objects currently on the span. Derived from the scalar
-    /// invariant `free stack length == capacity - allocated`, so reading it
-    /// never touches the arena.
+    /// Free objects currently on the span, explicit stack and bump range
+    /// together. Derived from scalars, so reading it never touches the
+    /// arena.
     pub fn free_count(&self) -> u32 {
         self.capacity - self.allocated
     }
@@ -190,9 +209,10 @@ impl SlabArena {
 
     /// Ensures slot `idx` owns a region of at least `cap` objects, carving
     /// fresh pool storage only when the recycled region is too small, then
-    /// resets the region for a new span of `cap` objects: a full descending
-    /// free stack (`Vec`-identical pop order 0, 1, 2, …) and a zeroed
-    /// bitmap.
+    /// resets the region for a new span: a zeroed bitmap. The free-stack
+    /// region is left as it is — a new span's explicit stack is empty
+    /// (`carved - allocated == 0`) and every entry is written by a free
+    /// before a pop can read it.
     fn reset_region(&mut self, idx: usize, cap: u32) {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, SlabSlot::default());
@@ -217,21 +237,10 @@ impl SlabArena {
             };
         }
         let slot = self.slots[idx];
-        let lo = slot.free_off as usize;
-        // Stack layout: position i holds index capacity-1-i, so the stack
-        // top (the live prefix's last entry) pops object 0 first — exactly
-        // the retired `(0..capacity).rev().collect()` Vec.
-        for i in 0..cap {
-            // lint:allow(panic-surface) lo + cap <= free_pool.len() by the
-            // region carve above.
-            self.free_pool[lo + i as usize] = cap - 1 - i;
-        }
         let wlo = slot.bm_off as usize;
         // lint:allow(panic-surface) the carve sized bm_pool to wlo +
         // words_for(region_cap).
-        for w in &mut self.bm_pool[wlo..wlo + Self::words_for(slot.region_cap)] {
-            *w = 0;
-        }
+        self.bm_pool[wlo..wlo + Self::words_for(slot.region_cap)].fill(0);
     }
 
     fn bit(&self, slot: SlabSlot, idx: u32) -> bool {
@@ -359,26 +368,29 @@ impl SpanRegistry {
         self.spans[id.index()].as_mut().expect("stale span id")
     }
 
-    /// Pops one free object off span `id`, returning its address: one read
-    /// from the free-stack pool, one bit set, two scalar bumps.
+    /// Pops one free object off span `id`, returning its address: the
+    /// explicit stack's top if it has one, else the next bump index.
     ///
     /// # Panics
     ///
     /// Panics if the id is stale or the span has no free objects (caller
     /// must check).
     pub fn alloc_object(&mut self, id: SpanId) -> u64 {
-        // lint:allow(panic-surface) documented panic, as in get().
         let span = self.spans[id.index()].as_mut().expect("stale span id");
         assert!(
             span.allocated < span.capacity,
             "alloc_object on exhausted span"
         );
-        // lint:allow(panic-surface) live ids always own a slot: insert()
-        // carves one per id.
+        // Live ids always own a slot: insert() carves one per id.
         let slot = self.arena.slots[id.index()];
-        let top = slot.free_off as usize + span.free_count() as usize - 1;
-        // top < free_off + region_cap.
-        let idx = self.arena.free_pool[top];
+        let explicit = span.carved - span.allocated;
+        let idx = if explicit > 0 {
+            // explicit <= carved <= capacity <= region_cap.
+            self.arena.free_pool[slot.free_off as usize + explicit as usize - 1]
+        } else {
+            span.carved += 1;
+            span.carved - 1
+        };
         debug_assert!(!self.arena.bit(slot, idx), "object {idx} already allocated");
         span.allocated += 1;
         let addr = span.start + idx as u64 * span.object_size;
@@ -386,7 +398,53 @@ impl SpanRegistry {
         addr
     }
 
-    /// Returns an object to span `id`.
+    /// Pops `n` free objects off span `id`, appending their addresses to
+    /// `out` in the order `n` calls of [`alloc_object`](Self::alloc_object)
+    /// would return them: the explicit stack from its top down, then the
+    /// bump range ascending, its bitmap bits set a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is stale or the span has fewer than `n` free
+    /// objects (caller must check).
+    pub fn alloc_objects(&mut self, id: SpanId, n: u32, out: &mut Vec<u64>) {
+        // lint:allow(panic-surface) documented panic, as in get().
+        let span = self.spans[id.index()].as_mut().expect("stale span id");
+        assert!(
+            n <= span.capacity - span.allocated,
+            "alloc_objects on exhausted span"
+        );
+        // lint:allow(panic-surface) live ids always own a slot: insert()
+        // carves one per id.
+        let slot = self.arena.slots[id.index()];
+        let explicit = span.carved - span.allocated;
+        let from_stack = n.min(explicit);
+        let lo = slot.free_off as usize + (explicit - from_stack) as usize;
+        for k in (0..from_stack as usize).rev() {
+            // lint:allow(panic-surface) lo + k < free_off + explicit, and
+            // explicit <= carved <= capacity <= region_cap.
+            let idx = self.arena.free_pool[lo + k];
+            debug_assert!(!self.arena.bit(slot, idx), "object {idx} already allocated");
+            self.arena.set_bit(slot, idx, true);
+            out.push(span.start + idx as u64 * span.object_size);
+        }
+        let (first, end) = (span.carved, span.carved + (n - from_stack));
+        if first < end {
+            for w in first as usize / 64..=(end as usize - 1) / 64 {
+                let mask = word_mask(w, first, end);
+                // lint:allow(panic-surface) end <= capacity <= region_cap,
+                // so w < words_for(region_cap), the region's bitmap words.
+                let word = &mut self.arena.bm_pool[slot.bm_off as usize + w];
+                debug_assert_eq!(*word & mask, 0, "bump range already allocated");
+                *word |= mask;
+            }
+            out.extend((first..end).map(|idx| span.start + idx as u64 * span.object_size));
+            span.carved = end;
+        }
+        span.allocated += n;
+    }
+
+    /// Returns an object to span `id`, pushing it on the explicit stack.
     ///
     /// # Panics
     ///
@@ -414,8 +472,8 @@ impl SpanRegistry {
         assert!(self.arena.bit(slot, idx), "double free of object {idx}");
         assert!(span.allocated > 0);
         span.allocated -= 1;
-        let top = slot.free_off as usize + span.free_count() as usize - 1;
-        // free_count <= capacity <= region_cap.
+        let top = slot.free_off as usize + (span.carved - span.allocated) as usize - 1;
+        // carved - allocated <= capacity <= region_cap.
         self.arena.free_pool[top] = idx;
         self.arena.set_bit(slot, idx, false);
     }
@@ -643,6 +701,183 @@ mod tests {
         let s = reg.get(id);
         assert_eq!(s.free_object_bytes(), (s.capacity as u64 - 1) * 16);
         assert_eq!(s.carve_waste_bytes(), total - s.capacity as u64 * 16);
+    }
+
+    /// The retired eager body, kept as the reference model: a span's free
+    /// objects as one `Vec` carved in full at creation, popped and pushed
+    /// at its end.
+    struct EagerSpan {
+        start: u64,
+        object_size: u64,
+        free: Vec<u32>,
+        live: Vec<u64>,
+    }
+
+    impl EagerSpan {
+        fn new(span: &Span) -> Self {
+            Self {
+                start: span.start,
+                object_size: span.object_size,
+                free: (0..span.capacity).rev().collect(),
+                live: Vec::new(),
+            }
+        }
+
+        fn alloc(&mut self) -> u64 {
+            let idx = self.free.pop().unwrap();
+            let addr = self.start + idx as u64 * self.object_size;
+            self.live.push(addr);
+            addr
+        }
+
+        fn dealloc(&mut self, k: usize) -> u64 {
+            let addr = self.live.swap_remove(k);
+            self.free
+                .push(((addr - self.start) / self.object_size) as u32);
+            addr
+        }
+    }
+
+    /// The arena's accounting as the eager registry kept it: a region per
+    /// id, re-carved (the old one retired in place) only when a recycled id
+    /// meets a larger capacity.
+    #[derive(Default)]
+    struct EagerArena {
+        region_caps: Vec<u32>,
+        stats: ArenaStats,
+    }
+
+    impl EagerArena {
+        fn insert(&mut self, id: SpanId, cap: u32) {
+            if id.index() >= self.region_caps.len() {
+                self.region_caps.resize(id.index() + 1, 0);
+                self.stats.slots_total = self.region_caps.len() as u64;
+            }
+            let old = self.region_caps[id.index()];
+            let words = |c: u32| u64::from(c.div_ceil(64));
+            if old < cap {
+                self.region_caps[id.index()] = cap;
+                self.stats.retired_entries += u64::from(old);
+                self.stats.retired_words += words(old);
+                self.stats.free_pool_entries += u64::from(cap);
+                self.stats.bitmap_pool_words += words(cap);
+                self.stats.reserved_entries += u64::from(cap - old);
+                self.stats.reserved_words += words(cap) - words(old);
+            }
+            self.stats.slots_live += 1;
+        }
+    }
+
+    #[test]
+    fn lazy_carve_matches_the_eager_stack_in_lockstep() {
+        use wsc_prng::SmallRng;
+        const CAPS: [u32; 5] = [1, 63, 64, 65, 1024];
+        let span_of = |rng: &mut SmallRng, serial: u64| {
+            let cap = CAPS[rng.gen_range(0usize..CAPS.len())];
+            let info = SizeClassInfo {
+                size: 8,
+                pages: (cap * 8).div_ceil(TCMALLOC_PAGE_BYTES as u32),
+                objects_per_span: cap,
+                batch: 1,
+            };
+            Span::new_small(serial << 20, 0, &info)
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5BA9);
+        let mut reg = SpanRegistry::new();
+        let mut arena = EagerArena::default();
+        let mut model: Vec<Option<EagerSpan>> = Vec::new();
+        let mut live_ids: Vec<SpanId> = Vec::new();
+        let mut out = Vec::new();
+        let (mut batches, mut recycled) = (0u32, [0u32; 3]);
+        for op in 0..20_000u64 {
+            let pick = rng.gen_range(0u32..100);
+            if live_ids.is_empty() || pick < 4 {
+                // Insert; with spans to spare, mostly remove one first so
+                // the new span lands on a recycled id whose region is larger
+                // than, equal to or smaller than it needs. The occasional
+                // fresh id keeps young, small regions in the mix.
+                let recycle =
+                    live_ids.len() >= 6 && (live_ids.len() >= 64 || rng.gen_range(0u32..4) != 0);
+                if recycle {
+                    let id = live_ids.swap_remove(rng.gen_range(0usize..live_ids.len()));
+                    reg.remove(id);
+                    model[id.index()] = None;
+                    arena.stats.slots_live -= 1;
+                }
+                let span = span_of(&mut rng, op + 1);
+                let id = reg.insert(span);
+                if recycle {
+                    let old = arena.region_caps[id.index()];
+                    recycled[(old.cmp(&span.capacity) as i8 + 1) as usize] += 1;
+                }
+                arena.insert(id, span.capacity);
+                if id.index() >= model.len() {
+                    model.resize_with(id.index() + 1, || None);
+                }
+                assert!(model[id.index()].is_none(), "op {op}: id {id:?} in use");
+                model[id.index()] = Some(EagerSpan::new(&span));
+                live_ids.push(id);
+            } else {
+                let id = live_ids[rng.gen_range(0usize..live_ids.len())];
+                let m = model[id.index()].as_mut().unwrap();
+                let free = m.free.len() as u32;
+                if pick < 40 && free > 0 {
+                    assert_eq!(reg.alloc_object(id), m.alloc(), "op {op}");
+                } else if pick < 60 && free > 0 {
+                    let n = rng.gen_range(0u32..free.min(80) + 1);
+                    out.clear();
+                    reg.alloc_objects(id, n, &mut out);
+                    let want: Vec<u64> = (0..n).map(|_| m.alloc()).collect();
+                    assert_eq!(out, want, "op {op}: batch of {n}");
+                    batches += 1;
+                } else if !m.live.is_empty() {
+                    let k = rng.gen_range(0usize..m.live.len());
+                    reg.dealloc_object(id, m.dealloc(k));
+                }
+                let s = reg.get(id);
+                assert_eq!(s.free_count() as usize, m.free.len(), "op {op}");
+                assert_eq!(s.allocated as usize, m.live.len(), "op {op}");
+                assert!(s.allocated <= s.carved && s.carved <= s.capacity);
+            }
+            assert_eq!(reg.arena_stats(), arena.stats, "op {op}");
+        }
+        assert!(batches > 1_000, "batched pops exercised: {batches}");
+        assert!(
+            recycled.iter().all(|&n| n > 20),
+            "ids recycled into smaller, equal and larger regions: {recycled:?}"
+        );
+    }
+
+    #[test]
+    fn batch_pop_sets_bump_bits_across_words() {
+        // A batch that drains the explicit stack and then crosses two
+        // bitmap-word boundaries in the bump range: every popped object
+        // must be individually freeable afterwards (its bit was set) and
+        // the next single pop continues where the batch stopped.
+        let (mut reg, id) = registry_with_span();
+        let (base, osize) = (reg.get(id).start, reg.get(id).object_size);
+        let a: Vec<u64> = (0..3).map(|_| reg.alloc_object(id)).collect();
+        reg.dealloc_object(id, a[0]);
+        reg.dealloc_object(id, a[2]);
+        let mut out = Vec::new();
+        reg.alloc_objects(id, 2 + 150, &mut out);
+        assert_eq!(&out[..2], &[a[2], a[0]], "explicit stack first, top down");
+        let bump: Vec<u64> = (3..153).map(|i| base + i * osize).collect();
+        assert_eq!(&out[2..], &bump[..], "then the bump range, ascending");
+        assert_eq!(reg.get(id).carved, 153);
+        assert_eq!(reg.alloc_object(id), base + 153 * osize);
+        for addr in out {
+            reg.dealloc_object(id, addr);
+        }
+        assert_eq!(reg.get(id).allocated, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn batch_pop_beyond_free_count_panics() {
+        let (mut reg, id) = registry_with_span();
+        let free = reg.get(id).free_count();
+        reg.alloc_objects(id, free + 1, &mut Vec::new());
     }
 
     #[test]

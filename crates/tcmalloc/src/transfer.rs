@@ -26,19 +26,21 @@ struct ClassArray {
 }
 
 impl ClassArray {
-    fn insert(&mut self, mut objs: Vec<u64>) -> Vec<u64> {
+    /// Absorbs as long a prefix of `objs` as there is room for and returns
+    /// its length.
+    fn insert(&mut self, objs: &[u64]) -> usize {
         let room = self.max_objs.saturating_sub(self.objs.len());
         let take = room.min(objs.len());
-        let rest = objs.split_off(take);
-        self.objs.extend(objs);
-        rest
+        // lint:allow(panic-surface) take <= objs.len().
+        self.objs.extend_from_slice(&objs[..take]);
+        take
     }
 
-    fn remove(&mut self, n: usize) -> Vec<u64> {
-        let take = n.min(self.objs.len());
-        let out = self.objs.split_off(self.objs.len() - take);
-        self.low_water = self.low_water.min(self.objs.len());
-        out
+    /// Moves up to `n` objects off the hot end onto `out`, in array order.
+    fn remove(&mut self, n: usize, out: &mut Vec<u64>) {
+        let keep = self.objs.len() - n.min(self.objs.len());
+        out.extend(self.objs.drain(keep..));
+        self.low_water = self.low_water.min(keep);
     }
 
     /// Takes the unused residue (the low-water mark) from the cold end and
@@ -132,10 +134,11 @@ impl Default for TransferConfig {
 /// # use wsc_sim_hw::cost::CostModel;
 /// # use wsc_sim_os::clock::Clock;
 /// # let mut bus = EventBus::new(&TcmallocConfig::baseline(), CostModel::production(), Clock::new());
-/// let spill = tc.stash(0, 3, vec![0x1000, 0x2000], &mut bus);
-/// assert!(spill.is_empty());
+/// assert_eq!(tc.stash(0, 3, &[0x1000, 0x2000], &mut bus), 2, "both absorbed");
 /// // The same shard gets its own objects back (cache-domain locality).
-/// assert_eq!(tc.fetch(0, 3, 2, &mut bus).len(), 2);
+/// let mut batch = Vec::new();
+/// tc.fetch(0, 3, 2, &mut batch, &mut bus);
+/// assert_eq!(batch, [0x1000, 0x2000]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct TransferCaches {
@@ -167,52 +170,48 @@ impl TransferCaches {
     }
 
     /// Takes up to `n` objects for `class`, preferring the caller's shard
-    /// (LLC domain or NUMA node) in sharded modes. May return fewer than `n`
-    /// (caller goes to the central free list for the remainder). A non-empty
-    /// result emits one [`AllocEvent::TransferHit`].
-    pub fn fetch(&mut self, shard: usize, class: usize, n: usize, bus: &mut EventBus) -> Vec<u64> {
-        let mut out = if self.cfg.is_sharded() {
-            self.shard_tier(shard)[class].remove(n)
-        } else {
-            Vec::new()
-        };
-        if out.len() < n {
-            let need = n - out.len();
-            out.extend(self.central[class].remove(need));
-        }
-        if !out.is_empty() {
-            bus.emit(AllocEvent::TransferHit {
-                shard,
-                class: class as u16,
-                count: out.len() as u32,
-            });
-        }
-        out
-    }
-
-    /// Deposits freed objects for `class`. Returns the overflow that did not
-    /// fit anywhere (caller pushes it down to the central free list). Any
-    /// absorbed objects emit one [`AllocEvent::TransferInsert`] tagged with
-    /// the depositing shard.
-    pub fn stash(
+    /// (LLC domain or NUMA node) in sharded modes, and appends them to
+    /// `out`. May take fewer than `n` (caller goes to the central free list
+    /// for the remainder). Taking any emits one [`AllocEvent::TransferHit`].
+    pub fn fetch(
         &mut self,
         shard: usize,
         class: usize,
-        objs: Vec<u64>,
+        n: usize,
+        out: &mut Vec<u64>,
         bus: &mut EventBus,
-    ) -> Vec<u64> {
-        let total = objs.len();
-        let rest = if self.cfg.is_sharded() {
+    ) {
+        let start = out.len();
+        if self.cfg.is_sharded() {
+            self.shard_tier(shard)[class].remove(n, out);
+        }
+        let got = out.len() - start;
+        if got < n {
+            self.central[class].remove(n - got, out);
+        }
+        let got = out.len() - start;
+        if got > 0 {
+            bus.emit(AllocEvent::TransferHit {
+                shard,
+                class: class as u16,
+                count: got as u32,
+            });
+        }
+    }
+
+    /// Deposits freed objects for `class`: the shard's array takes a prefix
+    /// of `objs`, the central array a prefix of what is left. Returns how
+    /// many objects were absorbed; the caller pushes `objs[absorbed..]` down
+    /// to the central free list. Any absorbed objects emit one
+    /// [`AllocEvent::TransferInsert`] tagged with the depositing shard.
+    pub fn stash(&mut self, shard: usize, class: usize, objs: &[u64], bus: &mut EventBus) -> usize {
+        let mut kept = if self.cfg.is_sharded() {
             self.shard_tier(shard)[class].insert(objs)
         } else {
-            objs
+            0
         };
-        let spill = if rest.is_empty() {
-            rest
-        } else {
-            self.central[class].insert(rest)
-        };
-        let kept = total - spill.len();
+        // lint:allow(panic-surface) insert() returns at most objs.len().
+        kept += self.central[class].insert(&objs[kept..]);
         if kept > 0 {
             bus.emit(AllocEvent::TransferInsert {
                 shard,
@@ -220,16 +219,15 @@ impl TransferCaches {
                 count: kept as u32,
             });
         }
-        spill
+        kept
     }
 
     /// Deposits objects directly into the central (legacy) cache, bypassing
     /// any domain tier — used for background evictions that have no owning
-    /// CPU (the insert event is tagged shard 0). Returns the overflow.
-    pub fn stash_central(&mut self, class: usize, objs: Vec<u64>, bus: &mut EventBus) -> Vec<u64> {
-        let total = objs.len();
-        let spill = self.central[class].insert(objs);
-        let kept = total - spill.len();
+    /// CPU (the insert event is tagged shard 0). Returns the length of the
+    /// absorbed prefix, as [`stash`](Self::stash) does.
+    pub fn stash_central(&mut self, class: usize, objs: &[u64], bus: &mut EventBus) -> usize {
+        let kept = self.central[class].insert(objs);
         if kept > 0 {
             bus.emit(AllocEvent::TransferInsert {
                 shard: 0,
@@ -237,7 +235,7 @@ impl TransferCaches {
                 count: kept as u32,
             });
         }
-        spill
+        kept
     }
 
     /// Periodic anti-stranding pass (§4.2: "we periodically release unused
@@ -254,7 +252,7 @@ impl TransferCaches {
         for (shard, tier) in self.domains.iter_mut().enumerate() {
             let Some(tier) = tier else { continue };
             for (cl, arr) in tier.iter_mut().enumerate() {
-                let moved = arr.reclaim();
+                let mut moved = arr.reclaim();
                 if moved.is_empty() {
                     continue;
                 }
@@ -264,9 +262,10 @@ impl TransferCaches {
                     count: moved.len() as u32,
                     reason: EvictReason::Plunder,
                 });
-                let rest = self.central[cl].insert(moved);
-                if !rest.is_empty() {
-                    overflow.push((cl, rest));
+                let kept = self.central[cl].insert(&moved);
+                if kept < moved.len() {
+                    moved.drain(..kept);
+                    overflow.push((cl, moved));
                 }
             }
         }
@@ -390,6 +389,13 @@ mod tests {
         TransferCaches::new(&table(), TransferConfig::default())
     }
 
+    /// `fetch` into a fresh buffer.
+    fn fetch(tc: &mut TransferCaches, shard: usize, class: usize, n: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        tc.fetch(shard, class, n, &mut out, &mut bus());
+        out
+    }
+
     fn nuca() -> TransferCaches {
         TransferCaches::new(
             &table(),
@@ -404,21 +410,21 @@ mod tests {
     fn legacy_round_trip() {
         let mut tc = legacy();
         let mut b = bus();
-        assert!(tc.stash(0, 1, vec![1, 2, 3], &mut b).is_empty());
-        let got = tc.fetch(1, 1, 3, &mut b);
+        assert_eq!(tc.stash(0, 1, &[1, 2, 3], &mut b), 3);
+        let got = fetch(&mut tc, 1, 1, 3);
         assert_eq!(got.len(), 3, "legacy cache is shared across domains");
-        assert!(tc.fetch(0, 1, 1, &mut b).is_empty());
+        assert!(fetch(&mut tc, 0, 1, 1).is_empty());
     }
 
     #[test]
     fn nuca_prefers_local_domain() {
         let mut tc = nuca();
         let mut b = bus();
-        tc.stash(0, 1, vec![10], &mut b);
-        tc.stash(1, 1, vec![20], &mut b);
+        tc.stash(0, 1, &[10], &mut b);
+        tc.stash(1, 1, &[20], &mut b);
         // Domain 0 gets its own object first.
-        assert_eq!(tc.fetch(0, 1, 1, &mut b), vec![10]);
-        assert_eq!(tc.fetch(1, 1, 1, &mut b), vec![20]);
+        assert_eq!(fetch(&mut tc, 0, 1, 1), vec![10]);
+        assert_eq!(fetch(&mut tc, 1, 1, 1), vec![20]);
     }
 
     #[test]
@@ -430,10 +436,10 @@ mod tests {
         let batch = table().info(1).batch as usize;
         let cap = batch * cfg.domain_batches as usize;
         let objs: Vec<u64> = (0..(cap + 5) as u64).collect();
-        let spill = tc.stash(0, 1, objs, &mut b);
-        assert!(spill.is_empty(), "central absorbs the domain overflow");
+        let kept = tc.stash(0, 1, &objs, &mut b);
+        assert_eq!(kept, objs.len(), "central absorbs the domain overflow");
         // Domain 1 has nothing local but can still pull from central.
-        let got = tc.fetch(1, 1, 3, &mut b);
+        let got = fetch(&mut tc, 1, 1, 3);
         assert_eq!(got.len(), 3);
     }
 
@@ -443,28 +449,29 @@ mod tests {
         let mut b = bus();
         let batch = table().info(1).batch as usize;
         let central_cap = batch * TransferConfig::default().central_batches as usize;
-        let spill = tc.stash(0, 1, (0..(central_cap + 7) as u64).collect(), &mut b);
-        assert_eq!(spill.len(), 7, "beyond capacity goes to the caller");
+        let objs: Vec<u64> = (0..(central_cap + 7) as u64).collect();
+        let kept = tc.stash(0, 1, &objs, &mut b);
+        assert_eq!(objs.len() - kept, 7, "beyond capacity goes to the caller");
     }
 
     #[test]
     fn fetch_may_return_fewer() {
         let mut tc = legacy();
         let mut b = bus();
-        tc.stash(0, 2, vec![1, 2], &mut b);
-        assert_eq!(tc.fetch(0, 2, 10, &mut b).len(), 2);
+        tc.stash(0, 2, &[1, 2], &mut b);
+        assert_eq!(fetch(&mut tc, 0, 2, 10).len(), 2);
     }
 
     #[test]
     fn plunder_moves_half_of_idle_classes() {
         let mut tc = nuca();
         let mut b = bus();
-        tc.stash(0, 1, (0..8u64).collect(), &mut b);
+        tc.stash(0, 1, &[0, 1, 2, 3, 4, 5, 6, 7], &mut b);
         // First pass only clears the "touched" mark (the class was active).
         assert!(tc.plunder(&mut b).is_empty());
         // Second pass finds the class idle and moves half centrally.
         assert!(tc.plunder(&mut b).is_empty());
-        let got = tc.fetch(3, 1, 4, &mut b);
+        let got = fetch(&mut tc, 3, 1, 4);
         assert_eq!(got.len(), 4, "idle half is reachable from other domains");
     }
 
@@ -472,9 +479,9 @@ mod tests {
     fn plunder_is_noop_for_legacy() {
         let mut tc = legacy();
         let mut b = bus();
-        tc.stash(0, 1, vec![1, 2, 3, 4], &mut b);
+        tc.stash(0, 1, &[1, 2, 3, 4], &mut b);
         assert!(tc.plunder(&mut b).is_empty());
-        assert_eq!(tc.fetch(0, 1, 4, &mut b).len(), 4);
+        assert_eq!(fetch(&mut tc, 0, 1, 4).len(), 4);
     }
 
     #[test]
@@ -482,7 +489,7 @@ mod tests {
         let mut tc = nuca();
         let mut b = bus();
         assert_eq!(tc.active_domains(), 0);
-        tc.stash(5, 0, vec![1], &mut b);
+        tc.stash(5, 0, &[1], &mut b);
         assert_eq!(tc.active_domains(), 1, "only the used domain activates");
     }
 
@@ -491,9 +498,9 @@ mod tests {
         let mut tc = nuca();
         let mut b = bus();
         let size = table().info(4).size;
-        tc.stash(0, 4, vec![1, 2, 3], &mut b);
+        tc.stash(0, 4, &[1, 2, 3], &mut b);
         assert_eq!(tc.cached_bytes(), 3 * size);
-        let _ = tc.fetch(0, 4, 2, &mut b);
+        let _ = fetch(&mut tc, 0, 4, 2);
         assert_eq!(tc.cached_bytes(), size);
     }
 
@@ -501,13 +508,13 @@ mod tests {
     fn decay_reclaims_low_water_residue() {
         let mut tc = legacy();
         let mut b = bus();
-        tc.stash(0, 2, (0..8u64).collect(), &mut b);
+        tc.stash(0, 2, &[0, 1, 2, 3, 4, 5, 6, 7], &mut b);
         // First pass: the low-water mark was 0 (array was empty at the
         // start of the interval), so nothing is reclaimable yet.
         assert!(tc.decay(&mut b).is_empty());
         // Touch 3 objects during the interval: low water = 5.
-        let _ = tc.fetch(0, 2, 3, &mut b);
-        tc.stash(0, 2, vec![90, 91, 92], &mut b);
+        let _ = fetch(&mut tc, 0, 2, 3);
+        tc.stash(0, 2, &[90, 91, 92], &mut b);
         let evicted = tc.decay(&mut b);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0, 2);
@@ -526,7 +533,7 @@ mod tests {
             CostModel::production(),
             Clock::new(),
         );
-        tc.stash(2, 1, (0..8u64).collect(), &mut b);
+        tc.stash(2, 1, &[0, 1, 2, 3, 4, 5, 6, 7], &mut b);
         let _ = tc.plunder(&mut b); // clears the touched mark
         let _ = tc.plunder(&mut b); // moves the idle residue
         let evicts: Vec<_> = b
@@ -553,8 +560,8 @@ mod tests {
     fn flush_drains_everything() {
         let mut tc = nuca();
         let mut b = bus();
-        tc.stash(0, 1, vec![1, 2], &mut b);
-        tc.stash(2, 3, vec![4], &mut b);
+        tc.stash(0, 1, &[1, 2], &mut b);
+        tc.stash(2, 3, &[4], &mut b);
         let drained: usize = tc.flush_all().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(drained, 3);
         assert_eq!(tc.cached_bytes(), 0);

@@ -1,0 +1,171 @@
+//! Host-allocation budgets: what the *simulator* asks of the host's
+//! allocator, counted rather than timed.
+//!
+//! A cold machine of a fleet survey lives for 32 requests, so what it costs
+//! is mostly what it allocates. These tests pin that: the slow tiers move a
+//! batch through one reused buffer (zero host allocations once warm), and
+//! building, running and dropping a machine stays inside a counted budget.
+//! The counter is a `#[global_allocator]` wrapper over [`System`], which is
+//! why this file is its own test binary.
+
+// The counting allocator must implement `GlobalAlloc`, an unsafe trait.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use wsc_sim_hw::cost::AllocPath;
+use wsc_sim_hw::topology::{CpuId, Platform};
+use wsc_sim_os::clock::Clock;
+use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
+use wsc_workload::driver::{self, DriverConfig};
+use wsc_workload::profiles;
+
+/// An allocation at least this large is "large": a cold machine that makes
+/// one is paying for address space it will never touch.
+const LARGE_BYTES: usize = 64 << 10;
+
+thread_local! {
+    /// `(allocations, large allocations)` made by this thread. Const
+    /// initialised and without a destructor, so touching it from inside
+    /// the allocator never allocates. Per thread, so tests running in
+    /// parallel do not see each other.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count(size: usize) {
+        // `try_with`: a thread tearing down may allocate after its
+        // thread-locals are gone.
+        let _ = COUNTS.try_with(|c| {
+            let (n, large) = c.get();
+            c.set((n + 1, large + u64::from(size >= LARGE_BYTES)));
+        });
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counting touches only a
+// const-initialised thread-local `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: the caller's `alloc` contract, forwarded as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count(layout.size());
+        // SAFETY: the caller's `alloc_zeroed` contract, forwarded as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count(new_size);
+        // SAFETY: the caller's `realloc` contract, forwarded as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's `dealloc` contract, forwarded as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, large allocations)` this thread made while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (n0, l0) = COUNTS.with(Cell::get);
+    let out = f();
+    let (n1, l1) = COUNTS.with(Cell::get);
+    (out, n1 - n0, l1 - l0)
+}
+
+/// The fleet survey's chiplet platform. Also builds the process-wide
+/// size-class table, which the first allocator of a process pays for and
+/// no machine after it does.
+fn fleet_platform() -> Platform {
+    let _ = wsc_tcmalloc::size_class::SizeClassTable::shared();
+    Platform::chiplet("chiplet-64c", 2, 4, 8, 2)
+}
+
+#[test]
+fn warm_slow_tiers_move_batches_without_host_allocations() {
+    const CPU: CpuId = CpuId(0);
+    const SIZE: u64 = 64;
+    const OBJECTS: usize = 3_000;
+    let mut tcm = Tcmalloc::new(TcmallocConfig::optimized(), fleet_platform(), Clock::new());
+    let mut live: Vec<u64> = Vec::with_capacity(OBJECTS);
+    // One cycle: allocate a few spans' worth through every tier, then free
+    // it all in allocation order so the per-CPU cache overflows into the
+    // transfer cache and the transfer cache into the spans.
+    let mut cycle = |tcm: &mut Tcmalloc, measured: bool| {
+        // Seen, per slow-tier path: [miss → transfer hit → refill, central
+        // refill from an existing span, overflow → stash → central return].
+        let mut seen = [0u32; 3];
+        for _ in 0..OBJECTS {
+            let (a, allocs, _) = counted(|| tcm.malloc(SIZE, CPU));
+            live.push(a.addr);
+            let which = match a.path {
+                AllocPath::TransferCache => 0,
+                AllocPath::CentralFreeList => 1,
+                _ => continue,
+            };
+            seen[which] += 1;
+            assert!(
+                !measured || allocs == 0,
+                "warm malloc via {:?} made {allocs} host allocation(s)",
+                a.path
+            );
+        }
+        for addr in live.drain(..) {
+            let (f, allocs, _) = counted(|| tcm.free(addr, SIZE, CPU));
+            if f.path == AllocPath::CentralFreeList {
+                seen[2] += 1;
+                assert!(
+                    !measured || allocs == 0,
+                    "warm free via {:?} made {allocs} host allocation(s)",
+                    f.path
+                );
+            }
+        }
+        seen
+    };
+    cycle(&mut tcm, false);
+    let seen = cycle(&mut tcm, true);
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "every slow-tier path exercised while measuring: {seen:?}"
+    );
+}
+
+#[test]
+fn an_allocator_is_built_and_dropped_within_budget() {
+    let platform = fleet_platform();
+    let ((), allocs, large) = counted(|| {
+        drop(Tcmalloc::new(
+            TcmallocConfig::optimized(),
+            platform,
+            Clock::new(),
+        ));
+    });
+    assert!(allocs <= 160, "Tcmalloc::new + drop: {allocs} allocations");
+    assert_eq!(large, 0, "an idle allocator holds nothing large");
+}
+
+#[test]
+fn a_cold_machine_runs_within_budget() {
+    let platform = fleet_platform();
+    let spec = profiles::fleet_mix();
+    let cfg = DriverConfig::new(32, 42, &platform);
+    let (_run, allocs, large) =
+        counted(|| driver::run(&spec, &platform, TcmallocConfig::optimized(), &cfg));
+    assert!(
+        allocs <= 900,
+        "32-request driver::run: {allocs} allocations"
+    );
+    assert_eq!(large, 0, "allocations of 64 KiB or more");
+}
