@@ -53,6 +53,7 @@ const IDS: &[&str] = &[
     "combined",
     "ablations",
     "faults",
+    "contention",
 ];
 
 fn usage_error(msg: String) -> ! {
@@ -123,6 +124,22 @@ fn main() {
         eprintln!("  WSC_SHARD_FAULT=<kind>@<shard|*>[:<attempts>] injects chaos (crash|hang|corrupt|partial|exit)");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
+    let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
+        IDS.to_vec()
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
+    // `fleet` is requestable by name but deliberately not part of `all`:
+    // at warehouse scale it would dominate the whole reproduction run.
+    // Every id is checked before anything is printed or run.
+    for id in &wanted {
+        if !IDS.contains(id) && *id != "fleet" {
+            usage_error(format!(
+                "unknown experiment id: {id} (known: fleet, {})",
+                IDS.join(", ")
+            ));
+        }
+    }
     let mut scale = Scale::from_env();
     if let Some(n) = threads {
         scale = scale.with_threads(n);
@@ -135,21 +152,6 @@ fn main() {
         scale.fleet_machines,
         scale.engine.threads()
     );
-    let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
-        IDS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    // `fleet` is requestable by name but deliberately not part of `all`:
-    // at warehouse scale it would dominate the whole reproduction run.
-    for id in &wanted {
-        if !IDS.contains(id) && *id != "fleet" {
-            usage_error(format!(
-                "unknown experiment id: {id} (known: fleet, {})",
-                IDS.join(", ")
-            ));
-        }
-    }
 
     // Table 2 feeds Figure 17; the four single-design fleet deltas feed the
     // §4.5 rollout composition.
@@ -249,6 +251,9 @@ fn main() {
             }
             "faults" => {
                 ex::faults(&scale);
+            }
+            "contention" => {
+                ex::contention(&scale);
             }
             "fleet" => {
                 ex::fleet(&scale, shards, &policy);

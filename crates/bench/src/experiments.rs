@@ -8,13 +8,14 @@ use wsc_fleet::experiment::{try_run_fleet_ab, CellSummary, Comparison, MetricSet
 use wsc_fleet::population::Population;
 use wsc_fleet::report::{pct, Table};
 use wsc_fleet::rollout;
-use wsc_parallel::supervisor::{self, ShardChild, SupervisorConfig, SupervisorStats};
+use wsc_parallel::supervisor::{self, ShardChild, SupervisorConfig};
 use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::latency::{measure, LatencyModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
+use wsc_tcmalloc::interleave::{replay, ReplayOutcome, Schedule};
 use wsc_tcmalloc::stats::CycleCategory;
-use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::{FreeArm, Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{self, DriverConfig, RunJob};
 use wsc_workload::{profiles, WorkloadSpec};
 
@@ -1124,6 +1125,63 @@ pub fn faults(scale: &Scale) -> Vec<(String, f64, f64, u64)> {
     out
 }
 
+/// Cross-thread frees: one producer→consumer pipeline and one thread-churn
+/// schedule, each replayed under the three [`FreeArm`]s. The schedule is
+/// data, so the arms see identical operations and every delta in the table
+/// is mechanism — one CAS per atomic-list push, batch posts and adoption
+/// locks for message passing — in simulated time.
+///
+/// Returns `(scenario/arm, outcome)` per replay, owner-only first.
+pub fn contention(scale: &Scale) -> Vec<(String, ReplayOutcome)> {
+    let ops = scale.requests as usize;
+    println!("== Cross-thread frees: the three free arms on identical schedules, {ops} ops ==");
+    let scenarios = [
+        (
+            "pipeline",
+            Schedule::producer_consumer(0xC0B7E47, &[0, 1, 2], &[8, 9, 10], ops),
+        ),
+        ("churn", Schedule::thread_churn(0xC1A5B, 16, ops)),
+    ];
+    let mut t = Table::new(vec![
+        "scenario",
+        "free arm",
+        "remote queued",
+        "drained",
+        "contention sim-ns",
+        "total sim-ns",
+        "sim time vs owner-only",
+    ]);
+    let mut out = Vec::new();
+    for (name, sched) in &scenarios {
+        let runs = [
+            FreeArm::OwnerOnly,
+            FreeArm::AtomicList,
+            FreeArm::MessagePassing,
+        ]
+        .map(|arm| {
+            // Two LLC domains, producers and consumers on opposite sides.
+            let platform = Platform::chiplet("contention", 1, 2, 4, 2);
+            let cfg = TcmallocConfig::optimized().with_free_arm(arm);
+            (arm, replay(cfg, platform, sched))
+        });
+        let owner_total = runs[0].1.total_ns;
+        for (arm, r) in runs {
+            t.row(vec![
+                (*name).into(),
+                arm.name().into(),
+                r.queued.to_string(),
+                r.drained.to_string(),
+                format!("{:.0}", r.contention_ns),
+                format!("{:.0}", r.total_ns),
+                f3(r.total_ns / owner_total) + "x",
+            ]);
+            out.push((format!("{name}/{}", arm.name()), r));
+        }
+    }
+    println!("{}", t.render());
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Ablations (§4.3 "L = 8 lists are sufficient", §4.4 "C = 16", §5 NUMA)
 // ---------------------------------------------------------------------------
@@ -1227,26 +1285,20 @@ pub fn shard_child_main() -> bool {
 /// injected shard crashes, as long as every span recovers under the
 /// default supervision policy ([`SupervisorConfig::default`]).
 pub fn fleet_summary(scale: &Scale, shards: usize) -> CellSummary {
-    fleet_summary_supervised(scale, shards, &SupervisorConfig::default(), &[]).0
+    fleet_summary_supervised(scale, shards, &SupervisorConfig::default())
 }
 
-/// [`fleet_summary`] with an explicit supervision policy and extra child
-/// environment (chaos tests inject `WSC_SHARD_FAULT` here rather than
-/// mutating the parent's ambient environment). Returns the merged summary
-/// plus the supervisor's run counters (`None` for the in-process path).
+/// [`fleet_summary`] with an explicit supervision policy. Children inherit
+/// this process's environment, so a `WSC_SHARD_FAULT` chaos plan set on the
+/// parent reaches them.
 ///
 /// Lost spans degrade gracefully: the merged summary covers the surviving
 /// spans exactly and [`CellSummary::note_uncovered`] records the lost
 /// machines, so `coverage` reports the true surveyed fraction.
-pub fn fleet_summary_supervised(
-    scale: &Scale,
-    shards: usize,
-    sup: &SupervisorConfig,
-    extra_env: &[(String, String)],
-) -> (CellSummary, Option<SupervisorStats>) {
+fn fleet_summary_supervised(scale: &Scale, shards: usize, sup: &SupervisorConfig) -> CellSummary {
     let cfg = scale.survey_config(SURVEY_SEED);
     if shards <= 1 {
-        let summary = wsc_fleet::experiment::try_run_fleet_survey(
+        return wsc_fleet::experiment::try_run_fleet_survey(
             &scale.engine,
             TcmallocConfig::baseline(),
             TcmallocConfig::optimized(),
@@ -1254,14 +1306,13 @@ pub fn fleet_summary_supervised(
         )
         .unwrap_or_else(|e| panic!("fleet survey aborted: {e}"))
         .summary;
-        return (summary, None);
     }
     let exe = std::env::current_exe().expect("own executable path");
     // Pin every knob the child derives its fold tree from: scale name,
     // thread budget, and the survey sizing (which may itself have come
     // from env overrides in this process — children must see the same
     // effective values, not re-derive their own).
-    let mut env = vec![
+    let env = [
         ("REPRO_SCALE".to_string(), scale.name.to_string()),
         (
             "WSC_THREADS".to_string(),
@@ -1280,7 +1331,6 @@ pub fn fleet_summary_supervised(
             cfg.population.to_string(),
         ),
     ];
-    env.extend(extra_env.iter().cloned());
     let fold = supervisor::run_supervised(
         &exe,
         &["fleet".to_string()],
@@ -1302,7 +1352,7 @@ pub fn fleet_summary_supervised(
         );
         acc.note_uncovered((f.span.hi - f.span.lo) as u64);
     }
-    (acc, Some(fold.stats))
+    acc
 }
 
 /// The streaming fleet survey: 50%-wave rollout of the optimized allocator
@@ -1319,7 +1369,7 @@ pub fn fleet(scale: &Scale, shards: usize, policy: &SupervisorConfig) -> (Compar
         "== Fleet survey: {} machines, {} binaries, rollout 50% wave ==",
         cfg.machines, cfg.population
     );
-    let (summary, _) = fleet_summary_supervised(scale, shards, policy, &[]);
+    let summary = fleet_summary_supervised(scale, shards, policy);
     let fleet = summary.fleet();
     let mut t = Table::new(vec!["metric", "control", "experiment", "delta %"]);
     t.row(vec![

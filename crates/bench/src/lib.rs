@@ -1,5 +1,6 @@
 //! The reproduction harness: one function per table/figure of the paper's
-//! evaluation, shared between the `repro` binary and the microbenchmarks.
+//! evaluation, shared between the `repro` binary, the golden-figure tests
+//! and the self-benchmark package (`benchmark/`).
 //!
 //! Every function prints a paper-vs-measured table (via
 //! [`wsc_fleet::report::Table`]) and returns the measured numbers so
@@ -10,7 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
 pub mod scale;
 
 pub use scale::Scale;

@@ -3,7 +3,7 @@
 //! `REPRO_SCALE=quick|default|full|fleet` controls how many requests,
 //! seeds, and machines every experiment uses. `quick` is for CI smoke
 //! tests; `full` is what EXPERIMENTS.md quotes; `fleet` is the 10⁵-machine
-//! streaming survey tier behind `BENCH_fleet.json`.
+//! streaming survey tier (`repro fleet`).
 
 use wsc_fleet::experiment::{FleetExperimentConfig, FleetSurveyConfig};
 use wsc_parallel::Engine;
@@ -44,7 +44,8 @@ pub struct Scale {
 
 impl Scale {
     /// Reads `REPRO_SCALE` from the environment (unset: `default`). The
-    /// engine honours `WSC_THREADS`. The survey knobs additionally honour
+    /// engine honours `WSC_THREADS` (unset: the machine's available
+    /// parallelism). The survey knobs additionally honour
     /// [`SURVEY_MACHINES_ENV`], [`SURVEY_REQUESTS_ENV`] and
     /// [`SURVEY_POPULATION_ENV`] — the shard supervisor pins them in child
     /// environments so parent and children always agree on the fold tree.
@@ -79,6 +80,9 @@ impl Scale {
                 _ => Err(format!("{k}={v:?}: expected a positive integer")),
             },
         };
+        if let Some(t) = count(wsc_parallel::THREADS_ENV)? {
+            scale.engine = Engine::new(usize::try_from(t).unwrap_or(usize::MAX));
+        }
         if let Some(m) = count(SURVEY_MACHINES_ENV)? {
             scale.survey_machines = usize::try_from(m).unwrap_or(usize::MAX);
         }
@@ -228,6 +232,8 @@ mod tests {
         assert_eq!(s.survey_requests, 8);
         assert_eq!(s.survey_population, 64);
         assert_eq!(s.requests, Scale::quick().requests, "A/B knobs untouched");
+        let threaded = vars(&[(wsc_parallel::THREADS_ENV, "3")]).unwrap();
+        assert_eq!(threaded.engine.threads(), 3);
         assert_eq!(vars(&[]).unwrap().name, "default", "unset is the default");
         // A typo, garbage or zero is a usage error naming the variable.
         for (var, bad) in [
@@ -236,6 +242,8 @@ mod tests {
             (SURVEY_MACHINES_ENV, "0"),
             (SURVEY_REQUESTS_ENV, "nope"),
             (SURVEY_POPULATION_ENV, "-3"),
+            (wsc_parallel::THREADS_ENV, "abc"),
+            (wsc_parallel::THREADS_ENV, "0"),
         ] {
             let err = Scale::from_vars(|k| (k == var).then(|| bad.to_string())).unwrap_err();
             assert!(err.contains(var) && err.contains(bad), "{err}");

@@ -44,13 +44,13 @@ fn run_fleet(shards: usize, policy: &str, fault: Option<&str>) -> Run {
     let shards = shards.to_string();
     run_repro(
         &["--shards", &shards, "--supervise", &policy, "fleet"],
-        fault,
+        fault.map(|plan| ("WSC_SHARD_FAULT", plan)).as_slice(),
     )
 }
 
-/// Runs the repro binary on the tiny survey with no ambient shard role and
-/// no fault plan but `fault`.
-fn run_repro(args: &[&str], fault: Option<&str>) -> Run {
+/// Runs the repro binary on the tiny survey with no ambient shard role or
+/// fault plan; `env` is applied last.
+fn run_repro(args: &[&str], env: &[(&str, &str)]) -> Run {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.env("REPRO_SCALE", "quick")
         .env("WSC_THREADS", "2")
@@ -58,10 +58,8 @@ fn run_repro(args: &[&str], fault: Option<&str>) -> Run {
         .env("WSC_SURVEY_REQUESTS", "8")
         .env("WSC_SURVEY_POPULATION", "64")
         .env_remove("WSC_SHARD")
-        .env_remove("WSC_SHARD_FAULT");
-    if let Some(plan) = fault {
-        cmd.env("WSC_SHARD_FAULT", plan);
-    }
+        .env_remove("WSC_SHARD_FAULT")
+        .envs(env.iter().copied());
     let out = cmd.args(args).output().expect("spawn repro");
     Run {
         stdout: String::from_utf8(out.stdout).expect("utf8 stdout"),
@@ -230,11 +228,22 @@ fn typoed_policy_is_a_usage_error_not_a_default_run() {
     assert_eq!(run.code, Some(2), "stderr:\n{}", run.stderr);
     assert!(run.stderr.contains("retrys=1"), "{}", run.stderr);
     assert!(!run.stdout.contains("coverage"), "{}", run.stdout);
+    // A typo anywhere else on the command line runs nothing either: not
+    // even the run header reaches stdout.
+    for (args, env, named) in [
+        (&["fig4", "fig99"][..], &[][..], "fig99"),
+        (&["fleet"][..], &[("WSC_THREADS", "abc")][..], "WSC_THREADS"),
+    ] {
+        let run = run_repro(args, env);
+        assert_eq!(run.code, Some(2), "stderr:\n{}", run.stderr);
+        assert!(run.stderr.contains(named), "{}", run.stderr);
+        assert_eq!(run.stdout, "", "{named}");
+    }
 }
 
 #[test]
 fn help_prints_the_policy_grammar_and_its_defaults() {
-    let run = run_repro(&["--help"], None);
+    let run = run_repro(&["--help"], &[]);
     assert_eq!(run.code, Some(0), "stderr:\n{}", run.stderr);
     let help = format!("{}{}", run.stdout, run.stderr);
     for want in [

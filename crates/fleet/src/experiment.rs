@@ -323,11 +323,6 @@ impl Comparison {
         pct(self.control.cpi, self.experiment.cpi)
     }
 
-    /// dTLB miss-rate change, %.
-    pub fn dtlb_miss_pct(&self) -> f64 {
-        pct(self.control.dtlb_miss_rate, self.experiment.dtlb_miss_rate)
-    }
-
     /// Fragmentation-ratio change, %.
     pub fn frag_pct(&self) -> f64 {
         pct(self.control.frag_ratio, self.experiment.frag_ratio)

@@ -96,11 +96,6 @@ impl Sanitizer {
         &self.shadow
     }
 
-    /// Mutable shadow access (the allocator's hook path).
-    pub fn shadow_mut(&mut self) -> &mut ShadowState {
-        &mut self.shadow
-    }
-
     /// Audits performed so far.
     pub fn audits_run(&self) -> u64 {
         self.audits_run

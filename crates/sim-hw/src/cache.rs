@@ -337,11 +337,6 @@ impl LlcModel {
         self.stats
     }
 
-    /// Resets counters (cache contents stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = LlcStats::default();
-    }
-
     /// Number of modeled domains.
     pub fn num_domains(&self) -> usize {
         self.domains.len()

@@ -267,11 +267,6 @@ impl TlbSim {
     pub fn stats(&self) -> TlbStats {
         self.stats
     }
-
-    /// Resets counters (translations stay warm).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
 }
 
 #[cfg(test)]

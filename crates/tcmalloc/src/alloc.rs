@@ -953,11 +953,6 @@ impl Tcmalloc {
         &self.clock
     }
 
-    /// Bytes cached in the central transfer arrays (diagnostics).
-    pub fn transfer_central_bytes(&self) -> u64 {
-        self.transfer.central_cached_bytes()
-    }
-
     /// Number of domain-sharded transfer caches activated (§4.2).
     pub fn active_transfer_domains(&self) -> usize {
         self.transfer.active_domains()

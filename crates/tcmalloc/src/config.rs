@@ -39,7 +39,7 @@ pub enum FreeArm {
 }
 
 impl FreeArm {
-    /// Short display name (bench/report labels).
+    /// Short display name (report labels).
     pub fn name(self) -> &'static str {
         match self {
             FreeArm::OwnerOnly => "owner-only",
@@ -83,12 +83,8 @@ pub struct TcmallocConfig {
     /// Idle-cache decay interval (per-CPU and transfer-tier reclaim).
     pub decay_interval_ns: u64,
     /// Sanitizer level: shadow-state checking on every operation and
-    /// cross-tier conservation audits (Off for benches, Full for tests).
+    /// cross-tier conservation audits (Off for experiments, Full for tests).
     pub sanitize: SanitizeLevel,
-    /// Feed the event stream into the derived stats view (cycle
-    /// attribution + GWP profile). On by default; benches measuring raw
-    /// allocator throughput turn it off for a run that books nothing.
-    pub stats_sink: bool,
     /// Keep the last N events in a bounded [`TraceRing`]
     /// (crate::events::TraceRing) for Chrome-trace export. 0 = off.
     pub trace_capacity: u32,
@@ -138,7 +134,6 @@ impl TcmallocConfig {
             release_interval_ns: NS_PER_SEC / 20,
             decay_interval_ns: NS_PER_SEC / 10, // production: ~1 s
             sanitize: SanitizeLevel::Off,
-            stats_sink: true,
             trace_capacity: 0,
             record_events: false,
             soft_limit: None,
@@ -195,12 +190,6 @@ impl TcmallocConfig {
     /// Sets the sanitizer level (shadow checks + conservation audits).
     pub fn with_sanitize(mut self, level: SanitizeLevel) -> Self {
         self.sanitize = level;
-        self
-    }
-
-    /// Enables or disables the derived stats view (cycles + GWP profile).
-    pub fn with_stats_sink(mut self, on: bool) -> Self {
-        self.stats_sink = on;
         self
     }
 
@@ -265,8 +254,7 @@ mod tests {
         assert!(!c.pageheap.lifetime_aware_filler);
         assert_eq!(c.percpu_max_bytes, (3 << 20) / CAPACITY_SCALE);
         assert_eq!(c.sample_period_bytes, 2 << 20);
-        // Sink defaults: attribution on, trace/recorder off.
-        assert!(c.stats_sink);
+        // Sink defaults: trace/recorder off.
         assert_eq!(c.trace_capacity, 0);
         assert!(!c.record_events);
         // Failure-model defaults: no limits, no faults — golden figures
@@ -307,10 +295,8 @@ mod tests {
     #[test]
     fn sink_builders_compose() {
         let c = TcmallocConfig::optimized()
-            .with_stats_sink(false)
             .with_trace(4096)
             .with_event_recorder();
-        assert!(!c.stats_sink);
         assert_eq!(c.trace_capacity, 4096);
         assert!(c.record_events);
     }

@@ -832,7 +832,6 @@ impl EventSink for TraceRing {
 pub struct EventBus {
     cost: CostModel,
     clock: Clock,
-    stats_enabled: bool,
     stats: StatsView,
     sanitizer: Sanitizer,
     trace: Option<TraceRing>,
@@ -846,7 +845,6 @@ pub struct EventBus {
 impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus")
-            .field("stats_enabled", &self.stats_enabled)
             .field("trace", &self.trace.as_ref().map(TraceRing::len))
             .field(
                 "recorder",
@@ -860,14 +858,13 @@ impl std::fmt::Debug for EventBus {
 
 impl EventBus {
     /// Builds the bus for one allocator instance: sink selection comes from
-    /// `cfg` (`stats_sink`, `trace_capacity`, `record_events`, `sanitize`).
+    /// `cfg` (`trace_capacity`, `record_events`, `sanitize`).
     pub fn new(cfg: &TcmallocConfig, cost: CostModel, clock: Clock) -> Self {
         let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
         let recorder = cfg.record_events.then(Recorder::new);
         Self {
             cost,
             clock,
-            stats_enabled: cfg.stats_sink,
             stats: StatsView::new(cost),
             sanitizer: Sanitizer::new(cfg.sanitize),
             observed: trace.is_some() || recorder.is_some() || cfg.sanitize.is_on(),
@@ -880,9 +877,7 @@ impl EventBus {
     /// Reports one event: the stats view books it, and every observer sees
     /// it in the fixed fan-out order.
     pub fn emit(&mut self, ev: AllocEvent) {
-        if self.stats_enabled {
-            self.stats.apply(&ev);
-        }
+        self.stats.apply(&ev);
         if self.observed {
             self.fan_out(&ev);
         }
@@ -926,16 +921,6 @@ impl EventBus {
         }
     }
 
-    /// Prices a completion at `path` and, with the stats sink on, books it.
-    #[inline]
-    fn complete(&mut self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
-        if self.stats_enabled {
-            self.stats.complete(path, prefetched, sampled)
-        } else {
-            self.stats.price_ns(path, prefetched, sampled)
-        }
-    }
-
     /// Completes an allocation: books its price and returns the operation's
     /// cost-model nanoseconds (path + prefetch + other + sampling, in that
     /// order). `pick` is the GWP sample when the sampler chose this
@@ -957,7 +942,7 @@ impl EventBus {
         span: Option<SpanRef>,
     ) -> f64 {
         let sampled = pick.is_some();
-        let ns = self.complete(path, prefetched, sampled);
+        let ns = self.stats.complete(path, prefetched, sampled);
         if let Some(s) = pick {
             self.emit(AllocEvent::SamplerPick {
                 addr,
@@ -986,7 +971,7 @@ impl EventBus {
     /// cost-model nanoseconds, and shows observers [`AllocEvent::FreeDone`].
     #[inline]
     pub fn free_done(&mut self, path: AllocPath, addr: u64, size: u64) -> f64 {
-        let ns = self.complete(path, false, false);
+        let ns = self.stats.complete(path, false, false);
         if self.observed {
             self.fan_out(&AllocEvent::FreeDone { path, addr, size });
         }
@@ -1090,16 +1075,6 @@ mod tests {
         assert_eq!(b.cycles().ops(CycleCategory::Prefetch), 1);
         assert_eq!(b.cycles().ops(CycleCategory::Other), 2);
         assert_eq!(b.cycles().ops(CycleCategory::Sampled), 0);
-    }
-
-    #[test]
-    fn stats_sink_off_still_prices_operations() {
-        let cfg = TcmallocConfig::optimized().with_stats_sink(false);
-        let mut b = bus(cfg);
-        let ns = malloc(&mut b, false, Some(pick()));
-        assert!(ns > 5000.0, "sampled op priced: {ns}");
-        assert_eq!(b.cycles(), &CycleStats::new(), "view stays zeroed");
-        assert_eq!(b.profile().size_by_count.count(), 0.0);
     }
 
     #[test]

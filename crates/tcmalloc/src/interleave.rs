@@ -26,6 +26,7 @@
 
 use crate::alloc::Tcmalloc;
 use crate::config::TcmallocConfig;
+use crate::stats::CycleCategory;
 use wsc_prng::SmallRng;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
@@ -181,6 +182,11 @@ pub struct ReplayOutcome {
     pub drained: u64,
     /// Remote frees still parked (0 after the schedules' final drain).
     pub in_flight: u64,
+    /// Simulated nanoseconds the ledger booked as cross-thread
+    /// synchronisation ([`CycleCategory::Contention`]).
+    pub contention_ns: f64,
+    /// Simulated nanoseconds the ledger booked in total.
+    pub total_ns: f64,
     /// Sanitizer reports accumulated plus a final explicit audit's
     /// findings (0 on a clean run; always 0 when the sanitizer is off).
     pub sanitizer_findings: usize,
@@ -249,6 +255,8 @@ pub fn replay(cfg: TcmallocConfig, platform: Platform, schedule: &Schedule) -> R
         queued: tcm.deferred().queued_total(),
         drained: tcm.deferred().drained_total(),
         in_flight: tcm.deferred().in_flight(),
+        contention_ns: tcm.cycles().ns(CycleCategory::Contention),
+        total_ns: tcm.cycles().total_ns(),
         sanitizer_findings,
     }
 }

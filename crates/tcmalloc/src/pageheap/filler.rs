@@ -660,15 +660,6 @@ impl HugePageFiller {
             })
             .collect()
     }
-
-    /// Number of live allocations per tracked hugepage (for telemetry).
-    pub fn allocations_per_hugepage(&self) -> Vec<u32> {
-        self.trackers
-            .iter()
-            .flatten()
-            .map(|t| t.allocations)
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -221,13 +221,6 @@ impl StatsView {
         &self.profile
     }
 
-    /// Cost-model nanoseconds of a completion at `path` (a free is the
-    /// unprefetched, unsampled case), without booking it.
-    #[inline]
-    pub(crate) fn price_ns(&self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
-        self.prices.op(path, prefetched, sampled).ns
-    }
-
     /// Prices one completion, books it, and returns its nanoseconds.
     #[inline]
     pub(crate) fn complete(&mut self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {

@@ -316,15 +316,6 @@ impl TransferCaches {
         central + domain
     }
 
-    /// Bytes cached in the central (legacy) arrays only.
-    pub fn central_cached_bytes(&self) -> u64 {
-        self.central
-            .iter()
-            .zip(&self.sizes_batches)
-            .map(|(a, &(size, _))| a.objs.len() as u64 * size)
-            .sum()
-    }
-
     /// Number of domain caches activated so far.
     pub fn active_domains(&self) -> usize {
         self.domains.iter().flatten().count()

@@ -8,11 +8,6 @@
 
 use crate::histogram::{LogHistogram, MAX_EXP};
 
-/// Default sampling period: one sampled allocation per 2 MiB allocated,
-/// matching production TCMalloc ("TCMalloc samples an allocation request for
-/// every 2 MB of memory allocations").
-pub const DEFAULT_SAMPLE_PERIOD_BYTES: u64 = 2 << 20;
-
 /// Deterministic byte-threshold sampler.
 ///
 /// Accumulates allocated bytes and fires once per `period` bytes. A fired
@@ -51,11 +46,6 @@ impl Sampler {
             period: period_bytes,
             accumulated: 0,
         }
-    }
-
-    /// Creates a sampler with the production default period (2 MiB).
-    pub fn with_default_period() -> Self {
-        Self::new(DEFAULT_SAMPLE_PERIOD_BYTES)
     }
 
     /// Accounts an allocation of `size` bytes; returns `true` when this

@@ -15,7 +15,7 @@
 //!    over-approximates (every `free` is every other `free`), which is the
 //!    safe direction for reachability rules.
 //! 4. **Test context** — items inside `#[cfg(test)]` modules, `#[test]`
-//!    functions, and files under `tests/`/`benches/` are exempt from the
+//!    functions, and files under `tests/` are exempt from the
 //!    production-surface rules.
 //!
 //! Everything is assembled in one token walk with a brace-depth stack.
@@ -53,7 +53,7 @@ pub struct FnItem {
     /// Callee names invoked in the body: `name(…)`, `.name(…)`,
     /// `Path::name(…)` all contribute `name`; macros contribute `name!`.
     pub calls: Vec<String>,
-    /// Inside `#[cfg(test)]`, marked `#[test]`, or in a test/bench file.
+    /// Inside `#[cfg(test)]`, marked `#[test]`, or in a test file.
     pub in_test: bool,
 }
 
@@ -95,7 +95,7 @@ pub struct FileModel {
     pub allows: Vec<AllowSite>,
     /// The file's `lint:lock-order(…)` declaration, if any.
     pub lock_order: Option<LockOrderDecl>,
-    /// Whole file is test context (`tests/` or `benches/` directory).
+    /// Whole file is test context (`tests/` directory).
     pub file_is_test: bool,
 }
 
@@ -109,7 +109,7 @@ impl FileModel {
             .filter(|(_, t)| !t.kind.is_trivia())
             .map(|(i, _)| i)
             .collect();
-        let file_is_test = rel.contains("/tests/") || rel.contains("/benches/");
+        let file_is_test = rel.contains("/tests/");
         let (allows, lock_order) = scan_annotations(&src, &tokens);
         let mut m = Self {
             rel,
