@@ -9,6 +9,8 @@
 //!
 //! # Replay it under both configurations and compare:
 //! cargo run --release -p wsc-bench --bin trace -- replay disk.trace
+//! # (`info` and `replay` exit 2 with one line on stderr for a file that
+//! # cannot be read, parsed or — `replay` — passed by `Trace::check`.)
 //!
 //! # Export the allocator's cross-tier event stream as Chrome trace JSON
 //! # (open in chrome://tracing or https://ui.perfetto.dev):
@@ -79,6 +81,20 @@ fn workload(name: &str) -> wsc_workload::WorkloadSpec {
     }
 }
 
+/// Reads and parses a trace file; an unreadable or unparsable one is one
+/// line on stderr and exit status 2.
+fn load(path: &str) -> Trace {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Trace::from_text(&text).map_err(|e| e.to_string()))
+        .unwrap_or_else(|e| fail(path, &e))
+}
+
+fn fail(path: &str, why: &str) -> ! {
+    eprintln!("trace: {path}: {why}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut engine = Engine::from_env();
@@ -119,8 +135,7 @@ fn main() {
             println!("wrote {} events to {}", trace.events.len(), args[3]);
         }
         Some("info") if args.len() == 2 => {
-            let text = std::fs::read_to_string(&args[1]).expect("read trace file");
-            let trace = Trace::from_text(&text).expect("parse trace");
+            let trace = load(&args[1]);
             let (mut allocs, mut frees, mut bytes, mut span_ns) = (0u64, 0u64, 0u64, 0u64);
             for ev in &trace.events {
                 match *ev {
@@ -140,9 +155,13 @@ fn main() {
             println!("  time span:     {:.3} s", span_ns as f64 / 1e9);
         }
         Some("replay") if args.len() == 2 => {
-            let text = std::fs::read_to_string(&args[1]).expect("read trace file");
-            let trace = Trace::from_text(&text).expect("parse trace");
+            let trace = load(&args[1]);
             let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
+            // `Trace::replay` panics on a trace bug; a file is outside
+            // input, so it is checked first and refused in one line.
+            if let Err(e) = trace.check(&platform) {
+                fail(&args[1], &e.to_string());
+            }
             println!(
                 "{:<12} {:>10} {:>14} {:>16}",
                 "config", "allocs", "malloc ms", "peak resident"

@@ -1,0 +1,56 @@
+//! The `trace` binary on files it did not write: a trace that cannot be
+//! read, parsed or passed by `Trace::check` is one line on stderr and exit
+//! status 2 — never a panic — and a recorded one replays with status 0.
+
+use std::process::{Command, Output};
+
+fn trace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_trace"))
+        .args(args)
+        .output()
+        .expect("spawn the trace binary")
+}
+
+fn fixture(name: &str) -> String {
+    format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Exit status 2, nothing on stdout, exactly one line on stderr.
+fn refused(out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "refused before printing anything");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "stderr: {stderr}");
+    stderr
+}
+
+#[test]
+fn replay_refuses_a_malformed_trace_in_one_line() {
+    for (file, says) in [
+        ("free_unknown_id.trace", "event 1: frees unknown id 5"),
+        ("cpu_out_of_range.trace", "event 0: cpu 4000000000"),
+    ] {
+        let stderr = refused(&trace(&["replay", &fixture(file)]));
+        assert!(stderr.contains(says), "{file}: {stderr}");
+    }
+}
+
+#[test]
+fn info_and_replay_refuse_a_file_they_cannot_read_or_parse() {
+    let unparsable = format!("{}/trace_cli_unparsable.trace", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&unparsable, "a 0 64 0\n").expect("write the unparsable trace");
+    for command in ["info", "replay"] {
+        refused(&trace(&[command, &fixture("no_such_file.trace")]));
+        let stderr = refused(&trace(&[command, &unparsable]));
+        assert!(stderr.contains("line 1: missing field cpu"), "{stderr}");
+    }
+}
+
+#[test]
+fn a_recorded_trace_replays() {
+    let file = format!("{}/trace_cli_recorded.trace", env!("CARGO_TARGET_TMPDIR"));
+    assert!(trace(&["record", "redis", "500", &file]).status.success());
+    let out = trace(&["replay", &file]);
+    assert!(out.status.success() && out.stderr.is_empty());
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
+}

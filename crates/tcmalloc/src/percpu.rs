@@ -167,7 +167,10 @@ impl PerCpuCaches {
             // traffic).
             let mut reclaimed = 0u64;
             for cl in (0..sizes.len()).rev() {
-                if cl == class || reclaimed >= need {
+                if reclaimed >= need {
+                    break;
+                }
+                if cl == class {
                     continue;
                 }
                 let cslab = &mut slab.classes[cl];

@@ -10,13 +10,25 @@
 //!
 //! The on-disk format is a line-oriented text format (one event per line) so
 //! traces are greppable and versionable without extra dependencies.
+//!
+//! # Ids are positions
+//!
+//! [`Trace::record`] numbers allocations `0..n`, so replay does not hash an
+//! id to find its object: it indexes a slot table (`LiveTable`), one store
+//! per `Alloc` and one take per `Free`. The table is bounded by the trace,
+//! not by the ids in it — only ids below `events.len()` are indexed, so it
+//! is at most half the bytes `events` already occupies and a parsed
+//! `a 18446744073709551615 …` costs one entry, not a table the size of the
+//! id. Ids at or beyond that bound (a hand-written or hand-built trace; no
+//! recorded one has any) go to a small map beside the table and replay,
+//! and fail, exactly as the dense ones do.
 
 use crate::due::DueQueue;
 use crate::spec::WorkloadSpec;
 use std::fmt;
 use std::str::FromStr;
 use wsc_prng::{IntMap, SmallRng};
-use wsc_sim_hw::topology::CpuId;
+use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::Tcmalloc;
 
@@ -144,6 +156,82 @@ pub struct ReplayStats {
     pub peak_resident_bytes: u64,
 }
 
+/// A malformed trace, found by [`Trace::check`] before any allocator ran it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceCheckError {
+    event: usize,
+    reason: String,
+}
+
+impl fmt::Display for TraceCheckError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace check failed at event {}: {}",
+            self.event, self.reason
+        )
+    }
+}
+
+impl std::error::Error for TraceCheckError {}
+
+/// The `(address, size)` of every live allocation of one pass over a trace,
+/// by trace id (module docs: "Ids are positions").
+struct LiveTable {
+    /// Slot `id` for every id up to the largest seen below `bound`. The
+    /// simulated heap never hands out the null address, so it marks a free
+    /// slot. Reserved for `bound` slots up front and lengthened as ids
+    /// appear, so it never reallocates and the host pages in only the part
+    /// the trace's ids reach (a recorded trace's are its first third).
+    dense: Vec<(u64, u64)>,
+    /// The trace's event count: ids from here on live in `spill`.
+    bound: usize,
+    // lint:allow(hashmap-decl) keyed by trace object id; never iterated
+    spill: IntMap<u64, (u64, u64)>,
+}
+
+impl LiveTable {
+    const NULL: u64 = 0;
+    const FREE: (u64, u64) = (Self::NULL, 0);
+
+    fn for_events(events: usize) -> Self {
+        LiveTable {
+            dense: Vec::with_capacity(events),
+            bound: events,
+            spill: IntMap::default(),
+        }
+    }
+
+    /// Records `id` as live at `addr`; `false` if it already was.
+    fn insert(&mut self, id: u64, addr: u64, size: u64) -> bool {
+        assert_ne!(addr, Self::NULL, "allocation {id} at the null address");
+        let Some(index) = usize::try_from(id).ok().filter(|&i| i < self.bound) else {
+            return self.spill.insert(id, (addr, size)).is_none();
+        };
+        if index >= self.dense.len() {
+            self.dense.resize(index + 1, Self::FREE);
+        }
+        let slot = &mut self.dense[index];
+        let was_free = slot.0 == Self::NULL;
+        if was_free {
+            *slot = (addr, size);
+        }
+        was_free
+    }
+
+    /// Removes `id`, returning its `(address, size)` if it was live.
+    fn take(&mut self, id: u64) -> Option<(u64, u64)> {
+        // An id the table has no slot for is either beyond the bound or was
+        // never allocated; `spill` holds the former and has none of the
+        // latter.
+        let Some(slot) = usize::try_from(id).ok().and_then(|i| self.dense.get_mut(i)) else {
+            return self.spill.remove(&id);
+        };
+        let was = std::mem::replace(slot, Self::FREE);
+        (was.0 != Self::NULL).then_some(was)
+    }
+}
+
 impl Trace {
     /// Records a trace of `events_target` allocation events from a workload
     /// model. Lifetimes become explicit `Free` events interleaved at the
@@ -204,11 +292,11 @@ impl Trace {
     /// # Panics
     ///
     /// Panics on malformed traces (free of unknown/duplicate id) — those are
-    /// trace bugs, not allocator bugs.
+    /// trace bugs, not allocator bugs. [`check`](Self::check) finds them
+    /// without an allocator.
     pub fn replay(&self, tcm: &mut Tcmalloc, clock: &Clock) -> ReplayStats {
         let mut stats = ReplayStats::default();
-        // lint:allow(hashmap-decl) keyed by trace object id; never iterated
-        let mut live: IntMap<u64, (u64, u64)> = IntMap::default();
+        let mut live = LiveTable::for_events(self.events.len());
         for ev in &self.events {
             match *ev {
                 TraceEvent::Alloc {
@@ -218,14 +306,13 @@ impl Trace {
                     cpu,
                 } => {
                     let out = tcm.malloc_with_site(size, CpuId(cpu), site as u64);
-                    let prev = live.insert(id, (out.addr, size));
-                    assert!(prev.is_none(), "trace reuses live id {id}");
+                    assert!(live.insert(id, out.addr, size), "trace reuses live id {id}");
                     stats.allocs += 1;
                     stats.malloc_ns += out.ns;
                 }
                 TraceEvent::Free { id, cpu } => {
                     let (addr, size) = live
-                        .remove(&id)
+                        .take(id)
                         .unwrap_or_else(|| panic!("trace frees unknown id {id}"));
                     let out = tcm.free(addr, size, CpuId(cpu));
                     stats.frees += 1;
@@ -239,6 +326,47 @@ impl Trace {
             stats.peak_resident_bytes = stats.peak_resident_bytes.max(tcm.resident_bytes());
         }
         stats
+    }
+
+    /// Checks, without an allocator, that [`replay`](Self::replay) on
+    /// `platform` will not meet a trace bug: every `Free` names a live id,
+    /// no `Alloc` reuses one, and every CPU is one the platform has.
+    /// Allocations never freed are not an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceCheckError`] naming the first offending event by its
+    /// index in [`events`](Self::events).
+    pub fn check(&self, platform: &Platform) -> Result<(), TraceCheckError> {
+        // Any non-null address marks a slot live.
+        const LIVE: u64 = 1;
+        let mut live = LiveTable::for_events(self.events.len());
+        for (event, ev) in self.events.iter().enumerate() {
+            let fail = |reason: String| Err(TraceCheckError { event, reason });
+            let cpu = match *ev {
+                TraceEvent::Alloc { id, cpu, .. } => {
+                    if !live.insert(id, LIVE, 0) {
+                        return fail(format!("reuses live id {id}"));
+                    }
+                    cpu
+                }
+                TraceEvent::Free { id, cpu } => {
+                    if live.take(id).is_none() {
+                        return fail(format!("frees unknown id {id}"));
+                    }
+                    cpu
+                }
+                TraceEvent::Advance { .. } => continue,
+            };
+            if cpu as usize >= platform.num_cpus() {
+                return fail(format!(
+                    "cpu {cpu} out of range: platform {} has {}",
+                    platform.name(),
+                    platform.num_cpus()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Serializes to the line-oriented text format.
@@ -418,5 +546,218 @@ mod tests {
         assert_eq!(a, b, "same trace + same config = same stats");
         let c = run(TcmallocConfig::optimized());
         assert_eq!(a.allocs, c.allocs);
+    }
+
+    /// The map-keyed replay the slot table replaced, kept as the reference
+    /// model: same calls into the allocator, same panics, ids hashed.
+    fn replay_reference(trace: &Trace, tcm: &mut Tcmalloc, clock: &Clock) -> ReplayStats {
+        let mut stats = ReplayStats::default();
+        // lint:allow(hashmap-decl) the retired body as it was; never iterated
+        let mut live: IntMap<u64, (u64, u64)> = IntMap::default();
+        for ev in &trace.events {
+            match *ev {
+                TraceEvent::Alloc {
+                    id,
+                    size,
+                    site,
+                    cpu,
+                } => {
+                    let out = tcm.malloc_with_site(size, CpuId(cpu), site as u64);
+                    let prev = live.insert(id, (out.addr, size));
+                    assert!(prev.is_none(), "trace reuses live id {id}");
+                    stats.allocs += 1;
+                    stats.malloc_ns += out.ns;
+                }
+                TraceEvent::Free { id, cpu } => {
+                    let (addr, size) = live
+                        .remove(&id)
+                        .unwrap_or_else(|| panic!("trace frees unknown id {id}"));
+                    let out = tcm.free(addr, size, CpuId(cpu));
+                    stats.frees += 1;
+                    stats.malloc_ns += out.ns;
+                }
+                TraceEvent::Advance { ns } => {
+                    clock.advance(ns);
+                    tcm.maintain();
+                }
+            }
+            stats.peak_resident_bytes = stats.peak_resident_bytes.max(tcm.resident_bytes());
+        }
+        stats
+    }
+
+    /// Replays `trace` through the slot table and through the reference on
+    /// fresh allocators under both configurations; everything observable
+    /// must be equal, `malloc_ns` to the bit.
+    fn assert_replays_like_the_reference(trace: &Trace) {
+        type Replay = fn(&Trace, &mut Tcmalloc, &Clock) -> ReplayStats;
+        for cfg in [TcmallocConfig::baseline(), TcmallocConfig::optimized()] {
+            let run = |replay: Replay| {
+                let clock = Clock::new();
+                let mut tcm = Tcmalloc::new(cfg, Platform::chiplet("t", 1, 2, 4, 2), clock.clone());
+                let stats = replay(trace, &mut tcm, &clock);
+                (stats, stats.malloc_ns.to_bits(), tcm)
+            };
+            let (stats, ns_bits, tcm) = run(Trace::replay);
+            let (ref_stats, ref_ns_bits, ref_tcm) = run(replay_reference);
+            let what = &trace.name;
+            assert_eq!(stats, ref_stats, "{what}");
+            assert_eq!(ns_bits, ref_ns_bits, "{what}");
+            assert_eq!(tcm.cycles(), ref_tcm.cycles(), "{what}");
+            assert_eq!(tcm.resident_bytes(), ref_tcm.resident_bytes(), "{what}");
+            assert_eq!(tcm.fragmentation(), ref_tcm.fragmentation(), "{what}");
+            assert_eq!(tcm.live_objects(), ref_tcm.live_objects(), "{what}");
+        }
+    }
+
+    #[test]
+    fn recorded_traces_replay_like_the_reference() {
+        for spec in [
+            profiles::fleet_mix(),
+            profiles::monarch(),
+            profiles::spanner(),
+            profiles::redis(),
+        ] {
+            for seed in [7, 1042] {
+                assert_replays_like_the_reference(&Trace::record(&spec, 4_000, seed));
+            }
+        }
+    }
+
+    /// What `record` never writes: ids in descending order, an id freed and
+    /// then reused, and ids on both sides of the dense bound (`len - 1` is
+    /// the last slot, `len` and `u64::MAX` spill) interleaved with dense ones.
+    fn hand_built_trace() -> Trace {
+        const LEN: u64 = 19;
+        let a = |id| TraceEvent::Alloc {
+            id,
+            size: 48 + id % 7 * 100,
+            site: 3,
+            cpu: (id % 16) as u32,
+        };
+        let f = |id| TraceEvent::Free {
+            id,
+            cpu: (id % 5) as u32,
+        };
+        let events = vec![
+            a(5),
+            a(4),
+            a(3),
+            a(u64::MAX),
+            a(LEN),
+            a(LEN - 1),
+            TraceEvent::Advance { ns: 1_000 },
+            f(4),
+            a(4),
+            f(u64::MAX),
+            a(u64::MAX),
+            f(LEN),
+            a(0),
+            f(5),
+            f(3),
+            f(4),
+            f(LEN - 1),
+            f(u64::MAX),
+            f(0),
+        ];
+        assert_eq!(events.len() as u64, LEN);
+        Trace {
+            name: "hand-built".into(),
+            events,
+        }
+    }
+
+    #[test]
+    fn sparse_and_reused_ids_replay_like_the_reference() {
+        let trace = hand_built_trace();
+        assert_replays_like_the_reference(&trace);
+        assert_eq!(trace.check(&Platform::chiplet("t", 1, 2, 4, 2)), Ok(()));
+    }
+
+    #[test]
+    fn the_table_is_bounded_by_the_trace_not_by_its_ids() {
+        // Like `replay_survives_the_largest_cpu_id`: the largest id costs
+        // one entry, and ids at the bound never lengthen the table.
+        assert!(2 * size_of::<(u64, u64)>() <= size_of::<TraceEvent>());
+        let mut live = LiveTable::for_events(3);
+        for id in [u64::MAX, 3, 1] {
+            assert!(live.insert(id, 0x1000 + id % 7, 8));
+        }
+        assert_eq!((live.dense.len(), live.spill.len()), (2, 2));
+        assert!(live.dense.capacity() >= 3 && live.dense.capacity() < 1 << 10);
+        assert_eq!(live.take(u64::MAX), Some((0x1000 + u64::MAX % 7, 8)));
+        assert_eq!(live.take(u64::MAX), None);
+        assert_eq!(live.take(1), Some((0x1001, 8)));
+        assert_eq!(live.take(1), None);
+        assert_eq!(live.take(0), None, "slot exists, never allocated");
+        assert_eq!(live.take(2), None, "below the bound, beyond the table");
+    }
+
+    fn replay_text(text: &str) {
+        let trace = Trace::from_text(text).unwrap();
+        let clock = Clock::new();
+        let mut tcm = Tcmalloc::new(
+            TcmallocConfig::baseline(),
+            Platform::chiplet("t", 1, 2, 4, 2),
+            clock.clone(),
+        );
+        trace.replay(&mut tcm, &clock);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace reuses live id 1")]
+    fn replay_panics_on_a_live_id_reused_below_the_bound() {
+        replay_text("a 1 64 0 0\na 1 64 0 0\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace reuses live id 18446744073709551615")]
+    fn replay_panics_on_a_live_id_reused_beyond_the_bound() {
+        replay_text("a 18446744073709551615 64 0 0\na 18446744073709551615 64 0 0\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace frees unknown id 1")]
+    fn replay_panics_on_an_unknown_id_below_the_bound() {
+        replay_text("a 0 64 0 0\nf 1 0\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace frees unknown id 2")]
+    fn replay_panics_on_an_unknown_id_beyond_the_bound() {
+        replay_text("a 0 64 0 0\nf 2 0\n");
+    }
+
+    #[test]
+    fn check_names_the_first_bad_event() {
+        let platform = Platform::chiplet("t", 1, 2, 4, 2);
+        for (text, event, reason) in [
+            ("a 0 64 0 1\nf 5 1\n", 1, "frees unknown id 5"),
+            ("a 1 64 0 1\nf 0 1\n", 1, "frees unknown id 0"),
+            ("a 0 64 0 1\nt 5\nf 0 1\nf 0 1\n", 3, "frees unknown id 0"),
+            ("a 0 64 0 1\nf 9 1\n", 1, "frees unknown id 9"),
+            ("a 0 64 0 1\nt 5\na 0 64 0 1\n", 2, "reuses live id 0"),
+            ("t 5\na 7 64 0 1\na 7 64 0 1\n", 2, "reuses live id 7"),
+            ("a 0 64 0 16\n", 0, "cpu 16 out of range: platform t has 16"),
+            ("a 0 64 0 4000000000\n", 0, "cpu 4000000000 out of range"),
+            ("a 0 64 0 15\nf 0 16\n", 1, "cpu 16 out of range"),
+        ] {
+            let err = Trace::from_text(text)
+                .unwrap()
+                .check(&platform)
+                .expect_err(text);
+            assert_eq!(err.event, event, "{text:?}");
+            assert!(err.reason.starts_with(reason), "{text:?}: {}", err.reason);
+            assert!(err
+                .to_string()
+                .contains(&format!("event {event}: {reason}")));
+        }
+        // Well-formed: recorded traces, and a leak, which is not a trace bug.
+        assert_eq!(
+            Trace::record(&profiles::fleet_mix(), 2_000, 9).check(&platform),
+            Ok(())
+        );
+        let leak = Trace::from_text("a 0 64 0 15\n").unwrap();
+        assert_eq!(leak.check(&platform), Ok(()));
     }
 }
