@@ -30,31 +30,11 @@ use wsc_bench::experiments as ex;
 use wsc_bench::Scale;
 use wsc_parallel::supervisor::SupervisorConfig;
 
-const IDS: &[&str] = &[
-    "fig3",
-    "fig4",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "fig7",
-    "fig8",
-    "fig9a",
-    "fig9b",
-    "fig10",
-    "fig11",
-    "fig13",
-    "table1",
-    "fig14",
-    "fig15",
-    "fig16",
-    "table2",
-    "fig17",
-    "combined",
-    "ablations",
-    "faults",
-    "contention",
-];
+/// Every requestable id, in registry order, joined by `sep`.
+fn known_ids(sep: &str) -> String {
+    let ids: Vec<&str> = ex::REGISTRY.iter().map(|e| e.id).collect();
+    ids.join(sep)
+}
 
 fn usage_error(msg: String) -> ! {
     eprintln!("{msg}");
@@ -104,8 +84,8 @@ fn main() {
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         let d = SupervisorConfig::default();
         eprintln!(
-            "usage: repro [--threads N] [--shards P] [--supervise POLICY] [all | fleet | {} ...]",
-            IDS.join(" | ")
+            "usage: repro [--threads N] [--shards P] [--supervise POLICY] [all | {} ...]",
+            known_ids(" | ")
         );
         eprintln!("scale: set REPRO_SCALE=quick|default|full|fleet (default: default)");
         eprintln!("threads: --threads N or WSC_THREADS=N (results are thread-count-invariant)");
@@ -124,22 +104,21 @@ fn main() {
         eprintln!("  WSC_SHARD_FAULT=<kind>@<shard|*>[:<attempts>] injects chaos (crash|hang|corrupt|partial|exit)");
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
-        IDS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    // `fleet` is requestable by name but deliberately not part of `all`:
-    // at warehouse scale it would dominate the whole reproduction run.
     // Every id is checked before anything is printed or run.
-    for id in &wanted {
-        if !IDS.contains(id) && *id != "fleet" {
-            usage_error(format!(
-                "unknown experiment id: {id} (known: fleet, {})",
-                IDS.join(", ")
-            ));
-        }
-    }
+    let wanted: Vec<&ex::Experiment> = if args.iter().any(|a| a == "all") {
+        ex::REGISTRY.iter().filter(|e| e.in_all).collect()
+    } else {
+        args.iter()
+            .map(|id| {
+                ex::REGISTRY.iter().find(|e| e.id == id).unwrap_or_else(|| {
+                    usage_error(format!(
+                        "unknown experiment id: {id} (known: {})",
+                        known_ids(", ")
+                    ))
+                })
+            })
+            .collect()
+    };
     let mut scale = Scale::from_env();
     if let Some(n) = threads {
         scale = scale.with_threads(n);
@@ -153,112 +132,8 @@ fn main() {
         scale.engine.threads()
     );
 
-    // Table 2 feeds Figure 17; the four single-design fleet deltas feed the
-    // §4.5 rollout composition.
-    let mut table2_result = None;
-    let mut singles: Vec<wsc_fleet::Comparison> = Vec::new();
-
-    for id in wanted {
-        match id {
-            "fig3" => {
-                ex::fig3(&scale);
-            }
-            "fig4" => {
-                ex::fig4(&scale);
-            }
-            "fig5a" => {
-                ex::fig5a(&scale);
-            }
-            "fig5b" => {
-                ex::fig5b(&scale);
-            }
-            "fig6a" => {
-                ex::fig6a(&scale);
-            }
-            "fig6b" => {
-                ex::fig6b(&scale);
-            }
-            "fig7" => {
-                ex::fig7(&scale);
-            }
-            "fig8" => {
-                ex::fig8(&scale);
-            }
-            "fig9a" => {
-                ex::fig9a(&scale);
-            }
-            "fig9b" => {
-                ex::fig9b(&scale);
-            }
-            "fig10" => {
-                let (fleet_mem, _) = ex::fig10(&scale);
-                // Stash a synthetic comparison carrying the memory delta for
-                // the rollout composition (throughput-neutral per the paper).
-                let mut c = wsc_fleet::Comparison::default();
-                c.control.memory_bytes = 100.0;
-                c.experiment.memory_bytes = 100.0 + fleet_mem;
-                c.control.throughput = 100.0;
-                c.experiment.throughput = 100.0;
-                c.control.cpi = 1.0;
-                c.experiment.cpi = 1.0;
-                singles.push(c);
-            }
-            "fig11" => {
-                ex::fig11(&scale);
-            }
-            "fig13" => {
-                ex::fig13(&scale);
-            }
-            "table1" => {
-                let (fleet, _) = ex::table1(&scale);
-                singles.push(fleet);
-            }
-            "fig14" => {
-                let (fleet_mem, _, _) = ex::fig14(&scale);
-                let mut c = wsc_fleet::Comparison::default();
-                c.control.memory_bytes = 100.0;
-                c.experiment.memory_bytes = 100.0 + fleet_mem;
-                c.control.throughput = 100.0;
-                c.experiment.throughput = 100.0;
-                c.control.cpi = 1.0;
-                c.experiment.cpi = 1.0;
-                singles.push(c);
-            }
-            "fig15" => {
-                ex::fig15(&scale);
-            }
-            "fig16" => {
-                ex::fig16(&scale);
-            }
-            "table2" => {
-                let r = ex::table2(&scale);
-                singles.push(r.0);
-                table2_result = Some(r);
-            }
-            "fig17" => {
-                let (fleet, rows) = match table2_result.take() {
-                    Some(r) => r,
-                    None => ex::table2(&scale),
-                };
-                ex::fig17(&fleet, &rows);
-                table2_result = Some((fleet, rows));
-            }
-            "combined" => {
-                ex::combined(&scale, &singles);
-            }
-            "ablations" => {
-                ex::ablations(&scale);
-            }
-            "faults" => {
-                ex::faults(&scale);
-            }
-            "contention" => {
-                ex::contention(&scale);
-            }
-            "fleet" => {
-                ex::fleet(&scale, shards, &policy);
-            }
-            _ => unreachable!("validated above"),
-        }
+    let mut run = ex::Run::new(scale, shards, policy);
+    for experiment in wanted {
+        (experiment.run)(&mut run);
     }
 }

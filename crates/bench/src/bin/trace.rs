@@ -10,7 +10,8 @@
 //! # Replay it under both configurations and compare:
 //! cargo run --release -p wsc-bench --bin trace -- replay disk.trace
 //! # (`info` and `replay` exit 2 with one line on stderr for a file that
-//! # cannot be read, parsed or — `replay` — passed by `Trace::check`.)
+//! # cannot be read, parsed or — `replay` — passed by `Trace::check` and
+//! # replayed without the allocator refusing an allocation.)
 //!
 //! # Export the allocator's cross-tier event stream as Chrome trace JSON
 //! # (open in chrome://tracing or https://ui.perfetto.dev):
@@ -162,10 +163,6 @@ fn main() {
             if let Err(e) = trace.check(&platform) {
                 fail(&args[1], &e.to_string());
             }
-            println!(
-                "{:<12} {:>10} {:>14} {:>16}",
-                "config", "allocs", "malloc ms", "peak resident"
-            );
             // Both replays are engine tasks: independent allocator
             // instances, results merged back in config order.
             let tasks: Vec<Task<(&str, TcmallocConfig)>> = [
@@ -184,10 +181,21 @@ fn main() {
                     let (name, cfg) = task.payload;
                     let clock = Clock::new();
                     let mut tcm = Tcmalloc::new(cfg, platform.clone(), clock.clone());
-                    let stats = trace.replay(&mut tcm, &clock);
-                    (name, stats)
+                    trace
+                        .try_replay(&mut tcm, &clock)
+                        .map(|stats| (name, stats))
                 })
-                .unwrap_or_else(|e| panic!("trace replay aborted: {e}"));
+                .unwrap_or_else(|e| panic!("trace replay aborted: {e}"))
+                .into_iter()
+                // An allocation the allocator refuses (a size no address
+                // space holds) is the file's fault too: one line, nothing
+                // printed before it.
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_or_else(|e| fail(&args[1], &e.to_string()));
+            println!(
+                "{:<12} {:>10} {:>14} {:>16}",
+                "config", "allocs", "malloc ms", "peak resident"
+            );
             for (name, stats) in rows {
                 println!(
                     "{name:<12} {:>10} {:>11.2} ms {:>12.1} MiB",

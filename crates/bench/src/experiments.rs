@@ -34,37 +34,48 @@ fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Averages paired A/B comparisons for one workload over the scale's
-/// seeds. All `seeds × {control, experiment}` runs are one engine batch;
-/// arms of a pair share the seed so the pairing isolates the allocator.
-pub fn averaged_ab(
-    spec: &WorkloadSpec,
+/// Paired A/B comparisons, one per workload of `specs`, each the average
+/// over the scale's seeds. Every run — `workloads × seeds × {control,
+/// experiment}` — is one engine batch, so a whole table shards across
+/// threads, then folds back per workload in `specs` order; arms of a pair
+/// share the seed so the pairing isolates the allocator.
+fn paired_ab(
+    specs: &[&WorkloadSpec],
     platform: &Platform,
     control: TcmallocConfig,
     experiment: TcmallocConfig,
     scale: &Scale,
-) -> Comparison {
-    let mut jobs = Vec::with_capacity(scale.seeds.len() * 2);
-    for &seed in &scale.seeds {
-        let dcfg = DriverConfig::new(scale.requests, seed, platform);
-        for tcm_cfg in [control, experiment] {
-            jobs.push(RunJob {
-                spec: spec.clone(),
-                platform: platform.clone(),
-                tcm_cfg,
-                dcfg: dcfg.clone(),
-            });
+) -> Vec<Comparison> {
+    let mut jobs = Vec::with_capacity(specs.len() * scale.seeds.len() * 2);
+    for &spec in specs {
+        for &seed in &scale.seeds {
+            let dcfg = DriverConfig::new(scale.requests, seed, platform);
+            for tcm_cfg in [control, experiment] {
+                jobs.push(RunJob {
+                    spec: spec.clone(),
+                    platform: platform.clone(),
+                    tcm_cfg,
+                    dcfg: dcfg.clone(),
+                });
+            }
         }
     }
     let metrics = driver::run_batch(&scale.engine, jobs, |r, _| MetricSet::from_report(r))
-        .unwrap_or_else(|e| panic!("averaged A/B aborted: {e}"));
+        .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"));
     let n = scale.seeds.len() as f64;
-    let mut acc = Comparison::default();
-    for pair in metrics.chunks(2) {
-        add_metrics(&mut acc.control, &pair[0], 1.0 / n);
-        add_metrics(&mut acc.experiment, &pair[1], 1.0 / n);
-    }
-    acc
+    let mut pairs = metrics.chunks(2);
+    specs
+        .iter()
+        .map(|_| {
+            let mut acc = Comparison::default();
+            for _ in &scale.seeds {
+                let pair = pairs.next().expect("batch covers every (workload, seed)");
+                add_metrics(&mut acc.control, &pair[0], 1.0 / n);
+                add_metrics(&mut acc.experiment, &pair[1], 1.0 / n);
+            }
+            acc
+        })
+        .collect()
 }
 
 fn add_metrics(into: &mut MetricSet, from: &MetricSet, w: f64) {
@@ -79,20 +90,9 @@ fn add_metrics(into: &mut MetricSet, from: &MetricSet, w: f64) {
     into.frag_ratio += from.frag_ratio * w;
 }
 
-/// Runs one workload at baseline config and returns the report+allocator.
-fn baseline_run(
-    spec: &WorkloadSpec,
-    scale: &Scale,
-    seed: u64,
-    drain: bool,
-) -> (driver::RunReport, Tcmalloc) {
-    let platform = chiplet();
-    let dcfg = DriverConfig {
-        drain_at_end: drain,
-        ..DriverConfig::new(scale.requests, seed, &platform)
-    };
-    driver::run(spec, &platform, TcmallocConfig::baseline(), &dcfg)
-}
+/// Seed of the single-configuration characterization runs (Figures 5, 6
+/// and 15).
+const BASELINE_SEED: u64 = 42;
 
 /// Runs `specs` at baseline config as one engine batch; `extract` pulls the
 /// per-run values inside the worker so only they cross threads. Results are
@@ -100,8 +100,6 @@ fn baseline_run(
 fn baseline_batch<R: Send>(
     specs: &[WorkloadSpec],
     scale: &Scale,
-    seed: u64,
-    drain: bool,
     extract: impl Fn(&driver::RunReport, &Tcmalloc) -> R + Sync,
 ) -> Vec<R> {
     let platform = chiplet();
@@ -111,14 +109,21 @@ fn baseline_batch<R: Send>(
             spec: spec.clone(),
             platform: platform.clone(),
             tcm_cfg: TcmallocConfig::baseline(),
-            dcfg: DriverConfig {
-                drain_at_end: drain,
-                ..DriverConfig::new(scale.requests, seed, &platform)
-            },
+            dcfg: DriverConfig::new(scale.requests, BASELINE_SEED, &platform),
         })
         .collect();
     driver::run_batch(&scale.engine, jobs, extract)
         .unwrap_or_else(|e| panic!("baseline batch aborted: {e}"))
+}
+
+/// [`baseline_batch`] of the fleet mix alone.
+fn baseline_fleet_mix<R: Send>(
+    scale: &Scale,
+    extract: impl Fn(&driver::RunReport, &Tcmalloc) -> R + Sync,
+) -> R {
+    baseline_batch(&[profiles::fleet_mix()], scale, extract)
+        .pop()
+        .expect("one spec, one result")
 }
 
 // ---------------------------------------------------------------------------
@@ -237,7 +242,7 @@ pub fn fig5a(scale: &Scale) -> Vec<(String, f64)> {
     let mut t = Table::new(vec!["workload", "paper %", "measured %"]);
     let mut rows = Vec::new();
     let specs = fig5_workloads();
-    let fracs = baseline_batch(&specs, scale, 42, false, |r, _| r.malloc_frac);
+    let fracs = baseline_batch(&specs, scale, |r, _| r.malloc_frac);
     for (i, (spec, frac)) in specs.iter().zip(&fracs).enumerate() {
         let measured = frac * 100.0;
         t.row(vec![
@@ -266,7 +271,7 @@ pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
     let paper = ["22.2", "25", "11.2", "30", "20", "42.5", "-", "-"];
     let mut rows = Vec::new();
     let specs = fig5_workloads();
-    let frags = baseline_batch(&specs, scale, 42, false, |r, _| r.fragmentation);
+    let frags = baseline_batch(&specs, scale, |r, _| r.fragmentation);
     for (i, (spec, f)) in specs.iter().zip(&frags).enumerate() {
         let total = f.ratio() * 100.0;
         let internal = if f.live_bytes > 0 {
@@ -296,7 +301,7 @@ pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
 /// Returns `(category, share)` pairs.
 pub fn fig6a(scale: &Scale) -> Vec<(&'static str, f64)> {
     println!("== Figure 6a: malloc cycle breakdown ==");
-    let (_, tcm) = baseline_run(&profiles::fleet_mix(), scale, 42, false);
+    let breakdown = baseline_fleet_mix(scale, |_, tcm| tcm.cycles().breakdown());
     let paper = [
         (CycleCategory::CpuCache, 53.0),
         (CycleCategory::TransferCache, 3.0),
@@ -306,7 +311,6 @@ pub fn fig6a(scale: &Scale) -> Vec<(&'static str, f64)> {
         (CycleCategory::Prefetch, 16.0),
         (CycleCategory::Other, 9.0),
     ];
-    let breakdown = tcm.cycles().breakdown();
     let mut t = Table::new(vec!["component", "paper %", "measured %"]);
     let mut rows = Vec::new();
     for (cat, paper_pct) in paper {
@@ -340,7 +344,7 @@ pub fn fig6b(scale: &Scale) -> Vec<(String, [f64; 5])> {
         "workload", "CPUCache", "Transfer", "CFL", "PageHeap", "Internal",
     ]);
     let mut rows = Vec::new();
-    let all_shares = baseline_batch(&specs, scale, 42, false, |r, _| r.fragmentation.shares());
+    let all_shares = baseline_batch(&specs, scale, |r, _| r.fragmentation.shares());
     for (spec, shares) in specs.iter().zip(&all_shares) {
         let shares = shares.map(|s| s * 100.0);
         t.row(vec![
@@ -557,12 +561,9 @@ fn eval_workloads() -> Vec<WorkloadSpec> {
 }
 
 /// Generic per-design evaluation: fleet A/B plus per-workload rows.
-/// Returns `(fleet_comparison, rows)` with one `Comparison` per workload.
-///
-/// Every per-workload run — `workloads × seeds × {control, experiment}` —
-/// is flattened into one engine batch so the whole table shards across
-/// threads, then folded back per workload in canonical order.
-pub fn design_ab(
+/// Returns `(fleet_comparison, rows)` with one `Comparison` per workload;
+/// a workload named in `skip` is not run and gets a default row.
+fn design_ab(
     control: TcmallocConfig,
     experiment: TcmallocConfig,
     scale: &Scale,
@@ -571,43 +572,21 @@ pub fn design_ab(
     let fleet = try_run_fleet_ab(&scale.engine, control, experiment, &scale.fleet_config(11))
         .unwrap_or_else(|e| panic!("design A/B fleet arm aborted: {e}"))
         .fleet;
-    let platform = chiplet();
     let specs = eval_workloads();
-    let mut jobs = Vec::new();
-    for spec in &specs {
-        if skip.contains(&spec.name.as_str()) {
-            continue;
-        }
-        for &seed in &scale.seeds {
-            let dcfg = DriverConfig::new(scale.requests, seed, &platform);
-            for tcm_cfg in [control, experiment] {
-                jobs.push(RunJob {
-                    spec: spec.clone(),
-                    platform: platform.clone(),
-                    tcm_cfg,
-                    dcfg: dcfg.clone(),
-                });
-            }
-        }
-    }
-    let metrics = driver::run_batch(&scale.engine, jobs, |r, _| MetricSet::from_report(r))
-        .unwrap_or_else(|e| panic!("design A/B aborted: {e}"));
-    let n = scale.seeds.len() as f64;
-    let mut pairs = metrics.chunks(2);
-    let mut rows = Vec::new();
-    for spec in &specs {
-        if skip.contains(&spec.name.as_str()) {
-            rows.push((spec.name.clone(), Comparison::default()));
-            continue;
-        }
-        let mut acc = Comparison::default();
-        for _ in &scale.seeds {
-            let pair = pairs.next().expect("batch covers every (workload, seed)");
-            add_metrics(&mut acc.control, &pair[0], 1.0 / n);
-            add_metrics(&mut acc.experiment, &pair[1], 1.0 / n);
-        }
-        rows.push((spec.name.clone(), acc));
-    }
+    let skipped = |spec: &WorkloadSpec| skip.contains(&spec.name.as_str());
+    let run: Vec<&WorkloadSpec> = specs.iter().filter(|s| !skipped(s)).collect();
+    let mut measured = paired_ab(&run, &chiplet(), control, experiment, scale).into_iter();
+    let rows = specs
+        .iter()
+        .map(|spec| {
+            let c = if skipped(spec) {
+                Comparison::default()
+            } else {
+                measured.next().expect("one comparison per workload run")
+            };
+            (spec.name.clone(), c)
+        })
+        .collect();
     (fleet, rows)
 }
 
@@ -876,8 +855,7 @@ pub fn fig14(scale: &Scale) -> (f64, f64, Vec<(String, f64)>) {
 /// `(filler_use_share, filler_frag_share)`.
 pub fn fig15(scale: &Scale) -> (f64, f64) {
     println!("== Figure 15: pageheap component shares ==");
-    let (_, tcm) = baseline_run(&profiles::fleet_mix(), scale, 42, false);
-    let s = tcm.pageheap().stats();
+    let s = baseline_fleet_mix(scale, |_, tcm| tcm.pageheap().stats());
     let used = s.total_used_bytes().max(1) as f64;
     let free = s.total_free_bytes().max(1) as f64;
     let mut t = Table::new(vec!["component", "in-use %", "fragmentation %"]);
@@ -1194,7 +1172,7 @@ pub fn ablations(scale: &Scale) -> Vec<(String, f64, f64)> {
     let base = TcmallocConfig::baseline();
     let mut rows = Vec::new();
     let mut run = |label: String, spec: &WorkloadSpec, exp: TcmallocConfig| {
-        let c = averaged_ab(spec, &platform, base, exp, scale);
+        let c = &paired_ab(&[spec], &platform, base, exp, scale)[0];
         rows.push((label, c.throughput_pct(), c.memory_pct()));
     };
 
@@ -1413,6 +1391,133 @@ pub fn fleet(scale: &Scale, shards: usize, policy: &SupervisorConfig) -> (Compar
     (fleet, summary)
 }
 
+// ---------------------------------------------------------------------------
+// The registry `repro` dispatches from
+// ---------------------------------------------------------------------------
+
+/// What one `repro` invocation carries from experiment to experiment.
+#[derive(Debug)]
+pub struct Run {
+    /// Scale tier and engine of every experiment in the run.
+    pub scale: Scale,
+    /// Process shards for the `fleet` survey (`--shards`).
+    pub shards: usize,
+    /// Shard supervision policy (`--supervise`).
+    pub policy: SupervisorConfig,
+    /// The single-design fleet deltas gathered so far (Figures 10 and 14,
+    /// Tables 1 and 2), which `combined` composes per §4.5.
+    singles: Vec<Comparison>,
+    /// Table 2's result, which Figure 17 plots.
+    table2: Option<(Comparison, Vec<(String, Comparison)>)>,
+}
+
+impl Run {
+    /// A run that has gathered nothing yet.
+    pub fn new(scale: Scale, shards: usize, policy: SupervisorConfig) -> Self {
+        Self {
+            scale,
+            shards,
+            policy,
+            singles: Vec::new(),
+            table2: None,
+        }
+    }
+
+    /// Table 2's result, computed at most once per run.
+    fn table2(&mut self) -> &(Comparison, Vec<(String, Comparison)>) {
+        let scale = &self.scale;
+        self.table2.get_or_insert_with(|| table2(scale))
+    }
+}
+
+/// One experiment `repro` can be asked for.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The id on the command line.
+    pub id: &'static str,
+    /// Whether `repro all` includes it.
+    pub in_all: bool,
+    /// Prints the experiment's table, leaving in the [`Run`] what later
+    /// experiments build on.
+    pub run: fn(&mut Run),
+}
+
+/// A throughput- and CPI-neutral comparison carrying only a memory delta:
+/// what Figures 10 and 14, which report memory alone, hand the rollout
+/// composition.
+fn memory_only(memory_pct: f64) -> Comparison {
+    let arm = |memory_bytes| MetricSet {
+        memory_bytes,
+        throughput: 100.0,
+        cpi: 1.0,
+        ..MetricSet::default()
+    };
+    Comparison {
+        control: arm(100.0),
+        experiment: arm(100.0 + memory_pct),
+    }
+}
+
+/// An experiment `repro all` includes.
+const fn in_all(id: &'static str, run: fn(&mut Run)) -> Experiment {
+    Experiment {
+        id,
+        in_all: true,
+        run,
+    }
+}
+
+/// Every experiment, in the order `repro all` runs them. `fleet` is
+/// requestable by name but not part of `all`: at warehouse scale it would
+/// dominate the whole reproduction run.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment {
+        id: "fleet",
+        in_all: false,
+        run: |r| _ = fleet(&r.scale, r.shards, &r.policy),
+    },
+    in_all("fig3", |r| _ = fig3(&r.scale)),
+    in_all("fig4", |r| _ = fig4(&r.scale)),
+    in_all("fig5a", |r| _ = fig5a(&r.scale)),
+    in_all("fig5b", |r| _ = fig5b(&r.scale)),
+    in_all("fig6a", |r| _ = fig6a(&r.scale)),
+    in_all("fig6b", |r| _ = fig6b(&r.scale)),
+    in_all("fig7", |r| _ = fig7(&r.scale)),
+    in_all("fig8", |r| _ = fig8(&r.scale)),
+    in_all("fig9a", |r| _ = fig9a(&r.scale)),
+    in_all("fig9b", |r| _ = fig9b(&r.scale)),
+    in_all("fig10", |r| {
+        let (fleet_mem, _) = fig10(&r.scale);
+        r.singles.push(memory_only(fleet_mem));
+    }),
+    in_all("fig11", |r| _ = fig11(&r.scale)),
+    in_all("fig13", |r| _ = fig13(&r.scale)),
+    in_all("table1", |r| {
+        let (fleet, _) = table1(&r.scale);
+        r.singles.push(fleet);
+    }),
+    in_all("fig14", |r| {
+        let (fleet_mem, _, _) = fig14(&r.scale);
+        r.singles.push(memory_only(fleet_mem));
+    }),
+    in_all("fig15", |r| _ = fig15(&r.scale)),
+    in_all("fig16", |r| _ = fig16(&r.scale)),
+    // Asking for Table 2 prints it, even if Figure 17 already computed it.
+    in_all("table2", |r| {
+        let result = table2(&r.scale);
+        r.singles.push(result.0);
+        r.table2 = Some(result);
+    }),
+    in_all("fig17", |r| {
+        let (fleet, rows) = r.table2();
+        fig17(fleet, rows);
+    }),
+    in_all("combined", |r| _ = combined(&r.scale, &r.singles)),
+    in_all("ablations", |r| _ = ablations(&r.scale)),
+    in_all("faults", |r| _ = faults(&r.scale)),
+    in_all("contention", |r| _ = contention(&r.scale)),
+];
+
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -1430,5 +1535,42 @@ mod tests {
     fn fig11_matches_paper_ratio() {
         let ratio = fig11(&Scale::quick());
         assert!((ratio - 2.07).abs() < 1e-9);
+    }
+
+    /// The docs and the registry name the same experiments: every
+    /// `` `repro <id>` `` a document shows is one `repro` accepts, and every
+    /// id it accepts is shown somewhere.
+    #[test]
+    fn docs_and_registry_name_the_same_ids() {
+        let docs = [
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+            ("README.md", include_str!("../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+        ];
+        let known = |id: &str| id == "all" || REGISTRY.iter().any(|e| e.id == id);
+        let mut named = std::collections::BTreeSet::new();
+        for (file, text) in docs {
+            for span in text.split("`repro ").skip(1) {
+                let command = span.split('`').next().unwrap();
+                let mut words = command.split_whitespace();
+                while let Some(word) = words.next() {
+                    if word.starts_with("--") {
+                        // Every flag takes a value, inline or as the next word.
+                        if !word.contains('=') {
+                            words.next();
+                        }
+                    } else {
+                        assert!(
+                            known(word),
+                            "{file}: `repro {command}` names unknown {word:?}"
+                        );
+                        named.insert(word);
+                    }
+                }
+            }
+        }
+        for e in REGISTRY {
+            assert!(named.contains(e.id), "no document shows `repro {}`", e.id);
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The `trace` binary on files it did not write: a trace that cannot be
-//! read, parsed or passed by `Trace::check` is one line on stderr and exit
-//! status 2 — never a panic — and a recorded one replays with status 0.
+//! read, parsed, passed by `Trace::check` or held by the simulated address
+//! space is one line on stderr and exit status 2 — never a panic — and a
+//! recorded one replays with status 0.
 
 use std::process::{Command, Output};
 
@@ -29,6 +30,9 @@ fn replay_refuses_a_malformed_trace_in_one_line() {
     for (file, says) in [
         ("free_unknown_id.trace", "event 1: frees unknown id 5"),
         ("cpu_out_of_range.trace", "event 0: cpu 4000000000"),
+        // Passes the check (it is well-formed) and is refused by the
+        // allocator: ~91 TiB is more pages than a span can count.
+        ("oversize.trace", "event 1: malloc of 99999999999999 bytes"),
     ] {
         let stderr = refused(&trace(&["replay", &fixture(file)]));
         assert!(stderr.contains(says), "{file}: {stderr}");

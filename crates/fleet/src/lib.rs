@@ -7,7 +7,6 @@
 //! group (§2.2). This crate reproduces that structure at laptop scale:
 //!
 //! * [`population`] — the Zipf-weighted binary population (Figure 3),
-//! * [`gwp`] — fleet-wide continuous profiling waves (§2.2 methodology),
 //! * [`experiment`] — paired fleet-wide and per-workload A/B runs yielding
 //!   the deltas of Figures 10/14 and Tables 1/2, plus the streaming
 //!   10⁵-machine survey (constant-size [`experiment::CellSummary`] folds),
@@ -34,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod experiment;
-pub mod gwp;
 pub mod population;
 pub mod report;
 pub mod rollout;

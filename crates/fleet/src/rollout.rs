@@ -110,13 +110,6 @@ impl RolloutSchedule {
         let fraction = self.stages.get(stage).map_or(1.0, |s| s.fraction);
         self.draw(machine) < fraction
     }
-
-    /// The first wave that enrolls `machine`, or `None` if no wave does
-    /// (impossible when the final wave is 100%).
-    pub fn wave_of(&self, machine: u64) -> Option<usize> {
-        let d = self.draw(machine);
-        self.stages.iter().position(|s| d < s.fraction)
-    }
 }
 
 #[cfg(test)]
@@ -125,6 +118,11 @@ impl RolloutSchedule {
 mod tests {
     use super::*;
     use crate::experiment::MetricSet;
+
+    /// The first wave that enrolls `machine`.
+    fn wave_of(sched: &RolloutSchedule, machine: u64) -> Option<usize> {
+        (0..sched.stages().len()).find(|&w| sched.enrolled(w, machine))
+    }
 
     fn delta(throughput: f64, memory: f64) -> Comparison {
         Comparison {
@@ -198,7 +196,7 @@ mod tests {
     fn enrollment_never_churns() {
         let sched = RolloutSchedule::staged(11);
         for m in 0..5_000u64 {
-            let first = sched.wave_of(m).unwrap();
+            let first = wave_of(&sched, m).unwrap();
             for w in 0..sched.stages().len() {
                 assert_eq!(sched.enrolled(w, m), w >= first, "machine {m} wave {w}");
             }
@@ -210,9 +208,9 @@ mod tests {
         let a = RolloutSchedule::staged(3);
         let b = RolloutSchedule::staged(3);
         let c = RolloutSchedule::staged(4);
-        let waves_a: Vec<_> = (0..100).map(|m| a.wave_of(m)).collect();
-        let waves_b: Vec<_> = (0..100).map(|m| b.wave_of(m)).collect();
-        let waves_c: Vec<_> = (0..100).map(|m| c.wave_of(m)).collect();
+        let waves_a: Vec<_> = (0..100).map(|m| wave_of(&a, m)).collect();
+        let waves_b: Vec<_> = (0..100).map(|m| wave_of(&b, m)).collect();
+        let waves_c: Vec<_> = (0..100).map(|m| wave_of(&c, m)).collect();
         assert_eq!(waves_a, waves_b);
         assert_ne!(waves_a, waves_c, "different seeds give different canaries");
     }

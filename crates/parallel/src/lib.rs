@@ -10,26 +10,28 @@
 //! 1. **Seeds are derived, never shared.** Each task carries a
 //!    [`wsc_prng::derive_seed`]-produced child seed fixed at submission
 //!    time, so no task's stream depends on which thread runs it or when.
-//! 2. **Merge order is canonical.** Workers steal chunks of the task index
-//!    space, but results are reassembled in task-index order before they
-//!    are returned. `threads = 1` and `threads = N` produce byte-identical
-//!    output.
+//! 2. **Merge order is canonical.** Workers claim leaves of the task index
+//!    space from a shared cursor, but completed leaves are reduced in
+//!    leaf order before anything is returned. `threads = 1` and
+//!    `threads = N` produce byte-identical output.
 //! 3. **Panics are captured, not propagated.** A panicking task poisons the
 //!    run: workers stop claiming work, every spawned thread is joined (the
 //!    pool is scoped — threads cannot leak), and the caller receives a
 //!    structured [`TaskError`] naming the failing task's index, seed, and
 //!    label instead of a hung run or an opaque abort.
 //!
-//! The pool is a scoped-thread fork-join with chunked self-scheduling
-//! (workers claim contiguous chunks of the remaining index space from a
-//! shared cursor), which is work-stealing in the only sense that matters
-//! for coarse simulation tasks: a fast worker drains indices a slow worker
-//! never reached. No external dependencies.
+//! The pool is a scoped-thread fork-join with self-scheduling (workers
+//! claim contiguous leaves of the index space from a shared cursor), which
+//! is work-stealing in the only sense that matters for coarse simulation
+//! tasks: a fast worker drains leaves a slow worker never reached. There
+//! is one such loop; [`Engine::run`] and [`Engine::fold_seeded`] differ
+//! only in the accumulator they hand it. No external dependencies.
 //!
 //! # Streaming folds (the two-level shard tree)
 //!
-//! [`Engine::run`] collects one result per task — O(tasks) memory. For
-//! fleet-scale work (10⁵ cells) the engine instead *folds*:
+//! [`Engine::run`] collects one result per task — O(tasks) memory, its
+//! accumulator being a `Vec` that merges by appending. For fleet-scale
+//! work (10⁵ cells) the caller brings a constant-size accumulator:
 //! [`Engine::fold_seeded`] partitions the index space into at most
 //! [`MAX_FOLD_LEAVES`] contiguous **leaves** (a pure function of the total
 //! count, never of thread or shard count), workers claim whole leaves and
@@ -65,12 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// lint:lock-order(collected, reduced, error) — canonical acquisition order
-// for this file's mutexes: workers push into `collected` (run path) or
-// `reduced` (fold path) while running, and `error` is only ever taken on
-// the failure path or after the scope join. Nothing may hold `error` while
-// acquiring `collected` or `reduced`, and the run/fold paths never touch
-// each other's collector.
+// lint:lock-order(reduced, error) — canonical acquisition order for this
+// file's mutexes: workers submit finished leaves to `reduced` while
+// running, and `error` is only ever taken on the failure path or after the
+// scope join. Nothing may hold `error` while acquiring `reduced`.
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,13 +83,6 @@ pub mod supervisor;
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "WSC_THREADS";
-
-/// Chunks each worker's share of the index space is split into. Smaller
-/// chunks steal better when task durations vary (the last chunks of a slow
-/// worker are picked up by fast ones); larger chunks amortize cursor
-/// contention. 8 keeps the tail short without measurable contention for
-/// the coarse (multi-millisecond) tasks this engine runs.
-const CHUNKS_PER_WORKER: usize = 8;
 
 /// One schedulable unit: a payload plus the identity the engine reports it
 /// under (seed and label).
@@ -145,18 +138,6 @@ impl fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
-/// Deterministic execution counters for one [`Engine::run`] call. All
-/// fields are functions of the task list alone, never of timing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Tasks completed.
-    pub tasks: usize,
-    /// Worker threads used (`min(threads, tasks)`).
-    pub workers: usize,
-    /// Chunk size workers claimed from the shared cursor.
-    pub chunk: usize,
-}
-
 /// A deterministic fork-join execution engine with a fixed thread budget.
 ///
 /// The engine is a value, not a resource: it holds no threads between
@@ -204,107 +185,20 @@ impl Engine {
     /// `f` receives the task and its canonical index. If any task panics,
     /// the run is poisoned (no new work is claimed), all workers are
     /// joined, and the lowest-index captured failure is returned as a
-    /// [`TaskError`].
+    /// [`TaskError`] carrying that task's own seed and label.
     pub fn run<T, R, F>(&self, tasks: &[Task<T>], f: F) -> Result<Vec<R>, TaskError>
     where
         T: Sync,
         R: Send,
         F: Fn(&Task<T>, usize) -> R + Sync,
     {
-        Ok(self.run_with_stats(tasks, f)?.0)
-    }
-
-    /// Like [`run`](Engine::run), additionally returning deterministic
-    /// execution counters.
-    pub fn run_with_stats<T, R, F>(
-        &self,
-        tasks: &[Task<T>],
-        f: F,
-    ) -> Result<(Vec<R>, RunStats), TaskError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&Task<T>, usize) -> R + Sync,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Ok((Vec::new(), RunStats::default()));
-        }
-        let workers = self.threads.min(n);
-        let chunk = (n / (workers * CHUNKS_PER_WORKER)).max(1);
-        let stats = RunStats {
-            tasks: n,
-            workers,
-            chunk,
-        };
-
-        let cursor = AtomicUsize::new(0);
-        let poisoned = AtomicBool::new(false);
-        let error: Mutex<Option<TaskError>> = Mutex::new(None);
-        let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
-
-        let worker = || {
-            let mut local: Vec<(usize, R)> = Vec::new();
-            // lint:allow(atomic-ordering) Acquire pairs with the Release
-            // store in record_failure: seeing the flag implies the error
-            // slot write is visible.
-            'claim: while !poisoned.load(Ordering::Acquire) {
-                // lint:allow(atomic-ordering) Relaxed: the claim cursor
-                // guards no data, only chunk uniqueness, which fetch_add
-                // gives under any ordering.
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for (index, task) in tasks.iter().enumerate().take(end).skip(start) {
-                    // lint:allow(atomic-ordering) Acquire: same pairing as
-                    // the claim-loop check above.
-                    if poisoned.load(Ordering::Acquire) {
-                        break 'claim;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| f(task, index))) {
-                        Ok(r) => local.push((index, r)),
-                        Err(payload) => {
-                            record_failure(
-                                &error,
-                                &poisoned,
-                                index,
-                                task.seed,
-                                task.label.clone(),
-                                payload,
-                            );
-                            break 'claim;
-                        }
-                    }
-                }
-            }
-            // Lock poisoning is unreachable: every task panic is caught by
-            // catch_unwind before any lock is taken.
-            collected.lock().expect("collector lock").extend(local);
-        };
-
-        if workers == 1 {
-            // Serial reference path: same claiming loop, no threads.
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-
-        if let Some(err) = error.lock().expect("error lock").take() {
-            return Err(err);
-        }
-        // Canonical merge: reorder by task index so output is independent
-        // of scheduling. Every index is present exactly once on the Ok
-        // path (no poisoning means every claimed chunk completed).
-        let mut pairs = collected.into_inner().expect("collector lock");
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert_eq!(pairs.len(), n, "every task produced one result");
-        Ok((pairs.into_iter().map(|(_, r)| r).collect(), stats))
+        self.fold_leaves(
+            &span_leaves(FoldSpan::all(tasks.len())),
+            Vec::new,
+            |out: &mut Vec<R>, index| out.push(f(&tasks[index], index)),
+            |out, mut leaf| out.append(&mut leaf),
+            |index| (tasks[index].seed, tasks[index].label.clone()),
+        )
     }
 }
 
@@ -373,6 +267,19 @@ impl FoldSpan {
     }
 }
 
+/// The leaves of the global fold tree restricted to `span`, in leaf order.
+/// Leaf order is global, so a sub-span reduces its leaves in the same
+/// relative order the full fold would.
+fn span_leaves(span: FoldSpan) -> Vec<(usize, usize)> {
+    let lo = span.lo.min(span.total);
+    let hi = span.hi.min(span.total);
+    (0..fold_leaf_count(span.total))
+        .map(|leaf| fold_leaf_bounds(span.total, leaf))
+        .map(|(a, b)| (a.max(lo), b.min(hi)))
+        .filter(|&(a, b)| a < b)
+        .collect()
+}
+
 /// Streaming reducer state: completed leaf accumulators are merged into
 /// `acc` as soon as they arrive in canonical order; out-of-order leaves
 /// wait in `pending` (bounded by the leaf count).
@@ -423,16 +330,38 @@ impl Engine {
         M: Fn(&mut A, A) + Sync,
         L: Fn(usize) -> String + Sync,
     {
-        // Leaves of the global tree restricted to this span. Leaf order is
-        // global, so a sub-span reduces its leaves in the same relative
-        // order the full fold would.
-        let lo = span.lo.min(span.total);
-        let hi = span.hi.min(span.total);
-        let leaves: Vec<(usize, usize)> = (0..fold_leaf_count(span.total))
-            .map(|leaf| fold_leaf_bounds(span.total, leaf))
-            .map(|(a, b)| (a.max(lo), b.min(hi)))
-            .filter(|&(a, b)| a < b)
-            .collect();
+        let seed_of = |index: usize| wsc_prng::derive_seed(master, index as u64);
+        self.fold_leaves(
+            &span_leaves(span),
+            empty,
+            |acc, index| step(acc, index, seed_of(index)),
+            merge,
+            |index| (seed_of(index), label_of(index)),
+        )
+    }
+
+    /// The scheduling loop under both [`run`](Engine::run) and
+    /// [`fold_seeded`](Engine::fold_seeded): workers claim `leaves` (index
+    /// ranges, in canonical order) from one cursor, fold each into a fresh
+    /// `empty()` with `step(acc, index)`, and a streaming reducer merges
+    /// finished leaves in leaf order. A panicking `step` poisons the run;
+    /// `describe(index)` supplies the `(seed, label)` the [`TaskError`]
+    /// reports and is only invoked on that path.
+    fn fold_leaves<A, E, S, M, D>(
+        &self,
+        leaves: &[(usize, usize)],
+        empty: E,
+        step: S,
+        merge: M,
+        describe: D,
+    ) -> Result<A, TaskError>
+    where
+        A: Send,
+        E: Fn() -> A + Sync,
+        S: Fn(&mut A, usize) + Sync,
+        M: Fn(&mut A, A) + Sync,
+        D: Fn(usize) -> (u64, String) + Sync,
+    {
         if leaves.is_empty() {
             return Ok(empty());
         }
@@ -466,10 +395,10 @@ impl Engine {
                     if poisoned.load(Ordering::Acquire) {
                         break 'claim;
                     }
-                    let seed = wsc_prng::derive_seed(master, index as u64);
-                    let fold_one = catch_unwind(AssertUnwindSafe(|| step(&mut acc, index, seed)));
+                    let fold_one = catch_unwind(AssertUnwindSafe(|| step(&mut acc, index)));
                     if let Err(payload) = fold_one {
-                        record_failure(&error, &poisoned, index, seed, label_of(index), payload);
+                        let (seed, label) = describe(index);
+                        record_failure(&error, &poisoned, index, seed, label, payload);
                         break 'claim;
                     }
                 }
@@ -645,18 +574,56 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_deterministic() {
-        let ts = tasks(100);
-        let (_, a) = Engine::new(4)
-            .run_with_stats(&ts, |t, _| t.payload)
-            .unwrap();
-        let (_, b) = Engine::new(4)
-            .run_with_stats(&ts, |t, _| t.payload)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.tasks, 100);
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.chunk, 3); // 100 / (4 workers * 8 chunks)
+    fn run_is_ordered_and_names_the_lower_fault_on_both_sides_of_the_leaf_cap() {
+        // Up to MAX_FOLD_LEAVES tasks each task is its own leaf; past it a
+        // leaf holds several. Results must come back in task order and a
+        // failure must carry the failing task's own seed and label (not a
+        // derivation from the index) either way.
+        for n in [0usize, 1, 255, 256, 257, 1000] {
+            let ts: Vec<Task<usize>> = (0..n)
+                .map(|i| Task {
+                    seed: 0xabc0_0000 + 7 * i as u64,
+                    label: format!("job {i}"),
+                    payload: i,
+                })
+                .collect();
+            for threads in [1, 3, 8] {
+                let engine = Engine::new(threads);
+                let out = engine.run(&ts, |t, i| (i, t.payload * 3)).unwrap();
+                let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
+                assert_eq!(out, want, "n = {n}, threads = {threads}");
+                if n < 2 {
+                    continue;
+                }
+                // Two faults. The higher one holds its panic until the lower
+                // task is running, so both are captured whatever the
+                // schedule: the lower leaf is always claimed first.
+                let (low, high) = (n / 3, n - 1);
+                let low_reached = AtomicBool::new(false);
+                let err = engine
+                    .run(&ts, |_, i| {
+                        if i == low {
+                            // lint:allow(atomic-ordering) SeqCst: the flag is
+                            // the test's gate and publishes nothing else.
+                            low_reached.store(true, Ordering::SeqCst);
+                            panic!("fault at {i}");
+                        }
+                        if i == high {
+                            // lint:allow(atomic-ordering) SeqCst: as above.
+                            while !low_reached.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                            panic!("fault at {i}");
+                        }
+                    })
+                    .unwrap_err();
+                let ctx = format!("n = {n}, threads = {threads}");
+                assert_eq!(err.index, low, "{ctx}");
+                assert_eq!(err.seed, ts[low].seed, "{ctx}");
+                assert_eq!(err.label, ts[low].label, "{ctx}");
+                assert_eq!(err.message, format!("fault at {low}"), "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 /// Frames `bytes` as the stdout payload block a shard child emits: a
-/// length-carrying begin line, [`HEX_LINE`]-character hex body lines, and
+/// length-carrying begin line, `HEX_LINE`-character hex body lines, and
 /// a CRC-32 trailer over the raw bytes.
 pub fn encode_payload(bytes: &[u8]) -> String {
     let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();

@@ -104,14 +104,6 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// All-or-nothing: one attempt per shard, no deadline, no recovery.
-    pub const STRICT: Self = Self {
-        retries: 0,
-        backoff: Duration::ZERO,
-        deadline: None,
-        split: false,
-    };
-
     /// Parses a policy string: comma-separated `<key>=<value>` items over
     /// the [`Default`], keys `retries=<0..=64>`, `backoff-ms=<n>`,
     /// `deadline-ms=<n>` (0 = none) and `split=<0|1>`. The empty string is
@@ -751,6 +743,16 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::path::PathBuf;
+
+    impl SupervisorConfig {
+        /// All-or-nothing: one attempt per shard, no deadline, no recovery.
+        const STRICT: Self = Self {
+            retries: 0,
+            backoff: Duration::ZERO,
+            deadline: None,
+            split: false,
+        };
+    }
 
     /// A scratch dir keyed by pid + a per-test name (no wall-clock, no
     /// ambient RNG — the determinism rules apply to tests too).

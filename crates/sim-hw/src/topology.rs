@@ -154,11 +154,6 @@ impl Platform {
         (self.sockets * self.nodes_per_socket * self.domains_per_node) as usize
     }
 
-    /// Total NUMA nodes.
-    pub fn num_nodes(&self) -> usize {
-        (self.sockets * self.nodes_per_socket) as usize
-    }
-
     /// Total sockets.
     pub fn num_sockets(&self) -> usize {
         self.sockets as usize
@@ -210,11 +205,6 @@ impl Platform {
         SocketId(node.0 / self.nodes_per_socket)
     }
 
-    /// The NUMA node containing an LLC domain.
-    pub fn node_of_domain(&self, domain: DomainId) -> NodeId {
-        NodeId(domain.0 / self.domains_per_node)
-    }
-
     /// The logical CPUs in the given LLC domain.
     pub fn cpus_in_domain(&self, domain: DomainId) -> impl Iterator<Item = CpuId> {
         let per = self.cpus_per_domain();
@@ -261,7 +251,6 @@ mod tests {
         let p = Platform::monolithic("intel-like", 2, 28, 2);
         assert_eq!(p.num_cpus(), 112);
         assert_eq!(p.num_domains(), 2);
-        assert_eq!(p.num_nodes(), 2);
         assert!(!p.is_nuca());
         assert_eq!(p.domain_of(CpuId(0)), DomainId(0));
         assert_eq!(p.domain_of(CpuId(55)), DomainId(0));
@@ -313,13 +302,5 @@ mod tests {
         assert_eq!(first, 72);
         assert_eq!(last, 288);
         assert!(last as f64 / first as f64 >= 4.0, "paper reports 4x growth");
-    }
-
-    #[test]
-    fn node_of_domain_consistent() {
-        let p = Platform::new("2-node", 1, 2, 3, 2, 2, 32 << 20);
-        for cpu in p.cpus() {
-            assert_eq!(p.node_of(cpu), p.node_of_domain(p.domain_of(cpu)));
-        }
     }
 }

@@ -1,15 +1,11 @@
 //! Address-space constants and alignment helpers.
 //!
-//! Three page granularities matter in the paper (§2.1, footnote 1):
+//! Two page granularities matter to the allocator (§2.1, footnote 1):
 //!
-//! * the 4 KiB **native** x86 page,
-//! * the 8 KiB **TCMalloc page** (two native pages) — the unit spans are
-//!   made of,
+//! * the 8 KiB **TCMalloc page** (two native 4 KiB x86 pages) — the unit
+//!   spans are made of,
 //! * the 2 MiB **hugepage** — the unit the pageheap manages and the kernel's
 //!   THP machinery covers with a single TLB entry.
-
-/// Native (base) page size: 4 KiB.
-pub const BASE_PAGE_BYTES: u64 = 4 << 10;
 
 /// TCMalloc page size: 8 KiB (two native x86 pages).
 pub const TCMALLOC_PAGE_BYTES: u64 = 8 << 10;
@@ -28,26 +24,6 @@ pub const TCMALLOC_PAGES_PER_HUGE: u64 = HUGE_PAGE_BYTES / TCMALLOC_PAGE_BYTES;
 pub fn align_up(v: u64, align: u64) -> u64 {
     assert!(align.is_power_of_two(), "alignment must be a power of two");
     (v + align - 1) & !(align - 1)
-}
-
-/// Rounds `v` down to a multiple of `align`.
-///
-/// # Panics
-///
-/// Panics if `align` is not a power of two.
-pub fn align_down(v: u64, align: u64) -> u64 {
-    assert!(align.is_power_of_two(), "alignment must be a power of two");
-    v & !(align - 1)
-}
-
-/// Is `v` aligned to `align`?
-pub fn is_aligned(v: u64, align: u64) -> bool {
-    align_down(v, align) == v
-}
-
-/// Index of the hugepage containing `addr`.
-pub fn hugepage_index(addr: u64) -> u64 {
-    addr / HUGE_PAGE_BYTES
 }
 
 /// Index of the TCMalloc page containing `addr`.
@@ -77,7 +53,6 @@ mod tests {
 
     #[test]
     fn constants_are_consistent() {
-        assert_eq!(TCMALLOC_PAGE_BYTES, 2 * BASE_PAGE_BYTES);
         assert_eq!(TCMALLOC_PAGES_PER_HUGE, 256);
     }
 
@@ -90,14 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn align_down_basic() {
-        assert_eq!(align_down(0, 8), 0);
-        assert_eq!(align_down(7, 8), 0);
-        assert_eq!(align_down(8, 8), 8);
-        assert_eq!(align_down(15, 8), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two() {
         let _ = align_up(5, 3);
@@ -105,16 +72,7 @@ mod tests {
 
     #[test]
     fn page_indices() {
-        assert_eq!(hugepage_index(0), 0);
-        assert_eq!(hugepage_index(HUGE_PAGE_BYTES - 1), 0);
-        assert_eq!(hugepage_index(HUGE_PAGE_BYTES), 1);
         assert_eq!(tcmalloc_page_index(TCMALLOC_PAGE_BYTES * 3 + 5), 3);
-    }
-
-    #[test]
-    fn is_aligned_checks() {
-        assert!(is_aligned(HUGE_PAGE_BYTES, HUGE_PAGE_BYTES));
-        assert!(!is_aligned(HUGE_PAGE_BYTES + 1, HUGE_PAGE_BYTES));
     }
 
     #[test]

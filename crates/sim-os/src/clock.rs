@@ -32,9 +32,6 @@ pub struct Clock {
 /// Nanoseconds per second.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
 
-/// Nanoseconds per millisecond.
-pub const NS_PER_MS: u64 = 1_000_000;
-
 impl Clock {
     /// Creates a clock at time 0.
     pub fn new() -> Self {
@@ -53,14 +50,6 @@ impl Clock {
         // lint:allow(atomic-ordering) Relaxed: fetch_add is atomic per
         // word; time ordering comes from the single-writer driver.
         self.ns.fetch_add(delta_ns, Ordering::Relaxed) + delta_ns
-    }
-
-    /// Moves the clock forward to `t_ns` if it is ahead of now; no-op
-    /// otherwise (the clock never goes backwards).
-    pub fn advance_to(&self, t_ns: u64) {
-        // lint:allow(atomic-ordering) Relaxed: fetch_max is idempotent and
-        // monotone; no ordering with other memory is implied.
-        self.ns.fetch_max(t_ns, Ordering::Relaxed);
     }
 }
 
@@ -84,13 +73,5 @@ mod tests {
         let b = a.clone();
         a.advance(5);
         assert_eq!(b.now_ns(), 5);
-    }
-
-    #[test]
-    fn advance_to_is_monotonic() {
-        let c = Clock::new();
-        c.advance_to(100);
-        c.advance_to(50);
-        assert_eq!(c.now_ns(), 100);
     }
 }

@@ -82,9 +82,9 @@ fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u32, u
 /// Tracks the backing (huge vs base pages, residency) of every mapped
 /// hugepage-sized region in a process.
 ///
-/// Address → state is index arithmetic: one [`HugeRec`] per hugepage in a
+/// Address → state is index arithmetic: one `HugeRec` per hugepage in a
 /// flat window over the observed hugepage range, empty until the first
-/// `mmap` and grown in whole [`CHUNK_HUGEPAGES`] chunks in either direction
+/// `mmap` and grown in whole `CHUNK_HUGEPAGES` chunks in either direction
 /// (the windowing discipline of the allocator's pagemap). Every aggregate
 /// the allocator and the drivers poll per event is a running counter that
 /// each mutator keeps exact, so the queries are O(1):
@@ -143,20 +143,38 @@ impl PageTable {
         (addr / HUGE_PAGE_BYTES)..((addr + len) / HUGE_PAGE_BYTES)
     }
 
-    /// Grows the window (whole chunks, either direction) to cover the
-    /// non-empty hugepage range `span`.
-    fn ensure(&mut self, span: &std::ops::Range<u64>) {
+    /// The window's bounds (hugepage indices, whole chunks) once grown in
+    /// either direction to cover the non-empty hugepage range `span`, or
+    /// `None` if that is past the [`MAX_WINDOW_HUGEPAGES`] ceiling.
+    fn grown(&self, span: &std::ops::Range<u64>) -> Option<(u64, u64)> {
         let lo = span.start - span.start % CHUNK_HUGEPAGES;
-        let hi = span.end.next_multiple_of(CHUNK_HUGEPAGES);
+        let hi = span.end.checked_next_multiple_of(CHUNK_HUGEPAGES)?;
+        let (new_lo, new_hi) = if self.recs.is_empty() {
+            (lo, hi)
+        } else {
+            (
+                lo.min(self.base_hp),
+                hi.max(self.base_hp + self.recs.len() as u64),
+            )
+        };
+        (new_hi - new_lo <= MAX_WINDOW_HUGEPAGES).then_some((new_lo, new_hi))
+    }
+
+    /// Can the hugepage-granular range `[addr, addr + len)` be mapped
+    /// without spreading the window past its ceiling? The kernel's
+    /// address-space limit: [`Vmm::mmap`](crate::vmm::Vmm::mmap) refuses a
+    /// grant that cannot.
+    pub(crate) fn fits(&self, addr: u64, len: u64) -> bool {
+        let span = Self::hugepage_span(addr, len);
+        span.is_empty() || self.grown(&span).is_some()
+    }
+
+    /// Grows the window to cover the non-empty hugepage range `span`.
+    fn ensure(&mut self, span: &std::ops::Range<u64>) {
+        let (new_lo, new_hi) = self.grown(span).expect("page table window blow-up");
         if self.recs.is_empty() {
-            self.base_hp = lo;
+            self.base_hp = new_lo;
         }
-        let new_lo = lo.min(self.base_hp);
-        let new_hi = hi.max(self.base_hp + self.recs.len() as u64);
-        assert!(
-            new_hi - new_lo <= MAX_WINDOW_HUGEPAGES,
-            "page table window blow-up"
-        );
         if new_lo < self.base_hp {
             let grow = (self.base_hp - new_lo) as usize;
             let mut fresh = vec![HugeRec::default(); grow + self.recs.len()];

@@ -98,12 +98,6 @@ impl VcpuRegistry {
         };
         slot.copied().filter(|&v| v != UNASSIGNED).map(VcpuId)
     }
-
-    /// Number of vCPUs assigned so far (= number of distinct physical CPUs
-    /// the process has run on).
-    pub fn num_vcpus(&self) -> usize {
-        self.assigned as usize
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +113,7 @@ mod tests {
         let b = reg.vcpu_of(CpuId(7));
         let c = reg.vcpu_of(CpuId(55));
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
-        assert_eq!(reg.num_vcpus(), 3);
+        assert_eq!(reg.assigned, 3);
     }
 
     #[test]
@@ -129,7 +123,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(reg.vcpu_of(CpuId(9)), first);
         }
-        assert_eq!(reg.num_vcpus(), 1);
+        assert_eq!(reg.assigned, 1);
     }
 
     #[test]
@@ -172,7 +166,7 @@ mod tests {
                 let next = model.len() as u32;
                 let want = *model.entry(cpu).or_insert(next);
                 assert_eq!(reg.vcpu_of(CpuId(cpu)).0, want, "cpu {cpu}");
-                assert_eq!(reg.num_vcpus(), model.len());
+                assert_eq!(reg.assigned as usize, model.len());
             }
             assert!(reg.dense.len() <= DENSE_CPUS, "dense part is bounded");
         }
@@ -187,7 +181,7 @@ mod tests {
         assert_eq!(reg.get(CpuId(u32::MAX)), Some(VcpuId(0)));
         assert_eq!(reg.get(CpuId(u32::MAX - 1)), None);
         assert_eq!(reg.dense.len(), 4);
-        assert_eq!(reg.num_vcpus(), 2);
+        assert_eq!(reg.assigned, 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! virtual ranges, keeps the [`PageTable`] in sync, and counts syscalls so
 //! the cost model can charge them.
 
-use crate::addr::{align_up, HUGE_PAGE_BYTES};
+use crate::addr::HUGE_PAGE_BYTES;
 use crate::clock::Clock;
 use crate::faults::{FaultInjector, FaultPlan, FaultStats, OsError};
 use crate::pagetable::PageTable;
@@ -103,19 +103,31 @@ impl Vmm {
     ///
     /// # Errors
     ///
-    /// Returns [`OsError::Enomem`] when the fault plan denies the call; the
-    /// address space is unchanged. Without a plan the call always succeeds.
+    /// Returns [`OsError::Enomem`] when the grant would not fit the address
+    /// space (it would spread the page table past its 1 TiB window) or the
+    /// fault plan denies the call; the address space is unchanged either
+    /// way. Without a plan every call that fits succeeds.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero.
     pub fn mmap(&mut self, len: u64) -> Result<MmapGrant, OsError> {
         assert!(len > 0, "mmap of zero bytes");
+        let addr = self.next_addr;
+        // The address-space limit comes first: an impossible request is
+        // refused whatever the fault plan would have drawn for it.
+        let len = match len.checked_next_multiple_of(HUGE_PAGE_BYTES) {
+            Some(l) if addr.checked_add(l).is_some() && self.page_table.fits(addr, l) => l,
+            _ => {
+                // A failed syscall is still a syscall.
+                self.stats.mmap_calls += 1;
+                return Err(OsError::Enomem);
+            }
+        };
         let (huge_backed, latency_ns) = match self.faults.as_mut() {
             Some(inj) => {
                 let d = inj.on_mmap();
                 if d.deny {
-                    // A failed syscall is still a syscall.
                     self.stats.mmap_calls += 1;
                     return Err(OsError::Enomem);
                 }
@@ -123,8 +135,6 @@ impl Vmm {
             }
             None => (true, 0),
         };
-        let len = align_up(len, HUGE_PAGE_BYTES);
-        let addr = self.next_addr;
         self.next_addr += len;
         // The bump allocator never reuses addresses, so this cannot
         // double-map.
@@ -225,6 +235,7 @@ impl Default for Vmm {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::addr::align_up;
     use crate::faults::PPM;
 
     /// mmap that must succeed (fault-free or between storms).
@@ -310,6 +321,34 @@ mod tests {
         assert_eq!(vmm.stats().mmap_bytes, 0);
         assert_eq!(vmm.stats().mmap_calls, 1, "the failed syscall counts");
         assert_eq!(vmm.fault_stats().enomem_injected, 1);
+    }
+
+    #[test]
+    fn a_grant_past_the_address_space_limit_is_refused_before_any_mutation() {
+        // The page table's window tops out at 1 TiB of spread. A request
+        // that would cross it — alone, on top of what is mapped, or so
+        // large its rounding overflows — is ENOMEM, and the address space
+        // is exactly as it was: the next grant lands where it would have.
+        const TIB: u64 = 1 << 40;
+        let mut vmm = Vmm::new();
+        let first = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
+        let (next_addr, table, stats) = (vmm.next_addr, format!("{:?}", vmm.page_table), vmm.stats);
+        for len in [TIB, TIB + 1, 1 << 45, u64::MAX / 2, u64::MAX] {
+            assert_eq!(vmm.mmap(len), Err(OsError::Enomem), "len {len:#x}");
+        }
+        assert_eq!(vmm.next_addr, next_addr);
+        assert_eq!(format!("{:?}", vmm.page_table), table);
+        assert_eq!(vmm.stats.mmap_bytes, stats.mmap_bytes);
+        assert_eq!(
+            vmm.stats.mmap_calls,
+            stats.mmap_calls + 5,
+            "failed calls count"
+        );
+        assert_eq!(mmap_ok(&mut vmm, HUGE_PAGE_BYTES), first + HUGE_PAGE_BYTES);
+        // Just under the limit still fits (the window is whole chunks, so
+        // leave one for what is already mapped).
+        mmap_ok(&mut vmm, TIB - (128 << 20));
+        assert_eq!(vmm.mmap(128 << 20), Err(OsError::Enomem), "now it is full");
     }
 
     #[test]

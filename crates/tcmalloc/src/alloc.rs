@@ -7,7 +7,7 @@
 //! allocator time (Figure 6a) and the downstream locality effects.
 
 use crate::central::CentralFreeList;
-use crate::config::{FreeArm, TcmallocConfig};
+use crate::config::{FreeArm, TcmallocConfig, CAPACITY_SCALE};
 use crate::deferred::{DeferredFrees, QueuedVia};
 use crate::events::{AllocEvent, EventBus, EventSink, SpanRef, TraceRing};
 use crate::pageheap::{AllocError, OsLayer, PageHeap};
@@ -25,7 +25,7 @@ use wsc_sanitizer::{
 use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
-use wsc_sim_os::clock::Clock;
+use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::rseq::VcpuRegistry;
 use wsc_sim_os::vmm::Vmm;
 use wsc_telemetry::gwp::{AllocationProfile, Sample, Sampler};
@@ -75,6 +75,30 @@ impl std::fmt::Display for FreeError {
 }
 
 impl std::error::Error for FreeError {}
+
+// The cadence of [`Tcmalloc::maintain`]. Intervals are time-compressed ~10×
+// relative to production (the simulation also compresses its diurnal load
+// cycles from hours to tens of seconds), so a multi-second simulated run
+// sees the number of maintenance passes a production process sees over
+// minutes. No experiment varies these, so they are constants, not
+// configuration.
+
+/// §4.1 per-CPU cache resize interval (production: 5 s).
+const RESIZE_INTERVAL_NS: u64 = NS_PER_SEC / 5;
+/// Caches grown per resize interval (the paper's "top five").
+const RESIZE_TOP_N: usize = 5;
+/// Bytes moved per donor/grower pair per resize interval (production:
+/// 256 KiB).
+const RESIZE_STEP_BYTES: u64 = (256 << 10) / CAPACITY_SCALE;
+/// Donors never shrink below this (production: 256 KiB).
+const RESIZE_FLOOR_BYTES: u64 = (256 << 10) / CAPACITY_SCALE;
+/// Anti-stranding plunder interval for the §4.2 NUCA domain caches.
+const PLUNDER_INTERVAL_NS: u64 = NS_PER_SEC / 20;
+/// Background OS-release interval.
+const RELEASE_INTERVAL_NS: u64 = NS_PER_SEC / 20;
+/// Idle-cache decay interval: per-CPU and transfer-tier reclaim
+/// (production: ~1 s).
+const DECAY_INTERVAL_NS: u64 = NS_PER_SEC / 10;
 
 /// The warehouse-scale memory allocator.
 ///
@@ -156,10 +180,10 @@ impl Tcmalloc {
             live_requested_bytes: 0,
             live_objects: 0,
             internal_frag_bytes: 0,
-            next_resize_ns: now + cfg.resize_interval_ns,
-            next_plunder_ns: now + cfg.plunder_interval_ns,
-            next_release_ns: now + cfg.release_interval_ns,
-            next_decay_ns: now + cfg.decay_interval_ns,
+            next_resize_ns: now + RESIZE_INTERVAL_NS,
+            next_plunder_ns: now + PLUNDER_INTERVAL_NS,
+            next_release_ns: now + RELEASE_INTERVAL_NS,
+            next_decay_ns: now + DECAY_INTERVAL_NS,
             table,
             platform,
             clock,
@@ -215,9 +239,9 @@ impl Tcmalloc {
     pub fn malloc_with_site(&mut self, size: u64, cpu: CpuId, site: u64) -> AllocOutcome {
         match self.try_malloc_with_site(size, cpu, site) {
             Ok(outcome) => outcome,
-            // lint:allow(panic-surface) the infallible façade over
-            // try_malloc: callers that opted out of fault handling get the
-            // abort real TCMalloc performs when memory is unobtainable.
+            // The infallible façade over try_malloc: callers that opted out
+            // of fault handling get the abort real TCMalloc performs when
+            // memory is unobtainable.
             Err(e) => panic!("malloc of {size} bytes failed: {e}"),
         }
     }
@@ -238,7 +262,8 @@ impl Tcmalloc {
             Some(cl) => self.malloc_small(cl, cpu)?,
             None => self.malloc_large(size)?,
         };
-        let prefetched = self.cfg.prefetch && size <= crate::size_class::MAX_SMALL_SIZE;
+        // The next-object prefetch is issued on every small allocation.
+        let prefetched = size <= crate::size_class::MAX_SMALL_SIZE;
         let pick = if self.sampler.should_sample(size.max(1)) {
             let weight = self.sampler.sample_weight(size.max(1));
             let now = self.clock.now_ns();
@@ -358,7 +383,10 @@ impl Tcmalloc {
     }
 
     fn malloc_large(&mut self, size: u64) -> Result<(u64, u64, AllocPath), AllocError> {
-        let pages = size.div_ceil(TCMALLOC_PAGE_BYTES).max(1) as u32;
+        // A span counts its pages in 32 bits: a request past that is one
+        // no kernel could back, refused with nothing touched.
+        let pages = u32::try_from(size.div_ceil(TCMALLOC_PAGE_BYTES).max(1))
+            .map_err(|_| AllocError::OsEnomem)?;
         let (addr, path) = self.pageheap.alloc(pages, 1, &mut self.bus)?;
         let span = Span::new_large(addr, pages);
         let id = self.spans.insert(span);
@@ -658,11 +686,11 @@ impl Tcmalloc {
     pub fn maintain(&mut self) {
         let now = self.clock.now_ns();
         if self.cfg.dynamic_percpu && now >= self.next_resize_ns {
-            self.next_resize_ns = now + self.cfg.resize_interval_ns;
+            self.next_resize_ns = now + RESIZE_INTERVAL_NS;
             let evicted = self.percpu.rebalance(
-                self.cfg.resize_top_n,
-                self.cfg.resize_step_bytes,
-                self.cfg.resize_floor_bytes,
+                RESIZE_TOP_N,
+                RESIZE_STEP_BYTES,
+                RESIZE_FLOOR_BYTES,
                 &mut self.bus,
             );
             for (cl, objs) in evicted {
@@ -670,7 +698,7 @@ impl Tcmalloc {
             }
         }
         if self.cfg.transfer.is_sharded() && now >= self.next_plunder_ns {
-            self.next_plunder_ns = now + self.cfg.plunder_interval_ns;
+            self.next_plunder_ns = now + PLUNDER_INTERVAL_NS;
             let overflow = self.transfer.plunder(&mut self.bus);
             for (cl, objs) in overflow {
                 self.return_objects(0, cl, &objs, true);
@@ -680,7 +708,7 @@ impl Tcmalloc {
             self.drain_deferred();
         }
         if now >= self.next_decay_ns {
-            self.next_decay_ns = now + self.cfg.decay_interval_ns;
+            self.next_decay_ns = now + DECAY_INTERVAL_NS;
             // Idle-cache reclaim: per-CPU caches shed to the transfer tier,
             // the transfer tier sheds to the central free lists.
             let evicted = self.percpu.decay();
@@ -693,7 +721,7 @@ impl Tcmalloc {
             }
         }
         if now >= self.next_release_ns {
-            self.next_release_ns = now + self.cfg.release_interval_ns;
+            self.next_release_ns = now + RELEASE_INTERVAL_NS;
             self.pageheap.background_release(&mut self.bus);
             if let Some(limit) = self.cfg.soft_limit {
                 // Soft limit: synchronously push resident bytes back toward
@@ -913,11 +941,6 @@ impl Tcmalloc {
         self.percpu.miss_counts()
     }
 
-    /// Per-vCPU cache byte budget (inspects the §4.1 resizer's work).
-    pub fn percpu_budget(&self, vcpu: wsc_sim_os::rseq::VcpuId) -> u64 {
-        self.percpu.max_bytes(vcpu)
-    }
-
     /// The central free list for a class (span telemetry, Figures 13/16).
     pub fn central(&self, class: usize) -> &CentralFreeList {
         &self.central[class]
@@ -951,11 +974,6 @@ impl Tcmalloc {
     /// The shared simulated clock.
     pub fn clock(&self) -> &Clock {
         &self.clock
-    }
-
-    /// Number of domain-sharded transfer caches activated (§4.2).
-    pub fn active_transfer_domains(&self) -> usize {
-        self.transfer.active_domains()
     }
 }
 
@@ -1106,6 +1124,32 @@ mod tests {
         }
     }
 
+    /// A request no address space can hold is an error, not a panic in the
+    /// simulated kernel: past 2³² pages it is refused before anything is
+    /// touched; below that the kernel's address-space limit says ENOMEM
+    /// and the heap maps nothing for it.
+    #[test]
+    fn oversize_request_is_an_error_with_the_allocator_untouched() {
+        let mut t = alloc(TcmallocConfig::optimized().with_event_recorder());
+        let keep = t.malloc(3 << 20, CpuId(0));
+        let events = t.recorded_events().len();
+        let before = (t.live_bytes(), t.resident_bytes(), t.cycles().clone());
+        for size in [u64::MAX / 2, u64::MAX, 1 << 45] {
+            assert_eq!(t.try_malloc(size, CpuId(1)), Err(AllocError::OsEnomem));
+        }
+        assert_eq!(
+            (t.live_bytes(), t.resident_bytes(), t.cycles().clone()),
+            before
+        );
+        assert_eq!(t.recorded_events().len(), events, "nothing was attempted");
+        // 2 TiB counts its pages in 32 bits, so it reaches the kernel — which
+        // has nowhere to put it.
+        assert_eq!(t.try_malloc(1 << 41, CpuId(1)), Err(AllocError::OsEnomem));
+        assert_eq!((t.live_bytes(), t.resident_bytes()), (before.0, before.1));
+        t.free(keep.addr, 3 << 20, CpuId(0));
+        assert_eq!(t.live_bytes(), 0);
+    }
+
     #[test]
     fn accounting_identity_holds() {
         let mut t = alloc(TcmallocConfig::baseline());
@@ -1177,7 +1221,7 @@ mod tests {
         // CPUs 0 and 8 are in different domains on this chiplet platform.
         let a = t.malloc(64, CpuId(0));
         t.free(a.addr, 64, CpuId(0));
-        assert!(t.active_transfer_domains() <= 1);
+        assert!(t.transfer.active_domains() <= 1);
     }
 
     #[test]
@@ -1190,14 +1234,12 @@ mod tests {
             t.free(a.addr, 64, CpuId(0));
         }
         let _ = t.malloc(64, CpuId(1));
-        let before = t.percpu_budget(wsc_sim_os::rseq::VcpuId(0));
         clock.advance(6 * wsc_sim_os::clock::NS_PER_SEC);
         t.maintain();
         // Budget may or may not move depending on miss pattern, but maintain
         // must not corrupt anything; allocate again to verify.
         let a = t.malloc(64, CpuId(0));
         t.free(a.addr, 64, CpuId(0));
-        let _ = before;
     }
 
     #[test]

@@ -339,12 +339,6 @@ impl CentralFreeList {
         self.free_objects
     }
 
-    /// Per-class span return rate (Figure 16): released / created, or `None`
-    /// before any span was created.
-    pub fn span_return_rate(&self) -> Option<f64> {
-        (self.spans_created > 0).then(|| self.spans_released as f64 / self.spans_created as f64)
-    }
-
     /// The class's static metadata.
     pub fn info(&self) -> &SizeClassInfo {
         &self.info
@@ -524,7 +518,6 @@ mod tests {
         let _second = f.alloc(1);
         assert_eq!(f.cfl.spans_created, 2);
         assert_eq!(f.cfl.spans_released, 1);
-        assert!((f.cfl.span_return_rate().unwrap() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::pageheap::PageHeapConfig;
 use crate::transfer::{TransferConfig, TransferSharding};
 use wsc_sanitizer::SanitizeLevel;
-use wsc_sim_os::clock::NS_PER_SEC;
 use wsc_sim_os::FaultPlan;
 
 /// Capacity scale factor between production and the simulation.
@@ -17,7 +16,10 @@ use wsc_sim_os::FaultPlan;
 /// of cache capacity to heap churn — which is what determines how much
 /// object traffic reaches the central free lists and the pageheap — every
 /// byte-capacity knob is divided by this factor. The paper's production
-/// values are documented next to each field.
+/// values are documented next to each field, and next to each constant the
+/// tiers keep for values no experiment varies (the maintenance cadence and
+/// resize step in [`alloc`](crate::alloc), the tier capacities in
+/// [`transfer`](crate::transfer) and [`pageheap`](crate::pageheap)).
 pub const CAPACITY_SCALE: u64 = 8;
 
 /// How a free issued by a thread that does not own the object's span is
@@ -57,18 +59,8 @@ pub struct TcmallocConfig {
     pub percpu_max_bytes: u64,
     /// Enable usage-based dynamic per-CPU cache sizing (§4.1).
     pub dynamic_percpu: bool,
-    /// Resize interval (5 s in production).
-    pub resize_interval_ns: u64,
-    /// Caches grown per interval (the paper's "top five").
-    pub resize_top_n: usize,
-    /// Bytes moved per donor/grower pair per interval.
-    pub resize_step_bytes: u64,
-    /// Donors never shrink below this.
-    pub resize_floor_bytes: u64,
     /// Transfer-cache tier configuration (NUCA sharding, §4.2).
     pub transfer: TransferConfig,
-    /// Anti-stranding plunder interval for NUCA domain caches.
-    pub plunder_interval_ns: u64,
     /// Central-free-list span lists: 1 = legacy, 8 = span prioritization
     /// (§4.3).
     pub cfl_lists: usize,
@@ -76,17 +68,12 @@ pub struct TcmallocConfig {
     pub pageheap: PageHeapConfig,
     /// Allocation sampling period (2 MiB in production).
     pub sample_period_bytes: u64,
-    /// Issue the next-object prefetch on every small allocation.
-    pub prefetch: bool,
-    /// Background OS-release interval.
-    pub release_interval_ns: u64,
-    /// Idle-cache decay interval (per-CPU and transfer-tier reclaim).
-    pub decay_interval_ns: u64,
     /// Sanitizer level: shadow-state checking on every operation and
     /// cross-tier conservation audits (Off for experiments, Full for tests).
     pub sanitize: SanitizeLevel,
-    /// Keep the last N events in a bounded [`TraceRing`]
-    /// (crate::events::TraceRing) for Chrome-trace export. 0 = off.
+    /// Keep the last N events in a bounded
+    /// [`TraceRing`](crate::events::TraceRing) for Chrome-trace export.
+    /// 0 = off.
     pub trace_capacity: u32,
     /// Record the complete raw event stream (tests and tools only — the
     /// log is unbounded).
@@ -96,7 +83,7 @@ pub struct TcmallocConfig {
     /// (TCMalloc's soft-limit semantics). `None` = unlimited.
     pub soft_limit: Option<u64>,
     /// Hard memory limit: an mmap that would push resident bytes past it
-    /// fails with [`AllocError::HardLimit`](crate::alloc::AllocError)
+    /// fails with [`AllocError::HardLimit`](crate::AllocError::HardLimit)
     /// instead of growing the heap. `None` = unlimited.
     pub hard_limit: Option<u64>,
     /// Deterministic OS fault plan (ENOMEM, THP denial, flaky madvise,
@@ -112,27 +99,14 @@ impl TcmallocConfig {
     /// The pre-redesign production baseline: static 3 MB per-CPU caches, a
     /// singleton transfer cache, a single span list, and the
     /// most-allocated-first filler of Hunter et al. (OSDI '21).
-    ///
-    /// Background intervals are time-compressed ~10× relative to production
-    /// (the simulation also compresses its diurnal load cycles from hours to
-    /// tens of seconds), so a multi-second simulated run exercises the same
-    /// number of maintenance passes a production process sees over minutes.
     pub fn baseline() -> Self {
         Self {
             percpu_max_bytes: (3 << 20) / CAPACITY_SCALE, // production: 3 MB
             dynamic_percpu: false,
-            resize_interval_ns: NS_PER_SEC / 5, // production: 5 s
-            resize_top_n: 5,
-            resize_step_bytes: (256 << 10) / CAPACITY_SCALE,
-            resize_floor_bytes: (256 << 10) / CAPACITY_SCALE,
             transfer: TransferConfig::default(),
-            plunder_interval_ns: NS_PER_SEC / 20,
             cfl_lists: 1,
             pageheap: PageHeapConfig::default(),
             sample_period_bytes: 2 << 20,
-            prefetch: true,
-            release_interval_ns: NS_PER_SEC / 20,
-            decay_interval_ns: NS_PER_SEC / 10, // production: ~1 s
             sanitize: SanitizeLevel::Off,
             trace_capacity: 0,
             record_events: false,

@@ -3,7 +3,7 @@
 //! When a thread frees an object whose span is owned by another vCPU, the
 //! free cannot go into the local per-CPU cache without un-sharding the
 //! front end. Real allocators solve this two ways, and this module models
-//! both behind [`FreeArm`](crate::config::FreeArm):
+//! both behind [`FreeArm`]:
 //!
 //! * **Atomic list** (rpmalloc): each remote free pushes the object onto
 //!   the owning *span's* deferred list with one contended CAS; the owner

@@ -10,7 +10,7 @@
 //! Now every cross-tier boundary reports exactly once to the [`EventBus`],
 //! and every consumer is a sink over that one stream:
 //!
-//! * [`StatsView`](crate::stats::StatsView) holds [`CycleStats`]
+//! * [`StatsView`] holds [`CycleStats`]
 //!   (Figure 6a) and the GWP [`AllocationProfile`] — the bus prices an
 //!   operation once, and the same call charges the ledger and, only if
 //!   someone is listening, builds the record, so cycle attribution is

@@ -9,7 +9,7 @@
 //!
 //! Because the schedule is data, not timing, every replay of the same
 //! `(seed, config, platform)` triple is byte-identical — across processes,
-//! thread counts of the experiment [`Engine`](wsc_parallel), and free-arm
+//! thread counts of the experiment `wsc_parallel::Engine`, and free-arm
 //! A/B comparisons. That is the property the cross-thread tests lean on:
 //! replay twice and compare fingerprints, or replay the same schedule under
 //! different [`FreeArm`](crate::config::FreeArm)s and compare final heaps.

@@ -49,7 +49,6 @@ pub mod config;
 pub mod deferred;
 pub mod events;
 pub mod interleave;
-pub mod memory;
 pub mod pageheap;
 pub mod pagemap;
 pub mod percpu;

@@ -162,11 +162,6 @@ impl HugeCache {
     pub fn cached_bytes(&self) -> u64 {
         self.cached_hp * HUGE_PAGE_BYTES
     }
-
-    /// The configured limit, bytes.
-    pub fn limit_bytes(&self) -> u64 {
-        self.limit_hp * HUGE_PAGE_BYTES
-    }
 }
 
 #[cfg(test)]

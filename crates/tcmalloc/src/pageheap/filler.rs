@@ -32,17 +32,6 @@ pub const HP_PAGES: u32 = TCMALLOC_PAGES_PER_HUGE as u32;
 
 const WORDS: usize = HP_PAGES as usize / 64;
 
-/// Lifetime bucket a span is assigned to (lifetime-aware mode).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LifetimeSet {
-    /// High-capacity spans (capacity ≥ C) and donated large-allocation
-    /// tails: expected long-lived.
-    Long,
-    /// Low-capacity spans (capacity < C): expected short-lived; packed on
-    /// dedicated hugepages that can drain and release whole.
-    Short,
-}
-
 /// Words of the per-set "list non-empty" index: one bit per
 /// `lists[set][lfr]`, `lfr` in `0..=HP_PAGES`.
 const INDEX_WORDS: usize = HP_PAGES as usize / 64 + 1;
@@ -267,15 +256,6 @@ impl HugePageFiller {
             1 // Short-lived set
         } else {
             0
-        }
-    }
-
-    /// The lifetime set a span of the given capacity maps to.
-    pub fn lifetime_set_for(&self, span_capacity: u32) -> LifetimeSet {
-        if self.set_for(span_capacity) == 1 {
-            LifetimeSet::Short
-        } else {
-            LifetimeSet::Long
         }
     }
 
@@ -738,8 +718,7 @@ mod tests {
         let (a, _) = f.alloc(4, 512, &mut c, &mut os, &mut b).unwrap();
         let (b2, _) = f.alloc(4, 1, &mut c, &mut os, &mut b).unwrap();
         assert_ne!(a / HUGE_PAGE_BYTES, b2 / HUGE_PAGE_BYTES);
-        assert_eq!(f.lifetime_set_for(512), LifetimeSet::Long);
-        assert_eq!(f.lifetime_set_for(1), LifetimeSet::Short);
+        assert_eq!((f.set_for(512), f.set_for(1)), (0, 1));
         assert_eq!(f.stats().hugepages, 2);
     }
 

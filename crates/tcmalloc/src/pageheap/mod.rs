@@ -31,6 +31,9 @@ use wsc_sim_os::vmm::Vmm;
 
 const HP_PAGES: u64 = TCMALLOC_PAGES_PER_HUGE; // 256
 
+/// `HugeCache` bound: fully-free hugepages beyond this are unmapped.
+const HUGE_CACHE_LIMIT_BYTES: u64 = 16 << 20;
+
 /// Pageheap policy knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageHeapConfig {
@@ -38,8 +41,6 @@ pub struct PageHeapConfig {
     pub lifetime_aware_filler: bool,
     /// The capacity threshold C separating short- from long-lived spans.
     pub capacity_threshold: u32,
-    /// HugeCache bound; fully-free hugepages beyond this are unmapped.
-    pub cache_limit_bytes: u64,
     /// Background release triggers when resident free filler pages exceed
     /// this many TCMalloc pages.
     pub free_pages_threshold: u64,
@@ -57,7 +58,6 @@ impl Default for PageHeapConfig {
         Self {
             lifetime_aware_filler: false,
             capacity_threshold: 16,
-            cache_limit_bytes: 16 << 20,
             // Memory-pressure regime: the fleet runs hot, so free pages are
             // returned to the OS promptly — the continuous gradual release
             // that erodes hugepage coverage in the §4.4 baseline.
@@ -142,7 +142,7 @@ impl PageHeap {
             os,
             filler: HugePageFiller::new(cfg.lifetime_aware_filler, cfg.capacity_threshold),
             region: HugeRegionSet::new(),
-            cache: HugeCache::new(cfg.cache_limit_bytes),
+            cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
             origin: OriginTable::default(),
             cfg,
             large_used_pages: 0,
@@ -160,7 +160,7 @@ impl PageHeap {
     /// When the OS refuses a backing request (injected ENOMEM or the hard
     /// limit), the pageheap synchronously releases everything it can spare
     /// — the hugepage cache, then the filler's free tails — and retries, up
-    /// to [`ENOMEM_RETRIES`] times (each retry emits one
+    /// to `ENOMEM_RETRIES` times (each retry emits one
     /// [`AllocEvent::ReleaseRetry`]).
     ///
     /// # Errors

@@ -181,11 +181,6 @@ impl HugeRegionSet {
     pub fn free_bytes(&self) -> u64 {
         self.regions.len() as u64 * REGION_HUGEPAGES * HUGE_PAGE_BYTES - self.used_bytes()
     }
-
-    /// Number of mapped regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +213,7 @@ mod tests {
         assert!(!m2 && !m3, "same region reused");
         assert_eq!(b, a + 269 * TCMALLOC_PAGE_BYTES, "end-to-end packing");
         assert_eq!(c, b + 269 * TCMALLOC_PAGE_BYTES);
-        assert_eq!(rs.num_regions(), 1);
+        assert_eq!(rs.regions.len(), 1);
     }
 
     #[test]
@@ -261,7 +256,7 @@ mod tests {
         let (a, _) = rs.alloc(400, &mut os, &mut bs).unwrap();
         let mapped = os.vmm().mapped_bytes();
         rs.dealloc(a, 400, &mut os, &mut bs);
-        assert_eq!(rs.num_regions(), 0);
+        assert_eq!(rs.regions.len(), 0);
         assert_eq!(
             os.vmm().mapped_bytes(),
             mapped - REGION_HUGEPAGES * HUGE_PAGE_BYTES
@@ -285,10 +280,10 @@ mod tests {
         // Fill two regions.
         let (a, _) = rs.alloc(REGION_PAGES, &mut os, &mut bs).unwrap();
         let (b, _) = rs.alloc(REGION_PAGES, &mut os, &mut bs).unwrap();
-        assert_eq!(rs.num_regions(), 2);
+        assert_eq!(rs.regions.len(), 2);
         // Drop the first; the second's live entry must stay valid.
         rs.dealloc(a, REGION_PAGES, &mut os, &mut bs);
         rs.dealloc(b, REGION_PAGES, &mut os, &mut bs);
-        assert_eq!(rs.num_regions(), 0);
+        assert_eq!(rs.regions.len(), 0);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! A span's variable-size metadata — the free-object stack and the
 //! double-free bitmap — does not live inside [`Span`]. Both are carved from
-//! dense pools owned by the [`SpanRegistry`]'s [`SlabArena`], indexed by
+//! dense pools owned by the [`SpanRegistry`]'s `SlabArena`, indexed by
 //! `SpanId`-addressed regions. This removes two heap allocations (and two
 //! frees) from every span's create/release cycle and keeps the per-object
 //! hot path (`alloc_object` / `dealloc_object`) inside two flat arrays
@@ -75,7 +75,7 @@ pub enum SpanState {
 /// One span: a run of TCMalloc pages carved into equal-size objects.
 ///
 /// Pure scalar record — the free stack and bitmap live in the registry's
-/// [`SlabArena`], so object alloc/free goes through
+/// `SlabArena`, so object alloc/free goes through
 /// [`SpanRegistry::alloc_object`] / [`SpanRegistry::dealloc_object`].
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
@@ -150,22 +150,6 @@ impl Span {
     /// arena.
     pub fn free_count(&self) -> u32 {
         self.capacity - self.allocated
-    }
-
-    /// Bytes of free objects cached on this span (external fragmentation
-    /// attributable to the central free list).
-    pub fn free_object_bytes(&self) -> u64 {
-        self.free_count() as u64 * self.object_size
-    }
-
-    /// Carving slack: span bytes not covered by any object slot.
-    pub fn carve_waste_bytes(&self) -> u64 {
-        self.bytes() - self.capacity as u64 * self.object_size
-    }
-
-    /// True when every object has been returned (span may be released).
-    pub fn is_idle(&self) -> bool {
-        self.allocated == 0
     }
 }
 
@@ -555,7 +539,7 @@ mod tests {
         for a in &addrs {
             reg.dealloc_object(id, *a);
         }
-        assert!(reg.get(id).is_idle());
+        assert_eq!(reg.get(id).allocated, 0);
         assert_eq!(reg.get(id).free_count(), 512);
     }
 
@@ -620,11 +604,10 @@ mod tests {
         assert_eq!(s.capacity, 1);
         assert_eq!(s.allocated, 1);
         assert_eq!(s.size_class, None);
-        assert!(!s.is_idle());
         // The single object frees and double-free-detects through the
         // arena bitmap like any other.
         reg.dealloc_object(id, 0x8000);
-        assert!(reg.get(id).is_idle());
+        assert_eq!(reg.get(id).allocated, 0);
     }
 
     #[test]
@@ -691,16 +674,6 @@ mod tests {
         let a = reg.insert(small_span());
         reg.remove(a);
         let _ = reg.get(a);
-    }
-
-    #[test]
-    fn fragmentation_accounting() {
-        let (mut reg, id) = registry_with_span();
-        let total = reg.get(id).bytes();
-        let _ = reg.alloc_object(id);
-        let s = reg.get(id);
-        assert_eq!(s.free_object_bytes(), (s.capacity as u64 - 1) * 16);
-        assert_eq!(s.carve_waste_bytes(), total - s.capacity as u64 * 16);
     }
 
     /// The retired eager body, kept as the reference model: a span's free

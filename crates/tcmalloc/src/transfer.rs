@@ -87,31 +87,23 @@ pub enum TransferSharding {
     Node,
 }
 
+/// Central (legacy) cache capacity, in batches per size class.
+pub const CENTRAL_BATCHES: u32 = 4;
+
+/// Per-shard capacity, in batches per size class (Domain/Node modes).
+pub const DOMAIN_BATCHES: u32 = 1;
+
 /// Transfer-cache configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransferConfig {
     /// Sharding mode for the tier.
     pub sharding: TransferSharding,
-    /// Central (legacy) capacity, in batches per size class.
-    pub central_batches: u32,
-    /// Per-shard capacity, in batches per size class (Domain/Node modes).
-    pub domain_batches: u32,
 }
 
 impl TransferConfig {
     /// Is a sharded (non-central) tier active?
     pub fn is_sharded(&self) -> bool {
         self.sharding != TransferSharding::Central
-    }
-}
-
-impl Default for TransferConfig {
-    fn default() -> Self {
-        Self {
-            sharding: TransferSharding::Central,
-            central_batches: 4,
-            domain_batches: 1,
-        }
     }
 }
 
@@ -127,7 +119,6 @@ impl Default for TransferConfig {
 /// let table = SizeClassTable::production();
 /// let cfg = TransferConfig {
 ///     sharding: TransferSharding::Domain,
-///     ..TransferConfig::default()
 /// };
 /// let mut tc = TransferCaches::new(&table, cfg);
 /// # use wsc_tcmalloc::{EventBus, TcmallocConfig};
@@ -153,7 +144,7 @@ impl TransferCaches {
     pub fn new(table: &SizeClassTable, cfg: TransferConfig) -> Self {
         let sizes_batches: Vec<(u64, u32)> = table.iter().map(|c| (c.size, c.batch)).collect();
         Self {
-            central: new_tier(&sizes_batches, cfg.central_batches, 256 << 10),
+            central: new_tier(&sizes_batches, CENTRAL_BATCHES, 256 << 10),
             domains: Vec::new(),
             sizes_batches,
             cfg,
@@ -165,8 +156,7 @@ impl TransferCaches {
             self.domains.resize_with(shard + 1, || None);
         }
         let sizes = &self.sizes_batches;
-        let batches = self.cfg.domain_batches;
-        self.domains[shard].get_or_insert_with(|| new_tier(sizes, batches, 4 << 10))
+        self.domains[shard].get_or_insert_with(|| new_tier(sizes, DOMAIN_BATCHES, 4 << 10))
     }
 
     /// Takes up to `n` objects for `class`, preferring the caller's shard
@@ -392,7 +382,6 @@ mod tests {
             &table(),
             TransferConfig {
                 sharding: TransferSharding::Domain,
-                ..TransferConfig::default()
             },
         )
     }
@@ -423,9 +412,8 @@ mod tests {
         let mut tc = nuca();
         let mut b = bus();
         // Overfill domain 0 so the excess lands centrally.
-        let cfg = TransferConfig::default();
         let batch = table().info(1).batch as usize;
-        let cap = batch * cfg.domain_batches as usize;
+        let cap = batch * DOMAIN_BATCHES as usize;
         let objs: Vec<u64> = (0..(cap + 5) as u64).collect();
         let kept = tc.stash(0, 1, &objs, &mut b);
         assert_eq!(kept, objs.len(), "central absorbs the domain overflow");
@@ -439,7 +427,7 @@ mod tests {
         let mut tc = legacy();
         let mut b = bus();
         let batch = table().info(1).batch as usize;
-        let central_cap = batch * TransferConfig::default().central_batches as usize;
+        let central_cap = batch * CENTRAL_BATCHES as usize;
         let objs: Vec<u64> = (0..(central_cap + 7) as u64).collect();
         let kept = tc.stash(0, 1, &objs, &mut b);
         assert_eq!(objs.len() - kept, 7, "beyond capacity goes to the caller");

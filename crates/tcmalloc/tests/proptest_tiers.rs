@@ -17,7 +17,9 @@ use wsc_tcmalloc::pagemap::Pagemap;
 use wsc_tcmalloc::percpu::{FreeOutcome, PerCpuCaches};
 use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::span::SpanRegistry;
-use wsc_tcmalloc::transfer::{TransferCaches, TransferConfig, TransferSharding};
+use wsc_tcmalloc::transfer::{
+    TransferCaches, TransferConfig, TransferSharding, CENTRAL_BATCHES, DOMAIN_BATCHES,
+};
 
 fn bus() -> EventBus {
     EventBus::new(
@@ -141,10 +143,7 @@ fn transfer_tier_conserves_objects() {
         let mut rng = SmallRng::seed_from_u64(0x7C42 + case);
         let sharding = SHARDINGS[(case % 3) as usize];
         let table = SizeClassTable::production();
-        let cfg = TransferConfig {
-            sharding,
-            ..TransferConfig::default()
-        };
+        let cfg = TransferConfig { sharding };
         let mut tc = TransferCaches::new(&table, cfg);
         let mut bus = bus();
         let cl = table.class_for(128).expect("128 B is a small size");
@@ -287,10 +286,7 @@ fn batches_keep_the_vec_api_order_through_every_hop() {
         // a refill keeps nothing and the whole batch moves on.
         for budget in [1u64 << 20, 0] {
             let mut rng = SmallRng::seed_from_u64(0x7C43 + case as u64);
-            let cfg = TransferConfig {
-                sharding,
-                ..TransferConfig::default()
-            };
+            let cfg = TransferConfig { sharding };
             let mut tc = TransferCaches::new(&table, cfg);
             let mut caches = PerCpuCaches::new(&table, budget);
             let mut bus = bus();
@@ -301,8 +297,8 @@ fn batches_keep_the_vec_api_order_through_every_hop() {
                 max_objs: (batch as u64 * batches as u64).min((byte_cap / size).max(1)) as usize,
             };
             let mut m_tc = vec_model::Transfer {
-                shard: cfg.is_sharded().then(|| array(cfg.domain_batches, 4 << 10)),
-                central: array(cfg.central_batches, 256 << 10),
+                shard: cfg.is_sharded().then(|| array(DOMAIN_BATCHES, 4 << 10)),
+                central: array(CENTRAL_BATCHES, 256 << 10),
             };
             let mut m_cache = vec_model::Stack {
                 objs: Vec::new(),

@@ -139,14 +139,6 @@ impl AllocationProfile {
         &self.lifetime_by_size_exp[exp.min(MAX_EXP - 1)]
     }
 
-    /// Iterates `(size_exp, histogram)` for non-empty lifetime bins.
-    pub fn lifetime_bins(&self) -> impl Iterator<Item = (usize, &LogHistogram)> + '_ {
-        self.lifetime_by_size_exp
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.count() > 0.0)
-    }
-
     /// Merges another profile (e.g. from another machine) into this one.
     pub fn merge(&mut self, other: &AllocationProfile) {
         self.size_by_count.merge(&other.size_by_count);
@@ -245,7 +237,6 @@ mod tests {
         assert_eq!(small.count(), 1.0);
         assert_eq!(big.count(), 1.0);
         assert!(big.quantile(0.5) > small.quantile(0.5));
-        assert_eq!(p.lifetime_bins().count(), 2);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!
 //! * [`histogram::LogHistogram`] — log2-bucketed weighted histograms used for
 //!   object-size and lifetime distributions (paper Figures 7 and 8),
-//! * [`cdf::Cdf`] — cumulative distributions (Figures 3 and 7),
 //! * [`stats`] — summary statistics plus Pearson and Spearman correlation
 //!   (the paper reports a Spearman coefficient of −0.75 in Figure 16),
 //! * [`timeseries::TimeSeries`] — time-indexed samples (Figure 9a),
@@ -16,8 +15,6 @@
 //!   exactly-mergeable accumulators the streaming fleet engine folds
 //!   per-cell telemetry into (any thread/shard partition reduces to the
 //!   same bytes),
-//! * [`metrics::MetricRegistry`] — named counters and gauges shared by the
-//!   allocator and the workload driver,
 //! * [`gwp`] — the byte-threshold allocation sampler (1 sample / 2 MiB, as in
 //!   production TCMalloc) and profile aggregation across machines.
 //!
@@ -37,16 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cdf;
 pub mod gwp;
 pub mod histogram;
-pub mod metrics;
 pub mod stats;
 pub mod summary;
 pub mod timeseries;
 
-pub use cdf::Cdf;
 pub use histogram::LogHistogram;
-pub use metrics::MetricRegistry;
 pub use summary::{BucketSeries, Coverage, MetricSummary};
 pub use timeseries::TimeSeries;

@@ -9,17 +9,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     (!xs.is_empty()).then(|| xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Population variance, or `None` if empty.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation, or `None` if empty.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Weighted mean, or `None` if total weight is not positive.
 pub fn weighted_mean(pairs: &[(f64, f64)]) -> Option<f64> {
     let total: f64 = pairs.iter().map(|&(_, w)| w).sum();
@@ -130,17 +119,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_a_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs).unwrap() - 5.0).abs() < 1e-9);
-        assert!((variance(&xs).unwrap() - 4.0).abs() < 1e-9);
-        assert!((std_dev(&xs).unwrap() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(mean(&[]), None);
-        assert_eq!(variance(&[]), None);
         assert_eq!(pearson(&[], &[]), None);
         assert_eq!(spearman(&[1.0], &[1.0]), None);
         assert_eq!(quantile(&[], 0.5), None);

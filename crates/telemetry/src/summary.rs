@@ -282,12 +282,6 @@ impl BucketSeries {
         self.counts.iter().sum()
     }
 
-    /// Mean value in bucket `b`, or `None` if the bucket is empty.
-    pub fn mean_at(&self, b: usize) -> Option<f64> {
-        let c = *self.counts.get(b)?;
-        (c > 0).then(|| self.sums[b] as f64 / c as f64)
-    }
-
     /// Mean over all samples, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
         let n = self.samples();
@@ -556,7 +550,7 @@ mod tests {
         // Both series span their own range, so every bucket holds one
         // sample from each and the mean is flat.
         for b in 0..SERIES_BUCKETS {
-            assert_eq!(s.mean_at(b), Some(200.0), "bucket {b}");
+            assert_eq!((s.counts[b], s.sums[b]), (2, 400), "bucket {b}");
         }
     }
 

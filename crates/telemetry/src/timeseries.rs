@@ -76,13 +76,6 @@ impl TimeSeries {
         self.values.iter().copied().reduce(f64::max)
     }
 
-    /// Value of the most recent sample at or before `time_ns`, or `None` if
-    /// the series starts later.
-    pub fn value_at(&self, time_ns: u64) -> Option<f64> {
-        let idx = self.times.partition_point(|&t| t <= time_ns);
-        (idx > 0).then(|| self.values[idx - 1])
-    }
-
     /// Iterates `(time_ns, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
@@ -184,9 +177,8 @@ mod tests {
         ts.push(20, 2.0);
         ts.push(20, 3.0); // equal timestamps allowed
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.value_at(5), None);
-        assert_eq!(ts.value_at(10), Some(1.0));
-        assert_eq!(ts.value_at(25), Some(3.0));
+        assert_eq!(ts.iter().next(), Some((10, 1.0)));
+        assert_eq!(ts.iter().last(), Some((20, 3.0)));
     }
 
     #[test]
@@ -291,7 +283,7 @@ mod tests {
         assert_eq!(a.len(), 5);
         let times: Vec<u64> = a.iter().map(|(t, _)| t).collect();
         assert_eq!(times, vec![0, 10, 15, 20, 30]);
-        assert_eq!(a.value_at(15), Some(99.0));
+        assert_eq!(a.iter().nth(2), Some((15, 99.0)));
         // Merged series still accepts pushes at/after its new end.
         a.push(30, 5.0);
         assert_eq!(a.len(), 6);
@@ -307,7 +299,7 @@ mod tests {
         let mut e = TimeSeries::new("e");
         e.merge(&a);
         assert_eq!(e.len(), 1);
-        assert_eq!(e.value_at(5), Some(1.0));
+        assert_eq!(e.iter().next(), Some((5, 1.0)));
     }
 
     #[test]

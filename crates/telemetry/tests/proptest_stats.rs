@@ -4,7 +4,6 @@
 //! original proptest strategies).
 
 use wsc_prng::SmallRng;
-use wsc_telemetry::cdf::{top_n_coverage, Cdf};
 use wsc_telemetry::histogram::LogHistogram;
 use wsc_telemetry::stats::{pearson, spearman};
 use wsc_telemetry::summary::{quantize_weight, MetricSummary};
@@ -80,38 +79,6 @@ fn histogram_merge_is_additive() {
         ha.merge(&hb);
         assert!((ha.count() - hall.count()).abs() < 1e-9);
         assert_eq!(ha.quantile(0.5), hall.quantile(0.5));
-    }
-}
-
-#[test]
-fn cdf_fraction_is_monotone() {
-    for case in 0..128u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7E13 + case);
-        let values = vec_u64(&mut rng, 0..10_000, 1..200);
-        let cdf = Cdf::from_values(values);
-        let mut last = 0.0;
-        for x in (0..10_000).step_by(97) {
-            let f = cdf.fraction_at_or_below(x);
-            assert!(f >= last - 1e-12);
-            assert!((0.0..=1.0).contains(&f));
-            last = f;
-        }
-        assert!((cdf.fraction_at_or_below(10_000) - 1.0).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn coverage_curve_is_monotone_and_complete() {
-    for case in 0..128u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7E14 + case);
-        let n = rng.gen_range(1usize..100);
-        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0f64..100.0)).collect();
-        let cov = top_n_coverage(&weights);
-        assert!(cov.windows(2).all(|w| w[0] <= w[1] + 1e-12));
-        if weights.iter().any(|&w| w > 0.0) {
-            let final_cov = cov.last().expect("non-empty coverage");
-            assert!((final_cov - 1.0).abs() < 1e-9);
-        }
     }
 }
 

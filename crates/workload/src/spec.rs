@@ -300,7 +300,7 @@ pub struct WorkloadSpec {
 /// on the RNG. A caller drawing many sizes at one `t_ns` (the driver draws a
 /// whole request's allocations at one `now`) prepares once with
 /// [`WorkloadSpec::prepare_sizes`] and reuses the buffer across instants, so
-/// a draw costs no `sin()`. Mixtures of up to [`INLINE_COMPONENTS`]
+/// a draw costs no `sin()`. Mixtures of up to `INLINE_COMPONENTS`
 /// components are held inline — no heap allocation at all; wider ones spill
 /// to a `Vec` that is reused from one instant to the next.
 #[derive(Clone, Debug, Default)]

@@ -30,7 +30,7 @@ use std::str::FromStr;
 use wsc_prng::{IntMap, SmallRng};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
-use wsc_tcmalloc::Tcmalloc;
+use wsc_tcmalloc::{AllocError, Tcmalloc};
 
 /// One event in a trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,6 +175,26 @@ impl fmt::Display for TraceCheckError {
 
 impl std::error::Error for TraceCheckError {}
 
+/// An allocation the allocator refused during [`Trace::try_replay`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplayError {
+    event: usize,
+    size: u64,
+    error: AllocError,
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "replay failed at event {}: malloc of {} bytes: {}",
+            self.event, self.size, self.error
+        )
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
 /// The `(address, size)` of every live allocation of one pass over a trace,
 /// by trace id (module docs: "Ids are positions").
 struct LiveTable {
@@ -293,11 +313,32 @@ impl Trace {
     ///
     /// Panics on malformed traces (free of unknown/duplicate id) — those are
     /// trace bugs, not allocator bugs. [`check`](Self::check) finds them
-    /// without an allocator.
+    /// without an allocator. Panics, too, on an allocation the allocator
+    /// refuses; [`try_replay`](Self::try_replay) returns that instead.
     pub fn replay(&self, tcm: &mut Tcmalloc, clock: &Clock) -> ReplayStats {
+        self.try_replay(tcm, clock)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`replay`](Self::replay) for a trace from outside the program: an
+    /// allocation the allocator refuses (a size no address space holds, a
+    /// hard limit) stops the replay and is returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ReplayError`] naming the refused event.
+    ///
+    /// # Panics
+    ///
+    /// Panics on trace bugs, as [`replay`](Self::replay) does.
+    pub fn try_replay(
+        &self,
+        tcm: &mut Tcmalloc,
+        clock: &Clock,
+    ) -> Result<ReplayStats, ReplayError> {
         let mut stats = ReplayStats::default();
         let mut live = LiveTable::for_events(self.events.len());
-        for ev in &self.events {
+        for (event, ev) in self.events.iter().enumerate() {
             match *ev {
                 TraceEvent::Alloc {
                     id,
@@ -305,7 +346,9 @@ impl Trace {
                     site,
                     cpu,
                 } => {
-                    let out = tcm.malloc_with_site(size, CpuId(cpu), site as u64);
+                    let out = tcm
+                        .try_malloc_with_site(size, CpuId(cpu), site as u64)
+                        .map_err(|error| ReplayError { event, size, error })?;
                     assert!(live.insert(id, out.addr, size), "trace reuses live id {id}");
                     stats.allocs += 1;
                     stats.malloc_ns += out.ns;
@@ -325,7 +368,7 @@ impl Trace {
             }
             stats.peak_resident_bytes = stats.peak_resident_bytes.max(tcm.resident_bytes());
         }
-        stats
+        Ok(stats)
     }
 
     /// Checks, without an allocator, that [`replay`](Self::replay) on

@@ -16,7 +16,7 @@
 //! | [`sim_hw`] | `wsc-sim-hw` | CPU topology, NUCA latency, dTLB and LLC models, the Figure-4 cost model |
 //! | [`workload`] | `wsc-workload` | workload models for every workload the paper names + the productivity driver |
 //! | [`fleet`] | `wsc-fleet` | Zipf binary population, paired A/B experiments, rollout estimation |
-//! | [`telemetry`] | `wsc-telemetry` | GWP-style sampling, histograms, CDFs, correlation statistics |
+//! | [`telemetry`] | `wsc-telemetry` | GWP-style sampling, histograms, mergeable summaries, correlation statistics |
 //! | [`sanitizer`] | `wsc-sanitizer` | shadow-state checker, cross-tier conservation audits, structured violation reports |
 //! | [`parallel`] | `wsc-parallel` | deterministic work-stealing engine: thread-count-invariant parallel experiments |
 //! | [`prng`] | `wsc-prng` | deterministic xoshiro256++ PRNG (the workspace's only randomness source) |

@@ -20,7 +20,7 @@
 //!   directly or through a callee (name-based transitive closure); and
 //!   every variant of the `AllocEvent` catalog must have a construction
 //!   site in tier code — a literal `AllocEvent::Kind`, or a call to the
-//!   typed bus entry point that builds that kind ([`BUS_ENTRY_POINTS`]).
+//!   typed bus entry point that builds that kind (`BUS_ENTRY_POINTS`).
 //! * **panic-surface** — `panic!`/`todo!`/`unimplemented!` and computed
 //!   slice indexing (`v[i + 1]`, `v[lo..hi]`, `v[f(x)]` — anything beyond a
 //!   plain identifier/field/literal/cast index) are findings inside
