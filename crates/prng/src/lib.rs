@@ -178,6 +178,7 @@ impl SmallRng {
     }
 
     /// The next 64 uniform random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -227,36 +228,42 @@ pub trait FromRng {
 }
 
 impl FromRng for u64 {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         rng.next_u64()
     }
 }
 
 impl FromRng for u32 {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         (rng.next_u64() >> 32) as u32
     }
 }
 
 impl FromRng for u16 {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         (rng.next_u64() >> 48) as u16
     }
 }
 
 impl FromRng for u8 {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         (rng.next_u64() >> 56) as u8
     }
 }
 
 impl FromRng for usize {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         rng.next_u64() as usize
     }
 }
 
 impl FromRng for bool {
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         rng.next_u64() & 1 == 1
     }
@@ -264,6 +271,7 @@ impl FromRng for bool {
 
 impl FromRng for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -271,6 +279,7 @@ impl FromRng for f64 {
 
 impl FromRng for f32 {
     /// Uniform in `[0, 1)` with 24 bits of precision.
+    #[inline]
     fn from_rng(rng: &mut SmallRng) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
@@ -286,6 +295,7 @@ pub trait SampleRange {
 
 /// Uniform `u64` in `[0, span)` without modulo bias (Lemire's multiply-shift
 /// with rejection).
+#[inline]
 fn bounded_u64(rng: &mut SmallRng, span: u64) -> u64 {
     debug_assert!(span > 0);
     // Widening multiply maps the 64-bit stream onto [0, span); reject the
@@ -305,6 +315,7 @@ macro_rules! int_range_impls {
     ($($t:ty),*) => {$(
         impl SampleRange for Range<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut SmallRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let span = (self.end as u64).wrapping_sub(self.start as u64);
@@ -313,6 +324,7 @@ macro_rules! int_range_impls {
         }
         impl SampleRange for RangeInclusive<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut SmallRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
@@ -332,6 +344,7 @@ macro_rules! signed_range_impls {
     ($($t:ty),*) => {$(
         impl SampleRange for Range<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut SmallRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 // Sign-extended wrapping difference is the span as unsigned;
@@ -342,6 +355,7 @@ macro_rules! signed_range_impls {
         }
         impl SampleRange for RangeInclusive<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut SmallRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
@@ -361,6 +375,7 @@ macro_rules! float_range_impls {
     ($($t:ty),*) => {$(
         impl SampleRange for Range<$t> {
             type Output = $t;
+            #[inline]
             fn sample(self, rng: &mut SmallRng) -> $t {
                 assert!(self.start < self.end, "empty range");
                 let f: $t = rng.gen();

@@ -73,10 +73,21 @@ impl SetAssocTlb {
         }
     }
 
+    /// The set `key` maps to: `key % sets`, as a mask when `sets` is a power
+    /// of two (both L1 levels of [`TlbGeometry::server`]) so the lookup
+    /// pays no division.
+    fn set_of(&self, key: u64) -> u64 {
+        if self.sets.is_power_of_two() {
+            key & (self.sets - 1)
+        } else {
+            key % self.sets
+        }
+    }
+
     /// The ways `key` may occupy.
     fn set_mut(&mut self, key: u64) -> &mut [(u64, u64)] {
-        // In bounds: `key % sets < sets` and `slots.len() == sets * ways`.
-        let start = (key % self.sets) as usize * self.ways;
+        // In bounds: `set_of(key) < sets` and `slots.len() == sets * ways`.
+        let start = self.set_of(key) as usize * self.ways;
         &mut self.slots[start..start + self.ways]
     }
 
@@ -358,6 +369,21 @@ mod tests {
         assert!((s.walk_rate() - 0.03).abs() < 1e-12);
         assert!((s.miss_rate() - 0.10).abs() < 1e-12);
         assert_eq!(TlbStats::default().walk_rate(), 0.0);
+    }
+
+    #[test]
+    fn set_choice_equals_the_modulo_on_every_server_level() {
+        use wsc_prng::SmallRng;
+        let t = sim();
+        let levels = [&t.l1_base, &t.l1_huge, &t.l2];
+        assert_eq!(levels.map(|l| l.sets), [16, 8, 384]);
+        let mut rng = SmallRng::seed_from_u64(0x5e7_0f0f);
+        for _ in 0..10_000 {
+            let key: u64 = rng.gen();
+            for level in levels {
+                assert_eq!(level.set_of(key), key % level.sets, "key {key:#x}");
+            }
+        }
     }
 
     #[test]

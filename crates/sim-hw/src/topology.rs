@@ -179,6 +179,7 @@ impl Platform {
     /// # Panics
     ///
     /// Panics if `cpu` is out of range.
+    #[inline]
     pub fn domain_of(&self, cpu: CpuId) -> DomainId {
         assert!(cpu.index() < self.num_cpus(), "cpu {cpu} out of range");
         DomainId((cpu.index() / self.cpus_per_domain()) as u32)

@@ -39,6 +39,7 @@ impl Clock {
     }
 
     /// Current simulated time, ns.
+    #[inline]
     pub fn now_ns(&self) -> u64 {
         // lint:allow(atomic-ordering) Relaxed: the clock word carries no
         // other data; readers only need some whole-word value.
@@ -46,6 +47,7 @@ impl Clock {
     }
 
     /// Advances the clock by `delta_ns` and returns the new time.
+    #[inline]
     pub fn advance(&self, delta_ns: u64) -> u64 {
         // lint:allow(atomic-ordering) Relaxed: fetch_add is atomic per
         // word; time ordering comes from the single-writer driver.

@@ -189,6 +189,7 @@ impl PageTable {
     }
 
     /// The record of hugepage `hp` if the window covers it (mapped or not).
+    #[inline]
     fn rec(&self, hp: u64) -> Option<&HugeRec> {
         let off = usize::try_from(hp.wrapping_sub(self.base_hp)).ok()?;
         self.recs.get(off)
@@ -201,6 +202,7 @@ impl PageTable {
 
     /// Backing of the hugepage containing `addr`: one indexed load,
     /// `Unmapped` outside the window.
+    #[inline]
     fn backing_of(&self, addr: u64) -> Backing {
         self.rec(addr / HUGE_PAGE_BYTES)
             .map_or(Backing::Unmapped, |r| r.backing)
@@ -389,8 +391,9 @@ impl PageTable {
 
     /// Translation page size for `addr`, for feeding the TLB simulator.
     /// Unmapped or broken regions translate at base-page granularity.
+    #[inline]
     pub fn page_size_of(&self, addr: u64) -> PageSize {
-        if self.is_huge_backed(addr) {
+        if self.backing_of(addr) == Backing::Huge {
             PageSize::Huge2M
         } else {
             PageSize::Base4K
@@ -403,6 +406,7 @@ impl PageTable {
     }
 
     /// Resident bytes (mapped minus subreleased).
+    #[inline]
     pub fn resident_bytes(&self) -> u64 {
         self.mapped * HUGE_PAGE_BYTES - self.released_pages * TCMALLOC_PAGE_BYTES
     }

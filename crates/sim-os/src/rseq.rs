@@ -72,8 +72,21 @@ impl VcpuRegistry {
     }
 
     /// Returns the vCPU ID for a physical CPU, assigning the next dense ID
-    /// on first use.
+    /// on first use. An assigned dense id is one bounds-checked load; first
+    /// use and the sparse ids go through a cold out-of-line path.
+    #[inline]
     pub fn vcpu_of(&mut self, cpu: CpuId) -> VcpuId {
+        match self.dense.get(cpu.index()) {
+            Some(&v) if v != UNASSIGNED => VcpuId(v),
+            _ => self.assign(cpu),
+        }
+    }
+
+    /// [`vcpu_of`](Self::vcpu_of) for a CPU without a dense id: numbers it
+    /// on first use, growing the dense table or entering the sparse map.
+    #[cold]
+    #[inline(never)]
+    fn assign(&mut self, cpu: CpuId) -> VcpuId {
         let slot = if cpu.index() < DENSE_CPUS {
             if cpu.index() >= self.dense.len() {
                 self.dense.resize(cpu.index() + 1, UNASSIGNED);

@@ -42,6 +42,11 @@ struct ClassSlab {
 #[derive(Clone, Debug)]
 struct CpuSlab {
     classes: Vec<ClassSlab>,
+    /// The donor mask: bit `cl` is set exactly when `classes[cl].capacity >
+    /// classes[cl].objs.len()`, i.e. the classes with unused capacity that
+    /// [`PerCpuCaches::try_grow`] may steal from. Every site that changes a
+    /// capacity or a stack length keeps it.
+    donors: u128,
     max_bytes: u64,
     /// Σ capacity × object size over classes.
     capacity_bytes: u64,
@@ -51,15 +56,35 @@ struct CpuSlab {
     misses_interval: u64,
 }
 
+/// The donor-mask bit of `class`.
+fn donor_bit(class: usize) -> u128 {
+    1 << class
+}
+
 impl CpuSlab {
     fn new(num_classes: usize, max_bytes: u64) -> Self {
+        assert!(
+            num_classes <= u128::BITS as usize,
+            "the donor mask holds at most 128 size classes, not {num_classes}"
+        );
         Self {
             classes: vec![ClassSlab::default(); num_classes],
+            donors: 0,
             max_bytes,
             capacity_bytes: 0,
             cached_bytes: 0,
             misses_total: 0,
             misses_interval: 0,
+        }
+    }
+
+    /// Recomputes `class`'s donor bit after its capacity or length moved.
+    fn sync_donor(&mut self, class: usize) {
+        let cslab = &self.classes[class];
+        if cslab.capacity as usize > cslab.objs.len() {
+            self.donors |= donor_bit(class);
+        } else {
+            self.donors &= !donor_bit(class);
         }
     }
 }
@@ -108,7 +133,10 @@ impl PerCpuCaches {
     }
 
     /// [`slab_mut`](Self::slab_mut) over the slab array alone, so a caller
-    /// can keep borrowing the per-class tables next to the slab.
+    /// can keep borrowing the per-class tables next to the slab. An existing
+    /// slab is a bounds check and a discriminant test; a vCPU's first use
+    /// goes through [`populate`](Self::populate).
+    #[inline]
     fn slab_in(
         slabs: &mut Vec<Option<CpuSlab>>,
         vcpu: VcpuId,
@@ -116,6 +144,22 @@ impl PerCpuCaches {
         max_bytes: u64,
     ) -> &mut CpuSlab {
         let idx = vcpu.index();
+        let Some(Some(_)) = slabs.get(idx) else {
+            return Self::populate(slabs, idx, num_classes, max_bytes);
+        };
+        slabs[idx].as_mut().expect("slab checked present above")
+    }
+
+    /// Builds vCPU `idx`'s slab on its first use — the lazy population of
+    /// §4.1, off the hit path.
+    #[cold]
+    #[inline(never)]
+    fn populate(
+        slabs: &mut Vec<Option<CpuSlab>>,
+        idx: usize,
+        num_classes: usize,
+        max_bytes: u64,
+    ) -> &mut CpuSlab {
         if idx >= slabs.len() {
             slabs.resize_with(idx + 1, || None);
         }
@@ -128,10 +172,14 @@ impl PerCpuCaches {
     pub fn alloc(&mut self, vcpu: VcpuId, class: usize, bus: &mut EventBus) -> Option<u64> {
         let size = self.sizes[class];
         let slab = self.slab_mut(vcpu);
-        slab.classes[class].touched = true;
-        match slab.classes[class].objs.pop() {
+        let cslab = &mut slab.classes[class];
+        cslab.touched = true;
+        match cslab.objs.pop() {
             Some(addr) => {
                 slab.cached_bytes -= size;
+                // A stack never holds more than its capacity, so a pop
+                // leaves room.
+                slab.donors |= donor_bit(class);
                 bus.percpu_hit(vcpu.index(), class as u16);
                 Some(addr)
             }
@@ -151,6 +199,10 @@ impl PerCpuCaches {
     /// stealing *unused* capacity from the largest other class if needed
     /// (each steal emits [`AllocEvent::ResizerSteal`]). Returns whether the
     /// grant succeeded.
+    ///
+    /// The victims are the set bits of the donor mask, highest class first:
+    /// the same classes in the same order as a descending scan of every
+    /// class that skips the ones without unused capacity.
     fn try_grow(&mut self, vcpu: VcpuId, class: usize, bus: &mut EventBus) -> bool {
         let size = self.sizes[class];
         let batch = self.batches[class] as u64;
@@ -166,18 +218,13 @@ impl PerCpuCaches {
             // (most bytes reclaimed per slot, and small classes dominate
             // traffic).
             let mut reclaimed = 0u64;
-            for cl in (0..sizes.len()).rev() {
-                if reclaimed >= need {
-                    break;
-                }
-                if cl == class {
-                    continue;
-                }
+            let mut victims = slab.donors & !donor_bit(class);
+            while victims != 0 && reclaimed < need {
+                let cl = (u128::BITS - 1 - victims.leading_zeros()) as usize;
+                victims &= !donor_bit(cl);
                 let cslab = &mut slab.classes[cl];
                 let unused = cslab.capacity.saturating_sub(cslab.objs.len() as u32);
-                if unused == 0 {
-                    continue;
-                }
+                debug_assert!(unused > 0, "donor bit set on full class {cl}");
                 let take_bytes = (unused as u64 * sizes[cl]).min(need - reclaimed);
                 // Stay in u64 until the `unused` bound proves the value
                 // fits: a bare `as u32` would silently wrap for huge byte
@@ -185,6 +232,7 @@ impl PerCpuCaches {
                 let take_slots = take_bytes.div_ceil(sizes[cl]).min(unused as u64);
                 let take_slots = u32::try_from(take_slots).expect("slots bounded by unused: u32");
                 cslab.capacity -= take_slots;
+                slab.sync_donor(cl);
                 let freed = take_slots as u64 * sizes[cl];
                 slab.capacity_bytes -= freed;
                 reclaimed += freed;
@@ -206,6 +254,9 @@ impl PerCpuCaches {
                 .objs
                 .reserve((cslab.capacity as usize).saturating_sub(cslab.objs.len()));
             slab.capacity_bytes += need;
+            // A batch is at least two objects: the grant leaves room for
+            // the one a `free_overflow` pushes next.
+            slab.donors |= donor_bit(class);
         }
         granted
     }
@@ -231,6 +282,9 @@ impl PerCpuCaches {
         slab.cached_bytes += take as u64 * size;
         // lint:allow(panic-surface) take <= objs.len().
         cslab.objs.extend_from_slice(&objs[..take]);
+        if take == room {
+            slab.donors &= !donor_bit(class);
+        }
         take
     }
 
@@ -253,6 +307,9 @@ impl PerCpuCaches {
         if (cslab.objs.len() as u32) < cslab.capacity {
             cslab.objs.push(addr);
             slab.cached_bytes += size;
+            if cslab.objs.len() as u32 == cslab.capacity {
+                slab.donors &= !donor_bit(class);
+            }
             return FreeOutcome::Cached;
         }
         slab.misses_total += 1;
@@ -274,7 +331,8 @@ impl PerCpuCaches {
     ) -> FreeOutcome {
         let size = self.sizes[class];
         let batch = self.batches[class] as usize;
-        // Try to grow; if granted, absorb the object after all.
+        // Try to grow; if granted, absorb the object after all (the grant
+        // set the donor bit and left room beyond this object).
         if self.try_grow(vcpu, class, bus) {
             let slab = self.slab_mut(vcpu);
             slab.classes[class].objs.push(addr);
@@ -287,6 +345,7 @@ impl PerCpuCaches {
         let at = cslab.objs.len() - shed;
         out.extend(cslab.objs.drain(at..));
         slab.cached_bytes -= shed as u64 * size;
+        slab.sync_donor(class);
         out.push(addr);
         bus.emit(AllocEvent::PerCpuOverflow {
             vcpu: vcpu.index(),
@@ -329,6 +388,7 @@ impl PerCpuCaches {
                 slab.cached_bytes -= shed as u64 * sizes[cl];
                 evicted.push((cl, objs));
             }
+            slab.sync_donor(cl);
         }
         evicted
     }
@@ -456,10 +516,13 @@ impl PerCpuCaches {
                     // Idle and empty: release granted capacity too.
                     slab.capacity_bytes -= cslab.capacity as u64 * self.sizes[cl];
                     cslab.capacity = 0;
+                    slab.donors &= !donor_bit(cl);
                     continue;
                 }
                 // Reclaim the *cold end* of the stack: the oldest objects
-                // are the residue pinning otherwise-dead spans.
+                // are the residue pinning otherwise-dead spans. Stack and
+                // capacity drop by the same count (shed <= len <= capacity),
+                // so the unused capacity and the donor bit stay as they are.
                 let shed = cslab.objs.len().div_ceil(2);
                 let objs: Vec<u64> = cslab.objs.drain(..shed).collect();
                 slab.cached_bytes -= shed as u64 * self.sizes[cl];
@@ -483,6 +546,9 @@ impl PerCpuCaches {
                 if !cslab.objs.is_empty() {
                     slab.cached_bytes -= cslab.objs.len() as u64 * self.sizes[cl];
                     out.push((cl, std::mem::take(&mut cslab.objs)));
+                    if cslab.capacity > 0 {
+                        slab.donors |= donor_bit(cl);
+                    }
                 }
             }
         }
@@ -704,5 +770,451 @@ mod tests {
         let _ = c.alloc(VcpuId(7), 0, &mut b);
         assert!(c.slabs[7].is_some(), "vCPU 7 populated");
         assert_eq!(c.slabs.iter().flatten().count(), 1, "and only vCPU 7");
+    }
+
+    /// The retired tier, whose `try_grow` scans every class from the largest
+    /// down for unused capacity, kept only as the model the donor mask is
+    /// held to. Same operations, same events, no mask.
+    mod reference {
+        use super::super::{FreeOutcome, PerCpuCaches};
+        use crate::events::{AllocEvent, EventBus};
+
+        #[derive(Clone, Default)]
+        pub struct Class {
+            pub objs: Vec<u64>,
+            pub capacity: u32,
+            touched: bool,
+        }
+
+        pub struct Slab {
+            pub classes: Vec<Class>,
+            pub max_bytes: u64,
+            pub capacity_bytes: u64,
+            pub cached_bytes: u64,
+            pub misses_total: u64,
+            misses_interval: u64,
+        }
+
+        pub struct RefCaches {
+            pub slabs: Vec<Option<Slab>>,
+            sizes: Vec<u64>,
+            batches: Vec<u32>,
+            caps: Vec<u32>,
+            default_max: u64,
+        }
+
+        type Evicted = Vec<(usize, Vec<u64>)>;
+
+        impl RefCaches {
+            /// A model with `real`'s class table and default budget.
+            pub fn like(real: &PerCpuCaches) -> Self {
+                Self {
+                    slabs: Vec::new(),
+                    sizes: real.sizes.clone(),
+                    batches: real.batches.clone(),
+                    caps: real.class_caps.clone(),
+                    default_max: real.default_max_bytes,
+                }
+            }
+
+            fn slab(&mut self, v: usize) -> &mut Slab {
+                if v >= self.slabs.len() {
+                    self.slabs.resize_with(v + 1, || None);
+                }
+                let (n, max_bytes) = (self.sizes.len(), self.default_max);
+                self.slabs[v].get_or_insert_with(|| Slab {
+                    classes: vec![Class::default(); n],
+                    max_bytes,
+                    capacity_bytes: 0,
+                    cached_bytes: 0,
+                    misses_total: 0,
+                    misses_interval: 0,
+                })
+            }
+
+            pub fn alloc(&mut self, v: usize, cl: usize, bus: &mut EventBus) -> Option<u64> {
+                let size = self.sizes[cl];
+                let slab = self.slab(v);
+                slab.classes[cl].touched = true;
+                let got = slab.classes[cl].objs.pop();
+                if got.is_some() {
+                    slab.cached_bytes -= size;
+                    bus.percpu_hit(v, cl as u16);
+                } else {
+                    slab.misses_total += 1;
+                    slab.misses_interval += 1;
+                    bus.emit(AllocEvent::PerCpuMiss {
+                        vcpu: v,
+                        class: cl as u16,
+                    });
+                }
+                got
+            }
+
+            fn try_grow(&mut self, v: usize, class: usize, bus: &mut EventBus) -> bool {
+                let need = u64::from(self.batches[class]) * self.sizes[class];
+                let batch = self.batches[class];
+                let cap = self.caps[class];
+                let sizes = self.sizes.clone();
+                let slab = self.slab(v);
+                if slab.classes[class].capacity + batch > cap {
+                    return false;
+                }
+                if slab.capacity_bytes + need > slab.max_bytes {
+                    let mut reclaimed = 0u64;
+                    for cl in (0..sizes.len()).rev() {
+                        if reclaimed >= need {
+                            break;
+                        }
+                        if cl == class {
+                            continue;
+                        }
+                        let c = &mut slab.classes[cl];
+                        let unused = c.capacity.saturating_sub(c.objs.len() as u32);
+                        if unused == 0 {
+                            continue;
+                        }
+                        let take_bytes = (u64::from(unused) * sizes[cl]).min(need - reclaimed);
+                        let take = take_bytes.div_ceil(sizes[cl]).min(u64::from(unused));
+                        c.capacity -= take as u32;
+                        slab.capacity_bytes -= take * sizes[cl];
+                        reclaimed += take * sizes[cl];
+                        bus.emit(AllocEvent::ResizerSteal {
+                            vcpu: v,
+                            victim_class: cl as u16,
+                            class: class as u16,
+                            bytes: take * sizes[cl],
+                        });
+                    }
+                }
+                let granted = slab.capacity_bytes + need <= slab.max_bytes;
+                if granted {
+                    slab.classes[class].capacity += batch;
+                    slab.capacity_bytes += need;
+                }
+                granted
+            }
+
+            pub fn refill(
+                &mut self,
+                v: usize,
+                cl: usize,
+                objs: &[u64],
+                bus: &mut EventBus,
+            ) -> usize {
+                self.try_grow(v, cl, bus);
+                let size = self.sizes[cl];
+                let slab = self.slab(v);
+                let c = &mut slab.classes[cl];
+                c.touched = true;
+                let take = (c.capacity as usize)
+                    .saturating_sub(c.objs.len())
+                    .min(objs.len());
+                c.objs.extend_from_slice(&objs[..take]);
+                slab.cached_bytes += take as u64 * size;
+                take
+            }
+
+            pub fn free(
+                &mut self,
+                v: usize,
+                cl: usize,
+                addr: u64,
+                out: &mut Vec<u64>,
+                bus: &mut EventBus,
+            ) -> FreeOutcome {
+                let (size, batch) = (self.sizes[cl], self.batches[cl] as usize);
+                let slab = self.slab(v);
+                let c = &mut slab.classes[cl];
+                c.touched = true;
+                if (c.objs.len() as u32) < c.capacity {
+                    c.objs.push(addr);
+                    slab.cached_bytes += size;
+                    return FreeOutcome::Cached;
+                }
+                slab.misses_total += 1;
+                slab.misses_interval += 1;
+                if self.try_grow(v, cl, bus) {
+                    let slab = self.slab(v);
+                    slab.classes[cl].objs.push(addr);
+                    slab.cached_bytes += size;
+                    return FreeOutcome::Cached;
+                }
+                let slab = self.slab(v);
+                let c = &mut slab.classes[cl];
+                let shed = (batch - 1).min(c.objs.len());
+                let at = c.objs.len() - shed;
+                out.extend(c.objs.drain(at..));
+                slab.cached_bytes -= shed as u64 * size;
+                out.push(addr);
+                bus.emit(AllocEvent::PerCpuOverflow {
+                    vcpu: v,
+                    class: cl as u16,
+                    shed: shed as u32 + 1,
+                });
+                FreeOutcome::Overflow
+            }
+
+            pub fn set_max_bytes(&mut self, v: usize, bytes: u64) -> Evicted {
+                let sizes = self.sizes.clone();
+                let slab = self.slab(v);
+                slab.max_bytes = bytes;
+                let mut evicted = Vec::new();
+                for cl in (0..sizes.len()).rev() {
+                    if slab.capacity_bytes <= bytes {
+                        break;
+                    }
+                    let c = &mut slab.classes[cl];
+                    if c.capacity == 0 {
+                        continue;
+                    }
+                    let drop = (slab.capacity_bytes - bytes)
+                        .div_ceil(sizes[cl])
+                        .min(u64::from(c.capacity));
+                    c.capacity -= drop as u32;
+                    slab.capacity_bytes -= drop * sizes[cl];
+                    if c.objs.len() > c.capacity as usize {
+                        let objs = c.objs.split_off(c.capacity as usize);
+                        slab.cached_bytes -= objs.len() as u64 * sizes[cl];
+                        evicted.push((cl, objs));
+                    }
+                }
+                evicted
+            }
+
+            pub fn rebalance(
+                &mut self,
+                top_n: usize,
+                step: u64,
+                floor: u64,
+                bus: &mut EventBus,
+            ) -> Evicted {
+                let misses = |s: &Option<Slab>| s.as_ref().map(|s| s.misses_interval);
+                let mut populated: Vec<usize> = (0..self.slabs.len())
+                    .filter(|&i| self.slabs[i].is_some())
+                    .collect();
+                populated.sort_by_key(|&i| std::cmp::Reverse(misses(&self.slabs[i])));
+                let growers: Vec<usize> = populated
+                    .iter()
+                    .copied()
+                    .take(top_n)
+                    .filter(|&i| misses(&self.slabs[i]) > Some(0))
+                    .collect();
+                let mut donors: Vec<usize> = populated
+                    .into_iter()
+                    .filter(|i| !growers.contains(i))
+                    .collect();
+                donors.reverse();
+                let mut evicted = Vec::new();
+                let mut rr = 0usize;
+                for &g in &growers {
+                    let found = (0..donors.len()).find_map(|k| {
+                        let d = donors[(rr + k) % donors.len()];
+                        let dmax = self.slabs[d].as_ref().unwrap().max_bytes;
+                        (dmax >= floor + step).then_some((k, d, dmax))
+                    });
+                    let Some((k, d, dmax)) = found else { continue };
+                    rr = (rr + k + 1) % donors.len();
+                    evicted.extend(self.set_max_bytes(d, dmax - step));
+                    bus.emit(AllocEvent::ResizerShrink {
+                        vcpu: d,
+                        bytes: step,
+                    });
+                    self.slab(g).max_bytes += step;
+                    bus.emit(AllocEvent::ResizerGrow {
+                        vcpu: g,
+                        bytes: step,
+                    });
+                }
+                for slab in self.slabs.iter_mut().flatten() {
+                    slab.misses_interval = 0;
+                }
+                evicted
+            }
+
+            pub fn decay(&mut self) -> Evicted {
+                let mut out = Vec::new();
+                for slab in self.slabs.iter_mut().flatten() {
+                    for (cl, c) in slab.classes.iter_mut().enumerate() {
+                        let size = self.sizes[cl];
+                        if std::mem::take(&mut c.touched) {
+                            continue;
+                        }
+                        if c.objs.is_empty() {
+                            slab.capacity_bytes -= u64::from(c.capacity) * size;
+                            c.capacity = 0;
+                            continue;
+                        }
+                        let shed = c.objs.len().div_ceil(2);
+                        let objs: Vec<u64> = c.objs.drain(..shed).collect();
+                        slab.cached_bytes -= shed as u64 * size;
+                        let cap_drop = (shed as u32).min(c.capacity);
+                        c.capacity -= cap_drop;
+                        slab.capacity_bytes -= u64::from(cap_drop) * size;
+                        out.push((cl, objs));
+                    }
+                }
+                out
+            }
+
+            pub fn flush_all(&mut self) -> Evicted {
+                let mut out = Vec::new();
+                for slab in self.slabs.iter_mut().flatten() {
+                    for (cl, c) in slab.classes.iter_mut().enumerate() {
+                        if !c.objs.is_empty() {
+                            slab.cached_bytes -= c.objs.len() as u64 * self.sizes[cl];
+                            out.push((cl, std::mem::take(&mut c.objs)));
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Asserts `real` and `model` hold the same slabs, and that every donor
+    /// mask equals the one recomputed from the classes.
+    fn assert_lockstep(real: &PerCpuCaches, model: &reference::RefCaches, what: &str) {
+        assert_eq!(real.slabs.len(), model.slabs.len(), "{what}: slab count");
+        for (v, (r, m)) in real.slabs.iter().zip(&model.slabs).enumerate() {
+            let (Some(r), Some(m)) = (r, m) else {
+                assert_eq!(r.is_some(), m.is_some(), "{what}: vCPU {v} populated");
+                continue;
+            };
+            let mut donors = 0u128;
+            for (cl, (rc, mc)) in r.classes.iter().zip(&m.classes).enumerate() {
+                assert_eq!(
+                    rc.capacity, mc.capacity,
+                    "{what}: vCPU {v} class {cl} capacity"
+                );
+                assert_eq!(rc.objs, mc.objs, "{what}: vCPU {v} class {cl} stack");
+                if rc.capacity as usize > rc.objs.len() {
+                    donors |= donor_bit(cl);
+                }
+            }
+            assert_eq!(r.donors, donors, "{what}: vCPU {v} donor mask");
+            assert_eq!(
+                (
+                    r.capacity_bytes,
+                    r.cached_bytes,
+                    r.max_bytes,
+                    r.misses_total
+                ),
+                (
+                    m.capacity_bytes,
+                    m.cached_bytes,
+                    m.max_bytes,
+                    m.misses_total
+                ),
+                "{what}: vCPU {v} byte counters"
+            );
+        }
+    }
+
+    #[test]
+    fn donor_mask_matches_the_full_scan_in_lockstep() {
+        use wsc_prng::SmallRng;
+        let recording = || {
+            EventBus::new(
+                &TcmallocConfig::baseline().with_event_recorder(),
+                CostModel::production(),
+                Clock::new(),
+            )
+        };
+        let default_budget = TcmallocConfig::optimized().percpu_max_bytes;
+        for (case, budget) in [4u64 << 10, 64 << 10, default_budget]
+            .into_iter()
+            .enumerate()
+        {
+            let mut real = caches(budget);
+            let mut model = reference::RefCaches::like(&real);
+            let (mut real_bus, mut model_bus) = (recording(), recording());
+            let mut rng = SmallRng::seed_from_u64(0xd0_0a75 + case as u64);
+            let classes = real.sizes.len();
+            let mut next_addr = 0x1000_0000u64;
+            let mut fresh = |n: usize| -> Vec<u64> {
+                (0..n)
+                    .map(|_| {
+                        next_addr += 8;
+                        next_addr
+                    })
+                    .collect()
+            };
+            // Objects the caches handed out, to free back later.
+            let mut live: Vec<(usize, u64)> = Vec::new();
+            let mut steals = 0usize;
+            let mut seen = 0usize;
+            for step in 0..20_000 {
+                let v = rng.gen_range(0..4usize);
+                let vcpu = VcpuId(v as u32);
+                // Half the traffic on a few small classes, the rest spread
+                // over all of them so large classes hold capacity to steal.
+                let cl = if rng.gen_bool(0.5) {
+                    rng.gen_range(0..8usize)
+                } else {
+                    rng.gen_range(0..classes)
+                };
+                let batch = real.batches[cl] as usize;
+                let what = format!("case {case} step {step}");
+                match rng.gen_range(0..1000u32) {
+                    0..=349 => {
+                        let got = real.alloc(vcpu, cl, &mut real_bus);
+                        assert_eq!(got, model.alloc(v, cl, &mut model_bus), "{what}: alloc");
+                        if let Some(addr) = got {
+                            live.push((cl, addr));
+                        }
+                    }
+                    350..=449 => {
+                        let objs = fresh(rng.gen_range(0..=2 * batch));
+                        let taken = real.refill(vcpu, cl, &objs, &mut real_bus);
+                        assert_eq!(
+                            taken,
+                            model.refill(v, cl, &objs, &mut model_bus),
+                            "{what}: refill"
+                        );
+                    }
+                    450..=929 => {
+                        let (cl, addr) = if live.is_empty() {
+                            (cl, fresh(1)[0])
+                        } else {
+                            live.swap_remove(rng.gen_range(0..live.len()))
+                        };
+                        let (mut real_out, mut model_out) = (Vec::new(), Vec::new());
+                        let outcome = real.free(vcpu, cl, addr, &mut real_out, &mut real_bus);
+                        let want = model.free(v, cl, addr, &mut model_out, &mut model_bus);
+                        assert_eq!((outcome, real_out), (want, model_out), "{what}: free");
+                    }
+                    930..=959 => {
+                        let bytes = rng.gen_range(budget / 8..=2 * budget);
+                        assert_eq!(
+                            real.set_max_bytes(vcpu, bytes),
+                            model.set_max_bytes(v, bytes),
+                            "{what}: set_max_bytes"
+                        );
+                    }
+                    960..=979 => assert_eq!(real.decay(), model.decay(), "{what}: decay"),
+                    980..=984 => {
+                        assert_eq!(real.flush_all(), model.flush_all(), "{what}: flush_all");
+                    }
+                    _ => {
+                        let (grow, floor) = (budget / 8, budget / 4);
+                        assert_eq!(
+                            real.rebalance(2, grow, floor, &mut real_bus),
+                            model.rebalance(2, grow, floor, &mut model_bus),
+                            "{what}: rebalance"
+                        );
+                    }
+                }
+                assert_lockstep(&real, &model, &what);
+                let (r, m) = (real_bus.recorded(), model_bus.recorded());
+                assert_eq!(r[seen..], m[seen..], "{what}: events");
+                steals += r[seen..]
+                    .iter()
+                    .filter(|e| matches!(e, AllocEvent::ResizerSteal { .. }))
+                    .count();
+                seen = r.len();
+            }
+            assert!(steals >= 100, "case {case}: only {steals} steals exercised");
+        }
     }
 }

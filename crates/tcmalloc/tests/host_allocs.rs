@@ -154,7 +154,9 @@ fn an_allocator_is_built_and_dropped_within_budget() {
             Clock::new(),
         ));
     });
-    assert!(allocs <= 160, "Tcmalloc::new + drop: {allocs} allocations");
+    // Measured: 97. The GWP profile's 52 histograms allocate their slots on
+    // the first sample, which an idle allocator never takes (149 before).
+    assert!(allocs <= 100, "Tcmalloc::new + drop: {allocs} allocations");
     assert_eq!(large, 0, "an idle allocator holds nothing large");
 }
 
@@ -165,8 +167,9 @@ fn a_cold_machine_runs_within_budget() {
     let cfg = DriverConfig::new(32, 42, &platform);
     let (_run, allocs, large) =
         counted(|| driver::run(&spec, &platform, TcmallocConfig::optimized(), &cfg));
+    // Measured: 765 (817 with eager GWP histograms).
     assert!(
-        allocs <= 900,
+        allocs <= 800,
         "32-request driver::run: {allocs} allocations"
     );
     assert_eq!(large, 0, "allocations of 64 KiB or more");

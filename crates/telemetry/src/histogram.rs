@@ -40,6 +40,10 @@ const NUM_SLOTS: usize = MAX_EXP * SUB_BUCKETS;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LogHistogram {
+    /// Weight per slot. Allocated by the first [`record`](Self::record) or
+    /// non-empty [`merge`](Self::merge): an allocator builds 52 of these for
+    /// its GWP profile and a short-lived one rarely samples, so every reader
+    /// treats a missing slot as zero.
     slots: Vec<f64>,
     total_weight: f64,
     /// Sum of `value * weight`, for exact means.
@@ -52,7 +56,7 @@ impl LogHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            slots: vec![0.0; NUM_SLOTS],
+            slots: Vec::new(),
             total_weight: 0.0,
             weighted_sum: 0.0,
             min: None,
@@ -92,11 +96,18 @@ impl LogHistogram {
         if weight == 0.0 {
             return;
         }
+        self.allocate_slots();
         self.slots[Self::slot_of(value)] += weight;
         self.total_weight += weight;
         self.weighted_sum += value as f64 * weight;
         self.min = Some(self.min.map_or(value, |m| m.min(value)));
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
+    }
+
+    fn allocate_slots(&mut self) {
+        if self.slots.is_empty() {
+            self.slots = vec![0.0; NUM_SLOTS];
+        }
     }
 
     /// Total recorded weight.
@@ -145,7 +156,7 @@ impl LogHistogram {
         if self.total_weight <= 0.0 {
             return 0.0;
         }
-        let cut = Self::slot_of(threshold);
+        let cut = Self::slot_of(threshold).min(self.slots.len());
         let below: f64 = self.slots[..cut].iter().sum();
         below / self.total_weight
     }
@@ -161,6 +172,9 @@ impl LogHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
+        if !other.slots.is_empty() {
+            self.allocate_slots();
+        }
         for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
             *a += *b;
         }
@@ -345,6 +359,23 @@ mod tests {
         // Out-of-range q clamps rather than extrapolating.
         assert_eq!(h.quantile(-3.0), lo);
         assert_eq!(h.quantile(42.0), hi);
+    }
+
+    #[test]
+    fn slots_are_allocated_by_the_first_weight_in() {
+        let mut h = LogHistogram::new();
+        assert!(h.slots.is_empty());
+        h.record(42, 0.0);
+        h.merge(&LogHistogram::new());
+        assert!(h.slots.is_empty(), "no weight, no slots");
+        assert_eq!(h.fraction_below(u64::MAX), 0.0);
+        assert_eq!(h.iter().count(), 0);
+        let mut other = LogHistogram::new();
+        other.record(100, 2.0);
+        h.merge(&other);
+        assert_eq!(h.slots.len(), NUM_SLOTS);
+        assert_eq!(h.quantile(0.5), other.quantile(0.5));
+        assert_eq!(h.fraction_below(u64::MAX), 1.0);
     }
 
     #[test]
