@@ -1104,15 +1104,15 @@ pub fn faults(scale: &Scale) -> Vec<(String, f64, f64, u64)> {
 }
 
 /// Cross-thread frees: one producer→consumer pipeline and one thread-churn
-/// schedule, each replayed under the three [`FreeArm`]s. The schedule is
-/// data, so the arms see identical operations and every delta in the table
-/// is mechanism — one CAS per atomic-list push, batch posts and adoption
-/// locks for message passing — in simulated time.
+/// schedule, each replayed under both [`FreeArm`]s. The schedule is data,
+/// so the arms see identical operations and every delta in the table is
+/// mechanism — one CAS per atomic-list push plus an adoption lock per
+/// drained list — in simulated time.
 ///
 /// Returns `(scenario/arm, outcome)` per replay, owner-only first.
 pub fn contention(scale: &Scale) -> Vec<(String, ReplayOutcome)> {
     let ops = scale.requests as usize;
-    println!("== Cross-thread frees: the three free arms on identical schedules, {ops} ops ==");
+    println!("== Cross-thread frees: both free arms on identical schedules, {ops} ops ==");
     let scenarios = [
         (
             "pipeline",
@@ -1131,12 +1131,7 @@ pub fn contention(scale: &Scale) -> Vec<(String, ReplayOutcome)> {
     ]);
     let mut out = Vec::new();
     for (name, sched) in &scenarios {
-        let runs = [
-            FreeArm::OwnerOnly,
-            FreeArm::AtomicList,
-            FreeArm::MessagePassing,
-        ]
-        .map(|arm| {
+        let runs = [FreeArm::OwnerOnly, FreeArm::AtomicList].map(|arm| {
             // Two LLC domains, producers and consumers on opposite sides.
             let platform = Platform::chiplet("contention", 1, 2, 4, 2);
             let cfg = TcmallocConfig::optimized().with_free_arm(arm);

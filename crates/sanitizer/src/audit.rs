@@ -77,8 +77,8 @@ pub struct ClassTierSnapshot {
     pub percpu_objects: u64,
     /// Objects cached across the transfer tier (central + domain shards).
     pub transfer_objects: u64,
-    /// Objects freed remotely and still parked on deferred lists or
-    /// inboxes (in-flight cross-thread frees; zero under owner-only).
+    /// Objects freed remotely and still parked on deferred lists
+    /// (in-flight cross-thread frees; zero under owner-only).
     pub deferred_objects: u64,
     /// The central free list's running free-object counter.
     pub central_free_objects: u64,

@@ -79,10 +79,6 @@ pub struct CostModel {
     /// cache line is owned by another core, so this is contended-CAS cost,
     /// not the uncontended ~1 ns).
     pub atomic_cas_ns: f64,
-    /// Handing one batched remote-free message between threads (the
-    /// snmalloc-style message-passing arm pays this once per batch on send
-    /// and the owner pays it once per batch on receive).
-    pub msg_batch_ns: f64,
     /// Acquiring a contended lock (or performing the atomic exchange) that
     /// detaches a whole deferred list at a drain point.
     pub contended_lock_ns: f64,
@@ -119,12 +115,11 @@ impl CostModel {
             prefetch_ns: 1.9,
             sampled_alloc_ns: 5_500.0,
             other_ns: 0.5,
-            // Contended CAS ≈ one cross-core line transfer; batch handoff
-            // ≈ transfer-cache mutex traffic; list detach ≈ half a central
-            // free-list visit. All sit between the per-CPU fast path and
-            // the central free list, like the locks they model.
+            // Contended CAS ≈ one cross-core line transfer; list detach ≈
+            // half a central free-list visit. Both sit between the per-CPU
+            // fast path and the central free list, like the locks they
+            // model.
             atomic_cas_ns: 10.0,
-            msg_batch_ns: 30.0,
             contended_lock_ns: 45.0,
             llc_hit_ns: 14.0,
             mem_ns: 100.0,
@@ -260,14 +255,10 @@ mod tests {
     fn contention_costs_sit_between_fast_path_and_central() {
         // A remote free must cost more than a local fast-path free (the
         // whole point of ownership) but less than a central free-list
-        // visit (or deferring would never pay off); batching amortizes:
-        // one batch handoff is cheaper than a CAS per object at any batch
-        // size above three.
+        // visit (or deferring would never pay off).
         let c = CostModel::production();
         assert!(c.atomic_cas_ns > c.percpu_hit_ns);
-        assert!(c.msg_batch_ns > c.atomic_cas_ns);
         assert!(c.contended_lock_ns < c.central_freelist_ns);
-        assert!(c.msg_batch_ns < 4.0 * c.atomic_cas_ns);
     }
 
     #[test]

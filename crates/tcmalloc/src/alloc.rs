@@ -8,7 +8,7 @@
 
 use crate::central::CentralFreeList;
 use crate::config::{FreeArm, TcmallocConfig, CAPACITY_SCALE};
-use crate::deferred::{DeferredFrees, QueuedVia};
+use crate::deferred::DeferredFrees;
 use crate::events::{AllocEvent, EventBus, EventSink, SpanRef, TraceRing};
 use crate::pageheap::{AllocError, OsLayer, PageHeap};
 use crate::pagemap::Pagemap;
@@ -173,7 +173,7 @@ impl Tcmalloc {
             pagemap: Pagemap::new(),
             pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::new(vmm, cfg.hard_limit)),
             sampler: Sampler::new(cfg.sample_period_bytes),
-            deferred: DeferredFrees::new(cfg.free_arm, table.num_classes()),
+            deferred: DeferredFrees::new(table.num_classes()),
             bus: EventBus::new(&cfg, CostModel::production(), clock.clone()),
             batch: Vec::new(),
             live_samples: IntMap::default(),
@@ -325,21 +325,13 @@ impl Tcmalloc {
             return Ok((addr, info.size, AllocPath::PerCpu));
         }
         let shard = self.shard_of(cpu);
-        // Per-CPU miss: the first deterministic drain point. The missing
-        // vCPU adopts every batch posted to its inbox before refilling.
-        if self.cfg.free_arm == FreeArm::MessagePassing {
-            let inbound = self.deferred.drain_inbox(vcpu.index() as u32);
-            for (class, objs) in inbound {
-                self.adopt_drained(vcpu.index(), shard, class as usize, &objs);
-            }
-        }
         let batch = info.batch as usize;
         let mut objs = std::mem::take(&mut self.batch);
         self.transfer
             .fetch(shard, cl, batch, &mut objs, &mut self.bus);
         let mut path = AllocPath::TransferCache;
         if objs.len() < batch {
-            // Central refill: the second drain point. Deferred objects of
+            // Central refill: the first drain point. Deferred objects of
             // this class rejoin the middle tiers before the pageheap is
             // asked for fresh spans.
             if self.cfg.free_arm != FreeArm::OwnerOnly {
@@ -477,30 +469,17 @@ impl Tcmalloc {
                     })
                 };
                 let path = if let Some((span_id, owner)) = remote {
-                    let via = self.deferred.queue_remote(
-                        vcpu.index() as u32,
-                        owner,
-                        cl as u16,
-                        span_id,
-                        addr,
-                    );
+                    self.deferred.queue_remote(cl as u16, span_id, addr);
                     self.bus.emit(AllocEvent::RemoteFreeQueued {
                         vcpu: vcpu.index(),
                         owner: owner as usize,
                         class: cl as u16,
                         addr,
                     });
-                    let sync_ns = match via {
-                        QueuedVia::Cas => self.bus.cost().atomic_cas_ns,
-                        QueuedVia::Batched => self.bus.cost().msg_batch_ns,
-                        QueuedVia::Buffered => 0.0,
-                    };
-                    if sync_ns > 0.0 {
-                        self.bus.emit(AllocEvent::ContentionCharged {
-                            vcpu: vcpu.index(),
-                            ns: sync_ns,
-                        });
-                    }
+                    self.bus.emit(AllocEvent::ContentionCharged {
+                        vcpu: vcpu.index(),
+                        ns: self.bus.cost().atomic_cas_ns,
+                    });
                     AllocPath::PerCpu
                 } else {
                     match self
@@ -603,18 +582,12 @@ impl Tcmalloc {
         self.return_objects(shard, cl, objs, true);
     }
 
-    /// Drains every deferred remote free — partial message batches
-    /// included — back into the middle tiers: the full-barrier drain the
-    /// transfer-plunder pass runs, also available to tests and shutdown
-    /// paths. A no-op under the owner-only arm.
+    /// Drains every deferred remote free back into the middle tiers: the
+    /// full-barrier drain the plunder cadence runs, also available to tests
+    /// and shutdown paths. A no-op under the owner-only arm.
     pub fn drain_deferred(&mut self) {
         if self.cfg.free_arm == FreeArm::OwnerOnly {
             return;
-        }
-        let batches = self.deferred.flush_outbox();
-        if batches > 0 {
-            let ns = self.bus.cost().msg_batch_ns * batches as f64;
-            self.bus.emit(AllocEvent::ContentionCharged { vcpu: 0, ns });
         }
         let drained = self.deferred.drain_all();
         for (class, objs) in drained {
@@ -681,8 +654,9 @@ impl Tcmalloc {
     }
 
     /// Runs due background maintenance: the §4.1 cache resizer, the §4.2
-    /// transfer-cache plunder, and the pageheap's gradual OS release. The
-    /// workload driver calls this as simulated time advances.
+    /// transfer-cache plunder with the deferred-free drain, and the
+    /// pageheap's gradual OS release. The workload driver calls this as
+    /// simulated time advances.
     pub fn maintain(&mut self) {
         let now = self.clock.now_ns();
         if self.cfg.dynamic_percpu && now >= self.next_resize_ns {
@@ -697,14 +671,16 @@ impl Tcmalloc {
                 self.return_objects(0, cl, &objs, true);
             }
         }
-        if self.cfg.transfer.is_sharded() && now >= self.next_plunder_ns {
+        if now >= self.next_plunder_ns {
             self.next_plunder_ns = now + PLUNDER_INTERVAL_NS;
+            // An unsharded tier has no shards to plunder, but its deferred
+            // lists still drain on this cadence.
             let overflow = self.transfer.plunder(&mut self.bus);
             for (cl, objs) in overflow {
                 self.return_objects(0, cl, &objs, true);
             }
-            // Plunder: the third drain point — a full-barrier adoption of
-            // everything still parked, partial batches included.
+            // The second drain point: a full-barrier adoption of everything
+            // still parked, at any sharding.
             self.drain_deferred();
         }
         if now >= self.next_decay_ns {

@@ -27,17 +27,13 @@ pub const CAPACITY_SCALE: u64 = 8;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FreeArm {
     /// Every free is treated as local, whatever CPU issues it — the
-    /// pre-ownership behaviour, and the byte-identical default.
+    /// paper's TCMalloc, and the byte-identical default.
     #[default]
     OwnerOnly,
     /// rpmalloc-style per-span deferred lists: each remote free pushes the
     /// object onto the owning span's list with one contended CAS; the
     /// owner adopts whole lists at central-refill and plunder drain points.
     AtomicList,
-    /// snmalloc-style batched message passing: remote frees accumulate in
-    /// a sender-side batch and are posted to the owner's inbox when full;
-    /// the owner drains its inbox on a per-CPU cache miss and at plunder.
-    MessagePassing,
 }
 
 impl FreeArm {
@@ -46,7 +42,6 @@ impl FreeArm {
         match self {
             FreeArm::OwnerOnly => "owner-only",
             FreeArm::AtomicList => "atomic-list",
-            FreeArm::MessagePassing => "message-passing",
         }
     }
 }
@@ -252,7 +247,6 @@ mod tests {
         );
         assert_eq!(FreeArm::OwnerOnly.name(), "owner-only");
         assert_eq!(FreeArm::AtomicList.name(), "atomic-list");
-        assert_eq!(FreeArm::MessagePassing.name(), "message-passing");
     }
 
     #[test]

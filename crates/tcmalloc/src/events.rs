@@ -395,8 +395,7 @@ pub enum AllocEvent {
 
     // --- Cross-thread frees (ownership & deferred lists) ---
     /// A free issued by a non-owner vCPU was queued onto the owning span's
-    /// deferred list (atomic-list arm) or the owner's inbox (message-passing
-    /// arm) instead of the local per-CPU cache.
+    /// deferred list instead of the local per-CPU cache.
     RemoteFreeQueued {
         /// The vCPU that issued the free.
         vcpu: usize,

@@ -293,11 +293,7 @@ mod tests {
     #[test]
     fn replay_is_bit_identical() {
         let sched = Schedule::thread_churn(0x1E_AF, 8, 300);
-        for arm in [
-            FreeArm::OwnerOnly,
-            FreeArm::AtomicList,
-            FreeArm::MessagePassing,
-        ] {
+        for arm in [FreeArm::OwnerOnly, FreeArm::AtomicList] {
             let cfg = TcmallocConfig::optimized().with_free_arm(arm);
             let a = replay(cfg, platform(), &sched);
             let b = replay(cfg, platform(), &sched);

@@ -59,7 +59,7 @@ pub mod transfer;
 
 pub use alloc::{AllocOutcome, FreeError, FreeOutcomeInfo, Tcmalloc};
 pub use config::{FreeArm, TcmallocConfig};
-pub use deferred::{DeferredFrees, QueuedVia, MSG_BATCH};
+pub use deferred::DeferredFrees;
 pub use events::{AllocEvent, EventBus, EventSink, Recorder, TraceRing};
 pub use pageheap::{AllocError, OsLayer};
 pub use span::{ArenaStats, SpanId};

@@ -298,7 +298,7 @@ pub struct FragmentationBreakdown {
     /// External: resident free pages held by the pageheap.
     pub pageheap_bytes: u64,
     /// External: objects freed remotely and still parked on deferred lists
-    /// or inboxes (in-flight cross-thread frees, zero under owner-only).
+    /// (in-flight cross-thread frees, zero under owner-only).
     pub deferred_bytes: u64,
     /// Resident heap bytes per the (simulated) kernel.
     pub resident_bytes: u64,

@@ -146,119 +146,111 @@ fn deferred_frees_ride_out_fault_storms() {
     let p = platform();
     let producer = CpuId(0);
     let consumer = CpuId(8); // other LLC domain: every free is remote
-    for arm in [FreeArm::AtomicList, FreeArm::MessagePassing] {
-        for storm in ["thp-outage", "enomem-storm", "latency-spikes"] {
-            let clock = Clock::new();
-            let plan = FaultPlan::named(storm, 0xBAD5EED)
-                .expect("catalogued storm")
-                .with_storm(0, NS_PER_SEC);
-            let cfg = TcmallocConfig::optimized()
-                .with_free_arm(arm)
-                .with_sanitize(SanitizeLevel::Full)
-                .with_event_recorder()
-                .with_os_faults(plan);
-            let mut tcm = Tcmalloc::new(cfg, p.clone(), clock.clone());
+    for storm in ["thp-outage", "enomem-storm", "latency-spikes"] {
+        let clock = Clock::new();
+        let plan = FaultPlan::named(storm, 0xBAD5EED)
+            .expect("catalogued storm")
+            .with_storm(0, NS_PER_SEC);
+        let cfg = TcmallocConfig::optimized()
+            .with_free_arm(FreeArm::AtomicList)
+            .with_sanitize(SanitizeLevel::Full)
+            .with_event_recorder()
+            .with_os_faults(plan);
+        let mut tcm = Tcmalloc::new(cfg, p.clone(), clock.clone());
 
-            // Pipeline churn under the storm. Allocation refusals are
-            // structured errors; successful objects are freed from the
-            // wrong CPU so the deferred arm carries them.
-            let mut live: Vec<(u64, u64)> = Vec::new();
-            let mut max_in_flight = 0u64;
-            for i in 0..1_500u64 {
-                let size = 16 + (i % 97) * 41;
-                if let Ok(a) = tcm.try_malloc(size, producer) {
-                    live.push((a.addr, size));
-                }
-                if i % 16 == 0 {
-                    // Large-path traffic keeps the injector fed (fresh
-                    // mmaps) and, under thp-outage, trips Degraded.
-                    if let Ok(a) = tcm.try_malloc(4 << 20, producer) {
-                        tcm.try_free(a.addr, 4 << 20, consumer)
-                            .expect("valid large free");
-                    }
-                }
-                if live.len() > 24 {
-                    let (addr, size) = live.swap_remove((i * 7) as usize % live.len());
-                    tcm.try_free(addr, size, consumer).expect("valid free");
-                }
-                max_in_flight = max_in_flight.max(tcm.deferred().in_flight());
-                if i % 256 == 0 {
-                    clock.advance(NS_PER_SEC / 20);
-                    tcm.maintain();
+        // Pipeline churn under the storm. Allocation refusals are
+        // structured errors; successful objects are freed from the
+        // wrong CPU so the deferred arm carries them.
+        let mut live: Vec<(u64, u64)> = Vec::new();
+        let mut max_in_flight = 0u64;
+        for i in 0..1_500u64 {
+            let size = 16 + (i % 97) * 41;
+            if let Ok(a) = tcm.try_malloc(size, producer) {
+                live.push((a.addr, size));
+            }
+            if i % 16 == 0 {
+                // Large-path traffic keeps the injector fed (fresh
+                // mmaps) and, under thp-outage, trips Degraded.
+                if let Ok(a) = tcm.try_malloc(4 << 20, producer) {
+                    tcm.try_free(a.addr, 4 << 20, consumer)
+                        .expect("valid large free");
                 }
             }
-            assert!(
-                max_in_flight > 0,
-                "{storm}/{}: no deferred frees were ever in flight",
-                arm.name()
-            );
-
-            // A wild free with remote frees parked: rejected and reported
-            // by the sanitizer, allocator state untouched — no panic.
-            let before = tcm.sanitizer_reports().len();
-            tcm.try_free(0xDEAD_0000, 64, consumer)
-                .expect("sanitizer rejects wild frees as reports, not errors");
-            assert_eq!(
-                tcm.sanitizer_reports().len(),
-                before + 1,
-                "{storm}/{}: wild free reported",
-                arm.name()
-            );
-            let degraded_seen = tcm.os_degraded();
-
-            // Teardown: every object the application got is freed, then
-            // the settling drain adopts everything parked.
-            for (addr, size) in live.drain(..) {
-                tcm.try_free(addr, size, consumer).expect("teardown free");
+            if live.len() > 24 {
+                let (addr, size) = live.swap_remove((i * 7) as usize % live.len());
+                tcm.try_free(addr, size, consumer).expect("valid free");
             }
-            tcm.drain_deferred();
-            assert_eq!(
-                tcm.deferred().in_flight(),
-                0,
-                "{storm}/{}: drain left remote frees parked",
-                arm.name()
-            );
-            assert_eq!(tcm.live_objects(), 0, "{storm}/{}: object lost", arm.name());
-
-            // Storm closes: service recovers, conservation audit clean.
-            while clock.now_ns() < 2 * NS_PER_SEC {
-                clock.advance(NS_PER_SEC / 4);
+            max_in_flight = max_in_flight.max(tcm.deferred().in_flight());
+            if i % 256 == 0 {
+                clock.advance(NS_PER_SEC / 20);
                 tcm.maintain();
             }
-            assert!(!tcm.os_degraded(), "{storm}/{}: still degraded", arm.name());
-            if degraded_seen {
-                assert!(
-                    tcm.recorded_events()
-                        .iter()
-                        .any(|e| matches!(e, AllocEvent::Recovered { .. })),
-                    "{storm}/{}: degradation never recovered",
-                    arm.name()
-                );
-            }
-            assert_eq!(tcm.audit_now(), 0, "{storm}/{}: audit dirty", arm.name());
-            let reports = tcm.take_sanitizer_reports();
-            assert_eq!(
-                reports.len(),
-                1,
-                "{storm}/{}: only the deliberate wild free may be reported: {reports:?}",
-                arm.name()
-            );
+        }
+        assert!(
+            max_in_flight > 0,
+            "{storm}: no deferred frees were ever in flight"
+        );
 
-            // With the sanitizer off, the same wild free is a structured
-            // error — the fallible API never panics, deferred arm or not.
-            let cfg_off = TcmallocConfig::optimized().with_free_arm(arm);
-            let mut bare = Tcmalloc::new(cfg_off, p.clone(), Clock::new());
-            let a = bare.malloc(64, producer);
-            bare.free(a.addr, 64, consumer); // park one remote free
-            assert_eq!(
-                bare.try_free(0xBAD_F00D << 20, 8 << 20, consumer),
-                Err(FreeError::InvalidFree {
-                    addr: 0xBAD_F00D << 20
-                }),
-                "{}: wild large free must be a structured error",
-                arm.name()
+        // A wild free with remote frees parked: rejected and reported
+        // by the sanitizer, allocator state untouched — no panic.
+        let before = tcm.sanitizer_reports().len();
+        tcm.try_free(0xDEAD_0000, 64, consumer)
+            .expect("sanitizer rejects wild frees as reports, not errors");
+        assert_eq!(
+            tcm.sanitizer_reports().len(),
+            before + 1,
+            "{storm}: wild free reported"
+        );
+        let degraded_seen = tcm.os_degraded();
+
+        // Teardown: every object the application got is freed, then
+        // the settling drain adopts everything parked.
+        for (addr, size) in live.drain(..) {
+            tcm.try_free(addr, size, consumer).expect("teardown free");
+        }
+        tcm.drain_deferred();
+        assert_eq!(
+            tcm.deferred().in_flight(),
+            0,
+            "{storm}: drain left remote frees parked"
+        );
+        assert_eq!(tcm.live_objects(), 0, "{storm}: object lost");
+
+        // Storm closes: service recovers, conservation audit clean.
+        while clock.now_ns() < 2 * NS_PER_SEC {
+            clock.advance(NS_PER_SEC / 4);
+            tcm.maintain();
+        }
+        assert!(!tcm.os_degraded(), "{storm}: still degraded");
+        if degraded_seen {
+            assert!(
+                tcm.recorded_events()
+                    .iter()
+                    .any(|e| matches!(e, AllocEvent::Recovered { .. })),
+                "{storm}: degradation never recovered"
             );
         }
+        assert_eq!(tcm.audit_now(), 0, "{storm}: audit dirty");
+        let reports = tcm.take_sanitizer_reports();
+        assert_eq!(
+            reports.len(),
+            1,
+            "{storm}: only the deliberate wild free may be reported: {reports:?}"
+        );
+
+        // With the sanitizer off, the same wild free is a structured
+        // error — the fallible API never panics, deferred arm or not.
+        let cfg_off = TcmallocConfig::optimized().with_free_arm(FreeArm::AtomicList);
+        let mut bare = Tcmalloc::new(cfg_off, p.clone(), Clock::new());
+        let a = bare.malloc(64, producer);
+        bare.free(a.addr, 64, consumer); // park one remote free
+        assert_eq!(
+            bare.try_free(0xBAD_F00D << 20, 8 << 20, consumer),
+            Err(FreeError::InvalidFree {
+                addr: 0xBAD_F00D << 20
+            }),
+            "{storm}: wild large free must be a structured error"
+        );
     }
 }
 

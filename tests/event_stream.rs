@@ -11,23 +11,20 @@
 //!    set exactly, and replaying `MallocDone` / `FreeDone` reconstructs
 //!    live bytes and live objects exactly. The stream is therefore a
 //!    complete record of the heap, not a best-effort log.
-//! 4. **Observers neither steer nor pay** — the same op stream through an
-//!    allocator nobody listens to and through one watched by each kind of
-//!    observer returns the same addresses, tiers and nanoseconds and books
-//!    the same cycle ledger after *every* operation; the recorded stream
-//!    replayed through a fresh [`StatsView`] rebuilds that ledger.
+//!
+//! That observers neither steer nor pay — the same op stream with and
+//! without each kind of observer returns the same addresses, tiers and
+//! nanoseconds and books the same ledger after every operation — is
+//! checked over every config cell in `tests/config_lattice.rs`.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 use wsc_parallel::Engine;
-use wsc_prng::SmallRng;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
 use wsc_sim_os::pagetable::PageTable;
-use wsc_tcmalloc::events::{EventSink, EvictReason};
-use wsc_tcmalloc::stats::StatsView;
-use wsc_tcmalloc::{AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::events::EvictReason;
+use wsc_tcmalloc::{AllocEvent, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{run, run_batch, DriverConfig, RunJob};
 use wsc_workload::profiles;
 
@@ -321,166 +318,4 @@ fn replaying_the_stream_reconstructs_the_heap() {
         "MallocDone/FreeDone replay reconstructs the object count"
     );
     assert!(tcm.live_bytes() > 0, "run left live objects to account for");
-}
-
-/// A sink that shares what it saw with the test.
-struct Shared(Arc<Mutex<Vec<AllocEvent>>>);
-
-impl EventSink for Shared {
-    fn on_event(&mut self, _ts_ns: u64, ev: &AllocEvent) {
-        self.0.lock().expect("sink lock").push(*ev);
-    }
-}
-
-#[test]
-fn observers_change_no_address_price_or_ledger() {
-    const OPS: u64 = 6_000;
-    const ATTACH_AT: u64 = OPS / 2;
-    // CPUs in an order that alternates LLC domains, so even the four-CPU
-    // phases cross the domain boundary.
-    let cpus: Vec<CpuId> = (0..8).flat_map(|i| [CpuId(i), CpuId(i + 8)]).collect();
-    let spec = profiles::fleet_mix();
-    for arm in [
-        FreeArm::OwnerOnly,
-        FreeArm::AtomicList,
-        FreeArm::MessagePassing,
-    ] {
-        let mut base = TcmallocConfig::optimized().with_free_arm(arm);
-        base.sample_period_bytes = 64 << 10;
-        // [0] nobody listens, [1] recorder, [2] trace ring, [3] sanitizer,
-        // [4] a sink attached half-way.
-        let cfgs = [
-            base,
-            base.with_event_recorder(),
-            base.with_trace(256),
-            base.with_sanitize(SanitizeLevel::Full),
-            base,
-        ];
-        let mut tcms: Vec<(Tcmalloc, Clock)> = cfgs
-            .iter()
-            .map(|&cfg| {
-                let clock = Clock::new();
-                (Tcmalloc::new(cfg, platform(), clock.clone()), clock)
-            })
-            .collect();
-        let late = Arc::new(Mutex::new(Vec::new()));
-        let mut recorded_at_attach = 0;
-
-        let mut rng = SmallRng::seed_from_u64(0x0B5E + arm as u64);
-        let mut live: Vec<(u64, u64)> = Vec::new();
-        let mut reported_ns = 0.0f64;
-        for i in 0..OPS {
-            if i == ATTACH_AT {
-                tcms[4].0.attach_sink(Box::new(Shared(late.clone())));
-                recorded_at_attach = tcms[1].0.recorded_events().len();
-            }
-            let active = 4 + (i / 500) as usize % 13;
-            let cpu = cpus[rng.gen_range(0..active)];
-            let free = live.len() > 1_500 || (!live.is_empty() && rng.gen::<f64>() < 0.45);
-            let results: Vec<(u64, _, u64)> = if free {
-                let (addr, size) = live.swap_remove(rng.gen_range(0..live.len()));
-                tcms.iter_mut()
-                    .map(|(t, _)| {
-                        let f = t.free(addr, size, cpu);
-                        (addr, f.path, f.ns.to_bits())
-                    })
-                    .collect()
-            } else {
-                let size = if i % 97 == 0 {
-                    [300 << 10, 1 << 20, 3 << 20, 4 << 20][(i / 97 % 4) as usize]
-                } else {
-                    spec.sample_size(i * 1_000, &mut rng).0
-                };
-                let results: Vec<_> = tcms
-                    .iter_mut()
-                    .map(|(t, _)| {
-                        let a = t.malloc(size, cpu);
-                        (a.addr, a.path, a.ns.to_bits())
-                    })
-                    .collect();
-                live.push((results[0].0, size));
-                results
-            };
-            for (t, clock) in &mut tcms {
-                clock.advance(250_000);
-                t.maintain();
-            }
-            for (k, r) in results.iter().enumerate() {
-                assert_eq!(*r, results[0], "{arm:?} op {i}: allocator {k} diverged");
-            }
-            reported_ns += f64::from_bits(results[0].2);
-            // No flush, no drain point: the ledger is exact as the op returns.
-            for k in 1..tcms.len() {
-                assert_eq!(
-                    tcms[k].0.cycles(),
-                    tcms[0].0.cycles(),
-                    "{arm:?} op {i}: allocator {k} booked a different ledger"
-                );
-            }
-        }
-
-        let (quiet, recorder) = (&tcms[0].0, &tcms[1].0);
-        // The stream was not vacuous: fast path, sampling, every background
-        // pass and (on the deferred arms) remote frees all happened.
-        let seen: BTreeSet<&str> = recorder
-            .recorded_events()
-            .iter()
-            .map(AllocEvent::kind)
-            .collect();
-        let mut expected = vec![
-            "PerCpuHit",
-            "PerCpuMiss",
-            "PerCpuOverflow",
-            "SamplerPick",
-            "SampledFree",
-            "ResizerGrow",
-            "TransferEvict",
-            "CachePlace",
-            "HugepageBreak",
-            "SpanRetire",
-        ];
-        if arm != FreeArm::OwnerOnly {
-            expected.extend(["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"]);
-        }
-        for kind in expected {
-            assert!(seen.contains(kind), "{arm:?}: stream never saw {kind}");
-        }
-        assert!(
-            tcms[3].0.sanitizer_reports().is_empty(),
-            "{arm:?}: sanitizer"
-        );
-
-        // Nothing is booked that no operation reported: the ledger is the
-        // returned nanoseconds plus the cross-thread synchronisation charges.
-        let booked = quiet.cycles().total_ns() - quiet.cycles().ns(CycleCategory::Contention);
-        assert!(
-            (booked - reported_ns).abs() <= 1e-9 * reported_ns,
-            "{arm:?}: booked {booked} ns, operations reported {reported_ns} ns"
-        );
-
-        // Replaying the recorded stream alone rebuilds ledger and profile.
-        let mut replayed = StatsView::new(*recorder.cost_model());
-        for ev in recorder.recorded_events() {
-            replayed.on_event(0, ev);
-        }
-        assert_eq!(
-            replayed.cycles(),
-            quiet.cycles(),
-            "{arm:?}: replayed ledger"
-        );
-        assert_eq!(
-            format!("{:?}", replayed.profile()),
-            format!("{:?}", quiet.profile()),
-            "{arm:?}: replayed profile"
-        );
-        assert!(quiet.profile().size_by_count.count() > 0.0);
-
-        // The late sink saw exactly what the recorder saw from the first
-        // operation after the attach onwards.
-        assert_eq!(
-            late.lock().expect("sink lock").as_slice(),
-            &recorder.recorded_events()[recorded_at_attach..],
-            "{arm:?}: late sink"
-        );
-    }
 }

@@ -3,7 +3,9 @@
 //!
 //! Deterministic seeded-loop properties (hermetic replacement for the
 //! original proptest strategies): each case derives its operation sequence
-//! from a [`wsc_prng::SmallRng`] stream seeded with the case index.
+//! from a [`wsc_prng::SmallRng`] stream seeded with the case index. The
+//! same op mix over every config cell, checked op by op against an
+//! event-fed shadow heap, is `tests/config_lattice.rs`.
 
 use std::collections::HashMap;
 use warehouse_alloc::sim_hw::topology::{CpuId, Platform};
@@ -282,9 +284,9 @@ fn pagemap_matches_btreemap_oracle() {
 #[test]
 fn random_interleavings_replay_bit_identical_and_match_the_oracle() {
     // Property: for arbitrary seeded ownership/free-site schedules,
-    // (a) replaying the same schedule twice under a deferred free arm is
+    // (a) replaying the same schedule twice under the deferred free arm is
     // bit-identical (fingerprint of the complete event stream included),
-    // (b) the deferred arms' final heap agrees with the owner-only oracle
+    // (b) the deferred arm's final heap agrees with the owner-only oracle
     // on the live set and its accounting, (c) the settling drain leaves
     // nothing in flight, and (d) the full sanitizer stays silent.
     use warehouse_alloc::tcmalloc::interleave::{replay, Schedule};
@@ -308,27 +310,19 @@ fn random_interleavings_replay_bit_identical_and_match_the_oracle() {
             &sched,
         );
         assert_eq!(oracle.sanitizer_findings, 0, "case {case}: oracle dirty");
-        for arm in [FreeArm::AtomicList, FreeArm::MessagePassing] {
-            let cfg = TcmallocConfig::optimized()
-                .with_free_arm(arm)
-                .with_sanitize(SanitizeLevel::Full);
-            let a = replay(cfg, platform.clone(), &sched);
-            let b = replay(cfg, platform.clone(), &sched);
-            assert_eq!(a, b, "case {case}/{}: replay diverged", arm.name());
-            assert_eq!(
-                (a.live_objects, a.live_bytes, &a.live_sizes),
-                (oracle.live_objects, oracle.live_bytes, &oracle.live_sizes),
-                "case {case}/{}: live set diverged from the owner-only oracle",
-                arm.name()
-            );
-            assert_eq!(a.in_flight, 0, "case {case}/{}: undrained", arm.name());
-            assert_eq!(
-                a.sanitizer_findings,
-                0,
-                "case {case}/{}: sanitizer findings",
-                arm.name()
-            );
-        }
+        let cfg = TcmallocConfig::optimized()
+            .with_free_arm(FreeArm::AtomicList)
+            .with_sanitize(SanitizeLevel::Full);
+        let a = replay(cfg, platform.clone(), &sched);
+        let b = replay(cfg, platform, &sched);
+        assert_eq!(a, b, "case {case}: replay diverged");
+        assert_eq!(
+            (a.live_objects, a.live_bytes, &a.live_sizes),
+            (oracle.live_objects, oracle.live_bytes, &oracle.live_sizes),
+            "case {case}: live set diverged from the owner-only oracle"
+        );
+        assert_eq!(a.in_flight, 0, "case {case}: undrained");
+        assert_eq!(a.sanitizer_findings, 0, "case {case}: sanitizer findings");
     }
 }
 

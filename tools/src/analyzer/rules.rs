@@ -134,10 +134,9 @@ const OS_SANCTIONED: &[&str] = &["crates/sim-os/", "crates/tcmalloc/src/pageheap
 
 /// Modules sanctioned to hold concurrency primitives: the experiment
 /// engine, and the deferred cross-thread free module — the contention-real
-/// piece of the allocator core (ROADMAP item 1), whose per-span lists and
-/// message inboxes are the one place the simulated allocator legitimately
-/// models shared mutable state. Everything else in the deterministic core
-/// stays single-threaded.
+/// piece of the allocator core, whose per-span lists are the one place the
+/// simulated allocator legitimately models shared mutable state.
+/// Everything else in the deterministic core stays single-threaded.
 const CONCURRENCY_SANCTIONED: &[&str] = &["crates/parallel/", "crates/tcmalloc/src/deferred"];
 
 /// Method names that mutate kernel state (see [`OS_SANCTIONED`]).

@@ -42,8 +42,8 @@ fn store(b: &AtomicBool) {
     let _ = cmp;
 }
 //@ file: crates/tcmalloc/src/deferred.rs
-// The deferred cross-thread free module is sanctioned: per-span lists and
-// message inboxes are the allocator's one legitimate shared-state model.
+// The deferred cross-thread free module is sanctioned: its per-span lists
+// are the allocator's one legitimate shared-state model.
 // lint:lock-order(span_lists, inboxes)
 fn park(span_lists: &Mutex<u32>, inboxes: &Mutex<u32>) {
     let _l = span_lists.lock();
