@@ -50,6 +50,24 @@ fn info_and_replay_refuse_a_file_they_cannot_read_or_parse() {
     }
 }
 
+/// FNV-1a, 64-bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The Chrome-trace export is pinned byte for byte: lanes, kinds and
+/// every event's `args` are written as they always have been.
+#[test]
+fn chrome_trace_export_is_pinned() {
+    let file = format!("{}/trace_cli_fleet.json", env!("CARGO_TARGET_TMPDIR"));
+    assert!(trace(&["events", "fleet", "2000", &file]).status.success());
+    let json = std::fs::read(&file).expect("read the exported trace");
+    assert_eq!(json.len(), 9_468_007);
+    assert_eq!(fnv64(&json), 0xdf03_75c6_1c8c_7567);
+}
+
 #[test]
 fn a_recorded_trace_replays() {
     let file = format!("{}/trace_cli_recorded.trace", env!("CARGO_TARGET_TMPDIR"));

@@ -568,7 +568,8 @@ mod tests {
     /// shadow, one per-CPU cached object, the rest free on the span.
     fn consistent() -> (Snapshot, ShadowState) {
         let mut shadow = ShadowState::new();
-        shadow.record_alloc(0x10000, 64, Some(3), 0, 0x10000, 2);
+        shadow.map_span(0, 0x10000, 2, Some(3));
+        shadow.record_alloc(0x10000, 64);
         let snap = Snapshot {
             classes: vec![ClassTierSnapshot {
                 class: 3,
@@ -824,9 +825,10 @@ mod tests {
     #[test]
     fn class_mismatch_between_object_and_span_flagged() {
         let (mut snap, mut shadow) = consistent();
-        // A second span of a different class; plant a live object of class 3
-        // inside it.
-        shadow.record_alloc(0x40000, 64, Some(3), 1, 0x40000, 1);
+        // A second span the shadow saw announced as class 3, which the
+        // allocator reports as class 7; plant a live object inside it.
+        shadow.map_span(1, 0x40000, 1, Some(3));
+        shadow.record_alloc(0x40000, 64);
         snap.spans.push(SpanSnapshot {
             id: 1,
             start: 0x40000,

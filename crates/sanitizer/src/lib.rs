@@ -112,22 +112,22 @@ impl Sanitizer {
         std::mem::take(&mut self.reports)
     }
 
-    /// Records an allocation in the shadow (no-op when off).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_alloc(
-        &mut self,
-        addr: u64,
-        size: u64,
-        class: Option<u16>,
-        span: u32,
-        span_start: u64,
-        span_pages: u32,
-    ) {
+    /// Maps a span the allocator announced in the shadow's page mirror
+    /// (no-op when off).
+    pub fn map_span(&mut self, span: u32, start: u64, pages: u32, class: Option<u16>) {
         if !self.level.is_on() {
             return;
         }
-        self.shadow
-            .record_alloc(addr, size, class, span, span_start, span_pages);
+        self.shadow.map_span(span, start, pages, class);
+        self.drain_shadow();
+    }
+
+    /// Records an allocation in the shadow (no-op when off).
+    pub fn record_alloc(&mut self, addr: u64, size: u64) {
+        if !self.level.is_on() {
+            return;
+        }
+        self.shadow.record_alloc(addr, size);
         self.drain_shadow();
     }
 
@@ -148,7 +148,7 @@ impl Sanitizer {
 
     /// Tells the sanitizer a span returned to the pageheap, so the page
     /// mirror stays fresh and leaked objects surface immediately.
-    pub fn on_span_released(&mut self, span_start: u64) {
+    pub fn forget_span(&mut self, span_start: u64) {
         if !self.level.is_on() {
             return;
         }
@@ -197,7 +197,8 @@ mod tests {
     #[test]
     fn off_level_is_free() {
         let mut s = Sanitizer::new(SanitizeLevel::Off);
-        s.record_alloc(0x1000, 64, Some(1), 0, 0x1000, 1);
+        s.map_span(0, 0x1000, 1, Some(1));
+        s.record_alloc(0x1000, 64);
         assert_eq!(s.check_free(0xdead, None), None);
         assert!(!s.audit_due());
         assert!(s.reports().is_empty());
@@ -207,7 +208,8 @@ mod tests {
     #[test]
     fn full_level_checks_and_audits() {
         let mut s = Sanitizer::new(SanitizeLevel::Full);
-        s.record_alloc(0x10000, 64, Some(1), 0, 0x10000, 1);
+        s.map_span(0, 0x10000, 1, Some(1));
+        s.record_alloc(0x10000, 64);
         assert_eq!(s.check_free(0x10000, Some(1)), None);
         assert_eq!(s.check_free(0x10000, Some(1)), Some(ErrorKind::DoubleFree));
         assert_eq!(s.reports().len(), 1);
@@ -238,7 +240,8 @@ mod tests {
     #[test]
     fn audit_reconciles_released_spans() {
         let mut s = Sanitizer::new(SanitizeLevel::Full);
-        s.record_alloc(0x10000, 64, Some(1), 0, 0x10000, 1);
+        s.map_span(0, 0x10000, 1, Some(1));
+        s.record_alloc(0x10000, 64);
         assert_eq!(s.check_free(0x10000, Some(1)), None);
         // The span drained and was released; the next audit's snapshot no
         // longer lists it. Books stay balanced.

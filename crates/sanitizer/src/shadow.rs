@@ -4,11 +4,13 @@
 //! allocator metadata demands:
 //!
 //! * **8 KiB pages** — which span (id, class, extent) covers each TCMalloc
-//!   page, mirrored from the allocation events themselves rather than read
-//!   out of the allocator's pagemap, so pagemap corruption is observable.
-//! * **Objects** — every address handed to the application, with its size,
-//!   class, and owning span, plus a tombstone for every address the
-//!   application has returned.
+//!   page, learned only from the spans the event stream announces
+//!   ([`ShadowState::map_span`] on `SpanAlloc`, [`ShadowState::forget_span`]
+//!   on `SpanRetire`) and never read out of the allocator's pagemap, so
+//!   pagemap corruption is observable.
+//! * **Objects** — every address handed to the application, with its size
+//!   and the class and id of the announced span it landed on, plus a
+//!   tombstone for every address the application has returned.
 //!
 //! The moment-of-operation checks classify a bad free precisely: a
 //! tombstoned address is a [`ErrorKind::DoubleFree`]; an interior pointer
@@ -17,7 +19,9 @@
 //! [`ErrorKind::InvalidFree`]; an address no span covers is a
 //! [`ErrorKind::UseOfUnmappedAddress`]; a sized free with the wrong class
 //! is a [`ErrorKind::WrongSizeClassFree`]. Allocations are checked for
-//! overlap against every live object and for landing inside mapped pages.
+//! overlap against every live object and for lying inside one announced
+//! span; an object on no announced span is a
+//! [`ErrorKind::UseOfUnmappedAddress`] and is not recorded.
 //!
 //! Tombstones persist after their span is released: the application freeing
 //! an address it no longer owns is a double free regardless of what the
@@ -131,34 +135,14 @@ impl ShadowState {
         (addr < start + s.pages as u64 * TCMALLOC_PAGE_BYTES).then_some((start, *s))
     }
 
-    /// Mirrors a span the allocator just allocated from. Idempotent per
-    /// (start, extent); a conflicting overlap is itself reported.
-    fn note_span(&mut self, span: u32, start: u64, pages: u32, class: Option<u16>) {
-        let bytes = pages as u64 * TCMALLOC_PAGE_BYTES;
-        if let Some((s_start, s)) = self.span_at(start) {
-            if s_start == start && s.pages == pages {
-                // Same extent: refresh id/class (ids are recycled).
-                self.spans.insert(
-                    start,
-                    SpanShadow {
-                        span,
-                        pages,
-                        size_class: class,
-                    },
-                );
-                return;
-            }
-            // A different extent still covering this start: the old span
-            // must be gone — forget it, then fall through to insert.
-            self.forget_span(s_start);
-        }
-        // Drop any stale shadow spans inside the new extent.
-        let stale: Vec<u64> = self
-            .spans
-            .range(start..start + bytes)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in stale {
+    /// Maps a span the allocator announced (`SpanAlloc`). Any span the
+    /// new extent overlaps must be gone: it is forgotten first, which
+    /// reports objects still live on it.
+    pub fn map_span(&mut self, span: u32, start: u64, pages: u32, class: Option<u16>) {
+        let end = start + pages as u64 * TCMALLOC_PAGE_BYTES;
+        let covering = self.span_at(start).map(|(s, _)| s);
+        let inside: Vec<u64> = self.spans.range(start..end).map(|(&s, _)| s).collect();
+        for s in covering.into_iter().chain(inside) {
             self.forget_span(s);
         }
         self.spans.insert(
@@ -193,26 +177,28 @@ impl ShadowState {
     }
 
     /// Records an allocation the allocator just performed, checking it
-    /// against the shadow. `span_start`/`span_pages` describe the owning
-    /// span so the page-granular mirror stays current.
-    pub fn record_alloc(
-        &mut self,
-        addr: u64,
-        size: u64,
-        class: Option<u16>,
-        span: u32,
-        span_start: u64,
-        span_pages: u32,
-    ) {
+    /// against the shadow. Class and span id come from the announced span
+    /// the object lies in.
+    pub fn record_alloc(&mut self, addr: u64, size: u64) {
         self.ops += 1;
-        self.note_span(span, span_start, span_pages, class);
-        if self.span_at(addr).is_none() || self.span_at(addr + size.max(1) - 1).is_none() {
+        let Some((start, s)) = self.span_at(addr) else {
+            self.report(
+                ErrorKind::UseOfUnmappedAddress,
+                addr,
+                None,
+                None,
+                format!("allocation of {size} bytes on no announced span"),
+            );
+            return;
+        };
+        let (class, span) = (s.size_class, s.span);
+        if addr + size > start + s.pages as u64 * TCMALLOC_PAGE_BYTES {
             self.report(
                 ErrorKind::UseOfUnmappedAddress,
                 addr,
                 class,
                 Some(span),
-                format!("allocation of {size} bytes extends outside mapped spans"),
+                format!("allocation of {size} bytes extends past its span at {start:#x}"),
             );
         }
         // Overlap: the nearest live object at or below addr must end before
@@ -360,7 +346,8 @@ mod tests {
     fn shadow_with_span() -> ShadowState {
         let mut sh = ShadowState::new();
         // Span 1: two pages at 0x10000, class 3, 64-byte objects.
-        sh.record_alloc(0x10000, 64, Some(3), 1, 0x10000, 2);
+        sh.map_span(1, 0x10000, 2, Some(3));
+        sh.record_alloc(0x10000, 64);
         sh
     }
 
@@ -386,7 +373,7 @@ mod tests {
     fn realloc_clears_tombstone() {
         let mut sh = shadow_with_span();
         let _ = sh.check_free(0x10000, Some(3));
-        sh.record_alloc(0x10000, 64, Some(3), 1, 0x10000, 2);
+        sh.record_alloc(0x10000, 64);
         assert!(matches!(sh.check_free(0x10000, Some(3)), FreeCheck::Ok(_)));
         assert!(sh.reports().is_empty());
     }
@@ -425,17 +412,17 @@ mod tests {
     #[test]
     fn overlapping_allocation_detected() {
         let mut sh = shadow_with_span();
-        sh.record_alloc(0x10000 + 32, 64, Some(3), 1, 0x10000, 2);
+        sh.record_alloc(0x10000 + 32, 64);
         assert_eq!(sh.reports()[0].kind, ErrorKind::OverlappingAllocation);
     }
 
     #[test]
     fn overlap_with_following_object_detected() {
         let mut sh = shadow_with_span();
-        sh.record_alloc(0x10000 - 32 + PG, 64, Some(3), 1, 0x10000, 2);
+        sh.record_alloc(0x10000 - 32 + PG, 64);
         sh.take_reports();
         // New object whose tail crosses into the existing one.
-        sh.record_alloc(0x10000 - 64 + PG, 128, Some(5), 1, 0x10000, 2);
+        sh.record_alloc(0x10000 - 64 + PG, 128);
         assert!(sh
             .reports()
             .iter()
@@ -445,9 +432,27 @@ mod tests {
     #[test]
     fn alloc_outside_spans_detected() {
         let mut sh = ShadowState::new();
-        // Claimed span is one page; the object lands past its end.
-        sh.record_alloc(0x10000 + PG, 64, Some(3), 1, 0x10000, 1);
+        sh.map_span(1, 0x10000, 1, Some(3));
+        // Past the one announced page: no span, so nothing is recorded.
+        sh.record_alloc(0x10000 + PG, 64);
         assert_eq!(sh.reports()[0].kind, ErrorKind::UseOfUnmappedAddress);
+        assert_eq!(sh.live_count(), 0);
+        // Starts inside the span, ends past it.
+        sh.record_alloc(0x10000 + PG - 32, 64);
+        assert_eq!(sh.reports()[1].kind, ErrorKind::UseOfUnmappedAddress);
+        assert_eq!(sh.reports()[1].span, Some(1));
+    }
+
+    #[test]
+    fn map_span_forgets_the_spans_it_covers() {
+        let mut sh = shadow_with_span();
+        sh.map_span(2, 0x10000 + 3 * PG, 1, Some(4));
+        // A four-page span over both: the live object on span 1 is a leak.
+        sh.map_span(3, 0x10000 + PG, 4, Some(5));
+        assert_eq!(sh.mapped_pages(), 4);
+        assert_eq!(sh.reports().len(), 1);
+        assert_eq!(sh.reports()[0].kind, ErrorKind::ObjectConservationViolation);
+        assert_eq!(sh.reports()[0].span, Some(1));
     }
 
     #[test]
@@ -473,7 +478,8 @@ mod tests {
         let mut sh = shadow_with_span();
         let _ = sh.check_free(0x10000, Some(3));
         // Same extent reused for a different class/span id.
-        sh.record_alloc(0x10000, 128, Some(5), 9, 0x10000, 2);
+        sh.map_span(9, 0x10000, 2, Some(5));
+        sh.record_alloc(0x10000, 128);
         assert!(sh.reports().is_empty());
         assert!(matches!(sh.check_free(0x10000, Some(5)), FreeCheck::Ok(_)));
     }
@@ -481,8 +487,9 @@ mod tests {
     #[test]
     fn class_counts() {
         let mut sh = shadow_with_span();
-        sh.record_alloc(0x10000 + 64, 64, Some(3), 1, 0x10000, 2);
-        sh.record_alloc(0x40000, 3 * PG, None, 2, 0x40000, 3);
+        sh.record_alloc(0x10000 + 64, 64);
+        sh.map_span(2, 0x40000, 3, None);
+        sh.record_alloc(0x40000, 3 * PG);
         assert_eq!(sh.live_count_by_class(Some(3)), 2);
         assert_eq!(sh.live_count_by_class(None), 1);
         assert_eq!(sh.mapped_pages(), 5);

@@ -9,7 +9,7 @@
 use crate::central::CentralFreeList;
 use crate::config::{FreeArm, TcmallocConfig, CAPACITY_SCALE};
 use crate::deferred::DeferredFrees;
-use crate::events::{AllocEvent, EventBus, EventSink, SpanRef, TraceRing};
+use crate::events::{AllocEvent, EventBus, EventSink, TraceRing};
 use crate::pageheap::{AllocError, OsLayer, PageHeap};
 use crate::pagemap::Pagemap;
 use crate::percpu::{FreeOutcome, PerCpuCaches};
@@ -280,24 +280,9 @@ impl Tcmalloc {
         self.live_requested_bytes += size;
         self.live_objects += 1;
         self.internal_frag_bytes += actual - size;
-        // Shadow payload: populated only when sanitizing, so the fast path
-        // never pays the pagemap lookup.
-        let (class, span) = if self.cfg.sanitize.is_on() {
-            let span = self.pagemap.span_of(addr).map(|id| {
-                let s = self.spans.get(id);
-                SpanRef {
-                    id: id.0,
-                    start: s.start,
-                    pages: s.pages,
-                }
-            });
-            (class.map(|cl| cl as u16), span)
-        } else {
-            (None, None)
-        };
         let ns = self
             .bus
-            .malloc_done(path, addr, size, actual, prefetched, pick, class, span);
+            .malloc_done(path, addr, size, actual, prefetched, pick);
         if self.cfg.sanitize.is_on() && self.bus.sanitizer_mut().audit_due() {
             self.audit_now();
         }

@@ -15,8 +15,9 @@
 //!   operation once, and the same call charges the ledger and, only if
 //!   someone is listening, builds the record, so cycle attribution is
 //!   consistent by construction,
-//! * the sanitizer's shadow state is fed from `MallocDone` / `SpanRetire`
-//!   events instead of hand-placed calls,
+//! * the sanitizer's shadow state learns spans from `SpanAlloc` /
+//!   `SpanRetire` and objects from `MallocDone` — from the stream alone,
+//!   never from the allocator's pagemap,
 //! * a bounded deterministic [`TraceRing`] exports Chrome trace-event JSON
 //!   (`wsc-bench` `trace --events out.json`, viewable in `chrome://tracing`
 //!   or Perfetto),
@@ -24,6 +25,11 @@
 //!   conservation tests, and
 //! * further [`EventSink`]s [`attach`](EventBus::attach)ed to the bus see
 //!   every event after the built-in consumers.
+//!
+//! Each event kind is declared once, in the `event_catalog!` table below:
+//! its docs, fields and trace lane. The enum, [`AllocEvent::KINDS`],
+//! [`AllocEvent::LANES`], `kind()`, `tier()` and `args_json()` are generated
+//! from that table, so they cannot disagree.
 //!
 //! Determinism: timestamps come from the *simulated* [`Clock`], the fan-out
 //! order is fixed (stats → sanitizer → trace → recorder → extra sinks), and
@@ -83,609 +89,459 @@ impl OsOp {
     }
 }
 
-/// Identity of the span an object lives on, carried by [`AllocEvent::MallocDone`]
-/// for the sanitizer's shadow feed (populated only when sanitizing, so the
-/// fast path never pays the pagemap lookup).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanRef {
-    /// Span id (the registry index).
-    pub id: u32,
-    /// Span base address.
-    pub start: u64,
-    /// Span length in TCMalloc pages.
-    pub pages: u32,
+/// A field type's form in a Chrome trace-event `args` object.
+trait ArgJson {
+    fn write_json(&self, out: &mut String);
 }
 
-/// One cross-tier boundary crossing. Every tier emits through the
-/// [`EventBus`] exactly once at each boundary; consumers subscribe as
-/// [`EventSink`]s instead of instrumenting the tiers themselves.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AllocEvent {
-    // --- Per-CPU front end (§4.1) ---
-    /// Fast-path hit in a per-CPU cache.
-    PerCpuHit {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// Size class.
-        class: u16,
-    },
-    /// Fast-path miss: the request falls through to the transfer tier.
-    PerCpuMiss {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// Size class.
-        class: u16,
-    },
-    /// A free overflowed the per-CPU cache; a batch is shed to the middle
-    /// tiers.
-    PerCpuOverflow {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// Size class.
-        class: u16,
-        /// Objects shed (the overflow batch).
-        shed: u32,
-    },
-    /// The per-slab resizer stole unused capacity from another size class
-    /// of the same vCPU cache to let `class` grow (§4.1: "we prioritize
-    /// shrinking capacity for larger size classes").
-    ResizerSteal {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// The class whose unused capacity was taken.
-        victim_class: u16,
-        /// The class that grows.
-        class: u16,
-        /// Capacity bytes moved.
-        bytes: u64,
-    },
-    /// Periodic rebalance grew a heavy cache's budget.
-    ResizerGrow {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// Budget bytes added.
-        bytes: u64,
-    },
-    /// Periodic rebalance shrank a donor cache's budget.
-    ResizerShrink {
-        /// Dense virtual CPU id.
-        vcpu: usize,
-        /// Budget bytes removed.
-        bytes: u64,
-    },
+macro_rules! arg_json_display {
+    ($($t:ty),*) => {$(
+        impl ArgJson for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+arg_json_display!(usize, u16, u32, u64, bool, f64);
 
-    // --- Transfer cache (§4.2) ---
-    /// Objects fetched from a transfer-cache shard.
-    TransferHit {
-        /// NUCA shard index (0 for the singleton central shard).
-        shard: usize,
-        /// Size class.
-        class: u16,
-        /// Objects moved.
-        count: u32,
-    },
-    /// Objects inserted into a transfer-cache shard.
-    TransferInsert {
-        /// NUCA shard index.
-        shard: usize,
-        /// Size class.
-        class: u16,
-        /// Objects moved.
-        count: u32,
-    },
-    /// Objects evicted from a shard (plunder or decay).
-    TransferEvict {
-        /// NUCA shard index.
-        shard: usize,
-        /// Size class.
-        class: u16,
-        /// Objects evicted.
-        count: u32,
-        /// Why they left.
-        reason: EvictReason,
-    },
+macro_rules! arg_json_name {
+    ($($t:ty),*) => {$(
+        impl ArgJson for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.name());
+                out.push('"');
+            }
+        }
+    )*};
+}
+arg_json_name!(EvictReason, OsOp, AllocPath);
 
-    // --- Central free lists (§4.3) ---
-    /// The central free list refilled the tiers above with a batch.
-    CentralRefill {
-        /// Size class.
-        class: u16,
-        /// Objects handed up.
-        count: u32,
-    },
-    /// A batch of objects returned to the central free list.
-    CentralReturn {
-        /// Size class.
-        class: u16,
-        /// Objects handed down.
-        count: u32,
-    },
-    /// A span was carved from the pageheap.
-    SpanAlloc {
-        /// Span id.
-        id: u32,
-        /// Base address.
-        start: u64,
-        /// Length in TCMalloc pages.
-        pages: u32,
-        /// Size class, or `None` for a large span.
-        class: Option<u16>,
-    },
-    /// A fully-idle span returned to the pageheap (feeds the sanitizer's
-    /// page mirror).
-    SpanRetire {
-        /// Span id.
-        id: u32,
-        /// Base address.
-        start: u64,
-        /// Length in TCMalloc pages.
-        pages: u32,
-        /// Size class, or `None` for a large span.
-        class: Option<u16>,
-    },
-
-    // --- Hugepage-aware pageheap (§4.4) ---
-    /// The filler placed a small run on a (partially used) hugepage.
-    FillerPlace {
-        /// Run base address.
-        addr: u64,
-        /// Run length in TCMalloc pages.
-        pages: u32,
-    },
-    /// The region allocator placed a medium run (> 1, < 2 hugepages).
-    RegionPlace {
-        /// Run base address.
-        addr: u64,
-        /// Run length in TCMalloc pages.
-        pages: u32,
-    },
-    /// The hugepage cache placed a large run (whole hugepages).
-    CachePlace {
-        /// Run base address.
-        addr: u64,
-        /// Run length in TCMalloc pages.
-        pages: u32,
-    },
-
-    // --- OS boundary (simulated kernel) ---
-    /// Hugepages became resident: a fresh `mmap` (`reused: false`) or a
-    /// `reoccupy` of previously subreleased pages (`reused: true`).
-    HugepageFill {
-        /// Base address.
-        base: u64,
-        /// Extent in bytes.
-        bytes: u64,
-        /// Whether this re-occupies an already-mapped extent.
-        reused: bool,
-    },
-    /// Pages subreleased to the OS, breaking the backing hugepage.
-    HugepageBreak {
-        /// Base address of the subreleased run.
-        base: u64,
-        /// Extent in bytes.
-        bytes: u64,
-    },
-    /// Hugepages unmapped back to the OS.
-    HugepageRelease {
-        /// Base address.
-        base: u64,
-        /// Extent in bytes.
-        bytes: u64,
-    },
-
-    // --- OS faults & graceful degradation (§2, §5) ---
-    /// The simulated kernel misbehaved: the call failed (ENOMEM / EAGAIN /
-    /// EINVAL) or took an injected latency excursion.
-    OsFault {
-        /// Which operation was hit.
-        op: OsOp,
-        /// Whether the call failed outright (false = latency spike only).
-        failed: bool,
-        /// Injected latency beyond the nominal syscall cost, ns.
-        latency_ns: u64,
-    },
-    /// `mmap` succeeded but THP compaction failed: the mapping came back
-    /// 4 KiB-backed, lowering hugepage coverage until a collapse re-promotes
-    /// it.
-    BackingDenied {
-        /// Base address of the denied mapping.
-        base: u64,
-        /// Extent in bytes.
-        bytes: u64,
-    },
-    /// A configured memory limit was reached at the OS boundary.
-    LimitHit {
-        /// True for the hard limit (allocation fails), false for the soft
-        /// limit (synchronous release + retry).
-        hard: bool,
-        /// Resident bytes at the moment of the hit.
-        resident: u64,
-        /// The limit, bytes.
-        limit: u64,
-    },
-    /// Synchronous release-and-retry after ENOMEM or a limit hit.
-    ReleaseRetry {
-        /// Retry attempt number (0-based).
-        attempt: u32,
-        /// Bytes released back to the OS before retrying.
-        released_bytes: u64,
-    },
-    /// The pageheap entered degraded mode: at least one injected OS fault
-    /// or denied backing since the last healthy state.
-    Degraded {
-        /// 4 KiB-backed hugepages currently awaiting re-promotion.
-        denied_hugepages: u64,
-    },
-    /// The pageheap recovered: every denied hugepage re-promoted and no
-    /// faults observed since the last maintenance pass.
-    Recovered {
-        /// Hugepages re-promoted over the whole degraded episode.
-        repromoted: u64,
-    },
-
-    // --- Pagemap ---
-    /// A span's pages were entered into the pagemap.
-    PagemapSet {
-        /// First-page address.
-        addr: u64,
-        /// Pages covered.
-        pages: u32,
-    },
-    /// A span's pages were cleared from the pagemap.
-    PagemapClear {
-        /// First-page address.
-        addr: u64,
-        /// Pages covered.
-        pages: u32,
-    },
-
-    // --- Sampler / operation completion ---
-    /// The GWP sampler picked this allocation (1 per ~2 MiB allocated).
-    SamplerPick {
-        /// Object address.
-        addr: u64,
-        /// Requested bytes.
-        size: u64,
-        /// Allocation-site hash.
-        site: u64,
-        /// Simulated time of the pick.
-        now_ns: u64,
-        /// Inverse sampling probability (objects represented).
-        weight: f64,
-    },
-    /// A sampled object was freed; its lifetime is now known.
-    SampledFree {
-        /// Requested bytes at allocation.
-        size: u64,
-        /// Observed lifetime.
-        lifetime_ns: u64,
-        /// Sampling weight.
-        weight: f64,
-    },
-    /// An allocation completed. Carries everything the derived views need:
-    /// the satisfying tier for cycle charging, the shadow payload for the
-    /// sanitizer, and the byte sizes for conservation.
-    MallocDone {
-        /// Tier that satisfied the request.
-        path: AllocPath,
-        /// Object address.
-        addr: u64,
-        /// Requested bytes.
-        size: u64,
-        /// Bytes actually reserved (size-class rounding).
-        actual: u64,
-        /// Whether the next-object prefetch was issued.
-        prefetched: bool,
-        /// Whether this allocation was sampled.
-        sampled: bool,
-        /// Size class (populated only when sanitizing).
-        class: Option<u16>,
-        /// Span identity (populated only when sanitizing).
-        span: Option<SpanRef>,
-    },
-    /// A free completed.
-    FreeDone {
-        /// Tier that absorbed the free.
-        path: AllocPath,
-        /// Object address.
-        addr: u64,
-        /// Requested bytes at allocation.
-        size: u64,
-    },
-
-    // --- Cross-thread frees (ownership & deferred lists) ---
-    /// A free issued by a non-owner vCPU was queued onto the owning span's
-    /// deferred list instead of the local per-CPU cache.
-    RemoteFreeQueued {
-        /// The vCPU that issued the free.
-        vcpu: usize,
-        /// The vCPU that owns the object's span.
-        owner: usize,
-        /// Size class.
-        class: u16,
-        /// Object address.
-        addr: u64,
-    },
-    /// A batch of deferred remote frees was adopted by the owning side at a
-    /// deterministic drain point and returned to the middle tiers.
-    RemoteFreeDrained {
-        /// The vCPU performing the drain (the adopting side).
-        vcpu: usize,
-        /// Size class.
-        class: u16,
-        /// Objects drained.
-        count: u32,
-    },
-    /// Synchronization cost charged for cross-thread traffic: a contended
-    /// CAS, a message-batch handoff, or a deferred-list detach.
-    ContentionCharged {
-        /// The vCPU paying the cost.
-        vcpu: usize,
-        /// Cost-model nanoseconds charged.
-        ns: f64,
-    },
+impl ArgJson for Option<u16> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
-impl AllocEvent {
-    /// Discriminant names, in declaration order — the event taxonomy.
-    pub const KINDS: [&'static str; 34] = [
-        "PerCpuHit",
-        "PerCpuMiss",
-        "PerCpuOverflow",
-        "ResizerSteal",
-        "ResizerGrow",
-        "ResizerShrink",
-        "TransferHit",
-        "TransferInsert",
-        "TransferEvict",
-        "CentralRefill",
-        "CentralReturn",
-        "SpanAlloc",
-        "SpanRetire",
-        "FillerPlace",
-        "RegionPlace",
-        "CachePlace",
-        "HugepageFill",
-        "HugepageBreak",
-        "HugepageRelease",
-        "OsFault",
-        "BackingDenied",
-        "LimitHit",
-        "ReleaseRetry",
-        "Degraded",
-        "Recovered",
-        "PagemapSet",
-        "PagemapClear",
-        "SamplerPick",
-        "SampledFree",
-        "MallocDone",
-        "FreeDone",
-        "RemoteFreeQueued",
-        "RemoteFreeDrained",
-        "ContentionCharged",
-    ];
-
-    /// This event's discriminant name (an entry of [`Self::KINDS`]).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            AllocEvent::PerCpuHit { .. } => "PerCpuHit",
-            AllocEvent::PerCpuMiss { .. } => "PerCpuMiss",
-            AllocEvent::PerCpuOverflow { .. } => "PerCpuOverflow",
-            AllocEvent::ResizerSteal { .. } => "ResizerSteal",
-            AllocEvent::ResizerGrow { .. } => "ResizerGrow",
-            AllocEvent::ResizerShrink { .. } => "ResizerShrink",
-            AllocEvent::TransferHit { .. } => "TransferHit",
-            AllocEvent::TransferInsert { .. } => "TransferInsert",
-            AllocEvent::TransferEvict { .. } => "TransferEvict",
-            AllocEvent::CentralRefill { .. } => "CentralRefill",
-            AllocEvent::CentralReturn { .. } => "CentralReturn",
-            AllocEvent::SpanAlloc { .. } => "SpanAlloc",
-            AllocEvent::SpanRetire { .. } => "SpanRetire",
-            AllocEvent::FillerPlace { .. } => "FillerPlace",
-            AllocEvent::RegionPlace { .. } => "RegionPlace",
-            AllocEvent::CachePlace { .. } => "CachePlace",
-            AllocEvent::HugepageFill { .. } => "HugepageFill",
-            AllocEvent::HugepageBreak { .. } => "HugepageBreak",
-            AllocEvent::HugepageRelease { .. } => "HugepageRelease",
-            AllocEvent::OsFault { .. } => "OsFault",
-            AllocEvent::BackingDenied { .. } => "BackingDenied",
-            AllocEvent::LimitHit { .. } => "LimitHit",
-            AllocEvent::ReleaseRetry { .. } => "ReleaseRetry",
-            AllocEvent::Degraded { .. } => "Degraded",
-            AllocEvent::Recovered { .. } => "Recovered",
-            AllocEvent::PagemapSet { .. } => "PagemapSet",
-            AllocEvent::PagemapClear { .. } => "PagemapClear",
-            AllocEvent::SamplerPick { .. } => "SamplerPick",
-            AllocEvent::SampledFree { .. } => "SampledFree",
-            AllocEvent::MallocDone { .. } => "MallocDone",
-            AllocEvent::FreeDone { .. } => "FreeDone",
-            AllocEvent::RemoteFreeQueued { .. } => "RemoteFreeQueued",
-            AllocEvent::RemoteFreeDrained { .. } => "RemoteFreeDrained",
-            AllocEvent::ContentionCharged { .. } => "ContentionCharged",
-        }
+/// Appends `"name":value` to an `args` object opened with `{`.
+fn json_field(out: &mut String, name: &str, value: &impl ArgJson) {
+    if out.len() > 1 {
+        out.push(',');
     }
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+    value.write_json(out);
+}
 
-    /// The tier (trace lane) an event belongs to.
-    pub fn tier(&self) -> &'static str {
-        match self {
-            AllocEvent::PerCpuHit { .. }
-            | AllocEvent::PerCpuMiss { .. }
-            | AllocEvent::PerCpuOverflow { .. }
-            | AllocEvent::ResizerSteal { .. }
-            | AllocEvent::ResizerGrow { .. }
-            | AllocEvent::ResizerShrink { .. }
-            | AllocEvent::RemoteFreeQueued { .. }
-            | AllocEvent::RemoteFreeDrained { .. } => "percpu",
-            AllocEvent::TransferHit { .. }
-            | AllocEvent::TransferInsert { .. }
-            | AllocEvent::TransferEvict { .. } => "transfer",
-            AllocEvent::CentralRefill { .. }
-            | AllocEvent::CentralReturn { .. }
-            | AllocEvent::SpanAlloc { .. }
-            | AllocEvent::SpanRetire { .. } => "central",
-            AllocEvent::FillerPlace { .. }
-            | AllocEvent::RegionPlace { .. }
-            | AllocEvent::CachePlace { .. } => "pageheap",
-            AllocEvent::HugepageFill { .. }
-            | AllocEvent::HugepageBreak { .. }
-            | AllocEvent::HugepageRelease { .. }
-            | AllocEvent::OsFault { .. }
-            | AllocEvent::BackingDenied { .. }
-            | AllocEvent::LimitHit { .. }
-            | AllocEvent::ReleaseRetry { .. }
-            | AllocEvent::Degraded { .. }
-            | AllocEvent::Recovered { .. } => "os",
-            AllocEvent::PagemapSet { .. } | AllocEvent::PagemapClear { .. } => "pagemap",
-            AllocEvent::SamplerPick { .. }
-            | AllocEvent::SampledFree { .. }
-            | AllocEvent::MallocDone { .. }
-            | AllocEvent::FreeDone { .. }
-            | AllocEvent::ContentionCharged { .. } => "op",
+/// Declares the event catalog once: the trace lanes, then every variant
+/// with its docs, `#[lane(..)]` and fields. Generates the enum, `KINDS`,
+/// `LANES`, `kind()`, `tier()` and `args_json()` from that one table.
+macro_rules! event_catalog {
+    (
+        lanes { $($lane:ident),* $(,)? }
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[doc = $doc:literal])*
+                #[lane($in_lane:ident)] $variant:ident {
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+                }
+            ),* $(,)?
         }
-    }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[doc = $doc])* $variant { $($(#[$fmeta])* $field: $ty),* },)*
+        }
 
-    /// The event payload as a Chrome trace-event `args` JSON object.
-    pub fn args_json(&self) -> String {
-        match *self {
-            AllocEvent::PerCpuHit { vcpu, class } | AllocEvent::PerCpuMiss { vcpu, class } => {
-                format!("{{\"vcpu\":{vcpu},\"class\":{class}}}")
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Lane { $($lane),* }
+
+        enum Kind { $($variant),* }
+
+        impl $name {
+            /// Discriminant names, in declaration order — the event taxonomy.
+            pub const KINDS: &'static [&'static str] = &[$(stringify!($variant)),*];
+
+            /// The trace lanes, in Chrome-trace thread order (`tid` is the
+            /// position plus one).
+            pub const LANES: &'static [&'static str] = &[$(stringify!($lane)),*];
+
+            /// The lane of each entry of [`Self::KINDS`].
+            const KIND_LANES: &'static [Lane] = &[$(Lane::$in_lane),*];
+
+            fn kind_index(&self) -> usize {
+                match self {
+                    $(Self::$variant { .. } => Kind::$variant as usize,)*
+                }
             }
-            AllocEvent::PerCpuOverflow { vcpu, class, shed } => {
-                format!("{{\"vcpu\":{vcpu},\"class\":{class},\"shed\":{shed}}}")
+
+            /// This event's discriminant name (an entry of [`Self::KINDS`]).
+            pub fn kind(&self) -> &'static str {
+                Self::KINDS[self.kind_index()]
             }
-            AllocEvent::ResizerSteal {
-                vcpu,
-                victim_class,
-                class,
-                bytes,
-            } => format!(
-                "{{\"vcpu\":{vcpu},\"victim_class\":{victim_class},\"class\":{class},\"bytes\":{bytes}}}"
-            ),
-            AllocEvent::ResizerGrow { vcpu, bytes } | AllocEvent::ResizerShrink { vcpu, bytes } => {
-                format!("{{\"vcpu\":{vcpu},\"bytes\":{bytes}}}")
+
+            /// This event's position in [`Self::LANES`].
+            fn lane(&self) -> usize {
+                Self::KIND_LANES[self.kind_index()] as usize
             }
-            AllocEvent::TransferHit {
-                shard,
-                class,
-                count,
+
+            /// The tier (trace lane) an event belongs to.
+            pub fn tier(&self) -> &'static str {
+                Self::LANES[self.lane()]
             }
-            | AllocEvent::TransferInsert {
-                shard,
-                class,
-                count,
-            } => format!("{{\"shard\":{shard},\"class\":{class},\"count\":{count}}}"),
-            AllocEvent::TransferEvict {
-                shard,
-                class,
-                count,
-                reason,
-            } => format!(
-                "{{\"shard\":{shard},\"class\":{class},\"count\":{count},\"reason\":\"{}\"}}",
-                reason.name()
-            ),
-            AllocEvent::CentralRefill { class, count }
-            | AllocEvent::CentralReturn { class, count } => {
-                format!("{{\"class\":{class},\"count\":{count}}}")
-            }
-            AllocEvent::SpanAlloc {
-                id,
-                start,
-                pages,
-                class,
-            }
-            | AllocEvent::SpanRetire {
-                id,
-                start,
-                pages,
-                class,
-            } => format!(
-                "{{\"id\":{id},\"start\":{start},\"pages\":{pages},\"class\":{}}}",
-                class.map_or_else(|| "null".to_string(), |c| c.to_string())
-            ),
-            AllocEvent::FillerPlace { addr, pages }
-            | AllocEvent::RegionPlace { addr, pages }
-            | AllocEvent::CachePlace { addr, pages } => {
-                format!("{{\"addr\":{addr},\"pages\":{pages}}}")
-            }
-            AllocEvent::HugepageFill {
-                base,
-                bytes,
-                reused,
-            } => format!("{{\"base\":{base},\"bytes\":{bytes},\"reused\":{reused}}}"),
-            AllocEvent::HugepageBreak { base, bytes }
-            | AllocEvent::HugepageRelease { base, bytes }
-            | AllocEvent::BackingDenied { base, bytes } => {
-                format!("{{\"base\":{base},\"bytes\":{bytes}}}")
-            }
-            AllocEvent::OsFault {
-                op,
-                failed,
-                latency_ns,
-            } => format!(
-                "{{\"op\":\"{}\",\"failed\":{failed},\"latency_ns\":{latency_ns}}}",
-                op.name()
-            ),
-            AllocEvent::LimitHit {
-                hard,
-                resident,
-                limit,
-            } => format!("{{\"hard\":{hard},\"resident\":{resident},\"limit\":{limit}}}"),
-            AllocEvent::ReleaseRetry {
-                attempt,
-                released_bytes,
-            } => format!("{{\"attempt\":{attempt},\"released_bytes\":{released_bytes}}}"),
-            AllocEvent::Degraded { denied_hugepages } => {
-                format!("{{\"denied_hugepages\":{denied_hugepages}}}")
-            }
-            AllocEvent::Recovered { repromoted } => {
-                format!("{{\"repromoted\":{repromoted}}}")
-            }
-            AllocEvent::PagemapSet { addr, pages } | AllocEvent::PagemapClear { addr, pages } => {
-                format!("{{\"addr\":{addr},\"pages\":{pages}}}")
-            }
-            AllocEvent::SamplerPick {
-                addr,
-                size,
-                site,
-                now_ns,
-                weight,
-            } => format!(
-                "{{\"addr\":{addr},\"size\":{size},\"site\":{site},\"now_ns\":{now_ns},\"weight\":{weight}}}"
-            ),
-            AllocEvent::SampledFree {
-                size,
-                lifetime_ns,
-                weight,
-            } => format!("{{\"size\":{size},\"lifetime_ns\":{lifetime_ns},\"weight\":{weight}}}"),
-            AllocEvent::MallocDone {
-                path,
-                addr,
-                size,
-                actual,
-                prefetched,
-                sampled,
-                ..
-            } => format!(
-                "{{\"path\":\"{}\",\"addr\":{addr},\"size\":{size},\"actual\":{actual},\"prefetched\":{prefetched},\"sampled\":{sampled}}}",
-                path.name()
-            ),
-            AllocEvent::FreeDone { path, addr, size } => format!(
-                "{{\"path\":\"{}\",\"addr\":{addr},\"size\":{size}}}",
-                path.name()
-            ),
-            AllocEvent::RemoteFreeQueued {
-                vcpu,
-                owner,
-                class,
-                addr,
-            } => format!("{{\"vcpu\":{vcpu},\"owner\":{owner},\"class\":{class},\"addr\":{addr}}}"),
-            AllocEvent::RemoteFreeDrained { vcpu, class, count } => {
-                format!("{{\"vcpu\":{vcpu},\"class\":{class},\"count\":{count}}}")
-            }
-            AllocEvent::ContentionCharged { vcpu, ns } => {
-                format!("{{\"vcpu\":{vcpu},\"ns\":{ns}}}")
+
+            /// The event payload as a Chrome trace-event `args` JSON object:
+            /// every field, in declaration order.
+            pub fn args_json(&self) -> String {
+                let mut out = String::from("{");
+                match self {
+                    $(Self::$variant { $($field),* } => {
+                        $(json_field(&mut out, stringify!($field), $field);)*
+                    })*
+                }
+                out.push('}');
+                out
             }
         }
+    };
+}
+
+event_catalog! {
+    lanes { percpu, transfer, central, pageheap, os, pagemap, op }
+
+    /// One cross-tier boundary crossing. Every tier emits through the
+    /// [`EventBus`] exactly once at each boundary; consumers subscribe as
+    /// [`EventSink`]s instead of instrumenting the tiers themselves.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub enum AllocEvent {
+        // --- Per-CPU front end (§4.1) ---
+        /// Fast-path hit in a per-CPU cache.
+        #[lane(percpu)] PerCpuHit {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// Size class.
+            class: u16,
+        },
+        /// Fast-path miss: the request falls through to the transfer tier.
+        #[lane(percpu)] PerCpuMiss {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// Size class.
+            class: u16,
+        },
+        /// A free overflowed the per-CPU cache; a batch is shed to the middle
+        /// tiers.
+        #[lane(percpu)] PerCpuOverflow {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// Size class.
+            class: u16,
+            /// Objects shed (the overflow batch).
+            shed: u32,
+        },
+        /// The per-slab resizer stole unused capacity from another size class
+        /// of the same vCPU cache to let `class` grow (§4.1: "we prioritize
+        /// shrinking capacity for larger size classes").
+        #[lane(percpu)] ResizerSteal {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// The class whose unused capacity was taken.
+            victim_class: u16,
+            /// The class that grows.
+            class: u16,
+            /// Capacity bytes moved.
+            bytes: u64,
+        },
+        /// Periodic rebalance grew a heavy cache's budget.
+        #[lane(percpu)] ResizerGrow {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// Budget bytes added.
+            bytes: u64,
+        },
+        /// Periodic rebalance shrank a donor cache's budget.
+        #[lane(percpu)] ResizerShrink {
+            /// Dense virtual CPU id.
+            vcpu: usize,
+            /// Budget bytes removed.
+            bytes: u64,
+        },
+
+        // --- Transfer cache (§4.2) ---
+        /// Objects fetched from a transfer-cache shard.
+        #[lane(transfer)] TransferHit {
+            /// NUCA shard index (0 for the singleton central shard).
+            shard: usize,
+            /// Size class.
+            class: u16,
+            /// Objects moved.
+            count: u32,
+        },
+        /// Objects inserted into a transfer-cache shard.
+        #[lane(transfer)] TransferInsert {
+            /// NUCA shard index.
+            shard: usize,
+            /// Size class.
+            class: u16,
+            /// Objects moved.
+            count: u32,
+        },
+        /// Objects evicted from a shard (plunder or decay).
+        #[lane(transfer)] TransferEvict {
+            /// NUCA shard index.
+            shard: usize,
+            /// Size class.
+            class: u16,
+            /// Objects evicted.
+            count: u32,
+            /// Why they left.
+            reason: EvictReason,
+        },
+
+        // --- Central free lists (§4.3) ---
+        /// The central free list refilled the tiers above with a batch.
+        #[lane(central)] CentralRefill {
+            /// Size class.
+            class: u16,
+            /// Objects handed up.
+            count: u32,
+        },
+        /// A batch of objects returned to the central free list.
+        #[lane(central)] CentralReturn {
+            /// Size class.
+            class: u16,
+            /// Objects handed down.
+            count: u32,
+        },
+        /// A span was carved from the pageheap (maps it in the sanitizer's
+        /// page mirror).
+        #[lane(central)] SpanAlloc {
+            /// Span id.
+            id: u32,
+            /// Base address.
+            start: u64,
+            /// Length in TCMalloc pages.
+            pages: u32,
+            /// Size class, or `None` for a large span.
+            class: Option<u16>,
+        },
+        /// A fully-idle span returned to the pageheap (unmaps it from the
+        /// sanitizer's page mirror).
+        #[lane(central)] SpanRetire {
+            /// Span id.
+            id: u32,
+            /// Base address.
+            start: u64,
+            /// Length in TCMalloc pages.
+            pages: u32,
+            /// Size class, or `None` for a large span.
+            class: Option<u16>,
+        },
+
+        // --- Hugepage-aware pageheap (§4.4) ---
+        /// The filler placed a small run on a (partially used) hugepage.
+        #[lane(pageheap)] FillerPlace {
+            /// Run base address.
+            addr: u64,
+            /// Run length in TCMalloc pages.
+            pages: u32,
+        },
+        /// The region allocator placed a medium run (> 1, < 2 hugepages).
+        #[lane(pageheap)] RegionPlace {
+            /// Run base address.
+            addr: u64,
+            /// Run length in TCMalloc pages.
+            pages: u32,
+        },
+        /// The hugepage cache placed a large run (whole hugepages).
+        #[lane(pageheap)] CachePlace {
+            /// Run base address.
+            addr: u64,
+            /// Run length in TCMalloc pages.
+            pages: u32,
+        },
+
+        // --- OS boundary (simulated kernel) ---
+        /// Hugepages became resident: a fresh `mmap` (`reused: false`) or a
+        /// `reoccupy` of previously subreleased pages (`reused: true`).
+        #[lane(os)] HugepageFill {
+            /// Base address.
+            base: u64,
+            /// Extent in bytes.
+            bytes: u64,
+            /// Whether this re-occupies an already-mapped extent.
+            reused: bool,
+        },
+        /// Pages subreleased to the OS, breaking the backing hugepage.
+        #[lane(os)] HugepageBreak {
+            /// Base address of the subreleased run.
+            base: u64,
+            /// Extent in bytes.
+            bytes: u64,
+        },
+        /// Hugepages unmapped back to the OS.
+        #[lane(os)] HugepageRelease {
+            /// Base address.
+            base: u64,
+            /// Extent in bytes.
+            bytes: u64,
+        },
+
+        // --- OS faults & graceful degradation (§2, §5) ---
+        /// The simulated kernel misbehaved: the call failed (ENOMEM / EAGAIN /
+        /// EINVAL) or took an injected latency excursion.
+        #[lane(os)] OsFault {
+            /// Which operation was hit.
+            op: OsOp,
+            /// Whether the call failed outright (false = latency spike only).
+            failed: bool,
+            /// Injected latency beyond the nominal syscall cost, ns.
+            latency_ns: u64,
+        },
+        /// `mmap` succeeded but THP compaction failed: the mapping came back
+        /// 4 KiB-backed, lowering hugepage coverage until a collapse
+        /// re-promotes it.
+        #[lane(os)] BackingDenied {
+            /// Base address of the denied mapping.
+            base: u64,
+            /// Extent in bytes.
+            bytes: u64,
+        },
+        /// A configured memory limit was reached at the OS boundary.
+        #[lane(os)] LimitHit {
+            /// True for the hard limit (allocation fails), false for the soft
+            /// limit (synchronous release + retry).
+            hard: bool,
+            /// Resident bytes at the moment of the hit.
+            resident: u64,
+            /// The limit, bytes.
+            limit: u64,
+        },
+        /// Synchronous release-and-retry after ENOMEM or a limit hit.
+        #[lane(os)] ReleaseRetry {
+            /// Retry attempt number (0-based).
+            attempt: u32,
+            /// Bytes released back to the OS before retrying.
+            released_bytes: u64,
+        },
+        /// The pageheap entered degraded mode: at least one injected OS fault
+        /// or denied backing since the last healthy state.
+        #[lane(os)] Degraded {
+            /// 4 KiB-backed hugepages currently awaiting re-promotion.
+            denied_hugepages: u64,
+        },
+        /// The pageheap recovered: every denied hugepage re-promoted and no
+        /// faults observed since the last maintenance pass.
+        #[lane(os)] Recovered {
+            /// Hugepages re-promoted over the whole degraded episode.
+            repromoted: u64,
+        },
+
+        // --- Pagemap ---
+        /// A span's pages were entered into the pagemap.
+        #[lane(pagemap)] PagemapSet {
+            /// First-page address.
+            addr: u64,
+            /// Pages covered.
+            pages: u32,
+        },
+        /// A span's pages were cleared from the pagemap.
+        #[lane(pagemap)] PagemapClear {
+            /// First-page address.
+            addr: u64,
+            /// Pages covered.
+            pages: u32,
+        },
+
+        // --- Sampler / operation completion ---
+        /// The GWP sampler picked this allocation (1 per ~2 MiB allocated).
+        #[lane(op)] SamplerPick {
+            /// Object address.
+            addr: u64,
+            /// Requested bytes.
+            size: u64,
+            /// Allocation-site hash.
+            site: u64,
+            /// Simulated time of the pick.
+            now_ns: u64,
+            /// Inverse sampling probability (objects represented).
+            weight: f64,
+        },
+        /// A sampled object was freed; its lifetime is now known.
+        #[lane(op)] SampledFree {
+            /// Requested bytes at allocation.
+            size: u64,
+            /// Observed lifetime.
+            lifetime_ns: u64,
+            /// Sampling weight.
+            weight: f64,
+        },
+        /// An allocation completed: the satisfying tier for cycle charging,
+        /// the object for the sanitizer's shadow, and the byte sizes for
+        /// conservation.
+        #[lane(op)] MallocDone {
+            /// Tier that satisfied the request.
+            path: AllocPath,
+            /// Object address.
+            addr: u64,
+            /// Requested bytes.
+            size: u64,
+            /// Bytes actually reserved (size-class rounding).
+            actual: u64,
+            /// Whether the next-object prefetch was issued.
+            prefetched: bool,
+            /// Whether this allocation was sampled.
+            sampled: bool,
+        },
+        /// A free completed.
+        #[lane(op)] FreeDone {
+            /// Tier that absorbed the free.
+            path: AllocPath,
+            /// Object address.
+            addr: u64,
+            /// Requested bytes at allocation.
+            size: u64,
+        },
+
+        // --- Cross-thread frees (ownership & deferred lists) ---
+        /// A free issued by a non-owner vCPU was queued onto the owning span's
+        /// deferred list instead of the local per-CPU cache.
+        #[lane(percpu)] RemoteFreeQueued {
+            /// The vCPU that issued the free.
+            vcpu: usize,
+            /// The vCPU that owns the object's span.
+            owner: usize,
+            /// Size class.
+            class: u16,
+            /// Object address.
+            addr: u64,
+        },
+        /// A batch of deferred remote frees was adopted by the owning side at
+        /// a deterministic drain point and returned to the middle tiers.
+        #[lane(percpu)] RemoteFreeDrained {
+            /// The vCPU performing the drain (the adopting side).
+            vcpu: usize,
+            /// Size class.
+            class: u16,
+            /// Objects drained.
+            count: u32,
+        },
+        /// Synchronization cost charged for cross-thread traffic: the
+        /// contended CAS that pushes a remote free onto a deferred list, or
+        /// the detach of a drained list.
+        #[lane(op)] ContentionCharged {
+            /// The vCPU paying the cost.
+            vcpu: usize,
+            /// Cost-model nanoseconds charged.
+            ns: f64,
+        },
     }
 }
 
@@ -767,14 +623,11 @@ impl TraceRing {
     /// allocator event, `ts` in microseconds of simulated time, one trace
     /// "thread" lane per tier. Loads in `chrome://tracing` and Perfetto.
     pub fn chrome_trace_json(&self) -> String {
-        const LANES: [&str; 7] = [
-            "percpu", "transfer", "central", "pageheap", "os", "pagemap", "op",
-        ];
-        let lane = |tier: &str| LANES.iter().position(|&l| l == tier).unwrap_or(0) + 1;
-        let mut out = String::with_capacity(128 * (self.entries.len() + LANES.len()) + 64);
+        let lanes = AllocEvent::LANES;
+        let mut out = String::with_capacity(128 * (self.entries.len() + lanes.len()) + 64);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
         let mut first = true;
-        for (i, name) in LANES.iter().enumerate() {
+        for (i, name) in lanes.iter().enumerate() {
             if !first {
                 out.push(',');
             }
@@ -790,7 +643,7 @@ impl TraceRing {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{us},\"cat\":\"{}\",\"args\":{}}}",
                 ev.kind(),
-                lane(ev.tier()),
+                ev.lane() + 1,
                 ev.tier(),
                 ev.args_json()
             ));
@@ -897,16 +750,16 @@ impl EventBus {
     fn fan_out(&mut self, ev: &AllocEvent) {
         let ts = self.clock.now_ns();
         match *ev {
-            AllocEvent::MallocDone {
-                addr,
-                actual,
+            AllocEvent::SpanAlloc {
+                id,
+                start,
+                pages,
                 class,
-                span: Some(span),
-                ..
-            } => self
-                .sanitizer
-                .record_alloc(addr, actual, class, span.id, span.start, span.pages),
-            AllocEvent::SpanRetire { start, .. } => self.sanitizer.on_span_released(start),
+            } => self.sanitizer.map_span(id, start, pages, class),
+            AllocEvent::SpanRetire { start, .. } => self.sanitizer.forget_span(start),
+            AllocEvent::MallocDone { addr, actual, .. } => {
+                self.sanitizer.record_alloc(addr, actual);
+            }
             _ => {}
         }
         if let Some(t) = &mut self.trace {
@@ -923,11 +776,9 @@ impl EventBus {
     /// Completes an allocation: books its price and returns the operation's
     /// cost-model nanoseconds (path + prefetch + other + sampling, in that
     /// order). `pick` is the GWP sample when the sampler chose this
-    /// allocation; `class` and `span` are the shadow payload, populated
-    /// only when sanitizing. Observers see [`AllocEvent::SamplerPick`] (if
-    /// sampled) then [`AllocEvent::MallocDone`].
+    /// allocation. Observers see [`AllocEvent::SamplerPick`] (if sampled)
+    /// then [`AllocEvent::MallocDone`].
     // Scalars, not a pre-built event: the record is only built if observed.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn malloc_done(
         &mut self,
@@ -937,8 +788,6 @@ impl EventBus {
         actual: u64,
         prefetched: bool,
         pick: Option<Sample>,
-        class: Option<u16>,
-        span: Option<SpanRef>,
     ) -> f64 {
         let sampled = pick.is_some();
         let ns = self.stats.complete(path, prefetched, sampled);
@@ -959,8 +808,6 @@ impl EventBus {
                 actual,
                 prefetched,
                 sampled,
-                class,
-                span,
             });
         }
         ns
@@ -1027,7 +874,7 @@ impl EventBus {
 mod tests {
     use super::*;
     use crate::stats::CycleCategory;
-    use wsc_sanitizer::SanitizeLevel;
+    use wsc_sanitizer::{ErrorKind, SanitizeLevel};
 
     fn bus(cfg: TcmallocConfig) -> EventBus {
         EventBus::new(&cfg, CostModel::production(), Clock::new())
@@ -1037,18 +884,9 @@ mod tests {
         AllocEvent::PerCpuHit { vcpu: 0, class: 3 }
     }
 
-    /// An unsanitized per-CPU completion at a fixed address.
+    /// A per-CPU completion at a fixed address.
     fn malloc(b: &mut EventBus, prefetched: bool, pick: Option<Sample>) -> f64 {
-        b.malloc_done(
-            AllocPath::PerCpu,
-            0x1000,
-            24,
-            24,
-            prefetched,
-            pick,
-            None,
-            None,
-        )
+        b.malloc_done(AllocPath::PerCpu, 0x1000, 24, 24, prefetched, pick)
     }
 
     fn pick() -> Sample {
@@ -1135,25 +973,32 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sanitizer_is_fed_from_malloc_done_and_span_retire() {
-        let cfg = TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full);
-        let mut b = bus(cfg);
-        b.emit(AllocEvent::MallocDone {
+    fn malloc_done_at(addr: u64) -> AllocEvent {
+        AllocEvent::MallocDone {
             path: AllocPath::PerCpu,
-            addr: 0x10000,
+            addr,
             size: 16,
             actual: 16,
             prefetched: false,
             sampled: false,
+        }
+    }
+
+    #[test]
+    fn sanitizer_is_fed_from_malloc_done_and_span_retire() {
+        let cfg = TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full);
+        let mut b = bus(cfg);
+        let span = AllocEvent::SpanAlloc {
+            id: 0,
+            start: 0x10000,
+            pages: 1,
             class: Some(1),
-            span: Some(SpanRef {
-                id: 0,
-                start: 0x10000,
-                pages: 1,
-            }),
-        });
+        };
+        b.emit(span);
+        assert_eq!(b.sanitizer().shadow().mapped_pages(), 1);
+        b.emit(malloc_done_at(0x10000));
         assert_eq!(b.sanitizer().shadow().live_count(), 1);
+        assert_eq!(b.sanitizer().shadow().live_count_by_class(Some(1)), 1);
         b.emit(AllocEvent::SpanRetire {
             id: 0,
             start: 0x10000,
@@ -1162,6 +1007,21 @@ mod tests {
         });
         // The span vanished with a live object on it: the shadow reports a
         // leak, and the object is forgotten.
+        assert_eq!(b.sanitizer().shadow().live_count(), 0);
+        assert_eq!(b.sanitizer().shadow().mapped_pages(), 0);
+        let kinds: Vec<_> = b.sanitizer().reports().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ErrorKind::ObjectConservationViolation]);
+    }
+
+    /// The shadow places objects on the spans the stream announced, not on
+    /// whatever the allocator's pagemap says: an object on no announced
+    /// span is reported, not silently skipped.
+    #[test]
+    fn an_object_on_no_announced_span_is_reported() {
+        let mut b = bus(TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full));
+        b.emit(malloc_done_at(0x10000));
+        let kinds: Vec<_> = b.sanitizer().reports().iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ErrorKind::UseOfUnmappedAddress]);
         assert_eq!(b.sanitizer().shadow().live_count(), 0);
     }
 
@@ -1213,63 +1073,119 @@ mod tests {
         assert_eq!((depth, sq), (0, 0));
     }
 
+    /// DESIGN.md §4's taxonomy table lists, per lane, the kinds the catalog
+    /// puts in that lane, in declaration order, and counts them.
     #[test]
-    fn every_kind_is_covered_by_the_taxonomy() {
-        assert_eq!(AllocEvent::KINDS.len(), 34);
-        assert!(AllocEvent::KINDS.contains(&hit().kind()));
-        for fault in [
-            AllocEvent::OsFault {
-                op: OsOp::Mmap,
-                failed: true,
-                latency_ns: 0,
-            },
-            AllocEvent::BackingDenied {
-                base: 0,
-                bytes: 2 << 20,
-            },
-            AllocEvent::LimitHit {
-                hard: false,
-                resident: 10,
-                limit: 5,
-            },
-            AllocEvent::ReleaseRetry {
-                attempt: 0,
-                released_bytes: 4096,
-            },
-            AllocEvent::Degraded {
-                denied_hugepages: 1,
-            },
-            AllocEvent::Recovered { repromoted: 1 },
-        ] {
-            assert!(AllocEvent::KINDS.contains(&fault.kind()), "{fault:?}");
-            assert_eq!(fault.tier(), "os");
-            assert!(fault.args_json().starts_with('{'));
-        }
+    fn design_taxonomy_table_matches_the_catalog() {
+        let design = include_str!("../../../DESIGN.md");
+        let intro = design
+            .split("**Event taxonomy** (`AllocEvent`, ")
+            .nth(1)
+            .expect("DESIGN.md has the taxonomy heading");
+        let count = intro.split(" kinds").next().unwrap();
+        assert_eq!(count, AllocEvent::KINDS.len().to_string());
+        let rows: Vec<(String, Vec<String>)> = intro
+            .lines()
+            .skip_while(|l| !l.starts_with("|---"))
+            .skip(1)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').collect();
+                let words = |cell: &str| -> Vec<String> {
+                    cell.split_whitespace()
+                        .map(|w| w.trim_matches('`').to_string())
+                        .collect()
+                };
+                (words(cells[1]).concat(), words(cells[2]))
+            })
+            .collect();
+        let generated: Vec<(String, Vec<String>)> = AllocEvent::LANES
+            .iter()
+            .enumerate()
+            .map(|(lane, name)| {
+                let kinds = AllocEvent::KINDS
+                    .iter()
+                    .zip(AllocEvent::KIND_LANES)
+                    .filter(|(_, l)| **l as usize == lane)
+                    .map(|(kind, _)| kind.to_string());
+                (name.to_string(), kinds.collect())
+            })
+            .collect();
+        assert_eq!(rows, generated);
     }
 
+    /// The generated `args_json` writes every field type as the trace
+    /// format always has: enums by name, `None` as `null`, floats in
+    /// shortest form.
     #[test]
-    fn remote_free_kinds_join_the_taxonomy() {
-        let queued = AllocEvent::RemoteFreeQueued {
-            vcpu: 3,
-            owner: 0,
-            class: 7,
-            addr: 0x2000,
-        };
-        let drained = AllocEvent::RemoteFreeDrained {
-            vcpu: 0,
-            class: 7,
-            count: 4,
-        };
-        let charged = AllocEvent::ContentionCharged { vcpu: 3, ns: 10.0 };
-        for ev in [queued, drained, charged] {
-            assert!(AllocEvent::KINDS.contains(&ev.kind()), "{ev:?}");
-            assert!(ev.args_json().starts_with('{'));
+    fn args_json_writes_each_field_type() {
+        let cases = [
+            (
+                AllocEvent::TransferEvict {
+                    shard: 2,
+                    class: 5,
+                    count: 8,
+                    reason: EvictReason::Decay,
+                },
+                r#"{"shard":2,"class":5,"count":8,"reason":"decay"}"#,
+            ),
+            (
+                AllocEvent::OsFault {
+                    op: OsOp::Subrelease,
+                    failed: false,
+                    latency_ns: 900,
+                },
+                r#"{"op":"subrelease","failed":false,"latency_ns":900}"#,
+            ),
+            (
+                AllocEvent::SpanAlloc {
+                    id: 1,
+                    start: 4096,
+                    pages: 2,
+                    class: None,
+                },
+                r#"{"id":1,"start":4096,"pages":2,"class":null}"#,
+            ),
+            (
+                AllocEvent::SampledFree {
+                    size: 24,
+                    lifetime_ns: 5,
+                    weight: 2.5,
+                },
+                r#"{"size":24,"lifetime_ns":5,"weight":2.5}"#,
+            ),
+            (
+                AllocEvent::ContentionCharged { vcpu: 3, ns: 10.0 },
+                r#"{"vcpu":3,"ns":10}"#,
+            ),
+            (
+                AllocEvent::FreeDone {
+                    path: AllocPath::PerCpu,
+                    addr: 64,
+                    size: 8,
+                },
+                r#"{"path":"CPUCache","addr":64,"size":8}"#,
+            ),
+        ];
+        for (ev, json) in cases {
+            assert_eq!(ev.args_json(), json, "{ev:?}");
         }
-        // Queue/drain traffic belongs to the front-end lane (it replaces
-        // per-CPU frees); the synchronization charge is an op-level cost.
-        assert_eq!(queued.tier(), "percpu");
-        assert_eq!(drained.tier(), "percpu");
-        assert_eq!(charged.tier(), "op");
-        assert!(queued.args_json().contains("\"owner\":0"));
+        assert_eq!(
+            AllocEvent::SpanRetire {
+                id: 1,
+                start: 4096,
+                pages: 2,
+                class: Some(7),
+            }
+            .tier(),
+            "central"
+        );
+    }
+
+    /// The ring and the recorder hold events by value: the widest variant
+    /// sets what every entry costs.
+    #[test]
+    fn an_event_fits_in_48_bytes() {
+        assert!(std::mem::size_of::<AllocEvent>() <= 48);
     }
 }

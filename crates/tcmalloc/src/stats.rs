@@ -29,8 +29,9 @@ pub enum CycleCategory {
     Prefetch,
     /// Unclassified bookkeeping.
     Other,
-    /// Cross-thread free synchronization: contended CAS pushes, message
-    /// batch handoffs, deferred-list detaches. Appended after the paper's
+    /// Cross-thread free synchronization: the contended CAS that pushes a
+    /// remote free onto a deferred list, and the detach of a drained list.
+    /// Appended after the paper's
     /// seven Figure-6a categories so their order (and every golden figure
     /// derived from it) is untouched.
     Contention,

@@ -13,9 +13,11 @@
 //!   recorder, trace ring, `Sanitize::Full`, `Sanitize::Sampled(64)`, and
 //!   one watched only by the reference sink.
 //! * **Reference model** — a [`ShadowState`] fed through `attach_sink` from
-//!   the event stream alone: `SpanAlloc` / `SpanRetire` name the spans,
-//!   `MallocDone` records an object on the span the stream announced,
-//!   `FreeDone` checks the free. It never reads allocator metadata.
+//!   the event stream alone, through the entry points the sanitizer's bus
+//!   feed uses: `SpanAlloc` maps a span, `SpanRetire` forgets it,
+//!   `MallocDone` records an object on the span it lies in, `FreeDone`
+//!   checks the free against the class its size maps to. It never reads
+//!   allocator metadata and keeps no span map of its own.
 //! * **Op mix** — zero-size, small, mid and large mallocs on random CPUs;
 //!   frees mostly from a CPU in another LLC domain or node than the one
 //!   that allocated, so the deferred arm really runs; ticks of up to 255 ms,
@@ -56,6 +58,7 @@ use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::faults::FaultPlan;
 use wsc_tcmalloc::events::EventSink;
+use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::stats::StatsView;
 use wsc_tcmalloc::transfer::TransferSharding;
 use wsc_tcmalloc::{AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig};
@@ -201,21 +204,10 @@ fn free_cpu(alloc_cpu: u32, site: u32) -> CpuId {
     })
 }
 
-/// A span as the stream announced it in `SpanAlloc`.
-#[derive(Clone, Copy)]
-struct Announced {
-    id: u32,
-    start: u64,
-    pages: u32,
-    class: Option<u16>,
-}
-
 /// The reference model's state: a shadow heap built from events only.
 #[derive(Default)]
 struct Reference {
     shadow: ShadowState,
-    /// Spans the stream announced, by start address.
-    spans: BTreeMap<u64, Announced>,
     /// Spans retired but not yet forgotten. A free's own span can retire
     /// before its `FreeDone`, so a retirement is applied only once that
     /// free has been checked, or before the next span or object is
@@ -226,13 +218,8 @@ struct Reference {
 impl Reference {
     fn settle(&mut self) {
         for start in std::mem::take(&mut self.retired) {
-            self.spans.remove(&start);
             self.shadow.forget_span(start);
         }
-    }
-
-    fn span_at(&self, addr: u64) -> Option<Announced> {
-        self.spans.range(..=addr).next_back().map(|(_, &s)| s)
     }
 }
 
@@ -249,28 +236,16 @@ impl EventSink for ReferenceSink {
                 class,
             } => {
                 r.settle();
-                r.spans.insert(
-                    start,
-                    Announced {
-                        id,
-                        start,
-                        pages,
-                        class,
-                    },
-                );
+                r.shadow.map_span(id, start, pages, class);
             }
             AllocEvent::SpanRetire { start, .. } => r.retired.push(start),
             AllocEvent::MallocDone { addr, actual, .. } => {
                 r.settle();
-                let s = r
-                    .span_at(addr)
-                    .expect("an object lands on a span the stream announced");
-                r.shadow
-                    .record_alloc(addr, actual, s.class, s.id, s.start, s.pages);
+                r.shadow.record_alloc(addr, actual);
             }
-            AllocEvent::FreeDone { addr, .. } => {
-                let class = r.span_at(addr).and_then(|s| s.class);
-                let _ = r.shadow.check_free(addr, class);
+            AllocEvent::FreeDone { addr, size, .. } => {
+                let class = SizeClassTable::shared().class_for(size);
+                let _ = r.shadow.check_free(addr, class.map(|c| c as u16));
                 r.settle();
             }
             _ => {}

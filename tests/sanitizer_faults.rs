@@ -187,9 +187,10 @@ fn injected_os_faults_are_never_sanitizer_reports() {
 #[test]
 fn overlapping_allocation_is_reported_by_the_shadow() {
     let mut shadow = ShadowState::new();
-    shadow.record_alloc(0x10000, 64, Some(3), 0, 0x10000, 2);
+    shadow.map_span(0, 0x10000, 2, Some(3));
+    shadow.record_alloc(0x10000, 64);
     // Second object overlapping the first by 32 bytes.
-    shadow.record_alloc(0x10020, 64, Some(3), 0, 0x10000, 2);
+    shadow.record_alloc(0x10020, 64);
     let kinds: Vec<_> = shadow.take_reports().iter().map(|r| r.kind).collect();
     assert_eq!(kinds, vec![ErrorKind::OverlappingAllocation]);
 }
@@ -197,7 +198,8 @@ fn overlapping_allocation_is_reported_by_the_shadow() {
 #[test]
 fn span_leak_with_live_objects_is_reported() {
     let mut shadow = ShadowState::new();
-    shadow.record_alloc(0x10000, 64, Some(3), 0, 0x10000, 2);
+    shadow.map_span(0, 0x10000, 2, Some(3));
+    shadow.record_alloc(0x10000, 64);
     // The span vanishes (returned to the pageheap) while the object lives.
     shadow.forget_span(0x10000);
     let reports = shadow.take_reports();
@@ -210,7 +212,8 @@ fn span_leak_with_live_objects_is_reported() {
 /// class-3 span with one live object, one cached object, rest span-free.
 fn consistent_world() -> (Snapshot, ShadowState) {
     let mut shadow = ShadowState::new();
-    shadow.record_alloc(0x10000, 64, Some(3), 0, 0x10000, 2);
+    shadow.map_span(0, 0x10000, 2, Some(3));
+    shadow.record_alloc(0x10000, 64);
     let snap = Snapshot {
         classes: vec![ClassTierSnapshot {
             class: 3,
@@ -346,8 +349,9 @@ fn every_error_kind_fires_at_least_once() {
 
     // Structural kinds through direct shadow/audit injection.
     let mut shadow = ShadowState::new();
-    shadow.record_alloc(0x10000, 64, Some(3), 0, 0x10000, 2);
-    shadow.record_alloc(0x10020, 64, Some(3), 0, 0x10000, 2); // overlap
+    shadow.map_span(0, 0x10000, 2, Some(3));
+    shadow.record_alloc(0x10000, 64);
+    shadow.record_alloc(0x10020, 64); // overlap
     fired.extend(shadow.take_reports().iter().map(|r| r.kind));
 
     for corrupt in [
