@@ -1,10 +1,12 @@
-//! One reproduction function per table/figure of the paper's evaluation.
+//! One reproduction function per table/figure of the paper's evaluation;
+//! the five §4 A/B experiments are rows of one table, [`DESIGNS`], run by
+//! one function, [`design`].
 //!
 //! Each function prints a `paper vs measured` table and returns the key
 //! measured values so tests can assert the *shape* criteria from DESIGN.md:
 //! who wins, by roughly what factor, in the same ordering across workloads.
 
-use wsc_fleet::experiment::{try_run_fleet_ab, CellSummary, Comparison, MetricSet};
+use wsc_fleet::experiment::{paired_ab, try_run_fleet_ab, CellSummary, Comparison, MetricSet};
 use wsc_fleet::population::Population;
 use wsc_fleet::report::{pct, Table};
 use wsc_fleet::rollout;
@@ -32,62 +34,6 @@ fn f2(v: f64) -> String {
 
 fn f3(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Paired A/B comparisons, one per workload of `specs`, each the average
-/// over the scale's seeds. Every run — `workloads × seeds × {control,
-/// experiment}` — is one engine batch, so a whole table shards across
-/// threads, then folds back per workload in `specs` order; arms of a pair
-/// share the seed so the pairing isolates the allocator.
-fn paired_ab(
-    specs: &[&WorkloadSpec],
-    platform: &Platform,
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
-    scale: &Scale,
-) -> Vec<Comparison> {
-    let mut jobs = Vec::with_capacity(specs.len() * scale.seeds.len() * 2);
-    for &spec in specs {
-        for &seed in &scale.seeds {
-            let dcfg = DriverConfig::new(scale.requests, seed, platform);
-            for tcm_cfg in [control, experiment] {
-                jobs.push(RunJob {
-                    spec: spec.clone(),
-                    platform: platform.clone(),
-                    tcm_cfg,
-                    dcfg: dcfg.clone(),
-                });
-            }
-        }
-    }
-    let metrics = driver::run_batch(&scale.engine, jobs, |r, _| MetricSet::from_report(r))
-        .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"));
-    let n = scale.seeds.len() as f64;
-    let mut pairs = metrics.chunks(2);
-    specs
-        .iter()
-        .map(|_| {
-            let mut acc = Comparison::default();
-            for _ in &scale.seeds {
-                let pair = pairs.next().expect("batch covers every (workload, seed)");
-                add_metrics(&mut acc.control, &pair[0], 1.0 / n);
-                add_metrics(&mut acc.experiment, &pair[1], 1.0 / n);
-            }
-            acc
-        })
-        .collect()
-}
-
-fn add_metrics(into: &mut MetricSet, from: &MetricSet, w: f64) {
-    into.throughput += from.throughput * w;
-    into.memory_bytes += from.memory_bytes * w;
-    into.cpi += from.cpi * w;
-    into.llc_mpki += from.llc_mpki * w;
-    into.dtlb_walk_pct += from.dtlb_walk_pct * w;
-    into.dtlb_miss_rate += from.dtlb_miss_rate * w;
-    into.hugepage_coverage += from.hugepage_coverage * w;
-    into.malloc_frac += from.malloc_frac * w;
-    into.frag_ratio += from.frag_ratio * w;
 }
 
 /// Seed of the single-configuration characterization runs (Figures 5, 6
@@ -396,26 +342,18 @@ pub fn fig7(scale: &Scale) -> (f64, f64, f64, f64) {
     let mem_8k = p.size_by_bytes.fraction_at_or_above(8 << 10);
     let mem_256k = p.size_by_bytes.fraction_at_or_above(256 << 10);
     let mut t = Table::new(vec!["statistic", "paper", "measured"]);
-    t.row(vec![
-        "objects < 1 KiB".into(),
-        "98%".into(),
-        f2(count_1k * 100.0) + "%",
-    ]);
-    t.row(vec![
-        "memory < 1 KiB".into(),
-        "28%".into(),
-        f2(mem_1k * 100.0) + "%",
-    ]);
-    t.row(vec![
-        "memory > 8 KiB".into(),
-        "50%".into(),
-        f2(mem_8k * 100.0) + "%",
-    ]);
-    t.row(vec![
-        "memory > 256 KiB".into(),
-        "22%".into(),
-        f2(mem_256k * 100.0) + "%",
-    ]);
+    for (statistic, paper, measured) in [
+        ("objects < 1 KiB", "98%", count_1k),
+        ("memory < 1 KiB", "28%", mem_1k),
+        ("memory > 8 KiB", "50%", mem_8k),
+        ("memory > 256 KiB", "22%", mem_256k),
+    ] {
+        t.row(vec![
+            statistic.into(),
+            paper.into(),
+            f2(measured * 100.0) + "%",
+        ]);
+    }
     println!("{}", t.render());
     println!("(from the allocator's own 2 MiB-period sampled profile)\n");
     (count_1k, mem_1k, mem_8k, mem_256k)
@@ -549,7 +487,7 @@ pub fn fig9b(scale: &Scale) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 10 (heterogeneous per-CPU caches)
+// The §4 redesigns: Figures 10 and 14, Tables 1 and 2, §4.5
 // ---------------------------------------------------------------------------
 
 /// Workloads in the Figure 10/14 and Table 1/2 rows (paper order), minus the
@@ -560,22 +498,149 @@ fn eval_workloads() -> Vec<WorkloadSpec> {
     v
 }
 
-/// Generic per-design evaluation: fleet A/B plus per-workload rows.
-/// Returns `(fleet_comparison, rows)` with one `Comparison` per workload;
-/// a workload named in `skip` is not run and gets a default row.
-fn design_ab(
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
-    scale: &Scale,
-    skip: &[&str],
-) -> (Comparison, Vec<(String, Comparison)>) {
+/// One §4 redesign evaluated as a paired A/B: the baseline allocator
+/// against the baseline with the design applied, over the fleet and the
+/// nine workloads of the paper's per-workload rows.
+#[derive(Debug)]
+pub struct Design {
+    /// The `repro` id.
+    pub id: &'static str,
+    /// The title of the printed table.
+    pub title: &'static str,
+    /// The experiment arm, built from the baseline control.
+    pub arm: fn(TcmallocConfig) -> TcmallocConfig,
+    /// Workloads the design is not run on.
+    pub skip: &'static [&'static str],
+    /// What the paper reports, as `(row, throughput %, memory %)`; `None`
+    /// where it reports no value, and a row left out reports neither.
+    pub paper: &'static [(&'static str, Option<f64>, Option<f64>)],
+}
+
+impl Design {
+    /// The paper's `(throughput %, memory %)` for `row`.
+    fn paper(&self, row: &str) -> (Option<f64>, Option<f64>) {
+        self.paper
+            .iter()
+            .find(|p| p.0 == row)
+            .map_or((None, None), |p| (p.1, p.2))
+    }
+
+    /// What this design's fleet delta contributes to the §4.5 rollout
+    /// composition. A design whose paper figure reports memory alone
+    /// (Figures 10 and 14) contributes a throughput- and CPI-neutral
+    /// comparison carrying only its memory delta.
+    fn rollout_delta(&self, fleet: &Comparison) -> Comparison {
+        if self.paper("fleet").0.is_some() {
+            return *fleet;
+        }
+        let arm = |memory_bytes| MetricSet {
+            memory_bytes,
+            throughput: 100.0,
+            cpi: 1.0,
+            ..MetricSet::default()
+        };
+        Comparison {
+            control: arm(100.0),
+            experiment: arm(100.0 + fleet.memory_pct()),
+        }
+    }
+}
+
+/// A design's result: the fleet comparison, then one per workload.
+pub type DesignAb = (Comparison, Vec<(String, Comparison)>);
+
+/// Position of Table 2 in [`DESIGNS`], whose result Figure 17 plots.
+const TABLE2: usize = 3;
+/// Position of §4.5 in [`DESIGNS`]; the rows before it are the single
+/// designs it composes.
+const COMBINED: usize = 4;
+
+/// The paper's §4 redesigns, in the order `repro all` runs them.
+pub const DESIGNS: [Design; 5] = [
+    Design {
+        id: "fig10",
+        title: "Figure 10: memory reduction, heterogeneous per-CPU caches",
+        arm: TcmallocConfig::with_heterogeneous_percpu,
+        // Single-threaded: one per-CPU cache, nothing to rebalance.
+        skip: &["redis"],
+        paper: &[
+            ("fleet", None, Some(-1.94)),
+            ("spanner", None, Some(-1.2)),
+            ("monarch", None, Some(-2.45)),
+            ("bigtable", None, Some(-1.5)),
+            ("f1-query", None, Some(-0.58)),
+            ("disk", None, Some(-1.0)),
+            ("data-pipeline", None, Some(-2.66)),
+            ("image-processing", None, Some(-2.27)),
+            ("tensorflow", None, Some(-2.08)),
+        ],
+    },
+    Design {
+        id: "table1",
+        title: "Table 1: NUCA-aware transfer caches",
+        arm: TcmallocConfig::with_nuca_transfer,
+        // Single-threaded: one cache domain.
+        skip: &["redis"],
+        paper: &[("fleet", Some(0.32), Some(0.10))],
+    },
+    Design {
+        id: "fig14",
+        title: "Figure 14: memory reduction, span prioritization",
+        arm: TcmallocConfig::with_span_prioritization,
+        skip: &[],
+        paper: &[
+            ("fleet", None, Some(-1.41)),
+            ("spanner", None, Some(-0.8)),
+            ("monarch", None, Some(-2.76)),
+            ("bigtable", None, Some(-1.3)),
+            ("f1-query", None, Some(-0.34)),
+            ("disk", None, Some(-2.54)),
+            ("redis", None, Some(-0.61)),
+            ("data-pipeline", None, Some(-1.36)),
+            ("image-processing", None, Some(-0.9)),
+            ("tensorflow", None, Some(-1.0)),
+        ],
+    },
+    Design {
+        id: "table2",
+        title: "Table 2: lifetime-aware hugepage filler",
+        arm: TcmallocConfig::with_lifetime_filler,
+        skip: &[],
+        paper: &[("fleet", Some(1.02), Some(-0.82))],
+    },
+    Design {
+        id: "combined",
+        title: "Section 4.5: all four designs combined",
+        arm: |_| TcmallocConfig::optimized(),
+        skip: &[],
+        // The paper's end-to-end estimate.
+        paper: &[("fleet", Some(1.4), Some(-3.4))],
+    },
+];
+
+/// Runs `d`'s fleet A/B and its per-workload paired A/Bs. Returns the
+/// fleet comparison and one per workload; a skipped workload is not run
+/// and gets a default one.
+fn design_ab(d: &Design, scale: &Scale) -> DesignAb {
+    let control = TcmallocConfig::baseline();
+    let experiment = (d.arm)(control);
     let fleet = try_run_fleet_ab(&scale.engine, control, experiment, &scale.fleet_config(11))
         .unwrap_or_else(|e| panic!("design A/B fleet arm aborted: {e}"))
         .fleet;
     let specs = eval_workloads();
-    let skipped = |spec: &WorkloadSpec| skip.contains(&spec.name.as_str());
+    let skipped = |spec: &WorkloadSpec| d.skip.contains(&spec.name.as_str());
     let run: Vec<&WorkloadSpec> = specs.iter().filter(|s| !skipped(s)).collect();
-    let mut measured = paired_ab(&run, &chiplet(), control, experiment, scale).into_iter();
+    let mut measured = paired_ab(
+        &scale.engine,
+        &run,
+        &chiplet(),
+        control,
+        experiment,
+        scale.requests,
+        &scale.seeds,
+    )
+    .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"))
+    .into_iter();
     let rows = specs
         .iter()
         .map(|spec| {
@@ -590,49 +655,46 @@ fn design_ab(
     (fleet, rows)
 }
 
-/// Figure 10: memory reduction from heterogeneous per-CPU caches.
-/// Returns `(fleet_mem_pct, rows)` (negative = reduction).
-pub fn fig10(scale: &Scale) -> (f64, Vec<(String, f64)>) {
-    println!("== Figure 10: memory reduction, heterogeneous per-CPU caches ==");
-    let base = TcmallocConfig::baseline();
-    let exp = base.with_heterogeneous_percpu();
-    let (fleet, rows) = design_ab(base, exp, scale, &["redis"]);
-    let paper = [
-        ("fleet", -1.94),
-        ("spanner", -1.2),
-        ("monarch", -2.45),
-        ("bigtable", -1.5),
-        ("f1-query", -0.58),
-        ("disk", -1.0),
-        ("redis", f64::NAN),
-        ("data-pipeline", -2.66),
-        ("image-processing", -2.27),
-        ("tensorflow", -2.08),
+/// Runs one §4 design's paired A/Bs and prints its table: the paper's
+/// throughput and memory deltas, then the measured deltas and the LLC and
+/// dTLB counters before → after. Returns the result.
+pub fn design(d: &Design, scale: &Scale) -> DesignAb {
+    println!("== {} ==", d.title);
+    let (fleet, rows) = design_ab(d, scale);
+    let headers = [
+        "workload",
+        "paper thr %",
+        "paper mem %",
+        "thr %",
+        "mem %",
+        "CPI %",
+        "frag %",
+        "LLC MPKI",
+        "dTLB walk %",
     ];
-    let mut t = Table::new(vec!["workload", "paper mem %", "measured mem %"]);
-    t.row(vec![
-        "fleet".into(),
-        pct(paper[0].1),
-        pct(fleet.memory_pct()),
-    ]);
-    let mut out = vec![("fleet".to_string(), fleet.memory_pct())];
-    for (i, (name, c)) in rows.iter().enumerate() {
-        let measured = if name == "redis" {
-            "n/a (single-threaded)".to_string()
+    let mut t = Table::new(headers.to_vec());
+    let paper_cell = |v: Option<f64>| v.map_or_else(|| "-".to_string(), pct);
+    let before_after = |b: f64, a: f64| format!("{} -> {}", f3(b), f3(a));
+    let all = std::iter::once(("fleet", &fleet)).chain(rows.iter().map(|(n, c)| (n.as_str(), c)));
+    for (name, c) in all {
+        let (thr, mem) = d.paper(name);
+        let mut row = vec![name.to_string(), paper_cell(thr), paper_cell(mem)];
+        if d.skip.contains(&name) {
+            row.resize(headers.len(), "/".to_string());
         } else {
-            pct(c.memory_pct())
-        };
-        let paper_cell = if paper[i + 1].1.is_nan() {
-            "omitted".to_string()
-        } else {
-            pct(paper[i + 1].1)
-        };
-        t.row(vec![name.clone(), paper_cell, measured]);
-        out.push((name.clone(), c.memory_pct()));
+            row.extend([
+                pct(c.throughput_pct()),
+                pct(c.memory_pct()),
+                pct(c.cpi_pct()),
+                pct(c.frag_pct()),
+                before_after(c.control.llc_mpki, c.experiment.llc_mpki),
+                before_after(c.control.dtlb_walk_pct, c.experiment.dtlb_walk_pct),
+            ]);
+        }
+        t.row(row);
     }
     println!("{}", t.render());
-    println!("paper: fleet -1.94%; apps -0.58..-2.45%; benchmarks -2.08..-2.66%; Redis omitted\n");
-    (fleet.memory_pct(), out)
+    (fleet, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -722,132 +784,6 @@ pub fn fig13(scale: &Scale) -> Vec<(u32, f64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Table 1 (NUCA-aware transfer caches)
-// ---------------------------------------------------------------------------
-
-/// Prints a Table-1/Table-2 style table. Returns the fleet comparison and
-/// per-workload comparisons.
-fn print_design_table(
-    title: &str,
-    paper_note: &str,
-    fleet: &Comparison,
-    rows: &[(String, Comparison)],
-    skip: &[&str],
-    tlb: bool,
-) {
-    println!("== {title} ==");
-    let mut t = Table::new(if tlb {
-        vec![
-            "workload", "thr %", "mem %", "CPI %", "walk% b", "walk% a", "miss b", "miss a",
-        ]
-    } else {
-        vec![
-            "workload", "thr %", "mem %", "CPI %", "MPKI b", "MPKI a", "", "",
-        ]
-    });
-    let mut push = |name: &str, c: &Comparison| {
-        if skip.contains(&name) {
-            t.row(vec![
-                name.into(),
-                "/".into(),
-                "/".into(),
-                "/".into(),
-                "/".into(),
-                "/".into(),
-            ]);
-            return;
-        }
-        let (b, a) = if tlb {
-            (c.control.dtlb_walk_pct, c.experiment.dtlb_walk_pct)
-        } else {
-            (c.control.llc_mpki, c.experiment.llc_mpki)
-        };
-        let (mb, ma) = (c.control.dtlb_miss_rate, c.experiment.dtlb_miss_rate);
-        let mut row = vec![
-            name.to_string(),
-            pct(c.throughput_pct()),
-            pct(c.memory_pct()),
-            pct(c.cpi_pct()),
-            f3(b),
-            f3(a),
-        ];
-        if tlb {
-            row.push(f3(mb));
-            row.push(f3(ma));
-        }
-        t.row(row);
-    };
-    push("fleet", fleet);
-    for (name, c) in rows {
-        push(name, c);
-    }
-    println!("{}", t.render());
-    println!("{paper_note}\n");
-}
-
-/// Table 1: NUCA-aware transfer caches. Returns `(fleet, rows)`.
-pub fn table1(scale: &Scale) -> (Comparison, Vec<(String, Comparison)>) {
-    let base = TcmallocConfig::baseline();
-    let exp = base.with_nuca_transfer();
-    let (fleet, rows) = design_ab(base, exp, scale, &["redis"]);
-    print_design_table(
-        "Table 1: NUCA-aware transfer caches",
-        "paper: fleet thr +0.32%, mem +0.10%, CPI -0.57%, LLC MPKI 2.52->2.41;\n\
-         apps thr +0.28..+1.72%; benchmarks +1.37..+3.80%; Redis skipped (single-threaded)",
-        &fleet,
-        &rows,
-        &["redis"],
-        false,
-    );
-    (fleet, rows)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 14 (span prioritization)
-// ---------------------------------------------------------------------------
-
-/// Figure 14: memory reduction from span prioritization.
-/// Returns `(fleet_mem_pct, fleet_frag_pct, rows)`.
-pub fn fig14(scale: &Scale) -> (f64, f64, Vec<(String, f64)>) {
-    println!("== Figure 14: memory reduction, span prioritization ==");
-    let base = TcmallocConfig::baseline();
-    let exp = base.with_span_prioritization();
-    let (fleet, rows) = design_ab(base, exp, scale, &[]);
-    let mut t = Table::new(vec!["workload", "paper mem %", "measured mem %", "frag %"]);
-    let paper = [
-        ("fleet", -1.41),
-        ("spanner", -0.8),
-        ("monarch", -2.76),
-        ("bigtable", -1.3),
-        ("f1-query", -0.34),
-        ("disk", -2.54),
-        ("redis", -0.61),
-        ("data-pipeline", -1.36),
-        ("image-processing", -0.9),
-        ("tensorflow", -1.0),
-    ];
-    t.row(vec![
-        "fleet".into(),
-        pct(paper[0].1),
-        pct(fleet.memory_pct()),
-        pct(fleet.frag_pct()),
-    ]);
-    let mut out = vec![("fleet".to_string(), fleet.memory_pct())];
-    for (i, (name, c)) in rows.iter().enumerate() {
-        t.row(vec![
-            name.clone(),
-            pct(paper[i + 1].1),
-            pct(c.memory_pct()),
-            pct(c.frag_pct()),
-        ]);
-        out.push((name.clone(), c.memory_pct()));
-    }
-    println!("{}", t.render());
-    println!("paper: fleet -1.41%; monarch -2.76%; others -0.34..-2.54%\n");
-    (fleet.memory_pct(), fleet.frag_pct(), out)
-}
-
-// ---------------------------------------------------------------------------
 // Figure 15
 // ---------------------------------------------------------------------------
 
@@ -859,21 +795,17 @@ pub fn fig15(scale: &Scale) -> (f64, f64) {
     let used = s.total_used_bytes().max(1) as f64;
     let free = s.total_free_bytes().max(1) as f64;
     let mut t = Table::new(vec!["component", "in-use %", "fragmentation %"]);
-    t.row(vec![
-        "HugeFiller".into(),
-        f2(s.filler_used_bytes as f64 / used * 100.0),
-        f2(s.filler_free_bytes as f64 / free * 100.0),
-    ]);
-    t.row(vec![
-        "HugeRegion".into(),
-        f2(s.region_used_bytes as f64 / used * 100.0),
-        f2(s.region_free_bytes as f64 / free * 100.0),
-    ]);
-    t.row(vec![
-        "HugeCache (+large)".into(),
-        f2(s.large_used_bytes as f64 / used * 100.0),
-        f2(s.cache_bytes as f64 / free * 100.0),
-    ]);
+    for (component, in_use, fragmented) in [
+        ("HugeFiller", s.filler_used_bytes, s.filler_free_bytes),
+        ("HugeRegion", s.region_used_bytes, s.region_free_bytes),
+        ("HugeCache (+large)", s.large_used_bytes, s.cache_bytes),
+    ] {
+        t.row(vec![
+            component.into(),
+            f2(in_use as f64 / used * 100.0),
+            f2(fragmented as f64 / free * 100.0),
+        ]);
+    }
     println!("{}", t.render());
     println!("paper: HugeFiller 83.6% of in-use memory, 94.4% of pageheap fragmentation\n");
     (
@@ -933,25 +865,8 @@ pub fn fig16(scale: &Scale) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Table 2 + Figure 17 (lifetime-aware hugepage filler)
+// Figure 17 (lifetime-aware hugepage filler)
 // ---------------------------------------------------------------------------
-
-/// Table 2: lifetime-aware hugepage filler. Returns `(fleet, rows)`.
-pub fn table2(scale: &Scale) -> (Comparison, Vec<(String, Comparison)>) {
-    let base = TcmallocConfig::baseline();
-    let exp = base.with_lifetime_filler();
-    let (fleet, rows) = design_ab(base, exp, scale, &[]);
-    print_design_table(
-        "Table 2: lifetime-aware hugepage filler",
-        "paper: fleet thr +1.02%, mem -0.82%, CPI -6.75%, dTLB walk 9.16->6.22%;\n\
-         apps thr +0.38..+6.29% (disk best, monarch next); benchmarks +1.05..+3.91% (incl. Redis)",
-        &fleet,
-        &rows,
-        &[],
-        true,
-    );
-    (fleet, rows)
-}
 
 /// Figure 17: hugepage coverage and normalized dTLB miss rate from the
 /// Table 2 experiment. Returns `(cov_before, cov_after, norm_miss_after)`.
@@ -993,39 +908,31 @@ pub fn fig17(fleet: &Comparison, rows: &[(String, Comparison)]) -> (f64, f64, f6
     (cov_b, cov_a, norm_miss)
 }
 
-// ---------------------------------------------------------------------------
-// §4.5 combined
-// ---------------------------------------------------------------------------
-
-/// §4.5: all four designs combined, plus the multiplicative rollout
-/// composition of the individual fleet deltas.
-/// Returns `(fleet_combined, rollout_estimate)`.
-pub fn combined(scale: &Scale, singles: &[Comparison]) -> (Comparison, rollout::RolloutEstimate) {
-    println!("== Section 4.5: all four designs combined ==");
-    let base = TcmallocConfig::baseline();
-    let exp = TcmallocConfig::optimized();
-    let (fleet, rows) = design_ab(base, exp, scale, &[]);
-    print_design_table(
-        "combined A/B (baseline vs fully optimized)",
-        "paper (end-to-end estimate): fleet +1.4% throughput, -3.4% RAM;\n\
-         top-5 apps +0.7..+8.1% throughput, -1.0..-6.3% memory",
-        &fleet,
-        &rows,
-        &[],
-        true,
-    );
-    let est = rollout::combine(singles.iter());
+/// §4.5: all four designs combined ([`design`]), then the multiplicative
+/// rollout composition of the single designs' fleet deltas this run
+/// gathered. Returns the rollout estimate.
+fn combined(r: &mut Run) -> rollout::RolloutEstimate {
+    r.design(COMBINED);
+    let singles = DESIGNS.iter().zip(&r.designs).take(COMBINED);
+    let deltas: Vec<Comparison> = singles
+        .filter_map(|(d, ab)| ab.as_ref().map(|(fleet, _)| d.rollout_delta(fleet)))
+        .collect();
+    let est = rollout::combine(&deltas);
+    let (thr, mem) = DESIGNS[COMBINED].paper("fleet");
+    let paper = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:+}%"));
     println!(
-        "rollout composition of the four independent fleet deltas: thr {:+.2}%, mem {:+.2}% (paper: +1.4%, -3.4%)\n",
-        est.throughput_pct, est.memory_pct
+        "rollout composition of the four independent fleet deltas: thr {:+.2}%, mem {:+.2}% (paper: {}, {})\n",
+        est.throughput_pct,
+        est.memory_pct,
+        paper(thr),
+        paper(mem)
     );
-    (fleet, est)
+    est
 }
 
 /// Robustness under injected kernel failure: the Fig. 7 fleet mix driven
 /// through every named fault storm (whole-run window), compared against a
-/// healthy reference run with the same seed. `WSC_FAULT_STORM=<name>`
-/// restricts the sweep to one catalogued storm.
+/// healthy reference run with the same seed.
 ///
 /// Returns `(storm, throughput relative to healthy %, hugepage coverage,
 /// refused allocations)` per storm.
@@ -1033,17 +940,7 @@ pub fn faults(scale: &Scale) -> Vec<(String, f64, f64, u64)> {
     use wsc_sim_os::faults::FaultPlan;
     println!("== Fault storms: fleet mix under injected kernel failure ==");
     let platform = chiplet();
-    let filter = std::env::var("WSC_FAULT_STORM").ok();
-    let names: Vec<&str> = FaultPlan::NAMED
-        .iter()
-        .copied()
-        .filter(|n| filter.as_deref().is_none_or(|f| f == *n))
-        .collect();
-    assert!(
-        !names.is_empty(),
-        "WSC_FAULT_STORM={filter:?} names no catalogued storm (known: {})",
-        FaultPlan::NAMED.join(", ")
-    );
+    let names = FaultPlan::NAMED;
     let seed = scale.seeds[0];
     let cfg_for = |name: Option<&str>| {
         let base = TcmallocConfig::baseline();
@@ -1167,7 +1064,16 @@ pub fn ablations(scale: &Scale) -> Vec<(String, f64, f64)> {
     let base = TcmallocConfig::baseline();
     let mut rows = Vec::new();
     let mut run = |label: String, spec: &WorkloadSpec, exp: TcmallocConfig| {
-        let c = &paired_ab(&[spec], &platform, base, exp, scale)[0];
+        let c = paired_ab(
+            &scale.engine,
+            &[spec],
+            &platform,
+            base,
+            exp,
+            scale.requests,
+            &scale.seeds,
+        )
+        .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"))[0];
         rows.push((label, c.throughput_pct(), c.memory_pct()));
     };
 
@@ -1345,30 +1251,30 @@ pub fn fleet(scale: &Scale, shards: usize, policy: &SupervisorConfig) -> (Compar
     let summary = fleet_summary_supervised(scale, shards, policy);
     let fleet = summary.fleet();
     let mut t = Table::new(vec!["metric", "control", "experiment", "delta %"]);
-    t.row(vec![
-        "throughput (req/cpu-s)".into(),
-        f2(fleet.control.throughput),
-        f2(fleet.experiment.throughput),
-        pct(fleet.throughput_pct()),
-    ]);
-    t.row(vec![
-        "resident bytes".into(),
-        f2(fleet.control.memory_bytes),
-        f2(fleet.experiment.memory_bytes),
-        pct(fleet.memory_pct()),
-    ]);
-    t.row(vec![
-        "cpi".into(),
-        f3(fleet.control.cpi),
-        f3(fleet.experiment.cpi),
-        pct(fleet.cpi_pct()),
-    ]);
-    t.row(vec![
-        "fragmentation ratio".into(),
-        f3(fleet.control.frag_ratio),
-        f3(fleet.experiment.frag_ratio),
-        pct(fleet.frag_pct()),
-    ]);
+    let (c, e) = (&fleet.control, &fleet.experiment);
+    for (metric, control, experiment, delta) in [
+        (
+            "throughput (req/cpu-s)",
+            f2(c.throughput),
+            f2(e.throughput),
+            fleet.throughput_pct(),
+        ),
+        (
+            "resident bytes",
+            f2(c.memory_bytes),
+            f2(e.memory_bytes),
+            fleet.memory_pct(),
+        ),
+        ("cpi", f3(c.cpi), f3(e.cpi), fleet.cpi_pct()),
+        (
+            "fragmentation ratio",
+            f3(c.frag_ratio),
+            f3(e.frag_ratio),
+            fleet.frag_pct(),
+        ),
+    ] {
+        t.row(vec![metric.into(), control, experiment, pct(delta)]);
+    }
     println!("{}", t.render());
     println!(
         "machines {} (control {}, experiment {}) | resident samples {}",
@@ -1399,11 +1305,9 @@ pub struct Run {
     pub shards: usize,
     /// Shard supervision policy (`--supervise`).
     pub policy: SupervisorConfig,
-    /// The single-design fleet deltas gathered so far (Figures 10 and 14,
-    /// Tables 1 and 2), which `combined` composes per §4.5.
-    singles: Vec<Comparison>,
-    /// Table 2's result, which Figure 17 plots.
-    table2: Option<(Comparison, Vec<(String, Comparison)>)>,
+    /// Each [`DESIGNS`] entry's result once run: §4.5 composes the single
+    /// designs' fleet deltas, and Figure 17 plots Table 2's.
+    designs: [Option<DesignAb>; DESIGNS.len()],
 }
 
 impl Run {
@@ -1413,15 +1317,19 @@ impl Run {
             scale,
             shards,
             policy,
-            singles: Vec::new(),
-            table2: None,
+            designs: Default::default(),
         }
     }
 
+    /// Runs and prints [`DESIGNS`]`[i]`, keeping its result.
+    fn design(&mut self, i: usize) {
+        self.designs[i] = Some(design(&DESIGNS[i], &self.scale));
+    }
+
     /// Table 2's result, computed at most once per run.
-    fn table2(&mut self) -> &(Comparison, Vec<(String, Comparison)>) {
+    fn table2(&mut self) -> &DesignAb {
         let scale = &self.scale;
-        self.table2.get_or_insert_with(|| table2(scale))
+        self.designs[TABLE2].get_or_insert_with(|| design(&DESIGNS[TABLE2], scale))
     }
 }
 
@@ -1435,22 +1343,6 @@ pub struct Experiment {
     /// Prints the experiment's table, leaving in the [`Run`] what later
     /// experiments build on.
     pub run: fn(&mut Run),
-}
-
-/// A throughput- and CPI-neutral comparison carrying only a memory delta:
-/// what Figures 10 and 14, which report memory alone, hand the rollout
-/// composition.
-fn memory_only(memory_pct: f64) -> Comparison {
-    let arm = |memory_bytes| MetricSet {
-        memory_bytes,
-        throughput: 100.0,
-        cpi: 1.0,
-        ..MetricSet::default()
-    };
-    Comparison {
-        control: arm(100.0),
-        experiment: arm(100.0 + memory_pct),
-    }
 }
 
 /// An experiment `repro all` includes.
@@ -1481,33 +1373,20 @@ pub const REGISTRY: &[Experiment] = &[
     in_all("fig8", |r| _ = fig8(&r.scale)),
     in_all("fig9a", |r| _ = fig9a(&r.scale)),
     in_all("fig9b", |r| _ = fig9b(&r.scale)),
-    in_all("fig10", |r| {
-        let (fleet_mem, _) = fig10(&r.scale);
-        r.singles.push(memory_only(fleet_mem));
-    }),
+    in_all(DESIGNS[0].id, |r| r.design(0)),
     in_all("fig11", |r| _ = fig11(&r.scale)),
     in_all("fig13", |r| _ = fig13(&r.scale)),
-    in_all("table1", |r| {
-        let (fleet, _) = table1(&r.scale);
-        r.singles.push(fleet);
-    }),
-    in_all("fig14", |r| {
-        let (fleet_mem, _, _) = fig14(&r.scale);
-        r.singles.push(memory_only(fleet_mem));
-    }),
+    in_all(DESIGNS[1].id, |r| r.design(1)),
+    in_all(DESIGNS[2].id, |r| r.design(2)),
     in_all("fig15", |r| _ = fig15(&r.scale)),
     in_all("fig16", |r| _ = fig16(&r.scale)),
     // Asking for Table 2 prints it, even if Figure 17 already computed it.
-    in_all("table2", |r| {
-        let result = table2(&r.scale);
-        r.singles.push(result.0);
-        r.table2 = Some(result);
-    }),
+    in_all(DESIGNS[TABLE2].id, |r| r.design(TABLE2)),
     in_all("fig17", |r| {
         let (fleet, rows) = r.table2();
         fig17(fleet, rows);
     }),
-    in_all("combined", |r| _ = combined(&r.scale, &r.singles)),
+    in_all(DESIGNS[COMBINED].id, |r| _ = combined(r)),
     in_all("ablations", |r| _ = ablations(&r.scale)),
     in_all("faults", |r| _ = faults(&r.scale)),
     in_all("contention", |r| _ = contention(&r.scale)),
@@ -1566,6 +1445,67 @@ mod tests {
         }
         for e in REGISTRY {
             assert!(named.contains(e.id), "no document shows `repro {}`", e.id);
+        }
+    }
+
+    /// Every signed decimal in `text`: `+0.32`, `-1.94`, `−1.94`.
+    fn signed_numbers(text: &str) -> Vec<f64> {
+        let chars: Vec<char> = text.chars().collect();
+        let mut out = Vec::new();
+        for (i, &c) in chars.iter().enumerate() {
+            let sign = match c {
+                '+' => 1.0,
+                '-' | '−' => -1.0,
+                _ => continue,
+            };
+            let mut end = i + 1;
+            while end < chars.len()
+                && (chars[end].is_ascii_digit()
+                    || (chars[end] == '.' && chars.get(end + 1).is_some_and(char::is_ascii_digit)))
+            {
+                end += 1;
+            }
+            let digits: String = chars[i + 1..end].iter().collect();
+            if let Ok(v) = digits.parse::<f64>() {
+                out.push(sign * v);
+            }
+        }
+        out
+    }
+
+    /// The docs quote the paper as [`DESIGNS`] does: for each design,
+    /// EXPERIMENTS.md's section (the one whose heading names its `repro`
+    /// id) and DESIGN.md §3's row quote the fleet values the entry
+    /// declares, signed.
+    #[test]
+    fn docs_quote_the_paper_as_designs_does() {
+        let experiments = include_str!("../../../EXPERIMENTS.md");
+        let design_md = include_str!("../../../DESIGN.md");
+        let index = design_md
+            .split("\n## 3.")
+            .nth(1)
+            .and_then(|s| s.split("\n## 4.").next())
+            .unwrap();
+        assert_eq!(signed_numbers("(paper −1.49%, +0.1)"), [-1.49, 0.1]);
+        for d in &DESIGNS {
+            let tag = format!("`repro {}`", d.id);
+            let section = experiments
+                .split("\n#")
+                .find(|s| s.lines().next().unwrap().contains(&tag))
+                .unwrap_or_else(|| panic!("EXPERIMENTS.md: no heading names {tag}"));
+            let row = index
+                .lines()
+                .find(|l| l.starts_with('|') && l.contains(&tag))
+                .unwrap_or_else(|| panic!("DESIGN.md §3: no row names {tag}"));
+            let (thr, mem) = d.paper("fleet");
+            for v in [thr, mem].into_iter().flatten() {
+                for (file, text) in [("EXPERIMENTS.md", section), ("DESIGN.md §3", row)] {
+                    assert!(
+                        signed_numbers(text).contains(&v),
+                        "{file}: {tag} does not quote the paper's fleet {v:+}%"
+                    );
+                }
+            }
         }
     }
 }

@@ -24,13 +24,13 @@
 
 use crate::population::{CycleSampler, Population};
 use crate::rollout::RolloutSchedule;
-use wsc_parallel::{Engine, FoldSpan, Task, TaskError};
+use wsc_parallel::{Engine, FoldSpan, TaskError};
 use wsc_prng::{derive_seed, SmallRng};
 
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_tcmalloc::TcmallocConfig;
 use wsc_telemetry::summary::{quantize_weight, BucketSeries, Coverage, MetricSummary};
-use wsc_workload::driver::{self, DriverConfig, RunReport};
+use wsc_workload::driver::{self, DriverConfig, RunJob, RunReport};
 use wsc_workload::WorkloadSpec;
 
 /// Number of scalar metrics in a [`MetricSet`] (the summary array width).
@@ -362,18 +362,6 @@ impl FleetExperimentConfig {
             population: 200,
         }
     }
-
-    /// A fuller configuration for the published numbers.
-    pub fn full(seed: u64) -> Self {
-        Self {
-            machines: 24,
-            binaries_per_machine: 2,
-            requests_per_binary: 30_000,
-            seed,
-            platform_mix: default_platform_mix(),
-            population: 2_000,
-        }
-    }
 }
 
 /// The fleet's platform mix: a majority of chiplet (NUCA) machines plus
@@ -422,35 +410,13 @@ pub struct FleetAbResult {
     pub summary: CellSummary,
 }
 
-/// One pre-sampled fleet cell: a (machine, binary) slot with its platform,
-/// cpuset, workload, and fixed-point cycle weight fixed before any cell
-/// executes.
+/// One fleet cell: a (machine, binary) slot with its platform, cpuset,
+/// workload, and fixed-point cycle weight, fixed before the cell runs.
 struct Cell {
     weight_q: u64,
     platform: Platform,
     cpuset: Vec<CpuId>,
     spec: WorkloadSpec,
-}
-
-/// Runs a paired fleet A/B experiment: `control` vs `experiment` allocator
-/// configurations over the same sampled machines, binaries, and seeds.
-///
-/// Equivalent to [`try_run_fleet_ab`] with the ambient [`Engine`]
-/// (`WSC_THREADS` or the machine's core count).
-///
-/// # Panics
-///
-/// Panics with the structured [`TaskError`] message (task index, label,
-/// seed) if any cell's simulation panics.
-pub fn run_fleet_ab(
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
-    cfg: &FleetExperimentConfig,
-) -> FleetAbResult {
-    match try_run_fleet_ab(&Engine::from_env(), control, experiment, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("fleet A/B experiment aborted: {e}"),
-    }
 }
 
 /// Runs a paired fleet A/B experiment on `engine`, streaming cells through
@@ -548,21 +514,6 @@ pub struct FleetSurveyConfig {
     pub rollout_stage: usize,
 }
 
-impl FleetSurveyConfig {
-    /// A quick configuration for tests and CI.
-    pub fn quick(seed: u64) -> Self {
-        Self {
-            machines: 600,
-            requests_per_machine: 64,
-            seed,
-            platform_mix: default_platform_mix(),
-            population: 300,
-            diurnal_period_ns: 1_000_000,
-            rollout_stage: 2,
-        }
-    }
-}
-
 /// Result of a fleet survey.
 #[derive(Clone, Debug)]
 pub struct FleetSurveyResult {
@@ -572,15 +523,7 @@ pub struct FleetSurveyResult {
     pub summary: CellSummary,
 }
 
-/// One survey machine, generated as a pure function of (seed, index).
-struct SurveyCell {
-    weight_q: u64,
-    platform: Platform,
-    cpuset: Vec<CpuId>,
-    spec: WorkloadSpec,
-}
-
-/// Generates machine `m`'s survey cell from its own derived RNG — no
+/// Generates survey machine `m`'s cell from its own derived RNG — no
 /// serial sampling pass, no materialized cell list. This is what makes the
 /// survey's memory constant in machine count: shard `s` of `P` can
 /// generate exactly its own machines.
@@ -589,7 +532,7 @@ fn survey_cell(
     pop: &Population,
     sampler: &CycleSampler,
     m: usize,
-) -> SurveyCell {
+) -> Cell {
     let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.seed ^ 0xf1ee7, m as u64));
     let platform = sample_platform(&cfg.platform_mix, &mut rng);
     let bin = &pop.binaries()[sampler.sample(&mut rng)];
@@ -603,7 +546,7 @@ fn survey_cell(
         .into_iter()
         .next()
         .expect("one cpuset requested");
-    SurveyCell {
+    Cell {
         weight_q: quantize_weight(bin.cycle_weight),
         platform,
         cpuset,
@@ -683,76 +626,62 @@ pub fn try_run_fleet_survey_span(
     )
 }
 
-/// Runs a paired A/B comparison of one named workload on a dedicated
-/// machine (the per-application rows of Tables 1/2 and Figures 10/14).
-///
-/// Equivalent to [`try_run_workload_ab`] with the ambient [`Engine`].
+/// Paired A/B comparisons of `specs` on a dedicated `platform` (the
+/// per-workload rows of Figures 10/14 and Tables 1/2), one per workload in
+/// `specs` order, each the mean over `seeds`. Every run — `specs × seeds ×
+/// {control, experiment}` — is one engine batch, so a whole table shards
+/// across threads; the two arms of a pair share the seed, so the pairing
+/// isolates the allocator change.
 ///
 /// # Panics
 ///
-/// Panics with the structured [`TaskError`] message if either arm panics.
-pub fn run_workload_ab(
-    spec: &WorkloadSpec,
-    platform: &Platform,
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
-    requests: u64,
-    seed: u64,
-) -> Comparison {
-    match try_run_workload_ab(
-        &Engine::from_env(),
-        spec,
-        platform,
-        control,
-        experiment,
-        requests,
-        seed,
-    ) {
-        Ok(r) => r,
-        Err(e) => panic!("workload A/B experiment aborted: {e}"),
-    }
-}
-
-/// Runs one workload's paired A/B comparison on `engine`: the two arms are
-/// independent tasks sharing the *same* driver seed (pairing isolates the
-/// allocator change), merged control-first regardless of finish order.
+/// Panics if `seeds` is empty.
 ///
 /// # Errors
 ///
-/// Returns the [`TaskError`] naming the failing arm if either panics.
-pub fn try_run_workload_ab(
+/// Returns the [`TaskError`] naming the lowest-index failing run if any
+/// run panics.
+pub fn paired_ab(
     engine: &Engine,
-    spec: &WorkloadSpec,
+    specs: &[&WorkloadSpec],
     platform: &Platform,
     control: TcmallocConfig,
     experiment: TcmallocConfig,
     requests: u64,
-    seed: u64,
-) -> Result<Comparison, TaskError> {
-    let dcfg = DriverConfig::new(requests, seed, platform);
-    // Both arms deliberately share `seed`: the pairing is the experiment.
-    let tasks = vec![
-        Task {
-            seed,
-            label: format!("{} control", spec.name),
-            payload: control,
-        },
-        Task {
-            seed,
-            label: format!("{} experiment", spec.name),
-            payload: experiment,
-        },
-    ];
-    let mut metrics = engine.run(&tasks, |task, _| {
-        let (r, _) = driver::run(spec, platform, task.payload, &dcfg);
-        MetricSet::from_report(&r)
-    })?;
-    let experiment = metrics.pop().expect("two arms submitted");
-    let control = metrics.pop().expect("two arms submitted");
-    Ok(Comparison {
-        control,
-        experiment,
-    })
+    seeds: &[u64],
+) -> Result<Vec<Comparison>, TaskError> {
+    assert!(!seeds.is_empty(), "a paired A/B needs at least one seed");
+    let mut jobs = Vec::with_capacity(specs.len() * seeds.len() * 2);
+    for &spec in specs {
+        for &seed in seeds {
+            let dcfg = DriverConfig::new(requests, seed, platform);
+            for tcm_cfg in [control, experiment] {
+                jobs.push(RunJob {
+                    spec: spec.clone(),
+                    platform: platform.clone(),
+                    tcm_cfg,
+                    dcfg: dcfg.clone(),
+                });
+            }
+        }
+    }
+    let metrics = driver::run_batch(engine, jobs, |r, _| MetricSet::from_report(r))?;
+    let w = 1.0 / seeds.len() as f64;
+    let add = |into: &mut MetricSet, from: &MetricSet| {
+        let (a, b) = (into.to_array(), from.to_array());
+        *into = MetricSet::from_array(std::array::from_fn(|i| a[i] + b[i] * w));
+    };
+    Ok(metrics
+        .chunks(2 * seeds.len())
+        .map(|runs| {
+            let mut acc = Comparison::default();
+            for pair in runs.chunks(2) {
+                add(&mut acc.control, &pair[0]);
+                add(&mut acc.experiment, &pair[1]);
+            }
+            acc
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -762,80 +691,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn identical_configs_have_zero_delta() {
-        let cfg = FleetExperimentConfig {
-            machines: 2,
-            binaries_per_machine: 1,
-            requests_per_binary: 1_000,
-            seed: 3,
-            platform_mix: default_platform_mix(),
-            population: 20,
-        };
-        let r = run_fleet_ab(TcmallocConfig::baseline(), TcmallocConfig::baseline(), &cfg);
-        assert!(r.fleet.throughput_pct().abs() < 1e-9);
-        assert!(r.fleet.memory_pct().abs() < 1e-9);
-        assert_eq!(r.summary.cells, 2, "one cell per machine × binary slot");
-        assert_eq!(r.summary.control, r.summary.experiment);
-    }
-
-    #[test]
-    fn workload_ab_is_paired_and_deterministic() {
+    fn paired_ab_is_deterministic_and_averages_seeds() {
         let p = Platform::chiplet("t", 1, 2, 4, 2);
         let spec = wsc_workload::profiles::redis();
-        let a = run_workload_ab(
-            &spec,
-            &p,
-            TcmallocConfig::baseline(),
-            TcmallocConfig::optimized(),
-            1_000,
-            5,
-        );
-        let b = run_workload_ab(
-            &spec,
-            &p,
-            TcmallocConfig::baseline(),
-            TcmallocConfig::optimized(),
-            1_000,
-            5,
-        );
-        assert_eq!(a.control, b.control);
-        assert_eq!(a.experiment, b.experiment);
-    }
-
-    #[test]
-    fn fleet_ab_is_thread_count_invariant() {
-        let cfg = FleetExperimentConfig {
-            machines: 3,
-            binaries_per_machine: 2,
-            requests_per_binary: 800,
-            seed: 7,
-            platform_mix: default_platform_mix(),
-            population: 30,
+        let ab = |seeds: &[u64]| {
+            let engine = Engine::new(2);
+            let (control, experiment) = (TcmallocConfig::baseline(), TcmallocConfig::optimized());
+            paired_ab(
+                &engine,
+                &[&spec, &spec],
+                &p,
+                control,
+                experiment,
+                1_000,
+                seeds,
+            )
+            .unwrap()
         };
-        let serial = try_run_fleet_ab(
-            &Engine::new(1),
-            TcmallocConfig::baseline(),
-            TcmallocConfig::optimized(),
-            &cfg,
-        )
-        .unwrap();
-        let threaded = try_run_fleet_ab(
-            &Engine::new(4),
-            TcmallocConfig::baseline(),
-            TcmallocConfig::optimized(),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{threaded:?}"),
-            "merged fleet result must be bit-identical for any thread count"
-        );
-        assert_eq!(serial.summary.encode(), threaded.summary.encode());
-        assert!(
-            serial.summary.resident.samples() > 0,
-            "telemetry folded from cells"
-        );
+        let both = ab(&[5, 6]);
+        assert_eq!(both.len(), 2, "one comparison per workload");
+        assert_eq!(both[0], both[1], "same workload, same seeds, same result");
+        assert_eq!(both, ab(&[5, 6]));
+        let (a, b) = (ab(&[5])[0], ab(&[6])[0]);
+        let mean = (a.experiment.throughput + b.experiment.throughput) / 2.0;
+        assert!((both[0].experiment.throughput - mean).abs() < 1e-9 * mean);
     }
 
     #[test]
@@ -848,11 +727,13 @@ mod tests {
             platform_mix: default_platform_mix(),
             population: 25,
         };
-        let r = run_fleet_ab(
+        let r = try_run_fleet_ab(
+            &Engine::serial(),
             TcmallocConfig::baseline(),
             TcmallocConfig::optimized(),
             &cfg,
-        );
+        )
+        .unwrap();
         let bytes = r.summary.encode();
         let back = CellSummary::decode(&bytes).unwrap();
         assert_eq!(back, r.summary);

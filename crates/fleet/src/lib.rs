@@ -17,15 +17,18 @@
 //! # Example
 //!
 //! ```no_run
-//! use wsc_fleet::experiment::{run_fleet_ab, FleetExperimentConfig};
+//! use wsc_fleet::experiment::{try_run_fleet_ab, FleetExperimentConfig};
+//! use wsc_parallel::Engine;
 //! use wsc_tcmalloc::TcmallocConfig;
 //!
 //! let cfg = FleetExperimentConfig::quick(42);
-//! let result = run_fleet_ab(
+//! let result = try_run_fleet_ab(
+//!     &Engine::from_env(),
 //!     TcmallocConfig::baseline(),
 //!     TcmallocConfig::optimized(),
 //!     &cfg,
-//! );
+//! )
+//! .expect("no cell panics");
 //! println!("throughput {:+.2}%", result.fleet.throughput_pct());
 //! ```
 

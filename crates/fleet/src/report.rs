@@ -1,7 +1,8 @@
 //! Plain-text table formatting for the `repro` harness output.
 //!
-//! Every figure/table reproduction prints a paper-vs-measured table through
-//! these helpers so EXPERIMENTS.md can quote the output verbatim.
+//! Every figure/table reproduction prints its paper-vs-measured table
+//! through these helpers; `crates/bench/tests/data/repro_quick.txt` pins
+//! what `repro all` prints at quick scale.
 
 /// A simple fixed-width table builder.
 ///
@@ -78,18 +79,6 @@ pub fn pct(v: f64) -> String {
     format!("{v:+.2}")
 }
 
-/// Formats bytes with a binary-unit suffix.
-pub fn bytes(v: f64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = v;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    format!("{v:.1} {}", UNITS[u])
-}
-
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -122,7 +111,5 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(1.4), "+1.40");
         assert_eq!(pct(-3.4), "-3.40");
-        assert_eq!(bytes(1536.0), "1.5 KiB");
-        assert_eq!(bytes(3.0 * 1024.0 * 1024.0), "3.0 MiB");
     }
 }

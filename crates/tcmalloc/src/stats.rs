@@ -12,7 +12,9 @@ use crate::events::{AllocEvent, EventSink};
 use wsc_sim_hw::cost::{ns_to_ps, AllocPath, CostModel, OpPrice, PriceTable};
 use wsc_telemetry::gwp::{AllocationProfile, Sample};
 
-/// Where allocator time goes — the categories of Figure 6a.
+/// Where allocator time goes — the categories of Figure 6a. Declaration
+/// order is the paper's display order, and a category's discriminant is its
+/// index into [`ALL`](Self::ALL) and the [`CycleStats`] arrays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CycleCategory {
     /// Per-CPU cache fast path.
@@ -37,60 +39,52 @@ pub enum CycleCategory {
     Contention,
 }
 
-/// The single source of truth for the category list: every `(category,
-/// display name)` pair, in the paper's display order. [`CycleCategory::ALL`],
-/// [`CycleCategory::name`], and the [`CycleStats`] array width all derive
-/// from this catalog, so adding a category cannot silently miss one of them
-/// (the `catalog_is_exhaustive` test closes the loop with an exhaustive
-/// match).
-pub const CATALOG: [(CycleCategory, &str); CycleCategory::COUNT] = [
-    (CycleCategory::CpuCache, "CPUCache"),
-    (CycleCategory::TransferCache, "TransferCache"),
-    (CycleCategory::CentralFreeList, "CentralFreeList"),
-    (CycleCategory::PageHeap, "PageHeap"),
-    (CycleCategory::Sampled, "Sampled"),
-    (CycleCategory::Prefetch, "Prefetch"),
-    (CycleCategory::Other, "Other"),
-    (CycleCategory::Contention, "Contention"),
-];
-
 impl CycleCategory {
+    /// All categories in the paper's display order.
+    pub const ALL: [CycleCategory; 8] = [
+        CycleCategory::CpuCache,
+        CycleCategory::TransferCache,
+        CycleCategory::CentralFreeList,
+        CycleCategory::PageHeap,
+        CycleCategory::Sampled,
+        CycleCategory::Prefetch,
+        CycleCategory::Other,
+        CycleCategory::Contention,
+    ];
+
     /// Number of categories.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = Self::ALL.len();
 
-    /// All categories in the paper's display order (derived from
-    /// [`CATALOG`]).
-    pub const ALL: [CycleCategory; Self::COUNT] = {
-        let mut all = [CycleCategory::CpuCache; Self::COUNT];
-        let mut i = 0;
-        while i < Self::COUNT {
-            all[i] = CATALOG[i].0;
-            i += 1;
-        }
-        all
-    };
-
-    /// Display name matching the paper's figure legend (derived from
-    /// [`CATALOG`]).
+    /// Display name matching the paper's figure legend.
     pub fn name(self) -> &'static str {
-        CATALOG[self.index()].1
+        match self {
+            CycleCategory::CpuCache => "CPUCache",
+            CycleCategory::TransferCache => "TransferCache",
+            CycleCategory::CentralFreeList => "CentralFreeList",
+            CycleCategory::PageHeap => "PageHeap",
+            CycleCategory::Sampled => "Sampled",
+            CycleCategory::Prefetch => "Prefetch",
+            CycleCategory::Other => "Other",
+            CycleCategory::Contention => "Contention",
+        }
     }
 
-    /// Position in [`CATALOG`] — the exhaustive match that anchors the
-    /// catalog order to the enum.
+    /// Position in [`ALL`](Self::ALL): the discriminant.
     const fn index(self) -> usize {
-        match self {
-            CycleCategory::CpuCache => 0,
-            CycleCategory::TransferCache => 1,
-            CycleCategory::CentralFreeList => 2,
-            CycleCategory::PageHeap => 3,
-            CycleCategory::Sampled => 4,
-            CycleCategory::Prefetch => 5,
-            CycleCategory::Other => 6,
-            CycleCategory::Contention => 7,
-        }
+        self as usize
     }
 }
+
+// `ALL` holds each category at its own discriminant and ends with the last
+// one declared: a reordered, repeated or missing entry fails to compile.
+const _: () = {
+    let mut i = 0;
+    while i < CycleCategory::COUNT {
+        assert!(CycleCategory::ALL[i].index() == i);
+        i += 1;
+    }
+    assert!(CycleCategory::Contention.index() + 1 == CycleCategory::COUNT);
+};
 
 impl From<AllocPath> for CycleCategory {
     fn from(path: AllocPath) -> Self {
@@ -391,33 +385,6 @@ mod tests {
         a.merge(&b);
         assert!((a.ns(CycleCategory::Other) - 3.0).abs() < 1e-9);
         assert_eq!(a.ops(CycleCategory::Other), 2);
-    }
-
-    #[test]
-    fn catalog_is_exhaustive() {
-        // Every category appears in the catalog at its own index, with the
-        // name the exhaustive `name_of` match below expects. Adding a
-        // variant without extending CATALOG fails to compile (COUNT
-        // mismatch); reordering fails here.
-        fn name_of(c: CycleCategory) -> &'static str {
-            match c {
-                CycleCategory::CpuCache => "CPUCache",
-                CycleCategory::TransferCache => "TransferCache",
-                CycleCategory::CentralFreeList => "CentralFreeList",
-                CycleCategory::PageHeap => "PageHeap",
-                CycleCategory::Sampled => "Sampled",
-                CycleCategory::Prefetch => "Prefetch",
-                CycleCategory::Other => "Other",
-                CycleCategory::Contention => "Contention",
-            }
-        }
-        for (i, (cat, name)) in CATALOG.iter().enumerate() {
-            assert_eq!(cat.index(), i, "catalog order matches index()");
-            assert_eq!(cat.name(), *name);
-            assert_eq!(*name, name_of(*cat));
-            assert_eq!(CycleCategory::ALL[i], *cat);
-        }
-        assert_eq!(CycleCategory::ALL.len(), CycleCategory::COUNT);
     }
 
     /// Satellite: merge across cells is order-independent — integer

@@ -81,53 +81,6 @@ impl TimeSeries {
         self.times.iter().copied().zip(self.values.iter().copied())
     }
 
-    /// Merges `other` into this series, interleaving samples by timestamp.
-    ///
-    /// The two series may have unequal lengths and disjoint, nested, or
-    /// overlapping time ranges; the result is the sorted union of both
-    /// sample sets. On equal timestamps, `self`'s samples order before
-    /// `other`'s (stable), so merging is deterministic — the parallel
-    /// experiment engine relies on that when it folds per-cell telemetry
-    /// in canonical task order.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        if other.is_empty() {
-            return;
-        }
-        // Append fast path: when `other` starts at or after our last sample
-        // (the common case when cells are merged in canonical time order),
-        // extend in place instead of rebuilding both vectors. This is what
-        // keeps repeated merges from churning one fresh allocation pair per
-        // cell.
-        if self.times.last().is_none_or(|&last| other.times[0] >= last) {
-            self.times.reserve(other.len());
-            self.values.reserve(other.len());
-            self.times.extend_from_slice(&other.times);
-            self.values.extend_from_slice(&other.values);
-            return;
-        }
-        let n = self.len() + other.len();
-        let mut times = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.times.len() && j < other.times.len() {
-            if self.times[i] <= other.times[j] {
-                times.push(self.times[i]);
-                values.push(self.values[i]);
-                i += 1;
-            } else {
-                times.push(other.times[j]);
-                values.push(other.values[j]);
-                j += 1;
-            }
-        }
-        times.extend_from_slice(&self.times[i..]);
-        values.extend_from_slice(&self.values[i..]);
-        times.extend_from_slice(&other.times[j..]);
-        values.extend_from_slice(&other.values[j..]);
-        self.times = times;
-        self.values = values;
-    }
-
     /// Downsamples the series into `buckets` equal time windows, averaging
     /// values inside each window. Empty windows carry the previous value
     /// forward (or 0 before the first sample). Returns an empty vector when
@@ -269,67 +222,5 @@ mod tests {
         assert!((rs[9].1 - 3.0).abs() < 1e-12);
         // Empty middle windows carry the previous level forward.
         assert!((rs[5].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_unequal_lengths_interleaves_sorted() {
-        let mut a = TimeSeries::new("a");
-        for (t, v) in [(0u64, 1.0), (10, 2.0), (20, 3.0), (30, 4.0)] {
-            a.push(t, v);
-        }
-        let mut b = TimeSeries::new("b");
-        b.push(15, 99.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 5);
-        let times: Vec<u64> = a.iter().map(|(t, _)| t).collect();
-        assert_eq!(times, vec![0, 10, 15, 20, 30]);
-        assert_eq!(a.iter().nth(2), Some((15, 99.0)));
-        // Merged series still accepts pushes at/after its new end.
-        a.push(30, 5.0);
-        assert_eq!(a.len(), 6);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = TimeSeries::new("a");
-        a.push(5, 1.0);
-        let empty = TimeSeries::new("e");
-        a.merge(&empty);
-        assert_eq!(a.len(), 1);
-        let mut e = TimeSeries::new("e");
-        e.merge(&a);
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.iter().next(), Some((5, 1.0)));
-    }
-
-    #[test]
-    fn merge_is_stable_on_equal_timestamps() {
-        let mut a = TimeSeries::new("a");
-        a.push(10, 1.0);
-        let mut b = TimeSeries::new("b");
-        b.push(10, 2.0);
-        a.merge(&b);
-        let vals: Vec<f64> = a.iter().map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![1.0, 2.0], "self's sample orders first");
-    }
-
-    #[test]
-    fn merge_disjoint_ranges_concatenates() {
-        let mut early = TimeSeries::new("early");
-        early.push(0, 1.0);
-        early.push(1, 2.0);
-        let mut late = TimeSeries::new("late");
-        late.push(100, 3.0);
-        late.push(101, 4.0);
-        // Merging the later range into the earlier works...
-        let mut a = early.clone();
-        a.merge(&late);
-        assert_eq!(a.len(), 4);
-        // ...and merging the earlier into the later re-sorts, which a
-        // sequence of push() calls would reject.
-        let mut b = late;
-        b.merge(&early);
-        let times: Vec<u64> = b.iter().map(|(t, _)| t).collect();
-        assert_eq!(times, vec![0, 1, 100, 101]);
     }
 }

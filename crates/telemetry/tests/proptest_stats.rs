@@ -7,7 +7,6 @@ use wsc_prng::SmallRng;
 use wsc_telemetry::histogram::LogHistogram;
 use wsc_telemetry::stats::{pearson, spearman};
 use wsc_telemetry::summary::{quantize_weight, MetricSummary};
-use wsc_telemetry::timeseries::TimeSeries;
 
 fn vec_u64(
     rng: &mut SmallRng,
@@ -79,52 +78,6 @@ fn histogram_merge_is_additive() {
         ha.merge(&hb);
         assert!((ha.count() - hall.count()).abs() < 1e-9);
         assert_eq!(ha.quantile(0.5), hall.quantile(0.5));
-    }
-}
-
-/// Reference merge: full sorted-union rebuild (the shape `merge` used for
-/// every call before the append fast path existed).
-fn naive_merge(a: &TimeSeries, b: &TimeSeries) -> Vec<(u64, f64)> {
-    let mut out: Vec<(u64, f64, u8)> = a
-        .iter()
-        .map(|(t, v)| (t, v, 0u8))
-        .chain(b.iter().map(|(t, v)| (t, v, 1u8)))
-        .collect();
-    // Stable on equal timestamps: `a` before `b`.
-    out.sort_by_key(|&(t, _, src)| (t, src));
-    out.into_iter().map(|(t, v, _)| (t, v)).collect()
-}
-
-#[test]
-fn timeseries_merge_fast_path_matches_rebuild() {
-    // The append fast path (unequal-length, in-order series — the fleet
-    // fold's common case) must be byte-equivalent to the general
-    // sorted-union rebuild, for every interleaving.
-    for case in 0..128u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7E17 + case);
-        let mut merged = TimeSeries::new("merged");
-        let mut reference = TimeSeries::new("reference");
-        let mut clock = 0u64;
-        for _ in 0..rng.gen_range(1usize..12) {
-            let mut cell = TimeSeries::new("cell");
-            // Mostly in-order cells (append fast path), sometimes one that
-            // rewinds (general path), with unequal lengths throughout.
-            if rng.gen::<f64>() < 0.25 {
-                clock = clock.saturating_sub(rng.gen_range(0u64..50));
-            }
-            for _ in 0..rng.gen_range(0usize..40) {
-                clock += rng.gen_range(0u64..5);
-                cell.push(clock, rng.gen_range(0.0f64..1e9));
-            }
-            let expect = naive_merge(&merged, &cell);
-            merged.merge(&cell);
-            assert_eq!(merged.iter().collect::<Vec<_>>(), expect, "case {case}");
-            reference.merge(&cell);
-        }
-        assert_eq!(
-            merged.iter().collect::<Vec<_>>(),
-            reference.iter().collect::<Vec<_>>()
-        );
     }
 }
 

@@ -8,10 +8,11 @@
 //!
 //! `design` is one of: hetero, nuca, spanprio, lifetime, all (default: all).
 
-use warehouse_alloc::fleet::experiment::run_workload_ab;
+use warehouse_alloc::fleet::experiment::paired_ab;
+use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
-use warehouse_alloc::workload::profiles;
+use warehouse_alloc::workload::{profiles, WorkloadSpec};
 
 fn main() {
     let design = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -48,8 +49,11 @@ fn main() {
     );
     let mut specs = profiles::production_workloads();
     specs.extend(profiles::benchmark_workloads());
-    for spec in specs {
-        let c = run_workload_ab(&spec, &platform, base, experiment, 25_000, 42);
+    let runs: Vec<&WorkloadSpec> = specs.iter().collect();
+    let engine = Engine::from_env();
+    let rows = paired_ab(&engine, &runs, &platform, base, experiment, 25_000, &[42])
+        .expect("no run panics");
+    for (spec, c) in specs.iter().zip(rows) {
         println!(
             "{:<18} {:>+8.2} {:>+8.2} {:>+8.2} {:>4.3}->{:<4.3} {:>4.3}->{:<4.3}",
             spec.name,

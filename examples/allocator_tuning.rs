@@ -7,14 +7,19 @@
 //! cargo run --release --example allocator_tuning
 //! ```
 
-use warehouse_alloc::fleet::experiment::run_workload_ab;
+use warehouse_alloc::fleet::experiment::{paired_ab, Comparison};
+use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
-use warehouse_alloc::workload::profiles;
+use warehouse_alloc::workload::{profiles, WorkloadSpec};
 
 fn main() {
     let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
     let base = TcmallocConfig::baseline();
+    let engine = Engine::from_env();
+    let ab = |spec: &WorkloadSpec, exp: TcmallocConfig| -> Comparison {
+        paired_ab(&engine, &[spec], &platform, base, exp, 25_000, &[42]).expect("no run panics")[0]
+    };
 
     // --- L: central-free-list priority lists (§4.3) ---
     println!("-- span prioritization: sweeping L (monarch) --");
@@ -22,7 +27,7 @@ fn main() {
     for lists in [1usize, 2, 4, 8, 16] {
         let mut exp = base;
         exp.cfl_lists = lists;
-        let c = run_workload_ab(&profiles::monarch(), &platform, base, exp, 25_000, 42);
+        let c = ab(&profiles::monarch(), exp);
         println!(
             "{:<6} {:>+10.2} {:>+12.2}",
             lists,
@@ -41,7 +46,7 @@ fn main() {
     for threshold in [2u32, 8, 16, 64, 256] {
         let mut exp = base.with_lifetime_filler();
         exp.pageheap.capacity_threshold = threshold;
-        let c = run_workload_ab(&profiles::disk(), &platform, base, exp, 25_000, 42);
+        let c = ab(&profiles::disk(), exp);
         println!(
             "{:<6} {:>+10.2} {:>5.3}->{:<5.3} {:>5.3}->{:<5.3}",
             threshold,
@@ -65,7 +70,7 @@ fn main() {
             base.percpu_max_bytes >> -shift
         };
         exp.dynamic_percpu = true;
-        let c = run_workload_ab(&profiles::fleet_mix(), &platform, base, exp, 25_000, 42);
+        let c = ab(&profiles::fleet_mix(), exp);
         println!(
             "{:<12} {:>+10.2} {:>+10.2}",
             format!("{} KiB", exp.percpu_max_bytes >> 10),

@@ -6,7 +6,8 @@
 //! cargo run --release --example custom_platform
 //! ```
 
-use warehouse_alloc::fleet::experiment::run_workload_ab;
+use warehouse_alloc::fleet::experiment::paired_ab;
+use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::latency::{measure, LatencyModel};
 use warehouse_alloc::sim_hw::topology::{fleet_generations, Platform};
 use warehouse_alloc::tcmalloc::TcmallocConfig;
@@ -55,11 +56,13 @@ fn main() {
     println!("\n-- NUCA transfer cache A/B per platform (disk workload) --");
     let base = TcmallocConfig::baseline();
     let exp = base.with_nuca_transfer();
+    let engine = Engine::from_env();
     for p in [
         Platform::monolithic("monolithic-28c", 2, 28, 2),
         Platform::chiplet("chiplet-64c", 2, 4, 8, 2),
     ] {
-        let c = run_workload_ab(&profiles::disk(), &p, base, exp, 20_000, 42);
+        let c = paired_ab(&engine, &[&profiles::disk()], &p, base, exp, 20_000, &[42])
+            .expect("no run panics")[0];
         println!(
             "{:<18} throughput {:+.2}%  LLC MPKI {:.3} -> {:.3}",
             p.name(),

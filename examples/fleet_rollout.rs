@@ -6,8 +6,9 @@
 //! cargo run --release --example fleet_rollout
 //! ```
 
-use warehouse_alloc::fleet::experiment::{run_fleet_ab, FleetExperimentConfig};
+use warehouse_alloc::fleet::experiment::{try_run_fleet_ab, FleetExperimentConfig};
 use warehouse_alloc::fleet::rollout;
+use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
 
 fn main() {
@@ -34,9 +35,10 @@ fn main() {
     };
 
     println!("fleet A/B per design ({} machines/arm):\n", cfg.machines);
+    let engine = Engine::from_env();
     let mut singles = Vec::new();
     for (name, exp) in designs {
-        let r = run_fleet_ab(base, exp, &cfg);
+        let r = try_run_fleet_ab(&engine, base, exp, &cfg).expect("no cell panics");
         println!(
             "{:<32} thr {:+.2}%  mem {:+.2}%  CPI {:+.2}%",
             name,

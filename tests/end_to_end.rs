@@ -4,14 +4,37 @@
 //! redesigns must move its headline metric in the direction the paper
 //! reports, on the workload class the paper says it helps.
 
-use warehouse_alloc::fleet::experiment::{run_fleet_ab, run_workload_ab, FleetExperimentConfig};
+use warehouse_alloc::fleet::experiment::{
+    paired_ab, try_run_fleet_ab, Comparison, FleetExperimentConfig,
+};
+use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::{SanitizeLevel, TcmallocConfig};
 use warehouse_alloc::workload::driver::{self, DriverConfig};
-use warehouse_alloc::workload::profiles;
+use warehouse_alloc::workload::{profiles, WorkloadSpec};
 
 fn platform() -> Platform {
     Platform::chiplet("chiplet-64c", 2, 4, 8, 2)
+}
+
+/// One workload's paired A/B on the chiplet platform, seed 42.
+fn workload_ab(
+    spec: &WorkloadSpec,
+    control: TcmallocConfig,
+    experiment: TcmallocConfig,
+    requests: u64,
+) -> Comparison {
+    let engine = Engine::from_env();
+    paired_ab(
+        &engine,
+        &[spec],
+        &platform(),
+        control,
+        experiment,
+        requests,
+        &[42],
+    )
+    .expect("no run panics")[0]
 }
 
 const REQUESTS: u64 = 12_000;
@@ -82,7 +105,7 @@ fn heterogeneous_caches_reduce_memory() {
     // Figure 10: the §4.1 redesign reduces RAM on multi-threaded workloads.
     let base = TcmallocConfig::baseline();
     let exp = base.with_heterogeneous_percpu();
-    let c = run_workload_ab(&profiles::monarch(), &platform(), base, exp, REQUESTS, 42);
+    let c = workload_ab(&profiles::monarch(), base, exp, REQUESTS);
     assert!(
         c.memory_pct() < -0.2,
         "expected memory reduction, got {:+.2}%",
@@ -95,7 +118,7 @@ fn nuca_transfer_cache_reduces_llc_misses_on_chiplets() {
     // Table 1: cache-domain-local object reuse lowers LLC MPKI.
     let base = TcmallocConfig::baseline();
     let exp = base.with_nuca_transfer();
-    let c = run_workload_ab(&profiles::disk(), &platform(), base, exp, REQUESTS * 2, 42);
+    let c = workload_ab(&profiles::disk(), base, exp, REQUESTS * 2);
     // Remote-domain transfers become local hits: stall time drops even when
     // the raw miss count wobbles, so the robust signal is CPI/throughput.
     assert!(c.cpi_pct() < 0.0, "CPI {:+.2}%", c.cpi_pct());
@@ -108,7 +131,7 @@ fn lifetime_filler_improves_tlb_behaviour() {
     // buffer-churning workloads (disk is the paper's biggest winner).
     let base = TcmallocConfig::baseline();
     let exp = base.with_lifetime_filler();
-    let c = run_workload_ab(&profiles::disk(), &platform(), base, exp, REQUESTS * 2, 42);
+    let c = workload_ab(&profiles::disk(), base, exp, REQUESTS * 2);
     assert!(
         c.experiment.dtlb_miss_rate < c.control.dtlb_miss_rate,
         "dTLB miss {:.4} -> {:.4}",
@@ -124,7 +147,7 @@ fn span_prioritization_never_hurts_memory() {
     let base = TcmallocConfig::baseline();
     let exp = base.with_span_prioritization();
     for spec in [profiles::monarch(), profiles::fleet_mix()] {
-        let c = run_workload_ab(&spec, &platform(), base, exp, REQUESTS, 42);
+        let c = workload_ab(&spec, base, exp, REQUESTS);
         assert!(
             c.memory_pct() < 0.5,
             "{}: memory {:+.2}%",
@@ -139,7 +162,7 @@ fn redis_is_unaffected_by_multithread_optimizations() {
     // §4.1/§4.2: Redis is single-threaded — one per-CPU cache, one domain.
     let base = TcmallocConfig::baseline();
     let exp = base.with_heterogeneous_percpu().with_nuca_transfer();
-    let c = run_workload_ab(&profiles::redis(), &platform(), base, exp, REQUESTS, 42);
+    let c = workload_ab(&profiles::redis(), base, exp, REQUESTS);
     assert!(
         c.throughput_pct().abs() < 1.0,
         "redis should be ~unchanged, got {:+.2}%",
@@ -179,22 +202,28 @@ fn fleet_ab_framework_is_paired() {
         platform_mix: warehouse_alloc::fleet::experiment::default_platform_mix(),
         population: 50,
     };
-    let r = run_fleet_ab(TcmallocConfig::baseline(), TcmallocConfig::baseline(), &cfg);
+    let r = try_run_fleet_ab(
+        &Engine::from_env(),
+        TcmallocConfig::baseline(),
+        TcmallocConfig::baseline(),
+        &cfg,
+    )
+    .expect("no cell panics");
     assert!(r.fleet.throughput_pct().abs() < 1e-9);
     assert!(r.fleet.memory_pct().abs() < 1e-9);
+    assert_eq!(r.summary.cells, 2, "one cell per machine × binary slot");
+    assert_eq!(r.summary.control, r.summary.experiment);
 }
 
 #[test]
 fn optimized_config_beats_baseline_on_tlb_workloads() {
     // §4.5 directional check on the workload class the combined change
     // helps most.
-    let c = run_workload_ab(
+    let c = workload_ab(
         &profiles::disk(),
-        &platform(),
         TcmallocConfig::baseline(),
         TcmallocConfig::optimized(),
         REQUESTS * 2,
-        42,
     );
     assert!(c.throughput_pct() > 0.0, "thr {:+.2}%", c.throughput_pct());
 }

@@ -4,7 +4,7 @@
 //! compares the strings, so any float that shifts by one ULP fails.
 
 use warehouse_alloc::fleet::experiment::{
-    default_platform_mix, try_run_fleet_ab, try_run_workload_ab, FleetExperimentConfig,
+    default_platform_mix, paired_ab, try_run_fleet_ab, FleetExperimentConfig,
 };
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
@@ -50,14 +50,14 @@ fn workload_ab_identical_at_threads_1_2_8() {
     let reports: Vec<String> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let c = try_run_workload_ab(
+            let c = paired_ab(
                 &Engine::new(threads),
-                &spec,
+                &[&spec],
                 &platform,
                 TcmallocConfig::baseline(),
                 TcmallocConfig::optimized(),
                 1_500,
-                9,
+                &[9],
             )
             .expect("no arm panics");
             format!("{c:?}")

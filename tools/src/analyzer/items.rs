@@ -195,16 +195,6 @@ impl FileModel {
             .unwrap_or_default()
             .trim()
     }
-
-    /// The function whose body contains sig-index `i`, if any.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
-        // Innermost wins: later fns in source order with a containing body
-        // are more deeply nested.
-        self.fns
-            .iter()
-            .rev()
-            .find(|f| f.body.0 <= i && i < f.body.1)
-    }
 }
 
 /// Scans comments for `lint:allow(tag)` and `lint:lock-order(a, b)`.
