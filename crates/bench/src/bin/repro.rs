@@ -26,6 +26,7 @@
 //! span recovers; otherwise the survey degrades gracefully and the printed
 //! coverage line reports the exact surveyed fraction.
 
+use wsc_bench::cli::{positive, take_flag, usage_error};
 use wsc_bench::experiments as ex;
 use wsc_bench::Scale;
 use wsc_parallel::supervisor::SupervisorConfig;
@@ -34,41 +35,6 @@ use wsc_parallel::supervisor::SupervisorConfig;
 fn known_ids(sep: &str) -> String {
     let ids: Vec<&str> = ex::REGISTRY.iter().map(|e| e.id).collect();
     ids.join(sep)
-}
-
-fn usage_error(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
-}
-
-/// Strips every `--<name> V` / `--<name>=V` from `args`, returning the last
-/// value as `parse` reads it. Exits with usage on a missing or malformed
-/// value — a typo silently falling back to the default would be misleading.
-fn take_flag<T>(
-    args: &mut Vec<String>,
-    name: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Option<T> {
-    let long = format!("--{name}");
-    let eq = format!("--{name}=");
-    let mut parsed = None;
-    while let Some(i) = args.iter().position(|a| *a == long || a.starts_with(&eq)) {
-        let flag = args.remove(i);
-        let value = match flag.strip_prefix(&eq) {
-            Some(v) => v.to_string(),
-            None if i < args.len() => args.remove(i),
-            None => usage_error(format!("{long} expects a value")),
-        };
-        parsed = Some(parse(&value).unwrap_or_else(|e| usage_error(format!("{long}: {e}"))));
-    }
-    parsed
-}
-
-fn positive(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("expected a positive integer, got {value:?}")),
-    }
 }
 
 fn main() {

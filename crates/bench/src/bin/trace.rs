@@ -22,8 +22,9 @@
 //! `replay` runs the two configurations as engine tasks (`--threads N` or
 //! `WSC_THREADS`); results print in config order whatever the thread count.
 
+use wsc_bench::cli::{positive, take_flag, usage_error};
+use wsc_bench::experiments::chiplet;
 use wsc_bench::parallel::{Engine, Task};
-use wsc_sim_hw::topology::Platform;
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{run, DriverConfig};
@@ -40,15 +41,14 @@ fn usage() -> ! {
     eprintln!("       trace [--threads N] replay <file>");
     eprintln!("       trace events <workload> <requests> <out.json>");
     eprintln!("       trace --events <out.json>   (fleet mix, quick scale)");
-    eprintln!("workloads: fleet spanner monarch bigtable f1-query disk redis");
-    eprintln!("           data-pipeline image-processing tensorflow spec");
-    std::process::exit(2);
+    let names: Vec<&str> = profiles::NAMED.iter().map(|&(name, _)| name).collect();
+    usage_error(format!("workloads: {}", names.join(" ")))
 }
 
 /// Drives `requests` of `spec` with the bounded trace ring attached and
 /// writes the ring as Chrome trace-event JSON (Perfetto-loadable).
 fn export_events(spec: &wsc_workload::WorkloadSpec, requests: u64, out: &str) {
-    let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
+    let platform = chiplet();
     let dcfg = DriverConfig::new(requests, 42, &platform);
     let cfg = TcmallocConfig::optimized().with_trace(TRACE_RING_CAPACITY);
     let (_, tcm) = run(spec, &platform, cfg, &dcfg);
@@ -63,23 +63,7 @@ fn export_events(spec: &wsc_workload::WorkloadSpec, requests: u64, out: &str) {
 }
 
 fn workload(name: &str) -> wsc_workload::WorkloadSpec {
-    match name {
-        "fleet" => profiles::fleet_mix(),
-        "spanner" => profiles::spanner(),
-        "monarch" => profiles::monarch(),
-        "bigtable" => profiles::bigtable(),
-        "f1-query" => profiles::f1_query(),
-        "disk" => profiles::disk(),
-        "redis" => profiles::redis(),
-        "data-pipeline" => profiles::data_pipeline(),
-        "image-processing" => profiles::image_processing(),
-        "tensorflow" => profiles::tensorflow(),
-        "spec" => profiles::spec_cpu(0),
-        other => {
-            eprintln!("unknown workload: {other}");
-            std::process::exit(2);
-        }
-    }
+    profiles::by_name(name).unwrap_or_else(|| usage_error(format!("unknown workload: {name}")))
 }
 
 /// Reads and parses a trace file; an unreadable or unparsable one is one
@@ -92,31 +76,13 @@ fn load(path: &str) -> Trace {
 }
 
 fn fail(path: &str, why: &str) -> ! {
-    eprintln!("trace: {path}: {why}");
-    std::process::exit(2);
+    usage_error(format!("trace: {path}: {why}"))
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut engine = Engine::from_env();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" && i + 1 < args.len() {
-            match args[i + 1].parse::<usize>() {
-                Ok(n) if n >= 1 => engine = Engine::new(n),
-                _ => usage(),
-            }
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => engine = Engine::new(n),
-                _ => usage(),
-            }
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
+    let engine =
+        take_flag(&mut args, "threads", positive).map_or_else(Engine::from_env, Engine::new);
     // `--events <file>` shorthand: fleet mix at quick scale.
     if args.len() == 2 && args[0] == "--events" {
         export_events(&profiles::fleet_mix(), 6_000, &args[1]);
@@ -157,7 +123,7 @@ fn main() {
         }
         Some("replay") if args.len() == 2 => {
             let trace = load(&args[1]);
-            let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
+            let platform = chiplet();
             // `Trace::replay` panics on a trace bug; a file is outside
             // input, so it is checked first and refused in one line.
             if let Err(e) = trace.check(&platform) {

@@ -165,7 +165,6 @@ impl Scale {
             binaries_per_machine: 2,
             requests_per_binary: self.fleet_requests,
             seed,
-            platform_mix: wsc_fleet::experiment::default_platform_mix(),
             population: 2_000,
         }
     }

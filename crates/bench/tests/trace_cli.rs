@@ -1,7 +1,8 @@
-//! The `trace` binary on files it did not write: a trace that cannot be
+//! The `trace` binary on input it did not write: a trace that cannot be
 //! read, parsed, passed by `Trace::check` or held by the simulated address
-//! space is one line on stderr and exit status 2 — never a panic — and a
-//! recorded one replays with status 0.
+//! space, an unknown workload and a malformed flag are each one line on
+//! stderr and exit status 2 — never a panic — and a recorded trace replays
+//! with status 0.
 
 use std::process::{Command, Output};
 
@@ -48,6 +49,33 @@ fn info_and_replay_refuse_a_file_they_cannot_read_or_parse() {
         let stderr = refused(&trace(&[command, &unparsable]));
         assert!(stderr.contains("line 1: missing field cpu"), "{stderr}");
     }
+}
+
+#[test]
+fn an_unknown_workload_or_a_malformed_flag_is_refused_in_one_line() {
+    let out = format!("{}/trace_cli_never_written", env!("CARGO_TARGET_TMPDIR"));
+    for (args, says) in [
+        (
+            vec!["record", "bogus", "10", &out],
+            "unknown workload: bogus",
+        ),
+        (
+            vec!["events", "bogus", "10", &out],
+            "unknown workload: bogus",
+        ),
+        (
+            vec!["--threads", "0", "replay", &out],
+            "--threads: expected a positive integer",
+        ),
+        (
+            vec!["replay", &out, "--threads"],
+            "--threads expects a value",
+        ),
+    ] {
+        let stderr = refused(&trace(&args));
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(&out).exists());
 }
 
 /// FNV-1a, 64-bit.

@@ -333,7 +333,8 @@ fn pct(control: f64, experiment: f64) -> f64 {
     wsc_telemetry::stats::percent_change(control, experiment)
 }
 
-/// Fleet-experiment parameters.
+/// Fleet-experiment parameters. Machines are drawn from
+/// [`default_platform_mix`].
 #[derive(Clone, Debug)]
 pub struct FleetExperimentConfig {
     /// Machines per arm (the paper's "1% of the fleet" scaled down).
@@ -344,8 +345,6 @@ pub struct FleetExperimentConfig {
     pub requests_per_binary: u64,
     /// Master seed.
     pub seed: u64,
-    /// Weighted platform mix (heterogeneous fleet, §4.2).
-    pub platform_mix: Vec<(f64, Platform)>,
     /// Binary population size.
     pub population: usize,
 }
@@ -358,7 +357,6 @@ impl FleetExperimentConfig {
             binaries_per_machine: 2,
             requests_per_binary: 10_000,
             seed,
-            platform_mix: default_platform_mix(),
             population: 200,
         }
     }
@@ -446,11 +444,12 @@ pub fn try_run_fleet_ab(
 ) -> Result<FleetAbResult, TaskError> {
     let pop = Population::new(cfg.population, cfg.seed);
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xab);
+    let mix = default_platform_mix();
     // Phase 1 (serial): sample the fleet. The RNG stream here is identical
     // to the historical serial loop, so the sampled fleet is unchanged.
     let mut cells = Vec::with_capacity(cfg.machines * cfg.binaries_per_machine);
     for m in 0..cfg.machines {
-        let platform = sample_platform(&cfg.platform_mix, &mut rng);
+        let platform = sample_platform(&mix, &mut rng);
         let sets = cpusets(&platform, cfg.binaries_per_machine);
         for (b, cpuset) in sets.into_iter().enumerate() {
             let bin = &pop.binaries()[pop.sample_by_cycles(&mut rng)];
@@ -724,7 +723,6 @@ mod tests {
             binaries_per_machine: 2,
             requests_per_binary: 500,
             seed: 11,
-            platform_mix: default_platform_mix(),
             population: 25,
         };
         let r = try_run_fleet_ab(

@@ -14,9 +14,10 @@
 //!   object-count and byte conservation per size class, span occupancy-list
 //!   placement (§4.3's L = 8), and hugepage backing-state consistency.
 //! * [`Sanitizer`] ties both together behind a [`SanitizeLevel`], so the
-//!   allocator can run checks always (`Full`), on a 1-in-k operation budget
-//!   (`Sampled`), or not at all (`Off`) — the GWP-ASan posture of the
-//!   paper's fleet, scaled to a simulation.
+//!   allocator runs checks on every operation and an audit every
+//!   [`AUDIT_PERIOD_OPS`] operations (`Full`), or not at all (`Off`). A
+//!   caller that wants a denser audit cadence calls the allocator's
+//!   `audit_now` itself.
 //!
 //! Every violation is a structured [`SanitizerReport`]; nothing panics, so
 //! fault-injection tests can assert exact [`ErrorKind`]s through the public
@@ -36,6 +37,9 @@ pub use audit::{
 pub use report::{ErrorKind, SanitizerReport, Tier};
 pub use shadow::{FreeCheck, ObjectShadow, ShadowState};
 
+/// Operations between two cross-tier audits at [`SanitizeLevel::Full`].
+pub const AUDIT_PERIOD_OPS: u64 = 1024;
+
 /// How much checking the allocator performs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SanitizeLevel {
@@ -43,10 +47,7 @@ pub enum SanitizeLevel {
     #[default]
     Off,
     /// Shadow checks on every operation; the cross-tier audit every
-    /// `1 in k` operations (the fleet's sampled-checking posture).
-    Sampled(u32),
-    /// Shadow checks on every operation; the cross-tier audit on a dense
-    /// fixed cadence. The posture for tests.
+    /// [`AUDIT_PERIOD_OPS`] operations. The posture for tests.
     Full,
 }
 
@@ -54,15 +55,6 @@ impl SanitizeLevel {
     /// Is any checking active?
     pub fn is_on(self) -> bool {
         self != SanitizeLevel::Off
-    }
-
-    /// The audit cadence in operations, if audits are enabled.
-    pub fn audit_period(self) -> Option<u64> {
-        match self {
-            SanitizeLevel::Off => None,
-            SanitizeLevel::Sampled(k) => Some(u64::from(k.max(1))),
-            SanitizeLevel::Full => Some(1024),
-        }
     }
 }
 
@@ -158,11 +150,11 @@ impl Sanitizer {
 
     /// Should the caller run a cross-tier audit now? Counts one operation.
     pub fn audit_due(&mut self) -> bool {
-        let Some(period) = self.level.audit_period() else {
+        if !self.level.is_on() {
             return false;
-        };
+        }
         self.ops_since_audit += 1;
-        if self.ops_since_audit >= period {
+        if self.ops_since_audit >= AUDIT_PERIOD_OPS {
             self.ops_since_audit = 0;
             true
         } else {
@@ -216,10 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn sampled_cadence() {
-        let mut s = Sanitizer::new(SanitizeLevel::Sampled(4));
-        let due: Vec<bool> = (0..8).map(|_| s.audit_due()).collect();
-        assert_eq!(due, [false, false, false, true, false, false, false, true]);
+    fn full_cadence() {
+        let mut s = Sanitizer::new(SanitizeLevel::Full);
+        let due: Vec<u64> = (1..=3 * AUDIT_PERIOD_OPS)
+            .filter(|_| s.audit_due())
+            .collect();
+        assert_eq!(
+            due,
+            [AUDIT_PERIOD_OPS, 2 * AUDIT_PERIOD_OPS, 3 * AUDIT_PERIOD_OPS]
+        );
     }
 
     #[test]
@@ -254,9 +251,5 @@ mod tests {
     fn level_helpers() {
         assert!(!SanitizeLevel::Off.is_on());
         assert!(SanitizeLevel::Full.is_on());
-        assert!(SanitizeLevel::Sampled(100).is_on());
-        assert_eq!(SanitizeLevel::Off.audit_period(), None);
-        assert_eq!(SanitizeLevel::Sampled(0).audit_period(), Some(1));
-        assert_eq!(SanitizeLevel::Full.audit_period(), Some(1024));
     }
 }

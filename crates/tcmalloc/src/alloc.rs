@@ -192,10 +192,10 @@ impl Tcmalloc {
         }
     }
 
-    /// Overrides the cost model (platform calibration). Rebuilds the event
-    /// bus, so call it before any allocation.
+    /// Overrides the cost model (platform calibration). Only the prices
+    /// change: attached sinks and the sanitizer's state are kept.
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.bus = EventBus::new(&self.cfg, cost, self.clock.clone());
+        self.bus.set_cost(cost);
         self
     }
 
@@ -296,7 +296,7 @@ impl Tcmalloc {
 
     /// The transfer-cache shard for a CPU under the active sharding mode.
     fn shard_of(&self, cpu: CpuId) -> usize {
-        match self.cfg.transfer.sharding {
+        match self.cfg.transfer {
             TransferSharding::Central => 0,
             TransferSharding::Domain => self.platform.domain_of(cpu).index(),
             TransferSharding::Node => self.platform.node_of(cpu).index(),
@@ -779,7 +779,7 @@ impl Tcmalloc {
     }
 
     /// Runs a cross-tier conservation audit immediately, regardless of the
-    /// sampling cadence. Returns the number of new violations found (also
+    /// audit cadence. Returns the number of new violations found (also
     /// queued as [`SanitizerReport`]s).
     // lint:allow(event-completeness) the audit *consumes* the event-derived
     // snapshot; emitting from here would feed the auditor its own output.
@@ -801,7 +801,7 @@ impl Tcmalloc {
         self.bus.sanitizer_mut().take_reports()
     }
 
-    /// Number of cross-tier audits run (sampled cadence + explicit calls).
+    /// Number of cross-tier audits run (the `Full` cadence + explicit calls).
     pub fn audits_run(&self) -> u64 {
         self.bus.sanitizer().audits_run()
     }
@@ -876,12 +876,6 @@ impl Tcmalloc {
     /// `SamplerPick` / `SampledFree` events.
     pub fn profile(&self) -> &AllocationProfile {
         self.bus.profile()
-    }
-
-    /// The raw event stream, when the config enabled the
-    /// [`Recorder`](crate::events::Recorder) (empty otherwise).
-    pub fn recorded_events(&self) -> &[AllocEvent] {
-        self.bus.recorded()
     }
 
     /// The bounded trace ring, when `trace_capacity > 0`.
@@ -1039,13 +1033,13 @@ mod tests {
         for size in [200_000u64, 1 << 20] {
             let small = size <= crate::size_class::MAX_SMALL_SIZE;
             let cfg = TcmallocConfig::optimized()
-                .with_event_recorder()
+                .with_trace(TraceRing::UNBOUNDED)
                 .with_hard_limit(2 << 20);
             let mut t = alloc(cfg);
             let (before, resident, events, misses) = loop {
                 let before = accounting(&t);
                 let resident = t.resident_bytes();
-                let events = t.recorded_events().len();
+                let events = t.bus.stream().len();
                 let misses: u64 = t.percpu_miss_counts().iter().sum();
                 match t.try_malloc(size, CpuId(0)) {
                     Ok(_) => assert!(t.live_objects() < 64, "{size} B never refused"),
@@ -1064,7 +1058,7 @@ mod tests {
                 t.resident_bytes() <= resident,
                 "refused {size} B grew the heap"
             );
-            let attempt: Vec<_> = t.recorded_events()[events..]
+            let attempt: Vec<_> = t.bus.stream()[events..]
                 .iter()
                 .map(AllocEvent::kind)
                 .collect();
@@ -1091,9 +1085,9 @@ mod tests {
     /// and the heap maps nothing for it.
     #[test]
     fn oversize_request_is_an_error_with_the_allocator_untouched() {
-        let mut t = alloc(TcmallocConfig::optimized().with_event_recorder());
+        let mut t = alloc(TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED));
         let keep = t.malloc(3 << 20, CpuId(0));
-        let events = t.recorded_events().len();
+        let events = t.bus.stream().len();
         let before = (t.live_bytes(), t.resident_bytes(), t.cycles().clone());
         for size in [u64::MAX / 2, u64::MAX, 1 << 45] {
             assert_eq!(t.try_malloc(size, CpuId(1)), Err(AllocError::OsEnomem));
@@ -1102,7 +1096,7 @@ mod tests {
             (t.live_bytes(), t.resident_bytes(), t.cycles().clone()),
             before
         );
-        assert_eq!(t.recorded_events().len(), events, "nothing was attempted");
+        assert_eq!(t.bus.stream().len(), events, "nothing was attempted");
         // 2 TiB counts its pages in 32 bits, so it reaches the kernel — which
         // has nowhere to put it.
         assert_eq!(t.try_malloc(1 << 41, CpuId(1)), Err(AllocError::OsEnomem));

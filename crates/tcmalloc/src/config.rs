@@ -5,7 +5,7 @@
 //! their combination (§4.5).
 
 use crate::pageheap::PageHeapConfig;
-use crate::transfer::{TransferConfig, TransferSharding};
+use crate::transfer::TransferSharding;
 use wsc_sanitizer::SanitizeLevel;
 use wsc_sim_os::FaultPlan;
 
@@ -54,8 +54,9 @@ pub struct TcmallocConfig {
     pub percpu_max_bytes: u64,
     /// Enable usage-based dynamic per-CPU cache sizing (§4.1).
     pub dynamic_percpu: bool,
-    /// Transfer-cache tier configuration (NUCA sharding, §4.2).
-    pub transfer: TransferConfig,
+    /// Transfer-cache sharding: central, per LLC domain (NUCA, §4.2) or
+    /// per NUMA node (§5).
+    pub transfer: TransferSharding,
     /// Central-free-list span lists: 1 = legacy, 8 = span prioritization
     /// (§4.3).
     pub cfl_lists: usize,
@@ -66,13 +67,11 @@ pub struct TcmallocConfig {
     /// Sanitizer level: shadow-state checking on every operation and
     /// cross-tier conservation audits (Off for experiments, Full for tests).
     pub sanitize: SanitizeLevel,
-    /// Keep the last N events in a bounded
-    /// [`TraceRing`](crate::events::TraceRing) for Chrome-trace export.
+    /// Keep the last N events in a [`TraceRing`](crate::events::TraceRing)
+    /// for Chrome-trace export, or all of them at
+    /// [`TraceRing::UNBOUNDED`](crate::events::TraceRing::UNBOUNDED).
     /// 0 = off.
     pub trace_capacity: u32,
-    /// Record the complete raw event stream (tests and tools only — the
-    /// log is unbounded).
-    pub record_events: bool,
     /// Soft memory limit: when resident bytes exceed it, background
     /// maintenance synchronously releases free pages back toward the limit
     /// (TCMalloc's soft-limit semantics). `None` = unlimited.
@@ -98,13 +97,12 @@ impl TcmallocConfig {
         Self {
             percpu_max_bytes: (3 << 20) / CAPACITY_SCALE, // production: 3 MB
             dynamic_percpu: false,
-            transfer: TransferConfig::default(),
+            transfer: TransferSharding::Central,
             cfl_lists: 1,
             pageheap: PageHeapConfig::default(),
             sample_period_bytes: 2 << 20,
             sanitize: SanitizeLevel::Off,
             trace_capacity: 0,
-            record_events: false,
             soft_limit: None,
             hard_limit: None,
             os_faults: None,
@@ -132,14 +130,14 @@ impl TcmallocConfig {
 
     /// Enables §4.2: NUCA-aware per-LLC-domain transfer caches.
     pub fn with_nuca_transfer(mut self) -> Self {
-        self.transfer.sharding = TransferSharding::Domain;
+        self.transfer = TransferSharding::Domain;
         self
     }
 
     /// Enables the §5 NUMA extension: transfer caches sharded per NUMA node
     /// instead of per LLC domain.
     pub fn with_numa_transfer(mut self) -> Self {
-        self.transfer.sharding = TransferSharding::Node;
+        self.transfer = TransferSharding::Node;
         self
     }
 
@@ -166,12 +164,6 @@ impl TcmallocConfig {
     /// export (`wsc-bench` `trace --events`).
     pub fn with_trace(mut self, capacity: u32) -> Self {
         self.trace_capacity = capacity;
-        self
-    }
-
-    /// Records the complete raw event stream (unbounded; tests/tools).
-    pub fn with_event_recorder(mut self) -> Self {
-        self.record_events = true;
         self
     }
 
@@ -223,9 +215,8 @@ mod tests {
         assert!(!c.pageheap.lifetime_aware_filler);
         assert_eq!(c.percpu_max_bytes, (3 << 20) / CAPACITY_SCALE);
         assert_eq!(c.sample_period_bytes, 2 << 20);
-        // Sink defaults: trace/recorder off.
+        // Sink default: no trace ring.
         assert_eq!(c.trace_capacity, 0);
-        assert!(!c.record_events);
         // Failure-model defaults: no limits, no faults — golden figures
         // depend on the kernel never failing unless explicitly asked to.
         assert_eq!(c.soft_limit, None);
@@ -261,19 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn sink_builders_compose() {
-        let c = TcmallocConfig::optimized()
-            .with_trace(4096)
-            .with_event_recorder();
-        assert_eq!(c.trace_capacity, 4096);
-        assert!(c.record_events);
-    }
-
-    #[test]
     fn optimized_has_everything_on() {
         let c = TcmallocConfig::optimized();
         assert!(c.dynamic_percpu);
-        assert_eq!(c.transfer.sharding, TransferSharding::Domain);
+        assert_eq!(c.transfer, TransferSharding::Domain);
         assert_eq!(c.cfl_lists, 8);
         assert!(c.pageheap.lifetime_aware_filler);
         assert_eq!(c.pageheap.capacity_threshold, 16);
@@ -282,6 +264,57 @@ mod tests {
             (3 << 19) / CAPACITY_SCALE,
             "halved from the baseline"
         );
+    }
+
+    /// The `pub` fields of `pub struct <name>` in `src`, as (name, type).
+    fn pub_fields<'a>(src: &'a str, name: &str) -> Vec<(&'a str, &'a str)> {
+        let body = src
+            .split(&format!("pub struct {name} {{\n"))
+            .nth(1)
+            .unwrap_or_else(|| panic!("{name} is declared"));
+        body.lines()
+            .take_while(|l| *l != "}")
+            .filter_map(|l| l.trim().strip_prefix("pub ")?.split_once(": "))
+            .map(|(field, ty)| (field, ty.trim_end_matches(',')))
+            .collect()
+    }
+
+    /// DESIGN.md §6 names every settable value — each `pub` field of
+    /// `TcmallocConfig`, less the `pageheap` field that holds
+    /// `PageHeapConfig`, and each of `PageHeapConfig`'s — and its bolded
+    /// count is theirs.
+    #[test]
+    fn design_lists_every_settable_value() {
+        let mut values: Vec<&str> = pub_fields(include_str!("config.rs"), "TcmallocConfig")
+            .into_iter()
+            .filter(|&(_, ty)| ty != "PageHeapConfig")
+            .chain(pub_fields(
+                include_str!("pageheap/mod.rs"),
+                "PageHeapConfig",
+            ))
+            .map(|(field, _)| field)
+            .collect();
+        assert!(values.contains(&"free_arm") && values.contains(&"capacity_threshold"));
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("### What is configuration, and what is a constant")
+            .nth(1)
+            .expect("DESIGN.md §6 has the configuration heading");
+        let (count, list) = section
+            .split_once(" values are configuration**")
+            .and_then(|(head, rest)| {
+                Some((head.rsplit("**").next()?, rest.split("\n\n**").next()?))
+            })
+            .expect("§6 bolds the count of settable values");
+        const WORDS: &str = "Zero One Two Three Four Five Six Seven Eight Nine Ten Eleven \
+            Twelve Thirteen Fourteen Fifteen Sixteen Seventeen Eighteen Nineteen Twenty";
+        assert_eq!(
+            WORDS.split_whitespace().nth(values.len()),
+            Some(count),
+            "the bolded count"
+        );
+        values.retain(|field| !list.contains(&format!("`{field}`")));
+        assert!(values.is_empty(), "§6 does not list {values:?}");
     }
 
     #[test]

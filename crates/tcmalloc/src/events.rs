@@ -18,11 +18,11 @@
 //! * the sanitizer's shadow state learns spans from `SpanAlloc` /
 //!   `SpanRetire` and objects from `MallocDone` — from the stream alone,
 //!   never from the allocator's pagemap,
-//! * a bounded deterministic [`TraceRing`] exports Chrome trace-event JSON
-//!   (`wsc-bench` `trace --events out.json`, viewable in `chrome://tracing`
-//!   or Perfetto),
-//! * a [`Recorder`] captures the raw stream for the determinism and
-//!   conservation tests, and
+//! * a deterministic [`TraceRing`] keeps the tail of the stream and exports
+//!   it as Chrome trace-event JSON (`wsc-bench` `trace --events out.json`,
+//!   viewable in `chrome://tracing` or Perfetto); sized
+//!   [`TraceRing::UNBOUNDED`] it keeps the whole stream for the
+//!   determinism and conservation tests, and
 //! * further [`EventSink`]s [`attach`](EventBus::attach)ed to the bus see
 //!   every event after the built-in consumers.
 //!
@@ -32,7 +32,7 @@
 //! from that table, so they cannot disagree.
 //!
 //! Determinism: timestamps come from the *simulated* [`Clock`], the fan-out
-//! order is fixed (stats → sanitizer → trace → recorder → extra sinks), and
+//! order is fixed (stats → sanitizer → trace → extra sinks), and
 //! nothing consults the wall clock or ambient randomness — so the event log
 //! of a run is byte-identical across `--threads N` and the golden figures
 //! stay bit-identical.
@@ -553,31 +553,6 @@ pub trait EventSink: Send {
     fn on_event(&mut self, ts_ns: u64, ev: &AllocEvent);
 }
 
-/// Unbounded capture of the raw stream, for tests and tools. (Not for the
-/// hot path of long runs — use [`TraceRing`] there.)
-#[derive(Clone, Debug, Default)]
-pub struct Recorder {
-    events: Vec<AllocEvent>,
-}
-
-impl Recorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Everything recorded so far, in emission order.
-    pub fn events(&self) -> &[AllocEvent] {
-        &self.events
-    }
-}
-
-impl EventSink for Recorder {
-    fn on_event(&mut self, _ts_ns: u64, ev: &AllocEvent) {
-        self.events.push(*ev);
-    }
-}
-
 /// A bounded, deterministic ring over the tail of the event stream, with
 /// Chrome trace-event JSON export. Oldest entries drop first; the drop
 /// count is kept so truncation is never silent.
@@ -589,6 +564,12 @@ pub struct TraceRing {
 }
 
 impl TraceRing {
+    /// A capacity no run reaches: the ring keeps the whole stream. Callers
+    /// that need every event (the determinism and conservation tests,
+    /// [`interleave::replay`](crate::interleave::replay)'s fingerprint)
+    /// size the ring with it and check [`dropped`](Self::dropped) is 0.
+    pub const UNBOUNDED: u32 = u32::MAX;
+
     /// A ring keeping the last `capacity` events.
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -668,7 +649,7 @@ impl EventSink for TraceRing {
 }
 
 /// The bus: owns the built-in consumers (stats view, sanitizer shadow feed,
-/// optional trace ring and recorder) plus any attached [`EventSink`]s, and
+/// optional trace ring) plus any attached [`EventSink`]s, and
 /// fans every event out to them in a fixed, deterministic order.
 ///
 /// The bus also *prices* operations: [`malloc_done`](Self::malloc_done) and
@@ -679,7 +660,7 @@ impl EventSink for TraceRing {
 ///
 /// The *record* of an operation is only materialised while the bus is
 /// `observed` (someone other than the ledger is listening: trace ring,
-/// recorder, attached sink, or the sanitizer). Observers see the full
+/// attached sink, or the sanitizer). Observers see the full
 /// per-op stream; with nobody listening nothing is built.
 pub struct EventBus {
     cost: CostModel,
@@ -687,7 +668,6 @@ pub struct EventBus {
     stats: StatsView,
     sanitizer: Sanitizer,
     trace: Option<TraceRing>,
-    recorder: Option<Recorder>,
     extra: Vec<Box<dyn EventSink>>,
     /// Derived, never set by a caller: fixed by the config in
     /// [`new`](Self::new), flipped for good by [`attach`](Self::attach).
@@ -698,10 +678,6 @@ impl std::fmt::Debug for EventBus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBus")
             .field("trace", &self.trace.as_ref().map(TraceRing::len))
-            .field(
-                "recorder",
-                &self.recorder.as_ref().map(|r| r.events().len()),
-            )
             .field("extra_sinks", &self.extra.len())
             .field("observed", &self.observed)
             .finish_non_exhaustive()
@@ -710,18 +686,16 @@ impl std::fmt::Debug for EventBus {
 
 impl EventBus {
     /// Builds the bus for one allocator instance: sink selection comes from
-    /// `cfg` (`trace_capacity`, `record_events`, `sanitize`).
+    /// `cfg` (`trace_capacity`, `sanitize`).
     pub fn new(cfg: &TcmallocConfig, cost: CostModel, clock: Clock) -> Self {
         let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
-        let recorder = cfg.record_events.then(Recorder::new);
         Self {
             cost,
             clock,
             stats: StatsView::new(cost),
             sanitizer: Sanitizer::new(cfg.sanitize),
-            observed: trace.is_some() || recorder.is_some() || cfg.sanitize.is_on(),
+            observed: trace.is_some() || cfg.sanitize.is_on(),
             trace,
-            recorder,
             extra: Vec::new(),
         }
     }
@@ -744,8 +718,8 @@ impl EventBus {
         }
     }
 
-    /// Hands one event to the observers (sanitizer → trace → recorder →
-    /// attached sinks), stamped with the simulated clock. The stats view is
+    /// Hands one event to the observers (sanitizer → trace → attached
+    /// sinks), stamped with the simulated clock. The stats view is
     /// not an observer: its caller has already booked the event.
     fn fan_out(&mut self, ev: &AllocEvent) {
         let ts = self.clock.now_ns();
@@ -764,9 +738,6 @@ impl EventBus {
         }
         if let Some(t) = &mut self.trace {
             t.on_event(ts, ev);
-        }
-        if let Some(r) = &mut self.recorder {
-            r.on_event(ts, ev);
         }
         for s in &mut self.extra {
             s.on_event(ts, ev);
@@ -829,6 +800,13 @@ impl EventBus {
         &self.cost
     }
 
+    /// Prices every later operation against `cost`. Observers, the
+    /// sanitizer's state and what is already booked are kept.
+    pub(crate) fn set_cost(&mut self, cost: CostModel) {
+        self.cost = cost;
+        self.stats.reprice(&cost);
+    }
+
     /// Cycle attribution (Figure 6a view), exact at every instant.
     pub fn cycles(&self) -> &CycleStats {
         self.stats.cycles()
@@ -854,10 +832,12 @@ impl EventBus {
         self.trace.as_ref()
     }
 
-    /// The recorded raw stream, when `record_events` is set (empty
-    /// otherwise).
-    pub fn recorded(&self) -> &[AllocEvent] {
-        self.recorder.as_ref().map_or(&[], Recorder::events)
+    /// Everything a [`TraceRing::UNBOUNDED`] ring kept: the whole stream.
+    #[cfg(test)]
+    pub(crate) fn stream(&self) -> Vec<AllocEvent> {
+        let ring = self.trace.as_ref().expect("trace ring configured");
+        assert_eq!(ring.dropped(), 0, "the ring dropped events");
+        ring.entries().map(|&(_, ev)| ev).collect()
     }
 
     /// Attaches an additional sink; it observes every subsequent event
@@ -915,28 +895,29 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_in_emission_order() {
-        let cfg = TcmallocConfig::optimized().with_event_recorder();
+    fn ring_captures_in_emission_order() {
+        let cfg = TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED);
         let mut b = bus(cfg);
         b.percpu_hit(0, 3);
         malloc(&mut b, false, Some(pick()));
         b.free_done(AllocPath::PerCpu, 0x1000, 24);
-        let kinds: Vec<_> = b.recorded().iter().map(AllocEvent::kind).collect();
+        let events = b.stream();
+        let kinds: Vec<_> = events.iter().map(AllocEvent::kind).collect();
         assert_eq!(
             kinds,
             ["PerCpuHit", "SamplerPick", "MallocDone", "FreeDone"]
         );
-        assert_eq!(b.recorded()[0], hit());
+        assert_eq!(events[0], hit());
         assert_eq!(b.profile().size_by_count.count(), 1.0);
     }
 
     /// The ledger and profile a bus ends with do not depend on who else is
     /// listening, each completion is booked exactly once either way, and an
-    /// observer's recorded stream replays to the same view.
+    /// observer's captured stream replays to the same view.
     #[test]
     fn observed_and_unobserved_buses_book_identically() {
         let observed = [
-            TcmallocConfig::optimized().with_event_recorder(),
+            TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED),
             TcmallocConfig::optimized().with_trace(8),
             TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full),
         ];
@@ -945,7 +926,7 @@ mod tests {
         assert!(!quiet.observed);
         assert!(buses.iter().all(|b| b.observed));
         let mut late = bus(TcmallocConfig::optimized());
-        late.attach(Box::new(Recorder::new()));
+        late.attach(Box::new(TraceRing::new(8)));
         assert!(late.observed, "attach flips it for good");
         buses.push(late);
         for i in 0..137u64 {
@@ -963,7 +944,7 @@ mod tests {
         }
         assert_eq!(quiet.cycles().ops(CycleCategory::Sampled), 3);
         let mut replayed = StatsView::new(CostModel::production());
-        for ev in buses[0].recorded() {
+        for ev in &buses[0].stream() {
             replayed.on_event(0, ev);
         }
         assert_eq!(replayed.cycles(), quiet.cycles());

@@ -26,6 +26,7 @@
 
 use crate::alloc::Tcmalloc;
 use crate::config::TcmallocConfig;
+use crate::events::TraceRing;
 use crate::stats::CycleCategory;
 use wsc_prng::SmallRng;
 use wsc_sim_hw::topology::{CpuId, Platform};
@@ -164,7 +165,7 @@ impl Schedule {
 /// Everything a replay observed, reduced to comparable values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplayOutcome {
-    /// FNV-1a fingerprint of the complete recorded event stream as
+    /// FNV-1a fingerprint of the complete event stream as
     /// `(event_count, hash)`. Byte-identical replays agree exactly.
     pub fingerprint: (usize, u64),
     /// Live objects at end of schedule, per the allocator's accounting.
@@ -198,7 +199,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Replays `schedule` against a fresh allocator built from `cfg` on
-/// `platform`, with the raw event recorder forced on (the fingerprint
+/// `platform`, with an unbounded trace ring forced on (the fingerprint
 /// covers the complete stream). Returns the observed [`ReplayOutcome`].
 ///
 /// Replay is deterministic: the same `(cfg, platform, schedule)` triple
@@ -207,7 +208,11 @@ pub fn replay(cfg: TcmallocConfig, platform: Platform, schedule: &Schedule) -> R
     let sanitized = cfg.sanitize.is_on();
     let cpus = platform.num_cpus() as u32;
     let clock = Clock::new();
-    let mut tcm = Tcmalloc::new(cfg.with_event_recorder(), platform, clock.clone());
+    let mut tcm = Tcmalloc::new(
+        cfg.with_trace(TraceRing::UNBOUNDED),
+        platform,
+        clock.clone(),
+    );
     let mut live: Vec<(u64, u64)> = Vec::new();
     for op in &schedule.ops {
         match *op {
@@ -238,9 +243,11 @@ pub fn replay(cfg: TcmallocConfig, platform: Platform, schedule: &Schedule) -> R
     } else {
         0
     };
+    let ring = tcm.trace().expect("trace ring configured");
+    assert_eq!(ring.dropped(), 0, "the fingerprint covers the whole stream");
     let mut hash = FNV_OFFSET;
     let mut count = 0usize;
-    for e in tcm.recorded_events() {
+    for (_, e) in ring.entries() {
         for b in format!("{e:?}").bytes() {
             hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }

@@ -473,7 +473,7 @@ impl World {
             c: HugeCache::new(2 * HUGE_PAGE_BYTES),
             os: OsLayer::new(Vmm::with_faults(plan, Clock::new()), None),
             b: EventBus::new(
-                &TcmallocConfig::baseline().with_event_recorder(),
+                &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
                 CostModel::production(),
                 Clock::new(),
             ),
@@ -566,7 +566,7 @@ fn filler_matches_linear_probe_reference() {
                 old.f.hugepage_accounting(),
                 "seed {seed} step {step}"
             );
-            let (ev_new, ev_old) = (new.b.recorded(), old.b.recorded());
+            let (ev_new, ev_old) = (new.b.stream(), old.b.stream());
             assert_eq!(ev_new.len(), ev_old.len(), "seed {seed} step {step}");
             assert_eq!(
                 ev_new[seen_events..],

@@ -34,23 +34,30 @@ const HP_PAGES: u64 = TCMALLOC_PAGES_PER_HUGE; // 256
 /// `HugeCache` bound: fully-free hugepages beyond this are unmapped.
 const HUGE_CACHE_LIMIT_BYTES: u64 = 16 << 20;
 
-/// Pageheap policy knobs.
+// Release pacing. Memory-pressure regime: the fleet runs hot, so free pages
+// are returned to the OS promptly — the continuous gradual release that
+// erodes hugepage coverage in the §4.4 baseline.
+
+/// Background release triggers when resident free filler pages exceed this
+/// many TCMalloc pages (1 MiB of idle filler pages).
+const FREE_PAGES_THRESHOLD: u64 = 128;
+
+/// Maximum pages subreleased per background pass, 32 MiB (gradual release,
+/// §3: "TCMalloc prioritizes keeping hugepages intact by releasing memory
+/// gradually").
+const RELEASE_RATE_PAGES: u64 = 4096;
+
+/// Release passes a hugepage must sit idle before it may be broken
+/// (adaptive subrelease, Maas et al. \[49\]).
+const SUBRELEASE_GRACE_PASSES: u8 = 1;
+
+/// Pageheap policy knobs (§4.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageHeapConfig {
     /// Enable the §4.4 lifetime-aware filler.
     pub lifetime_aware_filler: bool,
     /// The capacity threshold C separating short- from long-lived spans.
     pub capacity_threshold: u32,
-    /// Background release triggers when resident free filler pages exceed
-    /// this many TCMalloc pages.
-    pub free_pages_threshold: u64,
-    /// Maximum pages subreleased per background pass (gradual release,
-    /// §3: "TCMalloc prioritizes keeping hugepages intact by releasing
-    /// memory gradually").
-    pub release_rate_pages: u64,
-    /// Release passes a hugepage must sit idle before it may be broken
-    /// (adaptive subrelease, Maas et al. \[49\]).
-    pub subrelease_grace_passes: u8,
 }
 
 impl Default for PageHeapConfig {
@@ -58,12 +65,6 @@ impl Default for PageHeapConfig {
         Self {
             lifetime_aware_filler: false,
             capacity_threshold: 16,
-            // Memory-pressure regime: the fleet runs hot, so free pages are
-            // returned to the OS promptly — the continuous gradual release
-            // that erodes hugepage coverage in the §4.4 baseline.
-            free_pages_threshold: 128, // 1 MiB of idle filler pages
-            release_rate_pages: 4096,  // 32 MiB per pass
-            subrelease_grace_passes: 1,
         }
     }
 }
@@ -120,7 +121,6 @@ pub struct PageHeap {
     region: HugeRegionSet,
     cache: HugeCache,
     origin: OriginTable,
-    cfg: PageHeapConfig,
     large_used_pages: u64,
 }
 
@@ -144,7 +144,6 @@ impl PageHeap {
             region: HugeRegionSet::new(),
             cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
             origin: OriginTable::default(),
-            cfg,
             large_used_pages: 0,
         }
     }
@@ -311,13 +310,13 @@ impl PageHeap {
         self.os.promote_denied(bus);
         let stats = self.filler.stats();
         let resident_free = stats.free_pages - stats.released_pages;
-        if resident_free <= self.cfg.free_pages_threshold {
+        if resident_free <= FREE_PAGES_THRESHOLD {
             return 0;
         }
-        let excess = resident_free - self.cfg.free_pages_threshold;
-        let target = excess.min(self.cfg.release_rate_pages);
+        let excess = resident_free - FREE_PAGES_THRESHOLD;
+        let target = excess.min(RELEASE_RATE_PAGES);
         self.filler
-            .subrelease(target, self.cfg.subrelease_grace_passes, &mut self.os, bus)
+            .subrelease(target, SUBRELEASE_GRACE_PASSES, &mut self.os, bus)
             * TCMALLOC_PAGE_BYTES
     }
 
@@ -403,11 +402,6 @@ impl PageHeap {
     /// The OS boundary layer (degradation state, fault counters).
     pub fn os(&self) -> &OsLayer {
         &self.os
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PageHeapConfig {
-        &self.cfg
     }
 }
 
@@ -504,29 +498,37 @@ mod tests {
     }
 
     #[test]
-    fn background_release_respects_threshold_and_rate() {
-        let mut ph = PageHeap::new(PageHeapConfig {
-            free_pages_threshold: 100,
-            release_rate_pages: 50,
-            subrelease_grace_passes: 0,
-            ..PageHeapConfig::default()
-        });
-        let (_, mut bus) = heap();
-        // Strand ~250 free pages in one hugepage.
-        let (a, _) = ph.alloc(250, 512, &mut bus).unwrap();
-        let (b, _) = ph.alloc(5, 512, &mut bus).unwrap();
-        ph.dealloc(a, 250, &mut bus);
-        let released = ph.background_release(&mut bus);
-        assert_eq!(released, 50 * TCMALLOC_PAGE_BYTES, "rate-limited");
-        // Eventually it stops at the threshold.
-        let mut total = released;
-        for _ in 0..10 {
-            total += ph.background_release(&mut bus);
+    fn background_release_respects_grace_rate_and_threshold() {
+        let (mut ph, mut bus) = heap();
+        // Strand 251 free pages (250 freed, 1 never used) in each of 20
+        // hugepages.
+        let pairs: Vec<(u64, u64)> = (0..20)
+            .map(|_| {
+                let (a, _) = ph.alloc(250, 512, &mut bus).unwrap();
+                (a, ph.alloc(5, 512, &mut bus).unwrap().0)
+            })
+            .collect();
+        for &(a, _) in &pairs {
+            ph.dealloc(a, 250, &mut bus);
         }
-        let s = ph.filler.stats();
-        assert!(s.free_pages - s.released_pages >= 100);
-        assert!(total > 0);
-        ph.dealloc(b, 5, &mut bus);
+        let resident_free = |ph: &PageHeap| {
+            let s = ph.filler.stats();
+            s.free_pages - s.released_pages
+        };
+        assert_eq!(resident_free(&ph), 20 * 251);
+        assert_eq!(ph.background_release(&mut bus), 0, "grace pass");
+        assert_eq!(
+            ph.background_release(&mut bus),
+            RELEASE_RATE_PAGES * TCMALLOC_PAGE_BYTES,
+            "rate-limited"
+        );
+        for _ in 0..10 {
+            ph.background_release(&mut bus);
+        }
+        assert_eq!(resident_free(&ph), FREE_PAGES_THRESHOLD, "stops at it");
+        for (_, b) in pairs {
+            ph.dealloc(b, 5, &mut bus);
+        }
     }
 
     #[test]

@@ -285,7 +285,7 @@ mod tests {
 
     fn bus() -> EventBus {
         EventBus::new(
-            &TcmallocConfig::baseline().with_event_recorder(),
+            &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
             CostModel::production(),
             Clock::new(),
         )
@@ -308,7 +308,7 @@ mod tests {
         // The refused call never reached the kernel.
         assert_eq!(os.stats().mmap_calls, 2);
         let hits = b
-            .recorded()
+            .stream()
             .iter()
             .filter(|e| matches!(e, AllocEvent::LimitHit { hard: true, .. }))
             .count();
@@ -324,7 +324,7 @@ mod tests {
         let mut os = OsLayer::new(Vmm::with_faults(plan, Clock::new()), None);
         let mut b = bus();
         assert_eq!(os.mmap(HUGE_PAGE_BYTES, &mut b), Err(AllocError::OsEnomem));
-        assert!(b.recorded().iter().any(|e| matches!(
+        assert!(b.stream().iter().any(|e| matches!(
             e,
             AllocEvent::OsFault {
                 op: OsOp::Mmap,
@@ -349,11 +349,11 @@ mod tests {
         assert_eq!(os.denied_hugepages(), 2);
         assert_eq!(os.page_table().hugepage_coverage(), 0.0);
         assert!(b
-            .recorded()
+            .stream()
             .iter()
             .any(|e| matches!(e, AllocEvent::BackingDenied { base, bytes }
                 if *base == addr && *bytes == 2 * HUGE_PAGE_BYTES)));
-        assert!(b.recorded().iter().any(|e| matches!(
+        assert!(b.stream().iter().any(|e| matches!(
             e,
             AllocEvent::Degraded {
                 denied_hugepages: 2
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(os.denied_hugepages(), 0);
         assert!((os.page_table().hugepage_coverage() - 1.0).abs() < 1e-12);
         assert!(b
-            .recorded()
+            .stream()
             .iter()
             .any(|e| matches!(e, AllocEvent::Recovered { repromoted: 2 })));
         // Idempotent once healthy.
@@ -401,7 +401,7 @@ mod tests {
         let before = os.page_table().resident_bytes();
         assert!(os.subrelease(addr, 8192, &mut b).is_err());
         assert_eq!(os.page_table().resident_bytes(), before);
-        assert!(b.recorded().iter().any(|e| matches!(
+        assert!(b.stream().iter().any(|e| matches!(
             e,
             AllocEvent::OsFault {
                 op: OsOp::Subrelease,

@@ -1116,7 +1116,7 @@ mod tests {
         use wsc_prng::SmallRng;
         let recording = || {
             EventBus::new(
-                &TcmallocConfig::baseline().with_event_recorder(),
+                &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
                 CostModel::production(),
                 Clock::new(),
             )
@@ -1206,7 +1206,7 @@ mod tests {
                     }
                 }
                 assert_lockstep(&real, &model, &what);
-                let (r, m) = (real_bus.recorded(), model_bus.recorded());
+                let (r, m) = (real_bus.stream(), model_bus.stream());
                 assert_eq!(r[seen..], m[seen..], "{what}: events");
                 steals += r[seen..]
                     .iter()

@@ -206,6 +206,11 @@ impl StatsView {
         }
     }
 
+    /// Prices every later completion against `cost`; what is booked stays.
+    pub(crate) fn reprice(&mut self, cost: &CostModel) {
+        self.prices = PriceTable::new(cost);
+    }
+
     /// The derived cycle attribution.
     pub fn cycles(&self) -> &CycleStats {
         &self.cycles

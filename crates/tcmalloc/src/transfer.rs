@@ -87,25 +87,18 @@ pub enum TransferSharding {
     Node,
 }
 
+impl TransferSharding {
+    /// Is a sharded (non-central) tier active?
+    pub fn is_sharded(self) -> bool {
+        self != TransferSharding::Central
+    }
+}
+
 /// Central (legacy) cache capacity, in batches per size class.
 pub const CENTRAL_BATCHES: u32 = 4;
 
 /// Per-shard capacity, in batches per size class (Domain/Node modes).
 pub const DOMAIN_BATCHES: u32 = 1;
-
-/// Transfer-cache configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransferConfig {
-    /// Sharding mode for the tier.
-    pub sharding: TransferSharding,
-}
-
-impl TransferConfig {
-    /// Is a sharded (non-central) tier active?
-    pub fn is_sharded(&self) -> bool {
-        self.sharding != TransferSharding::Central
-    }
-}
 
 /// The transfer-cache tier: a legacy central cache, optionally fronted by
 /// per-LLC-domain (or per-NUMA-node) shard caches.
@@ -114,13 +107,10 @@ impl TransferConfig {
 ///
 /// ```
 /// use wsc_tcmalloc::size_class::SizeClassTable;
-/// use wsc_tcmalloc::transfer::{TransferCaches, TransferConfig, TransferSharding};
+/// use wsc_tcmalloc::transfer::{TransferCaches, TransferSharding};
 ///
 /// let table = SizeClassTable::production();
-/// let cfg = TransferConfig {
-///     sharding: TransferSharding::Domain,
-/// };
-/// let mut tc = TransferCaches::new(&table, cfg);
+/// let mut tc = TransferCaches::new(&table, TransferSharding::Domain);
 /// # use wsc_tcmalloc::{EventBus, TcmallocConfig};
 /// # use wsc_sim_hw::cost::CostModel;
 /// # use wsc_sim_os::clock::Clock;
@@ -136,18 +126,18 @@ pub struct TransferCaches {
     central: Vec<ClassArray>,
     domains: Vec<Option<Vec<ClassArray>>>,
     sizes_batches: Vec<(u64, u32)>,
-    cfg: TransferConfig,
+    sharding: TransferSharding,
 }
 
 impl TransferCaches {
     /// Creates the tier for a size-class table.
-    pub fn new(table: &SizeClassTable, cfg: TransferConfig) -> Self {
+    pub fn new(table: &SizeClassTable, sharding: TransferSharding) -> Self {
         let sizes_batches: Vec<(u64, u32)> = table.iter().map(|c| (c.size, c.batch)).collect();
         Self {
             central: new_tier(&sizes_batches, CENTRAL_BATCHES, 256 << 10),
             domains: Vec::new(),
             sizes_batches,
-            cfg,
+            sharding,
         }
     }
 
@@ -172,7 +162,7 @@ impl TransferCaches {
         bus: &mut EventBus,
     ) {
         let start = out.len();
-        if self.cfg.is_sharded() {
+        if self.sharding.is_sharded() {
             self.shard_tier(shard)[class].remove(n, out);
         }
         let got = out.len() - start;
@@ -195,7 +185,7 @@ impl TransferCaches {
     /// to the central free list. Any absorbed objects emit one
     /// [`AllocEvent::TransferInsert`] tagged with the depositing shard.
     pub fn stash(&mut self, shard: usize, class: usize, objs: &[u64], bus: &mut EventBus) -> usize {
-        let mut kept = if self.cfg.is_sharded() {
+        let mut kept = if self.sharding.is_sharded() {
             self.shard_tier(shard)[class].insert(objs)
         } else {
             0
@@ -236,7 +226,7 @@ impl TransferCaches {
     /// plundered (shard, class) emits one [`AllocEvent::TransferEvict`].
     pub fn plunder(&mut self, bus: &mut EventBus) -> Vec<(usize, Vec<u64>)> {
         let mut overflow = Vec::new();
-        if !self.cfg.is_sharded() {
+        if !self.sharding.is_sharded() {
             return overflow;
         }
         for (shard, tier) in self.domains.iter_mut().enumerate() {
@@ -367,7 +357,7 @@ mod tests {
     }
 
     fn legacy() -> TransferCaches {
-        TransferCaches::new(&table(), TransferConfig::default())
+        TransferCaches::new(&table(), TransferSharding::Central)
     }
 
     /// `fetch` into a fresh buffer.
@@ -378,12 +368,7 @@ mod tests {
     }
 
     fn nuca() -> TransferCaches {
-        TransferCaches::new(
-            &table(),
-            TransferConfig {
-                sharding: TransferSharding::Domain,
-            },
-        )
+        TransferCaches::new(&table(), TransferSharding::Domain)
     }
 
     #[test]
@@ -508,7 +493,7 @@ mod tests {
     fn evict_events_carry_shard_and_reason() {
         let mut tc = nuca();
         let mut b = EventBus::new(
-            &TcmallocConfig::baseline().with_event_recorder(),
+            &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
             CostModel::production(),
             Clock::new(),
         );
@@ -516,7 +501,7 @@ mod tests {
         let _ = tc.plunder(&mut b); // clears the touched mark
         let _ = tc.plunder(&mut b); // moves the idle residue
         let evicts: Vec<_> = b
-            .recorded()
+            .stream()
             .iter()
             .filter(|e| matches!(e, AllocEvent::TransferEvict { .. }))
             .copied()

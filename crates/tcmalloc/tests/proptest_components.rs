@@ -155,12 +155,7 @@ fn pageheap_ranges_never_overlap() {
 fn pageheap_release_is_safe_at_any_point() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0A5 + case);
-        let mut ph = PageHeap::new(PageHeapConfig {
-            free_pages_threshold: 0,
-            release_rate_pages: 10_000,
-            subrelease_grace_passes: 0,
-            ..PageHeapConfig::default()
-        });
+        let mut ph = PageHeap::new(PageHeapConfig::default());
         let mut bus = bus();
         let count = rng.gen_range(1usize..40);
         let release_at = rng.gen_range(0usize..40);
@@ -170,11 +165,14 @@ fn pageheap_release_is_safe_at_any_point() {
             let (addr, _) = ph.alloc(p, 8, &mut bus).expect("infallible kernel");
             live.push((addr, p));
             if i == release_at {
-                // Free half, then force an aggressive release pass.
+                // Free half, then run release passes: the first only starts
+                // the hugepages' grace period, the rest break them.
                 for (a, pp) in live.split_off(live.len() / 2) {
                     ph.dealloc(a, pp, &mut bus);
                 }
-                ph.background_release(&mut bus);
+                for _ in 0..4 {
+                    ph.background_release(&mut bus);
+                }
             }
         }
         // Survivors are still intact and freeable.

@@ -17,9 +17,7 @@ use wsc_tcmalloc::pagemap::Pagemap;
 use wsc_tcmalloc::percpu::{FreeOutcome, PerCpuCaches};
 use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::span::SpanRegistry;
-use wsc_tcmalloc::transfer::{
-    TransferCaches, TransferConfig, TransferSharding, CENTRAL_BATCHES, DOMAIN_BATCHES,
-};
+use wsc_tcmalloc::transfer::{TransferCaches, TransferSharding, CENTRAL_BATCHES, DOMAIN_BATCHES};
 
 fn bus() -> EventBus {
     EventBus::new(
@@ -143,8 +141,7 @@ fn transfer_tier_conserves_objects() {
         let mut rng = SmallRng::seed_from_u64(0x7C42 + case);
         let sharding = SHARDINGS[(case % 3) as usize];
         let table = SizeClassTable::production();
-        let cfg = TransferConfig { sharding };
-        let mut tc = TransferCaches::new(&table, cfg);
+        let mut tc = TransferCaches::new(&table, sharding);
         let mut bus = bus();
         let cl = table.class_for(128).expect("128 B is a small size");
         let mut in_tier = 0usize;
@@ -286,8 +283,7 @@ fn batches_keep_the_vec_api_order_through_every_hop() {
         // a refill keeps nothing and the whole batch moves on.
         for budget in [1u64 << 20, 0] {
             let mut rng = SmallRng::seed_from_u64(0x7C43 + case as u64);
-            let cfg = TransferConfig { sharding };
-            let mut tc = TransferCaches::new(&table, cfg);
+            let mut tc = TransferCaches::new(&table, sharding);
             let mut caches = PerCpuCaches::new(&table, budget);
             let mut bus = bus();
             // The capacities `transfer::new_tier` and `PerCpuCaches::new`
@@ -297,7 +293,9 @@ fn batches_keep_the_vec_api_order_through_every_hop() {
                 max_objs: (batch as u64 * batches as u64).min((byte_cap / size).max(1)) as usize,
             };
             let mut m_tc = vec_model::Transfer {
-                shard: cfg.is_sharded().then(|| array(DOMAIN_BATCHES, 4 << 10)),
+                shard: sharding
+                    .is_sharded()
+                    .then(|| array(DOMAIN_BATCHES, 4 << 10)),
                 central: array(CENTRAL_BATCHES, 256 << 10),
             };
             let mut m_cache = vec_model::Stack {

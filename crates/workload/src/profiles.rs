@@ -739,11 +739,47 @@ pub fn benchmark_workloads() -> Vec<WorkloadSpec> {
     vec![redis(), data_pipeline(), image_processing(), tensorflow()]
 }
 
+/// A profile's constructor.
+pub type Profile = fn() -> WorkloadSpec;
+
+/// Every profile a command line can name, with its constructor.
+pub const NAMED: [(&str, Profile); 11] = [
+    ("fleet", fleet_mix),
+    ("spanner", spanner),
+    ("monarch", monarch),
+    ("bigtable", bigtable),
+    ("f1-query", f1_query),
+    ("disk", disk),
+    ("redis", redis),
+    ("data-pipeline", data_pipeline),
+    ("image-processing", image_processing),
+    ("tensorflow", tensorflow),
+    ("spec", || spec_cpu(0)),
+];
+
+/// The profile a command line names, as [`NAMED`] lists it.
+pub fn by_name(name: &str) -> Option<WorkloadSpec> {
+    NAMED
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, spec)| spec())
+}
+
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_name_selects_its_profile() {
+        assert_eq!(by_name("disk").map(|s| s.name), Some(disk().name));
+        assert_eq!(by_name("spec").map(|s| s.name), Some(spec_cpu(0).name));
+        for (name, _) in NAMED {
+            assert!(by_name(name).is_some(), "{name}");
+        }
+        assert!(by_name("bogus").is_none());
+    }
 
     #[test]
     fn fleet_size_mix_matches_figure7() {

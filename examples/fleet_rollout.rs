@@ -30,7 +30,6 @@ fn main() {
         binaries_per_machine: 2,
         requests_per_binary: 10_000,
         seed: 7,
-        platform_mix: warehouse_alloc::fleet::experiment::default_platform_mix(),
         population: 500,
     };
 

@@ -7,8 +7,9 @@
 //! cargo run --release --example workload_characterization [workload]
 //! ```
 //!
-//! `workload` is one of: fleet, spanner, monarch, bigtable, f1-query, disk,
-//! redis, data-pipeline, image-processing, tensorflow, spec (default: fleet).
+//! `workload` is any name in `profiles::NAMED`: fleet, spanner, monarch,
+//! bigtable, f1-query, disk, redis, data-pipeline, image-processing,
+//! tensorflow, spec (default: fleet).
 
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
@@ -17,22 +18,9 @@ use warehouse_alloc::workload::profiles;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "fleet".into());
-    let spec = match which.as_str() {
-        "fleet" => profiles::fleet_mix(),
-        "spanner" => profiles::spanner(),
-        "monarch" => profiles::monarch(),
-        "bigtable" => profiles::bigtable(),
-        "f1-query" => profiles::f1_query(),
-        "disk" => profiles::disk(),
-        "redis" => profiles::redis(),
-        "data-pipeline" => profiles::data_pipeline(),
-        "image-processing" => profiles::image_processing(),
-        "tensorflow" => profiles::tensorflow(),
-        "spec" => profiles::spec_cpu(0),
-        other => {
-            eprintln!("unknown workload: {other}");
-            std::process::exit(2);
-        }
+    let Some(spec) = profiles::by_name(&which) else {
+        eprintln!("unknown workload: {which}");
+        std::process::exit(2);
     };
 
     let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);

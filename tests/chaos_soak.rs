@@ -18,9 +18,16 @@
 use warehouse_alloc::sim_hw::topology::{CpuId, Platform};
 use warehouse_alloc::sim_os::clock::{Clock, NS_PER_SEC};
 use warehouse_alloc::sim_os::faults::{FaultPlan, PPM};
-use warehouse_alloc::tcmalloc::{SanitizeLevel, Tcmalloc, TcmallocConfig};
+use warehouse_alloc::tcmalloc::{AllocEvent, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
 use warehouse_alloc::workload::driver::{run, DriverConfig};
 use warehouse_alloc::workload::profiles;
+
+/// The whole event stream of an allocator built with an unbounded ring.
+fn stream(tcm: &Tcmalloc) -> Vec<AllocEvent> {
+    let ring = tcm.trace().expect("trace ring configured");
+    assert_eq!(ring.dropped(), 0, "the ring dropped events");
+    ring.entries().map(|&(_, ev)| ev).collect()
+}
 
 fn platform() -> Platform {
     Platform::chiplet("t", 1, 2, 4, 2)
@@ -142,7 +149,7 @@ fn deferred_frees_ride_out_fault_storms() {
     // structured errors (never panics) even with lists parked; and once
     // the storm window closes the allocator emits `Recovered` and audits
     // clean.
-    use warehouse_alloc::tcmalloc::{AllocEvent, FreeArm, FreeError};
+    use warehouse_alloc::tcmalloc::{FreeArm, FreeError};
     let p = platform();
     let producer = CpuId(0);
     let consumer = CpuId(8); // other LLC domain: every free is remote
@@ -154,7 +161,7 @@ fn deferred_frees_ride_out_fault_storms() {
         let cfg = TcmallocConfig::optimized()
             .with_free_arm(FreeArm::AtomicList)
             .with_sanitize(SanitizeLevel::Full)
-            .with_event_recorder()
+            .with_trace(TraceRing::UNBOUNDED)
             .with_os_faults(plan);
         let mut tcm = Tcmalloc::new(cfg, p.clone(), clock.clone());
 
@@ -224,7 +231,7 @@ fn deferred_frees_ride_out_fault_storms() {
         assert!(!tcm.os_degraded(), "{storm}: still degraded");
         if degraded_seen {
             assert!(
-                tcm.recorded_events()
+                stream(&tcm)
                     .iter()
                     .any(|e| matches!(e, AllocEvent::Recovered { .. })),
                 "{storm}: degradation never recovered"
@@ -327,7 +334,7 @@ fn faults_off_run_is_byte_identical_to_a_plan_free_run() {
     // build's event stream byte for byte — the golden figures depend on it.
     let p = platform();
     let dcfg = DriverConfig::new(1_500, 13, &p);
-    let base = TcmallocConfig::optimized().with_event_recorder();
+    let base = TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED);
     let (_, tcm_plain) = run(&profiles::fleet_mix(), &p, base, &dcfg);
     let (_, tcm_zeroed) = run(
         &profiles::fleet_mix(),
@@ -335,13 +342,11 @@ fn faults_off_run_is_byte_identical_to_a_plan_free_run() {
         base.with_os_faults(FaultPlan::off().with_seed(77)),
         &dcfg,
     );
-    let plain: Vec<String> = tcm_plain
-        .recorded_events()
+    let plain: Vec<String> = stream(&tcm_plain)
         .iter()
         .map(|e| format!("{e:?}"))
         .collect();
-    let zeroed: Vec<String> = tcm_zeroed
-        .recorded_events()
+    let zeroed: Vec<String> = stream(&tcm_zeroed)
         .iter()
         .map(|e| format!("{e:?}"))
         .collect();

@@ -1,6 +1,6 @@
 //! One reference model, over the whole config lattice.
 //!
-//! Every cell of the lattice runs one seeded op stream through six copies
+//! Every cell of the lattice runs one seeded op stream through four copies
 //! of the allocator in lockstep, and after every operation the copies must
 //! agree with each other and with an independent reference model:
 //!
@@ -9,9 +9,10 @@
 //!   `cfl_lists` {1, 8} × lifetime-aware filler {off, on} × {no faults, the
 //!   `thp-outage` storm for the first two simulated seconds, a hard limit
 //!   that refuses}: 144 cells, one `#[test]` per fault column.
-//! * **Copies** — unobserved (until a late sink attaches half-way),
-//!   recorder, trace ring, `Sanitize::Full`, `Sanitize::Sampled(64)`, and
-//!   one watched only by the reference sink.
+//! * **Copies** — unobserved (until a late sink attaches half-way), one
+//!   keeping the whole stream in a [`TraceRing::UNBOUNDED`] ring,
+//!   `Sanitize::Full` with an extra `audit_now` every 64 operations, and one
+//!   watched only by the reference sink.
 //! * **Reference model** — a [`ShadowState`] fed through `attach_sink` from
 //!   the event stream alone, through the entry points the sanitizer's bus
 //!   feed uses: `SpanAlloc` maps a span, `SpanRetire` forgets it,
@@ -27,11 +28,12 @@
 //! error, path and `ns` bits) and books the same ledger; the shadow's live
 //! set equals this harness's own `addr → size` model, which every copy's
 //! `live_objects` / `live_bytes` agree with; nothing reported. After every
-//! tick that crosses the plunder interval nothing is left in flight. At the
-//! end of a cell: the `Full` copy audits clean, teardown leaves `resident
-//! == total` in the fragmentation identity, the ledger is the reported
-//! nanoseconds plus contention, the recorded stream replays to the same
-//! ledger and profile, and the late sink saw what the recorder saw. In
+//! tick that crosses the plunder interval nothing is left in flight; every
+//! 64th op the `Full` copy audits clean. At the end of a cell: the `Full`
+//! copy audits clean, teardown leaves `resident == total` in the
+//! fragmentation identity, the ledger is the reported nanoseconds plus
+//! contention, the ring dropped nothing and its stream replays to the same
+//! ledger and profile, and the late sink saw what the ring saw. In
 //! fault-free cells both arms end with the same live set.
 //!
 //! Held fixed, with the reason:
@@ -40,15 +42,12 @@
 //!   other.
 //! * `capacity_threshold` stays at 16: it moves placement inside the
 //!   lifetime-aware filler, not the paths the filler takes.
-//! * The `PageHeapConfig` release knobs (`free_pages_threshold`,
-//!   `release_rate_pages`, `subrelease_grace_passes`) keep their defaults:
-//!   they pace background release, which every cell runs on every tick.
 //! * `sample_period_bytes` is 64 KiB instead of 2 MiB, so sampling fires
 //!   within a cell's few hundred operations.
 //! * `soft_limit` stays unset: it adds release passes, not paths, and
 //!   `tests/chaos_soak.rs` drives it under every named storm.
-//! * `sanitize`, `trace_capacity` and `record_events` are the copies, and
-//!   `hard_limit` / `os_faults` the fault column, rather than cells.
+//! * `sanitize` and `trace_capacity` are the copies, and `hard_limit` /
+//!   `os_faults` the fault column, rather than cells.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -61,10 +60,14 @@ use wsc_tcmalloc::events::EventSink;
 use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::stats::StatsView;
 use wsc_tcmalloc::transfer::TransferSharding;
-use wsc_tcmalloc::{AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::{
+    AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing,
+};
 
 /// Operations per cell, before the teardown frees what is still live.
 const OPS: usize = 1000;
+/// The `Full` copy's extra audit cadence, in operations.
+const AUDIT_EVERY: usize = 64;
 /// The allocator's plunder cadence (`PLUNDER_INTERVAL_NS` in
 /// `tcmalloc::alloc`): every tick that reaches it drains the deferred lists.
 const PLUNDER_INTERVAL_NS: u64 = NS_PER_SEC / 20;
@@ -80,11 +83,9 @@ fn platform() -> Platform {
 
 // The lockstep copies, by index.
 const QUIET: usize = 0;
-const RECORDER: usize = 1;
-const TRACE: usize = 2;
-const FULL: usize = 3;
-const SAMPLED: usize = 4;
-const SHADOW: usize = 5;
+const RING: usize = 1;
+const FULL: usize = 2;
+const SHADOW: usize = 3;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Faults {
@@ -112,7 +113,7 @@ impl Cell {
         if self.lifetime_filler {
             cfg = cfg.with_lifetime_filler();
         }
-        cfg.transfer.sharding = self.sharding;
+        cfg.transfer = self.sharding;
         cfg.cfl_lists = self.cfl_lists;
         cfg.sample_period_bytes = 64 << 10;
         match self.faults {
@@ -270,7 +271,7 @@ struct Live {
     cpu: u32,
 }
 
-/// One cell's six copies plus the harness's own model.
+/// One cell's four copies plus the harness's own model.
 struct Lockstep {
     copies: Vec<(Tcmalloc, Clock)>,
     reference: Arc<Mutex<Reference>>,
@@ -287,10 +288,8 @@ impl Lockstep {
     fn new(cfg: TcmallocConfig) -> Self {
         let cfgs = [
             cfg,
-            cfg.with_event_recorder(),
-            cfg.with_trace(256),
+            cfg.with_trace(TraceRing::UNBOUNDED),
             cfg.with_sanitize(SanitizeLevel::Full),
-            cfg.with_sanitize(SanitizeLevel::Sampled(64)),
             cfg,
         ];
         let mut copies: Vec<(Tcmalloc, Clock)> = cfgs
@@ -382,6 +381,13 @@ impl Lockstep {
         }
     }
 
+    /// Everything the ring copy saw, after checking it dropped nothing.
+    fn stream(&self) -> Vec<AllocEvent> {
+        let ring = self.copies[RING].0.trace().expect("trace ring configured");
+        assert_eq!(ring.dropped(), 0, "the ring dropped events");
+        ring.entries().map(|&(_, ev)| ev).collect()
+    }
+
     /// The per-op checks.
     fn check(&self, ctx: &str) {
         let ledger = self.copies[QUIET].0.cycles();
@@ -427,14 +433,14 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
     let label = format!("{cell:?}/{}", arm.name());
     let mut ls = Lockstep::new(cell.config(arm));
     let late = Arc::new(Mutex::new(Vec::new()));
-    let mut recorded_at_attach = 0;
+    let mut seen_at_attach = 0;
     let mut rng = SmallRng::seed_from_u64(seed);
     for i in 0..OPS {
         if i == OPS / 2 {
             ls.copies[QUIET]
                 .0
                 .attach_sink(Box::new(Shared(late.clone())));
-            recorded_at_attach = ls.copies[RECORDER].0.recorded_events().len();
+            seen_at_attach = ls.stream().len();
         }
         let ctx = format!("{label} op {i}");
         match sample_op(&mut rng) {
@@ -444,6 +450,10 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
             Op::Tick { ms } => ls.tick(ms, &ctx),
         }
         ls.check(&ctx);
+        if i % AUDIT_EVERY == AUDIT_EVERY - 1 {
+            let t = &mut ls.copies[FULL].0;
+            assert_eq!(t.audit_now(), 0, "{ctx}: audit {:?}", t.sanitizer_reports());
+        }
     }
     match cell.faults {
         Faults::None => assert_eq!(ls.refusals, 0, "{label}: refused without faults"),
@@ -454,14 +464,6 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
         Faults::HardLimit => assert!(ls.refusals > 0, "{label}: the hard limit never refused"),
     }
     assert_eq!(ls.copies[FULL].0.audit_now(), 0, "{label}: audit");
-    assert!(
-        ls.copies[SAMPLED].0.audits_run() > 0,
-        "{label}: no sampled audit"
-    );
-    assert!(
-        ls.copies[TRACE].0.trace().is_some_and(|t| !t.is_empty()),
-        "{label}: the trace ring stayed empty"
-    );
     let mut sizes: Vec<u64> = ls.model.values().map(|l| l.size).collect();
     sizes.sort_unstable();
     let end = {
@@ -495,12 +497,9 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
     );
     ls.check(&format!("{label} after teardown"));
 
-    let (quiet, recorder) = (&ls.copies[QUIET].0, &ls.copies[RECORDER].0);
-    let kinds: BTreeSet<&'static str> = recorder
-        .recorded_events()
-        .iter()
-        .map(AllocEvent::kind)
-        .collect();
+    let stream = ls.stream();
+    let quiet = &ls.copies[QUIET].0;
+    let kinds: BTreeSet<&'static str> = stream.iter().map(AllocEvent::kind).collect();
     if arm == FreeArm::AtomicList {
         for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
             assert!(kinds.contains(kind), "{label}: the stream never saw {kind}");
@@ -516,9 +515,9 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
         "{label}: booked {booked} ns, operations reported {} ns",
         ls.reported_ns
     );
-    // Replaying the recorded stream alone rebuilds ledger and profile.
-    let mut replayed = StatsView::new(*recorder.cost_model());
-    for ev in recorder.recorded_events() {
+    // Replaying the ring's stream alone rebuilds ledger and profile.
+    let mut replayed = StatsView::new(*ls.copies[RING].0.cost_model());
+    for ev in &stream {
         replayed.on_event(0, ev);
     }
     assert_eq!(
@@ -535,11 +534,11 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
         quiet.profile().size_by_count.count() > 0.0,
         "{label}: never sampled"
     );
-    // The late sink saw exactly what the recorder saw from the first
+    // The late sink saw exactly what the ring saw from the first
     // operation after the attach onwards.
     assert_eq!(
         late.lock().expect("sink lock").as_slice(),
-        &recorder.recorded_events()[recorded_at_attach..],
+        &stream[seen_at_attach..],
         "{label}: late sink"
     );
     end

@@ -190,13 +190,13 @@ fn event_logs_are_identical_across_engine_thread_counts() {
 fn remote_traffic_is_visible_to_stats_and_events() {
     // Cross-thread traffic must be observable, not just correct: the
     // contention cycle category fills in and both remote event kinds
-    // appear in the recorded stream.
+    // appear in the stream.
     use wsc_sim_os::clock::Clock;
-    use wsc_tcmalloc::{AllocEvent, CycleCategory, Tcmalloc};
+    use wsc_tcmalloc::{AllocEvent, CycleCategory, Tcmalloc, TraceRing};
     let sched = Schedule::producer_consumer(0x0B5, &[0, 1], &[8, 9], 800);
     let cfg = TcmallocConfig::optimized()
         .with_free_arm(FreeArm::AtomicList)
-        .with_event_recorder();
+        .with_trace(TraceRing::UNBOUNDED);
     let mut tcm = Tcmalloc::new(cfg, platform(), Clock::new());
     let mut live: Vec<(u64, u64)> = Vec::new();
     for op in &sched.ops {
@@ -220,15 +220,15 @@ fn remote_traffic_is_visible_to_stats_and_events() {
             SchedOp::Drain => tcm.drain_deferred(),
         }
     }
-    let queued = tcm
-        .recorded_events()
-        .iter()
-        .filter(|e| matches!(e, AllocEvent::RemoteFreeQueued { .. }))
+    let ring = tcm.trace().expect("trace ring configured");
+    assert_eq!(ring.dropped(), 0, "the ring dropped events");
+    let queued = ring
+        .entries()
+        .filter(|(_, e)| matches!(e, AllocEvent::RemoteFreeQueued { .. }))
         .count() as u64;
-    let drained: u64 = tcm
-        .recorded_events()
-        .iter()
-        .filter_map(|e| match e {
+    let drained: u64 = ring
+        .entries()
+        .filter_map(|(_, e)| match e {
             AllocEvent::RemoteFreeDrained { count, .. } => Some(u64::from(*count)),
             _ => None,
         })

@@ -199,7 +199,6 @@ fn fleet_ab_framework_is_paired() {
         binaries_per_machine: 1,
         requests_per_binary: 2_000,
         seed: 9,
-        platform_mix: warehouse_alloc::fleet::experiment::default_platform_mix(),
         population: 50,
     };
     let r = try_run_fleet_ab(

@@ -11,10 +11,14 @@
 //! old accumulation (e.g. `375422.399999…` → `375422.4` exactly). Counts
 //! are compared exactly.
 
+use std::sync::{Arc, Mutex};
 use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
-use wsc_tcmalloc::{CycleCategory, CycleStats, SanitizeLevel, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::events::EventSink;
+use wsc_tcmalloc::{
+    AllocEvent, CycleCategory, CycleStats, SanitizeLevel, Tcmalloc, TcmallocConfig,
+};
 use wsc_workload::driver::{run, DriverConfig};
 use wsc_workload::profiles;
 
@@ -131,4 +135,48 @@ fn odd_calibration_prices_like_the_per_call_sums() {
     per_call.charge(CycleCategory::CpuCache, cost.percpu_hit_ns);
     per_call.charge(CycleCategory::Other, cost.other_ns);
     assert_eq!(t.cycles(), &per_call);
+}
+
+/// A sink that shares what it saw with the test.
+struct Shared(Arc<Mutex<Vec<AllocEvent>>>);
+
+impl EventSink for Shared {
+    fn on_event(&mut self, _ts_ns: u64, ev: &AllocEvent) {
+        self.0.lock().expect("sink lock").push(*ev);
+    }
+}
+
+/// Recalibrating replaces the prices and nothing else: a sink attached
+/// before `with_cost_model` keeps seeing the stream, and an object allocated
+/// before it is still known to the sanitizer when it is freed.
+#[test]
+fn with_cost_model_keeps_sinks_and_sanitizer_state() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let p = Platform::chiplet("test", 1, 2, 4, 2);
+    let cfg = TcmallocConfig::baseline().with_sanitize(SanitizeLevel::Full);
+    let mut t = Tcmalloc::new(cfg, p, Clock::new());
+    t.attach_sink(Box::new(Shared(Arc::clone(&seen))));
+    let before = t.malloc(64, CpuId(0));
+    let cost = CostModel {
+        percpu_hit_ns: 6.2,
+        ..CostModel::production()
+    };
+    let mut t = t.with_cost_model(cost);
+    let after = t.malloc(64, CpuId(0));
+    assert_eq!(*t.cost_model(), cost);
+    let done = |seen: &Mutex<Vec<AllocEvent>>| {
+        let events = seen.lock().expect("sink lock");
+        events
+            .iter()
+            .filter(|e| matches!(e, AllocEvent::MallocDone { .. }))
+            .count()
+    };
+    assert_eq!(done(&seen), 2, "the sink saw both allocations");
+    t.free(before.addr, 64, CpuId(0));
+    t.free(after.addr, 64, CpuId(0));
+    assert!(
+        t.sanitizer_reports().is_empty(),
+        "{:?}",
+        t.sanitizer_reports()
+    );
 }

@@ -3,7 +3,7 @@
 //! 1. **Taxonomy coverage** — a directed workload must emit every one of
 //!    the [`AllocEvent::KINDS`] variants at least once, so no boundary
 //!    event can silently rot.
-//! 2. **Thread-count determinism** — the recorded event log of a run is
+//! 2. **Thread-count determinism** — the event log of a run is
 //!    byte-identical whether the batch runs on 1, 2, or 8 engine threads
 //!    (events carry only simulated time, never wall time).
 //! 3. **Conservation** — replaying just the OS-boundary events into a
@@ -24,7 +24,7 @@ use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
 use wsc_sim_os::pagetable::PageTable;
 use wsc_tcmalloc::events::EvictReason;
-use wsc_tcmalloc::{AllocEvent, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::{AllocEvent, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
 use wsc_workload::driver::{run, run_batch, DriverConfig, RunJob};
 use wsc_workload::profiles;
 
@@ -32,6 +32,13 @@ fn platform() -> Platform {
     // Two LLC domains: CpuId(0) and CpuId(8) live in different domains, so
     // the NUCA transfer shards and the plunder pass are exercised.
     Platform::chiplet("t", 1, 2, 4, 2)
+}
+
+/// The whole event stream of an allocator built with an unbounded ring.
+fn stream(tcm: &Tcmalloc) -> Vec<AllocEvent> {
+    let ring = tcm.trace().expect("trace ring configured");
+    assert_eq!(ring.dropped(), 0, "the ring dropped events");
+    ring.entries().map(|&(_, ev)| ev).collect()
 }
 
 /// FNV-1a over the debug rendering of every event: a compact fingerprint
@@ -53,8 +60,7 @@ fn directed_workload_emits_every_event_kind() {
     let clock = Clock::new();
     let cfg = TcmallocConfig::optimized()
         .with_sanitize(SanitizeLevel::Full)
-        .with_event_recorder()
-        .with_trace(1 << 14);
+        .with_trace(TraceRing::UNBOUNDED);
     let mut tcm = Tcmalloc::new(cfg, p, clock.clone());
     let (cpu_a, cpu_b) = (CpuId(0), CpuId(8)); // different LLC domains
 
@@ -136,7 +142,7 @@ fn directed_workload_emits_every_event_kind() {
     }
     .with_storm(0, 1_000);
     let fcfg = TcmallocConfig::baseline()
-        .with_event_recorder()
+        .with_trace(TraceRing::UNBOUNDED)
         .with_os_faults(plan)
         .with_soft_limit(1 << 20);
     let mut ftcm = Tcmalloc::new(fcfg, platform(), fclock.clone());
@@ -146,11 +152,7 @@ fn directed_workload_emits_every_event_kind() {
     ftcm.maintain(); // post-storm: re-promotion + soft-limit enforcement
     assert!(!ftcm.os_degraded(), "khugepaged pass re-promoted");
     ftcm.free(big.addr, 4 << 20, CpuId(0));
-    let fault_seen: BTreeSet<&str> = ftcm
-        .recorded_events()
-        .iter()
-        .map(AllocEvent::kind)
-        .collect();
+    let fault_seen: BTreeSet<&str> = stream(&ftcm).iter().map(AllocEvent::kind).collect();
     for kind in [
         "OsFault",
         "BackingDenied",
@@ -171,7 +173,7 @@ fn directed_workload_emits_every_event_kind() {
     // span ownership — frees from CpuId(8), and drains.
     let rclock = Clock::new();
     let rcfg = TcmallocConfig::optimized()
-        .with_event_recorder()
+        .with_trace(TraceRing::UNBOUNDED)
         .with_free_arm(FreeArm::AtomicList);
     let mut rtcm = Tcmalloc::new(rcfg, platform(), rclock.clone());
     let remote_live: Vec<_> = (0..64).map(|_| rtcm.malloc(256, CpuId(0))).collect();
@@ -179,11 +181,7 @@ fn directed_workload_emits_every_event_kind() {
         rtcm.free(a.addr, 256, CpuId(8));
     }
     rtcm.drain_deferred();
-    let remote_seen: BTreeSet<&str> = rtcm
-        .recorded_events()
-        .iter()
-        .map(AllocEvent::kind)
-        .collect();
+    let remote_seen: BTreeSet<&str> = stream(&rtcm).iter().map(AllocEvent::kind).collect();
     for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
         assert!(
             remote_seen.contains(kind),
@@ -191,7 +189,7 @@ fn directed_workload_emits_every_event_kind() {
         );
     }
 
-    let events = tcm.recorded_events();
+    let events = stream(&tcm);
     let seen: BTreeSet<&str> = events.iter().map(AllocEvent::kind).collect();
     let missing: Vec<&str> = AllocEvent::KINDS
         .iter()
@@ -228,15 +226,12 @@ fn directed_workload_emits_every_event_kind() {
         "sanitizer reports: {:?}",
         tcm.sanitizer_reports()
     );
-    // The bounded trace ring captured the tail of the same stream.
-    let trace = tcm.trace().expect("trace ring configured");
-    assert!(!trace.is_empty(), "trace ring captured events");
 }
 
 #[test]
 fn event_log_is_identical_across_thread_counts() {
     let p = platform();
-    let cfg = TcmallocConfig::optimized().with_event_recorder();
+    let cfg = TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED);
     let jobs = || -> Vec<RunJob> {
         (0..3)
             .map(|i| RunJob {
@@ -251,7 +246,7 @@ fn event_log_is_identical_across_thread_counts() {
         .iter()
         .map(|&threads| {
             run_batch(&Engine::new(threads), jobs(), |_, tcm| {
-                fingerprint(tcm.recorded_events())
+                fingerprint(&stream(tcm))
             })
             .expect("no job panics")
         })
@@ -269,14 +264,14 @@ fn event_log_is_identical_across_thread_counts() {
 fn replaying_the_stream_reconstructs_the_heap() {
     let p = platform();
     let dcfg = DriverConfig::new(3_000, 5, &p);
-    let cfg = TcmallocConfig::optimized().with_event_recorder();
+    let cfg = TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED);
     let (_, tcm) = run(&profiles::fleet_mix(), &p, cfg, &dcfg);
 
     let mut pt = PageTable::new();
     let mut live_bytes: i128 = 0;
     let mut live_objects: i64 = 0;
-    for e in tcm.recorded_events() {
-        match *e {
+    for e in stream(&tcm) {
+        match e {
             AllocEvent::HugepageFill {
                 base,
                 bytes,

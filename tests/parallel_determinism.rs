@@ -3,9 +3,7 @@
 //! merged reports. The comparison serializes each result with `{:?}` and
 //! compares the strings, so any float that shifts by one ULP fails.
 
-use warehouse_alloc::fleet::experiment::{
-    default_platform_mix, paired_ab, try_run_fleet_ab, FleetExperimentConfig,
-};
+use warehouse_alloc::fleet::experiment::{paired_ab, try_run_fleet_ab, FleetExperimentConfig};
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::sim_os::faults::FaultPlan;
@@ -18,7 +16,6 @@ fn quick_cfg(seed: u64) -> FleetExperimentConfig {
         binaries_per_machine: 2,
         requests_per_binary: 1_000,
         seed,
-        platform_mix: default_platform_mix(),
         population: 40,
     }
 }

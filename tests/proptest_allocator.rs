@@ -49,7 +49,9 @@ fn sample_op(rng: &mut SmallRng) -> Op {
     }
 }
 
-fn run_ops(cfg: TcmallocConfig, ops: &[Op]) {
+/// Runs `ops` against a fresh allocator; with `audit_every`, a sanitized
+/// run also audits every that many operations.
+fn run_ops(cfg: TcmallocConfig, ops: &[Op], audit_every: Option<usize>) {
     let sanitized = cfg.sanitize.is_on();
     let platform = Platform::chiplet("t", 1, 2, 4, 2);
     let clock = Clock::new();
@@ -57,7 +59,7 @@ fn run_ops(cfg: TcmallocConfig, ops: &[Op]) {
     let mut live: Vec<(u64, u64)> = Vec::new();
     let mut expected_live_bytes = 0u64;
     let mut seen: HashMap<u64, u64> = HashMap::new();
-    for op in ops {
+    for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Malloc { size, cpu } => {
                 let out = tcm.malloc(size, CpuId(cpu as u32 % 16));
@@ -89,6 +91,9 @@ fn run_ops(cfg: TcmallocConfig, ops: &[Op]) {
         }
         assert_eq!(tcm.live_bytes(), expected_live_bytes, "live-byte tracking");
         assert_eq!(tcm.live_objects(), live.len() as u64);
+        if sanitized && audit_every.is_some_and(|n| i % n == n - 1) {
+            assert_eq!(tcm.audit_now(), 0, "op {i}: {:?}", tcm.sanitizer_reports());
+        }
     }
     // Full teardown always succeeds and zeroes the accounting.
     for (addr, size) in live {
@@ -118,14 +123,22 @@ fn ops_for_case(seed: u64) -> Vec<Op> {
 #[test]
 fn allocator_invariants_hold_baseline() {
     for case in 0..48u64 {
-        run_ops(TcmallocConfig::baseline(), &ops_for_case(0xA110 + case));
+        run_ops(
+            TcmallocConfig::baseline(),
+            &ops_for_case(0xA110 + case),
+            None,
+        );
     }
 }
 
 #[test]
 fn allocator_invariants_hold_optimized() {
     for case in 0..48u64 {
-        run_ops(TcmallocConfig::optimized(), &ops_for_case(0xA111 + case));
+        run_ops(
+            TcmallocConfig::optimized(),
+            &ops_for_case(0xA111 + case),
+            None,
+        );
     }
 }
 
@@ -138,20 +151,23 @@ fn allocator_invariants_hold_under_full_sanitizer() {
         run_ops(
             TcmallocConfig::baseline().with_sanitize(SanitizeLevel::Full),
             &ops_for_case(0xA112 + case),
+            None,
         );
         run_ops(
             TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full),
             &ops_for_case(0xA113 + case),
+            None,
         );
     }
 }
 
 #[test]
-fn allocator_invariants_hold_under_sampled_sanitizer() {
+fn allocator_invariants_hold_under_64_op_audits() {
     for case in 0..12u64 {
         run_ops(
-            TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Sampled(64)),
+            TcmallocConfig::optimized().with_sanitize(SanitizeLevel::Full),
             &ops_for_case(0xA114 + case),
+            Some(64),
         );
     }
 }
@@ -332,9 +348,7 @@ fn random_experiment_specs_are_thread_count_invariant() {
     // A/B report is byte-identical at 1 worker and at a random 2..=8
     // workers — the parallel engine's canonical-order merge never leaks
     // scheduling into results.
-    use warehouse_alloc::fleet::experiment::{
-        default_platform_mix, try_run_fleet_ab, FleetExperimentConfig,
-    };
+    use warehouse_alloc::fleet::experiment::{try_run_fleet_ab, FleetExperimentConfig};
     use warehouse_alloc::parallel::Engine;
     for case in 0..6u64 {
         let mut rng = SmallRng::seed_from_u64(0xA117 + case);
@@ -343,7 +357,6 @@ fn random_experiment_specs_are_thread_count_invariant() {
             binaries_per_machine: rng.gen_range(1usize..3),
             requests_per_binary: rng.gen_range(200u64..900),
             seed: rng.gen::<u64>(),
-            platform_mix: default_platform_mix(),
             population: rng.gen_range(10usize..50),
         };
         let threads = rng.gen_range(2usize..9);
