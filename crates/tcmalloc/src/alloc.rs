@@ -26,7 +26,7 @@ use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
-use wsc_sim_os::rseq::VcpuRegistry;
+use wsc_sim_os::rseq::{VcpuId, VcpuRegistry};
 use wsc_sim_os::vmm::Vmm;
 use wsc_telemetry::gwp::{AllocationProfile, Sample, Sampler};
 
@@ -75,6 +75,24 @@ impl std::fmt::Display for FreeError {
 }
 
 impl std::error::Error for FreeError {}
+
+/// The abort of the infallible [`Tcmalloc::malloc`] when memory is
+/// unobtainable, as real TCMalloc performs it; out of line so the inlined
+/// hit half carries no formatting.
+#[cold]
+#[inline(never)]
+fn malloc_failed(size: u64, e: AllocError) -> ! {
+    panic!("malloc of {size} bytes failed: {e}")
+}
+
+/// The abort of the infallible [`Tcmalloc::free`] on an invalid free.
+#[cold]
+#[inline(never)]
+fn invalid_free(e: FreeError) -> ! {
+    // lint:allow(panic-surface) invalid free = heap corruption from the
+    // caller's side; real TCMalloc aborts, and so does the infallible façade.
+    panic!("{e}")
+}
 
 // The cadence of [`Tcmalloc::maintain`]. Intervals are time-compressed ~10×
 // relative to production (the simulation also compresses its diurnal load
@@ -207,6 +225,7 @@ impl Tcmalloc {
     /// limit or an exhausted fault storm) — like real `malloc` returning
     /// null to a caller that never checks. Fault-aware callers use
     /// [`try_malloc`](Self::try_malloc).
+    #[inline]
     pub fn malloc(&mut self, size: u64, cpu: CpuId) -> AllocOutcome {
         self.malloc_with_site(size, cpu, 0)
     }
@@ -226,6 +245,7 @@ impl Tcmalloc {
     /// (`PerCpuMiss`, `LimitHit`, `ReleaseRetry`, …) are emitted and a
     /// small request's per-CPU miss is counted, so the §4.1 resizer sees
     /// the pressure.
+    #[inline]
     pub fn try_malloc(&mut self, size: u64, cpu: CpuId) -> Result<AllocOutcome, AllocError> {
         self.try_malloc_with_site(size, cpu, 0)
     }
@@ -236,62 +256,107 @@ impl Tcmalloc {
     /// # Panics
     ///
     /// Panics on OS refusal; see [`malloc`](Self::malloc).
+    #[inline]
     pub fn malloc_with_site(&mut self, size: u64, cpu: CpuId, site: u64) -> AllocOutcome {
         match self.try_malloc_with_site(size, cpu, site) {
             Ok(outcome) => outcome,
-            // The infallible façade over try_malloc: callers that opted out
-            // of fault handling get the abort real TCMalloc performs when
-            // memory is unobtainable.
-            Err(e) => panic!("malloc of {size} bytes failed: {e}"),
+            Err(e) => malloc_failed(size, e),
         }
     }
 
     /// Fallible [`malloc_with_site`](Self::malloc_with_site).
     ///
+    /// This is the hit half, inlined into the caller: the class and vCPU
+    /// lookup, the per-CPU pop, the sampler countdown, the live counters and
+    /// the ledger. A per-CPU miss, a large request, a sampling pick and a
+    /// sanitizer audit go to out-of-line functions.
+    ///
     /// # Errors
     ///
     /// See [`try_malloc`](Self::try_malloc).
+    #[inline]
     pub fn try_malloc_with_site(
         &mut self,
         size: u64,
         cpu: CpuId,
         site: u64,
     ) -> Result<AllocOutcome, AllocError> {
-        let class = self.table.class_for(size);
-        let (addr, actual, path) = match class {
-            Some(cl) => self.malloc_small(cl, cpu)?,
-            None => self.malloc_large(size)?,
+        let Some(cl) = self.table.class_for(size) else {
+            return self.malloc_large(size, site);
         };
+        let vcpu = self.vcpus.vcpu_of(cpu);
+        let Some(addr) = self.percpu.alloc(vcpu, cl, &mut self.bus) else {
+            return self.malloc_refill(cl, vcpu, cpu, size, site);
+        };
+        let actual = self.table.info(cl).size;
+        Ok(self.place(addr, size, actual, AllocPath::PerCpu, site))
+    }
+
+    /// Books an allocation that found its object: the sampler countdown,
+    /// the live counters and the ledger. A sampling pick and a due
+    /// sanitizer audit go out of line.
+    #[inline]
+    fn place(
+        &mut self,
+        addr: u64,
+        size: u64,
+        actual: u64,
+        path: AllocPath,
+        site: u64,
+    ) -> AllocOutcome {
         // The next-object prefetch is issued on every small allocation.
         let prefetched = size <= crate::size_class::MAX_SMALL_SIZE;
-        let pick = if self.sampler.should_sample(size.max(1)) {
-            let weight = self.sampler.sample_weight(size.max(1));
-            let now = self.clock.now_ns();
-            self.live_samples.insert(addr, (size, now, weight));
-            Some(Sample {
-                size,
-                site,
-                alloc_time_ns: now,
-                weight,
-            })
+        let ns = if self.sampler.should_sample(size.max(1)) {
+            self.place_sampled(addr, size, actual, path, prefetched, site)
         } else {
-            None
+            self.bus
+                .malloc_done(path, addr, size, actual, prefetched, None)
         };
         self.live_requested_bytes += size;
         self.live_objects += 1;
         self.internal_frag_bytes += actual - size;
-        let ns = self
-            .bus
-            .malloc_done(path, addr, size, actual, prefetched, pick);
-        if self.cfg.sanitize.is_on() && self.bus.sanitizer_mut().audit_due() {
-            self.audit_now();
+        if self.cfg.sanitize.is_on() {
+            self.audit_if_due();
         }
-        Ok(AllocOutcome {
+        AllocOutcome {
             addr,
             actual_bytes: actual,
             path,
             ns,
-        })
+        }
+    }
+
+    /// The sampled completion: records the GWP pick and prices the
+    /// allocation with its sampling cost.
+    #[inline(never)]
+    fn place_sampled(
+        &mut self,
+        addr: u64,
+        size: u64,
+        actual: u64,
+        path: AllocPath,
+        prefetched: bool,
+        site: u64,
+    ) -> f64 {
+        let weight = self.sampler.sample_weight(size.max(1));
+        let now = self.clock.now_ns();
+        self.live_samples.insert(addr, (size, now, weight));
+        let pick = Sample {
+            size,
+            site,
+            alloc_time_ns: now,
+            weight,
+        };
+        self.bus
+            .malloc_done(path, addr, size, actual, prefetched, Some(pick))
+    }
+
+    /// Runs the sanitizer's cross-tier audit when its cadence says so.
+    #[inline(never)]
+    fn audit_if_due(&mut self) {
+        if self.bus.sanitizer_mut().audit_due() {
+            self.audit_now();
+        }
     }
 
     /// The transfer-cache shard for a CPU under the active sharding mode.
@@ -303,12 +368,19 @@ impl Tcmalloc {
         }
     }
 
-    fn malloc_small(&mut self, cl: usize, cpu: CpuId) -> Result<(u64, u64, AllocPath), AllocError> {
-        let vcpu = self.vcpus.vcpu_of(cpu);
+    /// The per-CPU miss of class `cl` on `vcpu`: fetches a batch from the
+    /// middle tiers, keeps one object for the caller and refills the
+    /// per-CPU cache with the rest.
+    #[inline(never)]
+    fn malloc_refill(
+        &mut self,
+        cl: usize,
+        vcpu: VcpuId,
+        cpu: CpuId,
+        size: u64,
+        site: u64,
+    ) -> Result<AllocOutcome, AllocError> {
         let info = self.table.info(cl);
-        if let Some(addr) = self.percpu.alloc(vcpu, cl, &mut self.bus) {
-            return Ok((addr, info.size, AllocPath::PerCpu));
-        }
         let shard = self.shard_of(cpu);
         let batch = info.batch as usize;
         let mut objs = std::mem::take(&mut self.batch);
@@ -356,10 +428,13 @@ impl Tcmalloc {
         self.return_objects(shard, cl, &objs[kept..], true);
         objs.clear();
         self.batch = objs;
-        Ok((addr, info.size, path))
+        Ok(self.place(addr, size, info.size, path, site))
     }
 
-    fn malloc_large(&mut self, size: u64) -> Result<(u64, u64, AllocPath), AllocError> {
+    /// A request past the largest size class: whole pages from the
+    /// pageheap, registered as a large span.
+    #[inline(never)]
+    fn malloc_large(&mut self, size: u64, site: u64) -> Result<AllocOutcome, AllocError> {
         // A span counts its pages in 32 bits: a request past that is one
         // no kernel could back, refused with nothing touched.
         let pages = u32::try_from(size.div_ceil(TCMALLOC_PAGE_BYTES).max(1))
@@ -375,7 +450,8 @@ impl Tcmalloc {
         });
         self.pagemap
             .set_range_traced(addr, pages, id, &mut self.bus);
-        Ok((addr, pages as u64 * TCMALLOC_PAGE_BYTES, path))
+        let actual = pages as u64 * TCMALLOC_PAGE_BYTES;
+        Ok(self.place(addr, size, actual, path, site))
     }
 
     /// Frees `addr`, which was allocated with the given requested `size`
@@ -388,13 +464,11 @@ impl Tcmalloc {
     /// sanitizer on, those invalid frees are rejected instead: the operation
     /// becomes a no-op and a [`SanitizerReport`] is queued (retrieve it with
     /// [`take_sanitizer_reports`](Self::take_sanitizer_reports)).
+    #[inline]
     pub fn free(&mut self, addr: u64, size: u64, cpu: CpuId) -> FreeOutcomeInfo {
         match self.try_free(addr, size, cpu) {
             Ok(info) => info,
-            // lint:allow(panic-surface) invalid free = heap corruption
-            // from the caller's side; real TCMalloc aborts, and so does
-            // the infallible façade.
-            Err(e) => panic!("{e}"),
+            Err(e) => invalid_free(e),
         }
     }
 
@@ -402,11 +476,17 @@ impl Tcmalloc {
     /// (unknown address, interior pointer, double free) come back as
     /// [`FreeError::InvalidFree`] with the allocator state untouched.
     ///
+    /// This is the hit half, inlined into the caller: the class and vCPU
+    /// lookup, the per-CPU push, the ledger and the live counters. The
+    /// sanitizer, deferred-free routing, an overflow and a large free go to
+    /// out-of-line functions.
+    ///
     /// # Errors
     ///
     /// [`FreeError::InvalidFree`] as above. Small-object corruption is still
     /// caught by the per-tier invariant checks (panics) or, with the
     /// sanitizer on, rejected with a queued report.
+    #[inline]
     pub fn try_free(
         &mut self,
         addr: u64,
@@ -414,126 +494,149 @@ impl Tcmalloc {
         cpu: CpuId,
     ) -> Result<FreeOutcomeInfo, FreeError> {
         let class = self.table.class_for(size);
-        if self.cfg.sanitize.is_on() {
-            let expected = class.map(|cl| cl as u16);
-            if self
+        if self.cfg.sanitize.is_on()
+            && self
                 .bus
                 .sanitizer_mut()
-                .check_free(addr, expected)
+                .check_free(addr, class.map(|cl| cl as u16))
                 .is_some()
-            {
-                // Invalid free: rejected, reported, and charged nothing.
-                return Ok(FreeOutcomeInfo {
-                    path: AllocPath::PerCpu,
-                    ns: 0.0,
-                });
-            }
+        {
+            // Invalid free: rejected, reported, and charged nothing.
+            return Ok(FreeOutcomeInfo {
+                path: AllocPath::PerCpu,
+                ns: 0.0,
+            });
         }
-        let (actual, path) = match class {
-            Some(cl) => {
-                self.retire_sample(addr);
-                debug_assert_eq!(
-                    self.pagemap
-                        .span_of(addr)
-                        .map(|id| self.spans.get(id).size_class),
-                    Some(Some(cl as u16)),
-                    "free size does not match the allocation's class"
-                );
-                let vcpu = self.vcpus.vcpu_of(cpu);
-                // Ownership check: a free issued against a span another
-                // vCPU refilled from is routed through the deferred-free
-                // arm instead of the local cache.
-                let remote = if self.cfg.free_arm == FreeArm::OwnerOnly {
-                    None
-                } else {
-                    self.pagemap.span_of(addr).and_then(|id| {
-                        let s = self.spans.get(id);
-                        s.owner
-                            .filter(|&o| o != vcpu.index() as u32)
-                            .map(|o| (id.0, o))
-                    })
-                };
-                let path = if let Some((span_id, owner)) = remote {
-                    self.deferred.queue_remote(cl as u16, span_id, addr);
-                    self.bus.emit(AllocEvent::RemoteFreeQueued {
-                        vcpu: vcpu.index(),
-                        owner: owner as usize,
-                        class: cl as u16,
-                        addr,
-                    });
-                    self.bus.emit(AllocEvent::ContentionCharged {
-                        vcpu: vcpu.index(),
-                        ns: self.bus.cost().atomic_cas_ns,
-                    });
-                    AllocPath::PerCpu
-                } else {
-                    match self
-                        .percpu
-                        .free(vcpu, cl, addr, &mut self.batch, &mut self.bus)
-                    {
-                        FreeOutcome::Cached => AllocPath::PerCpu,
-                        FreeOutcome::Overflow => {
-                            let mut shed = std::mem::take(&mut self.batch);
-                            let path = self.return_objects(self.shard_of(cpu), cl, &shed, false);
-                            shed.clear();
-                            self.batch = shed;
-                            path
-                        }
-                    }
-                };
-                (self.table.info(cl).size, path)
-            }
-            None => {
-                // Validate before any mutation so an invalid large free is a
-                // clean no-op at the Err return. (With the sanitizer on the
-                // shadow check above already rejected and reported it.)
-                let Some(id) = self.pagemap.span_of(addr) else {
-                    return Err(FreeError::InvalidFree { addr });
-                };
-                let span = self.spans.get(id);
-                if span.state != SpanState::Large || span.start != addr {
-                    return Err(FreeError::InvalidFree { addr });
-                }
-                let pages = span.pages;
-                self.retire_sample(addr);
-                let span = self.spans.remove(id);
-                debug_assert!(span.size_class.is_none());
-                // SpanRetire feeds the sanitizer's page mirror via the bus.
-                self.bus.emit(AllocEvent::SpanRetire {
-                    id: id.0,
-                    start: addr,
-                    pages,
-                    class: None,
-                });
-                self.pagemap.clear_range_traced(addr, pages, &mut self.bus);
-                self.pageheap.dealloc(addr, pages, &mut self.bus);
-                (pages as u64 * TCMALLOC_PAGE_BYTES, AllocPath::PageHeap)
-            }
+        let Some(cl) = class else {
+            return self.free_large(addr, size);
         };
+        self.retire_sample(addr);
+        debug_assert_eq!(
+            self.pagemap
+                .span_of(addr)
+                .map(|id| self.spans.get(id).size_class),
+            Some(Some(cl as u16)),
+            "free size does not match the allocation's class"
+        );
+        let vcpu = self.vcpus.vcpu_of(cpu);
+        // Ownership check: a free issued against a span another vCPU
+        // refilled from is routed through the deferred-free arm instead of
+        // the local cache.
+        let local = self.cfg.free_arm == FreeArm::OwnerOnly || !self.free_remote(vcpu, cl, addr);
+        if local
+            && self
+                .percpu
+                .free(vcpu, cl, addr, &mut self.batch, &mut self.bus)
+                == FreeOutcome::Overflow
+        {
+            return Ok(self.free_overflow(addr, size, cpu, cl));
+        }
+        Ok(self.unplace(addr, size, self.table.info(cl).size, AllocPath::PerCpu))
+    }
+
+    /// Books a completed free: the ledger and the live counters. A due
+    /// sanitizer audit goes out of line.
+    #[inline]
+    fn unplace(&mut self, addr: u64, size: u64, actual: u64, path: AllocPath) -> FreeOutcomeInfo {
         let ns = self.bus.free_done(path, addr, size);
         self.live_requested_bytes -= size;
         self.live_objects -= 1;
         self.internal_frag_bytes -= actual - size;
-        if self.cfg.sanitize.is_on() && self.bus.sanitizer_mut().audit_due() {
-            self.audit_now();
+        if self.cfg.sanitize.is_on() {
+            self.audit_if_due();
         }
-        Ok(FreeOutcomeInfo { path, ns })
+        FreeOutcomeInfo { path, ns }
     }
 
-    /// Closes the GWP sample taken at `addr`, if there is one, reporting the
-    /// object's lifetime.
+    /// Queues a free of `addr` on the deferred list of its span's owner
+    /// when that owner is another vCPU; false when the free is local.
+    #[inline(never)]
+    fn free_remote(&mut self, vcpu: VcpuId, cl: usize, addr: u64) -> bool {
+        let remote = self.pagemap.span_of(addr).and_then(|id| {
+            self.spans
+                .get(id)
+                .owner
+                .filter(|&o| o != vcpu.index() as u32)
+                .map(|o| (id.0, o))
+        });
+        let Some((span_id, owner)) = remote else {
+            return false;
+        };
+        self.deferred.queue_remote(cl as u16, span_id, addr);
+        self.bus.emit(AllocEvent::RemoteFreeQueued {
+            vcpu: vcpu.index(),
+            owner: owner as usize,
+            class: cl as u16,
+            addr,
+        });
+        self.bus.emit(AllocEvent::ContentionCharged {
+            vcpu: vcpu.index(),
+            ns: self.bus.cost().atomic_cas_ns,
+        });
+        true
+    }
+
+    /// A free that overflowed the per-CPU cache: sends the batch it shed
+    /// down the hierarchy.
+    #[inline(never)]
+    fn free_overflow(&mut self, addr: u64, size: u64, cpu: CpuId, cl: usize) -> FreeOutcomeInfo {
+        let mut shed = std::mem::take(&mut self.batch);
+        let path = self.return_objects(self.shard_of(cpu), cl, &shed, false);
+        shed.clear();
+        self.batch = shed;
+        self.unplace(addr, size, self.table.info(cl).size, path)
+    }
+
+    /// Frees a large allocation back to the pageheap.
+    #[inline(never)]
+    fn free_large(&mut self, addr: u64, size: u64) -> Result<FreeOutcomeInfo, FreeError> {
+        // Validate before any mutation so an invalid large free is a clean
+        // no-op at the Err return. (With the sanitizer on the shadow check
+        // already rejected and reported it.)
+        let Some(id) = self.pagemap.span_of(addr) else {
+            return Err(FreeError::InvalidFree { addr });
+        };
+        let span = self.spans.get(id);
+        if span.state != SpanState::Large || span.start != addr {
+            return Err(FreeError::InvalidFree { addr });
+        }
+        let pages = span.pages;
+        self.retire_sample(addr);
+        let span = self.spans.remove(id);
+        debug_assert!(span.size_class.is_none());
+        // SpanRetire feeds the sanitizer's page mirror via the bus.
+        self.bus.emit(AllocEvent::SpanRetire {
+            id: id.0,
+            start: addr,
+            pages,
+            class: None,
+        });
+        self.pagemap.clear_range_traced(addr, pages, &mut self.bus);
+        self.pageheap.dealloc(addr, pages, &mut self.bus);
+        let actual = pages as u64 * TCMALLOC_PAGE_BYTES;
+        Ok(self.unplace(addr, size, actual, AllocPath::PageHeap))
+    }
+
+    /// Closes the GWP sample taken at `addr`, if there is one. The
+    /// emptiness check keeps the common case (nothing sampled live) off the
+    /// hash probe entirely.
+    #[inline]
     fn retire_sample(&mut self, addr: u64) {
-        // The emptiness check keeps the common case (nothing sampled live)
-        // off the hash probe entirely.
         if !self.live_samples.is_empty() {
-            if let Some((sz, t, weight)) = self.live_samples.remove(&addr) {
-                let lifetime = self.clock.now_ns().saturating_sub(t);
-                self.bus.emit(AllocEvent::SampledFree {
-                    size: sz,
-                    lifetime_ns: lifetime,
-                    weight,
-                });
-            }
+            self.close_sample(addr);
+        }
+    }
+
+    /// Reports the lifetime of the GWP sample taken at `addr`, if any.
+    #[inline(never)]
+    fn close_sample(&mut self, addr: u64) {
+        if let Some((sz, t, weight)) = self.live_samples.remove(&addr) {
+            let lifetime = self.clock.now_ns().saturating_sub(t);
+            self.bus.emit(AllocEvent::SampledFree {
+                size: sz,
+                lifetime_ns: lifetime,
+                weight,
+            });
         }
     }
 
@@ -865,10 +968,10 @@ impl Tcmalloc {
         self.pageheap.os().is_degraded()
     }
 
-    /// Allocator cycle accounting (Figure 6a), booked by the bus in the
-    /// same call that prices each operation: exact the moment an operation
-    /// returns, with nothing pending.
-    pub fn cycles(&self) -> &CycleStats {
+    /// Allocator cycle accounting (Figure 6a), priced when read from the
+    /// completions the bus counted in the call that priced each operation:
+    /// exact the moment an operation returns, with nothing pending.
+    pub fn cycles(&self) -> CycleStats {
         self.bus.cycles()
     }
 
@@ -1023,12 +1126,7 @@ mod tests {
     fn refused_allocation_places_nothing_but_stays_on_the_record() {
         fn accounting(t: &Tcmalloc) -> (u64, u64, u64, CycleStats) {
             let internal = t.fragmentation().internal_bytes;
-            (
-                t.live_bytes(),
-                t.live_objects(),
-                internal,
-                t.cycles().clone(),
-            )
+            (t.live_bytes(), t.live_objects(), internal, t.cycles())
         }
         for size in [200_000u64, 1 << 20] {
             let small = size <= crate::size_class::MAX_SMALL_SIZE;
@@ -1088,14 +1186,11 @@ mod tests {
         let mut t = alloc(TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED));
         let keep = t.malloc(3 << 20, CpuId(0));
         let events = t.bus.stream().len();
-        let before = (t.live_bytes(), t.resident_bytes(), t.cycles().clone());
+        let before = (t.live_bytes(), t.resident_bytes(), t.cycles());
         for size in [u64::MAX / 2, u64::MAX, 1 << 45] {
             assert_eq!(t.try_malloc(size, CpuId(1)), Err(AllocError::OsEnomem));
         }
-        assert_eq!(
-            (t.live_bytes(), t.resident_bytes(), t.cycles().clone()),
-            before
-        );
+        assert_eq!((t.live_bytes(), t.resident_bytes(), t.cycles()), before);
         assert_eq!(t.bus.stream().len(), events, "nothing was attempted");
         // 2 TiB counts its pages in 32 bits, so it reaches the kernel — which
         // has nowhere to put it.

@@ -12,7 +12,7 @@
 //!
 //! * [`StatsView`] holds [`CycleStats`]
 //!   (Figure 6a) and the GWP [`AllocationProfile`] — the bus prices an
-//!   operation once, and the same call charges the ledger and, only if
+//!   operation once, and the same call counts it in the ledger and, only if
 //!   someone is listening, builds the record, so cycle attribution is
 //!   consistent by construction,
 //! * the sanitizer's shadow state learns spans from `SpanAlloc` /
@@ -654,9 +654,10 @@ impl EventSink for TraceRing {
 ///
 /// The bus also *prices* operations: [`malloc_done`](Self::malloc_done) and
 /// [`free_done`](Self::free_done) look the completion up in the stats
-/// view's price table, book its integer picoseconds and return its
-/// nanoseconds in one call — a tier cannot pay for what it does not report,
-/// and [`cycles`](Self::cycles) is exact the moment an operation returns.
+/// view's price table, count it and return its nanoseconds in one call — a
+/// tier cannot pay for what it does not report, and
+/// [`cycles`](Self::cycles), priced from the counts when read, is exact the
+/// moment an operation returns.
 ///
 /// The *record* of an operation is only materialised while the bus is
 /// `observed` (someone other than the ledger is listening: trace ring,
@@ -744,7 +745,7 @@ impl EventBus {
         }
     }
 
-    /// Completes an allocation: books its price and returns the operation's
+    /// Completes an allocation: counts it and returns the operation's
     /// cost-model nanoseconds (path + prefetch + other + sampling, in that
     /// order). `pick` is the GWP sample when the sampler chose this
     /// allocation. Observers see [`AllocEvent::SamplerPick`] (if sampled)
@@ -784,7 +785,7 @@ impl EventBus {
         ns
     }
 
-    /// Completes a free: books its price (path + other), returns its
+    /// Completes a free: counts it (priced path + other), returns its
     /// cost-model nanoseconds, and shows observers [`AllocEvent::FreeDone`].
     #[inline]
     pub fn free_done(&mut self, path: AllocPath, addr: u64, size: u64) -> f64 {
@@ -808,7 +809,7 @@ impl EventBus {
     }
 
     /// Cycle attribution (Figure 6a view), exact at every instant.
-    pub fn cycles(&self) -> &CycleStats {
+    pub fn cycles(&self) -> CycleStats {
         self.stats.cycles()
     }
 

@@ -50,13 +50,12 @@ struct CpuSlab {
     max_bytes: u64,
     /// Σ capacity × object size over classes.
     capacity_bytes: u64,
-    /// Σ cached objects × object size.
-    cached_bytes: u64,
     misses_total: u64,
     misses_interval: u64,
 }
 
 /// The donor-mask bit of `class`.
+#[inline]
 fn donor_bit(class: usize) -> u128 {
     1 << class
 }
@@ -72,10 +71,19 @@ impl CpuSlab {
             donors: 0,
             max_bytes,
             capacity_bytes: 0,
-            cached_bytes: 0,
             misses_total: 0,
             misses_interval: 0,
         }
+    }
+
+    /// Σ cached objects × object size: derived when asked, never counted
+    /// on the hit path.
+    fn cached_bytes(&self, sizes: &[u64]) -> u64 {
+        self.classes
+            .iter()
+            .zip(sizes)
+            .map(|(cslab, &size)| cslab.objs.len() as u64 * size)
+            .sum()
     }
 
     /// Recomputes `class`'s donor bit after its capacity or length moved.
@@ -123,6 +131,7 @@ impl PerCpuCaches {
         }
     }
 
+    #[inline]
     fn slab_mut(&mut self, vcpu: VcpuId) -> &mut CpuSlab {
         Self::slab_in(
             &mut self.slabs,
@@ -169,30 +178,32 @@ impl PerCpuCaches {
     /// Fast-path allocation: pops a cached object, or records an underflow
     /// miss and returns `None` (caller refills from the transfer cache).
     /// Emits the per-CPU hit/miss boundary event.
+    #[inline]
     pub fn alloc(&mut self, vcpu: VcpuId, class: usize, bus: &mut EventBus) -> Option<u64> {
-        let size = self.sizes[class];
         let slab = self.slab_mut(vcpu);
         let cslab = &mut slab.classes[class];
         cslab.touched = true;
-        match cslab.objs.pop() {
-            Some(addr) => {
-                slab.cached_bytes -= size;
-                // A stack never holds more than its capacity, so a pop
-                // leaves room.
-                slab.donors |= donor_bit(class);
-                bus.percpu_hit(vcpu.index(), class as u16);
-                Some(addr)
-            }
-            None => {
-                slab.misses_total += 1;
-                slab.misses_interval += 1;
-                bus.emit(AllocEvent::PerCpuMiss {
-                    vcpu: vcpu.index(),
-                    class: class as u16,
-                });
-                None
-            }
-        }
+        let Some(addr) = cslab.objs.pop() else {
+            Self::alloc_miss(slab, vcpu, class, bus);
+            return None;
+        };
+        // A stack never holds more than its capacity, so a pop leaves room.
+        slab.donors |= donor_bit(class);
+        bus.percpu_hit(vcpu.index(), class as u16);
+        Some(addr)
+    }
+
+    /// The underflow half of [`alloc`](Self::alloc), kept out of line with
+    /// the refill that follows it.
+    #[cold]
+    #[inline(never)]
+    fn alloc_miss(slab: &mut CpuSlab, vcpu: VcpuId, class: usize, bus: &mut EventBus) {
+        slab.misses_total += 1;
+        slab.misses_interval += 1;
+        bus.emit(AllocEvent::PerCpuMiss {
+            vcpu: vcpu.index(),
+            class: class as u16,
+        });
     }
 
     /// Grows `class`'s capacity by one batch if the byte budget allows,
@@ -273,13 +284,11 @@ impl PerCpuCaches {
         bus: &mut EventBus,
     ) -> usize {
         self.try_grow(vcpu, class, bus);
-        let size = self.sizes[class];
         let slab = self.slab_mut(vcpu);
         let cslab = &mut slab.classes[class];
         cslab.touched = true;
         let room = (cslab.capacity as usize).saturating_sub(cslab.objs.len());
         let take = room.min(objs.len());
-        slab.cached_bytes += take as u64 * size;
         // lint:allow(panic-surface) take <= objs.len().
         cslab.objs.extend_from_slice(&objs[..take]);
         if take == room {
@@ -292,6 +301,7 @@ impl PerCpuCaches {
     /// (including the freed object) onto `out` for the transfer cache,
     /// emitting the overflow boundary event; a cached free never touches
     /// `out`.
+    #[inline]
     pub fn free(
         &mut self,
         vcpu: VcpuId,
@@ -300,13 +310,11 @@ impl PerCpuCaches {
         out: &mut Vec<u64>,
         bus: &mut EventBus,
     ) -> FreeOutcome {
-        let size = self.sizes[class];
         let slab = self.slab_mut(vcpu);
         let cslab = &mut slab.classes[class];
         cslab.touched = true;
         if (cslab.objs.len() as u32) < cslab.capacity {
             cslab.objs.push(addr);
-            slab.cached_bytes += size;
             if cslab.objs.len() as u32 == cslab.capacity {
                 slab.donors &= !donor_bit(class);
             }
@@ -321,6 +329,7 @@ impl PerCpuCaches {
     /// half is the tightest loop in the simulator, and this body inlined
     /// into it costs `alloc_fastpath` ≈ 2 %.
     #[cold]
+    #[inline(never)]
     fn free_overflow(
         &mut self,
         vcpu: VcpuId,
@@ -329,14 +338,11 @@ impl PerCpuCaches {
         out: &mut Vec<u64>,
         bus: &mut EventBus,
     ) -> FreeOutcome {
-        let size = self.sizes[class];
         let batch = self.batches[class] as usize;
         // Try to grow; if granted, absorb the object after all (the grant
         // set the donor bit and left room beyond this object).
         if self.try_grow(vcpu, class, bus) {
-            let slab = self.slab_mut(vcpu);
-            slab.classes[class].objs.push(addr);
-            slab.cached_bytes += size;
+            self.slab_mut(vcpu).classes[class].objs.push(addr);
             return FreeOutcome::Cached;
         }
         let slab = self.slab_mut(vcpu);
@@ -344,7 +350,6 @@ impl PerCpuCaches {
         let shed = (batch - 1).min(cslab.objs.len());
         let at = cslab.objs.len() - shed;
         out.extend(cslab.objs.drain(at..));
-        slab.cached_bytes -= shed as u64 * size;
         slab.sync_donor(class);
         out.push(addr);
         bus.emit(AllocEvent::PerCpuOverflow {
@@ -382,11 +387,7 @@ impl PerCpuCaches {
             cslab.capacity -= drop_slots;
             slab.capacity_bytes -= drop_slots as u64 * sizes[cl];
             if cslab.objs.len() as u32 > cslab.capacity {
-                let shed = cslab.objs.len() - cslab.capacity as usize;
-                let at = cslab.objs.len() - shed;
-                let objs = cslab.objs.split_off(at);
-                slab.cached_bytes -= shed as u64 * sizes[cl];
-                evicted.push((cl, objs));
+                evicted.push((cl, cslab.objs.split_off(cslab.capacity as usize)));
             }
             slab.sync_donor(cl);
         }
@@ -483,9 +484,13 @@ impl PerCpuCaches {
     }
 
     /// Bytes currently cached across all vCPUs (front-end external
-    /// fragmentation).
+    /// fragmentation), summed from the stacks.
     pub fn cached_bytes_total(&self) -> u64 {
-        self.slabs.iter().flatten().map(|s| s.cached_bytes).sum()
+        self.slabs
+            .iter()
+            .flatten()
+            .map(|s| s.cached_bytes(&self.sizes))
+            .sum()
     }
 
     /// Objects cached per size class across every vCPU slab (the per-CPU
@@ -525,7 +530,6 @@ impl PerCpuCaches {
                 // so the unused capacity and the donor bit stay as they are.
                 let shed = cslab.objs.len().div_ceil(2);
                 let objs: Vec<u64> = cslab.objs.drain(..shed).collect();
-                slab.cached_bytes -= shed as u64 * self.sizes[cl];
                 let cap_drop = (shed as u32).min(cslab.capacity);
                 cslab.capacity -= cap_drop;
                 slab.capacity_bytes -= cap_drop as u64 * self.sizes[cl];
@@ -544,7 +548,6 @@ impl PerCpuCaches {
         for slab in self.slabs.iter_mut().flatten() {
             for (cl, cslab) in slab.classes.iter_mut().enumerate() {
                 if !cslab.objs.is_empty() {
-                    slab.cached_bytes -= cslab.objs.len() as u64 * self.sizes[cl];
                     out.push((cl, std::mem::take(&mut cslab.objs)));
                     if cslab.capacity > 0 {
                         slab.donors |= donor_bit(cl);
@@ -1096,7 +1099,7 @@ mod tests {
             assert_eq!(
                 (
                     r.capacity_bytes,
-                    r.cached_bytes,
+                    r.cached_bytes(&real.sizes),
                     r.max_bytes,
                     r.misses_total
                 ),

@@ -183,6 +183,7 @@ impl SizeClassTable {
     /// `(size + 7) >> 3`, as in production TCMalloc. In-bounds by
     /// construction — `from_classes` proves the largest class size equals
     /// [`MAX_SMALL_SIZE`], so every bucket holds a valid class index.
+    #[inline]
     pub fn class_for(&self, size: u64) -> Option<usize> {
         if size > MAX_SMALL_SIZE {
             return None;
@@ -207,6 +208,7 @@ impl SizeClassTable {
     /// # Panics
     ///
     /// Panics if `class` is out of range.
+    #[inline]
     pub fn info(&self, class: usize) -> &SizeClassInfo {
         &self.classes[class]
     }

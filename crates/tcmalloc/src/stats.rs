@@ -3,10 +3,11 @@
 //!
 //! [`StatsView`] owns the ledger and the price table behind it. The
 //! [`EventBus`](crate::events::EventBus) prices each completion through it
-//! in the same call that reports the operation, and the view is also an
-//! [`EventSink`]: fed a *recorded* stream it rebuilds the same ledger and
-//! profile, so cycle attribution cannot drift from what the allocator
-//! reported per operation.
+//! in the same call that reports the operation — one counter increment —
+//! and the view turns its counts into [`CycleStats`] when read. The view is
+//! also an [`EventSink`]: fed a *recorded* stream it rebuilds the same
+//! ledger and profile, so cycle attribution cannot drift from what the
+//! allocator reported per operation.
 
 use crate::events::{AllocEvent, EventSink};
 use wsc_sim_hw::cost::{ns_to_ps, AllocPath, CostModel, OpPrice, PriceTable};
@@ -124,23 +125,31 @@ impl CycleStats {
         self.ops[cat.index()] += 1;
     }
 
-    /// Books one completed malloc or free from its pre-rounded price:
-    /// exactly the [`charge`](Self::charge) calls for path, prefetch (if
-    /// issued), other and sampling (if sampled), as integer adds.
-    #[inline]
-    fn charge_op(&mut self, path: AllocPath, prefetched: bool, sampled: bool, price: &OpPrice) {
+    /// Books `n` completed mallocs or frees of one kind from their
+    /// pre-rounded price: exactly the [`charge`](Self::charge) calls for
+    /// path, prefetch (if issued), other and sampling (if sampled), `n`
+    /// times over. Integer products equal the repeated adds they replace,
+    /// wrapped or not.
+    fn charge_ops(
+        &mut self,
+        path: AllocPath,
+        prefetched: bool,
+        sampled: bool,
+        price: &OpPrice,
+        n: u64,
+    ) {
         const PREFETCH: usize = CycleCategory::Prefetch.index();
         const OTHER: usize = CycleCategory::Other.index();
         const SAMPLED: usize = CycleCategory::Sampled.index();
         let tier = CycleCategory::from(path).index();
-        self.ps[tier] += price.path_ps;
-        self.ops[tier] += 1;
-        self.ps[PREFETCH] += price.prefetch_ps;
-        self.ops[PREFETCH] += u64::from(prefetched);
-        self.ps[OTHER] += price.other_ps;
-        self.ops[OTHER] += 1;
-        self.ps[SAMPLED] += price.sampled_ps;
-        self.ops[SAMPLED] += u64::from(sampled);
+        self.ps[tier] += price.path_ps * n;
+        self.ops[tier] += n;
+        self.ps[PREFETCH] += price.prefetch_ps * n;
+        self.ops[PREFETCH] += u64::from(prefetched) * n;
+        self.ps[OTHER] += price.other_ps * n;
+        self.ops[OTHER] += n;
+        self.ps[SAMPLED] += price.sampled_ps * n;
+        self.ops[SAMPLED] += u64::from(sampled) * n;
     }
 
     /// Nanoseconds attributed to a category.
@@ -183,16 +192,23 @@ impl CycleStats {
 /// The attribution view: the Figure 6a cycle ledger and the GWP allocation
 /// profile, plus the [`PriceTable`] both are booked against.
 ///
-/// An operation is priced once, by `complete`: the table
-/// entry gives the `ns` the allocator returns and the integers the ledger
-/// books, so the two are identical by construction. The live bus calls it
-/// directly; as an [`EventSink`] the view calls it for every `MallocDone` /
-/// `FreeDone` of a recorded stream, which is how replaying the stream alone
-/// reconstructs the ledger.
+/// An operation is priced once, by `complete`: the table entry gives the
+/// `ns` the allocator returns, and the view counts the completion under its
+/// path × prefetched × sampled. [`cycles`](Self::cycles) multiplies the
+/// counts by the same table's integer picoseconds, so what the allocator
+/// returned and what the ledger says are identical by construction. The
+/// live bus calls `complete` directly; as an [`EventSink`] the view calls it
+/// for every `MallocDone` / `FreeDone` of a recorded stream, which is how
+/// replaying the stream alone reconstructs the ledger.
 #[derive(Clone, Debug)]
 pub struct StatsView {
     prices: PriceTable,
-    cycles: CycleStats,
+    /// Completions counted since the last [`reprice`](Self::reprice), per
+    /// path × prefetched × sampled: the layout of [`PriceTable`].
+    counts: [[[u64; 2]; 2]; AllocPath::ALL.len()],
+    /// Direct charges (contention, injected OS latency) plus the counts
+    /// folded in, at the prices they were taken under, by each `reprice`.
+    booked: CycleStats,
     profile: AllocationProfile,
 }
 
@@ -201,19 +217,33 @@ impl StatsView {
     pub fn new(cost: CostModel) -> Self {
         Self {
             prices: PriceTable::new(&cost),
-            cycles: CycleStats::new(),
+            counts: Default::default(),
+            booked: CycleStats::new(),
             profile: AllocationProfile::new(),
         }
     }
 
-    /// Prices every later completion against `cost`; what is booked stays.
+    /// Prices every later completion against `cost`; what is booked stays:
+    /// the counts so far are folded in at the old prices first.
     pub(crate) fn reprice(&mut self, cost: &CostModel) {
+        self.booked = self.cycles();
+        self.counts = Default::default();
         self.prices = PriceTable::new(cost);
     }
 
-    /// The derived cycle attribution.
-    pub fn cycles(&self) -> &CycleStats {
-        &self.cycles
+    /// The derived cycle attribution: what is booked plus every counted
+    /// completion times its price.
+    pub fn cycles(&self) -> CycleStats {
+        let mut cycles = self.booked.clone();
+        for (path, by_prefetch) in AllocPath::ALL.into_iter().zip(&self.counts) {
+            for (prefetched, by_sampled) in [false, true].into_iter().zip(by_prefetch) {
+                for (sampled, &n) in [false, true].into_iter().zip(by_sampled) {
+                    let price = self.prices.op(path, prefetched, sampled);
+                    cycles.charge_ops(path, prefetched, sampled, price, n);
+                }
+            }
+        }
+        cycles
     }
 
     /// The derived allocation profile.
@@ -221,12 +251,13 @@ impl StatsView {
         &self.profile
     }
 
-    /// Prices one completion, books it, and returns its nanoseconds.
+    /// Counts one completion and returns its nanoseconds.
     #[inline]
     pub(crate) fn complete(&mut self, path: AllocPath, prefetched: bool, sampled: bool) -> f64 {
-        let price = self.prices.op(path, prefetched, sampled);
-        self.cycles.charge_op(path, prefetched, sampled, price);
-        price.ns
+        // lint:allow(panic-surface) path, prefetched and sampled index a
+        // table sized AllocPath::ALL.len() × 2 × 2.
+        self.counts[path as usize][usize::from(prefetched)][usize::from(sampled)] += 1;
+        self.prices.op(path, prefetched, sampled).ns
     }
 
     /// Books one event: what [`EventSink::on_event`] does, for callers with
@@ -245,13 +276,13 @@ impl StatsView {
                 self.complete(path, false, false);
             }
             AllocEvent::ContentionCharged { ns, .. } => {
-                self.cycles.charge(CycleCategory::Contention, ns);
+                self.booked.charge(CycleCategory::Contention, ns);
             }
             AllocEvent::OsFault { latency_ns, .. } if latency_ns > 0 => {
                 // Injected kernel latency (THP compaction stall, flaky
                 // madvise) is allocator time spent waiting on the OS —
                 // charge it where the paper books mmap cost.
-                self.cycles
+                self.booked
                     .charge(CycleCategory::PageHeap, latency_ns as f64);
             }
             AllocEvent::SamplerPick {

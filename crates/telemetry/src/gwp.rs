@@ -50,6 +50,7 @@ impl Sampler {
 
     /// Accounts an allocation of `size` bytes; returns `true` when this
     /// allocation should be sampled.
+    #[inline]
     pub fn should_sample(&mut self, size: u64) -> bool {
         self.accumulated += size;
         if self.accumulated >= self.period {

@@ -256,9 +256,11 @@ impl Trace {
     /// Records a trace of `events_target` allocation events from a workload
     /// model. Lifetimes become explicit `Free` events interleaved at the
     /// right simulated times; program-long objects are freed at the end.
+    /// Every allocation brings exactly one `Advance`, one `Alloc` and one
+    /// `Free`, so the event vector is sized for all of them up front.
     pub fn record(spec: &WorkloadSpec, events_target: u64, seed: u64) -> Trace {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut events = Vec::new();
+        let mut events = Vec::with_capacity(3 * events_target as usize);
         let mut pending: DueQueue<u64> = DueQueue::default();
         let mut forever: Vec<u64> = Vec::new();
         let mut now = 0u64;
@@ -484,6 +486,16 @@ mod tests {
             }
         }
         assert_eq!(fnv, 0x711d_5a5a_2007_a8d7);
+    }
+
+    #[test]
+    fn record_reserves_exactly_its_events() {
+        for (target, seed) in [(0u64, 1u64), (1, 2), (800, 3), (5_000, 42)] {
+            let trace = Trace::record(&profiles::fleet_mix(), target, seed);
+            let want = 3 * target as usize;
+            assert_eq!(trace.events.len(), want, "{target} allocations");
+            assert_eq!(trace.events.capacity(), want, "{target} allocations");
+        }
     }
 
     #[test]
