@@ -146,7 +146,7 @@ pub struct Snapshot {
     /// Pages covered by one pagemap leaf (0 disables the per-leaf audit,
     /// for callers that report no leaves).
     pub pages_per_leaf: u64,
-    /// Per-leaf occupancy counters of the pagemap, ascending by
+    /// Per-leaf occupancy of the pagemap (occupied slots), ascending by
     /// `base_page`, omitting empty leaves.
     pub pagemap_leaves: Vec<PagemapLeafSnapshot>,
     /// TCMalloc pages per hugepage (256).
@@ -384,9 +384,9 @@ fn audit_pagemap(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     audit_pagemap_leaves(snap, out);
 }
 
-/// The pagemap-leaf occupancy audit: every leaf's counter must equal the
-/// number of live-span pages falling inside that leaf's page run, and the
-/// counters must sum to the pagemap total. Walks the reported leaves
+/// The pagemap-leaf occupancy audit: every leaf's occupied slots must equal
+/// the number of live-span pages falling inside that leaf's page run, and
+/// must sum to the pagemap total. Walks the reported leaves
 /// against an independently recomputed per-leaf tally of the span
 /// inventory. Skipped when `pages_per_leaf` is 0 (no leaves reported).
 fn audit_pagemap_leaves(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {

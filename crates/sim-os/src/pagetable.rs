@@ -22,8 +22,7 @@ const MASK_WORDS: usize = (TCMALLOC_PAGES_PER_HUGE as usize) / 64;
 const CHUNK_HUGEPAGES: u64 = 64;
 
 /// Ceiling on the window, in hugepages (1 TiB of address-space spread, the
-/// pagemap's and origin table's ceiling; more indicates corruption, not a
-/// bigger heap).
+/// pagemap's ceiling; more indicates corruption, not a bigger heap).
 const MAX_WINDOW_HUGEPAGES: u64 = 1 << 19;
 
 /// How one hugepage-sized slot of the window is backed.
@@ -37,10 +36,11 @@ enum Backing {
     Huge,
     /// Split into base pages by a subrelease. Never rebuilt — the kernel
     /// does not transparently collapse those, which is the §3 degradation
-    /// story.
+    /// story. A subrelease breaks a `Denied` slot too.
     Broken,
     /// THP compaction failed at `mmap` time: 4 KiB-backed since birth and
-    /// eligible for khugepaged-style collapse once fully resident.
+    /// eligible for khugepaged-style collapse once fully resident, unless a
+    /// subrelease breaks it first.
     Denied,
 }
 
@@ -98,7 +98,7 @@ fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u32, u
 ///   resident pages are `huge × 256` (`on_mmap_backed(.., true)` and
 ///   `promote` +1; the first `subrelease` of a slot and `on_munmap` −1);
 /// * `denied` — slots backed `Denied` (`on_mmap_backed(.., false)` +1;
-///   `promote` and `on_munmap` −1).
+///   `promote`, the first `subrelease` of a slot and `on_munmap` −1).
 ///
 /// # Example
 ///
@@ -306,10 +306,12 @@ impl PageTable {
         }
         for (hp, lo, hi) in split_by_hugepage(first, last) {
             let rec = &mut self.recs[(hp - self.base_hp) as usize];
-            if rec.backing == Backing::Huge {
-                rec.backing = Backing::Broken;
-                self.huge -= 1;
+            match rec.backing {
+                Backing::Huge => self.huge -= 1,
+                Backing::Denied => self.denied -= 1,
+                Backing::Broken | Backing::Unmapped => {}
             }
+            rec.backing = Backing::Broken;
             for (w, word) in rec.released.iter_mut().enumerate() {
                 let mask = word_mask(w, lo, hi);
                 self.released_pages += u64::from((mask & !*word).count_ones());
@@ -362,10 +364,14 @@ impl PageTable {
         }
     }
 
-    /// Was the hugepage containing `addr` denied hugepage backing at `mmap`
-    /// time (and not yet collapsed back)?
-    pub fn is_denied(&self, addr: u64) -> bool {
-        self.backing_of(addr) == Backing::Denied
+    /// Base addresses of the hugepages denied hugepage backing at `mmap`
+    /// time (and neither collapsed back nor broken since), ascending: the
+    /// khugepaged pass's candidates.
+    pub(crate) fn denied_bases(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.base_hp..)
+            .zip(&self.recs)
+            .filter(|(_, r)| r.backing == Backing::Denied)
+            .map(|(hp, _)| hp * HUGE_PAGE_BYTES)
     }
 
     /// Is every TCMalloc page of the hugepage containing `addr` resident?
@@ -490,6 +496,20 @@ mod tests {
     }
 
     #[test]
+    fn subrelease_breaks_a_denied_hugepage_for_good() {
+        let mut pt = PageTable::new();
+        pt.on_mmap_backed(0, HP, false);
+        pt.subrelease(0, TP).unwrap();
+        pt.reoccupy(0, TP);
+        assert_eq!(pt.denied_hugepages(), 0);
+        assert_eq!(pt.denied_bases().count(), 0);
+        assert!(
+            !pt.promote(0),
+            "kernel does not rebuild subrelease-broken hugepages (§3)"
+        );
+    }
+
+    #[test]
     fn munmap_removes() {
         let mut pt = PageTable::new();
         pt.on_mmap(0, HP);
@@ -593,6 +613,7 @@ mod tests {
                     let hp = page / TCMALLOC_PAGES_PER_HUGE;
                     let state = self.regions.get_mut(&hp).expect("validated above");
                     state.huge = false;
+                    state.denied = false;
                     let bit = (page % TCMALLOC_PAGES_PER_HUGE) as usize;
                     state.released[bit / 64] |= 1 << (bit % 64);
                 }
@@ -626,10 +647,6 @@ mod tests {
                 self.regions.get(&(addr / HUGE_PAGE_BYTES))
             }
 
-            pub fn is_denied(&self, addr: u64) -> bool {
-                self.get(addr).is_some_and(|s| s.denied)
-            }
-
             pub fn is_fully_resident(&self, addr: u64) -> bool {
                 self.get(addr).is_some_and(|s| s.released_pages() == 0)
             }
@@ -644,6 +661,11 @@ mod tests {
 
             pub fn denied_hugepages(&self) -> u64 {
                 self.regions.values().filter(|s| s.denied).count() as u64
+            }
+
+            pub fn denied_bases(&self) -> Vec<u64> {
+                let denied = self.regions.iter().filter(|(_, s)| s.denied);
+                denied.map(|(hp, _)| hp * HUGE_PAGE_BYTES).collect()
             }
 
             pub fn mapped_bytes(&self) -> u64 {
@@ -698,6 +720,8 @@ mod tests {
         assert_eq!(pt.resident_bytes(), model.resident_bytes(), "{ctx}");
         assert_eq!(pt.huge_backed_bytes(), model.huge_backed_bytes(), "{ctx}");
         assert_eq!(pt.denied_hugepages(), model.denied_hugepages(), "{ctx}");
+        let denied: Vec<u64> = pt.denied_bases().collect();
+        assert_eq!(denied, model.denied_bases(), "{ctx}");
         assert_eq!(
             pt.hugepage_coverage().to_bits(),
             model.hugepage_coverage().to_bits(),
@@ -710,7 +734,6 @@ mod tests {
                 model.is_huge_backed(a),
                 "{ctx} @{a:#x}"
             );
-            assert_eq!(pt.is_denied(a), model.is_denied(a), "{ctx} @{a:#x}");
             assert_eq!(
                 pt.is_fully_resident(a),
                 model.is_fully_resident(a),
@@ -812,7 +835,8 @@ mod tests {
         pt.on_mmap_backed(crate::vmm::HEAP_BASE, HP, false);
         assert!(pt.base_hp < base_before, "window grew downward");
         assert!(!pt.is_huge_backed(high));
-        assert!(pt.is_denied(crate::vmm::HEAP_BASE));
+        let denied: Vec<u64> = pt.denied_bases().collect();
+        assert_eq!(denied, [crate::vmm::HEAP_BASE]);
         assert_eq!(pt.resident_bytes(), 2 * HP - 3 * TP);
         assert_eq!(pt.denied_hugepages(), 1);
     }

@@ -197,15 +197,25 @@ impl Vmm {
         self.page_table.reoccupy(addr, len);
     }
 
-    /// khugepaged-style collapse attempt on the (denied, fully resident)
-    /// hugepage region containing `addr`. The fault plan may veto it;
-    /// returns whether hugepage backing was rebuilt.
-    pub fn collapse_huge(&mut self, addr: u64) -> bool {
-        if !self.page_table.is_denied(addr) || !self.page_table.is_fully_resident(addr) {
-            return false;
+    /// One khugepaged pass: every denied hugepage, in ascending address
+    /// order, that is fully resident again collapses back to huge unless
+    /// the fault plan vetoes it (a vetoed one stays denied for the next
+    /// pass). Returns the number of hugepages re-promoted.
+    pub fn khugepaged(&mut self) -> u64 {
+        if self.page_table.denied_hugepages() == 0 {
+            return 0;
         }
-        let allowed = self.faults.as_mut().is_none_or(FaultInjector::on_collapse);
-        allowed && self.page_table.promote(addr)
+        let denied: Vec<u64> = self.page_table.denied_bases().collect();
+        let mut repromoted = 0;
+        for base in denied {
+            if self.page_table.is_fully_resident(base)
+                && self.faults.as_mut().is_none_or(FaultInjector::on_collapse)
+                && self.page_table.promote(base)
+            {
+                repromoted += 1;
+            }
+        }
+        repromoted
     }
 
     /// Currently mapped bytes.
@@ -370,20 +380,25 @@ mod tests {
         // (zero here), so it succeeds; but prove the storm-window version
         // too: after the storm, collapse always succeeds.
         clock.advance(2_000);
-        assert!(vmm.collapse_huge(g.addr), "khugepaged rebuilds the backing");
+        assert_eq!(vmm.khugepaged(), 1, "khugepaged rebuilds the backing");
         assert!(vmm.page_table().is_huge_backed(g.addr));
         assert!((vmm.page_table().hugepage_coverage() - 1.0).abs() < 1e-12);
-        assert!(!vmm.collapse_huge(g.addr), "already huge: nothing to do");
+        assert_eq!(vmm.khugepaged(), 0, "already huge: nothing to do");
     }
 
     #[test]
     fn subrelease_broken_hugepage_never_collapses() {
-        let mut vmm = Vmm::new();
+        let plan = FaultPlan {
+            deny_huge_ppm: PPM,
+            ..FaultPlan::off()
+        };
+        let mut vmm = Vmm::with_faults(plan, Clock::new());
         let a = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         vmm.subrelease(a, 8192).expect("mapped");
         vmm.reoccupy(a, 8192);
-        assert!(
-            !vmm.collapse_huge(a),
+        assert_eq!(
+            vmm.khugepaged(),
+            0,
             "kernel does not rebuild subrelease-broken hugepages (§3)"
         );
         assert!(!vmm.page_table().is_huge_backed(a));

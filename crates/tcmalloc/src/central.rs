@@ -86,8 +86,6 @@ pub struct CentralFreeList {
     lists: Vec<Vec<SpanId>>,
     /// Free objects across spans on the lists (running counter).
     free_objects: u64,
-    /// Live spans of this class (on lists or full).
-    live_spans: u64,
     /// Spans ever requested from the pageheap (Figure 16 denominator).
     pub spans_created: u64,
     /// Spans ever returned to the pageheap (Figure 16 numerator).
@@ -110,7 +108,6 @@ impl CentralFreeList {
             info,
             lists: vec![Vec::new(); num_lists],
             free_objects: 0,
-            live_spans: 0,
             spans_created: 0,
             spans_released: 0,
             obs: SpanReturnObs::new(info.objects_per_span),
@@ -251,7 +248,6 @@ impl CentralFreeList {
                     });
                     pagemap.set_range_traced(addr, self.info.pages, id, bus);
                     self.spans_created += 1;
-                    self.live_spans += 1;
                     self.free_objects += self.info.objects_per_span as u64;
                     self.list_insert(spans, id);
                     id
@@ -311,7 +307,6 @@ impl CentralFreeList {
             pagemap.clear_range_traced(span.start, span.pages, bus);
             pageheap.dealloc(span.start, span.pages, bus);
             self.spans_released += 1;
-            self.live_spans -= 1;
             self.free_objects -= span.capacity as u64;
             true
         } else {
@@ -325,12 +320,12 @@ impl CentralFreeList {
     pub fn external_bytes(&self) -> u64 {
         let carve = self.info.pages as u64 * wsc_sim_os::addr::TCMALLOC_PAGE_BYTES
             - self.info.objects_per_span as u64 * self.info.size;
-        self.free_objects * self.info.size + self.live_spans * carve
+        self.free_objects * self.info.size + self.live_spans() * carve
     }
 
-    /// Live spans of this class.
+    /// Live spans of this class (on lists or full).
     pub fn live_spans(&self) -> u64 {
-        self.live_spans
+        self.spans_created - self.spans_released
     }
 
     /// The running free-object counter (the central term of the sanitizer's

@@ -86,6 +86,7 @@ impl HugeCache {
     /// neighbours, then trims the cache to its limit by unmapping.
     pub fn free_run(&mut self, addr: u64, n: u64, os: &mut OsLayer, bus: &mut EventBus) {
         assert!(n > 0 && addr.is_multiple_of(HUGE_PAGE_BYTES), "bad run");
+        self.cached_hp += n;
         let mut addr = addr;
         let mut n = n;
         // Coalesce with predecessor.
@@ -103,7 +104,6 @@ impl HugeCache {
             n += slen;
         }
         self.runs.insert(addr, n);
-        self.cached_hp = self.runs.values().sum();
         self.trim_to(self.limit_hp, os, bus);
     }
 

@@ -8,6 +8,10 @@
 //! * [`cache::HugeCache`] — hugepage-multiple allocations; the unused tail
 //!   of the last hugepage is *donated* to the filler.
 //!
+//! The length alone picks the component (`Route::of`). A free carries its
+//! length, so it is routed exactly as its allocation was, and the pageheap
+//! keeps no per-range record.
+//!
 //! The pageheap periodically releases memory to the OS "either by releasing
 //! hugepages that are completely free, or by breaking partially-filled
 //! hugepages into smaller pages and subreleasing them" (§2.1) — the former
@@ -15,14 +19,12 @@
 
 pub mod cache;
 pub mod filler;
-mod origin;
 pub mod os;
 pub mod region;
 
 use crate::events::{AllocEvent, EventBus};
 use cache::HugeCache;
 use filler::HugePageFiller;
-use origin::{Origin, OriginTable};
 pub use os::{AllocError, OsLayer};
 use region::HugeRegionSet;
 use wsc_sim_hw::cost::AllocPath;
@@ -98,6 +100,36 @@ impl PageHeapStats {
     }
 }
 
+/// The component that serves a request of a given length (Figure 15).
+#[derive(Clone, Copy, Debug)]
+enum Route {
+    /// Under a hugepage: the filler.
+    Filler,
+    /// Over one hugepage but under two: a hugepage region.
+    Region,
+    /// A run of `hp` hugepages from the cache, the last one's final `tail`
+    /// pages donated to the filler.
+    Cache { hp: u64, tail: u32 },
+}
+
+impl Route {
+    /// Where `pages` TCMalloc pages go, on the way in and on the way out.
+    fn of(pages: u32) -> Self {
+        let pages = u64::from(pages);
+        if pages < HP_PAGES {
+            Route::Filler
+        } else if pages > HP_PAGES && pages < 2 * HP_PAGES {
+            Route::Region
+        } else {
+            let hp = pages.div_ceil(HP_PAGES);
+            Route::Cache {
+                hp,
+                tail: (hp * HP_PAGES - pages) as u32,
+            }
+        }
+    }
+}
+
 /// The hugepage-aware pageheap.
 ///
 /// # Example
@@ -120,7 +152,6 @@ pub struct PageHeap {
     filler: HugePageFiller,
     region: HugeRegionSet,
     cache: HugeCache,
-    origin: OriginTable,
     large_used_pages: u64,
 }
 
@@ -143,7 +174,6 @@ impl PageHeap {
             filler: HugePageFiller::new(cfg.lifetime_aware_filler, cfg.capacity_threshold),
             region: HugeRegionSet::new(),
             cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
-            origin: OriginTable::default(),
             large_used_pages: 0,
         }
     }
@@ -209,40 +239,38 @@ impl PageHeap {
         span_capacity: u32,
         bus: &mut EventBus,
     ) -> Result<(u64, AllocPath), AllocError> {
-        let (addr, mmapped, origin) = if (pages as u64) < HP_PAGES {
-            let (addr, mm) =
-                self.filler
-                    .alloc(pages, span_capacity, &mut self.cache, &mut self.os, bus)?;
-            bus.emit(AllocEvent::FillerPlace { addr, pages });
-            (addr, mm, Origin::Filler { pages })
-        } else if (pages as u64) > HP_PAGES && (pages as u64) < 2 * HP_PAGES {
-            let (addr, mm) = self.region.alloc(pages, &mut self.os, bus)?;
-            bus.emit(AllocEvent::RegionPlace { addr, pages });
-            (addr, mm, Origin::Region { pages })
-        } else {
-            let hp = (pages as u64).div_ceil(HP_PAGES);
-            let (addr, from_os) = self.cache.alloc_run(hp, &mut self.os, bus)?;
-            if !from_os {
-                self.os.reoccupy(addr, hp * HUGE_PAGE_BYTES);
-                bus.emit(AllocEvent::HugepageFill {
-                    base: addr,
-                    bytes: hp * HUGE_PAGE_BYTES,
-                    reused: true,
-                });
+        let (addr, mmapped) = match Route::of(pages) {
+            Route::Filler => {
+                let (addr, mm) =
+                    self.filler
+                        .alloc(pages, span_capacity, &mut self.cache, &mut self.os, bus)?;
+                bus.emit(AllocEvent::FillerPlace { addr, pages });
+                (addr, mm)
             }
-            let tail = (hp * HP_PAGES - pages as u64) as u32;
-            if tail > 0 {
-                let last_hp = addr + (hp - 1) * HUGE_PAGE_BYTES;
-                self.filler.donate(last_hp, HP_PAGES as u32 - tail);
+            Route::Region => {
+                let (addr, mm) = self.region.alloc(pages, &mut self.os, bus)?;
+                bus.emit(AllocEvent::RegionPlace { addr, pages });
+                (addr, mm)
             }
-            self.large_used_pages += pages as u64;
-            bus.emit(AllocEvent::CachePlace { addr, pages });
-            (addr, from_os, Origin::Large { pages, tail })
+            Route::Cache { hp, tail } => {
+                let (addr, from_os) = self.cache.alloc_run(hp, &mut self.os, bus)?;
+                if !from_os {
+                    self.os.reoccupy(addr, hp * HUGE_PAGE_BYTES);
+                    bus.emit(AllocEvent::HugepageFill {
+                        base: addr,
+                        bytes: hp * HUGE_PAGE_BYTES,
+                        reused: true,
+                    });
+                }
+                if tail > 0 {
+                    let last_hp = addr + (hp - 1) * HUGE_PAGE_BYTES;
+                    self.filler.donate(last_hp, HP_PAGES as u32 - tail);
+                }
+                self.large_used_pages += pages as u64;
+                bus.emit(AllocEvent::CachePlace { addr, pages });
+                (addr, from_os)
+            }
         };
-        // Invariant, not resource exhaustion: two live spans at one address
-        // mean corrupted bookkeeping, so this must stay fatal.
-        let fresh = self.origin.insert(addr, origin);
-        assert!(fresh, "pageheap double allocation at {addr:#x}");
         let path = if mmapped {
             AllocPath::Mmap
         } else {
@@ -251,35 +279,23 @@ impl PageHeap {
         Ok((addr, path))
     }
 
-    /// Returns `pages` at `addr` (as handed out by [`alloc`](Self::alloc)).
+    /// Returns `pages` at `addr` (as handed out by [`alloc`](Self::alloc)),
+    /// to the component that length was placed by. The caller's pagemap
+    /// proves the range live and its length right
+    /// ([`Pagemap::clear_range`](crate::pagemap::Pagemap::clear_range)).
     ///
     /// # Panics
     ///
-    /// Panics if the range is not a live pageheap allocation or the length
-    /// mismatches.
+    /// Panics if the filler or region the length routes to holds no
+    /// allocation at `addr`.
     pub fn dealloc(&mut self, addr: u64, pages: u32, bus: &mut EventBus) {
-        let origin = self
-            .origin
-            .remove(addr)
-            // lint:allow(panic-surface) documented panic: an unknown range
-            // is caller heap corruption, and the sanitizer intercepts
-            // invalid frees before they descend this far.
-            .unwrap_or_else(|| panic!("pageheap dealloc of unknown range {addr:#x}"));
-        match origin {
-            Origin::Filler { pages: p } => {
-                // Invariant asserts: a length mismatch is caller corruption
-                // (free with the wrong size), never an OOM-reachable state.
-                assert_eq!(p, pages, "filler dealloc length mismatch");
+        match Route::of(pages) {
+            Route::Filler => {
                 self.filler
                     .dealloc(addr, pages, &mut self.cache, &mut self.os, bus);
             }
-            Origin::Region { pages: p } => {
-                assert_eq!(p, pages, "region dealloc length mismatch");
-                self.region.dealloc(addr, pages, &mut self.os, bus);
-            }
-            Origin::Large { pages: p, tail } => {
-                assert_eq!(p, pages, "large dealloc length mismatch");
-                let hp = (pages as u64).div_ceil(HP_PAGES);
+            Route::Region => self.region.dealloc(addr, pages, &mut self.os, bus),
+            Route::Cache { hp, tail } => {
                 self.large_used_pages -= pages as u64;
                 if tail > 0 {
                     let full = hp - 1;
@@ -491,7 +507,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown range")]
+    fn a_free_is_routed_by_its_length() {
+        // Either side of each boundary of `Route::of`.
+        const PAGES: [u32; 9] = [1, 255, 256, 257, 511, 512, 513, 767, 1024];
+        let (mut ph, mut bus) = heap();
+        for pages in PAGES {
+            let (addr, _) = ph.alloc(pages, 1, &mut bus).unwrap();
+            ph.dealloc(addr, pages, &mut bus);
+            assert_eq!(ph.stats().total_used_bytes(), 0, "{pages} pages alone");
+        }
+        let live: Vec<(u64, u32)> = PAGES
+            .iter()
+            .map(|&pages| (ph.alloc(pages, 1, &mut bus).unwrap().0, pages))
+            .collect();
+        // Odd positions first, then even: every free lands between
+        // allocations of other routes.
+        for &(addr, pages) in live.iter().skip(1).step_by(2).chain(live.iter().step_by(2)) {
+            ph.dealloc(addr, pages, &mut bus);
+        }
+        assert_eq!(ph.stats().total_used_bytes(), 0, "interleaved");
+    }
+
+    #[test]
+    #[should_panic(expected = "untracked hugepage")]
     fn unknown_dealloc_panics() {
         let (mut ph, mut bus) = heap();
         ph.dealloc(0x1000, 1, &mut bus);

@@ -12,11 +12,11 @@
 //! * **ENOMEM** — a denied `mmap` surfaces as [`AllocError::OsEnomem`]; the
 //!   pageheap reacts with synchronous release-and-retry.
 //! * **THP denial** — when compaction fails and a mapping comes back
-//!   4 KiB-backed, the affected hugepages are tracked in a *denied set* and
-//!   the layer enters a degraded state
-//!   ([`AllocEvent::Degraded`]); background maintenance retries a
-//!   khugepaged-style collapse ([`OsLayer::promote_denied`]) and emits
-//!   [`AllocEvent::Recovered`] as coverage is rebuilt.
+//!   4 KiB-backed, the page table marks its hugepages denied and the layer
+//!   enters a degraded state ([`AllocEvent::Degraded`]); background
+//!   maintenance runs the kernel's khugepaged pass
+//!   ([`OsLayer::promote_denied`]) and emits [`AllocEvent::Recovered`] as
+//!   coverage is rebuilt.
 //!
 //! Each boundary crossing is reported on the event bus ([`AllocEvent::OsFault`],
 //! [`AllocEvent::BackingDenied`], [`AllocEvent::LimitHit`]), so telemetry,
@@ -25,7 +25,6 @@
 //! or mutation outside this module and the sim-os crate itself.
 
 use crate::events::{AllocEvent, EventBus, OsOp};
-use std::collections::BTreeSet;
 use std::fmt;
 use wsc_sim_os::addr::{align_up, HUGE_PAGE_BYTES};
 use wsc_sim_os::pagetable::PageTable;
@@ -67,9 +66,8 @@ impl std::error::Error for AllocError {}
 pub struct OsLayer {
     vmm: Vmm,
     hard_limit: Option<u64>,
-    /// Hugepage base addresses whose THP backing was denied at `mmap` time
-    /// and not yet rebuilt. Ordered so promotion passes are deterministic.
-    denied: BTreeSet<u64>,
+    /// Set by a denied `mmap`, cleared by the first khugepaged pass that
+    /// finds no denied hugepage left.
     degraded: bool,
 }
 
@@ -79,7 +77,6 @@ impl OsLayer {
         Self {
             vmm,
             hard_limit,
-            denied: BTreeSet::new(),
             degraded: false,
         }
     }
@@ -124,13 +121,10 @@ impl OsLayer {
                         base: grant.addr,
                         bytes: rounded,
                     });
-                    for hp in 0..rounded / HUGE_PAGE_BYTES {
-                        self.denied.insert(grant.addr + hp * HUGE_PAGE_BYTES);
-                    }
                     if !self.degraded {
                         self.degraded = true;
                         bus.emit(AllocEvent::Degraded {
-                            denied_hugepages: self.denied.len() as u64,
+                            denied_hugepages: self.denied_hugepages(),
                         });
                     }
                 }
@@ -147,15 +141,11 @@ impl OsLayer {
         }
     }
 
-    /// Unmaps a hugepage-granular range and forgets any denied-backing
-    /// bookkeeping for it.
+    /// Unmaps a hugepage-granular range.
     // lint:allow(event-completeness) munmap cannot fail in the fault
     // model; the caller emits the SpanDealloc/Release event for the same
     // range, so an OsFault here would be noise.
     pub fn munmap(&mut self, addr: u64, len: u64) {
-        for hp in 0..align_up(len, HUGE_PAGE_BYTES) / HUGE_PAGE_BYTES {
-            self.denied.remove(&(addr + hp * HUGE_PAGE_BYTES));
-        }
         self.vmm.munmap(addr, len);
     }
 
@@ -170,15 +160,6 @@ impl OsLayer {
     pub fn subrelease(&mut self, addr: u64, len: u64, bus: &mut EventBus) -> Result<(), OsError> {
         match self.vmm.subrelease(addr, len) {
             Ok(latency_ns) => {
-                // A subreleased hugepage is broken for good — the kernel
-                // never rebuilds subrelease-broken backings — so it stops
-                // being a *denied* hugepage awaiting re-promotion and
-                // becomes ordinary small-backed memory.
-                let first = addr - addr % HUGE_PAGE_BYTES;
-                let last = align_up(addr + len, HUGE_PAGE_BYTES);
-                for hp in (first..last).step_by(HUGE_PAGE_BYTES as usize) {
-                    self.denied.remove(&hp);
-                }
                 if latency_ns > 0 {
                     bus.emit(AllocEvent::OsFault {
                         op: OsOp::Subrelease,
@@ -206,26 +187,17 @@ impl OsLayer {
         self.vmm.reoccupy(addr, len);
     }
 
-    /// Background khugepaged pass: attempt to collapse every denied-backing
-    /// hugepage back to huge. Emits [`AllocEvent::Recovered`] when any
-    /// backing is rebuilt; leaves vetoed candidates for the next pass.
-    /// Returns the number of hugepages re-promoted.
+    /// Background khugepaged pass ([`Vmm::khugepaged`]): attempt to
+    /// collapse every denied-backing hugepage back to huge. Emits
+    /// [`AllocEvent::Recovered`] when any backing is rebuilt; vetoed
+    /// candidates stay denied for the next pass. Returns the number of
+    /// hugepages re-promoted.
     pub fn promote_denied(&mut self, bus: &mut EventBus) -> u64 {
-        let mut repromoted = 0u64;
-        let candidates: Vec<u64> = self.denied.iter().copied().collect();
-        for base in candidates {
-            if self.vmm.collapse_huge(base) {
-                self.denied.remove(&base);
-                repromoted += 1;
-            } else if !self.vmm.page_table().is_mapped(base) {
-                // Unmapped since it was denied; nothing left to promote.
-                self.denied.remove(&base);
-            }
-        }
+        let repromoted = self.vmm.khugepaged();
         if repromoted > 0 {
             bus.emit(AllocEvent::Recovered { repromoted });
         }
-        if self.degraded && self.denied.is_empty() {
+        if self.degraded && self.denied_hugepages() == 0 {
             self.degraded = false;
         }
         repromoted
@@ -238,7 +210,7 @@ impl OsLayer {
 
     /// Denied-backing hugepages still awaiting re-promotion.
     pub fn denied_hugepages(&self) -> u64 {
-        self.denied.len() as u64
+        self.vmm.page_table().denied_hugepages()
     }
 
     /// The configured hard limit, bytes.
@@ -375,18 +347,20 @@ mod tests {
     }
 
     #[test]
-    fn munmap_forgets_denied_entries() {
+    fn unmapped_or_broken_denied_hugepages_clear_degraded_at_the_next_pass() {
         let plan = FaultPlan {
             deny_huge_ppm: PPM,
             ..FaultPlan::off()
         };
         let mut os = OsLayer::new(Vmm::with_faults(plan, Clock::new()), None);
         let mut b = bus();
-        let addr = os.mmap(HUGE_PAGE_BYTES, &mut b).unwrap();
-        assert_eq!(os.denied_hugepages(), 1);
+        let addr = os.mmap(2 * HUGE_PAGE_BYTES, &mut b).unwrap();
         os.munmap(addr, HUGE_PAGE_BYTES);
-        assert_eq!(os.denied_hugepages(), 0);
+        os.subrelease(addr + HUGE_PAGE_BYTES, 8192, &mut b).unwrap();
+        assert_eq!(os.denied_hugepages(), 0, "a subrelease breaks it for good");
+        assert!(os.is_degraded(), "the flag waits for the khugepaged pass");
         assert_eq!(os.promote_denied(&mut b), 0);
+        assert!(!os.is_degraded());
     }
 
     #[test]

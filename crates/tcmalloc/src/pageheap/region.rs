@@ -20,6 +20,9 @@ pub const REGION_PAGES: u32 = (REGION_HUGEPAGES * TCMALLOC_PAGES_PER_HUGE) as u3
 
 const WORDS: usize = REGION_PAGES as usize / 64;
 
+/// Bytes of address space per region.
+const REGION_BYTES: u64 = REGION_HUGEPAGES * HUGE_PAGE_BYTES;
+
 #[derive(Clone, Debug)]
 struct Region {
     base: u64,
@@ -81,9 +84,9 @@ impl Region {
 #[derive(Clone, Debug, Default)]
 pub struct HugeRegionSet {
     regions: Vec<Region>,
-    /// page-range base address -> (region index, page offset, length) for
-    /// deallocation routing.
-    live: BTreeMap<u64, (usize, u32, u32)>,
+    /// Live allocation base address -> length in pages, for the dealloc
+    /// length check.
+    live: BTreeMap<u64, u32>,
 }
 
 impl HugeRegionSet {
@@ -114,24 +117,24 @@ impl HugeRegionSet {
             (1..=REGION_PAGES).contains(&pages),
             "region allocation of {pages} pages out of range"
         );
-        for (idx, region) in self.regions.iter_mut().enumerate() {
+        for region in &mut self.regions {
             if let Some(off) = region.find_fit(pages) {
                 region.set_range(off, pages, true);
                 let addr = region.base + off as u64 * TCMALLOC_PAGE_BYTES;
-                self.live.insert(addr, (idx, off, pages));
+                self.live.insert(addr, pages);
                 return Ok((addr, false));
             }
         }
-        let base = os.mmap(REGION_HUGEPAGES * HUGE_PAGE_BYTES, bus)?;
+        let base = os.mmap(REGION_BYTES, bus)?;
         bus.emit(AllocEvent::HugepageFill {
             base,
-            bytes: REGION_HUGEPAGES * HUGE_PAGE_BYTES,
+            bytes: REGION_BYTES,
             reused: false,
         });
         let mut region = Region::new(base);
         region.set_range(0, pages, true);
         self.regions.push(region);
-        self.live.insert(base, (self.regions.len() - 1, 0, pages));
+        self.live.insert(base, pages);
         Ok((base, true))
     }
 
@@ -143,29 +146,26 @@ impl HugeRegionSet {
     ///
     /// Panics if `addr` is not a live region allocation or `pages` mismatches.
     pub fn dealloc(&mut self, addr: u64, pages: u32, os: &mut OsLayer, bus: &mut EventBus) {
-        let (idx, off, len) = self
+        let len = self
             .live
             .remove(&addr)
             .expect("dealloc of unknown region range");
         assert_eq!(len, pages, "region dealloc length mismatch");
+        let idx = self
+            .regions
+            .iter()
+            .position(|r| (r.base..r.base + REGION_BYTES).contains(&addr))
+            .expect("a live range lies in a mapped region");
         let region = &mut self.regions[idx];
+        let off = ((addr - region.base) / TCMALLOC_PAGE_BYTES) as u32;
         region.set_range(off, len, false);
         if region.used_pages == 0 {
-            os.munmap(region.base, REGION_HUGEPAGES * HUGE_PAGE_BYTES);
+            os.munmap(region.base, REGION_BYTES);
             bus.emit(AllocEvent::HugepageRelease {
                 base: region.base,
-                bytes: REGION_HUGEPAGES * HUGE_PAGE_BYTES,
+                bytes: REGION_BYTES,
             });
-            // Swap-remove; fix up live entries pointing at the moved region.
-            let last = self.regions.len() - 1;
             self.regions.swap_remove(idx);
-            if idx != last {
-                for entry in self.live.values_mut() {
-                    if entry.0 == last {
-                        entry.0 = idx;
-                    }
-                }
-            }
         }
     }
 
@@ -179,7 +179,7 @@ impl HugeRegionSet {
 
     /// Free (fragmented) bytes inside mapped regions (Figure 15).
     pub fn free_bytes(&self) -> u64 {
-        self.regions.len() as u64 * REGION_HUGEPAGES * HUGE_PAGE_BYTES - self.used_bytes()
+        self.regions.len() as u64 * REGION_BYTES - self.used_bytes()
     }
 }
 
@@ -257,10 +257,7 @@ mod tests {
         let mapped = os.vmm().mapped_bytes();
         rs.dealloc(a, 400, &mut os, &mut bs);
         assert_eq!(rs.regions.len(), 0);
-        assert_eq!(
-            os.vmm().mapped_bytes(),
-            mapped - REGION_HUGEPAGES * HUGE_PAGE_BYTES
-        );
+        assert_eq!(os.vmm().mapped_bytes(), mapped - REGION_BYTES);
     }
 
     #[test]
@@ -273,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_remove_fixes_indices() {
+    fn a_free_finds_its_region_after_a_swap_remove() {
         let mut rs = HugeRegionSet::new();
         let mut os = OsLayer::infallible();
         let mut bs = bus();
@@ -281,7 +278,7 @@ mod tests {
         let (a, _) = rs.alloc(REGION_PAGES, &mut os, &mut bs).unwrap();
         let (b, _) = rs.alloc(REGION_PAGES, &mut os, &mut bs).unwrap();
         assert_eq!(rs.regions.len(), 2);
-        // Drop the first; the second's live entry must stay valid.
+        // Drop the first; the second moves to its slot and is still found.
         rs.dealloc(a, REGION_PAGES, &mut os, &mut bs);
         rs.dealloc(b, REGION_PAGES, &mut os, &mut bs);
         assert_eq!(rs.regions.len(), 0);

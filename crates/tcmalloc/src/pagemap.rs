@@ -13,8 +13,8 @@
 //!   free bursts resolve without touching it),
 //! * **batched** `set_range`/`clear_range` that write one contiguous slot
 //!   slice per span, and
-//! * per-leaf **occupancy counters** the sanitizer audits against the span
-//!   inventory.
+//! * per-leaf **occupancy** counted from the slots when asked, which the
+//!   sanitizer audits against the span inventory.
 //!
 //! Production TCMalloc resolves the same lookup through a 2–3 level radix
 //! tree, which pays O(touched leaves) memory where this window pays
@@ -76,11 +76,6 @@ pub struct Pagemap {
     /// First page of the window, aligned to [`PAGES_PER_LEAF`]; meaningful
     /// once `slots` is non-empty.
     base_page: u64,
-    /// Registered pages per leaf (the sanitizer's occupancy term),
-    /// `slots.len() / PAGES_PER_LEAF` entries.
-    leaf_used: Vec<u32>,
-    /// Registered pages across the window.
-    pages: u64,
     /// Last-span hit cache: `(first_page, last_page, span_id)`. Purely an
     /// accelerator — never changes lookup results.
     hit: Cell<Option<(u64, u64, SpanId)>>,
@@ -112,32 +107,11 @@ impl Pagemap {
             // line up.
             fresh[grow..].copy_from_slice(&self.slots);
             self.slots = fresh;
-            let leaf_grow = grow >> LEAF_BITS;
-            let mut used_fresh = vec![0u32; leaf_grow + self.leaf_used.len()];
-            // lint:allow(panic-surface) same sizing for the leaf counters.
-            used_fresh[leaf_grow..].copy_from_slice(&self.leaf_used);
-            self.leaf_used = used_fresh;
             self.base_page = new_lo;
         }
         let want = (new_hi - self.base_page) as usize;
         if want > self.slots.len() {
             self.slots.resize(want, EMPTY);
-            self.leaf_used.resize(want >> LEAF_BITS, 0);
-        }
-    }
-
-    /// Adds the in-window run `[first, last)` to (`register`) or removes it
-    /// from the per-leaf occupancy counters: one step per leaf the run
-    /// touches, at most ⌈pages / `PAGES_PER_LEAF`⌉ + 1.
-    fn count_leaves(&mut self, first: u64, last: u64, register: bool) {
-        let mut page = first;
-        while page < last {
-            let chunk_end = ((page | (PAGES_PER_LEAF - 1)) + 1).min(last);
-            let n = (chunk_end - page) as u32;
-            // lint:allow(panic-surface) leaf index < window leaves.
-            let used = &mut self.leaf_used[((page - self.base_page) >> LEAF_BITS) as usize];
-            *used = if register { *used + n } else { *used - n };
-            page = chunk_end;
         }
     }
 
@@ -169,8 +143,6 @@ impl Pagemap {
             );
             *slot = span.0;
         }
-        self.count_leaves(first, last, true);
-        self.pages += num_pages as u64;
         self.hit.set(Some((first, last - 1, span)));
     }
 
@@ -202,8 +174,6 @@ impl Pagemap {
             );
             *slot = EMPTY;
         }
-        self.count_leaves(first, last, false);
-        self.pages -= num_pages as u64;
         self.hit.set(None);
     }
 
@@ -261,27 +231,28 @@ impl Pagemap {
         Some(span)
     }
 
-    /// Number of registered pages.
+    /// Number of registered pages, counted over the window.
     pub fn len(&self) -> usize {
-        self.pages as usize
+        self.slots.iter().filter(|&&s| s != EMPTY).count()
     }
 
     /// Is the map empty?
     pub fn is_empty(&self) -> bool {
-        self.pages == 0
+        self.slots.iter().all(|&s| s == EMPTY)
     }
 
-    /// Occupancy of every non-empty leaf in ascending `base_page` order —
-    /// the per-leaf counts the sanitizer proves against the span inventory.
+    /// Occupancy of every non-empty leaf in ascending `base_page` order,
+    /// counted from the slots — what the sanitizer proves against the span
+    /// inventory.
     pub fn leaf_occupancy(&self) -> Vec<LeafOccupancy> {
-        self.leaf_used
-            .iter()
-            .enumerate()
-            .filter(|(_, used)| **used > 0)
-            .map(|(i, used)| LeafOccupancy {
-                base_page: self.base_page + ((i as u64) << LEAF_BITS),
-                pages_used: *used as u64,
+        (self.base_page..)
+            .step_by(PAGES_PER_LEAF as usize)
+            .zip(self.slots.chunks(PAGES_PER_LEAF as usize))
+            .map(|(base_page, leaf)| LeafOccupancy {
+                base_page,
+                pages_used: leaf.iter().filter(|&&s| s != EMPTY).count() as u64,
             })
+            .filter(|l| l.pages_used > 0)
             .collect()
     }
 }
@@ -398,7 +369,7 @@ mod tests {
     fn window_grows_downward_across_chunks_keeping_live_entries() {
         // Start high, then walk down four chunks, one span per chunk: each
         // step prepends to the window and must carry every earlier entry
-        // (slots and occupancy counters) along.
+        // along.
         let page_of = |chunk: u64| chunk * PAGES_PER_LEAF + 7;
         let mut pm = Pagemap::new();
         for (i, chunk) in [9u64, 7, 6, 4, 3].into_iter().enumerate() {

@@ -275,10 +275,6 @@ pub struct SpanRegistry {
     spans: Vec<Option<Span>>,
     free_ids: Vec<SpanId>,
     arena: SlabArena,
-    /// Total spans ever created and released, per the Figure 16 telemetry.
-    pub created: u64,
-    /// Total spans returned to the pageheap.
-    pub released: u64,
 }
 
 impl SpanRegistry {
@@ -296,7 +292,6 @@ impl SpanRegistry {
             span.allocated == 0 || (span.size_class.is_none() && span.allocated == span.capacity),
             "inserted spans are freshly carved"
         );
-        self.created += 1;
         let id = if let Some(id) = self.free_ids.pop() {
             // lint:allow(panic-surface) ids on the free list were minted
             // by push below, so they index inside the vec.
@@ -324,7 +319,6 @@ impl SpanRegistry {
     ///
     /// Panics if the id is stale.
     pub fn remove(&mut self, id: SpanId) -> Span {
-        self.released += 1;
         // lint:allow(panic-surface) documented panic: a stale id is
         // registry corruption, caught by the expect either way.
         let span = self.spans[id.index()].take().expect("stale span id");
@@ -622,8 +616,6 @@ mod tests {
         assert_eq!(reg.len(), 1);
         let c = reg.insert(small_span());
         assert_eq!(c, a, "id recycled");
-        assert_eq!(reg.created, 3);
-        assert_eq!(reg.released, 1);
         // Same capacity through the same slot: the arena reused the region
         // in place, no pool growth.
         assert_eq!(

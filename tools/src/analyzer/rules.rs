@@ -148,7 +148,7 @@ const OS_MUTATION_METHODS: &[&str] = &[
     "on_munmap",
     "subrelease",
     "reoccupy",
-    "collapse_huge",
+    "khugepaged",
     "promote",
 ];
 
