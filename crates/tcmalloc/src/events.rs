@@ -567,7 +567,7 @@ impl TraceRing {
     /// A capacity no run reaches: the ring keeps the whole stream. Callers
     /// that need every event (the determinism and conservation tests,
     /// [`interleave::replay`](crate::interleave::replay)'s fingerprint)
-    /// size the ring with it and check [`dropped`](Self::dropped) is 0.
+    /// size the ring with it and read it through [`stream`](Self::stream).
     pub const UNBOUNDED: u32 = u32::MAX;
 
     /// A ring keeping the last `capacity` events.
@@ -597,6 +597,13 @@ impl TraceRing {
     /// Events dropped from the front because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// The whole event stream, oldest first. Panics if the ring dropped
+    /// any event, so a tail is never mistaken for the stream.
+    pub fn stream(&self) -> Vec<AllocEvent> {
+        assert_eq!(self.dropped, 0, "the ring dropped events");
+        self.entries.iter().map(|&(_, ev)| ev).collect()
     }
 
     /// Exports the ring as Chrome trace-event JSON (the "JSON Array
@@ -836,9 +843,7 @@ impl EventBus {
     /// Everything a [`TraceRing::UNBOUNDED`] ring kept: the whole stream.
     #[cfg(test)]
     pub(crate) fn stream(&self) -> Vec<AllocEvent> {
-        let ring = self.trace.as_ref().expect("trace ring configured");
-        assert_eq!(ring.dropped(), 0, "the ring dropped events");
-        ring.entries().map(|&(_, ev)| ev).collect()
+        self.trace.as_ref().expect("trace ring configured").stream()
     }
 
     /// Attaches an additional sink; it observes every subsequent event

@@ -10,9 +10,10 @@
 //! Because the schedule is data, not timing, every replay of the same
 //! `(seed, config, platform)` triple is byte-identical — across processes,
 //! thread counts of the experiment `wsc_parallel::Engine`, and free-arm
-//! A/B comparisons. That is the property the cross-thread tests lean on:
-//! replay twice and compare fingerprints, or replay the same schedule under
-//! different [`FreeArm`](crate::config::FreeArm)s and compare final heaps.
+//! A/B comparisons. `repro contention` tabulates the two
+//! [`FreeArm`](crate::config::FreeArm)s on the same schedules, and the
+//! config-lattice test feeds schedules op by op through its reference
+//! model.
 //!
 //! Two canonical schedule shapes mirror the workloads the paper's fleet
 //! profiles surface:
@@ -26,7 +27,7 @@
 
 use crate::alloc::Tcmalloc;
 use crate::config::TcmallocConfig;
-use crate::events::TraceRing;
+use crate::events::{AllocEvent, TraceRing};
 use crate::stats::CycleCategory;
 use wsc_prng::SmallRng;
 use wsc_sim_hw::topology::{CpuId, Platform};
@@ -59,13 +60,11 @@ pub enum SchedOp {
     Drain,
 }
 
-/// A materialized interleaving: the seed it was derived from plus the
-/// explicit operation list. Equality of schedules implies equality of
-/// replays (given the same config and platform).
+/// A materialized interleaving: the explicit operation list. Equality of
+/// schedules implies equality of replays (given the same config and
+/// platform).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
-    /// The seed the schedule was derived from (for labelling/repro).
-    pub seed: u64,
     /// The operations, in program order.
     pub ops: Vec<SchedOp>,
 }
@@ -111,7 +110,7 @@ impl Schedule {
         }
         out.push(SchedOp::Tick { ns: 100_000_000 });
         out.push(SchedOp::Drain);
-        Self { seed, ops: out }
+        Self { ops: out }
     }
 
     /// Thread churn: every CPU in `0..cpus` both allocates and frees at
@@ -158,45 +157,39 @@ impl Schedule {
         }
         out.push(SchedOp::Tick { ns: 100_000_000 });
         out.push(SchedOp::Drain);
-        Self { seed, ops: out }
+        Self { ops: out }
     }
 }
 
 /// Everything a replay observed, reduced to comparable values.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplayOutcome {
-    /// FNV-1a fingerprint of the complete event stream as
-    /// `(event_count, hash)`. Byte-identical replays agree exactly.
+    /// [`fingerprint`] of the complete event stream. Byte-identical
+    /// replays agree exactly.
     pub fingerprint: (usize, u64),
-    /// Live objects at end of schedule, per the allocator's accounting.
-    pub live_objects: u64,
-    /// Live bytes at end of schedule, per the allocator's accounting.
-    pub live_bytes: u64,
-    /// Sorted multiset of the requested sizes still live (the oracle view
-    /// a free-arm A/B must agree on).
-    pub live_sizes: Vec<u64>,
-    /// Resident bytes at end of schedule.
-    pub resident_bytes: u64,
     /// Remote frees queued through the deferred module.
     pub queued: u64,
     /// Remote frees drained back to their owners.
     pub drained: u64,
-    /// Remote frees still parked (0 after the schedules' final drain).
-    pub in_flight: u64,
     /// Simulated nanoseconds the ledger booked as cross-thread
     /// synchronisation ([`CycleCategory::Contention`]).
     pub contention_ns: f64,
     /// Simulated nanoseconds the ledger booked in total.
     pub total_ns: f64,
-    /// Sanitizer reports accumulated plus a final explicit audit's
-    /// findings (0 on a clean run; always 0 when the sanitizer is off).
-    pub sanitizer_findings: usize,
 }
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a (64-bit) over the `Debug` rendering of every event, as
+/// `(event_count, hash)`: a compact fingerprint for comparing whole event
+/// streams across runs.
+pub fn fingerprint(events: &[AllocEvent]) -> (usize, u64) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in events {
+        for b in format!("{e:?}").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (events.len(), hash)
+}
 
 /// Replays `schedule` against a fresh allocator built from `cfg` on
 /// `platform`, with an unbounded trace ring forced on (the fingerprint
@@ -205,7 +198,6 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Replay is deterministic: the same `(cfg, platform, schedule)` triple
 /// produces the same outcome, fingerprint included, on every call.
 pub fn replay(cfg: TcmallocConfig, platform: Platform, schedule: &Schedule) -> ReplayOutcome {
-    let sanitized = cfg.sanitize.is_on();
     let cpus = platform.num_cpus() as u32;
     let clock = Clock::new();
     let mut tcm = Tcmalloc::new(
@@ -235,36 +227,13 @@ pub fn replay(cfg: TcmallocConfig, platform: Platform, schedule: &Schedule) -> R
             SchedOp::Drain => tcm.drain_deferred(),
         }
     }
-    let mut live_sizes: Vec<u64> = live.iter().map(|&(_, s)| s).collect();
-    live_sizes.sort_unstable();
-    let sanitizer_findings = if sanitized {
-        tcm.audit_now();
-        tcm.take_sanitizer_reports().len()
-    } else {
-        0
-    };
     let ring = tcm.trace().expect("trace ring configured");
-    assert_eq!(ring.dropped(), 0, "the fingerprint covers the whole stream");
-    let mut hash = FNV_OFFSET;
-    let mut count = 0usize;
-    for (_, e) in ring.entries() {
-        for b in format!("{e:?}").bytes() {
-            hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        count += 1;
-    }
     ReplayOutcome {
-        fingerprint: (count, hash),
-        live_objects: tcm.live_objects(),
-        live_bytes: tcm.live_bytes(),
-        live_sizes,
-        resident_bytes: tcm.resident_bytes(),
+        fingerprint: fingerprint(&ring.stream()),
         queued: tcm.deferred().queued_total(),
         drained: tcm.deferred().drained_total(),
-        in_flight: tcm.deferred().in_flight(),
         contention_ns: tcm.cycles().ns(CycleCategory::Contention),
         total_ns: tcm.cycles().total_ns(),
-        sanitizer_findings,
     }
 }
 
@@ -314,8 +283,7 @@ mod tests {
         let cfg = TcmallocConfig::optimized().with_free_arm(FreeArm::AtomicList);
         let out = replay(cfg, platform(), &sched);
         assert!(out.queued > 0, "pipeline frees must go remote");
-        assert_eq!(out.in_flight, 0, "final drain must adopt everything");
-        assert_eq!(out.queued, out.drained);
+        assert_eq!(out.queued, out.drained, "final drain must adopt everything");
     }
 
     #[test]

@@ -182,41 +182,3 @@ fn long_idle_period_then_burst() {
     }
     assert_eq!(tcm.live_bytes(), 0);
 }
-
-#[test]
-fn every_config_combination_is_stable() {
-    // All 16 on/off combinations of the four designs survive a mixed burst.
-    for bits in 0u32..16 {
-        let mut cfg = TcmallocConfig::baseline();
-        if bits & 1 != 0 {
-            cfg = cfg.with_heterogeneous_percpu();
-        }
-        if bits & 2 != 0 {
-            cfg = cfg.with_nuca_transfer();
-        }
-        if bits & 4 != 0 {
-            cfg = cfg.with_span_prioritization();
-        }
-        if bits & 8 != 0 {
-            cfg = cfg.with_lifetime_filler();
-        }
-        let (mut tcm, clock) = alloc(cfg);
-        let mut live = Vec::new();
-        for i in 0..3_000u64 {
-            let size = 8 << (i % 12);
-            live.push((tcm.malloc(size, CpuId((i % 16) as u32)).addr, size));
-            if i % 3 == 0 {
-                let (addr, sz) = live.swap_remove(((i * 7) as usize) % live.len());
-                tcm.free(addr, sz, CpuId(((i + 1) % 16) as u32));
-            }
-            if i % 256 == 0 {
-                clock.advance(NS_PER_SEC / 10);
-                tcm.maintain();
-            }
-        }
-        for (addr, sz) in live {
-            tcm.free(addr, sz, CpuId(0));
-        }
-        assert_eq!(tcm.live_bytes(), 0, "config bits {bits:#b}");
-    }
-}

@@ -202,7 +202,9 @@ fn pageheap_release_is_safe_at_any_point() {
 ///   ± 1 byte;
 /// * **downward window growth** — odd cases map near the top of the
 ///   roamed extent first, so the map must re-anchor its window below
-///   the first mapping.
+///   the first mapping;
+/// * **the base address** — every case runs at the heap's base and again
+///   at address zero, the bottom of the address space.
 #[test]
 fn pagemap_agrees_with_btreemap_oracle() {
     use std::collections::BTreeMap;
@@ -214,30 +216,29 @@ fn pagemap_agrees_with_btreemap_oracle() {
     /// Page extent the cases roam over: 8 leaves.
     const WINDOW_PAGES: u64 = 8 * PAGES_PER_LEAF;
 
-    let addr_of = |page: u64| HEAP_BASE + page * TCMALLOC_PAGE_BYTES;
-
-    /// The reference: one entry per registered page, and registered pages
-    /// per leaf keyed by the leaf's first absolute page number.
-    #[derive(Default)]
+    /// The reference: one entry per registered page (numbered from the
+    /// case's base address), and registered pages per leaf keyed by the
+    /// leaf's first absolute page number.
     struct Oracle {
+        base: u64,
         pages: BTreeMap<u64, SpanId>,
         leaves: BTreeMap<u64, u64>,
     }
     impl Oracle {
-        fn leaf_of(page: u64) -> u64 {
-            let abs = tcmalloc_page_index(HEAP_BASE) + page;
+        fn leaf_of(&self, page: u64) -> u64 {
+            let abs = tcmalloc_page_index(self.base) + page;
             abs - abs % PAGES_PER_LEAF
         }
         fn set(&mut self, page: u64, len: u32, id: SpanId) {
             for p in page..page + len as u64 {
                 assert!(self.pages.insert(p, id).is_none());
-                *self.leaves.entry(Self::leaf_of(p)).or_insert(0) += 1;
+                *self.leaves.entry(self.leaf_of(p)).or_insert(0) += 1;
             }
         }
         fn clear(&mut self, page: u64, len: u32) {
             for p in page..page + len as u64 {
                 assert!(self.pages.remove(&p).is_some());
-                let leaf = Self::leaf_of(p);
+                let leaf = self.leaf_of(p);
                 let used = self.leaves.get_mut(&leaf).expect("counted leaf");
                 *used -= 1;
                 if *used == 0 {
@@ -256,10 +257,15 @@ fn pagemap_agrees_with_btreemap_oracle() {
         }
     }
 
-    for case in 0..64u64 {
+    for (case, base) in (0..64u64).flat_map(|case| [(case, HEAP_BASE), (case, 0)]) {
         let mut rng = SmallRng::seed_from_u64(0x9A6E + case);
         let mut pm = Pagemap::new();
-        let mut oracle = Oracle::default();
+        let mut oracle = Oracle {
+            base,
+            pages: BTreeMap::new(),
+            leaves: BTreeMap::new(),
+        };
+        let addr_of = |page: u64| base + page * TCMALLOC_PAGE_BYTES;
         let mut live: Vec<(u64, u32, SpanId)> = Vec::new();
         let mut next_id = 0u32;
         let mut map = |pm: &mut Pagemap, oracle: &mut Oracle, page: u64, len: u32| {
@@ -328,8 +334,8 @@ fn pagemap_agrees_with_btreemap_oracle() {
                 }
                 _ => {
                     // Random interior-pointer lookup.
-                    let a = HEAP_BASE + rng.gen_range(0..WINDOW_PAGES * TCMALLOC_PAGE_BYTES);
-                    let page = (a - HEAP_BASE) / TCMALLOC_PAGE_BYTES;
+                    let a = base + rng.gen_range(0..WINDOW_PAGES * TCMALLOC_PAGE_BYTES);
+                    let page = (a - base) / TCMALLOC_PAGE_BYTES;
                     let want = oracle.pages.get(&page).copied();
                     assert_eq!(pm.span_of(a), want, "map vs oracle at {a:#x}");
                 }
@@ -350,14 +356,14 @@ fn pagemap_agrees_with_btreemap_oracle() {
             probes.push(addr_of(page) + len as u64 * TCMALLOC_PAGE_BYTES - 1);
         }
         for a in probes {
-            let page = (a - HEAP_BASE) / TCMALLOC_PAGE_BYTES;
+            let page = (a - base) / TCMALLOC_PAGE_BYTES;
             let want = oracle.pages.get(&page).copied();
             assert_eq!(pm.span_of(a), want, "map vs oracle at probe {a:#x}");
         }
         // The incremental tally itself, recounted from the page entries.
         let mut recount: BTreeMap<u64, u64> = BTreeMap::new();
         for &p in oracle.pages.keys() {
-            *recount.entry(Oracle::leaf_of(p)).or_insert(0) += 1;
+            *recount.entry(oracle.leaf_of(p)).or_insert(0) += 1;
         }
         assert_eq!(recount, oracle.leaves);
     }

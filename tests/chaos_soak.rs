@@ -22,13 +22,6 @@ use warehouse_alloc::tcmalloc::{AllocEvent, SanitizeLevel, Tcmalloc, TcmallocCon
 use warehouse_alloc::workload::driver::{run, DriverConfig};
 use warehouse_alloc::workload::profiles;
 
-/// The whole event stream of an allocator built with an unbounded ring.
-fn stream(tcm: &Tcmalloc) -> Vec<AllocEvent> {
-    let ring = tcm.trace().expect("trace ring configured");
-    assert_eq!(ring.dropped(), 0, "the ring dropped events");
-    ring.entries().map(|&(_, ev)| ev).collect()
-}
-
 fn platform() -> Platform {
     Platform::chiplet("t", 1, 2, 4, 2)
 }
@@ -231,7 +224,9 @@ fn deferred_frees_ride_out_fault_storms() {
         assert!(!tcm.os_degraded(), "{storm}: still degraded");
         if degraded_seen {
             assert!(
-                stream(&tcm)
+                tcm.trace()
+                    .expect("trace ring")
+                    .stream()
                     .iter()
                     .any(|e| matches!(e, AllocEvent::Recovered { .. })),
                 "{storm}: degradation never recovered"
@@ -342,11 +337,17 @@ fn faults_off_run_is_byte_identical_to_a_plan_free_run() {
         base.with_os_faults(FaultPlan::off().with_seed(77)),
         &dcfg,
     );
-    let plain: Vec<String> = stream(&tcm_plain)
+    let plain: Vec<String> = tcm_plain
+        .trace()
+        .expect("trace ring")
+        .stream()
         .iter()
         .map(|e| format!("{e:?}"))
         .collect();
-    let zeroed: Vec<String> = stream(&tcm_zeroed)
+    let zeroed: Vec<String> = tcm_zeroed
+        .trace()
+        .expect("trace ring")
+        .stream()
         .iter()
         .map(|e| format!("{e:?}"))
         .collect();

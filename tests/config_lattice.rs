@@ -22,19 +22,28 @@
 //! * **Op mix** — zero-size, small, mid and large mallocs on random CPUs;
 //!   frees mostly from a CPU in another LLC domain or node than the one
 //!   that allocated, so the deferred arm really runs; ticks of up to 255 ms,
-//!   so they cross the plunder, release, decay and resize intervals.
+//!   so they cross the plunder, release, decay and resize intervals. One
+//!   seed per cell, and twelve more on each of the two cells equal to the
+//!   shipped `baseline()` and `optimized()` configs.
+//! * **Schedules** — [`Schedule::producer_consumer`] and
+//!   [`Schedule::thread_churn`] at four seeds each, on the two shipped
+//!   cells: frees from the CPU the schedule names, ticks in nanoseconds,
+//!   and `Drain`, the full-barrier drain of every deferred remote free.
 //!
 //! After every op: every copy returned the same `try_*` result (address or
 //! error, path and `ns` bits) and books the same ledger; the shadow's live
 //! set equals this harness's own `addr → size` model, which every copy's
 //! `live_objects` / `live_bytes` agree with; nothing reported. After every
-//! tick that crosses the plunder interval nothing is left in flight; every
-//! 64th op the `Full` copy audits clean. At the end of a cell: the `Full`
-//! copy audits clean, teardown leaves `resident == total` in the
-//! fragmentation identity, the ledger is the reported nanoseconds plus
-//! contention, the ring dropped nothing and its stream replays to the same
-//! ledger and profile, and the late sink saw what the ring saw. In
-//! fault-free cells both arms end with the same live set.
+//! `Drain` and every tick that crosses the plunder interval nothing is left
+//! in flight; every 64th op the `Full` copy audits clean. At the end of a
+//! run: the `Full` copy audits clean, teardown leaves `resident == total`
+//! in the fragmentation identity, the ledger is the reported nanoseconds
+//! plus contention, the ring dropped nothing and its stream replays to the
+//! same ledger and profile, and the late sink saw what the ring saw. Under
+//! the atomic list the stream's `RemoteFreeQueued` events, and the objects
+//! its `RemoteFreeDrained` events count, equal the deferred module's queued
+//! and drained totals. In fault-free cells both arms end with the same live
+//! set.
 //!
 //! Held fixed, with the reason:
 //! * `percpu_max_bytes` moves with `dynamic_percpu`, as
@@ -57,6 +66,7 @@ use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::faults::FaultPlan;
 use wsc_tcmalloc::events::EventSink;
+use wsc_tcmalloc::interleave::{SchedOp, Schedule};
 use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::stats::StatsView;
 use wsc_tcmalloc::transfer::TransferSharding;
@@ -64,7 +74,7 @@ use wsc_tcmalloc::{
     AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing,
 };
 
-/// Operations per cell, before the teardown frees what is still live.
+/// Operations per run, before the teardown frees what is still live.
 const OPS: usize = 1000;
 /// The `Full` copy's extra audit cadence, in operations.
 const AUDIT_EVERY: usize = 64;
@@ -128,6 +138,30 @@ impl Cell {
     }
 }
 
+/// The cells equal to `TcmallocConfig::baseline()` and `optimized()`, up to
+/// the sample period.
+fn shipped_cells() -> [Cell; 2] {
+    let cells = [false, true].map(|on| Cell {
+        dynamic_percpu: on,
+        sharding: if on {
+            TransferSharding::Domain
+        } else {
+            TransferSharding::Central
+        },
+        cfl_lists: if on { 8 } else { 1 },
+        lifetime_filler: on,
+        faults: Faults::None,
+    });
+    for (cell, mut shipped) in cells
+        .into_iter()
+        .zip([TcmallocConfig::baseline(), TcmallocConfig::optimized()])
+    {
+        shipped.sample_period_bytes = 64 << 10;
+        assert_eq!(cell.config(FreeArm::OwnerOnly), shipped, "{cell:?}");
+    }
+    cells
+}
+
 /// The 24 cells of one fault column.
 fn cells(faults: Faults) -> Vec<Cell> {
     let mut out = Vec::new();
@@ -159,15 +193,43 @@ enum Op {
         size: u64,
         cpu: u32,
     },
-    /// Free the `k % live`-th live object; `site` picks the freeing CPU
-    /// relative to the allocating one.
+    /// Free the `k % live`-th live object from the CPU `site` picks.
     Free {
         k: u32,
-        site: u32,
+        site: Site,
     },
     Tick {
-        ms: u64,
+        ns: u64,
     },
+    /// Drain every deferred remote free.
+    Drain,
+}
+
+/// The CPU that frees an object.
+#[derive(Clone, Copy, Debug)]
+enum Site {
+    /// Relative to the allocating CPU: 0 and 1 another LLC domain, 2
+    /// another node, 3 the allocating CPU itself.
+    Near(u32),
+    /// The CPU a schedule names.
+    Cpu(u32),
+}
+
+impl From<&SchedOp> for Op {
+    fn from(op: &SchedOp) -> Self {
+        match *op {
+            SchedOp::Malloc { cpu, size } => Op::Malloc {
+                size,
+                cpu: cpu % CPUS,
+            },
+            SchedOp::Free { slot, cpu } => Op::Free {
+                k: slot,
+                site: Site::Cpu(cpu % CPUS),
+            },
+            SchedOp::Tick { ns } => Op::Tick { ns },
+            SchedOp::Drain => Op::Drain,
+        }
+    }
 }
 
 /// 4 malloc (zero-size, small, mid and large sizes), 3 free, 1 tick.
@@ -187,21 +249,27 @@ fn sample_op(rng: &mut SmallRng) -> Op {
         }
         4..=6 => Op::Free {
             k: rng.gen::<u32>(),
-            site: rng.gen_range(0u32..4),
+            site: Site::Near(rng.gen_range(0u32..4)),
         },
         _ => Op::Tick {
-            ms: rng.gen_range(0u64..256),
+            ns: rng.gen_range(0u64..256) * 1_000_000,
         },
     }
 }
 
-/// The freeing CPU: mostly another LLC domain, sometimes another node,
-/// sometimes the allocating CPU itself.
-fn free_cpu(alloc_cpu: u32, site: u32) -> CpuId {
+/// `OPS` operations of the op mix, drawn from `seed`.
+fn sampled_ops(seed: u64) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..OPS).map(|_| sample_op(&mut rng)).collect()
+}
+
+/// The freeing CPU of an object allocated on `alloc_cpu`.
+fn free_cpu(alloc_cpu: u32, site: Site) -> CpuId {
     CpuId(match site {
-        0 | 1 => alloc_cpu ^ 4,
-        2 => alloc_cpu ^ 8,
-        _ => alloc_cpu,
+        Site::Near(0 | 1) => alloc_cpu ^ 4,
+        Site::Near(2) => alloc_cpu ^ 8,
+        Site::Near(_) => alloc_cpu,
+        Site::Cpu(cpu) => cpu,
     })
 }
 
@@ -338,7 +406,7 @@ impl Lockstep {
         }
     }
 
-    fn free(&mut self, k: usize, site: u32, ctx: &str) {
+    fn free(&mut self, k: usize, site: Site, ctx: &str) {
         let addr = self.order.swap_remove(k);
         let live = self
             .model
@@ -363,29 +431,38 @@ impl Lockstep {
         self.reported_ns += f64::from_bits(ns);
     }
 
-    fn tick(&mut self, ms: u64, ctx: &str) {
+    fn tick(&mut self, ns: u64, ctx: &str) {
         for (t, clock) in &mut self.copies {
-            clock.advance(ms * 1_000_000);
+            clock.advance(ns);
             t.maintain();
         }
         let now = self.copies[QUIET].1.now_ns();
         if now >= self.next_plunder_ns {
             self.next_plunder_ns = now + PLUNDER_INTERVAL_NS;
-            for (k, (t, _)) in self.copies.iter().enumerate() {
-                assert_eq!(
-                    t.deferred().in_flight(),
-                    0,
-                    "{ctx}: copy {k} kept remote frees parked across a plunder"
-                );
-            }
+            self.assert_drained(&format!("{ctx}: across a plunder"));
         }
     }
 
-    /// Everything the ring copy saw, after checking it dropped nothing.
+    fn drain(&mut self, ctx: &str) {
+        for (t, _) in &mut self.copies {
+            t.drain_deferred();
+        }
+        self.assert_drained(&format!("{ctx}: after a drain"));
+    }
+
+    fn assert_drained(&self, ctx: &str) {
+        for (k, (t, _)) in self.copies.iter().enumerate() {
+            assert_eq!(
+                t.deferred().in_flight(),
+                0,
+                "{ctx}: copy {k} kept remote frees parked"
+            );
+        }
+    }
+
+    /// Everything the ring copy saw.
     fn stream(&self) -> Vec<AllocEvent> {
-        let ring = self.copies[RING].0.trace().expect("trace ring configured");
-        assert_eq!(ring.dropped(), 0, "the ring dropped events");
-        ring.entries().map(|&(_, ev)| ev).collect()
+        self.copies[RING].0.trace().expect("trace ring").stream()
     }
 
     /// The per-op checks.
@@ -428,26 +505,27 @@ impl Lockstep {
 /// requested sizes.
 type EndState = (u64, u64, Vec<u64>);
 
-/// Runs one cell under one arm; adds the event kinds it saw to `seen`.
-fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static str>) -> EndState {
+/// Runs `ops` on one cell under one arm; adds the event kinds it saw to
+/// `seen`.
+fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static str>) -> EndState {
     let label = format!("{cell:?}/{}", arm.name());
     let mut ls = Lockstep::new(cell.config(arm));
     let late = Arc::new(Mutex::new(Vec::new()));
     let mut seen_at_attach = 0;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for i in 0..OPS {
-        if i == OPS / 2 {
+    for (i, &op) in ops.iter().enumerate() {
+        if i == ops.len() / 2 {
             ls.copies[QUIET]
                 .0
                 .attach_sink(Box::new(Shared(late.clone())));
             seen_at_attach = ls.stream().len();
         }
         let ctx = format!("{label} op {i}");
-        match sample_op(&mut rng) {
+        match op {
             Op::Malloc { size, cpu } => ls.malloc(size, cpu, &ctx),
             Op::Free { .. } if ls.order.is_empty() => {}
             Op::Free { k, site } => ls.free(k as usize % ls.order.len(), site, &ctx),
-            Op::Tick { ms } => ls.tick(ms, &ctx),
+            Op::Tick { ns } => ls.tick(ns, &ctx),
+            Op::Drain => ls.drain(&ctx),
         }
         ls.check(&ctx);
         if i % AUDIT_EVERY == AUDIT_EVERY - 1 {
@@ -474,7 +552,7 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
     // Teardown, through the same lockstep checks, from another domain.
     while !ls.order.is_empty() {
         let ctx = format!("{label} teardown of {}", ls.order.len());
-        ls.free(ls.order.len() - 1, 0, &ctx);
+        ls.free(ls.order.len() - 1, Site::Near(0), &ctx);
         ls.check(&ctx);
     }
     for (k, (t, _)) in ls.copies.iter().enumerate() {
@@ -504,6 +582,25 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
         for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
             assert!(kinds.contains(kind), "{label}: the stream never saw {kind}");
         }
+        // Every remote free is one queued event, and every adopted object
+        // is counted by one drained event.
+        let queued = stream
+            .iter()
+            .filter(|e| matches!(e, AllocEvent::RemoteFreeQueued { .. }))
+            .count() as u64;
+        let drained: u64 = stream
+            .iter()
+            .map(|e| match *e {
+                AllocEvent::RemoteFreeDrained { count, .. } => u64::from(count),
+                _ => 0,
+            })
+            .sum();
+        let d = ls.copies[RING].0.deferred();
+        assert_eq!(
+            (queued, drained),
+            (d.queued_total(), d.drained_total()),
+            "{label}: remote-free events vs the deferred counters"
+        );
     }
     seen.extend(kinds);
 
@@ -544,21 +641,28 @@ fn run_cell(cell: Cell, arm: FreeArm, seed: u64, seen: &mut BTreeSet<&'static st
     end
 }
 
+/// Runs `ops` on `cell` under both arms. The arm changes when objects
+/// flow back to the middle tiers, never which objects are live.
+fn run_both_arms(cell: Cell, ops: &[Op], seen: &mut BTreeSet<&'static str>) {
+    let owner = run_cell(cell, FreeArm::OwnerOnly, ops, seen);
+    let atomic = run_cell(cell, FreeArm::AtomicList, ops, seen);
+    if cell.faults == Faults::None {
+        assert_eq!(owner, atomic, "{cell:?}: the arms' live sets diverged");
+    }
+}
+
 /// Runs one fault column: every cell under both arms.
 fn run_column(faults: Faults, seed: u64) {
     let mut seen = BTreeSet::new();
     for (n, cell) in cells(faults).into_iter().enumerate() {
-        let seed = seed + n as u64;
-        let owner = run_cell(cell, FreeArm::OwnerOnly, seed, &mut seen);
-        let atomic = run_cell(cell, FreeArm::AtomicList, seed, &mut seen);
-        if faults == Faults::None {
-            // The arm changes when objects flow back to the middle tiers,
-            // never which objects are live.
-            assert_eq!(owner, atomic, "{cell:?}: the arms' live sets diverged");
-        }
+        run_both_arms(cell, &sampled_ops(seed + n as u64), &mut seen);
     }
-    // The column was not vacuous: the fast path, sampling and every
-    // background pass ran somewhere in it.
+    assert_not_vacuous(&seen, &format!("{faults:?}"));
+}
+
+/// The fast path, sampling and every background pass ran somewhere in a
+/// test's runs.
+fn assert_not_vacuous(seen: &BTreeSet<&'static str>, what: &str) {
     for kind in [
         "PerCpuHit",
         "PerCpuMiss",
@@ -571,7 +675,7 @@ fn run_column(faults: Faults, seed: u64) {
         "HugepageBreak",
         "SpanRetire",
     ] {
-        assert!(seen.contains(kind), "{faults:?}: no cell saw {kind}");
+        assert!(seen.contains(kind), "{what}: no run saw {kind}");
     }
 }
 
@@ -588,4 +692,31 @@ fn storm_cells_agree_with_the_reference_model() {
 #[test]
 fn hard_limit_cells_agree_with_the_reference_model() {
     run_column(Faults::HardLimit, 0x1A77_2000);
+}
+
+#[test]
+fn shipped_configs_agree_with_the_reference_model_at_twelve_seeds() {
+    let mut seen = BTreeSet::new();
+    for cell in shipped_cells() {
+        for seed in 0..12 {
+            run_both_arms(cell, &sampled_ops(0x1A77_3000 + seed), &mut seen);
+        }
+    }
+    assert_not_vacuous(&seen, "shipped configs");
+}
+
+#[test]
+fn interleaving_schedules_agree_with_the_reference_model() {
+    let mut seen = BTreeSet::new();
+    for seed in 0..4 {
+        for sched in [
+            Schedule::producer_consumer(0x1A77_4000 + seed, &[0, 1, 2], &[4, 8, 12], OPS),
+            Schedule::thread_churn(0x1A77_5000 + seed, CPUS, OPS),
+        ] {
+            let ops: Vec<Op> = sched.ops.iter().map(Op::from).collect();
+            for cell in shipped_cells() {
+                run_both_arms(cell, &ops, &mut seen);
+            }
+        }
+    }
 }

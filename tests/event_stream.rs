@@ -24,6 +24,7 @@ use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
 use wsc_sim_os::pagetable::PageTable;
 use wsc_tcmalloc::events::EvictReason;
+use wsc_tcmalloc::interleave::fingerprint;
 use wsc_tcmalloc::{AllocEvent, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
 use wsc_workload::driver::{run, run_batch, DriverConfig, RunJob};
 use wsc_workload::profiles;
@@ -32,26 +33,6 @@ fn platform() -> Platform {
     // Two LLC domains: CpuId(0) and CpuId(8) live in different domains, so
     // the NUCA transfer shards and the plunder pass are exercised.
     Platform::chiplet("t", 1, 2, 4, 2)
-}
-
-/// The whole event stream of an allocator built with an unbounded ring.
-fn stream(tcm: &Tcmalloc) -> Vec<AllocEvent> {
-    let ring = tcm.trace().expect("trace ring configured");
-    assert_eq!(ring.dropped(), 0, "the ring dropped events");
-    ring.entries().map(|&(_, ev)| ev).collect()
-}
-
-/// FNV-1a over the debug rendering of every event: a compact fingerprint
-/// for comparing whole event logs across runs.
-fn fingerprint(events: &[AllocEvent]) -> (usize, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in events {
-        for b in format!("{e:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    (events.len(), h)
 }
 
 #[test]
@@ -152,7 +133,13 @@ fn directed_workload_emits_every_event_kind() {
     ftcm.maintain(); // post-storm: re-promotion + soft-limit enforcement
     assert!(!ftcm.os_degraded(), "khugepaged pass re-promoted");
     ftcm.free(big.addr, 4 << 20, CpuId(0));
-    let fault_seen: BTreeSet<&str> = stream(&ftcm).iter().map(AllocEvent::kind).collect();
+    let fault_seen: BTreeSet<&str> = ftcm
+        .trace()
+        .expect("trace ring")
+        .stream()
+        .iter()
+        .map(AllocEvent::kind)
+        .collect();
     for kind in [
         "OsFault",
         "BackingDenied",
@@ -181,7 +168,13 @@ fn directed_workload_emits_every_event_kind() {
         rtcm.free(a.addr, 256, CpuId(8));
     }
     rtcm.drain_deferred();
-    let remote_seen: BTreeSet<&str> = stream(&rtcm).iter().map(AllocEvent::kind).collect();
+    let remote_seen: BTreeSet<&str> = rtcm
+        .trace()
+        .expect("trace ring")
+        .stream()
+        .iter()
+        .map(AllocEvent::kind)
+        .collect();
     for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
         assert!(
             remote_seen.contains(kind),
@@ -189,7 +182,7 @@ fn directed_workload_emits_every_event_kind() {
         );
     }
 
-    let events = stream(&tcm);
+    let events = tcm.trace().expect("trace ring").stream();
     let seen: BTreeSet<&str> = events.iter().map(AllocEvent::kind).collect();
     let missing: Vec<&str> = AllocEvent::KINDS
         .iter()
@@ -246,7 +239,7 @@ fn event_log_is_identical_across_thread_counts() {
         .iter()
         .map(|&threads| {
             run_batch(&Engine::new(threads), jobs(), |_, tcm| {
-                fingerprint(&stream(tcm))
+                fingerprint(&tcm.trace().expect("trace ring").stream())
             })
             .expect("no job panics")
         })
@@ -270,7 +263,7 @@ fn replaying_the_stream_reconstructs_the_heap() {
     let mut pt = PageTable::new();
     let mut live_bytes: i128 = 0;
     let mut live_objects: i64 = 0;
-    for e in stream(&tcm) {
+    for e in tcm.trace().expect("trace ring").stream() {
         match e {
             AllocEvent::HugepageFill {
                 base,

@@ -9,6 +9,7 @@ use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::sim_os::faults::FaultPlan;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
 use warehouse_alloc::workload::profiles;
+use wsc_prng::SmallRng;
 
 fn quick_cfg(seed: u64) -> FleetExperimentConfig {
     FleetExperimentConfig {
@@ -22,22 +23,40 @@ fn quick_cfg(seed: u64) -> FleetExperimentConfig {
 
 #[test]
 fn fleet_ab_identical_at_threads_1_2_8() {
-    let cfg = quick_cfg(11);
-    let reports: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&threads| {
-            let r = try_run_fleet_ab(
-                &Engine::new(threads),
-                TcmallocConfig::baseline(),
-                TcmallocConfig::optimized(),
-                &cfg,
-            )
-            .expect("no cell panics");
+    // The quick spec at 2 and 8 workers, then small seeded specs, each with
+    // the arms in a random order, at a random 2..=8 workers.
+    let mut runs = vec![(
+        quick_cfg(11),
+        [TcmallocConfig::baseline(), TcmallocConfig::optimized()],
+        vec![2, 8],
+    )];
+    for case in 0..6u64 {
+        let mut rng = SmallRng::seed_from_u64(0xA117 + case);
+        let cfg = FleetExperimentConfig {
+            machines: rng.gen_range(1usize..4),
+            binaries_per_machine: rng.gen_range(1usize..3),
+            requests_per_binary: rng.gen_range(200u64..900),
+            seed: rng.gen::<u64>(),
+            population: rng.gen_range(10usize..50),
+        };
+        let threads = rng.gen_range(2usize..9);
+        let mut arms = [TcmallocConfig::baseline(), TcmallocConfig::optimized()];
+        if rng.gen::<f64>() >= 0.5 {
+            arms.reverse();
+        }
+        runs.push((cfg, arms, vec![threads]));
+    }
+    for (cfg, [control, experiment], threads) in runs {
+        let report = |threads: usize| {
+            let r = try_run_fleet_ab(&Engine::new(threads), control, experiment, &cfg)
+                .expect("no cell panics");
             format!("{r:?}")
-        })
-        .collect();
-    assert_eq!(reports[0], reports[1], "threads=1 vs threads=2");
-    assert_eq!(reports[0], reports[2], "threads=1 vs threads=8");
+        };
+        let serial = report(1);
+        for t in threads {
+            assert_eq!(serial, report(t), "{cfg:?}: threads=1 vs threads={t}");
+        }
+    }
 }
 
 #[test]
