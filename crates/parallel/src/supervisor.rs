@@ -146,8 +146,8 @@ impl SupervisorConfig {
     }
 }
 
-/// One recovered span: the child's validated payload plus where it sits in
-/// the canonical leaf order.
+/// One recovered span: the child's validated payload plus the machine-index
+/// span it folds, which orders it ([`leaf_group`] gives its leaves).
 #[derive(Clone, Debug)]
 pub struct ShardBlock {
     /// The role that produced the payload (denominator may exceed the
@@ -155,10 +155,6 @@ pub struct ShardBlock {
     pub role: ShardRole,
     /// The machine-index span the payload folds.
     pub span: FoldSpan,
-    /// First leaf (inclusive) of the span in the global fold tree.
-    pub leaf_lo: usize,
-    /// End leaf (exclusive) of the span in the global fold tree.
-    pub leaf_hi: usize,
     /// The decoded, CRC-verified payload bytes.
     pub payload: Vec<u8>,
     /// Attempts this span's final role consumed (1 = first try).
@@ -172,10 +168,6 @@ pub struct SpanFailure {
     pub role: ShardRole,
     /// The machine-index span that was lost.
     pub span: FoldSpan,
-    /// First leaf (inclusive) of the lost span.
-    pub leaf_lo: usize,
-    /// End leaf (exclusive) of the lost span.
-    pub leaf_hi: usize,
     /// Attempts consumed before giving up on this role.
     pub attempts: u32,
     /// The final attempt's error, child stderr tail attached.
@@ -655,15 +647,12 @@ pub fn run_supervised(
             };
 
             let (role, attempts) = (job.role, job.attempts);
-            let (leaf_lo, leaf_hi) = leaf_group(total, role);
             let (msg, stderr_tail) = match verdict {
                 Ok(payload) => {
                     stats.ok += 1;
                     fold.blocks.push(ShardBlock {
                         role,
                         span: span_of(total, role),
-                        leaf_lo,
-                        leaf_hi,
                         payload,
                         attempts,
                     });
@@ -684,6 +673,7 @@ pub fn run_supervised(
             // diagnosable from the parent's stderr, not silently absorbed.
             eprintln!("wsc-shard-supervisor: shard {role} attempt {attempts}/{budget}: {error}");
             let [left, right] = role.halves();
+            let (leaf_lo, leaf_hi) = leaf_group(total, role);
             let mid = leaf_group(total, left).1;
             if attempts < budget {
                 let delay = cfg.backoff_after(attempts);
@@ -712,8 +702,6 @@ pub fn run_supervised(
                 fold.failures.push(SpanFailure {
                     role,
                     span: span_of(total, role),
-                    leaf_lo,
-                    leaf_hi,
                     attempts,
                     error,
                 });
@@ -726,13 +714,15 @@ pub fn run_supervised(
         std::thread::sleep(POLL);
     }
 
-    // Canonical result order is leaf position. Only empty spans (more
-    // shards than leaves) can tie on it; they never split, so they share
-    // the original denominator and the shard index orders them.
+    // Canonical result order is span position, which is leaf position: an
+    // index span is its leaf group mapped through the monotone leaf bounds.
+    // Only empty spans (more shards than leaves) can tie on it; they never
+    // split, so they share the original denominator and the shard index
+    // orders them.
     fold.blocks
-        .sort_by_key(|b| (b.leaf_lo, b.leaf_hi, b.role.shard));
+        .sort_by_key(|b| (b.span.lo, b.span.hi, b.role.shard));
     fold.failures
-        .sort_by_key(|f| (f.leaf_lo, f.leaf_hi, f.role.shard));
+        .sort_by_key(|f| (f.span.lo, f.span.hi, f.role.shard));
     fold
 }
 
@@ -812,7 +802,7 @@ mod tests {
         assert_eq!(merged(&fold), serial_bytes(100));
         assert_eq!(fold.stats.ok, 3);
         assert_eq!(fold.stats.spawned, 3);
-        assert!(fold.blocks.windows(2).all(|w| w[0].leaf_lo <= w[1].leaf_lo));
+        assert!(fold.blocks.windows(2).all(|w| w[0].span.hi <= w[1].span.lo));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,26 +2,35 @@
 //!
 //! The allocator hands the audit a [`Snapshot`] — a flat, allocator-neutral
 //! dump of every tier's counts — and the audit proves the conservation laws
-//! that make the simulation's figures trustworthy:
+//! that make the simulation's figures trustworthy. Every comparison sets two
+//! independently kept quantities against each other; none restates how a
+//! snapshot field is computed.
 //!
 //! 1. **Object conservation, per class.** Every object a span has handed
 //!    out is either live in the application (shadow), cached per-CPU,
 //!    cached in the transfer tier, or parked on a deferred cross-thread
 //!    free list awaiting its owner:
 //!    `Σ span.allocated = shadow_live + percpu + transfer + deferred`.
-//!    And every slot a span carves exists exactly once:
-//!    `Σ span.capacity = Σ span.allocated + central_free`.
-//! 2. **Span placement.** A span with `A` live allocations must sit on
+//!    The central free list's running counter equals the free objects on
+//!    its spans, and every large span holds one live large object.
+//! 2. **Span inventory.** The shadow, which learns spans only from the
+//!    event stream, mirrors exactly the allocator's live spans, as
+//!    `(start, pages, class)` sets. Since the shadow records an object only
+//!    on an announced span of the object's class, and reports every object
+//!    a forgotten span drops, this also places every live object in a live
+//!    span of its class.
+//! 3. **Span placement.** A span with `A` live allocations must sit on
 //!    occupancy list `max(0, L-1-⌊log2 A⌋)` (§4.3); a `Full` span has no
 //!    free objects; a `Large` span is a single allocated object.
-//! 3. **Pagemap extent.** The pagemap holds exactly one entry per page of
-//!    every live span.
-//! 4. **Byte conservation.** `resident = live + fragmentation` — the
+//! 4. **Pagemap extent.** The pagemap holds exactly one entry per page of
+//!    every live span, in total and leaf by leaf.
+//! 5. **Byte conservation.** `resident = live + fragmentation` — the
 //!    identity behind Figures 5b/6b.
-//! 5. **Hugepage backing.** For every filler-tracked hugepage,
-//!    `used + free = 256`, released pages are a subset of the free ones,
-//!    and no page is simultaneously used and released.
-//! 6. **Metadata arena occupancy.** The span registry's slab pools must be
+//! 6. **Hugepage backing.** For every filler-tracked hugepage, the used
+//!    mask agrees with the used counter (`mask + (256 − counter) = 256`),
+//!    released pages are a subset of the free ones, and no page is
+//!    simultaneously used and released.
+//! 7. **Metadata arena occupancy.** The span registry's slab pools must be
 //!    tiled exactly by the carved regions (`pool = reserved + retired`, for
 //!    both the free-stack entry pool and the bitmap word pool), every live
 //!    span must occupy exactly one arena slot, and the reserved regions
@@ -29,6 +38,7 @@
 
 use crate::report::{ErrorKind, SanitizerReport, Tier};
 use crate::shadow::ShadowState;
+use std::collections::BTreeSet;
 
 /// Where a snapshotted span currently lives (mirror of the allocator's
 /// span state, minus bookkeeping positions).
@@ -89,9 +99,9 @@ pub struct ClassTierSnapshot {
 pub struct HugepageSnapshot {
     /// Hugepage base address.
     pub base: u64,
-    /// Pages in live span allocations.
+    /// Pages set in the hugepage's used mask.
     pub used_pages: u32,
-    /// Pages free within the hugepage.
+    /// Pages free by the hugepage's used counter (256 − counter).
     pub free_pages: u32,
     /// Of the free pages, how many are subreleased to the OS.
     pub released_pages: u32,
@@ -186,7 +196,7 @@ pub fn audit(snap: &Snapshot, shadow: &ShadowState) -> Vec<SanitizerReport> {
     audit_bytes(snap, &mut out);
     audit_hugepages(snap, &mut out);
     audit_arena(snap, &mut out);
-    audit_shadow_coverage(snap, shadow, &mut out);
+    audit_shadow_spans(snap, shadow, &mut out);
     out
 }
 
@@ -243,10 +253,9 @@ fn audit_arena(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
 
 fn audit_classes(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerReport>) {
     for c in &snap.classes {
-        let (mut allocated, mut capacity, mut free) = (0u64, 0u64, 0u64);
+        let (mut allocated, mut free) = (0u64, 0u64);
         for s in snap.spans.iter().filter(|s| s.size_class == Some(c.class)) {
             allocated += s.allocated as u64;
-            capacity += s.capacity as u64;
             free += s.free_count as u64;
         }
         let live = shadow.live_count_by_class(Some(c.class));
@@ -264,18 +273,6 @@ fn audit_classes(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerR
                     c.transfer_objects,
                     c.deferred_objects,
                     live + cached
-                ),
-            });
-        }
-        if capacity != allocated + free {
-            out.push(SanitizerReport {
-                kind: ErrorKind::ObjectConservationViolation,
-                tier: Tier::Central,
-                addr: None,
-                size_class: Some(c.class),
-                span: None,
-                detail: format!(
-                    "span capacity {capacity} != allocated {allocated} + span-free {free}"
                 ),
             });
         }
@@ -310,15 +307,6 @@ fn audit_classes(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerR
 
 fn audit_spans(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     for s in &snap.spans {
-        if s.size_class.is_some() && s.allocated + s.free_count != s.capacity {
-            out.push(span_violation(
-                s,
-                format!(
-                    "allocated {} + free {} != capacity {}",
-                    s.allocated, s.free_count, s.capacity
-                ),
-            ));
-        }
         match s.placement {
             SpanPlacement::Freelist { list } => {
                 if s.free_count == 0 {
@@ -385,30 +373,16 @@ fn audit_pagemap(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
 }
 
 /// The pagemap-leaf occupancy audit: every leaf's occupied slots must equal
-/// the number of live-span pages falling inside that leaf's page run, and
-/// must sum to the pagemap total. Walks the reported leaves
-/// against an independently recomputed per-leaf tally of the span
-/// inventory. Skipped when `pages_per_leaf` is 0 (no leaves reported).
+/// the number of live-span pages falling inside that leaf's page run. Walks
+/// the reported leaves against an independently recomputed per-leaf tally
+/// of the span inventory. Skipped when `pages_per_leaf` is 0 (no leaves
+/// reported).
 fn audit_pagemap_leaves(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     use std::collections::BTreeMap;
     use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
     let per_leaf = snap.pages_per_leaf;
     if per_leaf == 0 {
         return;
-    }
-    let leaf_sum: u64 = snap.pagemap_leaves.iter().map(|l| l.pages_used).sum();
-    if leaf_sum != snap.pagemap_pages {
-        out.push(SanitizerReport {
-            kind: ErrorKind::PagemapViolation,
-            tier: Tier::PageMap,
-            addr: None,
-            size_class: None,
-            span: None,
-            detail: format!(
-                "leaf occupancy sums to {leaf_sum}, pagemap registers {} pages",
-                snap.pagemap_pages
-            ),
-        });
     }
     // Recompute the per-leaf tally from the span inventory (BTreeMap keeps
     // the walk deterministic), chunking each span at leaf boundaries.
@@ -481,7 +455,7 @@ fn audit_hugepages(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
         let mut bad = Vec::new();
         if total != snap.pages_per_hugepage {
             bad.push(format!(
-                "used {} + free {} != {}",
+                "used mask {} + free {} != {}: the used counter disagrees with the mask",
                 hp.used_pages, hp.free_pages, snap.pages_per_hugepage
             ));
         }
@@ -510,50 +484,31 @@ fn audit_hugepages(snap: &Snapshot, out: &mut Vec<SanitizerReport>) {
     }
 }
 
-/// Every live shadow object must lie inside some live span of its class.
-fn audit_shadow_coverage(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerReport>) {
-    use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
-    let mut extents: Vec<(u64, u64, Option<u16>)> = snap
+/// The shadow's spans — announced by `SpanAlloc`, dropped by `SpanRetire` —
+/// must be exactly the allocator's live spans. A tier that releases a span
+/// without announcing it leaves it here in the shadow alone.
+fn audit_shadow_spans(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerReport>) {
+    let allocator: BTreeSet<(u64, u32, Option<u16>)> = snap
         .spans
         .iter()
-        .map(|s| {
-            (
-                s.start,
-                s.start + s.pages as u64 * TCMALLOC_PAGE_BYTES,
-                s.size_class,
-            )
-        })
+        .map(|s| (s.start, s.pages, s.size_class))
         .collect();
-    extents.sort_unstable();
-    for (addr, obj) in shadow.live_objects() {
-        let covered = match extents.partition_point(|&(start, _, _)| start <= addr) {
-            0 => None,
-            i => Some(extents[i - 1]),
-        };
-        match covered {
-            Some((_, end, class)) if addr < end => {
-                if class != obj.size_class {
-                    out.push(SanitizerReport {
-                        kind: ErrorKind::ObjectConservationViolation,
-                        tier: Tier::Central,
-                        addr: Some(addr),
-                        size_class: obj.size_class,
-                        span: Some(obj.span),
-                        detail: format!(
-                            "live object of class {:?} sits in a span of class {class:?}",
-                            obj.size_class
-                        ),
-                    });
-                }
-            }
-            _ => out.push(SanitizerReport {
+    let mirrored: BTreeSet<(u64, u32, Option<u16>)> = shadow.spans().collect();
+    for (only, lacking, set, other) in [
+        ("allocator", "shadow", &allocator, &mirrored),
+        ("shadow", "allocator", &mirrored, &allocator),
+    ] {
+        for &(start, pages, class) in set.difference(other) {
+            out.push(SanitizerReport {
                 kind: ErrorKind::ObjectConservationViolation,
-                tier: Tier::PageMap,
-                addr: Some(addr),
-                size_class: obj.size_class,
-                span: Some(obj.span),
-                detail: "live object not covered by any live span".into(),
-            }),
+                tier: Tier::Shadow,
+                addr: Some(start),
+                size_class: class,
+                span: None,
+                detail: format!(
+                    "span at {start:#x} (+{pages} pages, class {class:?}) is live in the {only} but not in the {lacking}"
+                ),
+            });
         }
     }
 }
@@ -564,8 +519,9 @@ mod tests {
     use super::*;
     use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 
-    /// A minimal consistent world: one class-3 span, one object live in the
-    /// shadow, one per-CPU cached object, the rest free on the span.
+    /// The one consistent world every corruption starts from: one class-3
+    /// span, one object live in the shadow, one per-CPU cached object, the
+    /// rest free on the span.
     fn consistent() -> (Snapshot, ShadowState) {
         let mut shadow = ShadowState::new();
         shadow.map_span(0, 0x10000, 2, Some(3));
@@ -625,10 +581,203 @@ mod tests {
         (snap, shadow)
     }
 
+    type Corruption = fn(&mut Snapshot, &mut ShadowState);
+
+    /// One fault at a time on [`consistent`]: a name, the corruption, the
+    /// kind the audit must report and a substring of that report's detail.
+    const CORRUPTIONS: &[(&str, Corruption, ErrorKind, &str)] = &[
+        (
+            "lost cached object",
+            |s, _| s.classes[0].percpu_objects = 0,
+            ErrorKind::ObjectConservationViolation,
+            "spans report 2 allocated",
+        ),
+        (
+            "central counter drift",
+            |s, _| s.classes[0].central_free_objects = 99,
+            ErrorKind::ObjectConservationViolation,
+            "central counter says 99",
+        ),
+        (
+            "large object on no large span",
+            |_, sh| {
+                sh.map_span(1, 0x40000, 1, None);
+                sh.record_alloc(0x40000, TCMALLOC_PAGE_BYTES);
+            },
+            ErrorKind::ObjectConservationViolation,
+            "0 large spans but 1 live large objects",
+        ),
+        (
+            "span dropped while an object is live",
+            |s, _| s.spans.clear(),
+            ErrorKind::ObjectConservationViolation,
+            "span at 0x10000 (+2 pages, class Some(3)) is live in the shadow but not in the allocator",
+        ),
+        (
+            "span class changed",
+            |s, _| s.spans[0].size_class = Some(7),
+            ErrorKind::ObjectConservationViolation,
+            "class Some(7)) is live in the allocator but not in the shadow",
+        ),
+        (
+            "span on the wrong occupancy list",
+            |s, _| s.spans[0].placement = SpanPlacement::Freelist { list: 0 },
+            ErrorKind::SpanOccupancyViolation,
+            "on list 0 but 2 live allocations belong on list 6",
+        ),
+        (
+            "Full span with free objects",
+            |s, _| s.spans[0].placement = SpanPlacement::Full,
+            ErrorKind::SpanOccupancyViolation,
+            "marked Full with 254 free objects",
+        ),
+        (
+            "listed span with no free objects",
+            |s, _| s.spans[0].free_count = 0,
+            ErrorKind::SpanOccupancyViolation,
+            "on a free list with no free objects",
+        ),
+        (
+            "small span marked large",
+            |s, _| s.spans[0].placement = SpanPlacement::Large,
+            ErrorKind::SpanOccupancyViolation,
+            "malformed large span",
+        ),
+        (
+            "pagemap page-count drift",
+            |s, _| s.pagemap_pages = 7,
+            ErrorKind::PagemapViolation,
+            "pagemap registers 7 pages",
+        ),
+        (
+            "pagemap leaf occupancy drift",
+            |s, _| s.pagemap_leaves[0].pages_used = 1,
+            ErrorKind::PagemapViolation,
+            "leaf at page 0 reports 1 pages used, span inventory covers 2",
+        ),
+        (
+            "pagemap leaf no span covers",
+            |s, _| {
+                s.pagemap_leaves.push(PagemapLeafSnapshot {
+                    base_page: 32768,
+                    pages_used: 1,
+                });
+            },
+            ErrorKind::PagemapViolation,
+            "leaf at page 32768 reports 1 pages used, no span covers it",
+        ),
+        (
+            "resident bytes drift",
+            |s, _| s.resident_bytes += 4096,
+            ErrorKind::ByteConservationViolation,
+            "resident 5096 != live 600 + fragmentation 400",
+        ),
+        (
+            "hugepage used counter disagrees with its mask",
+            |s, _| s.hugepages[0].free_pages -= 1,
+            ErrorKind::HugepageBackingViolation,
+            "used mask 2 + free 253 != 256",
+        ),
+        (
+            "hugepage releases more than its free pages",
+            |s, _| s.hugepages[0].released_pages = 255,
+            ErrorKind::HugepageBackingViolation,
+            "released 255 exceeds free 254",
+        ),
+        (
+            "hugepage page both used and released",
+            |s, _| s.hugepages[0].used_and_released = 3,
+            ErrorKind::HugepageBackingViolation,
+            "3 pages both used and released",
+        ),
+        (
+            "arena free pool drift",
+            |s, _| s.arena.free_pool_entries += 7,
+            ErrorKind::ArenaConservationViolation,
+            "free pool holds 263 entries",
+        ),
+        (
+            "arena bitmap pool drift",
+            |s, _| s.arena.bitmap_pool_words += 1,
+            ErrorKind::ArenaConservationViolation,
+            "bitmap pool holds 5 words",
+        ),
+        (
+            "more live arena slots than minted",
+            |s, _| s.arena.slots_live = 2,
+            ErrorKind::ArenaConservationViolation,
+            "2 live slots exceed 1 minted",
+        ),
+        (
+            "arena slots disagree with the span inventory",
+            |s, _| s.arena.slots_live = 0,
+            ErrorKind::ArenaConservationViolation,
+            "arena reports 0 live slots, span inventory holds 1",
+        ),
+        (
+            "arena reservation too small for the live spans",
+            |s, _| {
+                s.arena.reserved_entries = 100;
+                s.arena.free_pool_entries = 100;
+            },
+            ErrorKind::ArenaConservationViolation,
+            "reserved regions hold 100 entries, live spans need 256",
+        ),
+    ];
+
     #[test]
-    fn consistent_world_passes() {
+    fn consistent_variants_audit_clean() {
         let (snap, shadow) = consistent();
         assert_eq!(audit(&snap, &shadow), Vec::new());
+        // No leaves reported: the per-leaf audit is skipped.
+        let (mut snap, shadow) = consistent();
+        snap.pages_per_leaf = 0;
+        snap.pagemap_leaves.clear();
+        assert_eq!(audit(&snap, &shadow), Vec::new());
+        // A re-carved region leaves retired storage behind: pools larger
+        // than the reservations by exactly that much balance.
+        let (mut snap, shadow) = consistent();
+        snap.arena.free_pool_entries += 64;
+        snap.arena.retired_entries = 64;
+        snap.arena.bitmap_pool_words += 1;
+        snap.arena.retired_words = 1;
+        assert_eq!(audit(&snap, &shadow), Vec::new());
+    }
+
+    #[test]
+    fn each_corruption_fires_its_kind() {
+        for &(name, corrupt, kind, detail) in CORRUPTIONS {
+            let (mut snap, mut shadow) = consistent();
+            corrupt(&mut snap, &mut shadow);
+            let reports = audit(&snap, &shadow);
+            assert!(
+                reports
+                    .iter()
+                    .any(|r| r.kind == kind && r.detail.contains(detail)),
+                "{name}: no {kind:?} with {detail:?} in {reports:#?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_error_kind_fires() {
+        // The application-side kinds, from shadow operations on the same
+        // world; the structural kinds, from the table.
+        let (_, mut shadow) = consistent();
+        shadow.record_alloc(0x10020, 64); // overlaps the live object
+        let _ = shadow.check_free(0x10008, Some(3)); // interior pointer
+        let _ = shadow.check_free(0x10080, Some(3)); // never handed out
+        let _ = shadow.check_free(0x10000, Some(9)); // wrong class
+        let _ = shadow.check_free(0xdead_0000, None); // no span
+        let _ = shadow.check_free(0x10000, Some(3));
+        let _ = shadow.check_free(0x10000, Some(3)); // double free
+        let fired: BTreeSet<ErrorKind> = shadow
+            .take_reports()
+            .iter()
+            .map(|r| r.kind)
+            .chain(CORRUPTIONS.iter().map(|&(_, _, kind, _)| kind))
+            .collect();
+        assert_eq!(fired, ErrorKind::ALL.into_iter().collect());
     }
 
     #[test]
@@ -641,227 +790,5 @@ mod tests {
         assert_eq!(expected_list(512, 8), 0);
         assert_eq!(expected_list(1, 1), 0);
         assert_eq!(expected_list(500, 1), 0);
-    }
-
-    #[test]
-    fn lost_cached_object_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.classes[0].percpu_objects = 0; // object vanished from the cache
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ObjectConservationViolation));
-    }
-
-    #[test]
-    fn span_leak_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.spans.clear(); // span vanished while objects are live
-        snap.pagemap_pages = 0;
-        snap.pagemap_leaves.clear();
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ObjectConservationViolation
-                && r.detail.contains("not covered")));
-    }
-
-    #[test]
-    fn central_counter_drift_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.classes[0].central_free_objects = 99;
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ObjectConservationViolation
-                && r.detail.contains("central counter")));
-    }
-
-    #[test]
-    fn wrong_occupancy_list_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.spans[0].placement = SpanPlacement::Freelist { list: 0 };
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::SpanOccupancyViolation));
-    }
-
-    #[test]
-    fn full_span_with_free_objects_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.spans[0].placement = SpanPlacement::Full;
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::SpanOccupancyViolation && r.detail.contains("Full")));
-    }
-
-    #[test]
-    fn pagemap_drift_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.pagemap_pages = 7;
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::PagemapViolation));
-    }
-
-    #[test]
-    fn leaf_occupancy_drift_flagged() {
-        // Totals still balance, but one leaf's counter disagrees with the
-        // span inventory: only the per-leaf audit can catch this.
-        let (mut snap, shadow) = consistent();
-        snap.pagemap_leaves[0].pages_used = 1;
-        snap.pagemap_leaves.push(PagemapLeafSnapshot {
-            base_page: 32768,
-            pages_used: 1,
-        });
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::PagemapViolation && r.detail.contains("leaf at page 0")));
-        assert!(reports.iter().any(
-            |r| r.kind == ErrorKind::PagemapViolation && r.detail.contains("no span covers it")
-        ));
-    }
-
-    #[test]
-    fn leaf_sum_drift_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.pagemap_leaves[0].pages_used = 5;
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::PagemapViolation
-                && r.detail.contains("leaf occupancy sums")));
-    }
-
-    #[test]
-    fn zero_pages_per_leaf_skips_leaf_audit() {
-        let (mut snap, shadow) = consistent();
-        snap.pages_per_leaf = 0;
-        snap.pagemap_leaves.clear();
-        assert_eq!(audit(&snap, &shadow), Vec::new());
-    }
-
-    #[test]
-    fn arena_pool_tiling_drift_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.arena.free_pool_entries += 7; // storage nothing accounts for
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ArenaConservationViolation
-                && r.detail.contains("free pool")));
-    }
-
-    #[test]
-    fn arena_live_slot_drift_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.arena.slots_live = 2; // phantom live slot
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ArenaConservationViolation
-                && r.detail.contains("live slots exceed")));
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ArenaConservationViolation
-                && r.detail.contains("span inventory")));
-    }
-
-    #[test]
-    fn arena_undersized_reservation_flagged() {
-        let (mut snap, shadow) = consistent();
-        // Regions shrink below what the live span's free stack needs, with
-        // the pools shrunk to match so only the reservation check fires.
-        snap.arena.reserved_entries = 100;
-        snap.arena.free_pool_entries = 100;
-        let reports = audit(&snap, &shadow);
-        let arena: Vec<_> = reports
-            .iter()
-            .filter(|r| r.kind == ErrorKind::ArenaConservationViolation)
-            .collect();
-        assert_eq!(arena.len(), 1);
-        assert!(arena[0].detail.contains("live spans need 256"));
-    }
-
-    #[test]
-    fn retired_storage_balances_the_pools() {
-        // A re-carved region leaves retired storage behind; the audit must
-        // accept pools larger than the reservations by exactly that much.
-        let (mut snap, shadow) = consistent();
-        snap.arena.free_pool_entries += 64;
-        snap.arena.retired_entries = 64;
-        snap.arena.bitmap_pool_words += 1;
-        snap.arena.retired_words = 1;
-        assert_eq!(audit(&snap, &shadow), Vec::new());
-    }
-
-    #[test]
-    fn byte_conservation_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.resident_bytes += 4096;
-        let reports = audit(&snap, &shadow);
-        assert!(reports
-            .iter()
-            .any(|r| r.kind == ErrorKind::ByteConservationViolation));
-    }
-
-    #[test]
-    fn hugepage_accounting_flagged() {
-        let (mut snap, shadow) = consistent();
-        snap.hugepages[0].used_and_released = 3;
-        snap.hugepages[0].free_pages = 200; // used + free != 256 now too
-        let reports = audit(&snap, &shadow);
-        let hp: Vec<_> = reports
-            .iter()
-            .filter(|r| r.kind == ErrorKind::HugepageBackingViolation)
-            .collect();
-        assert!(hp.len() >= 2, "both the sum and the overlap are flagged");
-    }
-
-    #[test]
-    fn class_mismatch_between_object_and_span_flagged() {
-        let (mut snap, mut shadow) = consistent();
-        // A second span the shadow saw announced as class 3, which the
-        // allocator reports as class 7; plant a live object inside it.
-        shadow.map_span(1, 0x40000, 1, Some(3));
-        shadow.record_alloc(0x40000, 64);
-        snap.spans.push(SpanSnapshot {
-            id: 1,
-            start: 0x40000,
-            pages: 1,
-            size_class: Some(7),
-            capacity: 8,
-            allocated: 0,
-            free_count: 8,
-            placement: SpanPlacement::Freelist {
-                list: expected_list(0, 8) as u8,
-            },
-        });
-        snap.pagemap_pages += 1;
-        snap.pagemap_leaves[0].pages_used += 1;
-        // Keep class-7 books balanced so only the cross-class check fires...
-        snap.classes.push(ClassTierSnapshot {
-            class: 7,
-            object_size: 1024,
-            percpu_objects: 0,
-            transfer_objects: 0,
-            deferred_objects: 0,
-            central_free_objects: 8,
-        });
-        // ...but class 3 now has 2 live shadow objects vs 2 allocated slots
-        // (1 live + 1 cached expected): bump the span's books to match.
-        snap.spans[0].allocated = 3;
-        snap.spans[0].free_count = 253;
-        snap.classes[0].central_free_objects = 253;
-        snap.spans[0].placement = SpanPlacement::Freelist {
-            list: expected_list(3, 8) as u8,
-        };
-        let reports = audit(&snap, &shadow);
-        assert!(reports.iter().any(|r| r.detail.contains("span of class")));
-        let _ = TCMALLOC_PAGE_BYTES;
     }
 }

@@ -12,7 +12,9 @@
 //! * [`audit`] walks a [`Snapshot`] of every tier — per-CPU caches,
 //!   transfer cache, central free lists, pageheap, pagemap — and proves
 //!   object-count and byte conservation per size class, span occupancy-list
-//!   placement (§4.3's L = 8), and hugepage backing-state consistency.
+//!   placement (§4.3's L = 8), and hugepage backing-state consistency. It
+//!   compares the shadow with the snapshot and never corrects either: the
+//!   shadow's spans must be exactly the allocator's live spans.
 //! * [`Sanitizer`] ties both together behind a [`SanitizeLevel`], so the
 //!   allocator runs checks on every operation and an audit every
 //!   [`AUDIT_PERIOD_OPS`] operations (`Full`), or not at all (`Off`). A
@@ -162,13 +164,11 @@ impl Sanitizer {
         }
     }
 
-    /// Runs the cross-tier audit against `snap`, first reconciling the
-    /// shadow's page mirror with the spans the snapshot reports live.
-    /// Appends findings to the report log and returns how many there were.
+    /// Runs the cross-tier audit against `snap`. The shadow is compared
+    /// with the snapshot, never corrected by it: a span the allocator
+    /// dropped without announcing it is a finding. Appends findings to the
+    /// report log and returns how many there were.
     pub fn run_audit(&mut self, snap: &Snapshot) -> usize {
-        let live_starts: Vec<u64> = snap.spans.iter().map(|s| s.start).collect();
-        self.shadow.retain_spans(&live_starts);
-        self.drain_shadow();
         let findings = audit::audit(snap, &self.shadow);
         let n = findings.len();
         self.reports.extend(findings);
@@ -235,16 +235,18 @@ mod tests {
     }
 
     #[test]
-    fn audit_reconciles_released_spans() {
+    fn audit_reports_an_unannounced_span_release() {
         let mut s = Sanitizer::new(SanitizeLevel::Full);
         s.map_span(0, 0x10000, 1, Some(1));
         s.record_alloc(0x10000, 64);
         assert_eq!(s.check_free(0x10000, Some(1)), None);
-        // The span drained and was released; the next audit's snapshot no
-        // longer lists it. Books stay balanced.
+        // The span drained and left the allocator's inventory, but no
+        // retirement was announced: the audit reports it and repairs nothing.
         let snap = Snapshot::default();
+        assert_eq!(s.run_audit(&snap), 1);
+        assert_eq!(s.run_audit(&snap), 1);
+        s.forget_span(0x10000);
         assert_eq!(s.run_audit(&snap), 0);
-        assert_eq!(s.shadow().mapped_pages(), 0);
     }
 
     #[test]

@@ -314,25 +314,12 @@ impl ShadowState {
         }
     }
 
-    /// Reconciles the page mirror against the spans the allocator reports
-    /// live (called from the audit): shadow spans the allocator no longer
-    /// knows are forgotten, surfacing leaked objects.
-    pub fn retain_spans(&mut self, live_starts: &[u64]) {
-        let keep: std::collections::BTreeSet<u64> = live_starts.iter().copied().collect();
-        let gone: Vec<u64> = self
-            .spans
-            .keys()
-            .copied()
-            .filter(|s| !keep.contains(s))
-            .collect();
-        for s in gone {
-            self.forget_span(s);
-        }
-    }
-
-    /// Total mapped pages in the shadow's mirror.
-    pub fn mapped_pages(&self) -> u64 {
-        self.spans.values().map(|s| s.pages as u64).sum()
+    /// Every announced span as `(start, pages, class)`, in address order —
+    /// the audit compares this set with the allocator's live spans.
+    pub fn spans(&self) -> impl Iterator<Item = (u64, u32, Option<u16>)> + '_ {
+        self.spans
+            .iter()
+            .map(|(&start, s)| (start, s.pages, s.size_class))
     }
 }
 
@@ -449,7 +436,7 @@ mod tests {
         sh.map_span(2, 0x10000 + 3 * PG, 1, Some(4));
         // A four-page span over both: the live object on span 1 is a leak.
         sh.map_span(3, 0x10000 + PG, 4, Some(5));
-        assert_eq!(sh.mapped_pages(), 4);
+        assert_eq!(sh.spans().collect::<Vec<_>>(), [(0x10000 + PG, 4, Some(5))]);
         assert_eq!(sh.reports().len(), 1);
         assert_eq!(sh.reports()[0].kind, ErrorKind::ObjectConservationViolation);
         assert_eq!(sh.reports()[0].span, Some(1));
@@ -461,16 +448,6 @@ mod tests {
         sh.forget_span(0x10000);
         assert_eq!(sh.reports()[0].kind, ErrorKind::ObjectConservationViolation);
         assert_eq!(sh.live_count(), 0);
-    }
-
-    #[test]
-    fn retain_spans_prunes_stale_mirrors() {
-        let mut sh = shadow_with_span();
-        let _ = sh.check_free(0x10000, Some(3));
-        assert_eq!(sh.mapped_pages(), 2);
-        sh.retain_spans(&[]);
-        assert_eq!(sh.mapped_pages(), 0);
-        assert!(sh.reports().is_empty(), "no live objects were lost");
     }
 
     #[test]
@@ -492,6 +469,5 @@ mod tests {
         sh.record_alloc(0x40000, 3 * PG);
         assert_eq!(sh.live_count_by_class(Some(3)), 2);
         assert_eq!(sh.live_count_by_class(None), 1);
-        assert_eq!(sh.mapped_pages(), 5);
     }
 }

@@ -185,7 +185,7 @@ pub struct LlcModel {
     capacity: u32,
     domains: Vec<Domain>,
     /// Every resident block. A block is resident in at most one domain —
-    /// `access` moves it to the accessing domain and `evict` removes it — so
+    /// `access` moves it to the accessing domain — so
     /// one probe classifies an access as hit, remote or memory miss, and a
     /// hit refreshes recency by writing `stamp` into the probed entry. LRU
     /// *order* exists only in a domain that has had to evict ([`Order`]).
@@ -325,13 +325,6 @@ impl LlcModel {
         dom.blocks -= 1;
     }
 
-    /// Evicts a block everywhere (the backing memory was unmapped).
-    pub fn evict(&mut self, block: u64) {
-        if let Some(at) = self.index.remove(&block) {
-            self.domains[at.domain as usize].release(at.bytes);
-        }
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> LlcStats {
         self.stats
@@ -381,14 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_removes_everywhere() {
-        let mut llc = LlcModel::new(2, 1024);
-        llc.access(DomainId(0), 9, 64);
-        llc.evict(9);
-        assert_eq!(llc.access(DomainId(0), 9, 64), LlcAccess::MissMemory);
-    }
-
-    #[test]
     fn oversized_block_clamped() {
         let mut llc = LlcModel::new(1, 100);
         assert_eq!(llc.access(DomainId(0), 1, 1000), LlcAccess::MissMemory);
@@ -416,13 +401,10 @@ mod tests {
 
     #[test]
     fn many_blocks_consistency() {
-        // Interleave inserts, touches, transfers, evictions and removals.
+        // Interleave inserts, touches, transfers and evictions.
         let mut llc = LlcModel::new(2, 4096);
         for i in 0..1000u64 {
             llc.access(DomainId((i % 2) as u32), i % 97, 64);
-            if i % 13 == 0 {
-                llc.evict(i % 97);
-            }
         }
         let s = llc.stats();
         assert_eq!(s.accesses, 1000);
@@ -526,12 +508,6 @@ mod tests {
                 }
             }
 
-            pub fn evict(&mut self, block: u64) {
-                for dom in &mut self.domains {
-                    dom.remove(block);
-                }
-            }
-
             /// Domains holding `block`.
             pub fn holders(&self, block: u64) -> usize {
                 self.domains
@@ -595,12 +571,6 @@ mod tests {
             got
         }
 
-        fn evict(&mut self, block: u64) {
-            self.llc.evict(block);
-            self.model.evict(block);
-            self.check(block);
-        }
-
         fn check(&mut self, block: u64) {
             let at = format!("{} step {}", self.label, self.step);
             assert_eq!(self.llc.stats(), self.model.stats, "{at}");
@@ -642,12 +612,8 @@ mod tests {
             let mut both = Lockstep::new(format!("mixed {case}"), domains, capacity);
             for _ in 0..3000 {
                 let block = addr(rng.gen_range(0..blocks));
-                if rng.gen_bool(0.05) {
-                    both.evict(block);
-                } else {
-                    let d = rng.gen_range(0..domains);
-                    both.access(d, block, rng.gen_range(1u64..2 * capacity / 3));
-                }
+                let d = rng.gen_range(0..domains);
+                both.access(d, block, rng.gen_range(1u64..2 * capacity / 3));
             }
         }
     }
@@ -695,13 +661,13 @@ mod tests {
 
     #[test]
     fn queued_victims_that_left_are_skipped() {
-        // `evict()` of a block the queue still lists.
-        let mut both = Lockstep::new("evict queued", 1, 300);
+        // A block the queue still lists leaves for another domain.
+        let mut both = Lockstep::new("transfer queued", 2, 300);
         for b in 1..=3 {
             both.access(0, b, 100);
         }
         both.access(0, 4, 100); // queue [1, 2, 3]; drops 1
-        both.evict(2); // still listed
+        assert_eq!(both.access(1, 2, 100), LlcAccess::MissRemote); // still listed
         both.access(0, 5, 100); // fits: 3, 4, 5
         both.access(0, 6, 100); // skips 2, drops 3
         assert_eq!(both.access(0, 4, 100), LlcAccess::Hit);
@@ -728,14 +694,13 @@ mod tests {
             both.access(0, addr(b), 100); // the eleventh evicts: domain 0 has an order
         }
         assert!(both.llc.domains[0].order.is_some());
-        // Blocks now come and go without capacity pressure — unmapped, or
-        // pulled into domain 1 — so nothing takes entries off the order
-        // (`Lockstep::check` holds its bound at every step).
+        // Blocks now come and go without capacity pressure — each is
+        // pulled into domain 1 after its insert — so nothing takes entries
+        // off the order (`Lockstep::check` holds its bound at every step).
         let mut dropped = false;
         for b in 100..400 {
-            both.evict(addr(b - 1));
+            both.access(1, addr(b - 1), 10);
             both.access(0, addr(b), 100);
-            both.access(1, addr(b - 50), 10);
             dropped |= both.llc.domains[0].order.is_none();
         }
         assert!(dropped, "the order outgrew twice the resident blocks");
@@ -756,11 +721,8 @@ mod tests {
         assert_eq!(both.llc.domains[0].used, 300);
         assert_eq!(both.access(0, 1, 100), LlcAccess::MissMemory); // drops 3
         assert_eq!(both.llc.domains[0].used, 100);
-        // A second residence carries its own byte count...
-        both.evict(1);
-        both.access(0, 1, 50);
-        assert_eq!(both.llc.domains[0].used, 50);
-        // ...so does a transfer, and a hit keeps the resident one.
+        // A transfer carries its own byte count, and a hit keeps the
+        // resident one.
         assert_eq!(both.access(1, 1, 30), LlcAccess::MissRemote);
         assert_eq!(both.access(1, 1, 200), LlcAccess::Hit);
         assert_eq!(
@@ -777,12 +739,12 @@ mod tests {
         let mut down = LlcModel::new(domains, 4096);
         // Same blocks, opposite insertion orders, and a table that grew and
         // shrank first on one side: the two hash maps iterate differently.
+        // One block of the whole capacity flushes the junk, and the first
+        // block placed in domain 0 below evicts it in turn.
         for junk in 0..500 {
             down.access(DomainId(0), addr(10_000 + junk), 8);
         }
-        for junk in 0..500 {
-            down.evict(addr(10_000 + junk));
-        }
+        down.access(DomainId(0), addr(20_000), 4096);
         for i in 0..blocks {
             up.access(DomainId((i % 3) as u32), addr(i), 64);
             let j = blocks - 1 - i;

@@ -116,18 +116,6 @@ impl SetAssocTlb {
             .expect("ways is positive");
         *victim = (key, tick);
     }
-
-    fn invalidate(&mut self, key: u64) {
-        for slot in self.set_mut(key) {
-            if slot.1 != 0 && slot.0 == key {
-                *slot = (0, 0);
-            }
-        }
-    }
-
-    fn flush(&mut self) {
-        self.slots.fill((0, 0));
-    }
 }
 
 /// Access counters for a [`TlbSim`].
@@ -256,24 +244,6 @@ impl TlbSim {
         TlbOutcome::Walk
     }
 
-    /// Drops the translation for one page (e.g. after the kernel splits a
-    /// hugepage during subrelease).
-    pub fn invalidate(&mut self, vaddr: u64, size: PageSize) {
-        let key = Self::key(vaddr, size);
-        match size {
-            PageSize::Base4K => self.l1_base.invalidate(key),
-            PageSize::Huge2M => self.l1_huge.invalidate(key),
-        }
-        self.l2.invalidate(key);
-    }
-
-    /// Flushes every translation (context switch between processes).
-    pub fn flush(&mut self) {
-        self.l1_base.flush();
-        self.l1_huge.flush();
-        self.l2.flush();
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> TlbStats {
         self.stats
@@ -332,22 +302,6 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.walks, 128, "second pass must not walk");
         assert!(s.l2_hits > 0, "some second-pass accesses come from L2");
-    }
-
-    #[test]
-    fn invalidate_forces_walk() {
-        let mut t = sim();
-        t.access(0x200000, PageSize::Huge2M);
-        t.invalidate(0x200000, PageSize::Huge2M);
-        assert_eq!(t.access(0x200000, PageSize::Huge2M), TlbOutcome::Walk);
-    }
-
-    #[test]
-    fn flush_clears_everything() {
-        let mut t = sim();
-        t.access(0x1000, PageSize::Base4K);
-        t.flush();
-        assert_eq!(t.access(0x1000, PageSize::Base4K), TlbOutcome::Walk);
     }
 
     #[test]
@@ -456,21 +410,6 @@ mod tests {
                     .expect("ways is non-empty");
                 *victim = Some((key, tick));
             }
-
-            fn invalidate(&mut self, key: u64) {
-                let set = self.set_of(key);
-                for slot in &mut self.sets[set] {
-                    if matches!(slot, Some((tag, _)) if *tag == key) {
-                        *slot = None;
-                    }
-                }
-            }
-
-            fn flush(&mut self) {
-                for slot in self.sets.iter_mut().flatten() {
-                    *slot = None;
-                }
-            }
         }
 
         pub struct RefTlb {
@@ -514,18 +453,6 @@ mod tests {
                 self.l1(size).insert(key);
                 TlbOutcome::Walk
             }
-
-            pub fn invalidate(&mut self, vaddr: u64, size: PageSize) {
-                let key = TlbSim::key(vaddr, size);
-                self.l1(size).invalidate(key);
-                self.l2.invalidate(key);
-            }
-
-            pub fn flush(&mut self) {
-                self.l1_base.flush();
-                self.l1_huge.flush();
-                self.l2.flush();
-            }
         }
     }
 
@@ -560,21 +487,11 @@ mod tests {
                     rng.gen_range(0..pages)
                 };
                 let vaddr = (page << size.shift()) + rng.gen_range(0..size.bytes());
-                match rng.gen_range(0..1000u32) {
-                    0 => {
-                        flat.flush();
-                        model.flush();
-                    }
-                    1..=30 => {
-                        flat.invalidate(vaddr, size);
-                        model.invalidate(vaddr, size);
-                    }
-                    _ => assert_eq!(
-                        flat.access(vaddr, size),
-                        model.access(vaddr, size),
-                        "case {case} step {step}"
-                    ),
-                }
+                assert_eq!(
+                    flat.access(vaddr, size),
+                    model.access(vaddr, size),
+                    "case {case} step {step}"
+                );
                 assert_eq!(flat.stats(), model.stats, "case {case} step {step}");
             }
             let s = flat.stats();

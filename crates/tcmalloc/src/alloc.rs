@@ -911,21 +911,22 @@ impl Tcmalloc {
 
     /// Fragmentation snapshot (Figures 5b and 6b).
     pub fn fragmentation(&self) -> FragmentationBreakdown {
-        let deferred_bytes = self
-            .deferred
-            .in_flight_by_class()
-            .iter()
-            .enumerate()
-            .map(|(cl, &n)| n * self.table.info(cl).size)
-            .sum();
+        // Each cache tier is asked only for its per-class object counts.
+        let bytes = |objects: Vec<u64>| -> u64 {
+            objects
+                .iter()
+                .enumerate()
+                .map(|(cl, &n)| n * self.table.info(cl).size)
+                .sum()
+        };
         FragmentationBreakdown {
             live_bytes: self.live_requested_bytes,
             internal_bytes: self.internal_frag_bytes,
-            percpu_bytes: self.percpu.cached_bytes_total(),
-            transfer_bytes: self.transfer.cached_bytes(),
+            percpu_bytes: bytes(self.percpu.cached_objects_by_class()),
+            transfer_bytes: bytes(self.transfer.cached_objects_by_class()),
             central_bytes: self.central.iter().map(|c| c.external_bytes()).sum(),
             pageheap_bytes: self.pageheap.stats().total_free_bytes(),
-            deferred_bytes,
+            deferred_bytes: bytes(self.deferred.in_flight_by_class()),
             resident_bytes: self.pageheap.vmm().page_table().resident_bytes(),
         }
     }

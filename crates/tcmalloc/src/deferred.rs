@@ -95,22 +95,13 @@ impl DeferredFrees {
         by_class.into_iter().collect()
     }
 
-    /// Objects currently parked across all classes.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight_by_class
-            .iter()
-            // lint:allow(atomic-ordering) Relaxed: counter snapshot; the
-            // simulator is single-threaded per allocator instance.
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Objects currently parked, per class (the conservation audit's
     /// `deferred` term).
     pub fn in_flight_by_class(&self) -> Vec<u64> {
         self.in_flight_by_class
             .iter()
-            // lint:allow(atomic-ordering) Relaxed: same snapshot contract.
+            // lint:allow(atomic-ordering) Relaxed: counter snapshot; the
+            // simulator is single-threaded per allocator instance.
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
     }
@@ -150,12 +141,15 @@ mod tests {
         d.queue_remote(2, 7, 0x110);
         d.queue_remote(2, 9, 0x200);
         d.queue_remote(3, 7, 0x300);
-        assert_eq!(d.in_flight(), 4);
         assert_eq!(d.in_flight_by_class(), vec![0, 0, 3, 1]);
         let mut drained = d.drain_class(2);
         drained.sort_unstable();
         assert_eq!(drained, vec![0x100, 0x110, 0x200]);
-        assert_eq!(d.in_flight(), 1, "class 3 still parked");
+        assert_eq!(
+            d.in_flight_by_class(),
+            vec![0, 0, 0, 1],
+            "class 3 still parked"
+        );
         assert_eq!(d.drain_class(2), Vec::<u64>::new(), "idempotent");
         assert_eq!(d.queued_total(), 4);
         assert_eq!(d.drained_total(), 3);
@@ -172,7 +166,7 @@ mod tests {
             vec![(0u16, vec![0x10u64]), (2, vec![0x30, 0x20])],
             "classes in order, spans in order within a class"
         );
-        assert_eq!(d.in_flight(), 0);
+        assert_eq!(d.in_flight_by_class(), vec![0, 0, 0]);
         assert_eq!(d.drained_total(), 3);
         assert!(d.drain_all().is_empty());
     }

@@ -982,7 +982,8 @@ mod tests {
             class: Some(1),
         };
         b.emit(span);
-        assert_eq!(b.sanitizer().shadow().mapped_pages(), 1);
+        let spans: Vec<_> = b.sanitizer().shadow().spans().collect();
+        assert_eq!(spans, [(0x10000, 1, Some(1))]);
         b.emit(malloc_done_at(0x10000));
         assert_eq!(b.sanitizer().shadow().live_count(), 1);
         assert_eq!(b.sanitizer().shadow().live_count_by_class(Some(1)), 1);
@@ -995,7 +996,7 @@ mod tests {
         // The span vanished with a live object on it: the shadow reports a
         // leak, and the object is forgotten.
         assert_eq!(b.sanitizer().shadow().live_count(), 0);
-        assert_eq!(b.sanitizer().shadow().mapped_pages(), 0);
+        assert_eq!(b.sanitizer().shadow().spans().count(), 0);
         let kinds: Vec<_> = b.sanitizer().reports().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [ErrorKind::ObjectConservationViolation]);
     }

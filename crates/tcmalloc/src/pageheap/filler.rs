@@ -624,7 +624,9 @@ impl HugePageFiller {
     }
 
     /// Per-hugepage page accounting for the sanitizer's backing audit:
-    /// `(base, used, free, released, used_and_released)` per tracker.
+    /// `(base, used, free, released, used_and_released)` per tracker. `used`
+    /// counts the used mask and `free` is derived from the used counter, so
+    /// the audit's `used + free = 256` compares the two stores.
     pub fn hugepage_accounting(&self) -> Vec<(u64, u32, u32, u32, u32)> {
         self.trackers
             .iter()
@@ -636,7 +638,8 @@ impl HugePageFiller {
                     .zip(&t.released_mask)
                     .map(|(u, r)| (u & r).count_ones())
                     .sum();
-                (t.base, t.used, t.free_pages(), t.released_pages(), overlap)
+                let used = t.used_mask.iter().map(|w| w.count_ones()).sum();
+                (t.base, used, t.free_pages(), t.released_pages(), overlap)
             })
             .collect()
     }

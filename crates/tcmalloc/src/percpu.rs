@@ -76,16 +76,6 @@ impl CpuSlab {
         }
     }
 
-    /// Σ cached objects × object size: derived when asked, never counted
-    /// on the hit path.
-    fn cached_bytes(&self, sizes: &[u64]) -> u64 {
-        self.classes
-            .iter()
-            .zip(sizes)
-            .map(|(cslab, &size)| cslab.objs.len() as u64 * size)
-            .sum()
-    }
-
     /// Recomputes `class`'s donor bit after its capacity or length moved.
     fn sync_donor(&mut self, class: usize) {
         let cslab = &self.classes[class];
@@ -483,18 +473,10 @@ impl PerCpuCaches {
             .map_or(self.default_max_bytes, |s| s.max_bytes)
     }
 
-    /// Bytes currently cached across all vCPUs (front-end external
-    /// fragmentation), summed from the stacks.
-    pub fn cached_bytes_total(&self) -> u64 {
-        self.slabs
-            .iter()
-            .flatten()
-            .map(|s| s.cached_bytes(&self.sizes))
-            .sum()
-    }
-
-    /// Objects cached per size class across every vCPU slab (the per-CPU
-    /// term of the sanitizer's object-conservation audit).
+    /// Objects cached per size class across every vCPU slab, counted from
+    /// the stacks when asked, never on the hit path: the per-CPU term of the
+    /// sanitizer's object-conservation audit and, times the class size, of
+    /// the front-end fragmentation.
     pub fn cached_objects_by_class(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.sizes.len()];
         for slab in self.slabs.iter().flatten() {
@@ -616,7 +598,7 @@ mod tests {
         // With a 3 MiB budget the cache keeps growing for a while; either
         // it absorbed everything or it eventually shed a batch.
         let _ = overflowed;
-        assert!(c.cached_bytes_total() > 0);
+        assert!(c.cached_objects_by_class().iter().sum::<u64>() > 0);
     }
 
     #[test]
@@ -724,7 +706,7 @@ mod tests {
         let flushed = c.flush_all();
         let total: usize = flushed.iter().map(|(_, v)| v.len()).sum();
         assert_eq!(total, 3);
-        assert_eq!(c.cached_bytes_total(), 0);
+        assert_eq!(c.cached_objects_by_class().iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -1099,7 +1081,11 @@ mod tests {
             assert_eq!(
                 (
                     r.capacity_bytes,
-                    r.cached_bytes(&real.sizes),
+                    r.classes
+                        .iter()
+                        .zip(&real.sizes)
+                        .map(|(c, &size)| c.objs.len() as u64 * size)
+                        .sum::<u64>(),
                     r.max_bytes,
                     r.misses_total
                 ),

@@ -273,37 +273,15 @@ impl TransferCaches {
         out
     }
 
-    /// Bytes cached across the whole tier (external fragmentation of the
-    /// transfer cache, Figure 6b).
-    pub fn cached_bytes(&self) -> u64 {
-        let central: u64 = self
-            .central
-            .iter()
-            .zip(&self.sizes_batches)
-            .map(|(a, &(size, _))| a.objs.len() as u64 * size)
-            .sum();
-        let domain: u64 = self
-            .domains
-            .iter()
-            .flatten()
-            .map(|tier| {
-                tier.iter()
-                    .zip(&self.sizes_batches)
-                    .map(|(a, &(size, _))| a.objs.len() as u64 * size)
-                    .sum::<u64>()
-            })
-            .sum();
-        central + domain
-    }
-
     /// Number of domain caches activated so far.
     pub fn active_domains(&self) -> usize {
         self.domains.iter().flatten().count()
     }
 
     /// Objects cached per size class across the central arrays and every
-    /// domain shard (the transfer term of the sanitizer's
-    /// object-conservation audit).
+    /// domain shard: the transfer term of the sanitizer's
+    /// object-conservation audit and, times the class size, the transfer
+    /// cache's external fragmentation (Figure 6b).
     pub fn cached_objects_by_class(&self) -> Vec<u64> {
         let mut counts: Vec<u64> = self.central.iter().map(|a| a.objs.len() as u64).collect();
         for tier in self.domains.iter().flatten() {
@@ -457,15 +435,20 @@ mod tests {
         assert_eq!(tc.active_domains(), 1, "only the used domain activates");
     }
 
+    /// Objects cached across every class and shard.
+    fn cached(tc: &TransferCaches) -> u64 {
+        tc.cached_objects_by_class().iter().sum()
+    }
+
     #[test]
-    fn cached_bytes_accounting() {
+    fn cached_objects_accounting() {
         let mut tc = nuca();
         let mut b = bus();
-        let size = table().info(4).size;
         tc.stash(0, 4, &[1, 2, 3], &mut b);
-        assert_eq!(tc.cached_bytes(), 3 * size);
+        tc.stash(3, 4, &[4], &mut b);
+        assert_eq!(tc.cached_objects_by_class()[4], 4);
         let _ = fetch(&mut tc, 0, 4, 2);
-        assert_eq!(tc.cached_bytes(), size);
+        assert_eq!(cached(&tc), 2);
     }
 
     #[test]
@@ -486,7 +469,7 @@ mod tests {
         // Fully-idle interval: everything left is residue.
         let evicted = tc.decay(&mut b);
         assert_eq!(evicted[0].1.len(), 3);
-        assert_eq!(tc.cached_bytes(), 0);
+        assert_eq!(cached(&tc), 0);
     }
 
     #[test]
@@ -528,6 +511,6 @@ mod tests {
         tc.stash(2, 3, &[4], &mut b);
         let drained: usize = tc.flush_all().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(drained, 3);
-        assert_eq!(tc.cached_bytes(), 0);
+        assert_eq!(cached(&tc), 0);
     }
 }

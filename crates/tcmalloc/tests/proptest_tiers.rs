@@ -120,10 +120,15 @@ fn percpu_budget_is_never_exceeded() {
         // The byte budget binds: cached bytes per vCPU stay under budget
         // plus one batch of slack for the largest class in flight.
         let slack = 256 << 10;
+        let cached: u64 = caches
+            .cached_objects_by_class()
+            .iter()
+            .enumerate()
+            .map(|(cl, &n)| n * table.info(cl).size)
+            .sum();
         assert!(
-            caches.cached_bytes_total() <= (budget + slack) * 4,
-            "cached {} vs budget {budget}",
-            caches.cached_bytes_total()
+            cached <= (budget + slack) * 4,
+            "cached {cached} vs budget {budget}"
         );
     }
 }
@@ -164,13 +169,12 @@ fn transfer_tier_conserves_objects() {
                 assert!(got.len() <= n);
                 in_tier -= got.len();
             }
-            let expected = in_tier as u64 * table.info(cl).size;
-            assert_eq!(tc.cached_bytes(), expected);
+            assert_eq!(tc.cached_objects_by_class()[cl], in_tier as u64);
         }
         // Flush accounts for everything still cached.
         let flushed: usize = tc.flush_all().iter().map(|(_, v)| v.len()).sum();
         assert_eq!(flushed, in_tier);
-        assert_eq!(tc.cached_bytes(), 0);
+        assert!(tc.cached_objects_by_class().iter().all(|&n| n == 0));
     }
 }
 

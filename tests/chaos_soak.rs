@@ -180,7 +180,7 @@ fn deferred_frees_ride_out_fault_storms() {
                 let (addr, size) = live.swap_remove((i * 7) as usize % live.len());
                 tcm.try_free(addr, size, consumer).expect("valid free");
             }
-            max_in_flight = max_in_flight.max(tcm.deferred().in_flight());
+            max_in_flight = max_in_flight.max(tcm.deferred().in_flight_by_class().iter().sum());
             if i % 256 == 0 {
                 clock.advance(NS_PER_SEC / 20);
                 tcm.maintain();
@@ -210,7 +210,7 @@ fn deferred_frees_ride_out_fault_storms() {
         }
         tcm.drain_deferred();
         assert_eq!(
-            tcm.deferred().in_flight(),
+            tcm.deferred().in_flight_by_class().iter().sum::<u64>(),
             0,
             "{storm}: drain left remote frees parked"
         );

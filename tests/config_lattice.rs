@@ -453,7 +453,7 @@ impl Lockstep {
     fn assert_drained(&self, ctx: &str) {
         for (k, (t, _)) in self.copies.iter().enumerate() {
             assert_eq!(
-                t.deferred().in_flight(),
+                t.deferred().in_flight_by_class().iter().sum::<u64>(),
                 0,
                 "{ctx}: copy {k} kept remote frees parked"
             );

@@ -79,7 +79,7 @@ pub struct LockOrderDecl {
 #[derive(Debug)]
 pub struct FileModel {
     /// Repo-relative path with forward slashes (stable across platforms —
-    /// it is the identity used in reports and baselines).
+    /// it is the identity used in reports).
     pub rel: String,
     /// The source text.
     pub src: String,

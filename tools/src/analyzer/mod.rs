@@ -13,8 +13,7 @@
 //! * [`rules`] — the ten rules (six re-hosted from the regex engine, four
 //!   new), evaluated over the file models with cross-file passes for
 //!   event-completeness and panic-surface reachability.
-//! * [`report`] — findings, the deterministic `analysis.json` writer, and
-//!   the committed-baseline diff.
+//! * [`report`] — findings and the deterministic `analysis.json` writer.
 //!
 //! Entry points: [`analyze_workspace`] for the real tree,
 //! [`analyze_files`] for tests feeding virtual files.

@@ -1,17 +1,10 @@
-//! Findings, the machine-readable `analysis.json` writer, and the
-//! committed-baseline diff.
+//! Findings and the machine-readable `analysis.json` writer.
 //!
 //! The JSON is hand-rolled (the workspace is hermetic — no serde) and
 //! deterministic by construction: findings arrive pre-sorted from the rule
 //! engine, per-rule counts live in a `BTreeMap`, and paths are
 //! repo-relative with forward slashes. Two runs over the same tree must be
 //! byte-identical; a regression test holds us to that.
-//!
-//! Baseline semantics: each finding carries a stable `key`
-//! (`rule|file|normalized excerpt`) that survives unrelated edits moving
-//! the line number. `--baseline analysis_baseline.json` fails only on
-//! findings whose key is not in the baseline's key multiset, so a legacy
-//! debt list can be frozen while new debt is still gated.
 
 use std::collections::BTreeMap;
 
@@ -30,17 +23,6 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line the finding sits on.
     pub excerpt: String,
-}
-
-impl Finding {
-    /// A line-number-independent identity used for baseline diffing:
-    /// moving a finding (unrelated edits above it) does not make it "new",
-    /// but a second identical violation on the same file does.
-    pub fn key(&self) -> String {
-        let mut excerpt = self.excerpt.trim().to_string();
-        excerpt.retain(|c| c != ' ' && c != '\t');
-        format!("{}|{}|{}", self.rule, self.file, excerpt)
-    }
 }
 
 /// A complete analyzer run.
@@ -89,8 +71,7 @@ impl Analysis {
             s.push_str(&format!("\"line\": {}, ", f.line));
             s.push_str(&format!("\"col\": {}, ", f.col));
             s.push_str(&format!("\"message\": \"{}\", ", esc(&f.message)));
-            s.push_str(&format!("\"excerpt\": \"{}\", ", esc(f.excerpt.trim())));
-            s.push_str(&format!("\"key\": \"{}\"", esc(&f.key())));
+            s.push_str(&format!("\"excerpt\": \"{}\"", esc(f.excerpt.trim())));
             s.push_str(&format!("}}{comma}"));
         }
         if !self.findings.is_empty() {
@@ -98,29 +79,6 @@ impl Analysis {
         }
         s.push_str("]\n}\n");
         s
-    }
-
-    /// Findings whose key is not covered by the baseline's key multiset.
-    /// Every occurrence in the baseline excuses exactly one finding, so a
-    /// *second* copy of a baselined violation still gates.
-    pub fn new_vs_baseline<'a>(&'a self, baseline_json: &str) -> Vec<&'a Finding> {
-        let mut budget: BTreeMap<String, usize> = BTreeMap::new();
-        for key in scan_baseline_keys(baseline_json) {
-            *budget.entry(key).or_insert(0) += 1;
-        }
-        self.findings
-            .iter()
-            .filter(|f| {
-                let key = f.key();
-                match budget.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
-                }
-            })
-            .collect()
     }
 }
 
@@ -142,122 +100,9 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Extracts every `"key": "…"` value from a baseline file with a plain
-/// string scan — the baseline is always analyzer output, so the shape is
-/// known and a full JSON parser stays out of the dependency-free tree.
-fn scan_baseline_keys(json: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let needle = "\"key\": \"";
-    let mut rest = json;
-    while let Some(p) = rest.find(needle) {
-        rest = &rest[p + needle.len()..];
-        let mut val = String::new();
-        let mut chars = rest.char_indices();
-        let mut consumed = 0;
-        while let Some((i, c)) = chars.next() {
-            consumed = i + c.len_utf8();
-            match c {
-                '"' => break,
-                '\\' => {
-                    if let Some((j, e)) = chars.next() {
-                        consumed = j + e.len_utf8();
-                        match e {
-                            'n' => val.push('\n'),
-                            't' => val.push('\t'),
-                            'r' => val.push('\r'),
-                            other => val.push(other),
-                        }
-                    }
-                }
-                c => val.push(c),
-            }
-        }
-        out.push(val);
-        rest = &rest[consumed..];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn finding(rule: &'static str, file: &str, line: u32, excerpt: &str) -> Finding {
-        Finding {
-            rule,
-            file: file.to_string(),
-            line,
-            col: 1,
-            message: format!("msg for {rule}"),
-            excerpt: excerpt.to_string(),
-        }
-    }
-
-    #[test]
-    fn json_round_trips_keys_through_baseline_scan() {
-        let a = Analysis {
-            files_scanned: 2,
-            findings: vec![
-                finding(
-                    "wall-clock",
-                    "crates/x/src/a.rs",
-                    3,
-                    "let t = Instant::now();",
-                ),
-                finding("panic-surface", "crates/x/src/b.rs", 9, "panic!(\"boom\")"),
-            ],
-        };
-        let json = a.to_json();
-        let keys = scan_baseline_keys(&json);
-        assert_eq!(keys.len(), 2);
-        assert_eq!(keys[0], a.findings[0].key());
-        assert_eq!(keys[1], a.findings[1].key());
-    }
-
-    #[test]
-    fn baseline_excuses_old_findings_only() {
-        let old = Analysis {
-            files_scanned: 1,
-            findings: vec![finding(
-                "wall-clock",
-                "crates/x/src/a.rs",
-                3,
-                "Instant::now()",
-            )],
-        };
-        let baseline = old.to_json();
-        // Same violation moved to another line: not new.
-        let moved = Analysis {
-            files_scanned: 1,
-            findings: vec![finding(
-                "wall-clock",
-                "crates/x/src/a.rs",
-                40,
-                "Instant::now()",
-            )],
-        };
-        assert!(moved.new_vs_baseline(&baseline).is_empty());
-        // A second copy of it: one is excused, one gates.
-        let doubled = Analysis {
-            files_scanned: 1,
-            findings: vec![
-                finding("wall-clock", "crates/x/src/a.rs", 3, "Instant::now()"),
-                finding("wall-clock", "crates/x/src/a.rs", 41, "Instant::now()"),
-            ],
-        };
-        assert_eq!(doubled.new_vs_baseline(&baseline).len(), 1);
-        // A different rule: new.
-        let fresh = Analysis {
-            files_scanned: 1,
-            findings: vec![finding(
-                "ambient-rng",
-                "crates/x/src/a.rs",
-                3,
-                "thread_rng()",
-            )],
-        };
-        assert_eq!(fresh.new_vs_baseline(&baseline).len(), 1);
-    }
 
     #[test]
     fn rule_counts_cover_all_rules_with_zeros() {

@@ -6,14 +6,11 @@
 //! ```text
 //! cargo run -p wsc-tools --bin lint                # human output, exit 1 on findings
 //! cargo run -p wsc-tools --bin lint -- --json analysis.json
-//! cargo run -p wsc-tools --bin lint -- --json analysis.json --baseline analysis_baseline.json
 //! ```
 //!
 //! `--json PATH` writes the machine-readable report (deterministic:
-//! byte-identical across runs on the same tree). `--baseline PATH` changes
-//! the gate: exit 1 only on findings *new* versus the committed baseline,
-//! so legacy debt can be frozen without letting fresh debt in. A missing
-//! baseline file means everything is new.
+//! byte-identical across runs on the same tree). Any unsuppressed finding
+//! exits 1.
 //!
 //! The rules themselves — what is checked and why — are documented in
 //! `tools/src/analyzer/rules.rs` and DESIGN.md §"Static analysis".
@@ -21,21 +18,15 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use wsc_tools::analyzer;
-use wsc_tools::analyzer::report::Finding;
 
 fn main() -> ExitCode {
     let mut json_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => match args.next() {
                 Some(p) => json_out = Some(PathBuf::from(p)),
                 None => return usage("--json requires a path"),
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => return usage("--baseline requires a path"),
             },
             other => return usage(&format!("unknown argument `{other}`")),
         }
@@ -57,21 +48,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let gating: Vec<&Finding> = match &baseline {
-        Some(path) => {
-            let baseline_json = std::fs::read_to_string(path).unwrap_or_default();
-            if baseline_json.is_empty() {
-                eprintln!(
-                    "lint: baseline {} missing or empty; treating all findings as new",
-                    path.display()
-                );
-            }
-            analysis.new_vs_baseline(&baseline_json)
-        }
-        None => analysis.findings.iter().collect(),
-    };
-
-    for f in &gating {
+    for f in &analysis.findings {
         println!(
             "{}:{}:{}: [{}] {}",
             f.file, f.line, f.col, f.rule, f.message
@@ -79,18 +56,12 @@ fn main() -> ExitCode {
         println!("    {}", f.excerpt.trim());
     }
 
-    let label = if baseline.is_some() {
-        "gating (new vs baseline)"
-    } else {
-        "gating"
-    };
     println!(
-        "lint: {} files scanned, {} finding(s), {} {label}",
+        "lint: {} files scanned, {} finding(s)",
         analysis.files_scanned,
-        analysis.findings.len(),
-        gating.len()
+        analysis.findings.len()
     );
-    if gating.is_empty() {
+    if analysis.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -99,7 +70,7 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("lint: {err}");
-    eprintln!("usage: lint [--json PATH] [--baseline PATH]");
+    eprintln!("usage: lint [--json PATH]");
     ExitCode::FAILURE
 }
 
