@@ -94,11 +94,6 @@ impl RolloutSchedule {
         }
     }
 
-    /// The wave plan.
-    pub fn stages(&self) -> &[RolloutStage] {
-        &self.stages
-    }
-
     /// The machine's fixed unit-interval enrollment draw.
     fn draw(&self, machine: u64) -> f64 {
         // 53 mantissa bits of the derived seed → uniform in [0, 1).
@@ -121,7 +116,7 @@ mod tests {
 
     /// The first wave that enrolls `machine`.
     fn wave_of(sched: &RolloutSchedule, machine: u64) -> Option<usize> {
-        (0..sched.stages().len()).find(|&w| sched.enrolled(w, machine))
+        (0..sched.stages.len()).find(|&w| sched.enrolled(w, machine))
     }
 
     fn delta(throughput: f64, memory: f64) -> Comparison {
@@ -177,7 +172,7 @@ mod tests {
         let sched = RolloutSchedule::staged(7);
         let machines = 20_000u64;
         let mut prev = 0usize;
-        for (w, stage) in sched.stages().iter().enumerate() {
+        for (w, stage) in sched.stages.iter().enumerate() {
             let enrolled = (0..machines).filter(|&m| sched.enrolled(w, m)).count();
             assert!(enrolled >= prev, "wave {w} shrank the enrolled set");
             let frac = enrolled as f64 / machines as f64;
@@ -197,7 +192,7 @@ mod tests {
         let sched = RolloutSchedule::staged(11);
         for m in 0..5_000u64 {
             let first = wave_of(&sched, m).unwrap();
-            for w in 0..sched.stages().len() {
+            for w in 0..sched.stages.len() {
                 assert_eq!(sched.enrolled(w, m), w >= first, "machine {m} wave {w}");
             }
         }

@@ -54,7 +54,9 @@
 //! use wsc_parallel::{Engine, Task};
 //!
 //! let engine = Engine::new(4);
-//! let tasks = Task::seeded(42, (0..8).map(|i| (format!("unit {i}"), i)));
+//! let tasks: Vec<Task<u64>> = (0..8)
+//!     .map(|i| Task { seed: i, label: format!("unit {i}"), payload: i })
+//!     .collect();
 //! let out = engine
 //!     .run(&tasks, |task, _| task.payload * 2)
 //!     .expect("no task panics");
@@ -95,22 +97,6 @@ pub struct Task<T> {
     pub label: String,
     /// Caller data handed to the task body.
     pub payload: T,
-}
-
-impl<T> Task<T> {
-    /// Builds a task list whose seeds form a SplitMix64 derivation tree:
-    /// task `i` gets `derive_seed(master, i)`. Labels come with the items.
-    pub fn seeded(master: u64, items: impl IntoIterator<Item = (String, T)>) -> Vec<Self> {
-        items
-            .into_iter()
-            .enumerate()
-            .map(|(i, (label, payload))| Self {
-                seed: wsc_prng::derive_seed(master, i as u64),
-                label,
-                payload,
-            })
-            .collect()
-    }
 }
 
 /// Structured abort: the first (lowest-index) task that panicked.
@@ -296,8 +282,8 @@ impl Engine {
     /// instead of O(tasks).
     ///
     /// `step(acc, index, seed)` folds one index into a leaf accumulator;
-    /// `seed` is `derive_seed(master, index)` — the same derivation
-    /// [`Task::seeded`] uses, and a function of the *global* index, so
+    /// `seed` is `derive_seed(master, index)`, a function of the *global*
+    /// index, so
     /// process shards folding sub-spans see identical seeds. `merge`
     /// combines two leaf accumulators; `label_of` names an index for error
     /// reports (only invoked on failure).
@@ -483,7 +469,13 @@ mod tests {
     use super::*;
 
     fn tasks(n: usize) -> Vec<Task<usize>> {
-        Task::seeded(7, (0..n).map(|i| (format!("t{i}"), i)))
+        (0..n)
+            .map(|i| Task {
+                seed: wsc_prng::derive_seed(7, i as u64),
+                label: format!("t{i}"),
+                payload: i,
+            })
+            .collect()
     }
 
     #[test]

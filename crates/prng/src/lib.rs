@@ -205,20 +205,6 @@ impl SmallRng {
     pub fn gen_range<R: SampleRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen::<f64>() < p
-    }
-
-    /// A uniform index into a `len`-element collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn gen_index(&mut self, len: usize) -> usize {
-        self.gen_range(0..len)
-    }
 }
 
 /// Types that can be drawn uniformly from a [`SmallRng`].
@@ -481,7 +467,7 @@ mod tests {
         let mut model = std::collections::BTreeMap::new();
         for step in 0..20_000u64 {
             let key = rng.gen_range(0u64..512) << 21;
-            if rng.gen_bool(0.5) {
+            if rng.gen::<f64>() < 0.5 {
                 assert_eq!(map.insert(key, step), model.insert(key, step));
             } else {
                 assert_eq!(map.remove(&key), model.remove(&key));
@@ -557,14 +543,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.gen::<f64>()).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn gen_bool_probability() {
-        let mut rng = SmallRng::seed_from_u64(6);
-        let hits = (0..100_000).filter(|_| rng.gen_bool(0.3)).count();
-        let frac = hits as f64 / 100_000.0;
-        assert!((frac - 0.3).abs() < 0.01, "frac {frac}");
     }
 
     #[test]

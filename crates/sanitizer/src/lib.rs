@@ -80,11 +80,6 @@ impl Sanitizer {
         }
     }
 
-    /// The active level.
-    pub fn level(&self) -> SanitizeLevel {
-        self.level
-    }
-
     /// The shadow heap (for audits and tests).
     pub fn shadow(&self) -> &ShadowState {
         &self.shadow
@@ -99,11 +94,6 @@ impl Sanitizer {
     /// in detection order.
     pub fn reports(&self) -> &[SanitizerReport] {
         &self.reports
-    }
-
-    /// Drains the report log.
-    pub fn take_reports(&mut self) -> Vec<SanitizerReport> {
-        std::mem::take(&mut self.reports)
     }
 
     /// Maps a span the allocator announced in the shadow's page mirror
@@ -194,7 +184,7 @@ mod tests {
         assert_eq!(s.check_free(0xdead, None), None);
         assert!(!s.audit_due());
         assert!(s.reports().is_empty());
-        assert_eq!(s.shadow().live_count(), 0);
+        assert_eq!(s.shadow().live_objects().count(), 0);
     }
 
     #[test]
@@ -229,9 +219,6 @@ mod tests {
         assert_eq!(s.run_audit(&snap), 1);
         assert_eq!(s.audits_run(), 1);
         assert_eq!(s.reports()[0].kind, ErrorKind::ByteConservationViolation);
-        let drained = s.take_reports();
-        assert_eq!(drained.len(), 1);
-        assert!(s.reports().is_empty());
     }
 
     #[test]

@@ -72,23 +72,12 @@ pub struct ShadowState {
     /// Tombstones: addresses the application freed and was not re-given.
     freed: BTreeMap<u64, ObjectShadow>,
     reports: Vec<SanitizerReport>,
-    ops: u64,
 }
 
 impl ShadowState {
     /// Creates an empty shadow.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Operations checked so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Live shadow objects.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
     }
 
     /// Live shadow objects of one class (`None` = large allocations).
@@ -180,7 +169,6 @@ impl ShadowState {
     /// against the shadow. Class and span id come from the announced span
     /// the object lies in.
     pub fn record_alloc(&mut self, addr: u64, size: u64) {
-        self.ops += 1;
         let Some((start, s)) = self.span_at(addr) else {
             self.report(
                 ErrorKind::UseOfUnmappedAddress,
@@ -245,7 +233,6 @@ impl ShadowState {
     /// to the tombstone set; on `Rejected` a report was recorded and the
     /// allocator must skip the operation.
     pub fn check_free(&mut self, addr: u64, expected_class: Option<u16>) -> FreeCheck {
-        self.ops += 1;
         if let Some(obj) = self.live.get(&addr).copied() {
             if obj.size_class != expected_class {
                 self.report(
@@ -343,7 +330,7 @@ mod tests {
         let mut sh = shadow_with_span();
         assert!(matches!(sh.check_free(0x10000, Some(3)), FreeCheck::Ok(_)));
         assert!(sh.reports().is_empty());
-        assert_eq!(sh.live_count(), 0);
+        assert_eq!(sh.live.len(), 0);
     }
 
     #[test]
@@ -393,7 +380,7 @@ mod tests {
         let r = sh.check_free(0x10000, Some(9));
         assert_eq!(r, FreeCheck::Rejected(ErrorKind::WrongSizeClassFree));
         // The object stays live: the free was rejected.
-        assert_eq!(sh.live_count(), 1);
+        assert_eq!(sh.live.len(), 1);
     }
 
     #[test]
@@ -423,7 +410,7 @@ mod tests {
         // Past the one announced page: no span, so nothing is recorded.
         sh.record_alloc(0x10000 + PG, 64);
         assert_eq!(sh.reports()[0].kind, ErrorKind::UseOfUnmappedAddress);
-        assert_eq!(sh.live_count(), 0);
+        assert_eq!(sh.live.len(), 0);
         // Starts inside the span, ends past it.
         sh.record_alloc(0x10000 + PG - 32, 64);
         assert_eq!(sh.reports()[1].kind, ErrorKind::UseOfUnmappedAddress);
@@ -447,7 +434,7 @@ mod tests {
         let mut sh = shadow_with_span();
         sh.forget_span(0x10000);
         assert_eq!(sh.reports()[0].kind, ErrorKind::ObjectConservationViolation);
-        assert_eq!(sh.live_count(), 0);
+        assert_eq!(sh.live.len(), 0);
     }
 
     #[test]

@@ -647,7 +647,7 @@ mod tests {
             let mut fresh = 1_000u64;
             for _ in 0..4000 {
                 let d = rng.gen_range(0..domains);
-                if rng.gen_bool(0.9) {
+                if rng.gen::<f64>() < 0.9 {
                     let hot = d as u64 * 20 + rng.gen_range(0..20u64);
                     both.access(d, addr(hot), 64);
                 } else {

@@ -104,7 +104,7 @@ impl CostModel {
     /// The transfer cache and central free list sit between the front-end and
     /// the pageheap (both mutex-protected; the central free list additionally
     /// walks span lists), calibrated at 24.9 ns and 81.4 ns.
-    pub fn production() -> Self {
+    pub const fn production() -> Self {
         Self {
             freq_ghz: 2.0,
             percpu_hit_ns: 3.1,

@@ -475,13 +475,13 @@ mod tests {
             // (key 0 and key 1) is in play, as is the empty tag's value.
             let pages = 4 * geom.l2_entries as u64;
             for step in 0..200_000 {
-                let size = if rng.gen_bool(0.3) {
+                let size = if rng.gen::<f64>() < 0.3 {
                     PageSize::Huge2M
                 } else {
                     PageSize::Base4K
                 };
                 // Skewed: a hot eighth of the pages takes half the accesses.
-                let page = if rng.gen_bool(0.5) {
+                let page = if rng.gen::<f64>() < 0.5 {
                     rng.gen_range(0..pages / 8)
                 } else {
                     rng.gen_range(0..pages)

@@ -154,11 +154,6 @@ impl Platform {
         (self.sockets * self.nodes_per_socket * self.domains_per_node) as usize
     }
 
-    /// Total sockets.
-    pub fn num_sockets(&self) -> usize {
-        self.sockets as usize
-    }
-
     /// Logical CPUs per LLC domain.
     pub fn cpus_per_domain(&self) -> usize {
         (self.cores_per_domain * self.smt) as usize
@@ -204,13 +199,6 @@ impl Platform {
     pub fn socket_of(&self, cpu: CpuId) -> SocketId {
         let node = self.node_of(cpu);
         SocketId(node.0 / self.nodes_per_socket)
-    }
-
-    /// The logical CPUs in the given LLC domain.
-    pub fn cpus_in_domain(&self, domain: DomainId) -> impl Iterator<Item = CpuId> {
-        let per = self.cpus_per_domain();
-        let start = domain.index() * per;
-        (start..start + per).map(|i| CpuId(i as u32))
     }
 
     /// Whether two CPUs share an LLC domain.
@@ -269,16 +257,6 @@ mod tests {
         assert_eq!(p.domain_of(CpuId(16)), DomainId(1));
         assert_eq!(p.socket_of(CpuId(16)), SocketId(0));
         assert_eq!(p.socket_of(CpuId(128)), SocketId(1));
-    }
-
-    #[test]
-    fn domain_cpu_round_trip() {
-        let p = Platform::chiplet("x", 1, 4, 4, 2);
-        for d in 0..p.num_domains() as u32 {
-            for cpu in p.cpus_in_domain(DomainId(d)) {
-                assert_eq!(p.domain_of(cpu), DomainId(d));
-            }
-        }
     }
 
     #[test]

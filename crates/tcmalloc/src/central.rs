@@ -60,13 +60,6 @@ impl SpanReturnObs {
         }
     }
 
-    /// Release probability for spans observed at `live` allocations, or
-    /// `None` without observations.
-    pub fn return_rate(&self, live: u32) -> Option<f64> {
-        let &(rel, tot) = self.buckets.get(live.min(self.capacity) as usize)?;
-        (tot > 0).then(|| rel as f64 / tot as f64)
-    }
-
     /// Iterates `(live_allocations, release_rate, observations)` for
     /// occupancies with data.
     pub fn iter(&self) -> impl Iterator<Item = (u32, f64, u64)> + '_ {
@@ -348,7 +341,6 @@ mod tests {
     use crate::config::TcmallocConfig;
     use crate::pageheap::PageHeapConfig;
     use crate::size_class::SizeClassTable;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     struct Fixture {
@@ -367,11 +359,7 @@ mod tests {
             spans: SpanRegistry::new(),
             pagemap: Pagemap::default(),
             pageheap: PageHeap::new(PageHeapConfig::default()),
-            bus: EventBus::new(
-                &TcmallocConfig::baseline(),
-                CostModel::production(),
-                Clock::new(),
-            ),
+            bus: EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
         }
     }
 
@@ -484,8 +472,8 @@ mod tests {
             f.free(o);
         }
         let _more = f.alloc(5);
-        let low = f.cfl.obs.return_rate(1).unwrap();
-        let high = f.cfl.obs.return_rate(295).unwrap();
+        let rate = |live| f.cfl.obs.iter().find(|o| o.0 == live).unwrap().1;
+        let (low, high) = (rate(1), rate(295));
         assert!(low > high, "low occupancy {low} vs high {high}");
         assert_eq!(high, 0.0);
     }
@@ -497,9 +485,6 @@ mod tests {
         let mut f = fixture(8);
         let _ = f.alloc(300);
         assert!(f.cfl.obs.buckets.is_empty(), "no free yet, no table yet");
-        for live in [0, 1, 300, 512, 513, u32::MAX] {
-            assert_eq!(f.cfl.obs.return_rate(live), None, "live {live}");
-        }
         assert_eq!(f.cfl.obs.iter().count(), 0);
     }
 

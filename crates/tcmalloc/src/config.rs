@@ -155,6 +155,9 @@ impl TcmallocConfig {
     }
 
     /// Sets the sanitizer level (shadow checks + conservation audits).
+    // lint:allow(test-only-pub) a deployment setting (DESIGN.md §6) no
+    // experiment varies; config_lattice, chaos_soak and end_to_end launch
+    // allocators with it, and no other builder sets it.
     pub fn with_sanitize(mut self, level: SanitizeLevel) -> Self {
         self.sanitize = level;
         self
@@ -169,6 +172,9 @@ impl TcmallocConfig {
 
     /// Sets the soft memory limit (synchronous release-and-retry in
     /// background maintenance when resident bytes exceed it).
+    // lint:allow(test-only-pub) a deployment setting (DESIGN.md §6) no
+    // experiment varies; chaos_soak, event_stream and sanitizer_faults
+    // launch allocators with it, and no other builder sets it.
     pub fn with_soft_limit(mut self, bytes: u64) -> Self {
         self.soft_limit = Some(bytes);
         self
@@ -176,6 +182,9 @@ impl TcmallocConfig {
 
     /// Sets the hard memory limit (mmap past it fails with a structured
     /// allocation error instead of growing the heap).
+    // lint:allow(test-only-pub) a deployment setting (DESIGN.md §6) no
+    // experiment varies; chaos_soak and config_lattice launch allocators
+    // with it, and no other builder sets it.
     pub fn with_hard_limit(mut self, bytes: u64) -> Self {
         self.hard_limit = Some(bytes);
         self
@@ -248,7 +257,7 @@ mod tests {
             .with_os_faults(FaultPlan::off().with_seed(7));
         assert_eq!(c.soft_limit, Some(64 << 20));
         assert_eq!(c.hard_limit, Some(128 << 20));
-        assert!(c.os_faults.unwrap().is_off());
+        assert_eq!(c.os_faults, Some(FaultPlan::off().with_seed(7)));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::config::TcmallocConfig;
 use crate::stats::{CycleStats, StatsView};
 use std::collections::VecDeque;
 use wsc_sanitizer::Sanitizer;
-use wsc_sim_hw::cost::{AllocPath, CostModel};
+use wsc_sim_hw::cost::AllocPath;
 use wsc_sim_os::clock::Clock;
 use wsc_telemetry::gwp::{AllocationProfile, Sample};
 
@@ -579,11 +579,6 @@ impl TraceRing {
         }
     }
 
-    /// Entries currently held (timestamp, event), oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &(u64, AllocEvent)> {
-        self.entries.iter()
-    }
-
     /// Events currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -661,7 +656,7 @@ impl EventSink for TraceRing {
 ///
 /// The bus also *prices* operations: [`malloc_done`](Self::malloc_done) and
 /// [`free_done`](Self::free_done) look the completion up in the stats
-/// view's price table, count it and return its nanoseconds in one call — a
+/// view's price table (the Figure 4 calibration), count it and return its nanoseconds in one call — a
 /// tier cannot pay for what it does not report, and
 /// [`cycles`](Self::cycles), priced from the counts when read, is exact the
 /// moment an operation returns.
@@ -671,7 +666,6 @@ impl EventSink for TraceRing {
 /// attached sink, or the sanitizer). Observers see the full
 /// per-op stream; with nobody listening nothing is built.
 pub struct EventBus {
-    cost: CostModel,
     clock: Clock,
     stats: StatsView,
     sanitizer: Sanitizer,
@@ -695,12 +689,11 @@ impl std::fmt::Debug for EventBus {
 impl EventBus {
     /// Builds the bus for one allocator instance: sink selection comes from
     /// `cfg` (`trace_capacity`, `sanitize`).
-    pub fn new(cfg: &TcmallocConfig, cost: CostModel, clock: Clock) -> Self {
+    pub fn new(cfg: &TcmallocConfig, clock: Clock) -> Self {
         let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
         Self {
-            cost,
             clock,
-            stats: StatsView::new(cost),
+            stats: StatsView::default(),
             sanitizer: Sanitizer::new(cfg.sanitize),
             observed: trace.is_some() || cfg.sanitize.is_on(),
             trace,
@@ -803,18 +796,6 @@ impl EventBus {
         ns
     }
 
-    /// The cost model the bus prices operations with.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Prices every later operation against `cost`. Observers, the
-    /// sanitizer's state and what is already booked are kept.
-    pub(crate) fn set_cost(&mut self, cost: CostModel) {
-        self.cost = cost;
-        self.stats.reprice(&cost);
-    }
-
     /// Cycle attribution (Figure 6a view), exact at every instant.
     pub fn cycles(&self) -> CycleStats {
         self.stats.cycles()
@@ -861,9 +842,10 @@ mod tests {
     use super::*;
     use crate::stats::CycleCategory;
     use wsc_sanitizer::{ErrorKind, SanitizeLevel};
+    use wsc_sim_hw::cost::CostModel;
 
     fn bus(cfg: TcmallocConfig) -> EventBus {
-        EventBus::new(&cfg, CostModel::production(), Clock::new())
+        EventBus::new(&cfg, Clock::new())
     }
 
     fn hit() -> AllocEvent {
@@ -949,7 +931,7 @@ mod tests {
             }
         }
         assert_eq!(quiet.cycles().ops(CycleCategory::Sampled), 3);
-        let mut replayed = StatsView::new(CostModel::production());
+        let mut replayed = StatsView::default();
         for ev in &buses[0].stream() {
             replayed.on_event(0, ev);
         }
@@ -985,7 +967,7 @@ mod tests {
         let spans: Vec<_> = b.sanitizer().shadow().spans().collect();
         assert_eq!(spans, [(0x10000, 1, Some(1))]);
         b.emit(malloc_done_at(0x10000));
-        assert_eq!(b.sanitizer().shadow().live_count(), 1);
+        assert_eq!(b.sanitizer().shadow().live_objects().count(), 1);
         assert_eq!(b.sanitizer().shadow().live_count_by_class(Some(1)), 1);
         b.emit(AllocEvent::SpanRetire {
             id: 0,
@@ -995,7 +977,7 @@ mod tests {
         });
         // The span vanished with a live object on it: the shadow reports a
         // leak, and the object is forgotten.
-        assert_eq!(b.sanitizer().shadow().live_count(), 0);
+        assert_eq!(b.sanitizer().shadow().live_objects().count(), 0);
         assert_eq!(b.sanitizer().shadow().spans().count(), 0);
         let kinds: Vec<_> = b.sanitizer().reports().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [ErrorKind::ObjectConservationViolation]);
@@ -1010,7 +992,7 @@ mod tests {
         b.emit(malloc_done_at(0x10000));
         let kinds: Vec<_> = b.sanitizer().reports().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [ErrorKind::UseOfUnmappedAddress]);
-        assert_eq!(b.sanitizer().shadow().live_count(), 0);
+        assert_eq!(b.sanitizer().shadow().live_objects().count(), 0);
     }
 
     #[test]
@@ -1021,7 +1003,7 @@ mod tests {
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 3);
-        let ts: Vec<u64> = r.entries().map(|(t, _)| *t).collect();
+        let ts: Vec<u64> = r.entries.iter().map(|(t, _)| *t).collect();
         assert_eq!(ts, [3, 4], "oldest dropped first");
     }
 

@@ -170,18 +170,13 @@ impl HugeCache {
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     fn setup(limit_hp: u64) -> (HugeCache, OsLayer, EventBus) {
         (
             HugeCache::new(limit_hp * HUGE_PAGE_BYTES),
             OsLayer::infallible(),
-            EventBus::new(
-                &TcmallocConfig::baseline(),
-                CostModel::production(),
-                Clock::new(),
-            ),
+            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 
@@ -226,11 +221,11 @@ mod tests {
     fn trim_unmaps_beyond_limit() {
         let (mut c, mut os, mut b) = setup(2);
         let (addr, _) = c.alloc_run(5, &mut os, &mut b).unwrap();
-        let mapped_before = os.vmm().mapped_bytes();
+        let mapped_before = os.vmm().page_table().mapped_bytes();
         c.free_run(addr, 5, &mut os, &mut b);
         assert_eq!(c.cached_bytes(), 2 * HUGE_PAGE_BYTES, "trimmed to limit");
         assert_eq!(
-            os.vmm().mapped_bytes(),
+            os.vmm().page_table().mapped_bytes(),
             mapped_before - 3 * HUGE_PAGE_BYTES,
             "3 hugepages unmapped"
         );
@@ -243,7 +238,7 @@ mod tests {
         c.free_run(addr, 3, &mut os, &mut b);
         c.release_all(&mut os, &mut b);
         assert_eq!(c.cached_bytes(), 0);
-        assert_eq!(os.vmm().mapped_bytes(), 0);
+        assert_eq!(os.vmm().page_table().mapped_bytes(), 0);
     }
 
     #[test]

@@ -654,7 +654,6 @@ mod reference;
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     fn setup() -> (HugePageFiller, HugeCache, OsLayer, EventBus) {
@@ -662,11 +661,7 @@ mod tests {
             HugePageFiller::new(false, 16),
             HugeCache::new(0), // no caching: frees go straight to the OS
             OsLayer::infallible(),
-            EventBus::new(
-                &TcmallocConfig::baseline(),
-                CostModel::production(),
-                Clock::new(),
-            ),
+            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 
@@ -708,7 +703,7 @@ mod tests {
         assert_eq!(f.stats().hugepages, 0);
         assert_eq!(f.stats().freed_whole, 1);
         // Cache limit 0 → hugepage munmapped back to the OS intact.
-        assert_eq!(os.vmm().mapped_bytes(), 0);
+        assert_eq!(os.vmm().page_table().mapped_bytes(), 0);
         assert_eq!(os.stats().madvise_calls, 0, "no subrelease needed");
     }
 

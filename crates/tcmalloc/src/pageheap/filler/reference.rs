@@ -12,7 +12,6 @@
 use super::*;
 use crate::config::TcmallocConfig;
 use wsc_prng::SmallRng;
-use wsc_sim_hw::cost::CostModel;
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
 use wsc_sim_os::vmm::Vmm;
@@ -474,7 +473,6 @@ impl World {
             os: OsLayer::new(Vmm::with_faults(plan, Clock::new()), None),
             b: EventBus::new(
                 &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
-                CostModel::production(),
                 Clock::new(),
             ),
         }
@@ -510,12 +508,12 @@ fn filler_matches_linear_probe_reference() {
             match rng.gen_range(0..100u32) {
                 0..=44 => {
                     // Mostly small spans, sometimes nearly a hugepage.
-                    let pages = if rng.gen_bool(0.85) {
+                    let pages = if rng.gen::<f64>() < 0.85 {
                         rng.gen_range(1..=32u32)
                     } else {
                         rng.gen_range(1..HP_PAGES)
                     };
-                    let cap = [1, 8, 100, 512][rng.gen_index(4)];
+                    let cap = [1, 8, 100, 512][rng.gen_range(0..4usize)];
                     let a = new
                         .f
                         .alloc(pages, cap, &mut new.c, &mut new.os, &mut new.b)
@@ -528,7 +526,7 @@ fn filler_matches_linear_probe_reference() {
                     live.push((a.0, pages));
                 }
                 45..=84 if !live.is_empty() => {
-                    let (addr, pages) = live.swap_remove(rng.gen_index(live.len()));
+                    let (addr, pages) = live.swap_remove(rng.gen_range(0..live.len()));
                     new.f
                         .dealloc(addr, pages, &mut new.c, &mut new.os, &mut new.b);
                     old.f
@@ -543,7 +541,7 @@ fn filler_matches_linear_probe_reference() {
                     heads.push((base, head));
                 }
                 90..=93 if !heads.is_empty() => {
-                    let (base, head) = heads.swap_remove(rng.gen_index(heads.len()));
+                    let (base, head) = heads.swap_remove(rng.gen_range(0..heads.len()));
                     new.f
                         .free_donated_head(base, head, &mut new.c, &mut new.os, &mut new.b);
                     old.f

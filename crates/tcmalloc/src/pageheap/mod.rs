@@ -137,10 +137,9 @@ impl Route {
 /// ```
 /// use wsc_tcmalloc::pageheap::{PageHeap, PageHeapConfig};
 /// # use wsc_tcmalloc::{config::TcmallocConfig, events::EventBus};
-/// # use wsc_sim_hw::cost::CostModel;
 /// # use wsc_sim_os::clock::Clock;
 /// # let mut bus = EventBus::new(
-/// #     &TcmallocConfig::baseline(), CostModel::production(), Clock::new());
+/// #     &TcmallocConfig::baseline(), Clock::new());
 ///
 /// let mut ph = PageHeap::new(PageHeapConfig::default());
 /// let (addr, _path) = ph.alloc(4, 512, &mut bus).expect("infallible kernel");
@@ -427,17 +426,12 @@ impl PageHeap {
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     fn heap() -> (PageHeap, EventBus) {
         (
             PageHeap::new(PageHeapConfig::default()),
-            EventBus::new(
-                &TcmallocConfig::baseline(),
-                CostModel::production(),
-                Clock::new(),
-            ),
+            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 

@@ -33,7 +33,8 @@ use wsc_sim_os::{FaultStats, OsError};
 
 /// A structured allocation failure: the pageheap could not satisfy a
 /// request. Surfaced through
-/// [`Tcmalloc::try_malloc`](crate::Tcmalloc::try_malloc) instead of a panic.
+/// [`Tcmalloc::try_malloc_with_site`](crate::Tcmalloc::try_malloc_with_site)
+/// instead of a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocError {
     /// The (simulated) kernel denied the backing `mmap` with ENOMEM and
@@ -213,11 +214,6 @@ impl OsLayer {
         self.vmm.page_table().denied_hugepages()
     }
 
-    /// The configured hard limit, bytes.
-    pub fn hard_limit(&self) -> Option<u64> {
-        self.hard_limit
-    }
-
     /// The process page table (backing/residency state).
     pub fn page_table(&self) -> &PageTable {
         self.vmm.page_table()
@@ -251,14 +247,12 @@ impl Default for OsLayer {
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
     use wsc_sim_os::faults::{FaultPlan, PPM};
 
     fn bus() -> EventBus {
         EventBus::new(
             &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
-            CostModel::production(),
             Clock::new(),
         )
     }

@@ -189,15 +189,10 @@ impl HugeRegionSet {
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     fn bus() -> EventBus {
-        EventBus::new(
-            &TcmallocConfig::baseline(),
-            CostModel::production(),
-            Clock::new(),
-        )
+        EventBus::new(&TcmallocConfig::baseline(), Clock::new())
     }
 
     #[test]
@@ -254,10 +249,10 @@ mod tests {
         let mut os = OsLayer::infallible();
         let mut bs = bus();
         let (a, _) = rs.alloc(400, &mut os, &mut bs).unwrap();
-        let mapped = os.vmm().mapped_bytes();
+        let mapped = os.vmm().page_table().mapped_bytes();
         rs.dealloc(a, 400, &mut os, &mut bs);
         assert_eq!(rs.regions.len(), 0);
-        assert_eq!(os.vmm().mapped_bytes(), mapped - REGION_BYTES);
+        assert_eq!(os.vmm().page_table().mapped_bytes(), mapped - REGION_BYTES);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! dense pools owned by the [`SpanRegistry`]'s `SlabArena`, indexed by
 //! `SpanId`-addressed regions. This removes two heap allocations (and two
 //! frees) from every span's create/release cycle and keeps the per-object
-//! hot path (`alloc_object` / `dealloc_object`) inside two flat arrays
+//! hot path (`alloc_objects` / `dealloc_object`) inside two flat arrays
 //! instead of chasing per-span `Vec` headers. Regions are recycled with
 //! their span id: a recycled id whose region capacity suffices reuses its
 //! storage in place, so steady-state churn performs no pool growth at all.
@@ -76,7 +76,7 @@ pub enum SpanState {
 ///
 /// Pure scalar record — the free stack and bitmap live in the registry's
 /// `SlabArena`, so object alloc/free goes through
-/// [`SpanRegistry::alloc_object`] / [`SpanRegistry::dealloc_object`].
+/// [`SpanRegistry::alloc_objects`] / [`SpanRegistry::dealloc_object`].
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Base address (TCMalloc-page aligned).
@@ -346,40 +346,10 @@ impl SpanRegistry {
         self.spans[id.index()].as_mut().expect("stale span id")
     }
 
-    /// Pops one free object off span `id`, returning its address: the
-    /// explicit stack's top if it has one, else the next bump index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale or the span has no free objects (caller
-    /// must check).
-    pub fn alloc_object(&mut self, id: SpanId) -> u64 {
-        let span = self.spans[id.index()].as_mut().expect("stale span id");
-        assert!(
-            span.allocated < span.capacity,
-            "alloc_object on exhausted span"
-        );
-        // Live ids always own a slot: insert() carves one per id.
-        let slot = self.arena.slots[id.index()];
-        let explicit = span.carved - span.allocated;
-        let idx = if explicit > 0 {
-            // explicit <= carved <= capacity <= region_cap.
-            self.arena.free_pool[slot.free_off as usize + explicit as usize - 1]
-        } else {
-            span.carved += 1;
-            span.carved - 1
-        };
-        debug_assert!(!self.arena.bit(slot, idx), "object {idx} already allocated");
-        span.allocated += 1;
-        let addr = span.start + idx as u64 * span.object_size;
-        self.arena.set_bit(slot, idx, true);
-        addr
-    }
-
     /// Pops `n` free objects off span `id`, appending their addresses to
-    /// `out` in the order `n` calls of [`alloc_object`](Self::alloc_object)
-    /// would return them: the explicit stack from its top down, then the
-    /// bump range ascending, its bitmap bits set a word at a time.
+    /// `out`: the explicit stack from its top down (the most recently
+    /// freed object first), then the bump range ascending, its bitmap bits
+    /// set a word at a time.
     ///
     /// # Panics
     ///
@@ -508,6 +478,13 @@ mod tests {
         Span::new_small(0x10000, cl as u16, t.info(cl))
     }
 
+    /// Pops one object: a batch of one.
+    fn pop(reg: &mut SpanRegistry, id: SpanId) -> u64 {
+        let mut out = Vec::new();
+        reg.alloc_objects(id, 1, &mut out);
+        out[0]
+    }
+
     /// Registry with one small span, the fixture most tests drive.
     fn registry_with_span() -> (SpanRegistry, SpanId) {
         let mut reg = SpanRegistry::new();
@@ -521,7 +498,7 @@ mod tests {
         assert_eq!(reg.get(id).capacity, 512);
         let mut addrs = Vec::new();
         for _ in 0..reg.get(id).capacity {
-            addrs.push(reg.alloc_object(id));
+            addrs.push(pop(&mut reg, id));
         }
         assert_eq!(reg.get(id).free_count(), 0);
         assert_eq!(reg.get(id).allocated, 512);
@@ -544,21 +521,21 @@ mod tests {
         // the exact semantics of the retired per-span Vec (address reuse
         // determinism the golden figures depend on).
         let (mut reg, id) = registry_with_span();
-        let a0 = reg.alloc_object(id);
-        let a1 = reg.alloc_object(id);
+        let a0 = pop(&mut reg, id);
+        let a1 = pop(&mut reg, id);
         let base = reg.get(id).start;
         let osize = reg.get(id).object_size;
         assert_eq!(a0, base, "fresh span hands out object 0 first");
         assert_eq!(a1, base + osize, "then object 1");
         reg.dealloc_object(id, a0);
-        assert_eq!(reg.alloc_object(id), a0, "LIFO: last freed, first reused");
+        assert_eq!(pop(&mut reg, id), a0, "LIFO: last freed, first reused");
     }
 
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_detected() {
         let (mut reg, id) = registry_with_span();
-        let a = reg.alloc_object(id);
+        let a = pop(&mut reg, id);
         reg.dealloc_object(id, a);
         reg.dealloc_object(id, a);
     }
@@ -567,7 +544,7 @@ mod tests {
     #[should_panic(expected = "misaligned")]
     fn misaligned_free_detected() {
         let (mut reg, id) = registry_with_span();
-        let a = reg.alloc_object(id);
+        let a = pop(&mut reg, id);
         reg.dealloc_object(id, a + 1);
     }
 
@@ -586,7 +563,7 @@ mod tests {
         let mut reg = SpanRegistry::new();
         let id = reg.insert(Span::new_small(0, cl as u16, t.info(cl)));
         for _ in 0..=reg.get(id).capacity {
-            reg.alloc_object(id);
+            pop(&mut reg, id);
         }
     }
 
@@ -628,7 +605,7 @@ mod tests {
         );
         // A reused region starts clean: full carve works again.
         for _ in 0..reg.get(c).capacity {
-            reg.alloc_object(c);
+            pop(&mut reg, c);
         }
         assert_eq!(reg.get(c).free_count(), 0);
     }
@@ -645,7 +622,7 @@ mod tests {
         let b = reg.insert(small_span());
         assert_eq!(b, a, "id recycled");
         for _ in 0..512 {
-            reg.alloc_object(b);
+            pop(&mut reg, b);
         }
         let stats = reg.arena_stats();
         assert_eq!(stats.retired_entries, 1, "capacity-1 region abandoned");
@@ -787,7 +764,7 @@ mod tests {
                 let m = model[id.index()].as_mut().unwrap();
                 let free = m.free.len() as u32;
                 if pick < 40 && free > 0 {
-                    assert_eq!(reg.alloc_object(id), m.alloc(), "op {op}");
+                    assert_eq!(pop(&mut reg, id), m.alloc(), "op {op}");
                 } else if pick < 60 && free > 0 {
                     let n = rng.gen_range(0u32..free.min(80) + 1);
                     out.clear();
@@ -821,7 +798,7 @@ mod tests {
         // the next single pop continues where the batch stopped.
         let (mut reg, id) = registry_with_span();
         let (base, osize) = (reg.get(id).start, reg.get(id).object_size);
-        let a: Vec<u64> = (0..3).map(|_| reg.alloc_object(id)).collect();
+        let a: Vec<u64> = (0..3).map(|_| pop(&mut reg, id)).collect();
         reg.dealloc_object(id, a[0]);
         reg.dealloc_object(id, a[2]);
         let mut out = Vec::new();
@@ -830,7 +807,7 @@ mod tests {
         let bump: Vec<u64> = (3..153).map(|i| base + i * osize).collect();
         assert_eq!(&out[2..], &bump[..], "then the bump range, ascending");
         assert_eq!(reg.get(id).carved, 153);
-        assert_eq!(reg.alloc_object(id), base + 153 * osize);
+        assert_eq!(pop(&mut reg, id), base + 153 * osize);
         for addr in out {
             reg.dealloc_object(id, addr);
         }

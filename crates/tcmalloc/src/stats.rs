@@ -190,7 +190,8 @@ impl CycleStats {
 }
 
 /// The attribution view: the Figure 6a cycle ledger and the GWP allocation
-/// profile, plus the [`PriceTable`] both are booked against.
+/// profile, plus the [`PriceTable`] of the one Figure 4 calibration both
+/// are booked against.
 ///
 /// An operation is priced once, by `complete`: the table entry gives the
 /// `ns` the allocator returns, and the view counts the completion under its
@@ -203,34 +204,28 @@ impl CycleStats {
 #[derive(Clone, Debug)]
 pub struct StatsView {
     prices: PriceTable,
-    /// Completions counted since the last [`reprice`](Self::reprice), per
-    /// path × prefetched × sampled: the layout of [`PriceTable`].
+    /// Completions per path × prefetched × sampled: the layout of
+    /// [`PriceTable`].
     counts: [[[u64; 2]; 2]; AllocPath::ALL.len()],
-    /// Direct charges (contention, injected OS latency) plus the counts
-    /// folded in, at the prices they were taken under, by each `reprice`.
+    /// Direct charges: contention and injected OS latency.
     booked: CycleStats,
     profile: AllocationProfile,
 }
 
-impl StatsView {
-    /// A zeroed view pricing against `cost`.
-    pub fn new(cost: CostModel) -> Self {
+impl Default for StatsView {
+    /// A zeroed view pricing against the Figure 4 calibration,
+    /// [`CostModel::production`].
+    fn default() -> Self {
         Self {
-            prices: PriceTable::new(&cost),
+            prices: PriceTable::new(&CostModel::production()),
             counts: Default::default(),
             booked: CycleStats::new(),
             profile: AllocationProfile::new(),
         }
     }
+}
 
-    /// Prices every later completion against `cost`; what is booked stays:
-    /// the counts so far are folded in at the old prices first.
-    pub(crate) fn reprice(&mut self, cost: &CostModel) {
-        self.booked = self.cycles();
-        self.counts = Default::default();
-        self.prices = PriceTable::new(cost);
-    }
-
+impl StatsView {
     /// The derived cycle attribution: what is booked plus every counted
     /// completion times its price.
     pub fn cycles(&self) -> CycleStats {
@@ -522,7 +517,7 @@ mod tests {
 
     #[test]
     fn contention_charges_flow_into_their_own_category() {
-        let mut v = StatsView::new(CostModel::production());
+        let mut v = StatsView::default();
         v.on_event(0, &AllocEvent::ContentionCharged { vcpu: 2, ns: 10.0 });
         v.on_event(0, &AllocEvent::ContentionCharged { vcpu: 0, ns: 45.0 });
         assert_eq!(v.cycles().ns(CycleCategory::Contention), 55.0);

@@ -112,9 +112,8 @@ pub const DOMAIN_BATCHES: u32 = 1;
 /// let table = SizeClassTable::production();
 /// let mut tc = TransferCaches::new(&table, TransferSharding::Domain);
 /// # use wsc_tcmalloc::{EventBus, TcmallocConfig};
-/// # use wsc_sim_hw::cost::CostModel;
 /// # use wsc_sim_os::clock::Clock;
-/// # let mut bus = EventBus::new(&TcmallocConfig::baseline(), CostModel::production(), Clock::new());
+/// # let mut bus = EventBus::new(&TcmallocConfig::baseline(), Clock::new());
 /// assert_eq!(tc.stash(0, 3, &[0x1000, 0x2000], &mut bus), 2, "both absorbed");
 /// // The same shard gets its own objects back (cache-domain locality).
 /// let mut batch = Vec::new();
@@ -274,6 +273,7 @@ impl TransferCaches {
     }
 
     /// Number of domain caches activated so far.
+    #[cfg(test)]
     pub fn active_domains(&self) -> usize {
         self.domains.iter().flatten().count()
     }
@@ -295,6 +295,9 @@ impl TransferCaches {
     /// Drains every cached object, grouped by class.
     // lint:allow(event-completeness) teardown drain: evicted objects are
     // handed back to the caller, whose reinsertion paths emit.
+    // lint:allow(test-only-pub) proptest_tiers' batch-order model reads
+    // it: the tier's cached objects, in order, are exposed by no other API
+    // (cached_objects_by_class only counts them).
     pub fn flush_all(&mut self) -> Vec<(usize, Vec<u64>)> {
         let mut out: Vec<(usize, Vec<u64>)> = Vec::new();
         for (cl, arr) in self.central.iter_mut().enumerate() {
@@ -319,7 +322,6 @@ impl TransferCaches {
 mod tests {
     use super::*;
     use crate::config::TcmallocConfig;
-    use wsc_sim_hw::cost::CostModel;
     use wsc_sim_os::clock::Clock;
 
     fn table() -> SizeClassTable {
@@ -327,11 +329,7 @@ mod tests {
     }
 
     fn bus() -> EventBus {
-        EventBus::new(
-            &TcmallocConfig::baseline(),
-            CostModel::production(),
-            Clock::new(),
-        )
+        EventBus::new(&TcmallocConfig::baseline(), Clock::new())
     }
 
     fn legacy() -> TransferCaches {
@@ -477,7 +475,6 @@ mod tests {
         let mut tc = nuca();
         let mut b = EventBus::new(
             &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
-            CostModel::production(),
             Clock::new(),
         );
         tc.stash(2, 1, &[0, 1, 2, 3, 4, 5, 6, 7], &mut b);

@@ -4,7 +4,6 @@
 //! original proptest strategies).
 
 use wsc_prng::SmallRng;
-use wsc_sim_hw::cost::CostModel;
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::config::TcmallocConfig;
 use wsc_tcmalloc::events::EventBus;
@@ -68,7 +67,9 @@ fn span_alloc_free_sequences_preserve_counts() {
         let ops = rng.gen_range(1usize..600);
         for i in 0..ops {
             if rng.gen::<bool>() && reg.get(id).free_count() > 0 {
-                let addr = reg.alloc_object(id);
+                let mut out = Vec::new();
+                reg.alloc_objects(id, 1, &mut out);
+                let addr = out[0];
                 assert!(!live.contains(&addr), "duplicate address");
                 live.push(addr);
             } else if !live.is_empty() {
@@ -110,11 +111,7 @@ fn registry_ids_stay_distinct() {
 // --- pageheap ---
 
 fn bus() -> EventBus {
-    EventBus::new(
-        &TcmallocConfig::baseline(),
-        CostModel::production(),
-        Clock::new(),
-    )
+    EventBus::new(&TcmallocConfig::baseline(), Clock::new())
 }
 
 #[test]

@@ -6,7 +6,6 @@
 //! original proptest strategies).
 
 use wsc_prng::SmallRng;
-use wsc_sim_hw::cost::CostModel;
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::rseq::VcpuId;
 use wsc_tcmalloc::central::CentralFreeList;
@@ -20,11 +19,7 @@ use wsc_tcmalloc::span::SpanRegistry;
 use wsc_tcmalloc::transfer::{TransferCaches, TransferSharding, CENTRAL_BATCHES, DOMAIN_BATCHES};
 
 fn bus() -> EventBus {
-    EventBus::new(
-        &TcmallocConfig::baseline(),
-        CostModel::production(),
-        Clock::new(),
-    )
+    EventBus::new(&TcmallocConfig::baseline(), Clock::new())
 }
 
 // --- central free list: random batch traffic, both L=1 and L=8 ---

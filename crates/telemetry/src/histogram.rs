@@ -8,7 +8,7 @@
 
 /// Number of linear sub-buckets per power-of-two bucket.
 ///
-/// Four sub-buckets bounds the relative quantile error at 1/8 (12.5%), which
+/// Four sub-buckets bounds the relative bucketing error at 1/8 (12.5%), which
 /// is plenty for distribution *shape* studies like the paper's Figures 7/8.
 pub const SUB_BUCKETS: usize = 4;
 
@@ -35,8 +35,7 @@ const NUM_SLOTS: usize = MAX_EXP * SUB_BUCKETS;
 /// h.record(100, 1.0);
 /// h.record(200, 1.0);
 /// assert_eq!(h.count(), 2.0);
-/// let med = h.quantile(0.5);
-/// assert!((64..=256).contains(&med));
+/// assert_eq!(h.fraction_below(150), 0.5);
 /// ```
 #[derive(Clone, Debug)]
 pub struct LogHistogram {
@@ -130,26 +129,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Weighted quantile: the smallest bucket lower-bound `v` such that at
-    /// least `q` of the total weight lies at values `<= v`'s bucket.
-    ///
-    /// Returns 0 for an empty histogram. `q` is clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total_weight <= 0.0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total_weight;
-        let mut acc = 0.0;
-        for (i, w) in self.slots.iter().enumerate() {
-            acc += w;
-            if acc >= target && *w > 0.0 {
-                return Self::slot_lower(i);
-            }
-        }
-        self.max.unwrap_or(0)
-    }
-
     /// Fraction of total weight recorded at values `< threshold`
     /// (bucket-granular). Returns 0 for an empty histogram.
     pub fn fraction_below(&self, threshold: u64) -> f64 {
@@ -214,7 +193,6 @@ mod tests {
     fn empty_histogram() {
         let h = LogHistogram::new();
         assert_eq!(h.count(), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
@@ -230,19 +208,6 @@ mod tests {
             // Bucket relative width is 1/SUB_BUCKETS of the octave.
             assert!(v < lower * 2, "value {v} too far above lower {lower}");
         }
-    }
-
-    #[test]
-    fn quantiles_bracket_data() {
-        let mut h = LogHistogram::new();
-        for v in 1..=1000u64 {
-            h.record(v, 1.0);
-        }
-        let q10 = h.quantile(0.10);
-        let q50 = h.quantile(0.50);
-        let q90 = h.quantile(0.90);
-        assert!(q10 <= q50 && q50 <= q90, "{q10} {q50} {q90}");
-        assert!((64..=1024).contains(&q50), "median {q50}");
     }
 
     #[test]
@@ -266,7 +231,7 @@ mod tests {
         let mut h = LogHistogram::new();
         h.record(u64::MAX, 1.0);
         assert_eq!(h.count(), 1.0);
-        assert!(h.quantile(1.0) > 0);
+        assert_eq!(h.fraction_at_or_above(1 << 49), 1.0, "last bucket");
     }
 
     #[test]
@@ -341,27 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_extremes_return_occupied_bucket_bounds() {
-        let mut h = LogHistogram::new();
-        h.record(48, 1.0);
-        h.record(3000, 5.0);
-        h.record(1 << 22, 0.5);
-        // q=0 is the smallest occupied bucket's lower bound; q=1 the
-        // largest occupied bucket's lower bound.
-        let lo = h.quantile(0.0);
-        let hi = h.quantile(1.0);
-        assert_eq!(lo, LogHistogram::slot_lower(LogHistogram::slot_of(48)));
-        assert_eq!(hi, LogHistogram::slot_lower(LogHistogram::slot_of(1 << 22)));
-        assert!(
-            lo <= 48 && hi <= (1 << 22),
-            "lower bounds never exceed data"
-        );
-        // Out-of-range q clamps rather than extrapolating.
-        assert_eq!(h.quantile(-3.0), lo);
-        assert_eq!(h.quantile(42.0), hi);
-    }
-
-    #[test]
     fn slots_are_allocated_by_the_first_weight_in() {
         let mut h = LogHistogram::new();
         assert!(h.slots.is_empty());
@@ -374,7 +318,7 @@ mod tests {
         other.record(100, 2.0);
         h.merge(&other);
         assert_eq!(h.slots.len(), NUM_SLOTS);
-        assert_eq!(h.quantile(0.5), other.quantile(0.5));
+        assert!(h.iter().eq(other.iter()));
         assert_eq!(h.fraction_below(u64::MAX), 1.0);
     }
 

@@ -83,23 +83,6 @@ pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     pearson(&ranks(xs), &ranks(ys))
 }
 
-/// Linear-interpolated quantile of an unsorted slice, `q ∈ [0, 1]`.
-///
-/// Returns `None` if empty.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite value"));
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-}
-
 /// Relative change `(new - old) / old` in percent.
 ///
 /// Returns 0 when `old` is 0, which is the right convention for reporting
@@ -129,7 +112,6 @@ mod tests {
         assert_eq!(mean(&[]), None);
         assert_eq!(pearson(&[], &[]), None);
         assert_eq!(spearman(&[1.0], &[1.0]), None);
-        assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(weighted_mean(&[]), None);
     }
 
@@ -165,14 +147,6 @@ mod tests {
     fn ranks_average_ties() {
         let r = ranks(&[5.0, 1.0, 5.0]);
         assert_eq!(r, vec![2.5, 1.0, 2.5]);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((quantile(&xs, 0.0).unwrap() - 1.0).abs() < 1e-9);
-        assert!((quantile(&xs, 1.0).unwrap() - 4.0).abs() < 1e-9);
-        assert!((quantile(&xs, 0.5).unwrap() - 2.5).abs() < 1e-9);
     }
 
     #[test]

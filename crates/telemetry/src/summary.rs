@@ -161,24 +161,6 @@ impl MetricSummary {
         (self.count > 0).then(|| dequantize(i128::from(self.max_q)))
     }
 
-    /// Approximate quantile from the log₂ histogram: the lower bound of the
-    /// slot containing rank `p·count` (dispersion checks, not precision).
-    pub fn quantile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = (p.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (slot, &c) in self.hist.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Slot s holds magnitudes with bit length s+1: lower bound 2^s.
-                return Some(dequantize(1i128 << slot));
-            }
-        }
-        self.max()
-    }
-
     /// Serializes to the little-endian wire layout (process-shard payload).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.count.to_le_bytes());
@@ -490,19 +472,6 @@ mod tests {
         s.record(100.0, quantize_weight(0.9));
         s.record(0.0, quantize_weight(0.1));
         assert!((s.weighted_mean().unwrap() - 90.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quantile_tracks_magnitude() {
-        let mut s = MetricSummary::new();
-        for _ in 0..90 {
-            s.record(1.0, 1);
-        }
-        for _ in 0..10 {
-            s.record(1024.0, 1);
-        }
-        assert!(s.quantile(0.5).unwrap() <= 2.0);
-        assert!(s.quantile(0.99).unwrap() >= 512.0);
     }
 
     #[test]

@@ -18,30 +18,6 @@ fn vec_u64(
 }
 
 #[test]
-fn histogram_quantiles_are_monotone() {
-    for case in 0..128u64 {
-        let mut rng = SmallRng::seed_from_u64(0x7E10 + case);
-        let values = vec_u64(&mut rng, 1..(1 << 40), 1..300);
-        let mut h = LogHistogram::new();
-        for v in &values {
-            h.record(*v, 1.0);
-        }
-        let mut last = 0u64;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
-            let cur = h.quantile(q);
-            assert!(cur >= last, "quantile({q}) = {cur} < {last}");
-            last = cur;
-        }
-        // Quantiles bracket the data (within bucket resolution).
-        let min = *values.iter().min().expect("non-empty");
-        let max = *values.iter().max().expect("non-empty");
-        assert!(h.quantile(0.0) <= min);
-        assert!(h.quantile(1.0) <= max);
-        assert!(h.quantile(1.0) * 2 > max / 2);
-    }
-}
-
-#[test]
 fn histogram_fractions_partition() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0x7E11 + case);
@@ -77,7 +53,7 @@ fn histogram_merge_is_additive() {
         }
         ha.merge(&hb);
         assert!((ha.count() - hall.count()).abs() < 1e-9);
-        assert_eq!(ha.quantile(0.5), hall.quantile(0.5));
+        assert!(ha.iter().eq(hall.iter()));
     }
 }
 

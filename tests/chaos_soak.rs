@@ -87,11 +87,11 @@ fn every_named_storm_soaks_clean_under_full_sanitize() {
                 break;
             }
             // Nothing freed yet, so every 4 MiB allocation is a fresh mmap.
-            if let Ok(a) = tcm.try_malloc(4 << 20, cpu) {
+            if let Ok(a) = tcm.try_malloc_with_site(4 << 20, cpu, 0) {
                 large.push(a.addr);
             }
             for _ in 0..4 {
-                if let Ok(a) = tcm.try_malloc(small_bytes, cpu) {
+                if let Ok(a) = tcm.try_malloc_with_site(small_bytes, cpu, 0) {
                     small.push(a.addr);
                 }
             }
@@ -127,7 +127,7 @@ fn every_named_storm_soaks_clean_under_full_sanitize() {
         }
         assert!(!tcm.os_degraded(), "{name}: degraded state cleared");
         let a = tcm
-            .try_malloc(1 << 20, CpuId(0))
+            .try_malloc_with_site(1 << 20, CpuId(0), 0)
             .unwrap_or_else(|e| panic!("{name}: post-storm allocation failed: {e}"));
         tcm.free(a.addr, 1 << 20, CpuId(0));
         assert_eq!(tcm.audit_now(), 0, "{name}: audit clean after recovery");
@@ -165,13 +165,13 @@ fn deferred_frees_ride_out_fault_storms() {
         let mut max_in_flight = 0u64;
         for i in 0..1_500u64 {
             let size = 16 + (i % 97) * 41;
-            if let Ok(a) = tcm.try_malloc(size, producer) {
+            if let Ok(a) = tcm.try_malloc_with_site(size, producer, 0) {
                 live.push((a.addr, size));
             }
             if i % 16 == 0 {
                 // Large-path traffic keeps the injector fed (fresh
                 // mmaps) and, under thp-outage, trips Degraded.
-                if let Ok(a) = tcm.try_malloc(4 << 20, producer) {
+                if let Ok(a) = tcm.try_malloc_with_site(4 << 20, producer, 0) {
                     tcm.try_free(a.addr, 4 << 20, consumer)
                         .expect("valid large free");
                 }
@@ -233,7 +233,7 @@ fn deferred_frees_ride_out_fault_storms() {
             );
         }
         assert_eq!(tcm.audit_now(), 0, "{storm}: audit dirty");
-        let reports = tcm.take_sanitizer_reports();
+        let reports = tcm.sanitizer_reports();
         assert_eq!(
             reports.len(),
             1,
@@ -309,13 +309,15 @@ fn hard_limit_refuses_then_frees_restore_service() {
         .with_sanitize(SanitizeLevel::Full)
         .with_hard_limit(8 << 20);
     let mut tcm = Tcmalloc::new(cfg, platform(), clock);
-    let a = tcm.try_malloc(6 << 20, CpuId(0)).expect("fits under limit");
-    let denied = tcm.try_malloc(6 << 20, CpuId(0));
+    let a = tcm
+        .try_malloc_with_site(6 << 20, CpuId(0), 0)
+        .expect("fits under limit");
+    let denied = tcm.try_malloc_with_site(6 << 20, CpuId(0), 0);
     assert!(denied.is_err(), "second 6 MiB exceeds the 8 MiB hard limit");
     assert_eq!(tcm.live_objects(), 1, "refusal placed nothing");
     tcm.free(a.addr, 6 << 20, CpuId(0));
     let b = tcm
-        .try_malloc(6 << 20, CpuId(0))
+        .try_malloc_with_site(6 << 20, CpuId(0), 0)
         .expect("frees restored headroom");
     tcm.free(b.addr, 6 << 20, CpuId(0));
     assert_eq!(tcm.audit_now(), 0);

@@ -23,8 +23,8 @@
 //!   frees mostly from a CPU in another LLC domain or node than the one
 //!   that allocated, so the deferred arm really runs; ticks of up to 255 ms,
 //!   so they cross the plunder, release, decay and resize intervals. One
-//!   seed per cell, and twelve more on each of the two cells equal to the
-//!   shipped `baseline()` and `optimized()` configs.
+//!   seed per cell, and forty-eight more on each of the two cells equal to
+//!   the shipped `baseline()` and `optimized()` configs.
 //! * **Schedules** — [`Schedule::producer_consumer`] and
 //!   [`Schedule::thread_churn`] at four seeds each, on the two shipped
 //!   cells: frees from the CPU the schedule names, ticks in nanoseconds,
@@ -387,7 +387,7 @@ impl Lockstep {
             .copies
             .iter_mut()
             .map(|(t, _)| {
-                t.try_malloc(size, CpuId(cpu))
+                t.try_malloc_with_site(size, CpuId(cpu), 0)
                     .map(|a| (a.addr, a.actual_bytes, a.path, a.ns.to_bits()))
             })
             .collect();
@@ -495,7 +495,7 @@ impl Lockstep {
                 .map(|(addr, o)| (addr, o.size))
                 .eq(self.model.iter().map(|(&addr, l)| (addr, l.actual))),
             "{ctx}: the shadow holds {} live objects, the model {}",
-            r.shadow.live_count(),
+            r.shadow.live_objects().count(),
             self.model.len()
         );
     }
@@ -613,7 +613,7 @@ fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static s
         ls.reported_ns
     );
     // Replaying the ring's stream alone rebuilds ledger and profile.
-    let mut replayed = StatsView::new(*ls.copies[RING].0.cost_model());
+    let mut replayed = StatsView::default();
     for ev in &stream {
         replayed.on_event(0, ev);
     }
@@ -695,10 +695,10 @@ fn hard_limit_cells_agree_with_the_reference_model() {
 }
 
 #[test]
-fn shipped_configs_agree_with_the_reference_model_at_twelve_seeds() {
+fn shipped_configs_agree_with_the_reference_model_at_forty_eight_seeds() {
     let mut seen = BTreeSet::new();
     for cell in shipped_cells() {
-        for seed in 0..12 {
+        for seed in 0..48 {
             run_both_arms(cell, &sampled_ops(0x1A77_3000 + seed), &mut seen);
         }
     }

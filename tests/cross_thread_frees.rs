@@ -17,6 +17,7 @@
 //! schedules, at both shipped configs, in `tests/config_lattice.rs`.
 
 use wsc_parallel::{Engine, Task};
+use wsc_prng::derive_seed;
 use wsc_sim_hw::topology::Platform;
 use wsc_tcmalloc::interleave::{replay, ReplayOutcome, Schedule};
 use wsc_tcmalloc::{FreeArm, TcmallocConfig};
@@ -78,7 +79,15 @@ fn event_logs_are_identical_across_engine_thread_counts() {
                 .map(move |arm| (format!("{name}/{}", arm.name()), (sched.clone(), arm)))
         })
         .collect();
-    let tasks = Task::seeded(0xD17E, jobs);
+    let tasks: Vec<_> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (label, payload))| Task {
+            seed: derive_seed(0xD17E, i as u64),
+            label,
+            payload,
+        })
+        .collect();
     let run = |threads: usize| -> Vec<ReplayOutcome> {
         Engine::new(threads)
             .run(&tasks, |task, _| {

@@ -58,7 +58,7 @@ fn full_stack_runs_and_accounts_exactly() {
     );
     assert!(tcm.audits_run() > 0, "periodic audits ran during the drive");
     assert_eq!(tcm.audit_now(), 0, "end-of-run audit is clean");
-    let reports = tcm.take_sanitizer_reports();
+    let reports = tcm.sanitizer_reports();
     assert!(reports.is_empty(), "sanitizer reports: {reports:?}");
 }
 
@@ -96,7 +96,7 @@ fn teardown_leaves_clean_heap_under_every_config() {
         assert_eq!(tcm.live_objects(), 0);
         assert_eq!(tcm.fragmentation().internal_bytes, 0);
         assert_eq!(tcm.audit_now(), 0);
-        assert!(tcm.take_sanitizer_reports().is_empty());
+        assert!(tcm.sanitizer_reports().is_empty());
     }
 }
 

@@ -4,13 +4,20 @@
 //! engine must stay usable afterwards.
 
 use warehouse_alloc::parallel::{Engine, Task};
+use warehouse_alloc::prng::derive_seed;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
 use warehouse_alloc::workload::driver::{run_batch, DriverConfig, RunJob};
 use warehouse_alloc::workload::profiles;
 
 fn counting_tasks(n: usize) -> Vec<Task<usize>> {
-    Task::seeded(99, (0..n).map(|i| (format!("unit {i}"), i)))
+    (0..n)
+        .map(|i| Task {
+            seed: derive_seed(99, i as u64),
+            label: format!("unit {i}"),
+            payload: i,
+        })
+        .collect()
 }
 
 /// Current thread count of this process, from /proc/self/status.

@@ -27,12 +27,9 @@ fn object_size(tcm: &Tcmalloc, request: u64) -> u64 {
     tcm.table().info(cl).size
 }
 
-/// Kinds reported by `tcm` for one injected fault, with the queue drained.
-fn kinds_of(tcm: &mut Tcmalloc) -> Vec<ErrorKind> {
-    tcm.take_sanitizer_reports()
-        .into_iter()
-        .map(|r| r.kind)
-        .collect()
+/// Kinds reported by `tcm` so far, in detection order.
+fn kinds_of(tcm: &Tcmalloc) -> Vec<ErrorKind> {
+    tcm.sanitizer_reports().iter().map(|r| r.kind).collect()
 }
 
 #[test]
@@ -40,10 +37,10 @@ fn double_free_is_rejected_and_reported() {
     let mut tcm = sanitized_alloc();
     let a = tcm.malloc(64, CpuId(0));
     tcm.free(a.addr, 64, CpuId(0));
-    assert!(kinds_of(&mut tcm).is_empty(), "valid ops are silent");
+    assert!(kinds_of(&tcm).is_empty(), "valid ops are silent");
     let out = tcm.free(a.addr, 64, CpuId(0));
     assert_eq!(out.ns, 0.0, "rejected free is charged nothing");
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::DoubleFree]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::DoubleFree]);
     // The rejected free must not corrupt accounting: a clean audit proves it.
     assert_eq!(tcm.live_objects(), 0);
     assert_eq!(tcm.audit_now(), 0);
@@ -57,7 +54,7 @@ fn double_free_of_large_allocation_is_rejected_not_panicking() {
     let a = tcm.malloc(1 << 20, CpuId(0));
     tcm.free(a.addr, 1 << 20, CpuId(0));
     tcm.free(a.addr, 1 << 20, CpuId(0));
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::DoubleFree]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::DoubleFree]);
     assert_eq!(tcm.audit_now(), 0);
 }
 
@@ -67,11 +64,15 @@ fn wrong_size_class_free_is_rejected_and_object_stays_live() {
     let a = tcm.malloc(64, CpuId(0));
     // 3000 B maps to a different size class than 64 B.
     tcm.free(a.addr, 3000, CpuId(0));
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::WrongSizeClassFree]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::WrongSizeClassFree]);
     assert_eq!(tcm.live_objects(), 1, "object survives the bad free");
     // The correct free still works afterwards.
     tcm.free(a.addr, 64, CpuId(0));
-    assert!(kinds_of(&mut tcm).is_empty());
+    assert_eq!(
+        kinds_of(&tcm),
+        vec![ErrorKind::WrongSizeClassFree],
+        "nothing new"
+    );
     assert_eq!(tcm.live_objects(), 0);
     assert_eq!(tcm.audit_now(), 0);
 }
@@ -81,7 +82,7 @@ fn misaligned_free_inside_live_object_is_rejected() {
     let mut tcm = sanitized_alloc();
     let a = tcm.malloc(64, CpuId(0));
     tcm.free(a.addr + 8, 64, CpuId(0));
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::MisalignedFree]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::MisalignedFree]);
     tcm.free(a.addr, 64, CpuId(0));
     assert_eq!(tcm.audit_now(), 0);
 }
@@ -95,7 +96,7 @@ fn invalid_free_of_never_allocated_slot_is_rejected() {
     // never returned by malloc.
     let neighbor = a.addr + object_size(&tcm, 64);
     tcm.free(neighbor, 64, CpuId(0));
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::InvalidFree]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::InvalidFree]);
     tcm.free(a.addr, 64, CpuId(0));
     assert_eq!(tcm.audit_now(), 0);
 }
@@ -105,7 +106,7 @@ fn free_of_unmapped_address_is_rejected() {
     let mut tcm = sanitized_alloc();
     let a = tcm.malloc(64, CpuId(0));
     tcm.free(0x7777_0000_0000, 64, CpuId(0));
-    assert_eq!(kinds_of(&mut tcm), vec![ErrorKind::UseOfUnmappedAddress]);
+    assert_eq!(kinds_of(&tcm), vec![ErrorKind::UseOfUnmappedAddress]);
     tcm.free(a.addr, 64, CpuId(0));
     assert_eq!(tcm.audit_now(), 0);
 }
@@ -146,7 +147,7 @@ fn injected_os_faults_are_never_sanitizer_reports() {
         } else {
             64 + round * 16
         };
-        match tcm.try_malloc(size, CpuId(0)) {
+        match tcm.try_malloc_with_site(size, CpuId(0), 0) {
             Ok(a) => live.push((a.addr, size)),
             Err(_) => refused += 1,
         }
@@ -164,7 +165,7 @@ fn injected_os_faults_are_never_sanitizer_reports() {
     );
     assert!(refused > 0, "some allocations were refused outright");
     assert!(
-        tcm.take_sanitizer_reports().is_empty(),
+        tcm.sanitizer_reports().is_empty(),
         "injected kernel faults masqueraded as allocator bugs"
     );
     for (addr, size) in live {
@@ -172,5 +173,5 @@ fn injected_os_faults_are_never_sanitizer_reports() {
     }
     assert_eq!(tcm.live_objects(), 0);
     assert_eq!(tcm.audit_now(), 0, "conservation holds after the storm");
-    assert!(tcm.take_sanitizer_reports().is_empty());
+    assert!(tcm.sanitizer_reports().is_empty());
 }

@@ -16,7 +16,8 @@
 //!    safe direction for reachability rules.
 //! 4. **Test context** — items inside `#[cfg(test)]` modules, `#[test]`
 //!    functions, and files under `tests/` are exempt from the
-//!    production-surface rules.
+//!    production-surface rules, and read nothing on production's behalf:
+//!    the file's [`Reader`]s are collected from non-test code only.
 //!
 //! Everything is assembled in one token walk with a brace-depth stack.
 
@@ -57,6 +58,17 @@ pub struct FnItem {
     pub in_test: bool,
 }
 
+/// A site in non-test code that reads a name: a call (`name(`, `.name(`,
+/// `Path::name(`), a path reference (`Path::name`, e.g. a function
+/// pointer), or any identifier of a `use` import.
+#[derive(Clone, Debug)]
+pub struct Reader {
+    /// The name read.
+    pub name: String,
+    /// Significant-token index of the site.
+    pub sig: usize,
+}
+
 /// A `lint:allow(tag)` site.
 #[derive(Clone, Debug)]
 pub struct AllowSite {
@@ -91,6 +103,8 @@ pub struct FileModel {
     pub fns: Vec<FnItem>,
     /// Flattened `use` paths, e.g. `std::sync::Mutex` (groups expanded).
     pub uses: Vec<String>,
+    /// Name-reading sites outside test context, in token order.
+    pub readers: Vec<Reader>,
     /// Every `lint:allow(tag)` in the file.
     pub allows: Vec<AllowSite>,
     /// The file's `lint:lock-order(…)` declaration, if any.
@@ -118,6 +132,7 @@ impl FileModel {
             sig,
             fns: Vec::new(),
             uses: Vec::new(),
+            readers: Vec::new(),
             allows,
             lock_order,
             file_is_test,
@@ -317,7 +332,18 @@ fn build_items(m: &mut FileModel) {
             "use" => {
                 let (paths, next) = parse_use(m, i + 1);
                 m.uses.extend(paths);
+                if !(pending_cfg_test || in_test(m, &test_depths, &open_fns)) {
+                    for j in i + 1..next.min(n) {
+                        if m.tok(j).kind == TokenKind::Ident {
+                            m.readers.push(Reader {
+                                name: m.text(j).to_string(),
+                                sig: j,
+                            });
+                        }
+                    }
+                }
                 saw_pub = false;
+                pending_cfg_test = false;
                 i = next;
                 continue;
             }
@@ -446,10 +472,20 @@ fn build_items(m: &mut FileModel) {
                 // (innermost resolution happens at query time via spans;
                 // for the edge list, crediting all enclosing fns keeps
                 // reachability an over-approximation).
-                if m.is(i + 1, "(")
+                let call = m.is(i + 1, "(")
                     && m.tok(i).kind == TokenKind::Ident
-                    && !NOT_CALLS.contains(&tx.as_str())
-                {
+                    && !NOT_CALLS.contains(&tx.as_str());
+                let path_ref = m.tok(i).kind == TokenKind::Ident
+                    && i >= 2
+                    && m.is(i - 1, ":")
+                    && m.is(i - 2, ":");
+                if (call || path_ref) && !in_test(m, &test_depths, &open_fns) {
+                    m.readers.push(Reader {
+                        name: tx.clone(),
+                        sig: i,
+                    });
+                }
+                if call {
                     if let Some(&(idx, _)) = open_fns.last() {
                         if !m.fns[idx].calls.contains(&tx) {
                             m.fns[idx].calls.push(tx.clone());
@@ -473,6 +509,12 @@ fn build_items(m: &mut FileModel) {
     for (idx, _) in open_fns {
         m.fns[idx].body.1 = n;
     }
+}
+
+/// Is the walk inside test context: a test file, a `#[cfg(test)]` module,
+/// or the body of a test function?
+fn in_test(m: &FileModel, test_depths: &[i32], open_fns: &[(usize, i32)]) -> bool {
+    m.file_is_test || !test_depths.is_empty() || open_fns.iter().any(|&(idx, _)| m.fns[idx].in_test)
 }
 
 /// Parses the receiver at the first token after the `(` of a param list.

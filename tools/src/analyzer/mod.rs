@@ -10,9 +10,10 @@
 //!   receiver and visibility), `#[cfg(test)]` tracking, a name-based call
 //!   list per function, the file's `use` paths, and the `lint:allow` /
 //!   `lint:lock-order` annotations.
-//! * [`rules`] — the ten rules (six re-hosted from the regex engine, four
-//!   new), evaluated over the file models with cross-file passes for
-//!   event-completeness and panic-surface reachability.
+//! * [`rules`] — the eleven rules (six re-hosted from the regex engine,
+//!   five new), evaluated over the file models with cross-file passes for
+//!   event-completeness, panic-surface reachability and test-only-pub
+//!   readers.
 //! * [`report`] — findings and the deterministic `analysis.json` writer.
 //!
 //! Entry points: [`analyze_workspace`] for the real tree,
@@ -45,13 +46,20 @@ pub const SCOPED_CRATES: &[&str] = &[
     "workload",
 ];
 
+/// Source roots loaded only as readers for the test-only-pub rule: their
+/// calls and imports keep a scoped crate's `pub fn` alive, and no rule
+/// reports on them. `benchmark/src` is only read, never checked.
+pub const READER_ONLY: &[&str] = &["crates/bench/src/", "src/", "examples/", "benchmark/src/"];
+
 /// Runs the full rule set over the workspace rooted at `root`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut paths: Vec<PathBuf> = Vec::new();
     for krate in SCOPED_CRATES {
         collect_rs(&root.join("crates").join(krate), &mut paths)?;
     }
-    collect_rs(&root.join("tools").join("src"), &mut paths)?;
+    for dir in ["tools/src"].iter().chain(READER_ONLY) {
+        collect_rs(&root.join(dir), &mut paths)?;
+    }
     paths.sort();
 
     let mut models = Vec::with_capacity(paths.len());

@@ -35,7 +35,7 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Per-rule finding counts over all ten rules (zeros included), sorted
+    /// Per-rule finding counts over all eleven rules (zeros included), sorted
     /// by rule name.
     pub fn rule_counts(&self) -> BTreeMap<&'static str, usize> {
         let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -110,7 +110,7 @@ mod tests {
             files_scanned: 0,
             findings: vec![],
         };
-        assert_eq!(a.rule_counts().len(), 10);
+        assert_eq!(a.rule_counts().len(), 11);
         assert!(a.rule_counts().values().all(|&n| n == 0));
     }
 

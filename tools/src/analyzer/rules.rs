@@ -1,4 +1,4 @@
-//! The ten analysis rules, evaluated over [`FileModel`]s.
+//! The eleven analysis rules, evaluated over [`FileModel`]s.
 //!
 //! Six are re-hosted from the old line-regex engine (wall-clock,
 //! ambient-rng, hashmap-iter, hashmap-decl, direct-attribution,
@@ -7,14 +7,15 @@
 //! and multi-line expressions can no longer hide a call from a
 //! single-line regex.
 //!
-//! Four are new and need the item model:
+//! Five are new and need the item model:
 //!
 //! * **concurrency-readiness** — `Mutex`/`RwLock`/`Arc`/`Condvar`/
 //!   `thread::spawn` are denied outside the sanctioned concurrency modules
-//!   (`crates/parallel/`, and the per-CPU shard code when it lands); every
-//!   explicit atomic `Ordering::…` use needs a `lint:allow(atomic-ordering)`
-//!   justification even inside them; and lock acquisition must follow the
-//!   file's declared `lint:lock-order(a, b, …)` within each function body.
+//!   (`crates/parallel/` and the deferred cross-thread free module,
+//!   `crates/tcmalloc/src/deferred`); every explicit atomic `Ordering::…`
+//!   use needs a `lint:allow(atomic-ordering)` justification even inside
+//!   them; and lock acquisition must follow the file's declared
+//!   `lint:lock-order(a, b, …)` within each function body.
 //! * **event-completeness** — every `pub fn (&mut self, …)` in a tier
 //!   module of `crates/tcmalloc/src` must emit at least one `AllocEvent`,
 //!   directly or through a callee (name-based transitive closure); and
@@ -25,11 +26,20 @@
 //!   slice indexing (`v[i + 1]`, `v[lo..hi]`, `v[f(x)]` — anything beyond a
 //!   plain identifier/field/literal/cast index) are findings inside
 //!   functions reachable from the fallible entry points
-//!   (`try_malloc`/`try_malloc_with_site`/`try_free`).
+//!   (`try_malloc_with_site`/`try_free`).
 //! * **suppression-hygiene** — a `lint:allow(tag)` that suppressed nothing
 //!   this run, names an unknown rule, or a `lint:lock-order` declaration in
 //!   a file without lock acquisitions, is itself a finding. Suppressions
 //!   can never go stale silently.
+//! * **test-only-pub** — every `pub` function in non-test code under
+//!   `crates/<SCOPED_CRATES>/src` needs a [`Reader`](super::items::Reader)
+//!   in non-test code outside its own body: a call, a path reference or a
+//!   `use` import, in any analyzed file, the [`READER_ONLY`] ones
+//!   included. The match is by name, so a collision can hide a dead
+//!   function but never invent one.
+//!
+//! Files under [`READER_ONLY`] are read for test-only-pub's readers and
+//! checked by no rule.
 //!
 //! A finding carries a *suppress tag* (usually the rule name;
 //! `atomic-ordering` for the ordering sub-check). It is suppressed by a
@@ -39,6 +49,7 @@
 use super::items::{FileModel, FnItem, Receiver, NOT_CALLS};
 use super::lexer::TokenKind;
 use super::report::Finding;
+use super::{READER_ONLY, SCOPED_CRATES};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rule set.
@@ -66,10 +77,12 @@ pub enum Rule {
     PanicSurface,
     /// Stale or unknown suppression annotations.
     SuppressionHygiene,
+    /// A `pub` function of a deterministic crate that only tests read.
+    TestOnlyPub,
 }
 
 /// All rules, in the order reports list them.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 11] = [
     Rule::WallClock,
     Rule::AmbientRng,
     Rule::HashMapIter,
@@ -80,6 +93,7 @@ pub const ALL_RULES: [Rule; 10] = [
     Rule::EventCompleteness,
     Rule::PanicSurface,
     Rule::SuppressionHygiene,
+    Rule::TestOnlyPub,
 ];
 
 impl Rule {
@@ -96,6 +110,7 @@ impl Rule {
             Rule::EventCompleteness => "event-completeness",
             Rule::PanicSurface => "panic-surface",
             Rule::SuppressionHygiene => "suppression-hygiene",
+            Rule::TestOnlyPub => "test-only-pub",
         }
     }
 }
@@ -104,7 +119,7 @@ impl Rule {
 /// plus the `atomic-ordering` sub-tag of concurrency-readiness.
 /// `suppression-hygiene` itself is absent: hygiene findings cannot be
 /// suppressed, or stale annotations could justify themselves.
-pub const VALID_ALLOW_TAGS: [&str; 10] = [
+pub const VALID_ALLOW_TAGS: [&str; 11] = [
     "wall-clock",
     "ambient-rng",
     "hashmap-iter",
@@ -115,6 +130,7 @@ pub const VALID_ALLOW_TAGS: [&str; 10] = [
     "atomic-ordering",
     "event-completeness",
     "panic-surface",
+    "test-only-pub",
 ];
 
 /// Paths where direct `charge`/`record_alloc`/`record_lifetime` calls are
@@ -172,7 +188,7 @@ const BUS_ENTRY_POINTS: &[(&str, &[&str])] = &[
 ];
 
 /// The fallible entry points panic-surface reachability starts from.
-const FALLIBLE_ROOTS: &[&str] = &["try_malloc", "try_malloc_with_site", "try_free"];
+const FALLIBLE_ROOTS: &[&str] = &["try_malloc_with_site", "try_free"];
 
 /// Explicit atomic memory orderings (std::sync::atomic::Ordering variants —
 /// `std::cmp::Ordering`'s variants differ, so no collision).
@@ -221,11 +237,14 @@ struct Candidate {
 pub fn run_rules(files: &[FileModel]) -> Vec<Finding> {
     let mut cands: Vec<Candidate> = Vec::new();
     for (fi, m) in files.iter().enumerate() {
-        scan_tokens(fi, m, &mut cands);
-        lock_order_rule(fi, m, &mut cands);
+        if !reader_only(&m.rel) {
+            scan_tokens(fi, m, &mut cands);
+            lock_order_rule(fi, m, &mut cands);
+        }
     }
     event_completeness(files, &mut cands);
     panic_surface(files, &mut cands);
+    test_only_pub(files, &mut cands);
 
     // Suppression pass: a candidate with tag T at line L is suppressed by
     // an allow annotation carrying T on line L itself, or in the
@@ -249,6 +268,9 @@ pub fn run_rules(files: &[FileModel]) -> Vec<Finding> {
 
     // Hygiene: unused or unknown annotations, and dead lock-order decls.
     for (fi, m) in files.iter().enumerate() {
+        if reader_only(&m.rel) {
+            continue;
+        }
         for a in &m.allows {
             let unknown = !VALID_ALLOW_TAGS.contains(&a.tag.as_str());
             let stale = !unknown && !used.contains(&(fi, a.line, a.tag.clone()));
@@ -348,6 +370,48 @@ fn attribution_sanctioned(rel: &str) -> bool {
 
 fn os_sanctioned(rel: &str) -> bool {
     OS_SANCTIONED.iter().any(|p| rel.starts_with(p))
+}
+
+fn reader_only(rel: &str) -> bool {
+    READER_ONLY.iter().any(|p| rel.starts_with(p))
+}
+
+/// The test-only-pub rule: a `pub` function under a scoped crate's `src/`
+/// with no non-test reader outside its own body.
+fn test_only_pub(files: &[FileModel], out: &mut Vec<Candidate>) {
+    let mut readers: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (fi, m) in files.iter().enumerate() {
+        for r in &m.readers {
+            readers.entry(&r.name).or_default().push((fi, r.sig));
+        }
+    }
+    for (fi, m) in files.iter().enumerate() {
+        let scoped = SCOPED_CRATES
+            .iter()
+            .any(|k| m.rel.starts_with(&format!("crates/{k}/src/")));
+        if !scoped {
+            continue;
+        }
+        for f in m.fns.iter().filter(|f| f.is_pub && !f.in_test) {
+            let own = |&(gi, sig): &(usize, usize)| gi == fi && f.body.0 <= sig && sig < f.body.1;
+            let read = readers
+                .get(f.name.as_str())
+                .is_some_and(|sites| sites.iter().any(|s| !own(s)));
+            if !read {
+                out.push(Candidate {
+                    rule: Rule::TestOnlyPub,
+                    tag: "test-only-pub",
+                    file: fi,
+                    line: f.line,
+                    col: 1,
+                    message: format!(
+                        "pub fn `{}` has no reader outside tests; delete it, `#[cfg(test)]` it, or justify it",
+                        f.name
+                    ),
+                });
+            }
+        }
+    }
 }
 
 /// The single-pass token scan: wall-clock, ambient-rng, hashmap rules,
@@ -1114,7 +1178,7 @@ mod tests {
 
     #[test]
     fn panic_surface_tracks_reachability() {
-        let src = "pub fn try_malloc(&mut self) -> Result<u64, ()> { helper() }\nfn helper() -> Result<u64, ()> { panic!(\"no\") }\nfn unrelated() { panic!(\"fine: unreachable from try paths\") }\n";
+        let src = "pub fn try_malloc_with_site(&mut self) -> Result<u64, ()> { helper() }\nfn helper() -> Result<u64, ()> { panic!(\"no\") }\nfn unrelated() { panic!(\"fine: unreachable from try paths\") }\n";
         let f = run_one("crates/tcmalloc/src/alloc.rs", src);
         let panics: Vec<_> = f.iter().filter(|x| x.rule == "panic-surface").collect();
         assert_eq!(panics.len(), 1, "{f:?}");
@@ -1183,7 +1247,7 @@ mod tests {
         );
         let tier = model(
             "crates/tcmalloc/src/percpu.rs",
-            "pub fn f(bus: &mut EventBus) { bus.emit(AllocEvent::Used { a: 1 }); }\n",
+            "fn f(bus: &mut EventBus) { bus.emit(AllocEvent::Used { a: 1 }); }\n",
         );
         let f = run_rules(&[events, tier]);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -1199,7 +1263,7 @@ mod tests {
         );
         let tier = model(
             "crates/tcmalloc/src/percpu.rs",
-            "pub fn f(bus: &mut EventBus) { bus.percpu_hit(0, 1); bus.malloc_done(1); }\n",
+            "fn f(bus: &mut EventBus) { bus.percpu_hit(0, 1); bus.malloc_done(1); }\n",
         );
         let f = run_rules(&[events, tier]);
         assert_eq!(f.len(), 1, "{f:?}");

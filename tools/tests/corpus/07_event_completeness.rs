@@ -38,3 +38,11 @@ impl Cache {
         self.x = 0;
     }
 }
+// A production reader for every pub fn above (test-only-pub).
+fn drive(c: &mut Cache, bus: &mut EventBus) -> u64 {
+    c.silent();
+    c.delegating(bus);
+    c.reporting(bus);
+    c.justified();
+    c.read_only()
+}

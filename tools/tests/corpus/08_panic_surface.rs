@@ -3,7 +3,7 @@ pub struct Core {
     xs: Vec<u64>,
 }
 impl Core {
-    pub fn try_malloc(&mut self, i: usize) -> Result<u64, ()> {
+    pub fn try_malloc_with_site(&mut self, i: usize) -> Result<u64, ()> {
         let plain = self.xs[i]; // bare identifier index: locally checkable
         let computed = self.xs[i + 1]; //~ panic-surface
         let range = &self.xs[..i]; //~ panic-surface
@@ -25,4 +25,8 @@ fn helper(xs: &[u64]) -> Result<u64, ()> {
 fn not_reachable() {
     panic!("fine: no path from the try roots leads here");
     todo!()
+}
+// A production reader for both entry points (test-only-pub).
+fn caller(c: &mut Core) {
+    let _ = (c.try_malloc_with_site(0), c.try_free(0));
 }

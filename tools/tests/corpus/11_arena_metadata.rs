@@ -34,6 +34,10 @@ impl CentralFreeList {
         self.held += 1;
     }
 }
+// A production reader (test-only-pub).
+fn refill(c: &mut CentralFreeList) {
+    c.grow();
+}
 
 //@ file: crates/tcmalloc/src/alloc.rs
 pub struct Tcmalloc {
@@ -41,7 +45,7 @@ pub struct Tcmalloc {
     bus: EventBus,
 }
 impl Tcmalloc {
-    pub fn try_malloc(&mut self, id: usize) -> Result<u64, ()> {
+    pub fn try_malloc_with_site(&mut self, id: usize) -> Result<u64, ()> {
         // Reaches the registry: the unsuppressed index in peek_free is on
         // this fallible path.
         let _ = self.registry.peek_free(id);
@@ -49,4 +53,8 @@ impl Tcmalloc {
         self.bus.emit(AllocEvent::MallocDone {});
         Ok(addr)
     }
+}
+// A production reader (test-only-pub).
+fn malloc(t: &mut Tcmalloc) -> u64 {
+    t.try_malloc_with_site(0).unwrap_or(0)
 }

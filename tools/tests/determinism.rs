@@ -27,7 +27,7 @@ fn repeated_runs_are_byte_identical() {
 #[test]
 fn workspace_is_clean_of_unsuppressed_findings() {
     // The acceptance gate in code form: the committed tree carries zero
-    // unsuppressed findings across all ten rules.
+    // unsuppressed findings across all eleven rules.
     let a = analyze_workspace(repo_root()).expect("analyzer run");
     assert!(
         a.findings.is_empty(),
@@ -45,7 +45,7 @@ fn json_shape_is_stable() {
     assert!(json.ends_with("}\n"));
     assert!(json.contains("\"rule_counts\""));
     assert!(json.contains("\"files_scanned\""));
-    // All ten rules present in the counts block even at zero.
+    // All eleven rules present in the counts block even at zero.
     for rule in [
         "wall-clock",
         "ambient-rng",
@@ -57,6 +57,7 @@ fn json_shape_is_stable() {
         "event-completeness",
         "panic-surface",
         "suppression-hygiene",
+        "test-only-pub",
     ] {
         assert!(json.contains(&format!("\"{rule}\"")), "missing {rule}");
     }

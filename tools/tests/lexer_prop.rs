@@ -40,8 +40,8 @@ const FRAGMENTS: &[&str] = &[
 fn soup(rng: &mut SmallRng, pieces: usize) -> String {
     let mut s = String::new();
     for _ in 0..pieces {
-        s.push_str(FRAGMENTS[rng.gen_index(FRAGMENTS.len())]);
-        if rng.gen_bool(0.3) {
+        s.push_str(FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]);
+        if rng.gen::<f64>() < 0.3 {
             s.push(' ');
         }
     }
