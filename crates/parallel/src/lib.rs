@@ -48,6 +48,15 @@
 //! merge is associative — which the integer telemetry summaries
 //! (`wsc_telemetry::summary`) guarantee exactly, not just approximately.
 //!
+//! # Two halves of one run
+//!
+//! [`pipeline`] splits one sequential computation whose second half only
+//! consumes what the first emits (the driver's allocator and its simulated
+//! LLC/dTLB) across two cores, when a core is spare and the caller is not
+//! itself an engine task. The engine marks its worker threads (and, for
+//! the serial engine, its caller for the duration of the run), and
+//! [`stream`] keeps both halves on the calling thread under that mark.
+//!
 //! # Example
 //!
 //! ```
@@ -81,7 +90,10 @@ use std::sync::Mutex;
 
 pub mod crc;
 pub mod proc;
+pub mod stream;
 pub mod supervisor;
+
+pub use stream::{pipeline, Emit, Producer};
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "WSC_THREADS";
@@ -362,6 +374,9 @@ impl Engine {
         });
 
         let worker = || {
+            // A `pipeline` inside this run keeps both halves on this
+            // thread: the engine already has the threads it was given.
+            let _mark = stream::EngineMark::enter();
             // lint:allow(atomic-ordering) Acquire pairs with the Release
             // store in record_failure: seeing the flag implies the error
             // slot write is visible.

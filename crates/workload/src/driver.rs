@@ -17,10 +17,12 @@
 use crate::due::DueQueue;
 use crate::spec::{SizeWeights, WorkloadSpec};
 use std::collections::VecDeque;
-use wsc_parallel::{Engine, Task, TaskError};
+use std::num::NonZeroU64;
+use wsc_parallel::{pipeline, Emit, Engine, Producer, Task, TaskError};
 use wsc_prng::SmallRng;
 use wsc_sim_hw::cache::{LlcAccess, LlcModel, LlcStats};
-use wsc_sim_hw::tlb::{TlbGeometry, TlbSim, TlbStats};
+use wsc_sim_hw::cost::CostModel;
+use wsc_sim_hw::tlb::{PageSize, TlbGeometry, TlbOutcome, TlbSim, TlbStats};
 use wsc_sim_hw::topology::{CpuId, DomainId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::sched::Scheduler;
@@ -142,14 +144,141 @@ pub struct RunReport {
 }
 
 struct LiveObject {
-    addr: u64,
+    /// Never zero: the heap starts at `HEAP_BASE`, so `Option<LiveObject>`
+    /// is 24 bytes.
+    addr: NonZeroU64,
     size: u64,
     home_cpu: CpuId,
+}
+
+/// Bytes per page the dTLB is charged for: a touch translates up to
+/// [`MAX_TOUCH_PAGES`] of them.
+const TOUCH_PAGE_BYTES: u64 = 8 << 10;
+const MAX_TOUCH_PAGES: u64 = 4;
+
+/// One step of a request as the simulated hardware sees it, in program
+/// order. The allocator half emits them; the hardware half replays them.
+#[derive(Clone, Copy, Debug)]
+enum Record {
+    /// An object touched from a CPU in `domain`. Bit `p` of `huge` is set
+    /// if page `p` of the object was backed by a 2 MiB page at the touch.
+    Touch {
+        domain: DomainId,
+        huge: u8,
+        addr: u64,
+        size: u64,
+    },
+    /// Allocator time spent serving the request (one malloc or free).
+    Alloc(f64),
+    /// The request's application compute time; the request ends.
+    End(f64),
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 24);
+
+/// The simulated LLC and dTLB. Nothing the allocator half decides reads
+/// them: the time they add is only summed into `busy_ns`, so they replay
+/// the allocator half's [`Record`]s wherever [`pipeline`] runs them.
+struct Hardware {
+    llc: LlcModel,
+    tlb: TlbSim,
+    /// The current request's time so far.
+    service_ns: f64,
+    busy_ns: f64,
+    walk_ns: f64,
+}
+
+impl Hardware {
+    fn new(platform: &Platform) -> Self {
+        Self {
+            llc: LlcModel::new(platform.num_domains(), platform.llc_bytes_per_domain()),
+            tlb: TlbSim::new(TlbGeometry::server()),
+            service_ns: 0.0,
+            busy_ns: 0.0,
+            walk_ns: 0.0,
+        }
+    }
+
+    fn replay(&mut self, record: Record) {
+        match record {
+            Record::Touch {
+                domain,
+                huge,
+                addr,
+                size,
+            } => {
+                let ns = self.touch(domain, huge, addr, size);
+                self.service_ns += ns;
+            }
+            Record::Alloc(ns) => self.service_ns += ns,
+            Record::End(base_ns) => {
+                self.service_ns += base_ns;
+                self.busy_ns += self.service_ns;
+                self.service_ns = 0.0;
+            }
+        }
+    }
+
+    /// LLC + dTLB stall ns of one touch.
+    fn touch(&mut self, domain: DomainId, huge: u8, addr: u64, size: u64) -> f64 {
+        let mut ns = 0.0;
+        // One LLC access per object granule (clamped — large objects are
+        // touched at a sampled set of pages).
+        match self.llc.access(domain, addr, size.min(256 << 10)) {
+            LlcAccess::Hit => ns += COST.llc_hit_ns,
+            LlcAccess::MissRemote => ns += COST.remote_llc_ns,
+            LlcAccess::MissMemory => ns += COST.mem_ns,
+        }
+        for p in 0..touch_pages(size) {
+            let page = if (huge >> p) & 1 == 1 {
+                PageSize::Huge2M
+            } else {
+                PageSize::Base4K
+            };
+            match self.tlb.access(addr + p * TOUCH_PAGE_BYTES, page) {
+                TlbOutcome::L1Hit => {}
+                TlbOutcome::L2Hit => ns += COST.l2_tlb_hit_ns,
+                TlbOutcome::Walk => {
+                    ns += COST.tlb_walk_ns;
+                    self.walk_ns += COST.tlb_walk_ns;
+                }
+            }
+        }
+        ns
+    }
+}
+
+fn touch_pages(size: u64) -> u64 {
+    (size / TOUCH_PAGE_BYTES).clamp(1, MAX_TOUCH_PAGES)
+}
+
+/// The calibration every `Tcmalloc` is priced with
+/// ([`Tcmalloc::cost_model`]); the hardware half prices touches with it.
+const COST: CostModel = CostModel::production();
+
+/// What the allocator half measures.
+struct AllocatorTotals {
+    malloc_ns: f64,
+    failed_allocs: u64,
+    instructions: u64,
+    sim_ns: u64,
+    threads_ts: TimeSeries,
+    resident_ts: TimeSeries,
+    resident_sum: f64,
+    coverage_sum: f64,
+    record_count: u64,
+    peak_resident: u64,
 }
 
 /// Runs `spec` against a fresh allocator configured with `tcm_cfg` on
 /// `platform`. Returns the metrics and the allocator (for telemetry that
 /// lives inside it, e.g. span statistics and sampled profiles).
+///
+/// The allocator half (requests, the allocator, the page table) and the
+/// hardware half (the LLC and dTLB models) are joined by a one-way
+/// [`pipeline`]: on a spare core when there is one and the caller is not an
+/// engine task, else on the calling thread. The report is the same either
+/// way, bit for bit.
 pub fn run(
     spec: &WorkloadSpec,
     platform: &Platform,
@@ -157,234 +286,23 @@ pub fn run(
     cfg: &DriverConfig,
 ) -> (RunReport, Tcmalloc) {
     assert!(!cfg.cpuset.is_empty(), "cpuset must be non-empty");
-    let clock = Clock::new();
-    let mut tcm = Tcmalloc::new(tcm_cfg, platform.clone(), clock.clone());
-    let mut sched = Scheduler::new(cfg.cpuset.clone());
-    let mut llc = LlcModel::new(platform.num_domains(), platform.llc_bytes_per_domain());
-    let mut tlb = TlbSim::new(TlbGeometry::server());
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let cost = *tcm.cost_model();
-
-    // Pending frees ordered by deadline; working set of program-long objects.
-    let mut frees: DueQueue<usize> = DueQueue::default();
-    let mut objects: Vec<Option<LiveObject>> = Vec::new();
-    let mut free_slots: Vec<usize> = Vec::new();
-    let mut working_set: VecDeque<usize> = VecDeque::new();
-    let mut working_set_bytes: u64 = 0;
-    let mut ws_cursor = 0usize;
-    // The size mixture evaluated at the current request's `now`.
-    let mut size_weights = SizeWeights::default();
-
-    let mut busy_ns = 0.0f64;
-    let mut malloc_ns = 0.0f64;
-    let mut failed_allocs = 0u64;
-    let mut walk_ns = 0.0f64;
-    let mut instructions = 0u64;
-    let mut next_load_ns = 0u64;
-    let mut next_record_ns = 0u64;
-    let mut threads_ts = TimeSeries::new("threads");
-    let mut resident_ts = TimeSeries::new("resident");
-    let mut resident_sum = 0.0f64;
-    let mut coverage_sum = 0.0f64;
-    let mut record_count = 0u64;
-    let mut peak_resident = 0u64;
-
-    let store = |objects: &mut Vec<Option<LiveObject>>,
-                 free_slots: &mut Vec<usize>,
-                 obj: LiveObject|
-     -> usize {
-        if let Some(idx) = free_slots.pop() {
-            objects[idx] = Some(obj);
-            idx
-        } else {
-            objects.push(Some(obj));
-            objects.len() - 1
-        }
+    let mut hw = Hardware::new(platform);
+    let allocator = AllocatorHalf {
+        spec,
+        platform,
+        tcm_cfg,
+        cfg,
     };
+    let (totals, tcm) = pipeline(allocator, |record| hw.replay(record));
 
-    // Touches an object from a CPU in `domain`: LLC + dTLB costs, returns
-    // stall ns.
-    let mut touch = |tcm: &Tcmalloc,
-                     llc: &mut LlcModel,
-                     tlb: &mut TlbSim,
-                     domain: DomainId,
-                     addr: u64,
-                     size: u64|
-     -> f64 {
-        let mut ns = 0.0;
-        // One LLC access per object granule (clamped — large objects are
-        // touched at a sampled set of pages).
-        match llc.access(domain, addr, size.min(256 << 10)) {
-            LlcAccess::Hit => ns += cost.llc_hit_ns,
-            LlcAccess::MissRemote => ns += cost.remote_llc_ns,
-            LlcAccess::MissMemory => ns += cost.mem_ns,
-        }
-        // dTLB: translate up to 4 pages of the object at the page size the
-        // kernel currently backs them with.
-        let pt = tcm.pageheap().vmm().page_table();
-        let pages = (size / (8 << 10)).clamp(1, 4);
-        for p in 0..pages {
-            let a = addr + p * (8 << 10);
-            let out = tlb.access(a, pt.page_size_of(a));
-            match out {
-                wsc_sim_hw::tlb::TlbOutcome::L1Hit => {}
-                wsc_sim_hw::tlb::TlbOutcome::L2Hit => ns += cost.l2_tlb_hit_ns,
-                wsc_sim_hw::tlb::TlbOutcome::Walk => {
-                    ns += cost.tlb_walk_ns;
-                    walk_ns += cost.tlb_walk_ns;
-                }
-            }
-        }
-        ns
-    };
-
-    for _req in 0..cfg.requests {
-        let now = clock.now_ns();
-        // Load / thread-count evaluation.
-        if now >= next_load_ns {
-            next_load_ns = now + cfg.load_interval_ns;
-            let t = spec.threads.at(now, &mut rng).min(cfg.cpuset.len() * 4);
-            sched.set_active_threads(t);
-            threads_ts.push(now, t as f64);
-        }
-        let active = sched.active_threads();
-        let thread = rng.gen_range(0..active);
-        let cpu = sched.cpu_for_thread(thread);
-        // Every touch of this request comes from `cpu` (a due free may come
-        // from the object's home CPU instead): resolve the domain once.
-        let domain = platform.domain_of(cpu);
-
-        let mut service_ns = 0.0f64;
-
-        // Process due frees on this thread's CPU (the consumer touches the
-        // object, then frees it — so the data is warm in *this* domain).
-        while let Some((_, idx)) = frees.pop_due(now) {
-            let obj = objects[idx].take().expect("object already freed");
-            free_slots.push(idx);
-            // Most frees happen near the allocating CPU (the owning
-            // component); the rest on whichever thread consumes the object.
-            let free_cpu = if rng.gen::<f64>() < cfg.remote_free_frac {
-                cpu
-            } else {
-                obj.home_cpu
-            };
-            let free_domain = if free_cpu == cpu {
-                domain
-            } else {
-                platform.domain_of(free_cpu)
-            };
-            service_ns += touch(&tcm, &mut llc, &mut tlb, free_domain, obj.addr, obj.size);
-            let f = tcm.free(obj.addr, obj.size, free_cpu);
-            service_ns += f.ns;
-            malloc_ns += f.ns;
-            instructions += INSTR_PER_ALLOC_PAIR / 2;
-        }
-
-        // Allocations for this request.
-        let n_allocs = {
-            let base = spec.allocs_per_request.floor() as u64;
-            let frac = spec.allocs_per_request - base as f64;
-            base + u64::from(rng.gen::<f64>() < frac)
-        };
-        // Every allocation of a request is drawn at the same `now`, so the
-        // mixture's phase weights are evaluated once per request.
-        if n_allocs > 0 {
-            spec.prepare_sizes(now, &mut size_weights);
-        }
-        for _ in 0..n_allocs {
-            let (size, site) = spec.sample_size_prepared(&size_weights, &mut rng);
-            // Fault-aware: a refused allocation drops the request's object
-            // (the workload degrades) instead of aborting the run.
-            let a = match tcm.try_malloc_with_site(size, cpu, site as u64) {
-                Ok(a) => a,
-                Err(_) => {
-                    failed_allocs += 1;
-                    continue;
-                }
-            };
-            service_ns += a.ns;
-            malloc_ns += a.ns;
-            instructions += INSTR_PER_ALLOC_PAIR / 2;
-            for _ in 0..spec.accesses_per_object {
-                service_ns += touch(&tcm, &mut llc, &mut tlb, domain, a.addr, size);
-            }
-            let idx = store(
-                &mut objects,
-                &mut free_slots,
-                LiveObject {
-                    addr: a.addr,
-                    size,
-                    home_cpu: cpu,
-                },
-            );
-            match spec.sample_lifetime(size, site, &mut rng) {
-                Some(lt) => frees.push(now + lt, idx),
-                None => {
-                    working_set.push_back(idx);
-                    working_set_bytes += size;
-                    // Bounded working set: evict oldest beyond the cap.
-                    while working_set.len() > WORKING_SET_MAX_OBJECTS
-                        || working_set_bytes > WORKING_SET_MAX_BYTES
-                    {
-                        let evict = working_set.pop_front().expect("non-empty");
-                        if let Some(obj) = objects[evict].take() {
-                            free_slots.push(evict);
-                            working_set_bytes -= obj.size;
-                            let f = tcm.free(obj.addr, obj.size, cpu);
-                            service_ns += f.ns;
-                            malloc_ns += f.ns;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Working-set re-accesses (long-lived data locality).
-        if !working_set.is_empty() {
-            for _ in 0..spec.working_set_touches {
-                ws_cursor =
-                    (ws_cursor + 1 + rng.gen_range(0..working_set.len())) % working_set.len();
-                if let Some(obj) = objects[working_set[ws_cursor]].as_ref() {
-                    let (addr, size) = (obj.addr, obj.size);
-                    service_ns += touch(&tcm, &mut llc, &mut tlb, domain, addr, size);
-                }
-            }
-        }
-
-        // Application compute (base IPC of 2 on the simulated core).
-        let base_ns = cost.cycles_to_ns(spec.instr_per_request as f64 / 2.0);
-        service_ns += base_ns;
-        instructions += spec.instr_per_request;
-        busy_ns += service_ns;
-
-        // Open-loop arrival: wall time advances with the offered load.
-        let interarrival = 1e9 / (spec.request_rate_hz * active as f64);
-        clock.advance(interarrival.max(1.0) as u64);
-        tcm.maintain();
-
-        if now >= next_record_ns {
-            next_record_ns = now + cfg.record_interval_ns;
-            let resident = tcm.resident_bytes();
-            resident_ts.push(now, resident as f64);
-            resident_sum += resident as f64;
-            coverage_sum += tcm.hugepage_coverage();
-            record_count += 1;
-            peak_resident = peak_resident.max(resident);
-        }
-    }
-
-    if cfg.drain_at_end {
-        let cpu = cfg.cpuset[0];
-        for obj in objects.iter_mut().filter_map(Option::take) {
-            tcm.free(obj.addr, obj.size, cpu);
-        }
-    }
-
+    let busy_ns = hw.busy_ns;
+    let instructions = totals.instructions;
     let busy_cpu_seconds = busy_ns / 1e9;
-    let sim_seconds = clock.now_ns() as f64 / 1e9;
-    let cycles = cost.ns_to_cycles(busy_ns);
-    let llc_stats = llc.stats();
-    let tlb_stats = tlb.stats();
+    let sim_seconds = totals.sim_ns as f64 / 1e9;
+    let cycles = COST.ns_to_cycles(busy_ns);
+    let llc_stats = hw.llc.stats();
+    let tlb_stats = hw.tlb.stats();
+    let samples = totals.record_count.max(1) as f64;
     let report = RunReport {
         workload: spec.name.clone(),
         requests: cfg.requests,
@@ -396,18 +314,251 @@ pub fn run(
         llc: llc_stats,
         llc_mpki: llc_stats.misses() as f64 * 1000.0 / (instructions as f64).max(1.0),
         tlb: tlb_stats,
-        dtlb_walk_pct: walk_ns / busy_ns.max(1e-12) * 100.0,
-        malloc_frac: malloc_ns / busy_ns.max(1e-12),
-        avg_resident_bytes: resident_sum / record_count.max(1) as f64,
-        peak_resident_bytes: peak_resident,
-        avg_hugepage_coverage: coverage_sum / record_count.max(1) as f64,
+        dtlb_walk_pct: hw.walk_ns / busy_ns.max(1e-12) * 100.0,
+        malloc_frac: totals.malloc_ns / busy_ns.max(1e-12),
+        avg_resident_bytes: totals.resident_sum / samples,
+        peak_resident_bytes: totals.peak_resident,
+        avg_hugepage_coverage: totals.coverage_sum / samples,
         fragmentation: tcm.fragmentation(),
-        threads_ts,
-        resident_ts,
+        threads_ts: totals.threads_ts,
+        resident_ts: totals.resident_ts,
         percpu_misses: tcm.percpu_miss_counts(),
-        failed_allocs,
+        failed_allocs: totals.failed_allocs,
     };
     (report, tcm)
+}
+
+/// The allocator half of [`run`]: every request, the allocator and its
+/// page table. Each object touch becomes a [`Record::Touch`] carrying the
+/// page sizes the kernel backs it with at that moment.
+struct AllocatorHalf<'a> {
+    spec: &'a WorkloadSpec,
+    platform: &'a Platform,
+    tcm_cfg: TcmallocConfig,
+    cfg: &'a DriverConfig,
+}
+
+impl Producer<Record> for AllocatorHalf<'_> {
+    type Output = (AllocatorTotals, Tcmalloc);
+
+    fn produce<E: Emit<Record>>(self, out: &mut E) -> Self::Output {
+        let Self {
+            spec,
+            platform,
+            tcm_cfg,
+            cfg,
+        } = self;
+        let clock = Clock::new();
+        let mut tcm = Tcmalloc::new(tcm_cfg, platform.clone(), clock.clone());
+        let mut sched = Scheduler::new(cfg.cpuset.clone());
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+
+        // Pending frees ordered by deadline; working set of program-long
+        // objects.
+        let mut frees: DueQueue<usize> = DueQueue::default();
+        let mut objects: Vec<Option<LiveObject>> = Vec::new();
+        let mut free_slots: Vec<usize> = Vec::new();
+        let mut working_set: VecDeque<usize> = VecDeque::new();
+        let mut working_set_bytes: u64 = 0;
+        let mut ws_cursor = 0usize;
+        // The size mixture evaluated at the current request's `now`.
+        let mut size_weights = SizeWeights::default();
+
+        let mut malloc_ns = 0.0f64;
+        let mut failed_allocs = 0u64;
+        let mut instructions = 0u64;
+        let mut next_load_ns = 0u64;
+        let mut next_record_ns = 0u64;
+        let mut threads_ts = TimeSeries::new("threads");
+        let mut resident_ts = TimeSeries::new("resident");
+        let mut resident_sum = 0.0f64;
+        let mut coverage_sum = 0.0f64;
+        let mut record_count = 0u64;
+        let mut peak_resident = 0u64;
+
+        let store = |objects: &mut Vec<Option<LiveObject>>,
+                     free_slots: &mut Vec<usize>,
+                     obj: LiveObject|
+         -> usize {
+            if let Some(idx) = free_slots.pop() {
+                objects[idx] = Some(obj);
+                idx
+            } else {
+                objects.push(Some(obj));
+                objects.len() - 1
+            }
+        };
+
+        // Touches an object from a CPU in `domain`: the dTLB translates up to
+        // 4 pages of it at the page size the kernel currently backs them with.
+        let touch = |tcm: &Tcmalloc, out: &mut E, domain, addr: u64, size| {
+            let pt = tcm.pageheap().vmm().page_table();
+            let huge = (0..touch_pages(size)).fold(0u8, |bits, p| {
+                let page = pt.page_size_of(addr + p * TOUCH_PAGE_BYTES);
+                bits | u8::from(page == PageSize::Huge2M) << p
+            });
+            out.emit(Record::Touch {
+                domain,
+                huge,
+                addr,
+                size,
+            });
+        };
+
+        for _req in 0..cfg.requests {
+            let now = clock.now_ns();
+            // Load / thread-count evaluation.
+            if now >= next_load_ns {
+                next_load_ns = now + cfg.load_interval_ns;
+                let t = spec.threads.at(now, &mut rng).min(cfg.cpuset.len() * 4);
+                sched.set_active_threads(t);
+                threads_ts.push(now, t as f64);
+            }
+            let active = sched.active_threads();
+            let thread = rng.gen_range(0..active);
+            let cpu = sched.cpu_for_thread(thread);
+            // Every touch of this request comes from `cpu` (a due free may come
+            // from the object's home CPU instead): resolve the domain once.
+            let domain = platform.domain_of(cpu);
+
+            // Process due frees on this thread's CPU (the consumer touches the
+            // object, then frees it — so the data is warm in *this* domain).
+            while let Some((_, idx)) = frees.pop_due(now) {
+                let obj = objects[idx].take().expect("object already freed");
+                free_slots.push(idx);
+                // Most frees happen near the allocating CPU (the owning
+                // component); the rest on whichever thread consumes the object.
+                let free_cpu = if rng.gen::<f64>() < cfg.remote_free_frac {
+                    cpu
+                } else {
+                    obj.home_cpu
+                };
+                let free_domain = if free_cpu == cpu {
+                    domain
+                } else {
+                    platform.domain_of(free_cpu)
+                };
+                let addr = obj.addr.get();
+                touch(&tcm, out, free_domain, addr, obj.size);
+                let f = tcm.free(addr, obj.size, free_cpu);
+                out.emit(Record::Alloc(f.ns));
+                malloc_ns += f.ns;
+                instructions += INSTR_PER_ALLOC_PAIR / 2;
+            }
+
+            // Allocations for this request.
+            let n_allocs = {
+                let base = spec.allocs_per_request.floor() as u64;
+                let frac = spec.allocs_per_request - base as f64;
+                base + u64::from(rng.gen::<f64>() < frac)
+            };
+            // Every allocation of a request is drawn at the same `now`, so the
+            // mixture's phase weights are evaluated once per request.
+            if n_allocs > 0 {
+                spec.prepare_sizes(now, &mut size_weights);
+            }
+            for _ in 0..n_allocs {
+                let (size, site) = spec.sample_size_prepared(&size_weights, &mut rng);
+                // Fault-aware: a refused allocation drops the request's object
+                // (the workload degrades) instead of aborting the run.
+                let a = match tcm.try_malloc_with_site(size, cpu, site as u64) {
+                    Ok(a) => a,
+                    Err(_) => {
+                        failed_allocs += 1;
+                        continue;
+                    }
+                };
+                out.emit(Record::Alloc(a.ns));
+                malloc_ns += a.ns;
+                instructions += INSTR_PER_ALLOC_PAIR / 2;
+                for _ in 0..spec.accesses_per_object {
+                    touch(&tcm, out, domain, a.addr, size);
+                }
+                let idx = store(
+                    &mut objects,
+                    &mut free_slots,
+                    LiveObject {
+                        addr: NonZeroU64::new(a.addr).expect("the heap starts above zero"),
+                        size,
+                        home_cpu: cpu,
+                    },
+                );
+                match spec.sample_lifetime(size, site, &mut rng) {
+                    Some(lt) => frees.push(now + lt, idx),
+                    None => {
+                        working_set.push_back(idx);
+                        working_set_bytes += size;
+                        // Bounded working set: evict oldest beyond the cap.
+                        while working_set.len() > WORKING_SET_MAX_OBJECTS
+                            || working_set_bytes > WORKING_SET_MAX_BYTES
+                        {
+                            let evict = working_set.pop_front().expect("non-empty");
+                            if let Some(obj) = objects[evict].take() {
+                                free_slots.push(evict);
+                                working_set_bytes -= obj.size;
+                                let f = tcm.free(obj.addr.get(), obj.size, cpu);
+                                out.emit(Record::Alloc(f.ns));
+                                malloc_ns += f.ns;
+                            }
+                        }
+                    }
+                }
+            }
+
+            // Working-set re-accesses (long-lived data locality).
+            if !working_set.is_empty() {
+                for _ in 0..spec.working_set_touches {
+                    ws_cursor =
+                        (ws_cursor + 1 + rng.gen_range(0..working_set.len())) % working_set.len();
+                    if let Some(obj) = objects[working_set[ws_cursor]].as_ref() {
+                        touch(&tcm, out, domain, obj.addr.get(), obj.size);
+                    }
+                }
+            }
+
+            // Application compute (base IPC of 2 on the simulated core).
+            out.emit(Record::End(
+                COST.cycles_to_ns(spec.instr_per_request as f64 / 2.0),
+            ));
+            instructions += spec.instr_per_request;
+
+            // Open-loop arrival: wall time advances with the offered load.
+            let interarrival = 1e9 / (spec.request_rate_hz * active as f64);
+            clock.advance(interarrival.max(1.0) as u64);
+            tcm.maintain();
+
+            if now >= next_record_ns {
+                next_record_ns = now + cfg.record_interval_ns;
+                let resident = tcm.resident_bytes();
+                resident_ts.push(now, resident as f64);
+                resident_sum += resident as f64;
+                coverage_sum += tcm.hugepage_coverage();
+                record_count += 1;
+                peak_resident = peak_resident.max(resident);
+            }
+        }
+
+        if cfg.drain_at_end {
+            let cpu = cfg.cpuset[0];
+            for obj in objects.iter_mut().filter_map(Option::take) {
+                tcm.free(obj.addr.get(), obj.size, cpu);
+            }
+        }
+
+        let totals = AllocatorTotals {
+            malloc_ns,
+            failed_allocs,
+            instructions,
+            sim_ns: clock.now_ns(),
+            threads_ts,
+            resident_ts,
+            resident_sum,
+            coverage_sum,
+            record_count,
+            peak_resident,
+        };
+        (totals, tcm)
+    }
 }
 
 /// One unit of work for [`run_batch`]: a complete, self-contained run

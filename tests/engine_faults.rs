@@ -1,13 +1,18 @@
 //! Fault-injection suite for the parallel experiment engine: a panicking
 //! task must abort the run with a structured error naming the task index,
 //! label, and seed — never a hang, never a leaked worker thread — and the
-//! engine must stay usable afterwards.
+//! engine must stay usable afterwards. The same holds for the two halves
+//! of one `driver::run` joined by `pipeline`: a panic on either side
+//! reaches the caller with its own message and the helper thread is
+//! joined.
 
-use warehouse_alloc::parallel::{Engine, Task};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use warehouse_alloc::parallel::{pipeline, Emit, Engine, Producer, Task};
 use warehouse_alloc::prng::derive_seed;
-use warehouse_alloc::sim_hw::topology::Platform;
+use warehouse_alloc::sim_hw::topology::{CpuId, Platform};
 use warehouse_alloc::tcmalloc::TcmallocConfig;
-use warehouse_alloc::workload::driver::{run_batch, DriverConfig, RunJob};
+use warehouse_alloc::workload::driver::{self, run_batch, DriverConfig, RunJob};
 use warehouse_alloc::workload::profiles;
 
 fn counting_tasks(n: usize) -> Vec<Task<usize>> {
@@ -29,6 +34,36 @@ fn thread_count() -> usize {
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .expect("Threads: line")
+}
+
+/// Scoped threads join before `run` or `pipeline` returns, so a test's own
+/// threads are gone already. The process-wide count can still be
+/// transiently inflated by *other* tests' threads running concurrently in
+/// this binary, so allow a short settle window; a genuine leak never
+/// drains.
+#[cfg(target_os = "linux")]
+fn assert_threads_joined(before: usize) {
+    let mut now = thread_count();
+    for _ in 0..100 {
+        if now <= before {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        now = thread_count();
+    }
+    assert!(
+        now <= before,
+        "threads joined after aborted runs ({now} > baseline {before})"
+    );
+}
+
+/// The message a caught panic carries.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
 }
 
 #[test]
@@ -90,25 +125,8 @@ fn engine_is_reusable_after_abort_and_leaks_no_threads() {
             .expect_err("injected panic");
         assert_eq!(err.index, 7, "deterministic failing index each round");
     }
-    // Scoped threads join before `run` returns, so this engine's workers
-    // are gone already. The process-wide count can still be transiently
-    // inflated by *other* tests' engines running concurrently in this
-    // binary, so allow a short settle window; a genuine leak never drains.
     #[cfg(target_os = "linux")]
-    {
-        let mut now = thread_count();
-        for _ in 0..100 {
-            if now <= before {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            now = thread_count();
-        }
-        assert!(
-            now <= before,
-            "worker threads joined after aborted runs ({now} > baseline {before})"
-        );
-    }
+    assert_threads_joined(before);
     // And the engine still completes clean work afterwards.
     let tasks = counting_tasks(32);
     let out = engine.run(&tasks, |_, i| i * 2).expect("clean run");
@@ -137,4 +155,94 @@ fn run_batch_fault_names_the_failing_job_seed() {
         "driver assertion surfaced: {}",
         err.message
     );
+}
+
+#[test]
+fn a_panic_in_either_half_of_a_driver_run_reaches_the_caller() {
+    let platform = Platform::chiplet("t", 1, 2, 4, 2);
+    // The allocator half, on the helper thread of a multi-core host, picks
+    // a CPU the platform does not have on its first request.
+    let mut off_platform = DriverConfig::new(400, 0xa110c, &platform);
+    off_platform.cpuset = vec![CpuId(999)];
+    // The hardware half, on the calling thread, refuses an LLC of no bytes.
+    let no_llc = Platform::new("no-llc", 1, 1, 2, 4, 2, 0);
+    let cases = [
+        (platform, off_platform, "CpuId(999) out of range"),
+        (
+            no_llc.clone(),
+            DriverConfig::new(400, 0x11c, &no_llc),
+            "LLC capacity must be positive",
+        ),
+    ];
+    #[cfg(target_os = "linux")]
+    let before = thread_count();
+    for (platform, dcfg, want) in cases {
+        let job = RunJob {
+            spec: profiles::fleet_mix(),
+            platform,
+            tcm_cfg: TcmallocConfig::optimized(),
+            dcfg,
+        };
+        let direct = catch_unwind(AssertUnwindSafe(|| {
+            driver::run(&job.spec, &job.platform, job.tcm_cfg, &job.dcfg)
+        }))
+        .expect_err("the run panics");
+        let message = panic_message(direct);
+        assert!(message.contains(want), "direct run: {message}");
+        let seed = job.dcfg.seed;
+        let err =
+            run_batch(&Engine::new(2), vec![job], |r, _| r.throughput).expect_err("the job panics");
+        assert_eq!(err.seed, seed);
+        assert!(err.message.contains(want), "run_batch: {}", err.message);
+    }
+    #[cfg(target_os = "linux")]
+    assert_threads_joined(before);
+}
+
+/// Emits `0..n`, panicking with `producer gave up at {x}` on reaching
+/// `fail_at`.
+struct Emits {
+    n: u64,
+    fail_at: u64,
+}
+
+impl Producer<u64> for Emits {
+    type Output = ();
+
+    fn produce<E: Emit<u64>>(self, out: &mut E) {
+        for x in 0..self.n {
+            assert!(x < self.fail_at, "producer gave up at {x}");
+            out.emit(x);
+        }
+    }
+}
+
+#[test]
+fn a_panic_mid_stream_stops_the_other_half() {
+    #[cfg(target_os = "linux")]
+    let before = thread_count();
+    // The consumer gives up while the producer has far more to emit: the
+    // producer must be released from the full channel and joined.
+    let endless = Emits {
+        n: u64::MAX,
+        fail_at: u64::MAX,
+    };
+    let consumer = catch_unwind(|| {
+        pipeline(endless, |x| assert!(x < 5_000, "consumer gave up at {x}"));
+    })
+    .expect_err("the consumer panics");
+    assert_eq!(panic_message(consumer), "consumer gave up at 5000");
+    // The producer gives up part-way through a batch: the consumer sees the
+    // stream end and the producer's own panic resumes.
+    let mut seen = 0u64;
+    let failing = Emits {
+        n: 10_000,
+        fail_at: 7_000,
+    };
+    let producer = catch_unwind(AssertUnwindSafe(|| pipeline(failing, |_| seen += 1)))
+        .expect_err("the producer panics");
+    assert_eq!(panic_message(producer), "producer gave up at 7000");
+    assert!(seen <= 7_000, "no record after the panic: {seen}");
+    #[cfg(target_os = "linux")]
+    assert_threads_joined(before);
 }

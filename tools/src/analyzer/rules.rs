@@ -10,12 +10,12 @@
 //! Five are new and need the item model:
 //!
 //! * **concurrency-readiness** — `Mutex`/`RwLock`/`Arc`/`Condvar`/
-//!   `thread::spawn` are denied outside the sanctioned concurrency modules
-//!   (`crates/parallel/` and the deferred cross-thread free module,
-//!   `crates/tcmalloc/src/deferred`); every explicit atomic `Ordering::…`
-//!   use needs a `lint:allow(atomic-ordering)` justification even inside
-//!   them; and lock acquisition must follow the file's declared
-//!   `lint:lock-order(a, b, …)` within each function body.
+//!   `thread::spawn` and `mpsc` channels are denied outside the sanctioned
+//!   concurrency modules (`crates/parallel/` and the deferred cross-thread
+//!   free module, `crates/tcmalloc/src/deferred`); every explicit atomic
+//!   `Ordering::…` use needs a `lint:allow(atomic-ordering)` justification
+//!   even inside them; and lock acquisition must follow the file's
+//!   declared `lint:lock-order(a, b, …)` within each function body.
 //! * **event-completeness** — every `pub fn (&mut self, …)` in a tier
 //!   module of `crates/tcmalloc/src` must emit at least one `AllocEvent`,
 //!   directly or through a callee (name-based transitive closure); and
@@ -543,10 +543,14 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
 
         // --- concurrency-readiness: primitives ---
         if !concurrency_sanctioned(&m.rel) {
-            let primitive = matches!(t, "Mutex" | "RwLock" | "Arc" | "Condvar" | "Barrier")
-                || (t == "thread"
-                    && (m.matches_path(i + 1, &["::", "spawn"])
-                        || m.matches_path(i + 1, &["::", "scope"])));
+            // `mpsc` catches `mpsc::channel` and every import from the
+            // module; `sync_channel` also its bare, imported use.
+            let primitive = matches!(
+                t,
+                "Mutex" | "RwLock" | "Arc" | "Condvar" | "Barrier" | "mpsc" | "sync_channel"
+            ) || (t == "thread"
+                && (m.matches_path(i + 1, &["::", "spawn"])
+                    || m.matches_path(i + 1, &["::", "scope"])));
             if primitive {
                 hit(
                     Rule::Concurrency,

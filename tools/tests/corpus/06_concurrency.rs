@@ -10,6 +10,13 @@ fn ok_prose() {
     let s = "Mutex and RwLock in prose are fine";
     let _ = s;
 }
+fn bad_channels() {
+    let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(2); //~ concurrency-readiness
+    let (a, b) = mpsc::channel::<u32>(); //~ concurrency-readiness
+    let (c, d) = sync_channel::<u32>(0); //~ concurrency-readiness
+    let channel = 3; // a binding named `channel` is not one
+    let _ = (tx, rx, a, b, c, d, channel);
+}
 //@ file: crates/parallel/src/pool.rs
 // Sanctioned module: primitives are fine, but two locks in one body
 // demand a canonical lock-order declaration.
@@ -19,6 +26,13 @@ fn single(a: &Mutex<u32>) {
 fn needs_decl(a: &Mutex<u32>, b: &Mutex<u32>) { //~ concurrency-readiness
     let _x = a.lock();
     let _y = b.lock();
+}
+//@ file: crates/parallel/src/stream.rs
+// Sanctioned module: a channel between two threads is fine here.
+use std::sync::mpsc::sync_channel;
+fn stream() {
+    let (tx, rx) = sync_channel::<u32>(2);
+    let _ = (tx, rx);
 }
 //@ file: crates/parallel/src/pool2.rs
 // lint:lock-order(a, b)
