@@ -60,9 +60,33 @@ impl LlcStats {
 /// hit writes.
 #[derive(Clone, Copy, Debug)]
 struct Resident {
-    stamp: u64,
-    bytes: u32,
-    domain: u32,
+    stamp: u32,
+    /// `bytes | domain << BYTES_BITS`.
+    word: u32,
+}
+
+/// A resident block's byte count takes the low 27 bits of
+/// [`Resident::word`]; its domain takes the 5 above.
+const BYTES_BITS: u32 = 27;
+const MAX_DOMAINS: usize = 1 << (32 - BYTES_BITS);
+
+const _: () = assert!(std::mem::size_of::<(u64, Resident)>() == 16);
+
+impl Resident {
+    fn new(stamp: u32, bytes: u32, domain: u32) -> Self {
+        Self {
+            stamp,
+            word: bytes | domain << BYTES_BITS,
+        }
+    }
+
+    fn bytes(self) -> u32 {
+        self.word & ((1 << BYTES_BITS) - 1)
+    }
+
+    fn domain(self) -> u32 {
+        self.word >> BYTES_BITS
+    }
 }
 
 /// One domain's occupancy and, once it has had to evict, its LRU order.
@@ -124,8 +148,8 @@ impl Order {
         // used (`victims_do_not_depend_on_insertion_order` holds it)
         let mut all: Vec<(u64, u64)> = index
             .iter()
-            .filter(|(_, at)| at.domain as usize == d)
-            .map(|(&block, at)| (at.stamp, block))
+            .filter(|(_, at)| at.domain() as usize == d)
+            .map(|(&block, at)| (u64::from(at.stamp), block))
             .collect();
         all.sort_unstable();
         Self {
@@ -144,9 +168,9 @@ impl Order {
     // lint:allow(hashmap-decl) the model's index, borrowed for one probe
     fn look_up(index: &IntMap<u64, Resident>, d: usize, stamp: u64, block: u64) -> Found {
         match index.get(&block) {
-            Some(at) if at.domain as usize != d => Found::Gone,
-            Some(at) if at.stamp == stamp => Found::Lru,
-            Some(at) => Found::Touched(at.stamp),
+            Some(at) if at.domain() as usize != d => Found::Gone,
+            Some(at) if u64::from(at.stamp) == stamp => Found::Lru,
+            Some(at) => Found::Touched(u64::from(at.stamp)),
             None => Found::Gone,
         }
     }
@@ -181,7 +205,8 @@ enum Found {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LlcModel {
-    /// Bytes per domain; 32 bits, as is every resident block's byte count.
+    /// Bytes per domain, below `2^BYTES_BITS` as is every resident block's
+    /// byte count.
     capacity: u32,
     domains: Vec<Domain>,
     /// Every resident block. A block is resident in at most one domain —
@@ -192,9 +217,10 @@ pub struct LlcModel {
     // lint:allow(hashmap-decl) keyed lookup; iterated only to build a
     // domain's order, which sorts by the unique stamp before use
     index: IntMap<u64, Resident>,
-    /// Accesses so far: a stamp is unique and later touches carry larger
-    /// ones.
-    tick: u64,
+    /// The last stamp handed out: a stamp is unique and later touches
+    /// carry larger ones. Restamped ([`LlcModel::restamp`]) rather than let
+    /// pass `u32::MAX`.
+    tick: u32,
     stats: LlcStats,
 }
 
@@ -204,19 +230,28 @@ impl LlcModel {
     ///
     /// # Panics
     ///
-    /// Panics if `num_domains` is zero, or capacity is zero or above
-    /// `u32::MAX` (a resident block's byte count is held in 32 bits).
+    /// Panics if `num_domains` is zero or above 32, or capacity is zero or
+    /// 128 MiB or more (a resident block keeps its byte count in 27 bits
+    /// and its domain in 5).
     pub fn new(num_domains: usize, bytes_per_domain: u64) -> Self {
         assert!(num_domains > 0, "need at least one domain");
+        assert!(
+            num_domains <= MAX_DOMAINS,
+            "{num_domains} LLC domains exceed the 32 a resident block can name"
+        );
         assert!(bytes_per_domain > 0, "LLC capacity must be positive");
         let capacity = u32::try_from(bytes_per_domain)
             .unwrap_or_else(|_| panic!("bytes_per_domain {bytes_per_domain} exceeds u32::MAX"));
+        assert!(
+            capacity < 1 << BYTES_BITS,
+            "bytes_per_domain {bytes_per_domain} is not below 128 MiB"
+        );
         Self {
             capacity,
             domains: vec![Domain::default(); num_domains],
-            // 1 024 buckets: a cold 32-request machine leaves ≈ 650 blocks
-            // resident, which an index grown from empty reaches through
-            // eight rehashes.
+            // 1 024 buckets of 16 bytes and a control byte, ≈ 17 KiB: a
+            // cold 32-request machine leaves ≈ 650 blocks resident, which an
+            // index grown from empty reaches through eight rehashes.
             index: IntMap::with_capacity_and_hasher(896, Default::default()),
             tick: 0,
             stats: LlcStats::default(),
@@ -233,10 +268,9 @@ impl LlcModel {
         let d = domain.index();
         assert!(d < self.domains.len(), "domain {domain} out of range");
         self.stats.accesses += 1;
-        self.tick += 1;
-        let stamp = self.tick;
+        let stamp = self.advance(1);
         let outcome = match self.index.get_mut(&block) {
-            Some(at) if at.domain == domain.0 => {
+            Some(at) if at.domain() == domain.0 => {
                 at.stamp = stamp;
                 self.stats.hits += 1;
                 return LlcAccess::Hit;
@@ -246,7 +280,7 @@ impl LlcModel {
                 // domain. Its entry is rewritten below, after room is made:
                 // until then it names the old domain and cannot be chosen
                 // as a victim here.
-                self.domains[at.domain as usize].release(at.bytes);
+                self.domains[at.domain() as usize].release(at.bytes());
                 self.stats.remote_misses += 1;
                 LlcAccess::MissRemote
             }
@@ -268,18 +302,66 @@ impl LlcModel {
         dom.used += u64::from(bytes);
         dom.blocks += 1;
         if let Some(order) = &mut dom.order {
-            order.queue.push_back((stamp, block));
+            order.queue.push_back((u64::from(stamp), block));
         }
         dom.trim();
-        self.index.insert(
-            block,
-            Resident {
-                stamp,
-                bytes,
-                domain: domain.0,
-            },
-        );
+        self.index
+            .insert(block, Resident::new(stamp, bytes, domain.0));
         outcome
+    }
+
+    /// Books `n` more accesses from `domain` to `block`, which is resident
+    /// there: each is a hit, so this does what `n` [`access`](Self::access)
+    /// calls would — `n` more accesses and hits, and `block` the most
+    /// recently touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 0` and `block` is not resident in `domain`.
+    pub fn repeat_hits(&mut self, domain: DomainId, block: u64, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let stamp = self.advance(n);
+        let at = self
+            .index
+            .get_mut(&block)
+            .filter(|at| at.domain() == domain.0)
+            .unwrap_or_else(|| panic!("block {block:#x} is not resident in domain {domain}"));
+        at.stamp = stamp;
+        self.stats.accesses += u64::from(n);
+        self.stats.hits += u64::from(n);
+    }
+
+    /// Moves `tick` on by `n` and returns it, restamping first if it would
+    /// pass `u32::MAX`.
+    fn advance(&mut self, n: u32) -> u32 {
+        if self.tick.checked_add(n).is_none() {
+            self.restamp();
+        }
+        self.tick = self
+            .tick
+            .checked_add(n)
+            .expect("fewer than 2^32 resident blocks and repeats");
+        self.tick
+    }
+
+    /// Renumbers the resident blocks `1..=n` in stamp order and sets `tick`
+    /// to `n`. Every domain's order is dropped: its recorded stamps are the
+    /// old ones, and [`evict_lru`](Self::evict_lru) rebuilds it from the
+    /// index, so recency — and every later victim — is unchanged.
+    fn restamp(&mut self) {
+        // lint:allow(hashmap-iter) map order cannot leak: the entries are
+        // sorted by their unique stamp before any is renumbered
+        let mut all: Vec<&mut Resident> = self.index.values_mut().collect();
+        all.sort_unstable_by_key(|at| at.stamp);
+        for (at, stamp) in all.iter_mut().zip(1..) {
+            at.stamp = stamp;
+        }
+        self.tick = u32::try_from(all.len()).expect("fewer than 2^32 resident blocks");
+        for dom in &mut self.domains {
+            dom.order = None;
+        }
     }
 
     /// Drops the least recently touched block of domain `d`, which holds at
@@ -321,7 +403,7 @@ impl LlcModel {
             }
         };
         let at = self.index.remove(&lru).expect("found above");
-        dom.used -= u64::from(at.bytes);
+        dom.used -= u64::from(at.bytes());
         dom.blocks -= 1;
     }
 
@@ -538,7 +620,7 @@ mod tests {
         /// The domain `block` is resident in and the bytes it holds there.
         fn residence(&self, block: u64) -> Option<(usize, u64)> {
             let at = self.index.get(&block)?;
-            Some((at.domain as usize, u64::from(at.bytes)))
+            Some((at.domain() as usize, u64::from(at.bytes())))
         }
     }
 
@@ -569,6 +651,18 @@ mod tests {
             assert_eq!(got, want, "{} step {}", self.label, self.step);
             self.check(block);
             got
+        }
+
+        /// `n` more accesses from `d` to the `block` the last step left
+        /// resident there: one `repeat_hits` call, `n` reference accesses.
+        fn repeat(&mut self, d: usize, block: u64, n: u32) {
+            let d_id = DomainId(d as u32);
+            self.llc.repeat_hits(d_id, block, n);
+            for _ in 0..n {
+                let got = self.model.access(d_id, block, 1);
+                assert_eq!(got, LlcAccess::Hit, "{} step {}", self.label, self.step);
+            }
+            self.check(block);
         }
 
         fn check(&mut self, block: u64) {
@@ -779,5 +873,95 @@ mod tests {
     #[should_panic(expected = "bytes_per_domain 4294967296 exceeds u32::MAX")]
     fn capacity_beyond_32_bits_is_refused() {
         let _ = LlcModel::new(1, 1 << 32);
+    }
+
+    #[test]
+    fn repeat_hits_book_what_as_many_accesses_would() {
+        use wsc_prng::SmallRng;
+        for case in 0..8u64 {
+            let mut rng = SmallRng::seed_from_u64(0x4e9e_a700 + case);
+            let domains = rng.gen_range(1usize..=4);
+            let mut both = Lockstep::new(format!("repeats {case}"), domains, 2048);
+            // Under eviction pressure, so the stamp a repeat leaves decides
+            // later victims. Half the repeats are of the block just
+            // accessed, half of an older one resident in the same domain.
+            for _ in 0..2000 {
+                let d = rng.gen_range(0..domains);
+                let mut block = addr(rng.gen_range(0..150u64));
+                both.access(d, block, rng.gen_range(16u64..300));
+                if rng.gen::<bool>() {
+                    let here: Vec<u64> = both
+                        .model
+                        .resident()
+                        .into_iter()
+                        .filter(|&(_, at, _)| at == d)
+                        .map(|(b, _, _)| b)
+                        .collect();
+                    block = here[rng.gen_range(0..here.len())];
+                }
+                let n = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.gen_range(2..12u32),
+                    _ => rng.gen_range(200..300u32),
+                };
+                both.repeat(d, block, n);
+            }
+            assert!(both.llc.stats().memory_misses > 500, "{}", both.label);
+        }
+    }
+
+    #[test]
+    fn restamping_below_u32_max_keeps_every_victim() {
+        use wsc_prng::SmallRng;
+        for case in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5a3e_0000 + case);
+            let domains = 1 + case as usize % 3;
+            let mut both = Lockstep::new(format!("restamp {case}"), domains, 2048);
+            // Fill every domain until it evicts, then move the tick to just
+            // below the top: the restamp meets built orders.
+            for fresh in 0..200 {
+                both.access(fresh as usize % domains, addr(10_000 + fresh), 64);
+            }
+            assert!(both.llc.domains.iter().all(|d| d.order.is_some()));
+            both.llc.tick = u32::MAX - 700;
+            let mut restamps = 0;
+            for _ in 0..1500 {
+                let before = both.llc.tick;
+                let d = rng.gen_range(0..domains);
+                let block = addr(rng.gen_range(0..120u64));
+                both.access(d, block, rng.gen_range(16u64..400));
+                // Odd cases cross the top inside a run of repeats.
+                if case % 2 == 1 && rng.gen_range(0..8u32) == 0 {
+                    both.repeat(d, block, rng.gen_range(1..300u32));
+                }
+                restamps += usize::from(both.llc.tick < before);
+            }
+            assert_eq!(restamps, 1, "{}", both.label);
+        }
+    }
+
+    #[test]
+    fn the_widest_block_in_the_last_domain_keeps_its_bytes() {
+        let widest = (128 << 20) - 1;
+        let mut llc = LlcModel::new(32, widest);
+        let last = DomainId(31);
+        assert_eq!(llc.access(last, 1, u64::MAX), LlcAccess::MissMemory);
+        assert_eq!(llc.access(last, 1, 64), LlcAccess::Hit);
+        assert_eq!(llc.residence(1), Some((31, widest)));
+        assert_eq!(llc.access(DomainId(30), 1, 64), LlcAccess::MissRemote);
+        assert_eq!(llc.residence(1), Some((30, 64)));
+    }
+
+    #[test]
+    #[should_panic(expected = "bytes_per_domain 134217728 is not below 128 MiB")]
+    fn capacity_of_128_mib_is_refused() {
+        let _ = LlcModel::new(1, 128 << 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "33 LLC domains exceed the 32 a resident block can name")]
+    fn more_than_32_domains_are_refused() {
+        let _ = LlcModel::new(33, 1 << 20);
     }
 }

@@ -143,12 +143,40 @@ pub struct RunReport {
     pub failed_allocs: u64,
 }
 
+/// A live object in 16 bytes: its address with its home CPU in the top
+/// 16 bits, and its size.
 struct LiveObject {
-    /// Never zero: the heap starts at `HEAP_BASE`, so `Option<LiveObject>`
-    /// is 24 bytes.
-    addr: NonZeroU64,
+    /// `addr | home_cpu << ADDR_BITS`. Never zero: the heap starts at
+    /// `HEAP_BASE`, so `Option<LiveObject>` needs no tag.
+    word: NonZeroU64,
     size: u64,
-    home_cpu: CpuId,
+}
+
+/// Simulated addresses lie below `2^ADDR_BITS`; the bits above hold the
+/// home CPU.
+const ADDR_BITS: u32 = 48;
+
+impl LiveObject {
+    fn new(addr: u64, size: u64, home_cpu: CpuId) -> Self {
+        assert!(
+            addr < 1 << ADDR_BITS,
+            "object address {addr:#x} is not below 2^48"
+        );
+        assert!(home_cpu.0 < 1 << 16, "home {home_cpu} does not fit 16 bits");
+        let addr = NonZeroU64::new(addr).expect("the heap starts above zero");
+        Self {
+            word: addr | u64::from(home_cpu.0) << ADDR_BITS,
+            size,
+        }
+    }
+
+    fn addr(&self) -> u64 {
+        self.word.get() & ((1 << ADDR_BITS) - 1)
+    }
+
+    fn home_cpu(&self) -> CpuId {
+        CpuId((self.word.get() >> ADDR_BITS) as u32)
+    }
 }
 
 /// Bytes per page the dTLB is charged for: a touch translates up to
@@ -160,11 +188,13 @@ const MAX_TOUCH_PAGES: u64 = 4;
 /// order. The allocator half emits them; the hardware half replays them.
 #[derive(Clone, Copy, Debug)]
 enum Record {
-    /// An object touched from a CPU in `domain`. Bit `p` of `huge` is set
-    /// if page `p` of the object was backed by a 2 MiB page at the touch.
+    /// An object touched `times` times back to back from a CPU in
+    /// `domain`. Bit `p` of `huge` is set if page `p` of the object was
+    /// backed by a 2 MiB page at the touches.
     Touch {
         domain: DomainId,
         huge: u8,
+        times: u8,
         addr: u64,
         size: u64,
     },
@@ -174,7 +204,12 @@ enum Record {
     End(f64),
 }
 
+/// An index into the live-object table.
+type Slot = u32;
+
 const _: () = assert!(std::mem::size_of::<Record>() == 24);
+const _: () = assert!(std::mem::size_of::<Option<LiveObject>>() == 16);
+const _: () = assert!(std::mem::size_of::<crate::due::Entry<Slot>>() == 16);
 
 /// The simulated LLC and dTLB. Nothing the allocator half decides reads
 /// them: the time they add is only summed into `busy_ns`, so they replay
@@ -204,11 +239,22 @@ impl Hardware {
             Record::Touch {
                 domain,
                 huge,
+                times,
                 addr,
                 size,
             } => {
                 let ns = self.touch(domain, huge, addr, size);
                 self.service_ns += ns;
+                // The first touch left the block resident in `domain`, so
+                // every repeat is an LLC hit; each still translates its
+                // pages and adds its own time.
+                if times > 1 {
+                    self.llc.repeat_hits(domain, addr, u32::from(times - 1));
+                    for _ in 1..times {
+                        let ns = self.translate(COST.llc_hit_ns, huge, addr, size);
+                        self.service_ns += ns;
+                    }
+                }
             }
             Record::Alloc(ns) => self.service_ns += ns,
             Record::End(base_ns) => {
@@ -221,14 +267,18 @@ impl Hardware {
 
     /// LLC + dTLB stall ns of one touch.
     fn touch(&mut self, domain: DomainId, huge: u8, addr: u64, size: u64) -> f64 {
-        let mut ns = 0.0;
         // One LLC access per object granule (clamped — large objects are
         // touched at a sampled set of pages).
-        match self.llc.access(domain, addr, size.min(256 << 10)) {
-            LlcAccess::Hit => ns += COST.llc_hit_ns,
-            LlcAccess::MissRemote => ns += COST.remote_llc_ns,
-            LlcAccess::MissMemory => ns += COST.mem_ns,
-        }
+        let ns = match self.llc.access(domain, addr, size.min(256 << 10)) {
+            LlcAccess::Hit => COST.llc_hit_ns,
+            LlcAccess::MissRemote => COST.remote_llc_ns,
+            LlcAccess::MissMemory => COST.mem_ns,
+        };
+        self.translate(ns, huge, addr, size)
+    }
+
+    /// `ns` plus the dTLB stall ns of translating a touch's pages.
+    fn translate(&mut self, mut ns: f64, huge: u8, addr: u64, size: u64) -> f64 {
         for p in 0..touch_pages(size) {
             let page = if (huge >> p) & 1 == 1 {
                 PageSize::Huge2M
@@ -355,10 +405,10 @@ impl Producer<Record> for AllocatorHalf<'_> {
 
         // Pending frees ordered by deadline; working set of program-long
         // objects.
-        let mut frees: DueQueue<usize> = DueQueue::default();
+        let mut frees: DueQueue<Slot> = DueQueue::default();
         let mut objects: Vec<Option<LiveObject>> = Vec::new();
-        let mut free_slots: Vec<usize> = Vec::new();
-        let mut working_set: VecDeque<usize> = VecDeque::new();
+        let mut free_slots: Vec<Slot> = Vec::new();
+        let mut working_set: VecDeque<Slot> = VecDeque::new();
         let mut working_set_bytes: u64 = 0;
         let mut ws_cursor = 0usize;
         // The size mixture evaluated at the current request's `now`.
@@ -377,32 +427,39 @@ impl Producer<Record> for AllocatorHalf<'_> {
         let mut peak_resident = 0u64;
 
         let store = |objects: &mut Vec<Option<LiveObject>>,
-                     free_slots: &mut Vec<usize>,
+                     free_slots: &mut Vec<Slot>,
                      obj: LiveObject|
-         -> usize {
+         -> Slot {
             if let Some(idx) = free_slots.pop() {
-                objects[idx] = Some(obj);
+                objects[idx as usize] = Some(obj);
                 idx
             } else {
                 objects.push(Some(obj));
-                objects.len() - 1
+                Slot::try_from(objects.len() - 1).expect("fewer than 2^32 object slots")
             }
         };
 
-        // Touches an object from a CPU in `domain`: the dTLB translates up to
-        // 4 pages of it at the page size the kernel currently backs them with.
-        let touch = |tcm: &Tcmalloc, out: &mut E, domain, addr: u64, size| {
+        // Touches an object `times` times back to back from a CPU in
+        // `domain`: the dTLB translates up to 4 pages of it at the page size
+        // the kernel currently backs them with, which no touch changes.
+        let touch = |tcm: &Tcmalloc, out: &mut E, domain, addr: u64, size, times: u32| {
             let pt = tcm.pageheap().vmm().page_table();
             let huge = (0..touch_pages(size)).fold(0u8, |bits, p| {
                 let page = pt.page_size_of(addr + p * TOUCH_PAGE_BYTES);
                 bits | u8::from(page == PageSize::Huge2M) << p
             });
-            out.emit(Record::Touch {
-                domain,
-                huge,
-                addr,
-                size,
-            });
+            let mut left = times;
+            while left > 0 {
+                let n = u8::try_from(left).unwrap_or(u8::MAX);
+                left -= u32::from(n);
+                out.emit(Record::Touch {
+                    domain,
+                    huge,
+                    times: n,
+                    addr,
+                    size,
+                });
+            }
         };
 
         for _req in 0..cfg.requests {
@@ -424,22 +481,22 @@ impl Producer<Record> for AllocatorHalf<'_> {
             // Process due frees on this thread's CPU (the consumer touches the
             // object, then frees it — so the data is warm in *this* domain).
             while let Some((_, idx)) = frees.pop_due(now) {
-                let obj = objects[idx].take().expect("object already freed");
+                let obj = objects[idx as usize].take().expect("object already freed");
                 free_slots.push(idx);
                 // Most frees happen near the allocating CPU (the owning
                 // component); the rest on whichever thread consumes the object.
                 let free_cpu = if rng.gen::<f64>() < cfg.remote_free_frac {
                     cpu
                 } else {
-                    obj.home_cpu
+                    obj.home_cpu()
                 };
                 let free_domain = if free_cpu == cpu {
                     domain
                 } else {
                     platform.domain_of(free_cpu)
                 };
-                let addr = obj.addr.get();
-                touch(&tcm, out, free_domain, addr, obj.size);
+                let addr = obj.addr();
+                touch(&tcm, out, free_domain, addr, obj.size, 1);
                 let f = tcm.free(addr, obj.size, free_cpu);
                 out.emit(Record::Alloc(f.ns));
                 malloc_ns += f.ns;
@@ -471,17 +528,11 @@ impl Producer<Record> for AllocatorHalf<'_> {
                 out.emit(Record::Alloc(a.ns));
                 malloc_ns += a.ns;
                 instructions += INSTR_PER_ALLOC_PAIR / 2;
-                for _ in 0..spec.accesses_per_object {
-                    touch(&tcm, out, domain, a.addr, size);
-                }
+                touch(&tcm, out, domain, a.addr, size, spec.accesses_per_object);
                 let idx = store(
                     &mut objects,
                     &mut free_slots,
-                    LiveObject {
-                        addr: NonZeroU64::new(a.addr).expect("the heap starts above zero"),
-                        size,
-                        home_cpu: cpu,
-                    },
+                    LiveObject::new(a.addr, size, cpu),
                 );
                 match spec.sample_lifetime(size, site, &mut rng) {
                     Some(lt) => frees.push(now + lt, idx),
@@ -493,10 +544,10 @@ impl Producer<Record> for AllocatorHalf<'_> {
                             || working_set_bytes > WORKING_SET_MAX_BYTES
                         {
                             let evict = working_set.pop_front().expect("non-empty");
-                            if let Some(obj) = objects[evict].take() {
+                            if let Some(obj) = objects[evict as usize].take() {
                                 free_slots.push(evict);
                                 working_set_bytes -= obj.size;
-                                let f = tcm.free(obj.addr.get(), obj.size, cpu);
+                                let f = tcm.free(obj.addr(), obj.size, cpu);
                                 out.emit(Record::Alloc(f.ns));
                                 malloc_ns += f.ns;
                             }
@@ -510,8 +561,8 @@ impl Producer<Record> for AllocatorHalf<'_> {
                 for _ in 0..spec.working_set_touches {
                     ws_cursor =
                         (ws_cursor + 1 + rng.gen_range(0..working_set.len())) % working_set.len();
-                    if let Some(obj) = objects[working_set[ws_cursor]].as_ref() {
-                        touch(&tcm, out, domain, obj.addr.get(), obj.size);
+                    if let Some(obj) = objects[working_set[ws_cursor] as usize].as_ref() {
+                        touch(&tcm, out, domain, obj.addr(), obj.size, 1);
                     }
                 }
             }
@@ -541,7 +592,7 @@ impl Producer<Record> for AllocatorHalf<'_> {
         if cfg.drain_at_end {
             let cpu = cfg.cpuset[0];
             for obj in objects.iter_mut().filter_map(Option::take) {
-                tcm.free(obj.addr.get(), obj.size, cpu);
+                tcm.free(obj.addr(), obj.size, cpu);
             }
         }
 
@@ -768,6 +819,55 @@ mod tests {
                 resident_bytes: 14_680_064,
             }
         );
+    }
+
+    #[test]
+    fn repeat_counts_reproduce_reports_captured_one_touch_per_record() {
+        // Captured from the commit before a `Touch` record carried a repeat
+        // count. 300 touches per object travel as two records (255 + 45),
+        // and 0 as none; on the 256 KiB platform the stamp a run of repeats
+        // leaves decides later victims.
+        let p = platform();
+        let small = Platform::new("small-llc", 1, 1, 2, 4, 2, 256 << 10);
+        let cases = [
+            (&p, 300, 0x3fb6_e77e_d157_a621, [6_001_173, 6_714, 10_508]),
+            (&p, 0, 0x3f74_8d9a_e49b_9631, [6_886, 4_427, 7_082]),
+            (
+                &small,
+                300,
+                0x3fb6_fa76_43cd_35fd,
+                [5_998_161, 4_948, 15_286],
+            ),
+        ];
+        for (platform, touches, busy, [hits, remote, memory]) in cases {
+            let mut spec = profiles::fleet_mix();
+            spec.accesses_per_object = touches;
+            let dcfg = DriverConfig::new(1_000, 7, platform);
+            let (r, _) = run(&spec, platform, TcmallocConfig::optimized(), &dcfg);
+            let at = format!("{} with {touches} touches", platform.name());
+            assert_eq!(r.busy_cpu_seconds.to_bits(), busy, "{at}");
+            assert_eq!(
+                r.llc,
+                LlcStats {
+                    accesses: hits + remote + memory,
+                    hits,
+                    remote_misses: remote,
+                    memory_misses: memory,
+                },
+                "{at}"
+            );
+            let tlb = if touches == 0 { 18_400 } else { 6_023_500 };
+            assert_eq!(
+                r.tlb,
+                TlbStats {
+                    accesses: tlb,
+                    l1_hits: tlb - 5,
+                    l2_hits: 0,
+                    walks: 5,
+                },
+                "{at}"
+            );
+        }
     }
 
     #[test]

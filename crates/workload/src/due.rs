@@ -23,8 +23,9 @@ const RING: u64 = 4096;
 /// Slab link meaning "no entry"; links are 1-based slab positions.
 const NIL: u32 = 0;
 
+/// A ring-bucket link: 16 bytes for the driver's `u32` slots.
 #[derive(Clone, Copy, Debug)]
-struct Entry<T> {
+pub(crate) struct Entry<T> {
     deadline: u64,
     item: T,
     next: u32,

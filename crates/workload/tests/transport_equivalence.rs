@@ -65,6 +65,19 @@ fn cases() -> Vec<Case> {
             ..DriverConfig::new(REQUESTS, 9, &p)
         },
     });
+    // An object's back-to-back touches travel as one record of at most 255:
+    // 300 need two, and 0 need none.
+    for touches in [300, 0] {
+        let mut spec = profiles::fleet_mix();
+        spec.accesses_per_object = touches;
+        out.push(Case {
+            label: format!("fleet_mix touching each object {touches} times"),
+            spec,
+            platform: p.clone(),
+            tcm_cfg: TcmallocConfig::optimized(),
+            dcfg: DriverConfig::new(REQUESTS, 3, &p),
+        });
+    }
     // A 256 KiB LLC evicts, so the replay order of touches shows.
     let small = Platform::new("small-llc", 1, 1, 2, 4, 2, 256 << 10);
     out.push(Case {
