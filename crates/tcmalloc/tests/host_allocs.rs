@@ -238,9 +238,9 @@ fn a_warm_replay_allocates_only_its_table() {
     let (mut tcm, clock) = warmed();
     let (stats, replay, _) = counted(|| trace.replay(&mut tcm, &clock));
     assert_eq!((stats.allocs, stats.frees), (ALLOCS as u64, ALLOCS as u64));
-    // Measured: 134 against 133 — the id table, reserved once from the
-    // trace's length. The map it replaced started empty on every replay
-    // and grew by rehashing: 143 against 133.
+    // Measured: 134 against 133 — the id table, reserved once for the
+    // trace's largest id. The map it replaced started empty on every
+    // replay and grew by rehashing: 143 against 133.
     let own = replay - allocator_only;
     assert!(own <= 1, "the replay loop made {own} host allocations");
 }

@@ -871,6 +871,103 @@ mod tests {
     }
 
     #[test]
+    fn a_one_request_run_is_pinned() {
+        // One request's `busy_cpu_seconds` is its `service_ns` to the bit:
+        // no later request's sum can absorb a difference inside it. Sixty
+        // objects touched 255 times each, so nearly every touch is a
+        // repeat (the other eight are working-set re-accesses). One request
+        // touches from one LLC domain, so it has no remote miss;
+        // `repeats_add_one_at_a_time` has them. Captured from the driver as
+        // it stood when this pin was added.
+        let p = platform();
+        let mut spec = profiles::fleet_mix();
+        spec.accesses_per_object = 255;
+        spec.allocs_per_request = 60.0;
+        let (r, _) = run(
+            &spec,
+            &p,
+            TcmallocConfig::optimized(),
+            &DriverConfig::new(1, 7, &p),
+        );
+        assert_eq!(r.busy_cpu_seconds.to_bits(), 0x3f30_7426_cf69_e387);
+        assert_eq!(
+            r.llc,
+            LlcStats {
+                accesses: 15_308,
+                hits: 15_248,
+                remote_misses: 0,
+                memory_misses: 60,
+            }
+        );
+        assert_eq!((r.tlb.accesses, r.tlb.l2_hits, r.tlb.walks), (15_308, 0, 2));
+    }
+
+    #[test]
+    fn repeats_add_one_at_a_time() {
+        // A record's repeats are priced and added one by one, as the one
+        // touch per record they replace was. A repeat costs exactly
+        // `llc_hit_ns`, and in every `driver::run` probed (1–3 requests, 300
+        // seeds each, 255 touches an object) one product `ns * (times - 1)`
+        // rounded as the additions do, so no run pin tells the two apart.
+        // Allocator times of arbitrary bits do: seeded records, with remote
+        // misses and L2 dTLB hits among them, replay once as they are and
+        // once split into one-touch records, and each request's running sum
+        // must agree bit for bit.
+        let p = platform();
+        let mut rng = SmallRng::seed_from_u64(41);
+        let mut records = Vec::new();
+        for i in 0..4_000u32 {
+            let cpu = CpuId(rng.gen_range(0..p.num_cpus() as u32));
+            records.push(Record::Alloc(rng.gen::<f64>() * 40.0));
+            records.push(Record::Touch {
+                domain: p.domain_of(cpu),
+                huge: rng.gen_range(0u8..16),
+                times: rng.gen_range(1u8..=u8::MAX),
+                addr: rng.gen_range(0u64..512) << 12,
+                size: rng.gen_range(1u64..64 << 10),
+            });
+            if i % 8 == 7 {
+                records.push(Record::End(rng.gen::<f64>() * 1_000.0));
+            }
+        }
+        // A request's sum is compared after every record: `busy_ns`, the
+        // sum of hundreds of requests, would absorb a last-bit difference.
+        let mut packed = Hardware::new(&p);
+        let mut split = Hardware::new(&p);
+        for (i, &record) in records.iter().enumerate() {
+            packed.replay(record);
+            match record {
+                Record::Touch {
+                    domain,
+                    huge,
+                    times,
+                    addr,
+                    size,
+                } => {
+                    for _ in 0..times {
+                        split.replay(Record::Touch {
+                            domain,
+                            huge,
+                            times: 1,
+                            addr,
+                            size,
+                        });
+                    }
+                }
+                _ => split.replay(record),
+            }
+            let (a, b) = (packed.service_ns, split.service_ns);
+            assert_eq!(a.to_bits(), b.to_bits(), "record {i}: {a} against {b}");
+        }
+        assert_eq!(packed.busy_ns.to_bits(), split.busy_ns.to_bits());
+        assert_eq!(packed.walk_ns.to_bits(), split.walk_ns.to_bits());
+        assert_eq!(packed.llc.stats(), split.llc.stats());
+        assert_eq!(packed.tlb.stats(), split.tlb.stats());
+        let (llc, tlb) = (packed.llc.stats(), packed.tlb.stats());
+        assert!(llc.remote_misses > 0 && tlb.l2_hits > 0, "{llc:?} {tlb:?}");
+    }
+
+    #[test]
     fn seeds_differ() {
         let (a, _) = quick(&profiles::fleet_mix(), TcmallocConfig::baseline(), 1);
         let (b, _) = quick(&profiles::fleet_mix(), TcmallocConfig::baseline(), 2);

@@ -11,17 +11,26 @@
 //! The on-disk format is a line-oriented text format (one event per line) so
 //! traces are greppable and versionable without extra dependencies.
 //!
-//! # Ids are positions
+//! # Ids are slots
 //!
-//! [`Trace::record`] numbers allocations `0..n`, so replay does not hash an
-//! id to find its object: it indexes a slot table (`LiveTable`), one store
-//! per `Alloc` and one take per `Free`. The table is bounded by the trace,
-//! not by the ids in it — only ids below `events.len()` are indexed, so it
-//! is at most half the bytes `events` already occupies and a parsed
+//! [`Trace::record`] gives each allocation the slot the most recent free
+//! released, and a new one only when none is free, so a recorded trace's ids
+//! stay below its peak live count (57 858 for 250 000 allocations of the
+//! fleet mix). Replay does not hash an id to find its object: it indexes a
+//! slot table (`LiveTable`), one store per `Alloc` and one take per `Free`.
+//! The table is reserved once for the trace's largest `Alloc` id, and never
+//! for more slots than the trace has events, so a parsed
 //! `a 18446744073709551615 …` costs one entry, not a table the size of the
 //! id. Ids at or beyond that bound (a hand-written or hand-built trace; no
 //! recorded one has any) go to a small map beside the table and replay,
 //! and fail, exactly as the dense ones do.
+//!
+//! # Events are 12 bytes
+//!
+//! [`Trace::events`] is an [`Events`] list: each event is one `[u32; 3]`
+//! record, and the rare event with a field too wide for it is kept whole
+//! beside the records. Iterating it decodes each record into a
+//! [`TraceEvent`].
 
 use crate::due::DueQueue;
 use crate::spec::WorkloadSpec;
@@ -31,6 +40,9 @@ use wsc_prng::{IntMap, SmallRng};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::{AllocError, Tcmalloc};
+
+mod events;
+pub use events::{Decoded, Events, Iter};
 
 /// One event in a trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +152,7 @@ pub struct Trace {
     /// Workload name the trace was recorded from.
     pub name: String,
     /// Events in order.
-    pub events: Vec<TraceEvent>,
+    pub events: Events,
 }
 
 /// Outcome of replaying a trace.
@@ -196,15 +208,16 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// The `(address, size)` of every live allocation of one pass over a trace,
-/// by trace id (module docs: "Ids are positions").
+/// by trace id (module docs: "Ids are slots").
 struct LiveTable {
     /// Slot `id` for every id up to the largest seen below `bound`. The
     /// simulated heap never hands out the null address, so it marks a free
     /// slot. Reserved for `bound` slots up front and lengthened as ids
     /// appear, so it never reallocates and the host pages in only the part
-    /// the trace's ids reach (a recorded trace's are its first third).
+    /// the trace's ids reach.
     dense: Vec<(u64, u64)>,
-    /// The trace's event count: ids from here on live in `spill`.
+    /// The trace's largest `Alloc` id plus one, at most its event count:
+    /// ids from here on live in `spill`.
     bound: usize,
     // lint:allow(hashmap-decl) keyed by trace object id; never iterated
     spill: IntMap<u64, (u64, u64)>,
@@ -214,10 +227,14 @@ impl LiveTable {
     const NULL: u64 = 0;
     const FREE: (u64, u64) = (Self::NULL, 0);
 
-    fn for_events(events: usize) -> Self {
+    fn for_events(events: &Events) -> Self {
+        Self::with_bound(events.id_bound().min(events.len()))
+    }
+
+    fn with_bound(bound: usize) -> Self {
         LiveTable {
-            dense: Vec::with_capacity(events),
-            bound: events,
+            dense: Vec::with_capacity(bound),
+            bound,
             spill: IntMap::default(),
         }
     }
@@ -257,29 +274,43 @@ impl Trace {
     /// model. Lifetimes become explicit `Free` events interleaved at the
     /// right simulated times; program-long objects are freed at the end.
     /// Every allocation brings exactly one `Advance`, one `Alloc` and one
-    /// `Free`, so the event vector is sized for all of them up front.
+    /// `Free`, so the event list is sized for all of them up front.
+    ///
+    /// An allocation takes the slot the most recent free released (a new
+    /// one only when none is free), so ids stay below the peak live count.
+    /// Frees are ordered by allocation, not by slot: those due at one
+    /// deadline, and those left at the end, go in the order they were
+    /// allocated.
     pub fn record(spec: &WorkloadSpec, events_target: u64, seed: u64) -> Trace {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut events = Vec::with_capacity(3 * events_target as usize);
-        let mut pending: DueQueue<u64> = DueQueue::default();
-        let mut forever: Vec<u64> = Vec::new();
+        let mut events = Events::with_capacity(3 * events_target as usize);
+        // `(allocation ordinal, slot)`: the ordinal orders a deadline's frees.
+        let mut pending: DueQueue<(u64, u64)> = DueQueue::default();
+        let mut forever: Vec<(u64, u64)> = Vec::new();
+        let mut free_slots: Vec<u64> = Vec::new();
+        let mut slots = 0u64;
         let mut now = 0u64;
         let interarrival =
             (1e9 / spec.request_rate_hz.max(1.0) / spec.allocs_per_request.max(0.1)) as u64;
-        for id in 0..events_target {
+        for ordinal in 0..events_target {
             now += interarrival.max(1);
             events.push(TraceEvent::Advance {
                 ns: interarrival.max(1),
             });
             // Emit due frees first.
-            while let Some((_, fid)) = pending.pop_due(now) {
+            while let Some((_, (_, slot))) = pending.pop_due(now) {
                 events.push(TraceEvent::Free {
-                    id: fid,
+                    id: slot,
                     cpu: rng.gen_range(0u32..16),
                 });
+                free_slots.push(slot);
             }
             let (size, site) = spec.sample_size(now, &mut rng);
             let cpu = rng.gen_range(0u32..16);
+            let id = free_slots.pop().unwrap_or_else(|| {
+                slots += 1;
+                slots - 1
+            });
             events.push(TraceEvent::Alloc {
                 id,
                 size,
@@ -287,17 +318,17 @@ impl Trace {
                 cpu,
             });
             match spec.sample_lifetime(size, site, &mut rng) {
-                Some(lt) => pending.push(now + lt, id),
-                None => forever.push(id),
+                Some(lt) => pending.push(now + lt, (ordinal, id)),
+                None => forever.push((ordinal, id)),
             }
         }
         // Teardown: everything still live is freed in allocation order.
         let mut rest = forever;
-        while let Some((_, id)) = pending.pop_due(u64::MAX) {
-            rest.push(id);
+        while let Some((_, live)) = pending.pop_due(u64::MAX) {
+            rest.push(live);
         }
         rest.sort_unstable();
-        for id in rest {
+        for (_, id) in rest {
             events.push(TraceEvent::Free {
                 id,
                 cpu: rng.gen_range(0u32..16),
@@ -339,7 +370,7 @@ impl Trace {
         clock: &Clock,
     ) -> Result<ReplayStats, ReplayError> {
         let mut stats = ReplayStats::default();
-        let mut live = LiveTable::for_events(self.events.len());
+        let mut live = LiveTable::for_events(&self.events);
         for (event, ev) in self.events.iter().enumerate() {
             match *ev {
                 TraceEvent::Alloc {
@@ -385,7 +416,7 @@ impl Trace {
     pub fn check(&self, platform: &Platform) -> Result<(), TraceCheckError> {
         // Any non-null address marks a slot live.
         const LIVE: u64 = 1;
-        let mut live = LiveTable::for_events(self.events.len());
+        let mut live = LiveTable::for_events(&self.events);
         for (event, ev) in self.events.iter().enumerate() {
             let fail = |reason: String| Err(TraceCheckError { event, reason });
             let cpu = match *ev {
@@ -431,7 +462,7 @@ impl Trace {
     /// Returns a [`ParseTraceError`] naming the offending line.
     pub fn from_text(text: &str) -> Result<Trace, ParseTraceError> {
         let mut name = String::from("unnamed");
-        let mut events = Vec::new();
+        let mut events = Events::default();
         for (i, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
@@ -475,12 +506,42 @@ mod tests {
 
     #[test]
     fn record_is_pinned() {
-        // Holds the due-queue's `(deadline, id)` pop order at this call
-        // site: captured from the commit that still popped a `BinaryHeap`.
+        // Holds the due-queue's `(deadline, ordinal)` pop order at this call
+        // site: captured from the commit that still popped a `BinaryHeap`,
+        // when an id was the allocation's ordinal. Each slot is mapped back
+        // to the ordinal of the allocation holding it.
         let trace = Trace::record(&profiles::fleet_mix(), 20_000, 42);
         assert_eq!(trace.events.len(), 60_000);
+        let mut ordinal_of: Vec<u64> = Vec::new();
+        let mut allocs = 0;
         let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-        for ev in &trace.events[..10_000] {
+        for ev in trace.events.iter().take(10_000) {
+            let ev = match *ev {
+                TraceEvent::Alloc {
+                    id,
+                    size,
+                    site,
+                    cpu,
+                } => {
+                    let slot = id as usize;
+                    if slot >= ordinal_of.len() {
+                        ordinal_of.resize(slot + 1, 0);
+                    }
+                    ordinal_of[slot] = allocs;
+                    allocs += 1;
+                    TraceEvent::Alloc {
+                        id: ordinal_of[slot],
+                        size,
+                        site,
+                        cpu,
+                    }
+                }
+                TraceEvent::Free { id, cpu } => TraceEvent::Free {
+                    id: ordinal_of[id as usize],
+                    cpu,
+                },
+                advance => advance,
+            };
             for b in ev.to_string().bytes().chain([b'\n']) {
                 fnv = (fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
@@ -489,31 +550,27 @@ mod tests {
     }
 
     #[test]
-    fn record_reserves_exactly_its_events() {
-        for (target, seed) in [(0u64, 1u64), (1, 2), (800, 3), (5_000, 42)] {
-            let trace = Trace::record(&profiles::fleet_mix(), target, seed);
-            let want = 3 * target as usize;
-            assert_eq!(trace.events.len(), want, "{target} allocations");
-            assert_eq!(trace.events.capacity(), want, "{target} allocations");
-        }
-    }
-
-    #[test]
     fn every_alloc_is_freed_exactly_once() {
+        // Ids are slots: an `Alloc` never takes a live one, and every
+        // allocation is freed once.
         let trace = Trace::record(&profiles::monarch(), 800, 3);
-        let mut allocs = std::collections::HashSet::new();
-        let mut frees = std::collections::HashSet::new();
+        let mut live = std::collections::HashSet::new();
+        let (mut allocs, mut frees) = (0, 0);
         for ev in &trace.events {
             match *ev {
-                TraceEvent::Alloc { id, .. } => assert!(allocs.insert(id)),
+                TraceEvent::Alloc { id, .. } => {
+                    assert!(live.insert(id), "allocation reuses live id {id}");
+                    allocs += 1;
+                }
                 TraceEvent::Free { id, .. } => {
-                    assert!(allocs.contains(&id), "free before alloc");
-                    assert!(frees.insert(id), "double free in trace");
+                    assert!(live.remove(&id), "free of id {id}, which is not live");
+                    frees += 1;
                 }
                 TraceEvent::Advance { .. } => {}
             }
         }
-        assert_eq!(allocs, frees, "leaked ids");
+        assert!(live.is_empty(), "leaked ids {live:?}");
+        assert_eq!((allocs, frees), (800, 800));
     }
 
     #[test]
@@ -545,7 +602,7 @@ mod tests {
         // The largest ids still parse, exactly.
         let max = Trace::from_text("a 0 64 4294967295 4294967295\nf 0 4294967295\n").unwrap();
         assert_eq!(
-            max.events[0],
+            *max.events.iter().next().unwrap(),
             TraceEvent::Alloc {
                 id: 0,
                 size: 64,
@@ -680,10 +737,12 @@ mod tests {
     }
 
     /// What `record` never writes: ids in descending order, an id freed and
-    /// then reused, and ids on both sides of the dense bound (`len - 1` is
-    /// the last slot, `len` and `u64::MAX` spill) interleaved with dense ones.
+    /// then reused, ids on both sides of the dense bound (`len - 1` is the
+    /// last slot, `len`, 2³⁰ and `u64::MAX` spill) interleaved with dense
+    /// ones, and events too wide for a record (those ids, a 4 GiB size, a
+    /// site of 2¹⁶) among packed ones.
     fn hand_built_trace() -> Trace {
-        const LEN: u64 = 19;
+        const LEN: u64 = 24;
         let a = |id| TraceEvent::Alloc {
             id,
             size: 48 + id % 7 * 100,
@@ -706,11 +765,21 @@ mod tests {
             a(4),
             f(u64::MAX),
             a(u64::MAX),
+            a(1 << 30),
+            TraceEvent::Alloc {
+                id: 2,
+                size: 1 << 32,
+                site: 1 << 16,
+                cpu: 7,
+            },
             f(LEN),
             a(0),
+            TraceEvent::Advance { ns: 5 << 32 },
             f(5),
+            f(2),
             f(3),
             f(4),
+            f(1 << 30),
             f(LEN - 1),
             f(u64::MAX),
             f(0),
@@ -718,7 +787,7 @@ mod tests {
         assert_eq!(events.len() as u64, LEN);
         Trace {
             name: "hand-built".into(),
-            events,
+            events: events.into_iter().collect(),
         }
     }
 
@@ -730,11 +799,20 @@ mod tests {
     }
 
     #[test]
-    fn the_table_is_bounded_by_the_trace_not_by_its_ids() {
-        // Like `replay_survives_the_largest_cpu_id`: the largest id costs
-        // one entry, and ids at the bound never lengthen the table.
-        assert!(2 * size_of::<(u64, u64)>() <= size_of::<TraceEvent>());
-        let mut live = LiveTable::for_events(3);
+    fn the_table_is_bounded_by_the_largest_id_and_by_the_trace() {
+        // A recorded trace's table is as long as its largest `Alloc` id; a
+        // hand-written one's never longer than the trace, so (like
+        // `replay_survives_the_largest_cpu_id`) the largest id costs one
+        // entry.
+        let bound =
+            |text: &str| LiveTable::for_events(&Trace::from_text(text).unwrap().events).bound;
+        assert_eq!(bound("a 2 64 0 0\nt 5\nt 5\nt 5\nf 2 0\n"), 3);
+        assert_eq!(bound("a 1073741823 64 0 0\nt 5\n"), 2);
+        assert_eq!(bound("a 18446744073709551615 64 0 0\nt 5\n"), 0);
+        assert_eq!(bound("f 9 0\nt 5\n"), 0, "only allocations count");
+
+        // Ids at the bound never lengthen the table.
+        let mut live = LiveTable::with_bound(3);
         for id in [u64::MAX, 3, 1] {
             assert!(live.insert(id, 0x1000 + id % 7, 8));
         }

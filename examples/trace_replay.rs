@@ -24,7 +24,9 @@ fn main() {
     // 2. Round-trip through the portable text format.
     let text = trace.to_text();
     println!("serialized: {} bytes of text", text.len());
-    let trace = Trace::from_text(&text).expect("round trip");
+    let parsed = Trace::from_text(&text).expect("round trip");
+    assert_eq!(parsed, trace, "the text format must read back every event");
+    let trace = parsed;
 
     // 3. Replay under baseline and optimized configurations.
     let platform = Platform::chiplet("chiplet-64c", 2, 4, 8, 2);
