@@ -4,6 +4,8 @@
 //! # Record 50k events of the disk workload to a file:
 //! cargo run --release -p wsc-bench --bin trace -- record disk 50000 disk.trace
 //!
+//! # (An event count no memory can hold exits 2 with one line on stderr.)
+//!
 //! # Inspect a trace:
 //! cargo run --release -p wsc-bench --bin trace -- info disk.trace
 //!
@@ -97,21 +99,24 @@ fn main() {
         Some("record") if args.len() == 4 => {
             let spec = workload(&args[1]);
             let events: u64 = args[2].parse().unwrap_or_else(|_| usage());
-            let trace = Trace::record(&spec, events, 42);
+            let trace = Trace::try_record(&spec, events, 42)
+                .unwrap_or_else(|e| usage_error(format!("trace record: {e}")));
             std::fs::write(&args[3], trace.to_text()).expect("write trace file");
             println!("wrote {} events to {}", trace.events.len(), args[3]);
         }
         Some("info") if args.len() == 2 => {
             let trace = load(&args[1]);
-            let (mut allocs, mut frees, mut bytes, mut span_ns) = (0u64, 0u64, 0u64, 0u64);
+            // Sizes and nanoseconds are `u64` each; their sums are exact in
+            // `u128` for any trace that fits in memory.
+            let (mut allocs, mut frees, mut bytes, mut span_ns) = (0u64, 0u64, 0u128, 0u128);
             for ev in &trace.events {
                 match *ev {
                     TraceEvent::Alloc { size, .. } => {
                         allocs += 1;
-                        bytes += size;
+                        bytes += u128::from(size);
                     }
                     TraceEvent::Free { .. } => frees += 1,
-                    TraceEvent::Advance { ns } => span_ns += ns,
+                    TraceEvent::Advance { ns } => span_ns += u128::from(ns),
                 }
             }
             println!("trace '{}'", trace.name);

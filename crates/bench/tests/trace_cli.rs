@@ -1,8 +1,9 @@
 //! The `trace` binary on input it did not write: a trace that cannot be
 //! read, parsed, passed by `Trace::check` or held by the simulated address
-//! space, an unknown workload and a malformed flag are each one line on
-//! stderr and exit status 2 — never a panic — and a recorded trace replays
-//! with status 0.
+//! space, an unknown workload, an event count no memory holds and a
+//! malformed flag are each one line on stderr and exit status 2 — never a
+//! panic — a recorded trace replays with status 0, and `info` sums sizes
+//! and time without wrapping.
 
 use std::process::{Command, Output};
 
@@ -76,6 +77,36 @@ fn an_unknown_workload_or_a_malformed_flag_is_refused_in_one_line() {
         assert!(stderr.contains(says), "{args:?}: {stderr}");
     }
     assert!(!std::path::Path::new(&out).exists());
+}
+
+#[test]
+fn record_refuses_an_event_count_no_memory_holds() {
+    // Four words an allocation overflows `u64` here, so the refusal needs
+    // no allocation attempt.
+    let out = format!("{}/trace_cli_too_long.trace", env!("CARGO_TARGET_TMPDIR"));
+    let stderr = refused(&trace(&["record", "disk", "18446744073709551615", &out]));
+    assert!(
+        stderr.contains("cannot reserve a trace of 18446744073709551615 allocations"),
+        "{stderr}"
+    );
+    assert!(!std::path::Path::new(&out).exists());
+}
+
+#[test]
+fn info_prints_exact_totals_past_u64() {
+    // Two sizes and two advances whose sums pass `u64::MAX`.
+    let out = trace(&["info", &fixture("wide_totals.trace")]);
+    assert!(out.status.success() && out.stderr.is_empty());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("  events:        4\n"), "{stdout}");
+    assert!(
+        stdout.contains("  bytes alloc'd: 18446744073709551617\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("  time span:     18446744073.710 s\n"),
+        "{stdout}"
+    );
 }
 
 /// FNV-1a, 64-bit.

@@ -733,7 +733,7 @@ impl Tcmalloc {
     pub fn maintain(&mut self) {
         let now = self.clock.now_ns();
         if self.cfg.dynamic_percpu && now >= self.next_resize_ns {
-            self.next_resize_ns = now + RESIZE_INTERVAL_NS;
+            self.next_resize_ns = now.saturating_add(RESIZE_INTERVAL_NS);
             let evicted = self.percpu.rebalance(
                 RESIZE_TOP_N,
                 RESIZE_STEP_BYTES,
@@ -745,7 +745,7 @@ impl Tcmalloc {
             }
         }
         if now >= self.next_plunder_ns {
-            self.next_plunder_ns = now + PLUNDER_INTERVAL_NS;
+            self.next_plunder_ns = now.saturating_add(PLUNDER_INTERVAL_NS);
             // An unsharded tier has no shards to plunder, but its deferred
             // lists still drain on this cadence.
             let overflow = self.transfer.plunder(&mut self.bus);
@@ -757,7 +757,7 @@ impl Tcmalloc {
             self.drain_deferred();
         }
         if now >= self.next_decay_ns {
-            self.next_decay_ns = now + DECAY_INTERVAL_NS;
+            self.next_decay_ns = now.saturating_add(DECAY_INTERVAL_NS);
             // Idle-cache reclaim: per-CPU caches shed to the transfer tier,
             // the transfer tier sheds to the central free lists.
             let evicted = self.percpu.decay();
@@ -770,7 +770,7 @@ impl Tcmalloc {
             }
         }
         if now >= self.next_release_ns {
-            self.next_release_ns = now + RELEASE_INTERVAL_NS;
+            self.next_release_ns = now.saturating_add(RELEASE_INTERVAL_NS);
             self.pageheap.background_release(&mut self.bus);
             if let Some(limit) = self.cfg.soft_limit {
                 // Soft limit: synchronously push resident bytes back toward

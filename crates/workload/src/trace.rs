@@ -25,16 +25,17 @@
 //! recorded one has any) go to a small map beside the table and replay,
 //! and fail, exactly as the dense ones do.
 //!
-//! # Events are 12 bytes
+//! # A recorded allocation is four words
 //!
-//! [`Trace::events`] is an [`Events`] list: each event is one `[u32; 3]`
-//! record, and the rare event with a field too wide for it is kept whole
-//! beside the records. Iterating it decodes each record into a
-//! [`TraceEvent`].
+//! [`Trace::events`] is an [`Events`] list, one stream of `u32` words: an
+//! `Advance` or a `Free` is one word and an `Alloc` two, so a recorded
+//! allocation costs its trace 16 bytes. The rare event with a field too
+//! wide for its words is kept whole beside them. Iterating the list decodes
+//! each event into a [`TraceEvent`].
 
 use crate::due::DueQueue;
 use crate::spec::WorkloadSpec;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 use wsc_prng::{IntMap, SmallRng};
 use wsc_sim_hw::topology::{CpuId, Platform};
@@ -187,6 +188,25 @@ impl fmt::Display for TraceCheckError {
 
 impl std::error::Error for TraceCheckError {}
 
+/// A trace [`Trace::try_record`] cannot reserve room for, refused before
+/// any event is drawn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordError {
+    allocations: u64,
+}
+
+impl fmt::Display for RecordError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cannot reserve a trace of {} allocations",
+            self.allocations
+        )
+    }
+}
+
+impl std::error::Error for RecordError {}
+
 /// An allocation the allocator refused during [`Trace::try_replay`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayError {
@@ -274,16 +294,38 @@ impl Trace {
     /// model. Lifetimes become explicit `Free` events interleaved at the
     /// right simulated times; program-long objects are freed at the end.
     /// Every allocation brings exactly one `Advance`, one `Alloc` and one
-    /// `Free`, so the event list is sized for all of them up front.
+    /// `Free`, four words in all, so the event list is sized for all of
+    /// them up front.
     ///
     /// An allocation takes the slot the most recent free released (a new
     /// one only when none is free), so ids stay below the peak live count.
     /// Frees are ordered by allocation, not by slot: those due at one
     /// deadline, and those left at the end, go in the order they were
     /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event list cannot be reserved;
+    /// [`try_record`](Self::try_record) returns that instead.
     pub fn record(spec: &WorkloadSpec, events_target: u64, seed: u64) -> Trace {
+        Self::try_record(spec, events_target, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`record`](Self::record) for a count from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RecordError`] if the event list for `events_target`
+    /// allocations cannot be reserved.
+    pub fn try_record(
+        spec: &WorkloadSpec,
+        events_target: u64,
+        seed: u64,
+    ) -> Result<Trace, RecordError> {
+        let mut events = Events::for_allocations(events_target).ok_or(RecordError {
+            allocations: events_target,
+        })?;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut events = Events::with_capacity(3 * events_target as usize);
         // `(allocation ordinal, slot)`: the ordinal orders a deadline's frees.
         let mut pending: DueQueue<(u64, u64)> = DueQueue::default();
         let mut forever: Vec<(u64, u64)> = Vec::new();
@@ -334,10 +376,10 @@ impl Trace {
                 cpu: rng.gen_range(0u32..16),
             });
         }
-        Trace {
+        Ok(Trace {
             name: spec.name.clone(),
             events,
-        }
+        })
     }
 
     /// Replays the trace against an allocator.
@@ -406,7 +448,8 @@ impl Trace {
 
     /// Checks, without an allocator, that [`replay`](Self::replay) on
     /// `platform` will not meet a trace bug: every `Free` names a live id,
-    /// no `Alloc` reuses one, and every CPU is one the platform has.
+    /// no `Alloc` reuses one, every CPU is one the platform has, and the
+    /// `Advance`s keep a clock that starts at 0 within `u64` nanoseconds.
     /// Allocations never freed are not an error.
     ///
     /// # Errors
@@ -417,6 +460,7 @@ impl Trace {
         // Any non-null address marks a slot live.
         const LIVE: u64 = 1;
         let mut live = LiveTable::for_events(&self.events);
+        let mut now = 0u64;
         for (event, ev) in self.events.iter().enumerate() {
             let fail = |reason: String| Err(TraceCheckError { event, reason });
             let cpu = match *ev {
@@ -432,7 +476,15 @@ impl Trace {
                     }
                     cpu
                 }
-                TraceEvent::Advance { .. } => continue,
+                TraceEvent::Advance { ns } => {
+                    let Some(later) = now.checked_add(ns) else {
+                        return fail(format!(
+                            "advancing {ns} ns from {now} ns overflows the clock"
+                        ));
+                    };
+                    now = later;
+                    continue;
+                }
             };
             if cpu as usize >= platform.num_cpus() {
                 return fail(format!(
@@ -447,10 +499,12 @@ impl Trace {
 
     /// Serializes to the line-oriented text format.
     pub fn to_text(&self) -> String {
-        let mut out = format!("# wsc-trace v1 {}\n", self.name);
+        // A recorded event's line is about 10 bytes.
+        let mut out = String::with_capacity(32 + self.name.len() + 12 * self.events.len());
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "# wsc-trace v1 {}", self.name);
         for ev in &self.events {
-            out.push_str(&ev.to_string());
-            out.push('\n');
+            let _ = writeln!(out, "{}", *ev);
         }
         out
     }
@@ -874,6 +928,11 @@ mod tests {
             ("a 0 64 0 16\n", 0, "cpu 16 out of range: platform t has 16"),
             ("a 0 64 0 4000000000\n", 0, "cpu 4000000000 out of range"),
             ("a 0 64 0 15\nf 0 16\n", 1, "cpu 16 out of range"),
+            (
+                "t 18446744073709551615\nt 0\nt 1\n",
+                2,
+                "advancing 1 ns from 18446744073709551615 ns overflows the clock",
+            ),
         ] {
             let err = Trace::from_text(text)
                 .unwrap()

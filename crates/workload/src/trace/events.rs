@@ -1,75 +1,86 @@
-//! A trace's events, packed into 12-byte records.
+//! A trace's events, packed into one stream of `u32` words.
 //!
-//! Word 0 of a record holds a 2-bit tag and a 30-bit id; words 1 and 2 hold
-//! an `Alloc`'s size and `site | cpu << 16`, a `Free`'s CPU, or an
-//! `Advance`'s nanoseconds. An event with a field those bits cannot hold (an
-//! id of 2³⁰ or more, a size of 4 GiB or more, a site or CPU of 2¹⁶ or more
-//! — only a hand-written trace has one) is kept whole in an overflow list,
-//! and its record holds its index there, so every event reads back exactly
-//! as it was pushed.
+//! Word 0 of every event holds a 2-bit tag and 30 payload bits:
+//! - an `Advance` of fewer than 2³⁰ ns is one word, the nanoseconds;
+//! - a `Free` on a CPU below 16 of an id below 2²⁶ is one word,
+//!   `cpu << 26 | id`;
+//! - an `Alloc` is that word and a second, `site << 28 | size`, for a site
+//!   below 16 and a size below 2²⁸ (256 MiB).
+//!
+//! An event with a field those bits cannot hold (only a hand-written trace
+//! has one) is one overflow-tagged word and is kept whole in an overflow
+//! list. Overflow events are read back in the order they were pushed, so
+//! the word needs no index and every event reads back exactly, however many
+//! overflow. A recorded allocation — its `Advance`, `Alloc` and `Free` — is
+//! four words, 16 bytes. Every event is one or two whole words, so decoding
+//! one needs no length chain.
 
 use super::TraceEvent;
 use std::fmt;
 use std::ops::Deref;
 
-/// One event: `[tag << ID_BITS | id, word 1, word 2]`.
-type Record = [u32; 3];
-
-const _: () = assert!(std::mem::size_of::<Record>() == 12);
-
 /// Bits of word 0 below the tag.
-const ID_BITS: u32 = 30;
+const TAG_SHIFT: u32 = 30;
+const PAYLOAD_MASK: u32 = (1 << TAG_SHIFT) - 1;
+/// A `Free` or `Alloc` head is `cpu << ID_BITS | id`.
+const ID_BITS: u32 = 26;
 const ID_MASK: u32 = (1 << ID_BITS) - 1;
-/// Site and CPU share an `Alloc`'s word 2, 16 bits each.
-const HALF_BITS: u32 = 16;
-const HALF_MASK: u32 = (1 << HALF_BITS) - 1;
+const CPU_LIMIT: u32 = 1 << (TAG_SHIFT - ID_BITS);
+/// An `Alloc`'s second word is `site << SIZE_BITS | size`.
+const SIZE_BITS: u32 = 28;
+const SIZE_MASK: u32 = (1 << SIZE_BITS) - 1;
+const SITE_LIMIT: u32 = 1 << (32 - SIZE_BITS);
 
 const ADVANCE: u32 = 0;
 const ALLOC: u32 = 1;
 const FREE: u32 = 2;
-/// Words 1 and 2 index [`Events::overflow`].
+/// The next event of [`Events::overflow`].
 const OVERFLOW: u32 = 3;
 
-/// A `u64` as words 1 and 2, low half first.
-fn split(v: u64) -> [u32; 2] {
-    [v as u32, (v >> 32) as u32]
-}
+/// Words a recorded allocation costs: its `Advance`, its two-word `Alloc`
+/// and its `Free`.
+const WORDS_PER_ALLOCATION: u64 = 4;
 
-fn join(lo: u32, hi: u32) -> u64 {
-    u64::from(lo) | u64::from(hi) << 32
-}
+/// `id_bound` counts `Alloc` ids below this.
+const ID_BOUND_LIMIT: u32 = 1 << 30;
 
-/// The events of a [`Trace`](super::Trace), in order, 12 bytes each.
+/// The events of a [`Trace`](super::Trace), in order: one or two `u32`
+/// words each.
 ///
 /// Iterating `&Events` yields each event decoded as a [`Decoded`], which
 /// dereferences to its [`TraceEvent`]: `for ev in &trace.events { match *ev
 /// { … } }`.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Events {
-    records: Vec<Record>,
-    /// The events no record can hold, in order.
+    words: Vec<u32>,
+    /// The events no word can hold, in order.
     overflow: Vec<TraceEvent>,
+    /// Number of events.
+    len: usize,
     /// One past the largest `Alloc` id below 2³⁰; 0 if there is none.
     id_bound: u32,
 }
 
 impl Events {
-    /// An empty list with room for `events` records.
-    pub(crate) fn with_capacity(events: usize) -> Self {
-        Events {
-            records: Vec::with_capacity(events),
-            ..Events::default()
-        }
+    /// An empty list with room for `allocations` recorded allocations,
+    /// four words each; `None` if that many words cannot be reserved.
+    pub(crate) fn for_allocations(allocations: u64) -> Option<Self> {
+        let words = allocations
+            .checked_mul(WORDS_PER_ALLOCATION)
+            .and_then(|words| usize::try_from(words).ok())?;
+        let mut events = Events::default();
+        events.words.try_reserve_exact(words).ok()?;
+        Some(events)
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Are there no events?
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// One past the largest `Alloc` id below 2³⁰ (0 if there is none): the
@@ -80,46 +91,55 @@ impl Events {
 
     /// Appends `ev`.
     pub(crate) fn push(&mut self, ev: TraceEvent) {
+        // `cpu << ID_BITS | id`, if both fit.
+        let head = |id: u64, cpu: u32| {
+            u32::try_from(id)
+                .ok()
+                .filter(|&id| id <= ID_MASK && cpu < CPU_LIMIT)
+                .map(|id| cpu << ID_BITS | id)
+        };
         let packed = match ev {
-            TraceEvent::Advance { ns } => {
-                let [lo, hi] = split(ns);
-                Some([ADVANCE << ID_BITS, lo, hi])
-            }
+            TraceEvent::Advance { ns } => u32::try_from(ns)
+                .ok()
+                .filter(|&ns| ns <= PAYLOAD_MASK)
+                .map(|ns| (ADVANCE << TAG_SHIFT | ns, None)),
+            TraceEvent::Free { id, cpu } => head(id, cpu).map(|h| (FREE << TAG_SHIFT | h, None)),
             TraceEvent::Alloc {
                 id,
                 size,
                 site,
                 cpu,
             } => {
-                let id = u32::try_from(id).ok().filter(|&id| id <= ID_MASK);
-                if let Some(id) = id {
+                if let Some(id) = u32::try_from(id).ok().filter(|&id| id < ID_BOUND_LIMIT) {
                     self.id_bound = self.id_bound.max(id + 1);
                 }
-                match (id, u32::try_from(size)) {
-                    (Some(id), Ok(size)) if site <= HALF_MASK && cpu <= HALF_MASK => {
-                        Some([ALLOC << ID_BITS | id, size, site | cpu << HALF_BITS])
-                    }
-                    _ => None,
-                }
+                let second = u32::try_from(size)
+                    .ok()
+                    .filter(|&size| size <= SIZE_MASK && site < SITE_LIMIT)
+                    .map(|size| site << SIZE_BITS | size);
+                head(id, cpu)
+                    .zip(second)
+                    .map(|(h, second)| (ALLOC << TAG_SHIFT | h, Some(second)))
             }
-            TraceEvent::Free { id, cpu } => u32::try_from(id)
-                .ok()
-                .filter(|&id| id <= ID_MASK)
-                .map(|id| [FREE << ID_BITS | id, cpu, 0]),
         };
-        let record = packed.unwrap_or_else(|| {
-            let [lo, hi] = split(self.overflow.len() as u64);
-            self.overflow.push(ev);
-            [OVERFLOW << ID_BITS, lo, hi]
-        });
-        self.records.push(record);
+        match packed {
+            Some((head, second)) => {
+                self.words.push(head);
+                self.words.extend(second);
+            }
+            None => {
+                self.words.push(OVERFLOW << TAG_SHIFT);
+                self.overflow.push(ev);
+            }
+        }
+        self.len += 1;
     }
 
     /// The events in order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            records: self.records.iter(),
-            overflow: &self.overflow,
+            words: &self.words,
+            overflow: self.overflow.iter(),
         }
     }
 }
@@ -149,7 +169,7 @@ impl<'a> IntoIterator for &'a Events {
     }
 }
 
-/// One event as [`Iter`] yields it, decoded from its record.
+/// One event as [`Iter`] yields it, decoded from its words.
 /// Dereferences to the [`TraceEvent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Decoded(TraceEvent);
@@ -162,11 +182,11 @@ impl Deref for Decoded {
     }
 }
 
-/// Iterator over [`Events`], decoding each record.
+/// Iterator over [`Events`], decoding each event's words.
 #[derive(Clone, Debug)]
 pub struct Iter<'a> {
-    records: std::slice::Iter<'a, Record>,
-    overflow: &'a [TraceEvent],
+    words: &'a [u32],
+    overflow: std::slice::Iter<'a, TraceEvent>,
 }
 
 impl Iterator for Iter<'_> {
@@ -174,18 +194,28 @@ impl Iterator for Iter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Decoded> {
-        let &[head, w1, w2] = self.records.next()?;
-        let id = u64::from(head & ID_MASK);
-        Some(Decoded(match head >> ID_BITS {
-            ADVANCE => TraceEvent::Advance { ns: join(w1, w2) },
-            ALLOC => TraceEvent::Alloc {
-                id,
-                size: u64::from(w1),
-                site: w2 & HALF_MASK,
-                cpu: w2 >> HALF_BITS,
+        let (&head, rest) = self.words.split_first()?;
+        self.words = rest;
+        let payload = head & PAYLOAD_MASK;
+        let id = u64::from(payload & ID_MASK);
+        let cpu = payload >> ID_BITS;
+        Some(Decoded(match head >> TAG_SHIFT {
+            ADVANCE => TraceEvent::Advance {
+                ns: u64::from(payload),
             },
-            FREE => TraceEvent::Free { id, cpu: w1 },
-            _ => self.overflow[join(w1, w2) as usize],
+            FREE => TraceEvent::Free { id, cpu },
+            ALLOC => {
+                // `push` writes an `Alloc`'s two words together.
+                let (&second, rest) = self.words.split_first()?;
+                self.words = rest;
+                TraceEvent::Alloc {
+                    id,
+                    size: u64::from(second & SIZE_MASK),
+                    site: second >> SIZE_BITS,
+                    cpu,
+                }
+            }
+            _ => *self.overflow.next()?,
         }))
     }
 }
@@ -198,64 +228,98 @@ mod tests {
     use crate::profiles;
     use crate::trace::Trace;
 
-    /// Every field on both sides of what a record holds.
-    fn edge_events() -> Vec<TraceEvent> {
-        const ID: u64 = 1 << ID_BITS;
-        const SIZE: u64 = 1 << 32;
-        const HALF: u32 = 1 << HALF_BITS;
-        let alloc = |id, size, site, cpu| TraceEvent::Alloc {
+    const ID: u64 = 1 << ID_BITS;
+    const SIZE: u64 = 1 << SIZE_BITS;
+    const CPU: u32 = CPU_LIMIT;
+    const SITE: u32 = SITE_LIMIT;
+    const NS: u64 = 1 << TAG_SHIFT;
+
+    fn alloc(id: u64, size: u64, site: u32, cpu: u32) -> TraceEvent {
+        TraceEvent::Alloc {
             id,
             size,
             site,
             cpu,
-        };
+        }
+    }
+
+    /// Every field on both sides of what the words hold, each event with
+    /// whether it overflows.
+    fn edge_events() -> Vec<(TraceEvent, bool)> {
         let mut events = Vec::new();
-        for id in [0, ID - 1, ID, u64::MAX] {
-            events.push(alloc(id, 64, 1, 2));
-            events.push(TraceEvent::Free { id, cpu: 3 });
+        for (id, wide) in [
+            (0, false),
+            (ID - 1, false),
+            (ID, true),
+            (NS - 1, true),
+            (NS, true),
+            (u64::MAX, true),
+        ] {
+            events.push((alloc(id, 64, 1, 2), wide));
+            events.push((TraceEvent::Free { id, cpu: 3 }, wide));
         }
-        for size in [0, SIZE - 1, SIZE, u64::MAX] {
-            events.push(alloc(7, size, 1, 2));
+        for (size, wide) in [
+            (0, false),
+            (SIZE - 1, false),
+            (SIZE, true),
+            (1 << 32, true),
+            (u64::MAX, true),
+        ] {
+            events.push((alloc(7, size, 1, 2), wide));
         }
-        for half in [HALF - 1, HALF, u32::MAX] {
-            events.push(alloc(8, 64, half, 0));
-            events.push(alloc(9, 64, 0, half));
-            events.push(TraceEvent::Free { id: 9, cpu: half });
+        for (cpu, wide) in [(CPU - 1, false), (CPU, true), (u32::MAX, true)] {
+            events.push((alloc(9, 64, 0, cpu), wide));
+            events.push((TraceEvent::Free { id: 9, cpu }, wide));
         }
-        for ns in [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX] {
-            events.push(TraceEvent::Advance { ns });
+        for (site, wide) in [(SITE - 1, false), (SITE, true), (u32::MAX, true)] {
+            events.push((alloc(8, 64, site, 0), wide));
+        }
+        // The widest packed events: every field at its largest.
+        events.push((alloc(ID - 1, SIZE - 1, SITE - 1, CPU - 1), false));
+        events.push((
+            TraceEvent::Free {
+                id: ID - 1,
+                cpu: CPU - 1,
+            },
+            false,
+        ));
+        for (ns, wide) in [
+            (0, false),
+            (1, false),
+            (NS - 1, false),
+            (NS, true),
+            (u64::from(u32::MAX), true),
+            (u64::MAX, true),
+        ] {
+            events.push((TraceEvent::Advance { ns }, wide));
         }
         events
     }
 
-    /// Is `ev` one a record holds without the overflow list?
-    fn packs(ev: TraceEvent) -> bool {
-        let id_fits = |id: u64| id < 1 << ID_BITS;
-        let half_fits = |v: u32| v < 1 << HALF_BITS;
-        match ev {
-            TraceEvent::Alloc {
-                id,
-                size,
-                site,
-                cpu,
-            } => id_fits(id) && size < 1 << 32 && half_fits(site) && half_fits(cpu),
-            TraceEvent::Free { id, .. } => id_fits(id),
-            TraceEvent::Advance { .. } => true,
-        }
-    }
-
     #[test]
     fn every_field_edge_round_trips_through_push_and_text() {
-        let want = edge_events();
+        let edges = edge_events();
+        let want: Vec<TraceEvent> = edges.iter().map(|&(ev, _)| ev).collect();
         let events: Events = want.iter().copied().collect();
         let got: Vec<TraceEvent> = events.iter().map(|ev| *ev).collect();
         assert_eq!(got, want);
+        assert_eq!(events.len(), want.len());
 
-        // Exactly the events beyond a record's fields overflow, in order.
-        let spilled: Vec<TraceEvent> = want.iter().copied().filter(|&ev| !packs(ev)).collect();
+        // Exactly the events beyond the words' fields overflow, in order,
+        // one word each; a packed `Alloc` is two words, the rest one.
+        let spilled: Vec<TraceEvent> = edges
+            .iter()
+            .filter(|&&(_, wide)| wide)
+            .map(|&(ev, _)| ev)
+            .collect();
         assert_eq!(events.overflow, spilled);
-        assert_eq!(spilled.len(), 10);
-        assert_eq!(events.id_bound(), 1 << ID_BITS, "the largest 30-bit id");
+        assert_eq!(spilled.len(), 20);
+        let packed_allocs = edges
+            .iter()
+            .filter(|&&(ev, wide)| !wide && matches!(ev, TraceEvent::Alloc { .. }))
+            .count();
+        assert_eq!(events.words.len(), want.len() + packed_allocs);
+        assert_eq!(events.id_bound(), 1 << 30, "the largest id below 2³⁰");
 
         let trace = Trace {
             name: "edges".into(),
@@ -266,34 +330,60 @@ mod tests {
     }
 
     #[test]
-    fn a_recorded_trace_is_twelve_bytes_an_event_and_ids_below_its_peak() {
+    fn overflow_events_read_back_in_order_however_many_there_are() {
+        // More overflow events than any 30-bit field would count would take
+        // gigabytes; the order is what the word relies on, so interleave
+        // many wide events of every kind with packed ones.
+        let want: Vec<TraceEvent> = (0..3_000u64)
+            .map(|i| match i % 6 {
+                0 => alloc(ID + i, 64, 1, 2),
+                1 => alloc(i, SIZE + i, 1, 2),
+                2 => TraceEvent::Free { id: i, cpu: CPU },
+                3 => TraceEvent::Advance { ns: NS + i },
+                4 => alloc(i, 64, 1, 2),
+                _ => TraceEvent::Free { id: i, cpu: 1 },
+            })
+            .collect();
+        let events: Events = want.iter().copied().collect();
+        assert_eq!(events.overflow.len(), 2_000);
+        let got: Vec<TraceEvent> = events.iter().map(|ev| *ev).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_recorded_allocation_is_four_words_and_ids_stay_below_its_peak() {
         // 250 000 allocations of the fleet mix, as `replay_churn` records:
-        // three records each, all packed, and at most 57 858 objects live
-        // at once, so no id reaches 57 858.
+        // four words each, all packed, and at most 57 858 objects live at
+        // once, so no id reaches 57 858.
         let trace = Trace::record(&profiles::fleet_mix(), 250_000, 42);
         let events = &trace.events;
         assert_eq!(events.len(), 750_000);
-        assert_eq!(events.records.capacity(), 750_000);
+        assert_eq!(events.words.len(), 1_000_000);
+        assert_eq!(events.words.capacity(), 1_000_000);
         assert_eq!(
-            events.records.capacity() * size_of::<Record>(),
-            750_000 * 12
+            events.words.capacity() * size_of::<u32>(),
+            250_000 * 16,
+            "16 bytes an allocation"
         );
         assert!(events.overflow.is_empty());
         assert_eq!(events.id_bound(), 57_858);
     }
 
     #[test]
-    fn record_reserves_exactly_its_events() {
+    fn record_reserves_exactly_its_words() {
         for (target, seed) in [(0u64, 1u64), (1, 2), (800, 3), (5_000, 42)] {
             let trace = Trace::record(&profiles::fleet_mix(), target, seed);
-            let want = 3 * target as usize;
-            assert_eq!(trace.events.len(), want, "{target} allocations");
-            assert_eq!(
-                trace.events.records.capacity(),
-                want,
-                "{target} allocations"
-            );
+            let (events, words) = (3 * target as usize, 4 * target as usize);
+            assert_eq!(trace.events.len(), events, "{target} allocations");
+            assert_eq!(trace.events.words.len(), words, "{target} allocations");
+            assert_eq!(trace.events.words.capacity(), words, "{target} allocations");
             assert!(trace.events.overflow.is_empty());
         }
+    }
+
+    #[test]
+    fn an_impossible_reservation_is_refused_not_attempted() {
+        assert!(Events::for_allocations(u64::MAX).is_none());
+        assert!(Events::for_allocations(u64::MAX / 4 + 1).is_none());
     }
 }
