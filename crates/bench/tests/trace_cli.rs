@@ -127,6 +127,23 @@ fn chrome_trace_export_is_pinned() {
     assert_eq!(fnv64(&json), 0xdf03_75c6_1c8c_7567);
 }
 
+/// A recorded trace file is pinned byte for byte: the recorder's events,
+/// slots and draws, end to end through the text format, on whichever
+/// transport the weights took to the recorder.
+#[test]
+fn recorded_trace_file_is_pinned() {
+    let file = format!("{}/trace_cli_fleet.trace", env!("CARGO_TARGET_TMPDIR"));
+    let out = trace(&["record", "fleet", "20000", &file]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read(&file).expect("read the recorded trace");
+    assert_eq!(text.len(), 628_851);
+    assert_eq!(fnv64(&text), 0x8ee2_2dbd_136d_3650);
+}
+
 #[test]
 fn a_recorded_trace_replays() {
     let file = format!("{}/trace_cli_recorded.trace", env!("CARGO_TARGET_TMPDIR"));

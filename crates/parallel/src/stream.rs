@@ -10,7 +10,10 @@
 //!   with at least two CPUs. The producer runs on a spawned scoped thread;
 //!   the consumer runs on the caller. Records travel in batches of 1 024
 //!   through a channel bounded at two batches, and consumed batches go
-//!   back to the producer for reuse.
+//!   back to the producer for reuse. The caller allocates every batch
+//!   buffer the stream can have in flight before the helper starts, so the
+//!   buffers come from the caller's heap, not from a helper-thread arena
+//!   that would stay resident after the stream ends.
 //! * **Same thread** — inside any engine run (serial included), or on a
 //!   one-CPU host. Each record is handed to the consumer as it is emitted,
 //!   on the calling thread. An engine already has as many threads as it
@@ -32,6 +35,10 @@ const BATCH: usize = 1024;
 
 /// Full batches that may wait for the consumer.
 const DEPTH: usize = 2;
+
+/// Batch buffers in one stream: the channel's full ones, the one the
+/// consumer drains and the one the producer fills.
+const BUFFERS: usize = DEPTH + 2;
 
 thread_local! {
     /// Is this thread running an engine's tasks?
@@ -105,16 +112,20 @@ impl<T> Emit<T> for Batches<T> {
 }
 
 impl<T> Batches<T> {
-    /// Sends the batch, continuing in a recycled buffer if one came back.
+    /// Sends the batch and continues in a recycled buffer. Once the send
+    /// returns, at most [`DEPTH`] buffers wait in the channel and at most
+    /// one is with the consumer, so one of the [`BUFFERS`] is back already
+    /// and the fresh allocation never runs (`tests/stream_buffers.rs`
+    /// counts).
     #[inline(never)]
     fn send(&mut self) {
-        let next = self
+        if self.full.send(mem::take(&mut self.batch)).is_err() {
+            resume_unwind(Box::new(ConsumerGone));
+        }
+        self.batch = self
             .empty
             .try_recv()
             .unwrap_or_else(|_| Vec::with_capacity(BATCH));
-        if self.full.send(mem::replace(&mut self.batch, next)).is_err() {
-            resume_unwind(Box::new(ConsumerGone));
-        }
     }
 }
 
@@ -159,11 +170,16 @@ where
         return producer.produce(&mut Inline(consume));
     }
     let (full_tx, full_rx) = sync_channel::<Vec<T>>(DEPTH);
-    let (empty_tx, empty_rx) = sync_channel::<Vec<T>>(DEPTH + 1);
+    // Room for every buffer, so a returned one is never dropped.
+    let (empty_tx, empty_rx) = sync_channel::<Vec<T>>(BUFFERS);
+    for _ in 1..BUFFERS {
+        let _ = empty_tx.try_send(Vec::with_capacity(BATCH));
+    }
+    let first = Vec::with_capacity(BATCH);
     std::thread::scope(|scope| {
         let helper = scope.spawn(move || {
             let mut out = Batches {
-                batch: Vec::with_capacity(BATCH),
+                batch: first,
                 full: full_tx,
                 empty: empty_rx,
             };

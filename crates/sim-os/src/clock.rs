@@ -47,11 +47,19 @@ impl Clock {
     }
 
     /// Advances the clock by `delta_ns` and returns the new time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new time is past `u64::MAX` ns (about 584 years), in
+    /// every build: the clock never wraps to a time in the past.
     #[inline]
     pub fn advance(&self, delta_ns: u64) -> u64 {
         // lint:allow(atomic-ordering) Relaxed: fetch_add is atomic per
         // word; time ordering comes from the single-writer driver.
-        self.ns.fetch_add(delta_ns, Ordering::Relaxed) + delta_ns
+        let before = self.ns.fetch_add(delta_ns, Ordering::Relaxed);
+        before.checked_add(delta_ns).unwrap_or_else(|| {
+            panic!("simulated clock overflow: advancing {delta_ns} ns from {before} ns passes u64::MAX ns")
+        })
     }
 }
 
@@ -67,6 +75,16 @@ mod tests {
         assert_eq!(c.now_ns(), 0);
         assert_eq!(c.advance(10), 10);
         assert_eq!(c.now_ns(), 10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "simulated clock overflow: advancing 10 ns from 18446744073709551612 ns"
+    )]
+    fn advancing_past_the_end_of_time_panics() {
+        let c = Clock::new();
+        assert_eq!(c.advance(u64::MAX - 3), u64::MAX - 3);
+        c.advance(10);
     }
 
     #[test]

@@ -32,11 +32,26 @@
 //! allocation costs its trace 16 bytes. The rare event with a field too
 //! wide for its words is kept whole beside them. Iterating the list decodes
 //! each event into a [`TraceEvent`].
+//!
+//! # Recording on two cores
+//!
+//! [`Trace::record`] is a [`pipeline`] of two roles. The size mixture's
+//! phase weights at an allocation's instant depend on its index alone, not
+//! on the RNG, so the producer (`PhaseWeights`) evaluates them, seven
+//! `sin()`s for the fleet mix, and sends each allocation's weights and
+//! their total as one chunk of eight `f64` words. The recorder is the
+//! consumer: it makes every RNG draw, runs the [`DueQueue`]
+//! of pending frees and pushes to [`Events`], in the serial recorder's
+//! order, so events, slots and draws are the same bit for bit. Called
+//! directly on a host with two CPUs or more, the producer runs on a helper
+//! thread and the recorder on the caller; inside an engine, or on one CPU,
+//! both run on the calling thread. Either way the trace is the same.
 
 use crate::due::DueQueue;
-use crate::spec::WorkloadSpec;
+use crate::spec::{SizeChunk, SizeWeights, SizeWeightsReader, WorkloadSpec};
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
+use wsc_parallel::{pipeline, Emit, Producer};
 use wsc_prng::{IntMap, SmallRng};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
@@ -289,6 +304,30 @@ impl LiveTable {
     }
 }
 
+/// The producer of [`Trace::record`] (module docs: "Recording on two
+/// cores"): the size mixture's phase weights at each allocation's instant,
+/// sent as [`SizeWeights`] chunks. It draws nothing.
+struct PhaseWeights<'a> {
+    spec: &'a WorkloadSpec,
+    /// Simulated nanoseconds between allocations.
+    step: u64,
+    allocations: u64,
+}
+
+impl Producer<SizeChunk> for PhaseWeights<'_> {
+    type Output = ();
+
+    fn produce<E: Emit<SizeChunk>>(self, out: &mut E) {
+        let mut weights = SizeWeights::default();
+        let mut now = 0u64;
+        for _ in 0..self.allocations {
+            now += self.step;
+            self.spec.prepare_sizes(now, &mut weights);
+            weights.chunks().for_each(|chunk| out.emit(chunk));
+        }
+    }
+}
+
 impl Trace {
     /// Records a trace of `events_target` allocation events from a workload
     /// model. Lifetimes become explicit `Free` events interleaved at the
@@ -302,6 +341,10 @@ impl Trace {
     /// Frees are ordered by allocation, not by slot: those due at one
     /// deadline, and those left at the end, go in the order they were
     /// allocated.
+    ///
+    /// The size mixture's weights are computed beside the recorder, on a
+    /// helper thread when there is a core to spare (module docs:
+    /// "Recording on two cores"); the trace is the same either way.
     ///
     /// # Panics
     ///
@@ -325,20 +368,29 @@ impl Trace {
         let mut events = Events::for_allocations(events_target).ok_or(RecordError {
             allocations: events_target,
         })?;
+        let interarrival =
+            (1e9 / spec.request_rate_hz.max(1.0) / spec.allocs_per_request.max(0.1)) as u64;
+        let step = interarrival.max(1);
+        let weights = PhaseWeights {
+            spec,
+            step,
+            allocations: events_target,
+        };
+        // The recorder: everything below draws, in the serial order.
         let mut rng = SmallRng::seed_from_u64(seed);
         // `(allocation ordinal, slot)`: the ordinal orders a deadline's frees.
         let mut pending: DueQueue<(u64, u64)> = DueQueue::default();
         let mut forever: Vec<(u64, u64)> = Vec::new();
         let mut free_slots: Vec<u64> = Vec::new();
         let mut slots = 0u64;
-        let mut now = 0u64;
-        let interarrival =
-            (1e9 / spec.request_rate_hz.max(1.0) / spec.allocs_per_request.max(0.1)) as u64;
-        for ordinal in 0..events_target {
-            now += interarrival.max(1);
-            events.push(TraceEvent::Advance {
-                ns: interarrival.max(1),
-            });
+        let (mut now, mut ordinal) = (0u64, 0u64);
+        let mut sizes = SizeWeightsReader::new(spec);
+        pipeline(weights, |chunk| {
+            let Some(weights) = sizes.read(chunk) else {
+                return;
+            };
+            now += step;
+            events.push(TraceEvent::Advance { ns: step });
             // Emit due frees first.
             while let Some((_, (_, slot))) = pending.pop_due(now) {
                 events.push(TraceEvent::Free {
@@ -347,7 +399,7 @@ impl Trace {
                 });
                 free_slots.push(slot);
             }
-            let (size, site) = spec.sample_size(now, &mut rng);
+            let (size, site) = spec.sample_size_prepared(weights, &mut rng);
             let cpu = rng.gen_range(0u32..16);
             let id = free_slots.pop().unwrap_or_else(|| {
                 slots += 1;
@@ -363,7 +415,8 @@ impl Trace {
                 Some(lt) => pending.push(now + lt, (ordinal, id)),
                 None => forever.push((ordinal, id)),
             }
-        }
+            ordinal += 1;
+        });
         // Teardown: everything still live is freed in allocation order.
         let mut rest = forever;
         while let Some((_, live)) = pending.pop_due(u64::MAX) {
