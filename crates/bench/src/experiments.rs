@@ -15,9 +15,8 @@ use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::latency::{measure, LatencyModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
-use wsc_tcmalloc::interleave::{replay, ReplayOutcome, Schedule};
 use wsc_tcmalloc::stats::CycleCategory;
-use wsc_tcmalloc::{FreeArm, Tcmalloc, TcmallocConfig};
+use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{self, DriverConfig, RunJob};
 use wsc_workload::{profiles, WorkloadSpec};
 
@@ -1000,58 +999,6 @@ pub fn faults(scale: &Scale) -> Vec<(String, f64, f64, u64)> {
     out
 }
 
-/// Cross-thread frees: one producer→consumer pipeline and one thread-churn
-/// schedule, each replayed under both [`FreeArm`]s. The schedule is data,
-/// so the arms see identical operations and every delta in the table is
-/// mechanism — one CAS per atomic-list push plus an adoption lock per
-/// drained list — in simulated time.
-///
-/// Returns `(scenario/arm, outcome)` per replay, owner-only first.
-pub fn contention(scale: &Scale) -> Vec<(String, ReplayOutcome)> {
-    let ops = scale.requests as usize;
-    println!("== Cross-thread frees: both free arms on identical schedules, {ops} ops ==");
-    let scenarios = [
-        (
-            "pipeline",
-            Schedule::producer_consumer(0xC0B7E47, &[0, 1, 2], &[8, 9, 10], ops),
-        ),
-        ("churn", Schedule::thread_churn(0xC1A5B, 16, ops)),
-    ];
-    let mut t = Table::new(vec![
-        "scenario",
-        "free arm",
-        "remote queued",
-        "drained",
-        "contention sim-ns",
-        "total sim-ns",
-        "sim time vs owner-only",
-    ]);
-    let mut out = Vec::new();
-    for (name, sched) in &scenarios {
-        let runs = [FreeArm::OwnerOnly, FreeArm::AtomicList].map(|arm| {
-            // Two LLC domains, producers and consumers on opposite sides.
-            let platform = Platform::chiplet("contention", 1, 2, 4, 2);
-            let cfg = TcmallocConfig::optimized().with_free_arm(arm);
-            (arm, replay(cfg, platform, sched))
-        });
-        let owner_total = runs[0].1.total_ns;
-        for (arm, r) in runs {
-            t.row(vec![
-                (*name).into(),
-                arm.name().into(),
-                r.queued.to_string(),
-                r.drained.to_string(),
-                format!("{:.0}", r.contention_ns),
-                format!("{:.0}", r.total_ns),
-                f3(r.total_ns / owner_total) + "x",
-            ]);
-            out.push((format!("{name}/{}", arm.name()), r));
-        }
-    }
-    println!("{}", t.render());
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Ablations (§4.3 "L = 8 lists are sufficient", §4.4 "C = 16", §5 NUMA)
 // ---------------------------------------------------------------------------
@@ -1389,7 +1336,6 @@ pub const REGISTRY: &[Experiment] = &[
     in_all(DESIGNS[COMBINED].id, |r| _ = combined(r)),
     in_all("ablations", |r| _ = ablations(&r.scale)),
     in_all("faults", |r| _ = faults(&r.scale)),
-    in_all("contention", |r| _ = contention(&r.scale)),
 ];
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! snapshot field is computed.
 //!
 //! 1. **Object conservation, per class.** Every object a span has handed
-//!    out is either live in the application (shadow), cached per-CPU,
-//!    cached in the transfer tier, or parked on a deferred cross-thread
-//!    free list awaiting its owner:
-//!    `Σ span.allocated = shadow_live + percpu + transfer + deferred`.
+//!    out is either live in the application (shadow), cached per-CPU, or
+//!    cached in the transfer tier:
+//!    `Σ span.allocated = shadow_live + percpu + transfer`.
 //!    The central free list's running counter equals the free objects on
 //!    its spans, and every large span holds one live large object.
 //! 2. **Span inventory.** The shadow, which learns spans only from the
@@ -87,9 +86,6 @@ pub struct ClassTierSnapshot {
     pub percpu_objects: u64,
     /// Objects cached across the transfer tier (central + domain shards).
     pub transfer_objects: u64,
-    /// Objects freed remotely and still parked on deferred lists
-    /// (in-flight cross-thread frees; zero under owner-only).
-    pub deferred_objects: u64,
     /// The central free list's running free-object counter.
     pub central_free_objects: u64,
 }
@@ -259,7 +255,7 @@ fn audit_classes(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerR
             free += s.free_count as u64;
         }
         let live = shadow.live_count_by_class(Some(c.class));
-        let cached = c.percpu_objects + c.transfer_objects + c.deferred_objects;
+        let cached = c.percpu_objects + c.transfer_objects;
         if allocated != live + cached {
             out.push(SanitizerReport {
                 kind: ErrorKind::ObjectConservationViolation,
@@ -268,10 +264,9 @@ fn audit_classes(snap: &Snapshot, shadow: &ShadowState, out: &mut Vec<SanitizerR
                 size_class: Some(c.class),
                 span: None,
                 detail: format!(
-                    "spans report {allocated} allocated but shadow live {live} + percpu {} + transfer {} + deferred {} = {}",
+                    "spans report {allocated} allocated but shadow live {live} + percpu {} + transfer {} = {}",
                     c.percpu_objects,
                     c.transfer_objects,
-                    c.deferred_objects,
                     live + cached
                 ),
             });
@@ -532,7 +527,6 @@ mod tests {
                 object_size: 64,
                 percpu_objects: 1,
                 transfer_objects: 0,
-                deferred_objects: 0,
                 central_free_objects: 254,
             }],
             spans: vec![SpanSnapshot {

@@ -73,16 +73,6 @@ pub struct CostModel {
     /// Unclassified bookkeeping per operation (the "Other" slice).
     pub other_ns: f64,
 
-    // --- Cross-thread free synchronization costs, nanoseconds ---
-    /// One compare-and-swap push onto a remote span's deferred free list
-    /// (the rpmalloc-style atomic-list arm pays this per remote free; the
-    /// cache line is owned by another core, so this is contended-CAS cost,
-    /// not the uncontended ~1 ns).
-    pub atomic_cas_ns: f64,
-    /// Acquiring a contended lock (or performing the atomic exchange) that
-    /// detaches a whole deferred list at a drain point.
-    pub contended_lock_ns: f64,
-
     // --- Memory-system costs, nanoseconds ---
     /// LLC hit.
     pub llc_hit_ns: f64,
@@ -115,12 +105,6 @@ impl CostModel {
             prefetch_ns: 1.9,
             sampled_alloc_ns: 5_500.0,
             other_ns: 0.5,
-            // Contended CAS ≈ one cross-core line transfer; list detach ≈
-            // half a central free-list visit. Both sit between the per-CPU
-            // fast path and the central free list, like the locks they
-            // model.
-            atomic_cas_ns: 10.0,
-            contended_lock_ns: 45.0,
             llc_hit_ns: 14.0,
             mem_ns: 100.0,
             remote_llc_ns: 82.8, // 2.07x the 40 ns intra-domain transfer
@@ -249,16 +233,6 @@ mod tests {
         let c = CostModel::production();
         let lat: Vec<f64> = AllocPath::ALL.iter().map(|&p| c.alloc_path_ns(p)).collect();
         assert!(lat.windows(2).all(|w| w[0] < w[1]), "{lat:?}");
-    }
-
-    #[test]
-    fn contention_costs_sit_between_fast_path_and_central() {
-        // A remote free must cost more than a local fast-path free (the
-        // whole point of ownership) but less than a central free-list
-        // visit (or deferring would never pay off).
-        let c = CostModel::production();
-        assert!(c.atomic_cas_ns > c.percpu_hit_ns);
-        assert!(c.contended_lock_ns < c.central_freelist_ns);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! allocator time (Figure 6a) and the downstream locality effects.
 
 use crate::central::CentralFreeList;
-use crate::config::{FreeArm, TcmallocConfig, CAPACITY_SCALE};
-use crate::deferred::DeferredFrees;
+use crate::config::{TcmallocConfig, CAPACITY_SCALE};
 use crate::events::{AllocEvent, EventBus, EventSink, TraceRing};
 use crate::pageheap::{AllocError, OsLayer, PageHeap};
 use crate::pagemap::Pagemap;
@@ -150,7 +149,6 @@ pub struct Tcmalloc {
     pagemap: Pagemap,
     pageheap: PageHeap,
     sampler: Sampler,
-    deferred: DeferredFrees,
     bus: EventBus,
     /// The one buffer a batch rides through the slow tiers in: empty
     /// between operations, taken by a per-CPU miss or handed to the per-CPU
@@ -194,7 +192,6 @@ impl Tcmalloc {
             pagemap: Pagemap::new(),
             pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::new(vmm, cfg.hard_limit)),
             sampler: Sampler::new(cfg.sample_period_bytes),
-            deferred: DeferredFrees::new(table.num_classes()),
             bus: EventBus::new(&cfg, clock.clone()),
             batch: Vec::new(),
             live_samples: IntMap::default(),
@@ -374,30 +371,15 @@ impl Tcmalloc {
             .fetch(shard, cl, batch, &mut objs, &mut self.bus);
         let mut path = AllocPath::TransferCache;
         if objs.len() < batch {
-            // Central refill: the first drain point. Deferred objects of
-            // this class rejoin the middle tiers before the pageheap is
-            // asked for fresh spans.
-            if self.cfg.free_arm != FreeArm::OwnerOnly {
-                let drained = self.deferred.drain_class(cl as u16);
-                self.adopt_drained(vcpu.index(), shard, cl, &drained);
-            }
-            let fetched = objs.len();
             match self.central[cl].alloc_batch(
-                batch - fetched,
+                batch - objs.len(),
                 &mut objs,
                 &mut self.spans,
                 &mut self.pagemap,
                 &mut self.pageheap,
                 &mut self.bus,
             ) {
-                Ok(deep) => {
-                    if self.cfg.free_arm != FreeArm::OwnerOnly {
-                        // lint:allow(panic-surface) alloc_batch only
-                        // appends, so fetched <= objs.len().
-                        self.claim_spans(&objs[fetched..], vcpu.index() as u32);
-                    }
-                    path = deep;
-                }
+                Ok(deep) => path = deep,
                 // The pageheap could not grow. Degrade gracefully: any
                 // objects the transfer cache already surrendered still
                 // serve the request; only a truly empty hierarchy errors.
@@ -464,8 +446,7 @@ impl Tcmalloc {
     ///
     /// This is the hit half, inlined into the caller: the class and vCPU
     /// lookup, the per-CPU push, the ledger and the live counters. The
-    /// sanitizer, deferred-free routing, an overflow and a large free go to
-    /// out-of-line functions.
+    /// sanitizer, an overflow and a large free go to out-of-line functions.
     ///
     /// # Errors
     ///
@@ -505,15 +486,10 @@ impl Tcmalloc {
             "free size does not match the allocation's class"
         );
         let vcpu = self.vcpus.vcpu_of(cpu);
-        // Ownership check: a free issued against a span another vCPU
-        // refilled from is routed through the deferred-free arm instead of
-        // the local cache.
-        let local = self.cfg.free_arm == FreeArm::OwnerOnly || !self.free_remote(vcpu, cl, addr);
-        if local
-            && self
-                .percpu
-                .free(vcpu, cl, addr, &mut self.batch, &mut self.bus)
-                == FreeOutcome::Overflow
+        if self
+            .percpu
+            .free(vcpu, cl, addr, &mut self.batch, &mut self.bus)
+            == FreeOutcome::Overflow
         {
             return Ok(self.free_overflow(addr, size, cpu, cl));
         }
@@ -532,34 +508,6 @@ impl Tcmalloc {
             self.audit_if_due();
         }
         FreeOutcomeInfo { path, ns }
-    }
-
-    /// Queues a free of `addr` on the deferred list of its span's owner
-    /// when that owner is another vCPU; false when the free is local.
-    #[inline(never)]
-    fn free_remote(&mut self, vcpu: VcpuId, cl: usize, addr: u64) -> bool {
-        let remote = self.pagemap.span_of(addr).and_then(|id| {
-            self.spans
-                .get(id)
-                .owner
-                .filter(|&o| o != vcpu.index() as u32)
-                .map(|o| (id.0, o))
-        });
-        let Some((span_id, owner)) = remote else {
-            return false;
-        };
-        self.deferred.queue_remote(cl as u16, span_id, addr);
-        self.bus.emit(AllocEvent::RemoteFreeQueued {
-            vcpu: vcpu.index(),
-            owner: owner as usize,
-            class: cl as u16,
-            addr,
-        });
-        self.bus.emit(AllocEvent::ContentionCharged {
-            vcpu: vcpu.index(),
-            ns: COST.atomic_cas_ns,
-        });
-        true
     }
 
     /// A free that overflowed the per-CPU cache: sends the batch it shed
@@ -626,48 +574,6 @@ impl Tcmalloc {
         }
     }
 
-    /// Tags the spans backing `objs` with the refilling vCPU (latest
-    /// refiller wins) — the ownership the remote-free router consults.
-    fn claim_spans(&mut self, objs: &[u64], vcpu: u32) {
-        for &addr in objs {
-            if let Some(id) = self.pagemap.span_of(addr) {
-                self.spans.get_mut(id).owner = Some(vcpu);
-            }
-        }
-    }
-
-    /// Adopts one class's batch of drained remote frees: emits the drain
-    /// event, charges the list-detach cost, and returns the objects to the
-    /// middle tiers.
-    fn adopt_drained(&mut self, vcpu: usize, shard: usize, cl: usize, objs: &[u64]) {
-        if objs.is_empty() {
-            return;
-        }
-        self.bus.emit(AllocEvent::RemoteFreeDrained {
-            vcpu,
-            class: cl as u16,
-            count: objs.len() as u32,
-        });
-        self.bus.emit(AllocEvent::ContentionCharged {
-            vcpu,
-            ns: COST.contended_lock_ns,
-        });
-        self.return_objects(shard, cl, objs, true);
-    }
-
-    /// Drains every deferred remote free back into the middle tiers: the
-    /// full-barrier drain the plunder cadence runs, also available to tests
-    /// and shutdown paths. A no-op under the owner-only arm.
-    pub fn drain_deferred(&mut self) {
-        if self.cfg.free_arm == FreeArm::OwnerOnly {
-            return;
-        }
-        let drained = self.deferred.drain_all();
-        for (class, objs) in drained {
-            self.adopt_drained(0, 0, class as usize, &objs);
-        }
-    }
-
     /// Pushes surplus objects down the hierarchy: the transfer cache takes
     /// a prefix, the central free list the rest. Returns the deepest tier
     /// touched.
@@ -727,9 +633,9 @@ impl Tcmalloc {
     }
 
     /// Runs due background maintenance: the §4.1 cache resizer, the §4.2
-    /// transfer-cache plunder with the deferred-free drain, and the
-    /// pageheap's gradual OS release. The workload driver calls this as
-    /// simulated time advances.
+    /// transfer-cache plunder, idle-cache decay, and the pageheap's gradual
+    /// OS release. The workload driver calls this as simulated time
+    /// advances.
     pub fn maintain(&mut self) {
         let now = self.clock.now_ns();
         if self.cfg.dynamic_percpu && now >= self.next_resize_ns {
@@ -746,15 +652,10 @@ impl Tcmalloc {
         }
         if now >= self.next_plunder_ns {
             self.next_plunder_ns = now.saturating_add(PLUNDER_INTERVAL_NS);
-            // An unsharded tier has no shards to plunder, but its deferred
-            // lists still drain on this cadence.
             let overflow = self.transfer.plunder(&mut self.bus);
             for (cl, objs) in overflow {
                 self.return_objects(0, cl, &objs, true);
             }
-            // The second drain point: a full-barrier adoption of everything
-            // still parked, at any sharding.
-            self.drain_deferred();
         }
         if now >= self.next_decay_ns {
             self.next_decay_ns = now.saturating_add(DECAY_INTERVAL_NS);
@@ -787,14 +688,12 @@ impl Tcmalloc {
     fn build_snapshot(&self) -> Snapshot {
         let percpu = self.percpu.cached_objects_by_class();
         let transfer = self.transfer.cached_objects_by_class();
-        let deferred = self.deferred.in_flight_by_class();
         let classes = (0..self.table.num_classes())
             .map(|cl| ClassTierSnapshot {
                 class: cl as u16,
                 object_size: self.table.info(cl).size,
                 percpu_objects: percpu[cl],
                 transfer_objects: transfer[cl],
-                deferred_objects: deferred[cl],
                 central_free_objects: self.central[cl].free_objects(),
             })
             .collect();
@@ -909,15 +808,8 @@ impl Tcmalloc {
             transfer_bytes: bytes(self.transfer.cached_objects_by_class()),
             central_bytes: self.central.iter().map(|c| c.external_bytes()).sum(),
             pageheap_bytes: self.pageheap.stats().total_free_bytes(),
-            deferred_bytes: bytes(self.deferred.in_flight_by_class()),
             resident_bytes: self.pageheap.vmm().page_table().resident_bytes(),
         }
-    }
-
-    /// The deferred-free state: in-flight counts and queue/drain totals
-    /// for the cross-thread free arms.
-    pub fn deferred(&self) -> &DeferredFrees {
-        &self.deferred
     }
 
     /// Application-requested live bytes.

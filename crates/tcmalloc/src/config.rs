@@ -22,30 +22,6 @@ use wsc_sim_os::FaultPlan;
 /// [`transfer`](crate::transfer) and [`pageheap`](crate::pageheap)).
 pub const CAPACITY_SCALE: u64 = 8;
 
-/// How a free issued by a thread that does not own the object's span is
-/// handled (the cross-thread free mechanism).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FreeArm {
-    /// Every free is treated as local, whatever CPU issues it — the
-    /// paper's TCMalloc, and the byte-identical default.
-    #[default]
-    OwnerOnly,
-    /// rpmalloc-style per-span deferred lists: each remote free pushes the
-    /// object onto the owning span's list with one contended CAS; the
-    /// owner adopts whole lists at central-refill and plunder drain points.
-    AtomicList,
-}
-
-impl FreeArm {
-    /// Short display name (report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            FreeArm::OwnerOnly => "owner-only",
-            FreeArm::AtomicList => "atomic-list",
-        }
-    }
-}
-
 /// Complete allocator configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcmallocConfig {
@@ -84,9 +60,6 @@ pub struct TcmallocConfig {
     /// latency spikes). `None` = the kernel never fails, which reproduces
     /// every golden figure byte-identically.
     pub os_faults: Option<FaultPlan>,
-    /// Cross-thread free mechanism. [`FreeArm::OwnerOnly`] (the default)
-    /// keeps the pre-ownership behaviour byte-identical.
-    pub free_arm: FreeArm,
 }
 
 impl TcmallocConfig {
@@ -106,7 +79,6 @@ impl TcmallocConfig {
             soft_limit: None,
             hard_limit: None,
             os_faults: None,
-            free_arm: FreeArm::OwnerOnly,
         }
     }
 
@@ -195,12 +167,6 @@ impl TcmallocConfig {
         self.os_faults = Some(plan);
         self
     }
-
-    /// Selects the cross-thread free mechanism (see [`FreeArm`]).
-    pub fn with_free_arm(mut self, arm: FreeArm) -> Self {
-        self.free_arm = arm;
-        self
-    }
 }
 
 impl Default for TcmallocConfig {
@@ -231,22 +197,6 @@ mod tests {
         assert_eq!(c.soft_limit, None);
         assert_eq!(c.hard_limit, None);
         assert_eq!(c.os_faults, None);
-        // Ownership routing defaults to pass-through: remote frees behave
-        // exactly like local ones unless an arm is opted into.
-        assert_eq!(c.free_arm, FreeArm::OwnerOnly);
-    }
-
-    #[test]
-    fn free_arm_builder_and_names() {
-        let c = TcmallocConfig::optimized().with_free_arm(FreeArm::AtomicList);
-        assert_eq!(c.free_arm, FreeArm::AtomicList);
-        assert_eq!(
-            TcmallocConfig::optimized().free_arm,
-            FreeArm::OwnerOnly,
-            "optimized() must not silently change free semantics"
-        );
-        assert_eq!(FreeArm::OwnerOnly.name(), "owner-only");
-        assert_eq!(FreeArm::AtomicList.name(), "atomic-list");
     }
 
     #[test]
@@ -303,7 +253,7 @@ mod tests {
             ))
             .map(|(field, _)| field)
             .collect();
-        assert!(values.contains(&"free_arm") && values.contains(&"capacity_threshold"));
+        assert!(values.contains(&"os_faults") && values.contains(&"capacity_threshold"));
         let design = include_str!("../../../DESIGN.md");
         let section = design
             .split("### What is configuration, and what is a constant")

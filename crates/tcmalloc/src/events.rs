@@ -509,39 +509,6 @@ event_catalog! {
             /// Requested bytes at allocation.
             size: u64,
         },
-
-        // --- Cross-thread frees (ownership & deferred lists) ---
-        /// A free issued by a non-owner vCPU was queued onto the owning span's
-        /// deferred list instead of the local per-CPU cache.
-        #[lane(percpu)] RemoteFreeQueued {
-            /// The vCPU that issued the free.
-            vcpu: usize,
-            /// The vCPU that owns the object's span.
-            owner: usize,
-            /// Size class.
-            class: u16,
-            /// Object address.
-            addr: u64,
-        },
-        /// A batch of deferred remote frees was adopted by the owning side at
-        /// a deterministic drain point and returned to the middle tiers.
-        #[lane(percpu)] RemoteFreeDrained {
-            /// The vCPU performing the drain (the adopting side).
-            vcpu: usize,
-            /// Size class.
-            class: u16,
-            /// Objects drained.
-            count: u32,
-        },
-        /// Synchronization cost charged for cross-thread traffic: the
-        /// contended CAS that pushes a remote free onto a deferred list, or
-        /// the detach of a drained list.
-        #[lane(op)] ContentionCharged {
-            /// The vCPU paying the cost.
-            vcpu: usize,
-            /// Cost-model nanoseconds charged.
-            ns: f64,
-        },
     }
 }
 
@@ -565,9 +532,8 @@ pub struct TraceRing {
 
 impl TraceRing {
     /// A capacity no run reaches: the ring keeps the whole stream. Callers
-    /// that need every event (the determinism and conservation tests,
-    /// [`interleave::replay`](crate::interleave::replay)'s fingerprint)
-    /// size the ring with it and read it through [`stream`](Self::stream).
+    /// that need every event (the determinism and conservation tests) size
+    /// the ring with it and read it through [`stream`](Self::stream).
     pub const UNBOUNDED: u32 = u32::MAX;
 
     /// A ring keeping the last `capacity` events.
@@ -924,7 +890,11 @@ mod tests {
                 if i % 2 == 0 {
                     b.free_done(AllocPath::ALL[(i % 5) as usize], 0x1000 + i, 24);
                 }
-                b.emit(AllocEvent::ContentionCharged { vcpu: 0, ns: 10.0 });
+                b.emit(AllocEvent::OsFault {
+                    op: OsOp::Subrelease,
+                    failed: false,
+                    latency_ns: 10,
+                });
             }
             for b in &buses {
                 assert_eq!(quiet.cycles(), b.cycles(), "op {i}");
@@ -1123,10 +1093,6 @@ mod tests {
                     weight: 2.5,
                 },
                 r#"{"size":24,"lifetime_ns":5,"weight":2.5}"#,
-            ),
-            (
-                AllocEvent::ContentionCharged { vcpu: 3, ns: 10.0 },
-                r#"{"vcpu":3,"ns":10}"#,
             ),
             (
                 AllocEvent::FreeDone {

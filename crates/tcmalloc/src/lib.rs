@@ -46,9 +46,7 @@
 pub mod alloc;
 pub mod central;
 pub mod config;
-pub mod deferred;
 pub mod events;
-pub mod interleave;
 pub mod pageheap;
 pub mod pagemap;
 pub mod percpu;
@@ -58,8 +56,7 @@ pub mod stats;
 pub mod transfer;
 
 pub use alloc::{AllocOutcome, FreeError, FreeOutcomeInfo, Tcmalloc};
-pub use config::{FreeArm, TcmallocConfig};
-pub use deferred::DeferredFrees;
+pub use config::TcmallocConfig;
 pub use events::{AllocEvent, EventBus, EventSink, TraceRing};
 pub use pageheap::{AllocError, OsLayer};
 pub use span::{ArenaStats, SpanId};

@@ -97,10 +97,6 @@ pub struct Span {
     pub carved: u32,
     /// Current bookkeeping state.
     pub state: SpanState,
-    /// Owning vCPU: the simulated thread that most recently refilled its
-    /// per-CPU cache from this span. `None` until claimed (or always, under
-    /// the owner-only free arm, which never tags ownership).
-    pub owner: Option<u32>,
     /// Pending Figure-13 observation: the live-allocation count recorded at
     /// the last deallocation, resolved when the span is next allocated from
     /// (not released) or released.
@@ -119,7 +115,6 @@ impl Span {
             allocated: 0,
             carved: 0,
             state: SpanState::Full, // caller places it on a list
-            owner: None,
             pending_obs: None,
         }
     }
@@ -135,7 +130,6 @@ impl Span {
             allocated: 1,
             carved: 1,
             state: SpanState::Large,
-            owner: None,
             pending_obs: None,
         }
     }

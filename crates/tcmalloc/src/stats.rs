@@ -32,17 +32,11 @@ pub enum CycleCategory {
     Prefetch,
     /// Unclassified bookkeeping.
     Other,
-    /// Cross-thread free synchronization: the contended CAS that pushes a
-    /// remote free onto a deferred list, and the detach of a drained list.
-    /// Appended after the paper's
-    /// seven Figure-6a categories so their order (and every golden figure
-    /// derived from it) is untouched.
-    Contention,
 }
 
 impl CycleCategory {
     /// All categories in the paper's display order.
-    pub const ALL: [CycleCategory; 8] = [
+    pub const ALL: [CycleCategory; 7] = [
         CycleCategory::CpuCache,
         CycleCategory::TransferCache,
         CycleCategory::CentralFreeList,
@@ -50,7 +44,6 @@ impl CycleCategory {
         CycleCategory::Sampled,
         CycleCategory::Prefetch,
         CycleCategory::Other,
-        CycleCategory::Contention,
     ];
 
     /// Number of categories.
@@ -66,7 +59,6 @@ impl CycleCategory {
             CycleCategory::Sampled => "Sampled",
             CycleCategory::Prefetch => "Prefetch",
             CycleCategory::Other => "Other",
-            CycleCategory::Contention => "Contention",
         }
     }
 
@@ -84,7 +76,7 @@ const _: () = {
         assert!(CycleCategory::ALL[i].index() == i);
         i += 1;
     }
-    assert!(CycleCategory::Contention.index() + 1 == CycleCategory::COUNT);
+    assert!(CycleCategory::Other.index() + 1 == CycleCategory::COUNT);
 };
 
 impl From<AllocPath> for CycleCategory {
@@ -207,7 +199,7 @@ pub struct StatsView {
     /// Completions per path × prefetched × sampled: the layout of
     /// [`PriceTable`].
     counts: [[[u64; 2]; 2]; AllocPath::ALL.len()],
-    /// Direct charges: contention and injected OS latency.
+    /// Direct charges: injected OS latency.
     booked: CycleStats,
     profile: AllocationProfile,
 }
@@ -270,9 +262,6 @@ impl StatsView {
             AllocEvent::FreeDone { path, .. } => {
                 self.complete(path, false, false);
             }
-            AllocEvent::ContentionCharged { ns, .. } => {
-                self.booked.charge(CycleCategory::Contention, ns);
-            }
             AllocEvent::OsFault { latency_ns, .. } if latency_ns > 0 => {
                 // Injected kernel latency (THP compaction stall, flaky
                 // madvise) is allocator time spent waiting on the OS —
@@ -323,9 +312,6 @@ pub struct FragmentationBreakdown {
     pub central_bytes: u64,
     /// External: resident free pages held by the pageheap.
     pub pageheap_bytes: u64,
-    /// External: objects freed remotely and still parked on deferred lists
-    /// (in-flight cross-thread frees, zero under owner-only).
-    pub deferred_bytes: u64,
     /// Resident heap bytes per the (simulated) kernel.
     pub resident_bytes: u64,
 }
@@ -333,11 +319,7 @@ pub struct FragmentationBreakdown {
 impl FragmentationBreakdown {
     /// Total external fragmentation.
     pub fn external_bytes(&self) -> u64 {
-        self.percpu_bytes
-            + self.transfer_bytes
-            + self.central_bytes
-            + self.pageheap_bytes
-            + self.deferred_bytes
+        self.percpu_bytes + self.transfer_bytes + self.central_bytes + self.pageheap_bytes
     }
 
     /// Total fragmentation (internal + external).
@@ -356,13 +338,10 @@ impl FragmentationBreakdown {
 
     /// Shares of total fragmentation per source, in the Figure 6b order:
     /// `[CPUCache, TransferCache, CentralFreeList, PageHeap, Internal]`.
-    /// Deferred remote-free bytes are front-end-cached objects in spirit
-    /// (they await adoption by the owner's caches), so they fold into the
-    /// CPUCache share rather than widening the figure.
     pub fn shares(&self) -> [f64; 5] {
         let total = self.total_bytes().max(1) as f64;
         [
-            (self.percpu_bytes + self.deferred_bytes) as f64 / total,
+            self.percpu_bytes as f64 / total,
             self.transfer_bytes as f64 / total,
             self.central_bytes as f64 / total,
             self.pageheap_bytes as f64 / total,
@@ -484,7 +463,6 @@ mod tests {
             transfer_bytes: 10,
             central_bytes: 64,
             pageheap_bytes: 84,
-            deferred_bytes: 0,
             resident_bytes: 1222,
         };
         assert_eq!(f.external_bytes(), 188);
@@ -492,37 +470,6 @@ mod tests {
         let shares = f.shares();
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(shares[3] > shares[2], "pageheap dominates CFL here");
-    }
-
-    #[test]
-    fn deferred_bytes_count_as_front_end_fragmentation() {
-        let f = FragmentationBreakdown {
-            live_bytes: 1000,
-            internal_bytes: 34,
-            percpu_bytes: 30,
-            transfer_bytes: 10,
-            central_bytes: 64,
-            pageheap_bytes: 84,
-            deferred_bytes: 16,
-            resident_bytes: 1238,
-        };
-        assert_eq!(f.external_bytes(), 204);
-        let shares = f.shares();
-        assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(
-            (shares[0] - 46.0 / f.total_bytes() as f64).abs() < 1e-9,
-            "deferred folds into the CPUCache share"
-        );
-    }
-
-    #[test]
-    fn contention_charges_flow_into_their_own_category() {
-        let mut v = StatsView::default();
-        v.on_event(0, &AllocEvent::ContentionCharged { vcpu: 2, ns: 10.0 });
-        v.on_event(0, &AllocEvent::ContentionCharged { vcpu: 0, ns: 45.0 });
-        assert_eq!(v.cycles().ns(CycleCategory::Contention), 55.0);
-        assert_eq!(v.cycles().ops(CycleCategory::Contention), 2);
-        assert_eq!(v.cycles().ns(CycleCategory::Other), 0.0);
     }
 
     #[test]

@@ -155,9 +155,10 @@ fn an_allocator_is_built_and_dropped_within_budget() {
             Clock::new(),
         ));
     });
-    // Measured: 97. The GWP profile's 52 histograms allocate their slots on
-    // the first sample, which an idle allocator never takes (149 before).
-    assert!(allocs <= 100, "Tcmalloc::new + drop: {allocs} allocations");
+    // Measured: 96 (97 with the deferred-free lists' per-class counters).
+    // The GWP profile's 52 histograms allocate their slots on the first
+    // sample, which an idle allocator never takes (149 before).
+    assert!(allocs <= 99, "Tcmalloc::new + drop: {allocs} allocations");
     assert_eq!(large, 0, "an idle allocator holds nothing large");
 }
 
@@ -186,10 +187,11 @@ fn a_cold_machine_runs_within_budget() {
             .expect("the machine runs")
     });
     assert_eq!(requests, 32);
-    // Measured: 761 inside the fold (765 for the bare one-thread run
-    // before the halves split, 817 with eager GWP histograms).
+    // Measured: 758 inside the fold (760 with the deferred-free lists,
+    // 765 for the bare one-thread run before the halves split, 817 with
+    // eager GWP histograms).
     assert!(
-        allocs <= 800,
+        allocs <= 798,
         "32-request driver::run in an engine fold: {allocs} allocations"
     );
     assert_eq!(large, 0, "allocations of 64 KiB or more");

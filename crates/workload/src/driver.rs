@@ -759,7 +759,6 @@ mod tests {
                 transfer_bytes: 3_779_088,
                 central_bytes: 765_920,
                 pageheap_bytes: 2_834_432,
-                deferred_bytes: 0,
                 resident_bytes: 14_680_064,
             }
         );
@@ -815,7 +814,6 @@ mod tests {
                 transfer_bytes: 4_358_976,
                 central_bytes: 809_232,
                 pageheap_bytes: 1_400_832,
-                deferred_bytes: 0,
                 resident_bytes: 14_680_064,
             }
         );

@@ -135,24 +135,23 @@ fn every_named_storm_soaks_clean_under_full_sanitize() {
 }
 
 #[test]
-fn deferred_frees_ride_out_fault_storms() {
-    // Cross-thread frees in flight while the kernel misbehaves: remote
-    // frees queue and drain through ENOMEM injection, THP denial, and
-    // latency spikes without losing an object; invalid frees come back as
-    // structured errors (never panics) even with lists parked; and once
-    // the storm window closes the allocator emits `Recovered` and audits
-    // clean.
-    use warehouse_alloc::tcmalloc::{FreeArm, FreeError};
+fn cross_cpu_frees_ride_out_fault_storms() {
+    // Cross-CPU frees while the kernel misbehaves: objects allocated on
+    // one LLC domain and freed on another flow through the transfer tier
+    // under ENOMEM injection, THP denial, and latency spikes without
+    // losing an object; invalid frees come back as structured errors
+    // (never panics); and once the storm window closes the allocator emits
+    // `Recovered` and audits clean.
+    use warehouse_alloc::tcmalloc::FreeError;
     let p = platform();
     let producer = CpuId(0);
-    let consumer = CpuId(8); // other LLC domain: every free is remote
+    let consumer = CpuId(8); // other LLC domain: every free crosses domains
     for storm in ["thp-outage", "enomem-storm", "latency-spikes"] {
         let clock = Clock::new();
         let plan = FaultPlan::named(storm, 0xBAD5EED)
             .expect("catalogued storm")
             .with_storm(0, NS_PER_SEC);
         let cfg = TcmallocConfig::optimized()
-            .with_free_arm(FreeArm::AtomicList)
             .with_sanitize(SanitizeLevel::Full)
             .with_trace(TraceRing::UNBOUNDED)
             .with_os_faults(plan);
@@ -160,9 +159,8 @@ fn deferred_frees_ride_out_fault_storms() {
 
         // Pipeline churn under the storm. Allocation refusals are
         // structured errors; successful objects are freed from the
-        // wrong CPU so the deferred arm carries them.
+        // consumer's domain.
         let mut live: Vec<(u64, u64)> = Vec::new();
-        let mut max_in_flight = 0u64;
         for i in 0..1_500u64 {
             let size = 16 + (i % 97) * 41;
             if let Ok(a) = tcm.try_malloc_with_site(size, producer, 0) {
@@ -180,19 +178,14 @@ fn deferred_frees_ride_out_fault_storms() {
                 let (addr, size) = live.swap_remove((i * 7) as usize % live.len());
                 tcm.try_free(addr, size, consumer).expect("valid free");
             }
-            max_in_flight = max_in_flight.max(tcm.deferred().in_flight_by_class().iter().sum());
             if i % 256 == 0 {
                 clock.advance(NS_PER_SEC / 20);
                 tcm.maintain();
             }
         }
-        assert!(
-            max_in_flight > 0,
-            "{storm}: no deferred frees were ever in flight"
-        );
 
-        // A wild free with remote frees parked: rejected and reported
-        // by the sanitizer, allocator state untouched — no panic.
+        // A wild free mid-pipeline: rejected and reported by the
+        // sanitizer, allocator state untouched — no panic.
         let before = tcm.sanitizer_reports().len();
         tcm.try_free(0xDEAD_0000, 64, consumer)
             .expect("sanitizer rejects wild frees as reports, not errors");
@@ -203,17 +196,10 @@ fn deferred_frees_ride_out_fault_storms() {
         );
         let degraded_seen = tcm.os_degraded();
 
-        // Teardown: every object the application got is freed, then
-        // the settling drain adopts everything parked.
+        // Teardown: every object the application got is freed.
         for (addr, size) in live.drain(..) {
             tcm.try_free(addr, size, consumer).expect("teardown free");
         }
-        tcm.drain_deferred();
-        assert_eq!(
-            tcm.deferred().in_flight_by_class().iter().sum::<u64>(),
-            0,
-            "{storm}: drain left remote frees parked"
-        );
         assert_eq!(tcm.live_objects(), 0, "{storm}: object lost");
 
         // Storm closes: service recovers, conservation audit clean.
@@ -241,11 +227,10 @@ fn deferred_frees_ride_out_fault_storms() {
         );
 
         // With the sanitizer off, the same wild free is a structured
-        // error — the fallible API never panics, deferred arm or not.
-        let cfg_off = TcmallocConfig::optimized().with_free_arm(FreeArm::AtomicList);
-        let mut bare = Tcmalloc::new(cfg_off, p.clone(), Clock::new());
+        // error — the fallible API never panics.
+        let mut bare = Tcmalloc::new(TcmallocConfig::optimized(), p.clone(), Clock::new());
         let a = bare.malloc(64, producer);
-        bare.free(a.addr, 64, consumer); // park one remote free
+        bare.free(a.addr, 64, consumer);
         assert_eq!(
             bare.try_free(0xBAD_F00D << 20, 8 << 20, consumer),
             Err(FreeError::InvalidFree {

@@ -4,11 +4,11 @@
 //! of the allocator in lockstep, and after every operation the copies must
 //! agree with each other and with an independent reference model:
 //!
-//! * **Cells** — `free_arm` {owner-only, atomic-list} × §4.1 dynamic
-//!   per-CPU sizing {off, on} × transfer sharding {central, domain, node} ×
-//!   `cfl_lists` {1, 8} × lifetime-aware filler {off, on} × {no faults, the
-//!   `thp-outage` storm for the first two simulated seconds, a hard limit
-//!   that refuses}: 144 cells, one `#[test]` per fault column.
+//! * **Cells** — §4.1 dynamic per-CPU sizing {off, on} × transfer sharding
+//!   {central, domain, node} × `cfl_lists` {1, 8} × lifetime-aware filler
+//!   {off, on} × {no faults, the `thp-outage` storm for the first two
+//!   simulated seconds, a hard limit that refuses}: 72 cells, one `#[test]`
+//!   per fault column.
 //! * **Copies** — unobserved (until a late sink attaches half-way), one
 //!   keeping the whole stream in a [`TraceRing::UNBOUNDED`] ring,
 //!   `Sanitize::Full` with an extra `audit_now` every 64 operations, and one
@@ -21,29 +21,24 @@
 //!   allocator metadata and keeps no span map of its own.
 //! * **Op mix** — zero-size, small, mid and large mallocs on random CPUs;
 //!   frees mostly from a CPU in another LLC domain or node than the one
-//!   that allocated, so the deferred arm really runs; ticks of up to 255 ms,
+//!   that allocated, so objects cross between transfer-cache shards; ticks
+//!   of up to 255 ms,
 //!   so they cross the plunder, release, decay and resize intervals. One
 //!   seed per cell, and forty-eight more on each of the two cells equal to
 //!   the shipped `baseline()` and `optimized()` configs.
-//! * **Schedules** — [`Schedule::producer_consumer`] and
-//!   [`Schedule::thread_churn`] at four seeds each, on the two shipped
-//!   cells: frees from the CPU the schedule names, ticks in nanoseconds,
-//!   and `Drain`, the full-barrier drain of every deferred remote free.
+//! * **Schedules** — [`producer_consumer`] and [`thread_churn`] at four
+//!   seeds each, on the two shipped cells: frees from the CPU the schedule
+//!   names, ticks in nanoseconds.
 //!
 //! After every op: every copy returned the same `try_*` result (address or
 //! error, path and `ns` bits) and books the same ledger; the shadow's live
 //! set equals this harness's own `addr → size` model, which every copy's
-//! `live_objects` / `live_bytes` agree with; nothing reported. After every
-//! `Drain` and every tick that crosses the plunder interval nothing is left
-//! in flight; every 64th op the `Full` copy audits clean. At the end of a
-//! run: the `Full` copy audits clean, teardown leaves `resident == total`
-//! in the fragmentation identity, the ledger is the reported nanoseconds
-//! plus contention, the ring dropped nothing and its stream replays to the
-//! same ledger and profile, and the late sink saw what the ring saw. Under
-//! the atomic list the stream's `RemoteFreeQueued` events, and the objects
-//! its `RemoteFreeDrained` events count, equal the deferred module's queued
-//! and drained totals. In fault-free cells both arms end with the same live
-//! set.
+//! `live_objects` / `live_bytes` agree with; nothing reported. Every 64th
+//! op the `Full` copy audits clean. At the end of a run: the `Full` copy
+//! audits clean, teardown leaves `resident == total` in the fragmentation
+//! identity, the ledger is the reported nanoseconds, the ring dropped
+//! nothing and its stream replays to the same ledger and profile, and the
+//! late sink saw what the ring saw.
 //!
 //! Held fixed, with the reason:
 //! * `percpu_max_bytes` moves with `dynamic_percpu`, as
@@ -62,25 +57,20 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use wsc_prng::SmallRng;
 use wsc_sanitizer::ShadowState;
+use wsc_sim_hw::cost::ns_to_ps;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::faults::FaultPlan;
 use wsc_tcmalloc::events::EventSink;
-use wsc_tcmalloc::interleave::{SchedOp, Schedule};
 use wsc_tcmalloc::size_class::SizeClassTable;
 use wsc_tcmalloc::stats::StatsView;
 use wsc_tcmalloc::transfer::TransferSharding;
-use wsc_tcmalloc::{
-    AllocEvent, CycleCategory, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing,
-};
+use wsc_tcmalloc::{AllocEvent, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
 
 /// Operations per run, before the teardown frees what is still live.
 const OPS: usize = 1000;
 /// The `Full` copy's extra audit cadence, in operations.
 const AUDIT_EVERY: usize = 64;
-/// The allocator's plunder cadence (`PLUNDER_INTERVAL_NS` in
-/// `tcmalloc::alloc`): every tick that reaches it drains the deferred lists.
-const PLUNDER_INTERVAL_NS: u64 = NS_PER_SEC / 20;
 /// The hard-limit column's limit: below what the op mix keeps live.
 const HARD_LIMIT: u64 = 12 << 20;
 /// Logical CPUs: 1 socket × 2 NUMA nodes × 2 LLC domains × 2 cores × 2 SMT,
@@ -104,7 +94,7 @@ enum Faults {
     HardLimit,
 }
 
-/// One cell of the lattice, less the free arm (both arms run every cell).
+/// One cell of the lattice.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
     dynamic_percpu: bool,
@@ -115,8 +105,8 @@ struct Cell {
 }
 
 impl Cell {
-    fn config(self, arm: FreeArm) -> TcmallocConfig {
-        let mut cfg = TcmallocConfig::baseline().with_free_arm(arm);
+    fn config(self) -> TcmallocConfig {
+        let mut cfg = TcmallocConfig::baseline();
         if self.dynamic_percpu {
             cfg = cfg.with_heterogeneous_percpu();
         }
@@ -157,7 +147,7 @@ fn shipped_cells() -> [Cell; 2] {
         .zip([TcmallocConfig::baseline(), TcmallocConfig::optimized()])
     {
         shipped.sample_period_bytes = 64 << 10;
-        assert_eq!(cell.config(FreeArm::OwnerOnly), shipped, "{cell:?}");
+        assert_eq!(cell.config(), shipped, "{cell:?}");
     }
     cells
 }
@@ -201,8 +191,6 @@ enum Op {
     Tick {
         ns: u64,
     },
-    /// Drain every deferred remote free.
-    Drain,
 }
 
 /// The CPU that frees an object.
@@ -213,23 +201,6 @@ enum Site {
     Near(u32),
     /// The CPU a schedule names.
     Cpu(u32),
-}
-
-impl From<&SchedOp> for Op {
-    fn from(op: &SchedOp) -> Self {
-        match *op {
-            SchedOp::Malloc { cpu, size } => Op::Malloc {
-                size,
-                cpu: cpu % CPUS,
-            },
-            SchedOp::Free { slot, cpu } => Op::Free {
-                k: slot,
-                site: Site::Cpu(cpu % CPUS),
-            },
-            SchedOp::Tick { ns } => Op::Tick { ns },
-            SchedOp::Drain => Op::Drain,
-        }
-    }
 }
 
 /// 4 malloc (zero-size, small, mid and large sizes), 3 free, 1 tick.
@@ -261,6 +232,84 @@ fn sample_op(rng: &mut SmallRng) -> Op {
 fn sampled_ops(seed: u64) -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(seed);
     (0..OPS).map(|_| sample_op(&mut rng)).collect()
+}
+
+/// A producer→consumer pipeline: `producers` allocate, `consumers` free
+/// the `slot % live`-th live object, with a rolling backlog of up to ~48
+/// live objects, and a settling 100 ms tick at the end. Sizes stay in the
+/// small classes, so the traffic circulates per-CPU → transfer → central.
+fn producer_consumer(seed: u64, producers: &[u32], consumers: &[u32], ops: usize) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(ops + 1);
+    let mut backlog = 0u64; // objects allocated but not yet freed
+    for _ in 0..ops {
+        let want_alloc = backlog < 8 || (backlog < 48 && rng.gen_range(0u32..10) < 5);
+        if want_alloc {
+            let cpu = producers[rng.gen_range(0..producers.len())];
+            out.push(Op::Malloc {
+                cpu: cpu % CPUS,
+                size: rng.gen_range(16u64..2048),
+            });
+            backlog += 1;
+        } else {
+            let cpu = consumers[rng.gen_range(0..consumers.len())];
+            out.push(Op::Free {
+                k: rng.gen::<u32>(),
+                site: Site::Cpu(cpu % CPUS),
+            });
+            backlog -= 1;
+        }
+        if rng.gen_range(0u32..32) == 0 {
+            out.push(Op::Tick {
+                ns: rng.gen_range(1_000_000u64..20_000_000),
+            });
+        }
+    }
+    out.push(Op::Tick { ns: 100_000_000 });
+    out
+}
+
+/// Thread churn: every CPU in `0..cpus` allocates (small to 512 KiB) and
+/// frees at random, with occasional ticks and a settling 100 ms tick at
+/// the end.
+fn thread_churn(seed: u64, cpus: u32, ops: usize) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(ops + 1);
+    let mut backlog = 0u64;
+    for _ in 0..ops {
+        match rng.gen_range(0u32..10) {
+            0..=4 => {
+                let size = match rng.gen_range(0u32..8) {
+                    0..=5 => rng.gen_range(16u64..4096),
+                    6 => rng.gen_range(4096u64..(64 << 10)),
+                    _ => rng.gen_range(64u64 << 10..(512 << 10)),
+                };
+                out.push(Op::Malloc {
+                    cpu: rng.gen_range(0..cpus) % CPUS,
+                    size,
+                });
+                backlog += 1;
+            }
+            5..=8 if backlog > 0 => {
+                out.push(Op::Free {
+                    k: rng.gen::<u32>(),
+                    site: Site::Cpu(rng.gen_range(0..cpus) % CPUS),
+                });
+                backlog -= 1;
+            }
+            5..=8 => {} // nothing live to free; skip
+            // Three in four tick; the fourth adds no operation.
+            _ => {
+                if rng.gen_range(0u32..4) != 0 {
+                    out.push(Op::Tick {
+                        ns: rng.gen_range(1_000_000u64..50_000_000),
+                    });
+                }
+            }
+        }
+    }
+    out.push(Op::Tick { ns: 100_000_000 });
+    out
 }
 
 /// The freeing CPU of an object allocated on `alloc_cpu`.
@@ -347,8 +396,8 @@ struct Lockstep {
     model: BTreeMap<u64, Live>,
     /// Live addresses in allocation order, for picking the k-th.
     order: Vec<u64>,
-    reported_ns: f64,
-    next_plunder_ns: u64,
+    /// What the operations returned, in the ledger's integer picoseconds.
+    reported_ps: u64,
     refusals: u64,
 }
 
@@ -376,8 +425,7 @@ impl Lockstep {
             reference,
             model: BTreeMap::new(),
             order: Vec::new(),
-            reported_ns: 0.0,
-            next_plunder_ns: PLUNDER_INTERVAL_NS,
+            reported_ps: 0,
             refusals: 0,
         }
     }
@@ -400,7 +448,7 @@ impl Lockstep {
                 let fresh = self.model.insert(addr, Live { size, actual, cpu });
                 assert!(fresh.is_none(), "{ctx}: {addr:#x} handed out twice");
                 self.order.push(addr);
-                self.reported_ns += f64::from_bits(ns);
+                self.reported_ps += ns_to_ps(f64::from_bits(ns));
             }
             Err(_) => self.refusals += 1,
         }
@@ -428,35 +476,13 @@ impl Lockstep {
             );
         }
         let (_, ns) = results[0].expect("a free of a live object succeeds");
-        self.reported_ns += f64::from_bits(ns);
+        self.reported_ps += ns_to_ps(f64::from_bits(ns));
     }
 
-    fn tick(&mut self, ns: u64, ctx: &str) {
+    fn tick(&mut self, ns: u64) {
         for (t, clock) in &mut self.copies {
             clock.advance(ns);
             t.maintain();
-        }
-        let now = self.copies[QUIET].1.now_ns();
-        if now >= self.next_plunder_ns {
-            self.next_plunder_ns = now + PLUNDER_INTERVAL_NS;
-            self.assert_drained(&format!("{ctx}: across a plunder"));
-        }
-    }
-
-    fn drain(&mut self, ctx: &str) {
-        for (t, _) in &mut self.copies {
-            t.drain_deferred();
-        }
-        self.assert_drained(&format!("{ctx}: after a drain"));
-    }
-
-    fn assert_drained(&self, ctx: &str) {
-        for (k, (t, _)) in self.copies.iter().enumerate() {
-            assert_eq!(
-                t.deferred().in_flight_by_class().iter().sum::<u64>(),
-                0,
-                "{ctx}: copy {k} kept remote frees parked"
-            );
         }
     }
 
@@ -501,15 +527,10 @@ impl Lockstep {
     }
 }
 
-/// The live set a cell ends with: the allocator's counts and the sorted
-/// requested sizes.
-type EndState = (u64, u64, Vec<u64>);
-
-/// Runs `ops` on one cell under one arm; adds the event kinds it saw to
-/// `seen`.
-fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static str>) -> EndState {
-    let label = format!("{cell:?}/{}", arm.name());
-    let mut ls = Lockstep::new(cell.config(arm));
+/// Runs `ops` on one cell; adds the event kinds it saw to `seen`.
+fn run_cell(cell: Cell, ops: &[Op], seen: &mut BTreeSet<&'static str>) {
+    let label = format!("{cell:?}");
+    let mut ls = Lockstep::new(cell.config());
     let late = Arc::new(Mutex::new(Vec::new()));
     let mut seen_at_attach = 0;
     for (i, &op) in ops.iter().enumerate() {
@@ -524,8 +545,7 @@ fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static s
             Op::Malloc { size, cpu } => ls.malloc(size, cpu, &ctx),
             Op::Free { .. } if ls.order.is_empty() => {}
             Op::Free { k, site } => ls.free(k as usize % ls.order.len(), site, &ctx),
-            Op::Tick { ns } => ls.tick(ns, &ctx),
-            Op::Drain => ls.drain(&ctx),
+            Op::Tick { ns } => ls.tick(ns),
         }
         ls.check(&ctx);
         if i % AUDIT_EVERY == AUDIT_EVERY - 1 {
@@ -542,12 +562,6 @@ fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static s
         Faults::HardLimit => assert!(ls.refusals > 0, "{label}: the hard limit never refused"),
     }
     assert_eq!(ls.copies[FULL].0.audit_now(), 0, "{label}: audit");
-    let mut sizes: Vec<u64> = ls.model.values().map(|l| l.size).collect();
-    sizes.sort_unstable();
-    let end = {
-        let t = &ls.copies[QUIET].0;
-        (t.live_objects(), t.live_bytes(), sizes)
-    };
 
     // Teardown, through the same lockstep checks, from another domain.
     while !ls.order.is_empty() {
@@ -578,39 +592,14 @@ fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static s
     let stream = ls.stream();
     let quiet = &ls.copies[QUIET].0;
     let kinds: BTreeSet<&'static str> = stream.iter().map(AllocEvent::kind).collect();
-    if arm == FreeArm::AtomicList {
-        for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
-            assert!(kinds.contains(kind), "{label}: the stream never saw {kind}");
-        }
-        // Every remote free is one queued event, and every adopted object
-        // is counted by one drained event.
-        let queued = stream
-            .iter()
-            .filter(|e| matches!(e, AllocEvent::RemoteFreeQueued { .. }))
-            .count() as u64;
-        let drained: u64 = stream
-            .iter()
-            .map(|e| match *e {
-                AllocEvent::RemoteFreeDrained { count, .. } => u64::from(count),
-                _ => 0,
-            })
-            .sum();
-        let d = ls.copies[RING].0.deferred();
-        assert_eq!(
-            (queued, drained),
-            (d.queued_total(), d.drained_total()),
-            "{label}: remote-free events vs the deferred counters"
-        );
-    }
     seen.extend(kinds);
 
     // Nothing is booked that no operation reported: the ledger is the
-    // returned nanoseconds plus the cross-thread synchronisation charges.
-    let booked = quiet.cycles().total_ns() - quiet.cycles().ns(CycleCategory::Contention);
-    assert!(
-        (booked - ls.reported_ns).abs() <= 1e-9 * ls.reported_ns,
-        "{label}: booked {booked} ns, operations reported {} ns",
-        ls.reported_ns
+    // returned nanoseconds, to the picosecond.
+    assert_eq!(
+        quiet.cycles().total_ns(),
+        ls.reported_ps as f64 / 1000.0,
+        "{label}: booked ns vs the operations' reported ns"
     );
     // Replaying the ring's stream alone rebuilds ledger and profile.
     let mut replayed = StatsView::default();
@@ -638,24 +627,13 @@ fn run_cell(cell: Cell, arm: FreeArm, ops: &[Op], seen: &mut BTreeSet<&'static s
         &stream[seen_at_attach..],
         "{label}: late sink"
     );
-    end
 }
 
-/// Runs `ops` on `cell` under both arms. The arm changes when objects
-/// flow back to the middle tiers, never which objects are live.
-fn run_both_arms(cell: Cell, ops: &[Op], seen: &mut BTreeSet<&'static str>) {
-    let owner = run_cell(cell, FreeArm::OwnerOnly, ops, seen);
-    let atomic = run_cell(cell, FreeArm::AtomicList, ops, seen);
-    if cell.faults == Faults::None {
-        assert_eq!(owner, atomic, "{cell:?}: the arms' live sets diverged");
-    }
-}
-
-/// Runs one fault column: every cell under both arms.
+/// Runs one fault column: every cell.
 fn run_column(faults: Faults, seed: u64) {
     let mut seen = BTreeSet::new();
     for (n, cell) in cells(faults).into_iter().enumerate() {
-        run_both_arms(cell, &sampled_ops(seed + n as u64), &mut seen);
+        run_cell(cell, &sampled_ops(seed + n as u64), &mut seen);
     }
     assert_not_vacuous(&seen, &format!("{faults:?}"));
 }
@@ -699,7 +677,7 @@ fn shipped_configs_agree_with_the_reference_model_at_forty_eight_seeds() {
     let mut seen = BTreeSet::new();
     for cell in shipped_cells() {
         for seed in 0..48 {
-            run_both_arms(cell, &sampled_ops(0x1A77_3000 + seed), &mut seen);
+            run_cell(cell, &sampled_ops(0x1A77_3000 + seed), &mut seen);
         }
     }
     assert_not_vacuous(&seen, "shipped configs");
@@ -709,13 +687,12 @@ fn shipped_configs_agree_with_the_reference_model_at_forty_eight_seeds() {
 fn interleaving_schedules_agree_with_the_reference_model() {
     let mut seen = BTreeSet::new();
     for seed in 0..4 {
-        for sched in [
-            Schedule::producer_consumer(0x1A77_4000 + seed, &[0, 1, 2], &[4, 8, 12], OPS),
-            Schedule::thread_churn(0x1A77_5000 + seed, CPUS, OPS),
+        for ops in [
+            producer_consumer(0x1A77_4000 + seed, &[0, 1, 2], &[4, 8, 12], OPS),
+            thread_churn(0x1A77_5000 + seed, CPUS, OPS),
         ] {
-            let ops: Vec<Op> = sched.ops.iter().map(Op::from).collect();
             for cell in shipped_cells() {
-                run_both_arms(cell, &ops, &mut seen);
+                run_cell(cell, &ops, &mut seen);
             }
         }
     }

@@ -24,10 +24,22 @@ use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
 use wsc_sim_os::pagetable::PageTable;
 use wsc_tcmalloc::events::EvictReason;
-use wsc_tcmalloc::interleave::fingerprint;
-use wsc_tcmalloc::{AllocEvent, FreeArm, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
+use wsc_tcmalloc::{AllocEvent, SanitizeLevel, Tcmalloc, TcmallocConfig, TraceRing};
 use wsc_workload::driver::{run, run_batch, DriverConfig, RunJob};
 use wsc_workload::profiles;
+
+/// FNV-1a (64-bit) over the `Debug` rendering of every event, as
+/// `(event_count, hash)`: a compact fingerprint for comparing whole event
+/// streams across runs.
+fn fingerprint(events: &[AllocEvent]) -> (usize, u64) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in events {
+        for b in format!("{e:?}").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (events.len(), hash)
+}
 
 fn platform() -> Platform {
     // Two LLC domains: CpuId(0) and CpuId(8) live in different domains, so
@@ -154,40 +166,12 @@ fn directed_workload_emits_every_event_kind() {
         );
     }
 
-    // The cross-thread kinds (RemoteFreeQueued, RemoteFreeDrained,
-    // ContentionCharged) only exist once a deferred free arm is active: a
-    // pipeline mini-run allocates on CpuId(0) — whose central refills claim
-    // span ownership — frees from CpuId(8), and drains.
-    let rclock = Clock::new();
-    let rcfg = TcmallocConfig::optimized()
-        .with_trace(TraceRing::UNBOUNDED)
-        .with_free_arm(FreeArm::AtomicList);
-    let mut rtcm = Tcmalloc::new(rcfg, platform(), rclock.clone());
-    let remote_live: Vec<_> = (0..64).map(|_| rtcm.malloc(256, CpuId(0))).collect();
-    for a in &remote_live {
-        rtcm.free(a.addr, 256, CpuId(8));
-    }
-    rtcm.drain_deferred();
-    let remote_seen: BTreeSet<&str> = rtcm
-        .trace()
-        .expect("trace ring")
-        .stream()
-        .iter()
-        .map(AllocEvent::kind)
-        .collect();
-    for kind in ["RemoteFreeQueued", "RemoteFreeDrained", "ContentionCharged"] {
-        assert!(
-            remote_seen.contains(kind),
-            "pipeline run never emitted {kind}: saw {remote_seen:?}"
-        );
-    }
-
     let events = tcm.trace().expect("trace ring").stream();
     let seen: BTreeSet<&str> = events.iter().map(AllocEvent::kind).collect();
     let missing: Vec<&str> = AllocEvent::KINDS
         .iter()
         .copied()
-        .filter(|k| !seen.contains(k) && !fault_seen.contains(k) && !remote_seen.contains(k))
+        .filter(|k| !seen.contains(k) && !fault_seen.contains(k))
         .collect();
     assert!(
         missing.is_empty(),

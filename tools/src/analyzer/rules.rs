@@ -11,10 +11,10 @@
 //!
 //! * **concurrency-readiness** — `Mutex`/`RwLock`/`Arc`/`Condvar`/
 //!   `thread::spawn` and `mpsc` channels are denied outside the sanctioned
-//!   concurrency modules (`crates/parallel/` and the deferred cross-thread
-//!   free module, `crates/tcmalloc/src/deferred`); every explicit atomic
-//!   `Ordering::…` use needs a `lint:allow(atomic-ordering)` justification
-//!   even inside them; and lock acquisition must follow the file's
+//!   concurrency module, the experiment engine in `crates/parallel/`, so
+//!   the allocator core holds no lock; every explicit atomic `Ordering::…`
+//!   use needs a `lint:allow(atomic-ordering)` justification even inside
+//!   it; and lock acquisition must follow the file's
 //!   declared `lint:lock-order(a, b, …)` within each function body.
 //! * **event-completeness** — every `pub fn (&mut self, …)` in a tier
 //!   module of `crates/tcmalloc/src` must emit at least one `AllocEvent`,
@@ -149,11 +149,9 @@ const ATTRIBUTION_SANCTIONED: &[&str] = &[
 const OS_SANCTIONED: &[&str] = &["crates/sim-os/", "crates/tcmalloc/src/pageheap/"];
 
 /// Modules sanctioned to hold concurrency primitives: the experiment
-/// engine, and the deferred cross-thread free module — the contention-real
-/// piece of the allocator core, whose per-span lists are the one place the
-/// simulated allocator legitimately models shared mutable state.
-/// Everything else in the deterministic core stays single-threaded.
-const CONCURRENCY_SANCTIONED: &[&str] = &["crates/parallel/", "crates/tcmalloc/src/deferred"];
+/// engine. Everything else in the deterministic core, the allocator
+/// included, stays single-threaded.
+const CONCURRENCY_SANCTIONED: &[&str] = &["crates/parallel/"];
 
 /// Method names that mutate kernel state (see [`OS_SANCTIONED`]).
 const OS_MUTATION_METHODS: &[&str] = &[

@@ -55,9 +55,9 @@ fn store(b: &AtomicBool) {
     let cmp = std::cmp::Ordering::Less; // cmp::Ordering variants never fire
     let _ = cmp;
 }
-//@ file: crates/tcmalloc/src/deferred.rs
-// The deferred cross-thread free module is sanctioned: its per-span lists
-// are the allocator's one legitimate shared-state model.
+//@ file: crates/parallel/src/inbox.rs
+// Sanctioned module: two declared locks taken in the declared order pass,
+// and a counter's ordering still needs its justification.
 // lint:lock-order(span_lists, inboxes)
 fn park(span_lists: &Mutex<u32>, inboxes: &Mutex<u32>) {
     let _l = span_lists.lock();
@@ -67,4 +67,10 @@ fn counters(n: &AtomicU64) {
     // lint:allow(atomic-ordering) monotonic counter; no data published
     n.fetch_add(1, Ordering::Relaxed);
     n.fetch_add(1, Ordering::AcqRel); //~ concurrency-readiness
+}
+//@ file: crates/tcmalloc/src/deferred.rs
+// The allocator core holds no lock: a list of remote frees behind a mutex
+// is denied like any other primitive outside the engine.
+struct RemoteFrees {
+    lists: Mutex<Vec<u64>>, //~ concurrency-readiness
 }
