@@ -30,7 +30,7 @@ use wsc_prng::{derive_seed, SmallRng};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_tcmalloc::TcmallocConfig;
 use wsc_telemetry::summary::{quantize_weight, BucketSeries, Coverage, MetricSummary};
-use wsc_workload::driver::{self, DriverConfig, RunJob, RunReport};
+use wsc_workload::driver::{self, DriverConfig, Machine, RunJob, RunReport};
 use wsc_workload::WorkloadSpec;
 
 /// Number of scalar metrics in a [`MetricSet`] (the summary array width).
@@ -465,19 +465,20 @@ pub fn try_run_fleet_ab(
         }
     }
     // Phase 2 (streamed): each cell runs its paired control/experiment
-    // simulation on an independent allocator + sim-os instance and folds
-    // into the worker's local summary; leaf summaries merge in canonical
-    // order.
+    // simulation on a fresh allocator + sim-os instance — the worker's one
+    // machine, renewed — and folds into the worker's local summary; leaf
+    // summaries merge in canonical order.
     let summary = engine.fold_seeded(
         cfg.seed,
         FoldSpan::all(cells.len()),
+        Machine::new,
         CellSummary::new,
-        |acc, i, seed| {
+        |machine, acc, i, seed| {
             let c = &cells[i].1;
             let dcfg = DriverConfig::new(cfg.requests_per_binary, seed, &c.platform)
                 .with_cpuset(c.cpuset.clone());
-            let (rc, _) = driver::run(&c.spec, &c.platform, control, &dcfg);
-            let (re, _) = driver::run(&c.spec, &c.platform, experiment, &dcfg);
+            let rc = machine.run(&c.spec, &c.platform, control, &dcfg);
+            let re = machine.run(&c.spec, &c.platform, experiment, &dcfg);
             acc.fold_pair(&rc, &re, c.weight_q);
         },
         |acc, other| acc.merge(&other),
@@ -607,17 +608,19 @@ pub fn try_run_fleet_survey_span(
     let pop = Population::new(cfg.population, cfg.seed);
     let sampler = pop.cycle_sampler();
     let schedule = RolloutSchedule::staged(cfg.seed ^ 0x5706e);
+    // Each worker runs its machines on one `Machine`, renewed per machine.
     engine.fold_seeded(
         cfg.seed,
         span,
+        Machine::new,
         CellSummary::new,
-        |acc, m, seed| {
+        |machine, acc, m, seed| {
             let cell = survey_cell(cfg, &pop, &sampler, m);
             let dcfg = DriverConfig::new(cfg.requests_per_machine, seed, &cell.platform)
                 .with_cpuset(cell.cpuset.clone());
             let enrolled = schedule.enrolled(cfg.rollout_stage, m as u64);
             let arm = if enrolled { experiment } else { control };
-            let (r, _) = driver::run(&cell.spec, &cell.platform, arm, &dcfg);
+            let r = machine.run(&cell.spec, &cell.platform, arm, &dcfg);
             acc.fold_arm(enrolled, &r, cell.weight_q);
         },
         |acc, other| acc.merge(&other),

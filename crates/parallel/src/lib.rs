@@ -190,10 +190,35 @@ impl Engine {
         R: Send,
         F: Fn(&Task<T>, usize) -> R + Sync,
     {
+        self.run_with(tasks, || (), |(), task, index| f(task, index))
+    }
+
+    /// [`run`](Engine::run) with worker-held state: each worker builds one
+    /// `W` with `worker()` when it starts and hands it to `f` for every task
+    /// it runs, in the order it claims them, until the call ends. A task
+    /// must compute the same result whatever an earlier task left in the
+    /// state — the state carries storage, not results — so the output is
+    /// still identical at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Engine::run).
+    pub fn run_with<T, W, R, F>(
+        &self,
+        tasks: &[Task<T>],
+        worker: impl Fn() -> W + Sync,
+        f: F,
+    ) -> Result<Vec<R>, TaskError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&mut W, &Task<T>, usize) -> R + Sync,
+    {
         self.fold_leaves(
             &span_leaves(FoldSpan::all(tasks.len())),
+            worker,
             Vec::new,
-            |out: &mut Vec<R>, index| out.push(f(&tasks[index], index)),
+            |w, out: &mut Vec<R>, index| out.push(f(w, &tasks[index], index)),
             |out, mut leaf| out.append(&mut leaf),
             |index| (tasks[index].seed, tasks[index].label.clone()),
         )
@@ -293,12 +318,17 @@ impl Engine {
     /// [`run`](Engine::run), with O(workers + pending leaves) memory
     /// instead of O(tasks).
     ///
-    /// `step(acc, index, seed)` folds one index into a leaf accumulator;
-    /// `seed` is `derive_seed(master, index)`, a function of the *global*
-    /// index, so
-    /// process shards folding sub-spans see identical seeds. `merge`
-    /// combines two leaf accumulators; `label_of` names an index for error
-    /// reports (only invoked on failure).
+    /// `step(state, acc, index, seed)` folds one index into a leaf
+    /// accumulator; `seed` is `derive_seed(master, index)`, a function of
+    /// the *global* index, so process shards folding sub-spans see
+    /// identical seeds. `state` is the worker's own: each worker builds one
+    /// with `worker()` when it starts and hands it to every step it runs,
+    /// across all the leaves it claims, until the call ends — a fleet fold
+    /// keeps one simulated machine there and renews it per cell. A step
+    /// must fold the same value whatever an earlier step left in the state
+    /// (the state carries storage, not results). `merge` combines two leaf
+    /// accumulators; `label_of` names an index for error reports (only
+    /// invoked on failure).
     ///
     /// Determinism contract: the leaf partition depends only on
     /// `span.total`, and completed leaves are merged in ascending leaf
@@ -312,10 +342,12 @@ impl Engine {
     ///
     /// Returns the [`TaskError`] naming the lowest-index failing unit if
     /// any `step` panics.
-    pub fn fold_seeded<A, E, S, M, L>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn fold_seeded<A, W, E, S, M, L>(
         &self,
         master: u64,
         span: FoldSpan,
+        worker: impl Fn() -> W + Sync,
         empty: E,
         step: S,
         merge: M,
@@ -324,30 +356,33 @@ impl Engine {
     where
         A: Send,
         E: Fn() -> A + Sync,
-        S: Fn(&mut A, usize, u64) + Sync,
+        S: Fn(&mut W, &mut A, usize, u64) + Sync,
         M: Fn(&mut A, A) + Sync,
         L: Fn(usize) -> String + Sync,
     {
         let seed_of = |index: usize| wsc_prng::derive_seed(master, index as u64);
         self.fold_leaves(
             &span_leaves(span),
+            worker,
             empty,
-            |acc, index| step(acc, index, seed_of(index)),
+            |w, acc, index| step(w, acc, index, seed_of(index)),
             merge,
             |index| (seed_of(index), label_of(index)),
         )
     }
 
-    /// The scheduling loop under both [`run`](Engine::run) and
-    /// [`fold_seeded`](Engine::fold_seeded): workers claim `leaves` (index
-    /// ranges, in canonical order) from one cursor, fold each into a fresh
-    /// `empty()` with `step(acc, index)`, and a streaming reducer merges
+    /// The scheduling loop under both [`run_with`](Engine::run_with) and
+    /// [`fold_seeded`](Engine::fold_seeded): each worker builds
+    /// its state with `worker()`, claims `leaves` (index ranges, in
+    /// canonical order) from one cursor, folds each into a fresh `empty()`
+    /// with `step(state, acc, index)`, and a streaming reducer merges
     /// finished leaves in leaf order. A panicking `step` poisons the run;
     /// `describe(index)` supplies the `(seed, label)` the [`TaskError`]
     /// reports and is only invoked on that path.
-    fn fold_leaves<A, E, S, M, D>(
+    fn fold_leaves<A, W, E, S, M, D>(
         &self,
         leaves: &[(usize, usize)],
+        worker_state: impl Fn() -> W + Sync,
         empty: E,
         step: S,
         merge: M,
@@ -356,7 +391,7 @@ impl Engine {
     where
         A: Send,
         E: Fn() -> A + Sync,
-        S: Fn(&mut A, usize) + Sync,
+        S: Fn(&mut W, &mut A, usize) + Sync,
         M: Fn(&mut A, A) + Sync,
         D: Fn(usize) -> (u64, String) + Sync,
     {
@@ -377,6 +412,7 @@ impl Engine {
             // A `pipeline` inside this run keeps both halves on this
             // thread: the engine already has the threads it was given.
             let _mark = stream::EngineMark::enter();
+            let mut state = worker_state();
             // lint:allow(atomic-ordering) Acquire pairs with the Release
             // store in record_failure: seeing the flag implies the error
             // slot write is visible.
@@ -396,7 +432,8 @@ impl Engine {
                     if poisoned.load(Ordering::Acquire) {
                         break 'claim;
                     }
-                    let fold_one = catch_unwind(AssertUnwindSafe(|| step(&mut acc, index)));
+                    let fold_one =
+                        catch_unwind(AssertUnwindSafe(|| step(&mut state, &mut acc, index)));
                     if let Err(payload) = fold_one {
                         let (seed, label) = describe(index);
                         record_failure(&error, &poisoned, index, seed, label, payload);
@@ -646,8 +683,9 @@ mod tests {
             .fold_seeded(
                 9,
                 span,
+                || (),
                 Vec::new,
-                |acc, i, seed| acc.push((i, seed)),
+                |(), acc, i, seed| acc.push((i, seed)),
                 |a, mut b| a.append(&mut b),
                 |i| format!("unit {i}"),
             )
@@ -715,13 +753,42 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_keeps_its_state_across_the_leaves_it_claims() {
+        // Each step records how many steps its worker's state has seen: one
+        // state per worker for the whole call, not one per leaf, so the
+        // counts a serial fold records run 0..n across all 300 leaves.
+        let steps_seen = |engine: &Engine| {
+            engine
+                .fold_seeded(
+                    3,
+                    FoldSpan::all(600),
+                    || 0usize,
+                    Vec::new,
+                    |seen, acc: &mut Vec<usize>, _, _| {
+                        acc.push(*seen);
+                        *seen += 1;
+                    },
+                    |a, mut b| a.append(&mut b),
+                    |i| format!("unit {i}"),
+                )
+                .unwrap()
+        };
+        assert_eq!(steps_seen(&Engine::serial()), (0..600).collect::<Vec<_>>());
+        // Threaded, a state starts at 0 once per worker that claims a leaf.
+        let threaded = steps_seen(&Engine::new(3));
+        let fresh_states = threaded.iter().filter(|&&n| n == 0).count();
+        assert!((1..=3).contains(&fresh_states), "{fresh_states} states");
+    }
+
+    #[test]
     fn fold_panic_yields_structured_error() {
         let err = Engine::new(4)
             .fold_seeded(
                 7,
                 FoldSpan::all(40),
+                || (),
                 || 0u64,
-                |acc, i, _| {
+                |(), acc, i, _| {
                     assert!(i != 23, "injected fault in unit {i}");
                     *acc += 1;
                 },
@@ -743,8 +810,9 @@ mod tests {
             .fold_seeded(
                 1,
                 FoldSpan::all(100_000),
+                || (),
                 || 0u64,
-                |acc, i, _| *acc += i as u64,
+                |(), acc, i, _| *acc += i as u64,
                 |a, b| *a += b,
                 |i| format!("unit {i}"),
             )

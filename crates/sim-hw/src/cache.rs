@@ -234,6 +234,29 @@ impl LlcModel {
     /// 128 MiB or more (a resident block keeps its byte count in 27 bits
     /// and its domain in 5).
     pub fn new(num_domains: usize, bytes_per_domain: u64) -> Self {
+        let empty = Self {
+            capacity: 0,
+            domains: Vec::new(),
+            // 1 024 buckets of 16 bytes and a control byte, ≈ 17 KiB: a
+            // cold 32-request machine leaves ≈ 650 blocks resident, which an
+            // index grown from empty reaches through eight rehashes.
+            index: IntMap::with_capacity_and_hasher(896, Default::default()),
+            tick: 0,
+            stats: LlcStats::default(),
+        };
+        empty.renew(num_domains, bytes_per_domain)
+    }
+
+    /// This model emptied and reshaped to `num_domains` domains of
+    /// `bytes_per_domain` each, keeping the storage of its domain table and
+    /// index. [`new`](Self::new) is an empty model renewed once, so a
+    /// renewed model is a new one: no block is resident, and no stamp,
+    /// order or counter of the previous machine survives.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn renew(mut self, num_domains: usize, bytes_per_domain: u64) -> Self {
         assert!(num_domains > 0, "need at least one domain");
         assert!(
             num_domains <= MAX_DOMAINS,
@@ -246,13 +269,13 @@ impl LlcModel {
             capacity < 1 << BYTES_BITS,
             "bytes_per_domain {bytes_per_domain} is not below 128 MiB"
         );
+        self.domains.clear();
+        self.domains.resize_with(num_domains, Domain::default);
+        self.index.clear();
         Self {
             capacity,
-            domains: vec![Domain::default(); num_domains],
-            // 1 024 buckets of 16 bytes and a control byte, ≈ 17 KiB: a
-            // cold 32-request machine leaves ≈ 650 blocks resident, which an
-            // index grown from empty reaches through eight rehashes.
-            index: IntMap::with_capacity_and_hasher(896, Default::default()),
+            domains: self.domains,
+            index: self.index,
             tick: 0,
             stats: LlcStats::default(),
         }

@@ -59,14 +59,27 @@ impl SetAssocTlb {
     /// `field` names the [`TlbGeometry`] entry count this level was built
     /// from.
     fn new(field: &str, entries: usize, ways: usize) -> Self {
+        let empty = Self {
+            slots: Vec::new(),
+            sets: 0,
+            ways: 0,
+            tick: 0,
+        };
+        empty.renew(field, entries, ways)
+    }
+
+    /// This level emptied and reshaped, keeping its slot storage.
+    fn renew(mut self, field: &str, entries: usize, ways: usize) -> Self {
         assert!(ways > 0, "TlbGeometry::ways must be positive");
         assert!(entries > 0, "TlbGeometry::{field} must be positive");
         assert!(
             entries.is_multiple_of(ways),
             "entries must divide into ways"
         );
+        self.slots.clear();
+        self.slots.resize(entries, (0, 0));
         Self {
-            slots: vec![(0, 0); entries],
+            slots: self.slots,
             sets: (entries / ways) as u64,
             ways,
             tick: 0,
@@ -210,6 +223,26 @@ impl TlbSim {
             l1_base: SetAssocTlb::new("l1_base_entries", geom.l1_base_entries, geom.ways),
             l1_huge: SetAssocTlb::new("l1_huge_entries", geom.l1_huge_entries, geom.ways),
             l2: SetAssocTlb::new("l2_entries", geom.l2_entries, geom.ways),
+            stats: TlbStats::default(),
+        }
+    }
+
+    /// This TLB emptied and reshaped to `geom`, keeping the storage of its
+    /// levels. [`new`](Self::new) is an empty TLB renewed once, so a
+    /// renewed TLB is a new one: every way is empty and every counter zero.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn renew(self, geom: TlbGeometry) -> Self {
+        Self {
+            l1_base: self
+                .l1_base
+                .renew("l1_base_entries", geom.l1_base_entries, geom.ways),
+            l1_huge: self
+                .l1_huge
+                .renew("l1_huge_entries", geom.l1_huge_entries, geom.ways),
+            l2: self.l2.renew("l2_entries", geom.l2_entries, geom.ways),
             stats: TlbStats::default(),
         }
     }

@@ -134,6 +134,16 @@ impl PageTable {
         Self::default()
     }
 
+    /// This page table emptied, exactly as [`new`](Self::new) builds one,
+    /// with its window's storage kept for the next address space.
+    pub fn renew(mut self) -> Self {
+        self.recs.clear();
+        Self {
+            recs: self.recs,
+            ..Self::new()
+        }
+    }
+
     /// The hugepage index range of a hugepage-granular byte range.
     fn hugepage_span(addr: u64, len: u64) -> std::ops::Range<u64> {
         assert!(

@@ -71,6 +71,19 @@ impl VcpuRegistry {
         Self::default()
     }
 
+    /// This registry emptied, exactly as [`new`](Self::new) builds one,
+    /// with its tables' storage kept: the next process numbers its CPUs
+    /// from vCPU 0 again.
+    pub fn renew(mut self) -> Self {
+        self.dense.clear();
+        self.sparse.clear();
+        Self {
+            dense: self.dense,
+            sparse: self.sparse,
+            assigned: 0,
+        }
+    }
+
     /// Returns the vCPU ID for a physical CPU, assigning the next dense ID
     /// on first use. An assigned dense id is one bounds-checked load; first
     /// use and the sparse ids go through a cold out-of-line path.

@@ -90,6 +90,17 @@ impl Vmm {
         vmm
     }
 
+    /// This address space emptied, exactly as [`new`](Self::new) (no
+    /// `faults`) or [`with_faults`](Self::with_faults) builds one, with the
+    /// page table's storage kept.
+    pub fn renew(self, faults: Option<FaultPlan>, clock: Clock) -> Self {
+        let fresh = faults.map_or_else(Self::new, |plan| Self::with_faults(plan, clock));
+        Self {
+            page_table: self.page_table.renew(),
+            ..fresh
+        }
+    }
+
     /// Injection counters, if a fault plan is attached.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults

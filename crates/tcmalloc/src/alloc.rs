@@ -26,7 +26,6 @@ use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
 use wsc_sim_os::rseq::{VcpuId, VcpuRegistry};
-use wsc_sim_os::vmm::Vmm;
 use wsc_telemetry::gwp::{AllocationProfile, Sample, Sampler};
 
 /// Result of a [`Tcmalloc::malloc`].
@@ -170,31 +169,100 @@ impl Tcmalloc {
     /// config's fault plan and hard limit (if any) are attached to the
     /// simulated kernel here; with both absent the OS layer is infallible
     /// and the allocator behaves byte-identically to the pre-fault builds.
+    ///
+    /// This is an allocator that holds nothing, [renewed](Self::renew)
+    /// once: every allocator is built by `renew`.
     pub fn new(cfg: TcmallocConfig, platform: Platform, clock: Clock) -> Self {
         let table = SizeClassTable::shared();
-        let percpu = PerCpuCaches::new(table, cfg.percpu_max_bytes);
-        let transfer = TransferCaches::new(table, cfg.transfer);
-        let central = (0..table.num_classes())
-            .map(|cl| CentralFreeList::new(cl as u16, *table.info(cl), cfg.cfl_lists))
-            .collect();
-        let now = clock.now_ns();
-        // Sole kernel construction point in the allocator: the Vmm goes
-        // straight into OsLayer and is never driven directly again.
-        let vmm = cfg
-            .os_faults
-            // lint:allow(infallible-os)
-            .map_or_else(Vmm::new, |p| Vmm::with_faults(p, clock.clone()));
         Self {
-            percpu,
-            transfer,
-            central,
+            percpu: PerCpuCaches::new(table, cfg.percpu_max_bytes),
+            transfer: TransferCaches::new(table, cfg.transfer),
+            central: Vec::new(),
             spans: SpanRegistry::new(),
             pagemap: Pagemap::new(),
-            pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::new(vmm, cfg.hard_limit)),
+            pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::infallible()),
             sampler: Sampler::new(cfg.sample_period_bytes),
             bus: EventBus::new(&cfg, clock.clone()),
             batch: Vec::new(),
             live_samples: IntMap::default(),
+            live_requested_bytes: 0,
+            live_objects: 0,
+            internal_frag_bytes: 0,
+            next_resize_ns: 0,
+            next_plunder_ns: 0,
+            next_release_ns: 0,
+            next_decay_ns: 0,
+            table,
+            platform,
+            clock,
+            vcpus: VcpuRegistry::new(),
+            cfg,
+        }
+        .renewed()
+    }
+
+    /// This allocator emptied and rebuilt for a new process — `cfg` on
+    /// `platform`, timed by `clock` — keeping the host storage of every
+    /// tier: the state [`new`](Self::new) builds, field for field, since
+    /// `new` is a renewal too. Nothing of the previous process survives:
+    /// no object, span, page, vCPU number, sample, ledger entry, trace
+    /// ring or attached sink.
+    pub fn renew(self, cfg: TcmallocConfig, platform: Platform, clock: Clock) -> Self {
+        Self {
+            cfg,
+            platform,
+            clock,
+            ..self
+        }
+        .renewed()
+    }
+
+    /// Renews every tier for `self.cfg`, `self.platform` and `self.clock`.
+    fn renewed(self) -> Self {
+        let Self {
+            cfg,
+            table,
+            platform,
+            clock,
+            vcpus,
+            percpu,
+            transfer,
+            central,
+            spans,
+            pagemap,
+            pageheap,
+            sampler: _,
+            bus,
+            mut batch,
+            mut live_samples,
+            ..
+        } = self;
+        let central = if central.len() == table.num_classes() {
+            central
+                .into_iter()
+                .enumerate()
+                .map(|(cl, list)| list.renew(cl as u16, *table.info(cl), cfg.cfl_lists))
+                .collect()
+        } else {
+            (0..table.num_classes())
+                .map(|cl| CentralFreeList::new(cl as u16, *table.info(cl), cfg.cfl_lists))
+                .collect()
+        };
+        batch.clear();
+        live_samples.clear();
+        let now = clock.now_ns();
+        Self {
+            vcpus: vcpus.renew(),
+            percpu: percpu.renew(table, cfg.percpu_max_bytes),
+            transfer: transfer.renew(table, cfg.transfer),
+            central,
+            spans: spans.renew(),
+            pagemap: pagemap.renew(),
+            pageheap: pageheap.renew(cfg.pageheap, cfg.os_faults, clock.clone(), cfg.hard_limit),
+            sampler: Sampler::new(cfg.sample_period_bytes),
+            bus: bus.renew(&cfg, clock.clone()),
+            batch,
+            live_samples,
             live_requested_bytes: 0,
             live_objects: 0,
             internal_frag_bytes: 0,
@@ -205,7 +273,6 @@ impl Tcmalloc {
             table,
             platform,
             clock,
-            vcpus: VcpuRegistry::new(),
             cfg,
         }
     }

@@ -47,9 +47,19 @@ impl SpanReturnObs {
         }
     }
 
+    /// This table emptied for a class of span `capacity`, keeping its
+    /// storage for the next first observation.
+    fn renew(mut self, capacity: u32) -> Self {
+        self.buckets.clear();
+        Self {
+            buckets: self.buckets,
+            capacity,
+        }
+    }
+
     fn record(&mut self, live: u32, released: bool) {
         if self.buckets.is_empty() {
-            self.buckets = vec![(0, 0); self.capacity as usize + 1];
+            self.buckets.resize(self.capacity as usize + 1, (0, 0));
         }
         // lint:allow(panic-surface) live is clamped to capacity, the last
         // of the capacity + 1 buckets.
@@ -95,15 +105,37 @@ impl CentralFreeList {
     ///
     /// Panics if `num_lists` is zero.
     pub fn new(class: u16, info: SizeClassInfo, num_lists: usize) -> Self {
-        assert!(num_lists > 0, "need at least one span list");
-        Self {
+        let empty = Self {
             class,
             info,
-            lists: vec![Vec::new(); num_lists],
+            lists: Vec::new(),
             free_objects: 0,
             spans_created: 0,
             spans_released: 0,
             obs: SpanReturnObs::new(info.objects_per_span),
+        };
+        empty.renew(class, info, num_lists)
+    }
+
+    /// This free list emptied, exactly as [`new`](Self::new) builds one,
+    /// with its lists' and observation table's storage kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_lists` is zero.
+    pub fn renew(mut self, class: u16, info: SizeClassInfo, num_lists: usize) -> Self {
+        assert!(num_lists > 0, "need at least one span list");
+        self.lists.truncate(num_lists);
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.lists.resize_with(num_lists, Vec::new);
+        Self {
+            class,
+            info,
+            lists: self.lists,
+            free_objects: 0,
+            spans_created: 0,
+            spans_released: 0,
+            obs: self.obs.renew(info.objects_per_span),
         }
     }
 

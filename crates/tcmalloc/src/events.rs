@@ -656,14 +656,33 @@ impl EventBus {
     /// Builds the bus for one allocator instance: sink selection comes from
     /// `cfg` (`trace_capacity`, `sanitize`).
     pub fn new(cfg: &TcmallocConfig, clock: Clock) -> Self {
+        Self::assemble(StatsView::default(), Vec::new(), cfg, clock)
+    }
+
+    /// This bus as [`new`](Self::new) builds it for the next allocator:
+    /// the ledger and profile zeroed with their storage kept, attached
+    /// sinks detached, and a new sanitizer and trace ring as `cfg` asks.
+    pub fn renew(mut self, cfg: &TcmallocConfig, clock: Clock) -> Self {
+        self.extra.clear();
+        Self::assemble(self.stats.renew(), self.extra, cfg, clock)
+    }
+
+    /// A bus over a zeroed `stats` and an empty `extra`, its sinks chosen
+    /// by `cfg` (`trace_capacity`, `sanitize`).
+    fn assemble(
+        stats: StatsView,
+        extra: Vec<Box<dyn EventSink>>,
+        cfg: &TcmallocConfig,
+        clock: Clock,
+    ) -> Self {
         let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
         Self {
             clock,
-            stats: StatsView::default(),
+            stats,
             sanitizer: Sanitizer::new(cfg.sanitize),
             observed: trace.is_some() || cfg.sanitize.is_on(),
             trace,
-            extra: Vec::new(),
+            extra,
         }
     }
 

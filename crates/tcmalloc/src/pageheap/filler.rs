@@ -238,11 +238,37 @@ impl HugePageFiller {
     /// below `capacity_threshold` (the paper's C = 16) are placed on a
     /// dedicated set of hugepages.
     pub fn new(lifetime_aware: bool, capacity_threshold: u32) -> Self {
-        Self {
+        let empty = Self {
             trackers: Vec::new(),
             free_ids: Vec::new(),
             by_hugepage: IntMap::default(),
-            lists: vec![vec![Vec::new(); HP_PAGES as usize + 1]; 2],
+            lists: Vec::new(),
+            nonempty: [[0; INDEX_WORDS]; 2],
+            lifetime_aware,
+            capacity_threshold,
+            freed_whole: 0,
+            subreleased_total: 0,
+        };
+        empty.renew(lifetime_aware, capacity_threshold)
+    }
+
+    /// This filler emptied, exactly as [`new`](Self::new) builds one: no
+    /// hugepage tracked, with the storage of its tracker table, index and
+    /// every longest-free-range list kept.
+    pub fn renew(mut self, lifetime_aware: bool, capacity_threshold: u32) -> Self {
+        self.trackers.clear();
+        self.free_ids.clear();
+        self.by_hugepage.clear();
+        self.lists.resize_with(2, Vec::new);
+        for set in &mut self.lists {
+            set.iter_mut().for_each(Vec::clear);
+            set.resize_with(HP_PAGES as usize + 1, Vec::new);
+        }
+        Self {
+            trackers: self.trackers,
+            free_ids: self.free_ids,
+            by_hugepage: self.by_hugepage,
+            lists: self.lists,
             nonempty: [[0; INDEX_WORDS]; 2],
             lifetime_aware,
             capacity_threshold,

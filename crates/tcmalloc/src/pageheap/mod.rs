@@ -30,6 +30,7 @@ use region::HugeRegionSet;
 use wsc_sim_hw::cost::AllocPath;
 use wsc_sim_os::addr::{HUGE_PAGE_BYTES, TCMALLOC_PAGES_PER_HUGE, TCMALLOC_PAGE_BYTES};
 use wsc_sim_os::vmm::Vmm;
+use wsc_sim_os::{Clock, FaultPlan};
 
 const HP_PAGES: u64 = TCMALLOC_PAGES_PER_HUGE; // 256
 
@@ -172,6 +173,27 @@ impl PageHeap {
             os,
             filler: HugePageFiller::new(cfg.lifetime_aware_filler, cfg.capacity_threshold),
             region: HugeRegionSet::new(),
+            cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
+            large_used_pages: 0,
+        }
+    }
+
+    /// This pageheap emptied, exactly as [`with_kernel`](Self::with_kernel)
+    /// builds one, on its own kernel renewed as [`OsLayer::renew`] does,
+    /// keeping the storage of its page table, filler and region set.
+    pub fn renew(
+        self,
+        cfg: PageHeapConfig,
+        faults: Option<FaultPlan>,
+        clock: Clock,
+        hard_limit: Option<u64>,
+    ) -> Self {
+        Self {
+            os: self.os.renew(faults, clock, hard_limit),
+            filler: self
+                .filler
+                .renew(cfg.lifetime_aware_filler, cfg.capacity_threshold),
+            region: self.region.renew(),
             cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
             large_used_pages: 0,
         }

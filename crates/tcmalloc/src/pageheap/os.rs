@@ -29,7 +29,7 @@ use std::fmt;
 use wsc_sim_os::addr::{align_up, HUGE_PAGE_BYTES};
 use wsc_sim_os::pagetable::PageTable;
 use wsc_sim_os::vmm::{Vmm, VmmStats};
-use wsc_sim_os::{FaultStats, OsError};
+use wsc_sim_os::{Clock, FaultPlan, FaultStats, OsError};
 
 /// A structured allocation failure: the pageheap could not satisfy a
 /// request. Surfaced through
@@ -80,6 +80,14 @@ impl OsLayer {
             hard_limit,
             degraded: false,
         }
+    }
+
+    /// This layer over an emptied kernel, exactly as [`new`](Self::new)
+    /// wraps a fresh one: `faults` attaches a plan judged against `clock`
+    /// (the kernel of [`Vmm::with_faults`]), none an infallible kernel. The
+    /// page table's storage is kept.
+    pub fn renew(self, faults: Option<FaultPlan>, clock: Clock, hard_limit: Option<u64>) -> Self {
+        Self::new(self.vmm.renew(faults, clock), hard_limit)
     }
 
     /// An infallible kernel with no limit — the pre-failure-model behaviour.

@@ -95,6 +95,16 @@ impl HugeRegionSet {
         Self::default()
     }
 
+    /// This region set emptied, exactly as [`new`](Self::new) builds one,
+    /// with the region table's storage kept.
+    pub fn renew(mut self) -> Self {
+        self.regions.clear();
+        Self {
+            regions: self.regions,
+            live: BTreeMap::new(),
+        }
+    }
+
     /// Allocates `pages` TCMalloc pages, first-fit across regions, mapping a
     /// new region when needed (emitting one [`AllocEvent::HugepageFill`]).
     /// Returns `(addr, mmapped)`.

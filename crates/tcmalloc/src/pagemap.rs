@@ -87,6 +87,16 @@ impl Pagemap {
         Self::default()
     }
 
+    /// This pagemap emptied, exactly as [`new`](Self::new) builds one,
+    /// with the window's storage kept.
+    pub fn renew(mut self) -> Self {
+        self.slots.clear();
+        Self {
+            slots: self.slots,
+            ..Self::new()
+        }
+    }
+
     /// Grows the window (in whole leaves, either direction) to cover pages
     /// `[first, last)`.
     fn ensure_window(&mut self, first: u64, last: u64) {

@@ -39,7 +39,7 @@ struct ClassSlab {
 }
 
 /// One vCPU's slab.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct CpuSlab {
     classes: Vec<ClassSlab>,
     /// The donor mask: bit `cl` is set exactly when `classes[cl].capacity >
@@ -54,6 +54,20 @@ struct CpuSlab {
     misses_interval: u64,
 }
 
+/// Moves every `Some` of `live` into the same index of `spare`, leaving
+/// `live` empty: the storage an earlier process grew for index `i` waits
+/// there for the next process's index `i`.
+pub(crate) fn set_aside<T>(spare: &mut Vec<Option<T>>, live: &mut Vec<Option<T>>) {
+    if spare.len() < live.len() {
+        spare.resize_with(live.len(), || None);
+    }
+    for (slot, item) in spare.iter_mut().zip(live.drain(..)) {
+        if item.is_some() {
+            *slot = item;
+        }
+    }
+}
+
 /// The donor-mask bit of `class`.
 #[inline]
 fn donor_bit(class: usize) -> u128 {
@@ -61,13 +75,22 @@ fn donor_bit(class: usize) -> u128 {
 }
 
 impl CpuSlab {
-    fn new(num_classes: usize, max_bytes: u64) -> Self {
+    /// This slab emptied for a vCPU's first use: every class stack empty
+    /// and without capacity, keeping the stacks' storage.
+    fn renew(mut self, num_classes: usize, max_bytes: u64) -> Self {
         assert!(
             num_classes <= u128::BITS as usize,
             "the donor mask holds at most 128 size classes, not {num_classes}"
         );
+        self.classes.truncate(num_classes);
+        for cslab in &mut self.classes {
+            cslab.objs.clear();
+            cslab.capacity = 0;
+            cslab.touched = false;
+        }
+        self.classes.resize_with(num_classes, ClassSlab::default);
         Self {
-            classes: vec![ClassSlab::default(); num_classes],
+            classes: self.classes,
             donors: 0,
             max_bytes,
             capacity_bytes: 0,
@@ -91,6 +114,9 @@ impl CpuSlab {
 #[derive(Clone, Debug)]
 pub struct PerCpuCaches {
     slabs: Vec<Option<CpuSlab>>,
+    /// Slabs of an earlier process by vCPU, each renewed on the same vCPU's
+    /// first use, so a renewed cache array keeps its stacks' storage.
+    spare: Vec<Option<CpuSlab>>,
     sizes: Vec<u64>,
     batches: Vec<u32>,
     /// Per-class object-count cap (production limits per-class slabs).
@@ -102,22 +128,38 @@ impl PerCpuCaches {
     /// Creates the cache array. Slabs are populated lazily per vCPU — the
     /// point of virtual CPU IDs (§4.1).
     pub fn new(table: &SizeClassTable, default_max_bytes: u64) -> Self {
-        Self {
+        let empty = Self {
             slabs: Vec::new(),
-            sizes: table.iter().map(|c| c.size).collect(),
-            batches: table.iter().map(|c| c.batch).collect(),
-            class_caps: table
-                .iter()
-                .map(|c| {
-                    // Clamp in the u64 domain *before* narrowing: `cap as
-                    // u32` on the raw quotient would truncate a large value
-                    // first and clamp the mangled number.
-                    let cap = (256u64 << 10) / crate::config::CAPACITY_SCALE / c.size;
-                    let cap = cap.clamp(2, 2048 / crate::config::CAPACITY_SCALE);
-                    u32::try_from(cap).expect("class cap clamped within u32")
-                })
-                .collect(),
+            spare: Vec::new(),
+            sizes: Vec::new(),
+            batches: Vec::new(),
+            class_caps: Vec::new(),
             default_max_bytes,
+        };
+        empty.renew(table, default_max_bytes)
+    }
+
+    /// This cache array emptied, exactly as [`new`](Self::new) builds one:
+    /// no vCPU populated, every slab set aside with its stacks' storage
+    /// for the next vCPU's first use.
+    pub fn renew(mut self, table: &SizeClassTable, default_max_bytes: u64) -> Self {
+        set_aside(&mut self.spare, &mut self.slabs);
+        self.sizes.clear();
+        self.sizes.extend(table.iter().map(|c| c.size));
+        self.batches.clear();
+        self.batches.extend(table.iter().map(|c| c.batch));
+        self.class_caps.clear();
+        self.class_caps.extend(table.iter().map(|c| {
+            // Clamp in the u64 domain *before* narrowing: `cap as u32` on
+            // the raw quotient would truncate a large value first and clamp
+            // the mangled number.
+            let cap = (256u64 << 10) / crate::config::CAPACITY_SCALE / c.size;
+            let cap = cap.clamp(2, 2048 / crate::config::CAPACITY_SCALE);
+            u32::try_from(cap).expect("class cap clamped within u32")
+        }));
+        Self {
+            default_max_bytes,
+            ..self
         }
     }
 
@@ -125,6 +167,7 @@ impl PerCpuCaches {
     fn slab_mut(&mut self, vcpu: VcpuId) -> &mut CpuSlab {
         Self::slab_in(
             &mut self.slabs,
+            &mut self.spare,
             vcpu,
             self.sizes.len(),
             self.default_max_bytes,
@@ -136,15 +179,16 @@ impl PerCpuCaches {
     /// slab is a bounds check and a discriminant test; a vCPU's first use
     /// goes through [`populate`](Self::populate).
     #[inline]
-    fn slab_in(
-        slabs: &mut Vec<Option<CpuSlab>>,
+    fn slab_in<'a>(
+        slabs: &'a mut Vec<Option<CpuSlab>>,
+        spare: &mut [Option<CpuSlab>],
         vcpu: VcpuId,
         num_classes: usize,
         max_bytes: u64,
-    ) -> &mut CpuSlab {
+    ) -> &'a mut CpuSlab {
         let idx = vcpu.index();
         let Some(Some(_)) = slabs.get(idx) else {
-            return Self::populate(slabs, idx, num_classes, max_bytes);
+            return Self::populate(slabs, spare, idx, num_classes, max_bytes);
         };
         slabs[idx].as_mut().expect("slab checked present above")
     }
@@ -153,16 +197,20 @@ impl PerCpuCaches {
     /// §4.1, off the hit path.
     #[cold]
     #[inline(never)]
-    fn populate(
-        slabs: &mut Vec<Option<CpuSlab>>,
+    fn populate<'a>(
+        slabs: &'a mut Vec<Option<CpuSlab>>,
+        spare: &mut [Option<CpuSlab>],
         idx: usize,
         num_classes: usize,
         max_bytes: u64,
-    ) -> &mut CpuSlab {
+    ) -> &'a mut CpuSlab {
         if idx >= slabs.len() {
             slabs.resize_with(idx + 1, || None);
         }
-        slabs[idx].get_or_insert_with(|| CpuSlab::new(num_classes, max_bytes))
+        slabs[idx].get_or_insert_with(|| {
+            let slab = spare.get_mut(idx).and_then(Option::take);
+            slab.unwrap_or_default().renew(num_classes, max_bytes)
+        })
     }
 
     /// Fast-path allocation: pops a cached object, or records an underflow
@@ -210,7 +258,13 @@ impl PerCpuCaches {
         let need = batch * size;
         let cap = self.class_caps[class];
         let sizes = &self.sizes;
-        let slab = Self::slab_in(&mut self.slabs, vcpu, sizes.len(), self.default_max_bytes);
+        let slab = Self::slab_in(
+            &mut self.slabs,
+            &mut self.spare,
+            vcpu,
+            sizes.len(),
+            self.default_max_bytes,
+        );
         if slab.classes[class].capacity + batch as u32 > cap {
             return false;
         }
@@ -357,7 +411,13 @@ impl PerCpuCaches {
     // double-count the eviction.
     pub fn set_max_bytes(&mut self, vcpu: VcpuId, bytes: u64) -> Vec<(usize, Vec<u64>)> {
         let sizes = &self.sizes;
-        let slab = Self::slab_in(&mut self.slabs, vcpu, sizes.len(), self.default_max_bytes);
+        let slab = Self::slab_in(
+            &mut self.slabs,
+            &mut self.spare,
+            vcpu,
+            sizes.len(),
+            self.default_max_bytes,
+        );
         slab.max_bytes = bytes;
         let mut evicted = Vec::new();
         // Shrink larger size classes first (§4.1).

@@ -277,6 +277,28 @@ impl SpanRegistry {
         Self::default()
     }
 
+    /// This registry emptied, exactly as [`new`](Self::new) builds one:
+    /// no span, no id minted and no arena region carved, with the storage
+    /// of the span table and both pools kept.
+    pub fn renew(mut self) -> Self {
+        self.spans.clear();
+        self.free_ids.clear();
+        self.arena.free_pool.clear();
+        self.arena.bm_pool.clear();
+        self.arena.slots.clear();
+        Self {
+            spans: self.spans,
+            free_ids: self.free_ids,
+            arena: SlabArena {
+                free_pool: self.arena.free_pool,
+                bm_pool: self.arena.bm_pool,
+                slots: self.arena.slots,
+                retired_entries: 0,
+                retired_words: 0,
+            },
+        }
+    }
+
     /// Inserts a span, returning its id. Carves (or reuses) the id's arena
     /// region and initializes its free stack and bitmap from the span's
     /// scalar state (`new_small`: all free; `new_large`: the single object

@@ -218,6 +218,17 @@ impl Default for StatsView {
 }
 
 impl StatsView {
+    /// This view zeroed, exactly as [`default`](Self::default) builds one,
+    /// with the profile's storage kept.
+    pub(crate) fn renew(self) -> Self {
+        Self {
+            prices: self.prices,
+            counts: Default::default(),
+            booked: CycleStats::new(),
+            profile: self.profile.renew(),
+        }
+    }
+
     /// The derived cycle attribution: what is booked plus every counted
     /// completion times its price.
     pub fn cycles(&self) -> CycleStats {

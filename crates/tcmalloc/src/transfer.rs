@@ -14,6 +14,7 @@
 //! application is scheduled on".
 
 use crate::events::{AllocEvent, EventBus, EvictReason};
+use crate::percpu::set_aside;
 use crate::size_class::SizeClassTable;
 
 #[derive(Clone, Debug)]
@@ -53,23 +54,31 @@ impl ClassArray {
     }
 }
 
-/// Builds one tier's arrays: capacity is `batches_capacity` batches per
-/// class, additionally byte-capped at `byte_cap` per class so large size
-/// classes do not strand megabytes (production transfer caches are
-/// byte-limited the same way).
-fn new_tier(table_sizes: &[(u64, u32)], batches_capacity: u32, byte_cap: u64) -> Vec<ClassArray> {
-    table_sizes
-        .iter()
-        .map(|&(size, batch)| {
-            let by_batches = (batch as u64) * batches_capacity as u64;
-            let by_bytes = (byte_cap / size).max(1);
-            ClassArray {
-                objs: Vec::new(),
-                max_objs: by_batches.min(by_bytes) as usize,
-                low_water: 0,
-            }
-        })
-        .collect()
+/// Empties one tier's arrays, keeping their storage, and sizes them anew:
+/// capacity is `batches_capacity` batches per class, additionally
+/// byte-capped at `byte_cap` per class so large size classes do not strand
+/// megabytes (production transfer caches are byte-limited the same way).
+/// An empty `tier` is built from nothing.
+fn renew_tier(
+    mut tier: Vec<ClassArray>,
+    table_sizes: &[(u64, u32)],
+    batches_capacity: u32,
+    byte_cap: u64,
+) -> Vec<ClassArray> {
+    tier.truncate(table_sizes.len());
+    tier.resize_with(table_sizes.len(), || ClassArray {
+        objs: Vec::new(),
+        max_objs: 0,
+        low_water: 0,
+    });
+    for (arr, &(size, batch)) in tier.iter_mut().zip(table_sizes) {
+        let by_batches = (batch as u64) * batches_capacity as u64;
+        let by_bytes = (byte_cap / size).max(1);
+        arr.objs.clear();
+        arr.max_objs = by_batches.min(by_bytes) as usize;
+        arr.low_water = 0;
+    }
+    tier
 }
 
 /// How the transfer-cache tier is sharded across the machine.
@@ -124,6 +133,9 @@ pub const DOMAIN_BATCHES: u32 = 1;
 pub struct TransferCaches {
     central: Vec<ClassArray>,
     domains: Vec<Option<Vec<ClassArray>>>,
+    /// Shard tiers of an earlier process by shard, each renewed when the
+    /// same shard activates, so a renewed tier keeps its arrays' storage.
+    spare: Vec<Option<Vec<ClassArray>>>,
     sizes_batches: Vec<(u64, u32)>,
     sharding: TransferSharding,
 }
@@ -131,12 +143,33 @@ pub struct TransferCaches {
 impl TransferCaches {
     /// Creates the tier for a size-class table.
     pub fn new(table: &SizeClassTable, sharding: TransferSharding) -> Self {
-        let sizes_batches: Vec<(u64, u32)> = table.iter().map(|c| (c.size, c.batch)).collect();
-        Self {
-            central: new_tier(&sizes_batches, CENTRAL_BATCHES, 256 << 10),
+        let empty = Self {
+            central: Vec::new(),
             domains: Vec::new(),
-            sizes_batches,
+            spare: Vec::new(),
+            sizes_batches: Vec::new(),
             sharding,
+        };
+        empty.renew(table, sharding)
+    }
+
+    /// This tier emptied, exactly as [`new`](Self::new) builds one: no
+    /// object cached and no shard active, with every array's storage kept
+    /// (a shard's for the next shard to activate).
+    pub fn renew(mut self, table: &SizeClassTable, sharding: TransferSharding) -> Self {
+        set_aside(&mut self.spare, &mut self.domains);
+        self.sizes_batches.clear();
+        self.sizes_batches
+            .extend(table.iter().map(|c| (c.size, c.batch)));
+        Self {
+            central: renew_tier(
+                self.central,
+                &self.sizes_batches,
+                CENTRAL_BATCHES,
+                256 << 10,
+            ),
+            sharding,
+            ..self
         }
     }
 
@@ -144,8 +177,11 @@ impl TransferCaches {
         if shard >= self.domains.len() {
             self.domains.resize_with(shard + 1, || None);
         }
-        let sizes = &self.sizes_batches;
-        self.domains[shard].get_or_insert_with(|| new_tier(sizes, DOMAIN_BATCHES, 4 << 10))
+        let (sizes, spare) = (&self.sizes_batches, &mut self.spare);
+        self.domains[shard].get_or_insert_with(|| {
+            let tier = spare.get_mut(shard).and_then(Option::take);
+            renew_tier(tier.unwrap_or_default(), sizes, DOMAIN_BATCHES, 4 << 10)
+        })
     }
 
     /// Takes up to `n` objects for `class`, preferring the caller's shard

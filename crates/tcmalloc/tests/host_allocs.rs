@@ -1,11 +1,14 @@
 //! Host-allocation budgets: what the *simulator* asks of the host's
 //! allocator, counted rather than timed.
 //!
-//! A cold machine of a fleet survey lives for 32 requests, so what it costs
-//! is mostly what it allocates. These tests pin that: the slow tiers move a
-//! batch through one reused buffer (zero host allocations once warm),
-//! building, running and dropping a machine stays inside a counted budget,
-//! and a warm `Trace::replay` asks the host for its id table and nothing else.
+//! A cold machine of a fleet survey lives for 32 requests, so building one
+//! from nothing costs mostly what it allocates — which is why an engine
+//! worker renews one `Machine` for every machine it folds instead. These
+//! tests pin both: the slow tiers move a batch through one reused buffer
+//! (zero host allocations once warm), building, running and dropping a
+//! machine from nothing stays inside a counted budget, a machine renewed in
+//! a worker's storage allocates only its report, and a warm
+//! `Trace::replay` asks the host for its id table and nothing else.
 //! The counter is a `#[global_allocator]` wrapper over [`System`], which is
 //! why this file is its own test binary.
 
@@ -19,7 +22,7 @@ use wsc_sim_hw::cost::AllocPath;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
-use wsc_workload::driver::{self, DriverConfig};
+use wsc_workload::driver::{self, DriverConfig, Machine};
 use wsc_workload::profiles;
 use wsc_workload::trace::{Trace, TraceEvent};
 
@@ -175,8 +178,9 @@ fn a_cold_machine_runs_within_budget() {
             .fold_seeded(
                 42,
                 FoldSpan::all(1),
+                || (),
                 || 0,
-                |n, _, _| {
+                |(), n, _, _| {
                     let (run, _tcm) =
                         driver::run(&spec, &platform, TcmallocConfig::optimized(), &cfg);
                     *n += run.requests;
@@ -193,6 +197,42 @@ fn a_cold_machine_runs_within_budget() {
     assert!(
         allocs <= 798,
         "32-request driver::run in an engine fold: {allocs} allocations"
+    );
+    assert_eq!(large, 0, "allocations of 64 KiB or more");
+}
+
+#[test]
+fn a_renewed_machine_allocates_only_its_report() {
+    let platform = fleet_platform();
+    let spec = profiles::fleet_mix();
+    let cfg = DriverConfig::new(32, 42, &platform);
+    // The same machine twice on one engine worker, as the survey folds
+    // machines: the first grows the worker's storage, the second is renewed
+    // into it and needs no more.
+    let counts = Engine::serial()
+        .fold_seeded(
+            42,
+            FoldSpan::all(2),
+            Machine::new,
+            Vec::new,
+            |machine, counts: &mut Vec<(u64, u64)>, _, _| {
+                let (run, allocs, large) =
+                    counted(|| machine.run(&spec, &platform, TcmallocConfig::optimized(), &cfg));
+                assert_eq!(run.requests, 32);
+                counts.push((allocs, large));
+            },
+            |a, mut b| a.append(&mut b),
+            |m| format!("machine {m}"),
+        )
+        .expect("the machines run");
+    // Measured: 15 against 756 for the first — the report's strings,
+    // series and per-vCPU vector, the run's clock, cpuset and platform
+    // name, two fragmentation counts, and the two spare tables a renewal
+    // fills once.
+    let (allocs, large) = counts[1];
+    assert!(
+        allocs <= 50,
+        "a renewed 32-request machine: {allocs} allocations"
     );
     assert_eq!(large, 0, "allocations of 64 KiB or more");
 }

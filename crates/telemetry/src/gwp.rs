@@ -109,6 +109,20 @@ impl AllocationProfile {
         }
     }
 
+    /// This profile emptied, exactly as [`new`](Self::new) builds one,
+    /// with every histogram's storage kept.
+    pub fn renew(self) -> Self {
+        Self {
+            size_by_count: self.size_by_count.renew(),
+            size_by_bytes: self.size_by_bytes.renew(),
+            lifetime_by_size_exp: self
+                .lifetime_by_size_exp
+                .into_iter()
+                .map(LogHistogram::renew)
+                .collect(),
+        }
+    }
+
     fn size_exp(size: u64) -> usize {
         if size <= 1 {
             0

@@ -105,7 +105,17 @@ impl LogHistogram {
 
     fn allocate_slots(&mut self) {
         if self.slots.is_empty() {
-            self.slots = vec![0.0; NUM_SLOTS];
+            self.slots.resize(NUM_SLOTS, 0.0);
+        }
+    }
+
+    /// This histogram emptied, exactly as [`new`](Self::new) builds one,
+    /// with its slot storage kept for the next first weight.
+    pub fn renew(mut self) -> Self {
+        self.slots.clear();
+        Self {
+            slots: self.slots,
+            ..Self::new()
         }
     }
 

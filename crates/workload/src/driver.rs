@@ -145,6 +145,7 @@ pub struct RunReport {
 
 /// A live object in 16 bytes: its address with its home CPU in the top
 /// 16 bits, and its size.
+#[derive(Debug)]
 struct LiveObject {
     /// `addr | home_cpu << ADDR_BITS`. Never zero: the heap starts at
     /// `HEAP_BASE`, so `Option<LiveObject>` needs no tag.
@@ -214,6 +215,7 @@ const _: () = assert!(std::mem::size_of::<crate::due::Entry<Slot>>() == 16);
 /// The simulated LLC and dTLB. Nothing the allocator half decides reads
 /// them: the time they add is only summed into `busy_ns`, so they replay
 /// the allocator half's [`Record`]s wherever [`pipeline`] runs them.
+#[derive(Debug)]
 struct Hardware {
     llc: LlcModel,
     tlb: TlbSim,
@@ -228,6 +230,20 @@ impl Hardware {
         Self {
             llc: LlcModel::new(platform.num_domains(), platform.llc_bytes_per_domain()),
             tlb: TlbSim::new(TlbGeometry::server()),
+            service_ns: 0.0,
+            busy_ns: 0.0,
+            walk_ns: 0.0,
+        }
+    }
+
+    /// This hardware emptied for `platform`, as [`new`](Self::new) builds
+    /// it, with the storage of the LLC index and the dTLB kept.
+    fn renew(self, platform: &Platform) -> Self {
+        Self {
+            llc: self
+                .llc
+                .renew(platform.num_domains(), platform.llc_bytes_per_domain()),
+            tlb: self.tlb.renew(TlbGeometry::server()),
             service_ns: 0.0,
             busy_ns: 0.0,
             walk_ns: 0.0,
@@ -320,76 +336,197 @@ struct AllocatorTotals {
     peak_resident: u64,
 }
 
-/// Runs `spec` against a fresh allocator configured with `tcm_cfg` on
-/// `platform`. Returns the metrics and the allocator (for telemetry that
-/// lives inside it, e.g. span statistics and sampled profiles).
+/// The driver's own per-object tables: live objects by slot, the free
+/// slots, the working set of program-long objects and the pending frees.
+#[derive(Debug, Default)]
+struct Tables {
+    objects: Vec<Option<LiveObject>>,
+    free_slots: Vec<Slot>,
+    working_set: VecDeque<Slot>,
+    frees: DueQueue<Slot>,
+}
+
+impl Tables {
+    /// These tables emptied, as [`default`](Self::default) builds them,
+    /// with their storage kept.
+    fn renew(mut self) -> Self {
+        self.objects.clear();
+        self.free_slots.clear();
+        self.working_set.clear();
+        Self {
+            frees: self.frees.renew(),
+            ..self
+        }
+    }
+}
+
+/// One simulated machine: an allocator with its kernel, the LLC and dTLB,
+/// and the driver's object tables. [`run`](Self::run) renews all of it to
+/// exactly the state a fresh machine holds, keeping the host storage the
+/// last run grew, so a machine that runs many workloads one after another
+/// (an engine worker folding fleet cells) asks the host allocator for
+/// almost nothing after its first run. Every report is the one a fresh
+/// machine gives: [`run`](run()) is a fresh machine run once.
 ///
-/// The allocator half (requests, the allocator, the page table) and the
-/// hardware half (the LLC and dTLB models) are joined by a one-way
-/// [`pipeline`]: on a spare core when there is one and the caller is not an
-/// engine task, else on the calling thread. The report is the same either
-/// way, bit for bit.
+/// # Example
+///
+/// ```
+/// use wsc_sim_hw::topology::Platform;
+/// use wsc_tcmalloc::TcmallocConfig;
+/// use wsc_workload::driver::{self, DriverConfig, Machine};
+/// use wsc_workload::profiles;
+///
+/// let platform = Platform::chiplet("test", 1, 2, 4, 2);
+/// let spec = profiles::fleet_mix();
+/// let dcfg = DriverConfig::new(32, 7, &platform);
+/// let mut machine = Machine::new();
+/// machine.run(&profiles::redis(), &platform, TcmallocConfig::optimized(), &dcfg);
+/// let again = machine.run(&spec, &platform, TcmallocConfig::baseline(), &dcfg);
+/// let (fresh, _) = driver::run(&spec, &platform, TcmallocConfig::baseline(), &dcfg);
+/// assert_eq!(format!("{again:?}"), format!("{fresh:?}"));
+/// ```
+#[derive(Debug, Default)]
+pub struct Machine {
+    /// The last run's allocator; `None` before the first run.
+    tcm: Option<Tcmalloc>,
+    /// The last run's LLC and dTLB; `None` before the first run.
+    hw: Option<Hardware>,
+    tables: Tables,
+}
+
+impl Machine {
+    /// A machine that has run nothing and holds no storage.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Runs `spec` against this machine renewed as a fresh allocator
+    /// configured with `tcm_cfg` on `platform`, and returns the metrics.
+    /// The allocator stays with the machine ([`allocator`](Self::allocator))
+    /// until the next run renews it.
+    ///
+    /// The allocator half (requests, the allocator, the page table) and the
+    /// hardware half (the LLC and dTLB models) are joined by a one-way
+    /// [`pipeline`]: on a spare core when there is one and the caller is not
+    /// an engine task, else on the calling thread. The report is the same
+    /// either way, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.cpuset` is empty.
+    pub fn run(
+        &mut self,
+        spec: &WorkloadSpec,
+        platform: &Platform,
+        tcm_cfg: TcmallocConfig,
+        cfg: &DriverConfig,
+    ) -> RunReport {
+        assert!(!cfg.cpuset.is_empty(), "cpuset must be non-empty");
+        let mut hw = match self.hw.take() {
+            Some(hw) => hw.renew(platform),
+            None => Hardware::new(platform),
+        };
+        let tables = std::mem::take(&mut self.tables).renew();
+        let allocator = AllocatorHalf {
+            spec,
+            platform,
+            tcm_cfg,
+            cfg,
+            tcm: self.tcm.take(),
+            tables,
+        };
+        let (totals, tcm, tables) = pipeline(allocator, |record| hw.replay(record));
+
+        let busy_ns = hw.busy_ns;
+        let instructions = totals.instructions;
+        let busy_cpu_seconds = busy_ns / 1e9;
+        let sim_seconds = totals.sim_ns as f64 / 1e9;
+        let cycles = COST.ns_to_cycles(busy_ns);
+        let llc_stats = hw.llc.stats();
+        let tlb_stats = hw.tlb.stats();
+        let samples = totals.record_count.max(1) as f64;
+        let report = RunReport {
+            workload: spec.name.clone(),
+            requests: cfg.requests,
+            sim_seconds,
+            busy_cpu_seconds,
+            throughput: cfg.requests as f64 / busy_cpu_seconds.max(1e-12),
+            cpi: cycles / (instructions as f64).max(1.0),
+            instructions: instructions as f64,
+            llc: llc_stats,
+            llc_mpki: llc_stats.misses() as f64 * 1000.0 / (instructions as f64).max(1.0),
+            tlb: tlb_stats,
+            dtlb_walk_pct: hw.walk_ns / busy_ns.max(1e-12) * 100.0,
+            malloc_frac: totals.malloc_ns / busy_ns.max(1e-12),
+            avg_resident_bytes: totals.resident_sum / samples,
+            peak_resident_bytes: totals.peak_resident,
+            avg_hugepage_coverage: totals.coverage_sum / samples,
+            fragmentation: tcm.fragmentation(),
+            threads_ts: totals.threads_ts,
+            resident_ts: totals.resident_ts,
+            percpu_misses: tcm.percpu_miss_counts(),
+            failed_allocs: totals.failed_allocs,
+        };
+        self.tcm = Some(tcm);
+        self.hw = Some(hw);
+        self.tables = tables;
+        report
+    }
+
+    /// The allocator of the last run (for telemetry that lives inside it,
+    /// e.g. span statistics and sampled profiles).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has not run.
+    pub fn allocator(&self) -> &Tcmalloc {
+        self.tcm.as_ref().expect("the machine has run")
+    }
+
+    /// The allocator of the last run, by value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine has not run.
+    pub fn into_allocator(self) -> Tcmalloc {
+        self.tcm.expect("the machine has run")
+    }
+}
+
+/// Runs `spec` against a fresh allocator configured with `tcm_cfg` on
+/// `platform`: a fresh [`Machine`] run once. Returns the metrics and the
+/// allocator (for telemetry that lives inside it, e.g. span statistics and
+/// sampled profiles).
+///
+/// The allocator half runs on a helper thread when a core is spare and the
+/// caller is not an engine task ([`Machine::run`]); the report is the same
+/// either way, bit for bit.
 pub fn run(
     spec: &WorkloadSpec,
     platform: &Platform,
     tcm_cfg: TcmallocConfig,
     cfg: &DriverConfig,
 ) -> (RunReport, Tcmalloc) {
-    assert!(!cfg.cpuset.is_empty(), "cpuset must be non-empty");
-    let mut hw = Hardware::new(platform);
-    let allocator = AllocatorHalf {
-        spec,
-        platform,
-        tcm_cfg,
-        cfg,
-    };
-    let (totals, tcm) = pipeline(allocator, |record| hw.replay(record));
-
-    let busy_ns = hw.busy_ns;
-    let instructions = totals.instructions;
-    let busy_cpu_seconds = busy_ns / 1e9;
-    let sim_seconds = totals.sim_ns as f64 / 1e9;
-    let cycles = COST.ns_to_cycles(busy_ns);
-    let llc_stats = hw.llc.stats();
-    let tlb_stats = hw.tlb.stats();
-    let samples = totals.record_count.max(1) as f64;
-    let report = RunReport {
-        workload: spec.name.clone(),
-        requests: cfg.requests,
-        sim_seconds,
-        busy_cpu_seconds,
-        throughput: cfg.requests as f64 / busy_cpu_seconds.max(1e-12),
-        cpi: cycles / (instructions as f64).max(1.0),
-        instructions: instructions as f64,
-        llc: llc_stats,
-        llc_mpki: llc_stats.misses() as f64 * 1000.0 / (instructions as f64).max(1.0),
-        tlb: tlb_stats,
-        dtlb_walk_pct: hw.walk_ns / busy_ns.max(1e-12) * 100.0,
-        malloc_frac: totals.malloc_ns / busy_ns.max(1e-12),
-        avg_resident_bytes: totals.resident_sum / samples,
-        peak_resident_bytes: totals.peak_resident,
-        avg_hugepage_coverage: totals.coverage_sum / samples,
-        fragmentation: tcm.fragmentation(),
-        threads_ts: totals.threads_ts,
-        resident_ts: totals.resident_ts,
-        percpu_misses: tcm.percpu_miss_counts(),
-        failed_allocs: totals.failed_allocs,
-    };
-    (report, tcm)
+    let mut machine = Machine::new();
+    let report = machine.run(spec, platform, tcm_cfg, cfg);
+    (report, machine.into_allocator())
 }
 
-/// The allocator half of [`run`]: every request, the allocator and its
-/// page table. Each object touch becomes a [`Record::Touch`] carrying the
-/// page sizes the kernel backs it with at that moment.
+/// The allocator half of [`Machine::run`]: every request, the allocator
+/// and its page table. Each object touch becomes a [`Record::Touch`]
+/// carrying the page sizes the kernel backs it with at that moment.
 struct AllocatorHalf<'a> {
     spec: &'a WorkloadSpec,
     platform: &'a Platform,
     tcm_cfg: TcmallocConfig,
     cfg: &'a DriverConfig,
+    /// The machine's allocator to renew; `None` builds one.
+    tcm: Option<Tcmalloc>,
+    tables: Tables,
 }
 
 impl Producer<Record> for AllocatorHalf<'_> {
-    type Output = (AllocatorTotals, Tcmalloc);
+    type Output = (AllocatorTotals, Tcmalloc, Tables);
 
     fn produce<E: Emit<Record>>(self, out: &mut E) -> Self::Output {
         let Self {
@@ -397,18 +534,26 @@ impl Producer<Record> for AllocatorHalf<'_> {
             platform,
             tcm_cfg,
             cfg,
+            tcm,
+            tables,
         } = self;
         let clock = Clock::new();
-        let mut tcm = Tcmalloc::new(tcm_cfg, platform.clone(), clock.clone());
+        let mut tcm = match tcm {
+            Some(tcm) => tcm.renew(tcm_cfg, platform.clone(), clock.clone()),
+            None => Tcmalloc::new(tcm_cfg, platform.clone(), clock.clone()),
+        };
+
         let mut sched = Scheduler::new(cfg.cpuset.clone());
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
         // Pending frees ordered by deadline; working set of program-long
         // objects.
-        let mut frees: DueQueue<Slot> = DueQueue::default();
-        let mut objects: Vec<Option<LiveObject>> = Vec::new();
-        let mut free_slots: Vec<Slot> = Vec::new();
-        let mut working_set: VecDeque<Slot> = VecDeque::new();
+        let Tables {
+            mut objects,
+            mut free_slots,
+            mut working_set,
+            mut frees,
+        } = tables;
         let mut working_set_bytes: u64 = 0;
         let mut ws_cursor = 0usize;
         // The size mixture evaluated at the current request's `now`.
@@ -608,7 +753,13 @@ impl Producer<Record> for AllocatorHalf<'_> {
             record_count,
             peak_resident,
         };
-        (totals, tcm)
+        let tables = Tables {
+            objects,
+            free_slots,
+            working_set,
+            frees,
+        };
+        (totals, tcm, tables)
     }
 }
 
@@ -629,10 +780,11 @@ pub struct RunJob {
 /// Runs a batch of independent jobs on `engine`, returning `extract`'s
 /// value per job **in submission order** regardless of thread count.
 ///
-/// Each job builds and drops its own `Tcmalloc` + sim-os instance inside
-/// the worker; only the extracted value crosses threads, so `R` is the
-/// sole `Send` requirement. The task seed is the job's own `dcfg.seed`
-/// (batching never reseeds a run).
+/// Each worker holds one [`Machine`] for the whole batch and runs its jobs
+/// on it, so a job sees a fresh `Tcmalloc` + sim-os instance built in
+/// storage the worker's earlier jobs grew; only the extracted value
+/// crosses threads, so `R` is the sole `Send` requirement. The task seed
+/// is the job's own `dcfg.seed` (batching never reseeds a run).
 ///
 /// # Errors
 ///
@@ -651,10 +803,10 @@ pub fn run_batch<R: Send>(
             payload: job,
         })
         .collect();
-    engine.run(&tasks, |task, _| {
+    engine.run_with(&tasks, Machine::new, |machine, task, _| {
         let j = &task.payload;
-        let (report, tcm) = run(&j.spec, &j.platform, j.tcm_cfg, &j.dcfg);
-        extract(&report, &tcm)
+        let report = machine.run(&j.spec, &j.platform, j.tcm_cfg, &j.dcfg);
+        extract(&report, machine.allocator())
     })
 }
 

@@ -71,6 +71,25 @@ impl<T: Ord + Copy> Default for DueQueue<T> {
 }
 
 impl<T: Ord + Copy> DueQueue<T> {
+    /// This queue emptied, keeping the storage of its current bucket, ring,
+    /// slab and far heap: it pops exactly as a [`default`](Self::default)
+    /// queue does. The ring's heads are reset in place rather than dropped.
+    pub(crate) fn renew(mut self) -> Self {
+        self.current.clear();
+        self.heads.fill(NIL);
+        self.slab.clear();
+        self.far.clear();
+        Self {
+            cur: 0,
+            current: self.current,
+            heads: self.heads,
+            slab: self.slab,
+            free: NIL,
+            ring_len: 0,
+            far: self.far,
+        }
+    }
+
     /// Items pending.
     pub fn len(&self) -> usize {
         self.current.len() + self.ring_len + self.far.len()
