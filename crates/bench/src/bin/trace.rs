@@ -1,10 +1,10 @@
 //! `trace` — record, inspect, and replay allocation traces.
 //!
 //! ```text
-//! # Record 50k events of the disk workload to a file:
+//! # Record 50k allocations of the disk workload's driver run to a file:
 //! cargo run --release -p wsc-bench --bin trace -- record disk 50000 disk.trace
 //!
-//! # (An event count no memory can hold exits 2 with one line on stderr.)
+//! # (An allocation count no memory can hold exits 2 with one line on stderr.)
 //!
 //! # Inspect a trace:
 //! cargo run --release -p wsc-bench --bin trace -- info disk.trace
@@ -38,7 +38,7 @@ use wsc_workload::trace::{Trace, TraceEvent};
 const TRACE_RING_CAPACITY: u32 = 1 << 16;
 
 fn usage() -> ! {
-    eprintln!("usage: trace [--threads N] record <workload> <events> <file>");
+    eprintln!("usage: trace [--threads N] record <workload> <allocations> <file>");
     eprintln!("       trace [--threads N] info <file>");
     eprintln!("       trace [--threads N] replay <file>");
     eprintln!("       trace events <workload> <requests> <out.json>");
@@ -98,11 +98,15 @@ fn main() {
         }
         Some("record") if args.len() == 4 => {
             let spec = workload(&args[1]);
-            let events: u64 = args[2].parse().unwrap_or_else(|_| usage());
-            let trace = Trace::try_record(&spec, events, 42)
+            let allocations: u64 = args[2].parse().unwrap_or_else(|_| usage());
+            let trace = Trace::try_record(&spec, allocations, 42)
                 .unwrap_or_else(|e| usage_error(format!("trace record: {e}")));
             std::fs::write(&args[3], trace.to_text()).expect("write trace file");
-            println!("wrote {} events to {}", trace.events.len(), args[3]);
+            let events = trace.events.len();
+            println!(
+                "wrote {allocations} allocations, {events} events, to {}",
+                args[3]
+            );
         }
         Some("info") if args.len() == 2 => {
             let trace = load(&args[1]);

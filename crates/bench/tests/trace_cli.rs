@@ -80,16 +80,19 @@ fn an_unknown_workload_or_a_malformed_flag_is_refused_in_one_line() {
 }
 
 #[test]
-fn record_refuses_an_event_count_no_memory_holds() {
-    // Four words an allocation overflows `u64` here, so the refusal needs
-    // no allocation attempt.
+fn record_refuses_an_allocation_count_no_memory_holds() {
+    // Three words an allocation overflow `u64` for the first count. `spec`
+    // allocates 0.4 times a request, so the second count's 5.5 words an
+    // allocation fit `u64` but not the address space. Neither refusal
+    // needs an allocation attempt.
     let out = format!("{}/trace_cli_too_long.trace", env!("CARGO_TARGET_TMPDIR"));
-    let stderr = refused(&trace(&["record", "disk", "18446744073709551615", &out]));
-    assert!(
-        stderr.contains("cannot reserve a trace of 18446744073709551615 allocations"),
-        "{stderr}"
-    );
-    assert!(!std::path::Path::new(&out).exists());
+    for (workload, count) in [("disk", u64::MAX), ("spec", u64::MAX / 8)] {
+        let count = count.to_string();
+        let stderr = refused(&trace(&["record", workload, &count, &out]));
+        let says = format!("cannot reserve a trace of {count} allocations");
+        assert!(stderr.contains(&says), "{workload}: {stderr}");
+        assert!(!std::path::Path::new(&out).exists());
+    }
 }
 
 #[test]
@@ -127,9 +130,8 @@ fn chrome_trace_export_is_pinned() {
     assert_eq!(fnv64(&json), 0xdf03_75c6_1c8c_7567);
 }
 
-/// A recorded trace file is pinned byte for byte: the recorder's events,
-/// slots and draws, end to end through the text format, on whichever
-/// transport the weights took to the recorder.
+/// A recorded trace file is pinned byte for byte: the generator's draws,
+/// slots and requests, end to end through the text format.
 #[test]
 fn recorded_trace_file_is_pinned() {
     let file = format!("{}/trace_cli_fleet.trace", env!("CARGO_TARGET_TMPDIR"));
@@ -139,9 +141,13 @@ fn recorded_trace_file_is_pinned() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("wrote 20000 allocations, 41000 events, to {file}\n")
+    );
     let text = std::fs::read(&file).expect("read the recorded trace");
-    assert_eq!(text.len(), 628_851);
-    assert_eq!(fnv64(&text), 0x8ee2_2dbd_136d_3650);
+    assert_eq!(text.len(), 477_380);
+    assert_eq!(fnv64(&text), 0x30d8_2d33_a59c_4f95);
 }
 
 #[test]

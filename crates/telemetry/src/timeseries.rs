@@ -16,7 +16,7 @@
 /// assert_eq!(ts.len(), 2);
 /// assert!((ts.mean().unwrap() - 12.0).abs() < 1e-9);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     name: String,
     times: Vec<u64>,

@@ -14,18 +14,14 @@
 //! the page-table state the pageheap produces (hugepages intact vs
 //! subreleased) feeds the dTLB simulator on every access.
 
-use crate::due::DueQueue;
-use crate::spec::{SizeWeights, WorkloadSpec};
-use std::collections::VecDeque;
-use std::num::NonZeroU64;
+use crate::generator::{self, Free, LiveObject, Slot, Stage, Tables};
+use crate::spec::WorkloadSpec;
 use wsc_parallel::{pipeline, Emit, Engine, Producer, Task, TaskError};
-use wsc_prng::SmallRng;
 use wsc_sim_hw::cache::{LlcAccess, LlcModel, LlcStats};
 use wsc_sim_hw::cost::CostModel;
 use wsc_sim_hw::tlb::{PageSize, TlbGeometry, TlbOutcome, TlbSim, TlbStats};
 use wsc_sim_hw::topology::{CpuId, DomainId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
-use wsc_sim_os::sched::Scheduler;
 use wsc_tcmalloc::stats::FragmentationBreakdown;
 use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
 use wsc_telemetry::timeseries::TimeSeries;
@@ -33,11 +29,6 @@ use wsc_telemetry::timeseries::TimeSeries;
 /// Instructions charged per malloc/free pair beyond per-request work
 /// (≈40 for the fast path each way, §3).
 const INSTR_PER_ALLOC_PAIR: u64 = 80;
-
-/// Cap on program-long objects retained per process, so "Forever" lifetimes
-/// model a bounded in-memory working set (cache eviction), not a leak.
-const WORKING_SET_MAX_OBJECTS: usize = 60_000;
-const WORKING_SET_MAX_BYTES: u64 = 192 << 20;
 
 /// Driver parameters.
 #[derive(Clone, Debug)]
@@ -143,43 +134,6 @@ pub struct RunReport {
     pub failed_allocs: u64,
 }
 
-/// A live object in 16 bytes: its address with its home CPU in the top
-/// 16 bits, and its size.
-#[derive(Debug)]
-struct LiveObject {
-    /// `addr | home_cpu << ADDR_BITS`. Never zero: the heap starts at
-    /// `HEAP_BASE`, so `Option<LiveObject>` needs no tag.
-    word: NonZeroU64,
-    size: u64,
-}
-
-/// Simulated addresses lie below `2^ADDR_BITS`; the bits above hold the
-/// home CPU.
-const ADDR_BITS: u32 = 48;
-
-impl LiveObject {
-    fn new(addr: u64, size: u64, home_cpu: CpuId) -> Self {
-        assert!(
-            addr < 1 << ADDR_BITS,
-            "object address {addr:#x} is not below 2^48"
-        );
-        assert!(home_cpu.0 < 1 << 16, "home {home_cpu} does not fit 16 bits");
-        let addr = NonZeroU64::new(addr).expect("the heap starts above zero");
-        Self {
-            word: addr | u64::from(home_cpu.0) << ADDR_BITS,
-            size,
-        }
-    }
-
-    fn addr(&self) -> u64 {
-        self.word.get() & ((1 << ADDR_BITS) - 1)
-    }
-
-    fn home_cpu(&self) -> CpuId {
-        CpuId((self.word.get() >> ADDR_BITS) as u32)
-    }
-}
-
 /// Bytes per page the dTLB is charged for: a touch translates up to
 /// [`MAX_TOUCH_PAGES`] of them.
 const TOUCH_PAGE_BYTES: u64 = 8 << 10;
@@ -205,12 +159,7 @@ enum Record {
     End(f64),
 }
 
-/// An index into the live-object table.
-type Slot = u32;
-
 const _: () = assert!(std::mem::size_of::<Record>() == 24);
-const _: () = assert!(std::mem::size_of::<Option<LiveObject>>() == 16);
-const _: () = assert!(std::mem::size_of::<crate::due::Entry<Slot>>() == 16);
 
 /// The simulated LLC and dTLB. Nothing the allocator half decides reads
 /// them: the time they add is only summed into `busy_ns`, so they replay
@@ -323,41 +272,16 @@ fn touch_pages(size: u64) -> u64 {
 const COST: CostModel = CostModel::production();
 
 /// What the allocator half measures.
+#[derive(Default)]
 struct AllocatorTotals {
     malloc_ns: f64,
     failed_allocs: u64,
     instructions: u64,
-    sim_ns: u64,
-    threads_ts: TimeSeries,
     resident_ts: TimeSeries,
     resident_sum: f64,
     coverage_sum: f64,
     record_count: u64,
     peak_resident: u64,
-}
-
-/// The driver's own per-object tables: live objects by slot, the free
-/// slots, the working set of program-long objects and the pending frees.
-#[derive(Debug, Default)]
-struct Tables {
-    objects: Vec<Option<LiveObject>>,
-    free_slots: Vec<Slot>,
-    working_set: VecDeque<Slot>,
-    frees: DueQueue<Slot>,
-}
-
-impl Tables {
-    /// These tables emptied, as [`default`](Self::default) builds them,
-    /// with their storage kept.
-    fn renew(mut self) -> Self {
-        self.objects.clear();
-        self.free_slots.clear();
-        self.working_set.clear();
-        Self {
-            frees: self.frees.renew(),
-            ..self
-        }
-    }
 }
 
 /// One simulated machine: an allocator with its kernel, the LLC and dTLB,
@@ -435,12 +359,12 @@ impl Machine {
             tcm: self.tcm.take(),
             tables,
         };
-        let (totals, tcm, tables) = pipeline(allocator, |record| hw.replay(record));
+        let (totals, tcm, tables, threads_ts) = pipeline(allocator, |record| hw.replay(record));
 
         let busy_ns = hw.busy_ns;
         let instructions = totals.instructions;
         let busy_cpu_seconds = busy_ns / 1e9;
-        let sim_seconds = totals.sim_ns as f64 / 1e9;
+        let sim_seconds = tcm.clock().now_ns() as f64 / 1e9;
         let cycles = COST.ns_to_cycles(busy_ns);
         let llc_stats = hw.llc.stats();
         let tlb_stats = hw.tlb.stats();
@@ -462,7 +386,7 @@ impl Machine {
             peak_resident_bytes: totals.peak_resident,
             avg_hugepage_coverage: totals.coverage_sum / samples,
             fragmentation: tcm.fragmentation(),
-            threads_ts: totals.threads_ts,
+            threads_ts,
             resident_ts: totals.resident_ts,
             percpu_misses: tcm.percpu_miss_counts(),
             failed_allocs: totals.failed_allocs,
@@ -512,9 +436,8 @@ pub fn run(
     (report, machine.into_allocator())
 }
 
-/// The allocator half of [`Machine::run`]: every request, the allocator
-/// and its page table. Each object touch becomes a [`Record::Touch`]
-/// carrying the page sizes the kernel backs it with at that moment.
+/// The allocator half of [`Machine::run`]: the workload
+/// ([`generator::generate`]), the allocator and its page table.
 struct AllocatorHalf<'a> {
     spec: &'a WorkloadSpec,
     platform: &'a Platform,
@@ -526,240 +449,145 @@ struct AllocatorHalf<'a> {
 }
 
 impl Producer<Record> for AllocatorHalf<'_> {
-    type Output = (AllocatorTotals, Tcmalloc, Tables);
+    type Output = (AllocatorTotals, Tcmalloc, Tables, TimeSeries);
 
     fn produce<E: Emit<Record>>(self, out: &mut E) -> Self::Output {
-        let Self {
-            spec,
-            platform,
-            tcm_cfg,
-            cfg,
-            tcm,
-            tables,
-        } = self;
         let clock = Clock::new();
-        let mut tcm = match tcm {
-            Some(tcm) => tcm.renew(tcm_cfg, platform.clone(), clock.clone()),
-            None => Tcmalloc::new(tcm_cfg, platform.clone(), clock.clone()),
+        let tcm = match self.tcm {
+            Some(tcm) => tcm.renew(self.tcm_cfg, self.platform.clone(), clock.clone()),
+            None => Tcmalloc::new(self.tcm_cfg, self.platform.clone(), clock.clone()),
         };
-
-        let mut sched = Scheduler::new(cfg.cpuset.clone());
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-
-        // Pending frees ordered by deadline; working set of program-long
-        // objects.
-        let Tables {
-            mut objects,
-            mut free_slots,
-            mut working_set,
-            mut frees,
-        } = tables;
-        let mut working_set_bytes: u64 = 0;
-        let mut ws_cursor = 0usize;
-        // The size mixture evaluated at the current request's `now`.
-        let mut size_weights = SizeWeights::default();
-
-        let mut malloc_ns = 0.0f64;
-        let mut failed_allocs = 0u64;
-        let mut instructions = 0u64;
-        let mut next_load_ns = 0u64;
-        let mut next_record_ns = 0u64;
-        let mut threads_ts = TimeSeries::new("threads");
-        let mut resident_ts = TimeSeries::new("resident");
-        let mut resident_sum = 0.0f64;
-        let mut coverage_sum = 0.0f64;
-        let mut record_count = 0u64;
-        let mut peak_resident = 0u64;
-
-        let store = |objects: &mut Vec<Option<LiveObject>>,
-                     free_slots: &mut Vec<Slot>,
-                     obj: LiveObject|
-         -> Slot {
-            if let Some(idx) = free_slots.pop() {
-                objects[idx as usize] = Some(obj);
-                idx
-            } else {
-                objects.push(Some(obj));
-                Slot::try_from(objects.len() - 1).expect("fewer than 2^32 object slots")
-            }
+        let mut stage = AllocatorStage {
+            spec: self.spec,
+            platform: self.platform,
+            record_interval_ns: self.cfg.record_interval_ns,
+            tcm,
+            out,
+            cpu: CpuId(0),
+            domain: DomainId(0),
+            next_record_ns: 0,
+            totals: AllocatorTotals {
+                resident_ts: TimeSeries::new("resident"),
+                ..AllocatorTotals::default()
+            },
         };
+        let (tables, threads_ts) =
+            generator::generate(self.spec, self.cfg, &clock, self.tables, &mut stage);
+        (stage.totals, stage.tcm, tables, threads_ts)
+    }
+}
 
-        // Touches an object `times` times back to back from a CPU in
-        // `domain`: the dTLB translates up to 4 pages of it at the page size
-        // the kernel currently backs them with, which no touch changes.
-        let touch = |tcm: &Tcmalloc, out: &mut E, domain, addr: u64, size, times: u32| {
-            let pt = tcm.pageheap().vmm().page_table();
-            let huge = (0..touch_pages(size)).fold(0u8, |bits, p| {
-                let page = pt.page_size_of(addr + p * TOUCH_PAGE_BYTES);
-                bits | u8::from(page == PageSize::Huge2M) << p
+/// The driver's [`Stage`]: calls the allocator for every operation the
+/// workload issues and emits what the hardware half replays. Each object
+/// touch becomes a [`Record::Touch`] carrying the page sizes the kernel
+/// backs it with at that moment.
+struct AllocatorStage<'a, E> {
+    spec: &'a WorkloadSpec,
+    platform: &'a Platform,
+    record_interval_ns: u64,
+    tcm: Tcmalloc,
+    out: &'a mut E,
+    /// The current request's CPU and its LLC domain.
+    cpu: CpuId,
+    domain: DomainId,
+    next_record_ns: u64,
+    totals: AllocatorTotals,
+}
+
+impl<E: Emit<Record>> AllocatorStage<'_, E> {
+    /// Touches an object `times` times back to back from a CPU in
+    /// `domain`: the dTLB translates up to 4 pages of it at the page size
+    /// the kernel currently backs them with, which no touch changes.
+    fn touch_from(&mut self, domain: DomainId, addr: u64, size: u64, times: u32) {
+        let pt = self.tcm.pageheap().vmm().page_table();
+        let huge = (0..touch_pages(size)).fold(0u8, |bits, p| {
+            let page = pt.page_size_of(addr + p * TOUCH_PAGE_BYTES);
+            bits | u8::from(page == PageSize::Huge2M) << p
+        });
+        let mut left = times;
+        while left > 0 {
+            let n = u8::try_from(left).unwrap_or(u8::MAX);
+            left -= u32::from(n);
+            self.out.emit(Record::Touch {
+                domain,
+                huge,
+                times: n,
+                addr,
+                size,
             });
-            let mut left = times;
-            while left > 0 {
-                let n = u8::try_from(left).unwrap_or(u8::MAX);
-                left -= u32::from(n);
-                out.emit(Record::Touch {
-                    domain,
-                    huge,
-                    times: n,
-                    addr,
-                    size,
-                });
-            }
+        }
+    }
+}
+
+impl<E: Emit<Record>> Stage for AllocatorStage<'_, E> {
+    #[inline]
+    fn request(&mut self, cpu: CpuId) {
+        // Every touch of the request comes from `cpu` (a due free may come
+        // from the object's home CPU instead): resolve the domain once.
+        self.cpu = cpu;
+        self.domain = self.platform.domain_of(cpu);
+    }
+
+    #[inline]
+    fn alloc(&mut self, _slot: Slot, size: u64, site: usize, cpu: CpuId) -> Option<u64> {
+        // Fault-aware: a refused allocation is counted, not fatal.
+        let Ok(a) = self.tcm.try_malloc_with_site(size, cpu, site as u64) else {
+            self.totals.failed_allocs += 1;
+            return None;
         };
+        self.out.emit(Record::Alloc(a.ns));
+        self.totals.malloc_ns += a.ns;
+        self.totals.instructions += INSTR_PER_ALLOC_PAIR / 2;
+        self.touch_from(self.domain, a.addr, size, self.spec.accesses_per_object);
+        Some(a.addr)
+    }
 
-        for _req in 0..cfg.requests {
-            let now = clock.now_ns();
-            // Load / thread-count evaluation.
-            if now >= next_load_ns {
-                next_load_ns = now + cfg.load_interval_ns;
-                let t = spec.threads.at(now, &mut rng).min(cfg.cpuset.len() * 4);
-                sched.set_active_threads(t);
-                threads_ts.push(now, t as f64);
-            }
-            let active = sched.active_threads();
-            let thread = rng.gen_range(0..active);
-            let cpu = sched.cpu_for_thread(thread);
-            // Every touch of this request comes from `cpu` (a due free may come
-            // from the object's home CPU instead): resolve the domain once.
-            let domain = platform.domain_of(cpu);
-
-            // Process due frees on this thread's CPU (the consumer touches the
-            // object, then frees it — so the data is warm in *this* domain).
-            while let Some((_, idx)) = frees.pop_due(now) {
-                let obj = objects[idx as usize].take().expect("object already freed");
-                free_slots.push(idx);
-                // Most frees happen near the allocating CPU (the owning
-                // component); the rest on whichever thread consumes the object.
-                let free_cpu = if rng.gen::<f64>() < cfg.remote_free_frac {
-                    cpu
-                } else {
-                    obj.home_cpu()
-                };
-                let free_domain = if free_cpu == cpu {
-                    domain
-                } else {
-                    platform.domain_of(free_cpu)
-                };
-                let addr = obj.addr();
-                touch(&tcm, out, free_domain, addr, obj.size, 1);
-                let f = tcm.free(addr, obj.size, free_cpu);
-                out.emit(Record::Alloc(f.ns));
-                malloc_ns += f.ns;
-                instructions += INSTR_PER_ALLOC_PAIR / 2;
-            }
-
-            // Allocations for this request.
-            let n_allocs = {
-                let base = spec.allocs_per_request.floor() as u64;
-                let frac = spec.allocs_per_request - base as f64;
-                base + u64::from(rng.gen::<f64>() < frac)
+    #[inline]
+    fn free(&mut self, _slot: Slot, obj: &LiveObject, cpu: CpuId, why: Free) {
+        let (addr, size) = (obj.addr(), obj.size);
+        // A due object's consumer touches it, then frees it — so the data is
+        // warm in the freeing CPU's domain.
+        if why == Free::Due {
+            let domain = if cpu == self.cpu {
+                self.domain
+            } else {
+                self.platform.domain_of(cpu)
             };
-            // Every allocation of a request is drawn at the same `now`, so the
-            // mixture's phase weights are evaluated once per request.
-            if n_allocs > 0 {
-                spec.prepare_sizes(now, &mut size_weights);
-            }
-            for _ in 0..n_allocs {
-                let (size, site) = spec.sample_size_prepared(&size_weights, &mut rng);
-                // Fault-aware: a refused allocation drops the request's object
-                // (the workload degrades) instead of aborting the run.
-                let a = match tcm.try_malloc_with_site(size, cpu, site as u64) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        failed_allocs += 1;
-                        continue;
-                    }
-                };
-                out.emit(Record::Alloc(a.ns));
-                malloc_ns += a.ns;
-                instructions += INSTR_PER_ALLOC_PAIR / 2;
-                touch(&tcm, out, domain, a.addr, size, spec.accesses_per_object);
-                let idx = store(
-                    &mut objects,
-                    &mut free_slots,
-                    LiveObject::new(a.addr, size, cpu),
-                );
-                match spec.sample_lifetime(size, site, &mut rng) {
-                    Some(lt) => frees.push(now + lt, idx),
-                    None => {
-                        working_set.push_back(idx);
-                        working_set_bytes += size;
-                        // Bounded working set: evict oldest beyond the cap.
-                        while working_set.len() > WORKING_SET_MAX_OBJECTS
-                            || working_set_bytes > WORKING_SET_MAX_BYTES
-                        {
-                            let evict = working_set.pop_front().expect("non-empty");
-                            if let Some(obj) = objects[evict as usize].take() {
-                                free_slots.push(evict);
-                                working_set_bytes -= obj.size;
-                                let f = tcm.free(obj.addr(), obj.size, cpu);
-                                out.emit(Record::Alloc(f.ns));
-                                malloc_ns += f.ns;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Working-set re-accesses (long-lived data locality).
-            if !working_set.is_empty() {
-                for _ in 0..spec.working_set_touches {
-                    ws_cursor =
-                        (ws_cursor + 1 + rng.gen_range(0..working_set.len())) % working_set.len();
-                    if let Some(obj) = objects[working_set[ws_cursor] as usize].as_ref() {
-                        touch(&tcm, out, domain, obj.addr(), obj.size, 1);
-                    }
-                }
-            }
-
-            // Application compute (base IPC of 2 on the simulated core).
-            out.emit(Record::End(
-                COST.cycles_to_ns(spec.instr_per_request as f64 / 2.0),
-            ));
-            instructions += spec.instr_per_request;
-
-            // Open-loop arrival: wall time advances with the offered load.
-            let interarrival = 1e9 / (spec.request_rate_hz * active as f64);
-            clock.advance(interarrival.max(1.0) as u64);
-            tcm.maintain();
-
-            if now >= next_record_ns {
-                next_record_ns = now + cfg.record_interval_ns;
-                let resident = tcm.resident_bytes();
-                resident_ts.push(now, resident as f64);
-                resident_sum += resident as f64;
-                coverage_sum += tcm.hugepage_coverage();
-                record_count += 1;
-                peak_resident = peak_resident.max(resident);
-            }
+            self.touch_from(domain, addr, size, 1);
+            self.totals.instructions += INSTR_PER_ALLOC_PAIR / 2;
         }
-
-        if cfg.drain_at_end {
-            let cpu = cfg.cpuset[0];
-            for obj in objects.iter_mut().filter_map(Option::take) {
-                tcm.free(obj.addr(), obj.size, cpu);
-            }
+        let f = self.tcm.free(addr, size, cpu);
+        // Process exit is not request work: nothing is charged.
+        if why != Free::Teardown {
+            self.out.emit(Record::Alloc(f.ns));
+            self.totals.malloc_ns += f.ns;
         }
+    }
 
-        let totals = AllocatorTotals {
-            malloc_ns,
-            failed_allocs,
-            instructions,
-            sim_ns: clock.now_ns(),
-            threads_ts,
-            resident_ts,
-            resident_sum,
-            coverage_sum,
-            record_count,
-            peak_resident,
-        };
-        let tables = Tables {
-            objects,
-            free_slots,
-            working_set,
-            frees,
-        };
-        (totals, tcm, tables)
+    #[inline]
+    fn touch(&mut self, obj: &LiveObject) {
+        self.touch_from(self.domain, obj.addr(), obj.size, 1);
+    }
+
+    #[inline]
+    fn end(&mut self, now: u64, _step: u64) {
+        // Application compute (base IPC of 2 on the simulated core).
+        self.out.emit(Record::End(
+            COST.cycles_to_ns(self.spec.instr_per_request as f64 / 2.0),
+        ));
+        self.totals.instructions += self.spec.instr_per_request;
+        self.tcm.maintain();
+
+        if now >= self.next_record_ns {
+            self.next_record_ns = now + self.record_interval_ns;
+            let t = &mut self.totals;
+            let resident = self.tcm.resident_bytes();
+            t.resident_ts.push(now, resident as f64);
+            t.resident_sum += resident as f64;
+            t.coverage_sum += self.tcm.hugepage_coverage();
+            t.record_count += 1;
+            t.peak_resident = t.peak_resident.max(resident);
+        }
     }
 }
 
@@ -816,6 +644,7 @@ pub fn run_batch<R: Send>(
 mod tests {
     use super::*;
     use crate::profiles;
+    use wsc_prng::SmallRng;
 
     fn platform() -> Platform {
         Platform::chiplet("test", 1, 2, 4, 2)

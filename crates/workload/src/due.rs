@@ -1,14 +1,16 @@
 //! Pending frees, popped in `(deadline, slot)` order.
 //!
-//! Both the request driver and the trace recorder schedule every object's
-//! free at `now + lifetime` and, as simulated time advances, pop everything
-//! that has come due. Deadlines are never behind the clock and the clock
-//! never runs backwards, so the queue is monotone: a calendar of
-//! fixed-width buckets covers the near horizon, only the bucket the clock
-//! has reached is ever sorted, and a binary heap holds what lies beyond the
-//! ring. A push links one slab entry into its bucket; a pop takes the back
-//! of the sorted current bucket.
+//! The workload generator (behind both the request driver and the trace
+//! recorder) schedules every object's free at `now + lifetime` and, as
+//! simulated time advances, pops everything that has come due. Deadlines
+//! are never behind the clock and the clock never runs backwards, so the
+//! queue is monotone: a calendar of fixed-width buckets covers the near
+//! horizon, only the bucket the clock has reached is ever sorted, and a
+//! binary heap holds what lies beyond the ring. A push links one slab
+//! entry into its bucket; a pop takes the back of the sorted current
+//! bucket.
 
+use crate::generator::Slot;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -23,54 +25,43 @@ const RING: u64 = 4096;
 /// Slab link meaning "no entry"; links are 1-based slab positions.
 const NIL: u32 = 0;
 
-/// A ring-bucket link: 16 bytes for the driver's `u32` slots.
+/// A ring-bucket link.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry<T> {
+struct Entry {
     deadline: u64,
-    item: T,
+    item: Slot,
     next: u32,
 }
 
-/// A priority queue of `(deadline, item)` that pops in ascending
-/// `(deadline, item)` order whatever the pushes — and does so in constant
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+/// A priority queue of `(deadline, slot)` that pops in ascending
+/// `(deadline, slot)` order whatever the pushes — and does so in constant
 /// time per item when deadlines are pushed at or ahead of a clock that the
 /// `now` of successive [`pop_due`](Self::pop_due) calls follows.
 ///
 /// Memory follows the number of pending items: one slab entry each, plus a
 /// ring of bucket heads allocated on the first push that needs it.
-#[derive(Clone, Debug)]
-pub struct DueQueue<T> {
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DueQueue {
     /// Number (`deadline >> BUCKET_SHIFT`) of the current bucket. Everything
     /// due in it or before it is in `current`; bucket `b` of the ring holds
     /// `cur < b < cur + RING`; `far` holds the rest.
     cur: u64,
     /// The current bucket, descending: the back is the next to pop.
-    current: Vec<(u64, T)>,
+    current: Vec<(u64, Slot)>,
     /// `heads[b % RING]`: the first slab entry of ring bucket `b`.
     heads: Vec<u32>,
-    slab: Vec<Entry<T>>,
-    /// First free slab entry, chained through `next`.
+    slab: Vec<Entry>,
+    /// First free slab entry, chained through `next`; `NIL` (the default)
+    /// if none.
     free: u32,
     /// Entries linked into ring buckets.
     ring_len: usize,
-    far: BinaryHeap<Reverse<(u64, T)>>,
+    far: BinaryHeap<Reverse<(u64, Slot)>>,
 }
 
-impl<T: Ord + Copy> Default for DueQueue<T> {
-    fn default() -> Self {
-        Self {
-            cur: 0,
-            current: Vec::new(),
-            heads: Vec::new(),
-            slab: Vec::new(),
-            free: NIL,
-            ring_len: 0,
-            far: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T: Ord + Copy> DueQueue<T> {
+impl DueQueue {
     /// This queue emptied, keeping the storage of its current bucket, ring,
     /// slab and far heap: it pops exactly as a [`default`](Self::default)
     /// queue does. The ring's heads are reset in place rather than dropped.
@@ -80,28 +71,16 @@ impl<T: Ord + Copy> DueQueue<T> {
         self.slab.clear();
         self.far.clear();
         Self {
-            cur: 0,
             current: self.current,
             heads: self.heads,
             slab: self.slab,
-            free: NIL,
-            ring_len: 0,
             far: self.far,
+            ..Self::default()
         }
     }
 
-    /// Items pending.
-    pub fn len(&self) -> usize {
-        self.current.len() + self.ring_len + self.far.len()
-    }
-
-    /// Is nothing pending?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Schedules `item` for `deadline`.
-    pub fn push(&mut self, deadline: u64, item: T) {
+    pub(crate) fn push(&mut self, deadline: u64, item: Slot) {
         let bucket = deadline >> BUCKET_SHIFT;
         if bucket <= self.cur {
             // The bucket being drained (a lifetime shorter than a bucket):
@@ -117,7 +96,7 @@ impl<T: Ord + Copy> DueQueue<T> {
 
     /// Pops the least `(deadline, item)` if its deadline is at or before
     /// `now`.
-    pub fn pop_due(&mut self, now: u64) -> Option<(u64, T)> {
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<(u64, Slot)> {
         loop {
             if let Some(&(deadline, _)) = self.current.last() {
                 return if deadline <= now {
@@ -176,7 +155,7 @@ impl<T: Ord + Copy> DueQueue<T> {
 
     /// Links `(deadline, item)` into ring bucket `bucket`, which lies in
     /// `(cur, cur + RING)`.
-    fn link(&mut self, bucket: u64, deadline: u64, item: T) {
+    fn link(&mut self, bucket: u64, deadline: u64, item: Slot) {
         if self.heads.is_empty() {
             self.heads = vec![NIL; RING as usize];
         }
@@ -208,7 +187,13 @@ mod tests {
     use wsc_prng::SmallRng;
 
     /// The retired queue, kept as the oracle.
-    type Oracle = BinaryHeap<Reverse<(u64, usize)>>;
+    type Oracle = BinaryHeap<Reverse<(u64, Slot)>>;
+
+    impl DueQueue {
+        fn len(&self) -> usize {
+            self.current.len() + self.ring_len + self.far.len()
+        }
+    }
 
     const WIDTH: u64 = 1 << BUCKET_SHIFT;
     const HORIZON: u64 = RING << BUCKET_SHIFT;
@@ -216,20 +201,20 @@ mod tests {
     /// Both queues in lockstep.
     #[derive(Default)]
     struct Both {
-        due: DueQueue<usize>,
+        due: DueQueue,
         heap: Oracle,
         popped: usize,
     }
 
     impl Both {
-        fn push(&mut self, deadline: u64, slot: usize) {
+        fn push(&mut self, deadline: u64, slot: Slot) {
             self.due.push(deadline, slot);
             self.heap.push(Reverse((deadline, slot)));
             assert_eq!(self.due.len(), self.heap.len());
         }
 
         /// Pops everything due at `now` from both; returns the slots.
-        fn drain(&mut self, now: u64) -> Vec<usize> {
+        fn drain(&mut self, now: u64) -> Vec<Slot> {
             let mut slots = Vec::new();
             loop {
                 let want = match self.heap.peek() {
@@ -241,7 +226,6 @@ mod tests {
                 };
                 assert_eq!(self.due.pop_due(now), want, "pop {} at {now}", self.popped);
                 assert_eq!(self.due.len(), self.heap.len());
-                assert_eq!(self.due.is_empty(), self.heap.is_empty());
                 match want {
                     Some((_, slot)) => slots.push(slot),
                     None => return slots,
@@ -276,8 +260,8 @@ mod tests {
             // The driver's slot allocator: freed slots are reused, so a
             // later push can carry a smaller slot than one already popped
             // at the same deadline.
-            let mut free_slots: Vec<usize> = Vec::new();
-            let mut next_slot = 0usize;
+            let mut free_slots: Vec<Slot> = Vec::new();
+            let mut next_slot: Slot = 0;
             let mut now = 0u64;
             for _ in 0..4_000 {
                 free_slots.extend(both.drain(now));
@@ -298,8 +282,8 @@ mod tests {
             }
             // Drain to empty (the far-future deadlines included), then reuse.
             both.drain(u64::MAX);
-            assert!(both.due.is_empty());
-            for k in 0..200usize {
+            assert_eq!(both.due.len(), 0);
+            for k in 0..200 {
                 both.push(now + lifetime(&mut rng, now), k);
             }
             both.drain(now + HORIZON);
@@ -314,7 +298,7 @@ mod tests {
         // Into a ring bucket, into the far heap, and into the bucket being
         // drained: slots arrive descending, pops must ascend.
         for deadline in [5 * WIDTH + 7, 3 * HORIZON, 0] {
-            for slot in (0..50usize).rev() {
+            for slot in (0..50).rev() {
                 both.push(deadline, slot);
             }
         }
@@ -341,14 +325,14 @@ mod tests {
             HORIZON + WIDTH,
             u64::MAX / 2,
         ];
-        for (slot, &deadline) in edges.iter().enumerate() {
+        for (slot, &deadline) in (0..).zip(&edges) {
             both.push(deadline, slot);
         }
         for &now in &edges {
             both.drain(now - 1);
             assert_eq!(both.drain(now).len(), 1, "exactly the item due at {now}");
         }
-        assert!(both.due.is_empty());
+        assert_eq!(both.due.len(), 0);
     }
 
     #[test]
@@ -366,7 +350,7 @@ mod tests {
 
     #[test]
     fn footprint_follows_the_pending_items() {
-        let mut due: DueQueue<usize> = DueQueue::default();
+        let mut due = DueQueue::default();
         assert_eq!(
             due.heads.capacity() + due.slab.capacity(),
             0,
@@ -375,8 +359,8 @@ mod tests {
         // A steady population of 100 items over a long run: the slab stops
         // growing once it has held the peak.
         let mut now = 0u64;
-        for k in 0..50_000usize {
-            due.push(now + (k as u64 % 100) * WIDTH / 2, k);
+        for k in 0..50_000 {
+            due.push(now + u64::from(k % 100) * WIDTH / 2, k);
             now += WIDTH / 2;
             while due.pop_due(now).is_some() {}
         }

@@ -13,10 +13,9 @@
 //! * [`driver`] — the closed loop that replays a profile against a
 //!   [`wsc_tcmalloc::Tcmalloc`] instance plus the LLC/dTLB models, yielding
 //!   the paper's metrics (throughput, CPI, LLC MPKI, dTLB walk %, RAM);
-//! * [`due`] — the monotone queue of pending frees the driver and the trace
-//!   recorder share;
-//! * [`trace`] — recording a profile as a portable event sequence and
-//!   replaying it against any allocator configuration.
+//! * [`trace`] — recording the driver's workload (one generator feeds
+//!   both) as a portable event sequence and replaying it against any
+//!   allocator configuration.
 //!
 //! # Example
 //!
@@ -36,7 +35,8 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-pub mod due;
+mod due;
+mod generator;
 pub mod profiles;
 pub mod spec;
 pub mod trace;

@@ -331,79 +331,20 @@ impl SizeWeights {
     fn weights(&self) -> &[f64] {
         self.inline.get(..self.len).unwrap_or(&self.spill)
     }
-
-    /// The prepared instant as `n + 1` words, each component's weight in
-    /// order and then their total, in [`SizeChunk`]s: the last chunk is
-    /// padded with zeros. A [`SizeWeightsReader`] gathers them back.
-    pub(crate) fn chunks(&self) -> impl Iterator<Item = SizeChunk> + '_ {
-        let mut words = self.weights().iter().copied().chain([self.total]);
-        std::iter::from_fn(move || {
-            let mut chunk = [0.0; CHUNK_WORDS];
-            chunk[0] = words.next()?;
-            // `zip` asks the slots first, so no word is lost past the end.
-            for (slot, word) in chunk[1..].iter_mut().zip(&mut words) {
-                *slot = word;
-            }
-            Some(chunk)
-        })
-    }
-}
-
-/// Words in one [`SizeChunk`]: a mixture of up to seven components sends
-/// an instant in one chunk, one 64-byte cache line.
-const CHUNK_WORDS: usize = 8;
-
-/// One record of a stream of [`SizeWeights`]: up to [`CHUNK_WORDS`] words of
-/// one instant.
-pub(crate) type SizeChunk = [f64; CHUNK_WORDS];
-
-/// The receiving end of a stream of [`SizeWeights`] chunks: gathers each
-/// instant's `n + 1` words back into one buffer, so a size mixture can be
-/// evaluated on one thread and drawn from on another with the same bits.
-#[derive(Debug)]
-pub(crate) struct SizeWeightsReader {
-    weights: SizeWeights,
-    /// Index of the next word within its instant; the last is the total.
-    next: usize,
-}
-
-impl SizeWeightsReader {
-    /// A reader for instants prepared on `spec`.
-    pub(crate) fn new(spec: &WorkloadSpec) -> Self {
-        let mut weights = SizeWeights::default();
-        weights.slots(spec.size_mix.len());
-        Self { weights, next: 0 }
-    }
-
-    /// Takes the next chunk. Once an instant's total has arrived, returns
-    /// its weights, ready for [`WorkloadSpec::sample_size_prepared`].
-    #[inline]
-    pub(crate) fn read(&mut self, chunk: SizeChunk) -> Option<&SizeWeights> {
-        let w = &mut self.weights;
-        let slots = w.inline.get_mut(..w.len).unwrap_or(&mut w.spill);
-        for word in chunk {
-            let Some(slot) = slots.get_mut(self.next) else {
-                w.total = word;
-                self.next = 0;
-                return Some(w);
-            };
-            *slot = word;
-            self.next += 1;
-        }
-        None
-    }
 }
 
 impl WorkloadSpec {
-    /// Writes each component's phase-adjusted weight at `t_ns` into
-    /// `weights` (one slot per component) and returns their total, summed
-    /// in component order. The components wax and wane out of phase with
-    /// one another.
-    fn fill_weights(&self, t_ns: u64, weights: &mut [f64]) -> f64 {
+    /// Evaluates the size mixture at `t_ns` into `out`, for any number of
+    /// [`sample_size_prepared`](Self::sample_size_prepared) draws at that
+    /// instant: each component's phase-adjusted weight (the components wax
+    /// and wane out of phase with one another) and their total, summed in
+    /// component order.
+    pub fn prepare_sizes(&self, t_ns: u64, out: &mut SizeWeights) {
         // `None` when drift is off: every phase multiplier is exactly 1.
         let frac = (self.phase_period_ns != 0 && self.phase_strength != 0.0)
             .then(|| (t_ns % self.phase_period_ns) as f64 / self.phase_period_ns as f64);
         let n = self.size_mix.len() as f64;
+        let weights = out.slots(self.size_mix.len());
         for (i, (w, c)) in weights.iter_mut().zip(&self.size_mix).enumerate() {
             let phase = frac.map_or(1.0, |frac| {
                 let offset = i as f64 / n;
@@ -411,16 +352,25 @@ impl WorkloadSpec {
             });
             *w = c.weight * phase;
         }
-        weights.iter().sum()
+        out.total = weights.iter().sum();
     }
 
-    /// Picks a component by walking `weights` down from one uniform draw
-    /// scaled by `total`, then draws a size from it. The two RNG draws and
-    /// the sequential subtraction are the draw sequence every recorded
-    /// trace and golden figure depends on.
-    fn draw_size(&self, weights: &[f64], total: f64, rng: &mut SmallRng) -> (u64, usize) {
-        let mut pick = rng.gen::<f64>() * total;
-        for (i, (w, c)) in weights.iter().zip(&self.size_mix).enumerate() {
+    /// Draws an object size and its component index from weights prepared
+    /// by [`prepare_sizes`](Self::prepare_sizes) on this spec: the same
+    /// result, and the same RNG state afterwards, as
+    /// [`sample_size`](Self::sample_size) at the prepared `t_ns`. Picks a
+    /// component by walking the weights down from one uniform draw scaled
+    /// by their total, then draws a size from it: the two RNG draws and the
+    /// sequential subtraction are the draw sequence every recorded trace
+    /// and golden figure depends on.
+    pub fn sample_size_prepared(&self, prepared: &SizeWeights, rng: &mut SmallRng) -> (u64, usize) {
+        debug_assert_eq!(
+            prepared.len,
+            self.size_mix.len(),
+            "weights were not prepared on this spec"
+        );
+        let mut pick = rng.gen::<f64>() * prepared.total;
+        for (i, (w, c)) in prepared.weights().iter().zip(&self.size_mix).enumerate() {
             pick -= w;
             if pick <= 0.0 {
                 return (c.dist.sample(rng).max(1), i);
@@ -428,26 +378,6 @@ impl WorkloadSpec {
         }
         let last = self.size_mix.len() - 1;
         (self.size_mix[last].dist.sample(rng).max(1), last)
-    }
-
-    /// Evaluates the size mixture at `t_ns` into `out`, for any number of
-    /// [`sample_size_prepared`](Self::sample_size_prepared) draws at that
-    /// instant.
-    pub fn prepare_sizes(&self, t_ns: u64, out: &mut SizeWeights) {
-        out.total = self.fill_weights(t_ns, out.slots(self.size_mix.len()));
-    }
-
-    /// Draws an object size and its component index from weights prepared
-    /// by [`prepare_sizes`](Self::prepare_sizes) on this spec: the same
-    /// result, and the same RNG state afterwards, as
-    /// [`sample_size`](Self::sample_size) at the prepared `t_ns`.
-    pub fn sample_size_prepared(&self, prepared: &SizeWeights, rng: &mut SmallRng) -> (u64, usize) {
-        debug_assert_eq!(
-            prepared.len,
-            self.size_mix.len(),
-            "weights were not prepared on this spec"
-        );
-        self.draw_size(prepared.weights(), prepared.total, rng)
     }
 
     /// Draws an object size at time `t_ns` and the index of the component
@@ -715,29 +645,17 @@ mod tests {
         while wide.size_mix.len() <= INLINE_COMPONENTS {
             wide.size_mix.extend(fleet_mix().size_mix);
         }
-        // A chunk holds eight words, an instant `n + 1`: widths on both
-        // sides of one and two chunks.
-        let widths = [1, 7, 8, 15, 16].map(|n| {
-            let mut spec = wide.clone();
-            spec.size_mix.truncate(n);
-            spec
-        });
         specs.extend([no_period, no_strength, wide]);
-        specs.extend(widths);
 
         for (k, spec) in specs.iter().enumerate() {
             let seed = 0xD1CE + k as u64;
             let mut times = SmallRng::seed_from_u64(seed ^ 0x7177);
-            let (mut r_ref, mut r_one, mut r_prep, mut r_read) = (
-                SmallRng::seed_from_u64(seed),
+            let (mut r_ref, mut r_one, mut r_prep) = (
                 SmallRng::seed_from_u64(seed),
                 SmallRng::seed_from_u64(seed),
                 SmallRng::seed_from_u64(seed),
             );
             let mut prepared = SizeWeights::default();
-            // The same instants, sent as chunks.
-            let mut reader = SizeWeightsReader::new(spec);
-            let mut received = SizeWeights::default();
             let period = spec.phase_period_ns;
             let mut t_ns = 0;
             for draw in 0..10_000u64 {
@@ -753,12 +671,6 @@ mod tests {
                         _ => times.gen_range(0..4 * period.max(1_000_000_000)),
                     };
                     spec.prepare_sizes(t_ns, &mut prepared);
-                    let chunks: Vec<SizeChunk> = prepared.chunks().collect();
-                    let words = spec.size_mix.len() + 1;
-                    assert_eq!(chunks.len(), words.div_ceil(CHUNK_WORDS), "{}", spec.name);
-                    let (last, rest) = chunks.split_last().unwrap();
-                    assert!(rest.iter().all(|&c| reader.read(c).is_none()));
-                    received = reader.read(*last).expect("a whole instant").clone();
                 }
                 let want = sample_size_ref(spec, t_ns, &mut r_ref);
                 assert_eq!(
@@ -773,16 +685,9 @@ mod tests {
                     "{} t {t_ns}",
                     spec.name
                 );
-                assert_eq!(
-                    spec.sample_size_prepared(&received, &mut r_read),
-                    want,
-                    "{} t {t_ns}, read from chunks",
-                    spec.name
-                );
                 let state = r_ref.clone().next_u64();
                 assert_eq!(r_one.clone().next_u64(), state, "{} rng state", spec.name);
                 assert_eq!(r_prep.clone().next_u64(), state, "{} rng state", spec.name);
-                assert_eq!(r_read.clone().next_u64(), state, "{} rng state", spec.name);
             }
         }
     }

@@ -11,48 +11,45 @@
 //! The on-disk format is a line-oriented text format (one event per line) so
 //! traces are greppable and versionable without extra dependencies.
 //!
+//! # A trace is the driver's workload
+//!
+//! [`Trace::record`] runs the workload generator of
+//! [`driver::run`](crate::driver::run) on CPUs `0..16`, with
+//! [`DriverConfig::new`]'s defaults otherwise: each allocation and free the
+//! driver would make becomes an `Alloc` or `Free`, and each request ends in
+//! an `Advance` of its interarrival time, where the driver advances the
+//! clock and runs maintenance. Replay makes that run's allocator calls, in
+//! order and at the same simulated times, then the teardown frees.
+//!
 //! # Ids are slots
 //!
-//! [`Trace::record`] gives each allocation the slot the most recent free
-//! released, and a new one only when none is free, so a recorded trace's ids
-//! stay below its peak live count (57 858 for 250 000 allocations of the
-//! fleet mix). Replay does not hash an id to find its object: it indexes a
-//! slot table (`LiveTable`), one store per `Alloc` and one take per `Free`.
-//! The table is reserved once for the trace's largest `Alloc` id, and never
-//! for more slots than the trace has events, so a parsed
-//! `a 18446744073709551615 …` costs one entry, not a table the size of the
-//! id. Ids at or beyond that bound (a hand-written or hand-built trace; no
-//! recorded one has any) go to a small map beside the table and replay,
-//! and fail, exactly as the dense ones do.
+//! An allocation's id is the generator's slot for it: the slot the most
+//! recent free released, and a new one only when none is free, so a
+//! recorded trace's ids stay below its peak live count. Replay does not
+//! hash an id to find its object: it indexes a slot table (`LiveTable`), one
+//! store per `Alloc` and one take per `Free`. The table is reserved once for
+//! the trace's largest `Alloc` id, and never for more slots than the trace
+//! has events, so a parsed `a 18446744073709551615 …` costs one entry, not a
+//! table the size of the id. Ids at or beyond that bound (a hand-written or
+//! hand-built trace; no recorded one has any) go to a small map beside the
+//! table and replay, and fail, exactly as the dense ones do.
 //!
-//! # A recorded allocation is four words
+//! # A recorded allocation is three words
 //!
 //! [`Trace::events`] is an [`Events`] list, one stream of `u32` words: an
-//! `Advance` or a `Free` is one word and an `Alloc` two, so a recorded
-//! allocation costs its trace 16 bytes. The rare event with a field too
-//! wide for its words is kept whole beside them. Iterating the list decodes
-//! each event into a [`TraceEvent`].
-//!
-//! # Recording on two cores
-//!
-//! [`Trace::record`] is a [`pipeline`] of two roles. The size mixture's
-//! phase weights at an allocation's instant depend on its index alone, not
-//! on the RNG, so the producer (`PhaseWeights`) evaluates them, seven
-//! `sin()`s for the fleet mix, and sends each allocation's weights and
-//! their total as one chunk of eight `f64` words. The recorder is the
-//! consumer: it makes every RNG draw, runs the [`DueQueue`]
-//! of pending frees and pushes to [`Events`], in the serial recorder's
-//! order, so events, slots and draws are the same bit for bit. Called
-//! directly on a host with two CPUs or more, the producer runs on a helper
-//! thread and the recorder on the caller; inside an engine, or on one CPU,
-//! both run on the calling thread. Either way the trace is the same.
+//! `Advance` or a `Free` is one word and an `Alloc` two, so an allocation
+//! and its free cost the trace 12 bytes, and each request's `Advance` 4
+//! more: at most 16 bytes an allocation for a spec that allocates at least
+//! once a request, more for one that does not. The rare event with a field too wide for its words is kept whole
+//! beside them. Iterating the list decodes each event into a
+//! [`TraceEvent`].
 
-use crate::due::DueQueue;
-use crate::spec::{SizeChunk, SizeWeights, SizeWeightsReader, WorkloadSpec};
+use crate::driver::DriverConfig;
+use crate::generator::{self, Free, LiveObject, Slot, Stage, Tables};
+use crate::spec::WorkloadSpec;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
-use wsc_parallel::{pipeline, Emit, Producer};
-use wsc_prng::{IntMap, SmallRng};
+use wsc_prng::IntMap;
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::Clock;
 use wsc_tcmalloc::{AllocError, Tcmalloc};
@@ -203,8 +200,8 @@ impl fmt::Display for TraceCheckError {
 
 impl std::error::Error for TraceCheckError {}
 
-/// A trace [`Trace::try_record`] cannot reserve room for, refused before
-/// any event is drawn.
+/// A trace [`Trace::try_record`] cannot find memory for: refused before any
+/// event is drawn if its reservation fails, or when the list cannot grow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecordError {
     allocations: u64,
@@ -304,134 +301,110 @@ impl LiveTable {
     }
 }
 
-/// The producer of [`Trace::record`] (module docs: "Recording on two
-/// cores"): the size mixture's phase weights at each allocation's instant,
-/// sent as [`SizeWeights`] chunks. It draws nothing.
-struct PhaseWeights<'a> {
-    spec: &'a WorkloadSpec,
-    /// Simulated nanoseconds between allocations.
-    step: u64,
-    allocations: u64,
+/// The recorder's [`Stage`]: each operation becomes an event; allocations
+/// past the target are refused, so the request that reaches it is the last.
+/// An event the list finds no memory for ends the recording.
+struct Recorder {
+    events: Events,
+    /// Allocations still to record.
+    left: u64,
+    /// An event found no room: the events are incomplete.
+    full: bool,
 }
 
-impl Producer<SizeChunk> for PhaseWeights<'_> {
-    type Output = ();
+impl Stage for Recorder {
+    fn more(&self) -> bool {
+        self.left > 0 && !self.full
+    }
 
-    fn produce<E: Emit<SizeChunk>>(self, out: &mut E) {
-        let mut weights = SizeWeights::default();
-        let mut now = 0u64;
-        for _ in 0..self.allocations {
-            now += self.step;
-            self.spec.prepare_sizes(now, &mut weights);
-            weights.chunks().for_each(|chunk| out.emit(chunk));
-        }
+    fn alloc(&mut self, slot: Slot, size: u64, site: usize, cpu: CpuId) -> Option<u64> {
+        self.left = self.left.checked_sub(1)?;
+        self.full |= !self.events.try_push(TraceEvent::Alloc {
+            id: u64::from(slot),
+            size,
+            site: site as u32,
+            cpu: cpu.0,
+        });
+        // A recorded object has no address; its id plus one is never zero.
+        Some(u64::from(slot) + 1)
+    }
+
+    fn free(&mut self, slot: Slot, _obj: &LiveObject, cpu: CpuId, _why: Free) {
+        self.full |= !self.events.try_push(TraceEvent::Free {
+            id: u64::from(slot),
+            cpu: cpu.0,
+        });
+    }
+
+    fn end(&mut self, _now: u64, step: u64) {
+        self.full |= !self.events.try_push(TraceEvent::Advance { ns: step });
     }
 }
 
 impl Trace {
-    /// Records a trace of `events_target` allocation events from a workload
-    /// model. Lifetimes become explicit `Free` events interleaved at the
-    /// right simulated times; program-long objects are freed at the end.
-    /// Every allocation brings exactly one `Advance`, one `Alloc` and one
-    /// `Free`, four words in all, so the event list is sized for all of
-    /// them up front.
-    ///
-    /// An allocation takes the slot the most recent free released (a new
-    /// one only when none is free), so ids stay below the peak live count.
-    /// Frees are ordered by allocation, not by slot: those due at one
-    /// deadline, and those left at the end, go in the order they were
-    /// allocated.
-    ///
-    /// The size mixture's weights are computed beside the recorder, on a
-    /// helper thread when there is a core to spare (module docs:
-    /// "Recording on two cores"); the trace is the same either way.
+    /// Records `allocations` allocations of the driver's workload with seed
+    /// `seed` (module docs: "A trace is the driver's workload"), then a
+    /// `Free` of every object still live, by id, on CPU 0. The event list is
+    /// reserved for three words an allocation and one a request at the
+    /// spec's mean rate, exactly what a whole number of allocations a
+    /// request records; a list that outgrows it grows.
     ///
     /// # Panics
     ///
-    /// Panics if the event list cannot be reserved;
-    /// [`try_record`](Self::try_record) returns that instead.
-    pub fn record(spec: &WorkloadSpec, events_target: u64, seed: u64) -> Trace {
-        Self::try_record(spec, events_target, seed).unwrap_or_else(|e| panic!("{e}"))
+    /// Panics if the event list cannot be reserved or grown;
+    /// [`try_record`](Self::try_record) returns that instead. Panics, too,
+    /// if `allocations` is not zero and the spec makes no allocations.
+    pub fn record(spec: &WorkloadSpec, allocations: u64, seed: u64) -> Trace {
+        Self::try_record(spec, allocations, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`record`](Self::record) for a count from outside the program.
     ///
     /// # Errors
     ///
-    /// Returns a [`RecordError`] if the event list for `events_target`
-    /// allocations cannot be reserved.
+    /// Returns a [`RecordError`] if the event list for `allocations`
+    /// allocations cannot be reserved, or runs out of memory as it grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `allocations` is not zero and the spec makes no
+    /// allocations, as [`record`](Self::record) does.
     pub fn try_record(
         spec: &WorkloadSpec,
-        events_target: u64,
+        allocations: u64,
         seed: u64,
     ) -> Result<Trace, RecordError> {
-        let mut events = Events::for_allocations(events_target).ok_or(RecordError {
-            allocations: events_target,
-        })?;
-        let interarrival =
-            (1e9 / spec.request_rate_hz.max(1.0) / spec.allocs_per_request.max(0.1)) as u64;
-        let step = interarrival.max(1);
-        let weights = PhaseWeights {
-            spec,
-            step,
-            allocations: events_target,
+        assert!(
+            allocations == 0 || spec.allocs_per_request > 0.0,
+            "{} makes no allocations to record",
+            spec.name
+        );
+        let refused = RecordError { allocations };
+        // Three words an allocation and one a request. The cast saturates,
+        // so a request count no `u64` holds stays unreservable.
+        let requests = (allocations as f64 / spec.allocs_per_request).ceil() as u64;
+        let words = allocations
+            .checked_mul(3)
+            .and_then(|w| w.checked_add(requests));
+        let events = words.and_then(Events::with_words).ok_or(refused)?;
+        // The driver's defaults on a 16-CPU, one-domain machine: CPUs 0..16.
+        let platform = Platform::monolithic("trace", 1, 16, 1);
+        let cfg = DriverConfig {
+            drain_at_end: true,
+            ..DriverConfig::new(u64::MAX, seed, &platform)
         };
-        // The recorder: everything below draws, in the serial order.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // `(allocation ordinal, slot)`: the ordinal orders a deadline's frees.
-        let mut pending: DueQueue<(u64, u64)> = DueQueue::default();
-        let mut forever: Vec<(u64, u64)> = Vec::new();
-        let mut free_slots: Vec<u64> = Vec::new();
-        let mut slots = 0u64;
-        let (mut now, mut ordinal) = (0u64, 0u64);
-        let mut sizes = SizeWeightsReader::new(spec);
-        pipeline(weights, |chunk| {
-            let Some(weights) = sizes.read(chunk) else {
-                return;
-            };
-            now += step;
-            events.push(TraceEvent::Advance { ns: step });
-            // Emit due frees first.
-            while let Some((_, (_, slot))) = pending.pop_due(now) {
-                events.push(TraceEvent::Free {
-                    id: slot,
-                    cpu: rng.gen_range(0u32..16),
-                });
-                free_slots.push(slot);
-            }
-            let (size, site) = spec.sample_size_prepared(weights, &mut rng);
-            let cpu = rng.gen_range(0u32..16);
-            let id = free_slots.pop().unwrap_or_else(|| {
-                slots += 1;
-                slots - 1
-            });
-            events.push(TraceEvent::Alloc {
-                id,
-                size,
-                site: site as u32,
-                cpu,
-            });
-            match spec.sample_lifetime(size, site, &mut rng) {
-                Some(lt) => pending.push(now + lt, (ordinal, id)),
-                None => forever.push((ordinal, id)),
-            }
-            ordinal += 1;
-        });
-        // Teardown: everything still live is freed in allocation order.
-        let mut rest = forever;
-        while let Some((_, live)) = pending.pop_due(u64::MAX) {
-            rest.push(live);
-        }
-        rest.sort_unstable();
-        for (_, id) in rest {
-            events.push(TraceEvent::Free {
-                id,
-                cpu: rng.gen_range(0u32..16),
-            });
+        let mut recorder = Recorder {
+            events,
+            left: allocations,
+            full: false,
+        };
+        generator::generate(spec, &cfg, &Clock::new(), Tables::default(), &mut recorder);
+        if recorder.full {
+            return Err(refused);
         }
         Ok(Trace {
             name: spec.name.clone(),
-            events,
+            events: recorder.events,
         })
     }
 
@@ -613,47 +586,19 @@ mod tests {
 
     #[test]
     fn record_is_pinned() {
-        // Holds the due-queue's `(deadline, ordinal)` pop order at this call
-        // site: captured from the commit that still popped a `BinaryHeap`,
-        // when an id was the allocation's ordinal. Each slot is mapped back
-        // to the ordinal of the allocation holding it.
+        // The generator's draws, the slot each allocation takes and the
+        // recorder's events, in order. Captured when the recorder first ran
+        // the driver's generator: 1 000 requests of 20 allocations, each
+        // object freed once.
         let trace = Trace::record(&profiles::fleet_mix(), 20_000, 42);
-        assert_eq!(trace.events.len(), 60_000);
-        let mut ordinal_of: Vec<u64> = Vec::new();
-        let mut allocs = 0;
-        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-        for ev in trace.events.iter().take(10_000) {
-            let ev = match *ev {
-                TraceEvent::Alloc {
-                    id,
-                    size,
-                    site,
-                    cpu,
-                } => {
-                    let slot = id as usize;
-                    if slot >= ordinal_of.len() {
-                        ordinal_of.resize(slot + 1, 0);
-                    }
-                    ordinal_of[slot] = allocs;
-                    allocs += 1;
-                    TraceEvent::Alloc {
-                        id: ordinal_of[slot],
-                        size,
-                        site,
-                        cpu,
-                    }
-                }
-                TraceEvent::Free { id, cpu } => TraceEvent::Free {
-                    id: ordinal_of[id as usize],
-                    cpu,
-                },
-                advance => advance,
-            };
-            for b in ev.to_string().bytes().chain([b'\n']) {
-                fnv = (fnv ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        assert_eq!(fnv, 0x711d_5a5a_2007_a8d7);
+        assert_eq!(trace.events.len(), 41_000);
+        let fnv = trace
+            .to_text()
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(fnv, 0x30d8_2d33_a59c_4f95);
     }
 
     #[test]

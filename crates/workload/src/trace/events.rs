@@ -11,9 +11,9 @@
 //! has one) is one overflow-tagged word and is kept whole in an overflow
 //! list. Overflow events are read back in the order they were pushed, so
 //! the word needs no index and every event reads back exactly, however many
-//! overflow. A recorded allocation — its `Advance`, `Alloc` and `Free` — is
-//! four words, 16 bytes. Every event is one or two whole words, so decoding
-//! one needs no length chain.
+//! overflow. A recorded allocation is three words, 12 bytes: its `Alloc`
+//! and its `Free`; each request's `Advance` is one more. Every event is one
+//! or two whole words, so decoding one needs no length chain.
 
 use super::TraceEvent;
 use std::fmt;
@@ -37,10 +37,6 @@ const FREE: u32 = 2;
 /// The next event of [`Events::overflow`].
 const OVERFLOW: u32 = 3;
 
-/// Words a recorded allocation costs: its `Advance`, its two-word `Alloc`
-/// and its `Free`.
-const WORDS_PER_ALLOCATION: u64 = 4;
-
 /// `id_bound` counts `Alloc` ids below this.
 const ID_BOUND_LIMIT: u32 = 1 << 30;
 
@@ -62,13 +58,11 @@ pub struct Events {
 }
 
 impl Events {
-    /// An empty list with room for `allocations` recorded allocations,
-    /// four words each; `None` if that many words cannot be reserved.
-    pub(crate) fn for_allocations(allocations: u64) -> Option<Self> {
-        let words = allocations
-            .checked_mul(WORDS_PER_ALLOCATION)
-            .and_then(|words| usize::try_from(words).ok())?;
+    /// An empty list with room for `words` words; `None` if they cannot
+    /// be reserved.
+    pub(crate) fn with_words(words: u64) -> Option<Self> {
         let mut events = Events::default();
+        let words = usize::try_from(words).ok()?;
         events.words.try_reserve_exact(words).ok()?;
         Some(events)
     }
@@ -133,6 +127,21 @@ impl Events {
             }
         }
         self.len += 1;
+    }
+
+    /// Appends `ev` if room for it can be reserved; `false`, and nothing
+    /// appended, if not.
+    pub(crate) fn try_push(&mut self, ev: TraceEvent) -> bool {
+        let words = if matches!(ev, TraceEvent::Alloc { .. }) {
+            2
+        } else {
+            1
+        };
+        let room = self.words.try_reserve(words).is_ok() && self.overflow.try_reserve(1).is_ok();
+        if room {
+            self.push(ev);
+        }
+        room
     }
 
     /// The events in order.
@@ -350,40 +359,68 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn a_recorded_allocation_is_four_words_and_ids_stay_below_its_peak() {
-        // 250 000 allocations of the fleet mix, as `replay_churn` records:
-        // four words each, all packed, and at most 57 858 objects live at
-        // once, so no id reaches 57 858.
-        let trace = Trace::record(&profiles::fleet_mix(), 250_000, 42);
-        let events = &trace.events;
-        assert_eq!(events.len(), 750_000);
-        assert_eq!(events.words.len(), 1_000_000);
-        assert_eq!(events.words.capacity(), 1_000_000);
-        assert_eq!(
-            events.words.capacity() * size_of::<u32>(),
-            250_000 * 16,
-            "16 bytes an allocation"
-        );
-        assert!(events.overflow.is_empty());
-        assert_eq!(events.id_bound(), 57_858);
+    /// The `Advance`s of `events`: one per recorded request.
+    fn advances(events: &Events) -> usize {
+        events
+            .iter()
+            .filter(|ev| matches!(**ev, TraceEvent::Advance { .. }))
+            .count()
     }
 
     #[test]
-    fn record_reserves_exactly_its_words() {
+    fn a_recorded_allocation_is_at_most_four_words_and_ids_stay_below_its_peak() {
+        // 250 000 allocations of the fleet mix, as `replay_churn` records:
+        // 12 500 requests of 20, each allocation freed once, all packed, in
+        // 3.05 words an allocation, exactly the words reserved; at most
+        // 81 029 objects live at once, so no id reaches 81 029.
+        let trace = Trace::record(&profiles::fleet_mix(), 250_000, 42);
+        let events = &trace.events;
+        assert_eq!(advances(events), 12_500, "one advance a request");
+        assert_eq!(events.len(), 2 * 250_000 + 12_500);
+        assert_eq!(events.words.len(), 3 * 250_000 + 12_500);
+        assert_eq!(events.words.capacity(), events.words.len());
+        assert!(events.overflow.is_empty());
+        assert_eq!(events.id_bound(), 81_029);
+    }
+
+    #[test]
+    fn record_stays_within_its_reservation() {
+        // The fleet mix makes 20 allocations a request, so `n` of them are
+        // `n / 20` requests, rounded up, each with one `Advance`: the words
+        // reserved, exactly.
         for (target, seed) in [(0u64, 1u64), (1, 2), (800, 3), (5_000, 42)] {
             let trace = Trace::record(&profiles::fleet_mix(), target, seed);
-            let (events, words) = (3 * target as usize, 4 * target as usize);
-            assert_eq!(trace.events.len(), events, "{target} allocations");
-            assert_eq!(trace.events.words.len(), words, "{target} allocations");
-            assert_eq!(trace.events.words.capacity(), words, "{target} allocations");
-            assert!(trace.events.overflow.is_empty());
+            let (events, at) = (&trace.events, format!("{target} allocations"));
+            let requests = target.div_ceil(20) as usize;
+            let n = target as usize;
+            assert_eq!(advances(events), requests, "{at}");
+            assert_eq!(events.len(), 2 * n + requests, "{at}");
+            assert_eq!(events.words.len(), 3 * n + requests, "{at}");
+            assert_eq!(events.words.capacity(), 3 * n + requests, "{at}");
+            assert!(events.overflow.is_empty(), "{at}");
         }
     }
 
     #[test]
     fn an_impossible_reservation_is_refused_not_attempted() {
-        assert!(Events::for_allocations(u64::MAX).is_none());
-        assert!(Events::for_allocations(u64::MAX / 4 + 1).is_none());
+        assert!(Events::with_words(u64::MAX).is_none());
+        assert!(Events::with_words(u64::MAX / 4 + 1).is_none());
+        // Three words an allocation overflow `u64`; 5.5 (0.4 allocations a
+        // request) fit it, but not the address space.
+        let huge = Trace::try_record(&profiles::fleet_mix(), u64::MAX / 3 + 1, 1);
+        assert!(huge.is_err());
+        assert!(Trace::try_record(&profiles::spec_cpu(0), u64::MAX / 8, 1).is_err());
+    }
+
+    #[test]
+    fn a_spec_that_allocates_less_than_once_a_request_outgrows_its_reservation() {
+        // `spec-mcf` allocates 0.4 times a request, so its list is reserved
+        // for 5.5 words an allocation and grows when the draws run long.
+        let spec = profiles::spec_cpu(0);
+        let trace = Trace::record(&spec, 1_000, 1);
+        let requests = advances(&trace.events);
+        assert!(requests > 1_000, "{requests} requests");
+        assert_eq!(trace.events.words.len(), 3 * 1_000 + requests);
+        assert_eq!(Trace::try_record(&spec, 1_000, 1), Ok(trace));
     }
 }

@@ -1,12 +1,10 @@
 //! `driver::run` streams the allocator half's records to the simulated
-//! LLC and dTLB, and `Trace::record` streams each allocation's size-mixture
-//! weights to the recorder, over one of two transports: a helper thread
-//! when called directly on a multi-core host, the calling thread when run
-//! inside an `Engine`. The result must not depend on which: every case
-//! below runs both ways and compares the `RunReport` and the allocator's
-//! cycle ledger as `Debug` text, or the recorded `Events`. On a one-CPU
-//! host both runs take the same-thread transport and the comparison is
-//! trivially equal.
+//! LLC and dTLB over one of two transports: a helper thread when called
+//! directly on a multi-core host, the calling thread when run inside an
+//! `Engine`. The result must not depend on which: every case below runs
+//! both ways and compares the `RunReport` and the allocator's cycle ledger
+//! as `Debug` text. On a one-CPU host both runs take the same-thread
+//! transport and the comparison is trivially equal.
 
 use wsc_parallel::{Engine, Task};
 use wsc_sim_hw::topology::Platform;
@@ -14,7 +12,6 @@ use wsc_tcmalloc::TcmallocConfig;
 use wsc_workload::driver::{self, DriverConfig};
 use wsc_workload::profiles;
 use wsc_workload::spec::WorkloadSpec;
-use wsc_workload::trace::Trace;
 
 struct Case {
     label: String,
@@ -126,54 +123,4 @@ fn helper_thread_and_engine_runs_report_the_same_bytes() {
         .find(|(case, _)| case.label.contains("hard limit"))
         .map(|(_, (_, failed))| *failed);
     assert!(refused > Some(0), "the hard-limit case refuses allocations");
-}
-
-/// Recording lengths around the transport's batch of 1 024 records, and
-/// none at all.
-const RECORD_LENGTHS: [u64; 5] = [0, 1, 1023, 1024, 5000];
-
-#[test]
-fn helper_thread_and_engine_records_are_the_same_events() {
-    let mut cases = Vec::new();
-    for spec in [
-        profiles::fleet_mix(),
-        profiles::spanner(),
-        profiles::redis(),
-        profiles::disk(),
-    ] {
-        for seed in [1, 42, 1042] {
-            for allocations in RECORD_LENGTHS {
-                cases.push((spec.clone(), seed, allocations));
-            }
-        }
-    }
-    let tasks: Vec<Task<_>> = cases
-        .iter()
-        .map(|case| Task {
-            seed: case.1,
-            label: format!("{} seed {} x{}", case.0.name, case.1, case.2),
-            payload: case,
-        })
-        .collect();
-    let in_engine = Engine::serial()
-        .run(&tasks, |task, _| {
-            let (spec, seed, allocations) = task.payload;
-            Trace::record(spec, *allocations, *seed)
-        })
-        .expect("no recording panics");
-    for (task, engine) in tasks.iter().zip(&in_engine) {
-        let (spec, seed, allocations) = task.payload;
-        let direct = Trace::record(spec, *allocations, *seed);
-        assert_eq!(
-            direct.events.len() as u64,
-            3 * allocations,
-            "{}",
-            task.label
-        );
-        assert!(
-            direct.events == engine.events,
-            "{}: the two transports disagree",
-            task.label
-        );
-    }
 }

@@ -1,6 +1,6 @@
-//! Record an allocation trace from a workload model, save it, and replay
-//! the *identical* operation stream under two allocator configurations —
-//! the cleanest possible A/B comparison.
+//! Record a workload's driver run as an allocation trace, save it, and
+//! replay the *identical* operation stream under two allocator
+//! configurations — the cleanest possible A/B comparison.
 //!
 //! ```text
 //! cargo run --release --example trace_replay
