@@ -330,7 +330,7 @@ pub fn fig7(scale: &Scale) -> (f64, f64, f64, f64) {
         .collect();
     let profiles_by_seed = driver::run_batch(&scale.engine, jobs, |_, tcm| tcm.profile().clone())
         .unwrap_or_else(|e| panic!("figure 7 batch aborted: {e}"));
-    let mut profile = wsc_telemetry::gwp::AllocationProfile::new();
+    let mut profile = wsc_telemetry::gwp::AllocationProfile::default();
     for p in &profiles_by_seed {
         profile.merge(p);
     }
@@ -391,7 +391,7 @@ pub fn fig8(scale: &Scale) -> (f64, f64, f64, f64) {
     let stats = driver::run_batch(&scale.engine, jobs, |_, tcm| {
         let p = tcm.profile();
         // Aggregate small sizes (exp 3..=9, i.e. 8 B..1 KiB).
-        let mut small = wsc_telemetry::LogHistogram::new();
+        let mut small = wsc_telemetry::LogHistogram::default();
         for e in 3..=9 {
             small.merge(p.lifetime_for_size_exp(e));
         }

@@ -162,7 +162,6 @@ impl Scale {
     pub fn fleet_config(&self, seed: u64) -> FleetExperimentConfig {
         FleetExperimentConfig {
             machines: self.fleet_machines,
-            binaries_per_machine: 2,
             requests_per_binary: self.fleet_requests,
             seed,
             population: 2_000,
@@ -249,5 +248,127 @@ mod tests {
         }
         let err = vars(&[("REPRO_SCALE", "ful")]).unwrap_err();
         assert!(err.contains("quick, default, full or fleet"), "{err}");
+    }
+
+    /// A seeded fuzz of the parse over its five variables, each unset, set
+    /// to a value it accepts (padded, with leading zeros or a `+`) or to
+    /// one it refuses (a near miss, zero, a sign, an overflow, random
+    /// text). An input with a refused value is an `Err` naming the first
+    /// such variable in parse order and its value; every other input is
+    /// its scale with exactly the overrides it sets. Parse only: no engine
+    /// runs and no variable is set.
+    #[test]
+    fn the_scale_parse_is_total_and_exact() {
+        use wsc_prng::SmallRng;
+        const VARS: [&str; 5] = [
+            "REPRO_SCALE",
+            wsc_parallel::THREADS_ENV,
+            SURVEY_MACHINES_ENV,
+            SURVEY_REQUESTS_ENV,
+            SURVEY_POPULATION_ENV,
+        ];
+        let noise = |rng: &mut SmallRng| -> String {
+            const ALPHABET: &[char] = &['0', '1', '9', '-', '+', ' ', '.', 'e', 'x', 'q', 'é'];
+            (0..rng.gen_range(0usize..8))
+                .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                .collect()
+        };
+        for case in 0..4_000u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            // Per variable: unset, or its text and the value it parses to.
+            let mut set: Vec<Option<(String, Option<u64>)>> = Vec::new();
+            for (i, _) in VARS.iter().enumerate() {
+                let entry = match rng.gen_range(0u32..4) {
+                    0 => None,
+                    1 if i == 0 => {
+                        let text = ["ful", "Quick", " quick", "quick ", "", "fleets"]
+                            [rng.gen_range(0usize..6)];
+                        Some((text.to_string(), None))
+                    }
+                    1 => {
+                        let text = ["0", "00", "-1", "", "1.0", "0x10", "18446744073709551616"]
+                            [rng.gen_range(0usize..7)];
+                        Some((text.to_string(), None))
+                    }
+                    2 if rng.gen_range(0u32..4) == 0 => {
+                        let text = noise(&mut rng);
+                        let parsed = if i == 0 {
+                            ["quick", "default", "full", "fleet"]
+                                .contains(&text.as_str())
+                                .then_some(0)
+                        } else {
+                            text.trim().parse::<u64>().ok().filter(|&n| n > 0)
+                        };
+                        Some((text, parsed))
+                    }
+                    _ if i == 0 => {
+                        let name = ["quick", "default", "full", "fleet"][rng.gen_range(0usize..4)];
+                        Some((name.to_string(), Some(0)))
+                    }
+                    _ => {
+                        let n = (rng.gen::<u64>() >> rng.gen_range(0u32..64)).max(1);
+                        let digits = match rng.gen_range(0u32..3) {
+                            0 => format!("00{n}"),
+                            1 => format!("+{n}"),
+                            _ => n.to_string(),
+                        };
+                        let pad = |rng: &mut SmallRng| " ".repeat(rng.gen_range(0usize..3));
+                        Some((
+                            format!("{}{digits}{}", pad(&mut rng), pad(&mut rng)),
+                            Some(n),
+                        ))
+                    }
+                };
+                set.push(entry);
+            }
+            let got = Scale::from_vars(|k| {
+                let i = VARS.iter().position(|&v| v == k)?;
+                set[i].as_ref().map(|(text, _)| text.clone())
+            });
+            let refused = set.iter().zip(VARS).find_map(|(entry, var)| match entry {
+                Some((text, None)) => Some(format!("{var}={text:?}")),
+                _ => None,
+            });
+            if let Some(named) = refused {
+                let err = got.expect_err(&format!("case {case}: {set:?} parsed"));
+                assert!(
+                    err.contains(&named),
+                    "case {case}: {err} does not name {named}"
+                );
+                continue;
+            }
+            let s = got.unwrap_or_else(|e| panic!("case {case}: {set:?} refused: {e}"));
+            let base = match set[0].as_ref().map(|(text, _)| text.as_str()) {
+                Some("quick") => Scale::quick(),
+                Some("full") => Scale::full(),
+                Some("fleet") => Scale::fleet(),
+                _ => Scale::default_scale(),
+            };
+            let or = |i: usize, base: u64| set[i].as_ref().and_then(|e| e.1).unwrap_or(base);
+            let saturated = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+            assert_eq!(s.name, base.name, "case {case}");
+            assert_eq!(s.requests, base.requests, "case {case}");
+            assert_eq!(s.fleet_machines, base.fleet_machines, "case {case}");
+            assert_eq!(
+                s.engine.threads(),
+                saturated(or(1, base.engine.threads() as u64)).max(1),
+                "case {case}"
+            );
+            assert_eq!(
+                s.survey_machines,
+                saturated(or(2, base.survey_machines as u64)),
+                "case {case}"
+            );
+            assert_eq!(
+                s.survey_requests,
+                or(3, base.survey_requests),
+                "case {case}"
+            );
+            assert_eq!(
+                s.survey_population,
+                saturated(or(4, base.survey_population as u64)),
+                "case {case}"
+            );
+        }
     }
 }

@@ -333,14 +333,15 @@ fn pct(control: f64, experiment: f64) -> f64 {
     wsc_telemetry::stats::percent_change(control, experiment)
 }
 
+/// Co-located binaries per machine of a fleet experiment.
+const BINARIES_PER_MACHINE: usize = 2;
+
 /// Fleet-experiment parameters. Machines are drawn from
-/// [`default_platform_mix`].
+/// [`default_platform_mix`], each running two co-located binaries.
 #[derive(Clone, Debug)]
 pub struct FleetExperimentConfig {
     /// Machines per arm (the paper's "1% of the fleet" scaled down).
     pub machines: usize,
-    /// Co-located binaries per machine.
-    pub binaries_per_machine: usize,
     /// Requests simulated per binary.
     pub requests_per_binary: u64,
     /// Master seed.
@@ -354,7 +355,6 @@ impl FleetExperimentConfig {
     pub fn quick(seed: u64) -> Self {
         Self {
             machines: 4,
-            binaries_per_machine: 2,
             requests_per_binary: 10_000,
             seed,
             population: 200,
@@ -447,10 +447,10 @@ pub fn try_run_fleet_ab(
     let mix = default_platform_mix();
     // Phase 1 (serial): sample the fleet. The RNG stream here is identical
     // to the historical serial loop, so the sampled fleet is unchanged.
-    let mut cells = Vec::with_capacity(cfg.machines * cfg.binaries_per_machine);
+    let mut cells = Vec::with_capacity(cfg.machines * BINARIES_PER_MACHINE);
     for m in 0..cfg.machines {
         let platform = sample_platform(&mix, &mut rng);
-        let sets = cpusets(&platform, cfg.binaries_per_machine);
+        let sets = cpusets(&platform, BINARIES_PER_MACHINE);
         for (b, cpuset) in sets.into_iter().enumerate() {
             let bin = &pop.binaries()[pop.sample_by_cycles(&mut rng)];
             let spec = bin.spec();
@@ -723,7 +723,6 @@ mod tests {
     fn cell_summary_codec_roundtrips() {
         let cfg = FleetExperimentConfig {
             machines: 2,
-            binaries_per_machine: 2,
             requests_per_binary: 500,
             seed: 11,
             population: 25,

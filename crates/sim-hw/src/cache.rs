@@ -203,7 +203,7 @@ enum Found {
 /// // Domain 1 touching the same block pays a cross-domain transfer.
 /// assert_eq!(llc.access(DomainId(1), 42, 64), LlcAccess::MissRemote);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LlcModel {
     /// Bytes per domain, below `2^BYTES_BITS` as is every resident block's
     /// byte count.
@@ -230,32 +230,21 @@ impl LlcModel {
     ///
     /// # Panics
     ///
-    /// Panics if `num_domains` is zero or above 32, or capacity is zero or
-    /// 128 MiB or more (a resident block keeps its byte count in 27 bits
-    /// and its domain in 5).
+    /// As [`renew`](Self::renew).
     pub fn new(num_domains: usize, bytes_per_domain: u64) -> Self {
-        let empty = Self {
-            capacity: 0,
-            domains: Vec::new(),
-            // 1 024 buckets of 16 bytes and a control byte, ≈ 17 KiB: a
-            // cold 32-request machine leaves ≈ 650 blocks resident, which an
-            // index grown from empty reaches through eight rehashes.
-            index: IntMap::with_capacity_and_hasher(896, Default::default()),
-            tick: 0,
-            stats: LlcStats::default(),
-        };
-        empty.renew(num_domains, bytes_per_domain)
+        Self::default().renew(num_domains, bytes_per_domain)
     }
 
     /// This model emptied and reshaped to `num_domains` domains of
     /// `bytes_per_domain` each, keeping the storage of its domain table and
-    /// index. [`new`](Self::new) is an empty model renewed once, so a
-    /// renewed model is a new one: no block is resident, and no stamp,
-    /// order or counter of the previous machine survives.
+    /// index: no block is resident, and no stamp, order or counter of the
+    /// previous machine survives.
     ///
     /// # Panics
     ///
-    /// As [`new`](Self::new).
+    /// Panics if `num_domains` is zero or above 32, or capacity is zero or
+    /// 128 MiB or more (a resident block keeps its byte count in 27 bits
+    /// and its domain in 5).
     pub fn renew(mut self, num_domains: usize, bytes_per_domain: u64) -> Self {
         assert!(num_domains > 0, "need at least one domain");
         assert!(
@@ -272,6 +261,11 @@ impl LlcModel {
         self.domains.clear();
         self.domains.resize_with(num_domains, Domain::default);
         self.index.clear();
+        // At least 1 024 buckets of 16 bytes and a control byte, ≈ 17 KiB,
+        // reserved by a model's first renewal: a cold 32-request machine
+        // leaves ≈ 650 blocks resident, which an index grown from empty
+        // reaches through eight rehashes. A kept index is already as large.
+        self.index.reserve(896);
         Self {
             capacity,
             domains: self.domains,

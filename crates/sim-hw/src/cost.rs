@@ -9,6 +9,8 @@
 //! cycles — the paper's central argument being that the latter dwarf the
 //! former.
 
+use crate::latency::INTER_DOMAIN_NS;
+
 /// Which allocator tier ultimately satisfied an allocation request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AllocPath {
@@ -79,7 +81,8 @@ pub struct CostModel {
     /// LLC miss served from local memory.
     pub mem_ns: f64,
     /// Extra cost when the block must transfer from another LLC domain
-    /// (on top of nothing — this is the full remote-transfer latency).
+    /// (on top of nothing — this is the full remote-transfer latency,
+    /// [`INTER_DOMAIN_NS`] in production).
     pub remote_llc_ns: f64,
     /// Second-level TLB hit (L1 TLB miss).
     pub l2_tlb_hit_ns: f64,
@@ -107,7 +110,7 @@ impl CostModel {
             other_ns: 0.5,
             llc_hit_ns: 14.0,
             mem_ns: 100.0,
-            remote_llc_ns: 82.8, // 2.07x the 40 ns intra-domain transfer
+            remote_llc_ns: INTER_DOMAIN_NS,
             l2_tlb_hit_ns: 7.0,
             tlb_walk_ns: 30.0,
         }

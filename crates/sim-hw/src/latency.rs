@@ -7,6 +7,13 @@
 
 use crate::topology::{CpuId, Platform};
 
+/// A cache-line transfer between cores of different LLC domains on one
+/// socket, ns: the paper's 2.07× the 40 ns intra-domain transfer
+/// (Figure 11). The one statement of the NUCA calibration, for the
+/// core-to-core model here and the remote-LLC miss price of
+/// [`CostModel`](crate::cost::CostModel).
+pub const INTER_DOMAIN_NS: f64 = 40.0 * 2.07;
+
 /// Nanoseconds for a cache-to-cache transfer between two logical CPUs,
 /// stratified by their topological distance.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,7 +35,7 @@ impl LatencyModel {
         Self {
             smt_sibling_ns: 12.0,
             intra_domain_ns: 40.0,
-            inter_domain_ns: 40.0 * 2.07,
+            inter_domain_ns: INTER_DOMAIN_NS,
             inter_socket_ns: 130.0,
         }
     }
@@ -115,6 +122,11 @@ mod tests {
         let m = LatencyModel::production();
         // Inter- over intra-domain latency: the paper reports 2.07×.
         assert!((m.inter_domain_ns / m.intra_domain_ns - 2.07).abs() < 1e-9);
+        // A remote LLC miss is priced as the same transfer, at the 82.8 ns
+        // every pinned run was simulated with.
+        let remote = crate::cost::CostModel::production().remote_llc_ns;
+        assert_eq!(remote.to_bits(), m.inter_domain_ns.to_bits());
+        assert_eq!(remote.to_bits(), 82.8f64.to_bits());
     }
 
     #[test]

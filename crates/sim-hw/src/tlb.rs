@@ -45,7 +45,7 @@ pub enum TlbOutcome {
 }
 
 /// A set-associative LRU translation buffer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct SetAssocTlb {
     /// `ways` consecutive `(tag, last_used_tick)` per set, one allocation
     /// for the whole level. Tick 0 is an empty way: live ticks start at 1.
@@ -56,19 +56,8 @@ struct SetAssocTlb {
 }
 
 impl SetAssocTlb {
-    /// `field` names the [`TlbGeometry`] entry count this level was built
-    /// from.
-    fn new(field: &str, entries: usize, ways: usize) -> Self {
-        let empty = Self {
-            slots: Vec::new(),
-            sets: 0,
-            ways: 0,
-            tick: 0,
-        };
-        empty.renew(field, entries, ways)
-    }
-
-    /// This level emptied and reshaped, keeping its slot storage.
+    /// This level emptied and reshaped, keeping its slot storage. `field`
+    /// names the [`TlbGeometry`] entry count it is shaped from.
     fn renew(mut self, field: &str, entries: usize, ways: usize) -> Self {
         assert!(ways > 0, "TlbGeometry::ways must be positive");
         assert!(entries > 0, "TlbGeometry::{field} must be positive");
@@ -203,7 +192,7 @@ impl TlbGeometry {
 /// assert_eq!(first, TlbOutcome::Walk);
 /// assert_eq!(second, TlbOutcome::L1Hit);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TlbSim {
     l1_base: SetAssocTlb,
     l1_huge: SetAssocTlb,
@@ -216,24 +205,18 @@ impl TlbSim {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` or an entry count is zero, or an entry count is not
-    /// a multiple of `ways`.
+    /// As [`renew`](Self::renew).
     pub fn new(geom: TlbGeometry) -> Self {
-        Self {
-            l1_base: SetAssocTlb::new("l1_base_entries", geom.l1_base_entries, geom.ways),
-            l1_huge: SetAssocTlb::new("l1_huge_entries", geom.l1_huge_entries, geom.ways),
-            l2: SetAssocTlb::new("l2_entries", geom.l2_entries, geom.ways),
-            stats: TlbStats::default(),
-        }
+        Self::default().renew(geom)
     }
 
     /// This TLB emptied and reshaped to `geom`, keeping the storage of its
-    /// levels. [`new`](Self::new) is an empty TLB renewed once, so a
-    /// renewed TLB is a new one: every way is empty and every counter zero.
+    /// levels: every way is empty and every counter zero.
     ///
     /// # Panics
     ///
-    /// As [`new`](Self::new).
+    /// Panics if `ways` or an entry count is zero, or an entry count is not
+    /// a multiple of `ways`.
     pub fn renew(self, geom: TlbGeometry) -> Self {
         Self {
             l1_base: self

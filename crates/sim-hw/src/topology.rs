@@ -59,7 +59,10 @@ id_newtype!(
 /// Logical CPU numbering is dense: CPUs `[0, num_cpus)` are laid out socket-
 /// major, then NUMA node, then domain, then core, then SMT sibling — so all
 /// CPUs of a domain are contiguous.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The [`Default`] platform has no CPU: it is what an allocator that has
+/// not been renewed for a machine holds.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Platform {
     name: String,
     sockets: u32,

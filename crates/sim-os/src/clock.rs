@@ -12,6 +12,10 @@ use std::sync::Arc;
 
 /// A cheaply-cloneable handle to a monotonic simulated clock (nanoseconds).
 ///
+/// The [`Default`] clock reads 0, allocates nothing and cannot be advanced:
+/// it is what a component that has not been renewed holds. A clock to run
+/// on is [`Clock::new`].
+///
 /// # Example
 ///
 /// ```
@@ -24,9 +28,10 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
+    /// `None` for the [`Default`] clock.
     // lint:allow(concurrency-readiness) see the import note: shared
     // ownership of one atomic word, no locking.
-    ns: Arc<AtomicU64>,
+    ns: Option<Arc<AtomicU64>>,
 }
 
 /// Nanoseconds per second.
@@ -35,7 +40,9 @@ pub const NS_PER_SEC: u64 = 1_000_000_000;
 impl Clock {
     /// Creates a clock at time 0.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            ns: Some(Default::default()),
+        }
     }
 
     /// Current simulated time, ns.
@@ -43,7 +50,7 @@ impl Clock {
     pub fn now_ns(&self) -> u64 {
         // lint:allow(atomic-ordering) Relaxed: the clock word carries no
         // other data; readers only need some whole-word value.
-        self.ns.load(Ordering::Relaxed)
+        self.ns.as_ref().map_or(0, |ns| ns.load(Ordering::Relaxed))
     }
 
     /// Advances the clock by `delta_ns` and returns the new time.
@@ -51,12 +58,17 @@ impl Clock {
     /// # Panics
     ///
     /// Panics if the new time is past `u64::MAX` ns (about 584 years), in
-    /// every build: the clock never wraps to a time in the past.
+    /// every build: the clock never wraps to a time in the past. Panics on
+    /// the [`Default`] clock, which stays at 0.
     #[inline]
     pub fn advance(&self, delta_ns: u64) -> u64 {
+        let ns = self
+            .ns
+            .as_ref()
+            .expect("the default clock is never advanced");
         // lint:allow(atomic-ordering) Relaxed: fetch_add is atomic per
         // word; time ordering comes from the single-writer driver.
-        let before = self.ns.fetch_add(delta_ns, Ordering::Relaxed);
+        let before = ns.fetch_add(delta_ns, Ordering::Relaxed);
         before.checked_add(delta_ns).unwrap_or_else(|| {
             panic!("simulated clock overflow: advancing {delta_ns} ns from {before} ns passes u64::MAX ns")
         })
@@ -85,6 +97,14 @@ mod tests {
         let c = Clock::new();
         assert_eq!(c.advance(u64::MAX - 3), u64::MAX - 3);
         c.advance(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "the default clock is never advanced")]
+    fn the_default_clock_reads_zero_and_is_not_advanced() {
+        let c = Clock::default();
+        assert_eq!(c.now_ns(), 0);
+        c.advance(1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! use wsc_sim_os::vmm::Vmm;
 //! use wsc_sim_os::addr::HUGE_PAGE_BYTES;
 //!
-//! let mut vmm = Vmm::new();
+//! let mut vmm = Vmm::default();
 //! let grant = vmm.mmap(HUGE_PAGE_BYTES).expect("no fault plan attached");
 //! assert_eq!(grant.addr % HUGE_PAGE_BYTES, 0, "hugepage aligned");
 //! assert!(vmm.page_table().is_huge_backed(grant.addr));

@@ -106,7 +106,7 @@ fn split_by_hugepage(first: u64, last: u64) -> impl Iterator<Item = (u64, u32, u
 /// use wsc_sim_os::pagetable::PageTable;
 /// use wsc_sim_os::addr::HUGE_PAGE_BYTES;
 ///
-/// let mut pt = PageTable::new();
+/// let mut pt = PageTable::default();
 /// pt.on_mmap(0, HUGE_PAGE_BYTES);
 /// assert!(pt.is_huge_backed(0));
 /// assert!((pt.hugepage_coverage() - 1.0).abs() < 1e-12);
@@ -128,19 +128,14 @@ pub struct PageTable {
 }
 
 impl PageTable {
-    /// Creates an empty page table. Allocates nothing until the first
-    /// `mmap`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This page table emptied, exactly as [`new`](Self::new) builds one,
-    /// with its window's storage kept for the next address space.
+    /// This page table emptied, with its window's storage kept for the
+    /// next address space. [`default`](Self::default) is the empty table:
+    /// it allocates nothing until the first `mmap`.
     pub fn renew(mut self) -> Self {
         self.recs.clear();
         Self {
             recs: self.recs,
-            ..Self::new()
+            ..Self::default()
         }
     }
 
@@ -460,7 +455,7 @@ mod tests {
 
     #[test]
     fn mmap_is_huge_backed() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(HP * 4, HP * 2);
         assert!(pt.is_huge_backed(HP * 4));
         assert!(pt.is_huge_backed(HP * 5 + 12345));
@@ -473,7 +468,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double mmap")]
     fn double_mmap_panics() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, HP);
         pt.on_mmap(0, HP);
     }
@@ -481,13 +476,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "hugepage-granular")]
     fn misaligned_mmap_panics() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(4096, HP);
     }
 
     #[test]
     fn subrelease_breaks_hugepage_and_coverage_drops() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, 2 * HP);
         pt.subrelease(0, 4 * TP).unwrap();
         assert!(!pt.is_huge_backed(0));
@@ -500,7 +495,7 @@ mod tests {
 
     #[test]
     fn reoccupy_restores_residency_not_hugeness() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, HP);
         pt.subrelease(0, HP).unwrap();
         assert_eq!(pt.resident_bytes(), 0);
@@ -512,7 +507,7 @@ mod tests {
 
     #[test]
     fn subrelease_breaks_a_denied_hugepage_for_good() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap_backed(0, HP, false);
         pt.subrelease(0, TP).unwrap();
         pt.reoccupy(0, TP);
@@ -526,7 +521,7 @@ mod tests {
 
     #[test]
     fn munmap_removes() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, HP);
         pt.on_munmap(0, HP);
         assert!(!pt.is_mapped(0));
@@ -536,13 +531,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "unmapped")]
     fn munmap_absent_panics() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_munmap(0, HP);
     }
 
     #[test]
     fn page_size_for_tlb() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, HP);
         assert_eq!(pt.page_size_of(100), PageSize::Huge2M);
         pt.subrelease(0, TP).unwrap();
@@ -552,7 +547,7 @@ mod tests {
 
     #[test]
     fn empty_table_allocates_nothing() {
-        let pt = PageTable::new();
+        let pt = PageTable::default();
         assert_eq!(pt.recs.capacity(), 0);
         assert!(!pt.is_mapped(crate::vmm::HEAP_BASE));
         assert_eq!(pt.resident_bytes(), 0);
@@ -562,7 +557,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window blow-up")]
     fn far_apart_mappings_are_refused_before_allocating() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         pt.on_mmap(0, HP);
         pt.on_mmap(crate::vmm::HEAP_BASE, HP);
     }
@@ -773,7 +768,7 @@ mod tests {
         for case in 0..48u64 {
             let mut rng = SmallRng::seed_from_u64(0x9a6e_7ab1 + case);
             let origin = origins[(case % 4) as usize];
-            let mut pt = PageTable::new();
+            let mut pt = PageTable::default();
             let mut model = reference::RefPageTable::default();
             let probes: Vec<u64> = (0..SLOTS + 2)
                 .map(|i| (origin + i) * HP + (i * 4099) % HP)
@@ -842,7 +837,7 @@ mod tests {
 
     #[test]
     fn window_grows_downward_keeping_state() {
-        let mut pt = PageTable::new();
+        let mut pt = PageTable::default();
         let high = crate::vmm::HEAP_BASE + 300 * HP;
         pt.on_mmap(high, HP);
         pt.subrelease(high, 3 * TP).unwrap();

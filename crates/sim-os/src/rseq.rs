@@ -51,7 +51,7 @@ impl std::fmt::Display for VcpuId {
 /// use wsc_sim_os::rseq::VcpuRegistry;
 /// use wsc_sim_hw::topology::CpuId;
 ///
-/// let mut reg = VcpuRegistry::new();
+/// let mut reg = VcpuRegistry::default();
 /// assert_eq!(reg.vcpu_of(CpuId(57)).0, 0); // first CPU seen gets vCPU 0
 /// assert_eq!(reg.vcpu_of(CpuId(3)).0, 1);
 /// assert_eq!(reg.vcpu_of(CpuId(57)).0, 0); // stable thereafter
@@ -66,21 +66,15 @@ pub struct VcpuRegistry {
 }
 
 impl VcpuRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This registry emptied, exactly as [`new`](Self::new) builds one,
-    /// with its tables' storage kept: the next process numbers its CPUs
-    /// from vCPU 0 again.
+    /// This registry emptied, with its tables' storage kept: the next
+    /// process numbers its CPUs from vCPU 0 again.
     pub fn renew(mut self) -> Self {
         self.dense.clear();
         self.sparse.clear();
         Self {
             dense: self.dense,
             sparse: self.sparse,
-            assigned: 0,
+            ..Self::default()
         }
     }
 
@@ -134,7 +128,7 @@ mod tests {
 
     #[test]
     fn dense_first_use_assignment() {
-        let mut reg = VcpuRegistry::new();
+        let mut reg = VcpuRegistry::default();
         let a = reg.vcpu_of(CpuId(100));
         let b = reg.vcpu_of(CpuId(7));
         let c = reg.vcpu_of(CpuId(55));
@@ -144,7 +138,7 @@ mod tests {
 
     #[test]
     fn mapping_is_stable() {
-        let mut reg = VcpuRegistry::new();
+        let mut reg = VcpuRegistry::default();
         let first = reg.vcpu_of(CpuId(9));
         for _ in 0..10 {
             assert_eq!(reg.vcpu_of(CpuId(9)), first);
@@ -154,7 +148,7 @@ mod tests {
 
     #[test]
     fn get_without_assign() {
-        let mut reg = VcpuRegistry::new();
+        let mut reg = VcpuRegistry::default();
         assert_eq!(reg.get(CpuId(1)), None);
         reg.vcpu_of(CpuId(1));
         assert_eq!(reg.get(CpuId(1)), Some(VcpuId(0)));
@@ -180,7 +174,7 @@ mod tests {
         ];
         for case in 0..32u64 {
             let mut rng = SmallRng::seed_from_u64(0x5eed_c9a0 + case);
-            let mut reg = VcpuRegistry::new();
+            let mut reg = VcpuRegistry::default();
             let mut model: BTreeMap<u32, u32> = BTreeMap::new();
             for _ in 0..200 {
                 let cpu = if rng.gen::<f64>() < 0.5 {
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn huge_cpu_id_costs_one_entry() {
-        let mut reg = VcpuRegistry::new();
+        let mut reg = VcpuRegistry::default();
         assert_eq!(reg.vcpu_of(CpuId(u32::MAX)).0, 0);
         assert_eq!(reg.vcpu_of(CpuId(3)).0, 1);
         assert_eq!(reg.vcpu_of(CpuId(u32::MAX)).0, 0);
@@ -214,7 +208,7 @@ mod tests {
     fn two_core_app_uses_ids_0_and_1() {
         // The paper's example: an app on two cores sees vCPUs {0, 1} no
         // matter which physical cores it landed on.
-        let mut reg = VcpuRegistry::new();
+        let mut reg = VcpuRegistry::default();
         let ids: Vec<u32> = [CpuId(250), CpuId(13)]
             .into_iter()
             .map(|c| reg.vcpu_of(c).0)

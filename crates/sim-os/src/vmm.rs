@@ -44,7 +44,7 @@ pub struct MmapGrant {
 /// Virtual addresses start at a canonical heap base and grow upward;
 /// `munmap`ed ranges are not recycled (matching how TCMalloc treats its
 /// address space as plentiful on 64-bit). A [`FaultInjector`] can ride
-/// along ([`Vmm::with_faults`]) to deny or degrade calls deterministically;
+/// along ([`Vmm::renew`]) to deny or degrade calls deterministically;
 /// without one every call succeeds, exactly as before.
 ///
 /// # Example
@@ -53,7 +53,7 @@ pub struct MmapGrant {
 /// use wsc_sim_os::vmm::Vmm;
 /// use wsc_sim_os::addr::HUGE_PAGE_BYTES;
 ///
-/// let mut vmm = Vmm::new();
+/// let mut vmm = Vmm::default();
 /// let a = vmm.mmap(10).expect("no fault plan attached"); // rounded up to one hugepage
 /// let b = vmm.mmap(3 * HUGE_PAGE_BYTES).expect("no fault plan attached");
 /// assert_ne!(a.addr, b.addr);
@@ -72,32 +72,15 @@ pub struct Vmm {
 pub const HEAP_BASE: u64 = 0x7f00_0000_0000;
 
 impl Vmm {
-    /// Creates an empty address space with an infallible kernel.
-    pub fn new() -> Self {
-        Self {
-            next_addr: HEAP_BASE,
-            page_table: PageTable::new(),
-            stats: VmmStats::default(),
-            faults: None,
-        }
-    }
-
-    /// Creates an empty address space whose kernel injects faults per
-    /// `plan`, judging storm windows against the simulation `clock`.
-    pub fn with_faults(plan: FaultPlan, clock: Clock) -> Self {
-        let mut vmm = Self::new();
-        vmm.faults = Some(FaultInjector::new(plan, clock));
-        vmm
-    }
-
-    /// This address space emptied, exactly as [`new`](Self::new) (no
-    /// `faults`) or [`with_faults`](Self::with_faults) builds one, with the
-    /// page table's storage kept.
+    /// This address space emptied, with the page table's storage kept:
+    /// `faults` attaches a kernel that injects faults per the plan, judging
+    /// storm windows against the simulation `clock`; `None` an infallible
+    /// kernel, as [`default`](Self::default) builds.
     pub fn renew(self, faults: Option<FaultPlan>, clock: Clock) -> Self {
-        let fresh = faults.map_or_else(Self::new, |plan| Self::with_faults(plan, clock));
         Self {
             page_table: self.page_table.renew(),
-            ..fresh
+            faults: faults.map(|plan| FaultInjector::new(plan, clock)),
+            ..Self::default()
         }
     }
 
@@ -241,8 +224,14 @@ impl Vmm {
 }
 
 impl Default for Vmm {
+    /// An empty address space with an infallible kernel.
     fn default() -> Self {
-        Self::new()
+        Self {
+            next_addr: HEAP_BASE,
+            page_table: PageTable::default(),
+            stats: VmmStats::default(),
+            faults: None,
+        }
     }
 }
 
@@ -261,7 +250,7 @@ mod tests {
 
     #[test]
     fn mmap_alignment_and_rounding() {
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let a = mmap_ok(&mut vmm, 1);
         assert_eq!(a % HUGE_PAGE_BYTES, 0);
         assert_eq!(vmm.page_table().mapped_bytes(), HUGE_PAGE_BYTES);
@@ -271,7 +260,7 @@ mod tests {
 
     #[test]
     fn mappings_never_overlap() {
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let mut ranges = Vec::new();
         for len in [1u64, HUGE_PAGE_BYTES, 5 * HUGE_PAGE_BYTES, 100] {
             let a = mmap_ok(&mut vmm, len);
@@ -285,7 +274,7 @@ mod tests {
 
     #[test]
     fn munmap_releases() {
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let a = mmap_ok(&mut vmm, 2 * HUGE_PAGE_BYTES);
         vmm.munmap(a, HUGE_PAGE_BYTES);
         assert_eq!(vmm.page_table().mapped_bytes(), HUGE_PAGE_BYTES);
@@ -296,7 +285,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unmapped")]
     fn double_munmap_panics() {
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let a = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         vmm.munmap(a, HUGE_PAGE_BYTES);
         vmm.munmap(a, HUGE_PAGE_BYTES);
@@ -304,7 +293,7 @@ mod tests {
 
     #[test]
     fn subrelease_counts_and_breaks() {
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let a = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         vmm.subrelease(a, 8192).expect("mapped range");
         assert_eq!(vmm.stats().madvise_calls, 1);
@@ -315,7 +304,7 @@ mod tests {
     fn stray_subrelease_is_an_error_not_a_panic() {
         // Regression for the old `panic!("subrelease of unmapped hugepage")`:
         // a stray madvise is reported as EINVAL and changes nothing.
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let a = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         let stray = a + 64 * HUGE_PAGE_BYTES;
         let err = vmm.subrelease(stray, 8192).expect_err("unmapped range");
@@ -331,7 +320,7 @@ mod tests {
             enomem_ppm: PPM,
             ..FaultPlan::off()
         };
-        let mut vmm = Vmm::with_faults(plan, Clock::new());
+        let mut vmm = Vmm::default().renew(Some(plan), Clock::new());
         assert_eq!(vmm.mmap(HUGE_PAGE_BYTES), Err(OsError::Enomem));
         assert_eq!(vmm.page_table().mapped_bytes(), 0);
         assert_eq!(vmm.stats().mmap_bytes, 0);
@@ -346,7 +335,7 @@ mod tests {
         // large its rounding overflows — is ENOMEM, and the address space
         // is exactly as it was: the next grant lands where it would have.
         const TIB: u64 = 1 << 40;
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let first = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         let (next_addr, table, stats) = (vmm.next_addr, format!("{:?}", vmm.page_table), vmm.stats);
         for len in [TIB, TIB + 1, 1 << 45, u64::MAX / 2, u64::MAX] {
@@ -375,7 +364,7 @@ mod tests {
         }
         .with_storm(0, 1_000);
         let clock = Clock::new();
-        let mut vmm = Vmm::with_faults(plan, clock.clone());
+        let mut vmm = Vmm::default().renew(Some(plan), clock.clone());
         let g = vmm.mmap(HUGE_PAGE_BYTES).expect("granted");
         assert!(!g.huge_backed, "THP compaction failed");
         assert!(!vmm.page_table().is_huge_backed(g.addr));
@@ -398,7 +387,7 @@ mod tests {
             deny_huge_ppm: PPM,
             ..FaultPlan::off()
         };
-        let mut vmm = Vmm::with_faults(plan, Clock::new());
+        let mut vmm = Vmm::default().renew(Some(plan), Clock::new());
         let a = mmap_ok(&mut vmm, HUGE_PAGE_BYTES);
         vmm.subrelease(a, 8192).expect("mapped");
         vmm.reoccupy(a, 8192);

@@ -12,7 +12,7 @@ use wsc_sim_os::vmm::Vmm;
 fn mappings_never_overlap_and_stay_aligned() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0x0520 + case);
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let n = rng.gen_range(1usize..40);
         for _ in 0..n {
@@ -35,7 +35,7 @@ fn residency_accounting_matches_subreleases() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0x0521 + case);
         let hp_count = rng.gen_range(1u64..8);
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let base = vmm
             .mmap(hp_count * HUGE_PAGE_BYTES)
             .expect("no fault plan")
@@ -83,7 +83,7 @@ fn reoccupy_restores_residency_exactly() {
         let mut rng = SmallRng::seed_from_u64(0x0522 + case);
         let start = rng.gen_range(0u64..200);
         let len = rng.gen_range(1u64..56);
-        let mut vmm = Vmm::new();
+        let mut vmm = Vmm::default();
         let base = vmm.mmap(HUGE_PAGE_BYTES).expect("no fault plan").addr;
         vmm.subrelease(base, HUGE_PAGE_BYTES).expect("mapped range");
         assert_eq!(vmm.page_table().resident_bytes(), 0);

@@ -9,7 +9,7 @@
 use crate::central::CentralFreeList;
 use crate::config::{TcmallocConfig, CAPACITY_SCALE};
 use crate::events::{AllocEvent, EventBus, EventSink, TraceRing};
-use crate::pageheap::{AllocError, OsLayer, PageHeap};
+use crate::pageheap::{AllocError, PageHeap};
 use crate::pagemap::Pagemap;
 use crate::percpu::{FreeOutcome, PerCpuCaches};
 use crate::size_class::SizeClassTable;
@@ -134,7 +134,7 @@ const COST: CostModel = CostModel::production();
 /// assert!(a.actual_bytes >= 100);
 /// tcm.free(a.addr, 100, CpuId(0));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Tcmalloc {
     cfg: TcmallocConfig,
     table: &'static SizeClassTable,
@@ -170,84 +170,36 @@ impl Tcmalloc {
     /// simulated kernel here; with both absent the OS layer is infallible
     /// and the allocator behaves byte-identically to the pre-fault builds.
     ///
-    /// This is an allocator that holds nothing, [renewed](Self::renew)
-    /// once: every allocator is built by `renew`.
+    /// This is the allocator that holds nothing ([`Default`]),
+    /// [renewed](Self::renew) once.
     pub fn new(cfg: TcmallocConfig, platform: Platform, clock: Clock) -> Self {
-        let table = SizeClassTable::shared();
-        Self {
-            percpu: PerCpuCaches::new(table, cfg.percpu_max_bytes),
-            transfer: TransferCaches::new(table, cfg.transfer),
-            central: Vec::new(),
-            spans: SpanRegistry::new(),
-            pagemap: Pagemap::new(),
-            pageheap: PageHeap::with_kernel(cfg.pageheap, OsLayer::infallible()),
-            sampler: Sampler::new(cfg.sample_period_bytes),
-            bus: EventBus::new(&cfg, clock.clone()),
-            batch: Vec::new(),
-            live_samples: IntMap::default(),
-            live_requested_bytes: 0,
-            live_objects: 0,
-            internal_frag_bytes: 0,
-            next_resize_ns: 0,
-            next_plunder_ns: 0,
-            next_release_ns: 0,
-            next_decay_ns: 0,
-            table,
-            platform,
-            clock,
-            vcpus: VcpuRegistry::new(),
-            cfg,
-        }
-        .renewed()
+        Self::default().renew(cfg, platform, clock)
     }
 
     /// This allocator emptied and rebuilt for a new process — `cfg` on
     /// `platform`, timed by `clock` — keeping the host storage of every
-    /// tier: the state [`new`](Self::new) builds, field for field, since
-    /// `new` is a renewal too. Nothing of the previous process survives:
-    /// no object, span, page, vCPU number, sample, ledger entry, trace
-    /// ring or attached sink.
+    /// tier. Nothing of the previous process survives: no object, span,
+    /// page, vCPU number, sample, ledger entry, trace ring or attached
+    /// sink.
     pub fn renew(self, cfg: TcmallocConfig, platform: Platform, clock: Clock) -> Self {
-        Self {
-            cfg,
-            platform,
-            clock,
-            ..self
-        }
-        .renewed()
-    }
-
-    /// Renews every tier for `self.cfg`, `self.platform` and `self.clock`.
-    fn renewed(self) -> Self {
         let Self {
-            cfg,
             table,
-            platform,
-            clock,
             vcpus,
             percpu,
             transfer,
-            central,
+            mut central,
             spans,
             pagemap,
             pageheap,
-            sampler: _,
             bus,
             mut batch,
             mut live_samples,
             ..
         } = self;
-        let central = if central.len() == table.num_classes() {
-            central
-                .into_iter()
-                .enumerate()
-                .map(|(cl, list)| list.renew(cl as u16, *table.info(cl), cfg.cfl_lists))
-                .collect()
-        } else {
-            (0..table.num_classes())
-                .map(|cl| CentralFreeList::new(cl as u16, *table.info(cl), cfg.cfl_lists))
-                .collect()
-        };
+        central.resize_with(table.num_classes(), CentralFreeList::default);
+        for (cl, list) in central.iter_mut().enumerate() {
+            *list = std::mem::take(list).renew(cl as u16, *table.info(cl), cfg.cfl_lists);
+        }
         batch.clear();
         live_samples.clear();
         let now = clock.now_ns();

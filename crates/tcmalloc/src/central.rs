@@ -28,7 +28,7 @@ use wsc_sim_hw::cost::AllocPath;
 
 /// Observation table for Figure 13: for each occupancy `A`, how many
 /// observations resolved as "span released before next allocation".
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SpanReturnObs {
     /// `(released, total)` per live-allocation count (index clamped to the
     /// span capacity). Allocated by the first [`record`](Self::record): a
@@ -40,13 +40,6 @@ pub struct SpanReturnObs {
 }
 
 impl SpanReturnObs {
-    fn new(capacity: u32) -> Self {
-        Self {
-            buckets: Vec::new(),
-            capacity,
-        }
-    }
-
     /// This table emptied for a class of span `capacity`, keeping its
     /// storage for the next first observation.
     fn renew(mut self, capacity: u32) -> Self {
@@ -82,7 +75,7 @@ impl SpanReturnObs {
 }
 
 /// The central free list for one size class.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CentralFreeList {
     class: u16,
     info: SizeClassInfo,
@@ -98,27 +91,9 @@ pub struct CentralFreeList {
 }
 
 impl CentralFreeList {
-    /// Creates the free list with `num_lists` priority lists (1 = legacy
-    /// singleton, 8 = span prioritization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_lists` is zero.
-    pub fn new(class: u16, info: SizeClassInfo, num_lists: usize) -> Self {
-        let empty = Self {
-            class,
-            info,
-            lists: Vec::new(),
-            free_objects: 0,
-            spans_created: 0,
-            spans_released: 0,
-            obs: SpanReturnObs::new(info.objects_per_span),
-        };
-        empty.renew(class, info, num_lists)
-    }
-
-    /// This free list emptied, exactly as [`new`](Self::new) builds one,
-    /// with its lists' and observation table's storage kept.
+    /// This free list emptied for `class`, with `num_lists` priority lists
+    /// (1 = legacy singleton, 8 = span prioritization) and its lists' and
+    /// observation table's storage kept.
     ///
     /// # Panics
     ///
@@ -387,11 +362,16 @@ mod tests {
         let table = SizeClassTable::production();
         let cl = table.class_for(16).unwrap();
         Fixture {
-            cfl: CentralFreeList::new(cl as u16, *table.info(cl), num_lists),
-            spans: SpanRegistry::new(),
+            cfl: CentralFreeList::default().renew(cl as u16, *table.info(cl), num_lists),
+            spans: SpanRegistry::default(),
             pagemap: Pagemap::default(),
-            pageheap: PageHeap::new(PageHeapConfig::default()),
-            bus: EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
+            pageheap: PageHeap::default().renew(
+                PageHeapConfig::default(),
+                None,
+                Clock::new(),
+                None,
+            ),
+            bus: EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new()),
         }
     }
 

@@ -631,6 +631,7 @@ impl EventSink for TraceRing {
 /// `observed` (someone other than the ledger is listening: trace ring,
 /// attached sink, or the sanitizer). Observers see the full
 /// per-op stream; with nobody listening nothing is built.
+#[derive(Default)]
 pub struct EventBus {
     clock: Clock,
     stats: StatsView,
@@ -638,7 +639,7 @@ pub struct EventBus {
     trace: Option<TraceRing>,
     extra: Vec<Box<dyn EventSink>>,
     /// Derived, never set by a caller: fixed by the config in
-    /// [`new`](Self::new), flipped for good by [`attach`](Self::attach).
+    /// [`renew`](Self::renew), flipped for good by [`attach`](Self::attach).
     observed: bool,
 }
 
@@ -653,36 +654,20 @@ impl std::fmt::Debug for EventBus {
 }
 
 impl EventBus {
-    /// Builds the bus for one allocator instance: sink selection comes from
-    /// `cfg` (`trace_capacity`, `sanitize`).
-    pub fn new(cfg: &TcmallocConfig, clock: Clock) -> Self {
-        Self::assemble(StatsView::default(), Vec::new(), cfg, clock)
-    }
-
-    /// This bus as [`new`](Self::new) builds it for the next allocator:
-    /// the ledger and profile zeroed with their storage kept, attached
-    /// sinks detached, and a new sanitizer and trace ring as `cfg` asks.
+    /// This bus emptied for the next allocator: the ledger and profile
+    /// zeroed with their storage kept, attached sinks detached, and a new
+    /// sanitizer and trace ring as `cfg` asks (`trace_capacity`,
+    /// `sanitize`).
     pub fn renew(mut self, cfg: &TcmallocConfig, clock: Clock) -> Self {
         self.extra.clear();
-        Self::assemble(self.stats.renew(), self.extra, cfg, clock)
-    }
-
-    /// A bus over a zeroed `stats` and an empty `extra`, its sinks chosen
-    /// by `cfg` (`trace_capacity`, `sanitize`).
-    fn assemble(
-        stats: StatsView,
-        extra: Vec<Box<dyn EventSink>>,
-        cfg: &TcmallocConfig,
-        clock: Clock,
-    ) -> Self {
         let trace = (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity as usize));
         Self {
             clock,
-            stats,
+            stats: self.stats.renew(),
             sanitizer: Sanitizer::new(cfg.sanitize),
             observed: trace.is_some() || cfg.sanitize.is_on(),
             trace,
-            extra,
+            extra: self.extra,
         }
     }
 
@@ -830,7 +815,7 @@ mod tests {
     use wsc_sim_hw::cost::CostModel;
 
     fn bus(cfg: TcmallocConfig) -> EventBus {
-        EventBus::new(&cfg, Clock::new())
+        EventBus::default().renew(&cfg, Clock::new())
     }
 
     fn hit() -> AllocEvent {

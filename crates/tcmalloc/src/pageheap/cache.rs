@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use wsc_sim_os::addr::HUGE_PAGE_BYTES;
 
 /// A cache of free hugepage runs with coalescing and a byte limit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HugeCache {
     /// `base address -> run length in hugepages`, coalesced.
     runs: BTreeMap<u64, u64>,
@@ -175,8 +175,8 @@ mod tests {
     fn setup(limit_hp: u64) -> (HugeCache, OsLayer, EventBus) {
         (
             HugeCache::new(limit_hp * HUGE_PAGE_BYTES),
-            OsLayer::infallible(),
-            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
+            OsLayer::default(),
+            EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 

@@ -213,7 +213,7 @@ pub struct FillerStats {
 }
 
 /// The hugepage filler.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HugePageFiller {
     trackers: Vec<Option<PageTracker>>,
     free_ids: Vec<usize>,
@@ -234,27 +234,11 @@ pub struct HugePageFiller {
 }
 
 impl HugePageFiller {
-    /// Creates a filler. With `lifetime_aware`, spans whose capacity is
-    /// below `capacity_threshold` (the paper's C = 16) are placed on a
-    /// dedicated set of hugepages.
-    pub fn new(lifetime_aware: bool, capacity_threshold: u32) -> Self {
-        let empty = Self {
-            trackers: Vec::new(),
-            free_ids: Vec::new(),
-            by_hugepage: IntMap::default(),
-            lists: Vec::new(),
-            nonempty: [[0; INDEX_WORDS]; 2],
-            lifetime_aware,
-            capacity_threshold,
-            freed_whole: 0,
-            subreleased_total: 0,
-        };
-        empty.renew(lifetime_aware, capacity_threshold)
-    }
-
-    /// This filler emptied, exactly as [`new`](Self::new) builds one: no
-    /// hugepage tracked, with the storage of its tracker table, index and
-    /// every longest-free-range list kept.
+    /// This filler emptied: no hugepage tracked, with the storage of its
+    /// tracker table, index and every longest-free-range list kept. With
+    /// `lifetime_aware`, spans whose capacity is below
+    /// `capacity_threshold` (the paper's C = 16) are placed on a dedicated
+    /// set of hugepages.
     pub fn renew(mut self, lifetime_aware: bool, capacity_threshold: u32) -> Self {
         self.trackers.clear();
         self.free_ids.clear();
@@ -684,10 +668,10 @@ mod tests {
 
     fn setup() -> (HugePageFiller, HugeCache, OsLayer, EventBus) {
         (
-            HugePageFiller::new(false, 16),
+            HugePageFiller::default().renew(false, 16),
             HugeCache::new(0), // no caching: frees go straight to the OS
-            OsLayer::infallible(),
-            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
+            OsLayer::default(),
+            EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 
@@ -735,7 +719,7 @@ mod tests {
 
     #[test]
     fn lifetime_sets_segregate() {
-        let mut f = HugePageFiller::new(true, 16);
+        let mut f = HugePageFiller::default().renew(true, 16);
         let (_, mut c, mut os, mut b) = setup();
         // capacity 512 (small objects, long-lived) vs capacity 1 (huge
         // objects, short-lived) must land on different hugepages.

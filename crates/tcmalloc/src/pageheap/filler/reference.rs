@@ -14,7 +14,6 @@ use crate::config::TcmallocConfig;
 use wsc_prng::SmallRng;
 use wsc_sim_os::clock::Clock;
 use wsc_sim_os::faults::{FaultPlan, PPM};
-use wsc_sim_os::vmm::Vmm;
 
 impl PageTracker {
     fn used_bit(&self, i: u32) -> bool {
@@ -466,12 +465,12 @@ impl World {
             ..FaultPlan::off()
         };
         Self {
-            f: HugePageFiller::new(lifetime_aware, 16),
+            f: HugePageFiller::default().renew(lifetime_aware, 16),
             // Room for two hugepages: retired ones are reused, the
             // rest go back to the OS.
             c: HugeCache::new(2 * HUGE_PAGE_BYTES),
-            os: OsLayer::new(Vmm::with_faults(plan, Clock::new()), None),
-            b: EventBus::new(
+            os: OsLayer::default().renew(Some(plan), Clock::new(), None),
+            b: EventBus::default().renew(
                 &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
                 Clock::new(),
             ),

@@ -139,14 +139,14 @@ impl Route {
 /// use wsc_tcmalloc::pageheap::{PageHeap, PageHeapConfig};
 /// # use wsc_tcmalloc::{config::TcmallocConfig, events::EventBus};
 /// # use wsc_sim_os::clock::Clock;
-/// # let mut bus = EventBus::new(
+/// # let mut bus = EventBus::default().renew(
 /// #     &TcmallocConfig::baseline(), Clock::new());
 ///
-/// let mut ph = PageHeap::new(PageHeapConfig::default());
+/// let mut ph = PageHeap::default().renew(PageHeapConfig::default(), None, Clock::new(), None);
 /// let (addr, _path) = ph.alloc(4, 512, &mut bus).expect("infallible kernel");
 /// ph.dealloc(addr, 4, &mut bus);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PageHeap {
     os: OsLayer,
     filler: HugePageFiller,
@@ -161,25 +161,8 @@ pub struct PageHeap {
 const ENOMEM_RETRIES: u32 = 3;
 
 impl PageHeap {
-    /// Creates a pageheap on an infallible, unlimited kernel.
-    pub fn new(cfg: PageHeapConfig) -> Self {
-        Self::with_kernel(cfg, OsLayer::infallible())
-    }
-
-    /// Creates a pageheap on the given OS layer (fault plan and/or hard
-    /// limit attached).
-    pub fn with_kernel(cfg: PageHeapConfig, os: OsLayer) -> Self {
-        Self {
-            os,
-            filler: HugePageFiller::new(cfg.lifetime_aware_filler, cfg.capacity_threshold),
-            region: HugeRegionSet::new(),
-            cache: HugeCache::new(HUGE_CACHE_LIMIT_BYTES),
-            large_used_pages: 0,
-        }
-    }
-
-    /// This pageheap emptied, exactly as [`with_kernel`](Self::with_kernel)
-    /// builds one, on its own kernel renewed as [`OsLayer::renew`] does,
+    /// This pageheap emptied for `cfg`, on its own kernel renewed as
+    /// [`OsLayer::renew`] does (`faults` and `hard_limit` attached),
     /// keeping the storage of its page table, filler and region set.
     pub fn renew(
         self,
@@ -452,8 +435,8 @@ mod tests {
 
     fn heap() -> (PageHeap, EventBus) {
         (
-            PageHeap::new(PageHeapConfig::default()),
-            EventBus::new(&TcmallocConfig::baseline(), Clock::new()),
+            PageHeap::default().renew(PageHeapConfig::default(), None, Clock::new(), None),
+            EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new()),
         )
     }
 

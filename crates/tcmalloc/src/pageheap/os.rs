@@ -62,8 +62,9 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// The sanctioned wrapper around the simulated kernel.
-#[derive(Clone, Debug)]
+/// The sanctioned wrapper around the simulated kernel. The
+/// [`Default`] layer is an infallible kernel with no limit.
+#[derive(Clone, Debug, Default)]
 pub struct OsLayer {
     vmm: Vmm,
     hard_limit: Option<u64>,
@@ -73,26 +74,16 @@ pub struct OsLayer {
 }
 
 impl OsLayer {
-    /// Wraps a kernel, enforcing `hard_limit` (bytes) on resident growth.
-    pub fn new(vmm: Vmm, hard_limit: Option<u64>) -> Self {
+    /// This layer over an emptied kernel, enforcing `hard_limit` (bytes)
+    /// on resident growth: `faults` attaches a plan judged against `clock`
+    /// ([`Vmm::renew`]), none an infallible kernel. The page table's
+    /// storage is kept.
+    pub fn renew(self, faults: Option<FaultPlan>, clock: Clock, hard_limit: Option<u64>) -> Self {
         Self {
-            vmm,
+            vmm: self.vmm.renew(faults, clock),
             hard_limit,
             degraded: false,
         }
-    }
-
-    /// This layer over an emptied kernel, exactly as [`new`](Self::new)
-    /// wraps a fresh one: `faults` attaches a plan judged against `clock`
-    /// (the kernel of [`Vmm::with_faults`]), none an infallible kernel. The
-    /// page table's storage is kept.
-    pub fn renew(self, faults: Option<FaultPlan>, clock: Clock, hard_limit: Option<u64>) -> Self {
-        Self::new(self.vmm.renew(faults, clock), hard_limit)
-    }
-
-    /// An infallible kernel with no limit — the pre-failure-model behaviour.
-    pub fn infallible() -> Self {
-        Self::new(Vmm::new(), None)
     }
 
     /// Maps `len` bytes (hugepage-rounded), enforcing the hard limit and
@@ -243,12 +234,6 @@ impl OsLayer {
     }
 }
 
-impl Default for OsLayer {
-    fn default() -> Self {
-        Self::infallible()
-    }
-}
-
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -259,7 +244,7 @@ mod tests {
     use wsc_sim_os::faults::{FaultPlan, PPM};
 
     fn bus() -> EventBus {
-        EventBus::new(
+        EventBus::default().renew(
             &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
             Clock::new(),
         )
@@ -267,7 +252,7 @@ mod tests {
 
     #[test]
     fn hard_limit_refuses_before_the_kernel() {
-        let mut os = OsLayer::new(Vmm::new(), Some(2 * HUGE_PAGE_BYTES));
+        let mut os = OsLayer::default().renew(None, Clock::new(), Some(2 * HUGE_PAGE_BYTES));
         let mut b = bus();
         os.mmap(HUGE_PAGE_BYTES, &mut b).unwrap();
         os.mmap(HUGE_PAGE_BYTES, &mut b).unwrap();
@@ -295,7 +280,7 @@ mod tests {
             enomem_ppm: PPM,
             ..FaultPlan::off()
         };
-        let mut os = OsLayer::new(Vmm::with_faults(plan, Clock::new()), None);
+        let mut os = OsLayer::default().renew(Some(plan), Clock::new(), None);
         let mut b = bus();
         assert_eq!(os.mmap(HUGE_PAGE_BYTES, &mut b), Err(AllocError::OsEnomem));
         assert!(b.stream().iter().any(|e| matches!(
@@ -316,7 +301,7 @@ mod tests {
         }
         .with_storm(0, 1_000);
         let clock = Clock::new();
-        let mut os = OsLayer::new(Vmm::with_faults(plan, clock.clone()), None);
+        let mut os = OsLayer::default().renew(Some(plan), clock.clone(), None);
         let mut b = bus();
         let addr = os.mmap(2 * HUGE_PAGE_BYTES, &mut b).unwrap();
         assert!(os.is_degraded());
@@ -354,7 +339,7 @@ mod tests {
             deny_huge_ppm: PPM,
             ..FaultPlan::off()
         };
-        let mut os = OsLayer::new(Vmm::with_faults(plan, Clock::new()), None);
+        let mut os = OsLayer::default().renew(Some(plan), Clock::new(), None);
         let mut b = bus();
         let addr = os.mmap(2 * HUGE_PAGE_BYTES, &mut b).unwrap();
         os.munmap(addr, HUGE_PAGE_BYTES);
@@ -371,7 +356,7 @@ mod tests {
             subrelease_fail_ppm: PPM,
             ..FaultPlan::off()
         };
-        let mut os = OsLayer::new(Vmm::with_faults(plan, Clock::new()), None);
+        let mut os = OsLayer::default().renew(Some(plan), Clock::new(), None);
         let mut b = bus();
         let addr = os.mmap(HUGE_PAGE_BYTES, &mut b).unwrap();
         let before = os.page_table().resident_bytes();

@@ -90,18 +90,12 @@ pub struct HugeRegionSet {
 }
 
 impl HugeRegionSet {
-    /// Creates an empty region set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This region set emptied, exactly as [`new`](Self::new) builds one,
-    /// with the region table's storage kept.
+    /// This region set emptied, with the region table's storage kept.
     pub fn renew(mut self) -> Self {
         self.regions.clear();
         Self {
             regions: self.regions,
-            live: BTreeMap::new(),
+            ..Self::default()
         }
     }
 
@@ -202,13 +196,13 @@ mod tests {
     use wsc_sim_os::clock::Clock;
 
     fn bus() -> EventBus {
-        EventBus::new(&TcmallocConfig::baseline(), Clock::new())
+        EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new())
     }
 
     #[test]
     fn packs_end_to_end() {
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         // 2.1 MiB ≈ 269 pages; three of them fit in one 16-hugepage region.
         let (a, mmapped) = rs.alloc(269, &mut os, &mut bs).unwrap();
@@ -226,8 +220,8 @@ mod tests {
         // The design point: a 2.1 MiB allocation on dedicated hugepages
         // wastes ~1.9 MiB; in a shared region the per-allocation share of
         // region slack is far smaller once a few allocations pack together.
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         for _ in 0..15 {
             rs.alloc(269, &mut os, &mut bs).unwrap();
@@ -242,8 +236,8 @@ mod tests {
 
     #[test]
     fn dealloc_reuses_space() {
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         let (a, _) = rs.alloc(300, &mut os, &mut bs).unwrap();
         let (_b, _) = rs.alloc(300, &mut os, &mut bs).unwrap();
@@ -255,8 +249,8 @@ mod tests {
 
     #[test]
     fn empty_region_unmaps() {
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         let (a, _) = rs.alloc(400, &mut os, &mut bs).unwrap();
         let mapped = os.vmm().page_table().mapped_bytes();
@@ -268,16 +262,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown region range")]
     fn unknown_dealloc_panics() {
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         rs.dealloc(0x1234, 300, &mut os, &mut bs);
     }
 
     #[test]
     fn a_free_finds_its_region_after_a_swap_remove() {
-        let mut rs = HugeRegionSet::new();
-        let mut os = OsLayer::infallible();
+        let mut rs = HugeRegionSet::default();
+        let mut os = OsLayer::default();
         let mut bs = bus();
         // Fill two regions.
         let (a, _) = rs.alloc(REGION_PAGES, &mut os, &mut bs).unwrap();

@@ -65,7 +65,7 @@ pub struct LeafOccupancy {
 /// use wsc_tcmalloc::pagemap::Pagemap;
 /// use wsc_tcmalloc::span::SpanId;
 ///
-/// let mut pm = Pagemap::new();
+/// let mut pm = Pagemap::default();
 /// pm.set_range(0x10000, 4, SpanId(7));
 /// assert_eq!(pm.span_of(0x10000 + 100), Some(SpanId(7)));
 /// ```
@@ -82,18 +82,12 @@ pub struct Pagemap {
 }
 
 impl Pagemap {
-    /// Creates an empty pagemap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This pagemap emptied, exactly as [`new`](Self::new) builds one,
-    /// with the window's storage kept.
+    /// This pagemap emptied, with the window's storage kept.
     pub fn renew(mut self) -> Self {
         self.slots.clear();
         Self {
             slots: self.slots,
-            ..Self::new()
+            ..Self::default()
         }
     }
 
@@ -276,7 +270,7 @@ mod tests {
 
     #[test]
     fn range_lookup() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 2, SpanId(1));
         pm.set_range(2 * TCMALLOC_PAGE_BYTES, 1, SpanId(2));
         assert_eq!(pm.span_of(0), Some(SpanId(1)));
@@ -288,14 +282,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already owned")]
     fn overlap_detected() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 2, SpanId(1));
         pm.set_range(TCMALLOC_PAGE_BYTES, 1, SpanId(2));
     }
 
     #[test]
     fn clear_then_reuse() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 4, SpanId(1));
         pm.clear_range(0, 4);
         assert!(pm.is_empty());
@@ -306,14 +300,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unregistered")]
     fn clear_unregistered_detected() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.clear_range(0, 1);
     }
 
     #[test]
     #[should_panic(expected = "unregistered")]
     fn clear_unregistered_in_window_detected() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 1, SpanId(1));
         pm.clear_range(4 * TCMALLOC_PAGE_BYTES, 1);
     }
@@ -324,7 +318,7 @@ mod tests {
         // both sides, count into both leaves, and clear cleanly.
         let start_page = PAGES_PER_LEAF - 3;
         let addr = start_page * TCMALLOC_PAGE_BYTES;
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(addr, 8, SpanId(5));
         assert_eq!(pm.len(), 8);
         for p in 0..8u64 {
@@ -349,7 +343,7 @@ mod tests {
 
     #[test]
     fn hit_cache_invalidated_on_clear_range() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 4, SpanId(1));
         // Prime the cache via a lookup, then clear: the cached range must
         // not survive into the next lookup.
@@ -367,7 +361,7 @@ mod tests {
         // First touch high, then low: the flat window must extend backwards
         // in whole leaves without disturbing existing slots.
         let high = 40 * PAGES_PER_LEAF * TCMALLOC_PAGE_BYTES;
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(high, 2, SpanId(1));
         pm.set_range(0, 2, SpanId(2));
         assert_eq!(pm.span_of(high), Some(SpanId(1)));
@@ -381,7 +375,7 @@ mod tests {
         // step prepends to the window and must carry every earlier entry
         // along.
         let page_of = |chunk: u64| chunk * PAGES_PER_LEAF + 7;
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         for (i, chunk) in [9u64, 7, 6, 4, 3].into_iter().enumerate() {
             pm.set_range(page_of(chunk) * TCMALLOC_PAGE_BYTES, 3, SpanId(i as u32));
             for (j, earlier) in [9u64, 7, 6, 4, 3][..=i].iter().enumerate() {
@@ -404,7 +398,7 @@ mod tests {
         // The bound is on address-space spread, not on the leaf count: a
         // smaller leaf must not shrink it (nor let a corrupt address make
         // the window allocate half a gigabyte of slots first).
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 1, SpanId(1));
         pm.set_range(1 << 40, 1, SpanId(2));
     }
@@ -421,13 +415,13 @@ mod tests {
     #[should_panic(expected = "empty page range at 0x0")]
     fn empty_set_range_rejected() {
         // Page 0 is where `last - 1` used to underflow.
-        Pagemap::new().set_range(0, 0, SpanId(1));
+        Pagemap::default().set_range(0, 0, SpanId(1));
     }
 
     #[test]
     #[should_panic(expected = "empty page range at 0x4000")]
     fn empty_clear_range_rejected() {
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(0, 4, SpanId(1));
         pm.clear_range(2 * TCMALLOC_PAGE_BYTES, 0);
     }
@@ -437,7 +431,7 @@ mod tests {
         // The Vmm hands out addresses from the canonical heap base; the
         // window must land there without covering everything below it.
         let base = wsc_sim_os::vmm::HEAP_BASE;
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         pm.set_range(base, 256, SpanId(3));
         assert_eq!(pm.span_of(base + 1000), Some(SpanId(3)));
         assert_eq!(pm.len(), 256);

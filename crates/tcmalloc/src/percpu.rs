@@ -111,7 +111,7 @@ impl CpuSlab {
 }
 
 /// The array of per-CPU caches for one process.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PerCpuCaches {
     slabs: Vec<Option<CpuSlab>>,
     /// Slabs of an earlier process by vCPU, each renewed on the same vCPU's
@@ -125,23 +125,10 @@ pub struct PerCpuCaches {
 }
 
 impl PerCpuCaches {
-    /// Creates the cache array. Slabs are populated lazily per vCPU — the
-    /// point of virtual CPU IDs (§4.1).
-    pub fn new(table: &SizeClassTable, default_max_bytes: u64) -> Self {
-        let empty = Self {
-            slabs: Vec::new(),
-            spare: Vec::new(),
-            sizes: Vec::new(),
-            batches: Vec::new(),
-            class_caps: Vec::new(),
-            default_max_bytes,
-        };
-        empty.renew(table, default_max_bytes)
-    }
-
-    /// This cache array emptied, exactly as [`new`](Self::new) builds one:
-    /// no vCPU populated, every slab set aside with its stacks' storage
-    /// for the next vCPU's first use.
+    /// This cache array emptied for `table`: no vCPU populated, every slab
+    /// set aside with its stacks' storage for the next vCPU's first use.
+    /// Slabs are populated lazily per vCPU — the point of virtual CPU IDs
+    /// (§4.1).
     pub fn renew(mut self, table: &SizeClassTable, default_max_bytes: u64) -> Self {
         set_aside(&mut self.spare, &mut self.slabs);
         self.sizes.clear();
@@ -606,11 +593,11 @@ mod tests {
     use wsc_sim_os::clock::Clock;
 
     fn caches(max_bytes: u64) -> PerCpuCaches {
-        PerCpuCaches::new(&SizeClassTable::production(), max_bytes)
+        PerCpuCaches::default().renew(&SizeClassTable::production(), max_bytes)
     }
 
     fn bus() -> EventBus {
-        EventBus::new(&TcmallocConfig::baseline(), Clock::new())
+        EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new())
     }
 
     const V0: VcpuId = VcpuId(0);
@@ -1155,7 +1142,7 @@ mod tests {
     fn donor_mask_matches_the_full_scan_in_lockstep() {
         use wsc_prng::SmallRng;
         let recording = || {
-            EventBus::new(
+            EventBus::default().renew(
                 &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
                 Clock::new(),
             )

@@ -17,7 +17,7 @@ use wsc_sim_os::addr::TCMALLOC_PAGE_BYTES;
 pub const MAX_SMALL_SIZE: u64 = 256 << 10;
 
 /// One size class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SizeClassInfo {
     /// Object size in bytes (the rounded-up allocation size).
     pub size: u64,
@@ -216,6 +216,14 @@ impl SizeClassTable {
     /// Iterates all classes in ascending size order.
     pub fn iter(&self) -> impl Iterator<Item = &SizeClassInfo> {
         self.classes.iter()
+    }
+}
+
+impl Default for &'static SizeClassTable {
+    /// The [shared](SizeClassTable::shared) table: the one every allocator
+    /// sizes with.
+    fn default() -> Self {
+        SizeClassTable::shared()
     }
 }
 

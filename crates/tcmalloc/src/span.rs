@@ -272,14 +272,8 @@ pub struct SpanRegistry {
 }
 
 impl SpanRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// This registry emptied, exactly as [`new`](Self::new) builds one:
-    /// no span, no id minted and no arena region carved, with the storage
-    /// of the span table and both pools kept.
+    /// This registry emptied: no span, no id minted and no arena region
+    /// carved, with the storage of the span table and both pools kept.
     pub fn renew(mut self) -> Self {
         self.spans.clear();
         self.free_ids.clear();
@@ -293,8 +287,7 @@ impl SpanRegistry {
                 free_pool: self.arena.free_pool,
                 bm_pool: self.arena.bm_pool,
                 slots: self.arena.slots,
-                retired_entries: 0,
-                retired_words: 0,
+                ..SlabArena::default()
             },
         }
     }
@@ -503,7 +496,7 @@ mod tests {
 
     /// Registry with one small span, the fixture most tests drive.
     fn registry_with_span() -> (SpanRegistry, SpanId) {
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let id = reg.insert(small_span());
         (reg, id)
     }
@@ -576,7 +569,7 @@ mod tests {
     fn exhausted_alloc_panics() {
         let t = SizeClassTable::production();
         let cl = t.class_for(256 << 10).unwrap();
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let id = reg.insert(Span::new_small(0, cl as u16, t.info(cl)));
         for _ in 0..=reg.get(id).capacity {
             pop(&mut reg, id);
@@ -585,7 +578,7 @@ mod tests {
 
     #[test]
     fn large_span_is_single_object() {
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let id = reg.insert(Span::new_large(0x8000, 100));
         let s = *reg.get(id);
         assert_eq!(s.capacity, 1);
@@ -599,7 +592,7 @@ mod tests {
 
     #[test]
     fn registry_recycles_ids_and_regions() {
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let a = reg.insert(small_span());
         let b = reg.insert(small_span());
         assert_ne!(a, b);
@@ -631,7 +624,7 @@ mod tests {
         // Recycle a capacity-1 (large) span's id into a 512-object small
         // span: the region must grow, and the conservation law must keep
         // holding.
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let a = reg.insert(Span::new_large(0x8000, 100));
         reg.dealloc_object(a, 0x8000);
         reg.remove(a);
@@ -655,7 +648,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale")]
     fn stale_id_detected() {
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let a = reg.insert(small_span());
         reg.remove(a);
         let _ = reg.get(a);
@@ -741,7 +734,7 @@ mod tests {
             Span::new_small(serial << 20, 0, &info)
         };
         let mut rng = SmallRng::seed_from_u64(0x5BA9);
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let mut arena = EagerArena::default();
         let mut model: Vec<Option<EagerSpan>> = Vec::new();
         let mut live_ids: Vec<SpanId> = Vec::new();
@@ -840,7 +833,7 @@ mod tests {
 
     #[test]
     fn arena_stats_conservation() {
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         assert_eq!(reg.arena_stats(), ArenaStats::default());
         let a = reg.insert(small_span());
         let _b = reg.insert(Span::new_large(0x9000_0000, 4));

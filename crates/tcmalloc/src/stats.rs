@@ -212,7 +212,7 @@ impl Default for StatsView {
             prices: PriceTable::new(&CostModel::production()),
             counts: Default::default(),
             booked: CycleStats::new(),
-            profile: AllocationProfile::new(),
+            profile: AllocationProfile::default(),
         }
     }
 }

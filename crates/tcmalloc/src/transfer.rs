@@ -119,17 +119,17 @@ pub const DOMAIN_BATCHES: u32 = 1;
 /// use wsc_tcmalloc::transfer::{TransferCaches, TransferSharding};
 ///
 /// let table = SizeClassTable::production();
-/// let mut tc = TransferCaches::new(&table, TransferSharding::Domain);
+/// let mut tc = TransferCaches::default().renew(&table, TransferSharding::Domain);
 /// # use wsc_tcmalloc::{EventBus, TcmallocConfig};
 /// # use wsc_sim_os::clock::Clock;
-/// # let mut bus = EventBus::new(&TcmallocConfig::baseline(), Clock::new());
+/// # let mut bus = EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new());
 /// assert_eq!(tc.stash(0, 3, &[0x1000, 0x2000], &mut bus), 2, "both absorbed");
 /// // The same shard gets its own objects back (cache-domain locality).
 /// let mut batch = Vec::new();
 /// tc.fetch(0, 3, 2, &mut batch, &mut bus);
 /// assert_eq!(batch, [0x1000, 0x2000]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TransferCaches {
     central: Vec<ClassArray>,
     domains: Vec<Option<Vec<ClassArray>>>,
@@ -141,21 +141,9 @@ pub struct TransferCaches {
 }
 
 impl TransferCaches {
-    /// Creates the tier for a size-class table.
-    pub fn new(table: &SizeClassTable, sharding: TransferSharding) -> Self {
-        let empty = Self {
-            central: Vec::new(),
-            domains: Vec::new(),
-            spare: Vec::new(),
-            sizes_batches: Vec::new(),
-            sharding,
-        };
-        empty.renew(table, sharding)
-    }
-
-    /// This tier emptied, exactly as [`new`](Self::new) builds one: no
-    /// object cached and no shard active, with every array's storage kept
-    /// (a shard's for the next shard to activate).
+    /// This tier emptied for `table`: no object cached and no shard
+    /// active, with every array's storage kept (a shard's for the next
+    /// shard to activate).
     pub fn renew(mut self, table: &SizeClassTable, sharding: TransferSharding) -> Self {
         set_aside(&mut self.spare, &mut self.domains);
         self.sizes_batches.clear();
@@ -365,11 +353,11 @@ mod tests {
     }
 
     fn bus() -> EventBus {
-        EventBus::new(&TcmallocConfig::baseline(), Clock::new())
+        EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new())
     }
 
     fn legacy() -> TransferCaches {
-        TransferCaches::new(&table(), TransferSharding::Central)
+        TransferCaches::default().renew(&table(), TransferSharding::Central)
     }
 
     /// `fetch` into a fresh buffer.
@@ -380,7 +368,7 @@ mod tests {
     }
 
     fn nuca() -> TransferCaches {
-        TransferCaches::new(&table(), TransferSharding::Domain)
+        TransferCaches::default().renew(&table(), TransferSharding::Domain)
     }
 
     #[test]
@@ -509,7 +497,7 @@ mod tests {
     #[test]
     fn evict_events_carry_shard_and_reason() {
         let mut tc = nuca();
-        let mut b = EventBus::new(
+        let mut b = EventBus::default().renew(
             &TcmallocConfig::baseline().with_trace(crate::events::TraceRing::UNBOUNDED),
             Clock::new(),
         );

@@ -60,7 +60,7 @@ fn span_alloc_free_sequences_preserve_counts() {
     let cl = t.class_for(64).expect("64 B is a small size");
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0A2 + case);
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let id = reg.insert(Span::new_small(0x100000, cl as u16, t.info(cl)));
         let capacity = reg.get(id).capacity;
         let mut live: Vec<u64> = Vec::new();
@@ -91,7 +91,7 @@ fn registry_ids_stay_distinct() {
     let cl = t.class_for(16).expect("16 B is a small size");
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0A3 + case);
-        let mut reg = SpanRegistry::new();
+        let mut reg = SpanRegistry::default();
         let mut live = Vec::new();
         let churn = rng.gen_range(1usize..200);
         for i in 0..churn {
@@ -111,14 +111,14 @@ fn registry_ids_stay_distinct() {
 // --- pageheap ---
 
 fn bus() -> EventBus {
-    EventBus::new(&TcmallocConfig::baseline(), Clock::new())
+    EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new())
 }
 
 #[test]
 fn pageheap_ranges_never_overlap() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0A4 + case);
-        let mut ph = PageHeap::new(PageHeapConfig::default());
+        let mut ph = PageHeap::default().renew(PageHeapConfig::default(), None, Clock::new(), None);
         let mut bus = bus();
         let mut live: Vec<(u64, u32)> = Vec::new();
         let reqs = rng.gen_range(1usize..60);
@@ -152,7 +152,7 @@ fn pageheap_ranges_never_overlap() {
 fn pageheap_release_is_safe_at_any_point() {
     for case in 0..128u64 {
         let mut rng = SmallRng::seed_from_u64(0xC0A5 + case);
-        let mut ph = PageHeap::new(PageHeapConfig::default());
+        let mut ph = PageHeap::default().renew(PageHeapConfig::default(), None, Clock::new(), None);
         let mut bus = bus();
         let count = rng.gen_range(1usize..40);
         let release_at = rng.gen_range(0usize..40);
@@ -256,7 +256,7 @@ fn pagemap_agrees_with_btreemap_oracle() {
 
     for (case, base) in (0..64u64).flat_map(|case| [(case, HEAP_BASE), (case, 0)]) {
         let mut rng = SmallRng::seed_from_u64(0x9A6E + case);
-        let mut pm = Pagemap::new();
+        let mut pm = Pagemap::default();
         let mut oracle = Oracle {
             base,
             pages: BTreeMap::new(),

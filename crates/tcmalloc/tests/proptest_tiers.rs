@@ -19,7 +19,7 @@ use wsc_tcmalloc::span::SpanRegistry;
 use wsc_tcmalloc::transfer::{TransferCaches, TransferSharding, CENTRAL_BATCHES, DOMAIN_BATCHES};
 
 fn bus() -> EventBus {
-    EventBus::new(&TcmallocConfig::baseline(), Clock::new())
+    EventBus::default().renew(&TcmallocConfig::baseline(), Clock::new())
 }
 
 // --- central free list: random batch traffic, both L=1 and L=8 ---
@@ -31,10 +31,11 @@ fn central_free_list_conserves_objects() {
         let lists = if case % 2 == 0 { 1 } else { 8 };
         let table = SizeClassTable::production();
         let cl = table.class_for(48).expect("48 B is a small size");
-        let mut cfl = CentralFreeList::new(cl as u16, *table.info(cl), lists);
-        let mut spans = SpanRegistry::new();
+        let mut cfl = CentralFreeList::default().renew(cl as u16, *table.info(cl), lists);
+        let mut spans = SpanRegistry::default();
         let mut pagemap = Pagemap::default();
-        let mut pageheap = PageHeap::new(PageHeapConfig::default());
+        let mut pageheap =
+            PageHeap::default().renew(PageHeapConfig::default(), None, Clock::new(), None);
         let mut bus = bus();
         let mut live: Vec<u64> = Vec::new();
         let ops = rng.gen_range(1usize..120);
@@ -87,7 +88,7 @@ fn percpu_budget_is_never_exceeded() {
         let mut rng = SmallRng::seed_from_u64(0x7C41 + case);
         let budget = rng.gen_range(1024u64..(1 << 20));
         let table = SizeClassTable::production();
-        let mut caches = PerCpuCaches::new(&table, budget);
+        let mut caches = PerCpuCaches::default().renew(&table, budget);
         let mut bus = bus();
         let mut counter = 0u64;
         let mut shed = Vec::new();
@@ -141,7 +142,7 @@ fn transfer_tier_conserves_objects() {
         let mut rng = SmallRng::seed_from_u64(0x7C42 + case);
         let sharding = SHARDINGS[(case % 3) as usize];
         let table = SizeClassTable::production();
-        let mut tc = TransferCaches::new(&table, sharding);
+        let mut tc = TransferCaches::default().renew(&table, sharding);
         let mut bus = bus();
         let cl = table.class_for(128).expect("128 B is a small size");
         let mut in_tier = 0usize;
@@ -282,8 +283,8 @@ fn batches_keep_the_vec_api_order_through_every_hop() {
         // a refill keeps nothing and the whole batch moves on.
         for budget in [1u64 << 20, 0] {
             let mut rng = SmallRng::seed_from_u64(0x7C43 + case as u64);
-            let mut tc = TransferCaches::new(&table, sharding);
-            let mut caches = PerCpuCaches::new(&table, budget);
+            let mut tc = TransferCaches::default().renew(&table, sharding);
+            let mut caches = PerCpuCaches::default().renew(&table, budget);
             let mut bus = bus();
             // The capacities `transfer::new_tier` and `PerCpuCaches::new`
             // derive for this class.

@@ -19,6 +19,9 @@ use crate::histogram::{LogHistogram, MAX_EXP};
 /// locking; the deterministic accumulator is equivalent in aggregate for the
 /// distribution studies here and keeps replays bit-reproducible.
 ///
+/// The [`Default`] sampler has period 0 and must not be asked: it is what
+/// an allocator that has not been renewed holds.
+///
 /// # Example
 ///
 /// ```
@@ -28,7 +31,7 @@ use crate::histogram::{LogHistogram, MAX_EXP};
 /// assert!(!s.should_sample(512));
 /// assert!(s.should_sample(512)); // crossed 1024 bytes
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Sampler {
     period: u64,
     accumulated: u64,
@@ -100,17 +103,7 @@ pub struct AllocationProfile {
 }
 
 impl AllocationProfile {
-    /// Creates an empty profile.
-    pub fn new() -> Self {
-        Self {
-            size_by_count: LogHistogram::new(),
-            size_by_bytes: LogHistogram::new(),
-            lifetime_by_size_exp: (0..MAX_EXP).map(|_| LogHistogram::new()).collect(),
-        }
-    }
-
-    /// This profile emptied, exactly as [`new`](Self::new) builds one,
-    /// with every histogram's storage kept.
+    /// This profile emptied, with every histogram's storage kept.
     pub fn renew(self) -> Self {
         Self {
             size_by_count: self.size_by_count.renew(),
@@ -164,8 +157,13 @@ impl AllocationProfile {
 }
 
 impl Default for AllocationProfile {
+    /// The empty profile: every histogram empty, one per size bin.
     fn default() -> Self {
-        Self::new()
+        Self {
+            size_by_count: LogHistogram::default(),
+            size_by_bytes: LogHistogram::default(),
+            lifetime_by_size_exp: (0..MAX_EXP).map(|_| LogHistogram::default()).collect(),
+        }
     }
 }
 
@@ -211,7 +209,7 @@ mod tests {
         // 100 sampled small allocations each stand for a full period of
         // bytes (2 MiB); 100 huge allocations are sampled with weight 1 and
         // carry their own bytes. Small dominate by count, huge by bytes.
-        let mut p = AllocationProfile::new();
+        let mut p = AllocationProfile::default();
         let s = Sampler::new(2 << 20);
         for site in 0..100u64 {
             p.record_alloc(&Sample {
@@ -239,7 +237,7 @@ mod tests {
 
     #[test]
     fn lifetime_bins_by_size() {
-        let mut p = AllocationProfile::new();
+        let mut p = AllocationProfile::default();
         p.record_lifetime(64, 1_000, 1.0); // small, short-lived
         p.record_lifetime(1 << 30, 86_400_000_000_000, 1.0); // huge, 1 day
         let small = p.lifetime_for_size_exp(6);
@@ -251,8 +249,8 @@ mod tests {
 
     #[test]
     fn profile_merge() {
-        let mut a = AllocationProfile::new();
-        let mut b = AllocationProfile::new();
+        let mut a = AllocationProfile::default();
+        let mut b = AllocationProfile::default();
         a.record_lifetime(64, 10, 1.0);
         b.record_lifetime(64, 10, 2.0);
         a.merge(&b);

@@ -31,13 +31,13 @@ const NUM_SLOTS: usize = MAX_EXP * SUB_BUCKETS;
 /// ```
 /// use wsc_telemetry::histogram::LogHistogram;
 ///
-/// let mut h = LogHistogram::new();
+/// let mut h = LogHistogram::default();
 /// h.record(100, 1.0);
 /// h.record(200, 1.0);
 /// assert_eq!(h.count(), 2.0);
 /// assert_eq!(h.fraction_below(150), 0.5);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LogHistogram {
     /// Weight per slot. Allocated by the first [`record`](Self::record) or
     /// non-empty [`merge`](Self::merge): an allocator builds 52 of these for
@@ -52,17 +52,6 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            total_weight: 0.0,
-            weighted_sum: 0.0,
-            min: None,
-            max: None,
-        }
-    }
-
     fn slot_of(value: u64) -> usize {
         if value <= 1 {
             return 0;
@@ -109,13 +98,13 @@ impl LogHistogram {
         }
     }
 
-    /// This histogram emptied, exactly as [`new`](Self::new) builds one,
-    /// with its slot storage kept for the next first weight.
+    /// This histogram emptied, with its slot storage kept for the next
+    /// first weight.
     pub fn renew(mut self) -> Self {
         self.slots.clear();
         Self {
             slots: self.slots,
-            ..Self::new()
+            ..Self::default()
         }
     }
 
@@ -187,12 +176,6 @@ impl LogHistogram {
     }
 }
 
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 // Tests may unwrap: a panic IS the failure report here.
 #[allow(clippy::unwrap_used)]
@@ -201,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = LogHistogram::new();
+        let h = LogHistogram::default();
         assert_eq!(h.count(), 0.0);
         assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
@@ -223,8 +206,8 @@ mod tests {
     #[test]
     fn byte_weighting_shifts_distribution() {
         // Mirrors paper Fig. 7: many small objects, few huge ones.
-        let mut count = LogHistogram::new();
-        let mut bytes = LogHistogram::new();
+        let mut count = LogHistogram::default();
+        let mut bytes = LogHistogram::default();
         for _ in 0..1000 {
             count.record(64, 1.0);
             bytes.record(64, 64.0);
@@ -238,7 +221,7 @@ mod tests {
 
     #[test]
     fn saturation_at_max_exp() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(u64::MAX, 1.0);
         assert_eq!(h.count(), 1.0);
         assert_eq!(h.fraction_at_or_above(1 << 49), 1.0, "last bucket");
@@ -246,8 +229,8 @@ mod tests {
 
     #[test]
     fn merge_adds_weight() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
+        let mut a = LogHistogram::default();
+        let mut b = LogHistogram::default();
         a.record(10, 2.0);
         b.record(1000, 3.0);
         a.merge(&b);
@@ -258,7 +241,7 @@ mod tests {
 
     #[test]
     fn mean_is_exact() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(10, 1.0);
         h.record(30, 3.0);
         let mean = h.mean().unwrap();
@@ -267,7 +250,7 @@ mod tests {
 
     #[test]
     fn iter_covers_all_weight() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in [5u64, 50, 500, 5000] {
             h.record(v, 1.5);
         }
@@ -279,7 +262,7 @@ mod tests {
     fn fraction_below_min_is_zero() {
         // Boundary contract for Figures 7/8: nothing lies below the
         // smallest recorded value, bucket-granular or not.
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in [96u64, 500, 7000, 1 << 18] {
             h.record(v, 2.0);
         }
@@ -290,7 +273,7 @@ mod tests {
 
     #[test]
     fn below_and_at_or_above_are_complementary_at_bucket_edges() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in 1..=4096u64 {
             h.record(v, 1.0);
         }
@@ -317,14 +300,14 @@ mod tests {
 
     #[test]
     fn slots_are_allocated_by_the_first_weight_in() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         assert!(h.slots.is_empty());
         h.record(42, 0.0);
-        h.merge(&LogHistogram::new());
+        h.merge(&LogHistogram::default());
         assert!(h.slots.is_empty(), "no weight, no slots");
         assert_eq!(h.fraction_below(u64::MAX), 0.0);
         assert_eq!(h.iter().count(), 0);
-        let mut other = LogHistogram::new();
+        let mut other = LogHistogram::default();
         other.record(100, 2.0);
         h.merge(&other);
         assert_eq!(h.slots.len(), NUM_SLOTS);
@@ -334,7 +317,7 @@ mod tests {
 
     #[test]
     fn zero_weight_ignored() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         h.record(42, 0.0);
         assert_eq!(h.count(), 0.0);
         assert_eq!(h.min(), None);

@@ -23,7 +23,7 @@
 //! ```
 //! use wsc_telemetry::histogram::LogHistogram;
 //!
-//! let mut sizes = LogHistogram::new();
+//! let mut sizes = LogHistogram::default();
 //! for s in [8u64, 24, 24, 1024, 1 << 20] {
 //!     sizes.record(s, 1.0);
 //! }

@@ -23,7 +23,7 @@ fn histogram_fractions_partition() {
         let mut rng = SmallRng::seed_from_u64(0x7E11 + case);
         let values = vec_u64(&mut rng, 1..(1 << 30), 1..200);
         let cut = rng.gen_range(1u64..(1 << 30));
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in &values {
             h.record(*v, 2.0);
         }
@@ -40,9 +40,9 @@ fn histogram_merge_is_additive() {
         let mut rng = SmallRng::seed_from_u64(0x7E12 + case);
         let a = vec_u64(&mut rng, 1..(1 << 20), 1..100);
         let b = vec_u64(&mut rng, 1..(1 << 20), 1..100);
-        let mut ha = LogHistogram::new();
-        let mut hb = LogHistogram::new();
-        let mut hall = LogHistogram::new();
+        let mut ha = LogHistogram::default();
+        let mut hb = LogHistogram::default();
+        let mut hall = LogHistogram::default();
         for v in &a {
             ha.record(*v, 1.0);
             hall.record(*v, 1.0);

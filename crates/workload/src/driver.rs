@@ -164,7 +164,7 @@ const _: () = assert!(std::mem::size_of::<Record>() == 24);
 /// The simulated LLC and dTLB. Nothing the allocator half decides reads
 /// them: the time they add is only summed into `busy_ns`, so they replay
 /// the allocator half's [`Record`]s wherever [`pipeline`] runs them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Hardware {
     llc: LlcModel,
     tlb: TlbSim,
@@ -175,27 +175,15 @@ struct Hardware {
 }
 
 impl Hardware {
-    fn new(platform: &Platform) -> Self {
-        Self {
-            llc: LlcModel::new(platform.num_domains(), platform.llc_bytes_per_domain()),
-            tlb: TlbSim::new(TlbGeometry::server()),
-            service_ns: 0.0,
-            busy_ns: 0.0,
-            walk_ns: 0.0,
-        }
-    }
-
-    /// This hardware emptied for `platform`, as [`new`](Self::new) builds
-    /// it, with the storage of the LLC index and the dTLB kept.
+    /// This hardware emptied for `platform`, with the storage of the LLC
+    /// index and the dTLB kept.
     fn renew(self, platform: &Platform) -> Self {
         Self {
             llc: self
                 .llc
                 .renew(platform.num_domains(), platform.llc_bytes_per_domain()),
             tlb: self.tlb.renew(TlbGeometry::server()),
-            service_ns: 0.0,
-            busy_ns: 0.0,
-            walk_ns: 0.0,
+            ..Self::default()
         }
     }
 
@@ -313,8 +301,8 @@ struct AllocatorTotals {
 pub struct Machine {
     /// The last run's allocator; `None` before the first run.
     tcm: Option<Tcmalloc>,
-    /// The last run's LLC and dTLB; `None` before the first run.
-    hw: Option<Hardware>,
+    /// The last run's LLC and dTLB.
+    hw: Hardware,
     tables: Tables,
 }
 
@@ -346,17 +334,14 @@ impl Machine {
         cfg: &DriverConfig,
     ) -> RunReport {
         assert!(!cfg.cpuset.is_empty(), "cpuset must be non-empty");
-        let mut hw = match self.hw.take() {
-            Some(hw) => hw.renew(platform),
-            None => Hardware::new(platform),
-        };
+        let mut hw = std::mem::take(&mut self.hw).renew(platform);
         let tables = std::mem::take(&mut self.tables).renew();
         let allocator = AllocatorHalf {
             spec,
             platform,
             tcm_cfg,
             cfg,
-            tcm: self.tcm.take(),
+            tcm: self.tcm.take().unwrap_or_default(),
             tables,
         };
         let (totals, tcm, tables, threads_ts) = pipeline(allocator, |record| hw.replay(record));
@@ -392,7 +377,7 @@ impl Machine {
             failed_allocs: totals.failed_allocs,
         };
         self.tcm = Some(tcm);
-        self.hw = Some(hw);
+        self.hw = hw;
         self.tables = tables;
         report
     }
@@ -443,8 +428,8 @@ struct AllocatorHalf<'a> {
     platform: &'a Platform,
     tcm_cfg: TcmallocConfig,
     cfg: &'a DriverConfig,
-    /// The machine's allocator to renew; `None` builds one.
-    tcm: Option<Tcmalloc>,
+    /// The machine's allocator, to renew.
+    tcm: Tcmalloc,
     tables: Tables,
 }
 
@@ -453,10 +438,9 @@ impl Producer<Record> for AllocatorHalf<'_> {
 
     fn produce<E: Emit<Record>>(self, out: &mut E) -> Self::Output {
         let clock = Clock::new();
-        let tcm = match self.tcm {
-            Some(tcm) => tcm.renew(self.tcm_cfg, self.platform.clone(), clock.clone()),
-            None => Tcmalloc::new(self.tcm_cfg, self.platform.clone(), clock.clone()),
-        };
+        let tcm = self
+            .tcm
+            .renew(self.tcm_cfg, self.platform.clone(), clock.clone());
         let mut stage = AllocatorStage {
             spec: self.spec,
             platform: self.platform,
@@ -911,8 +895,8 @@ mod tests {
         }
         // A request's sum is compared after every record: `busy_ns`, the
         // sum of hundreds of requests, would absorb a last-bit difference.
-        let mut packed = Hardware::new(&p);
-        let mut split = Hardware::new(&p);
+        let mut packed = Hardware::default().renew(&p);
+        let mut split = Hardware::default().renew(&p);
         for (i, &record) in records.iter().enumerate() {
             packed.replay(record);
             match record {
@@ -944,6 +928,45 @@ mod tests {
         assert_eq!(packed.tlb.stats(), split.tlb.stats());
         let (llc, tlb) = (packed.llc.stats(), packed.tlb.stats());
         assert!(llc.remote_misses > 0 && tlb.l2_hits > 0, "{llc:?} {tlb:?}");
+    }
+
+    #[test]
+    fn a_touchs_repeats_are_added_in_order() {
+        // One record of 255 touches to a resident block whose page the
+        // L1 dTLB holds: every touch costs exactly `llc_hit_ns`. Added one
+        // by one after an allocator time of 1000/3 ns, the sum rounds
+        // differently from the same repeats added as one product, and the
+        // replay must give the sequential sum, bit for bit.
+        let p = platform();
+        let mut hw = Hardware::default().renew(&p);
+        let (domain, addr, size) = (DomainId(0), 0x4000, 64);
+        let touch = |times| Record::Touch {
+            domain,
+            huge: 0,
+            times,
+            addr,
+            size,
+        };
+        hw.replay(touch(1));
+        hw.replay(Record::End(0.0));
+        let (before, times) = (1000.0 / 3.0, u8::MAX);
+        hw.replay(Record::Alloc(before));
+        hw.replay(touch(times));
+        let sequential = (0..times).fold(before, |sum, _| sum + COST.llc_hit_ns);
+        let product = before + COST.llc_hit_ns + COST.llc_hit_ns * f64::from(times - 1);
+        assert_ne!(
+            sequential.to_bits(),
+            product.to_bits(),
+            "the inputs tell the orders apart"
+        );
+        assert_eq!(
+            hw.service_ns.to_bits(),
+            sequential.to_bits(),
+            "{} against {sequential}",
+            hw.service_ns
+        );
+        assert_eq!(hw.llc.stats().hits, u64::from(times));
+        assert_eq!(hw.tlb.stats().l1_hits, u64::from(times));
     }
 
     #[test]

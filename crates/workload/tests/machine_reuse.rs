@@ -3,11 +3,15 @@
 //! left behind, run B on that machine must report exactly what B reports
 //! on a fresh machine. Every ordered pair of the runs below is checked —
 //! the `RunReport` and the allocator's ledger, fragmentation, per-vCPU
-//! misses and GWP profile compared as `Debug` text.
+//! misses, GWP profile, sanitizer reports and audit count compared as
+//! `Debug` text, and its trace ring's whole stream event for event. Two
+//! runs are observed, one under the sanitizer and one into an unbounded
+//! ring, so a renewed event bus must carry nothing of an earlier run's
+//! observers into the next.
 
 use wsc_sim_hw::topology::Platform;
 use wsc_sim_os::faults::FaultPlan;
-use wsc_tcmalloc::TcmallocConfig;
+use wsc_tcmalloc::{AllocEvent, SanitizeLevel, TcmallocConfig, TraceRing};
 use wsc_workload::driver::{DriverConfig, Machine, RunReport};
 use wsc_workload::profiles;
 use wsc_workload::spec::WorkloadSpec;
@@ -84,6 +88,20 @@ fn cases() -> Vec<Case> {
             optimized.with_os_faults(FaultPlan::named("thp-outage", 7).expect("named plan")),
             7,
         ),
+        case(
+            "fleet_mix under the sanitizer",
+            profiles::fleet_mix(),
+            &chiplet,
+            optimized.with_sanitize(SanitizeLevel::Full),
+            10,
+        ),
+        case(
+            "redis into an unbounded trace ring",
+            profiles::redis(),
+            &mono,
+            baseline.with_trace(TraceRing::UNBOUNDED),
+            11,
+        ),
         drained(case("redis drained", profiles::redis(), &mono, baseline, 8)),
         drained(case(
             "fleet_binary(1) drained on 256 KiB",
@@ -96,7 +114,13 @@ fn cases() -> Vec<Case> {
 }
 
 /// What a run is judged by: its report and the allocator it leaves.
-fn observed(machine: &mut Machine, case: &Case) -> (String, RunReport) {
+#[derive(PartialEq)]
+struct Observed {
+    text: String,
+    stream: Option<Vec<AllocEvent>>,
+}
+
+fn observed(machine: &mut Machine, case: &Case) -> (Observed, RunReport) {
     let report = machine.run(&case.spec, &case.platform, case.tcm_cfg, &case.dcfg);
     let tcm = machine.allocator();
     let text = format!(
@@ -106,29 +130,42 @@ fn observed(machine: &mut Machine, case: &Case) -> (String, RunReport) {
             tcm.cycles(),
             tcm.fragmentation(),
             tcm.percpu_miss_counts(),
-            tcm.profile()
+            tcm.profile(),
+            tcm.sanitizer_reports(),
+            tcm.audits_run()
         )
     );
-    (text, report)
+    let stream = tcm.trace().map(TraceRing::stream);
+    (Observed { text, stream }, report)
 }
 
 #[test]
 fn a_renewed_machine_reports_what_a_fresh_one_does() {
     let cases = cases();
-    let fresh: Vec<(String, RunReport)> = cases
+    let fresh: Vec<(Observed, RunReport)> = cases
         .iter()
         .map(|case| observed(&mut Machine::new(), case))
         .collect();
     // The cases cover what they claim to.
     let limited = &fresh[5].1;
     assert!(limited.failed_allocs > 0, "the hard limit refuses");
+    let mut sanitized = Machine::new();
+    observed(&mut sanitized, &cases[7]);
+    let tcm = sanitized.allocator();
+    assert!(tcm.audits_run() > 0 && tcm.sanitizer_reports().is_empty());
+    let traced = fresh[8].0.stream.as_ref().expect("the ring is on");
+    assert!(traced.len() > 1_000, "the ring holds the run's stream");
     assert!(fresh.iter().all(|(_, r)| r.requests == REQUESTS));
 
     for (a, first) in cases.iter().enumerate() {
         for (b, second) in cases.iter().enumerate() {
             let mut machine = Machine::new();
             let (after_first, _) = observed(&mut machine, first);
-            assert_eq!(after_first, fresh[a].0, "{}: a fresh machine", first.label);
+            assert!(
+                after_first == fresh[a].0,
+                "{}: a fresh machine",
+                first.label
+            );
             let (renewed, _) = observed(&mut machine, second);
             assert!(
                 renewed == fresh[b].0,

@@ -27,7 +27,6 @@ fn main() {
     ];
     let cfg = FleetExperimentConfig {
         machines: 6,
-        binaries_per_machine: 2,
         requests_per_binary: 10_000,
         seed: 7,
         population: 500,

@@ -195,8 +195,7 @@ fn spec_has_negligible_malloc_share() {
 fn fleet_ab_framework_is_paired() {
     // Identical configurations in both arms must produce exactly zero delta.
     let cfg = FleetExperimentConfig {
-        machines: 2,
-        binaries_per_machine: 1,
+        machines: 1,
         requests_per_binary: 2_000,
         seed: 9,
         population: 50,
@@ -210,7 +209,7 @@ fn fleet_ab_framework_is_paired() {
     .expect("no cell panics");
     assert!(r.fleet.throughput_pct().abs() < 1e-9);
     assert!(r.fleet.memory_pct().abs() < 1e-9);
-    assert_eq!(r.summary.cells, 2, "one cell per machine × binary slot");
+    assert_eq!(r.summary.cells, 2, "one cell per co-located binary");
     assert_eq!(r.summary.control, r.summary.experiment);
 }
 

@@ -244,7 +244,7 @@ fn replaying_the_stream_reconstructs_the_heap() {
     let cfg = TcmallocConfig::optimized().with_trace(TraceRing::UNBOUNDED);
     let (_, tcm) = run(&profiles::fleet_mix(), &p, cfg, &dcfg);
 
-    let mut pt = PageTable::new();
+    let mut pt = PageTable::default();
     let mut live_bytes: i128 = 0;
     let mut live_objects: i64 = 0;
     for e in tcm.trace().expect("trace ring").stream() {

@@ -14,7 +14,6 @@ use wsc_prng::SmallRng;
 fn quick_cfg(seed: u64) -> FleetExperimentConfig {
     FleetExperimentConfig {
         machines: 3,
-        binaries_per_machine: 2,
         requests_per_binary: 1_000,
         seed,
         population: 40,
@@ -34,7 +33,6 @@ fn fleet_ab_identical_at_threads_1_2_8() {
         let mut rng = SmallRng::seed_from_u64(0xA117 + case);
         let cfg = FleetExperimentConfig {
             machines: rng.gen_range(1usize..4),
-            binaries_per_machine: rng.gen_range(1usize..3),
             requests_per_binary: rng.gen_range(200u64..900),
             seed: rng.gen::<u64>(),
             population: rng.gen_range(10usize..50),

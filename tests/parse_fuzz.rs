@@ -1,21 +1,25 @@
 //! Seeded fuzz of the shard supervisor's text inputs: the `--supervise`
 //! policy (`SupervisorConfig::parse`), the chaos plan read from
-//! `WSC_SHARD_FAULT` (`FaultPlan::parse`) and a child's role read from
-//! `WSC_SHARD` (`ShardRole::parse`).
+//! `WSC_SHARD_FAULT` (`FaultPlan::parse`), a child's role read from
+//! `WSC_SHARD` (`ShardRole::parse`) and the payload frame a parent reads
+//! from a child's stdout (`proc::decode_payload`).
 //!
 //! Most inputs are lists of items whose validity is known by construction —
 //! well-formed items with random values and padding, and items broken in
 //! one way each — and the rest are random text. They hold the parsers to
-//! three properties:
+//! four properties:
 //!
 //! 1. no input panics;
 //! 2. an input with a malformed item is an `Err` (`None` for a role), and
 //!    every other input parses to exactly the value its items describe;
-//! 3. `ShardRole::parse(&role.to_string()) == Some(role)` for every role.
+//! 3. `ShardRole::parse(&role.to_string()) == Some(role)` for every role;
+//! 4. every `encode_payload` frame, among stray lines, decodes to its
+//!    bytes; a frame corrupted in one way is an `Err`, and one changed in
+//!    one character decodes to its bytes or is an `Err`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-use warehouse_alloc::parallel::proc::ShardRole;
+use warehouse_alloc::parallel::proc::{self, ShardRole};
 use warehouse_alloc::parallel::supervisor::{FaultKind, FaultPlan, FaultRule, SupervisorConfig};
 use warehouse_alloc::prng::SmallRng;
 
@@ -286,5 +290,132 @@ fn the_shard_role_parser_is_total_and_round_trips() {
                 "case {case}: {text:?}"
             ),
         }
+    }
+}
+
+/// Zero to two lines of random text: what a child prints around its frame.
+/// The alphabet has no capital letter, so no line is a marker.
+fn stray_lines(rng: &mut SmallRng) -> String {
+    (0..rng.gen_range(0usize..3))
+        .map(|_| random_text(rng) + "\n")
+        .collect()
+}
+
+/// The ways a frame is corrupted, one each.
+const CORRUPTIONS: [&str; 9] = [
+    "flipped hex digit",
+    "dropped begin marker",
+    "dropped end marker",
+    "duplicated begin marker",
+    "duplicated end marker",
+    "wrong length",
+    "wrong crc",
+    "odd hex",
+    "non-hex line",
+];
+
+/// `frame`'s lines corrupted the way `CORRUPTIONS[kind]` names. The frame
+/// has at least one body line.
+fn corrupt(rng: &mut SmallRng, frame: &[String], kind: usize) -> Vec<String> {
+    const HEX: &[u8] = b"0123456789abcdef";
+    let mut lines = frame.to_vec();
+    let last = lines.len() - 1;
+    let body = rng.gen_range(1..last);
+    let at = rng.gen_range(0..lines[body].len());
+    match kind {
+        0 => {
+            let mut line = lines[body].clone().into_bytes();
+            let was = line[at];
+            line[at] = *HEX
+                .iter()
+                .filter(|&&c| c != was)
+                .nth(rng.gen_range(0..HEX.len() - 1))
+                .expect("fifteen other digits");
+            lines[body] = String::from_utf8(line).expect("hex is ASCII");
+        }
+        1 => drop(lines.remove(0)),
+        2 => drop(lines.remove(last)),
+        3 => lines.insert(rng.gen_range(0..=lines.len()), frame[0].clone()),
+        4 => lines.insert(rng.gen_range(0..=lines.len()), frame[last].clone()),
+        5 => {
+            let len: u64 = frame[0]
+                .strip_prefix(proc::PAYLOAD_BEGIN)
+                .and_then(|n| n.trim().parse().ok())
+                .expect("the begin line carries the length");
+            let wrong = if len > 0 && rng.gen::<bool>() {
+                len - rng.gen_range(1..=len)
+            } else {
+                len + rng.gen_range(1u64..1_000)
+            };
+            lines[0] = format!("{} {wrong}", proc::PAYLOAD_BEGIN);
+        }
+        6 => {
+            let crc = frame[last]
+                .rsplit_once("crc32=")
+                .and_then(|(_, h)| u32::from_str_radix(h, 16).ok())
+                .expect("the end line carries the crc");
+            let wrong = crc ^ rng.gen_range(1u32..=u32::MAX);
+            lines[last] = format!("{} crc32={wrong:08x}", proc::PAYLOAD_END);
+        }
+        7 => drop(lines[body].remove(at)),
+        _ => {
+            let bad = pick(rng, &["g", "x", "0x1f", "ff ff", "-", "é"]);
+            let line = format!("{}{bad}{}", &lines[body][..at], &lines[body][at..]);
+            lines.insert(rng.gen_range(1..=last), line);
+        }
+    }
+    lines
+}
+
+#[test]
+fn the_shard_payload_decoder_is_total_and_exact() {
+    let decode = |text: &str, case: u64| {
+        catch_unwind(AssertUnwindSafe(|| proc::decode_payload(text)))
+            .unwrap_or_else(|_| panic!("case {case}: decoding {text:?} panicked"))
+    };
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let bytes: Vec<u8> = (0..rng.gen_range(1usize..400))
+            .map(|_| rng.gen::<u8>())
+            .collect();
+        let frame: Vec<String> = proc::encode_payload(&bytes)
+            .lines()
+            .map(str::to_string)
+            .collect();
+        let newline = if rng.gen::<bool>() { "\n" } else { "\r\n" };
+        let (before, after) = (stray_lines(&mut rng), stray_lines(&mut rng));
+        let text = |lines: &[String]| format!("{before}{}{newline}{after}", lines.join(newline));
+
+        assert_eq!(
+            decode(&text(&frame), case),
+            Ok(bytes.clone()),
+            "case {case}"
+        );
+
+        let kind = case as usize % CORRUPTIONS.len();
+        let corrupted = text(&corrupt(&mut rng, &frame, kind));
+        assert!(
+            decode(&corrupted, case).is_err(),
+            "case {case}: a {} decoded: {corrupted:?}",
+            CORRUPTIONS[kind]
+        );
+
+        // One character anywhere changed to any of the frame's own or a
+        // stray one: the CRC holds the rest to the original bytes.
+        let mut chars: Vec<char> = text(&frame).chars().collect();
+        let at = rng.gen_range(0..chars.len());
+        chars[at] = pick(&mut rng, &["0", "a", "F", "g", " ", "\n", "=", "-"])
+            .chars()
+            .next()
+            .expect("one character");
+        let changed: String = chars.into_iter().collect();
+        let got = decode(&changed, case);
+        assert!(
+            got.as_ref().is_err() || got.as_ref() == Ok(&bytes),
+            "case {case}: {changed:?} decoded to other bytes"
+        );
+
+        let noise = random_text(&mut rng);
+        assert!(decode(&noise, case).is_err(), "case {case}: {noise:?}");
     }
 }

@@ -522,9 +522,7 @@ fn scan_tokens(fi: usize, m: &FileModel, out: &mut Vec<Candidate>) {
 
         // --- infallible-os ---
         if !os_sanctioned(&m.rel) {
-            let direct_ctor = t == "Vmm"
-                && (m.matches_path(i + 1, &["::", "new"])
-                    || m.matches_path(i + 1, &["::", "with_faults"]));
+            let direct_ctor = t == "Vmm" && m.matches_path(i + 1, &["::", "default"]);
             let mutation =
                 OS_MUTATION_METHODS.contains(&t) && m.is(i + 1, "(") && i > 0 && m.is(i - 1, ".");
             if direct_ctor || mutation {

@@ -1,6 +1,6 @@
 //@ file: crates/tcmalloc/src/naughty.rs
 fn bad(vmm: &mut Vmm) {
-    let v = Vmm::new(16); //~ infallible-os
+    let v = Vmm::default(); //~ infallible-os
     vmm.mmap(0, 4096); //~ infallible-os
     vmm.subrelease(0, 4096); //~ infallible-os
     let _ = v;
@@ -12,7 +12,7 @@ fn ok_prose() {
 //@ file: crates/sim-os/src/vmm_test_helper.rs
 // The OS boundary itself may construct and mutate kernel state.
 fn fine(vmm: &mut Vmm) {
-    let fresh = Vmm::new(16);
+    let fresh = Vmm::default();
     vmm.munmap(0, 4096);
     let _ = fresh;
 }
