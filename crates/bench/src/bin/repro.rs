@@ -26,6 +26,7 @@
 //! span recovers; otherwise the survey degrades gracefully and the printed
 //! coverage line reports the exact surveyed fraction.
 
+use std::time::Instant;
 use wsc_bench::cli::{positive, take_flag, usage_error};
 use wsc_bench::experiments as ex;
 use wsc_bench::Scale;
@@ -98,8 +99,14 @@ fn main() {
         scale.engine.threads()
     );
 
+    // Wall time goes to stderr, so stdout stays a function of the scale.
     let mut run = ex::Run::new(scale, shards, policy);
+    let start = Instant::now();
     for experiment in wanted {
+        let t = Instant::now();
         (experiment.run)(&mut run);
+        let id = experiment.id;
+        eprintln!("repro: {id} {:.2} s", t.elapsed().as_secs_f64());
     }
+    eprintln!("repro: total {:.2} s", start.elapsed().as_secs_f64());
 }

@@ -1,12 +1,12 @@
 //! One reproduction function per table/figure of the paper's evaluation;
 //! the five §4 A/B experiments are rows of one table, [`DESIGNS`], run by
-//! one function, [`design`].
+//! one method, [`Run::design`], against baseline arms the [`Run`] shares.
 //!
 //! Each function prints a `paper vs measured` table and returns the key
 //! measured values so tests can assert the *shape* criteria from DESIGN.md:
 //! who wins, by roughly what factor, in the same ordering across workloads.
 
-use wsc_fleet::experiment::{paired_ab, try_run_fleet_ab, CellSummary, Comparison, MetricSet};
+use wsc_fleet::experiment::{arm, try_run_fleet_arm, CellSummary, Comparison, MetricSet};
 use wsc_fleet::population::Population;
 use wsc_fleet::report::{pct, Table};
 use wsc_fleet::rollout;
@@ -15,12 +15,14 @@ use wsc_sim_hw::cost::{AllocPath, CostModel};
 use wsc_sim_hw::latency::{measure, LatencyModel};
 use wsc_sim_hw::topology::{CpuId, Platform};
 use wsc_sim_os::clock::{Clock, NS_PER_SEC};
+use wsc_tcmalloc::pageheap::PageHeapStats;
 use wsc_tcmalloc::stats::CycleCategory;
 use wsc_tcmalloc::{Tcmalloc, TcmallocConfig};
 use wsc_workload::driver::{self, DriverConfig, RunJob};
 use wsc_workload::{profiles, WorkloadSpec};
 
 use crate::scale::Scale;
+use std::collections::BTreeMap;
 
 /// The chiplet (NUCA) platform every single-workload experiment runs on.
 pub fn chiplet() -> Platform {
@@ -35,40 +37,48 @@ fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Seed of the single-configuration characterization runs (Figures 5, 6
-/// and 15).
+/// Seed of the single-configuration characterization runs (Figures 5, 6,
+/// 15 and 16).
 const BASELINE_SEED: u64 = 42;
 
-/// Runs `specs` at baseline config as one engine batch; `extract` pulls the
-/// per-run values inside the worker so only they cross threads. Results are
-/// in `specs` order regardless of thread count.
-fn baseline_batch<R: Send>(
-    specs: &[WorkloadSpec],
-    scale: &Scale,
-    extract: impl Fn(&driver::RunReport, &Tcmalloc) -> R + Sync,
-) -> Vec<R> {
+/// One run of the characterization batch: what Figures 5, 6, 15 and 16
+/// read of the run and of the allocator it leaves.
+#[derive(Clone, Debug)]
+struct Characterized {
+    report: driver::RunReport,
+    /// Fraction of allocator time per category (Figure 6a).
+    cycles: Vec<(CycleCategory, f64)>,
+    /// Pageheap component usage (Figure 15).
+    pageheap: PageHeapStats,
+    /// `(span capacity, spans created, spans released)` of each size
+    /// class, in class order (Figure 16).
+    classes: Vec<(u32, u64, u64)>,
+}
+
+/// Runs [`fig5_workloads`] at baseline config and [`BASELINE_SEED`] as one
+/// engine batch; only what [`Characterized`] keeps crosses threads. Results
+/// are in `fig5_workloads` order regardless of thread count.
+fn characterize(scale: &Scale) -> Vec<Characterized> {
     let platform = chiplet();
-    let jobs = specs
-        .iter()
+    let jobs = fig5_workloads()
+        .into_iter()
         .map(|spec| RunJob {
-            spec: spec.clone(),
+            spec,
             platform: platform.clone(),
             tcm_cfg: TcmallocConfig::baseline(),
             dcfg: DriverConfig::new(scale.requests, BASELINE_SEED, &platform),
         })
         .collect();
-    driver::run_batch(&scale.engine, jobs, extract)
-        .unwrap_or_else(|e| panic!("baseline batch aborted: {e}"))
-}
-
-/// [`baseline_batch`] of the fleet mix alone.
-fn baseline_fleet_mix<R: Send>(
-    scale: &Scale,
-    extract: impl Fn(&driver::RunReport, &Tcmalloc) -> R + Sync,
-) -> R {
-    baseline_batch(&[profiles::fleet_mix()], scale, extract)
-        .pop()
-        .expect("one spec, one result")
+    driver::run_batch(&scale.engine, jobs, |r, tcm| Characterized {
+        report: r.clone(),
+        cycles: tcm.cycles().breakdown(),
+        pageheap: tcm.pageheap().stats(),
+        classes: (0..tcm.table().num_classes())
+            .map(|cl| (tcm.table().info(cl).objects_per_span, tcm.central(cl)))
+            .map(|(cap, c)| (cap, c.spans_created, c.spans_released))
+            .collect(),
+    })
+    .unwrap_or_else(|e| panic!("characterization batch aborted: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +172,8 @@ pub fn fig4(scale: &Scale) -> Vec<Option<f64>> {
 // Figures 5a / 5b
 // ---------------------------------------------------------------------------
 
-/// The workload set used in Figures 5/6: fleet + top-5 apps + SPEC.
+/// The characterization batch's workloads (Figures 5/6): the fleet mix,
+/// the top-5 production apps, then two SPEC programs.
 fn fig5_workloads() -> Vec<WorkloadSpec> {
     let mut v = vec![profiles::fleet_mix()];
     v.extend(profiles::production_workloads());
@@ -172,7 +183,7 @@ fn fig5_workloads() -> Vec<WorkloadSpec> {
 }
 
 /// Figure 5a: % of cycles spent in malloc. Returns `(name, pct)` rows.
-pub fn fig5a(scale: &Scale) -> Vec<(String, f64)> {
+pub fn fig5a(r: &mut Run) -> Vec<(String, f64)> {
     println!("== Figure 5a: malloc cycles (% of total) ==");
     let paper = [
         ("fleet", 4.3),
@@ -186,16 +197,11 @@ pub fn fig5a(scale: &Scale) -> Vec<(String, f64)> {
     ];
     let mut t = Table::new(vec!["workload", "paper %", "measured %"]);
     let mut rows = Vec::new();
-    let specs = fig5_workloads();
-    let fracs = baseline_batch(&specs, scale, |r, _| r.malloc_frac);
-    for (i, (spec, frac)) in specs.iter().zip(&fracs).enumerate() {
-        let measured = frac * 100.0;
-        t.row(vec![
-            spec.name.clone(),
-            format!("~{}", paper[i].1),
-            f2(measured),
-        ]);
-        rows.push((spec.name.clone(), measured));
+    for (i, c) in r.characterization().iter().enumerate() {
+        let name = &c.report.workload;
+        let measured = c.report.malloc_frac * 100.0;
+        t.row(vec![name.clone(), format!("~{}", paper[i].1), f2(measured)]);
+        rows.push((name.clone(), measured));
     }
     println!("{}", t.render());
     println!("paper: fleet 4.3%; top-5 apps 3.6-10.1%; SPEC near zero\n");
@@ -204,7 +210,7 @@ pub fn fig5a(scale: &Scale) -> Vec<(String, f64)> {
 
 /// Figure 5b: fragmentation ratio (% of live heap), internal + external.
 /// Returns `(name, total_pct, internal_pct)` rows.
-pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
+pub fn fig5b(r: &mut Run) -> Vec<(String, f64, f64)> {
     println!("== Figure 5b: memory fragmentation ratio ==");
     let mut t = Table::new(vec![
         "workload",
@@ -215,9 +221,8 @@ pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
     ]);
     let paper = ["22.2", "25", "11.2", "30", "20", "42.5", "-", "-"];
     let mut rows = Vec::new();
-    let specs = fig5_workloads();
-    let frags = baseline_batch(&specs, scale, |r, _| r.fragmentation);
-    for (i, (spec, f)) in specs.iter().zip(&frags).enumerate() {
+    for (i, c) in r.characterization().iter().enumerate() {
+        let (name, f) = (&c.report.workload, &c.report.fragmentation);
         let total = f.ratio() * 100.0;
         let internal = if f.live_bytes > 0 {
             f.internal_bytes as f64 / f.live_bytes as f64 * 100.0
@@ -225,13 +230,13 @@ pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
             0.0
         };
         t.row(vec![
-            spec.name.clone(),
+            name.clone(),
             paper[i].to_string(),
             f2(total),
             f2(total - internal),
             f2(internal),
         ]);
-        rows.push((spec.name.clone(), total, internal));
+        rows.push((name.clone(), total, internal));
     }
     println!("{}", t.render());
     println!("paper: fleet 22.2% (18.8 external + 3.4 internal); apps 11.2-42.5%\n");
@@ -244,9 +249,9 @@ pub fn fig5b(scale: &Scale) -> Vec<(String, f64, f64)> {
 
 /// Figure 6a: breakdown of malloc cycles by allocator component.
 /// Returns `(category, share)` pairs.
-pub fn fig6a(scale: &Scale) -> Vec<(&'static str, f64)> {
+pub fn fig6a(r: &mut Run) -> Vec<(&'static str, f64)> {
     println!("== Figure 6a: malloc cycle breakdown ==");
-    let breakdown = baseline_fleet_mix(scale, |_, tcm| tcm.cycles().breakdown());
+    let breakdown = &r.characterization()[0].cycles;
     let paper = [
         (CycleCategory::CpuCache, 53.0),
         (CycleCategory::TransferCache, 3.0),
@@ -273,10 +278,8 @@ pub fn fig6a(scale: &Scale) -> Vec<(&'static str, f64)> {
 
 /// Figure 6b: fragmentation breakdown by source for fleet + top-5 apps.
 /// Returns per-workload `[cpu, transfer, cfl, pageheap, internal]` shares.
-pub fn fig6b(scale: &Scale) -> Vec<(String, [f64; 5])> {
+pub fn fig6b(r: &mut Run) -> Vec<(String, [f64; 5])> {
     println!("== Figure 6b: fragmentation breakdown (% of total frag) ==");
-    let mut specs = vec![profiles::fleet_mix()];
-    specs.extend(profiles::production_workloads());
     let paper = [
         "fleet: CFL 29 / PageHeap 51 / Internal 15",
         "spanner: CFL 17 / PageHeap 64",
@@ -289,18 +292,20 @@ pub fn fig6b(scale: &Scale) -> Vec<(String, [f64; 5])> {
         "workload", "CPUCache", "Transfer", "CFL", "PageHeap", "Internal",
     ]);
     let mut rows = Vec::new();
-    let all_shares = baseline_batch(&specs, scale, |r, _| r.fragmentation.shares());
-    for (spec, shares) in specs.iter().zip(&all_shares) {
-        let shares = shares.map(|s| s * 100.0);
+    // The fleet mix and the production apps: the batch minus SPEC.
+    let apps = profiles::production_workloads().len();
+    for c in &r.characterization()[..=apps] {
+        let name = &c.report.workload;
+        let shares = c.report.fragmentation.shares().map(|s| s * 100.0);
         t.row(vec![
-            spec.name.clone(),
+            name.clone(),
             f2(shares[0]),
             f2(shares[1]),
             f2(shares[2]),
             f2(shares[3]),
             f2(shares[4]),
         ]);
-        rows.push((spec.name.clone(), shares));
+        rows.push((name.clone(), shares));
     }
     println!("{}", t.render());
     println!("paper rows: {}\n", paper.join("; "));
@@ -497,6 +502,28 @@ fn eval_workloads() -> Vec<WorkloadSpec> {
     v
 }
 
+/// `tcm_cfg`'s arm over `specs` on the [`chiplet`], at the scale's requests
+/// and seeds: one metric set per workload, each the mean over the seeds.
+fn chiplet_arm(scale: &Scale, specs: &[&WorkloadSpec], tcm_cfg: TcmallocConfig) -> Vec<MetricSet> {
+    arm(
+        &scale.engine,
+        specs,
+        &chiplet(),
+        tcm_cfg,
+        scale.requests,
+        &scale.seeds,
+    )
+    .unwrap_or_else(|e| panic!("A/B arm aborted: {e}"))
+}
+
+/// `tcm_cfg`'s fleet arm at the scale: the cycle-weighted means over the
+/// fleet that master seed 11 samples, the same fleet for every arm.
+fn fleet_arm(scale: &Scale, tcm_cfg: TcmallocConfig) -> MetricSet {
+    try_run_fleet_arm(&scale.engine, tcm_cfg, &scale.fleet_config(11))
+        .unwrap_or_else(|e| panic!("fleet A/B arm aborted: {e}"))
+        .weighted_means()
+}
+
 /// One §4 redesign evaluated as a paired A/B: the baseline allocator
 /// against the baseline with the design applied, over the fleet and the
 /// nine workloads of the paper's per-workload rows.
@@ -617,49 +644,10 @@ pub const DESIGNS: [Design; 5] = [
     },
 ];
 
-/// Runs `d`'s fleet A/B and its per-workload paired A/Bs. Returns the
-/// fleet comparison and one per workload; a skipped workload is not run
-/// and gets a default one.
-fn design_ab(d: &Design, scale: &Scale) -> DesignAb {
-    let control = TcmallocConfig::baseline();
-    let experiment = (d.arm)(control);
-    let fleet = try_run_fleet_ab(&scale.engine, control, experiment, &scale.fleet_config(11))
-        .unwrap_or_else(|e| panic!("design A/B fleet arm aborted: {e}"))
-        .fleet;
-    let specs = eval_workloads();
-    let skipped = |spec: &WorkloadSpec| d.skip.contains(&spec.name.as_str());
-    let run: Vec<&WorkloadSpec> = specs.iter().filter(|s| !skipped(s)).collect();
-    let mut measured = paired_ab(
-        &scale.engine,
-        &run,
-        &chiplet(),
-        control,
-        experiment,
-        scale.requests,
-        &scale.seeds,
-    )
-    .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"))
-    .into_iter();
-    let rows = specs
-        .iter()
-        .map(|spec| {
-            let c = if skipped(spec) {
-                Comparison::default()
-            } else {
-                measured.next().expect("one comparison per workload run")
-            };
-            (spec.name.clone(), c)
-        })
-        .collect();
-    (fleet, rows)
-}
-
-/// Runs one §4 design's paired A/Bs and prints its table: the paper's
-/// throughput and memory deltas, then the measured deltas and the LLC and
-/// dTLB counters before → after. Returns the result.
-pub fn design(d: &Design, scale: &Scale) -> DesignAb {
+/// Prints one §4 design's table: the paper's throughput and memory deltas,
+/// then the measured deltas and the LLC and dTLB counters before → after.
+fn print_design(d: &Design, (fleet, rows): &DesignAb) {
     println!("== {} ==", d.title);
-    let (fleet, rows) = design_ab(d, scale);
     let headers = [
         "workload",
         "paper thr %",
@@ -674,7 +662,7 @@ pub fn design(d: &Design, scale: &Scale) -> DesignAb {
     let mut t = Table::new(headers.to_vec());
     let paper_cell = |v: Option<f64>| v.map_or_else(|| "-".to_string(), pct);
     let before_after = |b: f64, a: f64| format!("{} -> {}", f3(b), f3(a));
-    let all = std::iter::once(("fleet", &fleet)).chain(rows.iter().map(|(n, c)| (n.as_str(), c)));
+    let all = std::iter::once(("fleet", fleet)).chain(rows.iter().map(|(n, c)| (n.as_str(), c)));
     for (name, c) in all {
         let (thr, mem) = d.paper(name);
         let mut row = vec![name.to_string(), paper_cell(thr), paper_cell(mem)];
@@ -693,7 +681,6 @@ pub fn design(d: &Design, scale: &Scale) -> DesignAb {
         t.row(row);
     }
     println!("{}", t.render());
-    (fleet, rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -788,9 +775,9 @@ pub fn fig13(scale: &Scale) -> Vec<(u32, f64)> {
 
 /// Figure 15: pageheap in-use and fragmentation by component. Returns
 /// `(filler_use_share, filler_frag_share)`.
-pub fn fig15(scale: &Scale) -> (f64, f64) {
+pub fn fig15(r: &mut Run) -> (f64, f64) {
     println!("== Figure 15: pageheap component shares ==");
-    let s = baseline_fleet_mix(scale, |_, tcm| tcm.pageheap().stats());
+    let s = r.characterization()[0].pageheap;
     let used = s.total_used_bytes().max(1) as f64;
     let free = s.total_free_bytes().max(1) as f64;
     let mut t = Table::new(vec!["component", "in-use %", "fragmentation %"]);
@@ -819,44 +806,29 @@ pub fn fig15(scale: &Scale) -> (f64, f64) {
 
 /// Figure 16: span return rate vs span capacity; returns the Spearman rank
 /// correlation (paper: -0.75).
-pub fn fig16(scale: &Scale) -> f64 {
+pub fn fig16(r: &mut Run) -> f64 {
     println!("== Figure 16: span return rate vs span capacity ==");
     // Aggregate span telemetry across the production workloads.
-    let platform = chiplet();
-    let mut per_class: Vec<(f64, u64, u64)> = Vec::new(); // (capacity, created, released)
-    for spec in profiles::production_workloads() {
-        let dcfg = DriverConfig::new(scale.requests, 42, &platform);
-        let (_, tcm) = driver::run(&spec, &platform, TcmallocConfig::baseline(), &dcfg);
-        for cl in 0..tcm.table().num_classes() {
-            let c = tcm.central(cl);
-            if c.spans_created == 0 {
-                continue;
-            }
-            let cap = tcm.table().info(cl).objects_per_span as f64;
-            match per_class.iter_mut().find(|(x, _, _)| *x == cap) {
-                Some(e) => {
-                    e.1 += c.spans_created;
-                    e.2 += c.spans_released;
-                }
-                None => per_class.push((cap, c.spans_created, c.spans_released)),
-            }
+    let apps = profiles::production_workloads().len();
+    // Span capacity → (spans created, spans released), in capacity order.
+    let mut by_capacity: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for c in &r.characterization()[1..=apps] {
+        for &(cap, created, released) in &c.classes {
+            let e = by_capacity.entry(cap).or_default();
+            e.0 += created;
+            e.1 += released;
         }
     }
-    per_class.retain(|&(_, created, _)| created >= 10);
-    per_class.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    let xs: Vec<f64> = per_class.iter().map(|&(c, _, _)| c).collect();
-    let ys: Vec<f64> = per_class
-        .iter()
-        .map(|&(_, cr, rel)| rel as f64 / cr as f64)
+    by_capacity.retain(|_, &mut (created, _)| created >= 10);
+    let xs: Vec<f64> = by_capacity.keys().map(|&cap| f64::from(cap)).collect();
+    let ys: Vec<f64> = by_capacity
+        .values()
+        .map(|&(created, released)| released as f64 / created as f64)
         .collect();
     let rho = wsc_telemetry::stats::spearman(&xs, &ys).unwrap_or(0.0);
     let mut t = Table::new(vec!["span capacity", "return rate %", "spans"]);
-    for (i, &(cap, created, _)) in per_class.iter().enumerate() {
-        t.row(vec![
-            format!("{cap:.0}"),
-            f2(ys[i] * 100.0),
-            created.to_string(),
-        ]);
+    for ((cap, &(created, _)), y) in by_capacity.iter().zip(&ys) {
+        t.row(vec![cap.to_string(), f2(y * 100.0), created.to_string()]);
     }
     println!("{}", t.render());
     println!("Spearman rho: {rho:.2} (paper: -0.75; strong negative correlation)\n");
@@ -869,7 +841,12 @@ pub fn fig16(scale: &Scale) -> f64 {
 
 /// Figure 17: hugepage coverage and normalized dTLB miss rate from the
 /// Table 2 experiment. Returns `(cov_before, cov_after, norm_miss_after)`.
-pub fn fig17(fleet: &Comparison, rows: &[(String, Comparison)]) -> (f64, f64, f64) {
+pub fn fig17(r: &mut Run) -> (f64, f64, f64) {
+    // Table 2 is printed by the call that simulates it.
+    if r.designs[TABLE2].is_none() {
+        r.design(TABLE2);
+    }
+    let (fleet, rows) = r.design_ab(TABLE2);
     println!("== Figure 17: hugepage coverage & dTLB misses ==");
     // Coverage averaged over fleet + workloads (the paper reports the
     // application-average).
@@ -907,7 +884,7 @@ pub fn fig17(fleet: &Comparison, rows: &[(String, Comparison)]) -> (f64, f64, f6
     (cov_b, cov_a, norm_miss)
 }
 
-/// §4.5: all four designs combined ([`design`]), then the multiplicative
+/// §4.5: all four designs combined ([`Run::design`]), then the multiplicative
 /// rollout composition of the single designs' fleet deltas this run
 /// gathered. Returns the rollout estimate.
 fn combined(r: &mut Run) -> rollout::RolloutEstimate {
@@ -1005,22 +982,23 @@ pub fn faults(scale: &Scale) -> Vec<(String, f64, f64, u64)> {
 
 /// Metric ablations over the paper's design constants. Returns
 /// `(label, throughput_pct, memory_pct)` rows.
-pub fn ablations(scale: &Scale) -> Vec<(String, f64, f64)> {
+pub fn ablations(r: &mut Run) -> Vec<(String, f64, f64)> {
     println!("== Ablations: design constants ==");
-    let platform = chiplet();
     let base = TcmallocConfig::baseline();
+    let specs = eval_workloads();
+    let controls = r.control_rows().to_vec();
+    let scale = &r.scale;
     let mut rows = Vec::new();
-    let mut run = |label: String, spec: &WorkloadSpec, exp: TcmallocConfig| {
-        let c = paired_ab(
-            &scale.engine,
-            &[spec],
-            &platform,
-            base,
-            exp,
-            scale.requests,
-            &scale.seeds,
-        )
-        .unwrap_or_else(|e| panic!("paired A/B aborted: {e}"))[0];
+    // Each ablation is one experiment arm against its workload's control row.
+    let mut run = |label: String, name: &str, exp: TcmallocConfig| {
+        let i = specs
+            .iter()
+            .position(|s| s.name == name)
+            .expect("an evaluation workload");
+        let c = Comparison {
+            control: controls[i],
+            experiment: chiplet_arm(scale, &[&specs[i]], exp)[0],
+        };
         rows.push((label, c.throughput_pct(), c.memory_pct()));
     };
 
@@ -1028,25 +1006,17 @@ pub fn ablations(scale: &Scale) -> Vec<(String, f64, f64)> {
     for lists in [1usize, 2, 4, 8, 16] {
         let mut exp = base;
         exp.cfl_lists = lists;
-        run(format!("cfl-lists L={lists}"), &profiles::monarch(), exp);
+        run(format!("cfl-lists L={lists}"), "monarch", exp);
     }
     // C: lifetime capacity threshold (disk is the paper's biggest winner).
     for c_thr in [2u32, 8, 16, 64, 256] {
         let mut exp = base.with_lifetime_filler();
         exp.pageheap.capacity_threshold = c_thr;
-        run(format!("lifetime C={c_thr}"), &profiles::disk(), exp);
+        run(format!("lifetime C={c_thr}"), "disk", exp);
     }
     // Transfer sharding: per-LLC-domain (§4.2) vs per-NUMA-node (§5).
-    run(
-        "sharding=domain".into(),
-        &profiles::disk(),
-        base.with_nuca_transfer(),
-    );
-    run(
-        "sharding=node".into(),
-        &profiles::disk(),
-        base.with_numa_transfer(),
-    );
+    run("sharding=domain".into(), "disk", base.with_nuca_transfer());
+    run("sharding=node".into(), "disk", base.with_numa_transfer());
 
     let mut t = Table::new(vec!["ablation", "thr %", "mem %"]);
     for (label, thr, mem) in &rows {
@@ -1243,7 +1213,9 @@ pub fn fleet(scale: &Scale, shards: usize, policy: &SupervisorConfig) -> (Compar
 // The registry `repro` dispatches from
 // ---------------------------------------------------------------------------
 
-/// What one `repro` invocation carries from experiment to experiment.
+/// What one `repro` invocation carries from experiment to experiment:
+/// every run several experiments read is simulated at most once, when the
+/// first of them asks for it.
 #[derive(Debug)]
 pub struct Run {
     /// Scale tier and engine of every experiment in the run.
@@ -1252,6 +1224,15 @@ pub struct Run {
     pub shards: usize,
     /// Shard supervision policy (`--supervise`).
     pub policy: SupervisorConfig,
+    /// The characterization batch ([`characterize`]), which Figures 5a,
+    /// 5b, 6a, 6b, 15 and 16 read.
+    characterized: Option<Vec<Characterized>>,
+    /// The baseline arm over [`eval_workloads`] × `scale.seeds`: every
+    /// design's per-workload control, and the ablations'.
+    control_rows: Option<Vec<MetricSet>>,
+    /// The baseline fleet arm's weighted means: every design's fleet
+    /// control.
+    control_fleet: Option<MetricSet>,
     /// Each [`DESIGNS`] entry's result once run: §4.5 composes the single
     /// designs' fleet deltas, and Figure 17 plots Table 2's.
     designs: [Option<DesignAb>; DESIGNS.len()],
@@ -1264,19 +1245,68 @@ impl Run {
             scale,
             shards,
             policy,
+            characterized: None,
+            control_rows: None,
+            control_fleet: None,
             designs: Default::default(),
         }
     }
 
-    /// Runs and prints [`DESIGNS`]`[i]`, keeping its result.
-    fn design(&mut self, i: usize) {
-        self.designs[i] = Some(design(&DESIGNS[i], &self.scale));
+    fn characterization(&mut self) -> &[Characterized] {
+        let scale = &self.scale;
+        self.characterized
+            .get_or_insert_with(|| characterize(scale))
     }
 
-    /// Table 2's result, computed at most once per run.
-    fn table2(&mut self) -> &DesignAb {
-        let scale = &self.scale;
-        self.designs[TABLE2].get_or_insert_with(|| design(&DESIGNS[TABLE2], scale))
+    fn control_rows(&mut self) -> &[MetricSet] {
+        let (scale, specs) = (&self.scale, eval_workloads());
+        let all: Vec<&WorkloadSpec> = specs.iter().collect();
+        self.control_rows
+            .get_or_insert_with(|| chiplet_arm(scale, &all, TcmallocConfig::baseline()))
+    }
+
+    /// [`DESIGNS`]`[i]`'s result, simulated at most once per run: only its
+    /// experiment arms run here, each paired with the run's control arm. A
+    /// skipped workload is not run and gets a default comparison.
+    fn design_ab(&mut self, i: usize) -> &DesignAb {
+        if self.designs[i].is_none() {
+            let (d, scale) = (&DESIGNS[i], &self.scale);
+            let control = *self
+                .control_fleet
+                .get_or_insert_with(|| fleet_arm(scale, TcmallocConfig::baseline()));
+            let experiment = (d.arm)(TcmallocConfig::baseline());
+            let fleet = Comparison {
+                control,
+                experiment: fleet_arm(scale, experiment),
+            };
+            let specs = eval_workloads();
+            let skipped = |spec: &WorkloadSpec| d.skip.contains(&spec.name.as_str());
+            let run: Vec<&WorkloadSpec> = specs.iter().filter(|s| !skipped(s)).collect();
+            let mut measured = chiplet_arm(scale, &run, experiment).into_iter();
+            let rows = specs
+                .iter()
+                .zip(self.control_rows())
+                .map(|(spec, &control)| {
+                    let c = if skipped(spec) {
+                        Comparison::default()
+                    } else {
+                        Comparison {
+                            control,
+                            experiment: measured.next().expect("one metric set per run"),
+                        }
+                    };
+                    (spec.name.clone(), c)
+                });
+            self.designs[i] = Some((fleet, rows.collect()));
+        }
+        self.designs[i].as_ref().expect("simulated above")
+    }
+
+    /// Prints [`DESIGNS`]`[i]`'s table and returns its result.
+    pub fn design(&mut self, i: usize) -> &DesignAb {
+        let ab = self.design_ab(i);
+        print_design(&DESIGNS[i], ab);
+        ab
     }
 }
 
@@ -1312,29 +1342,26 @@ pub const REGISTRY: &[Experiment] = &[
     },
     in_all("fig3", |r| _ = fig3(&r.scale)),
     in_all("fig4", |r| _ = fig4(&r.scale)),
-    in_all("fig5a", |r| _ = fig5a(&r.scale)),
-    in_all("fig5b", |r| _ = fig5b(&r.scale)),
-    in_all("fig6a", |r| _ = fig6a(&r.scale)),
-    in_all("fig6b", |r| _ = fig6b(&r.scale)),
+    in_all("fig5a", |r| _ = fig5a(r)),
+    in_all("fig5b", |r| _ = fig5b(r)),
+    in_all("fig6a", |r| _ = fig6a(r)),
+    in_all("fig6b", |r| _ = fig6b(r)),
     in_all("fig7", |r| _ = fig7(&r.scale)),
     in_all("fig8", |r| _ = fig8(&r.scale)),
     in_all("fig9a", |r| _ = fig9a(&r.scale)),
     in_all("fig9b", |r| _ = fig9b(&r.scale)),
-    in_all(DESIGNS[0].id, |r| r.design(0)),
+    in_all(DESIGNS[0].id, |r| _ = r.design(0)),
     in_all("fig11", |r| _ = fig11(&r.scale)),
     in_all("fig13", |r| _ = fig13(&r.scale)),
-    in_all(DESIGNS[1].id, |r| r.design(1)),
-    in_all(DESIGNS[2].id, |r| r.design(2)),
-    in_all("fig15", |r| _ = fig15(&r.scale)),
-    in_all("fig16", |r| _ = fig16(&r.scale)),
+    in_all(DESIGNS[1].id, |r| _ = r.design(1)),
+    in_all(DESIGNS[2].id, |r| _ = r.design(2)),
+    in_all("fig15", |r| _ = fig15(r)),
+    in_all("fig16", |r| _ = fig16(r)),
     // Asking for Table 2 prints it, even if Figure 17 already computed it.
-    in_all(DESIGNS[TABLE2].id, |r| r.design(TABLE2)),
-    in_all("fig17", |r| {
-        let (fleet, rows) = r.table2();
-        fig17(fleet, rows);
-    }),
+    in_all(DESIGNS[TABLE2].id, |r| _ = r.design(TABLE2)),
+    in_all("fig17", |r| _ = fig17(r)),
     in_all(DESIGNS[COMBINED].id, |r| _ = combined(r)),
-    in_all("ablations", |r| _ = ablations(&r.scale)),
+    in_all("ablations", |r| _ = ablations(r)),
     in_all("faults", |r| _ = faults(&r.scale)),
 ];
 
@@ -1349,6 +1376,88 @@ mod tests {
         let (c50, m50) = fig3(&Scale::quick());
         assert!((c50 - 0.50).abs() < 0.08);
         assert!((m50 - 0.65).abs() < 0.08);
+    }
+
+    /// What one reader of a shared value returns, as `{:?}`.
+    type Reader = fn(&mut Run) -> String;
+
+    /// Every reader of a value a [`Run`] shares, in registry order.
+    const SHARED_READERS: &[(&str, Reader)] = &[
+        ("fig5a", |r| format!("{:?}", fig5a(r))),
+        ("fig5b", |r| format!("{:?}", fig5b(r))),
+        ("fig6a", |r| format!("{:?}", fig6a(r))),
+        ("fig6b", |r| format!("{:?}", fig6b(r))),
+        ("fig10", |r| format!("{:?}", r.design(0))),
+        ("table1", |r| format!("{:?}", r.design(1))),
+        ("fig14", |r| format!("{:?}", r.design(2))),
+        ("fig15", |r| format!("{:?}", fig15(r))),
+        ("fig16", |r| format!("{:?}", fig16(r))),
+        ("table2", |r| format!("{:?}", r.design(TABLE2))),
+        ("fig17", |r| format!("{:?}", fig17(r))),
+        ("combined", |r| format!("{:?}", r.design(COMBINED))),
+        ("ablations", |r| format!("{:?}", ablations(r))),
+    ];
+
+    /// What a shared value holds does not depend on which reader asked for
+    /// it first: every reader returns the same in registry order, in
+    /// reverse order (`combined` last, after the designs it composes), and
+    /// alone in a fresh run. Two seeds, so the seed mean is exercised.
+    #[test]
+    fn shared_runs_read_the_same_in_any_order() {
+        let scale = Scale {
+            name: "tiny",
+            requests: 40,
+            seeds: vec![41, 42],
+            fleet_machines: 1,
+            fleet_requests: 40,
+            survey_machines: 1,
+            survey_requests: 1,
+            survey_population: 1,
+            engine: wsc_parallel::Engine::new(2),
+        };
+        let run = || Run::new(scale.clone(), 1, SupervisorConfig::default());
+        let read = |r: &mut Run, order: &[usize]| -> Vec<(usize, String)> {
+            let mut out: Vec<_> = order.iter().map(|&i| (i, SHARED_READERS[i].1(r))).collect();
+            out.sort_by_key(|&(i, _)| i);
+            out
+        };
+        let forward: Vec<usize> = (0..SHARED_READERS.len()).collect();
+        let combined = SHARED_READERS
+            .iter()
+            .position(|&(id, _)| id == "combined")
+            .unwrap();
+        let mut reverse: Vec<usize> = forward
+            .iter()
+            .rev()
+            .copied()
+            .filter(|&i| i != combined)
+            .collect();
+        reverse.push(combined);
+        let mut shared = run();
+        let in_order = read(&mut shared, &forward);
+        let reversed = read(&mut run(), &reverse);
+        let alone: Vec<_> = forward
+            .iter()
+            .flat_map(|&i| read(&mut run(), &[i]))
+            .collect();
+        for ((i, a), ((_, b), (_, c))) in in_order.iter().zip(reversed.iter().zip(&alone)) {
+            let id = SHARED_READERS[*i].0;
+            assert_eq!(a, b, "{id}: registry order vs reverse order");
+            assert_eq!(a, c, "{id}: registry order vs a fresh run");
+        }
+        // The control rows the readers shared are the baseline arm over
+        // every seed.
+        let specs = eval_workloads();
+        let own = arm(
+            &scale.engine,
+            &specs.iter().collect::<Vec<_>>(),
+            &chiplet(),
+            TcmallocConfig::baseline(),
+            scale.requests,
+            &scale.seeds,
+        )
+        .unwrap();
+        assert_eq!(shared.control_rows(), own);
     }
 
     #[test]

@@ -7,20 +7,25 @@
 //!
 //! At laptop scale the groups are tens of machines rather than thousands.
 //! To keep the comparison statistically meaningful at that size, arms are
-//! *paired*: each experiment machine has a control twin with the same
-//! platform, binaries, cpusets, and seeds, so the measured delta isolates
+//! *paired*. An arm ([`try_run_fleet_arm`] for the fleet, [`arm`] for the
+//! per-workload rows) runs one allocator configuration over cells fixed by
+//! the seed alone, so two arms of the same experiment see the same
+//! platforms, binaries, cpusets, and seeds, and the measured delta isolates
 //! the allocator change. (Production pairs statistically by sheer volume.)
+//! An A/B is a [`Comparison`] of two arms, so a control arm shared by
+//! several experiments is simulated once.
 //!
 //! # Streaming aggregation
 //!
-//! The experiment engine never materializes per-machine results. Each cell
-//! folds its pair of run reports into a constant-size [`CellSummary`]
-//! (integer [`MetricSummary`] accumulators per metric per arm plus a
-//! fixed-bucket resident-bytes series), and summaries merge exactly —
-//! associatively *and* commutatively — so any thread or process partition
-//! of the fleet produces bit-identical bytes. Memory is
-//! O(metrics × buckets), independent of machine count: 10⁵ machines cost
-//! the same resident footprint as 10².
+//! The experiment engine never materializes per-machine results. A fleet
+//! arm folds each cell's run report into a constant-size [`ArmSummary`]
+//! (integer [`MetricSummary`] accumulators per metric); the survey folds
+//! into a [`CellSummary`], both arms' accumulators plus a fixed-bucket
+//! resident-bytes series. Summaries merge exactly — associatively *and*
+//! commutatively — so any thread or process partition of the fleet
+//! produces bit-identical bytes. Memory is O(metrics × buckets),
+//! independent of machine count: 10⁵ machines cost the same resident
+//! footprint as 10².
 
 use crate::population::{CycleSampler, Population};
 use crate::rollout::RolloutSchedule;
@@ -150,7 +155,7 @@ impl Default for ArmSummary {
     }
 }
 
-/// The constant-size folded state of a fleet experiment: both arms'
+/// The constant-size folded state of a fleet survey: both arms'
 /// metric accumulators plus a fixed-bucket resident-bytes series.
 ///
 /// This is the unit the streaming engine folds per cell, merges across
@@ -165,8 +170,9 @@ pub struct CellSummary {
     pub control: ArmSummary,
     /// Experiment-arm accumulators.
     pub experiment: ArmSummary,
-    /// Control-arm resident-bytes samples, bucketed on normalized run time
-    /// (the longitudinal fleet memory trace, at fixed size).
+    /// Every folded machine's resident-bytes samples, bucketed on
+    /// normalized run time (the longitudinal fleet memory trace, at fixed
+    /// size).
     pub resident: BucketSeries,
     /// Exact planned-vs-folded accounting. On the healthy path it always
     /// reads 100%; a fault-tolerant fold that lost a span after exhausting
@@ -186,18 +192,6 @@ impl CellSummary {
             resident: BucketSeries::new(),
             coverage: Coverage::new(),
         }
-    }
-
-    /// Folds one paired cell: control and experiment reports sharing the
-    /// same seed and cpuset, weighted by the binary's cycle share.
-    pub fn fold_pair(&mut self, control: &RunReport, experiment: &RunReport, weight_q: u64) {
-        self.cells += 1;
-        self.coverage.fold_one();
-        self.control
-            .record(&MetricSet::from_report(control), weight_q);
-        self.experiment
-            .record(&MetricSet::from_report(experiment), weight_q);
-        self.resident.record(&control.resident_ts);
     }
 
     /// Folds one single-arm cell (the survey path, where rollout waves —
@@ -398,16 +392,6 @@ fn cpusets(platform: &Platform, k: usize) -> Vec<Vec<CpuId>> {
         .collect()
 }
 
-/// Result of a fleet-wide A/B experiment.
-#[derive(Clone, Debug)]
-pub struct FleetAbResult {
-    /// Cycle-weighted fleet aggregate.
-    pub fleet: Comparison,
-    /// The streamed constant-size fold state (dispersion via quantiles,
-    /// longitudinal resident trace via `summary.resident`).
-    pub summary: CellSummary,
-}
-
 /// One fleet cell: a (machine, binary) slot with its platform, cpuset,
 /// workload, and fixed-point cycle weight, fixed before the cell runs.
 struct Cell {
@@ -417,36 +401,34 @@ struct Cell {
     spec: WorkloadSpec,
 }
 
-/// Runs a paired fleet A/B experiment on `engine`, streaming cells through
-/// its worker threads.
+/// Runs one arm of a fleet A/B on `engine`: `tcm_cfg` on every cell of the
+/// fleet `cfg` samples, streamed through the engine's worker threads.
 ///
 /// Determinism contract: every cell (machine × binary slot) is sampled
 /// serially up front — platform, cpuset, workload, and cycle weight —
-/// from the same RNG stream the historical serial loop used, and each cell
-/// simulates under a [`wsc_prng::derive_seed`]-derived child seed, so the
-/// sampled fleet and every per-cell run are functions of `cfg.seed` alone.
-/// Cells fold into exact-integer [`CellSummary`] accumulators merged in
-/// canonical leaf order, so the returned [`FleetAbResult`] is bit-identical
-/// for any thread count. Note the old two-level weighting (normalize per
-/// machine, then weight machines) collapses algebraically to the flat
-/// cycle-weighted mean the fold computes: Σ_m w_m·(Σ_b w·v / w_m) / Σ w
-/// = Σ w·v / Σ w.
+/// from one RNG stream, and each cell simulates under a
+/// [`wsc_prng::derive_seed`]-derived child seed, so the sampled fleet and
+/// every per-cell run are functions of `cfg.seed` alone. Two arms of the
+/// same `cfg` therefore see the same cells and seeds, and a [`Comparison`]
+/// of their [`ArmSummary::weighted_means`] is paired. Cells fold into
+/// exact-integer accumulators merged in canonical leaf order, so the
+/// returned [`ArmSummary`] is bit-identical for any thread count. The fold
+/// is the flat cycle-weighted mean: Σ_m w_m·(Σ_b w·v / w_m) / Σ w = Σ w·v
+/// / Σ w, so weighting machines first changes nothing.
 ///
 /// # Errors
 ///
 /// Returns the [`TaskError`] naming the lowest-index failing cell (label
 /// and seed included) if any cell's simulation panics.
-pub fn try_run_fleet_ab(
+pub fn try_run_fleet_arm(
     engine: &Engine,
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
+    tcm_cfg: TcmallocConfig,
     cfg: &FleetExperimentConfig,
-) -> Result<FleetAbResult, TaskError> {
+) -> Result<ArmSummary, TaskError> {
     let pop = Population::new(cfg.population, cfg.seed);
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xab);
     let mix = default_platform_mix();
-    // Phase 1 (serial): sample the fleet. The RNG stream here is identical
-    // to the historical serial loop, so the sampled fleet is unchanged.
+    // Phase 1 (serial): sample the fleet.
     let mut cells = Vec::with_capacity(cfg.machines * BINARIES_PER_MACHINE);
     for m in 0..cfg.machines {
         let platform = sample_platform(&mix, &mut rng);
@@ -464,37 +446,32 @@ pub fn try_run_fleet_ab(
             cells.push((label, cell));
         }
     }
-    // Phase 2 (streamed): each cell runs its paired control/experiment
-    // simulation on a fresh allocator + sim-os instance — the worker's one
-    // machine, renewed — and folds into the worker's local summary; leaf
-    // summaries merge in canonical order.
-    let summary = engine.fold_seeded(
+    // Phase 2 (streamed): each cell runs on a fresh allocator + sim-os
+    // instance — the worker's one machine, renewed — and folds into the
+    // worker's local summary; leaf summaries merge in canonical order.
+    engine.fold_seeded(
         cfg.seed,
         FoldSpan::all(cells.len()),
         Machine::new,
-        CellSummary::new,
+        ArmSummary::new,
         |machine, acc, i, seed| {
             let c = &cells[i].1;
             let dcfg = DriverConfig::new(cfg.requests_per_binary, seed, &c.platform)
                 .with_cpuset(c.cpuset.clone());
-            let rc = machine.run(&c.spec, &c.platform, control, &dcfg);
-            let re = machine.run(&c.spec, &c.platform, experiment, &dcfg);
-            acc.fold_pair(&rc, &re, c.weight_q);
+            let r = machine.run(&c.spec, &c.platform, tcm_cfg, &dcfg);
+            acc.record(&MetricSet::from_report(&r), c.weight_q);
         },
         |acc, other| acc.merge(&other),
         |i| cells[i].0.clone(),
-    )?;
-    Ok(FleetAbResult {
-        fleet: summary.fleet(),
-        summary,
-    })
+    )
 }
 
 /// Fleet-survey parameters: the 10⁵-machine single-arm-per-machine scan.
 ///
-/// Unlike the paired A/B, a survey runs *one* simulation per machine; the
-/// staged rollout wave ([`RolloutSchedule::staged`]) decides which arm each
-/// machine is enrolled in, the way production actually deploys changes.
+/// Unlike a paired A/B, whose arms each run every cell, a survey runs *one*
+/// simulation per machine; the staged rollout wave
+/// ([`RolloutSchedule::staged`]) decides which arm each machine is enrolled
+/// in, the way production actually deploys changes.
 #[derive(Clone, Debug)]
 pub struct FleetSurveyConfig {
     /// Machines to survey.
@@ -628,12 +605,13 @@ pub fn try_run_fleet_survey_span(
     )
 }
 
-/// Paired A/B comparisons of `specs` on a dedicated `platform` (the
-/// per-workload rows of Figures 10/14 and Tables 1/2), one per workload in
-/// `specs` order, each the mean over `seeds`. Every run — `specs × seeds ×
-/// {control, experiment}` — is one engine batch, so a whole table shards
-/// across threads; the two arms of a pair share the seed, so the pairing
-/// isolates the allocator change.
+/// One arm of the per-workload A/Bs (the rows of Figures 10/14 and Tables
+/// 1/2): `tcm_cfg` on a dedicated `platform`, one [`MetricSet`] per
+/// workload in `specs` order, each the mean over `seeds`. Every run —
+/// `specs × seeds` — is one engine batch, so a whole table shards across
+/// threads. Two arms over the same specs and seeds are paired: their runs
+/// share every seed, so a [`Comparison`] of them isolates the allocator
+/// change.
 ///
 /// # Panics
 ///
@@ -643,45 +621,31 @@ pub fn try_run_fleet_survey_span(
 ///
 /// Returns the [`TaskError`] naming the lowest-index failing run if any
 /// run panics.
-pub fn paired_ab(
+pub fn arm(
     engine: &Engine,
     specs: &[&WorkloadSpec],
     platform: &Platform,
-    control: TcmallocConfig,
-    experiment: TcmallocConfig,
+    tcm_cfg: TcmallocConfig,
     requests: u64,
     seeds: &[u64],
-) -> Result<Vec<Comparison>, TaskError> {
-    assert!(!seeds.is_empty(), "a paired A/B needs at least one seed");
-    let mut jobs = Vec::with_capacity(specs.len() * seeds.len() * 2);
-    for &spec in specs {
-        for &seed in seeds {
-            let dcfg = DriverConfig::new(requests, seed, platform);
-            for tcm_cfg in [control, experiment] {
-                jobs.push(RunJob {
-                    spec: spec.clone(),
-                    platform: platform.clone(),
-                    tcm_cfg,
-                    dcfg: dcfg.clone(),
-                });
-            }
-        }
-    }
-    let metrics = driver::run_batch(engine, jobs, |r, _| MetricSet::from_report(r))?;
+) -> Result<Vec<MetricSet>, TaskError> {
+    assert!(!seeds.is_empty(), "an arm needs at least one seed");
+    let jobs = specs.iter().flat_map(|&spec| {
+        seeds.iter().map(move |&seed| RunJob {
+            spec: spec.clone(),
+            platform: platform.clone(),
+            tcm_cfg,
+            dcfg: DriverConfig::new(requests, seed, platform),
+        })
+    });
+    let metrics = driver::run_batch(engine, jobs.collect(), |r, _| MetricSet::from_report(r))?;
     let w = 1.0 / seeds.len() as f64;
-    let add = |into: &mut MetricSet, from: &MetricSet| {
-        let (a, b) = (into.to_array(), from.to_array());
-        *into = MetricSet::from_array(std::array::from_fn(|i| a[i] + b[i] * w));
-    };
     Ok(metrics
-        .chunks(2 * seeds.len())
+        .chunks(seeds.len())
         .map(|runs| {
-            let mut acc = Comparison::default();
-            for pair in runs.chunks(2) {
-                add(&mut acc.control, &pair[0]);
-                add(&mut acc.experiment, &pair[1]);
-            }
-            acc
+            // Seed order, from zero: the same sum at any thread count.
+            let mean = |i: usize| runs.iter().fold(0.0, |acc, r| acc + r.to_array()[i] * w);
+            MetricSet::from_array(std::array::from_fn(mean))
         })
         .collect())
 }
@@ -693,41 +657,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paired_ab_is_deterministic_and_averages_seeds() {
+    fn arm_is_deterministic_and_averages_seeds() {
         let p = Platform::chiplet("t", 1, 2, 4, 2);
         let spec = wsc_workload::profiles::redis();
-        let ab = |seeds: &[u64]| {
-            let engine = Engine::new(2);
-            let (control, experiment) = (TcmallocConfig::baseline(), TcmallocConfig::optimized());
-            paired_ab(
-                &engine,
+        let run = |seeds: &[u64]| {
+            arm(
+                &Engine::new(2),
                 &[&spec, &spec],
                 &p,
-                control,
-                experiment,
+                TcmallocConfig::optimized(),
                 1_000,
                 seeds,
             )
             .unwrap()
         };
-        let both = ab(&[5, 6]);
-        assert_eq!(both.len(), 2, "one comparison per workload");
+        let both = run(&[5, 6]);
+        assert_eq!(both.len(), 2, "one metric set per workload");
         assert_eq!(both[0], both[1], "same workload, same seeds, same result");
-        assert_eq!(both, ab(&[5, 6]));
-        let (a, b) = (ab(&[5])[0], ab(&[6])[0]);
-        let mean = (a.experiment.throughput + b.experiment.throughput) / 2.0;
-        assert!((both[0].experiment.throughput - mean).abs() < 1e-9 * mean);
+        assert_eq!(both, run(&[5, 6]));
+        let (a, b) = (run(&[5])[0], run(&[6])[0]);
+        let mean = (a.throughput + b.throughput) / 2.0;
+        assert!((both[0].throughput - mean).abs() < 1e-9 * mean);
     }
 
     #[test]
     fn cell_summary_codec_roundtrips() {
-        let cfg = FleetExperimentConfig {
-            machines: 2,
-            requests_per_binary: 500,
+        let cfg = FleetSurveyConfig {
+            machines: 6,
+            requests_per_machine: 200,
             seed: 11,
+            platform_mix: default_platform_mix(),
             population: 25,
+            diurnal_period_ns: 500_000,
+            rollout_stage: 2,
         };
-        let r = try_run_fleet_ab(
+        let r = try_run_fleet_survey(
             &Engine::serial(),
             TcmallocConfig::baseline(),
             TcmallocConfig::optimized(),

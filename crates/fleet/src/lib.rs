@@ -7,9 +7,10 @@
 //! group (§2.2). This crate reproduces that structure at laptop scale:
 //!
 //! * [`population`] — the Zipf-weighted binary population (Figure 3),
-//! * [`experiment`] — paired fleet-wide and per-workload A/B runs yielding
-//!   the deltas of Figures 10/14 and Tables 1/2, plus the streaming
-//!   10⁵-machine survey (constant-size [`experiment::CellSummary`] folds),
+//! * [`experiment`] — the paired fleet-wide and per-workload A/B arms whose
+//!   comparisons are the deltas of Figures 10/14 and Tables 1/2, plus the
+//!   streaming 10⁵-machine survey (constant-size
+//!   [`experiment::CellSummary`] folds),
 //! * [`rollout`] — the §4.5 multiplicative composition of the four designs
 //!   and the staged canary→100% wave schedule,
 //! * [`report`] — fixed-width table output used by the `repro` harness.
@@ -17,19 +18,17 @@
 //! # Example
 //!
 //! ```no_run
-//! use wsc_fleet::experiment::{try_run_fleet_ab, FleetExperimentConfig};
+//! use wsc_fleet::experiment::{try_run_fleet_arm, Comparison, FleetExperimentConfig};
 //! use wsc_parallel::Engine;
 //! use wsc_tcmalloc::TcmallocConfig;
 //!
-//! let cfg = FleetExperimentConfig::quick(42);
-//! let result = try_run_fleet_ab(
-//!     &Engine::from_env(),
-//!     TcmallocConfig::baseline(),
-//!     TcmallocConfig::optimized(),
-//!     &cfg,
-//! )
-//! .expect("no cell panics");
-//! println!("throughput {:+.2}%", result.fleet.throughput_pct());
+//! let (engine, cfg) = (Engine::from_env(), FleetExperimentConfig::quick(42));
+//! let arm = |tcm_cfg| try_run_fleet_arm(&engine, tcm_cfg, &cfg).expect("no cell panics");
+//! let ab = Comparison {
+//!     control: arm(TcmallocConfig::baseline()).weighted_means(),
+//!     experiment: arm(TcmallocConfig::optimized()).weighted_means(),
+//! };
+//! println!("throughput {:+.2}%", ab.throughput_pct());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,7 +8,7 @@
 //!
 //! `design` is one of: hetero, nuca, spanprio, lifetime, all (default: all).
 
-use warehouse_alloc::fleet::experiment::paired_ab;
+use warehouse_alloc::fleet::experiment::{arm, Comparison};
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
@@ -51,9 +51,12 @@ fn main() {
     specs.extend(profiles::benchmark_workloads());
     let runs: Vec<&WorkloadSpec> = specs.iter().collect();
     let engine = Engine::from_env();
-    let rows = paired_ab(&engine, &runs, &platform, base, experiment, 25_000, &[42])
-        .expect("no run panics");
-    for (spec, c) in specs.iter().zip(rows) {
+    let run = |cfg| arm(&engine, &runs, &platform, cfg, 25_000, &[42]).expect("no run panics");
+    for ((spec, control), experiment) in specs.iter().zip(run(base)).zip(run(experiment)) {
+        let c = Comparison {
+            control,
+            experiment,
+        };
         println!(
             "{:<18} {:>+8.2} {:>+8.2} {:>+8.2} {:>4.3}->{:<4.3} {:>4.3}->{:<4.3}",
             spec.name,

@@ -6,7 +6,7 @@
 //! cargo run --release --example custom_platform
 //! ```
 
-use warehouse_alloc::fleet::experiment::paired_ab;
+use warehouse_alloc::fleet::experiment::{arm, Comparison};
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::latency::{measure, LatencyModel};
 use warehouse_alloc::sim_hw::topology::{fleet_generations, Platform};
@@ -56,13 +56,16 @@ fn main() {
     println!("\n-- NUCA transfer cache A/B per platform (disk workload) --");
     let base = TcmallocConfig::baseline();
     let exp = base.with_nuca_transfer();
-    let engine = Engine::from_env();
+    let (engine, disk) = (Engine::from_env(), profiles::disk());
     for p in [
         Platform::monolithic("monolithic-28c", 2, 28, 2),
         Platform::chiplet("chiplet-64c", 2, 4, 8, 2),
     ] {
-        let c = paired_ab(&engine, &[&profiles::disk()], &p, base, exp, 20_000, &[42])
-            .expect("no run panics")[0];
+        let run = |cfg| arm(&engine, &[&disk], &p, cfg, 20_000, &[42]).expect("no run panics")[0];
+        let c = Comparison {
+            control: run(base),
+            experiment: run(exp),
+        };
         println!(
             "{:<18} throughput {:+.2}%  LLC MPKI {:.3} -> {:.3}",
             p.name(),

@@ -6,7 +6,7 @@
 //! cargo run --release --example fleet_rollout
 //! ```
 
-use warehouse_alloc::fleet::experiment::{try_run_fleet_ab, FleetExperimentConfig};
+use warehouse_alloc::fleet::experiment::{try_run_fleet_arm, Comparison, FleetExperimentConfig};
 use warehouse_alloc::fleet::rollout;
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::tcmalloc::TcmallocConfig;
@@ -34,17 +34,23 @@ fn main() {
 
     println!("fleet A/B per design ({} machines/arm):\n", cfg.machines);
     let engine = Engine::from_env();
+    let run = |tcm_cfg| try_run_fleet_arm(&engine, tcm_cfg, &cfg).expect("no cell panics");
+    // Every design is compared against the one baseline arm.
+    let control = run(base).weighted_means();
     let mut singles = Vec::new();
     for (name, exp) in designs {
-        let r = try_run_fleet_ab(&engine, base, exp, &cfg).expect("no cell panics");
+        let fleet = Comparison {
+            control,
+            experiment: run(exp).weighted_means(),
+        };
         println!(
             "{:<32} thr {:+.2}%  mem {:+.2}%  CPI {:+.2}%",
             name,
-            r.fleet.throughput_pct(),
-            r.fleet.memory_pct(),
-            r.fleet.cpi_pct()
+            fleet.throughput_pct(),
+            fleet.memory_pct(),
+            fleet.cpi_pct()
         );
-        singles.push(r.fleet);
+        singles.push(fleet);
     }
 
     let est = rollout::combine(&singles);

